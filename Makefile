@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate obs-test shard-test qos-test lsraid-test ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke obs-test shard-test qos-test lsraid-test ci clean
 
 all: ci
 
@@ -127,8 +127,18 @@ bench-harness:
 bench-gate:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
 
-ci: vet build test race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate
+# The repository's benchmark (BENCHMARK.json, bench/) is a module of its
+# own that the root `go vet/test ./...` never reach: vet and test it, then
+# run all five workloads at 1 % size, untraced and traced. Every run
+# checks its own outputs and exits non-zero on a failure.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -quick
+	bash bench/run.sh -quick -trace 1
+
+ci: vet build test race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate bench-smoke
 
 clean:
 	$(GO) clean ./...
 	rm -f BENCH_harness.json coverage.out
+	rm -rf .bench_build

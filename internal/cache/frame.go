@@ -11,7 +11,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"kddcache/internal/blockdev"
 )
@@ -47,14 +46,27 @@ func (s State) String() string {
 	}
 }
 
+// numStates is the number of slot states.
+const numStates = 5
+
+// listed reports whether slots in state s sit on a recency list: the data
+// states, whose LastUse orders eviction and cleaning. Free and Delta slots
+// are picked by position and load, never by age, and stay unlinked.
+func listed(s State) bool { return s == Clean || s == Old || s == New }
+
 // NoSlot marks the absence of a slot index.
 const NoSlot = int32(-1)
 
-// Slot is one cache page frame.
+// Slot is one cache page frame. State and LastUse key the frame's recency
+// lists: outside Frame they are read-only, changed through Touch, Insert,
+// Transition, MarkDelta and Release.
 type Slot struct {
-	State   State
-	RaidLBA int64 // storage page cached here (valid for Clean/Old/New)
-	LastUse int64 // LRU tick
+	State State
+	// Recency-list neighbours (older, newer) among the slots of the same
+	// set and state; NoSlot at the ends and while the state is unlisted.
+	prev, next int32
+	RaidLBA    int64 // storage page cached here (valid for Clean/Old/New)
+	LastUse    int64 // LRU tick
 }
 
 // Frame is the set-associative slot array with an LBA lookup index.
@@ -69,11 +81,22 @@ type Frame struct {
 	tick        int64
 
 	// Per-state population counts, for thresholds and zone stats.
-	counts [5]int64
+	counts [numStates]int64
 	// Per-set Delta-page counts, for KDD's least-loaded DEZ allocation.
 	deltaPerSet []int32
 	// Per-set Free-slot counts, so allocation scans can skip full sets.
 	freePerSet []int32
+
+	// Recency lists: one per set per listed state, at index
+	// set*numStates+state, each ascending in (LastUse, slot index) so the
+	// head is that set's LRU slot of the state. Kept incrementally by
+	// Touch and setState; EvictLRU and OldestSlots only read the heads.
+	heads, tails []int32
+
+	// OldestSlots scratch, reused across calls: the result and the merge
+	// heap of per-set list cursors.
+	oldest []int32
+	merge  []int32
 }
 
 // NewFrame builds a frame of totalPages slots grouped into sets of `ways`
@@ -94,10 +117,18 @@ func NewFrame(totalPages int64, ways int, stripePages int64) *Frame {
 		lookup:      make(map[int64]int32),
 		deltaPerSet: make([]int32, nsets),
 		freePerSet:  make([]int32, nsets),
+		heads:       make([]int32, nsets*numStates),
+		tails:       make([]int32, nsets*numStates),
 	}
 	f.counts[Free] = int64(len(f.slots))
 	for i := range f.freePerSet {
 		f.freePerSet[i] = int32(ways)
+	}
+	for i := range f.slots {
+		f.slots[i].prev, f.slots[i].next = NoSlot, NoSlot
+	}
+	for i := range f.heads {
+		f.heads[i], f.tails[i] = NoSlot, NoSlot
 	}
 	return f
 }
@@ -149,24 +180,89 @@ func (f *Frame) Lookup(lba int64) int32 {
 	return NoSlot
 }
 
-// Slot returns a pointer to slot i for inspection.
+// Slot returns a pointer to slot i for inspection; see Slot for which
+// fields a caller must not write.
 func (f *Frame) Slot(i int32) *Slot { return &f.slots[i] }
 
 // Touch refreshes LRU recency for slot i.
 func (f *Frame) Touch(i int32) {
 	f.tick++
-	f.slots[i].LastUse = f.tick
+	sl := &f.slots[i]
+	sl.LastUse = f.tick
+	if listed(sl.State) && sl.next != NoSlot { // not already its list's newest
+		l := f.list(i)
+		f.unlink(i, l)
+		f.link(i, l)
+	}
 }
 
-// setState moves slot i to state s, maintaining counts.
+// older orders slots by recency: least recently used first, ties (only
+// slots never stamped by Touch or Insert can tie) by lower slot index.
+func (f *Frame) older(a, b int32) bool {
+	ua, ub := f.slots[a].LastUse, f.slots[b].LastUse
+	return ua < ub || (ua == ub && a < b)
+}
+
+// list returns the recency-list index of slot i's set and current state.
+func (f *Frame) list(i int32) int {
+	return int(i)/f.ways*numStates + int(f.slots[i].State)
+}
+
+// unlink takes slot i off its recency list l.
+func (f *Frame) unlink(i int32, l int) {
+	sl := &f.slots[i]
+	if sl.prev == NoSlot {
+		f.heads[l] = sl.next
+	} else {
+		f.slots[sl.prev].next = sl.next
+	}
+	if sl.next == NoSlot {
+		f.tails[l] = sl.prev
+	} else {
+		f.slots[sl.next].prev = sl.prev
+	}
+	sl.prev, sl.next = NoSlot, NoSlot
+}
+
+// link puts slot i on recency list l — that of its set and (listed)
+// state — at its place in recency order, walking back from the newest
+// end: the freshly stamped slot of Touch and Insert stays at the tail, and
+// only a Transition of a slot not stamped just before (WB's flush, LeavO,
+// scheme-1 reclaim, Restore) walks, at most ways steps.
+func (f *Frame) link(i int32, l int) {
+	t := f.tails[l]
+	for t != NoSlot && f.older(i, t) {
+		t = f.slots[t].prev
+	}
+	// Insert right after t (NoSlot: at the head).
+	sl := &f.slots[i]
+	sl.prev = t
+	if t == NoSlot {
+		sl.next = f.heads[l]
+		f.heads[l] = i
+	} else {
+		sl.next = f.slots[t].next
+		f.slots[t].next = i
+	}
+	if sl.next == NoSlot {
+		f.tails[l] = i
+	} else {
+		f.slots[sl.next].prev = i
+	}
+}
+
+// setState moves slot i to state s, maintaining counts and recency lists.
 func (f *Frame) setState(i int32, s State) {
 	old := f.slots[i].State
 	if old == s {
 		return
 	}
+	set := int(i) / f.ways
+	if listed(old) {
+		f.unlink(i, set*numStates+int(old))
+	}
 	f.counts[old]--
 	f.counts[s]++
-	set := int(i) / f.ways
 	if old == Delta {
 		f.deltaPerSet[set]--
 	}
@@ -180,6 +276,9 @@ func (f *Frame) setState(i int32, s State) {
 		f.freePerSet[set]++
 	}
 	f.slots[i].State = s
+	if listed(s) {
+		f.link(i, set*numStates+int(s))
+	}
 }
 
 // Insert binds storage page lba to slot i with the given state and
@@ -190,9 +289,15 @@ func (f *Frame) Insert(lba int64, i int32, s State) {
 		panic("cache: Insert with non-data state")
 	}
 	f.slots[i].RaidLBA = lba
-	f.setState(i, s)
 	f.lookup[lba] = i
-	f.Touch(i)
+	if f.slots[i].State == s {
+		f.Touch(i)
+		return
+	}
+	// Stamp before the state change so setState links at the tail at once.
+	f.tick++
+	f.slots[i].LastUse = f.tick
+	f.setState(i, s)
 }
 
 // Rebind repoints the lookup entry for lba to slot i without touching
@@ -237,26 +342,15 @@ func (f *Frame) AllocFree(set int) int32 {
 }
 
 // EvictLRU returns the least-recently-used slot in the set whose state is
-// in evictable, or NoSlot. The caller releases it.
+// in evictable (data states only), or NoSlot. The caller releases it.
 func (f *Frame) EvictLRU(set int, evictable ...State) int32 {
-	lo, hi := f.SetRange(set)
 	best := NoSlot
-	var bestUse int64
-	for i := lo; i < hi; i++ {
-		st := f.slots[i].State
-		ok := false
-		for _, e := range evictable {
-			if st == e {
-				ok = true
-				break
-			}
+	for _, e := range evictable {
+		if !listed(e) {
+			panic("cache: EvictLRU over a non-data state")
 		}
-		if !ok {
-			continue
-		}
-		if best == NoSlot || f.slots[i].LastUse < bestUse {
-			best = i
-			bestUse = f.slots[i].LastUse
+		if h := f.heads[set*numStates+int(e)]; h != NoSlot && (best == NoSlot || f.older(h, best)) {
+			best = h
 		}
 	}
 	return best
@@ -264,9 +358,12 @@ func (f *Frame) EvictLRU(set int, evictable ...State) int32 {
 
 // LeastDeltaSet returns the set with the fewest Delta pages that still
 // has a Free slot, or -1 ("KDD always chooses a free page from the cache
-// set which has the least number of DEZ pages", §III-B). freeHint scans
-// lazily; cost is O(sets) which is fine at simulation granularity.
+// set which has the least number of DEZ pages", §III-B). A full cache —
+// the steady state — answers at once; otherwise the cost is O(sets).
 func (f *Frame) LeastDeltaSet() int {
+	if f.counts[Free] == 0 {
+		return -1
+	}
 	start := 0
 	if f.dataSets < f.nsets {
 		start = f.dataSets // fixed partition: deltas only in reserved sets
@@ -285,35 +382,65 @@ func (f *Frame) LeastDeltaSet() int {
 	return best
 }
 
-// OldestSlots returns up to n slot indices in the given state across the
-// whole cache, least recently used first (the cleaner's victim scan).
+// OldestSlots returns up to n slot indices in the given data state across
+// the whole cache, least recently used first (the cleaner's victim list):
+// a k-way merge of the per-set recency lists through a min-heap of list
+// cursors, O(sets + n log sets). The result is scratch owned by the frame,
+// valid until the next OldestSlots call; the frame may be modified while
+// it is in use.
 func (f *Frame) OldestSlots(state State, n int) []int32 {
-	type cand struct {
-		i   int32
-		use int64
+	if !listed(state) {
+		panic("cache: OldestSlots over a non-data state")
 	}
-	var cands []cand
-	for i := range f.slots {
-		if f.slots[i].State == state {
-			cands = append(cands, cand{int32(i), f.slots[i].LastUse})
+	h := f.merge[:0]
+	for set := 0; set < f.nsets; set++ {
+		if c := f.heads[set*numStates+int(state)]; c != NoSlot {
+			h = append(h, c)
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].use < cands[b].use })
-	if n > len(cands) {
-		n = len(cands)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		f.siftDown(h, i)
 	}
-	out := make([]int32, 0, n)
-	for k := 0; k < n; k++ {
-		out = append(out, cands[k].i)
+	out := f.oldest[:0]
+	for len(h) > 0 && len(out) < n {
+		c := h[0]
+		out = append(out, c)
+		if nx := f.slots[c].next; nx != NoSlot {
+			h[0] = nx
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		f.siftDown(h, 0)
 	}
+	f.merge, f.oldest = h[:0], out
 	return out
+}
+
+// siftDown restores the min-heap order (by older) of h below position i.
+func (f *Frame) siftDown(h []int32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && f.older(h[c+1], h[c]) {
+			c++
+		}
+		if !f.older(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // CheckInvariants validates internal consistency (used by tests and the
 // property suite): counts match slot states, lookup is a bijection onto
-// live data slots, delta counts match.
+// live data slots, delta counts match, and every recency list holds
+// exactly its set's slots of its state in recency order.
 func (f *Frame) CheckInvariants() error {
-	var counts [5]int64
+	var counts [numStates]int64
 	deltas := make([]int32, f.nsets)
 	frees := make([]int32, f.nsets)
 	for i := range f.slots {
@@ -331,7 +458,7 @@ func (f *Frame) CheckInvariants() error {
 			return fmt.Errorf("cache: set %d free count %d, cached %d", s, frees[s], f.freePerSet[s])
 		}
 	}
-	for s := State(0); s < 5; s++ {
+	for s := State(0); s < numStates; s++ {
 		if counts[s] != f.counts[s] {
 			return fmt.Errorf("cache: state %v count %d, cached %d", s, counts[s], f.counts[s])
 		}
@@ -351,6 +478,47 @@ func (f *Frame) CheckInvariants() error {
 		}
 		if f.SetOf(lba) != int(i)/f.ways && st != New {
 			return fmt.Errorf("cache: lba %d mapped outside its set", lba)
+		}
+	}
+	return f.checkLists()
+}
+
+// checkLists walks every recency list: members are the list's set and
+// state, doubly linked, strictly ascending by (LastUse, slot index), and
+// together number the listed states' populations; nothing else is linked.
+func (f *Frame) checkLists() error {
+	var linked [numStates]int64
+	for l, h := range f.heads {
+		set, st := l/numStates, State(l%numStates)
+		prev := NoSlot
+		for i := h; i != NoSlot; prev, i = i, f.slots[i].next {
+			sl := &f.slots[i]
+			switch {
+			case !listed(st):
+				return fmt.Errorf("cache: slot %d on the list of unlisted state %v", i, st)
+			case sl.State != st || int(i)/f.ways != set:
+				return fmt.Errorf("cache: %v slot %d on the %v list of set %d", sl.State, i, st, set)
+			case sl.prev != prev:
+				return fmt.Errorf("cache: slot %d prev link %d, want %d", i, sl.prev, prev)
+			case prev != NoSlot && !f.older(prev, i):
+				return fmt.Errorf("cache: set %d %v list out of recency order at slot %d", set, st, i)
+			}
+			if linked[st]++; linked[st] > f.counts[st] {
+				return fmt.Errorf("cache: %v lists hold more than the %d %v slots", st, f.counts[st], st)
+			}
+		}
+		if f.tails[l] != prev {
+			return fmt.Errorf("cache: set %d %v list tail %d, want %d", set, st, f.tails[l], prev)
+		}
+	}
+	for st := State(0); st < numStates; st++ {
+		if listed(st) && linked[st] != f.counts[st] {
+			return fmt.Errorf("cache: %v lists hold %d slots of %d", st, linked[st], f.counts[st])
+		}
+	}
+	for i := range f.slots {
+		if sl := &f.slots[i]; !listed(sl.State) && (sl.prev != NoSlot || sl.next != NoSlot) {
+			return fmt.Errorf("cache: %v slot %d is linked", sl.State, i)
 		}
 	}
 	return nil

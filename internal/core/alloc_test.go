@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kddcache/internal/blockdev"
+	"kddcache/internal/cache"
 	"kddcache/internal/core"
 	"kddcache/internal/obs"
 )
@@ -68,5 +69,22 @@ func TestHitAllocRegression(t *testing.T) {
 			t.Errorf("traced=%v: write hit allocates %.2f/op, budget %.1f (pre-pool baseline was 3.0)",
 				tc.traced, wh, tc.writeCeil)
 		}
+	}
+
+	// The cleaner's victim list is frame-owned scratch merged from the
+	// recency lists: once warm, selecting a cleanPass batch allocates
+	// nothing (it used to build and sort a candidate slice of every Old
+	// slot per batch).
+	r := newRig(t, 1024)
+	for lba := int64(0); lba < 300; lba++ {
+		r.write(t, lba)
+		r.write(t, lba) // hit: Old
+	}
+	f := r.kdd.Frame()
+	if n := len(f.OldestSlots(cache.Old, 128)); n != 128 {
+		t.Fatalf("rig holds %d Old victims, want a full batch of 128", n)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.OldestSlots(cache.Old, 128) }); a != 0 {
+		t.Errorf("OldestSlots allocates %.2f/batch in steady state, want 0", a)
 	}
 }

@@ -286,7 +286,7 @@ func (k *KDD) readCurrent(t sim.Time, lba int64, slot int32, buf []byte) (sim.Ti
 // expandXor materialises the raw XOR (old ⊕ new) for an Old slot's delta:
 // exactly what ParityUpdateDelta folds into the stale parity.
 func (k *KDD) expandXor(t sim.Time, slot int32) ([]byte, error) {
-	od, ok := k.oldDeltas[slot]
+	od, ok := k.deltaOf(slot)
 	if !ok {
 		return nil, fmt.Errorf("%w: slot %d", ErrNotCombinable, slot)
 	}
@@ -303,7 +303,7 @@ func (k *KDD) expandXor(t sim.Time, slot int32) ([]byte, error) {
 		if _, err := k.ssdRead(t, k.cacheLBA(od.dez), dezBuf); err != nil {
 			return nil, err
 		}
-		d = delta.Delta{Len: od.length, Raw: od.raw, Bytes: dezBuf[od.off : od.off+od.length]}
+		d = delta.Delta{Len: int(od.length), Raw: od.raw, Bytes: dezBuf[od.off : int(od.off)+int(od.length)]}
 	}
 	// The xor page is returned to the caller, who owns it (parityRMW
 	// releases it after the backend folds it into parity).
@@ -334,13 +334,13 @@ func (k *KDD) expandXor(t sim.Time, slot int32) ([]byte, error) {
 // reclaimOld retires one Old page after its parity has been repaired.
 func (k *KDD) reclaimOld(t sim.Time, lba int64, slot int32) (sim.Time, error) {
 	// Invalidate the delta wherever it lives.
-	if od, ok := k.oldDeltas[slot]; ok {
+	if od, ok := k.deltaOf(slot); ok {
 		if od.staged {
 			k.staging.Drop(k.cacheLBA(slot))
 		} else {
 			k.releaseDez(t, od.dez)
 		}
-		delete(k.oldDeltas, slot)
+		k.dropDelta(slot)
 	}
 	k.st.Reclaims++
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
 // StateDigest returns an I/O-free fingerprint of the engine's recovered
 // metadata: frame slot states and bindings, delta records, DEZ occupancy,
@@ -36,7 +33,7 @@ func (k *KDD) StateDigest() uint64 {
 		s := k.frame.Slot(i)
 		put(uint64(s.State))
 		put(uint64(s.RaidLBA))
-		od, ok := k.oldDeltas[i]
+		od, ok := k.deltaOf(i)
 		putBool(ok)
 		if ok {
 			putBool(od.staged)
@@ -46,13 +43,10 @@ func (k *KDD) StateDigest() uint64 {
 			putBool(od.raw)
 		}
 	}
-	dez := make([]int32, 0, len(k.dezPages))
-	for slot := range k.dezPages {
-		dez = append(dez, slot)
-	}
-	sort.Slice(dez, func(i, j int) bool { return dez[i] < dez[j] })
-	for _, slot := range dez {
-		dp := k.dezPages[slot]
+	for slot, dp := range k.dezPages {
+		if dp.valid == 0 {
+			continue
+		}
 		put(uint64(slot))
 		put(uint64(dp.valid))
 		put(uint64(dp.used))

@@ -247,14 +247,18 @@ func (k *KDD) failover(t sim.Time, target Health) {
 // dispatched), so the resync is always correct; the RMW is merely the
 // cheap path. Row order is sorted for deterministic I/O sequences.
 func (k *KDD) emergencyFold(t sim.Time) error {
-	if len(k.oldDeltas) == 0 {
+	if k.nOld == 0 {
 		return nil
 	}
 	sp := k.tr.Begin(t, obs.PhaseFold)
 	done := t
 	k.st.EmergencyFolds++
 	rows := make(map[int64][]peerInfo)
-	for slot := range k.oldDeltas {
+	for i, od := range k.oldDeltas {
+		if !od.live {
+			continue
+		}
+		slot := int32(i)
 		lba := k.frame.Slot(slot).RaidLBA
 		key := k.backend.RowPeers(lba)[0]
 		rows[key] = append(rows[key], peerInfo{lba: lba, slot: slot})
@@ -360,8 +364,9 @@ func (k *KDD) dropCache() {
 	if k.cfg.FixedDEZSets > 0 {
 		k.frame.SetDataSets(k.frame.Sets() - k.cfg.FixedDEZSets)
 	}
-	k.oldDeltas = make(map[int32]oldDelta)
-	k.dezPages = make(map[int32]*dezPage)
+	clear(k.oldDeltas)
+	k.nOld = 0
+	clear(k.dezPages)
 	k.staging = nvram.NewStaging(k.cfg.StagingBytes)
 	k.metaErr = nil
 }

@@ -32,6 +32,11 @@ import (
 // applied (would indicate a bookkeeping bug; surfaced for tests).
 var ErrNotCombinable = errors.New("core: cannot combine old page with delta")
 
+// ErrNoPayload reports a write without page bytes to an engine that
+// carries real data (byte-backed SSD and a real codec): there is nothing
+// to encode a delta from. Timing-only stacks accept nil buffers.
+var ErrNoPayload = errors.New("core: data-mode write without a payload")
+
 // Config assembles a KDD cache instance.
 type Config struct {
 	SSD     blockdev.Device // cache device (metadata partition + cache pages)
@@ -166,19 +171,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// oldDelta locates the newest delta of an Old DAZ page.
+// oldDelta locates the newest delta of an Old DAZ page. Offsets and
+// lengths are at most a page, as in the metadata log's entry encoding.
 type oldDelta struct {
-	staged bool  // still in the NVRAM staging buffer
 	dez    int32 // DEZ slot (when !staged)
-	off    int
-	length int
+	off    uint16
+	length uint16
+	live   bool // the slot has a delta record (it is Old)
+	staged bool // still in the NVRAM staging buffer
 	raw    bool
 }
 
-// dezPage tracks a DEZ page's occupancy.
+// dezPage tracks a DEZ page's occupancy; a tracked page has valid > 0.
 type dezPage struct {
-	valid int // live deltas ("valid count", §III-C)
-	used  int // bytes consumed
+	valid int32 // live deltas ("valid count", §III-C)
+	used  int32 // bytes consumed
 }
 
 // KDD is the cache engine.
@@ -194,8 +201,10 @@ type KDD struct {
 	log     *metalog.Log
 	codec   delta.Codec
 
-	oldDeltas map[int32]oldDelta // old DAZ slot -> delta location
-	dezPages  map[int32]*dezPage // DEZ slot -> occupancy
+	// Per-slot side tables, indexed by cache slot like the frame.
+	oldDeltas []oldDelta // old DAZ slot -> delta location
+	nOld      int        // live records in oldDeltas
+	dezPages  []dezPage  // DEZ slot -> occupancy
 
 	ghost *ghostLRU // nil unless SelectiveAdmission
 
@@ -279,10 +288,10 @@ func New(cfg Config) (*KDD, error) {
 		sharedLog: cfg.SharedLog != nil,
 		staging:   nvram.NewStaging(cfg.StagingBytes),
 		codec:     cfg.Codec,
-		oldDeltas: make(map[int32]oldDelta),
-		dezPages:  make(map[int32]*dezPage),
 		tr:        cfg.Tracer,
 	}
+	k.oldDeltas = make([]oldDelta, k.frame.Pages())
+	k.dezPages = make([]dezPage, k.frame.Pages())
 	if cfg.FixedDEZSets > 0 {
 		if cfg.FixedDEZSets >= k.frame.Sets() {
 			return nil, fmt.Errorf("core: FixedDEZSets %d >= %d sets", cfg.FixedDEZSets, k.frame.Sets())
@@ -348,6 +357,29 @@ func (k *KDD) Log() *metalog.Log { return k.log }
 // DirtyPages returns the old+delta page population (the cleaner's gauge).
 func (k *KDD) DirtyPages() int64 {
 	return k.frame.Count(cache.Old) + k.frame.Count(cache.Delta)
+}
+
+// deltaOf returns slot's delta record, if it has one.
+func (k *KDD) deltaOf(slot int32) (oldDelta, bool) {
+	od := k.oldDeltas[slot]
+	return od, od.live
+}
+
+// setDelta records (or replaces) slot's delta location.
+func (k *KDD) setDelta(slot int32, od oldDelta) {
+	if !k.oldDeltas[slot].live {
+		k.nOld++
+	}
+	od.live = true
+	k.oldDeltas[slot] = od
+}
+
+// dropDelta forgets slot's delta record, if any.
+func (k *KDD) dropDelta(slot int32) {
+	if k.oldDeltas[slot].live {
+		k.nOld--
+		k.oldDeltas[slot] = oldDelta{}
+	}
 }
 
 // cacheLBA maps a slot index to its SSD page.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -445,4 +446,25 @@ func mustArray(t *testing.T) *raid.Array {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// TestWriteWithoutPayload: a nil buffer on a data-mode engine used to reach
+// ZRLE.Encode(nil, nil) on the first write hit and panic. It is refused
+// with a typed error on hit and miss alike, and leaves no trace.
+func TestWriteWithoutPayload(t *testing.T) {
+	r := newRig(t, 1024)
+	r.write(t, 17) // lba 17 cached: the nil write below is a hit
+	for _, lba := range []int64{17, 18} {
+		if _, err := r.kdd.Write(0, lba, nil); !errors.Is(err, core.ErrNoPayload) {
+			t.Fatalf("Write(lba %d, nil) = %v, want ErrNoPayload", lba, err)
+		}
+		if _, err := r.kdd.WriteNoAdmit(0, lba, nil); !errors.Is(err, core.ErrNoPayload) {
+			t.Fatalf("WriteNoAdmit(lba %d, nil) = %v, want ErrNoPayload", lba, err)
+		}
+	}
+	r.write(t, 17)
+	r.verifyCache(t)
+	if err := r.kdd.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

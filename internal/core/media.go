@@ -75,13 +75,13 @@ func (k *KDD) recoverHit(t sim.Time, lba int64, slot int32, buf []byte) (sim.Tim
 // overwrite torn by a crash leaves stale bytes behind a mapping the
 // metadata log already trusts — silent stale reads after recovery.
 func (k *KDD) retireSlot(t sim.Time, slot int32) error {
-	if od, ok := k.oldDeltas[slot]; ok {
+	if od, ok := k.deltaOf(slot); ok {
 		if od.staged {
 			k.staging.Drop(k.cacheLBA(slot))
 		} else {
 			k.releaseDez(t, od.dez)
 		}
-		delete(k.oldDeltas, slot)
+		k.dropDelta(slot)
 	}
 	k.frame.Release(slot, true)
 	k.trimSlot(t, slot)

@@ -95,7 +95,7 @@ func (k *KDD) readCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Tim
 
 // readOld serves a hit on an Old page: old data ⊕ delta.
 func (k *KDD) readOld(t sim.Time, lba int64, slot int32, buf []byte) (sim.Time, error) {
-	od, ok := k.oldDeltas[slot]
+	od, ok := k.deltaOf(slot)
 	if !ok {
 		return t, fmt.Errorf("%w: old slot %d has no delta record", ErrNotCombinable, slot)
 	}
@@ -135,9 +135,9 @@ func (k *KDD) readOld(t sim.Time, lba int64, slot int32, buf []byte) (sim.Time, 
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
-		d = delta.Delta{Len: od.length, Raw: od.raw}
+		d = delta.Delta{Len: int(od.length), Raw: od.raw}
 		if dezBuf != nil {
-			d.Bytes = dezBuf[od.off : od.off+od.length]
+			d.Bytes = dezBuf[od.off : int(od.off)+int(od.length)]
 		}
 	}
 	if k.dataMode && buf != nil {
@@ -241,6 +241,9 @@ func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (done sim.Time, err error
 // normal delta path: an already-cached page must keep its delta
 // machinery coherent, and the hit path admits nothing new.
 func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Time, error) {
+	if k.dataMode && buf == nil {
+		return t, fmt.Errorf("%w: lba %d", ErrNoPayload, lba)
+	}
 	// While the array is degraded, deferring parity would widen the data
 	// loss window, so fold every pending delta up front (§III-E repairs
 	// parity BEFORE rebuild) and operate write-through until redundancy
@@ -249,7 +252,7 @@ func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Ti
 	// parity from the survivors, and a delta staged earlier for the row
 	// would corrupt the fresh parity if it were still around to be folded
 	// after a later write re-marked the row stale.
-	if !k.backend.Healthy() && len(k.oldDeltas) > 0 {
+	if !k.backend.Healthy() && k.nOld > 0 {
 		if _, err := k.cleanPass(t, true); err != nil {
 			return t, err
 		}
@@ -287,7 +290,7 @@ func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Ti
 	// so replacing the staged/committed delta keeps parity repair a
 	// single XOR.)
 	var d delta.Delta
-	if k.dataMode && buf != nil {
+	if k.dataMode {
 		oldBuf := blockdev.GetPage() // fully overwritten by the DAZ read
 		sp := k.tr.BeginLBA(t, obs.PhaseDAZRead, lba)
 		c, err := k.ssdRead(t, k.cacheLBA(slot), oldBuf)
@@ -326,12 +329,12 @@ func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Ti
 	k.st.SmallWritesSaved++
 
 	// Supersede any committed DEZ delta for this page.
-	if od, ok := k.oldDeltas[slot]; ok && !od.staged {
+	if od, ok := k.deltaOf(slot); ok && !od.staged {
 		k.releaseDez(t, od.dez)
 	}
 	k.staging.Put(nvram.StagedDelta{DazPage: k.cacheLBA(slot), RaidLBA: lba, D: d})
 	k.tr.Mark(t, obs.PhaseNVRAMStage, lba)
-	k.oldDeltas[slot] = oldDelta{staged: true}
+	k.setDelta(slot, oldDelta{staged: true})
 	if k.frame.Slot(slot).State == cache.Clean {
 		k.frame.Transition(slot, cache.Old)
 	}
@@ -450,8 +453,7 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 		k.trimSlot(t, dezSlot)
 		return t, err
 	}
-	dp := &dezPage{}
-	k.dezPages[dezSlot] = dp
+	dp := &k.dezPages[dezSlot]
 	for i, sd := range packed {
 		slot := k.slotOf(sd.DazPage)
 		e := metalog.Entry{
@@ -472,17 +474,16 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 				k.staging.Put(rest)
 			}
 			if dp.valid == 0 {
-				delete(k.dezPages, dezSlot)
 				k.frame.Release(dezSlot, false)
 				k.trimSlot(t, dezSlot)
 			}
 			return t, err
 		}
-		k.oldDeltas[slot] = oldDelta{
-			dez: dezSlot, off: offs[i], length: sd.D.Len, raw: sd.D.Raw,
-		}
+		k.setDelta(slot, oldDelta{
+			dez: dezSlot, off: uint16(offs[i]), length: uint16(sd.D.Len), raw: sd.D.Raw,
+		})
 		dp.valid++
-		dp.used += sd.D.Len
+		dp.used += int32(sd.D.Len)
 		done = sim.MaxTime(done, c)
 	}
 	k.st.DeltaCommits++
@@ -498,8 +499,7 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 // stale old data for acked writes, which the checker must catch.
 func (k *KDD) commitDezLogFirst(t sim.Time, dezSlot int32,
 	packed []nvram.StagedDelta, offs []int, image []byte) (sim.Time, error) {
-	dp := &dezPage{}
-	k.dezPages[dezSlot] = dp
+	dp := &k.dezPages[dezSlot]
 	done := t
 	for i, sd := range packed {
 		slot := k.slotOf(sd.DazPage)
@@ -516,11 +516,11 @@ func (k *KDD) commitDezLogFirst(t sim.Time, dezSlot int32,
 		if err != nil {
 			return t, err
 		}
-		k.oldDeltas[slot] = oldDelta{
-			dez: dezSlot, off: offs[i], length: sd.D.Len, raw: sd.D.Raw,
-		}
+		k.setDelta(slot, oldDelta{
+			dez: dezSlot, off: uint16(offs[i]), length: uint16(sd.D.Len), raw: sd.D.Raw,
+		})
 		dp.valid++
-		dp.used += sd.D.Len
+		dp.used += int32(sd.D.Len)
 		done = sim.MaxTime(done, c)
 	}
 	c, err := k.ssd.WritePages(t, k.cacheLBA(dezSlot), 1, image)
@@ -535,13 +535,13 @@ func (k *KDD) commitDezLogFirst(t sim.Time, dezSlot int32,
 // its valid count reaches zero ("the DEZ page cannot be freed until the
 // valid count reaches zero", §III-C).
 func (k *KDD) releaseDez(t sim.Time, dezSlot int32) {
-	dp := k.dezPages[dezSlot]
-	if dp == nil {
-		return
+	dp := &k.dezPages[dezSlot]
+	if dp.valid == 0 {
+		return // not a tracked DEZ page
 	}
 	dp.valid--
-	if dp.valid <= 0 {
-		delete(k.dezPages, dezSlot)
+	if dp.valid == 0 {
+		*dp = dezPage{}
 		k.frame.Release(dezSlot, false)
 		k.trimSlot(t, dezSlot)
 	}

@@ -72,7 +72,7 @@ func (k *KDD) pumpRebuild(t sim.Time) {
 // the first rebuild I/O. In pass-through mode the cache is empty (the
 // failover already folded), so the fold is a no-op there by construction.
 func (k *KDD) spareAttach(t sim.Time) {
-	if len(k.oldDeltas) > 0 {
+	if k.nOld > 0 {
 		if _, err := k.cleanPass(t, true); err != nil {
 			if k.ssdFault(err) {
 				k.failover(t, HealthBypass)

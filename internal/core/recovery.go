@@ -109,26 +109,21 @@ func (k *KDD) rebuildFromReplay(replay []metalog.Entry, staging *nvram.Staging) 
 				k.frame.Transition(slot, cache.Old)
 			}
 			// Newest delta wins over any DEZ-committed one.
-			k.oldDeltas[slot] = oldDelta{staged: true}
+			k.setDelta(slot, oldDelta{staged: true})
 		}
 	}
 
 	// 3. Rebuild DEZ occupancy from the surviving old-page records.
-	for slot, od := range k.oldDeltas {
-		if od.staged {
+	for _, od := range k.oldDeltas {
+		if !od.live || od.staged {
 			continue
 		}
 		if k.frame.Slot(od.dez).State != cache.Delta {
 			k.frame.MarkDelta(od.dez)
 		}
-		dp := k.dezPages[od.dez]
-		if dp == nil {
-			dp = &dezPage{}
-			k.dezPages[od.dez] = dp
-		}
+		dp := &k.dezPages[od.dez]
 		dp.valid++
-		dp.used += od.length
-		_ = slot
+		dp.used += int32(od.length)
 	}
 	return nil
 }
@@ -163,7 +158,7 @@ func (k *KDD) applyEntry(e metalog.Entry) error {
 		if k.frame.Slot(slot).State != cache.Free {
 			k.frame.Release(slot, true)
 		}
-		delete(k.oldDeltas, slot)
+		k.dropDelta(slot)
 		return nil
 	case metalog.StateClean, metalog.StateOld:
 		lba := int64(e.RaidLBA)
@@ -171,24 +166,24 @@ func (k *KDD) applyEntry(e metalog.Entry) error {
 		// previously lived, then bind fresh.
 		if cur := k.frame.Lookup(lba); cur != cache.NoSlot && cur != slot {
 			k.frame.Release(cur, true)
-			delete(k.oldDeltas, cur)
+			k.dropDelta(cur)
 		}
 		if st := k.frame.Slot(slot).State; st != cache.Free {
 			k.frame.Release(slot, true)
-			delete(k.oldDeltas, slot)
+			k.dropDelta(slot)
 		}
 		if e.State == metalog.StateClean {
 			k.frame.Insert(lba, slot, cache.Clean)
-			delete(k.oldDeltas, slot)
+			k.dropDelta(slot)
 			return nil
 		}
 		k.frame.Insert(lba, slot, cache.Old)
-		k.oldDeltas[slot] = oldDelta{
+		k.setDelta(slot, oldDelta{
 			dez:    k.slotOf(int64(e.DezPage)),
-			off:    int(e.DezOff),
-			length: int(e.DezLen),
+			off:    e.DezOff,
+			length: e.DezLen,
 			raw:    e.DezRaw,
-		}
+		})
 		return nil
 	default:
 		return fmt.Errorf("core: recovered entry with unexpected state %v", e.State)
@@ -206,7 +201,7 @@ func (k *KDD) CheckInvariants() error {
 	for i := int32(0); int64(i) < k.frame.Pages(); i++ {
 		if k.frame.Slot(i).State == cache.Old {
 			oldCount++
-			od, ok := k.oldDeltas[i]
+			od, ok := k.deltaOf(i)
 			if !ok {
 				return fmt.Errorf("core: old slot %d lacks a delta record", i)
 			}
@@ -219,27 +214,26 @@ func (k *KDD) CheckInvariants() error {
 			}
 		}
 	}
-	if int64(len(k.oldDeltas)) != oldCount {
-		return fmt.Errorf("core: %d delta records for %d old slots", len(k.oldDeltas), oldCount)
-	}
-	// DEZ valid counts equal references from old pages.
-	refs := make(map[int32]int)
+	// Records sit only on Old slots, and nOld counts them. DEZ valid
+	// counts equal references from old pages; an untracked DEZ slot has
+	// neither.
+	var records int64
+	refs := make([]int32, len(k.dezPages))
 	for _, od := range k.oldDeltas {
+		if !od.live {
+			continue
+		}
+		records++
 		if !od.staged {
 			refs[od.dez]++
 		}
 	}
+	if records != oldCount || int64(k.nOld) != oldCount {
+		return fmt.Errorf("core: %d delta records (counted %d) for %d old slots", records, k.nOld, oldCount)
+	}
 	for dez, dp := range k.dezPages {
 		if refs[dez] != dp.valid {
 			return fmt.Errorf("core: dez slot %d valid=%d but %d references", dez, dp.valid, refs[dez])
-		}
-		if dp.valid <= 0 {
-			return fmt.Errorf("core: dez slot %d retained with valid=%d", dez, dp.valid)
-		}
-	}
-	for dez := range refs {
-		if _, ok := k.dezPages[dez]; !ok {
-			return fmt.Errorf("core: references to untracked dez slot %d", dez)
 		}
 	}
 	return nil

@@ -1,10 +1,23 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 
+	"kddcache/internal/core"
 	"kddcache/internal/workload"
 )
+
+// TestRunTraceSurfacesNoPayload: RunTrace replays with nil page buffers,
+// which a data-mode KDD engine cannot encode deltas from. The replay must
+// stop with core.ErrNoPayload (it used to panic inside the codec on the
+// first write hit).
+func TestRunTraceSurfacesNoPayload(t *testing.T) {
+	st := diffStack(t, "kdd", 3)
+	if _, err := RunTrace(st, diffTrace(t, "uniform", 3)); !errors.Is(err, core.ErrNoPayload) {
+		t.Fatalf("RunTrace on a data-mode stack = %v, want core.ErrNoPayload", err)
+	}
+}
 
 func TestClosedLoopDeterminism(t *testing.T) {
 	run := func() (float64, int64) {

@@ -23,10 +23,17 @@ type StagedDelta struct {
 // the newest version of delta for one DAZ page is maintained" (§III-C).
 // When enough delta bytes accumulate to fill a flash page, PackPage
 // drains the oldest deltas into one DEZ page image.
+//
+// The queue is fifo[head:]; entries before head were drained by PackPage
+// and wait for compact. index holds absolute positions — base is the
+// absolute position of fifo[0] — so draining and compaction leave the
+// entries of every delta still queued untouched.
 type Staging struct {
 	capBytes int
-	fifo     []StagedDelta // arrival order, coalesced
-	index    map[int64]int // DazPage -> position in fifo (-1 = tombstone)
+	fifo     []StagedDelta // arrival order, coalesced; DazPage -1 = dropped
+	head     int           // first entry of fifo not yet drained
+	base     int           // absolute position of fifo[0]
+	index    map[int64]int // DazPage -> absolute position in fifo
 	bytes    int
 
 	// Statistics.
@@ -57,13 +64,13 @@ func (s *Staging) Full() bool { return s.bytes >= s.capBytes }
 // delta for the same page (write coalescing).
 func (s *Staging) Put(d StagedDelta) {
 	if pos, ok := s.index[d.DazPage]; ok {
-		s.bytes -= s.fifo[pos].D.Len
-		s.fifo[pos] = d
-		s.bytes += d.D.Len
+		e := &s.fifo[pos-s.base]
+		s.bytes += d.D.Len - e.D.Len
+		*e = d
 		s.Coalesced++
 		return
 	}
-	s.index[d.DazPage] = len(s.fifo)
+	s.index[d.DazPage] = s.base + len(s.fifo)
 	s.fifo = append(s.fifo, d)
 	s.bytes += d.D.Len
 }
@@ -74,7 +81,7 @@ func (s *Staging) Get(dazPage int64) (StagedDelta, bool) {
 	if !ok {
 		return StagedDelta{}, false
 	}
-	return s.fifo[pos], true
+	return s.fifo[pos-s.base], true
 }
 
 // Drop removes a staged delta (the DAZ page was reclaimed or superseded).
@@ -83,8 +90,9 @@ func (s *Staging) Drop(dazPage int64) {
 	if !ok {
 		return
 	}
-	s.bytes -= s.fifo[pos].D.Len
-	s.fifo[pos].DazPage = -1 // tombstone; compacted on PackPage
+	e := &s.fifo[pos-s.base]
+	s.bytes -= e.D.Len
+	*e = StagedDelta{DazPage: -1} // tombstone; skipped and drained by PackPage
 	delete(s.index, dazPage)
 	s.Invalidated++
 }
@@ -95,38 +103,46 @@ func (s *Staging) Drop(dazPage int64) {
 func (s *Staging) PackPage() []StagedDelta {
 	var out []StagedDelta
 	used := 0
-	i := 0
+	i := s.head
 	for ; i < len(s.fifo); i++ {
 		d := s.fifo[i]
-		if d.DazPage < 0 {
-			continue // tombstone
-		}
-		if used+d.D.Len > blockdev.PageSize {
-			break
-		}
-		used += d.D.Len
-		out = append(out, d)
-		delete(s.index, d.DazPage)
-		s.bytes -= d.D.Len
-	}
-	// Compact the consumed prefix and rebuild positions.
-	s.fifo = append(s.fifo[:0], s.fifo[i:]...)
-	for p := range s.index {
-		delete(s.index, p)
-	}
-	for pos, d := range s.fifo {
 		if d.DazPage >= 0 {
-			s.index[d.DazPage] = pos
+			if used+d.D.Len > blockdev.PageSize {
+				break
+			}
+			used += d.D.Len
+			out = append(out, d)
+			delete(s.index, d.DazPage)
+			s.bytes -= d.D.Len
 		}
+		s.fifo[i] = StagedDelta{} // drained or tombstone: do not pin the payload until compact
 	}
+	s.head = i
+	s.compact()
 	return out
+}
+
+// compact slides the queue back to the front of fifo once the drained
+// prefix is at least half as long as the queue: an entry moves at most
+// twice per entry drained past it (amortised O(1) per delta) and fifo
+// never runs more than half again as long as the queue.
+func (s *Staging) compact() {
+	live := len(s.fifo) - s.head
+	if 2*s.head < live {
+		return
+	}
+	copy(s.fifo, s.fifo[s.head:])
+	clear(s.fifo[live:]) // stale copies must not pin delta payloads
+	s.fifo = s.fifo[:live]
+	s.base += s.head
+	s.head = 0
 }
 
 // All returns the live staged deltas in FIFO order (recovery reads these
 // back after a power failure).
 func (s *Staging) All() []StagedDelta {
 	var out []StagedDelta
-	for _, d := range s.fifo {
+	for _, d := range s.fifo[s.head:] {
 		if d.DazPage >= 0 {
 			out = append(out, d)
 		}

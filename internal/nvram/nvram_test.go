@@ -1,10 +1,12 @@
 package nvram
 
 import (
+	"fmt"
 	"testing"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/delta"
+	"kddcache/internal/sim"
 )
 
 func sd(daz int64, n int) StagedDelta {
@@ -150,5 +152,137 @@ func TestCountersLive(t *testing.T) {
 	c := Counters{Head: 3, Tail: 10}
 	if c.Live() != 7 {
 		t.Fatalf("Live = %d", c.Live())
+	}
+}
+
+// stagingModel is the obvious Staging: one slice in arrival order,
+// searched linearly, drained from the front.
+type stagingModel []StagedDelta
+
+func (m stagingModel) find(daz int64) int {
+	for i, d := range m {
+		if d.DazPage == daz {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *stagingModel) put(d StagedDelta) {
+	if i := m.find(d.DazPage); i >= 0 {
+		(*m)[i] = d
+		return
+	}
+	*m = append(*m, d)
+}
+
+func (m *stagingModel) drop(daz int64) {
+	if i := m.find(daz); i >= 0 {
+		*m = append((*m)[:i:i], (*m)[i+1:]...)
+	}
+}
+
+func (m *stagingModel) pack() []StagedDelta {
+	used, n := 0, 0
+	for n < len(*m) && used+(*m)[n].D.Len <= blockdev.PageSize {
+		used += (*m)[n].D.Len
+		n++
+	}
+	out := (*m)[:n:n]
+	*m = (*m)[n:]
+	return out
+}
+
+func (m stagingModel) bytes() int {
+	n := 0
+	for _, d := range m {
+		n += d.D.Len
+	}
+	return n
+}
+
+func sameDeltas(a, b []StagedDelta) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].DazPage != b[i].DazPage || a[i].RaidLBA != b[i].RaidLBA || a[i].D.Len != b[i].D.Len {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStagingMatchesModel drives random Put/Get/Drop/PackPage sequences
+// against the slice model: FIFO order, coalescing in place, Bytes and Len
+// must survive draining and compaction at every queue length.
+func TestStagingMatchesModel(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := sim.NewRNG(seed)
+		s := NewStaging(4 * blockdev.PageSize)
+		var m stagingModel
+		for step := 0; step < 4000; step++ {
+			// Long fill phases alternate with long drain phases so the queue
+			// swings between empty and several hundred entries.
+			filling := step/500%2 == 0
+			daz := int64(rng.Intn(300))
+			switch op := rng.Intn(10); {
+			case op < 4 || (filling && op < 8):
+				d := StagedDelta{DazPage: daz, RaidLBA: int64(step), D: delta.Delta{Len: 1 + rng.Intn(1500), Bytes: []byte{1}}}
+				s.Put(d)
+				m.put(d)
+			case op < 6:
+				s.Drop(daz)
+				m.drop(daz)
+			case op < 7:
+				got, ok := s.Get(daz)
+				i := m.find(daz)
+				if ok != (i >= 0) || (ok && !sameDeltas([]StagedDelta{got}, m[i:i+1])) {
+					t.Fatalf("seed %d step %d: Get(%d) = %+v, %v; model index %d", seed, step, daz, got, ok, i)
+				}
+			default:
+				if got, want := s.PackPage(), m.pack(); !sameDeltas(got, want) {
+					t.Fatalf("seed %d step %d: PackPage = %+v, model %+v", seed, step, got, want)
+				}
+			}
+			if s.Len() != len(m) || s.Bytes() != m.bytes() || !sameDeltas(s.All(), m) {
+				t.Fatalf("seed %d step %d: len %d bytes %d all %+v; model len %d bytes %d %+v",
+					seed, step, s.Len(), s.Bytes(), s.All(), len(m), m.bytes(), []StagedDelta(m))
+			}
+			for i, d := range s.fifo[:s.head] {
+				if d.D.Bytes != nil {
+					t.Fatalf("seed %d step %d: drained entry %d still pins its payload", seed, step, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStagingPackPage: steady state at a standing FIFO length — each
+// op stages four fresh 1000-byte deltas and packs them into one page. The
+// cost must not grow with the number of deltas left queued behind them.
+func BenchmarkStagingPackPage(b *testing.B) {
+	for _, fifo := range []int{16, 1 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("fifo=%d", fifo), func(b *testing.B) {
+			s := NewStaging(4 * blockdev.PageSize)
+			next := int64(0)
+			for ; next < int64(fifo); next++ {
+				s.Put(sd(next, 1000))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < 4; k++ {
+					s.Put(sd(next, 1000))
+					next++
+				}
+				if len(s.PackPage()) != 4 {
+					b.Fatal("short pack")
+				}
+			}
+			if s.Len() != fifo {
+				b.Fatalf("standing FIFO drifted to %d", s.Len())
+			}
+		})
 	}
 }
