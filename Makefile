@@ -8,8 +8,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# go vet, plus gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "FAIL: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -50,7 +53,8 @@ check:
 mutate:
 	$(GO) test -tags kddbug -run TestMutationCaught -v ./internal/check/
 
-# Native Go fuzzing over the trace parsers and metadata-log decoders,
+# Native Go fuzzing over the trace parsers, the metadata-log, span,
+# tenant-spec and segment-summary decoders and the delta codecs' Apply,
 # $(FUZZTIME) per target (one target per invocation, as go test requires).
 fuzz:
 	$(GO) test -fuzz '^FuzzParseSPC$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
@@ -61,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/obs/
 	$(GO) test -fuzz '^FuzzParseTenants$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/qos/
 	$(GO) test -fuzz '^FuzzLSRaidSegmentDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/lsraid/
+	$(GO) test -fuzz '^FuzzZRLEApply$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/delta/
 
 # Observability battery: obs unit/property tests, golden trace and
 # metrics artifacts, and the cross-width determinism contract — all

@@ -52,10 +52,10 @@ type FaultInjector struct {
 	profile    FaultProfile
 	badPages   map[int64]int // lba -> remaining read failures; <0 = until rewritten
 	deadRanges []failRange   // fail-stopped page regions (FailRange)
-	crashed  bool
-	crashIn  int64 // write ops until the crash point (when armed > 0)
-	tornKeep int   // whole pages of the torn write to persist
-	tornByte int   // extra bytes of the following page to persist
+	crashed    bool
+	crashIn    int64 // write ops until the crash point (when armed > 0)
+	tornKeep   int   // whole pages of the torn write to persist
+	tornByte   int   // extra bytes of the following page to persist
 
 	// Op-trace recording for fault-site enumeration (faultsite.go).
 	recording bool

@@ -17,10 +17,22 @@ import (
 // refreshes it too, modelling corruption the device itself cannot see —
 // only cross-device redundancy checks (parity scrub) can catch that.
 type MemStore struct {
-	pages map[int64][]byte
-	sums  map[int64]uint32
+	pages map[int64]*storedPage
+	free  []*storedPage // trimmed pages awaiting reuse, at most maxFreePages
 	cap   int64
 }
+
+// storedPage is one written page and the checksum recorded with it.
+type storedPage struct {
+	sum  uint32
+	data []byte
+}
+
+// maxFreePages bounds the pages TrimPage keeps for WritePage to reuse.
+// A cache that trims a slot and soon writes another (the SSD under KDD)
+// then stops allocating a page per write, while a store that is only
+// ever trimmed holds at most 256 KiB it no longer needs.
+const maxFreePages = 64
 
 // Storer is satisfied by any data-mode device (or wrapper that can see
 // through to one) whose bytes live in a MemStore. Test rigs and recovery
@@ -32,11 +44,7 @@ type Storer interface {
 
 // NewMemStore returns a store with the given capacity in pages.
 func NewMemStore(pages int64) *MemStore {
-	return &MemStore{
-		pages: make(map[int64][]byte),
-		sums:  make(map[int64]uint32),
-		cap:   pages,
-	}
+	return &MemStore{pages: make(map[int64]*storedPage), cap: pages}
 }
 
 // Pages returns the capacity in pages.
@@ -46,12 +54,10 @@ func (m *MemStore) Pages() int64 { return m.cap }
 // verification. Prefer ReadPageChecked on device read paths.
 func (m *MemStore) ReadPage(lba int64, dst []byte) {
 	if p, ok := m.pages[lba]; ok {
-		copy(dst, p)
+		copy(dst, p.data)
 		return
 	}
-	for i := range dst[:PageSize] {
-		dst[i] = 0
-	}
+	clear(dst[:PageSize])
 }
 
 // ReadPageChecked copies page lba into dst and verifies its checksum,
@@ -60,33 +66,44 @@ func (m *MemStore) ReadPage(lba int64, dst []byte) {
 func (m *MemStore) ReadPageChecked(lba int64, dst []byte) error {
 	p, ok := m.pages[lba]
 	if !ok {
-		for i := range dst[:PageSize] {
-			dst[i] = 0
-		}
+		clear(dst[:PageSize])
 		return nil
 	}
-	if crc32.ChecksumIEEE(p) != m.sums[lba] {
+	if crc32.ChecksumIEEE(p.data) != p.sum {
 		return fmt.Errorf("%w: checksum mismatch at page %d", ErrMedia, lba)
 	}
-	copy(dst, p)
+	copy(dst, p.data)
 	return nil
 }
 
-// WritePage stores one page at lba and records its checksum.
+// WritePage stores one page at lba and records its checksum. A page
+// taken from the free list is overwritten in full before it becomes
+// readable, so recycled bytes are never exposed.
 func (m *MemStore) WritePage(lba int64, src []byte) {
 	p, ok := m.pages[lba]
 	if !ok {
-		p = make([]byte, PageSize)
+		if n := len(m.free); n > 0 {
+			p, m.free[n-1] = m.free[n-1], nil
+			m.free = m.free[:n-1]
+		} else {
+			p = &storedPage{data: make([]byte, PageSize)}
+		}
 		m.pages[lba] = p
 	}
-	copy(p, src[:PageSize])
-	m.sums[lba] = crc32.ChecksumIEEE(p)
+	copy(p.data, src[:PageSize])
+	p.sum = crc32.ChecksumIEEE(p.data)
 }
 
 // TrimPage discards the page at lba; subsequent reads return zeros.
 func (m *MemStore) TrimPage(lba int64) {
+	p, ok := m.pages[lba]
+	if !ok {
+		return
+	}
 	delete(m.pages, lba)
-	delete(m.sums, lba)
+	if len(m.free) < maxFreePages {
+		m.free = append(m.free, p)
+	}
 }
 
 // Written returns the number of distinct pages currently stored.
@@ -96,10 +113,7 @@ func (m *MemStore) Written() int { return len(m.pages) }
 // (unwritten pages trivially pass).
 func (m *MemStore) VerifyPage(lba int64) bool {
 	p, ok := m.pages[lba]
-	if !ok {
-		return true
-	}
-	return crc32.ChecksumIEEE(p) == m.sums[lba]
+	return !ok || crc32.ChecksumIEEE(p.data) == p.sum
 }
 
 // CorruptPage flips one bit of the stored page WITHOUT refreshing the
@@ -111,7 +125,7 @@ func (m *MemStore) CorruptPage(lba int64, bit uint) bool {
 	if !ok {
 		return false
 	}
-	p[(bit/8)%PageSize] ^= 1 << (bit % 8)
+	p.data[(bit/8)%PageSize] ^= 1 << (bit % 8)
 	return true
 }
 
@@ -123,7 +137,8 @@ func (m *MemStore) CorruptPageSilently(lba int64, bit uint) bool {
 	if !m.CorruptPage(lba, bit) {
 		return false
 	}
-	m.sums[lba] = crc32.ChecksumIEEE(m.pages[lba])
+	p := m.pages[lba]
+	p.sum = crc32.ChecksumIEEE(p.data)
 	return true
 }
 
@@ -136,16 +151,9 @@ func (m *MemStore) TruncatePage(lba int64, keep int) bool {
 	if !ok {
 		return false
 	}
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > PageSize {
-		keep = PageSize
-	}
-	for i := keep; i < PageSize; i++ {
-		p[i] = 0
-	}
-	m.sums[lba] = crc32.ChecksumIEEE(p)
+	keep = max(0, min(keep, PageSize))
+	clear(p.data[keep:])
+	p.sum = crc32.ChecksumIEEE(p.data)
 	return true
 }
 
@@ -155,9 +163,8 @@ func (m *MemStore) Clone() *MemStore {
 	c := NewMemStore(m.cap)
 	for lba, p := range m.pages {
 		cp := make([]byte, PageSize)
-		copy(cp, p)
-		c.pages[lba] = cp
-		c.sums[lba] = m.sums[lba]
+		copy(cp, p.data)
+		c.pages[lba] = &storedPage{sum: p.sum, data: cp}
 	}
 	return c
 }

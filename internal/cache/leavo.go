@@ -274,13 +274,8 @@ func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
 	}
 	phase1 = sim.MaxTime(phase1, c)
 
-	var diff []byte
-	if data {
-		diff = oldBuf
-		for i := range diff {
-			diff[i] ^= newBuf[i]
-		}
-	}
+	diff := oldBuf // nil in timing mode
+	blockdev.XORInto(diff, newBuf)
 	l.st.ParityUpdates++
 	done, err := l.backend.ParityUpdateDelta(phase1, []int64{lba}, [][]byte{diff})
 	if err != nil {

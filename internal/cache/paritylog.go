@@ -88,21 +88,12 @@ func (p *PLog) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	p.st.SmallWritesSaved++
 
 	// Append the image to the log region (sequential append).
-	var img []byte
-	if data {
-		img = old
-		for i := range img {
-			img[i] ^= buf[i]
-		}
-	}
+	img := old // nil in timing mode
+	blockdev.XORInto(img, buf)
 	if prev, ok := p.pending[lba]; ok {
 		// Coalesce: the stored image must stay old0⊕newest, so XOR the
 		// two images together (old0⊕new1 ⊕ new1⊕new2 = old0⊕new2).
-		if data {
-			for i := range img {
-				img[i] ^= prev[i]
-			}
-		}
+		blockdev.XORInto(img, prev)
 	} else {
 		p.order = append(p.order, lba)
 	}

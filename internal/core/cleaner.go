@@ -307,23 +307,19 @@ func (k *KDD) expandXor(t sim.Time, slot int32) ([]byte, error) {
 	}
 	// The xor page is returned to the caller, who owns it (parityRMW
 	// releases it after the backend folds it into parity).
-	xor := blockdev.GetZeroPage()
 	if d.Raw {
-		// xor = old ⊕ new: need the old page.
-		oldBuf := blockdev.GetPage() // fully overwritten by the DAZ read
-		if _, err := k.ssdRead(t, k.cacheLBA(slot), oldBuf); err != nil {
-			blockdev.PutPage(oldBuf)
+		// xor = old ⊕ new: read the old page and fold the new one in.
+		xor := blockdev.GetPage() // fully overwritten by the DAZ read
+		if _, err := k.ssdRead(t, k.cacheLBA(slot), xor); err != nil {
 			blockdev.PutPage(xor)
 			return nil, err
 		}
-		for i := range xor {
-			xor[i] = oldBuf[i] ^ d.Bytes[i]
-		}
-		blockdev.PutPage(oldBuf)
+		blockdev.XORInto(xor, d.Bytes)
 		return xor, nil
 	}
 	// Codecs compress the XOR itself, so applying the delta to a zero
 	// page decompresses it.
+	xor := blockdev.GetZeroPage()
 	if err := k.codec.Apply(xor, d, xor); err != nil {
 		blockdev.PutPage(xor)
 		return nil, fmt.Errorf("%w: %v", ErrNotCombinable, err)

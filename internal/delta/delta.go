@@ -19,10 +19,13 @@ package delta
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -88,57 +91,99 @@ type ZRLE struct{}
 // Name implements Codec.
 func (ZRLE) Name() string { return "zrle" }
 
+// zrleMaxLen bounds an encoding: only the first group can cost more than
+// the zeros it elides (a one-byte zero run of 0 plus a two-byte literal
+// length); every later group replaces at least four zero bytes with at
+// most four header bytes.
+const zrleMaxLen = blockdev.PageSize + 3
+
+// zrleScratch is Encode's working memory: the XOR of the two pages and
+// the encoding before it is copied out at its exact size.
+type zrleScratch struct {
+	x   [blockdev.PageSize]byte
+	enc [zrleMaxLen]byte
+}
+
+var zrleScratchPool = sync.Pool{New: func() any { return new(zrleScratch) }}
+
+const (
+	lo8 = 0x0101010101010101
+	hi8 = 0x8080808080808080
+)
+
 // Encode implements Codec. Encoding format: repeated groups of
 // (uvarint zeroRun, uvarint litLen, litLen literal bytes) over the XOR of
-// the two pages; trailing zeros are implicit.
+// the two pages; trailing zeros are implicit. A literal run ends at the
+// next stretch of >=4 zeros (shorter zero stretches cost more as tokens
+// than as literals).
+//
+// The scan moves eight bytes at a time over zero stretches and over
+// literal words without a zero byte, and falls back to single bytes only
+// around the words where a run starts or ends. The returned Bytes is one
+// allocation of exactly Len bytes: deltas sit in NVRAM staging until
+// they are packed, so slack capacity would be carried there.
 func (ZRLE) Encode(old, new []byte) Delta {
 	if len(old) < blockdev.PageSize || len(new) < blockdev.PageSize {
 		panic("delta: ZRLE.Encode needs two full pages")
 	}
-	var x [blockdev.PageSize]byte
-	for i := range x {
-		x[i] = old[i] ^ new[i]
-	}
-	out := []byte{} // non-nil: nil marks modelled deltas
-	var tmp [binary.MaxVarintLen64]byte
+	const n = blockdev.PageSize
+	s := zrleScratchPool.Get().(*zrleScratch)
+	defer zrleScratchPool.Put(s)
+	x, enc := s.x[:], s.enc[:]
+	subtle.XORBytes(x, old[:n], new[:n])
+	o := 0
 	i := 0
-	for i < len(x) {
+	for {
 		runStart := i
-		for i < len(x) && x[i] == 0 {
-			i++
+		for i+8 <= n && binary.LittleEndian.Uint64(x[i:]) == 0 {
+			i += 8
 		}
-		zeroRun := i - runStart
-		if i == len(x) {
-			break // trailing zeros are implicit
+		if i+8 <= n {
+			i += bits.TrailingZeros64(binary.LittleEndian.Uint64(x[i:])) / 8
+		} else {
+			for i < n && x[i] == 0 {
+				i++
+			}
+			if i == n {
+				break // trailing zeros are implicit
+			}
 		}
 		litStart := i
-		// A literal run ends at the next stretch of >=4 zeros (shorter
-		// zero stretches cost more as tokens than as literals).
-		zeros := 0
-		for i < len(x) {
-			if x[i] == 0 {
-				zeros++
-				if zeros >= 4 {
-					i -= zeros - 1
-					break
+		zeros := 0 // zero bytes immediately before x[i]
+	literal:
+		for i < n {
+			if i+8 <= n {
+				w := binary.LittleEndian.Uint64(x[i:])
+				if (w-lo8)&^w&hi8 == 0 { // no zero byte in the word
+					i += 8
+					zeros = 0
+					continue
 				}
-			} else {
-				zeros = 0
 			}
-			i++
+			for end := min(i+8, n); i < end; i++ {
+				if x[i] != 0 {
+					zeros = 0
+					continue
+				}
+				if zeros++; zeros == 4 {
+					break literal
+				}
+			}
 		}
-		litEnd := i
-		for litEnd > litStart && x[litEnd-1] == 0 {
-			litEnd--
+		// x[i] is the fourth zero of a stretch, or i == n after at most
+		// three zeros: either way the literal ends before them.
+		litEnd := i - zeros
+		if zeros == 4 {
+			litEnd = i - 3
 		}
-		n := binary.PutUvarint(tmp[:], uint64(zeroRun))
-		out = append(out, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(litEnd-litStart))
-		out = append(out, tmp[:n]...)
-		out = append(out, x[litStart:litEnd]...)
+		o += binary.PutUvarint(enc[o:], uint64(litStart-runStart))
+		o += binary.PutUvarint(enc[o:], uint64(litEnd-litStart))
+		o += copy(enc[o:], x[litStart:litEnd])
 		i = litEnd
 	}
-	return Delta{Bytes: out, Len: len(out)}
+	out := make([]byte, o) // non-nil even when empty: nil marks modelled deltas
+	copy(out, enc[:o])
+	return Delta{Bytes: out, Len: o}
 }
 
 // Apply implements Codec.
@@ -163,13 +208,16 @@ func (ZRLE) Apply(old []byte, d Delta, out []byte) error {
 			return ErrCorrupt
 		}
 		buf = buf[n:]
-		pos += int(zeroRun)
-		if pos+int(litLen) > blockdev.PageSize || int(litLen) > len(buf) {
+		// Compare as uint64 before converting: a length >= 2^63 would
+		// turn into a negative int and slip under a signed bound.
+		if zeroRun > uint64(blockdev.PageSize-pos) {
 			return ErrCorrupt
 		}
-		for i := 0; i < int(litLen); i++ {
-			out[pos+i] ^= buf[i]
+		pos += int(zeroRun)
+		if litLen > uint64(blockdev.PageSize-pos) || litLen > uint64(len(buf)) {
+			return ErrCorrupt
 		}
+		blockdev.XORInto(out[pos:pos+int(litLen)], buf[:litLen])
 		buf = buf[litLen:]
 		pos += int(litLen)
 	}
@@ -196,9 +244,7 @@ func (f Flate) Encode(old, new []byte) Delta {
 	}
 	x := blockdev.GetPage() // every byte assigned by the XOR below
 	defer blockdev.PutPage(x)
-	for i := range x {
-		x[i] = old[i] ^ new[i]
-	}
+	subtle.XORBytes(x, old[:blockdev.PageSize], new[:blockdev.PageSize])
 	lvl := f.Level
 	if lvl == 0 {
 		lvl = flate.DefaultCompression
@@ -222,6 +268,9 @@ func (Flate) Apply(old []byte, d Delta, out []byte) error {
 	if d.Bytes == nil {
 		return ErrNoBytes
 	}
+	if len(old) < blockdev.PageSize || len(out) < blockdev.PageSize {
+		panic("delta: Flate.Apply needs full pages")
+	}
 	r := flate.NewReader(bytes.NewReader(d.Bytes))
 	defer r.Close()
 	x := blockdev.GetPage() // fully filled by ReadFull or abandoned
@@ -229,9 +278,7 @@ func (Flate) Apply(old []byte, d Delta, out []byte) error {
 	if _, err := io.ReadFull(r, x); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	for i := 0; i < blockdev.PageSize; i++ {
-		out[i] = old[i] ^ x[i]
-	}
+	subtle.XORBytes(out, old[:blockdev.PageSize], x)
 	return nil
 }
 

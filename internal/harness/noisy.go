@@ -154,7 +154,7 @@ func (h nnHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h nnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnEvent)) }
 func (h *nnHeap) Pop() interface{} {
 	old := *h

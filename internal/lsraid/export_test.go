@@ -13,7 +13,7 @@ func (a *Array) LivePages() int64 {
 }
 
 // PendingPages reports the staged NVRAM row-buffer depth.
-func (a *Array) PendingPages() int { return len(a.rowBuf) }
+func (a *Array) PendingPages() int { return len(a.staged()) }
 
 // encodeSummaryOf re-exports the codec over an arbitrary summary value.
 func encodeSummaryOf(seq uint64, rows int64, lbas []int64) []byte {

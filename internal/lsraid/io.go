@@ -100,19 +100,48 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	delete(a.lost, lba) // an overwrite heals a lost page
 	var data []byte
 	if a.dataMode && buf != nil {
-		data = make([]byte, blockdev.PageSize)
+		data = blockdev.GetPage() // fully overwritten by the copy
 		copy(data, buf)
 	}
-	if i, ok := a.pendingIdx[lba]; ok {
-		a.rowBuf[i].data = data
+	if e, ok := a.stagedPage(lba); ok {
+		blockdev.PutPage(e.data)
+		e.data = data
 		return t, nil
 	}
 	if ph, ok := a.l2p[lba]; ok {
 		a.live[ph.seg]-- // the committed copy is dead the moment NVRAM holds a newer one
 	}
+	a.pendingIdx[lba] = a.rowBase + len(a.rowBuf)
 	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data})
-	a.pendingIdx[lba] = len(a.rowBuf) - 1
 	return a.drain(t)
+}
+
+// staged returns the pages waiting in the NVRAM row buffer, oldest first.
+func (a *Array) staged() []pending { return a.rowBuf[a.rowHead:] }
+
+// stagedPage returns the staged version of lba, if one exists.
+func (a *Array) stagedPage(lba int64) (*pending, bool) {
+	pos, ok := a.pendingIdx[lba]
+	if !ok {
+		return nil, false
+	}
+	return &a.rowBuf[pos-a.rowBase], true
+}
+
+// compactRowBuf slides the queue back to the front of rowBuf once the
+// drained prefix is at least as long as half the queue, so the backing
+// array is reused instead of regrown and an entry moves at most twice
+// per entry drained past it.
+func (a *Array) compactRowBuf() {
+	live := len(a.rowBuf) - a.rowHead
+	if 2*a.rowHead < live {
+		return
+	}
+	copy(a.rowBuf, a.rowBuf[a.rowHead:])
+	clear(a.rowBuf[live:]) // stale copies must not outlive the entries that own their pages
+	a.rowBuf = a.rowBuf[:live]
+	a.rowBase += a.rowHead
+	a.rowHead = 0
 }
 
 // drain flushes full rows out of the NVRAM buffer. It is re-entered by
@@ -120,7 +149,7 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // makes that safe — whoever runs first flushes the buffer prefix.
 func (a *Array) drain(t sim.Time) (sim.Time, error) {
 	done := t
-	for len(a.rowBuf) >= a.dc() {
+	for len(a.staged()) >= a.dc() {
 		c, err := a.commitRow(t)
 		if err != nil {
 			return done, err
@@ -172,7 +201,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	if err != nil {
 		return done, err
 	}
-	if len(a.rowBuf) < a.dc() {
+	if len(a.staged()) < a.dc() {
 		// GC's own drain (re-entered through copy-forward) already
 		// flushed the prefix we were called for.
 		return done, nil
@@ -182,7 +211,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	seg := a.open
 	m := &a.segs[seg]
 	row := int64(seg)*a.cfg.SegRows + m.Rows
-	entries := a.rowBuf[:dc]
+	entries := a.staged()[:dc]
 
 	holes := 0
 	for k := range entries {
@@ -202,7 +231,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 		parity = blockdev.GetZeroPage()
 		defer blockdev.PutPage(parity)
 		for _, e := range entries {
-			xorInto(parity, e.data)
+			blockdev.XORInto(parity, e.data)
 		}
 	}
 	for k, e := range entries {
@@ -249,15 +278,12 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 		a.live[seg]++
 		delete(a.pendingIdx, e.lba)
 		m.LBAs = append(m.LBAs, e.lba)
+		blockdev.PutPage(e.data) // the members hold their own copies now
 	}
 	m.Rows++
-	a.rowBuf = a.rowBuf[dc:]
-	for i, p := range a.rowBuf {
-		a.pendingIdx[p.lba] = i
-	}
-	if len(a.rowBuf) == 0 {
-		a.rowBuf = nil // let the backing array go once fully drained
-	}
+	clear(entries)
+	a.rowHead += dc
+	a.compactRowBuf()
 	return done, nil
 }
 
@@ -265,10 +291,10 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 // committed copy, reconstructing through parity when the member is
 // missing or the page is unreadable.
 func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if i, ok := a.pendingIdx[lba]; ok {
+	if e, ok := a.stagedPage(lba); ok {
 		if buf != nil {
-			if d := a.rowBuf[i].data; d != nil {
-				copy(buf, d)
+			if e.data != nil {
+				copy(buf, e.data)
 			} else {
 				zero(buf)
 			}
@@ -383,7 +409,7 @@ func (a *Array) readSurvivor(t sim.Time, disk int, row int64, tmp, acc []byte) (
 		return done, err
 	}
 	if acc != nil {
-		xorInto(acc, tmp)
+		blockdev.XORInto(acc, tmp)
 	}
 	return done, nil
 }
@@ -440,28 +466,5 @@ func pageBuf(buf []byte, i int) []byte {
 func zero(b []byte) {
 	for i := range b {
 		b[i] = 0
-	}
-}
-
-// xorInto folds src into dst word-at-a-time. src may be nil (timing
-// mode), which contributes nothing.
-func xorInto(dst, src []byte) {
-	if dst == nil || src == nil {
-		return
-	}
-	_ = dst[len(src)-1]
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		dst[i] ^= src[i]
-		dst[i+1] ^= src[i+1]
-		dst[i+2] ^= src[i+2]
-		dst[i+3] ^= src[i+3]
-		dst[i+4] ^= src[i+4]
-		dst[i+5] ^= src[i+5]
-		dst[i+6] ^= src[i+6]
-		dst[i+7] ^= src[i+7]
-	}
-	for ; i < len(src); i++ {
-		dst[i] ^= src[i]
 	}
 }

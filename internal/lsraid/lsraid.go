@@ -102,6 +102,13 @@ type segMeta struct {
 }
 
 // pending is one staged page in the NVRAM row buffer.
+//
+// Ownership: in data mode, data is a blockdev.GetPage buffer the row
+// buffer owns from the moment writePage stages it. It goes back to the
+// pool at exactly two points — when a newer write of the same LBA
+// replaces it in place, and at the NVRAM commit of its row, after the
+// member writes have copied it — and nothing else may keep a reference
+// to it: readers copy out, member devices copy in.
 type pending struct {
 	lba  int64
 	data []byte // nil in timing mode
@@ -122,13 +129,19 @@ type Array struct {
 	nextSeq uint64
 	segs    []segMeta
 	open    int32 // open segment index; -1 when none
+	// The staged pages are the queue rowBuf[rowHead:]; entries before
+	// rowHead belong to committed rows and wait for compactRowBuf.
+	// rowBase is the absolute position of rowBuf[0], so the positions
+	// in pendingIdx survive both draining and compaction.
 	rowBuf  []pending
+	rowHead int
+	rowBase int
 
 	// Volatile state, rebuilt by replay().
 	l2p        map[int64]phys
 	live       []int32
 	freeCount  int64
-	pendingIdx map[int64]int
+	pendingIdx map[int64]int // staged LBA -> absolute position in rowBuf
 
 	// Fault and rebuild state (mirrors internal/raid semantics).
 	failed  int
@@ -437,7 +450,7 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
 	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(a.spares)))
 	reg.SetGauge("lsraid_free_segments", "Segments currently free.", float64(a.freeCount))
-	reg.SetGauge("lsraid_pending_pages", "Pages staged in the NVRAM row buffer.", float64(len(a.rowBuf)))
+	reg.SetGauge("lsraid_pending_pages", "Pages staged in the NVRAM row buffer.", float64(len(a.staged())))
 	active, watermark := 0.0, 0.0
 	if a.rebuild != nil {
 		active, watermark = 1, float64(a.rebuild.next)

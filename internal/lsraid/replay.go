@@ -15,7 +15,7 @@ func (a *Array) replay() {
 	a.inGC = false
 	a.l2p = make(map[int64]phys, len(a.l2p))
 	a.live = make([]int32, a.numSegs)
-	a.pendingIdx = make(map[int64]int, len(a.rowBuf))
+	a.pendingIdx = make(map[int64]int, len(a.staged()))
 	a.freeCount = 0
 
 	// Apply summaries in allocation order: a later segment's mapping of
@@ -42,8 +42,8 @@ func (a *Array) replay() {
 		}
 	}
 	// Staged pages shadow their committed copies.
-	for i, p := range a.rowBuf {
-		a.pendingIdx[p.lba] = i
+	for i, p := range a.staged() {
+		a.pendingIdx[p.lba] = a.rowBase + a.rowHead + i
 		if ph, ok := a.l2p[p.lba]; ok {
 			a.live[ph.seg]--
 		}
@@ -96,7 +96,8 @@ func (a *Array) CheckInvariants() error {
 	want := &Array{
 		cfg: a.cfg, diskPages: a.diskPages, segPages: a.segPages,
 		numSegs: a.numSegs, logical: a.logical, disks: a.disks,
-		segs: a.segs, open: a.open, rowBuf: a.rowBuf,
+		segs: a.segs, open: a.open,
+		rowBuf: a.rowBuf, rowHead: a.rowHead, rowBase: a.rowBase,
 	}
 	want.replay()
 	if want.freeCount != a.freeCount {
@@ -123,12 +124,12 @@ func (a *Array) CheckInvariants() error {
 		}
 		livePages += int64(a.live[s])
 	}
-	if len(a.pendingIdx) != len(a.rowBuf) {
-		return fmt.Errorf("lsraid: pending index %d entries for %d staged pages", len(a.pendingIdx), len(a.rowBuf))
+	if len(a.pendingIdx) != len(a.staged()) {
+		return fmt.Errorf("lsraid: pending index %d entries for %d staged pages", len(a.pendingIdx), len(a.staged()))
 	}
-	for i, p := range a.rowBuf {
-		if a.pendingIdx[p.lba] != i {
-			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", p.lba, a.pendingIdx[p.lba], i)
+	for i, p := range a.staged() {
+		if pos := a.rowBase + a.rowHead + i; a.pendingIdx[p.lba] != pos {
+			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", p.lba, a.pendingIdx[p.lba], pos)
 		}
 	}
 	// Accounting identity: live + dead + free == physical data capacity.
@@ -153,7 +154,7 @@ func (a *Array) CheckInvariants() error {
 // yet neither live nor dead until the staged row flushes.
 func (a *Array) shadowed() int64 {
 	var n int64
-	for _, p := range a.rowBuf {
+	for _, p := range a.staged() {
 		if _, ok := a.l2p[p.lba]; ok {
 			n++
 		}
@@ -181,7 +182,7 @@ func (a *Array) StateDigest() uint64 {
 	for s := int64(0); s < a.numSegs; s++ {
 		h.Write(EncodeSummary(&a.segs[s]))
 	}
-	for _, p := range a.rowBuf {
+	for _, p := range a.staged() {
 		putU64(uint64(p.lba))
 		if p.data != nil {
 			h.Write(p.data)

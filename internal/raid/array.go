@@ -495,9 +495,9 @@ func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	if buf != nil {
 		diff := make([]byte, blockdev.PageSize)
 		copy(diff, oldData)
-		xorInto(diff, buf)
+		blockdev.XORInto(diff, buf)
 		newP = oldP
-		xorInto(newP, diff)
+		blockdev.XORInto(newP, diff)
 		if l.qDisk >= 0 {
 			newQ = oldQ
 			gfMulInto(newQ, diff, gfPow(l.dataIdx))

@@ -107,7 +107,7 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 						continue
 					}
 					li := a.geo.locate(lba)
-					xorInto(rw.p, rw.fix.Deltas[i])
+					blockdev.XORInto(rw.p, rw.fix.Deltas[i])
 					if rw.q != nil {
 						gfMulInto(rw.q, rw.fix.Deltas[i], gfPow(li.dataIdx))
 					}

@@ -10,6 +10,8 @@ package raid
 // field used by Linux MD and most RAID-6 implementations. RAID-6 Q parity
 // is computed as Q = Σ g^i · D_i with generator g = 2.
 
+import "kddcache/internal/blockdev"
+
 const gfPoly = 0x11d
 
 var (
@@ -63,37 +65,13 @@ func gfPow(n int) byte {
 	return gfExp[n]
 }
 
-// xorInto dst ^= src for page-sized buffers.
-func xorInto(dst, src []byte) {
-	// 8-byte-at-a-time XOR; the compiler lowers this loop well and it
-	// avoids unsafe. Tail handled byte-wise.
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] ^= src[i]
-		dst[i+1] ^= src[i+1]
-		dst[i+2] ^= src[i+2]
-		dst[i+3] ^= src[i+3]
-		dst[i+4] ^= src[i+4]
-		dst[i+5] ^= src[i+5]
-		dst[i+6] ^= src[i+6]
-		dst[i+7] ^= src[i+7]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // gfMulInto dst ^= c·src (multiply-accumulate over GF(2^8)).
 func gfMulInto(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
 	if c == 1 {
-		xorInto(dst, src)
+		blockdev.XORInto(dst, src)
 		return
 	}
 	logC := int(gfLog[c])

@@ -86,37 +86,6 @@ func TestGFPowGeneratorOrder(t *testing.T) {
 	}
 }
 
-func TestXorInto(t *testing.T) {
-	a := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	b := []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	want := make([]byte, len(a))
-	for i := range a {
-		want[i] = a[i] ^ b[i]
-	}
-	xorInto(a, b)
-	if !bytes.Equal(a, want) {
-		t.Fatalf("xorInto = %v, want %v", a, want)
-	}
-}
-
-func TestXorIntoSelfInverse(t *testing.T) {
-	f := func(a, b []byte) bool {
-		if len(a) > len(b) {
-			a = a[:len(b)]
-		} else {
-			b = b[:len(a)]
-		}
-		orig := make([]byte, len(a))
-		copy(orig, a)
-		xorInto(a, b)
-		xorInto(a, b)
-		return bytes.Equal(a, orig)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGFMulIntoMatchesScalarMul(t *testing.T) {
 	f := func(src []byte, c byte) bool {
 		dst := make([]byte, len(src))

@@ -204,7 +204,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 			}
 			li := a.geo.locate(lbaI)
 			if !pBad {
-				xorInto(p, deltas[i])
+				blockdev.XORInto(p, deltas[i])
 			}
 			if q != nil && !qBad {
 				gfMulInto(q, deltas[i], gfPow(li.dataIdx))
@@ -284,7 +284,7 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 			defer blockdev.PutPage(q)
 		}
 		for i, d := range rowData {
-			xorInto(p, d)
+			blockdev.XORInto(p, d)
 			if q != nil {
 				gfMulInto(q, d, gfPow(i))
 			}
@@ -334,7 +334,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 		}
 		for i := 0; i < dc; i++ {
 			d := pageBuf(buf, i)
-			xorInto(p, d)
+			blockdev.XORInto(p, d)
 			if q != nil {
 				gfMulInto(q, d, gfPow(i))
 			}

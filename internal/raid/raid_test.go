@@ -288,7 +288,7 @@ func TestWriteNoParityMarksStaleAndDeltaRepairs(t *testing.T) {
 	// Apply the delta (old ⊕ new) to repair parity.
 	delta := make([]byte, blockdev.PageSize)
 	copy(delta, oldData)
-	xorInto(delta, newData)
+	blockdev.XORInto(delta, newData)
 	if _, err := a.ParityUpdateDelta(0, []int64{lba}, [][]byte{delta}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kddcache/internal/sim"
@@ -102,11 +104,11 @@ func (o OpenLoop) Generate() *trace.Trace {
 			})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].req.Time != all[j].req.Time {
-			return all[i].req.Time < all[j].req.Time
+	slices.SortStableFunc(all, func(a, b stamped) int {
+		if c := cmp.Compare(a.req.Time, b.req.Time); c != 0 {
+			return c
 		}
-		return all[i].client < all[j].client
+		return cmp.Compare(a.client, b.client)
 	})
 	tr := &trace.Trace{Name: o.Name, Requests: make([]trace.Request, len(all))}
 	for i, s := range all {

@@ -93,3 +93,52 @@ func TestOpenLoopClientInvariantRate(t *testing.T) {
 		}
 	}
 }
+
+// streamHash folds every field of every request, in order, into FNV-1a.
+func streamHash(tr *trace.Trace) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v >> (8 * i) & 0xff)) * 1099511628211
+		}
+	}
+	for _, r := range tr.Requests {
+		mix(uint64(r.Time))
+		mix(uint64(r.Op))
+		mix(uint64(r.LBA))
+		mix(uint64(r.Pages))
+		mix(uint64(r.Tenant))
+	}
+	return h
+}
+
+// TestOpenLoopStreamPinned pins the generated request order: benchmark
+// workloads, saturation sweeps and goldens are all functions of it, so a
+// change to the merge sort (or anything before it) must reproduce these
+// streams exactly. The second spec offers a request per virtual
+// nanosecond, so arrival times collide constantly and the client-index
+// tie-break decides the order.
+func TestOpenLoopStreamPinned(t *testing.T) {
+	dense := baseOpenLoop()
+	dense.OfferedIOPS = 1e9
+	for _, tc := range []struct {
+		name string
+		spec OpenLoop
+		want uint64
+	}{
+		{"base", baseOpenLoop(), 0x516bcf05efc1df5b},
+		{"colliding arrivals", dense, 0xa979c44b0bee598b},
+	} {
+		tr := tc.spec.Generate()
+		ties := 0
+		for i := 1; i < len(tr.Requests); i++ {
+			if tr.Requests[i].Time == tr.Requests[i-1].Time {
+				ties++
+			}
+		}
+		t.Logf("%s: %d requests, %d with the previous one's arrival time", tc.name, len(tr.Requests), ties)
+		if got := streamHash(tr); got != tc.want {
+			t.Errorf("%s: stream hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
