@@ -126,9 +126,10 @@ cover:
 bench-harness:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json
 
-# Perf gate: same measurement, but fail if traced observability overhead
-# exceeds its budget or an experiment's serial wall clock regresses
-# sharply against the last comparable trajectory entry.
+# Perf gate: same measurement, but fail if tracing costs more than its
+# budget in ns per span, or an experiment that takes a second or more
+# regresses its serial wall clock sharply against the last comparable
+# trajectory entry.
 bench-gate:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
 

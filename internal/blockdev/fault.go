@@ -107,10 +107,8 @@ func (f *FaultInjector) FailRange(start, count int64) {
 }
 
 // rangeFault reports ErrFailed when [lba, lba+count) touches a
-// fail-stopped region.
+// fail-stopped region. Caller holds f.mu.
 func (f *FaultInjector) rangeFault(lba int64, count int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	end := lba + int64(count)
 	for _, r := range f.deadRanges {
 		if lba < r.end && r.start < end {
@@ -227,16 +225,22 @@ func (f *FaultInjector) step() error {
 	return nil
 }
 
-// readFault consults per-page marks and the probabilistic profile for a
-// read of [lba, lba+count); it returns a non-nil error when the read must
-// fail with a media error.
+// readFault is the one critical section of a read of [lba, lba+count):
+// dead-range check, op recording, then the per-page marks and the
+// probabilistic profile. It returns a non-nil error when the read must
+// fail.
 func (f *FaultInjector) readFault(lba int64, count int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.rangeFault(lba, count); err != nil {
+		return err
+	}
+	f.record(false, lba, count)
 	if f.crashed {
 		return ErrCrashed
 	}
-	for i := int64(0); i < int64(count); i++ {
+	// A fault-free device, the common case, holds no marks: no map probes.
+	for i := int64(0); len(f.badPages) > 0 && i < int64(count); i++ {
 		left, ok := f.badPages[lba+i]
 		if !ok {
 			continue
@@ -269,13 +273,18 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 	return nil
 }
 
-// writeFault handles crash points and remap-on-write for a write covering
-// [lba, lba+count). It returns (tornPages, tornBytes, err): err == nil
+// writeFault is the one critical section of a write covering
+// [lba, lba+count): dead-range check, op recording, then crash points and
+// remap-on-write. It returns (tornPages, tornBytes, err): err == nil
 // means the write proceeds in full; err == ErrCrashed with tornPages >= 0
 // means only that prefix persists.
 func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.rangeFault(lba, count); err != nil {
+		return 0, 0, err
+	}
+	f.record(true, lba, count)
 	if f.crashed {
 		return 0, 0, ErrCrashed
 	}
@@ -291,10 +300,25 @@ func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 		}
 	}
 	// A successful write reallocates any bad pages it covers.
-	for i := int64(0); i < int64(count); i++ {
+	for i := int64(0); len(f.badPages) > 0 && i < int64(count); i++ {
 		delete(f.badPages, lba+i)
 	}
 	return 0, 0, nil
+}
+
+// trimFault is the critical section of a trim of [lba, lba+count).
+func (f *FaultInjector) trimFault(lba int64, count int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.rangeFault(lba, count); err != nil {
+		return err
+	}
+	if f.crashed {
+		// Power is off: a trim past the crash point must not reach the
+		// medium, or "durable" state would mutate after the power loss.
+		return ErrCrashed
+	}
+	return nil
 }
 
 // Name implements Device.
@@ -303,42 +327,43 @@ func (f *FaultInjector) Name() string { return f.Inner().Name() }
 // Pages implements Device.
 func (f *FaultInjector) Pages() int64 { return f.Inner().Pages() }
 
+// ioErr attributes err to this device; the name is looked up only when
+// there is an error to wrap.
+func (f *FaultInjector) ioErr(op Op, lba int64, err error) error {
+	if err == nil {
+		return nil
+	}
+	return WrapIOError(f.Name(), op, lba, err)
+}
+
 // ReadPages implements Device. Injected and propagated errors are wrapped
 // in IOError so callers can attribute the failure to this device.
 func (f *FaultInjector) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
+		return t, f.ioErr(OpRead, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
-	}
-	f.record(false, lba, count)
 	if err := f.readFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
+		return t, f.ioErr(OpRead, lba, err)
 	}
 	done, err := f.Inner().ReadPages(t, lba, count, buf)
-	return done, WrapIOError(f.Name(), OpRead, lba, err)
+	return done, f.ioErr(OpRead, lba, err)
 }
 
 // WritePages implements Device. Injected and propagated errors are wrapped
 // in IOError so callers can attribute the failure to this device.
 func (f *FaultInjector) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpWrite, lba, err)
+		return t, f.ioErr(OpWrite, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpWrite, lba, err)
-	}
-	f.record(true, lba, count)
 	torn, tornBytes, err := f.writeFault(lba, count)
 	if err == nil {
 		done, werr := f.Inner().WritePages(t, lba, count, buf)
-		return done, WrapIOError(f.Name(), OpWrite, lba, werr)
+		return done, f.ioErr(OpWrite, lba, werr)
 	}
 	if torn > 0 || tornBytes > 0 {
 		f.tearWrite(t, lba, count, buf, torn, tornBytes)
 	}
-	return t, WrapIOError(f.Name(), OpWrite, lba, err)
+	return t, f.ioErr(OpWrite, lba, err)
 }
 
 // tearWrite persists the prefix of a crashed write: torn whole pages and
@@ -364,22 +389,14 @@ func (f *FaultInjector) tearWrite(t sim.Time, lba int64, count int, buf []byte, 
 // TrimPages implements Trimmer when the inner device does.
 func (f *FaultInjector) TrimPages(t sim.Time, lba int64, count int) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpTrim, lba, err)
+		return t, f.ioErr(OpTrim, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpTrim, lba, err)
-	}
-	f.mu.Lock()
-	crashed := f.crashed
-	f.mu.Unlock()
-	if crashed {
-		// Power is off: a trim past the crash point must not reach the
-		// medium, or "durable" state would mutate after the power loss.
-		return t, WrapIOError(f.Name(), OpTrim, lba, ErrCrashed)
+	if err := f.trimFault(lba, count); err != nil {
+		return t, f.ioErr(OpTrim, lba, err)
 	}
 	if tr, ok := f.Inner().(Trimmer); ok {
 		done, err := tr.TrimPages(t, lba, count)
-		return done, WrapIOError(f.Name(), OpTrim, lba, err)
+		return done, f.ioErr(OpTrim, lba, err)
 	}
 	return t, nil
 }

@@ -279,3 +279,15 @@ func TestFaultAccessors(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFaultInjectorWrite: the fault-free pass-through every SSD and
+// member op of a replay pays — no marks, no dead ranges, not recording.
+func BenchmarkFaultInjectorWrite(b *testing.B) {
+	f := NewFaultInjector(NewNullDevice("d", 1<<20), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.WritePages(0, int64(i)&(1<<20-1), 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -117,13 +117,11 @@ func (f *FaultInjector) Recorded() []OpRecord {
 	return out
 }
 
-// record captures one op when recording is on.
+// record captures one op when recording is on. Caller holds f.mu.
 func (f *FaultInjector) record(write bool, lba int64, count int) {
-	f.mu.Lock()
 	if f.recording {
 		f.recorded = append(f.recorded, OpRecord{Write: write, LBA: lba, Count: count})
 	}
-	f.mu.Unlock()
 }
 
 // Arm installs one enumerated fault site on the injector.

@@ -11,7 +11,9 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
+	"kddcache/internal/bitset"
 	"kddcache/internal/blockdev"
 )
 
@@ -69,6 +71,18 @@ type Slot struct {
 	LastUse    int64 // LRU tick
 }
 
+// binding is one cell of the frame's LBA lookup table: storage page
+// hi<<32|lo is cached in slot ref-1, or the cell is empty (ref == 0, so a
+// fresh table needs no initialisation). Three 4-byte fields keep a cell at
+// 12 bytes — key and value in one cache line for all but the cells that
+// straddle two.
+type binding struct {
+	lo, hi uint32
+	ref    int32
+}
+
+func (b binding) lba() int64 { return int64(b.hi)<<32 | int64(b.lo) }
+
 // Frame is the set-associative slot array with an LBA lookup index.
 // It tracks slot states only; what the bytes mean is up to the policy.
 type Frame struct {
@@ -77,8 +91,20 @@ type Frame struct {
 	dataSets    int // sets available to data pages (== nsets unless fixed-partition)
 	stripePages int64
 	slots       []Slot
-	lookup      map[int64]int32 // RaidLBA -> slot holding its current data
 	tick        int64
+
+	// lookup maps RaidLBA -> slot holding its current data: open
+	// addressing with linear probing over two cells per slot. A bound
+	// slot carries the LBA it is bound under, so bindings never outnumber
+	// slots, the table never passes half full and never grows — 24 bytes
+	// per cache page whatever the array's LBA space. Deletion shifts the
+	// rest of the probe run back (no tombstones).
+	lookup []binding
+	bound  int // occupied cells
+
+	// free mirrors State == Free, one bit per slot, so AllocFree finds a
+	// set's lowest free slot a word at a time.
+	free bitset.Set
 
 	// Per-state population counts, for thresholds and zone stats.
 	counts [numStates]int64
@@ -114,7 +140,8 @@ func NewFrame(totalPages int64, ways int, stripePages int64) *Frame {
 		dataSets:    nsets,
 		stripePages: stripePages,
 		slots:       make([]Slot, nsets*ways),
-		lookup:      make(map[int64]int32),
+		lookup:      make([]binding, 2*nsets*ways),
+		free:        bitset.New(int64(nsets * ways)),
 		deltaPerSet: make([]int32, nsets),
 		freePerSet:  make([]int32, nsets),
 		heads:       make([]int32, nsets*numStates),
@@ -124,6 +151,7 @@ func NewFrame(totalPages int64, ways int, stripePages int64) *Frame {
 	for i := range f.freePerSet {
 		f.freePerSet[i] = int32(ways)
 	}
+	f.free.Fill()
 	for i := range f.slots {
 		f.slots[i].prev, f.slots[i].next = NoSlot, NoSlot
 	}
@@ -174,10 +202,78 @@ func (f *Frame) SetRange(set int) (int32, int32) {
 
 // Lookup returns the slot currently holding the storage page, or NoSlot.
 func (f *Frame) Lookup(lba int64) int32 {
-	if s, ok := f.lookup[lba]; ok {
-		return s
+	if i, ok := f.probe(lba); ok {
+		return f.lookup[i].ref - 1
 	}
 	return NoSlot
+}
+
+// home returns the cell lba's probe run starts at: Fibonacci hashing, so
+// the consecutive LBAs of a stripe scatter instead of clustering, reduced
+// to the table size by a multiply instead of a division.
+func (f *Frame) home(lba int64) int {
+	h, _ := bits.Mul64(uint64(lba)*0x9E3779B97F4A7C15, uint64(len(f.lookup)))
+	return int(h)
+}
+
+// probe walks lba's probe run and returns the index of its cell, or, if
+// it has none, of the empty cell that ends the run — where a binding for
+// it would go. The table is at most half full, so every run ends.
+func (f *Frame) probe(lba int64) (i int, found bool) {
+	lo, hi := uint32(lba), uint32(lba>>32)
+	for i = f.home(lba); ; {
+		c := &f.lookup[i]
+		if c.ref == 0 {
+			return i, false
+		}
+		if c.lo == lo && c.hi == hi {
+			return i, true
+		}
+		if i++; i == len(f.lookup) {
+			i = 0
+		}
+	}
+}
+
+// bind points lba's lookup entry at slot, adding the entry if there is
+// none.
+func (f *Frame) bind(lba int64, slot int32) {
+	i, found := f.probe(lba)
+	if !found {
+		if f.bound == len(f.slots) {
+			panic("cache: more lookup bindings than slots")
+		}
+		f.bound++
+	}
+	f.lookup[i] = binding{lo: uint32(lba), hi: uint32(lba >> 32), ref: slot + 1}
+}
+
+// unbind removes lba's lookup entry if it points at slot. Every later
+// cell of the probe run that the gap would cut off from its home moves
+// back into it, so lookups never need tombstones.
+func (f *Frame) unbind(lba int64, slot int32) {
+	gap, found := f.probe(lba)
+	if !found || f.lookup[gap].ref != slot+1 {
+		return
+	}
+	n := len(f.lookup)
+	for j := gap; ; {
+		if j++; j == n {
+			j = 0
+		}
+		next := f.lookup[j]
+		if next.ref == 0 {
+			break
+		}
+		// next stays put if its home lies cyclically within (gap, j].
+		if h := f.home(next.lba()); (gap < j && gap < h && h <= j) || (gap > j && (gap < h || h <= j)) {
+			continue
+		}
+		f.lookup[gap] = next
+		gap = j
+	}
+	f.lookup[gap].ref = 0
+	f.bound--
 }
 
 // Slot returns a pointer to slot i for inspection; see Slot for which
@@ -271,9 +367,11 @@ func (f *Frame) setState(i int32, s State) {
 	}
 	if old == Free {
 		f.freePerSet[set]--
+		f.free.Remove(int64(i))
 	}
 	if s == Free {
 		f.freePerSet[set]++
+		f.free.Add(int64(i))
 	}
 	f.slots[i].State = s
 	if listed(s) {
@@ -289,7 +387,7 @@ func (f *Frame) Insert(lba int64, i int32, s State) {
 		panic("cache: Insert with non-data state")
 	}
 	f.slots[i].RaidLBA = lba
-	f.lookup[lba] = i
+	f.bind(lba, i)
 	if f.slots[i].State == s {
 		f.Touch(i)
 		return
@@ -302,7 +400,7 @@ func (f *Frame) Insert(lba int64, i int32, s State) {
 
 // Rebind repoints the lookup entry for lba to slot i without touching
 // slot states (LeavO's new-version promotion).
-func (f *Frame) Rebind(lba int64, i int32) { f.lookup[lba] = i }
+func (f *Frame) Rebind(lba int64, i int32) { f.bind(lba, i) }
 
 // Transition changes the state of slot i (e.g. Clean -> Old on a write
 // hit), keeping the lookup intact.
@@ -319,26 +417,19 @@ func (f *Frame) MarkDelta(i int32) {
 // rebound elsewhere).
 func (f *Frame) Release(i int32, drop bool) {
 	if drop && f.slots[i].State != Free && f.slots[i].State != Delta {
-		if cur, ok := f.lookup[f.slots[i].RaidLBA]; ok && cur == i {
-			delete(f.lookup, f.slots[i].RaidLBA)
-		}
+		f.unbind(f.slots[i].RaidLBA, i)
 	}
 	f.slots[i].RaidLBA = -1
 	f.setState(i, Free)
 }
 
-// AllocFree returns a Free slot in the set, or NoSlot.
+// AllocFree returns the lowest-indexed Free slot in the set, or NoSlot.
 func (f *Frame) AllocFree(set int) int32 {
 	if f.freePerSet[set] == 0 {
 		return NoSlot
 	}
 	lo, hi := f.SetRange(set)
-	for i := lo; i < hi; i++ {
-		if f.slots[i].State == Free {
-			return i
-		}
-	}
-	return NoSlot
+	return int32(f.free.FirstIn(int64(lo), int64(hi)))
 }
 
 // EvictLRU returns the least-recently-used slot in the set whose state is
@@ -437,8 +528,9 @@ func (f *Frame) siftDown(h []int32, i int) {
 
 // CheckInvariants validates internal consistency (used by tests and the
 // property suite): counts match slot states, lookup is a bijection onto
-// live data slots, delta counts match, and every recency list holds
-// exactly its set's slots of its state in recency order.
+// live data slots with every cell where probing finds it, delta counts and
+// free bits match, and every recency list holds exactly its set's slots of
+// its state in recency order.
 func (f *Frame) CheckInvariants() error {
 	var counts [numStates]int64
 	deltas := make([]int32, f.nsets)
@@ -468,7 +560,16 @@ func (f *Frame) CheckInvariants() error {
 			return fmt.Errorf("cache: set %d delta count %d, cached %d", s, deltas[s], f.deltaPerSet[s])
 		}
 	}
-	for lba, i := range f.lookup {
+	bound := 0
+	for _, c := range f.lookup {
+		if c.ref == 0 {
+			continue
+		}
+		bound++
+		lba, i := c.lba(), c.ref-1
+		if got := f.Lookup(lba); got != i {
+			return fmt.Errorf("cache: lookup cell %d -> slot %d is not what probing finds (%d)", lba, i, got)
+		}
 		st := f.slots[i].State
 		if st == Free || st == Delta {
 			return fmt.Errorf("cache: lookup %d points at %v slot", lba, st)
@@ -478,6 +579,14 @@ func (f *Frame) CheckInvariants() error {
 		}
 		if f.SetOf(lba) != int(i)/f.ways && st != New {
 			return fmt.Errorf("cache: lba %d mapped outside its set", lba)
+		}
+	}
+	if bound != f.bound {
+		return fmt.Errorf("cache: lookup holds %d bindings, cached %d", bound, f.bound)
+	}
+	for i := range f.slots {
+		if f.free.Has(int64(i)) != (f.slots[i].State == Free) {
+			return fmt.Errorf("cache: %v slot %d free bit %v", f.slots[i].State, i, f.free.Has(int64(i)))
 		}
 	}
 	return f.checkLists()

@@ -97,3 +97,37 @@ func BenchmarkTransition(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFrameLookupHitMiss: one Lookup on a full frame, alternating a
+// bound page with an unbound one (fullFrame binds multiples of its stripe),
+// in random order so every probe starts on a cold cell.
+func BenchmarkFrameLookupHitMiss(b *testing.B) {
+	benchFrame(b, func(b *testing.B, f *cache.Frame) {
+		const stripe = 16
+		rng := sim.NewRNG(13)
+		lbas := make([]int64, 1<<16)
+		for i := range lbas {
+			lbas[i] = int64(rng.Intn(int(f.Pages())))*stripe + int64(i&1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += int(f.Lookup(lbas[i&(len(lbas)-1)]))
+		}
+	})
+}
+
+// BenchmarkFrameAllocFree: the free-slot search in a 256-way set whose
+// only free slot is its last, cycling over the sets — what allocDAZ pays
+// right after an eviction or a reclaim freed a slot of a full set.
+func BenchmarkFrameAllocFree(b *testing.B) {
+	benchFrame(b, func(b *testing.B, f *cache.Frame) {
+		for set := 0; set < f.Sets(); set++ {
+			_, hi := f.SetRange(set)
+			f.Release(hi-1, true)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += int(f.AllocFree(i % f.Sets()))
+		}
+	})
+}

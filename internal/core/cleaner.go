@@ -154,8 +154,7 @@ func (k *KDD) cleanRow(t sim.Time, victim int32) (sim.Time, error) {
 	lba := k.frame.Slot(victim).RaidLBA
 	peers := k.backend.RowPeers(lba)
 
-	var cached []peerInfo
-	var oldPeers []peerInfo
+	cached, oldPeers := k.rowCached[:0], k.rowOld[:0]
 	allCached := true
 	for _, p := range peers {
 		s := k.frame.Lookup(p)
@@ -169,6 +168,7 @@ func (k *KDD) cleanRow(t sim.Time, victim int32) (sim.Time, error) {
 			oldPeers = append(oldPeers, pi)
 		}
 	}
+	k.rowCached, k.rowOld = cached, oldPeers
 	if len(oldPeers) == 0 {
 		return t, fmt.Errorf("core: cleanRow found no old pages in row of lba %d", lba)
 	}
@@ -244,7 +244,7 @@ func (k *KDD) parityReconstruct(t sim.Time, peers []int64, cached []peerInfo) (s
 // parityRMW repairs parity by XOR-ing the decompressed deltas into the
 // stale parity read from disk.
 func (k *KDD) parityRMW(t sim.Time, oldPeers []peerInfo) (sim.Time, error) {
-	lbas := make([]int64, 0, len(oldPeers))
+	lbas := k.rmwLBAs[:0]
 	var deltas [][]byte
 	if k.dataMode {
 		deltas = make([][]byte, 0, len(oldPeers))
@@ -267,6 +267,7 @@ func (k *KDD) parityRMW(t sim.Time, oldPeers []peerInfo) (sim.Time, error) {
 		}
 		deltas = append(deltas, xor)
 	}
+	k.rmwLBAs = lbas
 	return k.backend.ParityUpdateDelta(t, lbas, deltas)
 }
 

@@ -367,7 +367,7 @@ func (k *KDD) dropCache() {
 	clear(k.oldDeltas)
 	k.nOld = 0
 	clear(k.dezPages)
-	k.staging = nvram.NewStaging(k.cfg.StagingBytes)
+	k.staging = nvram.NewStaging(k.cfg.StagingBytes, k.dataStart, k.frame.Pages())
 	k.metaErr = nil
 }
 

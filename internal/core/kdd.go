@@ -206,6 +206,16 @@ type KDD struct {
 	nOld      int        // live records in oldDeltas
 	dezPages  []dezPage  // DEZ slot -> occupancy
 
+	// Scratch reused across calls so the steady state allocates nothing:
+	// commitDez's delta offsets, cleanRow's cached/old row peers and
+	// parityRMW's LBA list. Each is dead once the call that filled it
+	// returns, and none of those calls nests within itself (cleanPass is
+	// not re-entrant, commitDez packs only after its cleaning pass).
+	dezOffs   []int
+	rowCached []peerInfo
+	rowOld    []peerInfo
+	rmwLBAs   []int64
+
 	ghost *ghostLRU // nil unless SelectiveAdmission
 
 	// metaErr records a metadata-log failure from a path that cannot
@@ -286,10 +296,10 @@ func New(cfg Config) (*KDD, error) {
 		backend:   cfg.Backend,
 		dataStart: dataStart,
 		sharedLog: cfg.SharedLog != nil,
-		staging:   nvram.NewStaging(cfg.StagingBytes),
 		codec:     cfg.Codec,
 		tr:        cfg.Tracer,
 	}
+	k.staging = nvram.NewStaging(cfg.StagingBytes, dataStart, k.frame.Pages())
 	k.oldDeltas = make([]oldDelta, k.frame.Pages())
 	k.dezPages = make([]dezPage, k.frame.Pages())
 	if cfg.FixedDEZSets > 0 {

@@ -422,15 +422,16 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 	if k.dataMode {
 		image = blockdev.GetZeroPage() // gaps past the packed tail stay zero
 	}
-	offs := make([]int, len(packed))
+	offs := k.dezOffs[:0]
 	off := 0
-	for i, sd := range packed {
+	for _, sd := range packed {
 		if image != nil && sd.D.Bytes != nil {
 			copy(image[off:], sd.D.Bytes)
 		}
-		offs[i] = off
+		offs = append(offs, off)
 		off += sd.D.Len
 	}
+	k.dezOffs = offs
 
 	if bugDezLogFirst {
 		done, err := k.commitDezLogFirst(t, dezSlot, packed, offs, image)

@@ -87,10 +87,11 @@ func PhaseBreakdown(scale float64) (string, error) {
 }
 
 // ObsOverheadRun replays the Fin1 workload through the KDD timing stack
-// once, with or without the span tracer attached. harnessbench times
-// both variants to bound the observability overhead; the determinism
-// tests assert the bound stays within budget.
-func ObsOverheadRun(scale float64, traced bool) error {
+// once, with or without the span tracer attached, and returns the number
+// of spans the traced run emitted (0 untraced). harnessbench times both
+// variants and divides the difference by that count: the tracer's cost in
+// host nanoseconds per span, which its gate bounds.
+func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
 	spec := workload.TableI()[0]
 	s := spec.Scale(scale)
 	s.MeanIOPS = replayIOPS[spec.Name]
@@ -105,14 +106,19 @@ func ObsOverheadRun(scale float64, traced bool) error {
 	}
 	st, err := Build(o)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r, err := RunTrace(st, tr)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = st.Policy.Flush(r.Duration)
-	return err
+	if _, err = st.Policy.Flush(r.Duration); err != nil {
+		return 0, err
+	}
+	if traced {
+		spans = o.Obs.Tracer.Spans()
+	}
+	return spans, nil
 }
 
 // PhaseArtifacts produces the machine-readable observability artifacts of

@@ -140,15 +140,34 @@ func (d *Disk) seekTime(dist int64) sim.Time {
 	return d.cfg.TrackToTrack + sim.Time(span*sqrt(frac))
 }
 
-// sqrt avoids importing math for a single call site; Newton's method is
-// plenty for latency modelling and keeps the package dependency-light.
+// newton is one step of Newton's iteration for the square root of x.
+func newton(z, x float64) float64 { return z - (z*z-x)/(2*z) }
+
+// sqrt returns the 24th Newton iterate from z = x. That iterate, not the
+// correctly rounded root, is the model's seek curve: math.Sqrt differs
+// from it in the last place on about one input in seven, which moves a
+// truncated seek time by a nanosecond now and then and with it that
+// disk's queue for the rest of a run. The iterates are a deterministic
+// sequence, so once one repeats its predecessor (a fixed point) or the
+// one before (a 2-cycle) the 24th is known without computing it — after
+// about ten steps for the seek fractions a replay produces.
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	z := x
+	prev, z := x, x
 	for i := 0; i < 24; i++ {
-		z -= (z*z - x) / (2 * z)
+		next := newton(z, x)
+		if next == z {
+			return z
+		}
+		if next == prev { // iterates alternate z, next from here on
+			if (24-i)%2 == 0 {
+				return z
+			}
+			return next
+		}
+		prev, z = z, next
 	}
 	return z
 }

@@ -74,10 +74,10 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	}
 	for idx, lba := range m.LBAs {
 		ph := phys{seg: int32(v), idx: int32(idx)}
-		if cur, ok := a.l2p[lba]; !ok || cur != ph {
+		if a.l2p[lba] != ph {
 			continue // dead: overwritten by a later committed copy
 		}
-		if _, pend := a.pendingIdx[lba]; pend {
+		if a.pendingIdx[lba] != 0 {
 			continue // dead: shadowed by a staged newer version
 		}
 		c, err := a.readPhysInto(t, lba, ph, buf)
@@ -102,10 +102,8 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	// the row has not committed yet): drop them — reads resolve
 	// NVRAM-first and the commit will re-add the mapping.
 	for idx, lba := range m.LBAs {
-		if cur, ok := a.l2p[lba]; ok && cur == (phys{seg: int32(v), idx: int32(idx)}) {
-			if _, pend := a.pendingIdx[lba]; pend {
-				delete(a.l2p, lba)
-			}
+		if a.l2p[lba] == (phys{seg: int32(v), idx: int32(idx)}) && a.pendingIdx[lba] != 0 {
+			a.setCommitted(lba, noPhys)
 		}
 	}
 	m.Seq, m.Rows, m.LBAs = 0, 0, m.LBAs[:0]

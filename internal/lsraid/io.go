@@ -97,7 +97,7 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if a.failed > 1 {
 		return t, raid.ErrTooManyFailures
 	}
-	delete(a.lost, lba) // an overwrite heals a lost page
+	a.lost.Remove(lba) // an overwrite heals a lost page
 	var data []byte
 	if a.dataMode && buf != nil {
 		data = blockdev.GetPage() // fully overwritten by the copy
@@ -108,11 +108,11 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		e.data = data
 		return t, nil
 	}
-	if ph, ok := a.l2p[lba]; ok {
+	if ph, ok := a.committed(lba); ok {
 		a.live[ph.seg]-- // the committed copy is dead the moment NVRAM holds a newer one
 	}
-	a.pendingIdx[lba] = a.rowBase + len(a.rowBuf)
 	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data})
+	a.pendingIdx[lba] = int32(len(a.rowBuf))
 	return a.drain(t)
 }
 
@@ -121,11 +121,11 @@ func (a *Array) staged() []pending { return a.rowBuf[a.rowHead:] }
 
 // stagedPage returns the staged version of lba, if one exists.
 func (a *Array) stagedPage(lba int64) (*pending, bool) {
-	pos, ok := a.pendingIdx[lba]
-	if !ok {
+	pos := a.pendingIdx[lba]
+	if pos == 0 {
 		return nil, false
 	}
-	return &a.rowBuf[pos-a.rowBase], true
+	return &a.rowBuf[pos-1], true
 }
 
 // compactRowBuf slides the queue back to the front of rowBuf once the
@@ -140,8 +140,10 @@ func (a *Array) compactRowBuf() {
 	copy(a.rowBuf, a.rowBuf[a.rowHead:])
 	clear(a.rowBuf[live:]) // stale copies must not outlive the entries that own their pages
 	a.rowBuf = a.rowBuf[:live]
-	a.rowBase += a.rowHead
 	a.rowHead = 0
+	for i, p := range a.rowBuf {
+		a.pendingIdx[p.lba] = int32(i + 1)
+	}
 }
 
 // drain flushes full rows out of the NVRAM buffer. It is re-entered by
@@ -274,9 +276,9 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	// staged pages. This is the atomic durability point of the flush.
 	base := m.Rows * int64(dc)
 	for k, e := range entries {
-		a.l2p[e.lba] = phys{seg: seg, idx: int32(base + int64(k))}
+		a.setCommitted(e.lba, phys{seg: seg, idx: int32(base + int64(k))})
 		a.live[seg]++
-		delete(a.pendingIdx, e.lba)
+		a.pendingIdx[e.lba] = 0
 		m.LBAs = append(m.LBAs, e.lba)
 		blockdev.PutPage(e.data) // the members hold their own copies now
 	}
@@ -301,10 +303,10 @@ func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		}
 		return t, nil // NVRAM hit, no device I/O
 	}
-	if a.lost[lba] {
+	if a.lost.Has(lba) {
 		return t, fmt.Errorf("%w: page %d lost", raid.ErrUnrecoverable, lba)
 	}
-	ph, ok := a.l2p[lba]
+	ph, ok := a.committed(lba)
 	if !ok {
 		if buf != nil {
 			zero(buf)
@@ -420,8 +422,7 @@ func (a *Array) declareLost(lba int64, cause error) error {
 	if errors.Is(cause, blockdev.ErrCrashed) {
 		return cause
 	}
-	if !a.lost[lba] {
-		a.lost[lba] = true
+	if a.lost.Add(lba) {
 		a.stats.LostPages++
 	}
 	return fmt.Errorf("%w: page %d (second fault while reconstructing: %v)", raid.ErrUnrecoverable, lba, cause)

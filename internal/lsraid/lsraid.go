@@ -29,8 +29,8 @@ package lsraid
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"kddcache/internal/bitset"
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
 	"kddcache/internal/raid"
@@ -91,6 +91,9 @@ type phys struct {
 	idx int32
 }
 
+// noPhys is the L2P entry of a logical page with no committed copy.
+var noPhys = phys{seg: -1, idx: -1}
+
 // segMeta is one segment's NVRAM summary: its allocation sequence number
 // (0 = free), how many rows are committed, and the logical LBA of every
 // committed data page in write order. It is what replay rebuilds the L2P
@@ -131,23 +134,26 @@ type Array struct {
 	open    int32 // open segment index; -1 when none
 	// The staged pages are the queue rowBuf[rowHead:]; entries before
 	// rowHead belong to committed rows and wait for compactRowBuf.
-	// rowBase is the absolute position of rowBuf[0], so the positions
-	// in pendingIdx survive both draining and compaction.
 	rowBuf  []pending
 	rowHead int
-	rowBase int
 
-	// Volatile state, rebuilt by replay().
-	l2p        map[int64]phys
+	// Volatile state, rebuilt by replay(). The logical address space is
+	// dense and bounded, so the two lookups are flat tables over
+	// [0, logical), allocated once: l2p holds noPhys for a page with no
+	// committed copy (mapped counts the others), pendingIdx holds 0 for a
+	// page that is not staged and its position in rowBuf plus one
+	// otherwise (compactRowBuf rewrites the entries it moves).
+	l2p        []phys
+	mapped     int64
 	live       []int32
 	freeCount  int64
-	pendingIdx map[int64]int // staged LBA -> absolute position in rowBuf
+	pendingIdx []int32
 
 	// Fault and rebuild state (mirrors internal/raid semantics).
 	failed  int
 	rebuild *rebuildState
 	spares  []blockdev.Device
-	lost    map[int64]bool // logical pages declared unrecoverable
+	lost    bitset.Set // logical pages declared unrecoverable
 
 	inGC  bool
 	stats raid.Stats
@@ -196,12 +202,11 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 		logical:    cfg.LogicalPages,
 		segs:       make([]segMeta, numSegs),
 		open:       -1,
-		l2p:        make(map[int64]phys),
-		live:       make([]int32, numSegs),
-		freeCount:  numSegs,
-		pendingIdx: make(map[int64]int),
-		lost:       make(map[int64]bool),
+		l2p:        make([]phys, cfg.LogicalPages),
+		pendingIdx: make([]int32, cfg.LogicalPages),
+		lost:       bitset.New(cfg.LogicalPages),
 	}
+	a.replay() // of an empty log: nothing mapped, nothing live, every segment free
 	for i, m := range members {
 		a.disks = append(a.disks, blockdev.NewFaultInjector(m, cfg.Seed^uint64(i)))
 	}
@@ -253,11 +258,8 @@ func (a *Array) RowPeers(lba int64) []int64 {
 // staged in NVRAM (or never written) has no physical home; (-1, -1) says
 // so, and fault-aiming tooling must skip it.
 func (a *Array) DataLocation(lba int64) (disk int, page int64) {
-	if _, ok := a.pendingIdx[lba]; ok {
-		return -1, -1
-	}
-	ph, ok := a.l2p[lba]
-	if !ok {
+	ph, ok := a.committed(lba)
+	if !ok || a.pendingIdx[lba] != 0 {
 		return -1, -1
 	}
 	row, slot := a.physRowSlot(ph)
@@ -268,12 +270,33 @@ func (a *Array) DataLocation(lba int64) (disk int, page int64) {
 // physical row (qDisk is always -1: single parity). Like DataLocation it
 // reports -1 for pages with no committed physical home.
 func (a *Array) ParityLocation(lba int64) (pDisk, qDisk int, page int64) {
-	ph, ok := a.l2p[lba]
+	ph, ok := a.committed(lba)
 	if !ok {
 		return -1, -1, -1
 	}
 	row, _ := a.physRowSlot(ph)
 	return a.parityDisk(row), -1, row
+}
+
+// committed returns lba's committed copy, if it has one. Pages outside
+// the logical space have none.
+func (a *Array) committed(lba int64) (phys, bool) {
+	if lba < 0 || lba >= a.logical {
+		return noPhys, false
+	}
+	ph := a.l2p[lba]
+	return ph, ph != noPhys
+}
+
+// setCommitted points lba's mapping at ph (noPhys unmaps it).
+func (a *Array) setCommitted(lba int64, ph phys) {
+	if a.l2p[lba] != noPhys {
+		a.mapped--
+	}
+	if ph != noPhys {
+		a.mapped++
+	}
+	a.l2p[lba] = ph
 }
 
 // Member returns member i's inner device.
@@ -381,12 +404,7 @@ func (a *Array) Survivable() bool { return a.failed <= 1 }
 // (The parity engine reports member rows; here the log's physical rows
 // move under GC, so the stable name for a loss is the logical page.)
 func (a *Array) LostRows() []int64 {
-	rows := make([]int64, 0, len(a.lost))
-	for r := range a.lost {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	return rows
+	return a.lost.AppendTo(make([]int64, 0, a.lost.Len()))
 }
 
 // missing reports whether member disk's page at row must be treated as

@@ -210,8 +210,7 @@ func (a *Array) rebuildLoss(target int, row int64, cause error) error {
 	for k := 0; k < a.dc(); k++ {
 		if base+int64(k) < int64(len(m.LBAs)) {
 			lba := m.LBAs[base+int64(k)]
-			if cur, ok := a.l2p[lba]; ok && cur.seg == int32(seg) && int64(cur.idx) == base+int64(k) && !a.lost[lba] {
-				a.lost[lba] = true
+			if a.l2p[lba] == (phys{seg: int32(seg), idx: int32(base + int64(k))}) && a.lost.Add(lba) {
 				a.stats.LostPages++
 			}
 		}

@@ -13,9 +13,12 @@ import (
 // running it twice yields identical state (tested via StateDigest).
 func (a *Array) replay() {
 	a.inGC = false
-	a.l2p = make(map[int64]phys, len(a.l2p))
+	for i := range a.l2p {
+		a.l2p[i] = noPhys
+	}
+	clear(a.pendingIdx)
+	a.mapped = 0
 	a.live = make([]int32, a.numSegs)
-	a.pendingIdx = make(map[int64]int, len(a.staged()))
 	a.freeCount = 0
 
 	// Apply summaries in allocation order: a later segment's mapping of
@@ -34,17 +37,17 @@ func (a *Array) replay() {
 		m := &a.segs[s]
 		for idx := int64(0); idx < m.Rows*dc; idx++ {
 			lba := m.LBAs[idx]
-			if prev, ok := a.l2p[lba]; ok {
+			if prev, ok := a.committed(lba); ok {
 				a.live[prev.seg]--
 			}
-			a.l2p[lba] = phys{seg: int32(s), idx: int32(idx)}
+			a.setCommitted(lba, phys{seg: int32(s), idx: int32(idx)})
 			a.live[s]++
 		}
 	}
 	// Staged pages shadow their committed copies.
 	for i, p := range a.staged() {
-		a.pendingIdx[p.lba] = a.rowBase + a.rowHead + i
-		if ph, ok := a.l2p[p.lba]; ok {
+		a.pendingIdx[p.lba] = int32(a.rowHead + i + 1)
+		if ph, ok := a.committed(p.lba); ok {
 			a.live[ph.seg]--
 		}
 	}
@@ -97,18 +100,19 @@ func (a *Array) CheckInvariants() error {
 		cfg: a.cfg, diskPages: a.diskPages, segPages: a.segPages,
 		numSegs: a.numSegs, logical: a.logical, disks: a.disks,
 		segs: a.segs, open: a.open,
-		rowBuf: a.rowBuf, rowHead: a.rowHead, rowBase: a.rowBase,
+		rowBuf: a.rowBuf, rowHead: a.rowHead,
+		l2p: make([]phys, a.logical), pendingIdx: make([]int32, a.logical),
 	}
 	want.replay()
 	if want.freeCount != a.freeCount {
 		return fmt.Errorf("lsraid: free count %d, replay says %d", a.freeCount, want.freeCount)
 	}
-	if len(want.l2p) != len(a.l2p) {
-		return fmt.Errorf("lsraid: l2p has %d entries, replay says %d", len(a.l2p), len(want.l2p))
+	if want.mapped != a.mapped {
+		return fmt.Errorf("lsraid: l2p has %d entries, replay says %d", a.mapped, want.mapped)
 	}
 	for lba, ph := range a.l2p {
-		if wph, ok := want.l2p[lba]; !ok || wph != ph {
-			return fmt.Errorf("lsraid: l2p[%d]=%v, replay says %v (present=%v)", lba, ph, want.l2p[lba], ok)
+		if want.l2p[lba] != ph {
+			return fmt.Errorf("lsraid: l2p[%d]=%v, replay says %v", lba, ph, want.l2p[lba])
 		}
 	}
 	var livePages int64
@@ -124,12 +128,9 @@ func (a *Array) CheckInvariants() error {
 		}
 		livePages += int64(a.live[s])
 	}
-	if len(a.pendingIdx) != len(a.staged()) {
-		return fmt.Errorf("lsraid: pending index %d entries for %d staged pages", len(a.pendingIdx), len(a.staged()))
-	}
-	for i, p := range a.staged() {
-		if pos := a.rowBase + a.rowHead + i; a.pendingIdx[p.lba] != pos {
-			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", p.lba, a.pendingIdx[p.lba], pos)
+	for lba, pos := range a.pendingIdx {
+		if pos != want.pendingIdx[lba] {
+			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", lba, pos, want.pendingIdx[lba])
 		}
 	}
 	// Accounting identity: live + dead + free == physical data capacity.
@@ -143,9 +144,6 @@ func (a *Array) CheckInvariants() error {
 	if dead < 0 {
 		return fmt.Errorf("lsraid: negative dead pages: committed %d live %d shadowed %d", committed, livePages, a.shadowed())
 	}
-	if mapped := int64(len(a.l2p)); mapped > a.logical {
-		return fmt.Errorf("lsraid: %d mapped pages exceed logical capacity %d", mapped, a.logical)
-	}
 	return nil
 }
 
@@ -155,7 +153,7 @@ func (a *Array) CheckInvariants() error {
 func (a *Array) shadowed() int64 {
 	var n int64
 	for _, p := range a.staged() {
-		if _, ok := a.l2p[p.lba]; ok {
+		if a.l2p[p.lba] != noPhys {
 			n++
 		}
 	}
@@ -188,14 +186,11 @@ func (a *Array) StateDigest() uint64 {
 			h.Write(p.data)
 		}
 	}
-	// The derived map, in deterministic order.
-	lbas := make([]int64, 0, len(a.l2p))
-	for lba := range a.l2p {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-	for _, lba := range lbas {
-		ph := a.l2p[lba]
+	// The derived map, in ascending LBA order.
+	for lba, ph := range a.l2p {
+		if ph == noPhys {
+			continue
+		}
 		putU64(uint64(lba))
 		putU64(uint64(ph.seg)<<32 | uint64(uint32(ph.idx)))
 	}

@@ -150,11 +150,7 @@ func (a *Array) scrubLoss(row int64, rep *raid.ScrubReport) {
 			break
 		}
 		lba := m.LBAs[idx]
-		if cur, ok := a.l2p[lba]; ok && cur.seg == int32(seg) && int64(cur.idx) == idx && !a.lost[lba] {
-			if _, pend := a.pendingIdx[lba]; pend {
-				continue
-			}
-			a.lost[lba] = true
+		if a.l2p[lba] == (phys{seg: int32(seg), idx: int32(idx)}) && a.pendingIdx[lba] == 0 && a.lost.Add(lba) {
 			a.stats.LostPages++
 		}
 	}

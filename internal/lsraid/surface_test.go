@@ -315,3 +315,63 @@ func TestRebuildSecondFaultIsLoud(t *testing.T) {
 		t.Fatal("second-fault loss not accounted")
 	}
 }
+
+// TestCrashReplayIdempotentWithLostPages: with pages declared lost (a
+// scrub found their row doubly faulted) and others staged, crash + replay
+// rebuilds the dense L2P and pending tables to the same digest twice over,
+// keeps the loss loud across the crash (it is not derivable from the
+// summaries, so replay must leave it alone), and an overwrite still heals
+// a lost page afterwards.
+func TestCrashReplayIdempotentWithLostPages(t *testing.T) {
+	a := testArray(t, 4, 256, 8)
+	fillCommitted(t, a, 48)
+	d, row := a.DataLocation(5)
+	p, _, _ := a.ParityLocation(5)
+	a.Injector(d).InjectBadPage(row)
+	a.Injector(p).InjectBadPage(row)
+	if _, rep, err := a.Scrub(0); err != nil || len(rep.Unrecoverable) == 0 {
+		t.Fatalf("scrub: %v, unrecoverable rows %v", err, rep.Unrecoverable)
+	}
+	lost := a.LostRows()
+	if len(lost) == 0 {
+		t.Fatal("no page lost")
+	}
+	// Two staged pages, one of them shadowing a committed copy.
+	for _, lba := range []int64{7, 60} {
+		if _, err := a.WritePages(0, lba, 1, pageOf(lba, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.PendingPages() != 2 {
+		t.Fatalf("%d pages pending, want 2", a.PendingPages())
+	}
+	digest := a.StateDigest()
+	for round := 0; round < 2; round++ {
+		a.CrashRebuildState()
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := a.StateDigest(); got != digest {
+			t.Fatalf("round %d: digest %x, before the crash %x", round, got, digest)
+		}
+		if got := a.LostRows(); fmt.Sprint(got) != fmt.Sprint(lost) {
+			t.Fatalf("round %d: lost pages %v, before the crash %v", round, got, lost)
+		}
+	}
+	buf := make([]byte, blockdev.PageSize)
+	if _, err := a.ReadPages(0, lost[0], 1, buf); !errors.Is(err, raid.ErrUnrecoverable) {
+		t.Fatalf("read of a lost page after replay: %v", err)
+	}
+	if _, err := a.ReadPages(0, 60, 1, buf); err != nil || !bytes.Equal(buf, pageOf(60, 2)) {
+		t.Fatalf("staged page after replay: %v", err)
+	}
+	if _, err := a.WritePages(0, lost[0], 1, pageOf(lost[0], 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ReadPages(0, lost[0], 1, buf); err != nil || !bytes.Equal(buf, pageOf(lost[0], 3)) {
+		t.Fatalf("overwritten lost page: %v", err)
+	}
+	if got := a.LostRows(); len(got) != len(lost)-1 {
+		t.Fatalf("lost pages after the healing overwrite: %v, were %v", got, lost)
+	}
+}

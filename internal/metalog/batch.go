@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 
 	"kddcache/internal/blockdev"
-	"kddcache/internal/obs"
 	"kddcache/internal/sim"
 )
 
@@ -21,7 +20,8 @@ import (
 // fsync-equivalent barrier per batch instead of one per entry.
 //
 // Pages committed by FlushBatch carry an extended header ("KS" magic)
-// tagging the flushing shard and a per-shard batch sequence number.
+// tagging the flushing shard and a per-shard batch sequence number; the
+// commit itself is Log.commitPage, the routine Put and Flush use.
 // Recovery uses the tags to tolerate interleaved multi-writer logs: pages
 // of the same shard replay in shard-sequence order even if a future
 // multi-tail design (or an adversarial test) lands them on flash out of
@@ -69,20 +69,7 @@ func (l *Log) PutBuffered(e Entry) {
 func (l *Log) FlushBatch(t sim.Time, shard uint8) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	done := t
-	// Same loop bound as Put: GC reinsertion can refill the buffer, and a
-	// log full of live entries cannot make progress.
-	for rounds := l.npages + 2; l.bufBytes >= blockdev.PageSize; rounds-- {
-		if rounds <= 0 {
-			return t, ErrLogFull
-		}
-		c, err := l.flushTaggedPage(t, shard)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	return done, nil
+	return l.commitFull(t, int(shard))
 }
 
 // FlushBatchAll drains the buffer completely (final partial page
@@ -90,100 +77,7 @@ func (l *Log) FlushBatch(t sim.Time, shard uint8) (sim.Time, error) {
 func (l *Log) FlushBatchAll(t sim.Time, shard uint8) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	done := t
-	for len(l.buf) > 0 {
-		c, err := l.flushTaggedPage(t, shard)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	return done, nil
-}
-
-// flushTaggedPage commits one shard-tagged page of buffered entries at
-// the tail. Mirrors flushPage, with the extended header and the
-// per-shard sequence bookkeeping. Caller holds l.mu.
-func (l *Log) flushTaggedPage(t sim.Time, shard uint8) (sim.Time, error) {
-	if len(l.buf) == 0 {
-		return t, nil
-	}
-	sp := l.tr.Begin(t, obs.PhaseMetaAppend)
-	if err := l.maybeGC(t); err != nil {
-		sp.End(t)
-		return t, err
-	}
-	var page [blockdev.PageSize]byte
-	var flushed []Entry
-	used := 0
-	for _, k := range l.bufOrder {
-		e, ok := l.buf[k]
-		if !ok {
-			continue
-		}
-		if used+e.encSize() > batchPagePayload {
-			break
-		}
-		used += e.encode(page[batchPageHdrLen+used:])
-		flushed = append(flushed, e)
-	}
-	shardSeq := l.shardSeqs[shard]
-	binary.LittleEndian.PutUint16(page[0:], batchPageMagic)
-	binary.LittleEndian.PutUint16(page[2:], uint16(used))
-	binary.LittleEndian.PutUint32(page[4:],
-		crc32.ChecksumIEEE(page[batchPageHdrLen:batchPageHdrLen+used]))
-	page[8] = shard
-	binary.LittleEndian.PutUint32(page[10:], shardSeq)
-	if bugBatchAckEarly {
-		// MUTATION (kddbug build tag): treat the batch as committed before
-		// its page is durable — the entries leave NVRAM ahead of the write
-		// ack. A crash on this very write ordinal then loses the mappings
-		// of already-acked operations, which the shard checker must catch.
-		l.bufRemove(flushed)
-	}
-	seq := l.ctr.Tail
-	phys := l.start + int64(seq%uint64(l.npages))
-	var buf []byte
-	if l.dataMode() {
-		buf = page[:]
-	}
-	done, err := l.dev.WritePages(t, phys, 1, buf)
-	if err != nil {
-		// The page never acked: entries stay in NVRAM, tail and shard seq
-		// untouched — a crash here is repaired from NVRAM alone.
-		sp.End(t)
-		return t, err
-	}
-	l.ctr.Tail++
-	l.shardSeqs[shard] = shardSeq + 1
-	if !bugBatchAckEarly {
-		// Only now that the page is durable do the entries leave NVRAM.
-		l.bufRemove(flushed)
-	}
-	l.pageLists[seq] = flushed
-	for _, e := range flushed {
-		l.latest[e.DazPage] = seq
-		l.stats.EntriesLogged++
-	}
-	l.stats.PagesWritten++
-	sp.End(done)
-	return done, nil
-}
-
-// bufRemove drops flushed entries from the NVRAM buffer. Caller holds
-// l.mu.
-func (l *Log) bufRemove(flushed []Entry) {
-	for _, e := range flushed {
-		delete(l.buf, e.DazPage)
-		l.bufBytes -= e.encSize()
-	}
-	kept := l.bufOrder[:0]
-	for _, k := range l.bufOrder {
-		if _, ok := l.buf[k]; ok {
-			kept = append(kept, k)
-		}
-	}
-	l.bufOrder = kept
+	return l.commitAll(t, int(shard))
 }
 
 // arrangeReplay computes the page replay order for recovery: pages keep

@@ -7,18 +7,31 @@ import (
 	"kddcache/internal/sim"
 )
 
-// BenchmarkPut measures the metadata-buffer insert path including page
-// flushes and log GC.
-func BenchmarkPut(b *testing.B) {
+// BenchmarkLogPut measures the metadata-buffer insert path in steady
+// state — page commits and log GC included — on a timing-only device, as
+// a trace replay drives it: 60 000 cache pages keep about 130 of the
+// partition's 256 pages live, and the warm-up wraps the ring so every
+// commit of the measured loop reclaims a head page first.
+func BenchmarkLogPut(b *testing.B) {
 	dev := blockdev.NewNullDevice("ssd", 1<<20)
-	l := New(dev, 0, 1024, 0.9)
+	l := New(dev, 0, 256, 0.9)
 	rng := sim.NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := Entry{State: StateClean, DazPage: uint32(rng.Uint64n(100000)), DezPage: NoDez}
+	put := func() {
+		e := Entry{State: StateClean, DazPage: uint32(rng.Uint64n(60000)), DezPage: NoDez}
 		if _, err := l.Put(0, e); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for i := 0; i < 300000; i++ {
+		put()
+	}
+	if l.Stats().GCRuns == 0 {
+		b.Fatal("warm-up never reached log GC")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put()
 	}
 }
 

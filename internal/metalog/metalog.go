@@ -6,6 +6,13 @@
 // buffer. The head/tail counters live in NVRAM. Recovery rebuilds the
 // mapping by scanning the log from head to tail and then overlaying the
 // NVRAM buffer.
+//
+// The in-memory index is dense, not hashed: the buffer is a queue in
+// arrival order, the paper's "list in memory for each metadata page"
+// (§III-C) is a ring with one slot per partition page, and one int32 per
+// SSD page says where the newest entry of that cache page lives (see
+// Log.where). Timing-only devices persist no bytes, so there the page
+// image is never built: no encode, no checksum, the same flash writes.
 package metalog
 
 import (
@@ -13,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"kddcache/internal/blockdev"
@@ -182,9 +190,6 @@ func decodeEntry(b []byte) (e Entry, n int, ok bool) {
 	}
 }
 
-// inBuffer marks an entry whose latest version is in the NVRAM buffer.
-const inBuffer = ^uint64(0)
-
 // Stats counts metadata traffic.
 type Stats struct {
 	PagesWritten      int64 // metadata pages committed to flash
@@ -220,15 +225,27 @@ type Log struct {
 	// tagged pages; rebuilt from the surviving pages on recovery.
 	shardSeqs map[uint8]uint32
 
-	// NVRAM metadata buffer: coalescing map with stable insertion order.
-	bufOrder []uint32 // DazPage keys in arrival order
-	buf      map[uint32]Entry
+	// NVRAM metadata buffer: the queue buf[bufHead:] in arrival order, at
+	// most one entry per cache page (a newer entry replaces the older one
+	// in place). A commit takes a prefix of the queue; entries before
+	// bufHead are committed and wait for bufDrop's compaction.
+	buf      []Entry
+	bufHead  int
 	bufBytes int // total encoded size of buffered entries
 
-	// Volatile acceleration structures (rebuilt on recovery, §III-C: "KDD
-	// maintains a list in memory for each metadata page").
-	pageLists map[uint64][]Entry // page seq -> entries it holds
-	latest    map[uint32]uint64  // DazPage -> seq of page with its newest entry, or inBuffer
+	// Volatile acceleration structures (rebuilt on recovery).
+	//
+	// pages is §III-C's "list in memory for each metadata page": ring slot
+	// seq%npages holds the entries of committed page seq, empty once GC has
+	// reclaimed it. A commit builds the new page's list in its slot's old
+	// backing array, so the steady state allocates nothing.
+	//
+	// where locates the newest entry of every cache page, indexed by
+	// Entry.DazPage (an SSD page of dev): 0 = none, v > 0 = committed in
+	// ring slot v-1, v < 0 = buffered at buf[^v]. At most one live page
+	// maps to a ring slot, so the slot names the page unambiguously.
+	pages [][]Entry
+	where []int32
 
 	// gcThreshold is the live fraction of the partition above which GC
 	// reclaims head pages.
@@ -247,8 +264,8 @@ func (l *Log) SetTracer(tr *obs.Tracer) { l.tr = tr }
 // New creates a log over [start, start+npages) of dev with fresh NVRAM
 // counters. gcThreshold in (0,1]; 0 selects the 0.9 default.
 func New(dev blockdev.Device, start, npages int64, gcThreshold float64) *Log {
-	if npages < 2 {
-		panic("metalog: partition needs at least 2 pages")
+	if npages < 2 || npages >= math.MaxInt32 {
+		panic("metalog: partition needs at least 2 pages (and fewer than 2^31)")
 	}
 	if gcThreshold == 0 {
 		gcThreshold = 0.9
@@ -262,9 +279,8 @@ func New(dev blockdev.Device, start, npages int64, gcThreshold float64) *Log {
 		npages:      npages,
 		ctr:         &nvram.Counters{},
 		shardSeqs:   make(map[uint8]uint32),
-		buf:         make(map[uint32]Entry),
-		pageLists:   make(map[uint64][]Entry),
-		latest:      make(map[uint32]uint64),
+		pages:       make([][]Entry, npages),
+		where:       make([]int32, dev.Pages()),
 		gcThreshold: gcThreshold,
 	}
 }
@@ -278,13 +294,7 @@ func (l *Log) Counters() *nvram.Counters { return l.ctr }
 func (l *Log) BufferedEntries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, 0, len(l.bufOrder))
-	for _, k := range l.bufOrder {
-		if e, ok := l.buf[k]; ok {
-			out = append(out, e)
-		}
-	}
-	return out
+	return append([]Entry{}, l.buf[l.bufHead:]...)
 }
 
 // Stats returns a snapshot of metadata traffic counters.
@@ -318,13 +328,32 @@ func (l *Log) Reinit(dev blockdev.Device) {
 		RebuildDisk:   l.ctr.RebuildDisk,
 		RebuildRow:    l.ctr.RebuildRow,
 	}
-	l.bufOrder = nil
-	l.buf = make(map[uint32]Entry)
-	l.bufBytes = 0
-	l.pageLists = make(map[uint64][]Entry)
-	l.latest = make(map[uint32]uint64)
+	l.buf, l.bufHead, l.bufBytes = l.buf[:0], 0, 0
+	l.resetIndex()
+}
+
+// resetIndex empties the volatile structures and the shard sequences.
+func (l *Log) resetIndex() {
+	for i := range l.pages {
+		l.pages[i] = l.pages[i][:0]
+	}
+	clear(l.where)
 	l.shardSeqs = make(map[uint8]uint32)
 }
+
+// loc returns cache page k's cell of the where table. The table is sized
+// by the device the log lives on; an entry naming a page beyond it (the
+// hand-built logs of unit tests) grows the table instead of faulting.
+func (l *Log) loc(k uint32) *int32 {
+	if int(k) >= len(l.where) {
+		l.where = append(l.where, make([]int32, int(k)+1-len(l.where))...)
+	}
+	return &l.where[k]
+}
+
+// slotOf returns the ring slot of committed page seq; its SSD page is
+// start+slot.
+func (l *Log) slotOf(seq uint64) int32 { return int32(seq % uint64(l.npages)) }
 
 // Put records a mapping entry. When the buffer fills a page, the page is
 // committed to the log tail; when the log passes the GC threshold, head
@@ -334,6 +363,12 @@ func (l *Log) Put(t sim.Time, e Entry) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.bufInsert(e)
+	return l.commitFull(t, untagged)
+}
+
+// commitFull commits pages while the buffer holds a full page's worth of
+// entries. Caller holds l.mu.
+func (l *Log) commitFull(t sim.Time, shard int) (sim.Time, error) {
 	done := t
 	// Bound the flush loop: GC reinsertion can refill the buffer, and if
 	// every entry in the log is live no amount of cleaning makes progress
@@ -342,7 +377,21 @@ func (l *Log) Put(t sim.Time, e Entry) (sim.Time, error) {
 		if rounds <= 0 {
 			return t, ErrLogFull
 		}
-		c, err := l.flushPage(t)
+		c, err := l.commitPage(t, shard)
+		if err != nil {
+			return t, err
+		}
+		done = sim.MaxTime(done, c)
+	}
+	return done, nil
+}
+
+// commitAll drains the buffer completely, final partial page included.
+// Caller holds l.mu.
+func (l *Log) commitAll(t sim.Time, shard int) (sim.Time, error) {
+	done := t
+	for l.bufHead < len(l.buf) {
+		c, err := l.commitPage(t, shard)
 		if err != nil {
 			return t, err
 		}
@@ -353,19 +402,47 @@ func (l *Log) Put(t sim.Time, e Entry) (sim.Time, error) {
 
 // bufInsert adds or coalesces an entry in the NVRAM metadata buffer.
 func (l *Log) bufInsert(e Entry) {
-	if prev, ok := l.buf[e.DazPage]; ok {
-		l.bufBytes -= prev.encSize()
-	} else {
-		l.bufOrder = append(l.bufOrder, e.DazPage)
+	w := l.loc(e.DazPage)
+	if *w < 0 {
+		prev := &l.buf[^*w]
+		l.bufBytes += e.encSize() - prev.encSize()
+		*prev = e
+		return
 	}
-	l.buf[e.DazPage] = e
+	*w = ^int32(len(l.buf))
+	l.buf = append(l.buf, e)
 	l.bufBytes += e.encSize()
-	l.latest[e.DazPage] = inBuffer
 }
 
-// flushPage commits up to EntriesPerPage buffered entries to the tail.
-func (l *Log) flushPage(t sim.Time) (sim.Time, error) {
-	if len(l.buf) == 0 {
+// bufDrop removes the oldest n entries from the NVRAM buffer and slides
+// the queue back to the front of buf once the drained prefix is at least
+// as long as what remains, so buf is reused instead of regrown and an
+// entry moves at most once per entry drained past it.
+func (l *Log) bufDrop(n int) {
+	for _, e := range l.buf[l.bufHead : l.bufHead+n] {
+		l.bufBytes -= e.encSize()
+		l.where[e.DazPage] = 0
+	}
+	l.bufHead += n
+	if rest := len(l.buf) - l.bufHead; l.bufHead >= rest {
+		copy(l.buf, l.buf[l.bufHead:])
+		l.buf, l.bufHead = l.buf[:rest], 0
+		for i, e := range l.buf {
+			l.where[e.DazPage] = ^int32(i)
+		}
+	}
+}
+
+// untagged selects the single-writer "KL" page header in commitPage;
+// shards are 0..255.
+const untagged = -1
+
+// commitPage commits the oldest buffered entries that fit one page at
+// the tail: the "KL" page of the single-writer Put/Flush stream, or with
+// shard >= 0 the "KS" page of the batched path (batch.go), tagged with
+// the shard and its next batch sequence number. Caller holds l.mu.
+func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
+	if l.bufHead == len(l.buf) {
 		return t, nil
 	}
 	sp := l.tr.Begin(t, obs.PhaseMetaAppend)
@@ -374,56 +451,76 @@ func (l *Log) flushPage(t sim.Time) (sim.Time, error) {
 		sp.End(t)
 		return t, err
 	}
-	var page [blockdev.PageSize]byte
-	var flushed []Entry
+	hdr := logPageHdrLen
+	if shard != untagged {
+		hdr = batchPageHdrLen
+	}
+	// A timing-only device persists no bytes: the page is sized, not built.
+	var image []byte
+	if l.dataMode() {
+		image = blockdev.GetZeroPage()
+	}
+	seq := l.ctr.Tail
+	slot := l.slotOf(seq)
+	flushed := l.pages[slot][:0] // the slot's page was reclaimed a lap ago
 	used := 0
-	for _, k := range l.bufOrder {
-		e, ok := l.buf[k]
-		if !ok {
-			continue
-		}
-		if used+e.encSize() > logPagePayload {
+	for _, e := range l.buf[l.bufHead:] {
+		n := e.encSize()
+		if used+n > blockdev.PageSize-hdr {
 			break
 		}
-		used += e.encode(page[logPageHdrLen+used:])
+		if image != nil {
+			e.encode(image[hdr+used:])
+		}
+		used += n
 		flushed = append(flushed, e)
 	}
-	binary.LittleEndian.PutUint16(page[0:], logPageMagic)
-	binary.LittleEndian.PutUint16(page[2:], uint16(used))
-	binary.LittleEndian.PutUint32(page[4:],
-		crc32.ChecksumIEEE(page[logPageHdrLen:logPageHdrLen+used]))
-	seq := l.ctr.Tail
-	phys := l.start + int64(seq%uint64(l.npages))
-	var buf []byte
-	if l.dataMode() {
-		buf = page[:]
+	var shardSeq uint32
+	if shard != untagged {
+		shardSeq = l.shardSeqs[uint8(shard)]
 	}
-	done, err := l.dev.WritePages(t, phys, 1, buf)
+	if image != nil {
+		binary.LittleEndian.PutUint16(image[2:], uint16(used))
+		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[hdr:hdr+used]))
+		if shard == untagged {
+			binary.LittleEndian.PutUint16(image[0:], logPageMagic)
+		} else {
+			binary.LittleEndian.PutUint16(image[0:], batchPageMagic)
+			image[8] = uint8(shard)
+			binary.LittleEndian.PutUint32(image[10:], shardSeq)
+		}
+	}
+	ackEarly := bugBatchAckEarly && shard != untagged
+	if ackEarly {
+		// MUTATION (kddbug build tag): treat the batch as committed before
+		// its page is durable — the entries leave NVRAM ahead of the write
+		// ack. A crash on this very write ordinal then loses the mappings
+		// of already-acked operations, which the shard checker must catch.
+		l.bufDrop(len(flushed))
+	}
+	done, err := l.dev.WritePages(t, l.start+int64(slot), 1, image)
+	blockdev.PutPage(image) // the device copied it (or ignored it on error)
 	if err != nil {
-		// The page never acked. The entries stay in the NVRAM buffer and
-		// the tail counter untouched, so a crash here is repaired from
-		// NVRAM alone — committing an entry to Put is atomic-in-NVRAM.
+		// The page never acked. The entries stay in the NVRAM buffer, the
+		// tail counter and shard sequence untouched, so a crash here is
+		// repaired from NVRAM alone — committing an entry to Put is
+		// atomic-in-NVRAM.
 		sp.End(t)
 		return t, err
 	}
 	l.ctr.Tail++
-	// Only now that the page is durable do the entries leave NVRAM.
+	if shard != untagged {
+		l.shardSeqs[uint8(shard)] = shardSeq + 1
+	}
+	if !ackEarly {
+		// Only now that the page is durable do the entries leave NVRAM.
+		l.bufDrop(len(flushed))
+	}
+	l.pages[slot] = flushed
 	for _, e := range flushed {
-		delete(l.buf, e.DazPage)
-		l.bufBytes -= e.encSize()
+		l.where[e.DazPage] = slot + 1
 	}
-	kept := l.bufOrder[:0]
-	for _, k := range l.bufOrder {
-		if _, ok := l.buf[k]; ok {
-			kept = append(kept, k)
-		}
-	}
-	l.bufOrder = kept
-	l.pageLists[seq] = flushed
-	for _, e := range flushed {
-		l.latest[e.DazPage] = seq
-		l.stats.EntriesLogged++
-	}
+	l.stats.EntriesLogged += int64(len(flushed))
 	l.stats.PagesWritten++
 	sp.End(done)
 	return done, nil
@@ -434,15 +531,7 @@ func (l *Log) flushPage(t sim.Time) (sim.Time, error) {
 func (l *Log) Flush(t sim.Time) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	done := t
-	for len(l.buf) > 0 {
-		c, err := l.flushPage(t)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	return done, nil
+	return l.commitAll(t, untagged)
 }
 
 // maybeGC reclaims head pages while the log is above its threshold.
@@ -463,21 +552,22 @@ func (l *Log) maybeGC(t sim.Time) error {
 			return nil
 		}
 		l.stats.GCRuns++
-		for _, e := range l.pageLists[head] {
-			if l.latest[e.DazPage] != head {
+		slot := l.slotOf(head)
+		for _, e := range l.pages[slot] {
+			if l.where[e.DazPage] != slot+1 {
 				continue // superseded later; dead
 			}
 			if e.State == StateFree {
 				// Head is the oldest page: no earlier entry can exist that
 				// this free marker must supersede, so it can be dropped.
-				delete(l.latest, e.DazPage)
+				l.where[e.DazPage] = 0
 				continue
 			}
 			l.bufInsert(e)
 			l.stats.ReinsertedEntries++
 			l.stats.ReinsertedBytes += int64(e.encSize())
 		}
-		delete(l.pageLists, head)
+		l.pages[slot] = l.pages[slot][:0]
 		l.ctr.Head++
 		// Reinsertions may refill the buffer past a page; the caller's
 		// flush loop handles that.
@@ -519,14 +609,12 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 		return nil, t, ErrVolatileDevice
 	}
 	l.stats.Recoveries++
-	l.pageLists = make(map[uint64][]Entry)
-	l.latest = make(map[uint32]uint64)
-	l.shardSeqs = make(map[uint8]uint32)
+	l.resetIndex()
 	var page [blockdev.PageSize]byte
 	done := t
 	var pages []recoveredPage
 	for seq := l.ctr.Head; seq != l.ctr.Tail; seq++ {
-		phys := l.start + int64(seq%uint64(l.npages))
+		phys := l.start + int64(l.slotOf(seq))
 		var buf []byte
 		if l.dataMode() {
 			buf = page[:]
@@ -556,22 +644,21 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 	}
 	var replay []Entry
 	for _, rp := range arrangeReplay(pages) {
-		// pageLists and latest are keyed by the PHYSICAL page holding the
+		// pages and where are keyed by the PHYSICAL page holding the
 		// entries — GC reclaims physical head pages — while replay (and the
 		// latest-wins resolution) follows the arranged order.
-		l.pageLists[rp.seq] = rp.entries
+		slot := l.slotOf(rp.seq)
+		l.pages[slot] = rp.entries
 		for _, e := range rp.entries {
-			l.latest[e.DazPage] = rp.seq
-			replay = append(replay, e)
+			*l.loc(e.DazPage) = slot + 1
 		}
+		replay = append(replay, rp.entries...)
 	}
 	// Overlay NVRAM buffer (newest state per DazPage).
-	for _, k := range l.bufOrder {
-		if e, ok := l.buf[k]; ok {
-			l.latest[e.DazPage] = inBuffer
-			replay = append(replay, e)
-		}
+	for i := l.bufHead; i < len(l.buf); i++ {
+		*l.loc(l.buf[i].DazPage) = ^int32(i)
 	}
+	replay = append(replay, l.buf[l.bufHead:]...)
 	return replay, done, nil
 }
 

@@ -25,33 +25,39 @@ type StagedDelta struct {
 // drains the oldest deltas into one DEZ page image.
 //
 // The queue is fifo[head:]; entries before head were drained by PackPage
-// and wait for compact. index holds absolute positions — base is the
-// absolute position of fifo[0] — so draining and compaction leave the
-// entries of every delta still queued untouched.
+// and wait for compact. index is dense over the owner's DAZ region — one
+// int32 per cache page, allocated once: 0 = nothing staged, v > 0 = the
+// delta sits at fifo[v-1]. compact rewrites the entries of the deltas it
+// moves.
 type Staging struct {
 	capBytes int
 	fifo     []StagedDelta // arrival order, coalesced; DazPage -1 = dropped
 	head     int           // first entry of fifo not yet drained
-	base     int           // absolute position of fifo[0]
-	index    map[int64]int // DazPage -> absolute position in fifo
+	first    int64         // first SSD page of the DAZ region
+	index    []int32       // DazPage-first -> position in fifo, plus one
+	n        int           // live staged deltas
 	bytes    int
+
+	// packed is PackPage's result, reused across calls.
+	packed []StagedDelta
 
 	// Statistics.
 	Coalesced   int64 // deltas replaced in place by a newer version
 	Invalidated int64 // deltas dropped because the page was reclaimed
 }
 
-// NewStaging returns a staging buffer that packs a page once capBytes of
-// deltas are queued. capBytes must be at least one page.
-func NewStaging(capBytes int) *Staging {
+// NewStaging returns a staging buffer for the deltas of the DAZ pages
+// [firstPage, firstPage+pages) that packs a page once capBytes of deltas
+// are queued. capBytes must be at least one page.
+func NewStaging(capBytes int, firstPage, pages int64) *Staging {
 	if capBytes < blockdev.PageSize {
 		panic("nvram: staging buffer smaller than one page")
 	}
-	return &Staging{capBytes: capBytes, index: make(map[int64]int)}
+	return &Staging{capBytes: capBytes, first: firstPage, index: make([]int32, pages)}
 }
 
 // Len returns the number of live staged deltas.
-func (s *Staging) Len() int { return len(s.index) }
+func (s *Staging) Len() int { return s.n }
 
 // Bytes returns the total encoded bytes of live staged deltas.
 func (s *Staging) Bytes() int { return s.bytes }
@@ -60,48 +66,59 @@ func (s *Staging) Bytes() int { return s.bytes }
 // should be packed and committed to DEZ.
 func (s *Staging) Full() bool { return s.bytes >= s.capBytes }
 
+// staged returns the queue entry of a DAZ page's delta, or nil. A page
+// outside the region has nothing staged.
+func (s *Staging) staged(dazPage int64) *StagedDelta {
+	if i := dazPage - s.first; i >= 0 && i < int64(len(s.index)) && s.index[i] != 0 {
+		return &s.fifo[s.index[i]-1]
+	}
+	return nil
+}
+
 // Put stages a delta for the given DAZ page, replacing any older staged
-// delta for the same page (write coalescing).
+// delta for the same page (write coalescing). The page must lie in the
+// buffer's DAZ region.
 func (s *Staging) Put(d StagedDelta) {
-	if pos, ok := s.index[d.DazPage]; ok {
-		e := &s.fifo[pos-s.base]
+	if e := s.staged(d.DazPage); e != nil {
 		s.bytes += d.D.Len - e.D.Len
 		*e = d
 		s.Coalesced++
 		return
 	}
-	s.index[d.DazPage] = s.base + len(s.fifo)
 	s.fifo = append(s.fifo, d)
+	s.index[d.DazPage-s.first] = int32(len(s.fifo))
+	s.n++
 	s.bytes += d.D.Len
 }
 
 // Get returns the staged delta for a DAZ page, if any.
 func (s *Staging) Get(dazPage int64) (StagedDelta, bool) {
-	pos, ok := s.index[dazPage]
-	if !ok {
-		return StagedDelta{}, false
+	if e := s.staged(dazPage); e != nil {
+		return *e, true
 	}
-	return s.fifo[pos-s.base], true
+	return StagedDelta{}, false
 }
 
 // Drop removes a staged delta (the DAZ page was reclaimed or superseded).
 func (s *Staging) Drop(dazPage int64) {
-	pos, ok := s.index[dazPage]
-	if !ok {
+	e := s.staged(dazPage)
+	if e == nil {
 		return
 	}
-	e := &s.fifo[pos-s.base]
 	s.bytes -= e.D.Len
 	*e = StagedDelta{DazPage: -1} // tombstone; skipped and drained by PackPage
-	delete(s.index, dazPage)
+	s.index[dazPage-s.first] = 0
+	s.n--
 	s.Invalidated++
 }
 
 // PackPage drains the oldest staged deltas that together fit a flash page
 // and returns them. The caller writes them to one DEZ page and updates
-// its mapping entries. Returns nil when the buffer is empty.
+// its mapping entries. Returns nil when the buffer is empty. The result is
+// scratch owned by the buffer, valid until the next PackPage; Put and Drop
+// leave it alone, so the caller may re-stage from it.
 func (s *Staging) PackPage() []StagedDelta {
-	var out []StagedDelta
+	out := s.packed[:0]
 	used := 0
 	i := s.head
 	for ; i < len(s.fifo); i++ {
@@ -112,13 +129,18 @@ func (s *Staging) PackPage() []StagedDelta {
 			}
 			used += d.D.Len
 			out = append(out, d)
-			delete(s.index, d.DazPage)
+			s.index[d.DazPage-s.first] = 0
+			s.n--
 			s.bytes -= d.D.Len
 		}
 		s.fifo[i] = StagedDelta{} // drained or tombstone: do not pin the payload until compact
 	}
 	s.head = i
 	s.compact()
+	s.packed = out
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
@@ -134,8 +156,12 @@ func (s *Staging) compact() {
 	copy(s.fifo, s.fifo[s.head:])
 	clear(s.fifo[live:]) // stale copies must not pin delta payloads
 	s.fifo = s.fifo[:live]
-	s.base += s.head
 	s.head = 0
+	for i, d := range s.fifo {
+		if d.DazPage >= 0 {
+			s.index[d.DazPage-s.first] = int32(i + 1)
+		}
+	}
 }
 
 // All returns the live staged deltas in FIFO order (recovery reads these

@@ -14,7 +14,7 @@ func sd(daz int64, n int) StagedDelta {
 }
 
 func TestStagingPutGetDrop(t *testing.T) {
-	s := NewStaging(4 * blockdev.PageSize)
+	s := NewStaging(4*blockdev.PageSize, 0, 1<<16)
 	s.Put(sd(1, 100))
 	s.Put(sd(2, 200))
 	if s.Len() != 2 || s.Bytes() != 300 {
@@ -35,7 +35,7 @@ func TestStagingPutGetDrop(t *testing.T) {
 }
 
 func TestStagingCoalescing(t *testing.T) {
-	s := NewStaging(4 * blockdev.PageSize)
+	s := NewStaging(4*blockdev.PageSize, 0, 1<<16)
 	s.Put(sd(7, 500))
 	s.Put(sd(7, 50)) // newer delta replaces older in place
 	if s.Len() != 1 || s.Bytes() != 50 || s.Coalesced != 1 {
@@ -48,7 +48,7 @@ func TestStagingCoalescing(t *testing.T) {
 }
 
 func TestStagingFullAndPackPageFIFO(t *testing.T) {
-	s := NewStaging(blockdev.PageSize)
+	s := NewStaging(blockdev.PageSize, 0, 1<<16)
 	for i := int64(0); i < 5; i++ {
 		s.Put(sd(i, 1000))
 	}
@@ -71,7 +71,7 @@ func TestStagingFullAndPackPageFIFO(t *testing.T) {
 }
 
 func TestStagingPackSkipsTombstones(t *testing.T) {
-	s := NewStaging(blockdev.PageSize)
+	s := NewStaging(blockdev.PageSize, 0, 1<<16)
 	s.Put(sd(1, 1000))
 	s.Put(sd(2, 1000))
 	s.Put(sd(3, 1000))
@@ -86,14 +86,14 @@ func TestStagingPackSkipsTombstones(t *testing.T) {
 }
 
 func TestStagingPackEmptyReturnsNil(t *testing.T) {
-	s := NewStaging(blockdev.PageSize)
+	s := NewStaging(blockdev.PageSize, 0, 1<<16)
 	if got := s.PackPage(); got != nil {
 		t.Fatalf("PackPage on empty = %v", got)
 	}
 }
 
 func TestStagingOversizeDeltaAlonePerPage(t *testing.T) {
-	s := NewStaging(blockdev.PageSize)
+	s := NewStaging(blockdev.PageSize, 0, 1<<16)
 	s.Put(sd(1, blockdev.PageSize)) // raw full-page delta
 	s.Put(sd(2, 10))
 	packed := s.PackPage()
@@ -107,7 +107,7 @@ func TestStagingOversizeDeltaAlonePerPage(t *testing.T) {
 }
 
 func TestStagingAllSurvivesForRecovery(t *testing.T) {
-	s := NewStaging(8 * blockdev.PageSize)
+	s := NewStaging(8*blockdev.PageSize, 0, 1<<16)
 	s.Put(sd(1, 10))
 	s.Put(sd(2, 20))
 	s.Drop(1)
@@ -118,7 +118,7 @@ func TestStagingAllSurvivesForRecovery(t *testing.T) {
 }
 
 func TestStagingIndexConsistentAfterPack(t *testing.T) {
-	s := NewStaging(blockdev.PageSize)
+	s := NewStaging(blockdev.PageSize, 0, 1<<16)
 	for i := int64(0); i < 8; i++ {
 		s.Put(sd(i, 700))
 	}
@@ -145,7 +145,7 @@ func TestStagingPanicsOnTinyCapacity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewStaging(100)
+	NewStaging(100, 0, 1<<16)
 }
 
 func TestCountersLive(t *testing.T) {
@@ -215,17 +215,24 @@ func sameDeltas(a, b []StagedDelta) bool {
 
 // TestStagingMatchesModel drives random Put/Get/Drop/PackPage sequences
 // against the slice model: FIFO order, coalescing in place, Bytes and Len
-// must survive draining and compaction at every queue length.
+// must survive draining and compaction at every queue length. The DAZ
+// region starts off zero, so the dense index is exercised at its offset
+// and at both ends, and pages outside the region read as not staged. A
+// PackPage result is held across the Puts and Drops that follow it —
+// re-staging from it is what commitDez's undo does — and must stay intact
+// until the next PackPage.
 func TestStagingMatchesModel(t *testing.T) {
+	const first, pages = 1000, 300
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRNG(seed)
-		s := NewStaging(4 * blockdev.PageSize)
+		s := NewStaging(4*blockdev.PageSize, first, pages)
 		var m stagingModel
+		var held, heldCopy []StagedDelta
 		for step := 0; step < 4000; step++ {
 			// Long fill phases alternate with long drain phases so the queue
 			// swings between empty and several hundred entries.
 			filling := step/500%2 == 0
-			daz := int64(rng.Intn(300))
+			daz := first + int64(rng.Intn(pages))
 			switch op := rng.Intn(10); {
 			case op < 4 || (filling && op < 8):
 				d := StagedDelta{DazPage: daz, RaidLBA: int64(step), D: delta.Delta{Len: 1 + rng.Intn(1500), Bytes: []byte{1}}}
@@ -240,14 +247,30 @@ func TestStagingMatchesModel(t *testing.T) {
 				if ok != (i >= 0) || (ok && !sameDeltas([]StagedDelta{got}, m[i:i+1])) {
 					t.Fatalf("seed %d step %d: Get(%d) = %+v, %v; model index %d", seed, step, daz, got, ok, i)
 				}
+				for _, out := range []int64{first - 1, first + pages, -1} {
+					if _, ok := s.Get(out); ok {
+						t.Fatalf("seed %d step %d: Get(%d) outside the region found a delta", seed, step, out)
+					}
+					s.Drop(out) // no-op
+				}
 			default:
-				if got, want := s.PackPage(), m.pack(); !sameDeltas(got, want) {
+				got, want := s.PackPage(), m.pack()
+				if !sameDeltas(got, want) {
 					t.Fatalf("seed %d step %d: PackPage = %+v, model %+v", seed, step, got, want)
 				}
+				held, heldCopy = got, append([]StagedDelta(nil), got...)
+			}
+			if !sameDeltas(held, heldCopy) {
+				t.Fatalf("seed %d step %d: the last PackPage result changed under Put/Drop: %+v, was %+v", seed, step, held, heldCopy)
 			}
 			if s.Len() != len(m) || s.Bytes() != m.bytes() || !sameDeltas(s.All(), m) {
 				t.Fatalf("seed %d step %d: len %d bytes %d all %+v; model len %d bytes %d %+v",
 					seed, step, s.Len(), s.Bytes(), s.All(), len(m), m.bytes(), []StagedDelta(m))
+			}
+			for _, d := range s.All() {
+				if got, ok := s.Get(d.DazPage); !ok || !sameDeltas([]StagedDelta{got}, []StagedDelta{d}) {
+					t.Fatalf("seed %d step %d: index entry of page %d is off: %+v, %v", seed, step, d.DazPage, got, ok)
+				}
 			}
 			for i, d := range s.fifo[:s.head] {
 				if d.D.Bytes != nil {
@@ -258,13 +281,14 @@ func TestStagingMatchesModel(t *testing.T) {
 	}
 }
 
-// BenchmarkStagingPackPage: steady state at a standing FIFO length — each
+// BenchmarkStagingPutPack: steady state at a standing FIFO length — each
 // op stages four fresh 1000-byte deltas and packs them into one page. The
 // cost must not grow with the number of deltas left queued behind them.
-func BenchmarkStagingPackPage(b *testing.B) {
+func BenchmarkStagingPutPack(b *testing.B) {
 	for _, fifo := range []int{16, 1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("fifo=%d", fifo), func(b *testing.B) {
-			s := NewStaging(4 * blockdev.PageSize)
+			const region = 1 << 16 // page ids wrap; a reused id was drained long before
+			s := NewStaging(4*blockdev.PageSize, 0, region)
 			next := int64(0)
 			for ; next < int64(fifo); next++ {
 				s.Put(sd(next, 1000))
@@ -273,7 +297,7 @@ func BenchmarkStagingPackPage(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < 4; k++ {
-					s.Put(sd(next, 1000))
+					s.Put(sd(next%region, 1000))
 					next++
 				}
 				if len(s.PackPage()) != 4 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"kddcache/internal/bitset"
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
 	"kddcache/internal/sim"
@@ -68,8 +69,8 @@ type Array struct {
 	name   string // cached cfg.Level.String(); Name() is on traced hot paths
 	geo    layout
 	disks  []*blockdev.FaultDevice
-	stale  map[int64]bool // rows whose parity is stale (delayed updates)
-	failed int            // count of currently failed disks
+	stale  bitset.Set // member rows whose parity is stale (delayed updates)
+	failed int        // count of currently failed disks
 	stats  Stats
 	tr     *obs.Tracer
 
@@ -134,7 +135,7 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 			chunkPages: cfg.ChunkPages,
 			diskPages:  pages,
 		},
-		stale: make(map[int64]bool),
+		stale: bitset.New(pages),
 		lost:  make(map[int64]uint32),
 	}
 	for _, m := range members {
@@ -185,7 +186,7 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 	reg.SetCounter("raid_rebuilds_aborted_total", "Member rebuilds abandoned because the target died.", s.RebuildsAborted)
 	reg.SetCounter("raid_spare_attaches_total", "Hot spares auto-attached to failed members.", s.SpareAttaches)
 	reg.SetCounter("raid_lost_pages_total", "Member pages declared unrecoverable.", s.LostPages)
-	reg.SetGauge("raid_stale_rows", "Rows whose parity is currently stale.", float64(len(a.stale)))
+	reg.SetGauge("raid_stale_rows", "Rows whose parity is currently stale.", float64(a.stale.Len()))
 	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
 	active, watermark := 0.0, 0.0
 	if a.rebuild != nil {
@@ -200,7 +201,7 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 }
 
 // StaleRows returns the number of rows with stale parity.
-func (a *Array) StaleRows() int { return len(a.stale) }
+func (a *Array) StaleRows() int { return a.stale.Len() }
 
 // Level returns the array's RAID level.
 func (a *Array) Level() Level { return a.cfg.Level }

@@ -150,7 +150,7 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			}
 		}
 		for _, rw := range rows {
-			delete(a.stale, rw.row)
+			a.stale.Remove(rw.row)
 		}
 	}
 	return done, nil

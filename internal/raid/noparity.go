@@ -53,7 +53,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 			sp.End(t)
 			return t, err
 		}
-		a.stale[a.staleKey(l)] = true
+		a.stale.Add(a.staleKey(l))
 		done = sim.MaxTime(done, c)
 	}
 	sp.End(done)
@@ -64,7 +64,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 func (a *Array) staleKey(l loc) int64 { return l.row }
 
 // rowStale reports whether the parity row holding l is stale.
-func (a *Array) rowStale(l loc) bool { return a.stale[l.row] }
+func (a *Array) rowStale(l loc) bool { return a.stale.Has(l.row) }
 
 // ParityUpdateDelta repairs the parity of lba's row by XOR-ing the
 // decompressed delta (old data ⊕ current data) into the stale parity:
@@ -102,7 +102,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		// the current data (KDD always dispatches data), so the rebuild
 		// will recompute this parity from scratch; nothing to repair now
 		// and no read can consult the dead parity in the meantime.
-		delete(a.stale, l.row)
+		a.stale.Remove(l.row)
 		a.stats.ParityFixes++
 		return t, nil
 	}
@@ -137,7 +137,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 			}
 			done = sim.MaxTime(done, c)
 		}
-		delete(a.stale, l.row)
+		a.stale.Remove(l.row)
 		a.stats.ParityFixes++
 		return done, nil
 	}
@@ -231,7 +231,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		}
 		done = sim.MaxTime(done, c)
 	}
-	delete(a.stale, l.row)
+	a.stale.Remove(l.row)
 	if pBad || qBad {
 		// The row is current again through the surviving copy; recompute
 		// the unreadable one from a row decode now, so a cleared transient
@@ -267,7 +267,7 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 	qOK := l.qDisk >= 0 && !a.missing(l.qDisk, l.row)
 	if !pOK && (l.qDisk < 0 || !qOK) {
 		// All parity members lost: rebuild recomputes from data.
-		delete(a.stale, l.row)
+		a.stale.Remove(l.row)
 		a.stats.ParityFixes++
 		return t, nil
 	}
@@ -308,7 +308,7 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 		}
 		done = sim.MaxTime(done, c)
 	}
-	delete(a.stale, l.row)
+	a.stale.Remove(l.row)
 	return done, nil
 }
 
@@ -370,7 +370,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 	}
 	// Every page of the row now holds defined content (missing members are
 	// reconstructible from the fresh parity), so any lost marks are healed.
-	delete(a.stale, l.row)
+	a.stale.Remove(l.row)
 	delete(a.lost, l.row)
 	return done, nil
 }

@@ -209,14 +209,10 @@ func (a *Array) StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err 
 // marked lost; any other failure aborts with a typed ResyncError carrying
 // the remaining stale-row count.
 func (a *Array) resyncForRebuild(t sim.Time, i int) (sim.Time, error) {
-	if len(a.stale) == 0 {
+	if a.stale.Len() == 0 {
 		return t, nil
 	}
-	rows := make([]int64, 0, len(a.stale))
-	for r := range a.stale {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(x, y int) bool { return rows[x] < rows[y] })
+	rows := a.stale.AppendTo(make([]int64, 0, a.stale.Len())) // ascending
 	done := t
 	for _, row := range rows {
 		c, err := a.resyncRow(t, row)
@@ -231,10 +227,10 @@ func (a *Array) resyncForRebuild(t sim.Time, i int) (sim.Time, error) {
 			// parity BEFORE rebuild). Account for it loudly and let the
 			// rebuild heal the row to a defined (zero-filled) state.
 			a.markLost(i, row)
-			delete(a.stale, row)
+			a.stale.Remove(row)
 			continue
 		}
-		return t, &ResyncError{StaleRows: len(a.stale), Err: err}
+		return t, &ResyncError{StaleRows: a.stale.Len(), Err: err}
 	}
 	return done, nil
 }
@@ -354,7 +350,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 		}
 		rl := a.geo.locateRow(row / a.geo.chunkPages)
 		rl.row = row
-		if a.stale[row] || a.pageLost(target, row) {
+		if a.stale.Has(row) || a.pageLost(target, row) {
 			// Stale parity or an already-lost target page: heal to a
 			// defined state instead of reconstructing. Rows with lost
 			// pages on OTHER members only are physically consistent (the
@@ -429,7 +425,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 // left alone — writing anything there would destroy evidence.
 func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, error) {
 	targetIsData := target != rl.pDisk && target != rl.qDisk
-	if a.stale[rl.row] && targetIsData {
+	if a.stale.Has(rl.row) && targetIsData {
 		// Stale parity cannot reconstruct the target's data: the page is
 		// gone (normally already accounted by StartRebuild's resync).
 		a.markLost(target, rl.row)
@@ -499,6 +495,6 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 		}
 		done = sim.MaxTime(done, c)
 	}
-	delete(a.stale, rl.row)
+	a.stale.Remove(rl.row)
 	return done, nil
 }

@@ -3,7 +3,6 @@ package raid
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -399,7 +398,7 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	if !pOK && !qOK {
 		return t, ErrTooManyFailures
 	}
-	delete(a.stale, l.row)
+	a.stale.Remove(l.row)
 	a.clearLost(l.disk, l.row) // parity now encodes the page's new bytes
 	return done, nil
 }
@@ -548,14 +547,10 @@ func (a *Array) readMember(t sim.Time, disk int, row int64, buf []byte) (sim.Tim
 // row.
 func (a *Array) Resync(t sim.Time) (sim.Time, error) {
 	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
-		a.stale = make(map[int64]bool)
+		a.stale.Clear()
 		return t, nil
 	}
-	rows := make([]int64, 0, len(a.stale))
-	for r := range a.stale {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	rows := a.stale.AppendTo(make([]int64, 0, a.stale.Len())) // ascending
 	done := t
 	for _, row := range rows {
 		c, err := a.resyncRow(t, row)
@@ -577,7 +572,7 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 	if !pOK && (rl.qDisk < 0 || !qOK) {
 		// Every parity member of this row is lost; the rebuild recomputes
 		// it from the (current) data, so the row is no longer stale.
-		delete(a.stale, row)
+		a.stale.Remove(row)
 		return t, nil
 	}
 	dataMode := a.dataMode()
@@ -646,7 +641,7 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 		}
 		done = sim.MaxTime(done, c)
 	}
-	delete(a.stale, row)
+	a.stale.Remove(row)
 	return done, nil
 }
 

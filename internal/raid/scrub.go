@@ -271,7 +271,7 @@ func (a *Array) repairParityRow(t sim.Time, row int64, disk int, buf []byte) (si
 	rl := a.geo.locateRow(row / a.geo.chunkPages)
 	rl.row = row
 	knownBad := map[int]bool{disk: true}
-	if a.stale[row] {
+	if a.stale.Has(row) {
 		if rl.pDisk >= 0 {
 			knownBad[rl.pDisk] = true
 		}
@@ -320,7 +320,7 @@ func (a *Array) repairParityRow(t sim.Time, row int64, disk int, buf []byte) (si
 			copy(buf, st.q)
 		}
 	}
-	delete(a.stale, row)
+	a.stale.Remove(row)
 	a.stats.ParityFixes++
 	return done, nil
 }
@@ -345,7 +345,7 @@ func (a *Array) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
 	done = t
 	for row := int64(0); row < usable; row++ {
 		a.scrubRow = row + 1
-		if a.stale[row] {
+		if a.stale.Has(row) {
 			rep.RowsSkipped++
 			continue
 		}

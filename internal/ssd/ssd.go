@@ -267,10 +267,7 @@ func (d *Device) gcOnce(t sim.Time) int {
 			continue
 		}
 		if d.blocks[i].writePtr < d.cfg.PagesPerBlock {
-			continue // not fully written; skip open blocks
-		}
-		if isFree(d.freeBlocks, i) {
-			continue
+			continue // not fully written: an open block, or an erased one on the free list
 		}
 		v := d.blocks[i].valid
 		if v < best || (d.cfg.WearAware && v == best && d.blocks[i].erases < bestErases) {
@@ -320,15 +317,6 @@ func (d *Device) gcOnce(t sim.Time) int {
 	d.chans.SubmitAt(victim%d.cfg.Channels, t, d.cfg.EraseLatency)
 	d.freeBlocks = append(d.freeBlocks, victim)
 	return 0
-}
-
-func isFree(free []int, b int) bool {
-	for _, f := range free {
-		if f == b {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadPages implements blockdev.Device.
