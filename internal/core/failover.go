@@ -412,22 +412,20 @@ func (k *KDD) probeSSD(t sim.Time) bool {
 	return true
 }
 
-// passRead serves a read in pass-through mode: straight from the RAID,
-// no admission.
-func (k *KDD) passRead(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+// pass serves one request in pass-through mode, straight from the RAID
+// with no admission: a plain read, or a conventional write with
+// immediate parity maintenance.
+func (k *KDD) pass(t sim.Time, lba int64, buf []byte, write bool) (sim.Time, error) {
+	if write {
+		k.st.PassWrites++
+		k.st.WriteMiss++
+		k.st.RAIDWrites++
+		return k.backend.WritePages(t, lba, 1, buf)
+	}
 	k.st.PassReads++
 	k.st.ReadMisses++
 	k.st.RAIDReads++
 	return k.backend.ReadPages(t, lba, 1, buf)
-}
-
-// passWrite serves a write in pass-through mode: conventional RAID write
-// with immediate parity maintenance, no admission.
-func (k *KDD) passWrite(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	k.st.PassWrites++
-	k.st.WriteMiss++
-	k.st.RAIDWrites++
-	return k.backend.WritePages(t, lba, 1, buf)
 }
 
 // Reattach brings the cache back online after Bypass (or forces the

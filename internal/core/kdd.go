@@ -57,10 +57,6 @@ type Config struct {
 	HighWater float64
 	LowWater  float64
 
-	// MetaGCThreshold is the metadata log occupancy triggering its GC
-	// (0 = default 0.9).
-	MetaGCThreshold float64
-
 	// FixedDEZSets reserves the last N sets exclusively for DEZ pages
 	// (the static-partition ablation, §III-B); 0 = dynamic mixing.
 	FixedDEZSets int
@@ -118,14 +114,13 @@ type Config struct {
 	BreakerBackoff   int64 // ops before the first half-open probe (default 64, doubles)
 	RebuildProbation int64 // clean ops in Rebuilding before Normal (default 16)
 
-	// Online member-rebuild pacing (rebuild.go): member rows of rebuild
-	// I/O released per foreground operation. Max applies when the op never
-	// touched the array (served from cache), Min when it did — foreground
-	// pressure throttles the rebuild rather than the other way round.
-	// Zero selects the defaults; RebuildRateMax < 0 disables the pump
-	// entirely (the harness then drives RebuildStep itself).
-	RebuildRateMin int // rows/op under foreground RAID pressure (default 1)
-	RebuildRateMax int // rows/op when the array is otherwise idle (default 8)
+	// RebuildRateMax paces the online member rebuild (rebuild.go): member
+	// rows of rebuild I/O released per foreground operation that never
+	// touched the array (an op that did releases one row — foreground
+	// pressure throttles the rebuild rather than the other way round).
+	// Zero selects the default, 8; < 0 disables the pump entirely (the
+	// harness then drives RebuildStep itself).
+	RebuildRateMax int
 }
 
 // withDefaults fills zero fields.
@@ -161,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RebuildProbation == 0 {
 		c.RebuildProbation = 16
-	}
-	if c.RebuildRateMin == 0 {
-		c.RebuildRateMin = 1
 	}
 	if c.RebuildRateMax == 0 {
 		c.RebuildRateMax = 8
@@ -312,7 +304,7 @@ func New(cfg Config) (*KDD, error) {
 		// Plane-owned log: the plane sets its tracer once for all lanes.
 		k.log = cfg.SharedLog
 	} else if !cfg.DisableMetaLog {
-		k.log = metalog.New(cfg.SSD, cfg.MetaStart, cfg.MetaPages, cfg.MetaGCThreshold)
+		k.log = metalog.New(cfg.SSD, cfg.MetaStart, cfg.MetaPages)
 		k.log.SetTracer(cfg.Tracer)
 	}
 	if cfg.SelectiveAdmission {

@@ -458,8 +458,8 @@ func TestWriteWithoutPayload(t *testing.T) {
 		if _, err := r.kdd.Write(0, lba, nil); !errors.Is(err, core.ErrNoPayload) {
 			t.Fatalf("Write(lba %d, nil) = %v, want ErrNoPayload", lba, err)
 		}
-		if _, err := r.kdd.WriteNoAdmit(0, lba, nil); !errors.Is(err, core.ErrNoPayload) {
-			t.Fatalf("WriteNoAdmit(lba %d, nil) = %v, want ErrNoPayload", lba, err)
+		if _, err := r.kdd.Serve(0, lba, nil, true, false); !errors.Is(err, core.ErrNoPayload) {
+			t.Fatalf("no-admit write(lba %d, nil) = %v, want ErrNoPayload", lba, err)
 		}
 	}
 	r.write(t, 17)

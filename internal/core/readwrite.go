@@ -17,39 +17,81 @@ import (
 // pages read straight from flash; hits on Old pages combine the cached
 // old version with the newest delta — read concurrently from DAZ and DEZ
 // thanks to the SSD's internal parallelism.
+func (k *KDD) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	return k.Serve(t, lba, buf, false, true)
+}
+
+// Write implements cache.Policy (§III-A).
+//
+// Miss: data cached in DAZ and written to RAID with a conventional parity
+// update. Hit: the data goes to RAID withOUT a parity update, and the
+// compressed XOR of the cached old version and the new data is staged for
+// DEZ. The response completes when the RAID data write completes — delta
+// generation overlaps the (much slower) disk write (§IV-B2).
+func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	return k.Serve(t, lba, buf, true, true)
+}
+
+// Serve is the engine's one request entry: every read and write enters
+// KDD here once (§III-A) — root span, health/sticky-error gate, request
+// counter, the cached or pass-through path, fail-over when the cache
+// device dies inside the operation, and the rebuild pump behind the
+// response.
+//
+// admit false serves the request with cache admission suspended (the QoS
+// degradation ladder's bypass rung): a read miss performs no read-fill
+// and a write miss goes write-through. The coherence argument is the one
+// the failover machinery relies on (failover.go): KDD always dispatches
+// write data to the RAID, so the array's data pages are always current
+// and only parity may be stale. Existing cache HITS are therefore served
+// through the normal paths (their cached state stays coherent) and only
+// NEW admission is suppressed.
 //
 // A fail-stop of the cache device anywhere underneath does not surface:
-// the health machinery fails over to pass-through and the read is served
-// from the RAID, which always holds the current data.
-func (k *KDD) Read(t sim.Time, lba int64, buf []byte) (done sim.Time, err error) {
+// the health machinery fails over to pass-through (folding any stale
+// parity) and the request is re-issued against the RAID, which always
+// holds the current data — a duplicate RAID data write is
+// content-idempotent, and the fold has already made the row's parity
+// consistent.
+func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done sim.Time, err error) {
 	var sp obs.Span
 	if k.tr != nil {
-		sp = k.tr.BeginLBA(t, obs.PhaseRead, lba)
+		phase := obs.PhaseRead
+		if write {
+			phase = obs.PhaseWrite
+		}
+		sp = k.tr.BeginLBA(t, phase, lba)
 	}
 	if err = k.preOp(t); err != nil {
 		sp.End(t)
 		return t, err
 	}
-	k.st.Reads++
-	if k.passThrough() {
-		done, err = k.passRead(t, lba, buf)
+	if write {
+		k.st.Writes++
 	} else {
-		done, err = k.readCached(t, lba, buf, true)
+		k.st.Reads++
+	}
+	if k.passThrough() {
+		done, err = k.pass(t, lba, buf, write)
+	} else {
+		if write {
+			done, err = k.writeCached(t, lba, buf, admit)
+		} else {
+			done, err = k.readCached(t, lba, buf, admit)
+		}
 		if err != nil && k.ssdFault(err) {
 			k.failover(t, HealthBypass)
-			done, err = k.passRead(t, lba, buf)
+			done, err = k.pass(t, lba, buf, write)
 		}
 	}
-	if err != nil {
-		sp.End(done)
-		return done, err
+	if err == nil {
+		// Background rebuild work rides behind the response (like
+		// maybeClean): it shares the disks from `done` onward but never
+		// extends the operation's own completion time.
+		k.pumpRebuild(done)
 	}
-	// Background rebuild work rides behind the response (like maybeClean):
-	// it shares the disks from `done` onward but never extends the
-	// operation's own completion time.
-	k.pumpRebuild(done)
 	sp.End(done)
-	return done, nil
+	return done, err
 }
 
 // readCached is the cache-enabled read path. With admit false (a QoS
@@ -194,45 +236,6 @@ func (k *KDD) fill(done sim.Time, lba int64, buf []byte) {
 		k.stick(fmt.Errorf("core: logging read-fill of lba %d: %w", lba, err))
 	}
 	sp.End(sim.MaxTime(c, mc))
-}
-
-// Write implements cache.Policy (§III-A).
-//
-// Miss: data cached in DAZ and written to RAID with a conventional parity
-// update. Hit: the data goes to RAID withOUT a parity update, and the
-// compressed XOR of the cached old version and the new data is staged for
-// DEZ. The response completes when the RAID data write completes — delta
-// generation overlaps the (much slower) disk write (§IV-B2).
-func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (done sim.Time, err error) {
-	var sp obs.Span
-	if k.tr != nil {
-		sp = k.tr.BeginLBA(t, obs.PhaseWrite, lba)
-	}
-	if err = k.preOp(t); err != nil {
-		sp.End(t)
-		return t, err
-	}
-	k.st.Writes++
-	if k.passThrough() {
-		done, err = k.passWrite(t, lba, buf)
-	} else {
-		done, err = k.writeCached(t, lba, buf, true)
-		if err != nil && k.ssdFault(err) {
-			// The cache device died somewhere inside the write. Fail over
-			// (folding any stale parity) and re-issue the write conventionally:
-			// a duplicate RAID data write is content-idempotent, and the fold
-			// has already made the row's parity consistent.
-			k.failover(t, HealthBypass)
-			done, err = k.passWrite(t, lba, buf)
-		}
-	}
-	if err != nil {
-		sp.End(done)
-		return done, err
-	}
-	k.pumpRebuild(done)
-	sp.End(done)
-	return done, nil
 }
 
 // writeCached is the cache-enabled write path. With admit false (a QoS

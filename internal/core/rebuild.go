@@ -17,10 +17,14 @@ import (
 //
 // Pacing is a token bucket measured in member rows, refilled once per
 // top-level operation: RebuildRateMax rows when the operation was served
-// without touching the array (the disks were idle anyway), RebuildRateMin
+// without touching the array (the disks were idle anyway), rebuildRateMin
 // rows when it issued RAID I/O (foreground pressure — the rebuild yields).
 // The bucket is capped at four max-refills so an idle stretch cannot bank
 // an unbounded burst that would then stall a foreground burst behind it.
+
+// rebuildRateMin is the refill, in rows, of an operation that issued
+// RAID I/O.
+const rebuildRateMin = 1
 
 // pumpRebuild runs at the end of every successful Read/Write: it
 // auto-attaches a parked hot spare to a failed member (folding every
@@ -41,7 +45,7 @@ func (k *KDD) pumpRebuild(t sim.Time) {
 	}
 	refill := k.cfg.RebuildRateMax
 	if k.st.RAIDReads+k.st.RAIDWrites > k.fgMark {
-		refill = k.cfg.RebuildRateMin
+		refill = rebuildRateMin
 	}
 	k.rbTokens += refill
 	if cap := 4 * k.cfg.RebuildRateMax; k.rbTokens > cap {
@@ -95,19 +99,12 @@ func (k *KDD) spareAttach(t sim.Time) {
 	k.checkpointRebuild()
 }
 
-// checkpointRebuild mirrors the array's rebuild watermark into the NVRAM
-// counters block. The watermark itself is volatile array state; this copy
-// is what lets core.Restore re-open a half-done rebuild window after a
-// power failure. Called after every step, so the checkpoint is never more
-// than one step behind — resuming from it re-reconstructs at most one
-// batch of rows, which is idempotent.
+// checkpointRebuild persists the array's rebuild watermark in the NVRAM
+// counters block (nvram.Counters.CheckpointRebuild) — the copy that lets
+// Restore re-open a half-done rebuild window after a power failure.
+// Without a metadata log there is no recovery to checkpoint for.
 func (k *KDD) checkpointRebuild() {
-	if k.log == nil {
-		return
+	if k.log != nil {
+		k.log.Counters().CheckpointRebuild(k.backend)
 	}
-	ctr := k.log.Counters()
-	disk, row, active := k.backend.RebuildTarget()
-	ctr.RebuildActive = active
-	ctr.RebuildDisk = int32(disk)
-	ctr.RebuildRow = row
 }

@@ -40,8 +40,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	if err != nil {
 		return nil, t, err
 	}
-	k.log = metalog.Restore(cfg.SSD, cfg.MetaStart, cfg.MetaPages,
-		cfg.MetaGCThreshold, ctr, buffered)
+	k.log = metalog.Restore(cfg.SSD, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
 	k.log.SetTracer(cfg.Tracer)
 	replay, done, err := k.log.Recover(t)
 	if err != nil {
@@ -50,7 +49,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	if err := k.rebuildFromReplay(replay, staging); err != nil {
 		return nil, t, err
 	}
-	if err := k.resumeMemberRebuild(ctr); err != nil {
+	if err := ctr.ResumeRebuild(k.backend); err != nil {
 		return nil, t, err
 	}
 	return k, done, nil
@@ -124,25 +123,6 @@ func (k *KDD) rebuildFromReplay(replay []metalog.Entry, staging *nvram.Staging) 
 		dp := &k.dezPages[od.dez]
 		dp.valid++
 		dp.used += int32(od.length)
-	}
-	return nil
-}
-
-// resumeMemberRebuild re-opens any member-rebuild window from its NVRAM
-// checkpoint. The watermark is volatile array state, so the crash wiped
-// it (the rig models that via CrashRebuildState); without the resume the
-// array would silently serve the un-rebuilt region of the target as
-// zeros. Rows between the checkpoint and the true crash-time watermark
-// are simply reconstructed again — re-rebuilding a row is idempotent.
-// ResumeRebuild no-ops when the target has since failed or the
-// checkpoint already covers the disk; re-checkpointing afterwards
-// records that collapse, keeping a second Restore identical.
-func (k *KDD) resumeMemberRebuild(ctr *nvram.Counters) error {
-	if ctr.RebuildActive {
-		if err := k.backend.ResumeRebuild(int(ctr.RebuildDisk), ctr.RebuildRow); err != nil {
-			return fmt.Errorf("core: resuming member rebuild: %w", err)
-		}
-		k.checkpointRebuild()
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"kddcache/internal/core"
 	"kddcache/internal/qos"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -24,102 +23,20 @@ type QoSResult struct {
 	Tenants []QoSTenantResult
 }
 
-// RunTraceQoS replays a trace through the stack with every request
-// gated by the admission controller, single-threaded in timestamp order
-// (the kddsim -tenants path). One token is charged per request
-// regardless of its page count. Throttled requests retry inline at
-// their RetryAfter hint until admitted, shed, or past their deadline
-// (arrival + deadline margin; 0 disables deadlines); rejected requests
-// are counted, not failed — only engine errors fail the replay. On a
-// KDD stack a bypass-rung verdict serves the request with cache
-// admission suspended; other policies have no admission to suspend and
-// serve it normally.
+// RunTraceQoS is RunTrace with every request gated by the admission
+// controller (the kddsim -tenants path): the same replay loop, plus the
+// per-tenant admission breakdown. deadline is each request's margin
+// after arrival (0 disables deadlines). On a KDD stack a bypass-rung
+// verdict serves the request with cache admission suspended; other
+// policies have no admission to suspend and serve it normally.
 func RunTraceQoS(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time) (*QoSResult, error) {
 	if ctl == nil {
 		return nil, fmt.Errorf("harness: RunTraceQoS needs a controller")
 	}
-	res := &Result{Policy: st.Policy.Name(), Latency: stats.NewHistogram(1 << 16)}
-	per := make([]*stats.Histogram, ctl.Tenants())
-	for i := range per {
-		per[i] = stats.NewHistogram(1 << 14)
+	res, per, err := replay(st, tr, ctl, deadline)
+	if err != nil {
+		return nil, err
 	}
-	kdd, _ := st.Policy.(*core.KDD)
-
-	var prev sim.Time
-	for i, req := range tr.Requests {
-		if st.PerRequest != nil {
-			st.PerRequest(i)
-		}
-		if i > 0 && req.Time-prev > IdleCleanGap {
-			if _, err := st.Policy.Clean(prev, false); err != nil {
-				return nil, fmt.Errorf("idle clean: %w", err)
-			}
-		}
-		prev = req.Time
-
-		at := req.Time
-		var dl sim.Time
-		if deadline > 0 {
-			dl = req.Time + deadline
-		}
-		verdict := qos.VerdictAdmit
-		served := true
-		for {
-			if dl > 0 && at > dl {
-				ctl.NoteDeadline(req.Tenant)
-				served = false
-				break
-			}
-			d := ctl.Admit(at, req.Tenant)
-			if d.Verdict == qos.VerdictThrottle {
-				if d.RetryAfter > at {
-					at = d.RetryAfter
-				} else {
-					at++
-				}
-				continue
-			}
-			verdict = d.Verdict
-			served = d.Verdict != qos.VerdictShed
-			break
-		}
-		if !served {
-			continue
-		}
-
-		done := at
-		for p := 0; p < req.Pages; p++ {
-			var c sim.Time
-			var err error
-			lba := req.LBA + int64(p)
-			switch {
-			case verdict == qos.VerdictBypass && kdd != nil && req.Op == trace.Read:
-				c, err = kdd.ReadNoAdmit(at, lba, nil)
-			case verdict == qos.VerdictBypass && kdd != nil:
-				c, err = kdd.WriteNoAdmit(at, lba, nil)
-			case req.Op == trace.Read:
-				c, err = st.Policy.Read(at, lba, nil)
-			default:
-				c, err = st.Policy.Write(at, lba, nil)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s lba %d: %w", req.Op, lba, err)
-			}
-			if c > done {
-				done = c
-			}
-		}
-		lat := int64(done - req.Time)
-		res.Latency.Observe(lat)
-		if req.Tenant >= 0 && req.Tenant < len(per) {
-			per[req.Tenant].Observe(lat)
-		}
-		if done > res.Duration {
-			res.Duration = done
-		}
-	}
-	res.Cache = st.Policy.Stats()
-
 	out := &QoSResult{Run: res}
 	for i, c := range ctl.Snapshot() {
 		out.Tenants = append(out.Tenants, QoSTenantResult{

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"kddcache/internal/core"
+	"kddcache/internal/obs"
 	"kddcache/internal/qos"
 	"kddcache/internal/sim"
 	"kddcache/internal/trace"
@@ -120,5 +124,58 @@ func TestRunTraceQoSDeadline(t *testing.T) {
 	off := qosReplay(t, 0)
 	if n := off.Tenants[1].Deadline; n != 0 {
 		t.Errorf("deadlines disabled but %d recorded", n)
+	}
+}
+
+// TestReplayNilControllerEqualsWideOpen: RunTrace is the gated replay
+// with nobody at the gate. Against budgets nothing can exhaust the two
+// entry points must agree on everything a run produces — the Result, the
+// engine's StateDigest and every span of the trace.
+func TestReplayNilControllerEqualsWideOpen(t *testing.T) {
+	build := func() (*Stack, *obs.Obs) {
+		ob := obs.New()
+		st, err := Build(StackOpts{
+			Policy: PolicyKDD, DeltaMean: 0.25,
+			CachePages: 1024, DiskPages: 65536, Timing: true, Seed: 7, Obs: ob,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, ob
+	}
+	plainSt, plainOb := build()
+	plain, err := RunTrace(plainSt, qosTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	specs, err := qos.ParseTenants("big:1000000000:1,small:1000000000:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := qos.NewController(qos.Config{Tenants: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatedSt, gatedOb := build()
+	gated, err := RunTraceQoS(gatedSt, qosTrace(), ctl, sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range gated.Tenants {
+		if tn.Admitted != tn.Offered || tn.Deadline != 0 {
+			t.Fatalf("setup: %s was not wide open: %+v", tn.Name, tn.Counters)
+		}
+	}
+
+	if !reflect.DeepEqual(plain, gated.Run) {
+		t.Fatalf("results differ:\nRunTrace    %+v %+v\nRunTraceQoS %+v %+v",
+			plain, plain.Cache, gated.Run, gated.Run.Cache)
+	}
+	if a, b := plainSt.Policy.(*core.KDD).StateDigest(), gatedSt.Policy.(*core.KDD).StateDigest(); a != b {
+		t.Fatalf("state digests differ: %016x vs %016x", a, b)
+	}
+	if a, b := plainOb.TraceJSONL(), gatedOb.TraceJSONL(); len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("span traces differ (%d vs %d bytes)", len(a), len(b))
 	}
 }

@@ -15,7 +15,7 @@ import (
 // what the reconstruction traffic does to foreground tail latency. The
 // KDD stack parks a hot spare and lets the engine's token-bucket pump
 // pace the rebuild between requests (RebuildRateMax rows when the disks
-// were idle, RebuildRateMin under foreground RAID pressure); the Nossd
+// were idle, one row under foreground RAID pressure); the Nossd
 // baseline has no engine to pace it and drives Array.RebuildStep at the
 // fixed max rate after every request. One third into the trace a member
 // dies; the table compares per-phase p99 response times, the virtual time

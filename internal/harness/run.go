@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"kddcache/internal/qos"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
 	"kddcache/internal/trace"
@@ -30,7 +31,30 @@ const IdleCleanGap = 200 * sim.Millisecond
 // issued at their recorded timestamps regardless of completions, matching
 // the paper's RAIDmeter replay.
 func RunTrace(st *Stack, tr *trace.Trace) (*Result, error) {
+	res, _, err := replay(st, tr, nil, 0)
+	return res, err
+}
+
+// replay is the one trace loop, single-threaded in timestamp order: the
+// PerRequest hook, the idle-clean rule, the admission gate, the page
+// loop and the latency histograms. Every request passes ctl.Gate (a nil
+// controller admits everything) with an absolute deadline of arrival +
+// deadline (0 disables deadlines) and one token charged per request
+// regardless of its page count. What the replay adds to the gate is the
+// retry: a throttled request is re-offered at its RetryAfter hint until
+// admitted, shed, or past its deadline; rejected requests are counted by
+// the controller, not failed — only engine errors fail the replay. It
+// returns the run result (served requests only, latency from original
+// arrival) and one latency histogram per controller tenant.
+func replay(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time) (*Result, []*stats.Histogram, error) {
 	res := &Result{Policy: st.Policy.Name(), Latency: stats.NewHistogram(1 << 16)}
+	var per []*stats.Histogram
+	if ctl != nil {
+		per = make([]*stats.Histogram, ctl.Tenants())
+		for i := range per {
+			per[i] = stats.NewHistogram(1 << 14)
+		}
+	}
 	var prev sim.Time
 	for i, req := range tr.Requests {
 		if st.PerRequest != nil {
@@ -41,33 +65,47 @@ func RunTrace(st *Stack, tr *trace.Trace) (*Result, error) {
 		// not trigger a cleaner pass before any request has been issued.
 		if i > 0 && req.Time-prev > IdleCleanGap {
 			if _, err := st.Policy.Clean(prev, false); err != nil {
-				return nil, fmt.Errorf("idle clean: %w", err)
+				return nil, nil, fmt.Errorf("idle clean: %w", err)
 			}
 		}
 		prev = req.Time
-		done := req.Time
+
+		at := req.Time
+		var dl sim.Time
+		if deadline > 0 {
+			dl = req.Time + deadline
+		}
+		d, err := ctl.Gate(at, req.Tenant, dl)
+		for err != nil && d.Verdict == qos.VerdictThrottle {
+			at = sim.MaxTime(d.RetryAfter, at+1)
+			d, err = ctl.Gate(at, req.Tenant, dl)
+		}
+		if err != nil {
+			continue
+		}
+
+		done := at
 		for p := 0; p < req.Pages; p++ {
-			var c sim.Time
-			var err error
-			if req.Op == trace.Read {
-				c, err = st.Policy.Read(req.Time, req.LBA+int64(p), nil)
-			} else {
-				c, err = st.Policy.Write(req.Time, req.LBA+int64(p), nil)
-			}
+			lba := req.LBA + int64(p)
+			c, err := st.Serve(at, lba, nil, req.Op != trace.Read, d.Verdict != qos.VerdictBypass)
 			if err != nil {
-				return nil, fmt.Errorf("%s lba %d: %w", req.Op, req.LBA+int64(p), err)
+				return nil, nil, fmt.Errorf("%s lba %d: %w", req.Op, lba, err)
 			}
 			if c > done {
 				done = c
 			}
 		}
-		res.Latency.Observe(int64(done - req.Time))
+		lat := int64(done - req.Time)
+		res.Latency.Observe(lat)
+		if req.Tenant >= 0 && req.Tenant < len(per) {
+			per[req.Tenant].Observe(lat)
+		}
 		if done > res.Duration {
 			res.Duration = done
 		}
 	}
 	res.Cache = st.Policy.Stats()
-	return res, nil
+	return res, per, nil
 }
 
 // RunClosedLoop drives the FIO-style benchmark: spec.Threads workers each

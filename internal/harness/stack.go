@@ -115,11 +115,10 @@ type StackOpts struct {
 	// and paces the rebuild against foreground traffic.
 	Spares int
 
-	// RebuildRateMin/Max override the KDD rebuild pump's token refill in
-	// rows per operation (under / free of foreground RAID pressure). Zero
-	// keeps the engine defaults (1/8); RebuildRateMax < 0 disables the
-	// pump so the caller drives Array.RebuildStep itself.
-	RebuildRateMin int
+	// RebuildRateMax overrides the KDD rebuild pump's token refill in rows
+	// per operation that was served free of foreground RAID pressure.
+	// Zero keeps the engine default (8); < 0 disables the pump so the
+	// caller drives Array.RebuildStep itself.
 	RebuildRateMax int
 
 	// NVBPages sizes the NVRAM write buffer for PolicyNVB (default 2048
@@ -224,21 +223,11 @@ func Build(o StackOpts) (*Stack, error) {
 	var members []blockdev.Device
 	var disks []*hdd.Disk
 	for i := 0; i < o.Disks; i++ {
-		name := fmt.Sprintf("hdd%d", i)
-		switch {
-		case o.Timing && o.DataMode:
-			d := hdd.NewData(name, hdd.DefaultConfig(memberPages), o.Seed+uint64(i)*7)
+		m := buildMember(o, fmt.Sprintf("hdd%d", i), memberPages, uint64(i)*7)
+		if d, ok := m.(*hdd.Disk); ok {
 			disks = append(disks, d)
-			members = append(members, d)
-		case o.Timing:
-			d := hdd.New(name, hdd.DefaultConfig(memberPages), o.Seed+uint64(i)*7)
-			disks = append(disks, d)
-			members = append(members, d)
-		case o.DataMode:
-			members = append(members, blockdev.NewNullDataDevice(name, memberPages))
-		default:
-			members = append(members, blockdev.NewNullDevice(name, memberPages))
 		}
+		members = append(members, m)
 	}
 	var array raidiface.Array
 	switch o.Backend {
@@ -282,21 +271,8 @@ func Build(o StackOpts) (*Stack, error) {
 		metaPages = 8
 	}
 	ssdPages := o.CachePages + metaPages
-	var ssdDev blockdev.Device
-	var flash *ssd.Device
-	ssdBytes := o.DataMode || o.SSDData
-	switch {
-	case o.Timing && ssdBytes:
-		flash = ssd.NewData("ssd", ssd.DefaultConfig(ssdPages))
-		ssdDev = flash
-	case o.Timing:
-		flash = ssd.New("ssd", ssd.DefaultConfig(ssdPages))
-		ssdDev = flash
-	case ssdBytes:
-		ssdDev = blockdev.NewNullDataDevice("ssd", ssdPages)
-	default:
-		ssdDev = blockdev.NewNullDevice("ssd", ssdPages)
-	}
+	ssdDev := newSSD(o, ssdPages)
+	flash, _ := ssdDev.(*ssd.Device)
 	if flash != nil {
 		flash.SetTracer(tr)
 	}
@@ -357,7 +333,6 @@ func Build(o StackOpts) (*Stack, error) {
 			SelectiveAdmission: o.SelectiveAdmission,
 			HighWater:          o.HighWater,
 			LowWater:           o.LowWater,
-			RebuildRateMin:     o.RebuildRateMin,
 			RebuildRateMax:     o.RebuildRateMax,
 			Tracer:             tr,
 		}
@@ -372,21 +347,27 @@ func Build(o StackOpts) (*Stack, error) {
 	return st, nil
 }
 
-// FreshSSD builds a replacement cache device matching the stack's device
-// mode and geometry (for SSD re-attach experiments).
-func (st *Stack) FreshSSD() blockdev.Device {
-	pages := st.SSDInj.Inner().Pages()
-	ssdBytes := st.Opts.DataMode || st.Opts.SSDData
+// newSSD constructs the cache device honoring the stack's device mode:
+// the FTL flash model under Timing, a null device otherwise, byte-backed
+// when the stack (or only its SSD) carries real data.
+func newSSD(o StackOpts, pages int64) blockdev.Device {
+	ssdBytes := o.DataMode || o.SSDData
 	switch {
-	case st.Opts.Timing && ssdBytes:
+	case o.Timing && ssdBytes:
 		return ssd.NewData("ssd", ssd.DefaultConfig(pages))
-	case st.Opts.Timing:
+	case o.Timing:
 		return ssd.New("ssd", ssd.DefaultConfig(pages))
 	case ssdBytes:
 		return blockdev.NewNullDataDevice("ssd", pages)
 	default:
 		return blockdev.NewNullDevice("ssd", pages)
 	}
+}
+
+// FreshSSD builds a replacement cache device matching the stack's device
+// mode and geometry (for SSD re-attach experiments).
+func (st *Stack) FreshSSD() blockdev.Device {
+	return newSSD(st.Opts, st.SSDInj.Inner().Pages())
 }
 
 // ReattachSSD repairs a failed (or fault-ridden) cache SSD with a fresh
@@ -412,6 +393,19 @@ func (st *Stack) ReattachSSD(now sim.Time) error {
 	return k.Reattach(now, nil)
 }
 
+// Serve issues one page request to the stack's policy. admit false (a
+// QoS bypass verdict) suspends cache admission on a KDD stack; other
+// policies have no admission to suspend and serve the request normally.
+func (st *Stack) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (sim.Time, error) {
+	if k, ok := st.Policy.(*core.KDD); ok {
+		return k.Serve(t, lba, buf, write, admit)
+	}
+	if write {
+		return st.Policy.Write(t, lba, buf)
+	}
+	return st.Policy.Read(t, lba, buf)
+}
+
 // PublishMetrics writes every layer's counters into reg: the policy's
 // cache statistics, the KDD engine internals (when KDD is the policy),
 // the RAID member-I/O accounting, the SSD FTL counters, and the member
@@ -431,8 +425,8 @@ func (st *Stack) PublishMetrics(reg *obs.Registry) {
 }
 
 // buildMember constructs one member-class device honoring the stack's
-// device mode — used for hot spares at build time and for rebuild
-// replacements.
+// device mode — used for the array's members and hot spares at build
+// time and for rebuild replacements.
 func buildMember(o StackOpts, name string, diskPages int64, seedOff uint64) blockdev.Device {
 	switch {
 	case o.Timing && o.DataMode:

@@ -217,11 +217,11 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 
 	holes := 0
 	for k := range entries {
-		if a.missing(a.dataDisk(row, k), row) {
+		if a.Missing(a.dataDisk(row, k), row) {
 			holes++
 		}
 	}
-	if a.missing(a.parityDisk(row), row) {
+	if a.Missing(a.parityDisk(row), row) {
 		holes++
 	}
 	if holes > 1 {
@@ -238,7 +238,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	}
 	for k, e := range entries {
 		d := a.dataDisk(row, k)
-		if a.missing(d, row) {
+		if a.Missing(d, row) {
 			continue // implied by parity; healed when the rebuild watermark passes
 		}
 		a.stats.DataWrites++
@@ -256,7 +256,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 		done = sim.MaxTime(done, c)
 	}
 	pd := a.parityDisk(row)
-	if !a.missing(pd, row) {
+	if !a.Missing(pd, row) {
 		a.stats.ParityWrites++
 		c, werr := a.disks[pd].WritePages(t, row, 1, parity)
 		if werr != nil {
@@ -315,7 +315,7 @@ func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	}
 	row, slot := a.physRowSlot(ph)
 	d := a.dataDisk(row, slot)
-	if a.missing(d, row) {
+	if a.Missing(d, row) {
 		a.stats.DegradedRead++
 		return a.reconstruct(t, lba, ph, buf, false)
 	}
@@ -384,7 +384,7 @@ func (a *Array) reconstruct(t sim.Time, lba int64, ph phys, buf []byte, repair b
 	if buf != nil && acc != nil {
 		copy(buf, acc)
 	}
-	if repair && !a.missing(target, row) {
+	if repair && !a.Missing(target, row) {
 		if c, werr := a.disks[target].WritePages(done, row, 1, acc); werr == nil {
 			done = c
 			a.stats.ReadRepairs++
@@ -397,7 +397,7 @@ func (a *Array) reconstruct(t sim.Time, lba int64, ph phys, buf []byte, repair b
 // folds it into the accumulator. Any failure here is a second hole:
 // single parity cannot absorb it.
 func (a *Array) readSurvivor(t sim.Time, disk int, row int64, tmp, acc []byte) (sim.Time, error) {
-	if a.missing(disk, row) {
+	if a.Missing(disk, row) {
 		return t, raid.ErrTooManyFailures
 	}
 	done, err := a.memberRead(t, disk, row, tmp)
@@ -433,7 +433,7 @@ func (a *Array) declareLost(lba int64, cause error) error {
 func (a *Array) readPhysInto(t sim.Time, lba int64, ph phys, buf []byte) (sim.Time, error) {
 	row, slot := a.physRowSlot(ph)
 	d := a.dataDisk(row, slot)
-	if a.missing(d, row) {
+	if a.Missing(d, row) {
 		a.stats.DegradedRead++
 		return a.reconstruct(t, lba, ph, buf, false)
 	}

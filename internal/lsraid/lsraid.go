@@ -149,11 +149,12 @@ type Array struct {
 	freeCount  int64
 	pendingIdx []int32
 
-	// Fault and rebuild state (mirrors internal/raid semantics).
-	failed  int
-	rebuild *rebuildState
-	spares  []blockdev.Device
-	lost    bitset.Set // logical pages declared unrecoverable
+	// Fault and rebuild state: the failed-member count, the rebuild
+	// window shared with internal/raid (spare queue, watermark,
+	// FailDisk/StartRebuild/RebuildStep/ReplaceDisk) and the loss map.
+	failed int
+	raid.RebuildWindow
+	lost bitset.Set // logical pages declared unrecoverable
 
 	inGC  bool
 	stats raid.Stats
@@ -213,6 +214,16 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	if s, ok := members[0].(blockdev.Storer); ok {
 		a.dataMode = s.Store() != nil
 	}
+	// The log owes no parity, so there is no Prepare step; only committed
+	// rows carry meaning, so the sweep reconstructs exactly those — a
+	// mostly-empty log rebuilds in proportion to its live data, not its
+	// raw capacity.
+	a.RebuildWindow = raid.NewRebuildWindow(raid.RebuildEngine{
+		Name: a.Name(), Pkg: "lsraid",
+		Disks: a.disks, DiskPages: pages, Failed: &a.failed,
+		Stats: &a.stats, Tracer: &a.tr,
+		Live: a.segRowCommitted, Row: a.rebuildRow,
+	})
 	return a, nil
 }
 
@@ -333,33 +344,7 @@ func (a *Array) physRowSlot(ph phys) (row int64, slot int) {
 	return int64(ph.seg)*a.cfg.SegRows + rowInSeg, int(int64(ph.idx) % dc)
 }
 
-// segRowCommitted reports whether member row falls inside the committed
-// prefix of an allocated segment — i.e. whether its contents are
-// meaningful. Uncommitted rows may hold torn garbage from interrupted
-// flushes; nothing references them.
-func (a *Array) segRowCommitted(row int64) bool {
-	seg := row / a.cfg.SegRows
-	if seg >= a.numSegs {
-		return false
-	}
-	m := &a.segs[seg]
-	return m.Seq != 0 && row%a.cfg.SegRows < m.Rows
-}
-
 // --- health and failure -------------------------------------------------
-
-// FailDisk marks member i failed, mirroring the parity engine's
-// semantics: failing an active rebuild's target abandons the rebuild.
-func (a *Array) FailDisk(i int) {
-	if !a.disks[i].Failed() {
-		a.disks[i].Fail()
-		a.failed++
-		if a.rebuild != nil && a.rebuild.disk == i {
-			a.rebuild = nil
-			a.stats.RebuildsAborted++
-		}
-	}
-}
 
 // noteFailed folds a device-discovered fail-stop (ErrFailed surfacing
 // from member I/O) into the array state.
@@ -375,9 +360,8 @@ func (a *Array) noteFailed(i int) {
 	}
 	if failed != a.failed {
 		a.failed = failed
-		if a.rebuild != nil && a.disks[a.rebuild.disk].Failed() {
-			a.rebuild = nil
-			a.stats.RebuildsAborted++
+		if disk, _, active := a.RebuildTarget(); active && a.disks[disk].Failed() {
+			a.AbandonRebuild()
 		}
 	}
 }
@@ -394,7 +378,7 @@ func (a *Array) FailedDisks() []int {
 }
 
 // Healthy reports full redundancy: no member failed, no rebuild open.
-func (a *Array) Healthy() bool { return a.failed == 0 && a.rebuild == nil }
+func (a *Array) Healthy() bool { return a.failed == 0 && !a.RebuildActive() }
 
 // Survivable reports whether current failures are within the single-
 // parity tolerance.
@@ -405,15 +389,6 @@ func (a *Array) Survivable() bool { return a.failed <= 1 }
 // move under GC, so the stable name for a loss is the logical page.)
 func (a *Array) LostRows() []int64 {
 	return a.lost.AppendTo(make([]int64, 0, a.lost.Len()))
-}
-
-// missing reports whether member disk's page at row must be treated as
-// absent: failed outright, or above an active rebuild's watermark.
-func (a *Array) missing(disk int, row int64) bool {
-	if a.disks[disk].Failed() {
-		return true
-	}
-	return a.rebuild != nil && a.rebuild.disk == disk && row >= a.rebuild.next
 }
 
 // --- parity-protocol surface (no-ops: the log never owes parity) --------
@@ -466,15 +441,9 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 	reg.SetCounter("lsraid_gc_copies_total", "Live pages copied forward by segment GC.", s.GCCopies)
 	reg.SetCounter("lsraid_gc_segments_total", "Segments reclaimed by GC.", s.GCSegments)
 	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
-	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(a.spares)))
 	reg.SetGauge("lsraid_free_segments", "Segments currently free.", float64(a.freeCount))
 	reg.SetGauge("lsraid_pending_pages", "Pages staged in the NVRAM row buffer.", float64(len(a.staged())))
-	active, watermark := 0.0, 0.0
-	if a.rebuild != nil {
-		active, watermark = 1, float64(a.rebuild.next)
-	}
-	reg.SetGauge("raid_rebuild_active", "1 while a member rebuild is in progress.", active)
-	reg.SetGauge("raid_rebuild_watermark", "Rows of the rebuild target already reconstructed.", watermark)
+	a.PublishRebuildGauges(reg)
 }
 
 // Compile-time check: the log-structured engine satisfies the seam.

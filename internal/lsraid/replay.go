@@ -6,6 +6,14 @@ import (
 	"sort"
 )
 
+// CrashRebuildState models power loss: the volatile rebuild watermark is
+// forgotten, and the derived L2P/liveness state is rebuilt by replaying
+// the NVRAM segment summaries and staged row buffer.
+func (a *Array) CrashRebuildState() {
+	a.RebuildWindow.CrashRebuildState()
+	a.replay()
+}
+
 // replay rebuilds all volatile lookup state — the L2P map, per-segment
 // live counts, the free count, the pending index — from the NVRAM
 // summaries and staged row buffer. It is the crash-recovery path

@@ -52,7 +52,7 @@ func (a *Array) Scrub(t sim.Time) (done sim.Time, rep raid.ScrubReport, err erro
 func (a *Array) scrubRow(t sim.Time, row int64, pages [][]byte, rep *raid.ScrubReport) (done sim.Time, scanned bool, err error) {
 	n := len(a.disks)
 	for d := 0; d < n; d++ {
-		if a.missing(d, row) {
+		if a.Missing(d, row) {
 			return t, false, nil
 		}
 	}

@@ -247,10 +247,6 @@ type Log struct {
 	pages [][]Entry
 	where []int32
 
-	// gcThreshold is the live fraction of the partition above which GC
-	// reclaims head pages.
-	gcThreshold float64
-
 	stats Stats
 
 	tr *obs.Tracer
@@ -261,27 +257,24 @@ type Log struct {
 // them.
 func (l *Log) SetTracer(tr *obs.Tracer) { l.tr = tr }
 
+// gcThreshold is the live fraction of the partition above which GC
+// reclaims head pages.
+const gcThreshold = 0.9
+
 // New creates a log over [start, start+npages) of dev with fresh NVRAM
-// counters. gcThreshold in (0,1]; 0 selects the 0.9 default.
-func New(dev blockdev.Device, start, npages int64, gcThreshold float64) *Log {
+// counters.
+func New(dev blockdev.Device, start, npages int64) *Log {
 	if npages < 2 || npages >= math.MaxInt32 {
 		panic("metalog: partition needs at least 2 pages (and fewer than 2^31)")
 	}
-	if gcThreshold == 0 {
-		gcThreshold = 0.9
-	}
-	if gcThreshold <= 0 || gcThreshold > 1 {
-		panic("metalog: bad GC threshold")
-	}
 	return &Log{
-		dev:         dev,
-		start:       start,
-		npages:      npages,
-		ctr:         &nvram.Counters{},
-		shardSeqs:   make(map[uint8]uint32),
-		pages:       make([][]Entry, npages),
-		where:       make([]int32, dev.Pages()),
-		gcThreshold: gcThreshold,
+		dev:       dev,
+		start:     start,
+		npages:    npages,
+		ctr:       &nvram.Counters{},
+		shardSeqs: make(map[uint8]uint32),
+		pages:     make([][]Entry, npages),
+		where:     make([]int32, dev.Pages()),
 	}
 }
 
@@ -538,7 +531,7 @@ func (l *Log) Flush(t sim.Time) (sim.Time, error) {
 // Valid entries of the candidate page are reinserted into the metadata
 // buffer from the in-memory page list — no flash read needed (§III-C).
 func (l *Log) maybeGC(t sim.Time) error {
-	max := int64(float64(l.npages) * l.gcThreshold)
+	max := int64(float64(l.npages) * gcThreshold)
 	if max < 1 {
 		max = 1
 	}
@@ -693,9 +686,9 @@ func decodePage(page []byte, seq uint64, phys int64) ([]Entry, error) {
 // Restore reconstructs a Log handle around surviving NVRAM state after a
 // crash: same device and partition, the NVRAM counters, and the NVRAM
 // metadata buffer contents in order. Call Recover next.
-func Restore(dev blockdev.Device, start, npages int64, gcThreshold float64,
+func Restore(dev blockdev.Device, start, npages int64,
 	ctr *nvram.Counters, buffered []Entry) *Log {
-	l := New(dev, start, npages, gcThreshold)
+	l := New(dev, start, npages)
 	l.ctr = ctr
 	for _, e := range buffered {
 		l.bufInsert(e)

@@ -11,7 +11,7 @@ import (
 
 func newLog(npages int64) (*Log, *blockdev.NullDevice) {
 	dev := blockdev.NewNullDataDevice("ssd", npages+1024)
-	return New(dev, 0, npages, 0.9), dev
+	return New(dev, 0, npages), dev
 }
 
 func entry(daz uint32, st State) Entry {
@@ -109,7 +109,7 @@ func TestRecoveryRebuildsMapping(t *testing.T) {
 		}
 	}
 	// Crash: volatile state gone; NVRAM (counters + buffer) survives.
-	l2 := Restore(dev, 0, 128, 0.9, l.Counters(), l.BufferedEntries())
+	l2 := Restore(dev, 0, 128, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestRecoveryAfterOverwrites(t *testing.T) {
 	if _, err := l.Put(0, newer); err != nil {
 		t.Fatal(err)
 	}
-	l2 := Restore(dev, 0, 128, 0.9, l.Counters(), l.BufferedEntries())
+	l2 := Restore(dev, 0, 128, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestGCReclaimsAndPreservesLiveEntries(t *testing.T) {
 		t.Fatalf("live pages %d exceed partition", l.LivePages())
 	}
 	// Everything must still recover correctly.
-	l2 := Restore(l.dev, 0, 8, 0.9, l.Counters(), l.BufferedEntries())
+	l2 := Restore(l.dev, 0, 8, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestWrapAroundPhysicalAddressing(t *testing.T) {
 	if l.Counters().Tail < 20 {
 		t.Fatalf("tail=%d; expected many committed pages", l.Counters().Tail)
 	}
-	l2 := Restore(l.dev, 0, 4, 0.9, l.Counters(), l.BufferedEntries())
+	l2 := Restore(l.dev, 0, 4, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestWrapAroundPhysicalAddressing(t *testing.T) {
 func TestTimingChargedToDevice(t *testing.T) {
 	dev := blockdev.NewNullDevice("ssd", 4096)
 	dev.Latency = 300 * sim.Microsecond
-	l := New(dev, 0, 64, 0.9)
+	l := New(dev, 0, 64)
 	var done sim.Time
 	var err error
 	for i := 0; i <= cleanPerPage; i++ {
@@ -350,7 +350,7 @@ func TestRandomCrashRecoveryProperty(t *testing.T) {
 			shadow[k] = e
 		}
 		// Crash now (no flush): NVRAM buffer + counters survive.
-		l2 := Restore(dev, 0, 16, 0.9, l.Counters(), l.BufferedEntries())
+		l2 := Restore(dev, 0, 16, l.Counters(), l.BufferedEntries())
 		replay, _, err := l2.Recover(0)
 		if err != nil {
 			return false
@@ -389,18 +389,10 @@ func TestGCPageEquivalent(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	dev := blockdev.NewNullDevice("d", 100)
-	for _, f := range []func(){
-		func() { New(dev, 0, 1, 0.9) },
-		func() { New(dev, 0, 16, -1) },
-		func() { New(dev, 0, 16, 1.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	New(dev, 0, 1)
 }

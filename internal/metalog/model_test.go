@@ -18,32 +18,31 @@ import (
 // kept as the oracle: same NVRAM buffer, same counters, same stats, same
 // bytes on flash for every operation sequence.
 type mapLog struct {
-	dev         blockdev.Device
-	start       int64
-	npages      int64
-	ctr         *nvram.Counters
-	shardSeqs   map[uint8]uint32
-	bufOrder    []uint32
-	buf         map[uint32]Entry
-	bufBytes    int
-	pageLists   map[uint64][]Entry
-	latest      map[uint32]uint64
-	gcThreshold float64
-	stats       Stats
+	dev       blockdev.Device
+	start     int64
+	npages    int64
+	ctr       *nvram.Counters
+	shardSeqs map[uint8]uint32
+	bufOrder  []uint32
+	buf       map[uint32]Entry
+	bufBytes  int
+	pageLists map[uint64][]Entry
+	latest    map[uint32]uint64
+	stats     Stats
 }
 
 const modelInBuffer = ^uint64(0)
 
-func newMapLog(dev blockdev.Device, start, npages int64, thr float64) *mapLog {
+func newMapLog(dev blockdev.Device, start, npages int64) *mapLog {
 	return &mapLog{
-		dev: dev, start: start, npages: npages, ctr: &nvram.Counters{}, gcThreshold: thr,
+		dev: dev, start: start, npages: npages, ctr: &nvram.Counters{},
 		shardSeqs: map[uint8]uint32{}, buf: map[uint32]Entry{},
 		pageLists: map[uint64][]Entry{}, latest: map[uint32]uint64{},
 	}
 }
 
-func restoreMapLog(dev blockdev.Device, start, npages int64, thr float64, ctr *nvram.Counters, buffered []Entry) *mapLog {
-	m := newMapLog(dev, start, npages, thr)
+func restoreMapLog(dev blockdev.Device, start, npages int64, ctr *nvram.Counters, buffered []Entry) *mapLog {
+	m := newMapLog(dev, start, npages)
 	m.ctr = ctr
 	for _, e := range buffered {
 		m.bufInsert(e)
@@ -171,7 +170,7 @@ func (m *mapLog) flushPage(shard int) error {
 }
 
 func (m *mapLog) maybeGC() error {
-	max := int64(float64(m.npages) * m.gcThreshold)
+	max := int64(float64(m.npages) * gcThreshold)
 	if max < 1 {
 		max = 1
 	}
@@ -262,7 +261,6 @@ func TestLogMatchesMapModel(t *testing.T) {
 	for _, data := range []bool{true, false} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			npages := int64(4 + 3*seed)
-			thr := []float64{0.9, 0.5, 1}[seed%3]
 			newDev := func() *blockdev.FaultInjector {
 				if data {
 					return blockdev.NewFaultInjector(blockdev.NewNullDataDevice("ssd", devPages), seed)
@@ -270,8 +268,8 @@ func TestLogMatchesMapModel(t *testing.T) {
 				return blockdev.NewFaultInjector(blockdev.NewNullDevice("ssd", devPages), seed)
 			}
 			devL, devM := newDev(), newDev()
-			l := New(devL, start, npages, thr)
-			m := newMapLog(devM, start, npages, thr)
+			l := New(devL, start, npages)
+			m := newMapLog(devM, start, npages)
 			rng := sim.NewRNG(seed)
 			for step := 0; step < 12000; step++ {
 				var errL, errM error
@@ -313,8 +311,8 @@ func TestLogMatchesMapModel(t *testing.T) {
 					}
 					ctrL, ctrM := *l.Counters(), *m.ctr
 					statsL, statsM := l.Stats(), m.stats
-					l = Restore(devL, start, npages, thr, &ctrL, l.BufferedEntries())
-					m = restoreMapLog(devM, start, npages, thr, &ctrM, m.buffered())
+					l = Restore(devL, start, npages, &ctrL, l.BufferedEntries())
+					m = restoreMapLog(devM, start, npages, &ctrM, m.buffered())
 					l.stats, m.stats = statsL, statsM
 					replayL, _, err := l.Recover(0)
 					if err != nil {

@@ -7,6 +7,8 @@
 package nvram
 
 import (
+	"fmt"
+
 	"kddcache/internal/blockdev"
 	"kddcache/internal/delta"
 )
@@ -193,3 +195,41 @@ type Counters struct {
 
 // Live returns the number of live metadata pages.
 func (c *Counters) Live() uint64 { return c.Tail - c.Head }
+
+// Rebuilder is the slice of the array the rebuild checkpoint talks to.
+type Rebuilder interface {
+	RebuildTarget() (disk int, watermark int64, active bool)
+	ResumeRebuild(disk int, watermark int64) error
+}
+
+// CheckpointRebuild mirrors the array's rebuild watermark into the
+// counters block. Whoever paces the rebuild calls it after every step
+// and every window open, so the checkpoint is never more than one step
+// behind — resuming from it re-reconstructs at most one batch of rows,
+// which is idempotent.
+func (c *Counters) CheckpointRebuild(a Rebuilder) {
+	disk, row, active := a.RebuildTarget()
+	c.RebuildActive = active
+	c.RebuildDisk = int32(disk)
+	c.RebuildRow = row
+}
+
+// ResumeRebuild re-opens the checkpointed member-rebuild window on the
+// array after a power failure, if one was open. The watermark is
+// volatile array state, so the crash wiped it (rigs model that via
+// CrashRebuildState); without the resume the array would silently serve
+// the un-rebuilt region of the target as zeros. Rows between the
+// checkpoint and the true crash-time watermark are simply reconstructed
+// again. The array no-ops the resume when the target has since failed
+// or the checkpoint already covers the disk; re-checkpointing afterwards
+// records that collapse, keeping a second recovery identical.
+func (c *Counters) ResumeRebuild(a Rebuilder) error {
+	if !c.RebuildActive {
+		return nil
+	}
+	if err := a.ResumeRebuild(int(c.RebuildDisk), c.RebuildRow); err != nil {
+		return fmt.Errorf("nvram: resuming member rebuild from its checkpoint: %w", err)
+	}
+	c.CheckpointRebuild(a)
+	return nil
+}

@@ -83,8 +83,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Counters is one tenant's admission tally. Offered = Admitted +
-// Bypassed + Throttled + Shed (deadline rejections are counted by the
-// enforcement boundary and are not part of Offered).
+// Bypassed + Throttled + Shed (Gate rejects a past-deadline request
+// before it is offered to the buckets, so Deadline is not part of
+// Offered).
 type Counters struct {
 	Offered   int64
 	Admitted  int64
@@ -187,10 +188,40 @@ func (c *Controller) roll(now sim.Time) {
 	}
 }
 
-// Admit decides one request for tenant t arriving at now. Unknown
+// Gate is the one admission boundary every serving path runs a request
+// through: deadline first (absolute virtual time; 0 means none), then
+// the controller's verdict, then a typed rejection. A non-nil error
+// means the request must not be served: ErrDeadlineExceeded (zero
+// Decision), or a *Reject matching ErrThrottled — Decision.RetryAfter
+// says when to come back — or ErrShed. With a nil error the verdict is
+// Admit or Bypass (serve with cache admission suspended).
+//
+// A deadline is a property of the request, not of the controller, so a
+// nil *Controller still enforces it; it admits everything else and
+// tallies nothing. A past-deadline request never reaches the buckets: it
+// consumes no token and is not counted as Offered.
+func (c *Controller) Gate(at sim.Time, tenant int, deadline sim.Time) (Decision, error) {
+	if deadline > 0 && at > deadline {
+		if c != nil && tenant >= 0 && tenant < len(c.ts) {
+			c.ts[tenant].c.Deadline++
+		}
+		return Decision{}, fmt.Errorf("qos: tenant %d: %w", tenant, ErrDeadlineExceeded)
+	}
+	if c == nil {
+		return Decision{}, nil
+	}
+	d := c.admit(at, tenant)
+	switch d.Verdict {
+	case VerdictThrottle, VerdictShed:
+		return d, &Reject{Tenant: c.Name(tenant), Verdict: d.Verdict, RetryAfter: d.RetryAfter}
+	}
+	return d, nil
+}
+
+// admit decides one request for tenant t arriving at now. Unknown
 // tenant indices are admitted unlimited (the zero tenant of untagged
 // traffic must never be throttled by accident).
-func (c *Controller) Admit(now sim.Time, tenant int) Decision {
+func (c *Controller) admit(now sim.Time, tenant int) Decision {
 	if tenant < 0 || tenant >= len(c.ts) {
 		return Decision{Verdict: VerdictAdmit}
 	}
@@ -223,24 +254,6 @@ func (c *Controller) Admit(now sim.Time, tenant int) Decision {
 	}
 	t.c.Shed++
 	return Decision{Verdict: VerdictShed}
-}
-
-// NoteDeadline records a deadline rejection for tenant t (the deadline
-// is enforced at the serving boundary, not inside Admit).
-func (c *Controller) NoteDeadline(tenant int) {
-	if tenant >= 0 && tenant < len(c.ts) {
-		c.ts[tenant].c.Deadline++
-	}
-}
-
-// Err converts a rejecting decision into its typed error. Admit/Bypass
-// decisions return nil.
-func (c *Controller) Err(tenant int, d Decision) error {
-	switch d.Verdict {
-	case VerdictThrottle, VerdictShed:
-		return &Reject{Tenant: c.Name(tenant), Verdict: d.Verdict, RetryAfter: d.RetryAfter}
-	}
-	return nil
 }
 
 // Snapshot returns every tenant's counters in tenant order.

@@ -169,7 +169,7 @@ func TestAccessors(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < 50; i++ {
 		last = sim.Time(i) * 200 * sim.Microsecond
-		ctl.Admit(last, i%2)
+		ctl.admit(last, i%2)
 	}
 	if !ctl.Conserved(last) {
 		t.Fatal("controller buckets violated conservation")
@@ -216,7 +216,7 @@ func TestLadderDemotesAndRecovers(t *testing.T) {
 	var sawThrottle, sawShed, sawBypass bool
 	for w := 0; w < 12; w++ {
 		for i := 0; i < 10; i++ {
-			d := c.Admit(now+sim.Time(i), 0)
+			d := c.admit(now+sim.Time(i), 0)
 			switch d.Verdict {
 			case VerdictThrottle:
 				sawThrottle = true
@@ -244,14 +244,14 @@ func TestLadderDemotesAndRecovers(t *testing.T) {
 	// windows per rung, two rungs to climb.
 	start := c.Rung(0)
 	for w := 0; w < 2; w++ {
-		c.Admit(now, 0)
+		c.admit(now, 0)
 		now += win
 	}
 	if c.Rung(0) != start {
 		t.Fatalf("promoted after only 2 clean windows (hysteresis %d)", 3)
 	}
 	for w := 0; w < 8; w++ {
-		c.Admit(now, 0)
+		c.admit(now, 0)
 		now += win
 	}
 	if c.Rung(0) != RungThrottle {
@@ -275,8 +275,8 @@ func TestLadderWeightOrdering(t *testing.T) {
 	demotedFirst := -1
 	for w := 0; w < 20 && demotedFirst < 0; w++ {
 		for i := 0; i < 8; i++ {
-			c.Admit(now+sim.Time(i), 0)
-			c.Admit(now+sim.Time(i), 1)
+			c.admit(now+sim.Time(i), 0)
+			c.admit(now+sim.Time(i), 1)
 		}
 		now += win
 		c.roll(now)
@@ -305,12 +305,12 @@ func TestRetryBudgetAndBackoff(t *testing.T) {
 		BackoffBase: 100 * sim.Microsecond,
 		BackoffMax:  400 * sim.Microsecond,
 	})
-	if d := c.Admit(0, 0); d.Verdict != VerdictAdmit {
+	if d := c.admit(0, 0); d.Verdict != VerdictAdmit {
 		t.Fatalf("burst token refused: %v", d.Verdict)
 	}
 	var hints []sim.Time
 	for i := 0; i < 3; i++ {
-		d := c.Admit(0, 0)
+		d := c.admit(0, 0)
 		if d.Verdict != VerdictThrottle {
 			t.Fatalf("within retry budget got %v, want throttle", d.Verdict)
 		}
@@ -319,7 +319,7 @@ func TestRetryBudgetAndBackoff(t *testing.T) {
 	if !(hints[1] > hints[0] && hints[2] > hints[1]) {
 		t.Fatalf("backoff not increasing: %v", hints)
 	}
-	if d := c.Admit(0, 0); d.Verdict != VerdictShed {
+	if d := c.admit(0, 0); d.Verdict != VerdictShed {
 		t.Fatalf("past retry budget got %v, want shed", d.Verdict)
 	}
 	cs := c.Snapshot()[0]
@@ -343,7 +343,7 @@ func TestControllerDeterminism(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		now += sim.Time(rng.Intn(int(sim.Millisecond)))
 		tn := rng.Intn(2)
-		da, db := a.Admit(now, tn), b.Admit(now, tn)
+		da, db := a.admit(now, tn), b.admit(now, tn)
 		if da != db {
 			t.Fatalf("op %d: decisions diverge: %+v vs %+v", i, da, db)
 		}
@@ -357,9 +357,8 @@ func TestControllerDeterminism(t *testing.T) {
 // tenant.
 func TestRejectErrors(t *testing.T) {
 	c := ctl(t, Config{Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
-	c.Admit(0, 0) // burst token
-	d := c.Admit(0, 0)
-	err := c.Err(0, d)
+	c.admit(0, 0) // burst token
+	_, err := c.Gate(0, 0, 0)
 	if !errors.Is(err, ErrThrottled) {
 		t.Fatalf("throttle error %v does not match ErrThrottled", err)
 	}
@@ -369,20 +368,16 @@ func TestRejectErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "a") {
 		t.Fatalf("rejection %q does not name the tenant", err)
 	}
-	if c.Err(0, Decision{Verdict: VerdictAdmit}) != nil ||
-		c.Err(0, Decision{Verdict: VerdictBypass}) != nil {
-		t.Fatal("admit/bypass decisions produced errors")
-	}
 }
 
 // TestUnknownTenantAdmitted: untagged traffic is never throttled.
 func TestUnknownTenantAdmitted(t *testing.T) {
 	c := ctl(t, Config{Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
 	for i := 0; i < 100; i++ {
-		if d := c.Admit(0, -1); d.Verdict != VerdictAdmit {
+		if d := c.admit(0, -1); d.Verdict != VerdictAdmit {
 			t.Fatalf("unknown tenant got %v", d.Verdict)
 		}
-		if d := c.Admit(0, 7); d.Verdict != VerdictAdmit {
+		if d := c.admit(0, 7); d.Verdict != VerdictAdmit {
 			t.Fatalf("out-of-range tenant got %v", d.Verdict)
 		}
 	}
@@ -423,9 +418,9 @@ func TestParseTenants(t *testing.T) {
 // per-tenant series.
 func TestPublish(t *testing.T) {
 	c := ctl(t, Config{Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
-	c.Admit(0, 0)
-	c.Admit(0, 0)
-	c.NoteDeadline(0)
+	c.admit(0, 0)
+	c.admit(0, 0)
+	c.Gate(2, 0, 1) //nolint:errcheck // a past-deadline request, for the tally
 	reg := obs.NewRegistry()
 	c.Publish(reg)
 	if err := reg.Validate(); err != nil {
@@ -439,5 +434,65 @@ func TestPublish(t *testing.T) {
 	}
 	if v, ok := reg.Counter(`qos_deadline_total{tenant="a"}`); !ok || v != 1 {
 		t.Fatalf("deadline counter: %d ok=%v", v, ok)
+	}
+}
+
+// TestGate pins the one admission boundary: a nil controller admits
+// everything but still enforces deadlines, the deadline is checked
+// before the buckets (a past-deadline request consumes no token and is
+// not Offered), unknown tenants are admitted untallied, and every
+// rejecting verdict comes back as its typed error.
+func TestGate(t *testing.T) {
+	var none *Controller
+	if d, err := none.Gate(100, 3, 0); err != nil || d.Verdict != VerdictAdmit {
+		t.Fatalf("nil controller, no deadline: %v, %v", d.Verdict, err)
+	}
+	if d, err := none.Gate(100, 3, 100); err != nil || d.Verdict != VerdictAdmit {
+		t.Fatalf("nil controller, deadline not yet passed: %v, %v", d.Verdict, err)
+	}
+	if _, err := none.Gate(101, 3, 100); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("nil controller, past deadline: %v, want ErrDeadlineExceeded", err)
+	}
+
+	// One token, no refill to speak of: the first request takes it.
+	c := ctl(t, Config{RetryBudget: 1,
+		Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
+	if _, err := c.Gate(5, 0, 4); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("past deadline: %v, want ErrDeadlineExceeded", err)
+	}
+	if got := c.Snapshot()[0]; got != (Counters{Deadline: 1}) {
+		t.Fatalf("past-deadline request touched the buckets: %+v", got)
+	}
+	if d, err := c.Gate(5, 0, 5); err != nil || d.Verdict != VerdictAdmit {
+		t.Fatalf("the token the deadline reject must not have spent: %v, %v", d.Verdict, err)
+	}
+	d, err := c.Gate(5, 0, 0)
+	var rej *Reject
+	if !errors.Is(err, ErrThrottled) || !errors.As(err, &rej) || rej.Tenant != "a" ||
+		d.Verdict != VerdictThrottle || d.RetryAfter <= 5 || rej.RetryAfter != d.RetryAfter {
+		t.Fatalf("over budget inside the retry allowance: %+v, %v", d, err)
+	}
+	if d, err := c.Gate(5, 0, 0); !errors.Is(err, ErrShed) || errors.Is(err, ErrThrottled) || d.Verdict != VerdictShed {
+		t.Fatalf("over budget past the retry allowance: %+v, %v", d, err)
+	}
+	if got, want := c.Snapshot()[0], (Counters{Offered: 3, Admitted: 1, Throttled: 1, Shed: 1, Deadline: 1}); got != want {
+		t.Fatalf("tallies %+v, want %+v", got, want)
+	}
+
+	for _, tenant := range []int{-1, 7} {
+		if d, err := c.Gate(5, tenant, 0); err != nil || d.Verdict != VerdictAdmit {
+			t.Fatalf("unknown tenant %d: %v, %v", tenant, d.Verdict, err)
+		}
+		if _, err := c.Gate(5, tenant, 4); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("unknown tenant %d past deadline: %v", tenant, err)
+		}
+	}
+
+	// A demoted tenant's in-budget request is served around the cache:
+	// bypass verdict, no error.
+	b := ctl(t, Config{Tenants: []TenantSpec{{Name: "b", RateIOPS: 1000, Weight: 1, Burst: 1}}})
+	b.ts[0].rung = RungBypass
+	if d, err := b.Gate(0, 0, 0); err != nil || d.Verdict != VerdictBypass {
+		t.Fatalf("bypass rung: %v, %v", d.Verdict, err)
 	}
 }

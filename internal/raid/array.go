@@ -74,12 +74,13 @@ type Array struct {
 	stats  Stats
 	tr     *obs.Tracer
 
-	// Online rebuild state (rebuild.go). lost maps a member row to the
-	// bitmask of disks whose page content there is unrecoverable; such
-	// pages read back as ErrUnrecoverable until overwritten.
-	rebuild *rebuildState
-	spares  []blockdev.Device
-	lost    map[int64]uint32
+	// Online rebuild state (rebuild.go): the shared window — spare queue,
+	// watermark, FailDisk/StartRebuild/RebuildStep/ReplaceDisk — and lost,
+	// which maps a member row to the bitmask of disks whose page content
+	// there is unrecoverable; such pages read back as ErrUnrecoverable
+	// until overwritten.
+	RebuildWindow
+	lost map[int64]uint32
 
 	// Patrol-scrub progress (rows scanned of total, last/current pass).
 	scrubRow   int64
@@ -141,6 +142,12 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	for _, m := range members {
 		a.disks = append(a.disks, blockdev.NewFaultDevice(m))
 	}
+	a.RebuildWindow = NewRebuildWindow(RebuildEngine{
+		Name: a.name, Pkg: "raid",
+		Disks: a.disks, DiskPages: pages, Failed: &a.failed,
+		Stats: &a.stats, Tracer: &a.tr,
+		Prepare: a.resyncForRebuild, Row: a.rebuildRow,
+	})
 	return a, nil
 }
 
@@ -188,13 +195,7 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 	reg.SetCounter("raid_lost_pages_total", "Member pages declared unrecoverable.", s.LostPages)
 	reg.SetGauge("raid_stale_rows", "Rows whose parity is currently stale.", float64(a.stale.Len()))
 	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
-	active, watermark := 0.0, 0.0
-	if a.rebuild != nil {
-		active, watermark = 1, float64(a.rebuild.next)
-	}
-	reg.SetGauge("raid_rebuild_active", "1 while a member rebuild is in progress.", active)
-	reg.SetGauge("raid_rebuild_watermark", "Rows of the rebuild target already reconstructed.", watermark)
-	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(a.spares)))
+	a.PublishRebuildGauges(reg)
 	reg.SetGauge("raid_lost_rows", "Rows currently holding at least one lost page.", float64(len(a.lost)))
 	reg.SetGauge("raid_scrub_progress_rows", "Rows scanned by the last/current patrol scrub pass.", float64(a.scrubRow))
 	reg.SetGauge("raid_scrub_total_rows", "Rows a full patrol scrub pass covers.", float64(a.scrubTotal))
@@ -315,7 +316,7 @@ func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if a.pageLost(l.disk, l.row) {
 		return t, fmt.Errorf("%w: page %d lost in a rebuild window", ErrUnrecoverable, lba)
 	}
-	if !a.missing(l.disk, l.row) {
+	if !a.Missing(l.disk, l.row) {
 		a.stats.DataReads++
 		c, err := a.memberRead(t, l.disk, l.row, buf)
 		if err == nil {
@@ -343,7 +344,7 @@ func (a *Array) mirrorRead(t sim.Time, lba int64, l loc, buf []byte) (sim.Time, 
 	for k := 0; k < n; k++ {
 		idx := (start + k) % n
 		d := a.disks[idx]
-		if a.missing(idx, l.row) {
+		if a.Missing(idx, l.row) {
 			continue
 		}
 		anyHealthy = true
@@ -413,7 +414,7 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		done := t
 		wrote := 0
 		for i, d := range a.disks {
-			if a.missing(i, l.row) {
+			if a.Missing(i, l.row) {
 				continue
 			}
 			a.stats.DataWrites++
@@ -441,8 +442,8 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // parallel — "two read and two write disk I/O operations" (§I) for RAID-5.
 func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	dataDev := a.disks[l.disk]
-	if a.missing(l.disk, l.row) || a.missing(l.pDisk, l.row) ||
-		(l.qDisk >= 0 && a.missing(l.qDisk, l.row)) {
+	if a.Missing(l.disk, l.row) || a.Missing(l.pDisk, l.row) ||
+		(l.qDisk >= 0 && a.Missing(l.qDisk, l.row)) {
 		return a.degradedWrite(t, l, buf)
 	}
 

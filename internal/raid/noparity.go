@@ -33,7 +33,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 	done = t
 	for i := 0; i < count; i++ {
 		l := a.geo.locate(lba + int64(i))
-		if a.rebuild != nil || a.missing(l.disk, l.row) || a.lost[l.row] != 0 {
+		if a.RebuildActive() || a.Missing(l.disk, l.row) || a.lost[l.row] != 0 {
 			// Inside a rebuild window a new stale row would widen the loss
 			// surface (stale parity plus a missing member page cannot be
 			// reconstructed), and damaged rows must heal through the full
@@ -95,8 +95,8 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		// corrupt it; the deltas are simply obsolete.
 		return t, nil
 	}
-	pFailed := a.missing(l.pDisk, l.row)
-	qFailed := l.qDisk >= 0 && a.missing(l.qDisk, l.row)
+	pFailed := a.Missing(l.pDisk, l.row)
+	qFailed := l.qDisk >= 0 && a.Missing(l.qDisk, l.row)
 	if pFailed && (l.qDisk < 0 || qFailed) {
 		// Every parity device of this row is lost. The data disks hold
 		// the current data (KDD always dispatches data), so the rebuild
@@ -263,8 +263,8 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 		sp := a.tr.BeginDev(t, obs.PhaseParityRecon, a.Name(), lba, 1)
 		defer func() { sp.End(done) }()
 	}
-	pOK := !a.missing(l.pDisk, l.row)
-	qOK := l.qDisk >= 0 && !a.missing(l.qDisk, l.row)
+	pOK := !a.Missing(l.pDisk, l.row)
+	qOK := l.qDisk >= 0 && !a.Missing(l.qDisk, l.row)
 	if !pOK && (l.qDisk < 0 || !qOK) {
 		// All parity members lost: rebuild recomputes from data.
 		a.stale.Remove(l.row)
@@ -342,7 +342,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 	}
 	done := t
 	for i, disk := range rl.dataDisks {
-		if a.missing(disk, l.row) {
+		if a.Missing(disk, l.row) {
 			continue // reconstructible from the new parity after rebuild
 		}
 		a.stats.DataWrites++
@@ -352,7 +352,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 		}
 		done = sim.MaxTime(done, c)
 	}
-	if rl.pDisk >= 0 && !a.missing(rl.pDisk, l.row) {
+	if rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row) {
 		a.stats.ParityWrites++
 		c, err := a.disks[rl.pDisk].WritePages(t, l.row, 1, p)
 		if err != nil {
@@ -360,7 +360,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 		}
 		done = sim.MaxTime(done, c)
 	}
-	if rl.qDisk >= 0 && !a.missing(rl.qDisk, l.row) {
+	if rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row) {
 		a.stats.ParityWrites++
 		c, err := a.disks[rl.qDisk].WritePages(t, l.row, 1, q)
 		if err != nil {

@@ -13,7 +13,12 @@ import (
 // a HDD fails, KDD first updates all parity blocks using the parity_update
 // interface and then triggers the rebuilding process").
 //
-// The rebuild is a per-array state machine with a row watermark:
+// The rebuild is one array-independent sweep — a row watermark, read the
+// survivors, write the replacement — in which only the per-row
+// reconstruction differs by organisation. RebuildWindow is that sweep,
+// embedded by this package's Array and by the log-structured
+// internal/lsraid; the rest of the file is what the parity engine
+// supplies to it. The window is a per-array state machine:
 //
 //	(degraded) ──StartRebuild──▶ rebuilding(next=0)
 //	rebuilding ──RebuildStep───▶ rebuilding(next+=rows)
@@ -26,7 +31,7 @@ import (
 // missing — reads reconstruct from the survivors and writes fold into the
 // surviving redundancy — even though the replacement device is physically
 // readable (it holds unwritten zeros there). The watermark is the single
-// source of truth for that routing; see Array.missing.
+// source of truth for that routing; see Missing.
 //
 // The watermark is volatile software state: a power failure forgets it
 // (CrashRebuildState) and recovery must resume from the checkpoint the
@@ -34,10 +39,264 @@ import (
 // at an older watermark is always safe — re-rebuilding a row writes the
 // same bytes.
 
-// rebuildState tracks one in-progress member rebuild.
-type rebuildState struct {
-	disk int   // member being rebuilt
-	next int64 // watermark: rows [0, next) are reconstructed
+// RebuildEngine is what an array hands the window it embeds: its
+// identity, the member state the window reads and updates, and the hooks
+// in which engines differ.
+type RebuildEngine struct {
+	Name string // device name on rebuild spans
+	Pkg  string // error-text prefix
+
+	Disks     []*blockdev.FaultInjector // the array's members
+	DiskPages int64                     // rows per member
+	Failed    *int                      // the array's failed-member count
+	Stats     *Stats
+	Tracer    **obs.Tracer // the array's tracer field (SetTracer replaces it)
+
+	// Prepare, when non-nil, runs before a window opens on failed member
+	// i: whatever the engine owes the survivors first (the parity engine
+	// resyncs stale rows; a log owes nothing). An error leaves the member
+	// failed and no window open.
+	Prepare func(t sim.Time, i int) (sim.Time, error)
+
+	// Live, when non-nil, reports whether anything references row; the
+	// sweep passes a dead row without I/O (the replacement's zeros are as
+	// good as any content there). Nil means every row is live.
+	Live func(row int64) bool
+
+	// Row reconstructs the target's page at row from the survivors and
+	// writes it onto the target.
+	Row func(t sim.Time, target int, row int64) (sim.Time, error)
+}
+
+// RebuildWindow is the engine-independent shell of the member rebuild:
+// the hot-spare queue, the window's open/resume/abandon transitions and
+// the watermark sweep. Arrays embed it, which is how they satisfy the
+// rebuild surface of raidiface.Array.
+type RebuildWindow struct {
+	eng    RebuildEngine
+	open   bool
+	disk   int   // member being rebuilt
+	next   int64 // watermark: rows [0, next) are reconstructed
+	spares []blockdev.Device
+}
+
+// NewRebuildWindow returns a closed window over the engine's members.
+func NewRebuildWindow(eng RebuildEngine) RebuildWindow { return RebuildWindow{eng: eng} }
+
+// Missing reports whether member disk's page at row must be treated as
+// absent: the device is failed outright, or it is the target of an active
+// rebuild and the row is still above the watermark (physically readable,
+// but holding unwritten zeros, not data).
+func (w *RebuildWindow) Missing(disk int, row int64) bool {
+	if w.eng.Disks[disk].Failed() {
+		return true
+	}
+	return w.open && disk == w.disk && row >= w.next
+}
+
+// FailDisk marks member disk i as failed. Failing the target of an
+// active rebuild abandons the rebuild: there is nothing left to resume
+// onto, and a later spare attach must start over from row 0.
+func (w *RebuildWindow) FailDisk(i int) {
+	if !w.eng.Disks[i].Failed() {
+		w.eng.Disks[i].Fail()
+		*w.eng.Failed++
+		if w.open && w.disk == i {
+			w.AbandonRebuild()
+		}
+	}
+}
+
+// AbandonRebuild closes the window because its target died.
+func (w *RebuildWindow) AbandonRebuild() {
+	w.open = false
+	w.eng.Stats.RebuildsAborted++
+}
+
+// AddSpare parks a hot-spare device for automatic attachment when a
+// member fails. The spare must match the member geometry.
+func (w *RebuildWindow) AddSpare(dev blockdev.Device) error {
+	if dev.Pages() != w.eng.DiskPages {
+		return fmt.Errorf("%w: spare size mismatch", ErrBadGeometry)
+	}
+	w.spares = append(w.spares, dev)
+	return nil
+}
+
+// SpareCount returns the number of parked hot spares.
+func (w *RebuildWindow) SpareCount() int { return len(w.spares) }
+
+// RebuildActive reports whether a member rebuild is in progress.
+func (w *RebuildWindow) RebuildActive() bool { return w.open }
+
+// RebuildTarget returns the member being rebuilt and its row watermark.
+// active is false when no rebuild is running.
+func (w *RebuildWindow) RebuildTarget() (disk int, watermark int64, active bool) {
+	if !w.open {
+		return 0, 0, false
+	}
+	return w.disk, w.next, true
+}
+
+// StartRebuild swaps failed member i for a fresh device and opens the
+// rebuild window at row 0, after the engine's Prepare step — the parity
+// engine resynchronises its stale rows there (§III-E: parity_update
+// precedes rebuild), so callers need not know the ordering.
+func (w *RebuildWindow) StartRebuild(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
+	if !w.eng.Disks[i].Failed() {
+		return t, ErrNotDegraded
+	}
+	if w.open {
+		return t, fmt.Errorf("%s: rebuild of disk %d already in progress", w.eng.Pkg, w.disk)
+	}
+	if fresh.Pages() != w.eng.DiskPages {
+		return t, fmt.Errorf("%w: replacement size mismatch", ErrBadGeometry)
+	}
+	done := t
+	if w.eng.Prepare != nil {
+		var err error
+		if done, err = w.eng.Prepare(t, i); err != nil {
+			return t, err
+		}
+	}
+	w.eng.Disks[i].Repair(fresh)
+	*w.eng.Failed--
+	w.open, w.disk, w.next = true, i, 0
+	w.eng.Stats.RebuildsStarted++
+	return done, nil
+}
+
+// StartSpareRebuild attaches a parked hot spare to the lowest-numbered
+// failed member and opens its rebuild window. started is false when there
+// is nothing to do (no failure, no spare, or a rebuild already running).
+func (w *RebuildWindow) StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err error) {
+	if w.open || *w.eng.Failed == 0 || len(w.spares) == 0 {
+		return t, false, nil
+	}
+	target := -1
+	for i, d := range w.eng.Disks {
+		if d.Failed() {
+			target = i
+			break
+		}
+	}
+	if target < 0 {
+		return t, false, nil
+	}
+	spare := w.spares[0]
+	w.spares = w.spares[1:]
+	done, err = w.StartRebuild(t, target, spare)
+	if err != nil {
+		w.spares = append([]blockdev.Device{spare}, w.spares...)
+		return t, false, err
+	}
+	w.eng.Stats.SpareAttaches++
+	return done, true, nil
+}
+
+// ResumeRebuild re-opens a rebuild window after a crash, from the
+// checkpoint recovery read out of NVRAM. The checkpoint is written after
+// every step, so watermark never exceeds the rows actually reconstructed;
+// resuming at an older watermark merely re-rebuilds rows, which is
+// idempotent. Resuming onto a member that has since failed (the target
+// died before the crash and the checkpoint never caught up) is a no-op:
+// the rebuild is dead and a spare attach must start a fresh one. A
+// watermark at the end of the member closes the window.
+func (w *RebuildWindow) ResumeRebuild(disk int, watermark int64) error {
+	if disk < 0 || disk >= len(w.eng.Disks) {
+		return fmt.Errorf("%w: rebuild checkpoint names disk %d of %d", ErrBadGeometry, disk, len(w.eng.Disks))
+	}
+	if watermark < 0 || watermark > w.eng.DiskPages {
+		return fmt.Errorf("%w: rebuild checkpoint watermark %d outside [0,%d]", ErrBadGeometry, watermark, w.eng.DiskPages)
+	}
+	if w.eng.Disks[disk].Failed() {
+		return nil
+	}
+	if watermark >= w.eng.DiskPages {
+		w.open = false
+		return nil
+	}
+	w.open, w.disk, w.next = true, disk, watermark
+	return nil
+}
+
+// CrashRebuildState models the power-failure loss of the volatile rebuild
+// tracker: the watermark lives in array software state, not on any
+// device, so a crash forgets it. Rigs call this when simulating a crash;
+// recovery must then ResumeRebuild from the NVRAM checkpoint or the
+// un-rebuilt region would silently be served as valid zeros.
+func (w *RebuildWindow) CrashRebuildState() { w.open = false }
+
+// RebuildStep reconstructs up to maxRows rows of the active rebuild and
+// advances the watermark. It returns the rows swept and whether the
+// rebuild completed (also true when none is active). The caller paces
+// these steps against foreground traffic (the KDD engine's token bucket,
+// or a driver loop).
+func (w *RebuildWindow) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error) {
+	if !w.open {
+		return t, 0, true, nil
+	}
+	if tr := *w.eng.Tracer; tr != nil {
+		sp := tr.BeginDev(t, obs.PhaseRebuild, w.eng.Name, w.next, maxRows)
+		defer func() { sp.End(done) }()
+	}
+	done = t
+	target := w.disk
+	for rowsDone < maxRows && w.open && w.next < w.eng.DiskPages {
+		row := w.next
+		if w.eng.Live == nil || w.eng.Live(row) {
+			c, err := w.eng.Row(t, target, row)
+			if err != nil {
+				return done, rowsDone, false, err
+			}
+			done = sim.MaxTime(done, c)
+			t = c // rebuild rows are serialized background work
+			w.eng.Stats.RebuildBytes += blockdev.PageSize
+		}
+		w.next = row + 1
+		rowsDone++
+		w.eng.Stats.RebuildRows++
+	}
+	if w.open && w.next >= w.eng.DiskPages {
+		w.open = false
+		w.eng.Stats.RebuildsCompleted++
+	}
+	return done, rowsDone, !w.open, nil
+}
+
+// PublishRebuildGauges writes the window's gauges into reg.
+func (w *RebuildWindow) PublishRebuildGauges(reg *obs.Registry) {
+	_, watermark, open := w.RebuildTarget()
+	active := 0.0
+	if open {
+		active = 1
+	}
+	reg.SetGauge("raid_rebuild_active", "1 while a member rebuild is in progress.", active)
+	reg.SetGauge("raid_rebuild_watermark", "Rows of the rebuild target already reconstructed.", float64(watermark))
+	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(w.spares)))
+}
+
+// ReplaceDisk swaps member i for a fresh device and rebuilds its contents
+// from the survivors, blocking until the rebuild completes (the
+// administrative path CLIs use). The engine's Prepare step runs first, so
+// on the parity engine stale parity rows are resynchronised automatically
+// and rows that cannot be surface as lost pages, not as an error. Online
+// callers drive StartRebuild/RebuildStep themselves instead.
+func (w *RebuildWindow) ReplaceDisk(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
+	done, err := w.StartRebuild(t, i, fresh)
+	if err != nil {
+		return t, err
+	}
+	t = done
+	for w.open {
+		c, _, _, err := w.RebuildStep(t, 1024)
+		if err != nil {
+			return t, err
+		}
+		done = sim.MaxTime(done, c)
+		t = c
+	}
+	return done, nil
 }
 
 // ResyncError reports that a rebuild could not start because stale parity
@@ -56,29 +315,18 @@ func (e *ResyncError) Error() string {
 // Unwrap makes errors.Is(err, ErrNeedResync) hold.
 func (e *ResyncError) Unwrap() error { return ErrNeedResync }
 
-// missing reports whether member disk's page at row must be treated as
-// absent: the device is failed outright, or it is the target of an active
-// rebuild and the row is still above the watermark (physically readable,
-// but holding unwritten zeros, not data).
-func (a *Array) missing(disk int, row int64) bool {
-	if a.disks[disk].Failed() {
-		return true
-	}
-	return a.rebuild != nil && disk == a.rebuild.disk && row >= a.rebuild.next
-}
-
 // rowErasures counts the missing pages of one row (data + parity).
 func (a *Array) rowErasures(rl rowLoc) int {
 	er := 0
 	for _, disk := range rl.dataDisks {
-		if a.missing(disk, rl.row) {
+		if a.Missing(disk, rl.row) {
 			er++
 		}
 	}
-	if rl.pDisk >= 0 && a.missing(rl.pDisk, rl.row) {
+	if rl.pDisk >= 0 && a.Missing(rl.pDisk, rl.row) {
 		er++
 	}
-	if rl.qDisk >= 0 && a.missing(rl.qDisk, rl.row) {
+	if rl.qDisk >= 0 && a.Missing(rl.qDisk, rl.row) {
 		er++
 	}
 	return er
@@ -120,87 +368,6 @@ func (a *Array) LostRows() []int64 {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 	return rows
-}
-
-// AddSpare parks a hot-spare device for automatic attachment when a
-// member fails. The spare must match the member geometry.
-func (a *Array) AddSpare(dev blockdev.Device) error {
-	if dev.Pages() != a.geo.diskPages {
-		return fmt.Errorf("%w: spare size mismatch", ErrBadGeometry)
-	}
-	a.spares = append(a.spares, dev)
-	return nil
-}
-
-// SpareCount returns the number of parked hot spares.
-func (a *Array) SpareCount() int { return len(a.spares) }
-
-// RebuildActive reports whether a member rebuild is in progress.
-func (a *Array) RebuildActive() bool { return a.rebuild != nil }
-
-// RebuildTarget returns the member being rebuilt and its row watermark.
-// active is false when no rebuild is running.
-func (a *Array) RebuildTarget() (disk int, watermark int64, active bool) {
-	if a.rebuild == nil {
-		return 0, 0, false
-	}
-	return a.rebuild.disk, a.rebuild.next, true
-}
-
-// StartRebuild swaps failed member i for a fresh device and opens the
-// rebuild window at row 0. Stale parity rows are resynchronised first
-// (§III-E: parity_update precedes rebuild) — automatically, so callers
-// need not know the ordering. Rows whose staleness cannot be repaired
-// (the failed member holds their data, so reconstruct-write is impossible)
-// have that page marked lost and are healed to a defined state when the
-// watermark passes them.
-func (a *Array) StartRebuild(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
-	if !a.disks[i].Failed() {
-		return t, ErrNotDegraded
-	}
-	if a.rebuild != nil {
-		return t, fmt.Errorf("raid: rebuild of disk %d already in progress", a.rebuild.disk)
-	}
-	if fresh.Pages() != a.geo.diskPages {
-		return t, fmt.Errorf("%w: replacement size mismatch", ErrBadGeometry)
-	}
-	done, err := a.resyncForRebuild(t, i)
-	if err != nil {
-		return t, err
-	}
-	a.disks[i].Repair(fresh)
-	a.failed--
-	a.rebuild = &rebuildState{disk: i, next: 0}
-	a.stats.RebuildsStarted++
-	return done, nil
-}
-
-// StartSpareRebuild attaches a parked hot spare to the lowest-numbered
-// failed member and opens its rebuild window. started is false when there
-// is nothing to do (no failure, no spare, or a rebuild already running).
-func (a *Array) StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err error) {
-	if a.rebuild != nil || a.failed == 0 || len(a.spares) == 0 {
-		return t, false, nil
-	}
-	target := -1
-	for i, d := range a.disks {
-		if d.Failed() {
-			target = i
-			break
-		}
-	}
-	if target < 0 {
-		return t, false, nil
-	}
-	spare := a.spares[0]
-	a.spares = a.spares[1:]
-	done, err = a.StartRebuild(t, target, spare)
-	if err != nil {
-		a.spares = append([]blockdev.Device{spare}, a.spares...)
-		return t, false, err
-	}
-	a.stats.SpareAttaches++
-	return done, true, nil
 }
 
 // resyncForRebuild repairs every stale parity row before the rebuild of
@@ -246,73 +413,6 @@ func (a *Array) rowHasData(i int, row int64) bool {
 	return false
 }
 
-// ResumeRebuild re-opens a rebuild window after a crash, from the
-// checkpoint recovery read out of NVRAM. The checkpoint is written after
-// every step, so watermark never exceeds the rows actually reconstructed;
-// resuming at an older watermark merely re-rebuilds rows, which is
-// idempotent. Resuming onto a member that has since failed (the target
-// died before the crash and the checkpoint never caught up) is a no-op:
-// the rebuild is dead and a spare attach must start a fresh one.
-func (a *Array) ResumeRebuild(disk int, watermark int64) error {
-	if disk < 0 || disk >= len(a.disks) {
-		return fmt.Errorf("%w: rebuild checkpoint names disk %d of %d", ErrBadGeometry, disk, len(a.disks))
-	}
-	if watermark < 0 || watermark > a.geo.diskPages {
-		return fmt.Errorf("%w: rebuild checkpoint watermark %d outside [0,%d]", ErrBadGeometry, watermark, a.geo.diskPages)
-	}
-	if a.disks[disk].Failed() {
-		return nil
-	}
-	if watermark >= a.geo.diskPages {
-		a.rebuild = nil
-		return nil
-	}
-	a.rebuild = &rebuildState{disk: disk, next: watermark}
-	return nil
-}
-
-// CrashRebuildState models the power-failure loss of the volatile rebuild
-// tracker: the watermark lives in array software state, not on any
-// device, so a crash forgets it. Rigs call this when simulating a crash;
-// recovery must then ResumeRebuild from the NVRAM checkpoint or the
-// un-rebuilt region would silently be served as valid zeros.
-func (a *Array) CrashRebuildState() { a.rebuild = nil }
-
-// RebuildStep reconstructs up to maxRows rows of the active rebuild and
-// advances the watermark. It returns the rows actually reconstructed and
-// whether the rebuild completed (also true when none is active). The
-// caller paces these steps against foreground traffic (the KDD engine's
-// token bucket, or a driver loop).
-func (a *Array) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error) {
-	if a.rebuild == nil {
-		return t, 0, true, nil
-	}
-	if a.tr != nil {
-		sp := a.tr.BeginDev(t, obs.PhaseRebuild, a.Name(), a.rebuild.next, maxRows)
-		defer func() { sp.End(done) }()
-	}
-	done = t
-	target := a.rebuild.disk
-	for rowsDone < maxRows && a.rebuild != nil && a.rebuild.next < a.geo.diskPages {
-		row := a.rebuild.next
-		c, err := a.rebuildRow(t, target, row)
-		if err != nil {
-			return done, rowsDone, false, err
-		}
-		done = sim.MaxTime(done, c)
-		t = c // rebuild rows are serialized background work
-		a.rebuild.next = row + 1
-		rowsDone++
-		a.stats.RebuildRows++
-		a.stats.RebuildBytes += blockdev.PageSize
-	}
-	if a.rebuild != nil && a.rebuild.next >= a.geo.diskPages {
-		a.rebuild = nil
-		a.stats.RebuildsCompleted++
-	}
-	return done, rowsDone, a.rebuild == nil, nil
-}
-
 // rebuildRow reconstructs the target member's page at row and writes it.
 func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, err error) {
 	if a.tr != nil {
@@ -326,7 +426,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 	case Level1:
 		src := -1
 		for j := range a.disks {
-			if j != target && !a.missing(j, row) {
+			if j != target && !a.Missing(j, row) {
 				src = j
 				break
 			}
@@ -450,7 +550,7 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 		if disk == target {
 			continue // lost page: defined as zeros, contributes nothing
 		}
-		if a.missing(disk, rl.row) {
+		if a.Missing(disk, rl.row) {
 			return t, nil // second failure on a damaged row: leave it
 		}
 		c, err := a.readMember(t, disk, rl.row, tmp)
@@ -481,14 +581,14 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 		return t, err
 	}
 	done = sim.MaxTime(done, c)
-	if rl.pDisk >= 0 && rl.pDisk != target && !a.missing(rl.pDisk, rl.row) {
+	if rl.pDisk >= 0 && rl.pDisk != target && !a.Missing(rl.pDisk, rl.row) {
 		a.stats.ParityWrites++
 		if c, err = a.disks[rl.pDisk].WritePages(done, rl.row, 1, p); err != nil {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
 	}
-	if rl.qDisk >= 0 && rl.qDisk != target && !a.missing(rl.qDisk, rl.row) {
+	if rl.qDisk >= 0 && rl.qDisk != target && !a.Missing(rl.qDisk, rl.row) {
 		a.stats.ParityWrites++
 		if c, err = a.disks[rl.qDisk].WritePages(done, rl.row, 1, q); err != nil {
 			return t, err

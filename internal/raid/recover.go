@@ -14,20 +14,6 @@ import (
 // through reconstruct-write", and "if a HDD fails, KDD first updates all
 // parity blocks ... then triggers the rebuilding process".
 
-// FailDisk marks member disk i as failed. Failing the target of an
-// active rebuild abandons the rebuild: there is nothing left to resume
-// onto, and a later spare attach must start over from row 0.
-func (a *Array) FailDisk(i int) {
-	if !a.disks[i].Failed() {
-		a.disks[i].Fail()
-		a.failed++
-		if a.rebuild != nil && a.rebuild.disk == i {
-			a.rebuild = nil
-			a.stats.RebuildsAborted++
-		}
-	}
-}
-
 // FailedDisks returns the indices of failed members.
 func (a *Array) FailedDisks() []int {
 	var out []int
@@ -42,7 +28,7 @@ func (a *Array) FailedDisks() []int {
 // Healthy reports whether no member disk is failed and no rebuild is in
 // progress: inside the rebuild window the array still has rows with
 // reduced redundancy, so callers (the KDD engine) must stay conservative.
-func (a *Array) Healthy() bool { return a.failed == 0 && a.rebuild == nil }
+func (a *Array) Healthy() bool { return a.failed == 0 && !a.RebuildActive() }
 
 // Survivable reports whether current failures are within the level's
 // tolerance.
@@ -139,7 +125,7 @@ func (a *Array) reconstructXOR(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Ti
 		if disk == l.disk {
 			continue
 		}
-		if a.missing(disk, l.row) {
+		if a.Missing(disk, l.row) {
 			// A source is itself missing. Never read it: a rebuild target
 			// above the watermark answers with unwritten zeros, not data.
 			return t, ErrTooManyFailures
@@ -153,7 +139,7 @@ func (a *Array) reconstructXOR(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Ti
 			blockdev.XORInto(buf, tmp)
 		}
 	}
-	if a.missing(rl.pDisk, l.row) {
+	if a.Missing(rl.pDisk, l.row) {
 		return t, ErrTooManyFailures
 	}
 	c, err := a.readMember(t, rl.pDisk, l.row, tmp)
@@ -174,12 +160,12 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 	// un-rebuilt region of an active rebuild target).
 	var failedData []int // data indices
 	for i, disk := range rl.dataDisks {
-		if a.missing(disk, l.row) {
+		if a.Missing(disk, l.row) {
 			failedData = append(failedData, i)
 		}
 	}
-	pOK := !a.missing(rl.pDisk, l.row)
-	qOK := !a.missing(rl.qDisk, l.row)
+	pOK := !a.Missing(rl.pDisk, l.row)
+	qOK := !a.Missing(rl.qDisk, l.row)
 
 	// Accumulators (nil in timing mode).
 	data := buf != nil
@@ -196,7 +182,7 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 
 	// Read surviving data pages.
 	for i, disk := range rl.dataDisks {
-		if a.missing(disk, l.row) {
+		if a.Missing(disk, l.row) {
 			continue
 		}
 		c, err := a.readMember(t, disk, l.row, tmp)
@@ -281,9 +267,9 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	}
 	data := buf != nil
 
-	dataMissing := a.missing(l.disk, l.row)
-	pOK := rl.pDisk >= 0 && !a.missing(rl.pDisk, l.row)
-	qOK := rl.qDisk >= 0 && !a.missing(rl.qDisk, l.row)
+	dataMissing := a.Missing(l.disk, l.row)
+	pOK := rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row)
+	qOK := rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row)
 
 	if !dataMissing {
 		// Only parity lost: write the data; surviving parity (if any) is
@@ -355,7 +341,7 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 		if disk == l.disk {
 			continue
 		}
-		if a.missing(disk, l.row) {
+		if a.Missing(disk, l.row) {
 			// A second data page of the row is missing: only a RAID-6
 			// full-row decode can still place this write.
 			return a.degradedWriteTwoMissing(t, l, rl, buf)
@@ -446,7 +432,7 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 			}
 		}
 	}
-	if !a.missing(l.disk, l.row) {
+	if !a.Missing(l.disk, l.row) {
 		// The target device is alive (the decode path was taken for a media
 		// error elsewhere in the row): land the data bytes too, or a healed
 		// transient page could later resurface its old content against the
@@ -459,7 +445,7 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 		done = sim.MaxTime(done, c)
 	}
 	wrote := false
-	if rl.pDisk >= 0 && !a.missing(rl.pDisk, l.row) {
+	if rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row) {
 		a.stats.ParityWrites++
 		c, err := a.disks[rl.pDisk].WritePages(done, l.row, 1, p)
 		if err != nil {
@@ -468,7 +454,7 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 		done = sim.MaxTime(done, c)
 		wrote = true
 	}
-	if rl.qDisk >= 0 && !a.missing(rl.qDisk, l.row) {
+	if rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row) {
 		a.stats.ParityWrites++
 		c, err := a.disks[rl.qDisk].WritePages(done, l.row, 1, q)
 		if err != nil {
@@ -567,8 +553,8 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 	stripe := row / a.geo.chunkPages
 	rl := a.geo.locateRow(stripe)
 	rl.row = row
-	pOK := !a.missing(rl.pDisk, row)
-	qOK := rl.qDisk >= 0 && !a.missing(rl.qDisk, row)
+	pOK := !a.Missing(rl.pDisk, row)
+	qOK := rl.qDisk >= 0 && !a.Missing(rl.qDisk, row)
 	if !pOK && (rl.qDisk < 0 || !qOK) {
 		// Every parity member of this row is lost; the rebuild recomputes
 		// it from the (current) data, so the row is no longer stale.
@@ -589,7 +575,7 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 	defer putScratch(tmp)
 	phase1 := t
 	for i, disk := range rl.dataDisks {
-		if a.missing(disk, row) {
+		if a.Missing(disk, row) {
 			// A data member is gone AND parity is stale: that page's current
 			// content is beyond every redundancy (stale parity cannot decode
 			// it). Account the loss loudly and resynchronise over the
@@ -642,29 +628,6 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 		done = sim.MaxTime(done, c)
 	}
 	a.stale.Remove(row)
-	return done, nil
-}
-
-// ReplaceDisk swaps member i for a fresh device and rebuilds its contents
-// from the survivors, blocking until the rebuild completes. Stale parity
-// rows are resynchronised automatically first (§III-E: parity_update
-// precedes rebuild), so callers need not know the ordering; rows that
-// cannot be resynced surface as lost pages, not as an error. Online
-// callers drive StartRebuild/RebuildStep themselves instead.
-func (a *Array) ReplaceDisk(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
-	done, err := a.StartRebuild(t, i, fresh)
-	if err != nil {
-		return t, err
-	}
-	t = done
-	for a.rebuild != nil {
-		c, _, _, err := a.RebuildStep(t, 1024)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		t = c
-	}
 	return done, nil
 }
 

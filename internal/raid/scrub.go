@@ -64,7 +64,7 @@ func (a *Array) readRow(t sim.Time, rl rowLoc, knownBad map[int]bool) (*rowState
 			st.media[disk] = true
 			return nil, false, nil
 		}
-		if a.missing(disk, rl.row) {
+		if a.Missing(disk, rl.row) {
 			// Failed outright, or the un-rebuilt region of a rebuild
 			// target: physically readable there, but holding unwritten
 			// zeros — never valid as a reconstruction source.
@@ -293,7 +293,7 @@ func (a *Array) repairParityRow(t sim.Time, row int64, disk int, buf []byte) (si
 		}
 	}
 	write := func(d int, page []byte) error {
-		if !knownBad[d] || a.missing(d, row) {
+		if !knownBad[d] || a.Missing(d, row) {
 			return nil
 		}
 		a.stats.ParityWrites++

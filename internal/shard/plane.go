@@ -80,7 +80,6 @@ type Config struct {
 
 	StagingBytes        int     // per-lane NVRAM staging capacity
 	HighWater, LowWater float64 // per-lane cleaner watermarks
-	MetaGCThreshold     float64
 
 	// Shards is the execution width: how many workers the lanes are
 	// grouped onto. Must divide Lanes; default 1.
@@ -111,7 +110,7 @@ type Config struct {
 	// work is scheduled — so its decisions are identical at every shard
 	// count and in both scheduler modes. Over-budget ops are rejected
 	// with typed qos errors; bypass-rung ops are served around cache
-	// admission (core.ReadNoAdmit / WriteNoAdmit).
+	// admission (core.KDD.Serve with admit false).
 	QoS *qos.Controller
 }
 
@@ -141,7 +140,9 @@ type Op struct {
 
 	// Deadline, when non-zero, is the absolute virtual time after which
 	// the request is rejected with qos.ErrDeadlineExceeded instead of
-	// being served (enforced at the plane boundary, before execution).
+	// being served. It is enforced at the plane boundary before any
+	// engine work, whether or not a controller is attached — a deadline
+	// is a property of the request.
 	Deadline sim.Time
 }
 
@@ -219,21 +220,20 @@ func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
 	log *metalog.Log) core.Config {
 	lanePages := c.CachePages / Lanes
 	cc := core.Config{
-		SSD:             ssd,
-		Backend:         backend,
-		CachePages:      lanePages,
-		Ways:            c.Ways,
-		MetaStart:       c.MetaStart,
-		MetaPages:       c.MetaPages,
-		Codec:           c.Codec(i),
-		StagingBytes:    c.StagingBytes,
-		HighWater:       c.HighWater,
-		LowWater:        c.LowWater,
-		MetaGCThreshold: c.MetaGCThreshold,
-		SharedLog:       log,
-		DataStart:       c.MetaStart + c.MetaPages + int64(i)*lanePages,
-		Lane:            uint8(i),
-		BatchMeta:       true,
+		SSD:          ssd,
+		Backend:      backend,
+		CachePages:   lanePages,
+		Ways:         c.Ways,
+		MetaStart:    c.MetaStart,
+		MetaPages:    c.MetaPages,
+		Codec:        c.Codec(i),
+		StagingBytes: c.StagingBytes,
+		HighWater:    c.HighWater,
+		LowWater:     c.LowWater,
+		SharedLog:    log,
+		DataStart:    c.MetaStart + c.MetaPages + int64(i)*lanePages,
+		Lane:         uint8(i),
+		BatchMeta:    true,
 		// The breaker votes per lane but the SSD fails as a whole; only
 		// fail-stop failover (which every lane observes identically) is
 		// meaningful here, so the per-lane breakers are disabled.
@@ -255,7 +255,7 @@ func New(cfg Config) (*Plane, error) {
 		return nil, err
 	}
 	p := newShell(cfg)
-	p.log = metalog.New(p.ssd, cfg.MetaStart, cfg.MetaPages, cfg.MetaGCThreshold)
+	p.log = metalog.New(p.ssd, cfg.MetaStart, cfg.MetaPages)
 	if !cfg.Goroutines {
 		p.log.SetTracer(cfg.Tracer)
 	}
@@ -360,61 +360,40 @@ func (p *Plane) coalesceSkips(ops []Op, drop []bool) []bool {
 	return skip
 }
 
-// gate runs the admission boundary over a batch in submission order on
-// the submitting goroutine: deadline enforcement first, then the QoS
-// controller's verdict. It fills res for rejected ops and returns the
-// drop mask plus the bypass mask (nil when nothing was rejected or
-// bypassed). Running strictly before any scheduling is what keeps the
-// controller single-threaded and the verdict sequence independent of
-// shard count.
+// gate runs the admission boundary (qos.Controller.Gate: deadline, then
+// verdict) over a batch in submission order on the submitting goroutine.
+// What the plane adds is the batch bookkeeping: a rejected op is dropped
+// with its typed error in res and a throttle/shed mark in the trace, a
+// bypass verdict is remembered for exec. It returns the drop mask and
+// the bypass mask (nil when nothing was rejected or bypassed). Running
+// strictly before any scheduling is what keeps the controller
+// single-threaded and the verdict sequence independent of shard count.
 func (p *Plane) gate(t sim.Time, ops []Op, res []Result) (drop, bypass []bool) {
-	ctl := p.cfg.QoS
 	for i := range ops {
 		at := ops[i].At
 		if at == 0 {
 			at = t
 		}
-		if ops[i].Deadline > 0 && at > ops[i].Deadline {
-			if ctl != nil {
-				ctl.NoteDeadline(ops[i].Tenant)
+		d, err := p.cfg.QoS.Gate(at, ops[i].Tenant, ops[i].Deadline)
+		if err != nil {
+			if !p.cfg.Goroutines {
+				switch d.Verdict {
+				case qos.VerdictThrottle:
+					p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, ops[i].LBA)
+				case qos.VerdictShed:
+					p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, ops[i].LBA)
+				}
 			}
 			if drop == nil {
 				drop = make([]bool, len(ops))
 			}
 			drop[i] = true
-			res[i] = Result{Done: at, Err: fmt.Errorf(
-				"shard: tenant %d lba %d: %w", ops[i].Tenant, ops[i].LBA, qos.ErrDeadlineExceeded)}
-			continue
-		}
-		if ctl == nil {
-			continue
-		}
-		d := ctl.Admit(at, ops[i].Tenant)
-		switch d.Verdict {
-		case qos.VerdictAdmit:
-		case qos.VerdictBypass:
+			res[i] = Result{Done: at, Err: err}
+		} else if d.Verdict == qos.VerdictBypass {
 			if bypass == nil {
 				bypass = make([]bool, len(ops))
 			}
 			bypass[i] = true
-		case qos.VerdictThrottle:
-			if !p.cfg.Goroutines {
-				p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, ops[i].LBA)
-			}
-			if drop == nil {
-				drop = make([]bool, len(ops))
-			}
-			drop[i] = true
-			res[i] = Result{Done: at, Err: ctl.Err(ops[i].Tenant, d)}
-		case qos.VerdictShed:
-			if !p.cfg.Goroutines {
-				p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, ops[i].LBA)
-			}
-			if drop == nil {
-				drop = make([]bool, len(ops))
-			}
-			drop[i] = true
-			res[i] = Result{Done: at, Err: ctl.Err(ops[i].Tenant, d)}
 		}
 	}
 	return drop, bypass
@@ -433,19 +412,8 @@ func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
 	mu := &p.stripeMu[uint64(op.LBA/p.stripePages)%stripeLockSlots]
 	mu.Lock()
 	defer mu.Unlock()
-	var r Result
-	switch {
-	case op.Kind == OpRead && bypass:
-		r.Done, r.Err = p.lanes[lane].ReadNoAdmit(t, op.LBA, op.Buf)
-		r.Bypassed = true
-	case op.Kind == OpRead:
-		r.Done, r.Err = p.lanes[lane].Read(t, op.LBA, op.Buf)
-	case bypass:
-		r.Done, r.Err = p.lanes[lane].WriteNoAdmit(t, op.LBA, op.Buf)
-		r.Bypassed = true
-	default:
-		r.Done, r.Err = p.lanes[lane].Write(t, op.LBA, op.Buf)
-	}
+	r := Result{Bypassed: bypass}
+	r.Done, r.Err = p.lanes[lane].Serve(t, op.LBA, op.Buf, op.Kind == OpWrite, !bypass)
 	if fatalErr(r.Err) {
 		p.dead.Store(true)
 	}
@@ -530,17 +498,7 @@ func (p *Plane) pumpRebuild(t sim.Time) {
 	if complete {
 		p.rebuildsDone++
 	}
-	p.checkpointRebuild()
-}
-
-// checkpointRebuild mirrors the rebuild watermark into the shared log's
-// NVRAM counters (the plane-level twin of the lane pump's checkpoint).
-func (p *Plane) checkpointRebuild() {
-	ctr := p.log.Counters()
-	disk, row, active := p.backend.RebuildTarget()
-	ctr.RebuildActive = active
-	ctr.RebuildDisk = int32(disk)
-	ctr.RebuildRow = row
+	p.log.Counters().CheckpointRebuild(p.backend)
 }
 
 // Quiesce drains the plane: worker barrier, every lane's stale parities

@@ -27,8 +27,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 		return nil, t, err
 	}
 	p := newShell(cfg)
-	p.log = metalog.Restore(p.ssd, cfg.MetaStart, cfg.MetaPages,
-		cfg.MetaGCThreshold, ctr, buffered)
+	p.log = metalog.Restore(p.ssd, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
 	if !cfg.Goroutines {
 		p.log.SetTracer(cfg.Tracer)
 	}
@@ -54,12 +53,9 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	// One array, one checkpoint: the rebuild window re-opens at plane
 	// level, not per lane (eight resumes would be idempotent but the
 	// checkpoint rewrite must happen exactly once per restore).
-	if ctr.RebuildActive {
-		if err := p.backend.ResumeRebuild(int(ctr.RebuildDisk), ctr.RebuildRow); err != nil {
-			p.Close()
-			return nil, t, fmt.Errorf("shard: resuming member rebuild: %w", err)
-		}
-		p.checkpointRebuild()
+	if err := ctr.ResumeRebuild(p.backend); err != nil {
+		p.Close()
+		return nil, t, err
 	}
 	return p, done, nil
 }

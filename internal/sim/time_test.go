@@ -4,109 +4,6 @@ import (
 	"testing"
 )
 
-func TestClockAdvanceFiresInOrder(t *testing.T) {
-	var c Clock
-	var got []int
-	c.At(30, func(Time) { got = append(got, 3) })
-	c.At(10, func(Time) { got = append(got, 1) })
-	c.At(20, func(Time) { got = append(got, 2) })
-	c.Advance(25)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
-	}
-	if c.Now() != 25 {
-		t.Fatalf("Now = %d, want 25", c.Now())
-	}
-	c.Advance(100)
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
-	}
-}
-
-func TestClockEqualTimeFIFO(t *testing.T) {
-	var c Clock
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		c.At(5, func(Time) { got = append(got, i) })
-	}
-	c.Advance(5)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("equal-time events fired out of order: %v", got)
-		}
-	}
-}
-
-func TestClockEventTimeSetsNow(t *testing.T) {
-	var c Clock
-	var at Time
-	c.At(42, func(now Time) { at = now })
-	c.Advance(100)
-	if at != 42 {
-		t.Fatalf("event fired at %d, want 42", at)
-	}
-}
-
-func TestClockCancel(t *testing.T) {
-	var c Clock
-	fired := false
-	e := c.At(10, func(Time) { fired = true })
-	c.Cancel(e)
-	c.Advance(20)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("event should report cancelled")
-	}
-	c.Cancel(e) // double cancel is a no-op
-	c.Cancel(nil)
-}
-
-func TestClockAfterAndDrain(t *testing.T) {
-	var c Clock
-	c.Advance(100)
-	var times []Time
-	c.After(50, func(now Time) { times = append(times, now) })
-	c.After(10, func(now Time) { times = append(times, now) })
-	c.Drain()
-	if len(times) != 2 || times[0] != 110 || times[1] != 150 {
-		t.Fatalf("times = %v, want [110 150]", times)
-	}
-	if c.Now() != 150 {
-		t.Fatalf("Now = %d, want 150", c.Now())
-	}
-}
-
-func TestClockNestedScheduling(t *testing.T) {
-	var c Clock
-	var got []Time
-	c.At(10, func(now Time) {
-		got = append(got, now)
-		c.After(5, func(now Time) { got = append(got, now) })
-	})
-	c.Advance(20)
-	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
-		t.Fatalf("got %v, want [10 15]", got)
-	}
-}
-
-func TestClockNextEventAndPending(t *testing.T) {
-	var c Clock
-	if _, ok := c.NextEvent(); ok {
-		t.Fatal("empty clock reported a next event")
-	}
-	c.At(7, func(Time) {})
-	c.At(3, func(Time) {})
-	if n, ok := c.NextEvent(); !ok || n != 3 {
-		t.Fatalf("NextEvent = %d,%v want 3,true", n, ok)
-	}
-	if c.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", c.Pending())
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		in   Time

@@ -1,12 +1,8 @@
 package trace
 
-import (
-	"kddcache/internal/sim"
-)
-
 // Transformations for adapting real traces (which may address terabytes
-// over many hours) to a simulated array: address remapping, time scaling,
-// and request clipping.
+// over many hours) to a simulated array: address remapping and request
+// clipping.
 
 // Remap folds all LBAs into [0, maxPages) with a stride-preserving
 // modulo: page p maps to p mod maxPages, keeping sequential runs
@@ -40,45 +36,4 @@ func (tr *Trace) Clip(n int) *Trace {
 		n = len(tr.Requests)
 	}
 	return &Trace{Name: tr.Name, Requests: tr.Requests[:n]}
-}
-
-// TimeWindow keeps requests with Time in [from, to), rebasing timestamps
-// to start at zero — the paper replays "each workload for 30 minutes".
-func (tr *Trace) TimeWindow(from, to sim.Time) *Trace {
-	out := &Trace{Name: tr.Name}
-	for _, r := range tr.Requests {
-		if r.Time >= from && r.Time < to {
-			r.Time -= from
-			out.Requests = append(out.Requests, r)
-		}
-	}
-	return out
-}
-
-// SpeedUp divides every timestamp by factor (>1 compresses the trace so
-// it replays faster; the arrival *order* is unchanged).
-func (tr *Trace) SpeedUp(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: SpeedUp needs a positive factor")
-	}
-	out := &Trace{Name: tr.Name, Requests: make([]Request, len(tr.Requests))}
-	copy(out.Requests, tr.Requests)
-	for i := range out.Requests {
-		out.Requests[i].Time = sim.Time(float64(out.Requests[i].Time) / factor)
-	}
-	return out
-}
-
-// SplitPages expands multi-page requests into single-page requests,
-// preserving order and timestamps (some cache studies want page streams).
-func (tr *Trace) SplitPages() *Trace {
-	out := &Trace{Name: tr.Name}
-	for _, r := range tr.Requests {
-		for p := 0; p < r.Pages; p++ {
-			out.Requests = append(out.Requests, Request{
-				Time: r.Time, Op: r.Op, LBA: r.LBA + int64(p), Pages: 1,
-			})
-		}
-	}
-	return out
 }

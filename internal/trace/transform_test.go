@@ -76,47 +76,3 @@ func TestClip(t *testing.T) {
 		t.Fatalf("Clip beyond length kept %d", len(got.Requests))
 	}
 }
-
-func TestTimeWindowRebases(t *testing.T) {
-	tr := &Trace{Requests: []Request{
-		{Time: 10}, {Time: 20}, {Time: 30}, {Time: 40},
-	}}
-	out := tr.TimeWindow(20, 40)
-	if len(out.Requests) != 2 {
-		t.Fatalf("window kept %d", len(out.Requests))
-	}
-	if out.Requests[0].Time != 0 || out.Requests[1].Time != 10 {
-		t.Fatalf("rebase wrong: %+v", out.Requests)
-	}
-}
-
-func TestSpeedUp(t *testing.T) {
-	tr := &Trace{Requests: []Request{{Time: 100}, {Time: 200}}}
-	out := tr.SpeedUp(2)
-	if out.Requests[0].Time != 50 || out.Requests[1].Time != 100 {
-		t.Fatalf("speedup wrong: %+v", out.Requests)
-	}
-	// Original untouched.
-	if tr.Requests[0].Time != 100 {
-		t.Fatal("SpeedUp mutated the source trace")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.SpeedUp(0)
-}
-
-func TestSplitPages(t *testing.T) {
-	tr := &Trace{Requests: []Request{{Time: 5, Op: Write, LBA: 10, Pages: 3}}}
-	out := tr.SplitPages()
-	if len(out.Requests) != 3 {
-		t.Fatalf("split produced %d", len(out.Requests))
-	}
-	for i, r := range out.Requests {
-		if r.LBA != int64(10+i) || r.Pages != 1 || r.Time != 5 || r.Op != Write {
-			t.Fatalf("split req %d = %+v", i, r)
-		}
-	}
-}

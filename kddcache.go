@@ -130,18 +130,18 @@ func (s *System) Advance(d sim.Time) {
 // Read reads one page at lba into buf (len >= PageSize; may be nil in
 // timing mode) and returns the virtual request latency.
 func (s *System) Read(lba int64, buf []byte) (sim.Time, error) {
-	done, err := s.st.Policy.Read(s.now, lba, buf)
-	if err != nil {
-		return 0, err
-	}
-	lat := done - s.now
-	s.now = done
-	return lat, nil
+	return s.serve(lba, buf, false, true)
 }
 
 // Write writes one page at lba from buf and returns the virtual latency.
 func (s *System) Write(lba int64, buf []byte) (sim.Time, error) {
-	done, err := s.st.Policy.Write(s.now, lba, buf)
+	return s.serve(lba, buf, true, true)
+}
+
+// serve issues one request at the current virtual time and advances the
+// clock to its completion.
+func (s *System) serve(lba int64, buf []byte, write, admit bool) (sim.Time, error) {
+	done, err := s.st.Serve(s.now, lba, buf, write, admit)
 	if err != nil {
 		return 0, err
 	}
@@ -235,10 +235,14 @@ func (s *System) ReattachSSD() error {
 	return s.st.ReattachSSD(s.now)
 }
 
-// CrashAndRecover simulates a power failure on a KDD system: the volatile
-// primary map is discarded and rebuilt from the on-SSD metadata log plus
-// the NVRAM buffers (§III-E1). The System continues with the recovered
-// cache.
+// CrashAndRecover simulates a power failure on a KDD system: every
+// volatile structure is discarded — the cache's primary map, and in the
+// array the rebuild watermark and (log-structured backend) the L2P map —
+// and rebuilt from the on-SSD metadata log plus the NVRAM buffers
+// (§III-E1), a half-done member rebuild resuming from its NVRAM
+// checkpoint. The System continues with the recovered cache; an attached
+// QoS controller is host state outside the storage stack and carries on
+// unchanged.
 func (s *System) CrashAndRecover() error {
 	k, ok := s.st.Policy.(*core.KDD)
 	if !ok {
@@ -247,16 +251,8 @@ func (s *System) CrashAndRecover() error {
 	if k.Log() == nil {
 		return fmt.Errorf("kddcache: metadata log disabled; recovery impossible")
 	}
-	cfg := core.Config{
-		SSD:        s.st.SSDDev,
-		Backend:    s.st.Array,
-		CachePages: s.st.Opts.CachePages,
-		Ways:       s.st.Opts.Ways,
-		MetaStart:  0,
-		MetaPages:  s.st.SSDDev.Pages() - s.st.Opts.CachePages,
-		Codec:      k.Codec(),
-	}
-	k2, done, err := core.Restore(cfg, s.now, k.Log().Counters(), k.Log().BufferedEntries(), k.Staging())
+	s.st.Array.CrashRebuildState()
+	k2, done, err := core.Restore(s.st.KDDConfig, s.now, k.Log().Counters(), k.Log().BufferedEntries(), k.Staging())
 	if err != nil {
 		return err
 	}
@@ -296,64 +292,33 @@ func (s *System) SetQoS(tenants string) error {
 	return nil
 }
 
-// tenantAdmit runs the System-boundary admission check: deadline first
-// (absolute virtual time; 0 disables it), then the controller verdict.
-// The returned error is a typed qos rejection (ErrDeadlineExceeded,
-// ErrThrottled with a retry hint, or ErrShed); the request was not
-// served.
-func (s *System) tenantAdmit(tenant int, deadline sim.Time) (qos.Verdict, error) {
-	if s.qos == nil {
-		return qos.VerdictAdmit, nil
-	}
-	if deadline > 0 && s.now > deadline {
-		s.qos.NoteDeadline(tenant)
-		return 0, fmt.Errorf("kddcache: tenant %d: %w", tenant, qos.ErrDeadlineExceeded)
-	}
-	d := s.qos.Admit(s.now, tenant)
-	if err := s.qos.Err(tenant, d); err != nil {
-		return 0, err
-	}
-	return d.Verdict, nil
-}
-
 // ReadTenant is Read with tenant attribution and an optional absolute
-// deadline, enforced at the System boundary before any engine work. A
-// bypass-rung verdict on a KDD system serves the read with cache
-// admission suspended (no read-fill); other policies serve it normally.
+// deadline (virtual time; 0 means none). The request passes the
+// admission gate at the System boundary before any engine work: a
+// deadline already past is rejected with qos.ErrDeadlineExceeded whether
+// or not a controller is attached — a deadline is a property of the
+// request — and an attached controller may reject with qos.ErrThrottled
+// (carrying a retry hint) or qos.ErrShed. A bypass-rung verdict on a KDD
+// system serves the read with cache admission suspended (no read-fill);
+// other policies serve it normally.
 func (s *System) ReadTenant(tenant int, deadline sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	v, err := s.tenantAdmit(tenant, deadline)
-	if err != nil {
-		return 0, err
-	}
-	if k, ok := s.st.Policy.(*core.KDD); ok && v == qos.VerdictBypass {
-		done, err := k.ReadNoAdmit(s.now, lba, buf)
-		if err != nil {
-			return 0, err
-		}
-		lat := done - s.now
-		s.now = done
-		return lat, nil
-	}
-	return s.Read(lba, buf)
+	return s.serveTenant(tenant, deadline, lba, buf, false)
 }
 
 // WriteTenant is Write under the same boundary: a bypass-rung verdict
 // on a KDD system goes write-through on a miss instead of allocating.
 func (s *System) WriteTenant(tenant int, deadline sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	v, err := s.tenantAdmit(tenant, deadline)
+	return s.serveTenant(tenant, deadline, lba, buf, true)
+}
+
+// serveTenant runs one request through the admission gate, then serves
+// it — around cache admission on a bypass-rung verdict.
+func (s *System) serveTenant(tenant int, deadline sim.Time, lba int64, buf []byte, write bool) (sim.Time, error) {
+	d, err := s.qos.Gate(s.now, tenant, deadline)
 	if err != nil {
 		return 0, err
 	}
-	if k, ok := s.st.Policy.(*core.KDD); ok && v == qos.VerdictBypass {
-		done, err := k.WriteNoAdmit(s.now, lba, buf)
-		if err != nil {
-			return 0, err
-		}
-		lat := done - s.now
-		s.now = done
-		return lat, nil
-	}
-	return s.Write(lba, buf)
+	return s.serve(lba, buf, write, d.Verdict != qos.VerdictBypass)
 }
 
 // QoSCounters returns the per-tenant admission tallies, in the order of

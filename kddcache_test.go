@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
+	"kddcache/internal/lsraid"
 	"kddcache/internal/qos"
 	"kddcache/internal/sim"
 )
@@ -110,6 +112,100 @@ func TestSystemCrashAndRecover(t *testing.T) {
 	// Non-KDD policies reject recovery.
 	if err := newDataSystem(t, WT).CrashAndRecover(); err != ErrNotKDD {
 		t.Fatalf("err = %v, want ErrNotKDD", err)
+	}
+}
+
+// TestSystemCrashAndRecoverBackends: CrashAndRecover is a real power
+// failure on both array backends — the array forgets its volatile state
+// (rebuild watermark; the log's L2P map) and recovery rebuilds everything
+// from flash and NVRAM — first at rest, then with a member rebuild in
+// flight, which must resume from its NVRAM checkpoint and run to
+// completion with every page intact.
+func TestSystemCrashAndRecoverBackends(t *testing.T) {
+	for _, backend := range []string{"kdd", "lsraid"} {
+		t.Run(backend, func(t *testing.T) {
+			sys, err := New(Options{Policy: KDD, Backend: backend,
+				CachePages: 1024, DiskPages: 4096, DataMode: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const pages = 300
+			want := make([][]byte, pages)
+			write := func(lba int64, fill byte) {
+				t.Helper()
+				p := bytes.Repeat([]byte{fill}, PageSize)
+				p[0] = byte(lba)
+				if _, err := sys.Write(lba, p); err != nil {
+					t.Fatal(err)
+				}
+				want[lba] = p
+			}
+			verify := func(when string) {
+				t.Helper()
+				got := make([]byte, PageSize)
+				for lba := int64(0); lba < pages; lba++ {
+					if _, err := sys.Read(lba, got); err != nil {
+						t.Fatalf("%s: read %d: %v", when, lba, err)
+					}
+					if !bytes.Equal(got, want[lba]) {
+						t.Fatalf("%s: lba %d holds wrong data", when, lba)
+					}
+				}
+				if err := sys.st.Policy.(*core.KDD).CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if la, ok := sys.st.Array.(*lsraid.Array); ok {
+					if err := la.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+				}
+			}
+			for lba := int64(0); lba < pages; lba++ {
+				write(lba, 1)
+			}
+			for lba := int64(0); lba < pages; lba += 2 {
+				write(lba, 2) // write hits: staged deltas, stale parity
+			}
+			if err := sys.CrashAndRecover(); err != nil {
+				t.Fatal(err)
+			}
+			verify("after a crash at rest")
+
+			// Member 1 dies with a hot spare parked: the engine attaches it
+			// and paces the rebuild behind foreground requests.
+			arr := sys.st.Array
+			if err := arr.AddSpare(blockdev.NewNullDataDevice("spare", arr.Member(0).Pages())); err != nil {
+				t.Fatal(err)
+			}
+			sys.FailDisk(1)
+			for lba := int64(0); lba < 40; lba++ {
+				write(lba, 3)
+			}
+			disk, row, active := arr.RebuildTarget()
+			if !active || disk != 1 || row == 0 || row >= arr.Member(0).Pages() {
+				t.Fatalf("setup: rebuild target (%d, %d, %v), want member 1 mid-window", disk, row, active)
+			}
+			if err := sys.CrashAndRecover(); err != nil {
+				t.Fatal(err)
+			}
+			if d, r, a := arr.RebuildTarget(); !a || d != disk || r != row {
+				t.Fatalf("rebuild resumed at (%d, %d, %v), checkpoint was (%d, %d, true)", d, r, a, disk, row)
+			}
+			verify("inside the resumed rebuild window")
+			for i := 0; !arr.Healthy(); i++ {
+				if i > 20*int(arr.Member(0).Pages()) {
+					t.Fatal("resumed rebuild never completed")
+				}
+				write(int64(i%pages), 4)
+			}
+			if rs := sys.RAIDStats(); rs.RebuildsCompleted != 1 || rs.LostPages != 0 {
+				t.Fatalf("rebuilds completed %d, lost pages %d", rs.RebuildsCompleted, rs.LostPages)
+			}
+			if err := sys.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			verify("after the rebuild")
+		})
 	}
 }
 
@@ -323,15 +419,73 @@ func TestSystemQoSBoundary(t *testing.T) {
 		t.Fatalf("gold tenant degraded: %+v", cs[0])
 	}
 
-	// Detaching restores unconditional admission.
+	// Detaching ends admission control, not deadlines: a deadline is a
+	// property of the request, enforced with or without a controller.
 	if err := sys.SetQoS(""); err != nil {
 		t.Fatal(err)
 	}
 	if sys.QoSCounters() != nil {
 		t.Fatal("counters survive detach")
 	}
-	if _, err := sys.WriteTenant(1, 1, 5, page); err != nil {
-		t.Fatalf("write after detach: %v", err)
+	if _, err := sys.WriteTenant(1, 0, 5, page); err != nil {
+		t.Fatalf("write without a deadline after detach: %v", err)
+	}
+	if _, err := sys.WriteTenant(1, 1, 5, page); !errors.Is(err, qos.ErrDeadlineExceeded) {
+		t.Fatalf("past-deadline write after detach returned %v, want ErrDeadlineExceeded", err)
+	}
+}
+
+// TestQoSStateSurvivesCrashAndRecover: the admission controller is host
+// state, not part of the storage stack a power failure wipes — a tenant
+// already demoted to the bypass rung comes back with the same tallies on
+// the same rung, and its next in-budget request is still served around
+// the cache.
+func TestQoSStateSurvivesCrashAndRecover(t *testing.T) {
+	sys := newDataSystem(t, KDD)
+	if err := sys.SetQoS("gold:100000:4,abuser:1000:1:1"); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	for w := 0; w < 8; w++ {
+		for i := int64(0); i < 12; i++ {
+			var rej *qos.Reject
+			if _, err := sys.WriteTenant(1, 0, 100+i, page); err != nil && !errors.As(err, &rej) {
+				t.Fatal(err)
+			}
+		}
+		sys.Advance(6 * sim.Millisecond)
+	}
+	rung, err := sys.QoSRung(1)
+	if err != nil || rung != qos.RungBypass {
+		t.Fatalf("setup: abuser on rung %d (%v), want bypass", rung, err)
+	}
+	before := sys.QoSCounters()
+
+	if err := sys.CrashAndRecover(); err != nil {
+		t.Fatal(err)
+	}
+
+	after := sys.QoSCounters()
+	if len(after) != len(before) {
+		t.Fatalf("%d tenants after recovery, %d before", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("tenant %d tallies changed across recovery: %+v, were %+v", i, after[i], before[i])
+		}
+	}
+	if rung, err := sys.QoSRung(1); err != nil || rung != qos.RungBypass {
+		t.Fatalf("abuser on rung %d (%v) after recovery, want bypass", rung, err)
+	}
+	allocs := sys.Stats().WriteAllocs
+	if _, err := sys.WriteTenant(1, 0, 900, page); err != nil {
+		t.Fatalf("in-budget write after recovery: %v", err)
+	}
+	if got := sys.QoSCounters()[1].Bypassed; got != before[1].Bypassed+1 {
+		t.Fatalf("Bypassed = %d after recovery, want %d", got, before[1].Bypassed+1)
+	}
+	if sys.Stats().WriteAllocs != allocs {
+		t.Fatal("bypass-rung write miss after recovery allocated a cache page")
 	}
 }
 
