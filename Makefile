@@ -41,11 +41,15 @@ chaos-ssd:
 chaos-rebuild:
 	$(GO) test -race -run 'TestChaosRebuild' ./internal/harness/
 
-# Model-based crash-consistency checker, deterministic CI mode: every
-# crash point and media-fault site enumerated from the profile trace is
-# explored for two fixed seeds; non-zero exit on any violation.
+# Model-based crash-consistency checker, deterministic CI mode, as one
+# {kdd, lsraid} x {bare engine, sharded plane} matrix: every crash point
+# and media-fault site enumerated from the engine's profile trace, and
+# every crash point of the plane's batched workload (interleaved lane
+# batches in flight), for two fixed seeds per cell; non-zero exit on any
+# violation. The only place the CI sweeps run.
 check:
 	$(GO) run ./cmd/kddcheck -ci
+	$(GO) run ./cmd/kddcheck -ci -backend lsraid
 
 # Mutation self-test: the kddbug build tag compiles in a DEZ
 # log-before-durable ordering bug; the checker must catch it, proving the
@@ -77,14 +81,13 @@ obs-test:
 # Sharded data plane battery: the cross-shard determinism contract
 # (byte-identical output at shard counts 1/2/4/8, coalescing on and off)
 # under the race detector at several test-parallelism levels, plus the
-# routing/digest property tests, the open-loop generator, and the
-# sharded crash sweep with interleaved batches in flight.
+# routing/digest property tests and the open-loop generator. (The
+# plane's crash sweep is part of `make check`.)
 shard-test:
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 4 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 16 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race ./internal/shard/ ./internal/sched/ ./internal/workload/
-	$(GO) run ./cmd/kddcheck -ci -shard
 
 # Multi-tenant QoS battery: token-bucket conservation, WFQ fairness and
 # degradation-ladder property tests, the noisy-neighbor isolation proof
@@ -100,14 +103,13 @@ qos-test:
 
 # Log-structured backend battery: lsraid unit and property tests (GC
 # liveness, crash+replay over every enumerated torn-write site, segment
-# accounting), the kdd-vs-lsraid differential trace battery at FanOut
+# accounting) and the kdd-vs-lsraid differential trace battery at FanOut
 # widths 1/4/16 (byte-identical reads, equal engine digests at flush
-# barriers), and the checker's full crash-site sweep on the lsraid
-# backend — all under the race detector.
+# barriers), under the race detector. (The checker's crash-site sweep of
+# the backend is part of `make check`.)
 lsraid-test:
 	$(GO) test -race ./internal/lsraid/
 	$(GO) test -race -run 'TestDifferentialBackends' -timeout 20m ./internal/harness/
-	$(GO) run ./cmd/kddcheck -ci -backend lsraid
 
 # Coverage ratchet: total statement coverage may not drop more than 0.5
 # points below the committed baseline in COVERAGE.txt. Raise the baseline

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"time"
 
+	"kddcache/internal/check"
 	"kddcache/internal/harness"
 )
 
@@ -177,16 +178,22 @@ func main() {
 			return harness.Fig5(*scale)
 		}},
 		{"chaos", func(par int) (string, error) {
-			r := harness.Chaos(harness.ChaosOpts{
+			r, err := check.Chaos(check.ChaosOpts{
 				Schedules: *schedules, Ops: *ops, Parallel: par,
 			})
+			if err != nil {
+				return "", err
+			}
 			return r.Table(), nil
 		}},
 		{"chaos-rebuild", func(par int) (string, error) {
-			r := harness.Chaos(harness.ChaosOpts{
+			r, err := check.Chaos(check.ChaosOpts{
 				Schedules: *schedules, Ops: *ops, Parallel: par,
 				Kind: "disk-kill,rebuild-crash,double-kill",
 			})
+			if err != nil {
+				return "", err
+			}
 			return r.Table(), nil
 		}},
 		{"rebuild-impact", func(par int) (string, error) {

@@ -4,7 +4,11 @@
 // KDD cache + RAID-5 stack, verifying end-to-end integrity, cache
 // invariants, and parity correctness after every schedule. Every schedule
 // is run twice and must be bit-identical — pass the same -seed to
-// reproduce a failure exactly.
+// reproduce a failure exactly. The schedules run on the same fault rig
+// as kddcheck (internal/check): same reference model, same power-cycle,
+// same verify chain. Exit 1 on a violation; options no stack can be
+// built from, or a -kind matching no plan, are a one-line usage error,
+// exit 2.
 //
 // Examples:
 //
@@ -17,7 +21,7 @@ import (
 	"fmt"
 	"os"
 
-	"kddcache/internal/harness"
+	"kddcache/internal/check"
 )
 
 func main() {
@@ -44,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kddchaos: warning: -ops %d under-samples the fault plans; some schedules may fail their fault-surfaced assertions\n", *ops)
 	}
 
-	rep := harness.Chaos(harness.ChaosOpts{
+	rep, err := check.Chaos(check.ChaosOpts{
 		Schedules:  *schedules,
 		Ops:        *ops,
 		Footprint:  *footprint,
@@ -53,11 +57,11 @@ func main() {
 		Parallel:   *parallel,
 		Kind:       *kind,
 	})
-	fmt.Print(rep.Table())
-	if len(rep.Results) == 0 {
-		fmt.Fprintf(os.Stderr, "kddchaos: no plan matches -kind %q\n", *kind)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kddchaos: %v\n", err)
 		os.Exit(2)
 	}
+	fmt.Print(rep.Table())
 	if len(rep.Violations()) > 0 {
 		os.Exit(1)
 	}

@@ -6,6 +6,11 @@
 // cross-checked against the reference model (acked writes survive any
 // crash; in-flight writes resolve old-or-new and pin; recovery replay is
 // idempotent; parity reconstructs everywhere; page checksums verify).
+// -shard runs the crash points of a batched workload over the sharded
+// plane instead of the bare engine, -backend picks the array under
+// either, and -ci is both sweeps at fixed small parameters (`make check`
+// runs it once per backend). Options no stack can be built from are a
+// one-line usage error, exit 2.
 //
 // The sweep is deterministic: pass the printed seed back via -seed to
 // replay a violation exactly.
@@ -13,6 +18,7 @@
 // Examples:
 //
 //	kddcheck -ci
+//	kddcheck -ci -backend lsraid
 //	kddcheck -seeds 4 -ops 400
 //	kddcheck -seed 0xC0FFEE -seeds 1
 package main
@@ -33,7 +39,7 @@ func main() {
 		footprint = flag.Int64("footprint", 0, "distinct LBAs touched (0 = default 64)")
 		cache     = flag.Int64("cachepages", 0, "SSD cache data pages (0 = default 128)")
 		parallel  = flag.Int("parallel", 0, "worker-pool width for site replays; report is identical at any width (0 = GOMAXPROCS, 1 = serial)")
-		ci        = flag.Bool("ci", false, "deterministic CI mode: fixed small parameters, overrides -ops/-footprint; runs the single-core AND sharded sweeps")
+		ci        = flag.Bool("ci", false, "deterministic CI mode: fixed small parameters, overrides -ops/-footprint; runs the single-core AND sharded sweeps (with -rebuild, the single-core one only)")
 		shardOnly = flag.Bool("shard", false, "run only the sharded-plane crash sweep (batched workload, crash points with multiple lanes' metadata batches in flight)")
 		rebuild   = flag.Bool("rebuild", false, "rebuild-window scenario: kill a member mid-workload with a hot spare parked (RAID-6), so every crash point and fault site fires against an online rebuild")
 		stride    = flag.Int("media-stride", 0, "sample every Nth member media-fault site (0/1 = exhaustive); crash and SSD sites are never strided — useful with -rebuild, where the rebuild touches every member page")
@@ -50,14 +56,6 @@ func main() {
 		}
 	}
 
-	if *backend != "kdd" && *backend != "lsraid" {
-		fmt.Fprintf(os.Stderr, "kddcheck: -backend must be kdd or lsraid, got %q\n", *backend)
-		os.Exit(2)
-	}
-	if *backend == "lsraid" && (*rebuild || *shardOnly) {
-		fmt.Fprintln(os.Stderr, "kddcheck: -rebuild and -shard require -backend kdd (RAID-6 geometry / sharded-plane wiring)")
-		os.Exit(2)
-	}
 	o := check.Options{
 		Seed:        *seed,
 		Seeds:       *seeds,
@@ -73,21 +71,37 @@ func main() {
 		o.Ops = 120
 		o.Footprint = 48
 	}
+	// -ci is the {engine, plane} pair on one backend; the rebuild scenario
+	// is engine-only, so it has no plane half.
+	type sweep struct {
+		run    func(check.Options) (*check.Report, error)
+		replay string // the flag that selects this sweep in a replay line
+	}
+	var sweeps []sweep
+	if !*shardOnly {
+		sweeps = append(sweeps, sweep{check.Run, ""})
+	}
+	if *shardOnly || (*ci && !*rebuild) {
+		sweeps = append(sweeps, sweep{check.RunShard, "-shard "})
+	}
+	// Every sweep runs before any table prints: a usage error (options one
+	// of the stacks cannot be built from) is then the only output.
+	reps := make([]*check.Report, len(sweeps))
+	for i, sw := range sweeps {
+		rep, err := sw.run(o)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "kddcheck: %v\n", err)
+			os.Exit(2)
+		}
+		reps[i] = rep
+	}
 	failed := false
-	report := func(rep *check.Report, replayFlag string) {
+	for i, rep := range reps {
 		fmt.Print(rep.Table())
 		if len(rep.Violations()) > 0 {
-			fmt.Printf("replay: kddcheck %s-seed %#x -seeds 1\n", replayFlag, rep.Results[0].Seed)
+			fmt.Printf("replay: kddcheck %s-seed %#x -seeds 1\n", sweeps[i].replay, rep.Results[0].Seed)
 			failed = true
 		}
-	}
-	if !*shardOnly {
-		report(check.Run(o), "")
-	}
-	if (*shardOnly || *ci) && *backend == "kdd" {
-		report(check.RunShard(o), "-shard ")
-	} else if *ci {
-		fmt.Println("shard sweep skipped: sharded plane is kdd-only")
 	}
 	if failed {
 		os.Exit(1)

@@ -1,21 +1,34 @@
-// Package check is the model-based crash-consistency checker. It runs a
-// seeded workload once fault-free while recording the device-op trace,
-// enumerates EVERY crash point (each SSD write ordinal, with seeded torn
-// tails) and media-fault site (latent and transient, per distinct page on
-// the SSD and each array member) from that trace, then replays the same
-// workload once per site with that single fault armed. Each replay is
-// cross-checked against internal/model's reference semantics: acked
-// writes survive, in-flight writes resolve old-or-new and pin, recovery
-// replay is idempotent, parity stays reconstructable, and every store's
-// page checksums verify.
+// Package check is the repository's fault rig and the two drivers that
+// are data over it.
+//
+// The rig (rig.go) builds a data-mode stack — a bare core.KDD or a
+// shard.Plane over either array backend — drives a seeded 60 %-write op
+// stream at it against internal/model's reference semantics, power-cycles
+// it from its own NVRAM whenever an armed crash point fires, and ends
+// with one verify chain. What it holds every run to: acked writes
+// survive, in-flight writes resolve old-or-new and pin, recovery replay
+// is idempotent, no span leaks open across a crash, parity stays
+// reconstructable, and every store's page checksums verify.
+//
+// The crash checker (this file: Run, RunShard) profiles the workload
+// once fault-free while recording the device-op trace, enumerates EVERY
+// crash point (each SSD write ordinal, with seeded torn tails) and
+// media-fault site (latent and transient, per distinct page on the SSD
+// and each array member) from that trace, then replays the same workload
+// once per site with that single fault armed. The chaos harness
+// (chaos.go: Chaos) is a table of seeded fault plans, each run twice to
+// a bit-identical fingerprint.
 package check
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/harness"
+	"kddcache/internal/raid"
+	"kddcache/internal/sim"
 )
 
 // Options configures a checker run. Zero values select defaults chosen so
@@ -43,9 +56,8 @@ type Options struct {
 	MediaStride int
 	// Backend picks the array implementation under the cache: "kdd" (the
 	// default; parity RAID with the delayed-parity protocol) or "lsraid"
-	// (the log-structured backend). The rebuild scenario and the sharded
-	// sweep are kdd-only: the former depends on RAID-6 double-fault
-	// geometry, the latter pins the sharded plane's own array wiring.
+	// (the log-structured backend). The rebuild scenario is kdd-only: it
+	// depends on RAID-6 double-fault geometry.
 	Backend string
 }
 
@@ -141,21 +153,84 @@ func (r *Report) Table() string {
 	return b.String()
 }
 
-// Run executes the checker across o.Seeds seeds. Sites within a seed fan
-// out across workers; each site replay is independent, so violations come
-// back as data and never abort the sweep.
-func Run(o Options) *Report {
+// hotFrontDraw picks an LBA with a hot front eighth. Two draws whatever
+// the outcome, so the op stream stays in lockstep with the profile run.
+func hotFrontDraw(rng *sim.RNG, footprint int64) int64 {
+	hot := rng.Float64() < 0.5
+	n := int64(rng.Uint64n(uint64(footprint)))
+	if hot {
+		return n / 8
+	}
+	return n
+}
+
+// rebuildVictim is the member the rebuild scenario kills at Ops/3.
+const rebuildVictim = 1
+
+// spec is the run o describes, on the bare engine (shards 0) or on the
+// sharded plane at that execution width.
+func (o Options) spec(shards int) spec {
+	s := spec{
+		geometry: checkGeometry, backend: o.Backend, cache: o.CachePages,
+		ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotFrontDraw,
+	}
+	if shards > 0 {
+		// Batches big enough that several lanes hold buffered metadata
+		// entries when a crash fires mid-batch: the interleaved-batches-
+		// in-flight state the sharded sweep exists to crash into.
+		s.geometry, s.shards, s.batch = planeGeometry, shards, 16
+	}
+	if o.Rebuild {
+		// RAID-6 with one extra member: an armed member media fault may
+		// fire INSIDE the rebuild window (one member already missing), and
+		// zero loss only holds if the geometry tolerates that second hole.
+		s.disks, s.level, s.spares = s.disks+1, raid.Level6, 1
+	}
+	return s
+}
+
+// Run executes the checker across o.Seeds seeds on the bare engine.
+// Sites within a seed fan out across workers; each site replay is
+// independent, so violations come back as data and never abort the
+// sweep. The error is a usage error: options no stack can be built from.
+func Run(o Options) (*Report, error) {
+	return sweep(o.withDefaults(), "", []int{0})
+}
+
+// RunShard executes the sharded-plane crash sweep: a batched workload
+// over the full plane (eight lanes, one shared metadata log with
+// per-lane tagged batch flushes), replayed once per SSD write ordinal
+// with a torn-write crash point armed. Crashes land with several lanes'
+// metadata batches in flight; recovery must demultiplex the shared log
+// back to the lanes, twice, identically. Only crash sites are explored —
+// media-fault coverage of the engine under each lane is Run's job, and
+// the plane disables the per-lane breakers (a shared SSD fails as a
+// whole). The execution width cycles across seeds: in deterministic mode
+// it cannot change the device-op trace (the plane's central contract),
+// so each seed picks one and the sweep still covers every grouping.
+func RunShard(o Options) (*Report, error) {
 	o = o.withDefaults()
-	rep := &Report{Opts: o}
+	if o.Rebuild {
+		return nil, errors.New("check: the rebuild scenario sweeps the bare engine; nothing attaches a spare under the plane")
+	}
+	o.CrashOnly = true
+	return sweep(o, "sharded plane, crash points with batches in flight", []int{1, 2, 4, 8})
+}
+
+func sweep(o Options, kind string, widths []int) (*Report, error) {
+	rep := &Report{Opts: o, Kind: kind}
 	for i := 0; i < o.Seeds; i++ {
 		// Same stride as the chaos harness, so its 24 schedule seeds are
 		// reachable here as regression seeds.
 		seed := o.Seed + uint64(i)*0x9E3779B97F4A7C15
-		res := runSeed(seed, o)
+		res, err := runSeed(seed, o, o.spec(widths[i%len(widths)]))
+		if err != nil {
+			return nil, err
+		}
 		res.Index = i
 		rep.Results = append(rep.Results, res)
 	}
-	return rep
+	return rep, nil
 }
 
 // siteOutcome is one site replay's result; violations are data, not
@@ -165,33 +240,51 @@ type siteOutcome struct {
 	violations []string
 }
 
+// newRun builds one run of the sweep's workload.
+func newRun(seed uint64, o Options, s spec) (*rig, error) {
+	r, err := newRig(seed, s)
+	if err == nil && o.Rebuild {
+		// Kill a member with a hot spare parked: the pump attaches it at
+		// the end of the next operation and rebuilds online under the
+		// remaining workload (and under whatever site is armed).
+		r.everyBatch = func(i int) {
+			if i == o.Ops/3 {
+				r.arr.FailDisk(rebuildVictim)
+			}
+		}
+	}
+	return r, err
+}
+
 // runSeed profiles the workload fault-free, enumerates every site from
 // the recorded traces, and replays the workload once per site.
-func runSeed(seed uint64, o Options) SeedResult {
+func runSeed(seed uint64, o Options, s spec) (SeedResult, error) {
 	res := SeedResult{Seed: seed}
 
 	// Profile run: fault-free, recording the device-op trace on the SSD
 	// and every array member. The baseline must be clean — otherwise site
 	// failures would be noise on top of a broken stack.
-	r := newRig(seed, o)
-	r.inj.RecordOps(true)
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).RecordOps(true)
+	r, err := newRun(seed, o, s)
+	if err != nil {
+		return res, err
+	}
+	defer func() { r.sub.close() }()
+	for _, inj := range r.injs {
+		inj.RecordOps(true)
 	}
 	r.runOps()
-	r.inj.RecordOps(false)
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).RecordOps(false)
+	for _, inj := range r.injs {
+		inj.RecordOps(false)
 	}
 	// Pump activity during the profile run, captured before verify (whose
 	// completion drive steps the array directly, not through the pump).
-	profileSteps := int(r.kdd.Stats().RebuildSteps)
+	profileSteps := int(r.sub.Stats().RebuildSteps)
 	r.verify()
 	if len(r.violations) > 0 {
 		for _, v := range r.violations {
 			res.Violations = append(res.Violations, "baseline (no faults): "+v)
 		}
-		return res
+		return res, nil
 	}
 
 	// Enumerate. Crashes model whole-node power loss. The SSD injector's
@@ -208,11 +301,8 @@ func runSeed(seed uint64, o Options) SeedResult {
 		sites = append(sites, site{dev: "ssd", disk: -1, fs: fs})
 	}
 	if !o.CrashOnly {
-		stride := o.MediaStride
-		if stride < 1 {
-			stride = 1
-		}
-		for d := 0; d < r.nDisks; d++ {
+		stride := max(o.MediaStride, 1)
+		for d := range r.members {
 			media := 0
 			for _, fs := range blockdev.EnumerateSites(r.arr.Injector(d).Recorded(), seed^uint64(d)) {
 				if fs.Kind == blockdev.FaultCrashTorn {
@@ -265,8 +355,8 @@ func runSeed(seed uint64, o Options) SeedResult {
 		}
 	}
 
-	outs, _ := harness.FanOut(o.Parallel, len(sites), func(i int) (siteOutcome, error) {
-		return runSite(seed, o, sites[i]), nil
+	outs, err := harness.FanOut(o.Parallel, len(sites), func(i int) (siteOutcome, error) {
+		return runSite(seed, o, s, sites[i])
 	})
 	for i, out := range outs {
 		res.Crashes += out.crashes
@@ -274,33 +364,33 @@ func runSeed(seed uint64, o Options) SeedResult {
 			res.Violations = append(res.Violations, fmt.Sprintf("site %s: %s", sites[i], v))
 		}
 	}
-	return res
+	return res, err
 }
 
 // runSite replays the seeded workload with exactly one fault armed, then
 // runs the full verification chain. The workload prefix is identical to
 // the profile run, so crash write-ordinals land where they were recorded.
-func runSite(seed uint64, o Options, s site) siteOutcome {
-	r := newRig(seed, o)
+func runSite(seed uint64, o Options, s spec, at site) (siteOutcome, error) {
+	r, err := newRun(seed, o, s)
+	if err != nil {
+		return siteOutcome{}, err
+	}
+	defer func() { r.sub.close() }()
 	// An SSD fail-stop inside the rebuild window is a legal double fault:
 	// the deltas that died with the cache were the only way to repair
 	// stale parity before reconstructing the missing member (§III-E).
-	r.allowLost = o.Rebuild && s.disk < 0 && s.fs.Kind == blockdev.FaultFailStop
-	if s.disk < 0 {
-		r.inj.Arm(s.fs)
-	} else {
-		r.arr.Injector(s.disk).Arm(s.fs)
-	}
+	r.allowLost = o.Rebuild && at.disk < 0 && at.fs.Kind == blockdev.FaultFailStop
+	r.injs[at.disk+1].Arm(at.fs) // the SSD (disk -1) leads the list
 	r.runOps()
 	if !r.halt {
 		r.verify()
-		if s.fs.Kind == blockdev.FaultFailStop {
-			r.verifyBypassRestore()
+		if at.fs.Kind == blockdev.FaultFailStop {
+			r.bypassProof()
 		}
 	}
 	out := siteOutcome{crashes: r.crashes, violations: r.violations}
-	if s.fs.Kind == blockdev.FaultCrashTorn && r.crashes == 0 {
+	if at.fs.Kind == blockdev.FaultCrashTorn && r.crashes == 0 {
 		out.violations = append(out.violations, "armed crash point never fired (replay diverged from profile)")
 	}
-	return out
+	return out, nil
 }

@@ -4,38 +4,49 @@ package check
 
 import "testing"
 
-// TestCheckerCIMode is the deterministic CI sweep: two seeds, every crash
-// point and media-fault site enumerated from the profile trace, zero
-// violations expected. It also asserts the sweep had teeth — sites were
-// actually enumerated and every armed crash point actually fired.
+// TestCheckerCIMode is the deterministic CI sweep, the matrix `kddcheck
+// -ci` runs per backend: every crash point and media-fault site
+// enumerated from the profile trace, on the bare engine and on the
+// sharded plane, zero violations expected. The site table is pinned —
+// the sweep has the teeth it had, and a refactor that claims "same
+// behaviour" enumerates the same sites — and every armed crash point
+// must actually fire.
 func TestCheckerCIMode(t *testing.T) {
+	type row [3]int // crash, media, kill sites of one seed
+	matrix := []struct {
+		backend string
+		run     func(Options) (*Report, error)
+		want    []row
+	}{
+		{"kdd", Run, []row{{50, 172, 8}, {54, 202, 8}}},
+		{"kdd", RunShard, []row{{43, 0, 0}, {46, 0, 0}}},
+		{"lsraid", Run, []row{{50, 262, 8}, {54, 262, 8}}},
+		{"lsraid", RunShard, []row{{43, 0, 0}, {46, 0, 0}}},
+	}
 	o := Options{Seeds: 2, Ops: 120, Footprint: 48}
 	if testing.Short() {
-		// One seed and a smaller workload: the -race sweep in CI runs with
-		// -short, where the full site fan-out is ~20x slower than native.
+		// One seed and a smaller workload on the kdd engine: the -race
+		// sweep in CI runs with -short, where the full site fan-out is
+		// ~20x slower than native.
 		o = Options{Seeds: 1, Ops: 80, Footprint: 32}
+		matrix = matrix[:1]
+		matrix[0].want = []row{{33, 122, 8}}
 	}
-	rep := Run(o)
-	if v := rep.Violations(); len(v) > 0 {
-		max := len(v)
-		if max > 10 {
-			max = 10
+	for _, m := range matrix {
+		o.Backend = m.backend
+		rep := sweepOK(t, m.run, o)
+		if v := rep.Violations(); len(v) > 0 {
+			t.Fatalf("%d violations (showing up to 10):\n%s", len(v), joinLines(v[:min(len(v), 10)]))
 		}
-		t.Fatalf("%d violations (showing %d):\n%s", len(v), max, joinLines(v[:max]))
-	}
-	for _, res := range rep.Results {
-		if res.CrashSites == 0 {
-			t.Errorf("seed %#x: no crash sites enumerated", res.Seed)
-		}
-		if res.MediaSites == 0 {
-			t.Errorf("seed %#x: no media-fault sites enumerated", res.Seed)
-		}
-		if res.KillSites == 0 {
-			t.Errorf("seed %#x: no whole-SSD fail-stop sites enumerated", res.Seed)
-		}
-		if res.Crashes != res.CrashSites {
-			t.Errorf("seed %#x: %d crashes recovered but %d crash sites armed",
-				res.Seed, res.Crashes, res.CrashSites)
+		for i, res := range rep.Results {
+			if got := (row{res.CrashSites, res.MediaSites, res.KillSites}); got != m.want[i] {
+				t.Errorf("%s %q seed %#x: crash/media/kill sites %v, want %v",
+					m.backend, rep.Kind, res.Seed, got, m.want[i])
+			}
+			if res.Crashes != res.CrashSites {
+				t.Errorf("%s %q seed %#x: %d crashes recovered but %d crash sites armed",
+					m.backend, rep.Kind, res.Seed, res.Crashes, res.CrashSites)
+			}
 		}
 	}
 }
@@ -54,13 +65,9 @@ func TestCheckerRebuildScenario(t *testing.T) {
 		// scenario exists for) stay exhaustive.
 		o = Options{Seeds: 1, Ops: 90, Footprint: 32, Rebuild: true, MediaStride: 12}
 	}
-	rep := Run(o)
+	rep := sweepOK(t, Run, o)
 	if v := rep.Violations(); len(v) > 0 {
-		max := len(v)
-		if max > 10 {
-			max = 10
-		}
-		t.Fatalf("%d violations (showing %d):\n%s", len(v), max, joinLines(v[:max]))
+		t.Fatalf("%d violations (showing up to 10):\n%s", len(v), joinLines(v[:min(len(v), 10)]))
 	}
 	for _, res := range rep.Results {
 		if res.CrashSites == 0 {
@@ -77,7 +84,7 @@ func TestCheckerRebuildScenario(t *testing.T) {
 // report — the replay-from-seed promise printed on failure depends on it.
 func TestCheckerDeterministic(t *testing.T) {
 	o := Options{Seeds: 1, Ops: 60, Footprint: 32}
-	a, b := Run(o), Run(o)
+	a, b := sweepOK(t, Run, o), sweepOK(t, Run, o)
 	if a.Table() != b.Table() {
 		t.Fatalf("reports diverge:\n--- first\n%s--- second\n%s", a.Table(), b.Table())
 	}

@@ -14,7 +14,7 @@ import "testing"
 // Exactly the bug class the interleaved-batches crash sweep exists to
 // catch; if this test passes without violations, the sweep has no teeth.
 func TestMutationCaughtShardBatch(t *testing.T) {
-	rep := RunShard(Options{Seeds: 2, Ops: 160, Footprint: 48})
+	rep := sweepOK(t, RunShard, Options{Seeds: 2, Ops: 160, Footprint: 48})
 	v := rep.Violations()
 	if len(v) == 0 {
 		t.Fatal("kddbug mutation produced zero violations across every crash point; " +

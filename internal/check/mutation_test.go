@@ -13,7 +13,7 @@ import "testing"
 // the class of bug exhaustive crash-point exploration exists to catch.
 func TestMutationCaught(t *testing.T) {
 	o := Options{Seeds: 2, CrashOnly: true}
-	rep := Run(o)
+	rep := sweepOK(t, Run, o)
 	v := rep.Violations()
 	if len(v) == 0 {
 		t.Fatal("kddbug mutation produced zero violations across every crash point; " +

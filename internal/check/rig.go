@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -9,379 +10,617 @@ import (
 	"kddcache/internal/delta"
 	"kddcache/internal/lsraid"
 	"kddcache/internal/model"
+	"kddcache/internal/nvram"
 	"kddcache/internal/obs"
 	"kddcache/internal/raid"
 	"kddcache/internal/raidiface"
+	"kddcache/internal/shard"
 	"kddcache/internal/sim"
+	"kddcache/internal/stats"
 )
 
-// Checker stack geometry: deliberately smaller than the chaos harness so
-// the per-site replay runs (hundreds per seed) stay cheap, while still
-// exercising eviction, DEZ packing, cleaning, and parity maintenance.
-const (
-	checkDisks     = 4
-	checkDiskPages = 256
-	checkChunk     = 4
-	checkWays      = 16
-	checkMetaPages = 32
+// This file is the one fault rig both drivers run: the crash checker
+// (check.go: enumerate every fault site of a profile run, replay once per
+// site) and the chaos harness (chaos.go: a table of fault plans) are data
+// over it. A run is a pure function of (seed, spec, armed faults), so
+// replaying a violation needs only those.
 
-	// rebuildVictim is the member the rebuild scenario kills at Ops/3.
-	rebuildVictim = 1
-)
-
-// rig is one run's stack: the real KDD+RAID-5 engine on one side, the
-// reference model on the other, driven through an identical op stream.
-// All rig state is built from the seed, so a run is a pure function of
-// (seed, options, armed site) — replaying a violation needs only those.
-type rig struct {
-	o      Options
-	rng    *sim.RNG
-	mut    *delta.Mutator
-	mdl    *model.Model
-	halt   bool
-	nDisks int
-
-	members []*blockdev.NullDevice
-	arr     raidiface.Array
-	inj     *blockdev.FaultInjector // SSD-side injector
-	cfg     core.Config
-	kdd     *core.KDD
-	tr      *obs.Tracer
-
-	pendingLBA int64 // lba of the write in flight at a crash; -1 none
-	crashes    int
-	violations []string
-
-	// allowLost excuses loud data loss (ErrUnrecoverable reads, LostRows
-	// accounting) for sites where losing pages is the spec: a whole-SSD
-	// fail-stop inside the rebuild window kills the only copy of the
-	// deltas that could repair stale parity, and a stale row plus the
-	// missing member exceeds even RAID-6's two-erasure budget. The loss
-	// must still be LOUD — silent corruption is never excused.
-	allowLost bool
+// geometry is a driver's stack literal: the array members, the cache's
+// set associativity, and the SSD's metadata and slack partitions.
+type geometry struct {
+	disks     int
+	diskPages int64
+	chunk     int64
+	ways      int
+	metaPages int64
+	padPages  int64 // SSD pages past the cache partition, never addressed
 }
 
-func newRig(seed uint64, o Options) *rig {
-	r := &rig{
-		o:          o,
-		rng:        sim.NewRNG(seed),
-		mut:        delta.NewMutator(seed^0xD00D, 0.25),
-		mdl:        model.New(),
-		pendingLBA: -1,
+var (
+	// The checker's engine stack is deliberately small: hundreds of
+	// per-site replays per seed must stay cheap while still exercising
+	// eviction, DEZ packing, cleaning and parity maintenance.
+	checkGeometry = geometry{disks: 4, diskPages: 256, chunk: 4, ways: 16, metaPages: 32}
+	// The checker's plane stack splits its cache into shard.Lanes private
+	// slices, so it is a little larger: every lane must still be able to
+	// evict and clean.
+	planeGeometry = geometry{disks: 5, diskPages: 512, chunk: 4, ways: 8, metaPages: 32}
+	// The chaos stack: a scrub pass stays cheap, and the default footprint
+	// overflows the cache into eviction, cleaning and the DEZ machinery.
+	chaosGeometry = geometry{disks: 5, diskPages: 1024, chunk: 8, ways: 32, metaPages: 64, padPages: 64}
+)
+
+// spec is everything a driver says about one run: the stack to build
+// and the seeded workload to drive at it.
+type spec struct {
+	geometry
+	level   raid.Level // zero = RAID-5
+	spares  int        // hot spares parked at build time
+	backend string     // "kdd" (parity RAID, delayed parity) or "lsraid"
+	cache   int64      // SSD cache data pages
+
+	// shards > 0 makes the subject a shard.Plane at that execution width;
+	// 0, a bare core.KDD. The plane runs its DETERMINISTIC scheduler: a
+	// crash-site replay must reproduce the profile run's SSD write
+	// ordinals and a chaos schedule its fingerprint, and only single-
+	// stepping makes the device-op trace a pure function of the op stream.
+	shards int
+	// coalesce lets the plane drop writes superseded within a batch. A
+	// sweep that crashes mid-batch keeps it off: a dropped-then-crashed
+	// write pair would need a three-valued old-or-new pin.
+	coalesce bool
+	tune     func(*core.Config) // adjust the bare engine's config before core.New
+
+	ops       int   // workload operations
+	batch     int   // ops per subject batch: 1 for a bare engine
+	footprint int64 // distinct LBAs touched
+	// pick draws the next LBA. The RNG draw order is each driver's
+	// contract with its own pinned outputs, so the draw stays data.
+	pick func(rng *sim.RNG, footprint int64) int64
+	step sim.Time // virtual time between batches
+}
+
+// subject is what the rig drives and power-cycles: a bare *core.KDD or a
+// *shard.Plane, behind the handful of operations the two spell
+// differently.
+type subject interface {
+	// run executes a batch in submission order, one result per op.
+	run(t sim.Time, ops []shard.Op) []shard.Result
+	// restore builds a fresh instance from this one's NVRAM (metadata-log
+	// counters and buffer, every staging buffer) the way a power-on does,
+	// threading tr through the recovered instance.
+	restore(tr *obs.Tracer) (subject, error)
+	// engines lists the cache engines inside: one, or the plane's lanes.
+	engines() []*core.KDD
+	// settle flushes every stale parity and buffered metadata entry.
+	settle(t sim.Time) error
+	Stats() *stats.CacheStats
+	close()
+}
+
+type engineSubject struct {
+	*core.KDD
+	cfg core.Config
+}
+
+func (e engineSubject) run(t sim.Time, ops []shard.Op) []shard.Result {
+	res := make([]shard.Result, len(ops))
+	for i, op := range ops {
+		res[i].Done, res[i].Err = e.Serve(t, op.LBA, op.Buf, op.Kind == shard.OpWrite, true)
 	}
-	// The rebuild scenario runs RAID-6 with one extra member: the armed
-	// member media faults may fire INSIDE the rebuild window (one member
-	// already missing), and the checker's zero-loss assertions only hold
-	// if the geometry tolerates that second hole.
-	r.nDisks = checkDisks
-	level := raid.Level5
-	if o.Rebuild {
-		r.nDisks = checkDisks + 1
-		level = raid.Level6
+	return res
+}
+
+func (e engineSubject) restore(tr *obs.Tracer) (subject, error) {
+	cfg := e.cfg
+	cfg.Tracer = tr
+	k, _, err := core.Restore(cfg, 0, e.Log().Counters(), e.Log().BufferedEntries(), e.Staging())
+	return engineSubject{k, e.cfg}, err
+}
+
+func (e engineSubject) engines() []*core.KDD { return []*core.KDD{e.KDD} }
+
+func (e engineSubject) settle(t sim.Time) error {
+	_, err := e.Flush(t)
+	return err
+}
+
+func (e engineSubject) close() {}
+
+type planeSubject struct {
+	*shard.Plane
+	cfg shard.Config
+}
+
+func (p planeSubject) run(t sim.Time, ops []shard.Op) []shard.Result { return p.RunBatch(t, ops) }
+
+func (p planeSubject) restore(tr *obs.Tracer) (subject, error) {
+	cfg := p.cfg
+	cfg.Tracer = tr
+	var stagings [shard.Lanes]*nvram.Staging
+	for i := range stagings {
+		stagings[i] = p.Lane(i).Staging()
+	}
+	np, _, err := shard.Restore(cfg, 0, p.Log().Counters(), p.Log().BufferedEntries(), stagings)
+	return planeSubject{np, p.cfg}, err
+}
+
+func (p planeSubject) engines() []*core.KDD {
+	out := make([]*core.KDD, shard.Lanes)
+	for i := range out {
+		out[i] = p.Lane(i)
+	}
+	return out
+}
+
+func (p planeSubject) settle(t sim.Time) error {
+	_, err := p.Quiesce(t)
+	return err
+}
+
+func (p planeSubject) close() { p.Close() }
+
+// rig is one run's stack — the real cache over a real array on one side,
+// the reference model on the other — plus the tallies both drivers read.
+type rig struct {
+	spec
+	rng *sim.RNG
+	mut *delta.Mutator
+	mdl *model.Model
+	now sim.Time
+
+	members []*blockdev.NullDevice // as built; a spare attach swaps the medium behind an injector, not this
+	arr     raidiface.Array
+	inj     *blockdev.FaultInjector   // SSD-side injector
+	injs    []*blockdev.FaultInjector // inj, then every member's (stable: a spare attach swaps the medium behind it)
+	dig     *obs.Digest               // trace digest sink: spans survive crashes bit for bit
+	tr      *obs.Tracer
+	sub     subject
+
+	// Driver data: hooks and the per-plan/per-site flags.
+	everyBatch func(i int) // before each batch; i is the index of its first op
+	// allowLost excuses LOUD data loss (ErrUnrecoverable reads, lost-row
+	// accounting) where losing pages is the spec: a whole-SSD fail-stop
+	// inside a rebuild window kills the only copy of the deltas that could
+	// repair stale parity, and a stale row plus the missing member exceeds
+	// even RAID-6's two-erasure budget. Silent corruption is never excused.
+	allowLost         bool
+	rearmCrash        bool // arm a fresh crash point after every recovery
+	skipDegradedProof bool
+
+	halt           bool
+	crashes        int
+	folds          int              // ops retried after folding deltas into stale parity
+	rebuildResumes int              // power cycles that re-opened a rebuild window from the NVRAM checkpoint
+	banked         stats.CacheStats // counters of the instances power cycles replaced
+	lastScrub      raid.ScrubReport
+	proofFailed    int // member the degraded proof failed; -1 until it runs
+	violations     []string
+}
+
+// newRig builds the stack a spec describes. Everything a flag or a
+// caller's Options can get wrong surfaces here as an error, once.
+func newRig(seed uint64, s spec) (*rig, error) {
+	r := &rig{
+		spec:        s,
+		rng:         sim.NewRNG(seed),
+		mut:         delta.NewMutator(seed^0xD00D, 0.25),
+		mdl:         model.New(),
+		proofFailed: -1,
 	}
 	var members []blockdev.Device
-	for i := 0; i < r.nDisks; i++ {
-		d := blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), checkDiskPages)
+	for i := 0; i < s.disks; i++ {
+		d := blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), s.diskPages)
 		r.members = append(r.members, d)
 		members = append(members, d)
 	}
-	var arr raidiface.Array
-	switch o.Backend {
-	case "", "kdd":
-		a, err := raid.New(raid.Config{Level: level, ChunkPages: checkChunk}, members)
-		if err != nil {
-			panic(err) // static geometry; cannot fail
-		}
-		arr = a
-	case "lsraid":
-		if o.Rebuild {
-			panic("check: the rebuild scenario requires the kdd backend (RAID-6 double-fault geometry)")
-		}
-		// 256 pages / 16 rows = 16 segments of 48 data pages; the logical
-		// bound (16-2-2)*48 = 576 comfortably covers the checker footprint.
-		a, err := lsraid.New(lsraid.Config{ChunkPages: checkChunk, SegRows: 16, Seed: seed}, members)
-		if err != nil {
-			panic(err) // static geometry; cannot fail
-		}
-		arr = a
+	level := s.level
+	if level == 0 {
+		level = raid.Level5
+	}
+	var err error
+	switch {
+	case s.backend == "kdd":
+		r.arr, err = raid.New(raid.Config{Level: level, ChunkPages: s.chunk}, members)
+	case s.backend != "lsraid":
+		err = fmt.Errorf("check: unknown backend %q (want kdd or lsraid)", s.backend)
+	case level != raid.Level5:
+		err = fmt.Errorf("check: the lsraid backend is single-parity: no %v scenario", level)
 	default:
-		panic(fmt.Sprintf("check: unknown backend %q", o.Backend))
+		// 16-row segments: 16 of them on the smallest geometry, whose
+		// logical bound (16-2-2)*48 = 576 pages covers its footprints.
+		r.arr, err = lsraid.New(lsraid.Config{ChunkPages: s.chunk, SegRows: 16, Seed: seed}, members)
 	}
-	r.arr = arr
-	if o.Rebuild {
-		if err := arr.AddSpare(blockdev.NewNullDataDevice("spare", checkDiskPages)); err != nil {
-			panic(err)
+	if err != nil {
+		return nil, err
+	}
+	if s.footprint < 8 || s.footprint > r.arr.Pages() {
+		return nil, fmt.Errorf("check: footprint %d outside [8, %d] (the hot eighth, the array's logical pages)",
+			s.footprint, r.arr.Pages())
+	}
+	for i := 0; i < s.spares; i++ {
+		if err := r.arr.AddSpare(blockdev.NewNullDataDevice(fmt.Sprintf("spare%d", i), s.diskPages)); err != nil {
+			panic(err) // spare geometry matches by construction
 		}
 	}
-	// Trace every run: crash sites that leak spans or drive counters
-	// negative are checker violations, exactly like torn writes.
-	r.tr = obs.NewTracer(obs.NewDigest())
-	arr.SetTracer(r.tr)
-	inner := blockdev.NewNullDataDevice("ssd", checkMetaPages+o.CachePages)
-	r.inj = blockdev.NewFaultInjector(inner, seed^0xFA17)
-	r.cfg = core.Config{
-		SSD:        r.inj,
-		Backend:    arr,
-		CachePages: o.CachePages,
-		Ways:       checkWays,
-		MetaStart:  0,
-		MetaPages:  checkMetaPages,
-		Codec:      delta.ZRLE{},
-		Tracer:     r.tr,
+	// Every run is traced: a crash that leaks a span open or drives a
+	// counter negative is a violation exactly like a torn write, and the
+	// chaos fingerprint folds the digest in.
+	r.dig = obs.NewDigest()
+	r.tr = obs.NewTracer(r.dig)
+	r.arr.SetTracer(r.tr)
+	r.inj = blockdev.NewFaultInjector(
+		blockdev.NewNullDataDevice("ssd", s.metaPages+s.cache+s.padPages), seed^0xFA17)
+	r.injs = []*blockdev.FaultInjector{r.inj}
+	for i := range r.members {
+		r.injs = append(r.injs, r.arr.Injector(i))
 	}
-	k, err := core.New(r.cfg)
+	if s.shards > 0 {
+		cfg := shard.Config{
+			SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
+			MetaPages: s.metaPages, Codec: func(int) delta.Codec { return delta.ZRLE{} },
+			Shards: s.shards, Coalesce: s.coalesce, Tracer: r.tr,
+		}
+		p, err := shard.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.sub = planeSubject{p, cfg}
+		return r, nil
+	}
+	cfg := core.Config{
+		SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
+		MetaPages: s.metaPages, Codec: delta.ZRLE{}, Tracer: r.tr,
+	}
+	if s.tune != nil {
+		s.tune(&cfg)
+	}
+	k, err := core.New(cfg)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	r.kdd = k
-	return r
+	r.sub = engineSubject{k, cfg}
+	return r, nil
 }
 
 func (r *rig) violf(format string, args ...any) {
 	r.violations = append(r.violations, fmt.Sprintf(format, args...))
 }
 
-// lostOK reports whether err is the loud lost-page refusal and the armed
-// site makes that loss legal (see allowLost).
+// kdd is the bare engine under test, for hooks of engine-subject plans.
+func (r *rig) kdd() *core.KDD { return r.sub.(engineSubject).KDD }
+
+// plane is the plane under test, for hooks of plane-subject plans.
+func (r *rig) plane() *shard.Plane { return r.sub.(planeSubject).Plane }
+
+// dataStart is the first SSD page of the cache data partition.
+func (r *rig) dataStart() int64 { return r.metaPages }
+
+// totals sums the cache counters over every instance the run has had:
+// power cycles bank the instance they replace, the live one is added on.
+func (r *rig) totals() *stats.CacheStats {
+	t := r.banked
+	t.Add(r.sub.Stats())
+	return &t
+}
+
+// lostOK reports whether err is the loud lost-page refusal and the
+// driver declared that loss legal (see allowLost).
 func (r *rig) lostOK(err error) bool {
 	return r.allowLost && errors.Is(err, raid.ErrUnrecoverable)
 }
 
 // anyCrashed reports whether any device's armed crash point has fired.
 // Crash points model whole-node power loss, so a member's crash is the
-// node's crash: the rig recovers exactly as it does for an SSD crash.
+// node's crash: recovery is the same as for an SSD crash.
 func (r *rig) anyCrashed() bool {
-	if r.inj.Crashed() {
-		return true
-	}
-	for i := 0; i < r.nDisks; i++ {
-		if r.arr.Injector(i).Crashed() {
+	for _, inj := range r.injs {
+		if inj.Crashed() {
 			return true
 		}
 	}
 	return false
 }
 
-// pickLBA draws from the footprint with a hot front eighth; the draw
-// count is fixed, keeping the op stream in lockstep with the profile run
-// regardless of which fault site is armed.
-func (r *rig) pickLBA() int64 {
-	hot := r.rng.Float64() < 0.5
-	n := r.rng.Uint64n(uint64(r.o.Footprint))
-	if hot {
-		return int64(n) / 8
-	}
-	return int64(n)
+// armNext arms the next torn-write crash point at a random distance.
+// The distance window shrinks with the op count so short runs still
+// crash at least once instead of running out of writes before the
+// trigger.
+func (r *rig) armNext() {
+	span := min(max(r.ops/4, 1), 120)
+	r.inj.ArmCrash(int64(10+r.rng.Intn(span)), r.rng.Intn(3), r.rng.Intn(blockdev.PageSize))
 }
 
-// runOps replays the seeded workload, recovering whenever the armed
-// crash site fires.
+// batches is the workload's length in whole batches.
+func (r *rig) batches() int { return max(r.ops/r.batch, 1) }
+
+// runOps drives the seeded workload: batches of 60 % writes, each write
+// the next version of its page — a mutation of the newest planned
+// content (an earlier write of the same batch, else the model's), or a
+// fresh random page for a first touch. pick, Mutate and FillRandom
+// consume fixed draw counts, so the op stream replays in lockstep with a
+// profile run whichever fault is armed, even after an old-or-new pin
+// diverges a page's bytes. A fired crash point is recovered at the
+// batch boundary.
 func (r *rig) runOps() {
-	for i := 0; i < r.o.Ops && !r.halt; i++ {
-		if r.o.Rebuild && i == r.o.Ops/3 {
-			// Kill a member with a hot spare parked: the pump attaches it
-			// at the end of the next operation and rebuilds online under
-			// the remaining workload (and under whatever site is armed).
-			r.arr.FailDisk(rebuildVictim)
+	for b := 0; b < r.batches() && !r.halt; b++ {
+		if r.everyBatch != nil {
+			r.everyBatch(b * r.batch)
 		}
-		lba := r.pickLBA()
-		if r.rng.Float64() < 0.6 {
-			r.doWrite(lba)
-		} else {
-			r.doRead(lba)
+		r.now += r.step
+		ops := make([]shard.Op, r.batch)
+		planned := make(map[int64][]byte)
+		for i := range ops {
+			lba := r.pick(r.rng, r.footprint)
+			page := make([]byte, blockdev.PageSize)
+			ops[i] = shard.Op{Kind: shard.OpRead, LBA: lba, Buf: page}
+			if r.rng.Float64() >= 0.6 {
+				continue
+			}
+			base, ok := planned[lba]
+			if !ok {
+				base, _ = r.mdl.Value(lba)
+			}
+			if base != nil {
+				copy(page, base)
+				r.mut.Mutate(page)
+			} else {
+				r.mut.FillRandom(page)
+			}
+			planned[lba] = page
+			ops[i].Kind = shard.OpWrite
 		}
+		r.exec(ops)
 		if r.anyCrashed() {
-			r.restore()
+			r.crashes++
+			r.powerCycle()
 		}
 	}
 }
 
-// foldRetry reports whether err is the loud stale-parity refusal, folding
-// the pending deltas so the caller can retry.
-func (r *rig) foldRetry(err error) bool {
-	if !errors.Is(err, raid.ErrStaleParity) {
-		return false
-	}
-	if _, cerr := r.kdd.Clean(0, true); cerr != nil {
-		r.violf("fold after stale-parity refusal: %v", cerr)
-		return false
+// fold folds every pending delta into its stale parity. An operation the
+// array refused with ErrStaleParity — parity deliberately left stale by
+// WriteNoParity cannot reconstruct — can be retried afterwards.
+func (r *rig) fold() bool {
+	for _, k := range r.sub.engines() {
+		if _, err := k.Clean(r.now, true); err != nil {
+			r.violf("delta fold: %v", err)
+			return false
+		}
 	}
 	return true
 }
 
-// doWrite writes the next version of lba: a mutation of the model's
-// current content, or a fresh random page for first touches. Mutate and
-// FillRandom consume fixed draw counts, so content generation stays
-// deterministic across sites even after an old-or-new pin diverges the
-// page's bytes from the profile run.
-func (r *rig) doWrite(lba int64) {
-	if _, ok := r.mdl.Value(lba); !ok {
-		// An unresolved in-flight write should have been pinned by the
-		// post-recovery read; reaching here is a checker bug.
-		r.violf("write %d while the model is unresolved", lba)
-		return
-	}
-	page := make([]byte, blockdev.PageSize)
-	if v, _ := r.mdl.Value(lba); v != nil {
-		copy(page, v)
-		r.mut.Mutate(page)
-	} else {
-		r.mut.FillRandom(page)
-	}
-	_, err := r.kdd.Write(0, lba, page)
-	if err != nil && r.foldRetry(err) {
-		_, err = r.kdd.Write(0, lba, page)
-	}
-	if err == nil {
-		r.mdl.Write(lba, page)
-		return
-	}
-	if r.anyCrashed() {
-		// The crash hit mid-write: the page may legally resolve to either
-		// version, pinned at the first post-recovery read.
-		r.mdl.CrashWrite(lba, page)
-		r.pendingLBA = lba
-		return
-	}
-	if r.lostOK(err) {
-		return // the page was declared lost; the model keeps its old value
-	}
-	r.violf("write %d failed: %v", lba, err)
-}
-
-// doRead reads lba through the cache and cross-checks the model (pinning
-// any in-flight write to the observed version).
-func (r *rig) doRead(lba int64) {
-	buf := make([]byte, blockdev.PageSize)
-	_, err := r.kdd.Read(0, lba, buf)
-	if err != nil && r.foldRetry(err) {
-		_, err = r.kdd.Read(0, lba, buf)
-	}
-	if err != nil {
-		if r.anyCrashed() {
-			return // the crash interrupted the read; recovery handles it
+// exec runs one batch on the subject and reconciles every result with
+// the model in op order: an acked write must survive, a read must match,
+// and a write the power failed under may resolve old-or-new, pinned by
+// its first post-recovery read.
+func (r *rig) exec(ops []shard.Op) {
+	res := r.sub.run(r.now, ops)
+	for i, op := range ops {
+		if errors.Is(res[i].Err, raid.ErrStaleParity) && r.fold() {
+			r.folds++
+			res[i] = r.sub.run(r.now, ops[i:i+1])[0]
 		}
-		if r.lostOK(err) {
-			return
+		write, err := op.Kind == shard.OpWrite, res[i].Err
+		switch {
+		case res[i].Coalesced, errors.Is(err, shard.ErrStopped):
+			// Superseded within the batch, or refused after the plane
+			// fail-stopped: the op never ran and never reached NVRAM.
+		case err == nil && write:
+			r.mdl.Write(op.LBA, op.Buf)
+		case err == nil:
+			if err := r.mdl.Check(op.LBA, op.Buf); err != nil {
+				r.violf("read %d: %v", op.LBA, err)
+			}
+		case r.anyCrashed():
+			if write {
+				r.mdl.CrashWrite(op.LBA, op.Buf)
+			}
+		case r.lostOK(err):
+			// The page was declared lost; the model keeps its old value.
+		case write:
+			r.violf("write %d failed: %v", op.LBA, err)
+		default:
+			r.violf("read %d failed: %v", op.LBA, err)
 		}
-		r.violf("read %d failed: %v", lba, err)
-		return
-	}
-	if err := r.mdl.Check(lba, buf); err != nil {
-		r.violf("read %d: %v", lba, err)
 	}
 }
 
-// restore recovers from the fired crash point: snapshot the NVRAM state,
-// restore TWICE from the identical snapshot and compare state digests
-// (metadata-log replay must be idempotent), then pin the interrupted
-// write via its first post-recovery read.
-func (r *rig) restore() {
-	r.crashes++
-	ctr := r.kdd.Log().Counters()
-	buffered := r.kdd.Log().BufferedEntries()
-	staging := r.kdd.Staging()
-	r.inj.ClearCrash()
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).ClearCrash()
+// read reads one page through the subject and cross-checks the model
+// (pinning an in-flight write to the version observed).
+func (r *rig) read(lba int64) {
+	r.exec([]shard.Op{{Kind: shard.OpRead, LBA: lba, Buf: make([]byte, blockdev.PageSize)}})
+}
+
+// powerCycle recovers from a power loss (§III-E1). Everything volatile
+// is forgotten — the array's rebuild watermark and, log-structured, its
+// L2P map — and the subject is restored from its own NVRAM twice: the
+// instance that carries on, and an untraced shadow whose only job is to
+// prove replay idempotent, engine digest by engine digest. The recovered
+// state must be invariant-clean with no span leaked open across the
+// crash, and every write the power failed under is pinned old-or-new.
+func (r *rig) powerCycle() {
+	r.banked.Add(r.sub.Stats())
+	for _, inj := range r.injs {
+		inj.ClearCrash()
 	}
-	// The rebuild watermark is volatile array state: a power failure
-	// wipes it, and Restore must resume from the NVRAM checkpoint alone.
+	// Without the resume from the NVRAM checkpoint the un-rebuilt region
+	// of a rebuild target would silently be served as valid zeros.
 	r.arr.CrashRebuildState()
-	// The log-structured backend rebuilds its whole L2P map from the
-	// NVRAM segment summaries on that same call: replay must be
-	// idempotent and land in an invariant-clean state.
-	if la, ok := r.arr.(*lsraid.Array); ok {
-		d1 := la.StateDigest()
-		la.CrashRebuildState()
-		if d2 := la.StateDigest(); d1 != d2 {
-			r.violf("lsraid replay not idempotent: %016x vs %016x", d1, d2)
-		}
-		if err := la.CheckInvariants(); err != nil {
-			r.violf("lsraid post-replay invariants: %v", err)
+	if a, ok := r.arr.(interface{ StateDigest() uint64 }); ok {
+		d1 := a.StateDigest()
+		r.arr.CrashRebuildState()
+		if d2 := a.StateDigest(); d1 != d2 {
+			r.violf("array replay not idempotent: %016x vs %016x", d1, d2)
 		}
 	}
-	k1, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
+	next, err := r.sub.restore(r.tr)
 	if err != nil {
 		r.violf("restore after crash: %v", err)
 		r.halt = true
 		return
 	}
-	k2, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
+	shadow, err := r.sub.restore(nil)
 	if err != nil {
 		r.violf("second restore from the same NVRAM snapshot: %v", err)
+		next.close()
 		r.halt = true
 		return
 	}
-	if d1, d2 := k1.StateDigest(), k2.StateDigest(); d1 != d2 {
-		r.violf("recovery not idempotent: state digest %016x vs %016x", d1, d2)
+	for i, k := range next.engines() {
+		if d1, d2 := k.StateDigest(), shadow.engines()[i].StateDigest(); d1 != d2 {
+			r.violf("recovery not idempotent: engine %d state digest %016x vs %016x", i, d1, d2)
+		}
 	}
-	r.kdd = k2
-	if err := r.kdd.CheckInvariants(); err != nil {
-		r.violf("post-restore invariants: %v", err)
+	shadow.close()
+	r.sub.close()
+	r.sub = next
+	if r.arr.RebuildActive() {
+		r.rebuildResumes++
 	}
+	r.checkInvariants("post-restore")
 	r.checkObs("post-restore")
-	if lba := r.pendingLBA; lba >= 0 {
-		r.pendingLBA = -1
-		r.doRead(lba) // pins old-or-new in the model, or flags torn content
+	for _, lba := range r.mdl.Unresolved() {
+		r.read(lba) // pins old-or-new in the model, or flags torn content
+	}
+	if r.rearmCrash {
+		r.armNext()
 	}
 }
 
-// verify is the post-workload integrity chain: invariants, model-checked
-// cache reads over the whole footprint, flush, stale-row accounting, a
-// patrol scrub, direct array reads against the model, a per-page checksum
-// sweep of every store, and a degraded re-read proving parity actually
-// reconstructs the data.
+func (r *rig) checkInvariants(when string) {
+	for i, k := range r.sub.engines() {
+		if err := k.CheckInvariants(); err != nil {
+			r.violf("%s invariants: engine %d: %v", when, i, err)
+		}
+	}
+	if a, ok := r.arr.(interface{ CheckInvariants() error }); ok {
+		if err := a.CheckInvariants(); err != nil {
+			r.violf("%s array invariants: %v", when, err)
+		}
+	}
+}
+
+// checkObs asserts the observability layer survived whatever just
+// happened: no span leaked open, no structural error recorded by the
+// tracer, and a metrics snapshot of every engine validates (no negative
+// counters, no NaN gauges).
+func (r *rig) checkObs(when string) {
+	if n := r.tr.OpenSpans(); n != 0 {
+		r.violf("%s: %d spans leaked open", when, n)
+	}
+	if err := r.tr.Err(); err != nil {
+		r.violf("%s: trace integrity: %v", when, err)
+	}
+	for i, k := range r.sub.engines() {
+		reg := obs.NewRegistry()
+		k.PublishMetrics(reg)
+		obs.PublishCacheStats(reg, k.Stats())
+		r.arr.PublishMetrics(reg)
+		if err := reg.Validate(); err != nil {
+			r.violf("%s: engine %d metrics registry: %v", when, i, err)
+		}
+	}
+}
+
+// verify is the post-workload integrity chain. Faults are disarmed
+// first: it measures what they left behind, not new ones. The step order
+// is pinned by the chaos fingerprints (every traced step is in the trace
+// digest); steps that only make sense in some states are conditioned on
+// that state, never on which driver is asking.
 func (r *rig) verify() {
-	if err := r.kdd.CheckInvariants(); err != nil {
-		r.violf("invariants: %v", err)
+	for _, inj := range r.injs {
+		inj.ClearCrash()
+		inj.SetProfile(blockdev.FaultProfile{})
 	}
-	if la, ok := r.arr.(*lsraid.Array); ok {
-		if err := la.CheckInvariants(); err != nil {
-			r.violf("lsraid invariants: %v", err)
-		}
+	// 1. Invariants, then a model-checked read of the whole footprint
+	//    through the cache.
+	r.checkInvariants("pre-flush")
+	for lba := int64(0); lba < r.footprint; lba++ {
+		r.read(lba)
 	}
-	// Drive any in-flight rebuild to completion: the checks below (flush,
-	// scrub, content sweep, degraded proof) all assume full redundancy.
-	for r.arr.RebuildActive() {
-		_, _, complete, err := r.arr.RebuildStep(0, 64)
-		if err != nil {
-			r.violf("rebuild step during verify: %v", err)
-			break
-		}
-		if complete {
-			break
-		}
-	}
-	if r.o.Rebuild && !r.allowLost {
-		if lost := r.arr.LostRows(); len(lost) > 0 {
-			r.violf("rebuild window lost rows %v despite double-fault tolerance", lost)
-		}
-	}
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
-		r.doRead(lba)
-	}
-	if _, err := r.kdd.Flush(0); err != nil {
+	// 2. Settle: every stale parity folded, every metadata entry durable.
+	if err := r.sub.settle(r.now); err != nil {
 		r.violf("flush: %v", err)
 		return
 	}
 	if n := r.arr.StaleRows(); n != 0 {
 		r.violf("%d stale rows after flush", n)
 	}
-	if err := r.kdd.CheckInvariants(); err != nil {
-		r.violf("post-flush invariants: %v", err)
+	r.checkInvariants("post-flush")
+	// 3. Full redundancy: drive any open rebuild window to completion and
+	//    attach the spares still parked. The workload's own pump did the
+	//    paced part; this is the backstop for windows open at the end.
+	//    Deltas are folded before each attach (§III-E: parity_update
+	//    precedes rebuild). Degraded with no spare left is a legal end.
+	for guard := 0; !r.arr.Healthy(); guard++ {
+		if guard > len(r.members)+2 {
+			r.violf("verify: array did not settle to full redundancy")
+			break
+		}
+		if r.arr.RebuildActive() {
+			if _, _, _, err := r.arr.RebuildStep(r.now, int(r.diskPages)); err != nil {
+				r.violf("verify: rebuild step: %v", err)
+				break
+			}
+			continue
+		}
+		if r.arr.SpareCount() == 0 || !r.fold() {
+			break
+		}
+		_, started, err := r.arr.StartSpareRebuild(r.now)
+		if err != nil {
+			r.violf("verify: spare attach: %v", err)
+		}
+		if err != nil || !started {
+			break
+		}
 	}
-	_, rep, err := r.arr.Scrub(0)
+	if lost := r.arr.LostRows(); len(lost) > 0 && !r.allowLost {
+		r.violf("rows %v lost", lost)
+	}
+	// 4. Patrol scrub, then the array read directly against the model.
+	_, rep, err := r.arr.Scrub(r.now)
 	if err != nil {
 		r.violf("scrub: %v", err)
 		return
 	}
+	r.lastScrub = rep
 	if len(rep.Unrecoverable) > 0 && !r.allowLost {
 		r.violf("scrub reported unrecoverable rows %v", rep.Unrecoverable)
 	}
+	r.sweepArray("array")
+	// 5. Corruption a fault left behind must never sit undetected on a
+	//    medium: every page checksum of every store verifies — also after
+	//    a plan flipped stored bytes, because by now every resident cache
+	//    page has been read (and healed) and every member row scrubbed.
+	//    Through the injectors, not r.members: it is the medium actually
+	//    serving reads that must checksum.
+	for i, inj := range r.injs {
+		st := inj.Store()
+		for p := int64(0); p < st.Pages(); p++ {
+			if !st.VerifyPage(p) {
+				r.violf("checksum mismatch at page %d of store %d (0 = ssd, then members)", p, i)
+			}
+		}
+	}
+	// 6. Degraded proof: drop one member and re-read the footprint through
+	//    reconstruction; wrong parity anywhere shows up as a mismatch.
+	if r.skipDegradedProof || !r.arr.Healthy() {
+		return
+	}
+	r.proofFailed = r.rng.Intn(len(r.members))
+	r.arr.FailDisk(r.proofFailed)
+	r.sweepArray("degraded")
+}
+
+// sweepArray reads the footprint from the array, below the cache, and
+// compares it with the model.
+func (r *rig) sweepArray(what string) {
 	zero := make([]byte, blockdev.PageSize)
 	buf := make([]byte, blockdev.PageSize)
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
+	for lba := int64(0); lba < r.footprint; lba++ {
 		want, ok := r.mdl.Value(lba)
 		if !ok {
 			r.violf("page %d still unresolved at verify", lba)
@@ -390,136 +629,29 @@ func (r *rig) verify() {
 		if want == nil {
 			want = zero
 		}
-		if _, err := r.arr.ReadPages(0, lba, 1, buf); err != nil {
-			if r.lostOK(err) {
-				continue
+		if _, err := r.arr.ReadPages(r.now, lba, 1, buf); err != nil {
+			if !r.lostOK(err) {
+				r.violf("%s read %d: %v", what, lba, err)
 			}
-			r.violf("array read %d: %v", lba, err)
-			continue
-		}
-		if !bytesEqual(buf, want) {
-			r.violf("array content mismatch at %d", lba)
-		}
-	}
-	r.sweepChecksums()
-	if !r.arr.Healthy() {
-		return
-	}
-	// Degraded proof: drop one member and re-read the footprint through
-	// reconstruction; wrong parity anywhere shows up as a mismatch.
-	r.arr.FailDisk(r.rng.Intn(r.nDisks))
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
-		want, _ := r.mdl.Value(lba)
-		if want == nil {
-			want = zero
-		}
-		if _, err := r.arr.ReadPages(0, lba, 1, buf); err != nil {
-			if r.lostOK(err) {
-				continue
-			}
-			r.violf("degraded read %d: %v", lba, err)
-			continue
-		}
-		if !bytesEqual(buf, want) {
-			r.violf("degraded reconstruction mismatch at %d", lba)
+		} else if !bytes.Equal(buf, want) {
+			r.violf("%s content mismatch at %d", what, lba)
 		}
 	}
 }
 
-// verifyBypassRestore proves recovery is safe and idempotent while the
-// cache device is dead. Entering pass-through re-initialised the metadata
-// log to empty (NVRAM counters only — no device I/O), so Restore from the
-// NVRAM snapshot must come up as a fresh empty cache without touching the
-// failed SSD, twice, with identical state digests, and a read through the
-// restored instance must still be served from the RAID.
-func (r *rig) verifyBypassRestore() {
-	if r.kdd.Health() != core.HealthBypass {
-		return
-	}
-	ctr := r.kdd.Log().Counters()
-	buffered := r.kdd.Log().BufferedEntries()
-	staging := r.kdd.Staging()
-	k1, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("restore with dead ssd: %v", err)
-		return
-	}
-	k2, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("second restore with dead ssd: %v", err)
-		return
-	}
-	if d1, d2 := k1.StateDigest(), k2.StateDigest(); d1 != d2 {
-		r.violf("dead-ssd recovery not idempotent: state digest %016x vs %016x", d1, d2)
-	}
-	buf := make([]byte, blockdev.PageSize)
-	if _, err := k2.Read(0, 0, buf); err != nil {
-		if !r.lostOK(err) {
-			r.violf("read through dead-ssd-restored instance: %v", err)
-		}
-	} else if err := r.mdl.Check(0, buf); err != nil {
-		r.violf("dead-ssd-restored read 0: %v", err)
-	}
-	prev := r.kdd
-	r.kdd = k2
-	r.checkObs("dead-ssd restore")
-	r.kdd = prev
-}
-
-// checkObs asserts the observability layer survived whatever just
-// happened: no span may be leaked open, the tracer recorded no structural
-// error, and a metrics snapshot of the current instance must validate
-// (no negative counters, no NaN gauges).
-func (r *rig) checkObs(when string) {
-	if n := r.tr.OpenSpans(); n != 0 {
-		r.violf("%s: %d spans leaked open", when, n)
-	}
-	if err := r.tr.Err(); err != nil {
-		r.violf("%s: trace integrity: %v", when, err)
-	}
-	reg := obs.NewRegistry()
-	r.kdd.PublishMetrics(reg)
-	obs.PublishCacheStats(reg, r.kdd.Stats())
-	r.arr.PublishMetrics(reg)
-	if err := reg.Validate(); err != nil {
-		r.violf("%s: metrics registry: %v", when, err)
-	}
-}
-
-// sweepChecksums verifies every page checksum on every store: corruption
-// a fault left behind must never sit undetected on a medium.
-func (r *rig) sweepChecksums() {
-	if st := r.inj.Store(); st != nil {
-		for p := int64(0); p < checkMetaPages+r.o.CachePages; p++ {
-			if !st.VerifyPage(p) {
-				r.violf("ssd checksum mismatch at page %d", p)
-			}
+// bypassProof proves recovery safe while the cache device is dead.
+// Entering pass-through re-initialised the metadata log to empty (NVRAM
+// counters only, no device I/O), so a power cycle must come up as a
+// fresh empty cache without touching the failed SSD — twice, with equal
+// digests — and a read through it must still be served from the RAID.
+func (r *rig) bypassProof() {
+	for _, k := range r.sub.engines() {
+		if k.Health() != core.HealthBypass {
+			return
 		}
 	}
-	// Sweep through the injectors, not r.members: a spare attach swaps the
-	// medium behind member rebuildVictim's injector, and it is the medium
-	// actually serving reads that must checksum.
-	for i := 0; i < r.nDisks; i++ {
-		st := r.arr.Injector(i).Store()
-		if st == nil {
-			continue
-		}
-		for p := int64(0); p < checkDiskPages; p++ {
-			if !st.VerifyPage(p) {
-				r.violf("disk %d checksum mismatch at page %d", i, p)
-			}
-		}
+	r.powerCycle()
+	if !r.halt {
+		r.read(0)
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

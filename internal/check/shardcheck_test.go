@@ -5,13 +5,23 @@ import (
 	"testing"
 )
 
+// sweepOK runs one sweep whose options are known good.
+func sweepOK(t *testing.T, run func(Options) (*Report, error), o Options) *Report {
+	t.Helper()
+	rep, err := run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestShardCheckerClean sweeps every crash point of the sharded plane's
 // batched workload across two seeds (execution widths 1 and 2) and
 // expects zero violations: every acked write survives a crash landing
 // with multiple lanes' metadata batches in flight, and every recovery
 // demultiplexes the shared log identically twice.
 func TestShardCheckerClean(t *testing.T) {
-	rep := RunShard(Options{Seeds: 2, Ops: 120, Footprint: 48})
+	rep := sweepOK(t, RunShard, Options{Seeds: 2, Ops: 120, Footprint: 48})
 	if v := rep.Violations(); len(v) > 0 {
 		max := len(v)
 		if max > 10 {
@@ -39,9 +49,9 @@ func TestShardCheckerClean(t *testing.T) {
 // fan-out width.
 func TestShardCheckerDeterministic(t *testing.T) {
 	o := Options{Seeds: 1, Ops: 96, Footprint: 32, Parallel: 1}
-	a := RunShard(o)
+	a := sweepOK(t, RunShard, o)
 	o.Parallel = 4
-	b := RunShard(o)
+	b := sweepOK(t, RunShard, o)
 	if a.Table() != b.Table() {
 		t.Fatalf("shard reports diverge across fan-out widths:\n--- serial\n%s--- parallel\n%s",
 			a.Table(), b.Table())

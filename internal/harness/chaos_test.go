@@ -1,52 +1,26 @@
-package harness
+package harness_test
 
 import (
 	"strings"
 	"testing"
+
+	"kddcache/internal/check"
 )
 
-// TestChaos runs the full default chaos suite: at least 20 distinct
-// seeded fault schedules, each executed twice (determinism), with zero
-// invariant violations and zero undetected corruption.
-func TestChaos(t *testing.T) {
-	rep := Chaos(ChaosOpts{})
-	if len(rep.Results) < 20 {
-		t.Fatalf("want >= 20 schedules, got %d", len(rep.Results))
-	}
-	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("%d violations:\n%s", len(v), strings.Join(v, "\n"))
-	}
+// The chaos plans run on internal/check's fault rig, fanned out on this
+// package's FanOut (check imports harness, hence the external test
+// package). The full-table golden and the plan-table tests live beside
+// the rig; what stays here are the subset runs `make chaos-ssd`,
+// `make chaos-rebuild`, `make qos-test` and `make race` name, which put
+// the runner and the rig under the race detector together.
 
-	kinds := make(map[string]bool)
-	var crashes, unrec int
-	var detected, repaired int64
-	for _, res := range rep.Results {
-		kinds[res.Kind] = true
-		crashes += res.Crashes
-		detected += res.Detected
-		repaired += res.Repaired
-		unrec += res.Unrecoverable
-		if res.Unrecoverable > 0 && res.Kind != "unrecoverable" {
-			t.Errorf("schedule %d (%s): unexpected unrecoverable rows", res.Schedule, res.Kind)
-		}
+func chaos(t *testing.T, o check.ChaosOpts) *check.ChaosReport {
+	t.Helper()
+	rep, err := check.Chaos(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, plan := range chaosPlans {
-		if !kinds[plan.kind] {
-			t.Errorf("plan %q never ran", plan.kind)
-		}
-	}
-	if crashes == 0 {
-		t.Error("no crash was injected across all schedules")
-	}
-	if detected == 0 {
-		t.Error("no media error was detected across all schedules")
-	}
-	if repaired == 0 {
-		t.Error("nothing was repaired across all schedules")
-	}
-	if unrec == 0 {
-		t.Error("the unrecoverable plan reported no unrecoverable rows")
-	}
+	return rep
 }
 
 // TestChaosSSD runs only the whole-SSD-failure plans: fail-stop kill,
@@ -56,7 +30,7 @@ func TestChaos(t *testing.T) {
 // RAID members stay healthy.
 func TestChaosSSD(t *testing.T) {
 	const kinds = "ssd-kill,ssd-kill-clean,ssd-breaker,ssd-reattach"
-	rep := Chaos(ChaosOpts{Kind: kinds, Schedules: 8})
+	rep := chaos(t, check.ChaosOpts{Kind: kinds, Schedules: 8})
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("%d violations:\n%s", len(v), strings.Join(v, "\n"))
 	}
@@ -88,7 +62,7 @@ func TestChaosSSD(t *testing.T) {
 // bar is full redundancy, zero lost rows, and deterministic fingerprints.
 func TestChaosRebuild(t *testing.T) {
 	const kinds = "disk-kill,rebuild-crash,double-kill"
-	rep := Chaos(ChaosOpts{Kind: kinds, Schedules: 9})
+	rep := chaos(t, check.ChaosOpts{Kind: kinds, Schedules: 9})
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("%d violations:\n%s", len(v), strings.Join(v, "\n"))
 	}
@@ -123,7 +97,7 @@ func TestChaosRebuild(t *testing.T) {
 // seven lanes keep serving from cache. `make qos-test` runs this under
 // the race detector alongside the noisy-neighbor isolation proof.
 func TestChaosLaneKill(t *testing.T) {
-	rep := Chaos(ChaosOpts{Kind: "ssd-lane-kill", Schedules: 6})
+	rep := chaos(t, check.ChaosOpts{Kind: "ssd-lane-kill", Schedules: 6})
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("%d violations:\n%s", len(v), strings.Join(v, "\n"))
 	}
@@ -142,21 +116,20 @@ func TestChaosLaneKill(t *testing.T) {
 	}
 }
 
-// TestChaosSeedSensitivity checks that different master seeds change the
-// schedule fingerprints (the fault streams really are seed-driven).
-func TestChaosSeedSensitivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two extra chaos runs")
-	}
-	a := Chaos(ChaosOpts{Schedules: len(chaosPlans), Seed: 1})
-	b := Chaos(ChaosOpts{Schedules: len(chaosPlans), Seed: 2})
-	same := 0
-	for i := range a.Results {
-		if a.Results[i].Fingerprint == b.Results[i].Fingerprint {
-			same++
+// TestChaosDeterministicAcrossParallelism runs a small chaos batch
+// serially and in parallel; the rendered table (fingerprints included)
+// must match byte for byte.
+func TestChaosDeterministicAcrossParallelism(t *testing.T) {
+	tables := make(map[int]string)
+	for _, par := range []int{1, 4} {
+		rep := chaos(t, check.ChaosOpts{Schedules: 4, Ops: 160, Parallel: par})
+		if v := rep.Violations(); len(v) != 0 {
+			t.Fatalf("chaos violations at width %d: %v", par, v)
 		}
+		tables[par] = rep.Table()
 	}
-	if same == len(a.Results) {
-		t.Error("fingerprints identical across different master seeds")
+	if tables[1] != tables[4] {
+		t.Fatalf("chaos table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			tables[1], tables[4])
 	}
 }

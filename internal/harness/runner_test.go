@@ -152,23 +152,6 @@ func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicAcrossParallelism runs a small chaos batch
-// serially and in parallel; the rendered table (fingerprints included)
-// must match byte for byte.
-func TestChaosDeterministicAcrossParallelism(t *testing.T) {
-	opts := ChaosOpts{Schedules: 4, Ops: 160, Parallel: 1}
-	serial := Chaos(opts).Table()
-	opts.Parallel = 4
-	parallel := Chaos(opts).Table()
-	if serial != parallel {
-		t.Fatalf("chaos table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-	if v := Chaos(opts).Violations(); len(v) != 0 {
-		t.Fatalf("chaos violations: %v", v)
-	}
-}
-
 // TestParallelismKnob pins the SetParallelism/Parallelism contract.
 func TestParallelismKnob(t *testing.T) {
 	defer SetParallelism(0)

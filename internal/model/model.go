@@ -31,6 +31,7 @@ type pending struct {
 type Model struct {
 	pages    map[int64][]byte
 	inflight map[int64]*pending
+	order    []int64 // keys of pages in first-write order
 }
 
 // New returns an empty model (every page zeros).
@@ -52,11 +53,19 @@ func isZero(b []byte) bool {
 	return true
 }
 
+// set stores lba's resolved content, remembering first-write order.
+func (m *Model) set(lba int64, data []byte) {
+	if _, ok := m.pages[lba]; !ok {
+		m.order = append(m.order, lba)
+	}
+	m.pages[lba] = data
+}
+
 // Write records an acked write: data must survive any future crash.
 func (m *Model) Write(lba int64, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	m.pages[lba] = cp
+	m.set(lba, cp)
 	delete(m.inflight, lba)
 }
 
@@ -78,9 +87,9 @@ func (m *Model) Check(lba int64, got []byte) error {
 	if p, ok := m.inflight[lba]; ok {
 		switch {
 		case bytes.Equal(got, p.new):
-			m.pages[lba] = p.new
+			m.set(lba, p.new)
 		case bytes.Equal(got, p.old):
-			m.pages[lba] = p.old
+			m.set(lba, p.old)
 		default:
 			return fmt.Errorf("model: page %d matches neither old nor new version of the in-flight write (torn)", lba)
 		}
@@ -105,6 +114,11 @@ func (m *Model) Value(lba int64) ([]byte, bool) {
 	}
 	return m.pages[lba], true
 }
+
+// Written lists the pages holding resolved content in the order each was
+// first written or pinned — unlike map order, a deterministic sequence a
+// seeded driver can index (the chaos plans aim corruption at live pages).
+func (m *Model) Written() []int64 { return m.order }
 
 // Unresolved lists pages with unpinned in-flight writes, sorted.
 func (m *Model) Unresolved() []int64 {

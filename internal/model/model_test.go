@@ -82,3 +82,22 @@ func TestFootprintIncludesInflight(t *testing.T) {
 		t.Fatalf("footprint = %v, want [3 8]", fp)
 	}
 }
+
+func TestWrittenIsFirstWriteOrder(t *testing.T) {
+	m := New()
+	m.Write(9, page(1))
+	m.Write(3, page(1))
+	m.Write(9, page(2)) // an overwrite keeps its first position
+	m.CrashWrite(5, page(4))
+	if got := m.Written(); len(got) != 2 || got[0] != 9 || got[1] != 3 {
+		t.Fatalf("written = %v, want [9 3] (the in-flight page is not resolved yet)", got)
+	}
+	// A pin enters the order when it resolves, old (zeros) or new.
+	if err := m.Check(5, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	m.Write(3, page(7))
+	if got := m.Written(); len(got) != 3 || got[0] != 9 || got[1] != 3 || got[2] != 5 {
+		t.Fatalf("written = %v, want [9 3 5]", got)
+	}
+}
