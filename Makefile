@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke obs-test shard-test qos-test lsraid-test ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke obs-test shard-test qos-test lsraid-test loc ci clean
 
 all: ci
 
@@ -144,11 +144,19 @@ bench-smoke:
 	bash bench/run.sh -quick
 	bash bench/run.sh -quick -trace 1
 
+# Size of the code that ships: non-test Go lines outside bench/, in total
+# and per internal/ package (what a simplicity PR quotes before and after).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l | awk '{ print "total " $$1 }'
+	@for d in internal/*/; do \
+		echo "$$(git ls-files "$$d*.go" | grep -v _test.go | xargs cat | wc -l) $$d"; \
+	done | sort -rn
+
 # `cover` is the one full-suite run (the same `go test ./...` as `test`,
 # with a profile; it fails on any test failure), so `test` is not listed.
 ci: vet build race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate bench-smoke
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_harness.json coverage.out
+	rm -f coverage.out
 	rm -rf .bench_build

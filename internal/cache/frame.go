@@ -398,10 +398,6 @@ func (f *Frame) Insert(lba int64, i int32, s State) {
 	f.setState(i, s)
 }
 
-// Rebind repoints the lookup entry for lba to slot i without touching
-// slot states (LeavO's new-version promotion).
-func (f *Frame) Rebind(lba int64, i int32) { f.bind(lba, i) }
-
 // Transition changes the state of slot i (e.g. Clean -> Old on a write
 // hit), keeping the lookup intact.
 func (f *Frame) Transition(i int32, s State) { f.setState(i, s) }

@@ -14,12 +14,12 @@ import (
 // against a plain map: admission with eviction (Insert, Release with drop),
 // LeavO's version write (Insert of the same LBA into a second slot, which
 // rebinds the lookup to the New copy) and its clean (Release without drop,
-// Transition), Rebind back to the old copy, state changes and releases of
-// arbitrary slots. The frame is small and the LBAs — dense low pages plus
-// 40-bit ones — outnumber its slots, so probe runs form, wrap around the
-// table end and are cut by deletions all the time. After every step
-// Lookup agrees with the map on every LBA of the universe, bound or not,
-// and CheckInvariants finds every cell where probing expects it.
+// Transition), state changes and releases of arbitrary slots. The frame
+// is small and the LBAs — dense low pages plus 40-bit ones — outnumber its
+// slots, so probe runs form, wrap around the table end and are cut by
+// deletions all the time. After every step Lookup agrees with the map on
+// every LBA of the universe, bound or not, and CheckInvariants finds every
+// cell where probing expects it.
 func TestFrameLookupMatchesMap(t *testing.T) {
 	const pages, ways, stripe = 64, 8, 4
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -74,11 +74,6 @@ func TestFrameLookupMatchesMap(t *testing.T) {
 				}
 				f.Insert(lba, ns, cache.New)
 				m[lba], twin[lba] = ns, s
-			case op < 7: // rebind to the other copy
-				if tw, ok := twin[lba]; ok {
-					f.Rebind(lba, tw)
-					m[lba], twin[lba] = tw, s
-				}
 			case op < 8: // LeavO clean: the unbound copy goes, the bound one is current
 				if tw, ok := twin[lba]; ok {
 					release(tw, false)

@@ -66,7 +66,7 @@ func RebuildImpact(scale float64) (string, error) {
 					if _, err := st.Policy.Flush(req.Time); err != nil {
 						return impactRow{}, fmt.Errorf("%s pre-rebuild flush: %w", pk, err)
 					}
-					if _, err := st.Array.StartRebuild(req.Time, 2, freshMember(st, diskPages)); err != nil {
+					if _, err := st.Array.StartRebuild(req.Time, 2, st.FreshMember()); err != nil {
 						return impactRow{}, fmt.Errorf("%s start rebuild: %w", pk, err)
 					}
 				}

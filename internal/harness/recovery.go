@@ -127,7 +127,7 @@ func DegradedPerformance(scale float64) (string, error) {
 			return degradedRow{}, err
 		}
 		// Rebuild onto a fresh disk, then measure the final phase.
-		fresh := freshMember(st, diskPages)
+		fresh := st.FreshMember()
 		if _, err := st.Array.ReplaceDisk(end2, 2, fresh); err != nil {
 			return degradedRow{}, fmt.Errorf("%s rebuild: %w", pk, err)
 		}

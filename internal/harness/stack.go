@@ -134,8 +134,6 @@ type StackOpts struct {
 	ReclaimMaterialize bool
 	DisableMetaLog     bool
 	SelectiveAdmission bool
-	HighWater          float64
-	LowWater           float64
 
 	// Obs, when non-nil, threads its span tracer through every layer of
 	// the stack (core engine, RAID array, SSD flash model, member disks)
@@ -331,8 +329,6 @@ func Build(o StackOpts) (*Stack, error) {
 			ReclaimMaterialize: o.ReclaimMaterialize,
 			DisableMetaLog:     o.DisableMetaLog,
 			SelectiveAdmission: o.SelectiveAdmission,
-			HighWater:          o.HighWater,
-			LowWater:           o.LowWater,
 			RebuildRateMax:     o.RebuildRateMax,
 			Tracer:             tr,
 		}
@@ -440,15 +436,11 @@ func buildMember(o StackOpts, name string, diskPages int64, seedOff uint64) bloc
 	}
 }
 
-// freshMember builds a replacement disk matching the stack's device mode
-// (for rebuild experiments).
-func freshMember(st *Stack, diskPages int64) blockdev.Device {
-	return buildMember(st.Opts, "fresh", diskPages, 991)
-}
-
 // FreshMember builds a replacement member disk matching the stack's
-// device mode and geometry, for disk-kill/replace experiments driven from
-// the cmd tools.
+// device mode, for every replace/repair path (experiments, the cmd tools,
+// the facade). It is sized from a live member, not from
+// StackOpts.DiskPages: the log-structured backend's members are larger
+// than the logical geometry (reserve segments plus GC headroom).
 func (st *Stack) FreshMember() blockdev.Device {
-	return freshMember(st, st.Opts.withDefaults().DiskPages)
+	return buildMember(st.Opts, "fresh", st.Array.Member(0).Pages(), 991)
 }

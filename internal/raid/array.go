@@ -250,10 +250,7 @@ func (a *Array) DataLocation(lba int64) (disk int, page int64) {
 // -1 on single-parity levels; pDisk is -1 on levels without parity.
 func (a *Array) ParityLocation(lba int64) (pDisk, qDisk int, page int64) {
 	l := a.geo.locate(lba)
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
-		return -1, -1, l.row
-	}
-	return l.pDisk, l.qDisk, l.row
+	return l.par[0], l.par[1], l.row
 }
 
 // pageBuf returns the i-th page of buf, or nil in timing mode.
@@ -441,18 +438,16 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // parity(ies) in parallel, then write new data and new parity(ies) in
 // parallel — "two read and two write disk I/O operations" (§I) for RAID-5.
 func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
-	dataDev := a.disks[l.disk]
-	if a.Missing(l.disk, l.row) || a.Missing(l.pDisk, l.row) ||
-		(l.qDisk >= 0 && a.Missing(l.qDisk, l.row)) {
+	if a.Missing(l.disk, l.row) || a.parityMissing(l.parity, l.row) > 0 {
 		return a.degradedWrite(t, l, buf)
 	}
 
-	var oldData, oldP, oldQ []byte
+	var diff []byte // old data, then old ⊕ new
+	var par [2][]byte
 	if buf != nil {
-		oldData = make([]byte, blockdev.PageSize)
-		oldP = make([]byte, blockdev.PageSize)
-		if l.qDisk >= 0 {
-			oldQ = make([]byte, blockdev.PageSize)
+		diff = make([]byte, blockdev.PageSize)
+		for j := 0; j < l.np; j++ {
+			par[j] = make([]byte, blockdev.PageSize)
 		}
 	}
 
@@ -460,32 +455,22 @@ func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	// error on any of these pages must not fail the write (let alone the
 	// member): the old data is reconstructible from the row, and lost
 	// parity can be recomputed from the members before folding the diff.
-	phase1 := t
 	a.stats.DataReads++
-	c, err := a.memberRead(t, l.disk, l.row, oldData)
+	phase1, err := a.memberRead(t, l.disk, l.row, diff)
 	if err != nil {
 		if !errors.Is(err, blockdev.ErrMedia) {
 			return t, err
 		}
 		a.stats.MediaErrors++
-		if c, err = a.readRepair(t, l, oldData); err != nil {
+		if phase1, err = a.readRepair(t, l, diff); err != nil {
 			return t, err
 		}
 	}
-	phase1 = sim.MaxTime(phase1, c)
-	a.stats.ParityReads++
-	c, err = a.memberRead(t, l.pDisk, l.row, oldP)
-	if err != nil {
-		if c, err = a.rereadParity(t, l.pDisk, l, oldP, err); err != nil {
-			return t, err
-		}
-	}
-	phase1 = sim.MaxTime(phase1, c)
-	if l.qDisk >= 0 {
+	for j, d := range l.par[:l.np] {
 		a.stats.ParityReads++
-		c, err = a.memberRead(t, l.qDisk, l.row, oldQ)
+		c, err := a.memberRead(t, d, l.row, par[j])
 		if err != nil {
-			if c, err = a.rereadParity(t, l.qDisk, l, oldQ, err); err != nil {
+			if c, err = a.rereadParity(t, d, l, par[j], err); err != nil {
 				return t, err
 			}
 		}
@@ -493,43 +478,21 @@ func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	}
 
 	// Compute new parity: P' = P ^ old ^ new; Q' = Q ^ g^i·(old ^ new).
-	var newP, newQ []byte
-	if buf != nil {
-		diff := make([]byte, blockdev.PageSize)
-		copy(diff, oldData)
-		blockdev.XORInto(diff, buf)
-		newP = oldP
-		blockdev.XORInto(newP, diff)
-		if l.qDisk >= 0 {
-			newQ = oldQ
-			gfMulInto(newQ, diff, gfPow(l.dataIdx))
-		}
-	}
+	blockdev.XORInto(diff, buf)
+	encode(par[:], diff, l.dataIdx)
 
 	// Phase 2: parallel writes of new data and parity.
-	done := phase1
 	a.stats.DataWrites++
-	c, err = dataDev.WritePages(phase1, l.row, 1, buf)
+	done, err := a.disks[l.disk].WritePages(phase1, l.row, 1, buf)
 	if err != nil {
 		return t, err
 	}
-	done = sim.MaxTime(done, c)
-	a.stats.ParityWrites++
-	c, err = a.disks[l.pDisk].WritePages(phase1, l.row, 1, newP)
+	c, _, err := a.writeParity(phase1, l.parity, l.row, par[:], 0)
 	if err != nil {
 		return t, err
-	}
-	done = sim.MaxTime(done, c)
-	if l.qDisk >= 0 {
-		a.stats.ParityWrites++
-		c, err = a.disks[l.qDisk].WritePages(phase1, l.row, 1, newQ)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
 	}
 	a.clearLost(l.disk, l.row) // the page now holds known bytes again
-	return done, nil
+	return sim.MaxTime(done, c), nil
 }
 
 // rereadParity recovers from a media error on a parity page read inside
@@ -544,12 +507,11 @@ func (a *Array) rereadParity(t sim.Time, disk int, l loc, buf []byte, readErr er
 		return t, readErr
 	}
 	a.stats.MediaErrors++
-	if a.rowStale(l) {
-		done, err := a.resyncRow(t, l.row)
+	if a.stale.Has(l.row) {
+		done, err := a.resyncFix(t, l.row)
 		if err != nil {
 			return t, err
 		}
-		a.stats.ParityFixes++
 		c, err := a.disks[disk].ReadPages(done, l.row, 1, buf)
 		if err != nil {
 			return t, err

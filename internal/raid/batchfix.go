@@ -22,24 +22,29 @@ type RowFix struct {
 // equivalent to calling ParityUpdateDelta per row; only the I/O pattern
 // (and therefore the timing) differs.
 func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, error) {
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	np := a.cfg.Level.parityDisks()
+	if np == 0 {
 		return t, nil
 	}
 	type rowWork struct {
-		row  int64
-		fix  RowFix
-		p, q []byte // parity pages in flight (data mode)
+		l   loc
+		fix RowFix
+		par [2][]byte // parity pages in flight (data mode)
 	}
-	// Group rows by their P disk (Q handled alongside).
-	byDisk := make(map[int][]*rowWork)
+	// Group rows by their P disk (Q handled alongside), walked in disk
+	// order: on RAID-6 one group's Q disk is another group's P disk, so the
+	// order the groups arrive in decides what the members' heads do.
+	groups := make([][]*rowWork, len(a.disks))
 	for _, f := range fixes {
 		if len(f.LBAs) == 0 {
 			continue
 		}
 		l := a.geo.locate(f.LBAs[0])
-		pFailed := a.disks[l.pDisk].Failed()
-		qFailed := l.qDisk >= 0 && a.disks[l.qDisk].Failed()
-		if pFailed || qFailed {
+		degraded := false
+		for _, d := range l.par[:np] {
+			degraded = degraded || a.disks[d].Failed()
+		}
+		if degraded {
 			// Degraded rows take the single-row path, which knows the
 			// fold-into-survivor and rebuild-will-recompute rules.
 			if _, err := a.ParityUpdateDelta(t, f.LBAs, f.Deltas); err != nil {
@@ -47,102 +52,83 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			}
 			continue
 		}
-		byDisk[l.pDisk] = append(byDisk[l.pDisk], &rowWork{row: l.row, fix: f})
+		groups[l.par[0]] = append(groups[l.par[0]], &rowWork{l: l, fix: f})
 	}
 
 	dataMode := a.dataMode()
 	done := t
-	for disk, rows := range byDisk {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].row < rows[j].row })
+	for disk, rows := range groups {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].l.row < rows[j].l.row })
 
-		// Phase 1: read stale parities in consecutive runs.
-		phase1 := t
+		// The P pages move in runs of consecutive rows, one buffer per run
+		// for both phases.
+		type run struct {
+			start, n int
+			buf      []byte
+		}
+		var runs []run
 		for start := 0; start < len(rows); {
 			end := start + 1
-			for end < len(rows) && rows[end].row == rows[end-1].row+1 {
+			for end < len(rows) && rows[end].l.row == rows[end-1].l.row+1 {
 				end++
 			}
-			n := end - start
-			var buf []byte
+			r := run{start: start, n: end - start}
 			if dataMode {
-				buf = make([]byte, n*blockdev.PageSize)
+				r.buf = make([]byte, r.n*blockdev.PageSize)
 			}
-			a.stats.ParityReads += int64(n)
-			c, err := a.disks[disk].ReadPages(t, rows[start].row, n, buf)
+			runs = append(runs, r)
+			start = end
+		}
+
+		// Phase 1: read stale parities, P in runs and the further copies
+		// (RAID-6's Q) per row from their own disks.
+		phase1 := t
+		for _, r := range runs {
+			a.stats.ParityReads += int64(r.n)
+			c, err := a.disks[disk].ReadPages(t, rows[r.start].l.row, r.n, r.buf)
 			if err != nil {
 				return t, err
 			}
 			phase1 = sim.MaxTime(phase1, c)
-			if dataMode {
-				for i := 0; i < n; i++ {
-					rows[start+i].p = buf[i*blockdev.PageSize : (i+1)*blockdev.PageSize]
-				}
+			for i := 0; i < r.n; i++ {
+				rows[r.start+i].par[0] = pageBuf(r.buf, i)
 			}
-			start = end
 		}
-
-		// Q parities (RAID-6) read per matching row from the Q disks.
-		if a.cfg.Level == Level6 {
+		for j := 1; j < np; j++ {
 			for _, rw := range rows {
-				l := a.geo.locate(rw.fix.LBAs[0])
-				var qbuf []byte
 				if dataMode {
-					qbuf = make([]byte, blockdev.PageSize)
+					rw.par[j] = make([]byte, blockdev.PageSize)
 				}
 				a.stats.ParityReads++
-				c, err := a.disks[l.qDisk].ReadPages(t, l.row, 1, qbuf)
+				c, err := a.disks[rw.l.par[j]].ReadPages(t, rw.l.row, 1, rw.par[j])
 				if err != nil {
 					return t, err
 				}
 				phase1 = sim.MaxTime(phase1, c)
-				rw.q = qbuf
 			}
 		}
 
 		// Fold deltas in memory.
-		if dataMode {
-			for _, rw := range rows {
-				for i, lba := range rw.fix.LBAs {
-					if rw.fix.Deltas == nil || rw.fix.Deltas[i] == nil {
-						continue
-					}
-					li := a.geo.locate(lba)
-					blockdev.XORInto(rw.p, rw.fix.Deltas[i])
-					if rw.q != nil {
-						gfMulInto(rw.q, rw.fix.Deltas[i], gfPow(li.dataIdx))
-					}
-				}
+		for _, rw := range rows {
+			for i, d := range rw.fix.Deltas {
+				encode(rw.par[:], d, a.geo.locate(rw.fix.LBAs[i]).dataIdx)
 			}
 		}
 
-		// Phase 2: write repaired parities back in runs.
-		for start := 0; start < len(rows); {
-			end := start + 1
-			for end < len(rows) && rows[end].row == rows[end-1].row+1 {
-				end++
-			}
-			n := end - start
-			var buf []byte
-			if dataMode {
-				buf = make([]byte, n*blockdev.PageSize)
-				for i := 0; i < n; i++ {
-					copy(buf[i*blockdev.PageSize:], rows[start+i].p)
-				}
-			}
-			a.stats.ParityWrites += int64(n)
-			a.stats.ParityFixes += int64(n)
-			c, err := a.disks[disk].WritePages(phase1, rows[start].row, n, buf)
+		// Phase 2: write repaired parities back, P in the same runs.
+		for _, r := range runs {
+			a.stats.ParityWrites += int64(r.n)
+			a.stats.ParityFixes += int64(r.n)
+			c, err := a.disks[disk].WritePages(phase1, rows[r.start].l.row, r.n, r.buf)
 			if err != nil {
 				return t, err
 			}
 			done = sim.MaxTime(done, c)
-			start = end
 		}
-		if a.cfg.Level == Level6 {
+		for j := 1; j < np; j++ {
 			for _, rw := range rows {
-				l := a.geo.locate(rw.fix.LBAs[0])
 				a.stats.ParityWrites++
-				c, err := a.disks[l.qDisk].WritePages(phase1, l.row, 1, rw.q)
+				c, err := a.disks[rw.l.par[j]].WritePages(phase1, rw.l.row, 1, rw.par[j])
 				if err != nil {
 					return t, err
 				}
@@ -150,7 +136,7 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			}
 		}
 		for _, rw := range rows {
-			a.stale.Remove(rw.row)
+			a.stale.Remove(rw.l.row)
 		}
 	}
 	return done, nil

@@ -2,9 +2,11 @@ package raid
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"kddcache/internal/blockdev"
+	"kddcache/internal/hdd"
 	"kddcache/internal/sim"
 )
 
@@ -106,6 +108,42 @@ func TestBatchFixSequentialRuns(t *testing.T) {
 	}
 }
 
+// On RAID-6 one group's Q disk is another group's P disk, and the HDD
+// model's head position depends on arrival order: the batch must visit
+// its groups in a fixed order or identical runs finish at different
+// virtual times.
+func TestBatchFixDeterministicRAID6(t *testing.T) {
+	run := func() sim.Time {
+		var members []blockdev.Device
+		for i := 0; i < 6; i++ {
+			members = append(members, hdd.New(fmt.Sprintf("d%d", i), hdd.DefaultConfig(4096), uint64(i+1)))
+		}
+		a, err := New(Config{Level: Level6, ChunkPages: 16}, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fixes []RowFix
+		for i := int64(0); i < 24; i++ {
+			lba := i * 67 // a new stripe, hence a new P disk, every fix
+			if _, err := a.WriteNoParity(0, lba, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			fixes = append(fixes, RowFix{LBAs: []int64{lba}})
+		}
+		done, err := a.ParityUpdateDeltaBatch(sim.Second, fixes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	want := run()
+	for i := 1; i < 40; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d completed at %v, run 0 at %v", i, got, want)
+		}
+	}
+}
+
 func TestBatchFixDegradedFallsBack(t *testing.T) {
 	a := newDataArray(t, Level5, 5, 96, 8)
 	oracle := writeAll(t, a, 100)
@@ -119,7 +157,7 @@ func TestBatchFixDegradedFallsBack(t *testing.T) {
 	// Fail the parity disk of that row: batch must route through the
 	// degraded single-row logic (rebuild-recomputes rule).
 	l := a.geo.locate(lba)
-	a.FailDisk(l.pDisk)
+	a.FailDisk(l.par[0])
 	if _, err := a.ParityUpdateDeltaBatch(0, []RowFix{{
 		LBAs: []int64{lba}, Deltas: [][]byte{mkDelta(oldData, newData)},
 	}}); err != nil {

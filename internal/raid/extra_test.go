@@ -84,19 +84,19 @@ func TestParityUpdateReconstructWithDeadParity(t *testing.T) {
 	// Parity disk of this row dies before the repair: reconstruct must
 	// treat the row as resolved (rebuild recomputes it from data).
 	l := a.geo.locate(peers[0])
-	a.FailDisk(l.pDisk)
+	a.FailDisk(l.par[0])
 	if _, err := a.ParityUpdateReconstruct(0, peers[0], rowData); err != nil {
 		t.Fatal(err)
 	}
-	if a.rowStale(l) {
+	if a.stale.Has(l.row) {
 		t.Fatal("row still stale")
 	}
 	// Rebuild the disk; afterwards everything must verify.
 	fresh := blockdev.NewNullDataDevice("fresh", 96)
-	if _, err := a.ReplaceDisk(0, l.pDisk, fresh); err != nil {
+	if _, err := a.ReplaceDisk(0, l.par[0], fresh); err != nil {
 		t.Fatal(err)
 	}
-	a.FailDisk((l.pDisk + 1) % 5)
+	a.FailDisk((l.par[0] + 1) % 5)
 	verifyAll(t, a, oracle)
 }
 
@@ -111,7 +111,7 @@ func TestParityUpdateDeltaAllParityDead(t *testing.T) {
 	}
 	oracle[lba] = newData
 	l := a.geo.locate(lba)
-	a.FailDisk(l.pDisk)
+	a.FailDisk(l.par[0])
 	// RAID-5 with the parity member dead: the delta fix is a no-op that
 	// clears staleness (rebuild recomputes).
 	delta := mkDelta(oldData, newData)
@@ -122,7 +122,7 @@ func TestParityUpdateDeltaAllParityDead(t *testing.T) {
 		t.Fatal("stale not cleared")
 	}
 	fresh := blockdev.NewNullDataDevice("fresh", 96)
-	if _, err := a.ReplaceDisk(0, l.pDisk, fresh); err != nil {
+	if _, err := a.ReplaceDisk(0, l.par[0], fresh); err != nil {
 		t.Fatal(err)
 	}
 	a.FailDisk(l.disk)
@@ -140,7 +140,7 @@ func TestRAID6OneParityDeadDeltaFoldsIntoSurvivor(t *testing.T) {
 	}
 	oracle[lba] = newData
 	l := a.geo.locate(lba)
-	a.FailDisk(l.pDisk) // P dead, Q survives
+	a.FailDisk(l.par[0]) // P dead, Q survives
 	if _, err := a.ParityUpdateDelta(0, []int64{lba},
 		[][]byte{mkDelta(oldData, newData)}); err != nil {
 		t.Fatal(err)

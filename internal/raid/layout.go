@@ -29,16 +29,35 @@ func (l Level) parityDisks() int {
 
 // faultTolerance returns how many simultaneous disk losses are survivable.
 func (l Level) faultTolerance(disks int) int {
-	switch l {
-	case Level1:
+	if l == Level1 {
 		return disks - 1
-	case Level5:
-		return 1
-	case Level6:
-		return 2
-	default:
-		return 0
 	}
+	return l.parityDisks()
+}
+
+// parity is the parity set of one stripe: which members hold its np
+// parity copies. Copy 0 is P, copy 1 is Q; unused entries are -1.
+type parity struct {
+	par [2]int
+	np  int
+}
+
+// coef returns the coefficient data index i carries in parity copy j:
+// copy j of a row is Σ coef(j, i)·D_i, with 1 for P and g^i for Q.
+func coef(j, i int) byte {
+	if j == 0 {
+		return 1
+	}
+	return gfPow(i)
+}
+
+// mask returns the parity members as a bitmask of disks.
+func (ps parity) mask() uint32 {
+	var m uint32
+	for _, d := range ps.par[:ps.np] {
+		m |= 1 << uint(d)
+	}
+	return m
 }
 
 // loc pins one logical page onto the array.
@@ -47,8 +66,7 @@ type loc struct {
 	row     int64 // disk LBA: stripe*chunkPages + pageInChunk
 	dataIdx int   // index of the page's chunk among the stripe's data chunks
 	disk    int   // disk holding the data page
-	pDisk   int   // disk holding P parity for this stripe (-1 if none)
-	qDisk   int   // disk holding Q parity (-1 if none)
+	parity        // disks holding the row's parity
 }
 
 // layout computes address mapping for an array.
@@ -74,37 +92,39 @@ func (g *layout) dataPages() int64 {
 	return usableRows * g.dataChunksPerStripe()
 }
 
+// rotate returns the parity set of a stripe and the disk holding its
+// first data chunk. Left-symmetric rotation: parity starts on the last
+// disk and moves left each stripe; data chunks wrap around starting just
+// after the parity (after Q for RAID-6), matching the Linux MD default
+// layout. Levels without parity keep data chunk i on disk i (RAID-1:
+// the primary copy; mirrors are handled by the array).
+func (g *layout) rotate(stripe int64) (ps parity, first int) {
+	ps = parity{par: [2]int{-1, -1}, np: g.level.parityDisks()}
+	if ps.np == 0 {
+		return ps, 0
+	}
+	p := g.disks - 1 - int(stripe%int64(g.disks))
+	for j := 0; j < ps.np; j++ {
+		ps.par[j] = (p + j) % g.disks
+	}
+	return ps, (p + ps.np) % g.disks
+}
+
 // locate maps a logical page number to its physical location.
-// Left-symmetric rotation: parity starts on the last disk and moves left
-// each stripe; data chunks wrap around starting just after the parity
-// (after Q for RAID-6), matching the Linux MD default layout.
 func (g *layout) locate(lba int64) loc {
 	dc := g.dataChunksPerStripe()
 	stripePages := g.chunkPages * dc
 	stripe := lba / stripePages
 	off := lba % stripePages
 	dataIdx := int(off / g.chunkPages)
-	pageInChunk := off % g.chunkPages
-	row := stripe*g.chunkPages + pageInChunk
-
-	l := loc{stripe: stripe, row: row, dataIdx: dataIdx, pDisk: -1, qDisk: -1}
-	switch g.level {
-	case Level0:
-		l.disk = dataIdx
-	case Level1:
-		l.disk = 0 // primary copy; mirrors handled by the array
-	case Level5:
-		p := g.disks - 1 - int(stripe%int64(g.disks))
-		l.pDisk = p
-		l.disk = (p + 1 + dataIdx) % g.disks
-	case Level6:
-		p := g.disks - 1 - int(stripe%int64(g.disks))
-		q := (p + 1) % g.disks
-		l.pDisk = p
-		l.qDisk = q
-		l.disk = (q + 1 + dataIdx) % g.disks
+	ps, first := g.rotate(stripe)
+	return loc{
+		stripe:  stripe,
+		row:     stripe*g.chunkPages + off%g.chunkPages,
+		dataIdx: dataIdx,
+		disk:    (first + dataIdx) % g.disks,
+		parity:  ps,
 	}
-	return l
 }
 
 // rowLoc describes a full parity row (same disk LBA across the stripe):
@@ -112,37 +132,26 @@ func (g *layout) locate(lba int64) loc {
 type rowLoc struct {
 	row       int64
 	dataDisks []int
-	pDisk     int
-	qDisk     int
+	parity
 }
 
-// locateRow expands the row containing disk LBA `row` within `stripe`.
-func (g *layout) locateRow(stripe int64) rowLoc {
-	dc := int(g.dataChunksPerStripe())
-	rl := rowLoc{pDisk: -1, qDisk: -1}
-	switch g.level {
-	case Level0:
-		for i := 0; i < dc; i++ {
-			rl.dataDisks = append(rl.dataDisks, i)
-		}
-	case Level1:
-		rl.dataDisks = []int{0}
-	case Level5:
-		p := g.disks - 1 - int(stripe%int64(g.disks))
-		rl.pDisk = p
-		for i := 0; i < dc; i++ {
-			rl.dataDisks = append(rl.dataDisks, (p+1+i)%g.disks)
-		}
-	case Level6:
-		p := g.disks - 1 - int(stripe%int64(g.disks))
-		q := (p + 1) % g.disks
-		rl.pDisk = p
-		rl.qDisk = q
-		for i := 0; i < dc; i++ {
-			rl.dataDisks = append(rl.dataDisks, (q+1+i)%g.disks)
-		}
+// locateRow expands the row at disk LBA row.
+func (g *layout) locateRow(row int64) rowLoc {
+	ps, first := g.rotate(row / g.chunkPages)
+	rl := rowLoc{row: row, dataDisks: make([]int, g.dataChunksPerStripe()), parity: ps}
+	for i := range rl.dataDisks {
+		rl.dataDisks[i] = (first + i) % g.disks
 	}
 	return rl
+}
+
+// member returns the disk at position k of the row: the data disks in
+// chunk order, then the parity copies.
+func (rl rowLoc) member(k int) int {
+	if k < len(rl.dataDisks) {
+		return rl.dataDisks[k]
+	}
+	return rl.par[k-len(rl.dataDisks)]
 }
 
 // logicalLBA is the inverse of locate for a (stripe, dataIdx, pageInChunk).

@@ -2,6 +2,7 @@ package raid
 
 import (
 	"errors"
+	"math/bits"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
@@ -22,7 +23,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 	if err := blockdev.CheckBuf(buf, count); err != nil {
 		return t, err
 	}
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	if a.cfg.Level.parityDisks() == 0 {
 		// Non-parity levels have nothing to delay; fall back.
 		return a.WritePages(t, lba, count, buf)
 	}
@@ -53,18 +54,12 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 			sp.End(t)
 			return t, err
 		}
-		a.stale.Add(a.staleKey(l))
+		a.stale.Add(l.row)
 		done = sim.MaxTime(done, c)
 	}
 	sp.End(done)
 	return done, nil
 }
-
-// staleKey identifies a parity row globally: disk row × one entry.
-func (a *Array) staleKey(l loc) int64 { return l.row }
-
-// rowStale reports whether the parity row holding l is stale.
-func (a *Array) rowStale(l loc) bool { return a.stale.Has(l.row) }
 
 // ParityUpdateDelta repairs the parity of lba's row by XOR-ing the
 // decompressed delta (old data ⊕ current data) into the stale parity:
@@ -81,23 +76,22 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 			panic("raid: ParityUpdateDelta spans multiple rows")
 		}
 	}
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	if l.np == 0 {
 		return t, nil
 	}
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseParityRMW, a.Name(), lbas[0], len(lbas))
 		defer func() { sp.End(done) }()
 	}
-	if !a.rowStale(l) {
+	if !a.stale.Has(l.row) {
 		// Parity already reflects the member data — a resync healed the
 		// row after a media error (or a crash interrupted the cleanup that
 		// follows one). Folding old⊕new deltas into fresh parity would
 		// corrupt it; the deltas are simply obsolete.
 		return t, nil
 	}
-	pFailed := a.Missing(l.pDisk, l.row)
-	qFailed := l.qDisk >= 0 && a.Missing(l.qDisk, l.row)
-	if pFailed && (l.qDisk < 0 || qFailed) {
+	switch missing := a.parityMissing(l.parity, l.row); {
+	case missing == l.np:
 		// Every parity device of this row is lost. The data disks hold
 		// the current data (KDD always dispatches data), so the rebuild
 		// will recompute this parity from scratch; nothing to repair now
@@ -105,8 +99,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		a.stale.Remove(l.row)
 		a.stats.ParityFixes++
 		return t, nil
-	}
-	if pFailed || qFailed {
+	case missing > 0:
 		// RAID-6 with one parity member lost: fold the deltas into the
 		// surviving one; the dead one is recomputed by rebuild.
 		done := t
@@ -115,10 +108,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 			if deltas != nil {
 				diff = deltas[i]
 			}
-			li := a.geo.locate(lbaI)
-			rl := a.geo.locateRow(li.stripe)
-			rl.row = li.row
-			c, err := a.applyParityDiff(t, li, rl, diff, !pFailed, !qFailed)
+			c, err := a.applyParityDiff(t, a.geo.locate(lbaI), diff)
 			if err != nil {
 				if errors.Is(err, blockdev.ErrMedia) {
 					// The surviving copy is ALSO unreadable: every fold
@@ -126,12 +116,7 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 					// data outright (the resync accounts any page the dead
 					// member takes with it).
 					a.stats.MediaErrors++
-					done, err = a.resyncRow(t, l.row)
-					if err != nil {
-						return t, err
-					}
-					a.stats.ParityFixes++
-					return done, nil
+					return a.resyncFix(t, l.row)
 				}
 				return t, err
 			}
@@ -142,16 +127,8 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		return done, nil
 	}
 
-	var p, q []byte
-	data := deltas != nil
-	if data {
-		p = blockdev.GetZeroPage() // stays zero if its read goes media-bad
-		defer blockdev.PutPage(p)
-		if l.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-	}
+	par := newParity(l.np, deltas != nil) // a page stays zero if its read goes media-bad
+	defer putParity(par)
 
 	// Read stale parity, tracking each copy separately. A media-bad copy
 	// loses its RMW fold target, but on RAID-6 the deltas still fold into
@@ -162,90 +139,59 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 	// state the deltas were driving toward; they become obsolete and the
 	// stale mark is cleared by the resync).
 	phase1 := t
-	pBad, qBad := false, false
-	a.stats.ParityReads++
-	c, err := a.memberRead(t, l.pDisk, l.row, p)
-	if err != nil {
+	var bad uint32 // parity members whose copy is unreadable
+	for j, d := range l.par[:l.np] {
+		a.stats.ParityReads++
+		c, err := a.memberRead(t, d, l.row, par[j])
+		if err == nil {
+			phase1 = sim.MaxTime(phase1, c)
+			continue
+		}
 		if !errors.Is(err, blockdev.ErrMedia) {
 			return t, err
 		}
 		a.stats.MediaErrors++
-		pBad = true
-	} else {
-		phase1 = sim.MaxTime(phase1, c)
+		bad |= 1 << uint(d)
 	}
-	if l.qDisk >= 0 {
-		a.stats.ParityReads++
-		c, err = a.memberRead(t, l.qDisk, l.row, q)
-		if err != nil {
-			if !errors.Is(err, blockdev.ErrMedia) {
-				return t, err
-			}
-			a.stats.MediaErrors++
-			qBad = true
-		} else {
-			phase1 = sim.MaxTime(phase1, c)
-		}
-	}
-	if pBad && (l.qDisk < 0 || qBad) {
-		done, err := a.resyncRow(t, l.row)
-		if err != nil {
-			return t, err
-		}
-		a.stats.ParityFixes++
-		return done, nil
+	if bad == l.mask() {
+		return a.resyncFix(t, l.row)
 	}
 
-	// Fold every delta into the readable copy (or copies).
-	if data {
+	// Fold every delta into the copies (an unreadable one is not written).
+	if deltas != nil {
 		for i, lbaI := range lbas {
-			if deltas[i] == nil {
-				continue
-			}
-			li := a.geo.locate(lbaI)
-			if !pBad {
-				blockdev.XORInto(p, deltas[i])
-			}
-			if q != nil && !qBad {
-				gfMulInto(q, deltas[i], gfPow(li.dataIdx))
-			}
+			encode(par[:], deltas[i], a.geo.locate(lbaI).dataIdx)
 		}
 	}
 
 	// Write repaired parity.
-	done = phase1
 	a.stats.ParityFixes++
-	if !pBad {
-		a.stats.ParityWrites++
-		c, err = a.disks[l.pDisk].WritePages(phase1, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if l.qDisk >= 0 && !qBad {
-		a.stats.ParityWrites++
-		c, err = a.disks[l.qDisk].WritePages(phase1, l.row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	done, _, err = a.writeParity(phase1, l.parity, l.row, par[:], bad)
+	if err != nil {
+		return t, err
 	}
 	a.stale.Remove(l.row)
-	if pBad || qBad {
+	if bad != 0 {
 		// The row is current again through the surviving copy; recompute
 		// the unreadable one from a row decode now, so a cleared transient
 		// can never resurface its stale bytes as valid parity.
-		bad := l.pDisk
-		if qBad {
-			bad = l.qDisk
-		}
-		c, err := a.repairParityRow(done, l.row, bad, nil)
+		c, err := a.repairParityRow(done, l.row, bits.TrailingZeros32(bad), nil)
 		if err != nil {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
 	}
+	return done, nil
+}
+
+// resyncFix is a parity update's last resort, when no copy is left to
+// fold deltas into: recompute the row's parity from the member data.
+func (a *Array) resyncFix(t sim.Time, row int64) (sim.Time, error) {
+	done, err := a.resyncRow(t, row)
+	if err != nil {
+		return t, err
+	}
+	a.stats.ParityFixes++
 	return done, nil
 }
 
@@ -256,57 +202,30 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 // are needed. rowData may be nil in timing mode.
 func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte) (done sim.Time, err error) {
 	l := a.geo.locate(lba)
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	if l.np == 0 {
 		return t, nil
 	}
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseParityRecon, a.Name(), lba, 1)
 		defer func() { sp.End(done) }()
 	}
-	pOK := !a.Missing(l.pDisk, l.row)
-	qOK := l.qDisk >= 0 && !a.Missing(l.qDisk, l.row)
-	if !pOK && (l.qDisk < 0 || !qOK) {
+	if a.parityMissing(l.parity, l.row) == l.np {
 		// All parity members lost: rebuild recomputes from data.
 		a.stale.Remove(l.row)
 		a.stats.ParityFixes++
 		return t, nil
 	}
-	var p, q []byte
-	if rowData != nil {
-		dc := int(a.geo.dataChunksPerStripe())
-		if len(rowData) != dc {
-			panic("raid: ParityUpdateReconstruct needs one page per data chunk")
-		}
-		p = blockdev.GetZeroPage()
-		defer blockdev.PutPage(p)
-		if l.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-		for i, d := range rowData {
-			blockdev.XORInto(p, d)
-			if q != nil {
-				gfMulInto(q, d, gfPow(i))
-			}
-		}
+	if rowData != nil && len(rowData) != int(a.geo.dataChunksPerStripe()) {
+		panic("raid: ParityUpdateReconstruct needs one page per data chunk")
 	}
-	done = t
+	par := newParity(l.np, rowData != nil)
+	defer putParity(par)
+	for i, d := range rowData {
+		encode(par[:], d, i)
+	}
 	a.stats.ParityFixes++
-	if pOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[l.pDisk].WritePages(t, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if qOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[l.qDisk].WritePages(t, l.row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	if done, _, err = a.writeParity(t, l.parity, l.row, par[:], 0); err != nil {
+		return t, err
 	}
 	a.stale.Remove(l.row)
 	return done, nil
@@ -317,60 +236,32 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 // full-stripe write that NVRAM buffering schemes aim for. buf holds the
 // data pages back to back and may be nil in timing mode.
 func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, error) {
-	l := a.geo.locate(firstLBA)
-	rl := a.geo.locateRow(l.stripe)
-	rl.row = l.row
-	dc := len(rl.dataDisks)
-	if err := blockdev.CheckBuf(buf, dc); err != nil {
+	rl := a.geo.locateRow(a.geo.locate(firstLBA).row)
+	if err := blockdev.CheckBuf(buf, len(rl.dataDisks)); err != nil {
 		return t, err
 	}
-	var p, q []byte
-	if buf != nil {
-		p = blockdev.GetZeroPage()
-		defer blockdev.PutPage(p)
-		if rl.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-		for i := 0; i < dc; i++ {
-			d := pageBuf(buf, i)
-			blockdev.XORInto(p, d)
-			if q != nil {
-				gfMulInto(q, d, gfPow(i))
-			}
-		}
-	}
+	par := newParity(rl.np, buf != nil)
+	defer putParity(par)
 	done := t
 	for i, disk := range rl.dataDisks {
-		if a.Missing(disk, l.row) {
+		encode(par[:], pageBuf(buf, i), i)
+		if a.Missing(disk, rl.row) {
 			continue // reconstructible from the new parity after rebuild
 		}
 		a.stats.DataWrites++
-		c, err := a.disks[disk].WritePages(t, l.row, 1, pageBuf(buf, i))
+		c, err := a.disks[disk].WritePages(t, rl.row, 1, pageBuf(buf, i))
 		if err != nil {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
 	}
-	if rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row) {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.pDisk].WritePages(t, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row) {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.qDisk].WritePages(t, l.row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	c, _, err := a.writeParity(t, rl.parity, rl.row, par[:], 0)
+	if err != nil {
+		return t, err
 	}
 	// Every page of the row now holds defined content (missing members are
 	// reconstructible from the fresh parity), so any lost marks are healed.
-	a.stale.Remove(l.row)
-	delete(a.lost, l.row)
-	return done, nil
+	a.stale.Remove(rl.row)
+	delete(a.lost, rl.row)
+	return sim.MaxTime(done, c), nil
 }

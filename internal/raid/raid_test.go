@@ -123,8 +123,8 @@ func TestLayoutParityRotates(t *testing.T) {
 		if l.stripe != s {
 			t.Fatalf("stripe calc wrong: %+v", l)
 		}
-		seen[l.pDisk] = true
-		if l.disk == l.pDisk {
+		seen[l.par[0]] = true
+		if l.disk == l.par[0] {
 			t.Fatalf("data and parity on same disk: %+v", l)
 		}
 	}
@@ -147,17 +147,17 @@ func TestLayoutLocateRoundTrip(t *testing.T) {
 			return false
 		}
 		// Data disk must never collide with parity disks.
-		if l.disk == l.pDisk || (l.qDisk >= 0 && l.disk == l.qDisk) {
+		if l.disk == l.par[0] || (l.par[1] >= 0 && l.disk == l.par[1]) {
 			return false
 		}
 		// Row peers must be distinct disks.
-		rl := g.locateRow(l.stripe)
-		ds := map[int]bool{rl.pDisk: true}
-		if rl.qDisk >= 0 {
-			if ds[rl.qDisk] {
+		rl := g.locateRow(l.row)
+		ds := map[int]bool{rl.par[0]: true}
+		if rl.par[1] >= 0 {
+			if ds[rl.par[1]] {
 				return false
 			}
-			ds[rl.qDisk] = true
+			ds[rl.par[1]] = true
 		}
 		for _, d := range rl.dataDisks {
 			if ds[d] {

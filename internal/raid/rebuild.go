@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -315,23 +316,6 @@ func (e *ResyncError) Error() string {
 // Unwrap makes errors.Is(err, ErrNeedResync) hold.
 func (e *ResyncError) Unwrap() error { return ErrNeedResync }
 
-// rowErasures counts the missing pages of one row (data + parity).
-func (a *Array) rowErasures(rl rowLoc) int {
-	er := 0
-	for _, disk := range rl.dataDisks {
-		if a.Missing(disk, rl.row) {
-			er++
-		}
-	}
-	if rl.pDisk >= 0 && a.Missing(rl.pDisk, rl.row) {
-		er++
-	}
-	if rl.qDisk >= 0 && a.Missing(rl.qDisk, rl.row) {
-		er++
-	}
-	return er
-}
-
 // pageLost reports whether the logical content of disk's page at row has
 // been lost (redundancy exhausted during a rebuild window). Lost pages are
 // served loudly as ErrUnrecoverable until something overwrites them.
@@ -404,13 +388,8 @@ func (a *Array) resyncForRebuild(t sim.Time, i int) (sim.Time, error) {
 
 // rowHasData reports whether disk i holds a data page (not parity) in row.
 func (a *Array) rowHasData(i int, row int64) bool {
-	rl := a.geo.locateRow(row / a.geo.chunkPages)
-	for _, disk := range rl.dataDisks {
-		if disk == i {
-			return true
-		}
-	}
-	return false
+	ps, _ := a.geo.rotate(row / a.geo.chunkPages)
+	return ps.mask()&(1<<uint(i)) == 0
 }
 
 // rebuildRow reconstructs the target member's page at row and writes it.
@@ -448,8 +427,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 			page = pageScratch(dataMode)
 			break
 		}
-		rl := a.geo.locateRow(row / a.geo.chunkPages)
-		rl.row = row
+		rl := a.geo.locateRow(row)
 		if a.stale.Has(row) || a.pageLost(target, row) {
 			// Stale parity or an already-lost target page: heal to a
 			// defined state instead of reconstructing. Rows with lost
@@ -458,51 +436,23 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 			// the normal path below.
 			return a.rebuildDamagedRow(t, target, rl)
 		}
-		st, c, err := a.readRow(t, rl, nil)
-		if err != nil {
-			return t, err
-		}
+		st, c, err := a.decodeRow(t, rl, 0)
 		defer st.release()
-		t = c
-		if !a.recoverable(st) {
+		if errors.Is(err, ErrUnrecoverable) {
 			// A second member failed inside the rebuild window and this
 			// row's erasures exceed the level's tolerance (RAID-5 with a
 			// concurrent failure). Account for every missing page loudly
 			// and move on — the surviving members still serve their own
 			// pages directly.
-			for _, idx := range st.missingD {
-				a.markLost(rl.dataDisks[idx], row)
+			for _, k := range st.erased {
+				a.markLost(rl.member(k), row)
 			}
-			if st.missingP {
-				a.markLost(rl.pDisk, row)
-			}
-			if st.missingQ {
-				a.markLost(rl.qDisk, row)
-			}
-			return t, nil
+			return c, nil
 		}
-		if dataMode {
-			if err := a.solveRow(st); err != nil {
-				return t, err
-			}
-			switch {
-			case rl.pDisk == target:
-				page = st.p
-			case rl.qDisk == target:
-				page = st.q
-			default:
-				for i, disk := range rl.dataDisks {
-					if disk == target {
-						page = st.data[i]
-						break
-					}
-				}
-			}
+		if err != nil {
+			return t, err
 		}
-		if page == nil {
-			page = pageScratch(dataMode)
-			defer putScratch(page) // distinct from st's pages: no double-put
-		}
+		t, page = c, st.page(target)
 	default:
 		return t, ErrTooManyFailures
 	}
@@ -524,7 +474,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 // Rows damaged beyond the target (a second member also lost pages) are
 // left alone — writing anything there would destroy evidence.
 func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, error) {
-	targetIsData := target != rl.pDisk && target != rl.qDisk
+	targetIsData := rl.mask()&(1<<uint(target)) == 0
 	if a.stale.Has(rl.row) && targetIsData {
 		// Stale parity cannot reconstruct the target's data: the page is
 		// gone (normally already accounted by StartRebuild's resync).
@@ -534,15 +484,8 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 		return t, nil
 	}
 	dataMode := a.dataMode()
-	var p, q []byte
-	if dataMode {
-		p = blockdev.GetZeroPage()
-		defer blockdev.PutPage(p)
-		if rl.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-	}
+	par := newParity(rl.np, dataMode)
+	defer putParity(par)
 	tmp := pageScratch(dataMode)
 	defer putScratch(tmp)
 	done := t
@@ -558,42 +501,25 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
-		if dataMode {
-			blockdev.XORInto(p, tmp)
-			if q != nil {
-				gfMulInto(q, tmp, gfPow(i))
-			}
-		}
+		encode(par[:], tmp, i)
 	}
 	// Write the target's page: recomputed parity when it holds P/Q, a
 	// defined zero page when its data is lost (a fresh device holds zeros
 	// already, but a resumed rebuild may be re-walking the row).
 	page := pageScratch(dataMode)
-	switch target {
-	case rl.pDisk:
-		page = p
-	case rl.qDisk:
-		page = q
+	defer putScratch(page)
+	for j, d := range rl.par[:rl.np] {
+		if d == target {
+			page = par[j]
+		}
 	}
 	a.stats.RebuildWrite++
 	c, err := a.disks[target].WritePages(done, rl.row, 1, page)
 	if err != nil {
 		return t, err
 	}
-	done = sim.MaxTime(done, c)
-	if rl.pDisk >= 0 && rl.pDisk != target && !a.Missing(rl.pDisk, rl.row) {
-		a.stats.ParityWrites++
-		if c, err = a.disks[rl.pDisk].WritePages(done, rl.row, 1, p); err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if rl.qDisk >= 0 && rl.qDisk != target && !a.Missing(rl.qDisk, rl.row) {
-		a.stats.ParityWrites++
-		if c, err = a.disks[rl.qDisk].WritePages(done, rl.row, 1, q); err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	if done, _, err = a.writeParity(sim.MaxTime(done, c), rl.parity, rl.row, par[:], 1<<uint(target)); err != nil {
+		return t, err
 	}
 	a.stale.Remove(rl.row)
 	return done, nil

@@ -3,6 +3,7 @@ package raid
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -46,206 +47,33 @@ func (a *Array) degradedRead(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 		// fabricated bytes.
 		return t, fmt.Errorf("%w: row %d holds pages lost in a rebuild window", ErrUnrecoverable, l.row)
 	}
-	rl := a.geo.locateRow(l.stripe)
-	rl.row = l.row
-	if a.rowErasures(rl) > a.cfg.Level.faultTolerance(len(a.disks)) {
+	rl := a.geo.locateRow(l.row)
+	if a.rowErasures(rl) > l.np {
 		return t, ErrTooManyFailures
 	}
-	if a.rowStale(l) {
+	if a.stale.Has(l.row) {
 		// Stale parity cannot reconstruct current data: this is the data
 		// loss window the paper closes by resynchronising before use.
 		return t, ErrStaleParity
 	}
 	a.stats.DegradedRead++
-
-	var done sim.Time
-	var err error
-	switch a.cfg.Level {
-	case Level5:
-		done, err = a.reconstructXOR(t, l, rl, buf)
-	case Level6:
-		done, err = a.reconstructRS(t, l, rl, buf)
-	default:
-		return t, ErrTooManyFailures
-	}
-	if err != nil && errors.Is(err, blockdev.ErrMedia) {
-		// A survivor page is unreadable on top of the missing member. The
-		// streaming reconstruction cannot route around it, but the general
-		// row decode can treat it as one more erasure — within RAID-6
-		// tolerance even inside a rebuild window.
-		a.stats.MediaErrors++
-		return a.reconstructViaRow(t, l, rl, buf)
-	}
-	return done, err
-}
-
-// reconstructViaRow is degradedRead's fallback when a survivor read hits
-// a persistent media error: decode the whole row with the bad page as an
-// additional erasure, serve the target page, and write the decoded
-// content back onto the media-bad data pages (best effort) so the latent
-// error heals in place.
-func (a *Array) reconstructViaRow(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Time, error) {
-	st, done, err := a.readRow(t, rl, nil)
-	if err != nil {
-		return t, err
-	}
+	// A survivor page that is unreadable on top of the missing member is
+	// one more erasure to the decode — within RAID-6 tolerance even inside
+	// a rebuild window.
+	st, done, err := a.decodeRow(t, rl, 0)
 	defer st.release()
-	if !a.recoverable(st) {
-		return t, fmt.Errorf("%w: row %d has more erasures than the level tolerates", ErrUnrecoverable, l.row)
-	}
-	if buf != nil {
-		if err := a.solveRow(st); err != nil {
-			return t, fmt.Errorf("%w: row %d", err, l.row)
-		}
-		copy(buf, st.data[l.dataIdx])
-		for i, disk := range rl.dataDisks {
-			if st.media[disk] {
-				a.stats.ReadRepairs++
-				if c, werr := a.disks[disk].WritePages(done, rl.row, 1, st.data[i]); werr == nil {
-					done = sim.MaxTime(done, c)
-				}
-			}
-		}
-	}
-	return done, nil
-}
-
-// reconstructXOR rebuilds one data page as the XOR of the surviving data
-// pages and P.
-func (a *Array) reconstructXOR(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Time, error) {
-	done := t
-	if buf != nil {
-		for i := range buf[:blockdev.PageSize] {
-			buf[i] = 0
-		}
-	}
-	tmp := pageScratch(buf != nil)
-	defer putScratch(tmp)
-	for _, disk := range rl.dataDisks {
-		if disk == l.disk {
-			continue
-		}
-		if a.Missing(disk, l.row) {
-			// A source is itself missing. Never read it: a rebuild target
-			// above the watermark answers with unwritten zeros, not data.
-			return t, ErrTooManyFailures
-		}
-		c, err := a.readMember(t, disk, l.row, tmp)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		if buf != nil {
-			blockdev.XORInto(buf, tmp)
-		}
-	}
-	if a.Missing(rl.pDisk, l.row) {
-		return t, ErrTooManyFailures
-	}
-	c, err := a.readMember(t, rl.pDisk, l.row, tmp)
+	a.stats.RebuildReads += int64(st.reads)
 	if err != nil {
 		return t, err
 	}
-	done = sim.MaxTime(done, c)
 	if buf != nil {
-		blockdev.XORInto(buf, tmp)
-	}
-	return done, nil
-}
-
-// reconstructRS rebuilds one data page on a RAID-6 row with up to two
-// erasures, using P and/or Q as needed.
-func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Time, error) {
-	// Identify erasures relevant to this row (failed disks plus the
-	// un-rebuilt region of an active rebuild target).
-	var failedData []int // data indices
-	for i, disk := range rl.dataDisks {
-		if a.Missing(disk, l.row) {
-			failedData = append(failedData, i)
+		copy(buf, st.pages[l.dataIdx])
+		// Write the decoded content back onto media-bad data pages so the
+		// latent error heals in place.
+		if heal := st.media &^ rl.mask(); heal != 0 {
+			a.stats.ReadRepairs += int64(bits.OnesCount32(heal))
+			done, _ = a.healMedia(done, st, heal)
 		}
-	}
-	pOK := !a.Missing(rl.pDisk, l.row)
-	qOK := !a.Missing(rl.qDisk, l.row)
-
-	// Accumulators (nil in timing mode).
-	data := buf != nil
-	var pAcc, qAcc []byte
-	if data {
-		pAcc = blockdev.GetZeroPage() // P ⊕ Σ surviving D_i
-		qAcc = blockdev.GetZeroPage() // Q ⊕ Σ g^i·surviving D_i
-		defer blockdev.PutPage(pAcc)
-		defer blockdev.PutPage(qAcc)
-	}
-	tmp := pageScratch(data)
-	defer putScratch(tmp)
-	done := t
-
-	// Read surviving data pages.
-	for i, disk := range rl.dataDisks {
-		if a.Missing(disk, l.row) {
-			continue
-		}
-		c, err := a.readMember(t, disk, l.row, tmp)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		if data {
-			blockdev.XORInto(pAcc, tmp)
-			gfMulInto(qAcc, tmp, gfPow(i))
-		}
-	}
-	if pOK {
-		c, err := a.readMember(t, rl.pDisk, l.row, tmp)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		if data {
-			blockdev.XORInto(pAcc, tmp)
-		}
-	}
-	if qOK {
-		c, err := a.readMember(t, rl.qDisk, l.row, tmp)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		if data {
-			blockdev.XORInto(qAcc, tmp)
-		}
-	}
-
-	if !data {
-		return done, nil
-	}
-
-	// Solve for the target page (data index l.dataIdx).
-	switch {
-	case len(failedData) == 1 && pOK:
-		// pAcc already equals the missing page.
-		copy(buf, pAcc)
-	case len(failedData) == 1 && !pOK && qOK:
-		// qAcc = g^x · D_x.
-		gfScale(buf, qAcc, gfInv(gfPow(l.dataIdx)))
-	case len(failedData) == 2 && pOK && qOK:
-		x, y := failedData[0], failedData[1]
-		// pAcc = D_x ⊕ D_y ; qAcc = g^x·D_x ⊕ g^y·D_y.
-		gx, gy := gfPow(x), gfPow(y)
-		denom := gx ^ gy
-		dx := blockdev.GetPage() // fully assigned by gfScale
-		defer blockdev.PutPage(dx)
-		// D_x = (qAcc ⊕ g^y·pAcc) / (g^x ⊕ g^y)
-		gfMulInto(qAcc, pAcc, gy)
-		gfScale(dx, qAcc, gfInv(denom))
-		if l.dataIdx == x {
-			copy(buf, dx)
-		} else {
-			blockdev.XORInto(pAcc, dx) // D_y = pAcc ⊕ D_x
-			copy(buf, pAcc)
-		}
-	default:
-		return t, ErrTooManyFailures
 	}
 	return done, nil
 }
@@ -254,29 +82,25 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 // the target row is missing (failed disk, or the un-rebuilt region of a
 // rebuild target), folding the new data into the surviving redundancy.
 func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
-	rl := a.geo.locateRow(l.stripe)
-	rl.row = l.row
+	rl := a.geo.locateRow(l.row)
 	if a.lost[l.row]&^(1<<uint(l.disk)) != 0 {
 		// Pages other than the target are lost: the row's parity no longer
 		// describes its data, and anything short of a full-row rewrite
 		// would launder the loss into plausible-looking bytes.
 		return t, fmt.Errorf("%w: row %d holds pages lost in a rebuild window", ErrUnrecoverable, l.row)
 	}
-	if a.rowErasures(rl) > a.cfg.Level.faultTolerance(len(a.disks)) {
+	if a.rowErasures(rl) > l.np {
 		return t, ErrTooManyFailures
 	}
 	data := buf != nil
 
-	dataMissing := a.Missing(l.disk, l.row)
-	pOK := rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row)
-	qOK := rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row)
-
-	if !dataMissing {
+	if !a.Missing(l.disk, l.row) {
 		// Only parity lost: write the data; surviving parity (if any) is
 		// updated via RMW against that disk alone.
+		survivors := l.np - a.parityMissing(l.parity, l.row)
 		done := t
 		var old []byte
-		if data && (pOK || qOK) {
+		if data && survivors > 0 {
 			old = blockdev.GetPage() // fully overwritten by the member read
 			defer blockdev.PutPage(old)
 			c, err := a.readMember(t, l.disk, l.row, old)
@@ -298,13 +122,9 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
-		if pOK || qOK {
-			var diff []byte
-			if data {
-				diff = old
-				blockdev.XORInto(diff, buf)
-			}
-			c, err := a.applyParityDiff(t, l, rl, diff, pOK, qOK)
+		if survivors > 0 {
+			blockdev.XORInto(old, buf) // old ⊕ new; a no-op in timing mode
+			c, err := a.applyParityDiff(t, l, old)
 			if err != nil {
 				if errors.Is(err, blockdev.ErrMedia) {
 					// The surviving parity copy is unreadable: the data write
@@ -324,17 +144,9 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 	// Data page missing: fold the new value into parity via reconstruction
 	// from the surviving data pages (reconstruct-write).
 	done := t
-	var p, q []byte
-	if data {
-		p = blockdev.GetPage() // fully assigned by the copy below
-		defer blockdev.PutPage(p)
-		copy(p, buf)
-		if qOK {
-			q = blockdev.GetZeroPage() // gfMulInto folds into zero
-			defer blockdev.PutPage(q)
-			gfMulInto(q, buf, gfPow(l.dataIdx))
-		}
-	}
+	par := newParity(l.np, data)
+	defer putParity(par)
+	encode(par[:], buf, l.dataIdx)
 	tmp := pageScratch(data)
 	defer putScratch(tmp)
 	for i, disk := range rl.dataDisks {
@@ -357,31 +169,13 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
-		if data {
-			blockdev.XORInto(p, tmp)
-			if q != nil {
-				gfMulInto(q, tmp, gfPow(i))
-			}
-		}
+		encode(par[:], tmp, i)
 	}
-	phase2 := done
-	if pOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.pDisk].WritePages(phase2, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	done, wrote, err := a.writeParity(done, l.parity, l.row, par[:], 0)
+	if err != nil {
+		return t, err
 	}
-	if qOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.qDisk].WritePages(phase2, l.row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if !pOK && !qOK {
+	if wrote == 0 {
 		return t, ErrTooManyFailures
 	}
 	a.stale.Remove(l.row)
@@ -398,39 +192,25 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 // page keeps its old (decoded) value in the new parity, so it remains
 // exactly as reconstructible as before the write.
 func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Time, error) {
-	if a.rowStale(l) {
+	if a.stale.Has(l.row) {
 		// Stale parity cannot decode the missing pages.
 		return t, ErrStaleParity
 	}
-	st, done, err := a.readRow(t, rl, nil)
+	st, done, err := a.decodeRow(t, rl, 0)
+	defer st.release()
+	if errors.Is(err, ErrUnrecoverable) {
+		return t, ErrTooManyFailures
+	}
 	if err != nil {
 		return t, err
 	}
-	defer st.release()
-	if !a.recoverable(st) {
-		return t, ErrTooManyFailures
+	par := newParity(l.np, a.dataMode())
+	defer putParity(par)
+	if buf != nil {
+		copy(st.pages[l.dataIdx], buf)
 	}
-	dataMode := a.dataMode()
-	var p, q []byte
-	if dataMode {
-		if err := a.solveRow(st); err != nil {
-			return t, err
-		}
-		if buf != nil {
-			copy(st.data[l.dataIdx], buf)
-		}
-		p = blockdev.GetZeroPage()
-		defer blockdev.PutPage(p)
-		if rl.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-		for i := range st.data {
-			blockdev.XORInto(p, st.data[i])
-			if q != nil {
-				gfMulInto(q, st.data[i], gfPow(i))
-			}
-		}
+	for i, d := range st.data() {
+		encode(par[:], d, i)
 	}
 	if !a.Missing(l.disk, l.row) {
 		// The target device is alive (the decode path was taken for a media
@@ -444,75 +224,36 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 		}
 		done = sim.MaxTime(done, c)
 	}
-	wrote := false
-	if rl.pDisk >= 0 && !a.Missing(rl.pDisk, l.row) {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.pDisk].WritePages(done, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		wrote = true
+	done, wrote, err := a.writeParity(done, l.parity, l.row, par[:], 0)
+	if err != nil {
+		return t, err
 	}
-	if rl.qDisk >= 0 && !a.Missing(rl.qDisk, l.row) {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.qDisk].WritePages(done, l.row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		wrote = true
-	}
-	if !wrote {
+	if wrote == 0 {
 		return t, ErrTooManyFailures
 	}
 	a.clearLost(l.disk, l.row)
 	return done, nil
 }
 
-// applyParityDiff RMWs diff (old⊕new of one data page) into surviving
-// parity devices.
-func (a *Array) applyParityDiff(t sim.Time, l loc, rl rowLoc, diff []byte, pOK, qOK bool) (sim.Time, error) {
+// applyParityDiff RMWs diff (old⊕new of the data page at l) into the
+// surviving parity copies of its row: each copy's write chains behind its
+// own read, the copies run side by side.
+func (a *Array) applyParityDiff(t sim.Time, l loc, diff []byte) (sim.Time, error) {
 	done := t
-	data := diff != nil
-	if pOK {
-		var p []byte
-		if data {
-			p = blockdev.GetPage() // fully overwritten by the parity read
-			defer blockdev.PutPage(p)
+	page := pageScratch(diff != nil) // fully overwritten by each parity read
+	defer putScratch(page)
+	for j, d := range l.par[:l.np] {
+		if a.Missing(d, l.row) {
+			continue
 		}
 		a.stats.ParityReads++
-		c, err := a.memberRead(t, rl.pDisk, l.row, p)
+		c, err := a.memberRead(t, d, l.row, page)
 		if err != nil {
 			return t, err
 		}
-		if data {
-			blockdev.XORInto(p, diff)
-		}
+		gfMulInto(page, diff, coef(j, l.dataIdx))
 		a.stats.ParityWrites++
-		c, err = a.disks[rl.pDisk].WritePages(c, l.row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if qOK {
-		var q []byte
-		if data {
-			q = blockdev.GetPage() // fully overwritten by the parity read
-			defer blockdev.PutPage(q)
-		}
-		a.stats.ParityReads++
-		c, err := a.memberRead(t, rl.qDisk, l.row, q)
-		if err != nil {
-			return t, err
-		}
-		if data {
-			gfMulInto(q, diff, gfPow(l.dataIdx))
-		}
-		a.stats.ParityWrites++
-		c, err = a.disks[rl.qDisk].WritePages(c, l.row, 1, q)
-		if err != nil {
+		if c, err = a.disks[d].WritePages(c, l.row, 1, page); err != nil {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
@@ -532,7 +273,7 @@ func (a *Array) readMember(t sim.Time, disk int, row int64, buf []byte) (sim.Tim
 // after an SSD cache failure. It returns the completion time of the last
 // row.
 func (a *Array) Resync(t sim.Time) (sim.Time, error) {
-	if a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	if a.cfg.Level.parityDisks() == 0 {
 		a.stale.Clear()
 		return t, nil
 	}
@@ -550,27 +291,16 @@ func (a *Array) Resync(t sim.Time) (sim.Time, error) {
 }
 
 func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
-	stripe := row / a.geo.chunkPages
-	rl := a.geo.locateRow(stripe)
-	rl.row = row
-	pOK := !a.Missing(rl.pDisk, row)
-	qOK := rl.qDisk >= 0 && !a.Missing(rl.qDisk, row)
-	if !pOK && (rl.qDisk < 0 || !qOK) {
+	rl := a.geo.locateRow(row)
+	if a.parityMissing(rl.parity, row) == rl.np {
 		// Every parity member of this row is lost; the rebuild recomputes
 		// it from the (current) data, so the row is no longer stale.
 		a.stale.Remove(row)
 		return t, nil
 	}
 	dataMode := a.dataMode()
-	var p, q []byte
-	if dataMode {
-		p = blockdev.GetZeroPage()
-		defer blockdev.PutPage(p)
-		if rl.qDisk >= 0 {
-			q = blockdev.GetZeroPage()
-			defer blockdev.PutPage(q)
-		}
-	}
+	par := newParity(rl.np, dataMode)
+	defer putParity(par)
 	tmp := pageScratch(dataMode)
 	defer putScratch(tmp)
 	phase1 := t
@@ -603,29 +333,11 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 			return t, err
 		}
 		phase1 = sim.MaxTime(phase1, c)
-		if dataMode {
-			blockdev.XORInto(p, tmp)
-			if q != nil {
-				gfMulInto(q, tmp, gfPow(i))
-			}
-		}
+		encode(par[:], tmp, i)
 	}
-	done := phase1
-	if pOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.pDisk].WritePages(phase1, row, 1, p)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	if qOK {
-		a.stats.ParityWrites++
-		c, err := a.disks[rl.qDisk].WritePages(phase1, row, 1, q)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
+	done, _, err := a.writeParity(phase1, rl.parity, row, par[:], 0)
+	if err != nil {
+		return t, err
 	}
 	a.stale.Remove(row)
 	return done, nil

@@ -89,7 +89,7 @@ func TestReadRepairViaQWithPFailed(t *testing.T) {
 	oracle := writeAll(t, a, a.Pages())
 	lba := int64(101)
 	l := a.geo.locate(lba)
-	a.FailDisk(l.pDisk)
+	a.FailDisk(l.par[0])
 	a.Injector(l.disk).InjectBadPage(l.row)
 	buf := make([]byte, blockdev.PageSize)
 	if _, err := a.ReadPages(0, lba, 1, buf); err != nil {
@@ -156,7 +156,7 @@ func TestScrubRepairsLatentAndBitRot(t *testing.T) {
 	// see it.
 	lbaC := int64(200)
 	lc := a.geo.locate(lbaC)
-	memberStore(t, a, lc.pDisk).CorruptPageSilently(lc.row, 7)
+	memberStore(t, a, lc.par[0]).CorruptPageSilently(lc.row, 7)
 
 	_, rep, err := a.Scrub(0)
 	if err != nil {

@@ -78,8 +78,7 @@ type Config struct {
 	// goroutine-mode runs race and deterministic runs couple lane state.
 	Codec func(lane int) delta.Codec
 
-	StagingBytes        int     // per-lane NVRAM staging capacity
-	HighWater, LowWater float64 // per-lane cleaner watermarks
+	StagingBytes int // per-lane NVRAM staging capacity
 
 	// Shards is the execution width: how many workers the lanes are
 	// grouped onto. Must divide Lanes; default 1.
@@ -228,8 +227,6 @@ func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
 		MetaPages:    c.MetaPages,
 		Codec:        c.Codec(i),
 		StagingBytes: c.StagingBytes,
-		HighWater:    c.HighWater,
-		LowWater:     c.LowWater,
 		SharedLog:    log,
 		DataStart:    c.MetaStart + c.MetaPages + int64(i)*lanePages,
 		Lane:         uint8(i),

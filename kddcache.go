@@ -177,13 +177,7 @@ func (s *System) FailDisk(i int) { s.st.Array.FailDisk(i) }
 // it. With the paper's semantics, call Flush first on a KDD/LeavO system
 // so stale parities are repaired before the rebuild (§III-E2).
 func (s *System) RepairDisk(i int) error {
-	var fresh blockdev.Device
-	if s.st.Opts.DataMode {
-		fresh = blockdev.NewNullDataDevice("fresh", s.st.Opts.DiskPages)
-	} else {
-		fresh = blockdev.NewNullDevice("fresh", s.st.Opts.DiskPages)
-	}
-	done, err := s.st.Array.ReplaceDisk(s.now, i, fresh)
+	done, err := s.st.Array.ReplaceDisk(s.now, i, s.st.FreshMember())
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
+	"kddcache/internal/hdd"
 	"kddcache/internal/lsraid"
 	"kddcache/internal/qos"
 	"kddcache/internal/sim"
@@ -234,6 +235,84 @@ func TestSystemDiskFailureFlow(t *testing.T) {
 		}
 		if !bytes.Equal(got, page) {
 			t.Fatalf("lba %d lost after rebuild", lba)
+		}
+	}
+}
+
+// A replaced member must match the live members' size and device mode on
+// both backends: lsraid's members are larger than Options.DiskPages
+// (reserve segments plus GC headroom), and a timed stack's replacement is
+// a timed disk.
+func TestReplaceMemberBothBackends(t *testing.T) {
+	for _, backend := range []string{"kdd", "lsraid"} {
+		for _, c := range []struct {
+			name string
+			run  func(t *testing.T)
+		}{
+			{"RepairDisk data mode", func(t *testing.T) {
+				sys, err := New(Options{Backend: backend, CachePages: 1024, DiskPages: 4096, DataMode: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				page := bytes.Repeat([]byte{3}, PageSize)
+				for lba := int64(0); lba < 64; lba++ {
+					if _, err := sys.Write(lba, page); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sys.FailDisk(1)
+				if err := sys.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.RepairDisk(1); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, PageSize)
+				for lba := int64(0); lba < 64; lba++ {
+					if _, err := sys.Read(lba, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, page) {
+						t.Fatalf("lba %d lost after rebuild", lba)
+					}
+				}
+			}},
+			{"RepairDisk under Timing", func(t *testing.T) {
+				sys, err := New(Options{Backend: backend, CachePages: 1024, DiskPages: 4096, Timing: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lba := int64(0); lba < 64; lba++ {
+					if _, err := sys.Write(lba, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sys.FailDisk(1)
+				if err := sys.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				before := sys.Now()
+				if err := sys.RepairDisk(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := sys.st.Array.Member(1).(*hdd.Disk); !ok {
+					t.Fatalf("replacement of a timed member is a %T", sys.st.Array.Member(1))
+				}
+				if sys.Now() == before {
+					t.Fatal("rebuilding onto a timed member took no virtual time")
+				}
+			}},
+			{"degraded and rebuild-impact", func(t *testing.T) {
+				SetDefaultBackend(backend)
+				defer SetDefaultBackend("")
+				for _, exp := range []string{"degraded", "rebuild-impact"} {
+					if _, err := RunExperiment(exp, 0.002); err != nil {
+						t.Fatalf("%s: %v", exp, err)
+					}
+				}
+			}},
+		} {
+			t.Run(backend+"/"+c.name, c.run)
 		}
 	}
 }
