@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke obs-test shard-test qos-test lsraid-test loc ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs obs-test shard-test qos-test lsraid-test loc ci clean
 
 all: ci
 
@@ -82,12 +82,15 @@ obs-test:
 # (byte-identical output at shard counts 1/2/4/8, coalescing on and off)
 # under the race detector at several test-parallelism levels, plus the
 # routing/digest property tests and the open-loop generator. (The
-# plane's crash sweep is part of `make check`.)
+# plane's crash sweep is part of `make check`.) Last, the recycled byte
+# path's ownership test: a data-mode stream through the engine and the
+# goroutine-mode plane with every released buffer poisoned.
 shard-test:
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 4 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 16 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race ./internal/shard/ ./internal/sched/ ./internal/workload/
+	$(GO) test -race -count=1 -run 'TestOwnershipUnderPoison' ./internal/blockdev/
 
 # Multi-tenant QoS battery: token-bucket conservation, WFQ fairness and
 # degradation-ladder property tests, the noisy-neighbor isolation proof
@@ -143,6 +146,12 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick
 	bash bench/run.sh -quick -trace 1
+
+# Paired parent-vs-change runs of that benchmark, the protocol a perf
+# claim rests on: make bench-pairs WORKLOAD=zipf_plane_fit [N=10] [BASE=HEAD]
+# (see scripts/bench-pairs.sh for the verdict rule).
+bench-pairs:
+	WORKLOAD=$(WORKLOAD) N=$(or $(N),10) BASE=$(or $(BASE),HEAD) bash scripts/bench-pairs.sh
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

@@ -69,8 +69,8 @@ const (
 )
 
 // saturationResult summarizes the sharded-plane saturation sweep: the
-// sustained load per shard count and the headline scaling ratio the
-// gate enforces.
+// sustained load per shard count and the 4-vs-1 ratio, which is a
+// constant of the sweep's cost model and is recorded, not gated.
 type saturationResult struct {
 	Sec           float64            `json:"sec"`
 	SustainedIOPS map[string]float64 `json:"sustained_iops"`
@@ -132,7 +132,6 @@ func main() {
 		// 0.63 s untraced replay at scale 0.08); the budget is twice that.
 		maxSpanNs = flag.Float64("max-ns-per-span", 150, "with -gate: max allowed tracing cost, (traced - untraced) / spans emitted, in ns")
 		maxSlow   = flag.Float64("max-slowdown", 1.75, "with -gate: max allowed serial wall-clock ratio vs the last comparable entry, for experiments whose baseline takes a second or more")
-		minScale  = flag.Float64("min-shard-scaling", 2.0, "with -gate: min sustained(shards=4)/sustained(shards=1) from the saturation sweep")
 		maxVictim = flag.Float64("max-victim-ratio", 2.0, "with -gate: max allowed victim p99 ratio (protected vs isolated) from the noisy-neighbor experiment")
 		keep      = flag.Int("keep", 50, "trajectory entries to retain (oldest dropped first; 0 = unlimited)")
 	)
@@ -275,8 +274,8 @@ func main() {
 
 	// Sharded-plane saturation sweep: sustained load per shard count and
 	// the 4-vs-1 scaling ratio. The sweep's latency model is virtual-time
-	// and deterministic, so the ratio is a stable gate input that needs
-	// no trajectory baseline.
+	// at a fixed cost per op, so the ratio is a constant of that model:
+	// recorded (older entries carry the field), never gated.
 	satStart := time.Now()
 	sat, err := harness.SaturationSweep(*scale)
 	if err != nil {
@@ -323,7 +322,7 @@ func main() {
 	prev := readEntries(*out)
 	var gateErrs []error
 	if *gate {
-		gateErrs = checkGate(entry, lastComparable(prev, entry), *maxSpanNs, *maxSlow, *minScale, *maxVictim)
+		gateErrs = checkGate(entry, lastComparable(prev, entry), *maxSpanNs, *maxSlow, *maxVictim)
 	}
 
 	all := append(prev, entry)
@@ -412,15 +411,11 @@ func lastComparable(prev []benchEntry, cur benchEntry) *benchEntry {
 }
 
 // checkGate applies the perf-gate rules to the fresh entry.
-func checkGate(cur benchEntry, base *benchEntry, maxSpanNs, maxSlow, minScaling, maxVictim float64) []error {
+func checkGate(cur benchEntry, base *benchEntry, maxSpanNs, maxSlow, maxVictim float64) []error {
 	var errs []error
 	if o := cur.ObsOverhead; o != nil && o.NsPerSpan > maxSpanNs {
 		errs = append(errs, fmt.Errorf("tracing costs %.1f ns per span (%d spans, %.2fs traced vs %.2fs untraced), budget %.1f ns",
 			o.NsPerSpan, o.Spans, o.TracedSec, o.UntracedSec, maxSpanNs))
-	}
-	if s := cur.Saturation; s != nil && s.Scaling4x1 < minScaling {
-		errs = append(errs, fmt.Errorf("saturation scaling 4/1 = %.2fx below the %.2fx floor",
-			s.Scaling4x1, minScaling))
 	}
 	if n := cur.Noisy; n != nil {
 		if n.VictimP99Ratio > maxVictim {

@@ -88,20 +88,20 @@ func TestCheckGate(t *testing.T) {
 	ok := entry(0.01, 1, 1, 8,
 		experimentResult{Name: "fig6", SerialSec: 4.4},
 		experimentResult{Name: "fig5", SerialSec: 5.1})
-	if errs := checkGate(ok, &base, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
+	if errs := checkGate(ok, &base, 75, 1.75, 2.0); len(errs) != 0 {
 		t.Fatalf("healthy run failed the gate: %v", errs)
 	}
 
 	slow := entry(0.01, 1, 1, 8,
 		experimentResult{Name: "fig6", SerialSec: 8.0}, // 2x the base
 		experimentResult{Name: "fig5", SerialSec: 5.0})
-	if errs := checkGate(slow, &base, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(slow, &base, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("2x serial regression produced %d gate errors, want 1: %v", len(errs), errs)
 	}
 
 	hot := entry(0.01, 1, 1, 22, // 110 ns per span
 		experimentResult{Name: "fig6", SerialSec: 4.0})
-	if errs := checkGate(hot, &base, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(hot, &base, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("110 ns per span produced %d gate errors, want 1: %v", len(errs), errs)
 	}
 	// The budget is absolute: the same 110 ns per span fails however small
@@ -109,12 +109,12 @@ func TestCheckGate(t *testing.T) {
 	// passes while each span stays cheap.
 	slowReplay := hot
 	slowReplay.ObsOverhead = &obsOverheadResult{UntracedSec: 5, TracedSec: 5.11, OverheadPct: 2.2, Spans: 1e6, NsPerSpan: 110}
-	if errs := checkGate(slowReplay, &base, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(slowReplay, &base, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("110 ns per span at 2.2%% overhead produced %d gate errors, want 1: %v", len(errs), errs)
 	}
 	fastReplay := hot
 	fastReplay.ObsOverhead = &obsOverheadResult{UntracedSec: 0.5, TracedSec: 0.7, OverheadPct: 40, Spans: 4e6, NsPerSpan: 50}
-	if errs := checkGate(fastReplay, &base, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
+	if errs := checkGate(fastReplay, &base, 75, 1.75, 2.0); len(errs) != 0 {
 		t.Fatalf("50 ns per span at 40%% overhead failed the gate: %v", errs)
 	}
 
@@ -127,29 +127,16 @@ func TestCheckGate(t *testing.T) {
 	jittery := entry(0.01, 1, 1, 6,
 		experimentResult{Name: "chaos", SerialSec: 0.75},
 		experimentResult{Name: "fig6", SerialSec: 4.1})
-	if errs := checkGate(jittery, &quickBase, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
+	if errs := checkGate(jittery, &quickBase, 75, 1.75, 2.0); len(errs) != 0 {
 		t.Fatalf("a 0.25s baseline tripping the slowdown rule: %v", errs)
 	}
 
 	// No comparable base: absolute checks still apply, ratios don't.
-	if errs := checkGate(slow, nil, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
+	if errs := checkGate(slow, nil, 75, 1.75, 2.0); len(errs) != 0 {
 		t.Fatalf("baseless run failed ratio checks: %v", errs)
 	}
-	if errs := checkGate(hot, nil, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(hot, nil, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("baseless overheated run produced %d gate errors, want 1: %v", len(errs), errs)
-	}
-
-	// Saturation scaling below the floor fails the gate even without a
-	// comparable base (the sweep is deterministic; no baseline needed).
-	flat := ok
-	flat.Saturation = &saturationResult{Scaling4x1: 1.4}
-	if errs := checkGate(flat, nil, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
-		t.Fatalf("1.4x shard scaling produced %d gate errors, want 1: %v", len(errs), errs)
-	}
-	scaled := ok
-	scaled.Saturation = &saturationResult{Scaling4x1: 3.3}
-	if errs := checkGate(scaled, &base, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
-		t.Fatalf("3.3x shard scaling failed the gate: %v", errs)
 	}
 
 	// Noisy-neighbor isolation is absolute too: a victim p99 ratio over
@@ -158,17 +145,17 @@ func TestCheckGate(t *testing.T) {
 	// longer demonstrate interference being prevented).
 	leaky := ok
 	leaky.Noisy = &noisyResult{VictimP99Ratio: 2.6, UnprotectedRatio: 40}
-	if errs := checkGate(leaky, nil, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(leaky, nil, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("2.6x victim ratio produced %d gate errors, want 1: %v", len(errs), errs)
 	}
 	pointless := ok
 	pointless.Noisy = &noisyResult{VictimP99Ratio: 1.5, UnprotectedRatio: 1.5}
-	if errs := checkGate(pointless, nil, 75, 1.75, 2.0, 2.0); len(errs) != 1 {
+	if errs := checkGate(pointless, nil, 75, 1.75, 2.0); len(errs) != 1 {
 		t.Fatalf("flat unprotected arm produced %d gate errors, want 1: %v", len(errs), errs)
 	}
 	isolated := ok
 	isolated.Noisy = &noisyResult{VictimP99Ratio: 1.5, UnprotectedRatio: 40}
-	if errs := checkGate(isolated, &base, 75, 1.75, 2.0, 2.0); len(errs) != 0 {
+	if errs := checkGate(isolated, &base, 75, 1.75, 2.0); len(errs) != 0 {
 		t.Fatalf("healthy noisy-neighbor result failed the gate: %v", errs)
 	}
 }

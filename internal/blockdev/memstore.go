@@ -16,23 +16,20 @@ import (
 // refreshing the checksum (detectable corruption); CorruptPageSilently
 // refreshes it too, modelling corruption the device itself cannot see —
 // only cross-device redundancy checks (parity scrub) can catch that.
+//
+// The store is two dense tables over the capacity, built at
+// construction: a page pointer (nil while the page is unwritten) and a
+// checksum per LBA, 12 bytes per page. Payloads materialise on first
+// write, taken from the page pool, and go back to it when trimmed: a cache
+// cleaner trims a few per cent of the SSD in one burst and the cache
+// rewrites those slots soon after. Addresses outside the capacity hold
+// nothing: they read as zeros, verify, and ignore trims and corruption;
+// writing one is a caller bug (see WritePage).
 type MemStore struct {
-	pages map[int64]*storedPage
-	free  []*storedPage // trimmed pages awaiting reuse, at most maxFreePages
-	cap   int64
+	pages   []*[PageSize]byte // by LBA; nil = unwritten
+	sums    []uint32          // by LBA; meaningful while the page is written
+	written int
 }
-
-// storedPage is one written page and the checksum recorded with it.
-type storedPage struct {
-	sum  uint32
-	data []byte
-}
-
-// maxFreePages bounds the pages TrimPage keeps for WritePage to reuse.
-// A cache that trims a slot and soon writes another (the SSD under KDD)
-// then stops allocating a page per write, while a store that is only
-// ever trimmed holds at most 256 KiB it no longer needs.
-const maxFreePages = 64
 
 // Storer is satisfied by any data-mode device (or wrapper that can see
 // through to one) whose bytes live in a MemStore. Test rigs and recovery
@@ -44,17 +41,29 @@ type Storer interface {
 
 // NewMemStore returns a store with the given capacity in pages.
 func NewMemStore(pages int64) *MemStore {
-	return &MemStore{pages: make(map[int64]*storedPage), cap: pages}
+	return &MemStore{
+		pages: make([]*[PageSize]byte, pages),
+		sums:  make([]uint32, pages),
+	}
 }
 
 // Pages returns the capacity in pages.
-func (m *MemStore) Pages() int64 { return m.cap }
+func (m *MemStore) Pages() int64 { return int64(len(m.pages)) }
+
+// page returns the stored page at lba, nil when it is unwritten or lba
+// lies outside the capacity.
+func (m *MemStore) page(lba int64) *[PageSize]byte {
+	if lba < 0 || lba >= int64(len(m.pages)) {
+		return nil
+	}
+	return m.pages[lba]
+}
 
 // ReadPage copies page lba into dst (one page) without integrity
 // verification. Prefer ReadPageChecked on device read paths.
 func (m *MemStore) ReadPage(lba int64, dst []byte) {
-	if p, ok := m.pages[lba]; ok {
-		copy(dst, p.data)
+	if p := m.page(lba); p != nil {
+		copy(dst, p[:])
 		return
 	}
 	clear(dst[:PageSize])
@@ -64,56 +73,57 @@ func (m *MemStore) ReadPage(lba int64, dst []byte) {
 // returning ErrMedia (wrapped with the LBA) when the stored bytes no
 // longer match the checksum recorded at write time.
 func (m *MemStore) ReadPageChecked(lba int64, dst []byte) error {
-	p, ok := m.pages[lba]
-	if !ok {
+	p := m.page(lba)
+	if p == nil {
 		clear(dst[:PageSize])
 		return nil
 	}
-	if crc32.ChecksumIEEE(p.data) != p.sum {
+	if crc32.ChecksumIEEE(p[:]) != m.sums[lba] {
 		return fmt.Errorf("%w: checksum mismatch at page %d", ErrMedia, lba)
 	}
-	copy(dst, p.data)
+	copy(dst, p[:])
 	return nil
 }
 
 // WritePage stores one page at lba and records its checksum. A page
-// taken from the free list is overwritten in full before it becomes
-// readable, so recycled bytes are never exposed.
+// from the pool is overwritten in full before it becomes readable, so
+// recycled bytes are never exposed. Every device range-
+// checks a request before it touches its store, so an lba outside the
+// capacity cannot come from input: it is a bug in the calling device and
+// panics.
 func (m *MemStore) WritePage(lba int64, src []byte) {
-	p, ok := m.pages[lba]
-	if !ok {
-		if n := len(m.free); n > 0 {
-			p, m.free[n-1] = m.free[n-1], nil
-			m.free = m.free[:n-1]
-		} else {
-			p = &storedPage{data: make([]byte, PageSize)}
-		}
-		m.pages[lba] = p
+	if lba < 0 || lba >= int64(len(m.pages)) {
+		panic(fmt.Sprintf("blockdev: MemStore.WritePage(%d) outside the store's %d pages", lba, len(m.pages)))
 	}
-	copy(p.data, src[:PageSize])
-	p.sum = crc32.ChecksumIEEE(p.data)
+	p := m.pages[lba]
+	if p == nil {
+		p = (*[PageSize]byte)(GetPage())
+		m.pages[lba] = p
+		m.written++
+	}
+	copy(p[:], src[:PageSize])
+	m.sums[lba] = crc32.ChecksumIEEE(p[:])
 }
 
 // TrimPage discards the page at lba; subsequent reads return zeros.
 func (m *MemStore) TrimPage(lba int64) {
-	p, ok := m.pages[lba]
-	if !ok {
+	p := m.page(lba)
+	if p == nil {
 		return
 	}
-	delete(m.pages, lba)
-	if len(m.free) < maxFreePages {
-		m.free = append(m.free, p)
-	}
+	m.pages[lba] = nil
+	m.written--
+	PutPage(p[:])
 }
 
 // Written returns the number of distinct pages currently stored.
-func (m *MemStore) Written() int { return len(m.pages) }
+func (m *MemStore) Written() int { return m.written }
 
 // VerifyPage reports whether the page at lba passes its checksum
 // (unwritten pages trivially pass).
 func (m *MemStore) VerifyPage(lba int64) bool {
-	p, ok := m.pages[lba]
-	return !ok || crc32.ChecksumIEEE(p.data) == p.sum
+	p := m.page(lba)
+	return p == nil || crc32.ChecksumIEEE(p[:]) == m.sums[lba]
 }
 
 // CorruptPage flips one bit of the stored page WITHOUT refreshing the
@@ -121,11 +131,11 @@ func (m *MemStore) VerifyPage(lba int64) bool {
 // catches). Reads through ReadPageChecked will return ErrMedia until the
 // page is rewritten. No-op on unwritten pages (they have no bits to rot).
 func (m *MemStore) CorruptPage(lba int64, bit uint) bool {
-	p, ok := m.pages[lba]
-	if !ok {
+	p := m.page(lba)
+	if p == nil {
 		return false
 	}
-	p.data[(bit/8)%PageSize] ^= 1 << (bit % 8)
+	p[(bit/8)%PageSize] ^= 1 << (bit % 8)
 	return true
 }
 
@@ -137,8 +147,7 @@ func (m *MemStore) CorruptPageSilently(lba int64, bit uint) bool {
 	if !m.CorruptPage(lba, bit) {
 		return false
 	}
-	p := m.pages[lba]
-	p.sum = crc32.ChecksumIEEE(p.data)
+	m.sums[lba] = crc32.ChecksumIEEE(m.pages[lba][:])
 	return true
 }
 
@@ -147,24 +156,27 @@ func (m *MemStore) CorruptPageSilently(lba int64, bit uint) bool {
 // only a prefix (the tail never reached the medium, so the device sees a
 // self-consistent page). No-op on unwritten pages.
 func (m *MemStore) TruncatePage(lba int64, keep int) bool {
-	p, ok := m.pages[lba]
-	if !ok {
+	p := m.page(lba)
+	if p == nil {
 		return false
 	}
 	keep = max(0, min(keep, PageSize))
-	clear(p.data[keep:])
-	p.sum = crc32.ChecksumIEEE(p.data)
+	clear(p[keep:])
+	m.sums[lba] = crc32.ChecksumIEEE(p[:])
 	return true
 }
 
 // Clone returns a deep copy (used to snapshot device state for
 // crash-recovery tests).
 func (m *MemStore) Clone() *MemStore {
-	c := NewMemStore(m.cap)
+	c := NewMemStore(m.Pages())
 	for lba, p := range m.pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p.data)
-		c.pages[lba] = &storedPage{sum: p.sum, data: cp}
+		if p != nil {
+			cp := *p
+			c.pages[lba] = &cp
+		}
 	}
+	copy(c.sums, m.sums)
+	c.written = m.written
 	return c
 }

@@ -3,7 +3,9 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"kddcache/internal/sim"
@@ -71,52 +73,61 @@ func (m *modelStore) read(lba int64) ([]byte, bool) {
 	return p, crc32.ChecksumIEEE(p) == m.sums[lba]
 }
 
+// compareStore checks every observable of the store against the model
+// over [-2, space+2): the two addresses on either side lie outside the
+// capacity and must answer as unwritten.
+func compareStore(t *testing.T, step int, space int64, s *MemStore, m *modelStore) {
+	t.Helper()
+	if s.Written() != len(m.pages) {
+		t.Fatalf("step %d: Written = %d, model %d", step, s.Written(), len(m.pages))
+	}
+	if int64(s.Written()) > s.Pages() {
+		t.Fatalf("step %d: Written = %d exceeds the capacity %d", step, s.Written(), s.Pages())
+	}
+	got := make([]byte, PageSize)
+	for lba := int64(-2); lba < space+2; lba++ {
+		want, ok := m.read(lba)
+		if s.VerifyPage(lba) != ok {
+			t.Fatalf("step %d: VerifyPage(%d) = %v, model %v", step, lba, !ok, ok)
+		}
+		fill(got, 0xEE)
+		s.ReadPage(lba, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("step %d: ReadPage(%d) differs from the model", step, lba)
+		}
+		fill(got, 0xEE) // a failed checked read must leave dst alone
+		err := s.ReadPageChecked(lba, got)
+		switch {
+		case ok && (err != nil || !bytes.Equal(got, want)):
+			t.Fatalf("step %d: ReadPageChecked(%d) = %v, or bytes differ from the model", step, lba, err)
+		case !ok && !errors.Is(err, ErrMedia):
+			t.Fatalf("step %d: ReadPageChecked(%d) = %v, want ErrMedia", step, lba, err)
+		}
+	}
+}
+
 // TestMemStoreMatchesModel drives the store and the model with the same
 // random writes, trims, corruptions, truncations and clones over a small
 // address space (so trim-then-rewrite recycles constantly) and compares
 // every observable after every step: a recycled page never exposes its
 // old bytes, trimmed pages read zeros and verify, and the checksum
-// detects exactly what it detected before pages were recycled.
+// detects exactly what it detected before pages were recycled. One op in
+// eight that is not a write aims outside the capacity, where the model —
+// a map that was never written there — answers "unwritten".
 func TestMemStoreMatchesModel(t *testing.T) {
-	const space = 3 * maxFreePages // trims overflow the free list, too
+	const space = 192
 	rng := sim.NewRNG(11)
 	store, model := NewMemStore(space), newModelStore()
 	src := make([]byte, PageSize)
-	got := bytes.Repeat([]byte{0xEE}, PageSize)
-
-	compare := func(step int, s *MemStore, m *modelStore) {
-		t.Helper()
-		if s.Written() != len(m.pages) {
-			t.Fatalf("step %d: Written = %d, model %d", step, s.Written(), len(m.pages))
-		}
-		if len(s.free) > maxFreePages {
-			t.Fatalf("step %d: free list holds %d pages, bound %d", step, len(s.free), maxFreePages)
-		}
-		for lba := int64(0); lba < space; lba++ {
-			want, ok := m.read(lba)
-			if s.VerifyPage(lba) != ok {
-				t.Fatalf("step %d: VerifyPage(%d) = %v, model %v", step, lba, !ok, ok)
-			}
-			s.ReadPage(lba, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("step %d: ReadPage(%d) differs from the model", step, lba)
-			}
-			for i := range got {
-				got[i] = 0xEE // a failed checked read must leave dst alone
-			}
-			err := s.ReadPageChecked(lba, got)
-			switch {
-			case ok && (err != nil || !bytes.Equal(got, want)):
-				t.Fatalf("step %d: ReadPageChecked(%d) = %v, or bytes differ from the model", step, lba, err)
-			case !ok && !errors.Is(err, ErrMedia):
-				t.Fatalf("step %d: ReadPageChecked(%d) = %v, want ErrMedia", step, lba, err)
-			}
-		}
-	}
+	outside := []int64{-1, -4096, space, space + 7, 9999, 1 << 40}
 
 	for step := 0; step < 4000; step++ {
 		lba := int64(rng.Intn(space))
-		switch op := rng.Intn(100); {
+		op := rng.Intn(100)
+		if op >= 45 && rng.Intn(8) == 0 {
+			lba = outside[rng.Intn(len(outside))]
+		}
+		switch {
 		case op < 45:
 			for i := range src {
 				src[i] = byte(rng.Uint64())
@@ -125,7 +136,7 @@ func TestMemStoreMatchesModel(t *testing.T) {
 			model.write(lba, src)
 		case op < 80:
 			// Trim a run, as a cleaner batch does.
-			for n := 1 + rng.Intn(8); n > 0 && lba < space; n, lba = n-1, lba+1 {
+			for n := 1 + rng.Intn(8); n > 0; n, lba = n-1, lba+1 {
 				store.TrimPage(lba)
 				model.trim(lba)
 			}
@@ -147,34 +158,100 @@ func TestMemStoreMatchesModel(t *testing.T) {
 		default:
 			// The clone must match now and stay put while the original
 			// moves on (and the other way round).
+			lba = int64(rng.Intn(space))
 			sc, mc := store.Clone(), model.clone()
-			compare(step, sc, mc)
+			compareStore(t, step, space, sc, mc)
 			store.TrimPage(lba)
 			model.trim(lba)
 			sc.WritePage(lba, src)
 			mc.write(lba, src)
-			compare(step, sc, mc)
+			compareStore(t, step, space, sc, mc)
 		}
 		if step%16 == 0 {
-			compare(step, store, model)
+			compareStore(t, step, space, store, model)
 		}
 	}
-	compare(-1, store, model)
+	compareStore(t, -1, space, store, model)
 }
 
-func BenchmarkMemStoreWriteTrim(b *testing.B) {
-	// The SSD under KDD: a slot is trimmed and another written soon after.
-	m := NewMemStore(1024)
+// TestMemStoreTrimBursts is the cleaner's pattern at the SSD's scale:
+// trim a run of 1–4 096 pages, rewrite some of it from the pool the
+// trims fed, clone, and compare everything with the model each time.
+// The clone is taken right after the trims, so it must not share
+// recycled pages with the store it came from.
+func TestMemStoreTrimBursts(t *testing.T) {
+	const space = 8192
+	rng := sim.NewRNG(12)
+	store, model := NewMemStore(space), newModelStore()
 	src := make([]byte, PageSize)
-	for lba := int64(0); lba < 512; lba++ {
+	write := func(s *MemStore, m *modelStore, lba int64) {
+		for i := range src {
+			src[i] = byte(rng.Uint64())
+		}
+		s.WritePage(lba, src)
+		m.write(lba, src)
+	}
+	for lba := int64(0); lba < space; lba += 1 + int64(rng.Intn(2)) {
+		write(store, model, lba)
+	}
+	for round, burst := range []int{1, 63, 64, 65, 511, 512, 513, 4096, 1 + rng.Intn(4096), 1 + rng.Intn(4096)} {
+		first := int64(rng.Intn(space - burst + 1))
+		for lba := first; lba < first+int64(burst); lba++ {
+			store.TrimPage(lba)
+			model.trim(lba)
+		}
+		compareStore(t, round, space, store, model)
+		sc, mc := store.Clone(), model.clone()
+		for lba := first; lba < first+int64(burst); lba += 1 + int64(rng.Intn(3)) {
+			write(store, model, lba)
+			write(sc, mc, lba)
+		}
+		compareStore(t, round, space, store, model)
+		compareStore(t, round, space, sc, mc)
+	}
+}
+
+// TestMemStoreWriteOutOfRangePanics pins the one out-of-range operation
+// that is not a no-op: the store has no such page, every device
+// range-checks before it gets here, so it is a bug and says so.
+func TestMemStoreWriteOutOfRangePanics(t *testing.T) {
+	m := NewMemStore(16)
+	for _, lba := range []int64{-1, 16, 9999} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprint(lba)) || !strings.Contains(msg, "16 pages") {
+					t.Fatalf("WritePage(%d) on a 16-page store: recovered %q, want a panic naming both", lba, msg)
+				}
+			}()
+			m.WritePage(lba, make([]byte, PageSize))
+		}()
+	}
+	if m.Written() != 0 {
+		t.Fatalf("Written = %d after refused writes", m.Written())
+	}
+}
+
+// BenchmarkMemStoreWriteTrim is the SSD under KDD at zipf_plane_fit's
+// geometry: a cleaner pass trims a 1 024-page burst, then the cache
+// rewrites those slots. Past the warm-up no page is allocated.
+func BenchmarkMemStoreWriteTrim(b *testing.B) {
+	const pages, burst = 16384, 1024
+	m := NewMemStore(pages)
+	src := make([]byte, PageSize)
+	for lba := int64(0); lba < pages; lba++ {
 		m.WritePage(lba, src)
 	}
 	b.SetBytes(PageSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lba := int64(i % 1024)
-		m.TrimPage(lba)
-		m.WritePage((lba+512)%1024, src)
+	for i := 0; i < b.N; i += burst {
+		first := int64(i) % pages
+		for lba := first; lba < first+burst; lba++ {
+			m.TrimPage(lba)
+		}
+		for lba := first; lba < first+burst; lba++ {
+			m.WritePage(lba, src)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
@@ -132,7 +133,11 @@ type planeSubject struct {
 	cfg shard.Config
 }
 
-func (p planeSubject) run(t sim.Time, ops []shard.Op) []shard.Result { return p.RunBatch(t, ops) }
+// run copies the results out of the plane's scratch: exec's stale-parity
+// retry runs the subject again while it still walks the first batch's.
+func (p planeSubject) run(t sim.Time, ops []shard.Op) []shard.Result {
+	return slices.Clone(p.RunBatch(t, ops))
+}
 
 func (p planeSubject) restore(tr *obs.Tracer) (subject, error) {
 	cfg := p.cfg

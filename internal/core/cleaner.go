@@ -213,21 +213,17 @@ func (k *KDD) cleanRow(t sim.Time, victim int32) (sim.Time, error) {
 func (k *KDD) parityReconstruct(t sim.Time, peers []int64, cached []peerInfo) (sim.Time, error) {
 	var rowData [][]byte
 	if k.dataMode {
-		rowData = make([][]byte, len(peers))
+		rowData = k.rowPages[:0]
 		// Row pages are scratch: the backend XORs them into fresh parity
 		// and keeps nothing, so they all go back to the pool on exit.
-		defer func() {
-			for _, b := range rowData {
-				blockdev.PutPage(b)
-			}
-		}()
+		defer func() { k.rowPages = releasePages(rowData) }()
 		bySlot := make(map[int64]int32, len(cached))
 		for _, pi := range cached {
 			bySlot[pi.lba] = pi.slot
 		}
-		for i, p := range peers {
+		for _, p := range peers {
 			buf := blockdev.GetPage() // fully overwritten by readCurrent
-			rowData[i] = buf
+			rowData = append(rowData, buf)
 			if _, err := k.readCurrent(t, p, bySlot[p], buf); err != nil {
 				return t, err
 			}
@@ -241,20 +237,26 @@ func (k *KDD) parityReconstruct(t sim.Time, peers []int64, cached []peerInfo) (s
 	return k.backend.ParityUpdateReconstruct(t, peers[0], rowData)
 }
 
+// releasePages returns scratch pages to the page pool and the emptied
+// list for reuse.
+func releasePages(pages [][]byte) [][]byte {
+	for i, b := range pages {
+		blockdev.PutPage(b)
+		pages[i] = nil
+	}
+	return pages[:0]
+}
+
 // parityRMW repairs parity by XOR-ing the decompressed deltas into the
 // stale parity read from disk.
 func (k *KDD) parityRMW(t sim.Time, oldPeers []peerInfo) (sim.Time, error) {
 	lbas := k.rmwLBAs[:0]
 	var deltas [][]byte
 	if k.dataMode {
-		deltas = make([][]byte, 0, len(oldPeers))
+		deltas = k.rowPages[:0]
 		// The expanded XOR pages are dead once the backend has folded
 		// them into parity; release them on any exit.
-		defer func() {
-			for _, x := range deltas {
-				blockdev.PutPage(x)
-			}
-		}()
+		defer func() { k.rowPages = releasePages(deltas) }()
 	}
 	for _, pi := range oldPeers {
 		lbas = append(lbas, pi.lba)

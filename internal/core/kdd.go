@@ -199,14 +199,16 @@ type KDD struct {
 	dezPages  []dezPage  // DEZ slot -> occupancy
 
 	// Scratch reused across calls so the steady state allocates nothing:
-	// commitDez's delta offsets, cleanRow's cached/old row peers and
-	// parityRMW's LBA list. Each is dead once the call that filled it
-	// returns, and none of those calls nests within itself (cleanPass is
-	// not re-entrant, commitDez packs only after its cleaning pass).
+	// commitDez's delta offsets, cleanRow's cached/old row peers,
+	// parityRMW's LBA list and the page lists the two parity repairs hand
+	// the backend. Each is dead once the call that filled it returns, and
+	// none of those calls nests within itself (cleanPass is not
+	// re-entrant, commitDez packs only after its cleaning pass).
 	dezOffs   []int
 	rowCached []peerInfo
 	rowOld    []peerInfo
 	rmwLBAs   []int64
+	rowPages  [][]byte
 
 	ghost *ghostLRU // nil unless SelectiveAdmission
 

@@ -307,11 +307,8 @@ func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Ti
 			}
 			return t, err
 		}
-		d = k.codec.Encode(oldBuf, buf)
+		d = delta.EncodeOrRaw(k.codec, oldBuf, buf)
 		blockdev.PutPage(oldBuf) // codecs copy; d never aliases oldBuf
-		if d.Len >= blockdev.PageSize {
-			d = delta.NewRaw(buf)
-		}
 	} else {
 		d = k.codec.Encode(nil, nil)
 	}
@@ -489,6 +486,7 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 		dp.valid++
 		dp.used += int32(sd.D.Len)
 		done = sim.MaxTime(done, c)
+		sd.D.Release() // durable in the DEZ page and mapped there: the staged copy is dead
 	}
 	k.st.DeltaCommits++
 	return done, nil

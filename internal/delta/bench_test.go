@@ -35,6 +35,7 @@ func benchEncode(b *testing.B, encode func(old, new []byte) Delta) {
 			b.ReportAllocs()
 			var last Delta
 			for i := 0; i < b.N; i++ {
+				last.Release() // as staging does when the next delta of the page arrives
 				last = encode(old, newPage)
 			}
 			b.ReportMetric(float64(last.Len), "deltaBytes/op")

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -39,19 +38,48 @@ var (
 )
 
 // Delta is an encoded difference between two versions of a page.
+//
+// The payloads ZRLE.Encode and NewRaw hand out come from a free list and
+// go back to it through Release; who may release, and when, is stated
+// once, beside nvram.StagedDelta.
 type Delta struct {
 	Bytes []byte // encoded payload; nil when produced by the modelled codec
 	Len   int    // encoded length in bytes (== len(Bytes) when present)
 	Raw   bool   // payload is the full new page, not an encoding (incompressible fallback)
+
+	pooled bool // Bytes came from blockdev.GetBuf (one byte in Raw's padding: timing mode stages millions of these)
+}
+
+// Release returns the payload to the free list it came from. The caller
+// must be the payload's one owner and must not read Bytes (through this
+// or any copy of the Delta) afterwards. Deltas that carry no recyclable
+// payload — modelled ones, other codecs', views of a DEZ page — are
+// ignored, so every owner may release unconditionally.
+func (d Delta) Release() {
+	if d.pooled {
+		blockdev.PutBuf(d.Bytes)
+	}
 }
 
 // NewRaw returns an incompressible-delta fallback carrying the full new
 // page verbatim. KDD falls back to raw when a delta encodes to at least a
 // page, so DEZ space is never wasted on expansion.
 func NewRaw(newPage []byte) Delta {
-	cp := make([]byte, blockdev.PageSize)
-	copy(cp, newPage)
-	return Delta{Bytes: cp, Len: blockdev.PageSize, Raw: true}
+	cp := blockdev.GetBuf(blockdev.PageSize)
+	clear(cp[copy(cp, newPage):])
+	return Delta{Bytes: cp, Len: blockdev.PageSize, Raw: true, pooled: true}
+}
+
+// EncodeOrRaw is the write path's encoder: c's delta from old to new, or
+// the raw fallback when that delta would fill a page or more. The
+// discarded encoding goes straight back to the free list.
+func EncodeOrRaw(c Codec, old, new []byte) Delta {
+	d := c.Encode(old, new)
+	if d.Len >= blockdev.PageSize {
+		d.Release()
+		d = NewRaw(new)
+	}
+	return d
 }
 
 // ApplyAny reconstructs the new page from old and d into out, handling
@@ -97,14 +125,8 @@ func (ZRLE) Name() string { return "zrle" }
 // most four header bytes.
 const zrleMaxLen = blockdev.PageSize + 3
 
-// zrleScratch is Encode's working memory: the XOR of the two pages and
-// the encoding before it is copied out at its exact size.
-type zrleScratch struct {
-	x   [blockdev.PageSize]byte
-	enc [zrleMaxLen]byte
-}
-
-var zrleScratchPool = sync.Pool{New: func() any { return new(zrleScratch) }}
+// Encode's worst-case buffer comes from the sized free list.
+const _ = uint(blockdev.MaxBufBytes - zrleMaxLen)
 
 const (
 	lo8 = 0x0101010101010101
@@ -119,17 +141,23 @@ const (
 //
 // The scan moves eight bytes at a time over zero stretches and over
 // literal words without a zero byte, and falls back to single bytes only
-// around the words where a run starts or ends. The returned Bytes is one
-// allocation of exactly Len bytes: deltas sit in NVRAM staging until
-// they are packed, so slack capacity would be carried there.
+// around the words where a run starts or ends.
+//
+// The encoding is built in a worst-case buffer from the free list and
+// copied out into a buffer of the smallest size class that holds its Len
+// bytes: deltas sit in NVRAM staging until they are packed, so slack
+// capacity would be carried there. An encoding longer than a page is
+// already in its class (the worst case is three bytes past a class
+// boundary): it is handed out as built, with no copy, and the write
+// path gives it straight back for the raw fallback.
 func (ZRLE) Encode(old, new []byte) Delta {
 	if len(old) < blockdev.PageSize || len(new) < blockdev.PageSize {
 		panic("delta: ZRLE.Encode needs two full pages")
 	}
 	const n = blockdev.PageSize
-	s := zrleScratchPool.Get().(*zrleScratch)
-	defer zrleScratchPool.Put(s)
-	x, enc := s.x[:], s.enc[:]
+	x := blockdev.GetPage() // every byte assigned by the XOR below
+	defer blockdev.PutPage(x)
+	enc := blockdev.GetBuf(zrleMaxLen)
 	subtle.XORBytes(x, old[:n], new[:n])
 	o := 0
 	i := 0
@@ -181,9 +209,13 @@ func (ZRLE) Encode(old, new []byte) Delta {
 		o += copy(enc[o:], x[litStart:litEnd])
 		i = litEnd
 	}
-	out := make([]byte, o) // non-nil even when empty: nil marks modelled deltas
+	if o > n {
+		return Delta{Bytes: enc[:o:o], Len: o, pooled: true}
+	}
+	out := blockdev.GetBuf(o) // non-nil even when empty: nil marks modelled deltas
 	copy(out, enc[:o])
-	return Delta{Bytes: out, Len: o}
+	blockdev.PutBuf(enc)
+	return Delta{Bytes: out, Len: o, pooled: true}
 }
 
 // Apply implements Codec.

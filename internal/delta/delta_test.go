@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -231,5 +232,14 @@ func TestZRLEDeltaRatioHelper(t *testing.T) {
 	d := Delta{Len: blockdev.PageSize / 4}
 	if math.Abs(d.Ratio()-0.25) > 1e-12 {
 		t.Fatalf("Ratio = %f", d.Ratio())
+	}
+}
+
+// Timing mode stages millions of byte-less deltas, so the struct's size
+// is the trace workloads' alloc_bytes_per_op: the recycling flag must
+// stay in the padding after Raw.
+func TestDeltaSizeUnchanged(t *testing.T) {
+	if got := unsafe.Sizeof(Delta{}); got != 40 {
+		t.Fatalf("sizeof(Delta) = %d, want 40 (a slice, an int, and one word for the flags)", got)
 	}
 }

@@ -165,6 +165,88 @@ func TestZRLEMatchesByteWiseOracle(t *testing.T) {
 	}
 }
 
+// TestEncodeOrRawMatchesOracle pins the write path's fallback on either
+// side of the boundary: an encoding of a page or more becomes the raw
+// delta — byte for byte the fresh, exact-size copy of the new page that
+// NewRaw made before payloads were recycled — and a shorter one is the
+// oracle's encoding. Both come out of the free list, so the sequence is
+// run twice with every result released in between: the second pass gets
+// recycled buffers and must produce the same bytes.
+func TestEncodeOrRawMatchesOracle(t *testing.T) {
+	const n = blockdev.PageSize
+	zeroPage := make([]byte, n)
+	literal := func(length int) []byte { // XOR image: one literal from byte 0
+		x := make([]byte, n)
+		for i := range x[:length] {
+			x[i] = 0xA5
+		}
+		return x
+	}
+	rng := sim.NewRNG(7)
+	cases := []struct {
+		name     string
+		old, new []byte
+		raw      bool
+	}{
+		{"4095-byte encoding", zeroPage, literal(n - 4), false}, // 1 + 2 + 4092
+		{"4096-byte encoding", zeroPage, literal(n - 3), true},  // 1 + 2 + 4093
+		{"4099-byte encoding", zeroPage, literal(n), true},
+		{"unrelated pages", randomPage(rng), randomPage(rng), true},
+		{"identical pages", zeroPage, zeroPage, false},
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, tc := range cases {
+			enc := zrleEncodeByteWise(tc.old, tc.new)
+			if (len(enc) >= n) != tc.raw {
+				t.Fatalf("%s: oracle encoding is %d bytes, case expects raw=%v", tc.name, len(enc), tc.raw)
+			}
+			want := enc
+			if tc.raw {
+				want = make([]byte, n) // NewRaw as it was: make, copy
+				copy(want, tc.new)
+			}
+			d := EncodeOrRaw(ZRLE{}, tc.old, tc.new)
+			if d.Raw != tc.raw || d.Len != len(want) || !bytes.Equal(d.Bytes, want) || cap(d.Bytes) != len(want) || d.Bytes == nil {
+				t.Fatalf("pass %d, %s: got raw=%v Len=%d len=%d cap=%d, want raw=%v and exactly the oracle's %d bytes",
+					pass, tc.name, d.Raw, d.Len, len(d.Bytes), cap(d.Bytes), tc.raw, len(want))
+			}
+			out := make([]byte, n)
+			if err := ApplyAny(ZRLE{}, tc.old, d, out); err != nil || !bytes.Equal(out, tc.new) {
+				t.Fatalf("pass %d, %s: round trip: err %v, bytes equal %v", pass, tc.name, err, bytes.Equal(out, tc.new))
+			}
+			d.Release()
+		}
+	}
+}
+
+// poolDropsPuts is set by race_test.go when the race detector is on.
+var poolDropsPuts bool
+
+// TestEncodeReleaseRecycles: an encode-then-release cycle draws on the
+// free list and gives back exactly what it drew, at every encoded size
+// on either side of a class boundary and of the raw fallback. A buffer
+// that went back to another class than it came from would show up here
+// as one allocation per cycle (and in a long run as a free list that
+// grows without bound).
+func TestEncodeReleaseRecycles(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const n = blockdev.PageSize
+	zeroPage := make([]byte, n)
+	for _, literal := range []int{0, 1, 252, 253, 254, n - 260, n - 259, n - 4, n - 3, n - 2, n - 1, n} {
+		x := make([]byte, n)
+		for i := range x[:literal] {
+			x[i] = 0xA5
+		}
+		cycle := func() { EncodeOrRaw(ZRLE{}, zeroPage, x).Release() }
+		cycle()
+		if got := testing.AllocsPerRun(50, cycle); got > 0.5 {
+			t.Errorf("literal of %d bytes: %.2f allocations per encode+release cycle, want 0", literal, got)
+		}
+	}
+}
+
 // A zero-run or literal length of 2^63 or more must not wrap to a
 // negative int and index out of the page.
 func TestZRLEApplyRejectsHugeLengths(t *testing.T) {

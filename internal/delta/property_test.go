@@ -58,10 +58,7 @@ func pageShapes(seed uint64) [][2][]byte {
 // reconstruction and the encoded delta.
 func packedRoundTrip(t *testing.T, c Codec, old, new []byte, off int) ([]byte, Delta) {
 	t.Helper()
-	d := c.Encode(old, new)
-	if d.Len >= blockdev.PageSize {
-		d = NewRaw(new) // the KDD write path's incompressible fallback
-	}
+	d := EncodeOrRaw(c, old, new) // the KDD write path, incompressible fallback included
 	if d.Len != len(d.Bytes) {
 		t.Fatalf("%s: Len %d != len(Bytes) %d", c.Name(), d.Len, len(d.Bytes))
 	}

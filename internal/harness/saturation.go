@@ -26,12 +26,12 @@ import (
 // per-op CPU cost, so a request's start time is max(arrival, its shard's
 // busy clock). That models exactly the resource sharding parallelizes
 // (the single-threaded engine compute) and keeps the measured curves
-// byte-stable across runs and machines, which is what lets CI gate on
-// the scaling ratio. Wall-clock timing of the goroutine pool would
-// measure the host scheduler, not the design.
+// byte-stable across runs and machines. Wall-clock timing of the
+// goroutine pool would measure the host scheduler, not the design.
 //
-// sustained(N) is the highest grid load whose p99 stays within the SLO;
-// the headline metric is sustained(4)/sustained(1), gated at >= 2x.
+// sustained(N) is the highest grid load whose p99 stays within the SLO.
+// The headline ratio sustained(4)/sustained(1) follows from satOpCost
+// alone, so it is reported as a property of the model, not gated.
 const (
 	// satOpCost is the modelled per-op engine compute charged to the
 	// owning shard's serial clock.
@@ -72,7 +72,7 @@ type SaturationResult struct {
 	// whose p99 met the SLO (0 if even the lightest point missed it).
 	SustainedIOPS map[int]float64
 
-	// Scaling4x1 is sustained(4)/sustained(1), the tentpole metric.
+	// Scaling4x1 is sustained(4)/sustained(1), a constant of satOpCost.
 	Scaling4x1 float64
 }
 
@@ -138,7 +138,7 @@ func SaturationSweep(scale float64) (SaturationResult, error) {
 	for _, n := range satShardCounts {
 		fmt.Fprintf(&b, "sustained(shards=%d) = %.0f kIOPS\n", n, res.SustainedIOPS[n]/1000)
 	}
-	fmt.Fprintf(&b, "scaling sustained(4)/sustained(1) = %.2fx (gate >= 2x)\n", res.Scaling4x1)
+	fmt.Fprintf(&b, "scaling sustained(4)/sustained(1) = %.2fx (modelled: a constant of satOpCost)\n", res.Scaling4x1)
 	res.Table = b.String()
 	return res, nil
 }

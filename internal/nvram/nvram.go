@@ -15,6 +15,26 @@ import (
 
 // StagedDelta is one delta waiting in the staging buffer, keyed by the
 // cached DAZ page it applies to.
+//
+// Ownership of delta payloads. The bytes behind D.Bytes come from a free
+// list (delta.ZRLE.Encode, delta.NewRaw) and have exactly one owner at a
+// time, who alone may call D.Release:
+//
+//   - Encode's caller owns a fresh delta until it hands it to Put.
+//   - The Staging owns every delta it holds, across a power failure too:
+//     the buffer is handed to core.Restore intact, payloads included. It
+//     releases a payload when a newer delta for the same page replaces
+//     it (Put) and when the page's delta is dropped (Drop).
+//   - PackPage passes the drained deltas to its caller, who copies them
+//     into the DEZ page image and then either releases each one (it is
+//     durable in DEZ) or gives it back with Put (the commit failed).
+//   - Get and All lend: the result may be read until the next Put, Drop
+//     or PackPage on the buffer, and is never released by the borrower.
+//
+// This is blockdev.PutPage's convention: a payload nobody releases is
+// garbage, never a bug; one released twice, or read after its release,
+// is a bug — which the ownership test catches by poisoning every
+// released payload before it is reused.
 type StagedDelta struct {
 	DazPage int64 // SSD cache page index of the old version (lba_daz)
 	RaidLBA int64 // storage address of the data (lba_raid)
@@ -83,6 +103,7 @@ func (s *Staging) staged(dazPage int64) *StagedDelta {
 func (s *Staging) Put(d StagedDelta) {
 	if e := s.staged(d.DazPage); e != nil {
 		s.bytes += d.D.Len - e.D.Len
+		e.D.Release()
 		*e = d
 		s.Coalesced++
 		return
@@ -108,6 +129,7 @@ func (s *Staging) Drop(dazPage int64) {
 		return
 	}
 	s.bytes -= e.D.Len
+	e.D.Release()
 	*e = StagedDelta{DazPage: -1} // tombstone; skipped and drained by PackPage
 	s.index[dazPage-s.first] = 0
 	s.n--
@@ -118,7 +140,8 @@ func (s *Staging) Drop(dazPage int64) {
 // and returns them. The caller writes them to one DEZ page and updates
 // its mapping entries. Returns nil when the buffer is empty. The result is
 // scratch owned by the buffer, valid until the next PackPage; Put and Drop
-// leave it alone, so the caller may re-stage from it.
+// leave it alone, so the caller may re-stage from it. The delta payloads
+// in it now belong to the caller (see StagedDelta).
 func (s *Staging) PackPage() []StagedDelta {
 	out := s.packed[:0]
 	used := 0

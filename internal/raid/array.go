@@ -442,13 +442,22 @@ func (a *Array) smallWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 		return a.degradedWrite(t, l, buf)
 	}
 
+	// Scratch from the page pool: each page is overwritten in full by its
+	// member read (or the repair that stands in for it) before it is
+	// used, the members copy what they are handed, and nothing keeps a
+	// page past the return.
 	var diff []byte // old data, then old ⊕ new
 	var par [2][]byte
 	if buf != nil {
-		diff = make([]byte, blockdev.PageSize)
+		diff = blockdev.GetPage()
 		for j := 0; j < l.np; j++ {
-			par[j] = make([]byte, blockdev.PageSize)
+			par[j] = blockdev.GetPage()
 		}
+		defer func() {
+			blockdev.PutPage(diff)
+			blockdev.PutPage(par[0])
+			blockdev.PutPage(par[1])
+		}()
 	}
 
 	// Phase 1: parallel reads of old data and parity. A latent media

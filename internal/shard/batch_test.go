@@ -1,0 +1,170 @@
+package shard_test
+
+import (
+	"fmt"
+	"hash/crc32"
+	"slices"
+	"testing"
+
+	"kddcache/internal/blockdev"
+	"kddcache/internal/delta"
+	"kddcache/internal/shard"
+	"kddcache/internal/sim"
+)
+
+// poolDropsPuts is set by race_test.go when the race detector is on.
+var poolDropsPuts bool
+
+// TestRunBatchAllocs is the executable form of "one hand-off per worker
+// per batch, in scratch the plane owns": a warm 256-op batch — read hits,
+// write hits, and writes superseded within the batch so coalescing has
+// work to do — costs the plane at most shards+4 allocations in either
+// scheduler mode. It was about 240 while every op was a closure and a
+// channel send and the result, skip and drop arrays were built per batch.
+// The batch is replayed unchanged, so the lanes themselves settle into
+// allocating nothing (each rewrite coalesces in NVRAM staging, nothing
+// packs, nothing is cleaned) and what is counted is the plane.
+func TestRunBatchAllocs(t *testing.T) {
+	for _, goroutines := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 4} {
+			r := newPRig(t, shards, func(c *shard.Config) {
+				c.Goroutines = goroutines
+				c.Coalesce = true
+			})
+			var ops []shard.Op
+			for i := 0; i < 64; i++ {
+				lba := int64(i * 7 % prigFootprint)
+				first, second := make([]byte, blockdev.PageSize), make([]byte, blockdev.PageSize)
+				r.mut.FillRandom(first)
+				copy(second, first)
+				r.mut.Mutate(second)
+				ops = append(ops,
+					shard.Op{Kind: shard.OpWrite, LBA: lba, Buf: first}, // superseded by the third op
+					shard.Op{Kind: shard.OpRead, LBA: lba + 1, Buf: make([]byte, blockdev.PageSize)},
+					shard.Op{Kind: shard.OpWrite, LBA: lba, Buf: second},
+					shard.Op{Kind: shard.OpRead, LBA: lba, Buf: make([]byte, blockdev.PageSize)})
+			}
+			run := func() {
+				for i, res := range r.p.RunBatch(0, ops) {
+					if res.Err != nil || res.Coalesced != (i%4 == 0) {
+						t.Fatalf("goroutines=%v shards=%d: op %d: err %v, coalesced %v", goroutines, shards, i, res.Err, res.Coalesced)
+					}
+				}
+			}
+			run() // admits the pages
+			run() // first write hits: pages go Old
+			got := testing.AllocsPerRun(20, run)
+			t.Logf("goroutines=%v shards=%d: %.1f allocs per 256-op batch", goroutines, shards, got)
+			if got > float64(shards+4) && !poolDropsPuts {
+				t.Errorf("goroutines=%v shards=%d: %.1f allocs per 256-op batch, budget %d", goroutines, shards, got, shards+4)
+			}
+		}
+	}
+}
+
+// laneTrace records, per lane, what the lane's engine was asked to do, in
+// the order it was asked: every codec call (write hits encode, reads of
+// Old pages and the cleaner apply) and every metadata page a barrier of
+// that lane committed. A lane is only ever touched by the worker that
+// owns it, so each sequence has one writer at a time and the race
+// detector checks that claim.
+type laneTrace [shard.Lanes][]uint32
+
+const (
+	evBarrier = 1 // a tagged metadata page committed by this lane's barrier
+	evBatch   = 2 // RunBatch returned (appended by the driver to every lane)
+)
+
+// recordingCodec is lane's ZRLE with its calls recorded.
+type recordingCodec struct {
+	delta.ZRLE
+	seq *[]uint32
+}
+
+func (c recordingCodec) Encode(old, new []byte) delta.Delta {
+	*c.seq = append(*c.seq, crc32.ChecksumIEEE(new)|1<<31)
+	return c.ZRLE.Encode(old, new)
+}
+
+func (c recordingCodec) Apply(old []byte, d delta.Delta, out []byte) error {
+	*c.seq = append(*c.seq, crc32.ChecksumIEEE(d.Bytes)|1<<31)
+	return c.ZRLE.Apply(old, d, out)
+}
+
+// recordingSSD is the cache device with its shard-tagged metadata page
+// writes recorded on the lane whose barrier issued them.
+type recordingSSD struct {
+	*blockdev.NullDevice
+	tr *laneTrace
+}
+
+func (d recordingSSD) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
+	if lba < prigMetaPages && buf[0] == 'K' && buf[1] == 'S' {
+		d.tr[buf[8]] = append(d.tr[buf[8]], evBarrier)
+	}
+	return d.NullDevice.WritePages(t, lba, count, buf)
+}
+
+// TestWorkerOrderMatchesDeterministic pins what the per-worker hand-off
+// must preserve. In goroutine mode at 2 and 4 shards every lane sees
+// exactly the codec calls the deterministic run makes on it, in the same
+// order, and within each batch a lane's barrier comes after all of the
+// lane's ops — in both modes. (Which lane's barrier finds a full page in
+// the shared log depends on how the workers interleave, so the barriers'
+// page counts are not compared; their position is.)
+func TestWorkerOrderMatchesDeterministic(t *testing.T) {
+	trace := func(shards int, goroutines bool) *laneTrace {
+		tr := new(laneTrace)
+		r := newPRig(t, shards, func(c *shard.Config) {
+			c.Goroutines = goroutines
+			c.Coalesce = true
+			c.SSD = recordingSSD{c.SSD.(*blockdev.NullDevice), tr}
+			c.Codec = func(lane int) delta.Codec { return recordingCodec{seq: &tr[lane]} }
+		})
+		for b := 0; b < 24; b++ {
+			ops, _ := r.batch(256)
+			for i, res := range r.p.RunBatch(0, ops) {
+				if res.Err != nil {
+					t.Fatalf("batch %d op %d: %v", b, i, res.Err)
+				}
+			}
+			for lane := range tr {
+				tr[lane] = append(tr[lane], evBatch)
+			}
+		}
+		return tr
+	}
+	ops := func(seq []uint32) []uint32 {
+		return slices.DeleteFunc(slices.Clone(seq), func(e uint32) bool { return e == evBarrier })
+	}
+	want := trace(1, false)
+	barriers := 0
+	for _, tc := range []struct {
+		shards     int
+		goroutines bool
+	}{{1, false}, {4, false}, {2, true}, {4, true}} {
+		name := fmt.Sprintf("shards=%d goroutines=%v", tc.shards, tc.goroutines)
+		got := trace(tc.shards, tc.goroutines)
+		for lane := range got {
+			if !slices.Equal(ops(got[lane]), ops(want[lane])) {
+				t.Errorf("%s: lane %d saw %d codec calls in an order the deterministic run (%d calls) did not make",
+					name, lane, len(ops(got[lane])), len(ops(want[lane])))
+			}
+			inBarrier := false
+			for i, e := range got[lane] {
+				switch {
+				case e == evBarrier:
+					inBarrier = true
+					barriers++
+				case e == evBatch:
+					inBarrier = false
+				case inBarrier:
+					t.Fatalf("%s: lane %d: event %d is an op after the lane's barrier of the same batch", name, lane, i)
+				}
+			}
+		}
+	}
+	if barriers == 0 {
+		t.Fatal("no barrier committed a page: the workload is too short to say where barriers run")
+	}
+}

@@ -174,6 +174,12 @@ type Plane struct {
 	// the latch flips at the same op ordinal regardless of shard count.
 	dead atomic.Bool
 
+	// b is the batch in flight; work[s] is worker s's one item per batch
+	// (built once: it runs whatever b holds for s).
+	b    batch
+	work []func()
+	one  [1]Op // Read's and Write's single-op batch
+
 	// Batch-scope bookkeeping, touched only between Wait barriers or
 	// under stickyMu.
 	coalesced    int64
@@ -283,6 +289,18 @@ func newShell(cfg Config) *Plane {
 	} else {
 		p.sched = sched.NewDeterministic(cfg.Shards)
 	}
+	// The deterministic scheduler's contract is GLOBAL submission order,
+	// so there the whole batch is one run; workers each get their own.
+	width := 1
+	if cfg.Goroutines {
+		width = cfg.Shards
+	}
+	p.b.runs = make([][]int32, width)
+	p.b.later = map[int64]bool{}
+	p.work = make([]func(), width)
+	for w := range p.work {
+		p.work[w] = func() { p.runWorker(w) }
+	}
 	return p
 }
 
@@ -327,73 +345,99 @@ func (p *Plane) note(err error) {
 	p.stickyMu.Unlock()
 }
 
-// coalesceSkips marks writes superseded later in ops: same LBA written
-// again with no read of it in between. One backward scan suffices — only
-// same-LBA operations interact, and an LBA always lands on one lane, so
-// the result is identical whether computed globally or per shard queue.
-// Ops the admission gate already rejected (drop) do not participate: a
-// shed write never executes, so it must not supersede an earlier one.
-func (p *Plane) coalesceSkips(ops []Op, drop []bool) []bool {
-	if !p.cfg.Coalesce {
-		return nil
+// batch is RunBatch's scratch, owned by the plane and reused from one
+// batch to the next: the submitter fills it before the workers are
+// handed their items and reads res after the Wait barrier; in between,
+// worker w reads runs[w] and writes only the res entries listed there.
+type batch struct {
+	t      sim.Time
+	ops    []Op
+	res    []Result
+	drop   []bool         // rejected by the admission gate; res already holds the error
+	bypass []bool         // served around cache admission (QoS bypass verdict)
+	skip   []bool         // write superseded later in the batch
+	runs   [][]int32      // per worker: the ops it executes, in input order
+	later  map[int64]bool // coalesceSkips' set, cleared per batch (keeps its buckets)
+}
+
+// reset sizes the scratch for ops and clears what the last batch left
+// (not res: every op's entry is assigned exactly once — by the gate, the
+// coalescer or the worker that runs it).
+func (b *batch) reset(t sim.Time, ops []Op) {
+	n := len(ops)
+	b.t, b.ops = t, ops
+	if cap(b.res) < n {
+		b.res = make([]Result, n)
+		b.drop = make([]bool, n)
+		b.bypass = make([]bool, n)
+		b.skip = make([]bool, n)
 	}
-	skip := make([]bool, len(ops))
-	willWrite := make(map[int64]bool)
-	for i := len(ops) - 1; i >= 0; i-- {
-		if drop != nil && drop[i] {
+	b.res, b.drop, b.bypass, b.skip = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n]
+	clear(b.drop)
+	clear(b.bypass)
+	clear(b.skip)
+	for w := range b.runs {
+		b.runs[w] = b.runs[w][:0]
+	}
+}
+
+// coalesceSkips marks writes superseded later in the batch: same LBA
+// written again with no read of it in between. One backward scan suffices
+// — only same-LBA operations interact, and an LBA always lands on one
+// lane, so the result is identical whether computed globally or per shard
+// queue. Ops the admission gate already rejected (drop) do not
+// participate: a shed write never executes, so it must not supersede an
+// earlier one.
+func (p *Plane) coalesceSkips() {
+	b := &p.b
+	clear(b.later)
+	for i := len(b.ops) - 1; i >= 0; i-- {
+		if b.drop[i] {
 			continue
 		}
-		switch ops[i].Kind {
+		switch b.ops[i].Kind {
 		case OpWrite:
-			if willWrite[ops[i].LBA] {
-				skip[i] = true
+			if b.later[b.ops[i].LBA] {
+				b.skip[i] = true
 			} else {
-				willWrite[ops[i].LBA] = true
+				b.later[b.ops[i].LBA] = true
 			}
 		case OpRead:
-			delete(willWrite, ops[i].LBA)
+			delete(b.later, b.ops[i].LBA)
 		}
 	}
-	return skip
 }
 
 // gate runs the admission boundary (qos.Controller.Gate: deadline, then
-// verdict) over a batch in submission order on the submitting goroutine.
-// What the plane adds is the batch bookkeeping: a rejected op is dropped
-// with its typed error in res and a throttle/shed mark in the trace, a
-// bypass verdict is remembered for exec. It returns the drop mask and
-// the bypass mask (nil when nothing was rejected or bypassed). Running
-// strictly before any scheduling is what keeps the controller
-// single-threaded and the verdict sequence independent of shard count.
-func (p *Plane) gate(t sim.Time, ops []Op, res []Result) (drop, bypass []bool) {
-	for i := range ops {
-		at := ops[i].At
+// verdict) over the batch in submission order on the submitting
+// goroutine. What the plane adds is the batch bookkeeping: a rejected op
+// is dropped with its typed error in res and a throttle/shed mark in the
+// trace, a bypass verdict is remembered for exec. Running strictly
+// before any scheduling is what keeps the controller single-threaded and
+// the verdict sequence independent of shard count.
+func (p *Plane) gate() {
+	b := &p.b
+	for i := range b.ops {
+		at := b.ops[i].At
 		if at == 0 {
-			at = t
+			at = b.t
 		}
-		d, err := p.cfg.QoS.Gate(at, ops[i].Tenant, ops[i].Deadline)
+		d, err := p.cfg.QoS.Gate(at, b.ops[i].Tenant, b.ops[i].Deadline)
 		if err != nil {
 			if !p.cfg.Goroutines {
 				switch d.Verdict {
 				case qos.VerdictThrottle:
-					p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, ops[i].LBA)
+					p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, b.ops[i].LBA)
 				case qos.VerdictShed:
-					p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, ops[i].LBA)
+					p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, b.ops[i].LBA)
 				}
 			}
-			if drop == nil {
-				drop = make([]bool, len(ops))
-			}
-			drop[i] = true
-			res[i] = Result{Done: at, Err: err}
+			b.drop[i] = true
+			b.res[i] = Result{Done: at, Err: err}
 		} else if d.Verdict == qos.VerdictBypass {
-			if bypass == nil {
-				bypass = make([]bool, len(ops))
-			}
-			bypass[i] = true
+			b.bypass[i] = true
 		}
 	}
-	return drop, bypass
 }
 
 // exec runs one operation on its lane under the stripe lock. A plane
@@ -423,57 +467,75 @@ func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
 // input order. In deterministic mode ops run inline in input order
 // regardless of shard count; in goroutine mode each shard executes its
 // lanes' subsequence in order, concurrently with the other shards.
+//
+// One batch runs at a time, and the results are the plane's scratch:
+// they are valid until the next RunBatch (Read and Write included), so
+// consume or copy them before submitting again.
 func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
-	res := make([]Result, len(ops))
-	drop, bypass := p.gate(t, ops, res)
-	skip := p.coalesceSkips(ops, drop)
-	for i := range ops {
-		if drop != nil && drop[i] {
-			continue
-		}
-		if skip != nil && skip[i] {
-			res[i] = Result{Done: t, Coalesced: true}
-			p.coalesced++
-			continue
-		}
-		i := i
-		byp := bypass != nil && bypass[i]
-		p.sched.Submit(p.ShardOf(p.LaneOf(ops[i].LBA)), func() {
-			res[i] = p.exec(t, ops[i], byp)
-		})
+	b := &p.b
+	b.reset(t, ops)
+	p.gate()
+	if p.cfg.Coalesce {
+		p.coalesceSkips()
 	}
-	// One tagged page-flush barrier per lane, in lane order (inline in
-	// deterministic mode, per-worker FIFO in goroutine mode). A stopped
-	// plane skips the barriers: the buffered entries are already at their
-	// durability point in NVRAM, and the device is gone.
-	for lane := 0; lane < Lanes; lane++ {
-		lane := lane
-		p.sched.Submit(p.ShardOf(lane), func() {
-			if p.dead.Load() {
-				return
-			}
-			if _, err := p.lanes[lane].FlushMetaBatch(t); err != nil {
-				if fatalErr(err) {
-					p.dead.Store(true)
-				}
-				p.note(fmt.Errorf("shard: lane %d meta barrier: %w", lane, err))
-			}
-		})
+	width := len(b.runs)
+	for i := range ops {
+		switch {
+		case b.drop[i]:
+		case b.skip[i]:
+			b.res[i] = Result{Done: t, Coalesced: true}
+			p.coalesced++
+		default:
+			w := p.LaneOf(ops[i].LBA) % width
+			b.runs[w] = append(b.runs[w], int32(i))
+		}
+	}
+	// One hand-off per worker: its ops, then its lanes' barriers.
+	for w := range p.work {
+		p.sched.Submit(w, p.work[w])
 	}
 	p.sched.Wait()
+	b.ops = nil // the caller's ops (and their buffers) are not ours to keep
 	p.pumpRebuild(t)
-	return res
+	return b.res
+}
+
+// runWorker is worker w's whole share of the batch in flight: its ops in
+// input order, then one tagged page-flush barrier for each of its lanes,
+// in lane order. A stopped plane skips the barriers: the buffered entries
+// are already at their durability point in NVRAM, and the device is gone.
+func (p *Plane) runWorker(w int) {
+	b := &p.b
+	for _, i := range b.runs[w] {
+		b.res[i] = p.exec(b.t, b.ops[i], b.bypass[i])
+	}
+	for lane := w; lane < Lanes; lane += len(b.runs) {
+		if p.dead.Load() {
+			return
+		}
+		if _, err := p.lanes[lane].FlushMetaBatch(b.t); err != nil {
+			if fatalErr(err) {
+				p.dead.Store(true)
+			}
+			p.note(fmt.Errorf("shard: lane %d meta barrier: %w", lane, err))
+		}
+	}
 }
 
 // Read serves one read through the batch machinery.
 func (p *Plane) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	r := p.RunBatch(t, []Op{{Kind: OpRead, LBA: lba, Buf: buf}})[0]
-	return r.Done, r.Err
+	return p.runOne(t, Op{Kind: OpRead, LBA: lba, Buf: buf})
 }
 
 // Write serves one write through the batch machinery.
 func (p *Plane) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	r := p.RunBatch(t, []Op{{Kind: OpWrite, LBA: lba, Buf: buf}})[0]
+	return p.runOne(t, Op{Kind: OpWrite, LBA: lba, Buf: buf})
+}
+
+func (p *Plane) runOne(t sim.Time, op Op) (sim.Time, error) {
+	p.one[0] = op
+	r := p.RunBatch(t, p.one[:])[0]
+	p.one[0] = Op{}
 	return r.Done, r.Err
 }
 
