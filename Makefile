@@ -45,11 +45,14 @@ chaos-rebuild:
 # {kdd, lsraid} x {bare engine, sharded plane} matrix: every crash point
 # and media-fault site enumerated from the engine's profile trace, and
 # every crash point of the plane's batched workload (interleaved lane
-# batches in flight), for two fixed seeds per cell; non-zero exit on any
+# batches in flight), for two fixed seeds per cell; then the log engine's
+# rebuild-window sweep (a member killed mid-workload, every site fired
+# against the online rebuild at RAID-5 geometry); non-zero exit on any
 # violation. The only place the CI sweeps run.
 check:
 	$(GO) run ./cmd/kddcheck -ci
 	$(GO) run ./cmd/kddcheck -ci -backend lsraid
+	$(GO) run ./cmd/kddcheck -ci -rebuild -backend lsraid
 
 # Mutation self-test: the kddbug build tag compiles in a DEZ
 # log-before-durable ordering bug; the checker must catch it, proving the

@@ -9,8 +9,9 @@
 // -shard runs the crash points of a batched workload over the sharded
 // plane instead of the bare engine, -backend picks the array under
 // either, and -ci is both sweeps at fixed small parameters (`make check`
-// runs it once per backend). Options no stack can be built from are a
-// one-line usage error, exit 2.
+// runs it once per backend, and once more as the log engine's rebuild
+// sweep). Options no stack can be built from are a one-line usage error,
+// exit 2.
 //
 // The sweep is deterministic: pass the printed seed back via -seed to
 // replay a violation exactly.
@@ -19,6 +20,7 @@
 //
 //	kddcheck -ci
 //	kddcheck -ci -backend lsraid
+//	kddcheck -ci -rebuild -backend lsraid
 //	kddcheck -seeds 4 -ops 400
 //	kddcheck -seed 0xC0FFEE -seeds 1
 package main
@@ -41,7 +43,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker-pool width for site replays; report is identical at any width (0 = GOMAXPROCS, 1 = serial)")
 		ci        = flag.Bool("ci", false, "deterministic CI mode: fixed small parameters, overrides -ops/-footprint; runs the single-core AND sharded sweeps (with -rebuild, the single-core one only)")
 		shardOnly = flag.Bool("shard", false, "run only the sharded-plane crash sweep (batched workload, crash points with multiple lanes' metadata batches in flight)")
-		rebuild   = flag.Bool("rebuild", false, "rebuild-window scenario: kill a member mid-workload with a hot spare parked (RAID-6), so every crash point and fault site fires against an online rebuild")
+		rebuild   = flag.Bool("rebuild", false, "rebuild-window scenario: kill a member mid-workload with a hot spare parked (RAID-6 on kdd, RAID-5 on lsraid), so every crash point and fault site fires against an online rebuild")
 		stride    = flag.Int("media-stride", 0, "sample every Nth member media-fault site (0/1 = exhaustive); crash and SSD sites are never strided — useful with -rebuild, where the rebuild touches every member page")
 		backend   = flag.String("backend", "kdd", "array backend under the cache: kdd (parity RAID + delayed-parity protocol) or lsraid (log-structured, full-stripe appends)")
 	)

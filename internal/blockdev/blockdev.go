@@ -141,3 +141,11 @@ func CheckBuf(buf []byte, count int) error {
 	}
 	return nil
 }
+
+// Page returns the i-th page of buf, or nil in timing mode (nil buf).
+func Page(buf []byte, i int) []byte {
+	if buf == nil {
+		return nil
+	}
+	return buf[i*PageSize : (i+1)*PageSize]
+}

@@ -121,7 +121,6 @@ func TestUsageErrors(t *testing.T) {
 		{"check footprint past the array", checkErr(Run, Options{Footprint: 100000}), "footprint 100000"},
 		{"check cache below one set", checkErr(Run, Options{CachePages: 8}), "below one set"},
 		{"check unknown backend", checkErr(Run, Options{Backend: "x"}), `unknown backend "x"`},
-		{"check rebuild on lsraid", checkErr(Run, Options{Backend: "lsraid", Rebuild: true}), "single-parity"},
 		{"shard cache below one set per lane", checkErr(RunShard, Options{CachePages: 8}), "below one"},
 		{"shard rebuild", checkErr(RunShard, Options{Rebuild: true}), "bare engine"},
 	} {

@@ -43,9 +43,11 @@ type Options struct {
 	CrashOnly  bool   // explore only crash sites (used by the kddbug mutation self-test)
 	// Rebuild selects the rebuild-window scenario: a member is killed at
 	// Ops/3 with a hot spare parked, so every site fires against a stack
-	// whose pump is rebuilding the array online (RAID-6 geometry, so a
-	// member media fault inside the window stays recoverable). Crash sites
-	// then cover the rebuild checkpoint/resume path.
+	// whose pump is rebuilding the array online. Crash sites then cover
+	// the rebuild checkpoint/resume path. The parity engine runs it at
+	// RAID-6 geometry, so a member media fault inside the window stays
+	// recoverable; the log engine is single-parity, so there such a fault
+	// is a legal, loud loss (see runSite).
 	Rebuild bool
 	// MediaStride samples every Nth member media-fault site (0 or 1 =
 	// exhaustive). Crash sites, whole-SSD kill sites and SSD media sites
@@ -56,8 +58,7 @@ type Options struct {
 	MediaStride int
 	// Backend picks the array implementation under the cache: "kdd" (the
 	// default; parity RAID with the delayed-parity protocol) or "lsraid"
-	// (the log-structured backend). The rebuild scenario is kdd-only: it
-	// depends on RAID-6 double-fault geometry.
+	// (the log-structured backend).
 	Backend string
 }
 
@@ -181,10 +182,14 @@ func (o Options) spec(shards int) spec {
 		s.geometry, s.shards, s.batch = planeGeometry, shards, 16
 	}
 	if o.Rebuild {
-		// RAID-6 with one extra member: an armed member media fault may
-		// fire INSIDE the rebuild window (one member already missing), and
-		// zero loss only holds if the geometry tolerates that second hole.
-		s.disks, s.level, s.spares = s.disks+1, raid.Level6, 1
+		s.spares = 1
+		if o.Backend == "kdd" {
+			// RAID-6 with one extra member: an armed member media fault may
+			// fire INSIDE the rebuild window (one member already missing),
+			// and zero loss only holds if the geometry tolerates that second
+			// hole.
+			s.disks, s.level = s.disks+1, raid.Level6
+		}
 	}
 	return s
 }
@@ -378,8 +383,12 @@ func runSite(seed uint64, o Options, s spec, at site) (siteOutcome, error) {
 	defer func() { r.sub.close() }()
 	// An SSD fail-stop inside the rebuild window is a legal double fault:
 	// the deltas that died with the cache were the only way to repair
-	// stale parity before reconstructing the missing member (§III-E).
-	r.allowLost = o.Rebuild && at.disk < 0 && at.fs.Kind == blockdev.FaultFailStop
+	// stale parity before reconstructing the missing member (§III-E). So
+	// is a member media fault on the single-parity log engine: inside the
+	// window it is the second hole of its row. Either loss must be loud;
+	// silent corruption and a window that never closes stay violations.
+	r.allowLost = o.Rebuild && (at.disk < 0 && at.fs.Kind == blockdev.FaultFailStop ||
+		at.disk >= 0 && o.Backend == "lsraid" && at.fs.Kind != blockdev.FaultCrashTorn)
 	r.injs[at.disk+1].Arm(at.fs) // the SSD (disk -1) leads the list
 	r.runOps()
 	if !r.halt {

@@ -52,9 +52,12 @@ func TestCheckerCIMode(t *testing.T) {
 }
 
 // TestCheckerRebuildScenario sweeps every crash point and fault site
-// against a stack that is rebuilding a killed member online: crash sites
-// inside the rebuild window must resume from the NVRAM checkpoint (twice,
-// with equal digests), and no site may cost data despite the member hole.
+// against a stack that is rebuilding a killed member online, on both
+// backends: crash sites inside the rebuild window must resume from the
+// NVRAM checkpoint (twice, with equal digests), no site may corrupt data
+// silently or leave the window open, and none may cost data despite the
+// member hole — except a member media fault on the single-parity log,
+// whose loss must then be loud.
 func TestCheckerRebuildScenario(t *testing.T) {
 	o := Options{Seeds: 2, Ops: 120, Footprint: 48, Rebuild: true}
 	if testing.Short() {
@@ -65,17 +68,20 @@ func TestCheckerRebuildScenario(t *testing.T) {
 		// scenario exists for) stay exhaustive.
 		o = Options{Seeds: 1, Ops: 90, Footprint: 32, Rebuild: true, MediaStride: 12}
 	}
-	rep := sweepOK(t, Run, o)
-	if v := rep.Violations(); len(v) > 0 {
-		t.Fatalf("%d violations (showing up to 10):\n%s", len(v), joinLines(v[:min(len(v), 10)]))
-	}
-	for _, res := range rep.Results {
-		if res.CrashSites == 0 {
-			t.Errorf("seed %#x: no crash sites enumerated", res.Seed)
+	for _, backend := range []string{"kdd", "lsraid"} {
+		o.Backend = backend
+		rep := sweepOK(t, Run, o)
+		if v := rep.Violations(); len(v) > 0 {
+			t.Fatalf("%s: %d violations (showing up to 10):\n%s", backend, len(v), joinLines(v[:min(len(v), 10)]))
 		}
-		if res.Crashes != res.CrashSites {
-			t.Errorf("seed %#x: %d crashes recovered but %d crash sites armed",
-				res.Seed, res.Crashes, res.CrashSites)
+		for _, res := range rep.Results {
+			if res.CrashSites == 0 {
+				t.Errorf("%s seed %#x: no crash sites enumerated", backend, res.Seed)
+			}
+			if res.Crashes != res.CrashSites {
+				t.Errorf("%s seed %#x: %d crashes recovered but %d crash sites armed",
+					backend, res.Seed, res.Crashes, res.CrashSites)
+			}
 		}
 	}
 }

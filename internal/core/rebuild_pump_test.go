@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"kddcache/internal/blockdev"
+	"kddcache/internal/core"
+	"kddcache/internal/delta"
+	"kddcache/internal/lsraid"
 )
 
 // driveUntilHealthy issues mixed foreground traffic until the array's
@@ -169,4 +172,67 @@ func TestRebuildCheckpointSurvivesCrash(t *testing.T) {
 	r.verifyCache(t)
 	r.verifyRAID(t)
 	r.scrubCleanCore(t)
+}
+
+// TestPumpRebuildSurvivesURE: on the single-parity log, a latent sector
+// error on a survivor inside a spare-driven rebuild is one row beyond
+// tolerance. Whatever live pages the row still holds are lost loudly and
+// the sweep carries on to full redundancy; foreground writes never see
+// the rebuild's trouble.
+func TestPumpRebuildSurvivesURE(t *testing.T) {
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		members = append(members, blockdev.NewNullDataDevice("d", 4096))
+	}
+	array, err := lsraid.New(lsraid.Config{ChunkPages: 8}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := core.New(core.Config{
+		SSD: blockdev.NewNullDataDevice("ssd", 256+64), Backend: array,
+		CachePages: 256, Ways: 32, MetaPages: 64, Codec: delta.ZRLE{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := delta.NewMutator(5, 0.25)
+	page := make([]byte, blockdev.PageSize)
+	write := func(lba int64) error {
+		mut.FillRandom(page)
+		_, err := k.Write(0, lba, page)
+		return err
+	}
+	for lba := int64(0); lba < 120; lba++ {
+		if err := write(lba); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := array.AddSpare(blockdev.NewNullDataDevice("spare", 4096)); err != nil {
+		t.Fatal(err)
+	}
+	const failed = 1
+	var ure *blockdev.FaultInjector
+	for lba := int64(0); ure == nil; lba++ {
+		if d, row := array.DataLocation(lba); d >= 0 && d != failed {
+			ure = array.Injector(d)
+			ure.InjectBadPage(row)
+		}
+	}
+	array.FailDisk(failed)
+	fails := 0
+	for i := 0; i < 5000 && !array.Healthy(); i++ {
+		if err := write(int64(i % 120)); err != nil {
+			fails++
+		}
+	}
+	st := k.Stats()
+	if st.RebuildsDone != 1 || !array.Healthy() {
+		t.Fatalf("RebuildsDone = %d, healthy %v: the rebuild stalled", st.RebuildsDone, array.Healthy())
+	}
+	if fails != 0 {
+		t.Fatalf("%d foreground writes failed", fails)
+	}
+	if ure.MediaErrors() == 0 {
+		t.Fatal("the rebuild never met the URE")
+	}
 }

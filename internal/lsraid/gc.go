@@ -62,31 +62,29 @@ func (a *Array) pickVictim() int {
 }
 
 // collect copies the victim's live pages forward and frees it. A page is
-// live iff the L2P map still names this exact slot as the authoritative
-// copy and no newer version sits staged in NVRAM.
+// live iff the L2P map still names this exact slot — which it does not
+// once the page is overwritten, shadowed by a newer version staged in
+// NVRAM, or declared lost (the loss stays recorded; there is nothing to
+// copy).
 func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	m := &a.segs[v]
 	done := t
 	var buf []byte
-	if a.dataMode {
+	if a.DataMode() {
 		buf = blockdev.GetPage()
 		defer blockdev.PutPage(buf)
 	}
 	for idx, lba := range m.LBAs {
-		ph := phys{seg: int32(v), idx: int32(idx)}
-		if a.l2p[lba] != ph {
-			continue // dead: overwritten by a later committed copy
+		if a.l2p[lba] != (phys{seg: int32(v), idx: int32(idx)}) {
+			continue // dead
 		}
-		if a.pendingIdx[lba] != 0 {
-			continue // dead: shadowed by a staged newer version
-		}
-		c, err := a.readPhysInto(t, lba, ph, buf)
+		c, err := a.readPage(t, lba, buf)
 		if err != nil {
 			return done, err
 		}
 		done = sim.MaxTime(done, c)
 		t = c
-		a.stats.GCCopies++
+		a.Counters().GCCopies++
 		if gcCopyHook != nil {
 			gcCopyHook(lba, buf)
 		}
@@ -97,19 +95,11 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 		done = sim.MaxTime(done, c)
 		t = c
 	}
-	// Free the victim. Mapping entries still naming it belong to pages
-	// whose newer version sits staged in NVRAM (copy-forward stages but
-	// the row has not committed yet): drop them — reads resolve
-	// NVRAM-first and the commit will re-add the mapping.
-	for idx, lba := range m.LBAs {
-		if a.l2p[lba] == (phys{seg: int32(v), idx: int32(idx)}) && a.pendingIdx[lba] != 0 {
-			a.setCommitted(lba, noPhys)
-		}
-	}
+	// Free the victim: every page the map still named there has moved.
 	m.Seq, m.Rows, m.LBAs = 0, 0, m.LBAs[:0]
 	a.live[v] = 0
 	a.freeCount++
-	a.stats.GCSegments++
+	a.Counters().GCSegments++
 	if a.open == int32(v) {
 		a.open = -1
 	}

@@ -9,14 +9,6 @@ import (
 	"kddcache/internal/sim"
 )
 
-// mediaRetries bounds re-reads of a member page after ErrMedia before
-// redundancy is consulted, matching the parity engine: transient glitches
-// clear on retry, latent faults do not.
-const mediaRetries = 2
-
-// dc returns data pages per physical row.
-func (a *Array) dc() int { return len(a.disks) - 1 }
-
 // ReadPages implements the data-path read. Unwritten pages read as
 // zeros, like a fresh volume.
 func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
@@ -28,7 +20,7 @@ func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Tim
 	}
 	done := t
 	for i := 0; i < count; i++ {
-		c, err := a.readPage(t, lba+int64(i), pageBuf(buf, i))
+		c, err := a.readPage(t, lba+int64(i), blockdev.Page(buf, i))
 		if err != nil {
 			return done, err
 		}
@@ -48,7 +40,7 @@ func (a *Array) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Ti
 	}
 	done := t
 	for i := 0; i < count; i++ {
-		c, err := a.writePage(t, lba+int64(i), pageBuf(buf, i))
+		c, err := a.writePage(t, lba+int64(i), blockdev.Page(buf, i))
 		if err != nil {
 			return done, err
 		}
@@ -62,7 +54,7 @@ func (a *Array) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Ti
 // parity later"). The log has no later: every flush carries parity, so
 // this is a plain append — which is exactly the point of the backend.
 func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
-	a.stats.NoParityWr += int64(count)
+	a.Counters().NoParityWr += int64(count)
 	return a.WritePages(t, lba, count, buf)
 }
 
@@ -79,7 +71,7 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 		if lba < 0 || lba >= a.logical {
 			return done, blockdev.ErrOutOfRange
 		}
-		c, err := a.writePage(t, lba, pageBuf(buf, i))
+		c, err := a.writePage(t, lba, blockdev.Page(buf, i))
 		if err != nil {
 			return done, err
 		}
@@ -92,14 +84,19 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 // writePage stages one page into the NVRAM row buffer, deduplicating
 // against an already-staged version, and flushes full rows. Staging
 // itself is an NVRAM write — free in the device-time model; all member
-// I/O happens in commitRow.
+// I/O happens in commitRow. A write fails only if it leaves no trace —
+// the contract the cache's write path is built on (its delta describes an
+// update only once the data write succeeded): a page whose flush fails is
+// taken back out of NVRAM before the error returns, and a page that
+// landed (its row committed, or GC reclaimed the copy it superseded, so
+// NVRAM holds its only one) makes the write succeed whatever a later
+// row's flush met; that row stays staged for the next drain.
 func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if a.failed > 1 {
+	if !a.Survivable() {
 		return t, raid.ErrTooManyFailures
 	}
-	a.lost.Remove(lba) // an overwrite heals a lost page
 	var data []byte
-	if a.dataMode && buf != nil {
+	if a.DataMode() && buf != nil {
 		data = blockdev.GetPage() // fully overwritten by the copy
 		copy(data, buf)
 	}
@@ -108,12 +105,41 @@ func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		e.data = data
 		return t, nil
 	}
-	if ph, ok := a.committed(lba); ok {
-		a.live[ph.seg]-- // the committed copy is dead the moment NVRAM holds a newer one
+	wasLost := a.lost.Remove(lba) // an overwrite heals a lost page
+	ph, had := a.committed(lba)
+	var seq uint64
+	if had {
+		seq = a.segs[ph.seg].Seq
+		a.unmap(lba) // the committed copy is dead the moment NVRAM holds a newer one
 	}
 	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data})
 	a.pendingIdx[lba] = int32(len(a.rowBuf))
-	return a.drain(t)
+	done, err := a.drain(t)
+	if err == nil || a.pendingIdx[lba] == 0 || had && a.segs[ph.seg].Seq != seq {
+		return done, nil
+	}
+	a.unstage(lba)
+	if had {
+		a.live[ph.seg]++
+		a.setCommitted(lba, ph)
+	}
+	if wasLost {
+		a.lost.Add(lba)
+	}
+	return done, err
+}
+
+// unstage takes lba's staged page back out of the row buffer.
+func (a *Array) unstage(lba int64) {
+	pos := int(a.pendingIdx[lba] - 1)
+	blockdev.PutPage(a.rowBuf[pos].data)
+	copy(a.rowBuf[pos:], a.rowBuf[pos+1:])
+	a.rowBuf[len(a.rowBuf)-1] = pending{}
+	a.rowBuf = a.rowBuf[:len(a.rowBuf)-1]
+	a.pendingIdx[lba] = 0
+	for i := pos; i < len(a.rowBuf); i++ {
+		a.pendingIdx[a.rowBuf[i].lba] = int32(i + 1)
+	}
 }
 
 // staged returns the pages waiting in the NVRAM row buffer, oldest first.
@@ -194,10 +220,10 @@ func (a *Array) ensureOpen(t sim.Time) (sim.Time, error) {
 	return done, ErrNoSpace
 }
 
-// commitRow writes the buffer's first full row as an append — data
-// pages, then parity, then the NVRAM metadata commit. A crash anywhere
-// before the commit leaves the mapping on the old copies and the staged
-// pages in NVRAM; the interrupted row is rewritten from scratch later.
+// commitRow writes the buffer's first full row as an append — one
+// stripe of data pages and their parity, then the NVRAM metadata commit.
+// A crash anywhere before the commit leaves the staged pages in NVRAM;
+// the interrupted row is rewritten from scratch later.
 func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	done, err = a.ensureOpen(t)
 	if err != nil {
@@ -208,69 +234,19 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 		// flushed the prefix we were called for.
 		return done, nil
 	}
-	t = done
 	dc := a.dc()
 	seg := a.open
 	m := &a.segs[seg]
 	row := int64(seg)*a.cfg.SegRows + m.Rows
 	entries := a.staged()[:dc]
-
-	holes := 0
-	for k := range entries {
-		if a.Missing(a.dataDisk(row, k), row) {
-			holes++
-		}
-	}
-	if a.Missing(a.parityDisk(row), row) {
-		holes++
-	}
-	if holes > 1 {
+	if a.holes(row) > 1 {
 		return done, raid.ErrTooManyFailures // single parity cannot imply two holes
 	}
-
-	var parity []byte
-	if a.dataMode {
-		parity = blockdev.GetZeroPage()
-		defer blockdev.PutPage(parity)
-		for _, e := range entries {
-			blockdev.XORInto(parity, e.data)
-		}
+	c, err := a.WriteStripe(done, row, func(k int) []byte { return entries[k].data })
+	if err != nil {
+		return done, err
 	}
-	for k, e := range entries {
-		d := a.dataDisk(row, k)
-		if a.Missing(d, row) {
-			continue // implied by parity; healed when the rebuild watermark passes
-		}
-		a.stats.DataWrites++
-		c, werr := a.disks[d].WritePages(t, row, 1, e.data)
-		if werr != nil {
-			if !errors.Is(werr, blockdev.ErrFailed) {
-				return done, werr
-			}
-			a.noteFailed(d)
-			if a.failed > 1 {
-				return done, raid.ErrTooManyFailures
-			}
-			continue
-		}
-		done = sim.MaxTime(done, c)
-	}
-	pd := a.parityDisk(row)
-	if !a.Missing(pd, row) {
-		a.stats.ParityWrites++
-		c, werr := a.disks[pd].WritePages(t, row, 1, parity)
-		if werr != nil {
-			if !errors.Is(werr, blockdev.ErrFailed) {
-				return done, werr
-			}
-			a.noteFailed(pd)
-			if a.failed > 1 {
-				return done, raid.ErrTooManyFailures
-			}
-		} else {
-			done = sim.MaxTime(done, c)
-		}
-	}
+	done = sim.MaxTime(done, c)
 
 	// NVRAM commit: flip the mapping, append the summary, release the
 	// staged pages. This is the atomic durability point of the flush.
@@ -289,16 +265,29 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	return done, nil
 }
 
+// holes counts the members missing at row (failed, or a rebuild target
+// above its watermark): every member holds a page of every row.
+func (a *Array) holes(row int64) int {
+	n := 0
+	for d := 0; d < a.Disks(); d++ {
+		if a.Missing(d, row) {
+			n++
+		}
+	}
+	return n
+}
+
 // readPage serves one logical page: NVRAM-staged version first, then the
-// committed copy, reconstructing through parity when the member is
-// missing or the page is unreadable.
+// committed copy through the member layer — a direct read, or a decode of
+// its row when the member is missing or the page unreadable. A row beyond
+// tolerance loses the page, loudly. GC copy-forward reads through here.
 func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if e, ok := a.stagedPage(lba); ok {
 		if buf != nil {
 			if e.data != nil {
 				copy(buf, e.data)
 			} else {
-				zero(buf)
+				clear(buf)
 			}
 		}
 		return t, nil // NVRAM hit, no device I/O
@@ -308,164 +297,15 @@ func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	}
 	ph, ok := a.committed(lba)
 	if !ok {
-		if buf != nil {
-			zero(buf)
-		}
+		clear(buf)
 		return t, nil // never written: fresh-volume zeros
 	}
-	row, slot := a.physRowSlot(ph)
-	d := a.dataDisk(row, slot)
-	if a.Missing(d, row) {
-		a.stats.DegradedRead++
-		return a.reconstruct(t, lba, ph, buf, false)
-	}
-	a.stats.DataReads++
-	done, err := a.memberRead(t, d, row, buf)
-	if err == nil {
-		return done, nil
-	}
-	if errors.Is(err, blockdev.ErrMedia) {
-		a.stats.MediaErrors++
-		return a.reconstruct(done, lba, ph, buf, true)
-	}
-	if errors.Is(err, blockdev.ErrFailed) {
-		a.noteFailed(d)
-		if a.failed > 1 {
-			return done, raid.ErrTooManyFailures
-		}
-		a.stats.DegradedRead++
-		return a.reconstruct(done, lba, ph, buf, false)
+	p := a.physPage(ph)
+	done, err := a.ReadData(t, p, buf)
+	if errors.Is(err, raid.ErrUnrecoverable) || errors.Is(err, raid.ErrTooManyFailures) {
+		disk, row := a.Members.DataLocation(p)
+		a.lose(row, 1<<uint(disk))
+		return done, fmt.Errorf("%w: page %d (%v)", raid.ErrUnrecoverable, lba, err)
 	}
 	return done, err
-}
-
-// memberRead reads one member page with bounded retry on media errors.
-func (a *Array) memberRead(t sim.Time, disk int, row int64, buf []byte) (sim.Time, error) {
-	done, err := a.disks[disk].ReadPages(t, row, 1, buf)
-	for r := 0; err != nil && errors.Is(err, blockdev.ErrMedia) && r < mediaRetries; r++ {
-		done, err = a.disks[disk].ReadPages(done, row, 1, buf)
-	}
-	return done, err
-}
-
-// reconstruct rebuilds the page at ph from its row's surviving pages
-// (XOR of the other data slots and parity) into buf. With repair set,
-// the rebuilt page is also rewritten in place, clearing a latent media
-// fault (read-repair).
-func (a *Array) reconstruct(t sim.Time, lba int64, ph phys, buf []byte, repair bool) (sim.Time, error) {
-	row, slot := a.physRowSlot(ph)
-	target := a.dataDisk(row, slot)
-	var acc []byte
-	if a.dataMode {
-		acc = blockdev.GetZeroPage()
-		defer blockdev.PutPage(acc)
-	}
-	var tmp []byte
-	if a.dataMode {
-		tmp = blockdev.GetPage()
-		defer blockdev.PutPage(tmp)
-	}
-	done := t
-	for k := 0; k < a.dc(); k++ {
-		if k == slot {
-			continue
-		}
-		c, err := a.readSurvivor(t, a.dataDisk(row, k), row, tmp, acc)
-		if err != nil {
-			return done, a.declareLost(lba, err)
-		}
-		done = sim.MaxTime(done, c)
-	}
-	c, err := a.readSurvivor(t, a.parityDisk(row), row, tmp, acc)
-	if err != nil {
-		return done, a.declareLost(lba, err)
-	}
-	done = sim.MaxTime(done, c)
-	if buf != nil && acc != nil {
-		copy(buf, acc)
-	}
-	if repair && !a.Missing(target, row) {
-		if c, werr := a.disks[target].WritePages(done, row, 1, acc); werr == nil {
-			done = c
-			a.stats.ReadRepairs++
-		}
-	}
-	return done, nil
-}
-
-// readSurvivor reads one surviving page of a row being reconstructed and
-// folds it into the accumulator. Any failure here is a second hole:
-// single parity cannot absorb it.
-func (a *Array) readSurvivor(t sim.Time, disk int, row int64, tmp, acc []byte) (sim.Time, error) {
-	if a.Missing(disk, row) {
-		return t, raid.ErrTooManyFailures
-	}
-	done, err := a.memberRead(t, disk, row, tmp)
-	if err != nil {
-		if errors.Is(err, blockdev.ErrFailed) {
-			a.noteFailed(disk)
-		}
-		if errors.Is(err, blockdev.ErrMedia) {
-			a.stats.MediaErrors++
-		}
-		return done, err
-	}
-	if acc != nil {
-		blockdev.XORInto(acc, tmp)
-	}
-	return done, nil
-}
-
-// declareLost records a loud, permanent loss of lba unless the failure
-// is the crash signal (which recovery handles, not loss accounting).
-func (a *Array) declareLost(lba int64, cause error) error {
-	if errors.Is(cause, blockdev.ErrCrashed) {
-		return cause
-	}
-	if a.lost.Add(lba) {
-		a.stats.LostPages++
-	}
-	return fmt.Errorf("%w: page %d (second fault while reconstructing: %v)", raid.ErrUnrecoverable, lba, cause)
-}
-
-// readPhysInto reads the committed page at ph (for GC copy-forward),
-// reconstructing it if its member is missing or unreadable.
-func (a *Array) readPhysInto(t sim.Time, lba int64, ph phys, buf []byte) (sim.Time, error) {
-	row, slot := a.physRowSlot(ph)
-	d := a.dataDisk(row, slot)
-	if a.Missing(d, row) {
-		a.stats.DegradedRead++
-		return a.reconstruct(t, lba, ph, buf, false)
-	}
-	done, err := a.memberRead(t, d, row, buf)
-	if err == nil {
-		return done, nil
-	}
-	if errors.Is(err, blockdev.ErrMedia) {
-		a.stats.MediaErrors++
-		return a.reconstruct(done, lba, ph, buf, true)
-	}
-	if errors.Is(err, blockdev.ErrFailed) {
-		a.noteFailed(d)
-		if a.failed > 1 {
-			return done, raid.ErrTooManyFailures
-		}
-		a.stats.DegradedRead++
-		return a.reconstruct(done, lba, ph, buf, false)
-	}
-	return done, err
-}
-
-// pageBuf returns the i-th page of buf, or nil in timing mode.
-func pageBuf(buf []byte, i int) []byte {
-	if buf == nil {
-		return nil
-	}
-	return buf[i*blockdev.PageSize : (i+1)*blockdev.PageSize]
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }

@@ -19,11 +19,12 @@
 //
 // Crash ordering: a row flush writes member data pages, then parity, and
 // only then commits the NVRAM metadata (summary append + mapping flip +
-// row buffer clear). A crash anywhere mid-flush leaves the metadata
-// pointing at the old copies while the staged pages still sit in NVRAM,
-// so reads resolve to the new values (served NVRAM-first) and the next
-// flush rewrites the same physical row from scratch. Torn member pages
-// can only exist in row slots the metadata never referenced.
+// row buffer clear). A crash anywhere mid-flush leaves the staged pages
+// in NVRAM — all but the in-flight write's own, which its failed call
+// takes back out — so reads resolve to the acked values (served
+// NVRAM-first) and the next flush rewrites the same physical row from
+// scratch. Torn member pages can only exist in row slots the metadata
+// never referenced.
 package lsraid
 
 import (
@@ -91,7 +92,7 @@ type phys struct {
 	idx int32
 }
 
-// noPhys is the L2P entry of a logical page with no committed copy.
+// noPhys is the L2P entry of a logical page with no live committed copy.
 var noPhys = phys{seg: -1, idx: -1}
 
 // segMeta is one segment's NVRAM summary: its allocation sequence number
@@ -119,14 +120,21 @@ type pending struct {
 
 // Array is a log-structured parity array over member block devices. It
 // satisfies raidiface.Array and cache.Backend.
+//
+// Its physical row is a RAID-5 row at one page per chunk — data slot k of
+// row r is data index k of stripe r of a Level-5 layout, parity rotating
+// per row — so the member layer both engines embed (raid.Members) serves
+// every member read, stripe write, decode, heal, scrub row and rebuild
+// row here. What the log adds is what only a log knows: where a
+// logical page lives (the segments and the L2P map), which rows are live
+// (segRowCommitted), and which logical pages a lost member page takes
+// with it (lose).
 type Array struct {
-	cfg       Config
-	disks     []*blockdev.FaultInjector
-	diskPages int64 // member capacity in pages
-	segPages  int64 // data pages per segment: SegRows * (disks-1)
-	numSegs   int64
-	logical   int64
-	dataMode  bool
+	*raid.Members
+	cfg      Config
+	segPages int64 // data pages per segment: SegRows * (disks-1)
+	numSegs  int64
+	logical  int64
 
 	// NVRAM-durable state (survives CrashRebuildState).
 	nextSeq uint64
@@ -136,33 +144,25 @@ type Array struct {
 	// rowHead belong to committed rows and wait for compactRowBuf.
 	rowBuf  []pending
 	rowHead int
+	lost    bitset.Set // logical pages declared unrecoverable
 
 	// Volatile state, rebuilt by replay(). The logical address space is
 	// dense and bounded, so the two lookups are flat tables over
-	// [0, logical), allocated once: l2p holds noPhys for a page with no
-	// committed copy (mapped counts the others), pendingIdx holds 0 for a
-	// page that is not staged and its position in rowBuf plus one
+	// [0, logical), allocated once: l2p maps a page to its live committed
+	// copy and holds noPhys for a page without one — never written, staged
+	// in NVRAM, or lost (mapped counts the others); pendingIdx holds 0 for
+	// a page that is not staged and its position in rowBuf plus one
 	// otherwise (compactRowBuf rewrites the entries it moves).
 	l2p        []phys
 	mapped     int64
 	live       []int32
 	freeCount  int64
 	pendingIdx []int32
-
-	// Fault and rebuild state: the failed-member count, the rebuild
-	// window shared with internal/raid (spare queue, watermark,
-	// FailDisk/StartRebuild/RebuildStep/ReplaceDisk) and the loss map.
-	failed int
-	raid.RebuildWindow
-	lost bitset.Set // logical pages declared unrecoverable
-
-	inGC  bool
-	stats raid.Stats
-	tr    *obs.Tracer
+	inGC       bool
 }
 
 // New builds a log-structured array over the member devices, wrapping
-// each in a fault injector exactly like raid.New.
+// each in a fault injector seeded from cfg.Seed.
 func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	n := len(members)
 	if n < 3 {
@@ -177,53 +177,43 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	if cfg.ReserveSegs <= 0 {
 		cfg.ReserveSegs = 2
 	}
-	pages := members[0].Pages()
-	for _, m := range members[1:] {
-		if m.Pages() != pages {
-			return nil, fmt.Errorf("%w: member sizes differ", raid.ErrBadGeometry)
-		}
+	a := &Array{cfg: cfg, open: -1}
+	disks := make([]*blockdev.FaultInjector, n)
+	for i, m := range members {
+		disks[i] = blockdev.NewFaultInjector(m, cfg.Seed^uint64(i))
 	}
-	numSegs := pages / cfg.SegRows
-	segPages := cfg.SegRows * int64(n-1)
-	maxLogical := (numSegs - int64(cfg.ReserveSegs) - 2) * segPages
+	// The log owes no parity, so there is no Prepare step, and its rows
+	// are the layer's parity rows, so the parity-row rebuild is its Row.
+	// Only committed rows carry meaning, so the sweep reconstructs exactly
+	// those — a mostly-empty log rebuilds in proportion to its live data,
+	// not its raw capacity.
+	var err error
+	a.Members, err = raid.NewMembers(raid.RebuildEngine{
+		Name: a.Name(), Pkg: "lsraid",
+		Live: a.segRowCommitted, Lose: a.lose,
+	}, raid.Level5, 1, disks)
+	if err != nil {
+		return nil, err
+	}
+	pages := members[0].Pages()
+	a.numSegs = pages / cfg.SegRows
+	a.segPages = cfg.SegRows * int64(n-1)
+	maxLogical := (a.numSegs - int64(cfg.ReserveSegs) - 2) * a.segPages
 	if maxLogical <= 0 {
-		return nil, fmt.Errorf("%w: %d segments of %d rows leave no logical capacity", raid.ErrBadGeometry, numSegs, cfg.SegRows)
+		return nil, fmt.Errorf("%w: %d segments of %d rows leave no logical capacity", raid.ErrBadGeometry, a.numSegs, cfg.SegRows)
 	}
 	if cfg.LogicalPages == 0 {
-		cfg.LogicalPages = numSegs * segPages * 3 / 4
+		cfg.LogicalPages = a.numSegs * a.segPages * 3 / 4
 	}
 	if cfg.LogicalPages > maxLogical {
 		cfg.LogicalPages = maxLogical
 	}
-	a := &Array{
-		cfg:        cfg,
-		diskPages:  pages,
-		segPages:   segPages,
-		numSegs:    numSegs,
-		logical:    cfg.LogicalPages,
-		segs:       make([]segMeta, numSegs),
-		open:       -1,
-		l2p:        make([]phys, cfg.LogicalPages),
-		pendingIdx: make([]int32, cfg.LogicalPages),
-		lost:       bitset.New(cfg.LogicalPages),
-	}
+	a.cfg, a.logical = cfg, cfg.LogicalPages
+	a.segs = make([]segMeta, a.numSegs)
+	a.l2p = make([]phys, a.logical)
+	a.pendingIdx = make([]int32, a.logical)
+	a.lost = bitset.New(a.logical)
 	a.replay() // of an empty log: nothing mapped, nothing live, every segment free
-	for i, m := range members {
-		a.disks = append(a.disks, blockdev.NewFaultInjector(m, cfg.Seed^uint64(i)))
-	}
-	if s, ok := members[0].(blockdev.Storer); ok {
-		a.dataMode = s.Store() != nil
-	}
-	// The log owes no parity, so there is no Prepare step; only committed
-	// rows carry meaning, so the sweep reconstructs exactly those — a
-	// mostly-empty log rebuilds in proportion to its live data, not its
-	// raw capacity.
-	a.RebuildWindow = raid.NewRebuildWindow(raid.RebuildEngine{
-		Name: a.Name(), Pkg: "lsraid",
-		Disks: a.disks, DiskPages: pages, Failed: &a.failed,
-		Stats: &a.stats, Tracer: &a.tr,
-		Live: a.segRowCommitted, Row: a.rebuildRow,
-	})
 	return a, nil
 }
 
@@ -235,16 +225,13 @@ func (a *Array) Name() string { return "lsraid" }
 // Pages returns the logical capacity.
 func (a *Array) Pages() int64 { return a.logical }
 
-// Disks returns the member count.
-func (a *Array) Disks() int { return len(a.disks) }
-
 // ChunkPages returns the logical chunk size.
 func (a *Array) ChunkPages() int64 { return a.cfg.ChunkPages }
 
 // StripePages returns logical pages per stripe. The arithmetic matches a
 // parity array of the same width, so cache-set alignment, delta batching
 // and the differential battery's digests line up across backends.
-func (a *Array) StripePages() int64 { return a.cfg.ChunkPages * int64(len(a.disks)-1) }
+func (a *Array) StripePages() int64 { return a.cfg.ChunkPages * int64(a.dc()) }
 
 // StripeOf returns the stripe number holding the logical page.
 func (a *Array) StripeOf(lba int64) int64 { return lba / a.StripePages() }
@@ -256,7 +243,7 @@ func (a *Array) RowPeers(lba int64) []int64 {
 	sp := a.StripePages()
 	stripe, within := lba/sp, lba%sp
 	pic := within % a.cfg.ChunkPages
-	dc := len(a.disks) - 1
+	dc := a.dc()
 	peers := make([]int64, 0, dc)
 	for i := 0; i < dc; i++ {
 		peers = append(peers, stripe*sp+int64(i)*a.cfg.ChunkPages+pic)
@@ -265,16 +252,15 @@ func (a *Array) RowPeers(lba int64) []int64 {
 }
 
 // DataLocation returns where lba's data currently lives: the member disk
-// and member-local page of its most recent committed copy. A page still
-// staged in NVRAM (or never written) has no physical home; (-1, -1) says
-// so, and fault-aiming tooling must skip it.
+// and member-local page of its live committed copy. A page still staged
+// in NVRAM (or never written, or lost) has no physical home; (-1, -1)
+// says so, and fault-aiming tooling must skip it.
 func (a *Array) DataLocation(lba int64) (disk int, page int64) {
 	ph, ok := a.committed(lba)
-	if !ok || a.pendingIdx[lba] != 0 {
+	if !ok {
 		return -1, -1
 	}
-	row, slot := a.physRowSlot(ph)
-	return a.dataDisk(row, slot), row
+	return a.Members.DataLocation(a.physPage(ph))
 }
 
 // ParityLocation returns the member holding the parity of lba's current
@@ -285,12 +271,11 @@ func (a *Array) ParityLocation(lba int64) (pDisk, qDisk int, page int64) {
 	if !ok {
 		return -1, -1, -1
 	}
-	row, _ := a.physRowSlot(ph)
-	return a.parityDisk(row), -1, row
+	return a.Members.ParityLocation(a.physPage(ph))
 }
 
-// committed returns lba's committed copy, if it has one. Pages outside
-// the logical space have none.
+// committed returns lba's live committed copy, if it has one. Pages
+// outside the logical space have none.
 func (a *Array) committed(lba int64) (phys, bool) {
 	if lba < 0 || lba >= a.logical {
 		return noPhys, false
@@ -310,79 +295,22 @@ func (a *Array) setCommitted(lba int64, ph phys) {
 	a.l2p[lba] = ph
 }
 
-// Member returns member i's inner device.
-func (a *Array) Member(i int) blockdev.Device { return a.disks[i].Inner() }
-
-// Injector returns member i's fault injector.
-func (a *Array) Injector(i int) *blockdev.FaultInjector { return a.disks[i] }
-
-// SetTracer attaches the observability tracer.
-func (a *Array) SetTracer(tr *obs.Tracer) { a.tr = tr }
-
-// Stats returns the member-I/O accounting.
-func (a *Array) Stats() raid.Stats { return a.stats }
+// unmap drops lba's committed copy, if it has one: it is no longer live.
+func (a *Array) unmap(lba int64) {
+	if ph, ok := a.committed(lba); ok {
+		a.live[ph.seg]--
+		a.setCommitted(lba, noPhys)
+	}
+}
 
 // --- physical layout ----------------------------------------------------
 
-// parityDisk returns the member holding row's parity page (rotated per
-// row so parity writes spread over all members, RAID-5 style).
-func (a *Array) parityDisk(row int64) int {
-	n := len(a.disks)
-	return n - 1 - int(row%int64(n))
-}
+// dc returns data pages per physical row.
+func (a *Array) dc() int { return a.Disks() - 1 }
 
-// dataDisk returns the member holding data slot k of row.
-func (a *Array) dataDisk(row int64, k int) int {
-	n := len(a.disks)
-	return (a.parityDisk(row) + 1 + k) % n
-}
-
-// physRowSlot converts a phys address to (member row, data slot).
-func (a *Array) physRowSlot(ph phys) (row int64, slot int) {
-	dc := int64(len(a.disks) - 1)
-	rowInSeg := int64(ph.idx) / dc
-	return int64(ph.seg)*a.cfg.SegRows + rowInSeg, int(int64(ph.idx) % dc)
-}
-
-// --- health and failure -------------------------------------------------
-
-// noteFailed folds a device-discovered fail-stop (ErrFailed surfacing
-// from member I/O) into the array state.
-func (a *Array) noteFailed(i int) {
-	if !a.disks[i].Failed() {
-		a.disks[i].Fail()
-	}
-	failed := 0
-	for _, d := range a.disks {
-		if d.Failed() {
-			failed++
-		}
-	}
-	if failed != a.failed {
-		a.failed = failed
-		if disk, _, active := a.RebuildTarget(); active && a.disks[disk].Failed() {
-			a.AbandonRebuild()
-		}
-	}
-}
-
-// FailedDisks returns the indices of failed members.
-func (a *Array) FailedDisks() []int {
-	var out []int
-	for i, d := range a.disks {
-		if d.Failed() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Healthy reports full redundancy: no member failed, no rebuild open.
-func (a *Array) Healthy() bool { return a.failed == 0 && !a.RebuildActive() }
-
-// Survivable reports whether current failures are within the single-
-// parity tolerance.
-func (a *Array) Survivable() bool { return a.failed <= 1 }
+// physPage returns ph as a page of the member layer's layout: the data
+// slot in row order, row*(disks-1) + slot.
+func (a *Array) physPage(ph phys) int64 { return int64(ph.seg)*a.segPages + int64(ph.idx) }
 
 // LostRows returns the logical pages declared unrecoverable, sorted.
 // (The parity engine reports member rows; here the log's physical rows
@@ -419,31 +347,16 @@ func (a *Array) ResyncRow(t sim.Time, lba int64) (sim.Time, error) { return t, n
 // Resync is a no-op: parity is never stale.
 func (a *Array) Resync(t sim.Time) (sim.Time, error) { return t, nil }
 
-// PublishMetrics writes the engine's accounting into reg. Counter names
-// are shared with the parity engine where the meaning matches, so
-// dashboards compare backends directly; log-specific series get their
-// own names.
+// PublishMetrics writes the engine's accounting into reg: the member
+// layer's series, which the parity engine publishes under the same names
+// so dashboards compare backends directly, plus the log's own.
 func (a *Array) PublishMetrics(reg *obs.Registry) {
-	s := a.stats
-	reg.SetCounter("raid_data_reads_total", "Member data-page reads for user requests.", s.DataReads)
-	reg.SetCounter("raid_data_writes_total", "Member data-page writes for user requests.", s.DataWrites)
-	reg.SetCounter("raid_parity_writes_total", "Parity-page writes.", s.ParityWrites)
-	reg.SetCounter("raid_degraded_reads_total", "Reconstruct-on-read operations.", s.DegradedRead)
-	reg.SetCounter("raid_media_errors_total", "Member reads that returned a media error.", s.MediaErrors)
-	reg.SetCounter("raid_read_repairs_total", "Pages reconstructed and rewritten in place.", s.ReadRepairs)
-	reg.SetCounter("raid_rebuild_rows_done_total", "Member rows reconstructed by the online rebuild.", s.RebuildRows)
-	reg.SetCounter("raid_rebuild_bytes_total", "Bytes written onto rebuild targets.", s.RebuildBytes)
-	reg.SetCounter("raid_rebuilds_started_total", "Member rebuilds opened.", s.RebuildsStarted)
-	reg.SetCounter("raid_rebuilds_completed_total", "Member rebuilds run to completion.", s.RebuildsCompleted)
-	reg.SetCounter("raid_rebuilds_aborted_total", "Member rebuilds abandoned because the target died.", s.RebuildsAborted)
-	reg.SetCounter("raid_spare_attaches_total", "Hot spares auto-attached to failed members.", s.SpareAttaches)
-	reg.SetCounter("raid_lost_pages_total", "Member pages declared unrecoverable.", s.LostPages)
+	a.Members.PublishMetrics(reg)
+	s := a.Stats()
 	reg.SetCounter("lsraid_gc_copies_total", "Live pages copied forward by segment GC.", s.GCCopies)
 	reg.SetCounter("lsraid_gc_segments_total", "Segments reclaimed by GC.", s.GCSegments)
-	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
 	reg.SetGauge("lsraid_free_segments", "Segments currently free.", float64(a.freeCount))
 	reg.SetGauge("lsraid_pending_pages", "Pages staged in the NVRAM row buffer.", float64(len(a.staged())))
-	a.PublishRebuildGauges(reg)
 }
 
 // Compile-time check: the log-structured engine satisfies the seam.

@@ -138,9 +138,10 @@ func TestGCNeverCopiesDeadPage(t *testing.T) {
 // TestCrashReplayEveryTornSite is the second lsraid property: the L2P
 // map must round-trip through crash + replay for every enumerated
 // member torn-write site. Member pages are write-atomic (TornPages=0),
-// so a crash mid-flush persists nothing of the in-flight page; staging
-// precedes member I/O, so the staged (new) version must win after
-// replay, for every site, idempotently.
+// so a crash mid-flush persists nothing of the in-flight page, and a
+// write that fails leaves no trace: every acked write must read back
+// after replay, the failed one as the version before it, for every
+// site, idempotently.
 func TestCrashReplayEveryTornSite(t *testing.T) {
 	const (
 		disks   = 4
@@ -158,7 +159,8 @@ func TestCrashReplayEveryTornSite(t *testing.T) {
 			done, err := a.WritePages(tt, lba, 1, pageOf(lba, version[lba]))
 			if err != nil {
 				if errors.Is(err, blockdev.ErrCrashed) {
-					return // crash site fired; stop like a dying node
+					version[lba]-- // the failed write left no trace
+					return         // crash site fired; stop like a dying node
 				}
 				panic(err)
 			}
@@ -197,8 +199,8 @@ func TestCrashReplayEveryTornSite(t *testing.T) {
 			if err := a.CheckInvariants(); err != nil {
 				t.Fatalf("site disk%d %s: %v", d, fs, err)
 			}
-			// Every write acked at staging time (i.e. all of them,
-			// including the in-flight one) must read back current.
+			// Every acked write must read back current; the in-flight
+			// one, which failed, as the version before it.
 			buf := make([]byte, blockdev.PageSize)
 			for lba := int64(0); lba < fp; lba++ {
 				if _, err := a.ReadPages(0, lba, 1, buf); err != nil {

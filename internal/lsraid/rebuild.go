@@ -1,20 +1,12 @@
 package lsraid
 
-import (
-	"errors"
-	"fmt"
-
-	"kddcache/internal/blockdev"
-	"kddcache/internal/raid"
-	"kddcache/internal/sim"
-)
-
-// The member rebuild is raid.RebuildWindow, embedded in Array: a volatile
-// row watermark routes reads/writes (Missing treats un-rebuilt rows of
-// the target as absent), core checkpoints the watermark in NVRAM and
-// resumes it after a crash via ResumeRebuild. This file is what the log
-// supplies to the window — its two hooks, Live (segRowCommitted) and Row
-// (rebuildRow) — and the loud loss mapping behind the latter.
+// The member rebuild is the raid.Members window, embedded in Array: a
+// volatile row watermark routes reads/writes (Missing treats un-rebuilt
+// rows of the target as absent), core checkpoints the watermark in NVRAM
+// and resumes it after a crash via ResumeRebuild, and each live row is
+// the layer's parity-row rebuild. This file is what the log supplies to
+// it: which rows are live (segRowCommitted) and the one loss mapping
+// (lose), from a member row to the logical pages stored there.
 
 // segRowCommitted reports whether member row falls inside the committed
 // prefix of an allocated segment — i.e. whether its contents are
@@ -29,60 +21,28 @@ func (a *Array) segRowCommitted(row int64) bool {
 	return m.Seq != 0 && row%a.cfg.SegRows < m.Rows
 }
 
-// rebuildRow reconstructs the target member's page at row (XOR of every
-// other member's page — valid for data and parity slots alike) and
-// writes it onto the target.
-func (a *Array) rebuildRow(t sim.Time, target int, row int64) (sim.Time, error) {
-	var acc, tmp []byte
-	if a.dataMode {
-		acc = blockdev.GetZeroPage()
-		defer blockdev.PutPage(acc)
-		tmp = blockdev.GetPage()
-		defer blockdev.PutPage(tmp)
-	}
-	done := t
-	for d := range a.disks {
-		if d == target {
+// lose is the log's loss mapping: the live logical pages that committed
+// row holds on the members in disks are declared unrecoverable, loudly
+// and attributably, and their slots die with them. A page whose copy
+// there is dead — overwritten, or shadowed by a newer version staged in
+// NVRAM — loses nothing: it is served from its newer home.
+func (a *Array) lose(row int64, disks uint32) {
+	seg := row / a.cfg.SegRows
+	m := &a.segs[seg]
+	dc := int64(a.dc())
+	for k := int64(0); k < dc; k++ {
+		idx := row%a.cfg.SegRows*dc + k
+		if idx >= int64(len(m.LBAs)) {
+			break
+		}
+		ph := phys{seg: int32(seg), idx: int32(idx)}
+		if disk, _ := a.Members.DataLocation(a.physPage(ph)); disks&(1<<uint(disk)) == 0 {
 			continue
 		}
-		if a.disks[d].Failed() {
-			return done, a.rebuildLoss(target, row, raid.ErrTooManyFailures)
-		}
-		a.stats.RebuildReads++
-		c, err := a.memberRead(t, d, row, tmp)
-		if err != nil {
-			return done, a.rebuildLoss(target, row, err)
-		}
-		done = sim.MaxTime(done, c)
-		if acc != nil {
-			blockdev.XORInto(acc, tmp)
+		if lba := m.LBAs[idx]; a.l2p[lba] == ph && a.pendingIdx[lba] == 0 {
+			a.lost.Add(lba)
+			a.Counters().LostPages++
+			a.unmap(lba)
 		}
 	}
-	a.stats.RebuildWrite++
-	c, err := a.disks[target].WritePages(done, row, 1, acc)
-	if err != nil {
-		return done, err
-	}
-	return c, nil
-}
-
-// rebuildLoss maps a second fault during row reconstruction onto the
-// logical pages stored in that row, so the loss is loud and attributable.
-// Crash signals pass through untouched — recovery, not loss.
-func (a *Array) rebuildLoss(target int, row int64, cause error) error {
-	if errors.Is(cause, blockdev.ErrCrashed) {
-		return cause
-	}
-	seg := row / a.cfg.SegRows
-	base := (row % a.cfg.SegRows) * int64(a.dc())
-	m := &a.segs[seg]
-	for k := 0; k < a.dc(); k++ {
-		if base+int64(k) < int64(len(m.LBAs)) {
-			lba := m.LBAs[base+int64(k)]
-			if a.l2p[lba] == (phys{seg: int32(seg), idx: int32(base + int64(k))}) && a.lost.Add(lba) {
-				a.stats.LostPages++
-			}
-		}
-	}
-	return fmt.Errorf("%w: row %d hit a second fault during rebuild: %v", raid.ErrUnrecoverable, row, cause)
 }

@@ -10,13 +10,13 @@ import (
 // forgotten, and the derived L2P/liveness state is rebuilt by replaying
 // the NVRAM segment summaries and staged row buffer.
 func (a *Array) CrashRebuildState() {
-	a.RebuildWindow.CrashRebuildState()
+	a.Members.CrashRebuildState()
 	a.replay()
 }
 
 // replay rebuilds all volatile lookup state — the L2P map, per-segment
 // live counts, the free count, the pending index — from the NVRAM
-// summaries and staged row buffer. It is the crash-recovery path
+// summaries, staged row buffer and lost set. It is the crash-recovery path
 // (CrashRebuildState) and must be a pure function of NVRAM state:
 // running it twice yields identical state (tested via StateDigest).
 func (a *Array) replay() {
@@ -52,18 +52,23 @@ func (a *Array) replay() {
 			a.live[s]++
 		}
 	}
-	// Staged pages shadow their committed copies.
+	// Staged pages shadow their committed copies, and lost pages have
+	// none: neither is live.
 	for i, p := range a.staged() {
 		a.pendingIdx[p.lba] = int32(a.rowHead + i + 1)
-		if ph, ok := a.committed(p.lba); ok {
-			a.live[ph.seg]--
+		a.unmap(p.lba)
+	}
+	for lba := range a.l2p {
+		if a.lost.Has(int64(lba)) {
+			a.unmap(int64(lba))
 		}
 	}
 }
 
 // CheckInvariants recomputes the derived state from NVRAM first
 // principles and cross-checks the incrementally maintained version, plus
-// the segment accounting identity live + dead + free == capacity. It is
+// the segment accounting: every live page is mapped, and no segment has
+// more live pages than it committed. It is
 // what the property tests (and any rig that wants to) call after
 // arbitrary op sequences.
 func (a *Array) CheckInvariants() error {
@@ -105,10 +110,10 @@ func (a *Array) CheckInvariants() error {
 	}
 	// Recompute the volatile state and compare.
 	want := &Array{
-		cfg: a.cfg, diskPages: a.diskPages, segPages: a.segPages,
-		numSegs: a.numSegs, logical: a.logical, disks: a.disks,
+		Members: a.Members, cfg: a.cfg, segPages: a.segPages,
+		numSegs: a.numSegs, logical: a.logical,
 		segs: a.segs, open: a.open,
-		rowBuf: a.rowBuf, rowHead: a.rowHead,
+		rowBuf: a.rowBuf, rowHead: a.rowHead, lost: a.lost,
 		l2p: make([]phys, a.logical), pendingIdx: make([]int32, a.logical),
 	}
 	want.replay()
@@ -141,31 +146,15 @@ func (a *Array) CheckInvariants() error {
 			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", lba, pos, want.pendingIdx[lba])
 		}
 	}
-	// Accounting identity: live + dead + free == physical data capacity.
-	capacity := a.numSegs * a.segPages
-	dead := committed - livePages - a.shadowed()
-	free := capacity - committed
-	if livePages+a.shadowed()+dead+free != capacity {
-		return fmt.Errorf("lsraid: accounting broken: live %d + shadowed %d + dead %d + free %d != capacity %d",
-			livePages, a.shadowed(), dead, free, capacity)
+	// Accounting identity: live + dead + free == physical data capacity,
+	// and every live page is mapped.
+	if livePages != a.mapped {
+		return fmt.Errorf("lsraid: %d live pages but %d mapped", livePages, a.mapped)
 	}
-	if dead < 0 {
-		return fmt.Errorf("lsraid: negative dead pages: committed %d live %d shadowed %d", committed, livePages, a.shadowed())
+	if committed < livePages {
+		return fmt.Errorf("lsraid: negative dead pages: committed %d live %d", committed, livePages)
 	}
 	return nil
-}
-
-// shadowed counts committed pages whose LBA currently resolves to a
-// staged NVRAM copy instead (mapped but superseded): they are committed
-// yet neither live nor dead until the staged row flushes.
-func (a *Array) shadowed() int64 {
-	var n int64
-	for _, p := range a.staged() {
-		if a.l2p[p.lba] != noPhys {
-			n++
-		}
-	}
-	return n
 }
 
 // StateDigest hashes the engine's durable state — the encoded segment
@@ -208,7 +197,8 @@ func (a *Array) StateDigest() uint64 {
 // GCStats exposes the log-specific counters without widening the shared
 // raid.Stats surface consumers already read.
 func (a *Array) GCStats() (copies, segments int64) {
-	return a.stats.GCCopies, a.stats.GCSegments
+	s := a.Stats()
+	return s.GCCopies, s.GCSegments
 }
 
 // FreeSegments reports the current free-segment count (tests, gauges).

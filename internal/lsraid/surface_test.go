@@ -297,22 +297,45 @@ func TestResumeRebuildCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRebuildSecondFaultIsLoud fails a second member mid-rebuild: the
-// step must surface ErrUnrecoverable and map the loss to logical pages.
-func TestRebuildSecondFaultIsLoud(t *testing.T) {
+// TestRebuildLossSkipsStagedPages: a row beyond tolerance inside the
+// rebuild window takes only the pages it actually holds. lba 5's
+// committed copy there is dead — a newer version, acked, sits staged in
+// NVRAM — so the loss must not touch lba 5, and once the staged row
+// commits the acked version reads back byte for byte.
+func TestRebuildLossSkipsStagedPages(t *testing.T) {
 	a := testArray(t, 4, 256, 8)
-	fillCommitted(t, a, 96)
-	a.FailDisk(1)
-	if _, err := a.StartRebuild(0, 1, blockdev.NewNullDataDevice("fresh", 256)); err != nil {
+	fillCommitted(t, a, 48)
+	target, row := a.DataLocation(5)
+	peer, peerRow := a.DataLocation(4)
+	if peerRow != row || peer == target {
+		t.Fatalf("layout: page 5 on d%d row %d, page 4 on d%d row %d", target, row, peer, peerRow)
+	}
+	if _, err := a.WritePages(0, 5, 1, pageOf(5, 2)); err != nil {
 		t.Fatal(err)
 	}
-	a.FailDisk(2)
-	_, _, _, err := a.RebuildStep(0, 256)
-	if !errors.Is(err, raid.ErrUnrecoverable) {
-		t.Fatalf("rebuild with second failure: %v", err)
+	a.FailDisk(target)
+	if _, err := a.StartRebuild(0, target, blockdev.NewNullDataDevice("fresh", 256)); err != nil {
+		t.Fatal(err)
 	}
-	if a.Stats().LostPages == 0 {
-		t.Fatal("second-fault loss not accounted")
+	a.Injector(peer).InjectBadPage(row) // the second fault on lba 5's row
+	_, _, complete, stepErr := a.RebuildStep(0, 256)
+	for _, lba := range []int64{100, 101} { // complete lba 5's staged row
+		if _, err := a.WritePages(0, lba, 1, pageOf(lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.PendingPages() != 0 {
+		t.Fatalf("%d pages still staged", a.PendingPages())
+	}
+	buf := make([]byte, blockdev.PageSize)
+	if _, err := a.ReadPages(0, 5, 1, buf); err != nil || !bytes.Equal(buf, pageOf(5, 2)) {
+		t.Fatalf("acked version of page 5 after the commit: %v", err)
+	}
+	if stepErr != nil || !complete {
+		t.Fatalf("rebuild step: complete %v, %v", complete, stepErr)
+	}
+	if _, err := a.ReadPages(0, 4, 1, buf); !errors.Is(err, raid.ErrUnrecoverable) || a.Stats().LostPages != 1 {
+		t.Fatalf("page 4, on the second fault: %v, %d pages lost", err, a.Stats().LostPages)
 	}
 }
 

@@ -65,31 +65,16 @@ type Stats struct {
 // when the members carry real bytes (buffers non-nil), or in timing mode
 // (nil buffers); parity is byte-accurate in data mode.
 type Array struct {
-	cfg    Config
-	name   string // cached cfg.Level.String(); Name() is on traced hot paths
-	geo    layout
-	disks  []*blockdev.FaultDevice
-	stale  bitset.Set // member rows whose parity is stale (delayed updates)
-	failed int        // count of currently failed disks
-	stats  Stats
-	tr     *obs.Tracer
-
-	// Online rebuild state (rebuild.go): the shared window — spare queue,
-	// watermark, FailDisk/StartRebuild/RebuildStep/ReplaceDisk — and lost,
-	// which maps a member row to the bitmask of disks whose page content
-	// there is unrecoverable; such pages read back as ErrUnrecoverable
-	// until overwritten.
-	RebuildWindow
-	lost map[int64]uint32
+	// The member layer: members, failure state, counters, tracer, the row
+	// primitive, the rebuild window, stale and lost rows.
+	*Members
+	cfg  Config
+	name string // cached cfg.Level.String(); Name() is on traced hot paths
 
 	// Patrol-scrub progress (rows scanned of total, last/current pass).
 	scrubRow   int64
 	scrubTotal int64
 }
-
-// SetTracer installs a span tracer (nil disables tracing). Array entry
-// points appear as raid_* spans nested inside the calling operation.
-func (a *Array) SetTracer(tr *obs.Tracer) { a.tr = tr }
 
 // New builds an array over the given member devices, wrapping each in a
 // FaultDevice for failure injection.
@@ -121,33 +106,21 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	if cfg.ChunkPages <= 0 {
 		return nil, fmt.Errorf("%w: chunk must be positive", ErrBadGeometry)
 	}
-	pages := members[0].Pages()
-	for _, m := range members[1:] {
-		if m.Pages() != pages {
-			return nil, fmt.Errorf("%w: member sizes differ", ErrBadGeometry)
-		}
+	a := &Array{cfg: cfg, name: cfg.Level.String()}
+	disks := make([]*blockdev.FaultInjector, n)
+	for i, m := range members {
+		disks[i] = blockdev.NewFaultDevice(m)
 	}
-	a := &Array{
-		cfg:  cfg,
-		name: cfg.Level.String(),
-		geo: layout{
-			level:      cfg.Level,
-			disks:      n,
-			chunkPages: cfg.ChunkPages,
-			diskPages:  pages,
-		},
-		stale: bitset.New(pages),
-		lost:  make(map[int64]uint32),
-	}
-	for _, m := range members {
-		a.disks = append(a.disks, blockdev.NewFaultDevice(m))
-	}
-	a.RebuildWindow = NewRebuildWindow(RebuildEngine{
+	var err error
+	a.Members, err = NewMembers(RebuildEngine{
 		Name: a.name, Pkg: "raid",
-		Disks: a.disks, DiskPages: pages, Failed: &a.failed,
-		Stats: &a.stats, Tracer: &a.tr,
-		Prepare: a.resyncForRebuild, Row: a.rebuildRow,
-	})
+		Prepare: a.resyncForRebuild, Row: a.rebuildMember,
+	}, cfg.Level, cfg.ChunkPages, disks)
+	if err != nil {
+		return nil, err
+	}
+	a.stale = bitset.New(a.geo.diskPages)
+	a.lost = make(map[int64]uint32)
 	return a, nil
 }
 
@@ -157,45 +130,10 @@ func (a *Array) Name() string { return a.name }
 // Pages implements blockdev.Device (logical capacity).
 func (a *Array) Pages() int64 { return a.geo.dataPages() }
 
-// Disks returns the number of member disks.
-func (a *Array) Disks() int { return len(a.disks) }
-
-// Member returns the inner device of member disk i (for inspection by
-// tests and tooling; do not issue I/O through it).
-func (a *Array) Member(i int) blockdev.Device { return a.disks[i].Inner() }
-
-// Injector returns the fault injector wrapping member disk i, so tests
-// and the chaos harness can arm per-page faults, crash points, and
-// probabilistic profiles on individual members.
-func (a *Array) Injector(i int) *blockdev.FaultInjector { return a.disks[i] }
-
-// Stats returns a snapshot of operation counters.
-func (a *Array) Stats() Stats { return a.stats }
-
 // PublishMetrics writes the array's member-I/O accounting into reg.
 func (a *Array) PublishMetrics(reg *obs.Registry) {
-	s := a.stats
-	reg.SetCounter("raid_data_reads_total", "Member data-page reads for user requests.", s.DataReads)
-	reg.SetCounter("raid_data_writes_total", "Member data-page writes for user requests.", s.DataWrites)
-	reg.SetCounter("raid_parity_reads_total", "Parity-page reads (read-modify-write).", s.ParityReads)
-	reg.SetCounter("raid_parity_writes_total", "Parity-page writes.", s.ParityWrites)
-	reg.SetCounter("raid_rebuild_reads_total", "Member reads issued by rebuild.", s.RebuildReads)
-	reg.SetCounter("raid_rebuild_writes_total", "Member writes issued by rebuild.", s.RebuildWrite)
-	reg.SetCounter("raid_degraded_reads_total", "Reconstruct-on-read operations.", s.DegradedRead)
-	reg.SetCounter("raid_noparity_writes_total", "Writes issued through WriteNoParity.", s.NoParityWr)
-	reg.SetCounter("raid_parity_fixes_total", "Deferred parity updates applied.", s.ParityFixes)
-	reg.SetCounter("raid_media_errors_total", "Member reads that returned a media error.", s.MediaErrors)
-	reg.SetCounter("raid_read_repairs_total", "Pages reconstructed and rewritten in place.", s.ReadRepairs)
-	reg.SetCounter("raid_rebuild_rows_done_total", "Member rows reconstructed by the online rebuild.", s.RebuildRows)
-	reg.SetCounter("raid_rebuild_bytes_total", "Bytes written onto rebuild targets.", s.RebuildBytes)
-	reg.SetCounter("raid_rebuilds_started_total", "Member rebuilds opened.", s.RebuildsStarted)
-	reg.SetCounter("raid_rebuilds_completed_total", "Member rebuilds run to completion.", s.RebuildsCompleted)
-	reg.SetCounter("raid_rebuilds_aborted_total", "Member rebuilds abandoned because the target died.", s.RebuildsAborted)
-	reg.SetCounter("raid_spare_attaches_total", "Hot spares auto-attached to failed members.", s.SpareAttaches)
-	reg.SetCounter("raid_lost_pages_total", "Member pages declared unrecoverable.", s.LostPages)
+	a.Members.PublishMetrics(reg)
 	reg.SetGauge("raid_stale_rows", "Rows whose parity is currently stale.", float64(a.stale.Len()))
-	reg.SetGauge("raid_failed_disks", "Currently failed member disks.", float64(a.failed))
-	a.PublishRebuildGauges(reg)
 	reg.SetGauge("raid_lost_rows", "Rows currently holding at least one lost page.", float64(len(a.lost)))
 	reg.SetGauge("raid_scrub_progress_rows", "Rows scanned by the last/current patrol scrub pass.", float64(a.scrubRow))
 	reg.SetGauge("raid_scrub_total_rows", "Rows a full patrol scrub pass covers.", float64(a.scrubTotal))
@@ -237,30 +175,6 @@ func (a *Array) RowPeers(lba int64) []int64 {
 	return peers
 }
 
-// DataLocation returns the member disk and member-local page holding
-// lba's data, so tooling (the chaos harness, scrub tests) can aim
-// per-member faults at a specific logical page.
-func (a *Array) DataLocation(lba int64) (disk int, page int64) {
-	l := a.geo.locate(lba)
-	return l.disk, l.row
-}
-
-// ParityLocation returns the member disks holding the P (and, for
-// RAID-6, Q) parity of lba's row, plus the member-local page. qDisk is
-// -1 on single-parity levels; pDisk is -1 on levels without parity.
-func (a *Array) ParityLocation(lba int64) (pDisk, qDisk int, page int64) {
-	l := a.geo.locate(lba)
-	return l.par[0], l.par[1], l.row
-}
-
-// pageBuf returns the i-th page of buf, or nil in timing mode.
-func pageBuf(buf []byte, i int) []byte {
-	if buf == nil {
-		return nil
-	}
-	return buf[i*blockdev.PageSize : (i+1)*blockdev.PageSize]
-}
-
 // ReadPages implements blockdev.Device. Failed members trigger degraded
 // reconstruction where the level allows it.
 func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done sim.Time, err error) {
@@ -276,7 +190,7 @@ func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done si
 	}
 	done = t
 	for i := 0; i < count; i++ {
-		c, err := a.readPage(t, lba+int64(i), pageBuf(buf, i))
+		c, err := a.readPage(t, lba+int64(i), blockdev.Page(buf, i))
 		if err != nil {
 			sp.End(t)
 			return t, err
@@ -289,45 +203,11 @@ func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done si
 	return done, nil
 }
 
-// mediaRetries bounds re-reads of a member page after ErrMedia before
-// redundancy is consulted: transient glitches clear on a retry, latent
-// faults and detected bit-rot do not.
-const mediaRetries = 2
-
-// memberRead reads one page from member disk with bounded retry on media
-// errors, so a transient glitch never escalates into a reconstruction
-// (or, worse, aborts one already in progress).
-func (a *Array) memberRead(t sim.Time, disk int, row int64, buf []byte) (sim.Time, error) {
-	done, err := a.disks[disk].ReadPages(t, row, 1, buf)
-	for r := 0; err != nil && errors.Is(err, blockdev.ErrMedia) && r < mediaRetries; r++ {
-		done, err = a.disks[disk].ReadPages(done, row, 1, buf)
-	}
-	return done, err
-}
-
 func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	l := a.geo.locate(lba)
 	if a.cfg.Level == Level1 {
-		return a.mirrorRead(t, lba, l, buf)
+		return a.mirrorRead(t, lba, a.geo.locate(lba), buf)
 	}
-	if a.pageLost(l.disk, l.row) {
-		return t, fmt.Errorf("%w: page %d lost in a rebuild window", ErrUnrecoverable, lba)
-	}
-	if !a.Missing(l.disk, l.row) {
-		a.stats.DataReads++
-		c, err := a.memberRead(t, l.disk, l.row, buf)
-		if err == nil {
-			return c, nil
-		}
-		if !errors.Is(err, blockdev.ErrMedia) {
-			return t, err
-		}
-		// One page of an otherwise healthy member is unreadable: repair
-		// just that page from redundancy instead of failing the disk.
-		a.stats.MediaErrors++
-		return a.readRepair(t, l, buf)
-	}
-	return a.degradedRead(t, l, buf)
+	return a.ReadData(t, lba, buf)
 }
 
 // mirrorRead serves a RAID-1 read from the first healthy mirror (rotating
@@ -387,7 +267,7 @@ func (a *Array) WritePages(t sim.Time, lba int64, count int, buf []byte) (done s
 	}
 	done = t
 	for i := 0; i < count; i++ {
-		c, err := a.writePage(t, lba+int64(i), pageBuf(buf, i))
+		c, err := a.writePage(t, lba+int64(i), blockdev.Page(buf, i))
 		if err != nil {
 			sp.End(t)
 			return t, err

@@ -55,7 +55,6 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 		groups[l.par[0]] = append(groups[l.par[0]], &rowWork{l: l, fix: f})
 	}
 
-	dataMode := a.dataMode()
 	done := t
 	for disk, rows := range groups {
 		sort.Slice(rows, func(i, j int) bool { return rows[i].l.row < rows[j].l.row })
@@ -73,7 +72,7 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 				end++
 			}
 			r := run{start: start, n: end - start}
-			if dataMode {
+			if a.dataMode {
 				r.buf = make([]byte, r.n*blockdev.PageSize)
 			}
 			runs = append(runs, r)
@@ -91,12 +90,12 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			}
 			phase1 = sim.MaxTime(phase1, c)
 			for i := 0; i < r.n; i++ {
-				rows[r.start+i].par[0] = pageBuf(r.buf, i)
+				rows[r.start+i].par[0] = blockdev.Page(r.buf, i)
 			}
 		}
 		for j := 1; j < np; j++ {
 			for _, rw := range rows {
-				if dataMode {
+				if a.dataMode {
 					rw.par[j] = make([]byte, blockdev.PageSize)
 				}
 				a.stats.ParityReads++

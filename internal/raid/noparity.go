@@ -39,7 +39,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 			// surface (stale parity plus a missing member page cannot be
 			// reconstructed), and damaged rows must heal through the full
 			// parity path. Fall back to the immediate-parity write.
-			c, err := a.writePage(t, lba+int64(i), pageBuf(buf, i))
+			c, err := a.writePage(t, lba+int64(i), blockdev.Page(buf, i))
 			if err != nil {
 				sp.End(t)
 				return t, err
@@ -49,7 +49,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 		}
 		a.stats.DataWrites++
 		a.stats.NoParityWr++
-		c, err := a.disks[l.disk].WritePages(t, l.row, 1, pageBuf(buf, i))
+		c, err := a.disks[l.disk].WritePages(t, l.row, 1, blockdev.Page(buf, i))
 		if err != nil {
 			sp.End(t)
 			return t, err
@@ -236,32 +236,17 @@ func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte)
 // full-stripe write that NVRAM buffering schemes aim for. buf holds the
 // data pages back to back and may be nil in timing mode.
 func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, error) {
-	rl := a.geo.locateRow(a.geo.locate(firstLBA).row)
-	if err := blockdev.CheckBuf(buf, len(rl.dataDisks)); err != nil {
+	if err := blockdev.CheckBuf(buf, a.DataChunks()); err != nil {
 		return t, err
 	}
-	par := newParity(rl.np, buf != nil)
-	defer putParity(par)
-	done := t
-	for i, disk := range rl.dataDisks {
-		encode(par[:], pageBuf(buf, i), i)
-		if a.Missing(disk, rl.row) {
-			continue // reconstructible from the new parity after rebuild
-		}
-		a.stats.DataWrites++
-		c, err := a.disks[disk].WritePages(t, rl.row, 1, pageBuf(buf, i))
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	c, _, err := a.writeParity(t, rl.parity, rl.row, par[:], 0)
+	row := a.geo.locate(firstLBA).row
+	done, err := a.WriteStripe(t, row, func(i int) []byte { return blockdev.Page(buf, i) })
 	if err != nil {
 		return t, err
 	}
 	// Every page of the row now holds defined content (missing members are
 	// reconstructible from the fresh parity), so any lost marks are healed.
-	a.stale.Remove(rl.row)
-	delete(a.lost, rl.row)
-	return sim.MaxTime(done, c), nil
+	a.stale.Remove(row)
+	delete(a.lost, row)
+	return done, nil
 }

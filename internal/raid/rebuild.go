@@ -16,10 +16,11 @@ import (
 //
 // The rebuild is one array-independent sweep — a row watermark, read the
 // survivors, write the replacement — in which only the per-row
-// reconstruction differs by organisation. RebuildWindow is that sweep,
-// embedded by this package's Array and by the log-structured
-// internal/lsraid; the rest of the file is what the parity engine
-// supplies to it. The window is a per-array state machine:
+// reconstruction differs by organisation. The window is part of the
+// member layer (Members) both engines embed, and so is the per-row step
+// of the parity levels (rebuildRow), which the log uses as it is; the
+// rest of the file is what the parity engine adds to it. The window is a
+// per-array state machine:
 //
 //	(degraded) ──StartRebuild──▶ rebuilding(next=0)
 //	rebuilding ──RebuildStep───▶ rebuilding(next+=rows)
@@ -40,18 +41,12 @@ import (
 // at an older watermark is always safe — re-rebuilding a row writes the
 // same bytes.
 
-// RebuildEngine is what an array hands the window it embeds: its
-// identity, the member state the window reads and updates, and the hooks
-// in which engines differ.
+// RebuildEngine is what an engine hands the member layer it embeds: its
+// identity and the hooks in which engines differ. The layer owns the
+// members, the failed count, the counters and the tracer itself.
 type RebuildEngine struct {
 	Name string // device name on rebuild spans
 	Pkg  string // error-text prefix
-
-	Disks     []*blockdev.FaultInjector // the array's members
-	DiskPages int64                     // rows per member
-	Failed    *int                      // the array's failed-member count
-	Stats     *Stats
-	Tracer    **obs.Tracer // the array's tracer field (SetTracer replaces it)
 
 	// Prepare, when non-nil, runs before a window opens on failed member
 	// i: whatever the engine owes the survivors first (the parity engine
@@ -64,118 +59,96 @@ type RebuildEngine struct {
 	// good as any content there). Nil means every row is live.
 	Live func(row int64) bool
 
-	// Row reconstructs the target's page at row from the survivors and
-	// writes it onto the target.
+	// Row, when non-nil, reconstructs the target's page at row from the
+	// survivors and writes it onto the target. Nil means the parity-row
+	// rebuild (rebuildRow).
 	Row func(t sim.Time, target int, row int64) (sim.Time, error)
-}
 
-// RebuildWindow is the engine-independent shell of the member rebuild:
-// the hot-spare queue, the window's open/resume/abandon transitions and
-// the watermark sweep. Arrays embed it, which is how they satisfy the
-// rebuild surface of raidiface.Array.
-type RebuildWindow struct {
-	eng    RebuildEngine
-	open   bool
-	disk   int   // member being rebuilt
-	next   int64 // watermark: rows [0, next) are reconstructed
-	spares []blockdev.Device
+	// Lose, when non-nil, accounts the loss of the pages row holds on the
+	// members in disks (a row beyond tolerance); the log maps it onto the
+	// logical pages stored there. Nil marks the member pages lost.
+	Lose func(row int64, disks uint32)
 }
-
-// NewRebuildWindow returns a closed window over the engine's members.
-func NewRebuildWindow(eng RebuildEngine) RebuildWindow { return RebuildWindow{eng: eng} }
 
 // Missing reports whether member disk's page at row must be treated as
 // absent: the device is failed outright, or it is the target of an active
 // rebuild and the row is still above the watermark (physically readable,
 // but holding unwritten zeros, not data).
-func (w *RebuildWindow) Missing(disk int, row int64) bool {
-	if w.eng.Disks[disk].Failed() {
+func (m *Members) Missing(disk int, row int64) bool {
+	if m.disks[disk].Failed() {
 		return true
 	}
-	return w.open && disk == w.disk && row >= w.next
+	return m.open && disk == m.disk && row >= m.next
 }
 
-// FailDisk marks member disk i as failed. Failing the target of an
-// active rebuild abandons the rebuild: there is nothing left to resume
-// onto, and a later spare attach must start over from row 0.
-func (w *RebuildWindow) FailDisk(i int) {
-	if !w.eng.Disks[i].Failed() {
-		w.eng.Disks[i].Fail()
-		*w.eng.Failed++
-		if w.open && w.disk == i {
-			w.AbandonRebuild()
-		}
-	}
-}
-
-// AbandonRebuild closes the window because its target died.
-func (w *RebuildWindow) AbandonRebuild() {
-	w.open = false
-	w.eng.Stats.RebuildsAborted++
+// abandonRebuild closes the window because its target died.
+func (m *Members) abandonRebuild() {
+	m.open = false
+	m.stats.RebuildsAborted++
 }
 
 // AddSpare parks a hot-spare device for automatic attachment when a
 // member fails. The spare must match the member geometry.
-func (w *RebuildWindow) AddSpare(dev blockdev.Device) error {
-	if dev.Pages() != w.eng.DiskPages {
+func (m *Members) AddSpare(dev blockdev.Device) error {
+	if dev.Pages() != m.geo.diskPages {
 		return fmt.Errorf("%w: spare size mismatch", ErrBadGeometry)
 	}
-	w.spares = append(w.spares, dev)
+	m.spares = append(m.spares, dev)
 	return nil
 }
 
 // SpareCount returns the number of parked hot spares.
-func (w *RebuildWindow) SpareCount() int { return len(w.spares) }
+func (m *Members) SpareCount() int { return len(m.spares) }
 
 // RebuildActive reports whether a member rebuild is in progress.
-func (w *RebuildWindow) RebuildActive() bool { return w.open }
+func (m *Members) RebuildActive() bool { return m.open }
 
 // RebuildTarget returns the member being rebuilt and its row watermark.
 // active is false when no rebuild is running.
-func (w *RebuildWindow) RebuildTarget() (disk int, watermark int64, active bool) {
-	if !w.open {
+func (m *Members) RebuildTarget() (disk int, watermark int64, active bool) {
+	if !m.open {
 		return 0, 0, false
 	}
-	return w.disk, w.next, true
+	return m.disk, m.next, true
 }
 
 // StartRebuild swaps failed member i for a fresh device and opens the
 // rebuild window at row 0, after the engine's Prepare step — the parity
 // engine resynchronises its stale rows there (§III-E: parity_update
 // precedes rebuild), so callers need not know the ordering.
-func (w *RebuildWindow) StartRebuild(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
-	if !w.eng.Disks[i].Failed() {
+func (m *Members) StartRebuild(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
+	if !m.disks[i].Failed() {
 		return t, ErrNotDegraded
 	}
-	if w.open {
-		return t, fmt.Errorf("%s: rebuild of disk %d already in progress", w.eng.Pkg, w.disk)
+	if m.open {
+		return t, fmt.Errorf("%s: rebuild of disk %d already in progress", m.eng.Pkg, m.disk)
 	}
-	if fresh.Pages() != w.eng.DiskPages {
+	if fresh.Pages() != m.geo.diskPages {
 		return t, fmt.Errorf("%w: replacement size mismatch", ErrBadGeometry)
 	}
 	done := t
-	if w.eng.Prepare != nil {
+	if m.eng.Prepare != nil {
 		var err error
-		if done, err = w.eng.Prepare(t, i); err != nil {
+		if done, err = m.eng.Prepare(t, i); err != nil {
 			return t, err
 		}
 	}
-	w.eng.Disks[i].Repair(fresh)
-	*w.eng.Failed--
-	w.open, w.disk, w.next = true, i, 0
-	w.eng.Stats.RebuildsStarted++
+	m.disks[i].Repair(fresh)
+	m.noteFailed()
+	m.open, m.disk, m.next = true, i, 0
+	m.stats.RebuildsStarted++
 	return done, nil
 }
 
 // StartSpareRebuild attaches a parked hot spare to the lowest-numbered
 // failed member and opens its rebuild window. started is false when there
 // is nothing to do (no failure, no spare, or a rebuild already running).
-func (w *RebuildWindow) StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err error) {
-	if w.open || *w.eng.Failed == 0 || len(w.spares) == 0 {
+func (m *Members) StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err error) {
+	if m.open || m.failed == 0 || len(m.spares) == 0 {
 		return t, false, nil
 	}
 	target := -1
-	for i, d := range w.eng.Disks {
+	for i, d := range m.disks {
 		if d.Failed() {
 			target = i
 			break
@@ -184,14 +157,14 @@ func (w *RebuildWindow) StartSpareRebuild(t sim.Time) (done sim.Time, started bo
 	if target < 0 {
 		return t, false, nil
 	}
-	spare := w.spares[0]
-	w.spares = w.spares[1:]
-	done, err = w.StartRebuild(t, target, spare)
+	spare := m.spares[0]
+	m.spares = m.spares[1:]
+	done, err = m.StartRebuild(t, target, spare)
 	if err != nil {
-		w.spares = append([]blockdev.Device{spare}, w.spares...)
+		m.spares = append([]blockdev.Device{spare}, m.spares...)
 		return t, false, err
 	}
-	w.eng.Stats.SpareAttaches++
+	m.stats.SpareAttaches++
 	return done, true, nil
 }
 
@@ -203,21 +176,21 @@ func (w *RebuildWindow) StartSpareRebuild(t sim.Time) (done sim.Time, started bo
 // died before the crash and the checkpoint never caught up) is a no-op:
 // the rebuild is dead and a spare attach must start a fresh one. A
 // watermark at the end of the member closes the window.
-func (w *RebuildWindow) ResumeRebuild(disk int, watermark int64) error {
-	if disk < 0 || disk >= len(w.eng.Disks) {
-		return fmt.Errorf("%w: rebuild checkpoint names disk %d of %d", ErrBadGeometry, disk, len(w.eng.Disks))
+func (m *Members) ResumeRebuild(disk int, watermark int64) error {
+	if disk < 0 || disk >= len(m.disks) {
+		return fmt.Errorf("%w: rebuild checkpoint names disk %d of %d", ErrBadGeometry, disk, len(m.disks))
 	}
-	if watermark < 0 || watermark > w.eng.DiskPages {
-		return fmt.Errorf("%w: rebuild checkpoint watermark %d outside [0,%d]", ErrBadGeometry, watermark, w.eng.DiskPages)
+	if watermark < 0 || watermark > m.geo.diskPages {
+		return fmt.Errorf("%w: rebuild checkpoint watermark %d outside [0,%d]", ErrBadGeometry, watermark, m.geo.diskPages)
 	}
-	if w.eng.Disks[disk].Failed() {
+	if m.disks[disk].Failed() {
 		return nil
 	}
-	if watermark >= w.eng.DiskPages {
-		w.open = false
+	if watermark >= m.geo.diskPages {
+		m.open = false
 		return nil
 	}
-	w.open, w.disk, w.next = true, disk, watermark
+	m.open, m.disk, m.next = true, disk, watermark
 	return nil
 }
 
@@ -226,55 +199,43 @@ func (w *RebuildWindow) ResumeRebuild(disk int, watermark int64) error {
 // device, so a crash forgets it. Rigs call this when simulating a crash;
 // recovery must then ResumeRebuild from the NVRAM checkpoint or the
 // un-rebuilt region would silently be served as valid zeros.
-func (w *RebuildWindow) CrashRebuildState() { w.open = false }
+func (m *Members) CrashRebuildState() { m.open = false }
 
 // RebuildStep reconstructs up to maxRows rows of the active rebuild and
 // advances the watermark. It returns the rows swept and whether the
 // rebuild completed (also true when none is active). The caller paces
 // these steps against foreground traffic (the KDD engine's token bucket,
 // or a driver loop).
-func (w *RebuildWindow) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error) {
-	if !w.open {
+func (m *Members) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error) {
+	if !m.open {
 		return t, 0, true, nil
 	}
-	if tr := *w.eng.Tracer; tr != nil {
-		sp := tr.BeginDev(t, obs.PhaseRebuild, w.eng.Name, w.next, maxRows)
+	if m.tr != nil {
+		sp := m.tr.BeginDev(t, obs.PhaseRebuild, m.eng.Name, m.next, maxRows)
 		defer func() { sp.End(done) }()
 	}
 	done = t
-	target := w.disk
-	for rowsDone < maxRows && w.open && w.next < w.eng.DiskPages {
-		row := w.next
-		if w.eng.Live == nil || w.eng.Live(row) {
-			c, err := w.eng.Row(t, target, row)
+	target := m.disk
+	for rowsDone < maxRows && m.open && m.next < m.geo.diskPages {
+		row := m.next
+		if m.eng.Live == nil || m.eng.Live(row) {
+			c, err := m.eng.Row(t, target, row)
 			if err != nil {
 				return done, rowsDone, false, err
 			}
 			done = sim.MaxTime(done, c)
 			t = c // rebuild rows are serialized background work
-			w.eng.Stats.RebuildBytes += blockdev.PageSize
+			m.stats.RebuildBytes += blockdev.PageSize
 		}
-		w.next = row + 1
+		m.next = row + 1
 		rowsDone++
-		w.eng.Stats.RebuildRows++
+		m.stats.RebuildRows++
 	}
-	if w.open && w.next >= w.eng.DiskPages {
-		w.open = false
-		w.eng.Stats.RebuildsCompleted++
+	if m.open && m.next >= m.geo.diskPages {
+		m.open = false
+		m.stats.RebuildsCompleted++
 	}
-	return done, rowsDone, !w.open, nil
-}
-
-// PublishRebuildGauges writes the window's gauges into reg.
-func (w *RebuildWindow) PublishRebuildGauges(reg *obs.Registry) {
-	_, watermark, open := w.RebuildTarget()
-	active := 0.0
-	if open {
-		active = 1
-	}
-	reg.SetGauge("raid_rebuild_active", "1 while a member rebuild is in progress.", active)
-	reg.SetGauge("raid_rebuild_watermark", "Rows of the rebuild target already reconstructed.", float64(watermark))
-	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(w.spares)))
+	return done, rowsDone, !m.open, nil
 }
 
 // ReplaceDisk swaps member i for a fresh device and rebuilds its contents
@@ -283,14 +244,14 @@ func (w *RebuildWindow) PublishRebuildGauges(reg *obs.Registry) {
 // on the parity engine stale parity rows are resynchronised automatically
 // and rows that cannot be surface as lost pages, not as an error. Online
 // callers drive StartRebuild/RebuildStep themselves instead.
-func (w *RebuildWindow) ReplaceDisk(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
-	done, err := w.StartRebuild(t, i, fresh)
+func (m *Members) ReplaceDisk(t sim.Time, i int, fresh blockdev.Device) (sim.Time, error) {
+	done, err := m.StartRebuild(t, i, fresh)
 	if err != nil {
 		return t, err
 	}
 	t = done
-	for w.open {
-		c, _, _, err := w.RebuildStep(t, 1024)
+	for m.open {
+		c, _, _, err := m.RebuildStep(t, 1024)
 		if err != nil {
 			return t, err
 		}
@@ -315,33 +276,6 @@ func (e *ResyncError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrNeedResync) hold.
 func (e *ResyncError) Unwrap() error { return ErrNeedResync }
-
-// pageLost reports whether the logical content of disk's page at row has
-// been lost (redundancy exhausted during a rebuild window). Lost pages are
-// served loudly as ErrUnrecoverable until something overwrites them.
-func (a *Array) pageLost(disk int, row int64) bool {
-	return a.lost[row]&(1<<uint(disk)) != 0
-}
-
-// clearLost drops the lost mark for one page (it was just overwritten).
-func (a *Array) clearLost(disk int, row int64) {
-	if m, ok := a.lost[row]; ok {
-		m &^= 1 << uint(disk)
-		if m == 0 {
-			delete(a.lost, row)
-		} else {
-			a.lost[row] = m
-		}
-	}
-}
-
-// markLost records that disk's page at row is unrecoverable.
-func (a *Array) markLost(disk int, row int64) {
-	if !a.pageLost(disk, row) {
-		a.lost[row] |= 1 << uint(disk)
-		a.stats.LostPages++
-	}
-}
 
 // LostRows returns the rows holding at least one unrecoverable page, in
 // ascending order.
@@ -392,73 +326,80 @@ func (a *Array) rowHasData(i int, row int64) bool {
 	return ps.mask()&(1<<uint(i)) == 0
 }
 
-// rebuildRow reconstructs the target member's page at row and writes it.
-func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, err error) {
+// rebuildMember is the parity engine's Row hook: a mirror copies the
+// target's page from the first present mirror; the parity levels take
+// the layer's rebuildRow.
+func (a *Array) rebuildMember(t sim.Time, target int, row int64) (done sim.Time, err error) {
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseRebuildRow, a.Name(), row, 1)
 		defer func() { sp.End(done) }()
 	}
-	dataMode := a.dataMode()
-	var page []byte
-
 	switch a.cfg.Level {
-	case Level1:
-		src := -1
-		for j := range a.disks {
-			if j != target && !a.Missing(j, row) {
-				src = j
-				break
-			}
-		}
-		if src == -1 {
-			return t, ErrTooManyFailures
-		}
-		page = pageScratch(dataMode)
-		c, err := a.readMember(t, src, row, page)
-		if err != nil {
-			return t, err
-		}
-		t = c
 	case Level5, Level6:
-		usable := a.geo.diskPages - a.geo.diskPages%a.geo.chunkPages
-		if row >= usable {
-			// Tail rows beyond the last whole chunk carry no logical data;
-			// a fresh device already holds zeros there.
-			page = pageScratch(dataMode)
-			break
-		}
-		rl := a.geo.locateRow(row)
-		if a.stale.Has(row) || a.pageLost(target, row) {
-			// Stale parity or an already-lost target page: heal to a
-			// defined state instead of reconstructing. Rows with lost
-			// pages on OTHER members only are physically consistent (the
-			// loss was healed when their own rebuild passed them) and take
-			// the normal path below.
-			return a.rebuildDamagedRow(t, target, rl)
-		}
-		st, c, err := a.decodeRow(t, rl, 0)
-		defer st.release()
-		if errors.Is(err, ErrUnrecoverable) {
-			// A second member failed inside the rebuild window and this
-			// row's erasures exceed the level's tolerance (RAID-5 with a
-			// concurrent failure). Account for every missing page loudly
-			// and move on — the surviving members still serve their own
-			// pages directly.
-			for _, k := range st.erased {
-				a.markLost(rl.member(k), row)
-			}
-			return c, nil
-		}
-		if err != nil {
-			return t, err
-		}
-		t, page = c, st.page(target)
-	default:
+		return a.rebuildRow(t, target, row)
+	case Level0:
 		return t, ErrTooManyFailures
 	}
+	src := -1
+	for j := range a.disks {
+		if j != target && !a.Missing(j, row) {
+			src = j
+			break
+		}
+	}
+	if src == -1 {
+		return t, ErrTooManyFailures
+	}
+	page := pageScratch(a.dataMode)
+	defer putScratch(page)
+	c, err := a.readMember(t, src, row, page)
+	if err != nil {
+		return t, err
+	}
+	return a.writeTarget(c, target, row, page)
+}
 
-	a.stats.RebuildWrite++
-	c, err := a.disks[target].WritePages(t, row, 1, page)
+// rebuildRow reconstructs the target member's page at row of a parity
+// level from the survivors and writes it: the window's per-row step for
+// both engines.
+func (m *Members) rebuildRow(t sim.Time, target int, row int64) (sim.Time, error) {
+	if row >= m.geo.diskPages-m.geo.diskPages%m.geo.chunkPages {
+		// Tail rows beyond the last whole chunk carry no logical data;
+		// a fresh device already holds zeros there.
+		page := pageScratch(m.dataMode)
+		defer putScratch(page)
+		return m.writeTarget(t, target, row, page)
+	}
+	rl := m.geo.locateRow(row)
+	if m.staleRow(row) || m.pageLost(target, row) {
+		// Stale parity or an already-lost target page: heal to a
+		// defined state instead of reconstructing. Rows with lost
+		// pages on OTHER members only are physically consistent (the
+		// loss was healed when their own rebuild passed them) and take
+		// the normal path below.
+		return m.rebuildDamagedRow(t, target, rl)
+	}
+	st, c, err := m.decodeRow(t, rl, 0)
+	defer st.release()
+	if errors.Is(err, ErrUnrecoverable) {
+		// A second fault inside the rebuild window — another member
+		// failed, or a survivor page is unreadable — and this row's
+		// erasures exceed the level's tolerance (RAID-5 with a concurrent
+		// fault). Account for every erased page loudly and move on: the
+		// surviving members still serve their own pages directly.
+		m.lose(row, st.erasedDisks())
+		return c, nil
+	}
+	if err != nil {
+		return t, err
+	}
+	return m.writeTarget(c, target, row, st.page(target))
+}
+
+// writeTarget writes the rebuild target's page at row.
+func (m *Members) writeTarget(t sim.Time, target int, row int64, page []byte) (sim.Time, error) {
+	m.stats.RebuildWrite++
+	c, err := m.disks[target].WritePages(t, row, 1, page)
 	if err != nil {
 		return t, err
 	}
@@ -473,30 +414,29 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (done sim.Time, er
 // benign case — parity is simply recomputed from the (all readable) data.
 // Rows damaged beyond the target (a second member also lost pages) are
 // left alone — writing anything there would destroy evidence.
-func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, error) {
+func (m *Members) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, error) {
 	targetIsData := rl.mask()&(1<<uint(target)) == 0
-	if a.stale.Has(rl.row) && targetIsData {
+	if m.stale.Has(rl.row) && targetIsData {
 		// Stale parity cannot reconstruct the target's data: the page is
 		// gone (normally already accounted by StartRebuild's resync).
-		a.markLost(target, rl.row)
+		m.markLost(target, rl.row)
 	}
-	if a.lost[rl.row]&^(1<<uint(target)) != 0 {
+	if m.lost[rl.row]&^(1<<uint(target)) != 0 {
 		return t, nil
 	}
-	dataMode := a.dataMode()
-	par := newParity(rl.np, dataMode)
+	par := newParity(rl.np, m.dataMode)
 	defer putParity(par)
-	tmp := pageScratch(dataMode)
+	tmp := pageScratch(m.dataMode)
 	defer putScratch(tmp)
 	done := t
 	for i, disk := range rl.dataDisks {
 		if disk == target {
 			continue // lost page: defined as zeros, contributes nothing
 		}
-		if a.Missing(disk, rl.row) {
+		if m.Missing(disk, rl.row) {
 			return t, nil // second failure on a damaged row: leave it
 		}
-		c, err := a.readMember(t, disk, rl.row, tmp)
+		c, err := m.readMember(t, disk, rl.row, tmp)
 		if err != nil {
 			return t, err
 		}
@@ -506,21 +446,20 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 	// Write the target's page: recomputed parity when it holds P/Q, a
 	// defined zero page when its data is lost (a fresh device holds zeros
 	// already, but a resumed rebuild may be re-walking the row).
-	page := pageScratch(dataMode)
+	page := pageScratch(m.dataMode)
 	defer putScratch(page)
 	for j, d := range rl.par[:rl.np] {
 		if d == target {
 			page = par[j]
 		}
 	}
-	a.stats.RebuildWrite++
-	c, err := a.disks[target].WritePages(done, rl.row, 1, page)
+	c, err := m.writeTarget(done, target, rl.row, page)
 	if err != nil {
 		return t, err
 	}
-	if done, _, err = a.writeParity(sim.MaxTime(done, c), rl.parity, rl.row, par[:], 1<<uint(target)); err != nil {
+	if done, _, err = m.writeParity(sim.MaxTime(done, c), rl.parity, rl.row, par[:], 1<<uint(target)); err != nil {
 		return t, err
 	}
-	a.stale.Remove(rl.row)
+	m.stale.Remove(rl.row)
 	return done, nil
 }

@@ -3,7 +3,6 @@ package raid
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
@@ -14,69 +13,6 @@ import (
 // of §III-E: "on an SSD failure, RAID storage can be re-synchronized
 // through reconstruct-write", and "if a HDD fails, KDD first updates all
 // parity blocks ... then triggers the rebuilding process".
-
-// FailedDisks returns the indices of failed members.
-func (a *Array) FailedDisks() []int {
-	var out []int
-	for i, d := range a.disks {
-		if d.Failed() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Healthy reports whether no member disk is failed and no rebuild is in
-// progress: inside the rebuild window the array still has rows with
-// reduced redundancy, so callers (the KDD engine) must stay conservative.
-func (a *Array) Healthy() bool { return a.failed == 0 && !a.RebuildActive() }
-
-// Survivable reports whether current failures are within the level's
-// tolerance.
-func (a *Array) Survivable() bool {
-	return a.failed <= a.cfg.Level.faultTolerance(len(a.disks))
-}
-
-// degradedRead reconstructs the data page at l from surviving members.
-// "Missing" is per-row: a rebuild target above the watermark is treated
-// exactly like a failed disk for its un-rebuilt rows.
-func (a *Array) degradedRead(t sim.Time, l loc, buf []byte) (sim.Time, error) {
-	if a.lost[l.row] != 0 {
-		// Redundancy of this row was exhausted during a rebuild window and
-		// some of its pages were declared lost; reconstruction would serve
-		// fabricated bytes.
-		return t, fmt.Errorf("%w: row %d holds pages lost in a rebuild window", ErrUnrecoverable, l.row)
-	}
-	rl := a.geo.locateRow(l.row)
-	if a.rowErasures(rl) > l.np {
-		return t, ErrTooManyFailures
-	}
-	if a.stale.Has(l.row) {
-		// Stale parity cannot reconstruct current data: this is the data
-		// loss window the paper closes by resynchronising before use.
-		return t, ErrStaleParity
-	}
-	a.stats.DegradedRead++
-	// A survivor page that is unreadable on top of the missing member is
-	// one more erasure to the decode — within RAID-6 tolerance even inside
-	// a rebuild window.
-	st, done, err := a.decodeRow(t, rl, 0)
-	defer st.release()
-	a.stats.RebuildReads += int64(st.reads)
-	if err != nil {
-		return t, err
-	}
-	if buf != nil {
-		copy(buf, st.pages[l.dataIdx])
-		// Write the decoded content back onto media-bad data pages so the
-		// latent error heals in place.
-		if heal := st.media &^ rl.mask(); heal != 0 {
-			a.stats.ReadRepairs += int64(bits.OnesCount32(heal))
-			done, _ = a.healMedia(done, st, heal)
-		}
-	}
-	return done, nil
-}
 
 // degradedWrite services a write when the data page or a parity page of
 // the target row is missing (failed disk, or the un-rebuilt region of a
@@ -204,7 +140,7 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 	if err != nil {
 		return t, err
 	}
-	par := newParity(l.np, a.dataMode())
+	par := newParity(l.np, a.dataMode)
 	defer putParity(par)
 	if buf != nil {
 		copy(st.pages[l.dataIdx], buf)
@@ -261,13 +197,6 @@ func (a *Array) applyParityDiff(t sim.Time, l loc, diff []byte) (sim.Time, error
 	return done, nil
 }
 
-// readMember reads one page from a member disk, counting it as a rebuild/
-// reconstruction read.
-func (a *Array) readMember(t sim.Time, disk int, row int64, buf []byte) (sim.Time, error) {
-	a.stats.RebuildReads++
-	return a.memberRead(t, disk, row, buf)
-}
-
 // Resync recomputes parity for every stale row by reading all data pages
 // and rewriting P (and Q): the reconstruct-write resynchronisation run
 // after an SSD cache failure. It returns the completion time of the last
@@ -298,7 +227,7 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 		a.stale.Remove(row)
 		return t, nil
 	}
-	dataMode := a.dataMode()
+	dataMode := a.dataMode
 	par := newParity(rl.np, dataMode)
 	defer putParity(par)
 	tmp := pageScratch(dataMode)
@@ -342,27 +271,5 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 	a.stale.Remove(row)
 	return done, nil
 }
-
-// dataMode sniffs whether members carry real bytes by probing for a
-// MemStore-backed device; arrays are homogeneous in practice.
-func (a *Array) dataMode() bool {
-	if s, ok := a.disks[0].Inner().(blockdev.Storer); ok {
-		return s.Store() != nil
-	}
-	return false
-}
-
-// pageScratch returns a zeroed page buffer in data mode or nil in timing
-// mode. The buffer comes from the shared page pool; callers hand it back
-// via putScratch when it dies (putScratch tolerates nil).
-func pageScratch(data bool) []byte {
-	if !data {
-		return nil
-	}
-	return blockdev.GetZeroPage()
-}
-
-// putScratch returns a pageScratch buffer to the pool.
-func putScratch(b []byte) { blockdev.PutPage(b) }
 
 var _ blockdev.Device = (*Array)(nil)

@@ -3,7 +3,6 @@ package raid
 import (
 	"bytes"
 	"errors"
-	"fmt"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
@@ -23,35 +22,6 @@ type ScrubReport struct {
 	MediaRepaired int64   // unreadable pages reconstructed and rewritten
 	ParityFixed   int64   // parity/mirror pages recomputed after a mismatch
 	Unrecoverable []int64 // disk rows whose redundancy was exhausted
-}
-
-// readRepair reconstructs the single unreadable data page at l from the
-// surviving members of its row and writes it back in place, so one latent
-// sector error is healed without declaring the member disk failed.
-func (a *Array) readRepair(t sim.Time, l loc, buf []byte) (sim.Time, error) {
-	if l.np == 0 {
-		return t, fmt.Errorf("%w: logical page %d (level %s has no parity)",
-			ErrUnrecoverable, a.geo.logicalLBA(l.stripe, l.dataIdx, l.row%a.geo.chunkPages), a.cfg.Level)
-	}
-	if a.stale.Has(l.row) {
-		// Parity of this row is stale (WriteNoParity window): it cannot
-		// reconstruct the lost page. This is the unrecoverable corner the
-		// paper's delayed-parity scheme accepts between write and cleaning.
-		return t, fmt.Errorf("%w: media error on row %d while its parity is stale", ErrStaleParity, l.row)
-	}
-	st, done, err := a.decodeRow(t, a.geo.locateRow(l.row), 1<<uint(l.disk))
-	defer st.release()
-	if err != nil {
-		return t, err
-	}
-	if buf != nil {
-		copy(buf, st.pages[l.dataIdx])
-	}
-	// The data is reconstructed and served even if the write-back fails;
-	// the page stays bad and the next scrub retries.
-	a.stats.ReadRepairs++
-	done, _ = a.healMedia(done, st, 1<<uint(l.disk))
-	return done, nil
 }
 
 // repairParityRow recomputes an unreadable parity copy of one row in
@@ -115,13 +85,12 @@ func (a *Array) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
 			continue
 		}
 		rep.RowsScanned++
-		rl := a.geo.locateRow(row)
 		var c sim.Time
 		var err error
 		if a.cfg.Level == Level1 {
-			c, err = a.scrubMirrorRow(t, rl, &rep)
+			c, err = a.scrubMirrorRow(t, a.geo.locateRow(row), &rep)
 		} else {
-			c, err = a.scrubParityRow(t, rl, &rep)
+			c, _, err = a.ScrubRow(t, row, &rep)
 		}
 		if err != nil {
 			return t, rep, err
@@ -132,54 +101,13 @@ func (a *Array) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
 	return done, rep, nil
 }
 
-// scrubParityRow verifies and repairs one RAID-0/5/6 row.
-func (a *Array) scrubParityRow(t sim.Time, rl rowLoc, rep *ScrubReport) (sim.Time, error) {
-	st, done, err := a.decodeRow(t, rl, 0)
-	defer st.release()
-	if errors.Is(err, ErrUnrecoverable) {
-		rep.Unrecoverable = append(rep.Unrecoverable, rl.row)
-		return done, nil
-	}
-	if err != nil {
-		return t, err
-	}
-	if len(st.erased) > 0 {
-		// Write reconstructed pages back, but only onto media-bad disks:
-		// pages missing because the whole member failed are the rebuild's
-		// job, not the scrub's.
-		done, healed := a.healMedia(done, st, st.media)
-		rep.MediaRepaired += int64(healed)
-		return done, nil
-	}
-	// All pages readable: cross-check parity against data (data mode only
-	// — timing mode has no bytes to compare).
-	if !a.dataMode() {
-		return done, nil
-	}
-	exp := newParity(rl.np, true)
-	defer putParity(exp)
-	for i, d := range st.data() {
-		encode(exp[:], d, i)
-	}
-	read := done
-	for j, p := range st.par() {
-		if !bytes.Equal(exp[j], p) {
-			if c, werr := a.disks[rl.par[j]].WritePages(read, rl.row, 1, exp[j]); werr == nil {
-				done = sim.MaxTime(done, c)
-			}
-			rep.ParityFixed++
-		}
-	}
-	return done, nil
-}
-
 // scrubMirrorRow verifies one RAID-1 row: every healthy mirror must hold
 // a readable, identical copy. Unreadable copies are re-silvered from the
 // first mirror that answers; divergent copies are overwritten by it (the
 // first readable mirror is the tie-break authority — with two-way
 // mirrors there is no majority to consult).
 func (a *Array) scrubMirrorRow(t sim.Time, rl rowLoc, rep *ScrubReport) (sim.Time, error) {
-	dataMode := a.dataMode()
+	dataMode := a.dataMode
 	done := t
 	var good []byte
 	goodAt := -1

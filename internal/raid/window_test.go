@@ -23,8 +23,9 @@ const (
 )
 
 type windowEngine struct {
-	name string
-	new  func(t *testing.T) raidiface.Array
+	name   string
+	parity int // member faults a row absorbs
+	new    func(t *testing.T) raidiface.Array
 	// breakStart arranges for the next window open on the returned member
 	// to fail, and returns how to repair that; nil when the engine has no
 	// pre-open step that could.
@@ -53,10 +54,11 @@ var windowEngines = []windowEngine{
 	// Single parity absorbs every failure of the pre-open resync as loss
 	// (a stale row is either written off with the failed member's data or
 	// dropped with its parity), so RAID-5 has no way to break a start.
-	{name: "raid5", new: winRaid(raid.Level5)},
+	{name: "raid5", parity: 1, new: winRaid(raid.Level5)},
 	{
-		name: "raid6",
-		new:  winRaid(raid.Level6),
+		name:   "raid6",
+		parity: 2,
+		new:    winRaid(raid.Level6),
 		// A stale row whose P lives on the member about to fail, and power
 		// lost on the Q member: the pre-open resync can neither rewrite the
 		// surviving parity nor write the row off with the failed member.
@@ -71,7 +73,8 @@ var windowEngines = []windowEngine{
 		},
 	},
 	{
-		name: "lsraid",
+		name:   "lsraid",
+		parity: 1,
 		new: func(t *testing.T) raidiface.Array {
 			a, err := lsraid.New(lsraid.Config{ChunkPages: 4, SegRows: 8, Seed: 1}, winMembers())
 			if err != nil {
@@ -117,6 +120,62 @@ func winVerify(t *testing.T, a raidiface.Array, without int) {
 }
 
 func fresh() blockdev.Device { return blockdev.NewNullDataDevice("fresh", winDiskPages) }
+
+// winDrain steps the open window until it closes; every engine must close
+// it, whatever the sweep met on the way.
+func winDrain(t *testing.T, a raidiface.Array) {
+	t.Helper()
+	for i := 0; a.RebuildActive(); i++ {
+		if i > winDiskPages {
+			t.Fatal("rebuild window never closed")
+		}
+		if _, _, _, err := a.RebuildStep(0, 64); err != nil {
+			t.Fatalf("rebuild step: %v", err)
+		}
+	}
+	if s := a.Stats(); s.RebuildsCompleted != 1 {
+		t.Fatalf("completed %d rebuilds, want 1", s.RebuildsCompleted)
+	}
+}
+
+// winLoss checks the loss a fault beyond tolerance leaves: every page
+// whose member page is gone (gone reports it by location, taken before
+// the fault) reads back loudly as ErrUnrecoverable and is accounted in
+// LostPages; every other page reads back byte for byte.
+func winLoss(t *testing.T, a raidiface.Array, where map[int64][2]int64, gone func(disk int, row int64) bool) {
+	t.Helper()
+	buf := make([]byte, blockdev.PageSize)
+	lost := 0
+	for lba := int64(0); lba < winPages; lba++ {
+		_, err := a.ReadPages(0, lba, 1, buf)
+		if gone(int(where[lba][0]), where[lba][1]) {
+			if !errors.Is(err, raid.ErrUnrecoverable) {
+				t.Fatalf("lost page %d read: %v, want ErrUnrecoverable", lba, err)
+			}
+			lost++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("read %d: %v", lba, err)
+		}
+		if !bytes.Equal(buf, winPage(lba, 1)) {
+			t.Fatalf("lba %d wrong", lba)
+		}
+	}
+	if (lost > 0) != (a.Stats().LostPages > 0) {
+		t.Fatalf("%d pages read back lost, LostPages %d", lost, a.Stats().LostPages)
+	}
+}
+
+// winWhere records where every written page lives.
+func winWhere(a raidiface.Array) map[int64][2]int64 {
+	where := make(map[int64][2]int64, winPages)
+	for lba := int64(0); lba < winPages; lba++ {
+		d, row := a.DataLocation(lba)
+		where[lba] = [2]int64{int64(d), row}
+	}
+	return where
+}
 
 func noWindow(t *testing.T, a raidiface.Array, when string) {
 	t.Helper()
@@ -287,6 +346,76 @@ func TestRebuildWindow(t *testing.T) {
 			if disk, row, active := a.RebuildTarget(); !active || disk != 1 || row != 0 {
 				t.Fatalf("window (%d, %d, %v), want member 1 at row 0", disk, row, active)
 			}
+		}},
+		{"latent survivor page in the window", func(t *testing.T, e windowEngine, a raidiface.Array) {
+			// A latent page on a survivor, in a row the sweep has yet to
+			// reach: one erasure past single parity, within RAID-6's.
+			where := winWhere(a)
+			survivor, row := a.DataLocation(5)
+			target := (survivor + 1) % winDisks
+			a.FailDisk(target)
+			if _, err := a.StartRebuild(0, target, fresh()); err != nil {
+				t.Fatal(err)
+			}
+			a.Injector(survivor).InjectBadPage(row)
+			winDrain(t, a)
+			winLoss(t, a, where, func(d int, r int64) bool {
+				return e.parity == 1 && r == row && (d == target || d == survivor)
+			})
+			if e.parity == 1 && a.Stats().LostPages == 0 {
+				t.Fatal("a row beyond tolerance lost nothing")
+			}
+		}},
+		{"second failure mid-window", func(t *testing.T, e windowEngine, a raidiface.Array) {
+			// Every row the sweep has yet to reach has two holes: beyond
+			// single parity, the rows' pages on both members are lost and
+			// the sweep carries on; RAID-6 absorbs it.
+			where := winWhere(a)
+			a.FailDisk(1)
+			if _, err := a.StartRebuild(0, 1, fresh()); err != nil {
+				t.Fatal(err)
+			}
+			a.FailDisk(2)
+			winDrain(t, a)
+			winLoss(t, a, where, func(d int, _ int64) bool { return e.parity == 1 && (d == 1 || d == 2) })
+			if e.parity == 1 && a.Stats().LostPages == 0 {
+				t.Fatal("second-fault loss not accounted")
+			}
+		}},
+		{"member fails on its own", func(t *testing.T, e windowEngine, a raidiface.Array) {
+			// FailAfterOps: no one calls FailDisk, the member just stops
+			// answering. Whatever the I/O that meets it returns, the
+			// failure state must agree with itself afterwards.
+			agree := func(when string, aborted int64) {
+				t.Helper()
+				if fd := a.FailedDisks(); fmt.Sprint(fd) != "[2]" || a.Healthy() || !a.Survivable() || a.RebuildActive() {
+					t.Fatalf("%s: failed %v, healthy %v, survivable %v, rebuilding %v",
+						when, fd, a.Healthy(), a.Survivable(), a.RebuildActive())
+				}
+				if s := a.Stats(); s.RebuildsAborted != aborted {
+					t.Fatalf("%s: aborted %d rebuilds, want %d", when, s.RebuildsAborted, aborted)
+				}
+			}
+			inj := a.Injector(2)
+			inj.FailAfterOps = inj.Ops() // its next operation fails
+			buf := make([]byte, blockdev.PageSize)
+			for lba := int64(0); lba < winPages; lba++ {
+				if _, err := a.ReadPages(0, lba, 1, buf); err == nil && !bytes.Equal(buf, winPage(lba, 1)) {
+					t.Fatalf("lba %d wrong", lba)
+				}
+			}
+			agree("after reads", 0)
+			// The same for a rebuild target: the window is abandoned.
+			inj.FailAfterOps = 0
+			if _, err := a.StartRebuild(0, 2, fresh()); err != nil {
+				t.Fatal(err)
+			}
+			inj.FailAfterOps = 1 // one write onto the replacement lands
+			for i := 0; i < 4 && a.RebuildActive(); i++ {
+				a.RebuildStep(0, 16) //nolint:errcheck // the target dies under the step
+			}
+			agree("after the target died", 1)
+			winVerify(t, a, 2)
 		}},
 		{"ReplaceDisk to completion", func(t *testing.T, e windowEngine, a raidiface.Array) {
 			a.FailDisk(2)
