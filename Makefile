@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs obs-test shard-test qos-test lsraid-test loc ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs kernels obs-test shard-test qos-test lsraid-test loc ci clean
 
 all: ci
 
@@ -18,8 +18,10 @@ test:
 	$(GO) test ./...
 
 # Race coverage on the packages with concurrency-sensitive state
-# (fault injection, cache core, array repair paths) plus the harness's
-# parallel fan-out runner and its determinism tests.
+# (fault injection — including arming and disarming an injector under
+# concurrent I/O, TestArmingConcurrentWithIO — cache core, array repair
+# paths) plus the harness's parallel fan-out runner and its determinism
+# tests.
 race:
 	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/
 	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob' ./internal/harness/
@@ -152,9 +154,21 @@ bench-smoke:
 
 # Paired parent-vs-change runs of that benchmark, the protocol a perf
 # claim rests on: make bench-pairs WORKLOAD=zipf_plane_fit [N=10] [BASE=HEAD]
-# (see scripts/bench-pairs.sh for the verdict rule).
+# (WORKLOAD=all runs every workload; see scripts/bench-pairs.sh for the
+# verdict rule).
 bench-pairs:
 	WORKLOAD=$(WORKLOAD) N=$(or $(N),10) BASE=$(or $(BASE),HEAD) bash scripts/bench-pairs.sh
+
+# The model kernels every replayed request pays for — the disk seek
+# curve, the fault injector's unarmed pass-through, the latency
+# histogram — and the copy-vs-spin scaling probe behind the plane's
+# measurement note, at a fixed small iteration count so they stay
+# runnable (see DESIGN.md "Model kernels").
+kernels:
+	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
+	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
+	$(GO) test ./internal/stats/ -run '^$$' -bench '^BenchmarkHistogramObserve$$' -benchtime 2000000x
+	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

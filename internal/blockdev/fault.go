@@ -37,7 +37,10 @@ type FaultProfile struct {
 //
 // The inner device is swapped atomically by Repair, and all mutable
 // fault state is mutex-guarded, so injection is safe against concurrent
-// I/O (covered by a -race test).
+// I/O (covered by -race tests). An injector with nothing armed — the
+// state every device of a fault-free run is in — passes an op through
+// without taking the mutex: armed, recomputed under the mutex after every
+// change to the fault state, says whether there is anything to check.
 type FaultInjector struct {
 	inner  atomic.Pointer[Device]
 	failed atomic.Bool
@@ -47,6 +50,7 @@ type FaultInjector struct {
 	FailAfterOps int64
 	ops          atomic.Int64
 
+	armed      atomic.Bool // some page-, range- or crash-level fault state is set
 	mu         sync.Mutex
 	rng        *sim.RNG
 	profile    FaultProfile
@@ -103,6 +107,7 @@ func (f *FaultInjector) FailRange(start, count int64) {
 	}
 	f.mu.Lock()
 	f.deadRanges = append(f.deadRanges, failRange{start, start + count})
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -128,6 +133,7 @@ func (f *FaultInjector) Repair(fresh Device) {
 	f.mu.Lock()
 	f.badPages = make(map[int64]int)
 	f.deadRanges = nil
+	f.rearm()
 	f.mu.Unlock()
 	f.inner.Store(&fresh)
 	f.failed.Store(false)
@@ -141,6 +147,7 @@ func (f *FaultInjector) Failed() bool { return f.failed.Load() }
 func (f *FaultInjector) SetProfile(p FaultProfile) {
 	f.mu.Lock()
 	f.profile = p
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -149,6 +156,7 @@ func (f *FaultInjector) SetProfile(p FaultProfile) {
 func (f *FaultInjector) InjectBadPage(lba int64) {
 	f.mu.Lock()
 	f.badPages[lba] = -1
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -160,6 +168,7 @@ func (f *FaultInjector) InjectTransient(lba int64, fails int) {
 	}
 	f.mu.Lock()
 	f.badPages[lba] = fails
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -167,6 +176,7 @@ func (f *FaultInjector) InjectTransient(lba int64, fails int) {
 func (f *FaultInjector) ClearBadPage(lba int64) {
 	f.mu.Lock()
 	delete(f.badPages, lba)
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -194,6 +204,7 @@ func (f *FaultInjector) ArmCrash(afterWrites int64, tornPages, tornBytes int) {
 	f.crashIn = afterWrites + 1
 	f.tornKeep = tornPages
 	f.tornByte = tornBytes
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -203,6 +214,7 @@ func (f *FaultInjector) ClearCrash() {
 	f.mu.Lock()
 	f.crashed = false
 	f.crashIn = 0
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -211,6 +223,12 @@ func (f *FaultInjector) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.crashed
+}
+
+// rearm recomputes armed from the fault state. Caller holds f.mu.
+func (f *FaultInjector) rearm() {
+	f.armed.Store(len(f.badPages) > 0 || len(f.deadRanges) > 0 || f.crashed || f.crashIn > 0 ||
+		f.recording || f.profile.TransientProb > 0 || f.profile.LatentProb > 0)
 }
 
 func (f *FaultInjector) step() error {
@@ -228,8 +246,11 @@ func (f *FaultInjector) step() error {
 // readFault is the one critical section of a read of [lba, lba+count):
 // dead-range check, op recording, then the per-page marks and the
 // probabilistic profile. It returns a non-nil error when the read must
-// fail.
+// fail. An unarmed injector has nothing to check and skips the lock.
 func (f *FaultInjector) readFault(lba int64, count int) error {
+	if !f.armed.Load() {
+		return nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.rangeFault(lba, count); err != nil {
@@ -239,7 +260,7 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 	if f.crashed {
 		return ErrCrashed
 	}
-	// A fault-free device, the common case, holds no marks: no map probes.
+	// Armed without marks (recording, a profile, a pending crash): no map probes.
 	for i := int64(0); len(f.badPages) > 0 && i < int64(count); i++ {
 		left, ok := f.badPages[lba+i]
 		if !ok {
@@ -248,6 +269,7 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 		if left > 0 {
 			if left == 1 {
 				delete(f.badPages, lba+i)
+				f.rearm()
 			} else {
 				f.badPages[lba+i] = left - 1
 			}
@@ -279,6 +301,9 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 // means the write proceeds in full; err == ErrCrashed with tornPages >= 0
 // means only that prefix persists.
 func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
+	if !f.armed.Load() {
+		return 0, 0, nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.rangeFault(lba, count); err != nil {
@@ -292,6 +317,7 @@ func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 		f.crashIn--
 		if f.crashIn == 0 {
 			f.crashed = true
+			f.rearm()
 			keep := f.tornKeep
 			if keep > count {
 				keep = count
@@ -300,14 +326,20 @@ func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 		}
 	}
 	// A successful write reallocates any bad pages it covers.
-	for i := int64(0); len(f.badPages) > 0 && i < int64(count); i++ {
-		delete(f.badPages, lba+i)
+	if len(f.badPages) > 0 {
+		for i := int64(0); i < int64(count); i++ {
+			delete(f.badPages, lba+i)
+		}
+		f.rearm()
 	}
 	return 0, 0, nil
 }
 
 // trimFault is the critical section of a trim of [lba, lba+count).
 func (f *FaultInjector) trimFault(lba int64, count int) error {
+	if !f.armed.Load() {
+		return nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.rangeFault(lba, count); err != nil {
@@ -460,10 +492,8 @@ func (d *NullDevice) ReadPages(t sim.Time, lba int64, count int, buf []byte) (si
 	}
 	d.reads.Add(1)
 	if d.store != nil && buf != nil {
-		for i := 0; i < count; i++ {
-			if err := d.store.ReadPageChecked(lba+int64(i), buf[i*PageSize:(i+1)*PageSize]); err != nil {
-				return t, err
-			}
+		if err := d.store.ReadPagesChecked(lba, buf); err != nil {
+			return t, err
 		}
 	}
 	return t + d.Latency, nil

@@ -280,14 +280,235 @@ func TestFaultAccessors(t *testing.T) {
 	}
 }
 
-// BenchmarkFaultInjectorWrite: the fault-free pass-through every SSD and
-// member op of a replay pays — no marks, no dead ranges, not recording.
-func BenchmarkFaultInjectorWrite(b *testing.B) {
-	f := NewFaultInjector(NewNullDevice("d", 1<<20), 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.WritePages(0, int64(i)&(1<<20-1), 1, nil); err != nil {
-			b.Fatal(err)
+// TestArmingIsSeenAndCleared: for every way of arming an injector, the
+// very next op sees the fault, and after the matching clear the injector
+// is unarmed again — its ops skip the mutex — and passes ops through.
+func TestArmingIsSeenAndCleared(t *testing.T) {
+	page := fillPage(3)
+	read := func(f *FaultInjector, lba int64) error {
+		_, err := f.ReadPages(0, lba, 1, make([]byte, PageSize))
+		return err
+	}
+	write := func(f *FaultInjector, lba int64) error {
+		_, err := f.WritePages(0, lba, 1, page)
+		return err
+	}
+	trim := func(f *FaultInjector, lba int64) error {
+		_, err := f.TrimPages(0, lba, 1)
+		return err
+	}
+	for _, c := range []struct {
+		name  string
+		arm   func(f *FaultInjector)
+		see   func(t *testing.T, f *FaultInjector) // the next op(s) see the fault
+		clear func(f *FaultInjector)
+	}{
+		{"FailRange/Repair",
+			func(f *FaultInjector) { f.FailRange(4, 2) },
+			func(t *testing.T, f *FaultInjector) {
+				for _, op := range []func(*FaultInjector, int64) error{read, write, trim} {
+					if err := op(f, 5); !errors.Is(err, ErrFailed) {
+						t.Fatalf("op on a dead range: %v, want ErrFailed", err)
+					}
+				}
+			},
+			func(f *FaultInjector) { f.Repair(NewNullDataDevice("d", 16)) }},
+		{"SetProfile/transient/zero profile",
+			func(f *FaultInjector) { f.SetProfile(FaultProfile{TransientProb: 1}) },
+			func(t *testing.T, f *FaultInjector) {
+				if err := read(f, 2); !errors.Is(err, ErrMedia) {
+					t.Fatalf("read under TransientProb 1: %v, want ErrMedia", err)
+				}
+			},
+			func(f *FaultInjector) { f.SetProfile(FaultProfile{}) }},
+		{"SetProfile/latent/zero profile then remap-on-write",
+			func(f *FaultInjector) { f.SetProfile(FaultProfile{LatentProb: 1}) },
+			func(t *testing.T, f *FaultInjector) {
+				if err := read(f, 2); !errors.Is(err, ErrMedia) {
+					t.Fatalf("read under LatentProb 1: %v, want ErrMedia", err)
+				}
+				f.SetProfile(FaultProfile{})
+				if !f.armed.Load() {
+					t.Fatal("the latent page the profile left behind does not keep the injector armed")
+				}
+				if err := read(f, 2); !errors.Is(err, ErrMedia) {
+					t.Fatalf("read of the latent page: %v, want ErrMedia", err)
+				}
+			},
+			func(f *FaultInjector) { write(f, 2) }}, //nolint:errcheck // checked by the pass-through below
+		{"InjectBadPage/ClearBadPage",
+			func(f *FaultInjector) { f.InjectBadPage(6) },
+			func(t *testing.T, f *FaultInjector) {
+				if err := read(f, 6); !errors.Is(err, ErrMedia) {
+					t.Fatalf("read of a bad page: %v, want ErrMedia", err)
+				}
+			},
+			func(f *FaultInjector) { f.ClearBadPage(6) }},
+		{"InjectBadPage/remap-on-write",
+			func(f *FaultInjector) { f.InjectBadPage(6) },
+			func(t *testing.T, f *FaultInjector) {
+				if err := read(f, 6); !errors.Is(err, ErrMedia) {
+					t.Fatalf("read of a bad page: %v, want ErrMedia", err)
+				}
+			},
+			func(f *FaultInjector) { write(f, 6) }}, //nolint:errcheck
+		{"InjectTransient/exhausted",
+			func(f *FaultInjector) { f.InjectTransient(7, 2) },
+			func(t *testing.T, f *FaultInjector) {
+				for i := 0; i < 2; i++ {
+					if err := read(f, 7); !errors.Is(err, ErrMedia) {
+						t.Fatalf("transient read %d: %v, want ErrMedia", i, err)
+					}
+				}
+			},
+			func(*FaultInjector) {}},
+		{"ArmCrash/ClearCrash after firing",
+			func(f *FaultInjector) { f.ArmCrash(0, 0, 0) },
+			func(t *testing.T, f *FaultInjector) {
+				if err := write(f, 1); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("write at the crash point: %v, want ErrCrashed", err)
+				}
+				for _, op := range []func(*FaultInjector, int64) error{read, write, trim} {
+					if err := op(f, 1); !errors.Is(err, ErrCrashed) {
+						t.Fatalf("op after the crash point: %v, want ErrCrashed", err)
+					}
+				}
+			},
+			func(f *FaultInjector) { f.ClearCrash() }},
+		{"ArmCrash/survives Repair, ClearCrash before firing",
+			func(f *FaultInjector) { f.ArmCrash(3, 0, 0) },
+			func(t *testing.T, f *FaultInjector) {
+				f.Repair(NewNullDataDevice("d", 16))
+				if !f.armed.Load() {
+					t.Fatal("Repair disarmed a pending crash point")
+				}
+				if err := write(f, 1); err != nil {
+					t.Fatalf("write before the crash point: %v", err)
+				}
+			},
+			func(f *FaultInjector) { f.ClearCrash() }},
+		{"RecordOps/RecordOps(false)",
+			func(f *FaultInjector) { f.RecordOps(true) },
+			func(t *testing.T, f *FaultInjector) {
+				write(f, 9) //nolint:errcheck
+				read(f, 9)  //nolint:errcheck
+				if got := f.Recorded(); len(got) != 2 || !got[0].Write || got[1].Write || got[1].LBA != 9 {
+					t.Fatalf("recorded %+v, want the write and the read of page 9", got)
+				}
+			},
+			func(f *FaultInjector) { f.RecordOps(false) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFaultInjector(NewNullDataDevice("d", 16), 1)
+			if f.armed.Load() {
+				t.Fatal("a fresh injector is armed")
+			}
+			c.arm(f)
+			if !f.armed.Load() {
+				t.Fatal("arming did not arm the injector")
+			}
+			c.see(t, f)
+			c.clear(f)
+			if f.armed.Load() {
+				t.Fatal("still armed after the matching clear")
+			}
+			recorded := len(f.Recorded())
+			for lba := int64(0); lba < 16; lba++ {
+				if err := write(f, lba); err != nil {
+					t.Fatalf("write %d after clearing: %v", lba, err)
+				}
+				got := make([]byte, PageSize)
+				if _, err := f.ReadPages(0, lba, 1, got); err != nil || !bytes.Equal(got, page) {
+					t.Fatalf("read %d after clearing: %v (bytes equal %v)", lba, err, bytes.Equal(got, page))
+				}
+				if err := trim(f, lba); err != nil {
+					t.Fatalf("trim %d after clearing: %v", lba, err)
+				}
+			}
+			if len(f.Recorded()) != recorded || f.armed.Load() {
+				t.Fatal("pass-through ops re-armed the injector or were recorded")
+			}
+		})
+	}
+}
+
+// TestArmingConcurrentWithIO arms and disarms every kind of fault while
+// other goroutines issue reads, writes and trims, under the race
+// detector: the unarmed fast path reads only the atomic flag, every armed
+// op runs under the mutex, and once everything is cleared the injector is
+// unarmed and passes ops through.
+func TestArmingConcurrentWithIO(t *testing.T) {
+	f := NewFaultInjector(NewNullDevice("d", 1024), 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lba := int64((g*97 + i) % 1024)
+				switch g {
+				case 0:
+					f.ReadPages(0, lba, 1, nil) //nolint:errcheck // interleaving only
+				case 1:
+					f.WritePages(0, lba, 1, nil) //nolint:errcheck
+				default:
+					f.TrimPages(0, lba, 1) //nolint:errcheck
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 300; i++ {
+		lba := int64(i % 1024)
+		f.InjectBadPage(lba)
+		f.InjectTransient(lba+1, 1)
+		f.SetProfile(FaultProfile{TransientProb: 0.5})
+		f.ArmCrash(2, 0, 0)
+		f.RecordOps(true)
+		f.FailRange(lba, 4)
+		f.RecordOps(false)
+		f.ClearCrash()
+		f.SetProfile(FaultProfile{})
+		f.ClearBadPage(lba + 1)
+		f.Repair(NewNullDevice("d", 1024))
+	}
+	close(stop)
+	wg.Wait()
+	if f.armed.Load() {
+		t.Fatal("armed after every fault was cleared")
+	}
+	for lba := int64(0); lba < 1024; lba++ {
+		if _, err := f.ReadPages(0, lba, 1, nil); err != nil {
+			t.Fatalf("read %d after clearing: %v", lba, err)
 		}
+	}
+}
+
+// BenchmarkInjectorPassThrough: the fault-free pass-through every SSD and
+// member op of a replay pays — no marks, no dead ranges, not recording —
+// per op kind.
+func BenchmarkInjectorPassThrough(b *testing.B) {
+	f := NewFaultInjector(NewNullDevice("d", 1<<20), 1)
+	for _, op := range []struct {
+		name string
+		do   func(lba int64) error
+	}{
+		{"read", func(lba int64) error { _, err := f.ReadPages(0, lba, 1, nil); return err }},
+		{"write", func(lba int64) error { _, err := f.WritePages(0, lba, 1, nil); return err }},
+		{"trim", func(lba int64) error { _, err := f.TrimPages(0, lba, 1); return err }},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op.do(int64(i) & (1<<20 - 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // modelStore is the reference MemStore: a map of page bytes and a map of
-// checksums, a fresh allocation for every first write, nothing recycled.
+// eagerly kept checksums — every write, truncation and silent corruption
+// hashes the page, every verification hashes it again — a fresh allocation
+// for every first write, nothing recycled.
 type modelStore struct {
 	pages map[int64][]byte
 	sums  map[int64]uint32
@@ -107,11 +109,13 @@ func compareStore(t *testing.T, step int, space int64, s *MemStore, m *modelStor
 }
 
 // TestMemStoreMatchesModel drives the store and the model with the same
-// random writes, trims, corruptions, truncations and clones over a small
+// random writes, trims, corruptions (a fresh bit, or the page's last
+// flipped bit again, which restores its bytes), silent corruptions,
+// truncations, clones, verifications and checked reads over a small
 // address space (so trim-then-rewrite recycles constantly) and compares
-// every observable after every step: a recycled page never exposes its
-// old bytes, trimmed pages read zeros and verify, and the checksum
-// detects exactly what it detected before pages were recycled. One op in
+// every observable along the way: a recycled page never exposes its old
+// bytes, trimmed pages read zeros and verify, and the store's on-demand
+// checksums detect exactly what the model's eager ones do. One op in
 // eight that is not a write aims outside the capacity, where the model —
 // a map that was never written there — answers "unwritten".
 func TestMemStoreMatchesModel(t *testing.T) {
@@ -121,29 +125,45 @@ func TestMemStoreMatchesModel(t *testing.T) {
 	src := make([]byte, PageSize)
 	outside := []int64{-1, -4096, space, space + 7, 9999, 1 << 40}
 
+	lastBit := map[int64]uint{}
+	got := make([]byte, PageSize)
 	for step := 0; step < 4000; step++ {
 		lba := int64(rng.Intn(space))
 		op := rng.Intn(100)
-		if op >= 45 && rng.Intn(8) == 0 {
+		if op >= 40 && rng.Intn(8) == 0 {
 			lba = outside[rng.Intn(len(outside))]
 		}
 		switch {
-		case op < 45:
+		case op < 40:
 			for i := range src {
 				src[i] = byte(rng.Uint64())
 			}
 			store.WritePage(lba, src)
 			model.write(lba, src)
-		case op < 80:
+		case op < 70:
 			// Trim a run, as a cleaner batch does.
 			for n := 1 + rng.Intn(8); n > 0; n, lba = n-1, lba+1 {
 				store.TrimPage(lba)
 				model.trim(lba)
 			}
-		case op < 85:
-			bit := uint(rng.Uint64())
+		case op < 80:
+			bit, again := lastBit[lba]
+			if !again || rng.Intn(2) == 0 {
+				bit = uint(rng.Uint64())
+			}
+			lastBit[lba] = bit
 			if store.CorruptPage(lba, bit) != model.corrupt(lba, bit, false) {
 				t.Fatalf("step %d: CorruptPage(%d) disagrees with the model", step, lba)
+			}
+		case op < 83:
+			want, ok := model.read(lba)
+			if store.VerifyPage(lba) != ok {
+				t.Fatalf("step %d: VerifyPage(%d) = %v, model %v", step, lba, !ok, ok)
+			}
+			fill(got, 0xEE)
+			err := store.ReadPageChecked(lba, got)
+			if ok != (err == nil) || (ok && !bytes.Equal(got, want)) {
+				t.Fatalf("step %d: ReadPageChecked(%d) = %v, model verifies %v", step, lba, err, ok)
 			}
 		case op < 90:
 			bit := uint(rng.Uint64())

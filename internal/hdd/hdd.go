@@ -16,6 +16,7 @@ package hdd
 
 import (
 	"fmt"
+	"math"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
@@ -59,6 +60,7 @@ type Disk struct {
 	lastEnd  int64 // LBA one past the previous access, for sequentiality
 	revTime  sim.Time
 	pageXfer sim.Time
+	seekMemo []uint8 // by seek distance 1..Pages: a seek-curve memo code (index 0 unused)
 
 	reads, writes   int64
 	seqHits         int64
@@ -96,6 +98,7 @@ func newDisk(name string, cfg Config, seed uint64, store *blockdev.MemStore) *Di
 		store:    store,
 		revTime:  revTime,
 		pageXfer: pageXfer,
+		seekMemo: make([]uint8, cfg.Pages+1),
 		headLBA:  0,
 		lastEnd:  -1,
 	}
@@ -131,13 +134,59 @@ func (d *Disk) seekTime(dist int64) sim.Time {
 	if dist == 0 {
 		return 0
 	}
-	// t = min + (max-min) * sqrt(d / capacity)
-	frac := float64(dist) / float64(d.cfg.Pages)
-	if frac > 1 {
-		frac = 1
+	// t = min + (max-min) * sqrt(d / capacity); a seek past the last page
+	// costs a full stroke.
+	if dist > d.cfg.Pages {
+		dist = d.cfg.Pages
 	}
+	frac := float64(dist) / float64(d.cfg.Pages)
 	span := float64(d.cfg.FullStroke - d.cfg.TrackToTrack)
-	return d.cfg.TrackToTrack + sim.Time(span*sqrt(frac))
+	return d.cfg.TrackToTrack + sim.Time(span*d.seekRoot(dist, frac))
+}
+
+// Seek-curve memo codes, one per seek distance. The curve is sqrt, the
+// 24-step Newton iterate, which is math.Sqrt or one ulp either side of it
+// at every distance of the member geometries TestSeekMemoMatchesDefinition
+// walks; the memo records which, so only the first seek at a distance
+// pays for sqrt (and every seek, where neither holds).
+const (
+	seekUnseen uint8 = iota // not yet computed
+	seekDown                // sqrt = math.Sqrt one ulp down
+	seekExact               // sqrt = math.Sqrt
+	seekUp                  // sqrt = math.Sqrt one ulp up
+	seekFar                 // more than one ulp away: run sqrt every time
+)
+
+// seekRoot returns sqrt(frac) for frac = dist/Pages, 1 <= dist <= Pages.
+func (d *Disk) seekRoot(dist int64, frac float64) float64 {
+	r := math.Sqrt(frac)
+	switch d.seekMemo[dist] {
+	case seekExact:
+		return r
+	case seekDown:
+		return math.Float64frombits(math.Float64bits(r) - 1)
+	case seekUp:
+		return math.Float64frombits(math.Float64bits(r) + 1)
+	case seekFar:
+		return sqrt(frac)
+	}
+	s := sqrt(frac)
+	d.seekMemo[dist] = seekCode(s, r)
+	return s
+}
+
+// seekCode classifies the model's root s against the correctly rounded
+// root r of the same fraction (both positive and finite).
+func seekCode(s, r float64) uint8 {
+	switch int64(math.Float64bits(s)) - int64(math.Float64bits(r)) {
+	case -1:
+		return seekDown
+	case 0:
+		return seekExact
+	case 1:
+		return seekUp
+	}
+	return seekFar
 }
 
 // newton is one step of Newton's iteration for the square root of x.
@@ -150,7 +199,8 @@ func newton(z, x float64) float64 { return z - (z*z-x)/(2*z) }
 // disk's queue for the rest of a run. The iterates are a deterministic
 // sequence, so once one repeats its predecessor (a fixed point) or the
 // one before (a 2-cycle) the 24th is known without computing it — after
-// about ten steps for the seek fractions a replay produces.
+// about ten steps for the seek fractions a replay produces. seekRoot runs
+// it once per distance and keeps only its offset from math.Sqrt.
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -199,6 +249,13 @@ func (d *Disk) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done sim
 	if err := blockdev.CheckBuf(buf, count); err != nil {
 		return t, err
 	}
+	if d.store != nil && buf != nil {
+		// A page that fails its checksum fails the read at once, like an
+		// injected media error: no arm time, no span, no count.
+		if err := d.store.ReadPagesChecked(lba, buf); err != nil {
+			return t, err
+		}
+	}
 	// Explicit End instead of a deferred closure: this is a hot traced
 	// function and the defer setup is measurable per call.
 	var sp obs.Span
@@ -206,11 +263,6 @@ func (d *Disk) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done sim
 		sp = d.tr.BeginDev(t, obs.PhaseDevRead, d.name, lba, count)
 	}
 	d.reads++
-	if d.store != nil && buf != nil {
-		for i := 0; i < count; i++ {
-			d.store.ReadPage(lba+int64(i), buf[i*blockdev.PageSize:(i+1)*blockdev.PageSize])
-		}
-	}
 	done = d.q.Submit(t, d.serviceTime(lba, count))
 	if d.tr != nil {
 		sp.End(done)

@@ -327,6 +327,13 @@ func (d *Device) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done s
 	if err := blockdev.CheckBuf(buf, count); err != nil {
 		return t, err
 	}
+	if d.store != nil && buf != nil {
+		// A page that fails its checksum fails the read at once, like an
+		// injected media error: no channel time, no span, no count.
+		if err := d.store.ReadPagesChecked(lba, buf); err != nil {
+			return t, err
+		}
+	}
 	// Explicit End instead of a deferred closure: this is the hottest
 	// traced function and the defer setup is measurable per call.
 	var sp obs.Span
@@ -346,9 +353,6 @@ func (d *Device) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done s
 		c := d.chans.SubmitAt(ch, t, d.cfg.ReadLatency)
 		if c > done {
 			done = c
-		}
-		if d.store != nil && buf != nil {
-			d.store.ReadPage(l, buf[i*blockdev.PageSize:(i+1)*blockdev.PageSize])
 		}
 	}
 	if d.tr != nil {

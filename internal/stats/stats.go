@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -164,7 +165,7 @@ type Histogram struct {
 	// A bounded reservoir of raw samples for exact percentiles.
 	samples    []int64
 	maxSamples int
-	skip       int64 // reservoir decimation factor once full
+	skip       int64 // reservoir decimation factor: 1, doubled per halving, a power of two
 }
 
 // NewHistogram returns a histogram keeping at most maxSamples raw values
@@ -186,12 +187,8 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count++
 	h.sum += v
-	idx := 0
-	for x := v; x > 1 && idx < 63; x >>= 1 {
-		idx++
-	}
-	h.buckets[idx]++
-	if h.count%h.skip == 0 {
+	h.buckets[bucket(v)]++
+	if h.count&(h.skip-1) == 0 { // count % skip: skip is a power of two
 		h.samples = append(h.samples, v)
 		if len(h.samples) >= h.maxSamples {
 			// Halve the reservoir, double the decimation.
@@ -203,6 +200,14 @@ func (h *Histogram) Observe(v int64) {
 			h.skip *= 2
 		}
 	}
+}
+
+// bucket returns the bucket index of v: floor(log2 v), 0 for v <= 1.
+func bucket(v int64) int {
+	if v <= 1 {
+		return 0
+	}
+	return bits.Len64(uint64(v)) - 1
 }
 
 // Count returns the number of observations.

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,4 +257,129 @@ func TestHistogramMergeWeighted(t *testing.T) {
 	if e.skip != 2 {
 		t.Fatalf("same-rate merge skip = %d, want 2 after one halving", e.skip)
 	}
+}
+
+// observeOracle is Observe as it was first written: the bucket index by a
+// shift loop, the reservoir stride by a modulo.
+func observeOracle(h *Histogram, v int64) {
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	idx := 0
+	for x := v; x > 1 && idx < 63; x >>= 1 {
+		idx++
+	}
+	h.buckets[idx]++
+	if h.count%h.skip == 0 {
+		h.samples = append(h.samples, v)
+		if len(h.samples) >= h.maxSamples {
+			half := h.samples[:0]
+			for i := 0; i < len(h.samples); i += 2 {
+				half = append(half, h.samples[i])
+			}
+			h.samples = half
+			h.skip *= 2
+		}
+	}
+}
+
+// histogramValues is the edge cases of the bucket index — 0, 1, negatives,
+// 2^k-1, 2^k and 2^k+1 for every k, the int64 extremes — then n random
+// values of random magnitude.
+func histogramValues(n int, seed uint64) []int64 {
+	vals := []int64{0, 1, -1, -2, -1 << 40, math.MinInt64, math.MaxInt64, math.MaxInt64 - 1}
+	for k := 1; k < 63; k++ {
+		p := int64(1) << k
+		vals = append(vals, p-1, p, p+1)
+	}
+	x := seed
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vals = append(vals, int64(x>>(x%64)))
+	}
+	return vals
+}
+
+func sameHistogram(t *testing.T, what string, got, want *Histogram) {
+	t.Helper()
+	if got.count != want.count || got.sum != want.sum || got.min != want.min || got.max != want.max ||
+		got.buckets != want.buckets || got.skip != want.skip || !slices.Equal(got.samples, want.samples) {
+		t.Fatalf("%s: Observe diverges from the shift-loop oracle:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// TestObserveMatchesShiftLoopOracle: buckets, count, sum, extremes, the
+// decimation factor and every reservoir sample are what the shift-loop,
+// modulo Observe produced, through many reservoir halvings; and merging
+// histograms that decimated at different rates gives the same result
+// whichever way they were filled.
+func TestObserveMatchesShiftLoopOracle(t *testing.T) {
+	vals := histogramValues(20000, 0x9E3779B97F4A7C15)
+	for _, maxSamples := range []int{4, 17, 128, 1 << 16} {
+		got, want := NewHistogram(maxSamples), NewHistogram(maxSamples)
+		for i, v := range vals {
+			got.Observe(v)
+			observeOracle(want, v)
+			if i < 200 || i%997 == 0 {
+				sameHistogram(t, fmt.Sprintf("maxSamples %d, value %d (%d)", maxSamples, i, v), got, want)
+			}
+		}
+		sameHistogram(t, fmt.Sprintf("maxSamples %d, end", maxSamples), got, want)
+	}
+
+	// Merge: a long, heavily decimated run and a short one, both ways round.
+	fill := func(n int, seed uint64, observe func(*Histogram, int64)) *Histogram {
+		h := NewHistogram(64)
+		for _, v := range histogramValues(n, seed)[:n] {
+			observe(h, v)
+		}
+		return h
+	}
+	obs := func(h *Histogram, v int64) { h.Observe(v) }
+	for _, sizes := range [][2]int{{100, 30000}, {30000, 100}, {5000, 5000}} {
+		got, want := fill(sizes[0], 1, obs), fill(sizes[0], 1, observeOracle)
+		got.Merge(fill(sizes[1], 2, obs))
+		want.Merge(fill(sizes[1], 2, observeOracle))
+		sameHistogram(t, fmt.Sprintf("merge %v", sizes), got, want)
+		if got.skip&(got.skip-1) != 0 {
+			t.Fatalf("merge %v: skip %d is not a power of two", sizes, got.skip)
+		}
+		for _, v := range histogramValues(3000, 3) {
+			got.Observe(v)
+			observeOracle(want, v)
+		}
+		sameHistogram(t, fmt.Sprintf("merge %v, then observe", sizes), got, want)
+	}
+}
+
+var sinkHist *Histogram
+
+// BenchmarkHistogramObserve: nanosecond latencies of a replay (hundreds of
+// microseconds to tens of milliseconds) into a histogram whose reservoir
+// is full, as it is for most of a run.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram(1 << 16)
+	vals := make([]int64, 4096)
+	x := uint64(1)
+	for i := range vals {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vals[i] = 100_000 + int64(x%50_000_000)
+	}
+	for i := 0; i < 1<<20; i++ {
+		h.Observe(vals[i&4095])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vals[i&4095])
+	}
+	sinkHist = h
 }
