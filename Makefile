@@ -161,13 +161,15 @@ bench-pairs:
 
 # The model kernels every replayed request pays for — the disk seek
 # curve, the fault injector's unarmed pass-through, the latency
-# histogram — and the copy-vs-spin scaling probe behind the plane's
-# measurement note, at a fixed small iteration count so they stay
-# runnable (see DESIGN.md "Model kernels").
+# histogram — the open-loop and multi-tenant stream generators the data
+# workloads' set-up pays for, and the copy-vs-spin scaling probe behind
+# the plane's measurement note, at a fixed small iteration count so they
+# stay runnable (see DESIGN.md "Model kernels" and "Workload generation").
 kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
 	$(GO) test ./internal/stats/ -run '^$$' -bench '^BenchmarkHistogramObserve$$' -benchtime 2000000x
+	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
 
 # Size of the code that ships: non-test Go lines outside bench/, in total

@@ -9,6 +9,7 @@ import (
 	"kddcache/internal/core"
 	"kddcache/internal/delta"
 	"kddcache/internal/lsraid"
+	"kddcache/internal/nvram"
 	"kddcache/internal/obs"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
@@ -285,5 +286,30 @@ func TestHitAllocRegression(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { f.OldestSlots(cache.Old, 128) }); a != 0 {
 		t.Errorf("OldestSlots allocates %.2f/batch in steady state, want 0", a)
+	}
+}
+
+// TestRestoreBuildsOneLog: Restore builds the metadata log it recovers
+// into and no other. The log's where table, one int32 per SSD page, is
+// the only allocation that scales with a large SSD, so the bytes Restore
+// allocates count the tables it built.
+func TestRestoreBuildsOneLog(t *testing.T) {
+	const ssdPages = 1 << 20
+	cfg := core.Config{
+		SSD:     blockdev.NewNullDevice("s", ssdPages),
+		Backend: mustArray(t),
+		Codec:   delta.ZRLE{}, CachePages: 256, Ways: 32, MetaPages: 16,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k, _, err := core.Restore(cfg, 0, &nvram.Counters{}, nil, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(k)
+	where := uint64(ssdPages * 4)
+	if got := after.TotalAlloc - before.TotalAlloc; got < where || got >= where+where/2 {
+		t.Fatalf("Restore allocated %d bytes; one where table is %d", got, where)
 	}
 }

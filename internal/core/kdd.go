@@ -123,8 +123,9 @@ type Config struct {
 	RebuildRateMax int
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
+// withDefaults fills zero fields and validates the configuration. The
+// metadata partition's own geometry is metalog.New's to check.
+func (c Config) withDefaults() (Config, error) {
 	if c.Ways == 0 {
 		c.Ways = 256
 	}
@@ -160,7 +161,39 @@ func (c Config) withDefaults() Config {
 	if c.RebuildRateMax == 0 {
 		c.RebuildRateMax = 8
 	}
-	return c
+	if c.SSD == nil || c.Backend == nil || c.Codec == nil {
+		return c, fmt.Errorf("core: SSD, Backend and Codec are required")
+	}
+	if c.CachePages < int64(c.Ways) {
+		return c, fmt.Errorf("core: cache of %d pages below one set", c.CachePages)
+	}
+	if c.SharedLog != nil && c.DisableMetaLog {
+		return c, fmt.Errorf("core: SharedLog conflicts with DisableMetaLog")
+	}
+	end := c.dataStart() + c.CachePages
+	if end > c.SSD.Pages() {
+		return c, fmt.Errorf("core: SSD too small: need %d pages, have %d", end, c.SSD.Pages())
+	}
+	if c.LowWater >= c.HighWater {
+		return c, fmt.Errorf("core: cleaner watermarks inverted")
+	}
+	if !c.DisableMetaLog {
+		if end > maxMetaAddressable {
+			return c, fmt.Errorf("core: SSD cache end page %d exceeds the metadata log's uint32 address space (%d pages); shrink the cache or disable the metadata log", end, maxMetaAddressable)
+		}
+		if bp := c.Backend.Pages(); bp > maxMetaAddressable {
+			return c, fmt.Errorf("core: backend of %d pages exceeds the metadata log's uint32 address space (%d pages); shrink the array or disable the metadata log", bp, maxMetaAddressable)
+		}
+	}
+	return c, nil
+}
+
+// dataStart is the first SSD page of the cache data partition.
+func (c Config) dataStart() int64 {
+	if c.DataStart > 0 {
+		return c.DataStart
+	}
+	return c.MetaStart + c.MetaPages
 }
 
 // oldDelta locates the newest delta of an Old DAZ page. Offsets and
@@ -251,49 +284,38 @@ const maxMetaAddressable = int64(1) << 32
 
 // New builds a KDD cache.
 func New(cfg Config) (*KDD, error) {
-	cfg = cfg.withDefaults()
-	if cfg.SSD == nil || cfg.Backend == nil || cfg.Codec == nil {
-		return nil, fmt.Errorf("core: SSD, Backend and Codec are required")
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CachePages < int64(cfg.Ways) {
-		return nil, fmt.Errorf("core: cache of %d pages below one set", cfg.CachePages)
-	}
-	if !cfg.DisableMetaLog && cfg.SharedLog == nil && cfg.MetaPages < 2 {
-		return nil, fmt.Errorf("core: metadata partition needs >=2 pages")
-	}
-	if cfg.SharedLog != nil && cfg.DisableMetaLog {
-		return nil, fmt.Errorf("core: SharedLog conflicts with DisableMetaLog")
-	}
-	dataStart := cfg.MetaStart + cfg.MetaPages
-	if cfg.DataStart > 0 {
-		dataStart = cfg.DataStart
-	}
-	if dataStart+cfg.CachePages > cfg.SSD.Pages() {
-		return nil, fmt.Errorf("core: SSD too small: need %d pages, have %d",
-			dataStart+cfg.CachePages, cfg.SSD.Pages())
-	}
-	if cfg.LowWater >= cfg.HighWater {
-		return nil, fmt.Errorf("core: cleaner watermarks inverted")
-	}
-	if !cfg.DisableMetaLog {
-		if end := dataStart + cfg.CachePages; end > maxMetaAddressable {
-			return nil, fmt.Errorf("core: SSD cache end page %d exceeds the metadata log's uint32 address space (%d pages); shrink the cache or disable the metadata log", end, maxMetaAddressable)
-		}
-		if bp := cfg.Backend.Pages(); bp > maxMetaAddressable {
-			return nil, fmt.Errorf("core: backend of %d pages exceeds the metadata log's uint32 address space (%d pages); shrink the array or disable the metadata log", bp, maxMetaAddressable)
+	log := cfg.SharedLog
+	if log == nil && !cfg.DisableMetaLog {
+		if log, err = metalog.New(cfg.SSD, cfg.MetaStart, cfg.MetaPages); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
+	return newKDD(cfg, log, nil)
+}
+
+// newKDD builds an engine around its metadata log (nil when disabled) and
+// its NVRAM staging buffer (nil for an empty one): fresh ones from New,
+// the crashed instance's from Restore. cfg has been through withDefaults.
+func newKDD(cfg Config, log *metalog.Log, staging *nvram.Staging) (*KDD, error) {
 	k := &KDD{
 		cfg:       cfg,
 		frame:     cache.NewFrame(cfg.CachePages, cfg.Ways, cfg.Backend.StripePages()),
 		ssd:       cfg.SSD,
 		backend:   cfg.Backend,
-		dataStart: dataStart,
+		dataStart: cfg.dataStart(),
+		staging:   staging,
+		log:       log,
 		sharedLog: cfg.SharedLog != nil,
 		codec:     cfg.Codec,
 		tr:        cfg.Tracer,
 	}
-	k.staging = nvram.NewStaging(cfg.StagingBytes, dataStart, k.frame.Pages())
+	if k.staging == nil {
+		k.staging = nvram.NewStaging(cfg.StagingBytes, k.dataStart, k.frame.Pages())
+	}
 	k.oldDeltas = make([]oldDelta, k.frame.Pages())
 	k.dezPages = make([]dezPage, k.frame.Pages())
 	if cfg.FixedDEZSets > 0 {
@@ -302,12 +324,9 @@ func New(cfg Config) (*KDD, error) {
 		}
 		k.frame.SetDataSets(k.frame.Sets() - cfg.FixedDEZSets)
 	}
-	if cfg.SharedLog != nil {
-		// Plane-owned log: the plane sets its tracer once for all lanes.
-		k.log = cfg.SharedLog
-	} else if !cfg.DisableMetaLog {
-		k.log = metalog.New(cfg.SSD, cfg.MetaStart, cfg.MetaPages)
-		k.log.SetTracer(cfg.Tracer)
+	// The plane sets a shared log's tracer, once for all lanes.
+	if log != nil && !k.sharedLog {
+		log.SetTracer(cfg.Tracer)
 	}
 	if cfg.SelectiveAdmission {
 		k.ghost = newGhostLRU(int(cfg.CachePages))

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"kddcache/internal/cache"
 	"kddcache/internal/core"
 	"kddcache/internal/delta"
+	"kddcache/internal/nvram"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
 )
@@ -431,6 +433,34 @@ func TestConfigValidation(t *testing.T) {
 		b(&cfg)
 		if _, err := core.New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestMetaLogGeometryIsAnError: a metadata partition too small, too large
+// for the log's int32 ring slots, or off the end of the SSD is an error
+// from New and Restore, not a panic.
+func TestMetaLogGeometryIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(*core.Config)
+	}{
+		{"one page", func(c *core.Config) { c.MetaPages = 1 }},
+		{"2^31 pages", func(c *core.Config) { c.MetaPages, c.DataStart = 1<<31, 16 }},
+		{"past the device", func(c *core.Config) { c.MetaStart, c.MetaPages, c.DataStart = 4000, 200, 16 }},
+	} {
+		cfg := core.Config{
+			SSD:     blockdev.NewNullDevice("s", 4096),
+			Backend: mustArray(t),
+			Codec:   delta.ZRLE{}, CachePages: 256, Ways: 32,
+			MetaStart: 0, MetaPages: 16,
+		}
+		tc.bad(&cfg)
+		if _, err := core.New(cfg); err == nil || !strings.Contains(err.Error(), "metalog") {
+			t.Errorf("%s: New: %v, want the metadata log's geometry error", tc.name, err)
+		}
+		if _, _, err := core.Restore(cfg, 0, &nvram.Counters{}, nil, nil); err == nil || !strings.Contains(err.Error(), "metalog") {
+			t.Errorf("%s: Restore: %v, want the metadata log's geometry error", tc.name, err)
 		}
 	}
 }

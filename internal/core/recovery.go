@@ -36,17 +36,23 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	if cfg.SharedLog != nil {
 		return nil, t, fmt.Errorf("core: shared-log lanes recover via RestoreWithLog")
 	}
-	k, err := New(cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, t, err
 	}
-	k.log = metalog.Restore(cfg.SSD, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
-	k.log.SetTracer(cfg.Tracer)
+	log, err := metalog.Restore(cfg.SSD, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
+	if err != nil {
+		return nil, t, fmt.Errorf("core: %w", err)
+	}
+	k, err := newKDD(cfg, log, staging)
+	if err != nil {
+		return nil, t, err
+	}
 	replay, done, err := k.log.Recover(t)
 	if err != nil {
 		return nil, t, err
 	}
-	if err := k.rebuildFromReplay(replay, staging); err != nil {
+	if err := k.rebuildFromReplay(replay); err != nil {
 		return nil, t, err
 	}
 	if err := ctr.ResumeRebuild(k.backend); err != nil {
@@ -64,11 +70,15 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 func RestoreWithLog(cfg Config, log *metalog.Log, replay []metalog.Entry,
 	staging *nvram.Staging) (*KDD, error) {
 	cfg.SharedLog = log
-	k, err := New(cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if err := k.rebuildFromReplay(replay, staging); err != nil {
+	k, err := newKDD(cfg, log, staging)
+	if err != nil {
+		return nil, err
+	}
+	if err := k.rebuildFromReplay(replay); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -77,7 +87,7 @@ func RestoreWithLog(cfg Config, log *metalog.Log, replay []metalog.Entry,
 // rebuildFromReplay folds a recovered replay stream and the NVRAM
 // staging buffer into a freshly-built instance's maps: the shared tail
 // of Restore and RestoreWithLog.
-func (k *KDD) rebuildFromReplay(replay []metalog.Entry, staging *nvram.Staging) error {
+func (k *KDD) rebuildFromReplay(replay []metalog.Entry) error {
 	// 1. Replay logged entries in commit order; last writer wins.
 	for _, e := range replay {
 		if err := k.applyEntry(e); err != nil {
@@ -90,26 +100,23 @@ func (k *KDD) rebuildFromReplay(replay []metalog.Entry, staging *nvram.Staging) 
 	// naming the metadata log uses — so it must go through slotOf, exactly
 	// like applyEntry; casting it to a slot directly is wrong whenever the
 	// cache data partition does not start at SSD page 0.
-	if staging != nil {
-		k.staging = staging
-		for _, sd := range staging.All() {
-			slot := k.slotOf(sd.DazPage)
-			if int(slot) < 0 || int64(slot) >= k.frame.Pages() {
-				return fmt.Errorf("core: staged delta references slot %d out of range", slot)
-			}
-			st := k.frame.Slot(slot).State
-			if st != cache.Clean && st != cache.Old {
-				// The DAZ page must have been admitted before its delta
-				// was staged; a Free slot here means the log lost the
-				// admission, which the NVRAM path cannot cause.
-				return fmt.Errorf("core: staged delta for %v slot %d", st, slot)
-			}
-			if st == cache.Clean {
-				k.frame.Transition(slot, cache.Old)
-			}
-			// Newest delta wins over any DEZ-committed one.
-			k.setDelta(slot, oldDelta{staged: true})
+	for _, sd := range k.staging.All() {
+		slot := k.slotOf(sd.DazPage)
+		if int(slot) < 0 || int64(slot) >= k.frame.Pages() {
+			return fmt.Errorf("core: staged delta references slot %d out of range", slot)
 		}
+		st := k.frame.Slot(slot).State
+		if st != cache.Clean && st != cache.Old {
+			// The DAZ page must have been admitted before its delta
+			// was staged; a Free slot here means the log lost the
+			// admission, which the NVRAM path cannot cause.
+			return fmt.Errorf("core: staged delta for %v slot %d", st, slot)
+		}
+		if st == cache.Clean {
+			k.frame.Transition(slot, cache.Old)
+		}
+		// Newest delta wins over any DEZ-committed one.
+		k.setDelta(slot, oldDelta{staged: true})
 	}
 
 	// 3. Rebuild DEZ occupancy from the surviving old-page records.

@@ -44,7 +44,7 @@ func lastWins(replay []Entry) map[uint32]Entry {
 // identical last-writer-wins map.
 func TestBatchRoundtrip(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := New(dev, 0, 16)
+	l := mustNew(dev, 0, 16)
 	const n = 600 // several pages' worth of Clean entries
 	for i := 0; i < n; i++ {
 		l.PutBuffered(Entry{State: StateClean, DazPage: uint32(i), RaidLBA: uint32(i * 3), DezPage: NoDez})
@@ -59,7 +59,7 @@ func TestBatchRoundtrip(t *testing.T) {
 		t.Fatal("FlushBatch committed no pages")
 	}
 	// Crash now: rebuild from the device + NVRAM snapshot.
-	r := Restore(dev, 0, 16, l.Counters(), l.BufferedEntries())
+	r := mustRestore(dev, 0, 16, l.Counters(), l.BufferedEntries())
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -102,7 +102,7 @@ func TestAdversarialInterleavedReplay(t *testing.T) {
 		}
 	}
 	ctr := &nvram.Counters{Head: 0, Tail: uint64(len(pages))}
-	l := Restore(dev, start, npages, ctr, nil)
+	l := mustRestore(dev, start, npages, ctr, nil)
 	replay, _, err := l.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -129,7 +129,7 @@ func TestAdversarialInterleavedReplay(t *testing.T) {
 // in-shard reorder still applies around them.
 func TestMixedTaggedUntaggedReplay(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := New(dev, 0, 16)
+	l := mustNew(dev, 0, 16)
 	// Commit one untagged page via the classic path.
 	for i := 0; i < 400; i++ {
 		if _, err := l.Put(0, Entry{State: StateClean, DazPage: uint32(i), RaidLBA: uint32(i), DezPage: NoDez}); err != nil {
@@ -143,7 +143,7 @@ func TestMixedTaggedUntaggedReplay(t *testing.T) {
 	if _, err := l.FlushBatchAll(0, 3); err != nil {
 		t.Fatalf("FlushBatchAll: %v", err)
 	}
-	r := Restore(dev, 0, 16, l.Counters(), l.BufferedEntries())
+	r := mustRestore(dev, 0, 16, l.Counters(), l.BufferedEntries())
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -172,7 +172,7 @@ func TestTaggedPageCorruptionLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctr := &nvram.Counters{Head: 0, Tail: 1}
-	l := Restore(dev, 0, 8, ctr, nil)
+	l := mustRestore(dev, 0, 8, ctr, nil)
 	if _, _, err := l.Recover(0); !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("corrupt tagged page recovered silently: err=%v", err)
 	}
@@ -184,13 +184,13 @@ func TestTaggedPageCorruptionLoud(t *testing.T) {
 // point.
 func TestBatchDurabilityPoint(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := New(dev, 0, 16)
+	l := mustNew(dev, 0, 16)
 	l.PutBuffered(Entry{State: StateClean, DazPage: 42, RaidLBA: 8, DezPage: NoDez})
 	buffered := l.BufferedEntries()
 	if len(buffered) != 1 {
 		t.Fatalf("NVRAM snapshot holds %d entries, want 1", len(buffered))
 	}
-	r := Restore(dev, 0, 16, l.Counters(), buffered)
+	r := mustRestore(dev, 0, 16, l.Counters(), buffered)
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)

@@ -262,10 +262,14 @@ func (l *Log) SetTracer(tr *obs.Tracer) { l.tr = tr }
 const gcThreshold = 0.9
 
 // New creates a log over [start, start+npages) of dev with fresh NVRAM
-// counters.
-func New(dev blockdev.Device, start, npages int64) *Log {
+// counters. The partition must lie on dev and hold at least 2 and fewer
+// than 2^31 pages (ring slots are int32).
+func New(dev blockdev.Device, start, npages int64) (*Log, error) {
 	if npages < 2 || npages >= math.MaxInt32 {
-		panic("metalog: partition needs at least 2 pages (and fewer than 2^31)")
+		return nil, fmt.Errorf("metalog: partition of %d pages; it needs at least 2 and fewer than 2^31", npages)
+	}
+	if start < 0 || start > dev.Pages()-npages {
+		return nil, fmt.Errorf("metalog: partition [%d, %d) is not on the %d-page device", start, start+npages, dev.Pages())
 	}
 	return &Log{
 		dev:       dev,
@@ -275,7 +279,7 @@ func New(dev blockdev.Device, start, npages int64) *Log {
 		shardSeqs: make(map[uint8]uint32),
 		pages:     make([][]Entry, npages),
 		where:     make([]int32, dev.Pages()),
-	}
+	}, nil
 }
 
 // Counters exposes the NVRAM head/tail counters (handed to recovery after
@@ -685,13 +689,17 @@ func decodePage(page []byte, seq uint64, phys int64) ([]Entry, error) {
 
 // Restore reconstructs a Log handle around surviving NVRAM state after a
 // crash: same device and partition, the NVRAM counters, and the NVRAM
-// metadata buffer contents in order. Call Recover next.
+// metadata buffer contents in order. Call Recover next. The geometry is
+// checked as New checks it.
 func Restore(dev blockdev.Device, start, npages int64,
-	ctr *nvram.Counters, buffered []Entry) *Log {
-	l := New(dev, start, npages)
+	ctr *nvram.Counters, buffered []Entry) (*Log, error) {
+	l, err := New(dev, start, npages)
+	if err != nil {
+		return nil, err
+	}
 	l.ctr = ctr
 	for _, e := range buffered {
 		l.bufInsert(e)
 	}
-	return l
+	return l, nil
 }

@@ -268,7 +268,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 				return blockdev.NewFaultInjector(blockdev.NewNullDevice("ssd", devPages), seed)
 			}
 			devL, devM := newDev(), newDev()
-			l := New(devL, start, npages)
+			l := mustNew(devL, start, npages)
 			m := newMapLog(devM, start, npages)
 			rng := sim.NewRNG(seed)
 			for step := 0; step < 12000; step++ {
@@ -311,7 +311,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 					}
 					ctrL, ctrM := *l.Counters(), *m.ctr
 					statsL, statsM := l.Stats(), m.stats
-					l = Restore(devL, start, npages, &ctrL, l.BufferedEntries())
+					l = mustRestore(devL, start, npages, &ctrL, l.BufferedEntries())
 					m = restoreMapLog(devM, start, npages, &ctrM, m.buffered())
 					l.stats, m.stats = statsL, statsM
 					replayL, _, err := l.Recover(0)

@@ -210,9 +210,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CachePages/Lanes < int64(c.Ways) {
 		return c, fmt.Errorf("shard: lane cache of %d pages below one %d-way set", c.CachePages/Lanes, c.Ways)
 	}
-	if c.MetaPages < 2 {
-		return c, fmt.Errorf("shard: metadata partition needs >=2 pages")
-	}
 	if c.RebuildRowsPerBatch == 0 {
 		c.RebuildRowsPerBatch = 8
 	}
@@ -258,7 +255,10 @@ func New(cfg Config) (*Plane, error) {
 		return nil, err
 	}
 	p := newShell(cfg)
-	p.log = metalog.New(p.ssd, cfg.MetaStart, cfg.MetaPages)
+	if p.log, err = metalog.New(p.ssd, cfg.MetaStart, cfg.MetaPages); err != nil {
+		p.Close()
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	if !cfg.Goroutines {
 		p.log.SetTracer(cfg.Tracer)
 	}

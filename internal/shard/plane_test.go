@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"kddcache/internal/blockdev"
@@ -360,5 +361,34 @@ func TestShardCountValidation(t *testing.T) {
 	bad.CachePages = prigCachePages + 4
 	if _, err := shard.New(bad); err == nil {
 		t.Fatal("non-lane-divisible cache accepted")
+	}
+}
+
+// TestMetaLogGeometryIsAnError: a shared metadata partition too small,
+// too large for the log's int32 ring slots, or off the end of the SSD is
+// an error from New and Restore, in both scheduler modes.
+func TestMetaLogGeometryIsAnError(t *testing.T) {
+	t.Parallel()
+	r := newPRig(t, 2)
+	ssdPages := r.ssd.Pages()
+	for _, goroutines := range []bool{false, true} {
+		for _, g := range []struct {
+			name             string
+			start, metaPages int64
+		}{
+			{"one page", 0, 1},
+			{"2^31 pages", 0, 1 << 31},
+			{"past the device", ssdPages - 1, 2},
+		} {
+			bad := r.cfg
+			bad.Goroutines, bad.MetaStart, bad.MetaPages = goroutines, g.start, g.metaPages
+			if _, err := shard.New(bad); err == nil || !strings.Contains(err.Error(), "metalog") {
+				t.Errorf("goroutines=%v, %s: New: %v, want the metadata log's geometry error", goroutines, g.name, err)
+			}
+			var stagings [shard.Lanes]*nvram.Staging
+			if _, _, err := shard.Restore(bad, 0, &nvram.Counters{}, nil, stagings); err == nil || !strings.Contains(err.Error(), "metalog") {
+				t.Errorf("goroutines=%v, %s: Restore: %v, want the metadata log's geometry error", goroutines, g.name, err)
+			}
+		}
 	}
 }

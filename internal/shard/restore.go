@@ -27,7 +27,10 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 		return nil, t, err
 	}
 	p := newShell(cfg)
-	p.log = metalog.Restore(p.ssd, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
+	if p.log, err = metalog.Restore(p.ssd, cfg.MetaStart, cfg.MetaPages, ctr, buffered); err != nil {
+		p.Close()
+		return nil, t, fmt.Errorf("shard: %w", err)
+	}
 	if !cfg.Goroutines {
 		p.log.SetTracer(cfg.Tracer)
 	}

@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -247,9 +247,9 @@ func (h *Histogram) Percentile(p float64) int64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	s := make([]int64, len(h.samples))
-	copy(s, h.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	// Sort a copy: the reservoir's order is what decimation thins.
+	s := slices.Clone(h.samples)
+	slices.Sort(s)
 	if p <= 0 {
 		return s[0]
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,52 @@ func TestObserveMatchesShiftLoopOracle(t *testing.T) {
 			observeOracle(want, v)
 		}
 		sameHistogram(t, fmt.Sprintf("merge %v, then observe", sizes), got, want)
+	}
+}
+
+// percentileOracle is Percentile as it was before slices.Sort: a copy of
+// the reservoir sorted with sort.Slice.
+func percentileOracle(h *Histogram, p float64) int64 {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	s := make([]int64, len(h.samples))
+	copy(s, h.samples)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	return s[int(p/100*float64(len(s)-1))]
+}
+
+// TestPercentileMatchesSortSliceOracle: over random and duplicate-heavy
+// reservoirs of several sizes, through decimation, Percentile returns what
+// the sort.Slice version returned and leaves the reservoir's order alone.
+func TestPercentileMatchesSortSliceOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000, 49152, 200_000} {
+		random := histogramValues(n, uint64(n)+1)
+		dups := make([]int64, len(random))
+		for i, v := range random {
+			dups[i] = v % 5
+		}
+		for name, vals := range map[string][]int64{"random": random, "duplicate-heavy": dups} {
+			h := NewHistogram(1 << 16)
+			for _, v := range vals {
+				h.Observe(v)
+			}
+			before := slices.Clone(h.samples)
+			for _, p := range []float64{0, 50, 99, 100} {
+				if got, want := h.Percentile(p), percentileOracle(h, p); got != want {
+					t.Errorf("%s, %d values: p%v = %d, want %d", name, len(vals), p, got, want)
+				}
+			}
+			if !slices.Equal(h.samples, before) {
+				t.Errorf("%s, %d values: Percentile reordered the reservoir", name, len(vals))
+			}
+		}
 	}
 }
 

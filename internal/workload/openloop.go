@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"kddcache/internal/sim"
 	"kddcache/internal/trace"
@@ -74,20 +73,23 @@ func (o OpenLoop) Generate() *trace.Trace {
 	clientRate := o.OfferedIOPS / float64(o.Clients)
 	meanGap := float64(sim.Second) / clientRate
 
-	type stamped struct {
-		req    trace.Request
-		client int
-	}
-	all := make([]stamped, 0, o.Requests)
-	for c := 0; c < o.Clients; c++ {
+	// Each client's stream is one run of a shared backing slice, in its
+	// own arrival order: the runs are sorted by construction, so the
+	// merge is all the ordering there is to do.
+	backing := make([]trace.Request, o.Requests)
+	runs := make([][]trace.Request, o.Clients)
+	var off int64
+	for c := range runs {
 		n := o.Requests / int64(o.Clients)
 		if int64(c) < o.Requests%int64(o.Clients) {
 			n++
 		}
+		run := backing[off : off+n]
+		off += n
 		crng := rng.Split()
 		zipf := sim.NewZipf(rng.Split(), o.Theta, uint64(o.Footprint))
 		var now sim.Time
-		for i := int64(0); i < n; i++ {
+		for i := range run {
 			// Exponential interarrival BEFORE the request: a Poisson
 			// process's first event is not at t=0.
 			now += sim.Time(-meanGap * ln(1-crng.Float64()))
@@ -95,63 +97,108 @@ func (o OpenLoop) Generate() *trace.Trace {
 			if crng.Float64() < o.ReadRatio {
 				op = trace.Read
 			}
-			all = append(all, stamped{
-				req: trace.Request{
-					Time: now, Op: op, LBA: o.LBABase + perm[zipf.Next()],
-					Pages: 1, Tenant: o.Tenant,
-				},
-				client: c,
-			})
+			run[i] = trace.Request{
+				Time: now, Op: op, LBA: o.LBABase + perm[zipf.Next()],
+				Pages: 1, Tenant: o.Tenant,
+			}
 		}
+		runs[c] = run
 	}
-	slices.SortStableFunc(all, func(a, b stamped) int {
-		if c := cmp.Compare(a.req.Time, b.req.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.client, b.client)
-	})
-	tr := &trace.Trace{Name: o.Name, Requests: make([]trace.Request, len(all))}
-	for i, s := range all {
-		tr.Requests[i] = s.req
-	}
-	return tr
+	return &trace.Trace{Name: o.Name, Requests: mergeRuns(runs)}
 }
 
 // MergeTenants interleaves several per-tenant arrival streams into one
 // multi-tenant trace, ordered by arrival time with ties broken by
 // (tenant, input position) — fully deterministic, so multi-tenant
-// experiments replay byte-identically.
+// experiments replay byte-identically. The inputs are not modified.
 func MergeTenants(name string, traces ...*trace.Trace) *trace.Trace {
-	type tagged struct {
-		req  trace.Request
-		pos  int
-		from int
+	runs := make([][]trace.Request, len(traces))
+	for i, tr := range traces {
+		run := tr.Requests
+		if !slices.IsSortedFunc(run, byTimeTenant) {
+			run = slices.Clone(run)
+			slices.SortStableFunc(run, byTimeTenant)
+		}
+		runs[i] = run
 	}
-	var n int
-	for _, tr := range traces {
-		n += len(tr.Requests)
+	return &trace.Trace{Name: name, Requests: mergeRuns(runs)}
+}
+
+// byTimeTenant orders requests by arrival time, then tenant.
+func byTimeTenant(a, b trace.Request) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
 	}
-	all := make([]tagged, 0, n)
-	for fi, tr := range traces {
-		for i, r := range tr.Requests {
-			all = append(all, tagged{req: r, pos: i, from: fi})
+	return cmp.Compare(a.Tenant, b.Tenant)
+}
+
+// runHead is a run's index and the merge key of its next request, copied
+// into the heap so that a comparison reads no run: it halves the merge's
+// cost against comparing the requests in place.
+type runHead struct {
+	time   sim.Time
+	tenant int
+	run    int
+}
+
+func (a runHead) before(b runHead) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.tenant != b.tenant {
+		return a.tenant < b.tenant
+	}
+	return a.run < b.run
+}
+
+// mergeRuns merges runs that are each ordered by (Time, Tenant) into one
+// new slice ordered by (Time, Tenant, run index), each run keeping its
+// own order: exactly what a stable sort of the runs' concatenation by
+// (Time, Tenant) returns, in O(n log k) for n requests in k runs. heap is
+// a binary min-heap of the runs not yet drained, keyed on each one's next
+// request; next[r] is the position of run r's next request.
+func mergeRuns(runs [][]trace.Request) []trace.Request {
+	n := 0
+	next := make([]int, len(runs))
+	heap := make([]runHead, 0, len(runs))
+	for i, r := range runs {
+		n += len(r)
+		if len(r) > 0 {
+			heap = append(heap, runHead{r[0].Time, r[0].Tenant, i})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].req.Time != all[j].req.Time {
-			return all[i].req.Time < all[j].req.Time
+	down := func(i int) {
+		for {
+			least := i
+			if l := 2*i + 1; l < len(heap) && heap[l].before(heap[least]) {
+				least = l
+			}
+			if r := 2*i + 2; r < len(heap) && heap[r].before(heap[least]) {
+				least = r
+			}
+			if least == i {
+				return
+			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
 		}
-		if all[i].req.Tenant != all[j].req.Tenant {
-			return all[i].req.Tenant < all[j].req.Tenant
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]trace.Request, 0, n)
+	for len(heap) > 0 {
+		r := heap[0].run
+		out = append(out, runs[r][next[r]])
+		next[r]++
+		if next[r] < len(runs[r]) {
+			q := &runs[r][next[r]]
+			heap[0].time, heap[0].tenant = q.Time, q.Tenant
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
-		if all[i].from != all[j].from {
-			return all[i].from < all[j].from
-		}
-		return all[i].pos < all[j].pos
-	})
-	out := &trace.Trace{Name: name, Requests: make([]trace.Request, len(all))}
-	for i, s := range all {
-		out.Requests[i] = s.req
+		down(0)
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"kddcache/internal/sim"
@@ -140,5 +144,250 @@ func TestOpenLoopStreamPinned(t *testing.T) {
 		if got := streamHash(tr); got != tc.want {
 			t.Errorf("%s: stream hash %#x, want %#x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// benchStream is the Zipf stream of the repository benchmark's two data
+// workloads at their full size (zipf_plane_fit reads 30 %,
+// zipf_lsraid_data 50 %).
+func benchStream(readRatio float64, seed uint64) OpenLoop {
+	return OpenLoop{Clients: 16, OfferedIOPS: 1000, Requests: 140_000,
+		Footprint: 8192, ReadRatio: readRatio, Theta: 0.9, Seed: seed}
+}
+
+// TestBenchStreamsPinned pins the benchmark's two data-workload streams
+// at its seeds 1–3: Seed is what bench/ derives from --seed 1, 2 and 3.
+// Every virtual-time metric of those workloads is a function of these
+// streams.
+func TestBenchStreamsPinned(t *testing.T) {
+	seeds := []uint64{0x2d0f28c7e7e786b3, 0x75856f745165f253, 0x8674bbc2735955af}
+	for _, tc := range []struct {
+		name      string
+		readRatio float64
+		want      [3]uint64
+	}{
+		{"zipf_plane_fit", 0.3, [3]uint64{0xe59251033a1a0bcc, 0x8c53638941fd690e, 0x209d236e65a4f463}},
+		{"zipf_lsraid_data", 0.5, [3]uint64{0xecf8a64a9acd5d80, 0x8bd5df6290637e4e, 0x58c9adee5dc3f84f}},
+	} {
+		for i, seed := range seeds {
+			if got := streamHash(benchStream(tc.readRatio, seed).Generate()); got != tc.want[i] {
+				t.Errorf("%s --seed %d: stream hash %#x, want %#x", tc.name, i+1, got, tc.want[i])
+			}
+		}
+	}
+}
+
+// generateBySort is the stable-sort Generate that mergeRuns replaced,
+// kept as its oracle: every request tagged with its client, all of them
+// stably sorted by (Time, client).
+func generateBySort(o OpenLoop) *trace.Trace {
+	if o.Clients <= 0 {
+		o.Clients = 16
+	}
+	if o.Theta == 0 {
+		o.Theta = 0.9
+	}
+	rng := sim.NewRNG(o.Seed)
+	perm := randomPermutation(rng.Split(), o.Footprint)
+	meanGap := float64(sim.Second) / (o.OfferedIOPS / float64(o.Clients))
+	type stamped struct {
+		req    trace.Request
+		client int
+	}
+	all := make([]stamped, 0, o.Requests)
+	for c := 0; c < o.Clients; c++ {
+		n := o.Requests / int64(o.Clients)
+		if int64(c) < o.Requests%int64(o.Clients) {
+			n++
+		}
+		crng := rng.Split()
+		zipf := sim.NewZipf(rng.Split(), o.Theta, uint64(o.Footprint))
+		var now sim.Time
+		for i := int64(0); i < n; i++ {
+			now += sim.Time(-meanGap * ln(1-crng.Float64()))
+			op := trace.Write
+			if crng.Float64() < o.ReadRatio {
+				op = trace.Read
+			}
+			all = append(all, stamped{
+				req: trace.Request{
+					Time: now, Op: op, LBA: o.LBABase + perm[zipf.Next()],
+					Pages: 1, Tenant: o.Tenant,
+				},
+				client: c,
+			})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b stamped) int {
+		if c := cmp.Compare(a.req.Time, b.req.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.client, b.client)
+	})
+	tr := &trace.Trace{Name: o.Name, Requests: make([]trace.Request, len(all))}
+	for i, s := range all {
+		tr.Requests[i] = s.req
+	}
+	return tr
+}
+
+// mergeTenantsBySort is the stable-sort MergeTenants that mergeRuns
+// replaced, kept as its oracle: (Time, Tenant, input, position).
+func mergeTenantsBySort(name string, traces ...*trace.Trace) *trace.Trace {
+	type tagged struct {
+		req  trace.Request
+		pos  int
+		from int
+	}
+	var all []tagged
+	for fi, tr := range traces {
+		for i, r := range tr.Requests {
+			all = append(all, tagged{req: r, pos: i, from: fi})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].req.Time != all[j].req.Time {
+			return all[i].req.Time < all[j].req.Time
+		}
+		if all[i].req.Tenant != all[j].req.Tenant {
+			return all[i].req.Tenant < all[j].req.Tenant
+		}
+		if all[i].from != all[j].from {
+			return all[i].from < all[j].from
+		}
+		return all[i].pos < all[j].pos
+	})
+	out := &trace.Trace{Name: name, Requests: make([]trace.Request, len(all))}
+	for i, s := range all {
+		out.Requests[i] = s.req
+	}
+	return out
+}
+
+// sameRequests fails the test at the first request where got and want
+// differ.
+func sameRequests(t *testing.T, what string, got, want *trace.Trace) {
+	t.Helper()
+	if got.Name != want.Name || len(got.Requests) != len(want.Requests) {
+		t.Fatalf("%s: %q with %d requests, want %q with %d", what,
+			got.Name, len(got.Requests), want.Name, len(want.Requests))
+	}
+	for i := range want.Requests {
+		if got.Requests[i] != want.Requests[i] {
+			t.Fatalf("%s: request %d is %+v, want %+v", what, i, got.Requests[i], want.Requests[i])
+		}
+	}
+}
+
+func TestGenerateMatchesStableSortOracle(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 0x01EA, 0xBEEF} {
+		for _, clients := range []int{1, 3, 8, 16, 64} {
+			for _, requests := range []int64{int64(clients) - 1, 1, 5, 1001, 20_000} {
+				if requests <= 0 {
+					continue
+				}
+				o := baseOpenLoop()
+				o.Seed, o.Clients, o.Requests = seed, clients, requests
+				sameRequests(t, fmt.Sprintf("seed %#x clients %d requests %d", seed, clients, requests),
+					o.Generate(), generateBySort(o))
+			}
+		}
+	}
+	// Arrival times collide constantly, within and across clients, so
+	// the client-index tie-break and each run's own order decide.
+	for _, clients := range []int{1, 3, 8, 16, 64} {
+		dense := baseOpenLoop()
+		dense.OfferedIOPS, dense.Clients = 1e9, clients
+		sameRequests(t, fmt.Sprintf("colliding arrivals, clients %d", clients),
+			dense.Generate(), generateBySort(dense))
+	}
+	// Default population, a tenant and an LBA base, at the bench geometry.
+	for _, seed := range []uint64{1, 2, 3} {
+		o := benchStream(0.5, seed)
+		o.Clients, o.Tenant, o.LBABase = 0, 2, 1<<20
+		sameRequests(t, fmt.Sprintf("bench geometry seed %d", seed), o.Generate(), generateBySort(o))
+	}
+}
+
+func TestMergeTenantsMatchesStableSortOracle(t *testing.T) {
+	rng := sim.NewRNG(7)
+	// random builds n requests with arrival times in [0, span) and tenants
+	// drawn from tenants; sorted orders them by (Time, Tenant) first.
+	random := func(n, span int, tenants []int, sorted bool) *trace.Trace {
+		tr := &trace.Trace{Name: "in"}
+		for i := 0; i < n; i++ {
+			tr.Requests = append(tr.Requests, trace.Request{
+				Time: sim.Time(rng.Intn(span)), Op: trace.Op(rng.Intn(2)),
+				LBA: int64(i), Pages: 1, Tenant: tenants[rng.Intn(len(tenants))],
+			})
+		}
+		if sorted {
+			slices.SortStableFunc(tr.Requests, byTimeTenant)
+		}
+		return tr
+	}
+	clone := func(trs []*trace.Trace) []*trace.Trace {
+		out := make([]*trace.Trace, len(trs))
+		for i, tr := range trs {
+			out[i] = &trace.Trace{Name: tr.Name, Requests: slices.Clone(tr.Requests)}
+		}
+		return out
+	}
+	a := OpenLoop{Name: "a", Clients: 4, OfferedIOPS: 1e9, Requests: 3000, Footprint: 512, Seed: 1, Tenant: 1}
+	b := a
+	b.Name, b.Seed, b.Tenant = "b", 2, 0
+	for _, tc := range []struct {
+		name   string
+		inputs []*trace.Trace
+	}{
+		{"none", nil},
+		{"one sorted", []*trace.Trace{random(500, 100, []int{0}, true)}},
+		{"one unsorted", []*trace.Trace{random(500, 100, []int{0}, false)}},
+		{"sorted, one tenant each", []*trace.Trace{
+			random(400, 200, []int{2}, true), random(300, 200, []int{0}, true), random(500, 200, []int{1}, true)}},
+		{"unsorted, one tenant each", []*trace.Trace{
+			random(400, 200, []int{2}, false), random(300, 200, []int{0}, false), random(500, 200, []int{1}, false)}},
+		{"mixed tenants within inputs", []*trace.Trace{
+			random(400, 50, []int{0, 1, 2}, true), random(400, 50, []int{2, 0}, false), random(400, 50, []int{1}, true)}},
+		{"equal (Time, Tenant) across inputs", []*trace.Trace{
+			random(300, 10, []int{1}, true), random(300, 10, []int{1}, true), random(300, 10, []int{1}, false)}},
+		{"empty inputs", []*trace.Trace{
+			{Name: "e"}, random(200, 40, []int{0, 1}, true), {Name: "f", Requests: []trace.Request{}},
+			random(200, 40, []int{1}, false), {Name: "g"}}},
+		{"all empty", []*trace.Trace{{Name: "e"}, {Name: "f"}}},
+		{"open-loop streams", []*trace.Trace{a.Generate(), b.Generate(), a.Generate()}},
+	} {
+		before := clone(tc.inputs)
+		sameRequests(t, tc.name, MergeTenants("m", tc.inputs...), mergeTenantsBySort("m", before...))
+		for i := range tc.inputs {
+			sameRequests(t, fmt.Sprintf("%s: input %d after the merge", tc.name, i), tc.inputs[i], before[i])
+		}
+	}
+}
+
+var sinkTrace *trace.Trace
+
+// BenchmarkGenerate times Generate at the benchmark's data-workload
+// geometry.
+func BenchmarkGenerate(b *testing.B) {
+	o := benchStream(0.5, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkTrace = o.Generate()
+	}
+}
+
+// BenchmarkMergeTenants times the noisy-neighbor experiment's shape: two
+// tenants' streams of 70 000 requests each, already in order.
+func BenchmarkMergeTenants(b *testing.B) {
+	victim := benchStream(0.5, 1)
+	victim.Requests = 70_000
+	aggressor := victim
+	aggressor.Seed, aggressor.Tenant, aggressor.OfferedIOPS = 2, 1, 4000
+	v, a := victim.Generate(), aggressor.Generate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTrace = MergeTenants("noisy", v, a)
 	}
 }
