@@ -137,9 +137,9 @@ bench-harness:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json
 
 # Perf gate: same measurement, but fail if tracing costs more than its
-# budget in ns per span, or an experiment that takes a second or more
-# regresses its serial wall clock sharply against the last comparable
-# trajectory entry.
+# absolute budget in ns per span, or the noisy-neighbor victims' p99
+# ratio exceeds its isolation budget. Nothing is compared against an
+# earlier trajectory entry.
 bench-gate:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
 
@@ -161,14 +161,18 @@ bench-pairs:
 
 # The model kernels every replayed request pays for — the disk seek
 # curve, the fault injector's unarmed pass-through, the latency
-# histogram — the open-loop and multi-tenant stream generators the data
-# workloads' set-up pays for, and the copy-vs-spin scaling probe behind
-# the plane's measurement note, at a fixed small iteration count so they
-# stay runnable (see DESIGN.md "Model kernels" and "Workload generation").
+# histogram — the span recorder's per-span cost and its export, the
+# open-loop and multi-tenant stream generators the data workloads' set-up
+# pays for, and the copy-vs-spin scaling probe behind the plane's
+# measurement note, at a fixed small iteration count so they stay
+# runnable (see DESIGN.md "Model kernels", "Binary span ring" and
+# "Workload generation").
 kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
 	$(GO) test ./internal/stats/ -run '^$$' -bench '^BenchmarkHistogramObserve$$' -benchtime 2000000x
+	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkSpanRecord$$' -benchtime 1000000x -benchmem
+	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
 

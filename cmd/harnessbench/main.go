@@ -11,12 +11,11 @@
 // tracer's cost (the committed pre-fix entry shows exactly that:
 // parallel=4 on gomaxprocs=1 reported a fictitious 70% overhead).
 //
-// With -gate the run also acts as a CI perf gate: it fails if any
-// experiment's parallel output diverges from serial, if tracing costs
-// more than -max-ns-per-span host nanoseconds per span emitted, or if
-// an experiment whose baseline takes at least a second regresses its
-// serial wall clock by more than -max-slowdown versus the last
-// comparable trajectory entry (same scale, same width).
+// With -gate the run also acts as a CI perf gate on absolute budgets: it
+// fails if any experiment's parallel output diverges from serial, if
+// tracing costs more than -max-ns-per-span host nanoseconds per span
+// emitted, or if the noisy-neighbor experiment's victim p99 ratio exceeds
+// -max-victim-ratio. Nothing is compared against earlier entries.
 //
 //	harnessbench -scale 0.01 -o BENCH_harness.json
 //	harnessbench -scale 0.01 -o BENCH_harness.json -gate
@@ -58,15 +57,9 @@ type obsOverheadResult struct {
 	NsPerSpan   float64 `json:"ns_per_span,omitempty"`
 }
 
-const (
-	// minObsSec is how long the untraced arm of the obs comparison must
-	// run before its difference to the traced arm is trusted.
-	minObsSec = 0.5
-	// minGatedSec is the baseline serial wall clock below which an
-	// experiment is exempt from the slowdown rule: a 0.25 s run doubles on
-	// a busy 2-vCPU box without any change to the code.
-	minGatedSec = 1.0
-)
+// minObsSec is how long the untraced arm of the obs comparison must run
+// before its difference to the traced arm is trusted.
+const minObsSec = 0.5
 
 // saturationResult summarizes the sharded-plane saturation sweep: the
 // sustained load per shard count and the 4-vs-1 ratio, which is a
@@ -114,8 +107,7 @@ type benchEntry struct {
 }
 
 // benchFile is the BENCH_harness.json schema: a perf trajectory, newest
-// entry last. (Earlier revisions stored a single bare entry; readEntries
-// migrates those transparently.)
+// entry last.
 type benchFile struct {
 	Entries []benchEntry `json:"entries"`
 }
@@ -127,11 +119,10 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "parallel pool width to compare against serial (0 = GOMAXPROCS)")
 		schedules = flag.Int("chaos-schedules", 8, "chaos schedules for the chaos comparison")
 		ops       = flag.Int("chaos-ops", 300, "ops per chaos schedule")
-		gate      = flag.Bool("gate", false, "fail on perf regressions vs the last comparable trajectory entry")
+		gate      = flag.Bool("gate", false, "fail when a measurement exceeds its absolute budget (-max-ns-per-span, -max-victim-ratio)")
 		// Measured 41–72 ns per span on the 2-vCPU box (3.2 M spans over a
 		// 0.63 s untraced replay at scale 0.08); the budget is twice that.
 		maxSpanNs = flag.Float64("max-ns-per-span", 150, "with -gate: max allowed tracing cost, (traced - untraced) / spans emitted, in ns")
-		maxSlow   = flag.Float64("max-slowdown", 1.75, "with -gate: max allowed serial wall-clock ratio vs the last comparable entry, for experiments whose baseline takes a second or more")
 		maxVictim = flag.Float64("max-victim-ratio", 2.0, "with -gate: max allowed victim p99 ratio (protected vs isolated) from the noisy-neighbor experiment")
 		keep      = flag.Int("keep", 50, "trajectory entries to retain (oldest dropped first; 0 = unlimited)")
 	)
@@ -322,7 +313,7 @@ func main() {
 	prev := readEntries(*out)
 	var gateErrs []error
 	if *gate {
-		gateErrs = checkGate(entry, lastComparable(prev, entry), *maxSpanNs, *maxSlow, *maxVictim)
+		gateErrs = checkGate(entry, *maxSpanNs, *maxVictim)
 	}
 
 	all := append(prev, entry)
@@ -359,10 +350,9 @@ func timeOverhead(scale float64, traced bool) obsArm {
 	return obsArm{sec: time.Since(start).Seconds(), spans: spans}
 }
 
-// readEntries loads the existing trajectory, migrating the legacy
-// single-object schema (one bare benchEntry) to a one-entry history.
-// A missing or unreadable file is an empty trajectory, never an error:
-// the bench must be runnable from a clean checkout.
+// readEntries loads the existing trajectory. A missing or unreadable
+// file is an empty trajectory, never an error: the bench must be
+// runnable from a clean checkout.
 func readEntries(path string) []benchEntry {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -371,10 +361,6 @@ func readEntries(path string) []benchEntry {
 	var f benchFile
 	if err := json.Unmarshal(data, &f); err == nil && f.Entries != nil {
 		return f.Entries
-	}
-	var legacy benchEntry
-	if err := json.Unmarshal(data, &legacy); err == nil && len(legacy.Experiments) > 0 {
-		return []benchEntry{legacy}
 	}
 	fmt.Fprintf(os.Stderr, "harnessbench: %s is not a trajectory file; starting fresh\n", path)
 	return nil
@@ -395,23 +381,8 @@ func writeEntries(path string, entries []benchEntry) {
 	}
 }
 
-// lastComparable returns the newest prior entry measured at the same
-// scale and pool width with a sane GOMAXPROCS, or nil. Wall-clock
-// comparisons across different scales or widths are meaningless, and
-// entries timed with GOMAXPROCS below the pool width (the pre-fix
-// committed entry) mis-measured both arms.
-func lastComparable(prev []benchEntry, cur benchEntry) *benchEntry {
-	for i := len(prev) - 1; i >= 0; i-- {
-		e := prev[i]
-		if e.Scale == cur.Scale && e.Parallel == cur.Parallel && e.GOMAXPROCS >= e.Parallel {
-			return &e
-		}
-	}
-	return nil
-}
-
-// checkGate applies the perf-gate rules to the fresh entry.
-func checkGate(cur benchEntry, base *benchEntry, maxSpanNs, maxSlow, maxVictim float64) []error {
+// checkGate applies the absolute perf-gate budgets to the fresh entry.
+func checkGate(cur benchEntry, maxSpanNs, maxVictim float64) []error {
 	var errs []error
 	if o := cur.ObsOverhead; o != nil && o.NsPerSpan > maxSpanNs {
 		errs = append(errs, fmt.Errorf("tracing costs %.1f ns per span (%d spans, %.2fs traced vs %.2fs untraced), budget %.1f ns",
@@ -425,21 +396,6 @@ func checkGate(cur benchEntry, base *benchEntry, maxSpanNs, maxSlow, maxVictim f
 		if n.UnprotectedRatio <= n.VictimP99Ratio {
 			errs = append(errs, fmt.Errorf("noisy-neighbor unprotected ratio %.2fx not worse than protected %.2fx; the QoS layer bought nothing",
 				n.UnprotectedRatio, n.VictimP99Ratio))
-		}
-	}
-	if base == nil {
-		fmt.Println("gate: no comparable trajectory entry (same scale/parallel); absolute checks only")
-		return errs
-	}
-	for _, b := range base.Experiments {
-		for _, c := range cur.Experiments {
-			if c.Name != b.Name || b.SerialSec < minGatedSec {
-				continue
-			}
-			if ratio := c.SerialSec / b.SerialSec; ratio > maxSlow {
-				errs = append(errs, fmt.Errorf("%s serial %.2fs is %.2fx the last comparable entry (%.2fs), budget %.2fx",
-					c.Name, c.SerialSec, ratio, b.SerialSec, maxSlow))
-			}
 		}
 	}
 	return errs

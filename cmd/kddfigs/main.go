@@ -25,8 +25,7 @@ import (
 
 // result carries one experiment's output back to the writer.
 type result struct {
-	name string
-	text string
+	kddcache.ExperimentResult
 	err  error
 	took time.Duration
 }
@@ -79,9 +78,9 @@ func main() {
 			defer wg.Done()
 			for name := range jobs {
 				start := time.Now()
-				text, err := kddcache.RunExperiment(name, *scale)
+				res, err := kddcache.Experiments[name](*scale)
 				mu.Lock()
-				results[name] = result{name: name, text: text, err: err, took: time.Since(start)}
+				results[name] = result{ExperimentResult: res, err: err, took: time.Since(start)}
 				mu.Unlock()
 			}
 		}()
@@ -110,19 +109,21 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-22s %6.1fs\n", name, r.took.Seconds())
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(r.text), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(r.Text), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Fprint(summary, r.text+"\n")
+		fmt.Fprint(summary, r.Text+"\n")
 
-		if sf, ok := kddcache.SeriesExperiments[name]; ok {
-			if xName, series, err := sf(*scale); err == nil {
-				f, err := os.Create(filepath.Join(*out, name+".csv"))
-				if err != nil {
-					fatal(err)
-				}
-				stats.WriteCSV(f, xName, series) //nolint:errcheck // best-effort export
-				f.Close()
+		if r.XName != "" {
+			f, err := os.Create(filepath.Join(*out, name+".csv"))
+			if err != nil {
+				fatal(err)
+			}
+			if err := stats.WriteCSV(f, r.XName, r.Series); err != nil {
+				fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				fatal(err)
 			}
 		}
 	}

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +51,7 @@ func main() {
 	if *iops > 0 {
 		s.MeanIOPS = *iops
 	} else {
-		s.MeanIOPS = map[string]float64{"Fin1": 80, "Fin2": 120, "Hm0": 80, "Web0": 110}[spec.Name]
+		s.MeanIOPS = harness.ReplayIOPS[spec.Name]
 	}
 	tr := workload.Synthesize(s)
 
@@ -108,35 +107,10 @@ func main() {
 		if _, err := st.Policy.Flush(r.Duration); err != nil {
 			fatal(err)
 		}
-		if err := ob.Tracer.Err(); err != nil {
-			fatal(fmt.Errorf("trace integrity: %w", err))
-		}
-		if n := ob.Tracer.OpenSpans(); n != 0 {
-			fatal(fmt.Errorf("trace integrity: %d spans still open after flush", n))
+		if err := st.ExportObs(*traceOut, *promOut, nil); err != nil {
+			fatal(err)
 		}
 		fmt.Print(ob.Profile().Table())
-		if *traceOut != "" {
-			if err := os.WriteFile(*traceOut, ob.TraceJSONL(), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote span trace to %s\n", *traceOut)
-		}
-		if *promOut != "" {
-			reg := obs.NewRegistry()
-			st.PublishMetrics(reg)
-			ob.Publish(reg)
-			if err := reg.Validate(); err != nil {
-				fatal(err)
-			}
-			var b bytes.Buffer
-			if err := reg.WritePrometheus(&b); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*promOut, b.Bytes(), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", *promOut)
-		}
 	}
 }
 

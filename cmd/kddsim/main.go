@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -74,26 +73,21 @@ func main() {
 	}
 
 	if *experiment != "" {
-		out, err := kddcache.RunExperiment(*experiment, *scale)
+		res, err := kddcache.Experiment(*experiment, *scale)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(out)
+		fmt.Print(res.Text)
 		if *csvOut != "" {
-			sf, ok := kddcache.SeriesExperiments[*experiment]
-			if !ok {
+			if res.XName == "" {
 				fatal(fmt.Errorf("experiment %q has no series form for CSV export", *experiment))
-			}
-			xName, series, err := sf(*scale)
-			if err != nil {
-				fatal(err)
 			}
 			f, err := os.Create(*csvOut)
 			if err != nil {
 				fatal(err)
 			}
 			defer f.Close()
-			if err := stats.WriteCSV(f, xName, series); err != nil {
+			if err := stats.WriteCSV(f, res.XName, res.Series); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote series CSV to %s\n", *csvOut)
@@ -219,39 +213,11 @@ func main() {
 			as.RebuildRows, st.Array.RebuildActive(), st.Array.FailedDisks(), len(st.Array.LostRows()))
 	}
 	if ob != nil {
-		if err := ob.Tracer.Err(); err != nil {
-			fatal(fmt.Errorf("trace integrity: %w", err))
-		}
-		if n := ob.Tracer.OpenSpans(); n != 0 {
-			fatal(fmt.Errorf("trace integrity: %d spans still open after flush", n))
+		if err := st.ExportObs(*traceOut, *promOut, ctl); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("spans       : %d\n", ob.Tracer.Spans())
 		fmt.Print(ob.Profile().Table())
-		if *traceOut != "" {
-			if err := os.WriteFile(*traceOut, ob.TraceJSONL(), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote span trace to %s\n", *traceOut)
-		}
-		if *promOut != "" {
-			reg := obs.NewRegistry()
-			st.PublishMetrics(reg)
-			ob.Publish(reg)
-			if ctl != nil {
-				ctl.Publish(reg)
-			}
-			if err := reg.Validate(); err != nil {
-				fatal(err)
-			}
-			var b bytes.Buffer
-			if err := reg.WritePrometheus(&b); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*promOut, b.Bytes(), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", *promOut)
-		}
 	}
 }
 

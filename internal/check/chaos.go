@@ -13,6 +13,7 @@ import (
 	"kddcache/internal/core"
 	"kddcache/internal/harness"
 	"kddcache/internal/model"
+	"kddcache/internal/obs"
 	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
@@ -273,8 +274,10 @@ func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) (*ChaosSchedule
 	res.SpareAttaches = t.SpareAttaches
 	res.RebuildRows = t.RebuildRows
 	res.Violations = r.violations
-	res.Spans = r.dig.Spans()
-	res.TraceDigest = r.dig.Sum64()
+	dig := obs.NewDigest()
+	r.ob.Ring().Trees(dig.Tree)
+	res.Spans = dig.Spans()
+	res.TraceDigest = dig.Sum64()
 	res.Fingerprint = fingerprint(r.mdl, res)
 	return res, nil
 }

@@ -178,8 +178,7 @@ type rig struct {
 	arr     raidiface.Array
 	inj     *blockdev.FaultInjector   // SSD-side injector
 	injs    []*blockdev.FaultInjector // inj, then every member's (stable: a spare attach swaps the medium behind it)
-	dig     *obs.Digest               // trace digest sink: spans survive crashes bit for bit
-	tr      *obs.Tracer
+	ob      *obs.Obs                  // the run's tracer and span ring: chaos digests the ring
 	sub     subject
 
 	// Driver data: hooks and the per-plan/per-site flags.
@@ -250,10 +249,11 @@ func newRig(seed uint64, s spec) (*rig, error) {
 	}
 	// Every run is traced: a crash that leaks a span open or drives a
 	// counter negative is a violation exactly like a torn write, and the
-	// chaos fingerprint folds the digest in.
-	r.dig = obs.NewDigest()
-	r.tr = obs.NewTracer(r.dig)
-	r.arr.SetTracer(r.tr)
+	// chaos fingerprint folds in a digest of the ring. The Obs is never
+	// released: the array and engines keep the tracer, so the ring is
+	// left to the collector rather than recycled under them.
+	r.ob = obs.New()
+	r.arr.SetTracer(r.ob.Tracer)
 	r.inj = blockdev.NewFaultInjector(
 		blockdev.NewNullDataDevice("ssd", s.metaPages+s.cache+s.padPages), seed^0xFA17)
 	r.injs = []*blockdev.FaultInjector{r.inj}
@@ -264,7 +264,7 @@ func newRig(seed uint64, s spec) (*rig, error) {
 		cfg := shard.Config{
 			SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
 			MetaPages: s.metaPages, Codec: func(int) delta.Codec { return delta.ZRLE{} },
-			Shards: s.shards, Coalesce: s.coalesce, Tracer: r.tr,
+			Shards: s.shards, Coalesce: s.coalesce, Tracer: r.ob.Tracer,
 		}
 		p, err := shard.New(cfg)
 		if err != nil {
@@ -275,7 +275,7 @@ func newRig(seed uint64, s spec) (*rig, error) {
 	}
 	cfg := core.Config{
 		SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
-		MetaPages: s.metaPages, Codec: delta.ZRLE{}, Tracer: r.tr,
+		MetaPages: s.metaPages, Codec: delta.ZRLE{}, Tracer: r.ob.Tracer,
 	}
 	if s.tune != nil {
 		s.tune(&cfg)
@@ -460,7 +460,7 @@ func (r *rig) powerCycle() {
 			r.violf("array replay not idempotent: %016x vs %016x", d1, d2)
 		}
 	}
-	next, err := r.sub.restore(r.tr)
+	next, err := r.sub.restore(r.ob.Tracer)
 	if err != nil {
 		r.violf("restore after crash: %v", err)
 		r.halt = true
@@ -512,10 +512,10 @@ func (r *rig) checkInvariants(when string) {
 // tracer, and a metrics snapshot of every engine validates (no negative
 // counters, no NaN gauges).
 func (r *rig) checkObs(when string) {
-	if n := r.tr.OpenSpans(); n != 0 {
+	if n := r.ob.Tracer.OpenSpans(); n != 0 {
 		r.violf("%s: %d spans leaked open", when, n)
 	}
-	if err := r.tr.Err(); err != nil {
+	if err := r.ob.Tracer.Err(); err != nil {
 		r.violf("%s: trace integrity: %v", when, err)
 	}
 	for i, k := range r.sub.engines() {

@@ -294,10 +294,11 @@ func Fig8(scale float64) (string, error) {
 	return FigWriteTraffic("Figure 8", []workload.Spec{workload.Fin2, workload.Web0}, scale)
 }
 
-// replayIOPS sets the open-loop replay rate per workload: roughly the
-// natural rates of the original traces, low enough that the cacheless
-// baseline saturates but does not diverge.
-var replayIOPS = map[string]float64{
+// ReplayIOPS sets the open-loop replay rate per Table-I workload (the
+// Fig. 9 replays, phases, kddreplay): roughly the natural rates of the
+// original traces, low enough that the cacheless baseline saturates but
+// does not diverge.
+var ReplayIOPS = map[string]float64{
 	"Fin1": 80, "Fin2": 120, "Hm0": 80, "Web0": 110,
 }
 
@@ -315,7 +316,7 @@ func Fig9(scale float64) (string, []stats.Series, error) {
 			label = "KDD"
 		}
 		s := spec.Scale(scale)
-		s.MeanIOPS = replayIOPS[spec.Name]
+		s.MeanIOPS = ReplayIOPS[spec.Name]
 		tr := workload.Synthesize(s)
 		o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
 		o.Policy = po.Policy

@@ -3,9 +3,11 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 
 	"kddcache/internal/obs"
+	"kddcache/internal/qos"
 	"kddcache/internal/workload"
 )
 
@@ -28,7 +30,7 @@ type phaseOut struct {
 // phaseRun replays one Table-I workload through a traced KDD stack.
 func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
 	s := spec.Scale(scale)
-	s.MeanIOPS = replayIOPS[spec.Name]
+	s.MeanIOPS = ReplayIOPS[spec.Name]
 	tr := workload.Synthesize(s)
 	o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
 	o.Policy = PolicyKDD
@@ -47,11 +49,8 @@ func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
 	if _, err := st.Policy.Flush(r.Duration); err != nil {
 		return nil, fmt.Errorf("phases %s flush: %w", spec.Name, err)
 	}
-	if err := ob.Tracer.Err(); err != nil {
-		return nil, fmt.Errorf("phases %s trace: %w", spec.Name, err)
-	}
-	if n := ob.Tracer.OpenSpans(); n != 0 {
-		return nil, fmt.Errorf("phases %s: %d spans still open after flush", spec.Name, n)
+	if err := checkTrace(ob.Tracer); err != nil {
+		return nil, fmt.Errorf("phases %s: %w", spec.Name, err)
 	}
 	return &phaseOut{name: spec.Name, ob: ob, st: st, spans: ob.Tracer.Spans()}, nil
 }
@@ -94,7 +93,7 @@ func PhaseBreakdown(scale float64) (string, error) {
 func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
 	spec := workload.TableI()[0]
 	s := spec.Scale(scale)
-	s.MeanIOPS = replayIOPS[spec.Name]
+	s.MeanIOPS = ReplayIOPS[spec.Name]
 	tr := workload.Synthesize(s)
 	o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
 	o.Policy = PolicyKDD
@@ -151,4 +150,57 @@ func PhaseArtifacts(scale float64) (trace, prom []byte, err error) {
 		return nil, nil, err
 	}
 	return buf.Bytes(), pb.Bytes(), nil
+}
+
+// checkTrace reports a traced run whose instrumentation was unbalanced:
+// a structural misuse the tracer recorded, or spans still open after the
+// run's final flush.
+func checkTrace(tr *obs.Tracer) error {
+	if err := tr.Err(); err != nil {
+		return fmt.Errorf("trace integrity: %w", err)
+	}
+	if n := tr.OpenSpans(); n != 0 {
+		return fmt.Errorf("trace integrity: %d spans still open after flush", n)
+	}
+	return nil
+}
+
+// ExportObs is the single-run export of kddsim and kddreplay: it checks
+// the flushed run's trace (checkTrace), then writes the JSONL span trace
+// to tracePath and a validated Prometheus snapshot of the stack, the
+// phase profile and ctl (when non-nil) to promPath. An empty path skips
+// that file; each file written is reported on stderr. The stack must
+// have been built with an Obs.
+func (st *Stack) ExportObs(tracePath, promPath string, ctl *qos.Controller) error {
+	ob := st.Opts.Obs
+	if err := checkTrace(ob.Tracer); err != nil {
+		return err
+	}
+	if tracePath != "" {
+		if err := os.WriteFile(tracePath, ob.TraceJSONL(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote span trace to %s\n", tracePath)
+	}
+	if promPath == "" {
+		return nil
+	}
+	reg := obs.NewRegistry()
+	st.PublishMetrics(reg)
+	ob.Publish(reg)
+	if ctl != nil {
+		ctl.Publish(reg)
+	}
+	if err := reg.Validate(); err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		return err
+	}
+	if err := os.WriteFile(promPath, b.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", promPath)
+	return nil
 }

@@ -48,11 +48,8 @@ func tinyTracedStack(t *testing.T) (*Stack, *obs.Obs) {
 	if _, err := st.Policy.Flush(r.Duration); err != nil {
 		t.Fatal(err)
 	}
-	if err := ob.Tracer.Err(); err != nil {
-		t.Fatalf("trace integrity: %v", err)
-	}
-	if n := ob.Tracer.OpenSpans(); n != 0 {
-		t.Fatalf("%d spans still open after flush", n)
+	if err := checkTrace(ob.Tracer); err != nil {
+		t.Fatal(err)
 	}
 	return st, ob
 }
@@ -88,22 +85,24 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestObsGoldenArtifacts pins the exact JSONL trace and Prometheus text
-// of the tiny traced run — the wire formats are part of the contract.
+// of the tiny traced run, as ExportObs writes them for kddsim and
+// kddreplay — the wire formats are part of the contract.
 func TestObsGoldenArtifacts(t *testing.T) {
-	st, ob := tinyTracedStack(t)
-	checkGolden(t, "tiny.golden.jsonl", ob.TraceJSONL())
-
-	reg := obs.NewRegistry()
-	st.PublishMetrics(reg)
-	ob.Publish(reg)
-	if err := reg.Validate(); err != nil {
+	st, _ := tinyTracedStack(t)
+	dir := t.TempDir()
+	tracePath, promPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.prom")
+	if err := st.ExportObs(tracePath, promPath, nil); err != nil {
 		t.Fatal(err)
 	}
-	var pb bytes.Buffer
-	if err := reg.WritePrometheus(&pb); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct{ path, golden string }{
+		{tracePath, "tiny.golden.jsonl"}, {promPath, "tiny.golden.prom"},
+	} {
+		got, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, f.golden, got)
 	}
-	checkGolden(t, "tiny.golden.prom", pb.Bytes())
 }
 
 // TestTraceProperties checks structural invariants over every span of a

@@ -10,8 +10,8 @@ import (
 // balance plus the per-disk labelled metrics.
 func TestTracerAndMetrics(t *testing.T) {
 	d := New("hdd7", testCfg(), 1)
-	dig := obs.NewDigest()
-	tr := obs.NewTracer(dig)
+	ob := obs.New()
+	tr := ob.Tracer
 	d.SetTracer(tr)
 
 	if _, err := d.WritePages(0, 0, 8, nil); err != nil {
@@ -27,8 +27,8 @@ func TestTracerAndMetrics(t *testing.T) {
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open", n)
 	}
-	if dig.Spans() != 2 {
-		t.Fatalf("sink saw %d spans, want 2", dig.Spans())
+	if n := ob.Ring().Spans(); n != 2 {
+		t.Fatalf("recorded %d spans, want 2", n)
 	}
 
 	reg := obs.NewRegistry()

@@ -72,7 +72,7 @@ func TestGeometryAndObservability(t *testing.T) {
 			t.Fatalf("member %d accessors returned nil", i)
 		}
 	}
-	tr := obs.NewTracer(obs.NewDigest())
+	tr := obs.New().Tracer
 	a.SetTracer(tr)
 
 	// Unwritten and staged pages have no physical home.

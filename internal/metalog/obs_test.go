@@ -10,8 +10,8 @@ import (
 // one balanced meta_append span.
 func TestTracerOnAppend(t *testing.T) {
 	l, _ := newLog(64)
-	dig := obs.NewDigest()
-	tr := obs.NewTracer(dig)
+	ob := obs.New()
+	tr := ob.Tracer
 	l.SetTracer(tr)
 
 	for i := uint32(0); i < 100; i++ {
@@ -29,10 +29,10 @@ func TestTracerOnAppend(t *testing.T) {
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open", n)
 	}
-	if got, want := dig.Spans(), uint64(l.Stats().PagesWritten); got != want {
-		t.Fatalf("sink saw %d meta_append spans, want %d (one per page written)", got, want)
+	if got, want := ob.Ring().Spans(), int(l.Stats().PagesWritten); got != want {
+		t.Fatalf("recorded %d meta_append spans, want %d (one per page written)", got, want)
 	}
-	if dig.Spans() == 0 {
+	if ob.Ring().Spans() == 0 {
 		t.Fatal("no pages flushed — test needs more entries")
 	}
 }

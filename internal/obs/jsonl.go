@@ -155,40 +155,15 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Writer is a Sink that streams completed trees as JSONL.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// NewWriter returns a JSONL trace sink writing to w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// Tree implements Sink.
-func (wr *Writer) Tree(spans []Record) {
-	if wr.err != nil {
-		return
-	}
-	wr.buf = wr.buf[:0]
-	for i := range spans {
-		wr.buf = AppendRecord(wr.buf, &spans[i])
-		wr.buf = append(wr.buf, '\n')
-	}
-	_, wr.err = wr.w.Write(wr.buf)
-}
-
-// Err returns the first write error, if any.
-func (wr *Writer) Err() error { return wr.err }
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// Digest is a Sink that folds the canonical JSONL bytes of every span
-// into an FNV-1a 64 hash — a compact trace fingerprint for chaos tables
-// where storing full traces would drown the output.
+// Digest folds the canonical JSONL bytes of every span into an FNV-1a 64
+// hash — a compact trace fingerprint for chaos tables where storing full
+// traces would drown the output. Feed it a ring's trees with
+// Ring.Trees(d.Tree).
 type Digest struct {
 	h   uint64
 	n   uint64
@@ -198,7 +173,7 @@ type Digest struct {
 // NewDigest returns an empty trace digest.
 func NewDigest() *Digest { return &Digest{h: fnvOffset} }
 
-// Tree implements Sink.
+// Tree hashes one span tree.
 func (d *Digest) Tree(spans []Record) {
 	for i := range spans {
 		d.buf = AppendRecord(d.buf[:0], &spans[i])

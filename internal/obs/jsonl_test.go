@@ -101,52 +101,36 @@ func TestReadTrace(t *testing.T) {
 	}
 }
 
-func TestWriterStreamsTrees(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	tr := NewTracer(w)
-	sp := tr.BeginLBA(0, PhaseRead, 1)
-	ch := tr.Begin(0, PhaseDAZRead)
-	ch.End(3)
-	sp.End(5)
-	if w.Err() != nil {
-		t.Fatal(w.Err())
-	}
-	recs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Phase != PhaseRead || recs[1].Parent != recs[0].ID {
-		t.Fatalf("got %+v", recs)
-	}
-}
-
 func TestDigestMatchesBytes(t *testing.T) {
-	run := func() (*Digest, []byte) {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		d := NewDigest()
-		tr := NewTracer(MultiSink{w, d})
+	run := func(lba0 int64) (*Digest, []byte) {
+		o := New()
 		for i := 0; i < 5; i++ {
-			sp := tr.BeginLBA(sim.Time(i*10), PhaseWrite, int64(i))
+			sp := o.Tracer.BeginLBA(sim.Time(i*10), PhaseWrite, lba0+int64(i))
 			sp.End(sim.Time(i*10 + 5))
 		}
-		return d, buf.Bytes()
+		d := NewDigest()
+		o.Ring().Trees(d.Tree)
+		return d, o.TraceJSONL()
 	}
-	d1, b1 := run()
-	d2, b2 := run()
+	d1, b1 := run(0)
+	d2, b2 := run(0)
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("trace bytes not deterministic")
 	}
-	if d1.Sum64() != d2.Sum64() || d1.Spans() != d2.Spans() {
+	if d1.Sum64() != d2.Sum64() || d1.Spans() != d2.Spans() || d1.Spans() != 5 {
 		t.Fatal("digest not deterministic")
 	}
+	// The digest is FNV-1a over exactly the exported JSONL bytes.
+	h := uint64(fnvOffset)
+	for _, c := range b1 {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	if d1.Sum64() != h {
+		t.Fatalf("digest %#x is not the FNV-1a of the trace bytes (%#x)", d1.Sum64(), h)
+	}
 	// The digest must change when the trace does.
-	d3 := NewDigest()
-	tr := NewTracer(d3)
-	sp := tr.BeginLBA(0, PhaseWrite, 99)
-	sp.End(5)
-	if d3.Sum64() == d1.Sum64() {
+	if d3, _ := run(99); d3.Sum64() == d1.Sum64() {
 		t.Fatal("different traces produced the same digest")
 	}
 }

@@ -15,21 +15,22 @@ type Obs struct {
 	profAt int // ring length the cached profile was built from
 }
 
-// New returns an Obs capturing spans into a binary ring. The tracer
-// runs in ring mode: spans are written straight into the ring's binary
-// storage, with no staging buffer or delivery copy. The ring's chunk
-// storage is recycled from a pool; call Release when the Obs is done to
-// return it (a dropped Obs is merely garbage, never incorrect).
+// New returns an Obs capturing spans into a binary ring: its tracer
+// writes each span straight into the ring's storage. New is the only
+// way to get a tracer. The ring's chunk storage is recycled from a pool;
+// call Release when the Obs is done to return it (a dropped Obs is
+// merely garbage, never incorrect).
 func New() *Obs {
 	o := &Obs{ring: newPooledRing()}
-	o.Tracer = NewRingTracer(o.ring)
+	o.Tracer = &Tracer{ring: o.ring}
 	return o
 }
 
-// Release returns the ring's storage to the recycling pool. The Obs
-// must not be used afterwards: the tracer is detached (further spans
-// no-op) and previously exported artifacts stay valid, but TraceJSONL,
-// Profile, and Ring are no longer available.
+// Release returns the ring's storage to the recycling pool. Previously
+// exported artifacts stay valid, but the Obs must not be used afterwards
+// and neither may its Tracer: anything still holding the *Tracer (an
+// engine, an array) would write into a ring another Obs now owns, so
+// release only once every holder is done with it.
 func (o *Obs) Release() {
 	if o.ring == nil {
 		return
@@ -43,8 +44,7 @@ func (o *Obs) Release() {
 // Ring exposes the underlying span ring (read-only use).
 func (o *Obs) Ring() *Ring { return o.ring }
 
-// TraceJSONL renders the JSONL trace captured so far — byte-identical
-// to the stream an eager per-span Writer would have produced.
+// TraceJSONL renders the JSONL trace of every tree completed so far.
 func (o *Obs) TraceJSONL() []byte { return o.ring.AppendJSONL(nil) }
 
 // Profile returns the phase-attribution profile over every tree

@@ -8,8 +8,8 @@ import (
 	"kddcache/internal/sim"
 )
 
-// Profile is a Sink that attributes each operation's virtual time to
-// the phases beneath it. Attribution is an interval sweep over the
+// Profile attributes each operation's virtual time to the phases
+// beneath it; it is built from a ring with Ring.Trees(p.Tree). Attribution is an interval sweep over the
 // root's window: every elementary time segment is credited to the
 // innermost attributable span covering it (for spans opened at the same
 // instant, the later-opened one), segments no attributable span covers
@@ -48,7 +48,7 @@ func (p *Profile) op(ph Phase) *opProfile {
 	return p.ops[ph]
 }
 
-// Tree implements Sink.
+// Tree attributes one span tree, root first.
 func (p *Profile) Tree(spans []Record) {
 	if len(spans) == 0 {
 		return

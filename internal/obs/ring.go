@@ -6,18 +6,18 @@ import (
 	"kddcache/internal/sim"
 )
 
-// This file implements the low-overhead span recorder. The tracer's
-// original sink chain rendered every span to JSONL text as its tree
-// closed — string formatting on the hot path of every traced operation,
-// measured at ~70% overhead. The Ring instead stores each completed
-// span as a compact fixed-size binary record in chunked, append-only
-// storage and defers all text rendering (and the phase-attribution
-// sweep) to export time. Recording a span is a handful of word stores
-// plus an occasional chunk allocation; the JSONL produced at export is
-// byte-identical to what the eager Writer would have emitted.
+// This file implements the span recorder. Rendering every span to JSONL
+// text as its tree closed — string formatting on the hot path of every
+// traced operation — was measured at ~70% overhead. The Ring instead
+// stores each span as a compact fixed-size binary record in chunked,
+// append-only storage and defers all text rendering (and the
+// phase-attribution sweep) to export time. Recording a span is a handful
+// of word stores plus an occasional chunk allocation; the JSONL produced
+// at export is byte-identical to encoding each span with AppendRecord as
+// its tree closed.
 //
 // Records do not store span IDs at all. The tracer assigns IDs in open
-// order and delivers each tree's spans in that same order, so within a
+// order and records each tree's spans in that same order, so within a
 // tree the i-th record's ID is base+i, where base is the root's ID.
 // The ring keeps one small side entry per tree (start index + base ID)
 // and reconstructs ID, Parent, and Req on export. Likewise the end time
@@ -58,9 +58,7 @@ type ringTree struct {
 // the way a single doubling slice would.
 const ringChunk = 4096
 
-// Ring is a span recorder. It is filled either directly by a tracer in
-// ring mode (NewRingTracer) or via the Sink interface from tracer-
-// delivered trees; both produce identical contents. It is not safe for
+// Ring is the span recorder a Tracer writes into. It is not safe for
 // concurrent use; like the Tracer, each parallel harness job owns its
 // own ring.
 type Ring struct {
@@ -73,9 +71,6 @@ type Ring struct {
 	devs     []string
 	durOver  map[int32]int64 // exact end times of duration-overflow spans
 }
-
-// NewRing returns an empty ring.
-func NewRing() *Ring { return &Ring{} }
 
 // ringPool recycles rings — chunk storage, tree table, device table —
 // between runs. Zeroing fresh chunks is a measurable slice of recording
@@ -109,9 +104,9 @@ func (r *Ring) release() {
 }
 
 // grow returns the next free record slot, allocating a chunk if needed.
-// The caller must assign every field: slots are dirty after a Reset
-// truncation or pool recycling and are not re-zeroed. The fast path —
-// a bounds check and three word updates — inlines into BeginDev.
+// The caller must assign every field: slots are dirty after pool
+// recycling and are not re-zeroed. The fast path — a bounds check and
+// three word updates — inlines into BeginDev.
 func (r *Ring) grow() *ringRec {
 	if r.pos == len(r.cur) {
 		r.nextChunk()
@@ -184,56 +179,8 @@ func (r *Ring) intern(dev string) uint16 {
 	return uint16(len(r.devs))
 }
 
-// Tree implements Sink for tracer-delivered trees. The spans must be in
-// tracer delivery shape — IDs consecutive from the root's (the tracer
-// opens spans in frame order), Req equal to the root ID, parents inside
-// the tree. Trees built by any Tracer satisfy this by construction;
-// anything else is a contract violation and panics.
-func (r *Ring) Tree(spans []Record) {
-	if len(spans) == 0 {
-		return
-	}
-	base := spans[0].ID
-	r.trees = append(r.trees, ringTree{start: r.n, base: base})
-	for i := range spans {
-		s := &spans[i]
-		if s.ID != base+uint64(i) || s.Req != base {
-			panic("obs: Ring.Tree requires tracer-shaped trees (consecutive IDs from the root)")
-		}
-		idx := int32(r.n)
-		c := r.grow()
-		c.begin = int64(s.Begin)
-		c.lba = s.LBA
-		if s.Parent == 0 {
-			c.parent = -1
-		} else {
-			c.parent = int32(s.Parent - base)
-		}
-		c.n = int32(s.N)
-		c.dev = r.intern(s.Dev)
-		c.phase = uint8(s.Phase)
-		r.setEnd(idx, c, int64(s.End))
-	}
-	r.complete = r.n
-}
-
 // Spans returns how many spans the ring holds in completed trees.
 func (r *Ring) Spans() int { return r.complete }
-
-// truncate drops records from start onward — a partially built tree
-// being abandoned by Tracer.Reset. Chunk capacity is kept for reuse.
-func (r *Ring) truncate(start int) {
-	for i := range r.durOver {
-		if int(i) >= start {
-			delete(r.durOver, i)
-		}
-	}
-	r.n = start
-	if len(r.chunks) > 0 {
-		r.cur = r.chunks[start/ringChunk]
-		r.pos = start % ringChunk
-	}
-}
 
 // spanMeta reconstructs the ID and phase of the span at ring index i,
 // for structural-error messages (binary search over the tree table;
@@ -274,9 +221,9 @@ func (r *Ring) reconstruct(i int, t *ringTree, out *Record) {
 	}
 }
 
-// AppendJSONL appends the canonical JSONL rendering of every completed
-// tree to b — byte-identical to the stream an eager Writer sink would
-// have produced at record time — and returns the extended slice.
+// AppendJSONL appends the canonical JSONL rendering (AppendRecord, one
+// span per line) of every completed tree to b and returns the extended
+// slice.
 func (r *Ring) AppendJSONL(b []byte) []byte {
 	var rec Record
 	ti := 0
@@ -292,9 +239,9 @@ func (r *Ring) AppendJSONL(b []byte) []byte {
 }
 
 // Trees replays the completed trees to fn one at a time, in recording
-// order — exactly the Sink.Tree calls an eager sink would have seen.
-// The slice passed to fn is reused between calls; fn must not retain
-// it.
+// order, each as the tracer built it (spans in open order) — the input
+// Profile.Tree and Digest.Tree consume. The slice passed to fn is reused
+// between calls; fn must not retain it.
 func (r *Ring) Trees(fn func(spans []Record)) {
 	var tree []Record
 	for ti := range r.trees {

@@ -8,10 +8,75 @@ import (
 	"kddcache/internal/sim"
 )
 
+// recorder is the span-opening surface the synthetic workloads drive:
+// the ring tracer (S = Span) and the reference recorder (S = refSpan).
+type recorder[S interface{ End(sim.Time) }] interface {
+	BeginLBA(t sim.Time, p Phase, lba int64) S
+	BeginDev(t sim.Time, p Phase, dev string, lba int64, n int) S
+	Mark(t sim.Time, p Phase, lba int64)
+}
+
+// refTracer is the oracle the ring is checked against: an explicit stack
+// of open Records, each tree handed to emit, in open order, as its root
+// closes — the eager recording the ring defers to export time. It
+// supports balanced use only.
+type refTracer struct {
+	nextID uint64
+	tree   []Record
+	open   []int
+	emit   func(tree []Record)
+}
+
+type refSpan struct {
+	r *refTracer
+	i int
+}
+
+func (r *refTracer) BeginDev(t sim.Time, p Phase, dev string, lba int64, n int) refSpan {
+	r.nextID++
+	rec := Record{ID: r.nextID, Req: r.nextID, Phase: p, Dev: dev, LBA: lba, N: n, Begin: t, End: t}
+	if len(r.open) > 0 {
+		rec.Parent = r.tree[r.open[len(r.open)-1]].ID
+		rec.Req = r.tree[0].ID
+	}
+	r.tree = append(r.tree, rec)
+	r.open = append(r.open, len(r.tree)-1)
+	return refSpan{r, len(r.tree) - 1}
+}
+
+func (r *refTracer) BeginLBA(t sim.Time, p Phase, lba int64) refSpan {
+	return r.BeginDev(t, p, "", lba, 1)
+}
+
+func (r *refTracer) Mark(t sim.Time, p Phase, lba int64) { r.BeginLBA(t, p, lba).End(t) }
+
+func (s refSpan) End(t sim.Time) {
+	r := s.r
+	r.tree[s.i].End = max(t, r.tree[s.i].Begin)
+	r.open = r.open[:len(r.open)-1]
+	if len(r.open) == 0 {
+		r.emit(r.tree)
+		r.tree = r.tree[:0]
+	}
+}
+
+// refJSONL returns the reference recorder's JSONL for the workload drive
+// runs against it.
+func refJSONL(drive func(*refTracer)) []byte {
+	var out []byte
+	drive(&refTracer{emit: func(tree []Record) {
+		for i := range tree {
+			out = AppendRecord(out, &tree[i])
+			out = append(out, '\n')
+		}
+	}})
+	return out
+}
+
 // driveTracer runs a deterministic synthetic workload of span trees
 // through tr: a mix of root-only ops, nested device spans, marks, and
 // spans that end after their parent (async fills).
-func driveTracer(tr *Tracer, trees int) {
+func driveTracer[S interface{ End(sim.Time) }](tr recorder[S], trees int) {
 	t := sim.Time(0)
 	for i := 0; i < trees; i++ {
 		root := tr.BeginLBA(t, PhaseRead, int64(i))
@@ -31,33 +96,19 @@ func driveTracer(tr *Tracer, trees int) {
 	}
 }
 
-// TestRingJSONLMatchesEagerWriter pins the recorder contract: a Ring
-// rendered at export is byte-identical to the Writer that encoded every
-// span eagerly as its tree closed.
+// TestRingJSONLMatchesEagerWriter pins the recorder contract: the ring
+// rendered at export is byte-identical to encoding every span eagerly as
+// its tree closed.
 func TestRingJSONLMatchesEagerWriter(t *testing.T) {
-	var eager bytes.Buffer
-	wtr := NewTracer(NewWriter(&eager))
-	driveTracer(wtr, 200)
-
-	ring := NewRing()
-	rtr := NewTracer(ring) // sink mode: trees delivered to the ring
-	driveTracer(rtr, 200)
-
-	direct := NewRing()
-	dtr := NewRingTracer(direct) // ring mode: spans recorded in place
-	driveTracer(dtr, 200)
-
-	got := ring.AppendJSONL(nil)
-	if !bytes.Equal(got, eager.Bytes()) {
-		t.Fatalf("sink-mode ring JSONL differs from eager writer output:\nring:  %q\neager: %q",
-			truncate(got), truncate(eager.Bytes()))
+	o := New()
+	driveTracer[Span](o.Tracer, 200)
+	want := refJSONL(func(r *refTracer) { driveTracer[refSpan](r, 200) })
+	if got := o.TraceJSONL(); !bytes.Equal(got, want) {
+		t.Fatalf("ring JSONL differs from eager encoding:\nring:  %q\neager: %q",
+			truncate(got), truncate(want))
 	}
-	if dgot := direct.AppendJSONL(nil); !bytes.Equal(dgot, eager.Bytes()) {
-		t.Fatalf("ring-mode JSONL differs from eager writer output:\nring:  %q\neager: %q",
-			truncate(dgot), truncate(eager.Bytes()))
-	}
-	if ring.Spans() == 0 || direct.Spans() != ring.Spans() {
-		t.Fatalf("span counts diverge: sink-mode %d, ring-mode %d", ring.Spans(), direct.Spans())
+	if o.Ring().Spans() == 0 || uint64(o.Ring().Spans()) != o.Tracer.Spans() {
+		t.Fatalf("ring holds %d spans, tracer opened %d", o.Ring().Spans(), o.Tracer.Spans())
 	}
 }
 
@@ -68,27 +119,25 @@ func truncate(b []byte) []byte {
 	return b
 }
 
-// TestRingTreesMatchesDirectSink verifies Trees replays exactly the
-// Sink.Tree calls the tracer made: same tree boundaries, same spans —
-// so a Profile built from the ring equals one fed eagerly.
+// TestRingTreesMatchesDirectSink verifies Trees replays exactly the trees
+// the reference recorder delivers directly as each root closes: same tree
+// boundaries, same spans — so a Profile built from the ring equals one
+// fed eagerly.
 func TestRingTreesMatchesDirectSink(t *testing.T) {
-	eagerProf := NewProfile()
-	ring := NewRing()
-	tr := NewTracer(MultiSink{ring, eagerProf})
-	driveTracer(tr, 120)
+	o := New()
+	driveTracer[Span](o.Tracer, 120)
 
+	eagerProf := NewProfile()
 	var eagerTrees [][]Record
-	etr := NewTracer(sinkFunc(func(spans []Record) {
-		cp := make([]Record, len(spans))
-		copy(cp, spans)
-		eagerTrees = append(eagerTrees, cp)
-	}))
-	driveTracer(etr, 120)
+	driveTracer[refSpan](&refTracer{emit: func(spans []Record) {
+		eagerTrees = append(eagerTrees, append([]Record(nil), spans...))
+		eagerProf.Tree(spans)
+	}}, 120)
 
 	i := 0
-	ring.Trees(func(spans []Record) {
+	o.Ring().Trees(func(spans []Record) {
 		if i >= len(eagerTrees) {
-			t.Fatalf("ring replayed more trees than the tracer delivered (%d)", len(eagerTrees))
+			t.Fatalf("ring replayed more trees than the reference delivered (%d)", len(eagerTrees))
 		}
 		want := eagerTrees[i]
 		if len(spans) != len(want) {
@@ -102,11 +151,10 @@ func TestRingTreesMatchesDirectSink(t *testing.T) {
 		i++
 	})
 	if i != len(eagerTrees) {
-		t.Fatalf("ring replayed %d trees, tracer delivered %d", i, len(eagerTrees))
+		t.Fatalf("ring replayed %d trees, reference delivered %d", i, len(eagerTrees))
 	}
 
-	ringProf := NewProfile()
-	ring.Trees(ringProf.Tree)
+	ringProf := o.Profile()
 	for _, op := range Phases() {
 		if ringProf.Ops(op) != eagerProf.Ops(op) || ringProf.TotalNs(op) != eagerProf.TotalNs(op) ||
 			ringProf.SelfNs(op) != eagerProf.SelfNs(op) {
@@ -120,24 +168,17 @@ func TestRingTreesMatchesDirectSink(t *testing.T) {
 	}
 }
 
-type sinkFunc func(spans []Record)
-
-func (f sinkFunc) Tree(spans []Record) { f(spans) }
-
 // TestRingChunkBoundary exercises storage across multiple chunks.
 func TestRingChunkBoundary(t *testing.T) {
-	ring := NewRing()
-	tr := NewTracer(ring)
+	o := New()
 	trees := ringChunk // 2 spans minimum per tree -> crosses chunks
-	driveTracer(tr, trees)
-	if ring.Spans() <= ringChunk {
-		t.Fatalf("want > %d spans to cross a chunk boundary, got %d", ringChunk, ring.Spans())
+	driveTracer[Span](o.Tracer, trees)
+	if o.Ring().Spans() <= ringChunk {
+		t.Fatalf("want > %d spans to cross a chunk boundary, got %d", ringChunk, o.Ring().Spans())
 	}
-	var eager bytes.Buffer
-	wtr := NewTracer(NewWriter(&eager))
-	driveTracer(wtr, trees)
-	if !bytes.Equal(ring.AppendJSONL(nil), eager.Bytes()) {
-		t.Fatal("multi-chunk ring JSONL differs from eager writer output")
+	want := refJSONL(func(r *refTracer) { driveTracer[refSpan](r, trees) })
+	if !bytes.Equal(o.TraceJSONL(), want) {
+		t.Fatal("multi-chunk ring JSONL differs from eager encoding")
 	}
 }
 
@@ -145,7 +186,7 @@ func TestRingChunkBoundary(t *testing.T) {
 // spans arrive after a Profile() call.
 func TestObsLazyProfile(t *testing.T) {
 	o := New()
-	driveTracer(o.Tracer, 10)
+	driveTracer[Span](o.Tracer, 10)
 	p1 := o.Profile()
 	n1 := p1.Ops(PhaseRead)
 	if n1 != 10 {
@@ -154,47 +195,28 @@ func TestObsLazyProfile(t *testing.T) {
 	if o.Profile() != p1 {
 		t.Fatal("profile not cached while ring is unchanged")
 	}
-	driveTracer(o.Tracer, 5)
+	driveTracer[Span](o.Tracer, 5)
 	if got := o.Profile().Ops(PhaseRead); got != 15 {
 		t.Fatalf("refreshed profile saw %d reads, want 15", got)
 	}
 }
 
-// BenchmarkSpanRecord compares the per-span recording cost of the ring
-// against the eager JSONL writer chain it replaced.
+// BenchmarkSpanRecord measures the per-span recording cost of the ring
+// tracer: one synthetic tree (two to six spans) per iteration.
 func BenchmarkSpanRecord(b *testing.B) {
-	b.Run("ring-direct", func(b *testing.B) {
-		tr := NewRingTracer(NewRing())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			driveTracer(tr, 1)
-		}
-	})
-	b.Run("ring-sink", func(b *testing.B) {
-		ring := NewRing()
-		tr := NewTracer(ring)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			driveTracer(tr, 1)
-		}
-	})
-	b.Run("eager-jsonl", func(b *testing.B) {
-		var buf bytes.Buffer
-		tr := NewTracer(MultiSink{NewWriter(&buf), NewProfile()})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset() // keep memory bounded; Writer cost still paid per span
-			driveTracer(tr, 1)
-		}
-	})
+	o := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		driveTracer[Span](o.Tracer, 1)
+	}
 }
 
 // BenchmarkRingExport measures the deferred cost: rendering JSONL and
 // building the profile from a populated ring.
 func BenchmarkRingExport(b *testing.B) {
-	ring := NewRing()
-	tr := NewTracer(ring)
-	driveTracer(tr, 10000)
+	o := New()
+	driveTracer[Span](o.Tracer, 10000)
+	ring := o.Ring()
 	b.Run("jsonl", func(b *testing.B) {
 		var out []byte
 		for i := 0; i < b.N; i++ {
@@ -209,29 +231,29 @@ func BenchmarkRingExport(b *testing.B) {
 	})
 }
 
+// driveOverflow records a span longer than the 32-bit duration field
+// holds, inside a tree that closes after it, then a short tree.
+func driveOverflow[S interface{ End(sim.Time) }](tr recorder[S], long sim.Time) {
+	root := tr.BeginLBA(0, PhaseWrite, 7)
+	d := tr.BeginDev(10, PhaseDevWrite, "ssd", 7, 1)
+	d.End(10 + long)
+	root.End(long + 500)
+	short := tr.BeginLBA(long+1000, PhaseRead, 8)
+	short.End(long + 1100)
+}
+
 // TestRingDurationOverflow pins the 32-bit duration spill path: spans
 // longer than ~4.29 virtual seconds (and marks recorded after them in
 // the same tree) must survive the overflow map and render the same
-// JSONL the eager writer produces.
+// JSONL the eager encoding produces.
 func TestRingDurationOverflow(t *testing.T) {
-	long := int64(maxDur) + 12345 // doesn't fit in ringRec.dur
-	drive := func(tr *Tracer) {
-		root := tr.BeginLBA(0, PhaseWrite, 7)
-		d := tr.BeginDev(10, PhaseDevWrite, "ssd", 7, 1)
-		d.End(10 + sim.Time(long))
-		root.End(sim.Time(long) + 500)
-		short := tr.BeginLBA(sim.Time(long)+1000, PhaseRead, 8)
-		short.End(sim.Time(long) + 1100)
-	}
-	var eager bytes.Buffer
-	wtr := NewTracer(NewWriter(&eager))
-	drive(wtr)
-
-	ring := NewRing()
-	drive(NewRingTracer(ring))
-	got := ring.AppendJSONL(nil)
-	if !bytes.Equal(got, eager.Bytes()) {
-		t.Fatalf("overflow-span JSONL differs:\nring:  %s\neager: %s", got, eager.Bytes())
+	long := sim.Time(maxDur) + 12345 // doesn't fit in ringRec.dur
+	o := New()
+	driveOverflow[Span](o.Tracer, long)
+	want := refJSONL(func(r *refTracer) { driveOverflow[refSpan](r, long) })
+	got := o.TraceJSONL()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("overflow-span JSONL differs:\nring:  %s\neager: %s", got, want)
 	}
 	recs, err := ReadTrace(bytes.NewReader(got))
 	if err != nil {
@@ -239,7 +261,7 @@ func TestRingDurationOverflow(t *testing.T) {
 	}
 	found := false
 	for _, r := range recs {
-		if r.Duration() == sim.Time(long) {
+		if r.Duration() == long {
 			found = true
 		}
 	}
@@ -247,12 +269,11 @@ func TestRingDurationOverflow(t *testing.T) {
 		t.Fatalf("no decoded span has the overflowed duration %d", long)
 	}
 
-	// End before Begin is a structural error clamped to zero length.
-	ring2 := NewRing()
-	rtr := NewRingTracer(ring2)
-	sp := rtr.Begin(100, PhaseRead)
+	// End before Begin is clamped to zero length.
+	o2 := New()
+	sp := o2.Tracer.Begin(100, PhaseRead)
 	sp.End(40)
-	recs, err = ReadTrace(bytes.NewReader(ring2.AppendJSONL(nil)))
+	recs, err = ReadTrace(bytes.NewReader(o2.TraceJSONL()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,45 +26,19 @@ type Record struct {
 // Begin at close time).
 func (r *Record) Duration() sim.Time { return r.End - r.Begin }
 
-// Sink receives completed span trees. The spans slice is reused by the
-// tracer after Tree returns; implementations must not retain it.
-type Sink interface {
-	Tree(spans []Record)
-}
-
-// MultiSink fans completed trees out to several sinks in order.
-type MultiSink []Sink
-
-// Tree implements Sink.
-func (m MultiSink) Tree(spans []Record) {
-	for _, s := range m {
-		if s != nil {
-			s.Tree(spans)
-		}
-	}
-}
-
-// Tracer records spans into per-request trees. It runs in one of two
-// modes, fixed at construction:
+// Tracer records spans into per-request trees, writing each span
+// straight into its Ring's binary storage as it opens; End patches the
+// stored duration in place. Get one from obs.New.
 //
-//   - Sink mode (NewTracer): trees are staged in a frames buffer and
-//     delivered to the sink when the root span closes — for sinks that
-//     want eager per-tree delivery (Writer, Digest, Profile).
-//   - Ring mode (NewRingTracer): spans are written straight into a
-//     Ring's binary storage as they open, and End patches the stored
-//     duration in place. No staging buffer, no delivery copy — this is
-//     the hot-path recorder behind obs.New.
-//
-// Both modes produce identical ring contents and identical exported
-// JSONL for the same span sequence.
-//
-// Ring mode does not keep an explicit stack of open spans: because
-// every span's parent is the innermost open span at its Begin, the open
-// spans always form exactly the parent chain from the newest span to
-// the root. Tracking the chain head (openTop) and its length (depth) is
+// The tracer keeps no explicit stack of open spans: because every
+// span's parent is the innermost open span at its Begin, the open spans
+// always form exactly the parent chain from the newest span to the
+// root. Tracking the chain head (openTop) and its length (depth) is
 // enough — End restores the head from the closing record's parent
 // offset, and the error paths walk the chain through the stored
-// records.
+// records. A Span handle names its record by ring index, which is
+// unique over the ring's life, so a stale handle from a finished tree
+// is recognised as closed twice and never touches the open tree.
 //
 // A nil *Tracer is valid and free: every method no-ops, and Begin
 // returns a Span whose End also no-ops — instrumented code needs no
@@ -74,32 +48,19 @@ func (m MultiSink) Tree(spans []Record) {
 // parallel job its own tracer so IDs (and therefore trace bytes) do not
 // depend on pool width.
 type Tracer struct {
-	sink      Sink
-	ring      *Ring // ring mode when non-nil; sink is nil then
+	ring      *Ring
 	nextID    uint64
-	treeStart int32    // ring mode: ring index of the current tree's root
-	openTop   int32    // ring mode: ring index of the innermost open span
-	depth     int32    // ring mode: number of open spans
-	frames    []Record // sink mode: spans of the tree being built, in open order
-	open      []int32  // sink mode: stack of open span indices into frames
-	err       error    // first structural misuse observed (unbalanced End)
+	treeStart int32 // ring index of the current tree's root
+	openTop   int32 // ring index of the innermost open span
+	depth     int32 // number of open spans
+	err       error // first structural misuse observed (unbalanced End)
 }
-
-// NewTracer returns a tracer delivering completed trees to sink. A nil
-// sink is allowed: spans are tracked (for OpenSpans/Spans accounting)
-// and discarded on completion.
-func NewTracer(sink Sink) *Tracer { return &Tracer{sink: sink} }
-
-// NewRingTracer returns a tracer recording spans directly into r's
-// binary storage, skipping the staging buffer and delivery copy of sink
-// mode.
-func NewRingTracer(r *Ring) *Tracer { return &Tracer{ring: r} }
 
 // Span is a handle to an open span. The zero value is inert: End on it
 // is a no-op, which is what Begin on a nil tracer returns.
 type Span struct {
 	tr  *Tracer
-	rec *ringRec // ring mode: the span's record, for O(1) patching on End
+	rec *ringRec // the span's record, for O(1) patching on End
 	idx int32
 }
 
@@ -120,40 +81,26 @@ func (tr *Tracer) BeginDev(t sim.Time, p Phase, dev string, lba int64, n int) Sp
 		return Span{}
 	}
 	tr.nextID++
-	if r := tr.ring; r != nil {
-		parent := int32(-1)
-		if tr.depth == 0 {
-			tr.treeStart = int32(r.n)
-			r.trees = append(r.trees, ringTree{start: r.n, base: tr.nextID})
-		} else {
-			parent = tr.openTop - tr.treeStart
-		}
-		var dv uint16
-		if dev != "" {
-			dv = r.intern(dev)
-		}
-		idx := int32(r.n)
-		c := r.grow()
-		// One struct-literal assignment so the compiler emits wide
-		// stores for the whole 32-byte record (dur zeroes implicitly).
-		*c = ringRec{begin: int64(t), lba: lba, parent: parent, n: int32(n), dev: dv, phase: uint8(p)}
-		tr.openTop = idx
-		tr.depth++
-		return Span{tr: tr, rec: c, idx: idx}
-	}
-	rec := Record{ID: tr.nextID, Phase: p, Dev: dev, LBA: lba, N: n, Begin: t, End: t}
-	if len(tr.open) > 0 {
-		rec.Parent = tr.frames[tr.open[len(tr.open)-1]].ID
-	}
-	if len(tr.frames) > 0 {
-		rec.Req = tr.frames[0].ID
+	r := tr.ring
+	parent := int32(-1)
+	if tr.depth == 0 {
+		tr.treeStart = int32(r.n)
+		r.trees = append(r.trees, ringTree{start: r.n, base: tr.nextID})
 	} else {
-		rec.Req = rec.ID
+		parent = tr.openTop - tr.treeStart
 	}
-	idx := int32(len(tr.frames))
-	tr.frames = append(tr.frames, rec)
-	tr.open = append(tr.open, idx)
-	return Span{tr: tr, idx: idx}
+	var dv uint16
+	if dev != "" {
+		dv = r.intern(dev)
+	}
+	idx := int32(r.n)
+	c := r.grow()
+	// One struct-literal assignment so the compiler emits wide
+	// stores for the whole 32-byte record (dur zeroes implicitly).
+	*c = ringRec{begin: int64(t), lba: lba, parent: parent, n: int32(n), dev: dv, phase: uint8(p)}
+	tr.openTop = idx
+	tr.depth++
+	return Span{tr: tr, rec: c, idx: idx}
 }
 
 // Mark records an instantaneous (zero-duration) span at t under the
@@ -163,12 +110,12 @@ func (tr *Tracer) Mark(t sim.Time, p Phase, lba int64) {
 	if tr == nil {
 		return
 	}
-	if r := tr.ring; r != nil && tr.depth > 0 {
+	if tr.depth > 0 {
 		// Fast path: a nested mark is a single record store, with no
 		// open-chain traffic — identical to BeginLBA followed at once
 		// by End(t).
 		tr.nextID++
-		c := r.grow()
+		c := tr.ring.grow()
 		*c = ringRec{begin: int64(t), lba: lba, parent: tr.openTop - tr.treeStart, n: 1, phase: uint8(p)}
 		return
 	}
@@ -185,72 +132,25 @@ func (s Span) End(t sim.Time) {
 	if tr == nil {
 		return
 	}
-	if r := tr.ring; r != nil {
-		if tr.depth > 0 && tr.openTop == s.idx { // common case: innermost span closes
-			c := s.rec
-			r.setEnd(s.idx, c, int64(t))
-			tr.depth--
-			if tr.depth == 0 {
-				tr.openTop = -1
-				r.complete = r.n // root closed: tree becomes exportable
-			} else {
-				tr.openTop = tr.treeStart + c.parent
-			}
-			return
-		}
-		s.endSlowRing(t)
-		return
-	}
-	s.endSink(t)
-}
-
-// endSink closes the span in sink mode: patch the frame, unwind the open
-// stack, and deliver the tree when the root closes. Out of End so the
-// ring-mode fast path stays small.
-func (s Span) endSink(t sim.Time) {
-	tr := s.tr
-	pos := -1
-	for i := len(tr.open) - 1; i >= 0; i-- {
-		if tr.open[i] == s.idx {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		if tr.err == nil {
-			if int(s.idx) < len(tr.frames) {
-				tr.err = fmt.Errorf("obs: span %d (%s) closed twice", tr.frames[s.idx].ID, tr.frames[s.idx].Phase)
-			} else {
-				tr.err = fmt.Errorf("obs: span closed twice (its tree already completed)")
-			}
+	if tr.depth > 0 && tr.openTop == s.idx { // common case: innermost span closes
+		r, c := tr.ring, s.rec
+		r.setEnd(s.idx, c, int64(t))
+		tr.depth--
+		if tr.depth == 0 {
+			tr.openTop = -1
+			r.complete = r.n // root closed: tree becomes exportable
+		} else {
+			tr.openTop = tr.treeStart + c.parent
 		}
 		return
 	}
-	if pos != len(tr.open)-1 && tr.err == nil {
-		tr.err = fmt.Errorf("obs: span %d (%s) closed with %d children still open",
-			tr.frames[s.idx].ID, tr.frames[s.idx].Phase, len(tr.open)-1-pos)
-	}
-	for i := len(tr.open) - 1; i >= pos; i-- {
-		rec := &tr.frames[tr.open[i]]
-		rec.End = t
-		if rec.End < rec.Begin {
-			rec.End = rec.Begin
-		}
-	}
-	tr.open = tr.open[:pos]
-	if len(tr.open) == 0 {
-		if tr.sink != nil {
-			tr.sink.Tree(tr.frames)
-		}
-		tr.frames = tr.frames[:0]
-	}
+	s.endSlow(t)
 }
 
-// endSlowRing handles the ring-mode cases the fast path rejects: a
-// double close or a close over still-open children. Semantics mirror
-// sink mode exactly; the open chain is walked through the stored parent
-// offsets.
-func (s Span) endSlowRing(t sim.Time) {
+// endSlow handles the cases the fast path rejects: a double close or a
+// close over still-open children. The open chain is walked through the
+// stored parent offsets; a span not on it was closed before.
+func (s Span) endSlow(t sim.Time) {
 	tr, r := s.tr, s.tr.ring
 	found := false
 	skipped := 0
@@ -271,12 +171,8 @@ func (s Span) endSlowRing(t sim.Time) {
 	}
 	if !found {
 		if tr.err == nil {
-			if int(s.idx) < r.n {
-				id, ph := r.spanMeta(int(s.idx))
-				tr.err = fmt.Errorf("obs: span %d (%s) closed twice", id, ph)
-			} else {
-				tr.err = fmt.Errorf("obs: span closed twice (its tree already completed)")
-			}
+			id, ph := r.spanMeta(int(s.idx))
+			tr.err = fmt.Errorf("obs: span %d (%s) closed twice", id, ph)
 		}
 		return
 	}
@@ -309,10 +205,7 @@ func (tr *Tracer) OpenSpans() int {
 	if tr == nil {
 		return 0
 	}
-	if tr.ring != nil {
-		return int(tr.depth)
-	}
-	return len(tr.open)
+	return int(tr.depth)
 }
 
 // Spans returns the total number of spans opened over the tracer's
@@ -331,24 +224,4 @@ func (tr *Tracer) Err() error {
 		return nil
 	}
 	return tr.err
-}
-
-// Reset drops any partially built tree and clears the error, keeping
-// the ID counter (IDs stay unique across a reset). In ring mode the
-// abandoned tree's records are truncated from the ring, exactly as sink
-// mode never delivers them.
-func (tr *Tracer) Reset() {
-	if tr == nil {
-		return
-	}
-	if r := tr.ring; r != nil && tr.depth > 0 {
-		last := len(r.trees) - 1
-		r.truncate(r.trees[last].start)
-		r.trees = r.trees[:last]
-	}
-	tr.depth = 0
-	tr.openTop = -1
-	tr.frames = tr.frames[:0]
-	tr.open = tr.open[:0]
-	tr.err = nil
 }

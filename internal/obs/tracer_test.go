@@ -1,24 +1,23 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"kddcache/internal/sim"
 )
 
-// collect is a Sink that copies every completed tree.
-type collect struct{ trees [][]Record }
-
-func (c *collect) Tree(spans []Record) {
-	cp := make([]Record, len(spans))
-	copy(cp, spans)
-	c.trees = append(c.trees, cp)
+// trees returns a copy of every completed tree in o's ring.
+func trees(o *Obs) [][]Record {
+	var out [][]Record
+	o.Ring().Trees(func(spans []Record) { out = append(out, append([]Record(nil), spans...)) })
+	return out
 }
 
 func TestTracerNesting(t *testing.T) {
-	var c collect
-	tr := NewTracer(&c)
+	o := New()
+	tr := o.Tracer
 
 	root := tr.BeginLBA(100, PhaseRead, 7)
 	child := tr.Begin(150, PhaseDAZRead)
@@ -34,10 +33,11 @@ func TestTracerNesting(t *testing.T) {
 	if tr.OpenSpans() != 0 {
 		t.Fatalf("OpenSpans = %d, want 0", tr.OpenSpans())
 	}
-	if len(c.trees) != 1 {
-		t.Fatalf("got %d trees, want 1", len(c.trees))
+	got := trees(o)
+	if len(got) != 1 {
+		t.Fatalf("got %d trees, want 1", len(got))
 	}
-	spans := c.trees[0]
+	spans := got[0]
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}
@@ -61,16 +61,16 @@ func TestTracerNesting(t *testing.T) {
 }
 
 func TestTracerSequentialTreesReuseBuffer(t *testing.T) {
-	var c collect
-	tr := NewTracer(&c)
+	o := New()
 	for i := 0; i < 3; i++ {
-		sp := tr.Begin(sim.Time(i*100), PhaseWrite)
+		sp := o.Tracer.Begin(sim.Time(i*100), PhaseWrite)
 		sp.End(sim.Time(i*100 + 50))
 	}
-	if len(c.trees) != 3 {
-		t.Fatalf("got %d trees, want 3", len(c.trees))
+	got := trees(o)
+	if len(got) != 3 {
+		t.Fatalf("got %d trees, want 3", len(got))
 	}
-	for i, tree := range c.trees {
+	for i, tree := range got {
 		if len(tree) != 1 || tree[0].ID != uint64(i+1) {
 			t.Fatalf("tree %d: %+v", i, tree)
 		}
@@ -78,15 +78,14 @@ func TestTracerSequentialTreesReuseBuffer(t *testing.T) {
 }
 
 func TestTracerEndClampsBeforeBegin(t *testing.T) {
-	var c collect
-	tr := NewTracer(&c)
-	sp := tr.Begin(100, PhaseClean)
+	o := New()
+	sp := o.Tracer.Begin(100, PhaseClean)
 	sp.End(50)
-	if got := c.trees[0][0]; got.End != got.Begin {
+	if got := trees(o)[0][0]; got.End != got.Begin {
 		t.Fatalf("End not clamped: %+v", got)
 	}
-	if tr.Err() != nil {
-		t.Fatalf("clamp should not be an error: %v", tr.Err())
+	if o.Tracer.Err() != nil {
+		t.Fatalf("clamp should not be an error: %v", o.Tracer.Err())
 	}
 }
 
@@ -94,16 +93,15 @@ func TestTracerChildMayEndAfterParent(t *testing.T) {
 	// An async fill's SSD write outlives the request; the tracer must
 	// accept the parent closing at an earlier virtual time than the
 	// already-closed child's end.
-	var c collect
-	tr := NewTracer(&c)
-	root := tr.Begin(0, PhaseRead)
-	fill := tr.Begin(10, PhaseFill)
+	o := New()
+	root := o.Tracer.Begin(0, PhaseRead)
+	fill := o.Tracer.Begin(10, PhaseFill)
 	fill.End(500)
 	root.End(100)
-	if err := tr.Err(); err != nil {
+	if err := o.Tracer.Err(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}
-	spans := c.trees[0]
+	spans := trees(o)[0]
 	if spans[1].End != 500 || spans[0].End != 100 {
 		t.Fatalf("unexpected ends: %+v", spans)
 	}
@@ -111,39 +109,67 @@ func TestTracerChildMayEndAfterParent(t *testing.T) {
 
 func TestTracerUnbalancedEndIsAnError(t *testing.T) {
 	t.Run("parent closed over open child", func(t *testing.T) {
-		tr := NewTracer(nil)
+		o := New()
+		tr := o.Tracer
 		root := tr.Begin(0, PhaseRead)
 		tr.Begin(1, PhaseDAZRead) // never closed
 		root.End(10)
-		if tr.Err() == nil {
-			t.Fatal("want structural error")
+		if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "span 1 (read) closed with 1 children still open") {
+			t.Fatalf("want structural error, got %v", tr.Err())
 		}
 		if tr.OpenSpans() != 0 {
 			t.Fatalf("force-close left %d open", tr.OpenSpans())
 		}
+		// The force-closed child ends with its parent.
+		if spans := trees(o)[0]; len(spans) != 2 || spans[1].End != 10 {
+			t.Fatalf("force-closed tree: %+v", spans)
+		}
 	})
 	t.Run("double close", func(t *testing.T) {
-		tr := NewTracer(nil)
+		tr := New().Tracer
 		sp := tr.Begin(0, PhaseRead)
 		sp.End(1)
 		sp.End(2)
-		if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "closed twice") {
+		if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "span 1 (read) closed twice") {
 			t.Fatalf("want double-close error, got %v", tr.Err())
 		}
 	})
 }
 
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(nil)
-	tr.Begin(0, PhaseRead)
-	tr.Reset()
-	if tr.OpenSpans() != 0 || tr.Err() != nil {
-		t.Fatalf("reset failed: open=%d err=%v", tr.OpenSpans(), tr.Err())
+// TestStaleSpanHandleClosedTwice closes a handle from a finished tree
+// while a new tree is open. The handle names its record by ring index,
+// so the tracer reports the double close and the open tree keeps its own
+// end times; a recorder that matched handles by their index within a
+// tree would instead close the new root early.
+func TestStaleSpanHandleClosedTwice(t *testing.T) {
+	o := New()
+	tr := o.Tracer
+	a := tr.Begin(0, PhaseRead)
+	a.End(10)
+	b := tr.Begin(20, PhaseWrite)
+	child := tr.Begin(22, PhaseDAZRead)
+	a.End(25) // stale: A's tree completed at 10
+	child.End(26)
+	b.End(30)
+
+	if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "span 1 (read) closed twice") {
+		t.Fatalf("want stale-handle double close, got %v", tr.Err())
 	}
-	sp := tr.Begin(5, PhaseWrite)
-	sp.End(6)
-	if tr.Spans() != 2 {
-		t.Fatalf("IDs must stay unique across Reset, Spans=%d", tr.Spans())
+	if tr.OpenSpans() != 0 {
+		t.Fatalf("OpenSpans = %d, want 0", tr.OpenSpans())
+	}
+	recs, err := ReadTrace(bytes.NewReader(o.TraceJSONL()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("trace has %d spans, want 3: %+v", len(recs), recs)
+	}
+	if a := recs[0]; a.End != 10 {
+		t.Fatalf("A re-closed by its stale handle: %+v", a)
+	}
+	if b, c := recs[1], recs[2]; b.Phase != PhaseWrite || b.End != 30 || c.Parent != b.ID || c.End != 26 {
+		t.Fatalf("B and its child lost their end times: %+v %+v", b, c)
 	}
 }
 
@@ -152,7 +178,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp := tr.BeginDev(1, PhaseRead, "ssd", 3, 1)
 	sp.End(2)
 	tr.Mark(1, PhaseNVRAMStage, 3)
-	tr.Reset()
 	if tr.OpenSpans() != 0 || tr.Spans() != 0 || tr.Err() != nil {
 		t.Fatal("nil tracer must be fully inert")
 	}

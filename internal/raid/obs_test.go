@@ -11,8 +11,8 @@ import (
 // published metrics validate.
 func TestTracerAndMetrics(t *testing.T) {
 	a := newDataArray(t, Level5, 5, 256, 8)
-	dig := obs.NewDigest()
-	tr := obs.NewTracer(dig)
+	ob := obs.New()
+	tr := ob.Tracer
 	a.SetTracer(tr)
 
 	oracle := writeAll(t, a, 64)
@@ -39,8 +39,8 @@ func TestTracerAndMetrics(t *testing.T) {
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open", n)
 	}
-	if dig.Spans() == 0 {
-		t.Fatal("no spans reached the sink")
+	if ob.Ring().Spans() == 0 {
+		t.Fatal("no spans recorded")
 	}
 
 	reg := obs.NewRegistry()

@@ -36,7 +36,7 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 		t.Fatal(err)
 	}
 	ssd := blockdev.NewNullDataDevice("ssd", prigMetaPages+prigCachePages+64)
-	traceDig := obs.NewDigest()
+	ob := obs.New()
 	p, err := shard.New(shard.Config{
 		SSD:        ssd,
 		Backend:    arr,
@@ -47,7 +47,7 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 		Codec:      func(int) delta.Codec { return delta.ZRLE{} },
 		Shards:     shards,
 		Coalesce:   coalesce,
-		Tracer:     obs.NewTracer(traceDig),
+		Tracer:     ob.Tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +87,8 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 	}
 	fmt.Fprintf(&out, "quiesce done=%d\n", done)
 	fmt.Fprintf(&out, "digest=%#x\n", p.StateDigest())
+	traceDig := obs.NewDigest()
+	ob.Ring().Trees(traceDig.Tree)
 	fmt.Fprintf(&out, "trace spans=%d fp=%#x\n", traceDig.Spans(), traceDig.Sum64())
 	fmt.Fprintf(&out, "coalesced=%d\n", p.CoalescedWrites())
 	out.WriteString(p.Stats().String())

@@ -10,8 +10,8 @@ import (
 // span balance plus the published wear metrics.
 func TestTracerAndMetrics(t *testing.T) {
 	d := New("ssd0", smallCfg())
-	dig := obs.NewDigest()
-	tr := obs.NewTracer(dig)
+	ob := obs.New()
+	tr := ob.Tracer
 	d.SetTracer(tr)
 
 	for i := int64(0); i < 32; i++ {
@@ -29,8 +29,8 @@ func TestTracerAndMetrics(t *testing.T) {
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open", n)
 	}
-	if dig.Spans() != 33 {
-		t.Fatalf("sink saw %d spans, want 33 (32 writes + 1 read)", dig.Spans())
+	if n := ob.Ring().Spans(); n != 33 {
+		t.Fatalf("recorded %d spans, want 33 (32 writes + 1 read)", n)
 	}
 
 	reg := obs.NewRegistry()

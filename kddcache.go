@@ -353,91 +353,75 @@ func SetParallelism(n int) { harness.SetParallelism(n) }
 // leave Backend empty. The empty string restores the default, "kdd".
 func SetDefaultBackend(name string) { harness.SetDefaultBackend(name) }
 
-// Experiments maps experiment names to their runners, each returning the
-// formatted table the paper's figure/table corresponds to.
-var Experiments = map[string]func(scale float64) (string, error){
-	"table1": func(s float64) (string, error) { return harness.TableI(s) },
-	"fig4": func(s float64) (string, error) {
-		out, _, err := harness.Fig4(s)
-		return out, err
-	},
-	"fig5": harness.Fig5,
-	"fig6": harness.Fig6,
-	"fig7": harness.Fig7,
-	"fig8": harness.Fig8,
-	"fig9": func(s float64) (string, error) {
-		out, _, err := harness.Fig9(s)
-		return out, err
-	},
-	"fig10": func(s float64) (string, error) {
-		out, _, err := harness.Fig10(s)
-		return out, err
-	},
-	"fig11": func(s float64) (string, error) {
-		out, _, err := harness.Fig11(s)
-		return out, err
-	},
-	"table2":              harness.TableII,
-	"ablation-partition":  harness.AblationPartition,
-	"ablation-reclaim":    harness.AblationReclaim,
-	"ablation-metalog":    harness.AblationMetaLog,
-	"lifetime":            harness.LifetimeSummary,
-	"recovery-tradeoff":   harness.RecoveryTradeoff,
-	"degraded":            harness.DegradedPerformance,
-	"rebuild-impact":      harness.RebuildImpact,
-	"ablation-admission":  harness.AblationAdmission,
-	"motivation":          harness.Motivation,
-	"phases":              harness.PhaseBreakdown,
-	"sweep-associativity": harness.AblationAssociativity,
-	"sweep-staging":       harness.AblationStaging,
-	"saturation": func(s float64) (string, error) {
-		out, _, err := harness.Saturation(s)
-		return out, err
-	},
-	"noisy-neighbor": func(s float64) (string, error) {
-		out, _, err := harness.NoisyNeighbor(s)
-		return out, err
-	},
-	"lsraid-compare": harness.LSRaidCompare,
+// ExperimentResult is one run of an experiment: the formatted table the
+// paper's figure/table corresponds to and, for the experiments that
+// produce plottable series, the x-axis name and the series (export them
+// with stats.WriteCSV/WriteJSON; XName is "" when there are none).
+type ExperimentResult struct {
+	Text   string
+	XName  string
+	Series []stats.Series
 }
 
-// RunExperiment executes one named experiment at the given scale.
-func RunExperiment(name string, scale float64) (string, error) {
+// table adapts a text-only experiment runner.
+func table(f func(float64) (string, error)) func(float64) (ExperimentResult, error) {
+	return func(s float64) (ExperimentResult, error) {
+		out, err := f(s)
+		return ExperimentResult{Text: out}, err
+	}
+}
+
+// plot adapts a runner that also returns series over the x axis xName.
+func plot(xName string, f func(float64) (string, []stats.Series, error)) func(float64) (ExperimentResult, error) {
+	return func(s float64) (ExperimentResult, error) {
+		out, series, err := f(s)
+		return ExperimentResult{Text: out, XName: xName, Series: series}, err
+	}
+}
+
+// Experiments maps experiment names to their runners.
+var Experiments = map[string]func(scale float64) (ExperimentResult, error){
+	"table1":              table(harness.TableI),
+	"fig4":                plot("metaPartPct", harness.Fig4),
+	"fig5":                table(harness.Fig5),
+	"fig6":                table(harness.Fig6),
+	"fig7":                table(harness.Fig7),
+	"fig8":                table(harness.Fig8),
+	"fig9":                plot("workloadIdx", harness.Fig9),
+	"fig10":               plot("readRatePct", harness.Fig10),
+	"fig11":               plot("readRatePct", harness.Fig11),
+	"table2":              table(harness.TableII),
+	"ablation-partition":  table(harness.AblationPartition),
+	"ablation-reclaim":    table(harness.AblationReclaim),
+	"ablation-metalog":    table(harness.AblationMetaLog),
+	"lifetime":            table(harness.LifetimeSummary),
+	"recovery-tradeoff":   table(harness.RecoveryTradeoff),
+	"degraded":            table(harness.DegradedPerformance),
+	"rebuild-impact":      table(harness.RebuildImpact),
+	"ablation-admission":  table(harness.AblationAdmission),
+	"motivation":          table(harness.Motivation),
+	"phases":              table(harness.PhaseBreakdown),
+	"sweep-associativity": table(harness.AblationAssociativity),
+	"sweep-staging":       table(harness.AblationStaging),
+	"saturation":          plot("offeredKIOPS", harness.Saturation),
+	"noisy-neighbor":      plot("armIdx", harness.NoisyNeighbor),
+	"lsraid-compare":      table(harness.LSRaidCompare),
+}
+
+// Experiment runs one named experiment at the given scale.
+func Experiment(name string, scale float64) (ExperimentResult, error) {
 	f, ok := Experiments[name]
 	if !ok {
-		return "", fmt.Errorf("kddcache: unknown experiment %q", name)
+		return ExperimentResult{}, fmt.Errorf("kddcache: unknown experiment %q", name)
 	}
 	return f(scale)
 }
 
-// SeriesExperiments maps the experiments that produce plottable series to
-// runners returning (x-axis name, series); use stats.WriteCSV/WriteJSON
-// to export them.
-var SeriesExperiments = map[string]func(scale float64) (string, []stats.Series, error){
-	"fig4": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.Fig4(s)
-		return "metaPartPct", series, err
-	},
-	"fig9": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.Fig9(s)
-		return "workloadIdx", series, err
-	},
-	"fig10": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.Fig10(s)
-		return "readRatePct", series, err
-	},
-	"fig11": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.Fig11(s)
-		return "readRatePct", series, err
-	},
-	"saturation": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.Saturation(s)
-		return "offeredKIOPS", series, err
-	},
-	"noisy-neighbor": func(s float64) (string, []stats.Series, error) {
-		_, series, err := harness.NoisyNeighbor(s)
-		return "armIdx", series, err
-	},
+// RunExperiment executes one named experiment at the given scale and
+// returns its formatted table.
+func RunExperiment(name string, scale float64) (string, error) {
+	res, err := Experiment(name, scale)
+	return res.Text, err
 }
 
 // Workloads returns the paper's Table I workload specifications.

@@ -579,14 +579,22 @@ func TestRunExperimentFacade(t *testing.T) {
 	if _, err := RunExperiment("nope", 1); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	noisy, err := RunExperiment("noisy-neighbor", 0.002)
+	// One run carries both the table and, where the experiment has them,
+	// the series a CSV export writes.
+	noisy, err := Experiment("noisy-neighbor", 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"aggressor", "isolated", "unprotected"} {
-		if !strings.Contains(noisy, want) {
-			t.Fatalf("noisy-neighbor output missing %q:\n%s", want, noisy)
+		if !strings.Contains(noisy.Text, want) {
+			t.Fatalf("noisy-neighbor output missing %q:\n%s", want, noisy.Text)
 		}
+	}
+	if noisy.XName != "armIdx" || len(noisy.Series) == 0 {
+		t.Fatalf("noisy-neighbor run has x axis %q and %d series", noisy.XName, len(noisy.Series))
+	}
+	if _, err := Experiment("nope", 1); err == nil {
+		t.Fatal("unknown experiment accepted")
 	}
 	if len(Workloads()) != 4 {
 		t.Fatal("workloads facade wrong")
