@@ -43,24 +43,27 @@ chaos-ssd:
 chaos-rebuild:
 	$(GO) test -race -run 'TestChaosRebuild' ./internal/harness/
 
-# Model-based crash-consistency checker, deterministic CI mode, as one
-# {kdd, lsraid} x {bare engine, sharded plane} matrix: every crash point
-# and media-fault site enumerated from the engine's profile trace, and
-# every crash point of the plane's batched workload (interleaved lane
-# batches in flight), for two fixed seeds per cell; then the log engine's
-# rebuild-window sweep (a member killed mid-workload, every site fired
-# against the online rebuild at RAID-5 geometry); non-zero exit on any
-# violation. The only place the CI sweeps run.
+# Model-based crash-consistency checker, deterministic CI mode: the one
+# {kdd, lsraid} x {bare engine, sharded plane} x {plain, rebuild window}
+# matrix in one process. Every crash point and media-fault site
+# enumerated from the engine's profile trace, every crash point of the
+# plane's batched workload (interleaved lane batches in flight), and, in
+# the rebuild cells, a member killed mid-workload with every crash point
+# (the rebuild target's writes included) fired against the online
+# rebuild; two fixed seeds per cell; non-zero exit on any violation. The
+# only place the CI sweeps run.
 check:
 	$(GO) run ./cmd/kddcheck -ci
-	$(GO) run ./cmd/kddcheck -ci -backend lsraid
-	$(GO) run ./cmd/kddcheck -ci -rebuild -backend lsraid
 
-# Mutation self-test: the kddbug build tag compiles in a DEZ
-# log-before-durable ordering bug; the checker must catch it, proving the
-# crash exploration has teeth.
+# Mutation self-tests, each proving the checker has teeth against one
+# ordering bug. The kddbug build tag compiles in a DEZ log-before-durable
+# ordering bug (bare engine) and a batch acked before its page is durable
+# (sharded plane); the kddbug_checkpoint tag, alone, a rebuild pump that
+# checkpoints the watermark a step will reach before running the step,
+# which the rebuild sweeps must catch on both subjects and both backends.
 mutate:
 	$(GO) test -tags kddbug -run TestMutationCaught -v ./internal/check/
+	$(GO) test -tags kddbug_checkpoint -run TestMutationCaughtCheckpointAhead -v ./internal/check/
 
 # Native Go fuzzing over the trace parsers, the metadata-log, span,
 # tenant-spec and segment-summary decoders and the delta codecs' Apply,

@@ -8,19 +8,18 @@
 // idempotent; parity reconstructs everywhere; page checksums verify).
 // -shard runs the crash points of a batched workload over the sharded
 // plane instead of the bare engine, -backend picks the array under
-// either, and -ci is both sweeps at fixed small parameters (`make check`
-// runs it once per backend, and once more as the log engine's rebuild
-// sweep). Options no stack can be built from are a one-line usage error,
-// exit 2.
+// either, -rebuild kills a member mid-workload, and -ci is the whole
+// {kdd, lsraid} x {engine, plane} x {plain, rebuild} matrix at fixed small
+// parameters (what `make check` runs). Options no stack can be built from
+// are a one-line usage error, exit 2.
 //
-// The sweep is deterministic: pass the printed seed back via -seed to
-// replay a violation exactly.
+// The sweep is deterministic: a violation prints the command line that
+// replays its seed exactly.
 //
 // Examples:
 //
 //	kddcheck -ci
-//	kddcheck -ci -backend lsraid
-//	kddcheck -ci -rebuild -backend lsraid
+//	kddcheck -rebuild -shard -backend lsraid
 //	kddcheck -seeds 4 -ops 400
 //	kddcheck -seed 0xC0FFEE -seeds 1
 package main
@@ -41,7 +40,7 @@ func main() {
 		footprint = flag.Int64("footprint", 0, "distinct LBAs touched (0 = default 64)")
 		cache     = flag.Int64("cachepages", 0, "SSD cache data pages (0 = default 128)")
 		parallel  = flag.Int("parallel", 0, "worker-pool width for site replays; report is identical at any width (0 = GOMAXPROCS, 1 = serial)")
-		ci        = flag.Bool("ci", false, "deterministic CI mode: fixed small parameters, overrides -ops/-footprint; runs the single-core AND sharded sweeps (with -rebuild, the single-core one only)")
+		ci        = flag.Bool("ci", false, "deterministic CI mode: the {kdd, lsraid} x {engine, plane} x {plain, rebuild} matrix at fixed small parameters; overrides -ops/-footprint/-backend/-shard/-rebuild/-media-stride")
 		shardOnly = flag.Bool("shard", false, "run only the sharded-plane crash sweep (batched workload, crash points with multiple lanes' metadata batches in flight)")
 		rebuild   = flag.Bool("rebuild", false, "rebuild-window scenario: kill a member mid-workload with a hot spare parked (RAID-6 on kdd, RAID-5 on lsraid), so every crash point and fault site fires against an online rebuild")
 		stride    = flag.Int("media-stride", 0, "sample every Nth member media-fault site (0/1 = exhaustive); crash and SSD sites are never strided — useful with -rebuild, where the rebuild touches every member page")
@@ -69,43 +68,37 @@ func main() {
 		MediaStride: *stride,
 		Backend:     *backend,
 	}
-	if *ci {
-		o.Ops = 120
-		o.Footprint = 48
-	}
-	// -ci is the {engine, plane} pair on one backend; the rebuild scenario
-	// is engine-only, so it has no plane half.
-	type sweep struct {
-		run    func(check.Options) (*check.Report, error)
-		replay string // the flag that selects this sweep in a replay line
-	}
-	var sweeps []sweep
-	if !*shardOnly {
-		sweeps = append(sweeps, sweep{check.Run, ""})
-	}
-	if *shardOnly || (*ci && !*rebuild) {
-		sweeps = append(sweeps, sweep{check.RunShard, "-shard "})
-	}
 	// Every sweep runs before any table prints: a usage error (options one
 	// of the stacks cannot be built from) is then the only output.
-	reps := make([]*check.Report, len(sweeps))
-	for i, sw := range sweeps {
-		rep, err := sw.run(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kddcheck: %v\n", err)
-			os.Exit(2)
-		}
-		reps[i] = rep
+	var reps []*check.Report
+	var err error
+	switch {
+	case *ci:
+		reps, err = check.RunCI(o)
+	case *shardOnly:
+		reps, err = one(check.RunShard(o))
+	default:
+		reps, err = one(check.Run(o))
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kddcheck: %v\n", err)
+		os.Exit(2)
 	}
 	failed := false
-	for i, rep := range reps {
+	for _, rep := range reps {
 		fmt.Print(rep.Table())
-		if len(rep.Violations()) > 0 {
-			fmt.Printf("replay: kddcheck %s-seed %#x -seeds 1\n", sweeps[i].replay, rep.Results[0].Seed)
-			failed = true
+		for i, res := range rep.Results {
+			if len(res.Violations) > 0 {
+				fmt.Printf("replay: %s\n", rep.Replay(i))
+				failed = true
+			}
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+func one(rep *check.Report, err error) ([]*check.Report, error) {
+	return []*check.Report{rep}, err
 }

@@ -50,7 +50,6 @@ func main() {
 		reattachAt = flag.Int("reattach-at", -1, "repair and re-attach a fresh cache SSD before request #N, KDD only (-1 = never)")
 		killDiskAt = flag.Int("kill-disk-at", -1, "fail-stop RAID member 2 before request #N (-1 = never)")
 		replaceAt  = flag.Int("replace-disk-at", -1, "provide a fresh replacement member before request #N: KDD parks it as a hot spare and paces the rebuild online; other policies rebuild blocking (-1 = never)")
-		rbRate     = flag.Int("rebuild-rate", 0, "KDD rebuild pump: max rows reconstructed per request when the array is idle (0 = default 8, -1 = pump disabled)")
 		tenants    = flag.String("tenants", "", "QoS tenant budgets as name:rate:weight[:burst],... (e.g. \"a:100:2,b:50:1\"); gates the single-run replay through the admission controller")
 		deadlineMs = flag.Float64("deadline-ms", 0, "with -tenants: per-request deadline margin in virtual ms (0 = no deadlines)")
 		backend    = flag.String("backend", "kdd", "array backend under the cache: kdd (parity RAID + delayed parity) or lsraid (log-structured, full-stripe appends)")
@@ -113,14 +112,13 @@ func main() {
 		ob = obs.New()
 	}
 	st, err := harness.Build(harness.StackOpts{
-		Policy:         harness.PolicyKind(*policy),
-		DeltaMean:      *locality,
-		CachePages:     pages,
-		MetaFrac:       *metaFrac,
-		DiskPages:      diskPagesFor(tr),
-		Seed:           spec.Seed,
-		RebuildRateMax: *rbRate,
-		Obs:            ob,
+		Policy:     harness.PolicyKind(*policy),
+		DeltaMean:  *locality,
+		CachePages: pages,
+		MetaFrac:   *metaFrac,
+		DiskPages:  diskPagesFor(tr),
+		Seed:       spec.Seed,
+		Obs:        ob,
 	})
 	if err != nil {
 		fatal(err)

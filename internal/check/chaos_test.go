@@ -122,7 +122,6 @@ func TestUsageErrors(t *testing.T) {
 		{"check cache below one set", checkErr(Run, Options{CachePages: 8}), "below one set"},
 		{"check unknown backend", checkErr(Run, Options{Backend: "x"}), `unknown backend "x"`},
 		{"shard cache below one set per lane", checkErr(RunShard, Options{CachePages: 8}), "below one"},
-		{"shard rebuild", checkErr(RunShard, Options{Rebuild: true}), "bare engine"},
 	} {
 		err := tc.run()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -21,7 +21,6 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -42,12 +41,12 @@ type Options struct {
 	Parallel   int    // site-replay workers (0 = GOMAXPROCS, via harness.FanOut)
 	CrashOnly  bool   // explore only crash sites (used by the kddbug mutation self-test)
 	// Rebuild selects the rebuild-window scenario: a member is killed at
-	// Ops/3 with a hot spare parked, so every site fires against a stack
-	// whose pump is rebuilding the array online. Crash sites then cover
-	// the rebuild checkpoint/resume path. The parity engine runs it at
-	// RAID-6 geometry, so a member media fault inside the window stays
-	// recoverable; the log engine is single-parity, so there such a fault
-	// is a legal, loud loss (see runSite).
+	// about Ops/3 with a hot spare parked, so every site fires against a
+	// stack whose pump is rebuilding the array online, on either subject.
+	// Crash sites then cover the rebuild checkpoint/resume path. The
+	// parity engine runs it at RAID-6 geometry, so a member media fault
+	// inside the window stays recoverable; the log engine is single-parity,
+	// so there such a fault is a legal, loud loss (see runSite).
 	Rebuild bool
 	// MediaStride samples every Nth member media-fault site (0 or 1 =
 	// exhaustive). Crash sites, whole-SSD kill sites and SSD media sites
@@ -110,6 +109,7 @@ type Report struct {
 	Opts    Options
 	Kind    string // sweep variant shown in the table heading ("" = single-core)
 	Results []SeedResult
+	plane   bool // the subject was the sharded plane
 }
 
 // Violations flattens all violations, prefixed with their seed.
@@ -130,7 +130,7 @@ func (r *Report) Table() string {
 	if kind == "" {
 		kind = "exhaustive crash-point and fault-site exploration"
 	}
-	fmt.Fprintf(&b, "== Check: %s ==\n", kind)
+	fmt.Fprintf(&b, "== Check (%s, rebuild=%v): %s ==\n", r.Opts.Backend, r.Opts.Rebuild, kind)
 	fmt.Fprintf(&b, "%4s  %-18s %7s %7s %5s %8s %6s\n", "#", "seed", "crash", "media", "kill", "crashes", "viol")
 	sites, crashes, viols := 0, 0, 0
 	for _, res := range r.Results {
@@ -165,7 +165,7 @@ func hotFrontDraw(rng *sim.RNG, footprint int64) int64 {
 	return n
 }
 
-// rebuildVictim is the member the rebuild scenario kills at Ops/3.
+// rebuildVictim is the member the rebuild scenario kills.
 const rebuildVictim = 1
 
 // spec is the run o describes, on the bare engine (shards 0) or on the
@@ -215,15 +215,51 @@ func Run(o Options) (*Report, error) {
 // so each seed picks one and the sweep still covers every grouping.
 func RunShard(o Options) (*Report, error) {
 	o = o.withDefaults()
-	if o.Rebuild {
-		return nil, errors.New("check: the rebuild scenario sweeps the bare engine; nothing attaches a spare under the plane")
-	}
 	o.CrashOnly = true
 	return sweep(o, "sharded plane, crash points with batches in flight", []int{1, 2, 4, 8})
 }
 
+// RunCI runs the deterministic CI matrix, {kdd, lsraid} × {engine, plane}
+// × {plain, rebuild} in that order, at 120 ops over 48 pages per run; o
+// supplies the seeds and the fan-out width.
+func RunCI(o Options) ([]*Report, error) {
+	o.Ops, o.Footprint = 120, 48
+	var reps []*Report
+	for _, backend := range []string{"kdd", "lsraid"} {
+		for _, rebuild := range []bool{false, true} {
+			for _, run := range []func(Options) (*Report, error){Run, RunShard} {
+				o.Backend, o.Rebuild, o.MediaStride = backend, rebuild, 0
+				if rebuild && backend == "kdd" {
+					o.MediaStride = 4 // thousands of RAID-6 member media sites (the plane has none)
+				}
+				rep, err := run(o)
+				if err != nil {
+					return nil, err
+				}
+				reps = append(reps, rep)
+			}
+		}
+	}
+	return reps, nil
+}
+
+// Replay is the kddcheck command line that replays seed i of the sweep
+// alone.
+func (r *Report) Replay(i int) string {
+	o := r.Opts
+	cmd := fmt.Sprintf("kddcheck -backend %s -ops %d -footprint %d -cachepages %d -media-stride %d",
+		o.Backend, o.Ops, o.Footprint, o.CachePages, o.MediaStride)
+	if r.plane {
+		cmd += " -shard"
+	}
+	if o.Rebuild {
+		cmd += " -rebuild"
+	}
+	return fmt.Sprintf("%s -seed %#x -seeds 1", cmd, r.Results[i].Seed)
+}
+
 func sweep(o Options, kind string, widths []int) (*Report, error) {
-	rep := &Report{Opts: o, Kind: kind}
+	rep := &Report{Opts: o, Kind: kind, plane: widths[0] > 0}
 	for i := 0; i < o.Seeds; i++ {
 		// Same stride as the chaos harness, so its 24 schedule seeds are
 		// reachable here as regression seeds.
@@ -249,11 +285,11 @@ type siteOutcome struct {
 func newRun(seed uint64, o Options, s spec) (*rig, error) {
 	r, err := newRig(seed, s)
 	if err == nil && o.Rebuild {
-		// Kill a member with a hot spare parked: the pump attaches it at
-		// the end of the next operation and rebuilds online under the
-		// remaining workload (and under whatever site is armed).
+		// Kill a member with a hot spare parked, before the first batch at
+		// or past op Ops/3: the pump attaches the spare behind that batch
+		// and rebuilds online under the rest (and whatever site is armed).
 		r.everyBatch = func(i int) {
-			if i == o.Ops/3 {
+			if i >= o.Ops/3 && i < o.Ops/3+s.batch {
 				r.arr.FailDisk(rebuildVictim)
 			}
 		}
@@ -296,8 +332,8 @@ func runSeed(seed uint64, o Options, s spec) (SeedResult, error) {
 	// write ordinals (log, cache frame, DEZ commits) are always crash
 	// sites; in the rebuild scenario the rebuild target's member writes
 	// are too — every rebuild step writes the target, so the sweep gets a
-	// crash point inside the window for every step. Other members
-	// contribute media sites only.
+	// crash point inside the window for every step, CrashOnly or not.
+	// Other members contribute media sites only.
 	var sites []site
 	for _, fs := range blockdev.EnumerateSites(r.inj.Recorded(), seed^0x517E5) {
 		if o.CrashOnly && fs.Kind != blockdev.FaultCrashTorn {
@@ -305,29 +341,29 @@ func runSeed(seed uint64, o Options, s spec) (SeedResult, error) {
 		}
 		sites = append(sites, site{dev: "ssd", disk: -1, fs: fs})
 	}
-	if !o.CrashOnly {
-		stride := max(o.MediaStride, 1)
-		for d := range r.members {
-			media := 0
-			for _, fs := range blockdev.EnumerateSites(r.arr.Injector(d).Recorded(), seed^uint64(d)) {
-				if fs.Kind == blockdev.FaultCrashTorn {
-					if !o.Rebuild || d != rebuildVictim {
-						continue
-					}
-					// Member pages are write-atomic (the sector-atomicity
-					// assumption parity RAID is built on): a power loss
-					// mid-write persists nothing, unlike the SSD's torn
-					// multi-page log appends.
-					fs.TornPages, fs.TornBytes = 0, 0
-				} else {
-					media++
-					if (media-1)%stride != d%stride {
-						continue
-					}
+	stride := max(o.MediaStride, 1)
+	for d := range r.members {
+		media := 0
+		for _, fs := range blockdev.EnumerateSites(r.arr.Injector(d).Recorded(), seed^uint64(d)) {
+			if fs.Kind == blockdev.FaultCrashTorn {
+				if !o.Rebuild || d != rebuildVictim {
+					continue
 				}
-				sites = append(sites, site{dev: fmt.Sprintf("disk%d", d), disk: d, fs: fs})
+				// Member pages are write-atomic (the sector-atomicity
+				// assumption parity RAID is built on): a power loss
+				// mid-write persists nothing, unlike the SSD's torn
+				// multi-page log appends.
+				fs.TornPages, fs.TornBytes = 0, 0
+			} else {
+				media++
+				if o.CrashOnly || (media-1)%stride != d%stride {
+					continue
+				}
 			}
+			sites = append(sites, site{dev: fmt.Sprintf("disk%d", d), disk: d, fs: fs})
 		}
+	}
+	if !o.CrashOnly {
 		// Whole-SSD fail-stop sites: strided op ordinals at which the cache
 		// device dies outright. SSD only — a member fail-stop is the RAID
 		// layer's rebuild problem, already covered by the chaos harness.

@@ -5,47 +5,50 @@ package check
 import "testing"
 
 // TestCheckerCIMode is the deterministic CI sweep, the matrix `kddcheck
-// -ci` runs per backend: every crash point and media-fault site
-// enumerated from the profile trace, on the bare engine and on the
-// sharded plane, zero violations expected. The site table is pinned —
-// the sweep has the teeth it had, and a refactor that claims "same
-// behaviour" enumerates the same sites — and every armed crash point
-// must actually fire.
+// -ci` runs: {kdd, lsraid} x {engine, plane} x {plain, rebuild}, every
+// crash point and media-fault site enumerated from the profile trace,
+// zero violations expected. The site table is pinned — the sweep has the
+// teeth it had, and a refactor that claims "same behaviour" enumerates
+// the same sites — and every armed crash point must actually fire.
 func TestCheckerCIMode(t *testing.T) {
 	type row [3]int // crash, media, kill sites of one seed
-	matrix := []struct {
-		backend string
-		run     func(Options) (*Report, error)
-		want    []row
-	}{
-		{"kdd", Run, []row{{50, 172, 8}, {54, 202, 8}}},
-		{"kdd", RunShard, []row{{43, 0, 0}, {46, 0, 0}}},
-		{"lsraid", Run, []row{{50, 262, 8}, {54, 262, 8}}},
-		{"lsraid", RunShard, []row{{43, 0, 0}, {46, 0, 0}}},
+	want := [][]row{
+		{{50, 172, 8}, {54, 202, 8}},   // kdd engine
+		{{43, 0, 0}, {46, 0, 0}},       // kdd plane
+		{{352, 635, 8}, {372, 713, 8}}, // kdd engine, rebuild (media sites 1 in 4)
+		{{129, 0, 0}, {108, 0, 0}},     // kdd plane, rebuild
+		{{50, 262, 8}, {54, 262, 8}},   // lsraid engine
+		{{43, 0, 0}, {46, 0, 0}},       // lsraid plane
+		{{110, 254, 8}, {105, 246, 8}}, // lsraid engine, rebuild
+		{{96, 0, 0}, {86, 0, 0}},       // lsraid plane, rebuild
 	}
-	o := Options{Seeds: 2, Ops: 120, Footprint: 48}
+	var reps []*Report
 	if testing.Short() {
 		// One seed and a smaller workload on the kdd engine: the -race
 		// sweep in CI runs with -short, where the full site fan-out is
 		// ~20x slower than native.
-		o = Options{Seeds: 1, Ops: 80, Footprint: 32}
-		matrix = matrix[:1]
-		matrix[0].want = []row{{33, 122, 8}}
+		reps = []*Report{sweepOK(t, Run, Options{Seeds: 1, Ops: 80, Footprint: 32})}
+		want = [][]row{{{33, 122, 8}}}
+	} else {
+		var err error
+		if reps, err = RunCI(Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, m := range matrix {
-		o.Backend = m.backend
-		rep := sweepOK(t, m.run, o)
+	for c, rep := range reps {
+		o := rep.Opts
 		if v := rep.Violations(); len(v) > 0 {
-			t.Fatalf("%d violations (showing up to 10):\n%s", len(v), joinLines(v[:min(len(v), 10)]))
+			t.Fatalf("%s rebuild=%v %q: %d violations (showing up to 10):\n%s",
+				o.Backend, o.Rebuild, rep.Kind, len(v), joinLines(v[:min(len(v), 10)]))
 		}
 		for i, res := range rep.Results {
-			if got := (row{res.CrashSites, res.MediaSites, res.KillSites}); got != m.want[i] {
-				t.Errorf("%s %q seed %#x: crash/media/kill sites %v, want %v",
-					m.backend, rep.Kind, res.Seed, got, m.want[i])
+			if got := (row{res.CrashSites, res.MediaSites, res.KillSites}); got != want[c][i] {
+				t.Errorf("%s rebuild=%v %q seed %#x: crash/media/kill sites %v, want %v",
+					o.Backend, o.Rebuild, rep.Kind, res.Seed, got, want[c][i])
 			}
 			if res.Crashes != res.CrashSites {
-				t.Errorf("%s %q seed %#x: %d crashes recovered but %d crash sites armed",
-					m.backend, rep.Kind, res.Seed, res.Crashes, res.CrashSites)
+				t.Errorf("%s rebuild=%v %q seed %#x: %d crashes recovered but %d crash sites armed",
+					o.Backend, o.Rebuild, rep.Kind, res.Seed, res.Crashes, res.CrashSites)
 			}
 		}
 	}
@@ -53,11 +56,13 @@ func TestCheckerCIMode(t *testing.T) {
 
 // TestCheckerRebuildScenario sweeps every crash point and fault site
 // against a stack that is rebuilding a killed member online, on both
-// backends: crash sites inside the rebuild window must resume from the
-// NVRAM checkpoint (twice, with equal digests), no site may corrupt data
-// silently or leave the window open, and none may cost data despite the
-// member hole — except a member media fault on the single-parity log,
-// whose loss must then be loud.
+// backends and both subjects: crash sites inside the rebuild window must
+// resume from the NVRAM checkpoint (twice, with equal digests), no site
+// may corrupt data silently or leave the window open, and none may cost
+// data despite the member hole — except a member media fault on the
+// single-parity log, whose loss must then be loud. On the plane the one
+// rebuild pump runs at the batch barrier, attaches the parked spare
+// itself, and the sweep arms the rebuild target's member writes too.
 func TestCheckerRebuildScenario(t *testing.T) {
 	o := Options{Seeds: 2, Ops: 120, Footprint: 48, Rebuild: true}
 	if testing.Short() {
@@ -70,17 +75,19 @@ func TestCheckerRebuildScenario(t *testing.T) {
 	}
 	for _, backend := range []string{"kdd", "lsraid"} {
 		o.Backend = backend
-		rep := sweepOK(t, Run, o)
-		if v := rep.Violations(); len(v) > 0 {
-			t.Fatalf("%s: %d violations (showing up to 10):\n%s", backend, len(v), joinLines(v[:min(len(v), 10)]))
-		}
-		for _, res := range rep.Results {
-			if res.CrashSites == 0 {
-				t.Errorf("%s seed %#x: no crash sites enumerated", backend, res.Seed)
+		for _, run := range []func(Options) (*Report, error){Run, RunShard} {
+			rep := sweepOK(t, run, o)
+			if v := rep.Violations(); len(v) > 0 {
+				t.Fatalf("%s %q: %d violations (showing up to 10):\n%s", backend, rep.Kind, len(v), joinLines(v[:min(len(v), 10)]))
 			}
-			if res.Crashes != res.CrashSites {
-				t.Errorf("%s seed %#x: %d crashes recovered but %d crash sites armed",
-					backend, res.Seed, res.Crashes, res.CrashSites)
+			for _, res := range rep.Results {
+				if res.CrashSites == 0 {
+					t.Errorf("%s %q seed %#x: no crash sites enumerated", backend, rep.Kind, res.Seed)
+				}
+				if res.Crashes != res.CrashSites {
+					t.Errorf("%s %q seed %#x: %d crashes recovered but %d crash sites armed",
+						backend, rep.Kind, res.Seed, res.Crashes, res.CrashSites)
+				}
 			}
 		}
 	}

@@ -564,21 +564,17 @@ func (r *rig) verify() {
 			r.violf("verify: array did not settle to full redundancy")
 			break
 		}
-		if r.arr.RebuildActive() {
-			if _, _, _, err := r.arr.RebuildStep(r.now, int(r.diskPages)); err != nil {
-				r.violf("verify: rebuild step: %v", err)
-				break
-			}
-			continue
-		}
-		if r.arr.SpareCount() == 0 || !r.fold() {
+		if _, err := r.arr.DrainRebuild(r.now); err != nil {
+			r.violf("verify: rebuild drain: %v", err)
 			break
 		}
-		_, started, err := r.arr.StartSpareRebuild(r.now)
-		if err != nil {
-			r.violf("verify: spare attach: %v", err)
+		if r.arr.Healthy() || r.arr.SpareCount() == 0 || !r.fold() {
+			break
 		}
-		if err != nil || !started {
+		if _, started, err := r.arr.StartSpareRebuild(r.now); err != nil || !started {
+			if err != nil {
+				r.violf("verify: spare attach: %v", err)
+			}
 			break
 		}
 	}

@@ -113,14 +113,6 @@ type Config struct {
 	BreakerThreshold int   // persistent failures in window that trip (default 32)
 	BreakerBackoff   int64 // ops before the first half-open probe (default 64, doubles)
 	RebuildProbation int64 // clean ops in Rebuilding before Normal (default 16)
-
-	// RebuildRateMax paces the online member rebuild (rebuild.go): member
-	// rows of rebuild I/O released per foreground operation that never
-	// touched the array (an op that did releases one row — foreground
-	// pressure throttles the rebuild rather than the other way round).
-	// Zero selects the default, 8; < 0 disables the pump entirely (the
-	// harness then drives RebuildStep itself).
-	RebuildRateMax int
 }
 
 // withDefaults fills zero fields and validates the configuration. The
@@ -157,9 +149,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RebuildProbation == 0 {
 		c.RebuildProbation = 16
-	}
-	if c.RebuildRateMax == 0 {
-		c.RebuildRateMax = 8
 	}
 	if c.SSD == nil || c.Backend == nil || c.Codec == nil {
 		return c, fmt.Errorf("core: SSD, Backend and Codec are required")
@@ -264,9 +253,10 @@ type KDD struct {
 	rebuildLeft int64 // ops left in Rebuilding probation
 
 	// Member-rebuild pump (rebuild.go) — the RAID rebuild, not the cache
-	// health machine's Rebuilding probation above.
-	rbTokens int   // accumulated rebuild-row budget
-	fgMark   int64 // RAIDReads+RAIDWrites at preOp (foreground-pressure probe)
+	// health machine's Rebuilding probation above. Nil on a lane: the
+	// plane that owns the shared log pumps for all of them.
+	pump   *RebuildPump
+	fgMark int64 // RAIDReads+RAIDWrites at preOp (foreground-pressure probe)
 
 	st        stats.CacheStats
 	dataMode  bool
@@ -324,9 +314,13 @@ func newKDD(cfg Config, log *metalog.Log, staging *nvram.Staging) (*KDD, error) 
 		}
 		k.frame.SetDataSets(k.frame.Sets() - cfg.FixedDEZSets)
 	}
-	// The plane sets a shared log's tracer, once for all lanes.
-	if log != nil && !k.sharedLog {
-		log.SetTracer(cfg.Tracer)
+	// The plane sets a shared log's tracer, once for all lanes, and paces
+	// the rebuild for all of them.
+	if !k.sharedLog {
+		if log != nil {
+			log.SetTracer(cfg.Tracer)
+		}
+		k.pump = NewRebuildPump(cfg.Backend, log, []*KDD{k}, &k.st)
 	}
 	if cfg.SelectiveAdmission {
 		k.ghost = newGhostLRU(int(cfg.CachePages))

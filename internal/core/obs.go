@@ -20,7 +20,11 @@ func (k *KDD) PublishMetrics(reg *obs.Registry) {
 	reg.SetCounter("kdd_rebuild_steps_total", "Member-rebuild steps pumped between foreground operations.", k.st.RebuildSteps)
 	reg.SetCounter("kdd_rebuild_rows_pumped_total", "Member rows reconstructed by pumped rebuild steps.", k.st.RebuildRows)
 	reg.SetCounter("kdd_spare_attaches_total", "Hot spares auto-attached to failed members.", k.st.SpareAttaches)
-	reg.SetGauge("kdd_rebuild_tokens", "Accumulated rebuild-row budget in the pacing bucket.", float64(k.rbTokens))
+	tokens := 0
+	if k.pump != nil {
+		tokens = k.pump.tokens
+	}
+	reg.SetGauge("kdd_rebuild_tokens", "Accumulated rebuild-row budget in the pacing bucket.", float64(tokens))
 
 	reg.SetGauge("kdd_nvram_staged_bytes", "Bytes of deltas staged in NVRAM.", float64(k.staging.Bytes()))
 	reg.SetGauge("kdd_nvram_staged_entries", "Delta entries staged in NVRAM.", float64(k.staging.Len()))

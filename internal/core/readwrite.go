@@ -84,11 +84,12 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 			done, err = k.pass(t, lba, buf, write)
 		}
 	}
-	if err == nil {
+	if err == nil && k.pump != nil {
 		// Background rebuild work rides behind the response (like
 		// maybeClean): it shares the disks from `done` onward but never
-		// extends the operation's own completion time.
-		k.pumpRebuild(done)
+		// extends the operation's own completion time. Its failures
+		// surface on the next operation.
+		k.stick(k.pump.Turn(done, k.st.RAIDReads+k.st.RAIDWrites > k.fgMark))
 	}
 	sp.End(done)
 	return done, err

@@ -3,108 +3,133 @@ package core
 import (
 	"fmt"
 
+	"kddcache/internal/cache"
+	"kddcache/internal/metalog"
 	"kddcache/internal/sim"
+	"kddcache/internal/stats"
 )
 
 // This file paces the RAID member rebuild (§III-E) against foreground
-// traffic. The array owns the mechanics — raid.Array.RebuildStep
-// reconstructs a bounded batch of member rows — and KDD owns the policy:
-// when to attach a hot spare, how many rows each foreground operation
-// releases, and persisting the progress watermark in NVRAM so a power
-// failure mid-rebuild resumes instead of silently serving the un-rebuilt
-// region. (This is the MEMBER rebuild; the cache health machine's
-// HealthRebuilding probation in failover.go is unrelated.)
+// traffic. The array owns the mechanics (RebuildStep); RebuildPump owns
+// the policy: when to attach a hot spare, how many rows each turn
+// releases, and the NVRAM checkpoint that lets a power failure resume the
+// rebuild. One pump per checkpoint, turned by its owner: a bare engine
+// behind every successful operation, the shard plane (owner of the lanes'
+// shared log) at every batch barrier. Lanes never pump.
 //
-// Pacing is a token bucket measured in member rows, refilled once per
-// top-level operation: RebuildRateMax rows when the operation was served
-// without touching the array (the disks were idle anyway), rebuildRateMin
-// rows when it issued RAID I/O (foreground pressure — the rebuild yields).
-// The bucket is capped at four max-refills so an idle stretch cannot bank
-// an unbounded burst that would then stall a foreground burst behind it.
+// The budget is in member rows, refilled once per turn: rebuildRowsIdle
+// when the foreground left the disks alone (an operation served without
+// RAID I/O, a plane barrier), rebuildRowsBusy after one that issued RAID
+// I/O, so foreground pressure throttles the rebuild. It is capped at
+// rebuildBurst idle refills: an idle stretch cannot bank a burst that
+// would stall the next foreground burst. The refill follows the operation
+// count, not the clock — hence no qos.Bucket, which refills by virtual
+// time and would never refill under the timing rigs' t=0 traces.
+const (
+	rebuildRowsIdle = 8
+	rebuildRowsBusy = 1
+	rebuildBurst    = 4
+)
 
-// rebuildRateMin is the refill, in rows, of an operation that issued
-// RAID I/O.
-const rebuildRateMin = 1
-
-// pumpRebuild runs at the end of every successful Read/Write: it
-// auto-attaches a parked hot spare to a failed member (folding every
-// pending delta first — §III-E repairs parity BEFORE rebuild), releases
-// rebuild tokens, steps the array, and checkpoints the watermark.
-// Background failures are recorded via stick and surface on the next
-// operation; they never fail the foreground op that triggered the pump.
-func (k *KDD) pumpRebuild(t sim.Time) {
-	if k.cfg.RebuildRateMax < 0 {
-		return
-	}
-	if !k.backend.RebuildActive() {
-		if k.backend.Healthy() || k.backend.SpareCount() == 0 {
-			return
-		}
-		k.spareAttach(t)
-		return
-	}
-	refill := k.cfg.RebuildRateMax
-	if k.st.RAIDReads+k.st.RAIDWrites > k.fgMark {
-		refill = rebuildRateMin
-	}
-	k.rbTokens += refill
-	if cap := 4 * k.cfg.RebuildRateMax; k.rbTokens > cap {
-		k.rbTokens = cap
-	}
-	if k.rbTokens < 1 {
-		return
-	}
-	_, rows, complete, err := k.backend.RebuildStep(t, k.rbTokens)
-	k.rbTokens -= rows
-	k.st.RebuildRows += int64(rows)
-	if rows > 0 {
-		k.st.RebuildSteps++
-	}
-	if complete {
-		k.st.RebuildsDone++
-		k.rbTokens = 0
-	}
-	k.checkpointRebuild()
-	if err != nil {
-		k.stick(fmt.Errorf("core: rebuild step: %w", err))
-	}
+// RebuildPump paces the member rebuild of one array for the engines it
+// serves.
+type RebuildPump struct {
+	backend cache.Backend
+	log     *metalog.Log      // holds the NVRAM checkpoint; nil without a metadata log
+	engines []*KDD            // folded before a spare attach
+	st      *stats.CacheStats // counts steps, rows, completions and attaches
+	tokens  int               // banked row budget
 }
 
-// spareAttach opens a rebuild window onto a parked hot spare. The §III-E
-// ordering demands every stale parity be repaired first: a stale row plus
-// a missing member is unreconstructable, so the deltas are folded before
-// the first rebuild I/O. In pass-through mode the cache is empty (the
-// failover already folded), so the fold is a no-op there by construction.
-func (k *KDD) spareAttach(t sim.Time) {
-	if k.nOld > 0 {
-		if _, err := k.cleanPass(t, true); err != nil {
-			if k.ssdFault(err) {
-				k.failover(t, HealthBypass)
-			} else {
-				k.stick(fmt.Errorf("core: delta fold before spare attach: %w", err))
-				return
+// NewRebuildPump builds the pump for backend, checkpointing into log's
+// NVRAM counters and counting into st.
+func NewRebuildPump(backend cache.Backend, log *metalog.Log, engines []*KDD, st *stats.CacheStats) *RebuildPump {
+	return &RebuildPump{backend: backend, log: log, engines: engines, st: st}
+}
+
+// Stats returns the counters the pump bumps.
+func (p *RebuildPump) Stats() *stats.CacheStats { return p.st }
+
+// Turn is one pacing turn behind foreground work at t; busy reports that
+// the work issued RAID I/O. With a window open it refills the budget,
+// steps the array and checkpoints; with a member failed, no window open
+// and a spare parked, it folds every engine's deltas (§III-E: stale
+// parity plus a missing member is unreconstructable) and attaches the
+// spare. A failure is returned for the caller to surface later, never
+// charged to the work the turn rides behind.
+func (p *RebuildPump) Turn(t sim.Time, busy bool) error {
+	if !p.backend.RebuildActive() {
+		if p.backend.Healthy() || p.backend.SpareCount() == 0 {
+			return nil
+		}
+		for _, k := range p.engines {
+			if err := k.foldForAttach(t); err != nil {
+				return err
 			}
 		}
+		_, started, err := p.backend.StartSpareRebuild(t)
+		if err != nil {
+			return fmt.Errorf("core: spare attach: %w", err)
+		}
+		if started {
+			p.st.SpareAttaches++
+			p.tokens = 0
+			p.checkpoint()
+		}
+		return nil
 	}
-	_, started, err := k.backend.StartSpareRebuild(t)
+	refill := rebuildRowsIdle
+	if busy {
+		refill = rebuildRowsBusy
+	}
+	p.tokens = min(p.tokens+refill, rebuildBurst*rebuildRowsIdle)
+	if bugCheckpointAhead && p.log != nil {
+		// The mutation (bugflag_ckpt.go): persist the watermark the step
+		// will reach, and re-checkpoint only a step that returns cleanly.
+		disk, next, _ := p.backend.RebuildTarget()
+		ctr := p.log.Counters()
+		ctr.RebuildActive, ctr.RebuildDisk, ctr.RebuildRow = true, int32(disk), next+int64(p.tokens)
+	}
+	_, rows, complete, err := p.backend.RebuildStep(t, p.tokens)
+	if err == nil || !bugCheckpointAhead {
+		p.checkpoint() // after the step: never ahead of the rows rebuilt
+	}
+	p.tokens -= rows
+	p.st.RebuildRows += int64(rows)
+	if rows > 0 {
+		p.st.RebuildSteps++
+	}
+	if complete {
+		p.st.RebuildsDone++
+		p.tokens = 0
+	}
 	if err != nil {
-		k.stick(fmt.Errorf("core: spare attach: %w", err))
-		return
+		return fmt.Errorf("core: rebuild step: %w", err)
 	}
-	if !started {
-		return
-	}
-	k.st.SpareAttaches++
-	k.rbTokens = 0
-	k.checkpointRebuild()
+	return nil
 }
 
-// checkpointRebuild persists the array's rebuild watermark in the NVRAM
-// counters block (nvram.Counters.CheckpointRebuild) — the copy that lets
-// Restore re-open a half-done rebuild window after a power failure.
-// Without a metadata log there is no recovery to checkpoint for.
-func (k *KDD) checkpointRebuild() {
-	if k.log != nil {
-		k.log.Counters().CheckpointRebuild(k.backend)
+// checkpoint persists the array's rebuild watermark in the NVRAM counters,
+// the copy recovery re-opens a half-done window from.
+func (p *RebuildPump) checkpoint() {
+	if p.log != nil {
+		p.log.Counters().CheckpointRebuild(p.backend)
 	}
+}
+
+// foldForAttach folds every pending delta into its stale parity ahead of
+// a spare attach. In pass-through mode the cache is empty (the failover
+// already folded); a cache device that dies under the fold fails the
+// engine over instead of failing the attach.
+func (k *KDD) foldForAttach(t sim.Time) error {
+	if k.nOld == 0 {
+		return nil
+	}
+	if _, err := k.cleanPass(t, true); err != nil {
+		if !k.ssdFault(err) {
+			return fmt.Errorf("core: delta fold before spare attach: %w", err)
+		}
+		k.failover(t, HealthBypass)
+	}
+	return nil
 }

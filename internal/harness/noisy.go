@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"strings"
 
-	"kddcache/internal/blockdev"
-	"kddcache/internal/delta"
 	"kddcache/internal/qos"
-	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -67,9 +64,6 @@ const (
 
 	nnVictimFoot = 1024 // pages per victim footprint
 	nnAggFoot    = 2048 // aggressor footprint
-	nnDiskPages  = 2048 // per RAID member
-	nnMembers    = 5    // 4 data + 1 parity
-	nnChunk      = 8    // pages per chunk
 
 	// nnServeDepth bounds the per-tenant service-model queue; it only
 	// needs to exceed any backlog the arms can build.
@@ -236,29 +230,7 @@ func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 		}
 	}
 
-	var members []blockdev.Device
-	for i := 0; i < nnMembers; i++ {
-		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("nn-d%d", i), nnDiskPages))
-	}
-	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: nnChunk}, members)
-	if err != nil {
-		return nnArmOut{}, err
-	}
-	const metaPages = 128
-	const cachePages = 1024
-	ssd := blockdev.NewNullDevice("nn-ssd", metaPages+cachePages+64)
-	p, err := shard.New(shard.Config{
-		SSD:        ssd,
-		Backend:    arr,
-		CachePages: cachePages,
-		Ways:       64,
-		MetaPages:  metaPages,
-		Codec:      func(lane int) delta.Codec { return delta.NewModelled(0x9057<<8|uint64(lane), 0.25) },
-		Shards:     nnShards,
-		Goroutines: true,
-		Coalesce:   true,
-		QoS:        ctl,
-	})
+	p, err := nullPlane(0x9057, nnShards, ctl)
 	if err != nil {
 		return nnArmOut{}, err
 	}

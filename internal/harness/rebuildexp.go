@@ -13,11 +13,11 @@ import (
 // RebuildImpact measures the rebuild-window tension behind §III-E: how
 // fast the array regains full redundancy after a member fail-stop versus
 // what the reconstruction traffic does to foreground tail latency. The
-// KDD stack parks a hot spare and lets the engine's token-bucket pump
-// pace the rebuild between requests (RebuildRateMax rows when the disks
-// were idle, one row under foreground RAID pressure); the Nossd
-// baseline has no engine to pace it and drives Array.RebuildStep at the
-// fixed max rate after every request. One third into the trace a member
+// KDD stack parks a hot spare and lets the engine's rebuild pump pace
+// the rebuild between requests (eight rows when the disks were idle, one
+// row under foreground RAID pressure); the Nossd baseline has no engine
+// to pace it — the unpaced baseline — and drives Array.RebuildStep at
+// a fixed eight rows after every request. One third into the trace a member
 // dies; the table compares per-phase p99 response times, the virtual time
 // from failure to a fully redundant array, and the rows reconstructed
 // while foreground requests were in flight.
@@ -124,12 +124,8 @@ func RebuildImpact(scale float64) (string, error) {
 					return impactRow{}, fmt.Errorf("%s drain spare attach: %w", pk, err)
 				}
 			}
-			for st.Array.RebuildActive() {
-				c, _, _, err := st.Array.RebuildStep(end, 1024)
-				if err != nil {
-					return impactRow{}, fmt.Errorf("%s drain rebuild: %w", pk, err)
-				}
-				end = c
+			if end, err = st.Array.DrainRebuild(end); err != nil {
+				return impactRow{}, fmt.Errorf("%s drain rebuild: %w", pk, err)
 			}
 			rebuilt = true
 			redundantAt = end

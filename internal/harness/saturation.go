@@ -6,6 +6,7 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/delta"
+	"kddcache/internal/qos"
 	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
@@ -48,9 +49,6 @@ const (
 	satBatch = 256
 
 	satFootprint = 4096 // distinct pages touched
-	satDiskPages = 2048 // per RAID member
-	satMembers   = 5    // 4 data + 1 parity (level 5)
-	satChunk     = 8    // pages per chunk
 )
 
 // satShardCounts is the sweep's shard axis.
@@ -147,28 +145,7 @@ func SaturationSweep(scale float64) (SaturationResult, error) {
 // open-loop arrival stream through it in batches, and returns the p99 of
 // the virtual-time latency model.
 func saturationCell(shards int, offeredIOPS float64, requests int64) (sim.Time, error) {
-	var members []blockdev.Device
-	for i := 0; i < satMembers; i++ {
-		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("sat-d%d", i), satDiskPages))
-	}
-	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: satChunk}, members)
-	if err != nil {
-		return 0, err
-	}
-	const metaPages = 128
-	const cachePages = 1024
-	ssd := blockdev.NewNullDevice("sat-ssd", metaPages+cachePages+64)
-	p, err := shard.New(shard.Config{
-		SSD:        ssd,
-		Backend:    arr,
-		CachePages: cachePages,
-		Ways:       64,
-		MetaPages:  metaPages,
-		Codec:      func(lane int) delta.Codec { return delta.NewModelled(0x5A7<<8|uint64(lane), 0.25) },
-		Shards:     shards,
-		Goroutines: true,
-		Coalesce:   true,
-	})
+	p, err := nullPlane(0x5A7, shards, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -229,6 +206,33 @@ func saturationCell(shards int, offeredIOPS float64, requests int64) (sim.Time, 
 		return 0, fmt.Errorf("saturation: quiesce: %w", err)
 	}
 	return sim.Time(hist.Percentile(99)), nil
+}
+
+// nullPlane builds the goroutine-mode plane saturation and noisy-neighbor
+// measure: 5 x 2048-page null members (RAID-5, chunk 8) under a 1024-page
+// 64-way cache with 128 meta pages, coalescing on; ctl may be nil.
+func nullPlane(codecSeed uint64, shards int, ctl *qos.Controller) (*shard.Plane, error) {
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("null-d%d", i), 2048))
+	}
+	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: 8}, members)
+	if err != nil {
+		return nil, err
+	}
+	const metaPages, cachePages = 128, 1024
+	return shard.New(shard.Config{
+		SSD:        blockdev.NewNullDevice("null-ssd", metaPages+cachePages+64),
+		Backend:    arr,
+		CachePages: cachePages,
+		Ways:       64,
+		MetaPages:  metaPages,
+		Codec:      func(lane int) delta.Codec { return delta.NewModelled(codecSeed<<8|uint64(lane), 0.25) },
+		Shards:     shards,
+		Goroutines: true,
+		Coalesce:   true,
+		QoS:        ctl,
+	})
 }
 
 // Saturation renders the latency-vs-offered-load sweep (the experiment

@@ -115,12 +115,6 @@ type StackOpts struct {
 	// and paces the rebuild against foreground traffic.
 	Spares int
 
-	// RebuildRateMax overrides the KDD rebuild pump's token refill in rows
-	// per operation that was served free of foreground RAID pressure.
-	// Zero keeps the engine default (8); < 0 disables the pump so the
-	// caller drives Array.RebuildStep itself.
-	RebuildRateMax int
-
 	// NVBPages sizes the NVRAM write buffer for PolicyNVB (default 2048
 	// pages = 8MB: NVRAM is small "for power and cost efficiency").
 	NVBPages int
@@ -329,7 +323,6 @@ func Build(o StackOpts) (*Stack, error) {
 			ReclaimMaterialize: o.ReclaimMaterialize,
 			DisableMetaLog:     o.DisableMetaLog,
 			SelectiveAdmission: o.SelectiveAdmission,
-			RebuildRateMax:     o.RebuildRateMax,
 			Tracer:             tr,
 		}
 		k, err := core.New(st.KDDConfig)

@@ -239,7 +239,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	m := &a.segs[seg]
 	row := int64(seg)*a.cfg.SegRows + m.Rows
 	entries := a.staged()[:dc]
-	if a.holes(row) > 1 {
+	if a.Holes(row) > 1 {
 		return done, raid.ErrTooManyFailures // single parity cannot imply two holes
 	}
 	c, err := a.WriteStripe(done, row, func(k int) []byte { return entries[k].data })
@@ -263,18 +263,6 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	a.rowHead += dc
 	a.compactRowBuf()
 	return done, nil
-}
-
-// holes counts the members missing at row (failed, or a rebuild target
-// above its watermark): every member holds a page of every row.
-func (a *Array) holes(row int64) int {
-	n := 0
-	for d := 0; d < a.Disks(); d++ {
-		if a.Missing(d, row) {
-			n++
-		}
-	}
-	return n
 }
 
 // readPage serves one logical page: NVRAM-staged version first, then the

@@ -70,10 +70,6 @@ type Array struct {
 	*Members
 	cfg  Config
 	name string // cached cfg.Level.String(); Name() is on traced hot paths
-
-	// Patrol-scrub progress (rows scanned of total, last/current pass).
-	scrubRow   int64
-	scrubTotal int64
 }
 
 // New builds an array over the given member devices, wrapping each in a
@@ -135,8 +131,6 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 	a.Members.PublishMetrics(reg)
 	reg.SetGauge("raid_stale_rows", "Rows whose parity is currently stale.", float64(a.stale.Len()))
 	reg.SetGauge("raid_lost_rows", "Rows currently holding at least one lost page.", float64(len(a.lost)))
-	reg.SetGauge("raid_scrub_progress_rows", "Rows scanned by the last/current patrol scrub pass.", float64(a.scrubRow))
-	reg.SetGauge("raid_scrub_total_rows", "Rows a full patrol scrub pass covers.", float64(a.scrubTotal))
 }
 
 // StaleRows returns the number of rows with stale parity.

@@ -23,7 +23,8 @@ import (
 //     and write parity, heal latent pages, and the read, stripe-write,
 //     scrub-row and rebuild-row steps built from them;
 //   - the rebuild window (rebuild.go): spare queue, watermark, the
-//     open/resume/abandon transitions and the sweep;
+//     open/resume/abandon transitions, the sweep and the unpaced drain;
+//   - the patrol scrub walk (scrub.go);
 //   - the per-member-row state the parity engine's delayed-parity protocol
 //     keeps (stale parity rows, pages lost in a rebuild window), which the
 //     shared steps gate on. The log never leaves parity stale and maps its
@@ -50,6 +51,10 @@ type Members struct {
 	disk   int   // member being rebuilt
 	next   int64 // watermark: rows [0, next) are reconstructed
 	spares []blockdev.Device
+
+	// Patrol-scrub progress (scrub.go), last or current pass.
+	scrubRow   int64
+	scrubTotal int64
 }
 
 // member is one member slot: its fault injector, plus the way back to the
@@ -209,6 +214,8 @@ func (m *Members) PublishMetrics(reg *obs.Registry) {
 	reg.SetGauge("raid_rebuild_active", "1 while a member rebuild is in progress.", active)
 	reg.SetGauge("raid_rebuild_watermark", "Rows of the rebuild target already reconstructed.", float64(watermark))
 	reg.SetGauge("raid_spares", "Hot spares currently parked.", float64(len(m.spares)))
+	reg.SetGauge("raid_scrub_progress_rows", "Rows scanned by the last/current patrol scrub pass.", float64(m.scrubRow))
+	reg.SetGauge("raid_scrub_total_rows", "Rows a full patrol scrub pass covers.", float64(m.scrubTotal))
 }
 
 // DataLocation returns the member disk and member-local page holding page
@@ -225,6 +232,18 @@ func (m *Members) DataLocation(p int64) (disk int, page int64) {
 func (m *Members) ParityLocation(p int64) (pDisk, qDisk int, page int64) {
 	l := m.geo.locate(p)
 	return l.par[0], l.par[1], l.row
+}
+
+// Holes counts the members missing at row (failed, or a rebuild target
+// above its watermark): every member holds a page of every row.
+func (m *Members) Holes(row int64) int {
+	n := 0
+	for d := range m.disks {
+		if m.Missing(d, row) {
+			n++
+		}
+	}
+	return n
 }
 
 // staleRow reports whether row's parity is stale (never, on a log).

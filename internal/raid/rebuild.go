@@ -204,8 +204,8 @@ func (m *Members) CrashRebuildState() { m.open = false }
 // RebuildStep reconstructs up to maxRows rows of the active rebuild and
 // advances the watermark. It returns the rows swept and whether the
 // rebuild completed (also true when none is active). The caller paces
-// these steps against foreground traffic (the KDD engine's token bucket,
-// or a driver loop).
+// these steps against foreground traffic (core.RebuildPump), or drains
+// them (DrainRebuild).
 func (m *Members) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error) {
 	if !m.open {
 		return t, 0, true, nil
@@ -238,6 +238,22 @@ func (m *Members) RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone 
 	return done, rowsDone, !m.open, nil
 }
 
+// DrainRebuild runs the open rebuild window (if any) to completion,
+// unpaced, in 1024-row steps: ReplaceDisk, a rig's verify backstop, an
+// experiment's end of trace.
+func (m *Members) DrainRebuild(t sim.Time) (sim.Time, error) {
+	done := t
+	for m.open {
+		c, _, _, err := m.RebuildStep(t, 1024)
+		if err != nil {
+			return t, err
+		}
+		done = sim.MaxTime(done, c)
+		t = c
+	}
+	return done, nil
+}
+
 // ReplaceDisk swaps member i for a fresh device and rebuilds its contents
 // from the survivors, blocking until the rebuild completes (the
 // administrative path CLIs use). The engine's Prepare step runs first, so
@@ -249,16 +265,7 @@ func (m *Members) ReplaceDisk(t sim.Time, i int, fresh blockdev.Device) (sim.Tim
 	if err != nil {
 		return t, err
 	}
-	t = done
-	for m.open {
-		c, _, _, err := m.RebuildStep(t, 1024)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		t = c
-	}
-	return done, nil
+	return m.DrainRebuild(done)
 }
 
 // ResyncError reports that a rebuild could not start because stale parity

@@ -18,7 +18,7 @@ import (
 // ScrubReport summarises one patrol pass over the array.
 type ScrubReport struct {
 	RowsScanned   int64   // parity rows examined
-	RowsSkipped   int64   // stale-parity rows left for the cleaner
+	RowsSkipped   int64   // rows left to the cleaner (stale parity) or, on a log, to the rebuild
 	MediaRepaired int64   // unreadable pages reconstructed and rewritten
 	ParityFixed   int64   // parity/mirror pages recomputed after a mismatch
 	Unrecoverable []int64 // disk rows whose redundancy was exhausted
@@ -53,47 +53,52 @@ func (a *Array) repairParityRow(t sim.Time, row int64, disk int, buf []byte) (si
 	return done, nil
 }
 
-// Scrub walks every parity row of the array under virtual time, verifying
-// that each member page is readable and (in data mode) that parity
-// matches the data. Unreadable pages are reconstructed from redundancy
-// and rewritten; mismatched parity is recomputed from the data pages
-// (data is trusted — it is what the host wrote and re-reads). Rows whose
-// parity is deliberately stale are skipped: the cleaner owns them and
-// will fold the staged deltas in later. Rows with more erasures than the
-// level tolerates are reported in the ScrubReport, never silently
-// patched.
-func (a *Array) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
-	usable := a.geo.diskPages - a.geo.diskPages%a.geo.chunkPages
-	if a.tr != nil {
-		sp := a.tr.BeginDev(t, obs.PhaseScrub, a.Name(), 0, int(usable))
+// Scrub is the patrol walk both engines run over every live member row
+// (the engine's Live hook), under virtual time: unreadable pages are
+// reconstructed from redundancy and rewritten, and — in data mode —
+// parity that disagrees with the data is recomputed (data is trusted: it
+// is what the host wrote and re-reads). Stale-parity rows are skipped:
+// the cleaner owns them. Rows holding pages lost in a rebuild window, and
+// rows beyond the level's tolerance, are reported, never patched. An
+// engine that maps its own losses (a Lose hook: the log) also leaves rows
+// with a missing member to the rebuild and hands a row beyond tolerance
+// to Lose; the parity engine scrubs around a missing member and only
+// reports such a row, whose reads keep failing loudly.
+func (m *Members) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
+	usable := m.geo.diskPages - m.geo.diskPages%m.geo.chunkPages
+	if m.tr != nil {
+		sp := m.tr.BeginDev(t, obs.PhaseScrub, m.eng.Name, 0, int(usable))
 		defer func() { sp.End(done) }()
 	}
-	a.scrubTotal = usable
-	a.scrubRow = 0
+	m.scrubTotal = usable
+	m.scrubRow = 0
 	done = t
 	for row := int64(0); row < usable; row++ {
-		a.scrubRow = row + 1
-		if a.stale.Has(row) {
+		m.scrubRow = row + 1
+		if m.eng.Live != nil && !m.eng.Live(row) {
+			continue
+		}
+		if m.staleRow(row) || m.eng.Lose != nil && m.Holes(row) > 0 {
 			rep.RowsSkipped++
 			continue
 		}
-		if a.lost[row] != 0 {
-			// Pages of this row were declared lost in a rebuild window;
-			// nothing the scrub writes could bring them back. Report, never
-			// patch.
+		if m.lost[row] != 0 { // nothing the scrub writes could bring these back
 			rep.Unrecoverable = append(rep.Unrecoverable, row)
 			continue
 		}
 		rep.RowsScanned++
 		var c sim.Time
-		var err error
-		if a.cfg.Level == Level1 {
-			c, err = a.scrubMirrorRow(t, a.geo.locateRow(row), &rep)
+		var lost uint32
+		if m.geo.level == Level1 {
+			c, err = m.scrubMirrorRow(t, row, &rep)
 		} else {
-			c, _, err = a.ScrubRow(t, row, &rep)
+			c, lost, err = m.ScrubRow(t, row, &rep)
 		}
 		if err != nil {
 			return t, rep, err
+		}
+		if lost != 0 && m.eng.Lose != nil {
+			m.eng.Lose(row, lost)
 		}
 		done = sim.MaxTime(done, c)
 		t = c // patrol runs serialized in the background
@@ -106,60 +111,50 @@ func (a *Array) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) {
 // first mirror that answers; divergent copies are overwritten by it (the
 // first readable mirror is the tie-break authority — with two-way
 // mirrors there is no majority to consult).
-func (a *Array) scrubMirrorRow(t sim.Time, rl rowLoc, rep *ScrubReport) (sim.Time, error) {
-	dataMode := a.dataMode
-	done := t
-	var good []byte
-	goodAt := -1
-	type copyInfo struct {
-		disk int
-		buf  []byte
-	}
-	var bad []int       // mirrors with media errors
-	var rest []copyInfo // readable mirrors after the first
-	anyHealthy := false
-	for i, d := range a.disks {
+func (m *Members) scrubMirrorRow(t sim.Time, row int64, rep *ScrubReport) (sim.Time, error) {
+	done, goodAt := t, -1
+	bufs := make([][]byte, len(m.disks))
+	var bad, rest []int // mirrors with media errors; readable mirrors after the first
+	for i, d := range m.disks {
 		if d.Failed() {
 			continue
 		}
-		anyHealthy = true
-		buf := pageScratch(dataMode)
-		c, err := a.memberRead(t, i, rl.row, buf)
+		bufs[i] = pageScratch(m.dataMode)
+		c, err := m.memberRead(t, i, row, bufs[i])
+		if errors.Is(err, blockdev.ErrMedia) {
+			m.stats.MediaErrors++
+			bad = append(bad, i)
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, blockdev.ErrMedia) {
-				a.stats.MediaErrors++
-				bad = append(bad, i)
-				continue
-			}
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
 		if goodAt == -1 {
-			good, goodAt = buf, i
+			goodAt = i
 		} else {
-			rest = append(rest, copyInfo{disk: i, buf: buf})
+			rest = append(rest, i)
 		}
 	}
 	if goodAt == -1 {
-		if anyHealthy {
-			rep.Unrecoverable = append(rep.Unrecoverable, rl.row)
+		if len(bad) > 0 { // every healthy mirror unreadable
+			rep.Unrecoverable = append(rep.Unrecoverable, row)
 		}
 		return done, nil
 	}
+	good := bufs[goodAt]
 	for _, i := range bad {
-		if c, werr := a.disks[i].WritePages(done, rl.row, 1, good); werr == nil {
+		if c, err := m.disks[i].WritePages(done, row, 1, good); err == nil {
 			done = sim.MaxTime(done, c)
 			rep.MediaRepaired++
 		}
 	}
-	if dataMode {
-		for _, ci := range rest {
-			if !bytes.Equal(ci.buf, good) {
-				if c, werr := a.disks[ci.disk].WritePages(done, rl.row, 1, good); werr == nil {
-					done = sim.MaxTime(done, c)
-				}
-				rep.ParityFixed++
+	for _, i := range rest {
+		if m.dataMode && !bytes.Equal(bufs[i], good) {
+			if c, err := m.disks[i].WritePages(done, row, 1, good); err == nil {
+				done = sim.MaxTime(done, c)
 			}
+			rep.ParityFixed++
 		}
 	}
 	return done, nil

@@ -77,6 +77,7 @@ type Array interface {
 	ResumeRebuild(disk int, watermark int64) error
 	CrashRebuildState()
 	RebuildStep(t sim.Time, maxRows int) (done sim.Time, rowsDone int, complete bool, err error)
+	DrainRebuild(t sim.Time) (sim.Time, error)
 
 	// Observability.
 	SetTracer(tr *obs.Tracer)

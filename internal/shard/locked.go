@@ -19,6 +19,12 @@ import (
 // rebuild is pumped only at batch barriers when no worker is running.
 // In deterministic mode the locks are always uncontended; keeping them
 // in both modes means one code path.
+//
+// Two parts of the array pass through unlocked: its geometry (Pages,
+// StripePages, RowPeers), fixed at construction, and its rebuild surface
+// (RebuildActive, RebuildTarget, RebuildStep, ResumeRebuild, SpareCount,
+// StartSpareRebuild), which lanes never call and the plane calls only at
+// a barrier or before any worker has started.
 
 // lockedDevice serializes a blockdev.Device shared by the lanes. Trim
 // support is forwarded when the wrapped device has it.
@@ -71,128 +77,75 @@ var (
 	_ blockdev.Trimmer = (*lockedDevice)(nil)
 )
 
-// lockedBackend serializes a cache.Backend shared by the lanes.
+// lockedBackend serializes the calls the lanes make on a cache.Backend
+// they share; the embedded Backend serves the rest.
 type lockedBackend struct {
+	cache.Backend
 	mu sync.Mutex
-	b  cache.Backend
 }
 
 func newLockedBackend(b cache.Backend) *lockedBackend {
-	return &lockedBackend{b: b}
-}
-
-func (l *lockedBackend) Pages() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Pages()
+	return &lockedBackend{Backend: b}
 }
 
 func (l *lockedBackend) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.ReadPages(t, lba, count, buf)
+	return l.Backend.ReadPages(t, lba, count, buf)
 }
 
 func (l *lockedBackend) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.WritePages(t, lba, count, buf)
+	return l.Backend.WritePages(t, lba, count, buf)
 }
 
 func (l *lockedBackend) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.WriteNoParity(t, lba, count, buf)
+	return l.Backend.WriteNoParity(t, lba, count, buf)
 }
 
 func (l *lockedBackend) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.WriteRow(t, firstLBA, buf)
+	return l.Backend.WriteRow(t, firstLBA, buf)
 }
 
 func (l *lockedBackend) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.ParityUpdateDelta(t, lbas, deltas)
+	return l.Backend.ParityUpdateDelta(t, lbas, deltas)
 }
 
 func (l *lockedBackend) ParityUpdateDeltaBatch(t sim.Time, fixes []raid.RowFix) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.ParityUpdateDeltaBatch(t, fixes)
+	return l.Backend.ParityUpdateDeltaBatch(t, fixes)
 }
 
 func (l *lockedBackend) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.ParityUpdateReconstruct(t, lba, rowData)
+	return l.Backend.ParityUpdateReconstruct(t, lba, rowData)
 }
 
 func (l *lockedBackend) ResyncRow(t sim.Time, lba int64) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.ResyncRow(t, lba)
-}
-
-func (l *lockedBackend) RowPeers(lba int64) []int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.RowPeers(lba)
-}
-
-func (l *lockedBackend) StripePages() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.StripePages()
+	return l.Backend.ResyncRow(t, lba)
 }
 
 func (l *lockedBackend) StaleRows() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.StaleRows()
+	return l.Backend.StaleRows()
 }
 
 func (l *lockedBackend) Healthy() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.b.Healthy()
-}
-
-func (l *lockedBackend) RebuildActive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.RebuildActive()
-}
-
-func (l *lockedBackend) RebuildTarget() (int, int64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.RebuildTarget()
-}
-
-func (l *lockedBackend) RebuildStep(t sim.Time, maxRows int) (sim.Time, int, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.RebuildStep(t, maxRows)
-}
-
-func (l *lockedBackend) ResumeRebuild(disk int, watermark int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.ResumeRebuild(disk, watermark)
-}
-
-func (l *lockedBackend) SpareCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.SpareCount()
-}
-
-func (l *lockedBackend) StartSpareRebuild(t sim.Time) (sim.Time, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.StartSpareRebuild(t)
+	return l.Backend.Healthy()
 }
 
 var _ cache.Backend = (*lockedBackend)(nil)

@@ -95,11 +95,6 @@ type Config struct {
 	// contract across shard counts in both modes.
 	Coalesce bool
 
-	// RebuildRowsPerBatch paces the member rebuild: rows reconstructed
-	// at each batch barrier while a rebuild window is open. 0 selects
-	// the default (8); < 0 disables the pump.
-	RebuildRowsPerBatch int
-
 	// Tracer is attached in deterministic mode only (the tracer is not
 	// synchronized; goroutine mode would race on it).
 	Tracer *obs.Tracer
@@ -158,6 +153,7 @@ type Plane struct {
 	cfg         Config
 	lanes       [Lanes]*core.KDD
 	log         *metalog.Log
+	pump        *core.RebuildPump // the plane owns the log's rebuild checkpoint, so it paces the rebuild
 	sched       sched.Scheduler
 	ssd         *lockedDevice
 	backend     *lockedBackend
@@ -182,12 +178,9 @@ type Plane struct {
 
 	// Batch-scope bookkeeping, touched only between Wait barriers or
 	// under stickyMu.
-	coalesced    int64
-	rebuildSteps int64
-	rebuildRows  int64
-	rebuildsDone int64
-	stickyMu     sync.Mutex
-	sticky       error // first barrier-flush failure, surfaced at Quiesce
+	coalesced int64
+	stickyMu  sync.Mutex
+	sticky    error // first barrier failure, surfaced at Quiesce
 }
 
 // withDefaults fills zero fields and validates the geometry.
@@ -209,9 +202,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CachePages/Lanes < int64(c.Ways) {
 		return c, fmt.Errorf("shard: lane cache of %d pages below one %d-way set", c.CachePages/Lanes, c.Ways)
-	}
-	if c.RebuildRowsPerBatch == 0 {
-		c.RebuildRowsPerBatch = 8
 	}
 	return c, nil
 }
@@ -238,9 +228,6 @@ func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
 		// fail-stop failover (which every lane observes identically) is
 		// meaningful here, so the per-lane breakers are disabled.
 		BreakerWindow: -1,
-		// The plane paces the member rebuild at its batch barriers; the
-		// per-lane pumps would race each other on the shared array.
-		RebuildRateMax: -1,
 	}
 	if !c.Goroutines {
 		cc.Tracer = c.Tracer
@@ -270,6 +257,7 @@ func New(cfg Config) (*Plane, error) {
 		}
 		p.lanes[i] = k
 	}
+	p.pump = core.NewRebuildPump(p.backend, p.log, p.lanes[:], new(stats.CacheStats))
 	return p, nil
 }
 
@@ -496,7 +484,9 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 	}
 	p.sched.Wait()
 	b.ops = nil // the caller's ops (and their buffers) are not ours to keep
-	p.pumpRebuild(t)
+	if !p.dead.Load() {
+		p.note(p.pump.Turn(t, false)) // no worker in flight: the disks are the rebuild's
+	}
 	return b.res
 }
 
@@ -537,27 +527,6 @@ func (p *Plane) runOne(t sim.Time, op Op) (sim.Time, error) {
 	r := p.RunBatch(t, p.one[:])[0]
 	p.one[0] = Op{}
 	return r.Done, r.Err
-}
-
-// pumpRebuild reconstructs the next member-rebuild rows at the batch
-// barrier. Runs with no workers in flight, so the array and the NVRAM
-// checkpoint are touched single-threaded.
-func (p *Plane) pumpRebuild(t sim.Time) {
-	rows := p.cfg.RebuildRowsPerBatch
-	if rows <= 0 || p.dead.Load() || !p.backend.RebuildActive() {
-		return
-	}
-	_, n, complete, err := p.backend.RebuildStep(t, rows)
-	if err != nil {
-		p.note(fmt.Errorf("shard: rebuild step: %w", err))
-		return
-	}
-	p.rebuildSteps++
-	p.rebuildRows += int64(n)
-	if complete {
-		p.rebuildsDone++
-	}
-	p.log.Counters().CheckpointRebuild(p.backend)
 }
 
 // Quiesce drains the plane: worker barrier, every lane's stale parities
@@ -616,8 +585,7 @@ func (p *Plane) CheckInvariants() error {
 }
 
 // Stats sums the lanes' counters, the shared log's traffic (counted
-// once — lanes skip it), and the plane-level rebuild pump. Call at a
-// barrier.
+// once — lanes skip it), and the rebuild pump's. Call at a barrier.
 func (p *Plane) Stats() *stats.CacheStats {
 	var agg stats.CacheStats
 	for _, k := range p.lanes {
@@ -627,8 +595,6 @@ func (p *Plane) Stats() *stats.CacheStats {
 	gc := ls.GCPageEquivalent()
 	agg.MetaWrites = ls.PagesWritten - gc
 	agg.MetaGCWrites = gc
-	agg.RebuildSteps += p.rebuildSteps
-	agg.RebuildRows += p.rebuildRows
-	agg.RebuildsDone += p.rebuildsDone
+	agg.Add(p.pump.Stats())
 	return &agg
 }

@@ -301,18 +301,14 @@ func TestPlaneRestore(t *testing.T) {
 
 // TestRebuildPacing fails a member under a live plane and lets the
 // batch-barrier pump drive the spare rebuild to completion, in both
-// scheduler modes.
+// scheduler modes, at most eight rows per barrier.
 func TestRebuildPacing(t *testing.T) {
 	t.Parallel()
 	for _, goroutines := range []bool{false, true} {
 		goroutines := goroutines
 		t.Run(fmt.Sprintf("goroutines=%v", goroutines), func(t *testing.T) {
 			t.Parallel()
-			r := newPRig(t, 4, func(c *shard.Config) {
-				c.Goroutines = goroutines
-				// 4096 page-rows per member; pace so ~120 batches finish it.
-				c.RebuildRowsPerBatch = 36
-			})
+			r := newPRig(t, 4, func(c *shard.Config) { c.Goroutines = goroutines })
 			r.run(t, 10, 32)
 			if _, err := r.p.Quiesce(0); err != nil {
 				t.Fatal(err)
@@ -326,19 +322,115 @@ func TestRebuildPacing(t *testing.T) {
 				t.Fatalf("StartSpareRebuild: started=%v err=%v", started, err)
 			}
 			// Foreground traffic continues while the barrier pump pays the
-			// rebuild down a few rows per batch.
-			for i := 0; i < 400 && r.arr.RebuildActive(); i++ {
-				r.run(t, 1, 8)
+			// rebuild down: 4096 rows at eight a barrier.
+			r.runUntilHealthy(t, 600)
+			st := r.p.Stats()
+			if st.RebuildRows != prigDiskPages || st.RebuildsDone != 1 {
+				t.Fatalf("pump stats: rows=%d done=%d", st.RebuildRows, st.RebuildsDone)
 			}
-			if r.arr.RebuildActive() {
-				t.Fatal("rebuild never completed under the batch pump")
+			if _, err := r.p.Quiesce(0); err != nil {
+				t.Fatal(err)
 			}
-			if !r.arr.Healthy() {
-				t.Fatal("array not healthy after rebuild")
+			r.verifyOracle(t)
+		})
+	}
+}
+
+// runUntilHealthy drives single small batches until the array is fully
+// redundant, checking that no barrier steps the rebuild more than eight
+// rows.
+func (r *prig) runUntilHealthy(t *testing.T, maxBatches int) {
+	t.Helper()
+	_, prev, _ := r.arr.RebuildTarget()
+	for i := 0; i < maxBatches; i++ {
+		if r.arr.Healthy() {
+			return
+		}
+		r.run(t, 1, 8)
+		_, wm, active := r.arr.RebuildTarget()
+		if !active {
+			wm = prigDiskPages
+		}
+		if wm-prev > 8 {
+			t.Fatalf("barrier %d stepped the rebuild %d rows, want at most 8", i, wm-prev)
+		}
+		prev = wm
+	}
+	t.Fatalf("array not fully redundant after %d batches", maxBatches)
+}
+
+// attachProbe records the array's stale-row count at every spare attach.
+type attachProbe struct {
+	*raid.Array
+	staleAtAttach []int
+}
+
+func (a *attachProbe) StartSpareRebuild(t sim.Time) (sim.Time, bool, error) {
+	a.staleAtAttach = append(a.staleAtAttach, a.StaleRows())
+	return a.Array.StartSpareRebuild(t)
+}
+
+// TestPlaneAttachesSpare: a plane with a hot spare parked, deltas staged
+// across its lanes and a member failed heals itself under foreground
+// batches alone. The barrier pump folds every lane before it attaches the
+// spare (§III-E: no stale row may meet the rebuild), then paces the
+// rebuild to full redundancy, in both scheduler modes.
+func TestPlaneAttachesSpare(t *testing.T) {
+	t.Parallel()
+	for _, goroutines := range []bool{false, true} {
+		goroutines := goroutines
+		t.Run(fmt.Sprintf("goroutines=%v", goroutines), func(t *testing.T) {
+			t.Parallel()
+			var probe *attachProbe
+			r := newPRig(t, 4, func(c *shard.Config) {
+				c.Goroutines = goroutines
+				probe = &attachProbe{Array: c.Backend.(*raid.Array)}
+				c.Backend = probe
+			})
+			r.run(t, 10, 32)
+			// Overwrite cached pages: write hits stage deltas and leave
+			// their rows' parity stale.
+			var hits []shard.Op
+			for lba, prev := range r.oracle {
+				page := make([]byte, blockdev.PageSize)
+				copy(page, prev)
+				r.mut.Mutate(page)
+				r.oracle[lba] = page
+				hits = append(hits, shard.Op{Kind: shard.OpWrite, LBA: lba, Buf: page})
+			}
+			for _, res := range r.p.RunBatch(0, hits) {
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+			if r.arr.StaleRows() == 0 {
+				t.Fatal("no stale parity staged before the failure")
+			}
+			if err := r.arr.AddSpare(blockdev.NewNullDataDevice("spare", prigDiskPages)); err != nil {
+				t.Fatal(err)
+			}
+			r.arr.FailDisk(2)
+			// One write to a page no lane caches, so no read meets a stale
+			// row before the barrier folds: the pump attaches behind it.
+			page := make([]byte, blockdev.PageSize)
+			r.mut.FillRandom(page)
+			r.oracle[prigFootprint] = page
+			if res := r.p.RunBatch(0, []shard.Op{{Kind: shard.OpWrite, LBA: prigFootprint, Buf: page}}); res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+			if !r.arr.RebuildActive() {
+				t.Fatal("the barrier did not attach the parked spare")
+			}
+			r.runUntilHealthy(t, 600)
+			if len(probe.staleAtAttach) != 1 || probe.staleAtAttach[0] != 0 {
+				t.Fatalf("stale rows at each attach: %v, want [0]", probe.staleAtAttach)
 			}
 			st := r.p.Stats()
-			if st.RebuildRows == 0 || st.RebuildsDone != 1 {
-				t.Fatalf("pump stats: rows=%d done=%d", st.RebuildRows, st.RebuildsDone)
+			if st.SpareAttaches != 1 || st.RebuildsDone != 1 {
+				t.Fatalf("pump stats: attaches=%d done=%d, want 1 and 1", st.SpareAttaches, st.RebuildsDone)
+			}
+			if lost := r.arr.LostRows(); len(lost) != 0 {
+				t.Fatalf("rows lost in a single-failure rebuild: %v", lost)
 			}
 			if _, err := r.p.Quiesce(0); err != nil {
 				t.Fatal(err)

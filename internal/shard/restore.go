@@ -7,6 +7,7 @@ import (
 	"kddcache/internal/metalog"
 	"kddcache/internal/nvram"
 	"kddcache/internal/sim"
+	"kddcache/internal/stats"
 )
 
 // Restore reconstructs a plane after a simulated power failure. The
@@ -60,6 +61,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 		p.Close()
 		return nil, t, err
 	}
+	p.pump = core.NewRebuildPump(p.backend, p.log, p.lanes[:], new(stats.CacheStats))
 	return p, done, nil
 }
 
