@@ -188,8 +188,11 @@ loc:
 	done | sort -rn
 
 # `cover` is the one full-suite run (the same `go test ./...` as `test`,
-# with a profile; it fails on any test failure), so `test` is not listed.
-ci: vet build race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate bench-smoke
+# with a profile; it fails on any test failure), so `test` is not listed;
+# it also runs TestChaos, which pins the default `chaos` run against
+# chaos.golden, so `chaos` is not listed either. With `kernels`, this is
+# everything the CI workflow runs except `fuzz`.
+ci: vet build race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate bench-smoke kernels
 
 clean:
 	$(GO) clean ./...

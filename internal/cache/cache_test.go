@@ -2,11 +2,13 @@ package cache_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
+	"kddcache/internal/metalog"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
 )
@@ -300,7 +302,7 @@ func TestWAWritesBypassAndInvalidate(t *testing.T) {
 
 func TestLeavODelayedParityAndCleaning(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32, 0, 64)
+	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
 	// Admit pages, then update them (write hits -> old+new versions).
 	for lba := int64(0); lba < 60; lba++ {
 		s.write(t, p, lba)
@@ -341,7 +343,7 @@ func TestLeavODelayedParityAndCleaning(t *testing.T) {
 
 func TestLeavOSecondUpdateOverwritesNewVersion(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32, 0, 64)
+	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
 	s.write(t, p, 9) // miss
 	s.write(t, p, 9) // hit: old+new
 	s.write(t, p, 9) // hit on New: overwrite in place
@@ -358,7 +360,7 @@ func TestLeavOSecondUpdateOverwritesNewVersion(t *testing.T) {
 
 func TestLeavOMetadataTraffic(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32, 0, 64)
+	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
 	// Enough mapping updates to force metadata page writes.
 	for i := 0; i < 2000; i++ {
 		s.write(t, p, int64(i%200))
@@ -369,10 +371,50 @@ func TestLeavOMetadataTraffic(t *testing.T) {
 	s.verify(t, p)
 }
 
+// TestLeavOWriteHitSurfacesMetadataFailure: LeavO has no NVRAM log, so its
+// map must be durable before a write hit is acknowledged. With the
+// metadata region dead, the write hit that completes a metadata page
+// fails instead of being acknowledged.
+func TestLeavOWriteHitSurfacesMetadataFailure(t *testing.T) {
+	s := newStack(t, 512)
+	ssd := blockdev.NewFaultInjector(s.ssd, 1)
+	ssd.FailRange(0, 64) // the metadata region [0, dataStart)
+	p := cache.NewLeavO(ssd, s.array, 256, 64, 32)
+	s.write(t, p, 9) // miss: one mapping update, no page due yet
+	var err error
+	for i := 0; i < metalog.EntriesPerPage && err == nil; i++ {
+		_, err = p.Write(0, 9, s.page(9)) // hits: one or two updates each
+	}
+	if !errors.Is(err, blockdev.ErrFailed) {
+		t.Fatalf("write hits past a metadata page on a dead region returned %v, want ErrFailed", err)
+	}
+}
+
+// TestLeavOCleanSurfacesMetadataFailure: a cleaner pass that reclaims an
+// old version records two mapping updates; when they complete a metadata
+// page on a dead region, the pass fails.
+func TestLeavOCleanSurfacesMetadataFailure(t *testing.T) {
+	s := newStack(t, 512)
+	ssd := blockdev.NewFaultInjector(s.ssd, 1)
+	p := cache.NewLeavO(ssd, s.array, 1024, 64, 32)
+	const misses = metalog.EntriesPerPage - 4
+	for lba := int64(0); lba < misses; lba++ {
+		s.write(t, p, lba) // one update each
+	}
+	s.write(t, p, 0) // clean hit: two updates, two short of a page
+	if got := p.Stats().MetaWrites; got != 0 {
+		t.Fatalf("%d metadata pages written before the cleaner ran, want 0", got)
+	}
+	ssd.FailRange(0, 64)
+	if _, err := p.Flush(0); !errors.Is(err, blockdev.ErrFailed) {
+		t.Fatalf("cleaner pass completing a metadata page on a dead region returned %v, want ErrFailed", err)
+	}
+}
+
 func TestLeavOEvictionPressure(t *testing.T) {
 	s := newStack(t, 2048)
 	// Tiny cache: 64 pages, working set 300 pages.
-	p := cache.NewLeavO(s.ssd, s.array, 64, 64, 16, 0, 64)
+	p := cache.NewLeavO(s.ssd, s.array, 64, 64, 16)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 3000; i++ {
 		s.write(t, p, int64(rng.Uint64n(300)))
@@ -432,7 +474,7 @@ func TestHitRatioOrderingWTvsLeavO(t *testing.T) {
 	s1, rng1 := mk()
 	wt := cache.NewWT(s1.ssd, s1.array, 128, 0, 16)
 	s2, rng2 := mk()
-	lo := cache.NewLeavO(s2.ssd, s2.array, 128, 64, 16, 0, 64)
+	lo := cache.NewLeavO(s2.ssd, s2.array, 128, 64, 16)
 
 	run := func(p cache.Policy, s *stack, rng *sim.RNG) float64 {
 		buf := make([]byte, blockdev.PageSize)

@@ -19,33 +19,29 @@ type LeavO struct {
 	base
 	oldOf map[int64]int32 // storage LBA -> slot holding the old version
 
-	metaStart   int64 // metadata region [metaStart, metaStart+metaPages)
-	metaPages   int64
+	metaPages   int64 // metadata region [0, metaPages)
 	metaCursor  int64
 	metaPending int // mapping updates not yet persisted
-
-	// Cleaning thresholds as fractions of capacity.
-	HighWater float64 // start cleaning above this fraction of Old pages
-	LowWater  float64 // stop cleaning below this
-	batch     int
 }
 
-// NewLeavO builds a LeavO cache. The metadata region [metaStart,
-// metaStart+metaPages) on the SSD absorbs the per-update metadata writes;
-// cache data pages start at dataStart.
-func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64,
-	ways int, metaStart, metaPages int64) *LeavO {
-	if metaPages < 1 {
+// LeavO's cleaning thresholds as fractions of capacity, and the Old pages
+// one cleaner run repairs.
+const (
+	leavoHighWater = 0.2 // start cleaning above this fraction of Old pages
+	leavoLowWater  = 0.1 // stop cleaning below this
+	leavoBatch     = 64
+)
+
+// NewLeavO builds a LeavO cache. The metadata region [0, dataStart) on the
+// SSD absorbs the per-update metadata writes; cache data pages follow it.
+func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) *LeavO {
+	if dataStart < 1 {
 		panic("cache: LeavO needs a metadata region")
 	}
 	return &LeavO{
 		base:      newBase(ssd, backend, cachePages, dataStart, ways),
 		oldOf:     make(map[int64]int32),
-		metaStart: metaStart,
-		metaPages: metaPages,
-		HighWater: 0.2,
-		LowWater:  0.1,
-		batch:     64,
+		metaPages: dataStart,
 	}
 }
 
@@ -54,25 +50,27 @@ func (l *LeavO) Name() string { return "LeavO" }
 
 // metaUpdate records n mapping changes; every EntriesPerPage of them
 // costs one metadata page program (no coalescing — LeavO has no NVRAM
-// log, its map must be durable before the data write is acknowledged).
-func (l *LeavO) metaUpdate(t sim.Time, n int) sim.Time {
+// log, its map must be durable before the data write is acknowledged, so
+// the write paths return a failed program to the caller).
+func (l *LeavO) metaUpdate(t sim.Time, n int) (sim.Time, error) {
 	l.metaPending += n
 	done := t
 	for l.metaPending >= metalog.EntriesPerPage {
 		l.metaPending -= metalog.EntriesPerPage
-		lba := l.metaStart + l.metaCursor%l.metaPages
+		lba := l.metaCursor % l.metaPages
 		l.metaCursor++
 		var buf []byte
 		if l.dataModeSSD() {
 			buf = make([]byte, blockdev.PageSize)
 		}
-		c, err := l.ssd.WritePages(t, lba, 1, buf)
-		if err == nil && c > done {
-			done = c
-		}
 		l.st.MetaWrites++
+		c, err := l.ssd.WritePages(t, lba, 1, buf)
+		if err != nil {
+			return done, err
+		}
+		done = sim.MaxTime(done, c)
 	}
-	return done
+	return done, nil
 }
 
 func (l *LeavO) dataModeSSD() bool {
@@ -108,7 +106,7 @@ func (l *LeavO) fillLeavO(done sim.Time, lba int64, buf []byte) {
 	l.frame.Insert(lba, slot, Clean)
 	l.st.ReadFills++
 	l.writeSlot(done, slot, buf) //nolint:errcheck // background fill
-	l.metaUpdate(done, 1)
+	l.metaUpdate(done, 1)        //nolint:errcheck // a clean copy; the array holds the data
 }
 
 // Write implements Policy.
@@ -132,7 +130,11 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		l.st.SmallWritesSaved++
-		done := sim.MaxTime(l.metaUpdate(t, 1), sim.MaxTime(ssdDone, raidDone))
+		metaDone, err := l.metaUpdate(t, 1)
+		if err != nil {
+			return t, err
+		}
+		done := sim.MaxTime(metaDone, sim.MaxTime(ssdDone, raidDone))
 		return done, l.maybeClean(done)
 
 	case slot != NoSlot: // Clean hit: keep old, add new version
@@ -187,7 +189,11 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		l.st.SmallWritesSaved++
-		done := sim.MaxTime(l.metaUpdate(t, 2), sim.MaxTime(ssdDone, raidDone))
+		metaDone, err := l.metaUpdate(t, 2)
+		if err != nil {
+			return t, err
+		}
+		done := sim.MaxTime(metaDone, sim.MaxTime(ssdDone, raidDone))
 		return done, l.maybeClean(done)
 
 	default: // miss
@@ -205,7 +211,7 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			if err != nil {
 				return t, err
 			}
-			l.metaUpdate(t, 1)
+			l.metaUpdate(t, 1) //nolint:errcheck // a clean copy; the array holds the data
 		}
 		return sim.MaxTime(raidDone, ssdDone), nil
 	}
@@ -213,7 +219,7 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 
 // maybeClean triggers background cleaning past the high-water mark.
 func (l *LeavO) maybeClean(t sim.Time) error {
-	if float64(l.frame.Count(Old)) > l.HighWater*float64(l.frame.Pages()) {
+	if float64(l.frame.Count(Old)) > leavoHighWater*float64(l.frame.Pages()) {
 		_, err := l.Clean(t, false)
 		return err
 	}
@@ -223,10 +229,10 @@ func (l *LeavO) maybeClean(t sim.Time) error {
 // Clean implements Policy: repair parity for the oldest Old pages, then
 // drop the old version and demote the new version to Clean.
 func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
-	low := int64(l.LowWater * float64(l.frame.Pages()))
+	low := int64(leavoLowWater * float64(l.frame.Pages()))
 	done := t
 	for l.frame.Count(Old) > 0 && (force || l.frame.Count(Old) > low) {
-		victims := l.frame.OldestSlots(Old, l.batch)
+		victims := l.frame.OldestSlots(Old, leavoBatch)
 		if len(victims) == 0 {
 			break
 		}
@@ -287,7 +293,9 @@ func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
 	delete(l.oldOf, lba)
 	l.frame.Transition(newSlot, Clean)
 	l.st.Reclaims++
-	l.metaUpdate(done, 2)
+	if _, err := l.metaUpdate(done, 2); err != nil {
+		return t, err
+	}
 	return done, nil
 }
 

@@ -17,24 +17,22 @@ import (
 // and the policy gives a useful lower bound on write latency.
 type WB struct {
 	base
-	// HighWater/LowWater bound the dirty-page population like KDD's
-	// cleaner thresholds.
-	HighWater float64
-	LowWater  float64
-	batch     int
 }
+
+// WB's watermarks bound the dirty-page population like KDD's cleaner
+// thresholds. Destaging is paced: each trigger reclaims only a thin band
+// below the high-water mark, wbBatch pages at a time, so background
+// write-back does not dump thousands of RMWs onto the disks at one
+// instant and starve reads.
+const (
+	wbHighWater = 0.4
+	wbLowWater  = 0.37
+	wbBatch     = 16
+)
 
 // NewWB builds a write-back cache.
 func NewWB(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) *WB {
-	// Destaging is paced: each trigger reclaims only a thin band below
-	// the high-water mark, so background write-back does not dump
-	// thousands of RMWs onto the disks at one instant and starve reads.
-	return &WB{
-		base:      newBase(ssd, backend, cachePages, dataStart, ways),
-		HighWater: 0.4,
-		LowWater:  0.37,
-		batch:     16,
-	}
+	return &WB{base: newBase(ssd, backend, cachePages, dataStart, ways)}
 }
 
 // Name implements Policy.
@@ -82,7 +80,7 @@ func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		return t, err
 	}
 	w.frame.Transition(slot, Old) // dirty
-	if float64(w.frame.Count(Old)) > w.HighWater*float64(w.frame.Pages()) {
+	if float64(w.frame.Count(Old)) > wbHighWater*float64(w.frame.Pages()) {
 		if _, err := w.Clean(done, false); err != nil {
 			return t, err
 		}
@@ -93,13 +91,13 @@ func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // Clean implements Policy: write dirty pages back to RAID (with parity)
 // in LRU order.
 func (w *WB) Clean(t sim.Time, force bool) (sim.Time, error) {
-	low := int64(w.LowWater * float64(w.frame.Pages()))
+	low := int64(wbLowWater * float64(w.frame.Pages()))
 	if force {
 		low = 0
 	}
 	done := t
 	for w.frame.Count(Old) > 0 && (force || w.frame.Count(Old) > low) {
-		victims := w.frame.OldestSlots(Old, w.batch)
+		victims := w.frame.OldestSlots(Old, wbBatch)
 		if len(victims) == 0 {
 			break
 		}

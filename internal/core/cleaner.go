@@ -23,7 +23,7 @@ import (
 
 // maybeClean triggers the cleaner past the high-water mark.
 func (k *KDD) maybeClean(t sim.Time) error {
-	if float64(k.DirtyPages()) > k.cfg.HighWater*float64(k.frame.Pages()) {
+	if float64(k.DirtyPages()) > highWater*float64(k.frame.Pages()) {
 		_, err := k.cleanPass(t, false)
 		return err
 	}
@@ -64,7 +64,7 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 		defer func() { sp.End(done) }()
 	}
 
-	low := int64(k.cfg.LowWater * float64(k.frame.Pages()))
+	low := int64(lowWater * float64(k.frame.Pages()))
 	if force {
 		low = 0
 	}

@@ -399,7 +399,7 @@ func (k *KDD) probeSSD(t sim.Time) bool {
 		defer blockdev.PutPage(buf)
 	}
 	if k.log != nil {
-		if _, err := k.ssd.ReadPages(t, k.cfg.MetaStart, 1, buf); err != nil {
+		if _, err := k.ssd.ReadPages(t, 0, 1, buf); err != nil {
 			return false
 		}
 	}
@@ -446,7 +446,7 @@ func (k *KDD) Reattach(t sim.Time, dev blockdev.Device) error {
 		return fmt.Errorf("core: reattach of a shard-plane lane; restore the plane instead")
 	}
 	if dev != nil {
-		if need := k.cfg.MetaStart + k.cfg.MetaPages + k.cfg.CachePages; need > dev.Pages() {
+		if need := k.dataStart + k.cfg.CachePages; need > dev.Pages() {
 			return fmt.Errorf("core: replacement SSD too small: need %d pages, have %d",
 				need, dev.Pages())
 		}

@@ -30,7 +30,6 @@ func newFailRig(t *testing.T, cachePages int64, opts ...func(*core.Config)) (*ri
 		Backend:    a,
 		CachePages: cachePages,
 		Ways:       32,
-		MetaStart:  0,
 		MetaPages:  64,
 		Codec:      delta.ZRLE{},
 	}

@@ -45,17 +45,11 @@ type Config struct {
 	CachePages int64 // data cache capacity in pages (DAZ+DEZ combined)
 	Ways       int   // set associativity
 
-	MetaStart int64 // first page of the metadata partition on the SSD
-	MetaPages int64 // metadata partition size in pages (paper: 0.59% of SSD)
+	MetaPages int64 // metadata partition [0, MetaPages) on the SSD (paper: 0.59% of SSD)
 
 	Codec delta.Codec // delta codec (real or modelled)
 
 	StagingBytes int // NVRAM staging buffer capacity in bytes
-
-	// Cleaner thresholds: fractions of cache capacity held by old+delta
-	// pages that start/stop background cleaning.
-	HighWater float64
-	LowWater  float64
 
 	// FixedDEZSets reserves the last N sets exclusively for DEZ pages
 	// (the static-partition ablation, §III-B); 0 = dynamic mixing.
@@ -72,26 +66,22 @@ type Config struct {
 	DisableMetaLog bool
 
 	// SharedLog, when non-nil, attaches an externally-owned metadata log
-	// instead of creating one over [MetaStart, MetaStart+MetaPages). The
-	// shard plane uses this so all lanes share one circular partition and
-	// one NVRAM buffer. The owner handles sizing and recovery sequencing;
-	// this instance's Stats skip the (shared) log counters.
+	// instead of creating one over [0, MetaPages). The shard plane uses
+	// this so all lanes share one circular partition and one NVRAM buffer.
+	// The owner handles sizing and recovery sequencing; this instance's
+	// Stats skip the (shared) log counters. A shared log also batches the
+	// metadata page flushes: entries still enter the NVRAM buffer
+	// immediately (the durability point is unchanged) but flash pages
+	// commit at FlushMetaBatch, one barrier per batch instead of one per
+	// entry, and the owner keeps the barrier cadence.
 	SharedLog *metalog.Log
 
-	// DataStart, when > 0, places the cache data partition at an explicit
-	// SSD page instead of MetaStart+MetaPages. Required with SharedLog so
-	// each lane addresses a disjoint SSD region.
-	DataStart int64
-
-	// Lane tags this instance's batched metadata appends (the shard tag
-	// in the log's page headers). Only meaningful with BatchMeta.
+	// Lane is this instance's index among the lanes sharing SharedLog. It
+	// tags the batched metadata appends (the shard tag in the log's page
+	// headers) and places the cache data partition: lane i owns SSD pages
+	// [MetaPages + i*CachePages, +CachePages), so the lanes tile the cache
+	// partition. Zero without a shared log.
 	Lane uint8
-
-	// BatchMeta defers metadata page flushes to FlushMetaBatch: entries
-	// still enter the NVRAM buffer immediately (the durability point is
-	// unchanged) but flash pages commit one barrier per batch instead of
-	// one per entry. The caller owns the barrier cadence.
-	BatchMeta bool
 
 	// SelectiveAdmission enables a LARC-style ghost-LRU admission filter:
 	// pages are cached only on their second miss within a window of
@@ -115,6 +105,17 @@ type Config struct {
 	RebuildProbation int64 // clean ops in Rebuilding before Normal (default 16)
 }
 
+// The cleaner thresholds (§III-D): fractions of cache capacity held by
+// old+delta pages that start and stop background cleaning. Dirty pages
+// may occupy a substantial share of the cache before cleaning kicks in:
+// keeping recently-updated pages resident is where KDD's hit-ratio
+// advantage over LeavO comes from (and the reason it can beat WT on
+// write-hot traces like Web0, §IV-A3).
+const (
+	highWater = 0.40
+	lowWater  = 0.30
+)
+
 // withDefaults fills zero fields and validates the configuration. The
 // metadata partition's own geometry is metalog.New's to check.
 func (c Config) withDefaults() (Config, error) {
@@ -123,16 +124,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StagingBytes == 0 {
 		c.StagingBytes = 4 * blockdev.PageSize
-	}
-	// Dirty (old+delta) pages may occupy a substantial share of the cache
-	// before cleaning kicks in: keeping recently-updated pages resident
-	// is where KDD's hit-ratio advantage over LeavO comes from (and the
-	// reason it can beat WT on write-hot traces like Web0, §IV-A3).
-	if c.HighWater == 0 {
-		c.HighWater = 0.40
-	}
-	if c.LowWater == 0 {
-		c.LowWater = 0.30
 	}
 	// Breaker defaults are deliberately conservative: half the window must
 	// fail before tripping, so the background media-error rates the chaos
@@ -163,9 +154,6 @@ func (c Config) withDefaults() (Config, error) {
 	if end > c.SSD.Pages() {
 		return c, fmt.Errorf("core: SSD too small: need %d pages, have %d", end, c.SSD.Pages())
 	}
-	if c.LowWater >= c.HighWater {
-		return c, fmt.Errorf("core: cleaner watermarks inverted")
-	}
 	if !c.DisableMetaLog {
 		if end > maxMetaAddressable {
 			return c, fmt.Errorf("core: SSD cache end page %d exceeds the metadata log's uint32 address space (%d pages); shrink the cache or disable the metadata log", end, maxMetaAddressable)
@@ -179,10 +167,7 @@ func (c Config) withDefaults() (Config, error) {
 
 // dataStart is the first SSD page of the cache data partition.
 func (c Config) dataStart() int64 {
-	if c.DataStart > 0 {
-		return c.DataStart
-	}
-	return c.MetaStart + c.MetaPages
+	return c.MetaPages + int64(c.Lane)*c.CachePages
 }
 
 // oldDelta locates the newest delta of an Old DAZ page. Offsets and
@@ -280,7 +265,7 @@ func New(cfg Config) (*KDD, error) {
 	}
 	log := cfg.SharedLog
 	if log == nil && !cfg.DisableMetaLog {
-		if log, err = metalog.New(cfg.SSD, cfg.MetaStart, cfg.MetaPages); err != nil {
+		if log, err = metalog.New(cfg.SSD, cfg.MetaPages); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -422,14 +407,14 @@ func (k *KDD) takeSticky() error {
 	return err
 }
 
-// logPut appends a metadata entry unless the log is disabled. In batch
-// mode the entry reaches NVRAM at once (durability point) and its page
+// logPut appends a metadata entry unless the log is disabled. On a shared
+// log the entry reaches NVRAM at once (durability point) and its page
 // flush waits for FlushMetaBatch.
 func (k *KDD) logPut(t sim.Time, e metalog.Entry) (sim.Time, error) {
 	if k.log == nil {
 		return t, nil
 	}
-	if k.cfg.BatchMeta {
+	if k.sharedLog {
 		k.log.PutBuffered(e)
 		return t, nil
 	}
@@ -437,9 +422,9 @@ func (k *KDD) logPut(t sim.Time, e metalog.Entry) (sim.Time, error) {
 }
 
 // FlushMetaBatch commits this lane's deferred metadata page flushes in
-// one barrier (BatchMeta mode). No-op otherwise.
+// one barrier (shared-log mode). No-op otherwise.
 func (k *KDD) FlushMetaBatch(t sim.Time) (sim.Time, error) {
-	if k.log == nil || !k.cfg.BatchMeta {
+	if !k.sharedLog {
 		return t, nil
 	}
 	return k.log.FlushBatch(t, k.cfg.Lane)

@@ -46,7 +46,6 @@ func newRig(t *testing.T, cachePages int64, opts ...func(*core.Config)) *rig {
 		Backend:    a,
 		CachePages: cachePages,
 		Ways:       32,
-		MetaStart:  0,
 		MetaPages:  64,
 		Codec:      delta.ZRLE{},
 	}
@@ -196,10 +195,7 @@ func TestDeltaCoalescingInvalidatesCommitted(t *testing.T) {
 }
 
 func TestCleanerRepairsParityAndReclaims(t *testing.T) {
-	r := newRig(t, 256, func(c *core.Config) {
-		c.HighWater = 0.15
-		c.LowWater = 0.05
-	})
+	r := newRig(t, 256)
 	for wave := 0; wave < 2; wave++ {
 		for lba := int64(0); lba < 120; lba++ {
 			r.write(t, lba)
@@ -357,8 +353,8 @@ func TestTimingModeWithModelledCodec(t *testing.T) {
 	ssd := blockdev.NewNullDevice("ssd", 8192)
 	k, err := core.New(core.Config{
 		SSD: ssd, Backend: a, CachePages: 4096, Ways: 64,
-		MetaStart: 0, MetaPages: 48,
-		Codec: delta.NewModelled(3, 0.25),
+		MetaPages: 48,
+		Codec:     delta.NewModelled(3, 0.25),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +408,7 @@ func TestConfigValidation(t *testing.T) {
 			SSD:     blockdev.NewNullDevice("s", 4096),
 			Backend: mustArray(t),
 			Codec:   delta.ZRLE{}, CachePages: 256, Ways: 32,
-			MetaStart: 0, MetaPages: 16,
+			MetaPages: 16,
 		}
 	}
 	if _, err := core.New(good()); err != nil {
@@ -425,7 +421,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.CachePages = 8 },
 		func(c *core.Config) { c.MetaPages = 0 },
 		func(c *core.Config) { c.CachePages = 100000 },
-		func(c *core.Config) { c.HighWater = 0.1; c.LowWater = 0.2 },
 		func(c *core.Config) { c.FixedDEZSets = 100 },
 	}
 	for i, b := range bads {
@@ -437,30 +432,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestMetaLogGeometryIsAnError: a metadata partition too small, too large
-// for the log's int32 ring slots, or off the end of the SSD is an error
-// from New and Restore, not a panic.
+// TestMetaLogGeometryIsAnError: a metadata partition too small or too
+// large for the log's int32 ring slots is the log's error, and one that
+// pushes the cache off the end of the SSD is core's — from New and
+// Restore, not a panic.
 func TestMetaLogGeometryIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		bad  func(*core.Config)
+		want string
 	}{
-		{"one page", func(c *core.Config) { c.MetaPages = 1 }},
-		{"2^31 pages", func(c *core.Config) { c.MetaPages, c.DataStart = 1<<31, 16 }},
-		{"past the device", func(c *core.Config) { c.MetaStart, c.MetaPages, c.DataStart = 4000, 200, 16 }},
+		{"one page", func(c *core.Config) { c.MetaPages = 1 }, "metalog"},
+		{"2^31 pages", func(c *core.Config) {
+			c.SSD, c.MetaPages = blockdev.NewNullDevice("s", 1<<31+4096), 1<<31
+		}, "metalog"},
+		{"past the device", func(c *core.Config) { c.MetaPages = 4000 }, "SSD too small"},
 	} {
 		cfg := core.Config{
 			SSD:     blockdev.NewNullDevice("s", 4096),
 			Backend: mustArray(t),
 			Codec:   delta.ZRLE{}, CachePages: 256, Ways: 32,
-			MetaStart: 0, MetaPages: 16,
+			MetaPages: 16,
 		}
 		tc.bad(&cfg)
-		if _, err := core.New(cfg); err == nil || !strings.Contains(err.Error(), "metalog") {
-			t.Errorf("%s: New: %v, want the metadata log's geometry error", tc.name, err)
+		if _, err := core.New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New: %v, want an error naming %q", tc.name, err, tc.want)
 		}
-		if _, _, err := core.Restore(cfg, 0, &nvram.Counters{}, nil, nil); err == nil || !strings.Contains(err.Error(), "metalog") {
-			t.Errorf("%s: Restore: %v, want the metadata log's geometry error", tc.name, err)
+		if _, _, err := core.Restore(cfg, 0, &nvram.Counters{}, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore: %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

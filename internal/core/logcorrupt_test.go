@@ -28,7 +28,7 @@ func TestRestoreFailsLoudOnCorruptMetadataLog(t *testing.T) {
 	}
 	// Silent bit-flip on a live log page: the device checksum passes, so
 	// only the log's own page CRC can reject it.
-	phys := r.cfg.MetaStart + int64(ctr.Head%uint64(r.cfg.MetaPages))
+	phys := int64(ctr.Head % uint64(r.cfg.MetaPages))
 	if !r.ssd.Store().CorruptPageSilently(phys, 123) {
 		t.Fatal("setup: log page not written")
 	}

@@ -14,7 +14,7 @@ import (
 
 // cachePageOf maps a frame slot to its SSD page (mirrors KDD.cacheLBA).
 func (r *rig) cachePageOf(slot int32) int64 {
-	return r.cfg.MetaStart + r.cfg.MetaPages + int64(slot)
+	return r.cfg.MetaPages + int64(slot)
 }
 
 // slotFor returns the frame slot currently holding lba.
@@ -56,7 +56,6 @@ func newFaultRig(t *testing.T, cachePages int64, seed uint64) (*rig, *blockdev.F
 		Backend:    a,
 		CachePages: cachePages,
 		Ways:       32,
-		MetaStart:  0,
 		MetaPages:  64,
 		Codec:      delta.ZRLE{},
 	}
@@ -275,39 +274,6 @@ func TestCleanerFallsBackToResyncOnLostDelta(t *testing.T) {
 	r.verifyRAID(t)
 }
 
-// TestRestoreStagedDeltaNonzeroMetaStart is the regression test for the
-// Restore bug where staged deltas were applied with the raw SSD page used
-// as a slot index instead of going through slotOf. With the cache data
-// partition offset from SSD page 0 the two differ, so recovery either
-// rejected valid state or corrupted the mapping.
-func TestRestoreStagedDeltaNonzeroMetaStart(t *testing.T) {
-	r := newRig(t, 256, func(c *core.Config) { c.MetaStart = 128 })
-	for lba := int64(0); lba < 40; lba++ {
-		r.write(t, lba)
-	}
-	for lba := int64(0); lba < 40; lba += 2 {
-		r.write(t, lba) // Old pages, some deltas still staged in NVRAM
-	}
-	if r.kdd.Staging().Len() == 0 {
-		t.Fatal("setup: no staged deltas at crash time")
-	}
-	r.crash(t)
-	if err := r.kdd.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	r.verifyCache(t)
-	r.verifyRAID(t)
-	// The recovered instance must still repair all stale parity.
-	if _, err := r.kdd.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	if r.array.StaleRows() != 0 {
-		t.Fatalf("stale rows after recovered flush: %d", r.array.StaleRows())
-	}
-	r.array.FailDisk(1)
-	r.verifyRAID(t)
-}
-
 func TestRandomMediaFaultsOracleProperty(t *testing.T) {
 	// Random corruption of cache-data pages mid-workload: reads must
 	// always match the oracle and invariants must always hold, whatever
@@ -315,7 +281,7 @@ func TestRandomMediaFaultsOracleProperty(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		r := newRig(t, 256)
 		rng := sim.NewRNG(seed)
-		dataStart := r.cfg.MetaStart + r.cfg.MetaPages
+		dataStart := r.cfg.MetaPages
 		buf := make([]byte, blockdev.PageSize)
 		for i := 0; i < 1200; i++ {
 			lba := int64(rng.Uint64n(300))

@@ -49,8 +49,8 @@ func TestMetaLogFailureSurfacesOnNextOp(t *testing.T) {
 	k, err := core.New(core.Config{
 		SSD: ssd, Backend: a,
 		CachePages: 1024, Ways: 32,
-		MetaStart: 0, MetaPages: 64,
-		Codec: delta.NewModelled(1, 0.25),
+		MetaPages: 64,
+		Codec:     delta.NewModelled(1, 0.25),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestRejectsGeometriesBeyondUint32(t *testing.T) {
 		SSD:        blockdev.NewNullDevice("ssd", (int64(1)<<32)+8192),
 		Backend:    smallArray(),
 		CachePages: int64(1) << 32, Ways: 256,
-		MetaStart: 0, MetaPages: 64,
-		Codec: delta.NewModelled(1, 0.25),
+		MetaPages: 64,
+		Codec:     delta.NewModelled(1, 0.25),
 	})
 	if err == nil || !strings.Contains(err.Error(), "uint32") {
 		t.Fatalf("huge cache accepted (or unclear error): %v", err)
@@ -146,8 +146,8 @@ func TestRejectsGeometriesBeyondUint32(t *testing.T) {
 		SSD:        blockdev.NewNullDevice("ssd", 1024),
 		Backend:    hugeArray(),
 		CachePages: 512, Ways: 32,
-		MetaStart: 0, MetaPages: 64,
-		Codec: delta.NewModelled(1, 0.25),
+		MetaPages: 64,
+		Codec:     delta.NewModelled(1, 0.25),
 	}
 	if _, err := core.New(cfg); err == nil || !strings.Contains(err.Error(), "uint32") {
 		t.Fatalf("huge backend accepted (or unclear error): %v", err)

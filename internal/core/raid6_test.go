@@ -27,7 +27,7 @@ func newRig6(t *testing.T) *rig {
 	ssd := blockdev.NewNullDataDevice("ssd", 1024)
 	cfg := core.Config{
 		SSD: ssd, Backend: a, CachePages: 512, Ways: 32,
-		MetaStart: 0, MetaPages: 64, Codec: delta.ZRLE{},
+		MetaPages: 64, Codec: delta.ZRLE{},
 	}
 	k, err := core.New(cfg)
 	if err != nil {

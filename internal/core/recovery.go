@@ -40,7 +40,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	if err != nil {
 		return nil, t, err
 	}
-	log, err := metalog.Restore(cfg.SSD, cfg.MetaStart, cfg.MetaPages, ctr, buffered)
+	log, err := metalog.Restore(cfg.SSD, cfg.MetaPages, ctr, buffered)
 	if err != nil {
 		return nil, t, fmt.Errorf("core: %w", err)
 	}

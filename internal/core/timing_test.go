@@ -30,8 +30,8 @@ func latencyRig(t *testing.T) (*core.KDD, *raid.Array) {
 	ssd.Latency = 300 * sim.Microsecond
 	k, err := core.New(core.Config{
 		SSD: ssd, Backend: a, CachePages: 4096, Ways: 64,
-		MetaStart: 0, MetaPages: 64,
-		Codec: delta.NewModelled(1, 0.25),
+		MetaPages: 64,
+		Codec:     delta.NewModelled(1, 0.25),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestCleanerBackgroundWorkDelaysForeground(t *testing.T) {
 	}
 	k, err := core.New(core.Config{
 		SSD: blockdev.NewNullDevice("ssd", 8192), Backend: a,
-		CachePages: 4096, Ways: 64, MetaStart: 0, MetaPages: 64,
+		CachePages: 4096, Ways: 64, MetaPages: 64,
 		Codec: delta.NewModelled(1, 0.25),
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestStagingBufferSizeControlsCommitCadence(t *testing.T) {
 		}
 		k, err := core.New(core.Config{
 			SSD: blockdev.NewNullDevice("ssd", 8192), Backend: a,
-			CachePages: 4096, Ways: 64, MetaStart: 0, MetaPages: 64,
+			CachePages: 4096, Ways: 64, MetaPages: 64,
 			Codec:        delta.NewModelled(1, 0.25),
 			StagingBytes: stagingBytes,
 		})

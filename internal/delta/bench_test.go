@@ -72,11 +72,6 @@ func BenchmarkZRLEEncodeByteWise(b *testing.B) {
 	})
 }
 
-// Codec ablation: flate, the denser and slower alternative to ZRLE (the
-// lzo stand-in), on the same pages.
-func BenchmarkFlateEncode(b *testing.B) { benchEncode(b, Flate{}.Encode) }
-func BenchmarkFlateApply(b *testing.B)  { benchApply(b, Flate{}) }
-
 func BenchmarkModelledEncode(b *testing.B) {
 	m := NewModelled(1, 0.25)
 	for i := 0; i < b.N; i++ {

@@ -2,13 +2,12 @@
 // "compressed XORs of the current version of data and the old version"
 // (§III-A) that are packed into Delta Zone pages.
 //
-// Three codecs are provided:
+// Two codecs are provided:
 //
 //   - ZRLE: XOR + zero-run-length encoding. Real-world deltas are sparse
 //     (5–20% of bits change, §II-C), so their XOR is mostly zero bytes and
 //     run-length coding captures it at lzo-like speed. This is the
 //     prototype-path stand-in for the paper's lzo.
-//   - Flate: XOR + DEFLATE via compress/flate; slower, denser.
 //   - Modelled: draws the compression ratio from a clipped Gaussian, the
 //     exact assumption the paper's simulator makes ("delta compression
 //     ratio values follow Gaussian distribution with an average equaling
@@ -17,13 +16,10 @@
 package delta
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"kddcache/internal/blockdev"
@@ -257,64 +253,6 @@ func (ZRLE) Apply(old []byte, d Delta, out []byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// Flate: XOR + DEFLATE.
-
-// Flate compresses the XOR with DEFLATE (compress/flate), the stdlib
-// stand-in for heavier general-purpose compressors.
-type Flate struct {
-	// Level is the flate compression level; 0 means flate.DefaultCompression.
-	Level int
-}
-
-// Name implements Codec.
-func (Flate) Name() string { return "flate" }
-
-// Encode implements Codec.
-func (f Flate) Encode(old, new []byte) Delta {
-	if len(old) < blockdev.PageSize || len(new) < blockdev.PageSize {
-		panic("delta: Flate.Encode needs two full pages")
-	}
-	x := blockdev.GetPage() // every byte assigned by the XOR below
-	defer blockdev.PutPage(x)
-	subtle.XORBytes(x, old[:blockdev.PageSize], new[:blockdev.PageSize])
-	lvl := f.Level
-	if lvl == 0 {
-		lvl = flate.DefaultCompression
-	}
-	var b bytes.Buffer
-	w, err := flate.NewWriter(&b, lvl)
-	if err != nil {
-		panic(fmt.Sprintf("delta: flate writer: %v", err))
-	}
-	if _, err := w.Write(x); err != nil {
-		panic(fmt.Sprintf("delta: flate write: %v", err))
-	}
-	if err := w.Close(); err != nil {
-		panic(fmt.Sprintf("delta: flate close: %v", err))
-	}
-	return Delta{Bytes: b.Bytes(), Len: b.Len()}
-}
-
-// Apply implements Codec.
-func (Flate) Apply(old []byte, d Delta, out []byte) error {
-	if d.Bytes == nil {
-		return ErrNoBytes
-	}
-	if len(old) < blockdev.PageSize || len(out) < blockdev.PageSize {
-		panic("delta: Flate.Apply needs full pages")
-	}
-	r := flate.NewReader(bytes.NewReader(d.Bytes))
-	defer r.Close()
-	x := blockdev.GetPage() // fully filled by ReadFull or abandoned
-	defer blockdev.PutPage(x)
-	if _, err := io.ReadFull(r, x); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	subtle.XORBytes(out, old[:blockdev.PageSize], x)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // Modelled: Gaussian-sized deltas for the trace-driven simulator.
 
 // Modelled draws delta sizes from a clipped Gaussian, matching the
@@ -366,6 +304,5 @@ func (m *Modelled) Apply(_ []byte, _ Delta, _ []byte) error { return ErrNoBytes 
 
 var (
 	_ Codec = ZRLE{}
-	_ Codec = Flate{}
 	_ Codec = (*Modelled)(nil)
 )

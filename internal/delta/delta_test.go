@@ -111,33 +111,6 @@ func TestZRLECorruptInput(t *testing.T) {
 	}
 }
 
-func TestFlateRoundTrip(t *testing.T) {
-	codec := Flate{}
-	rng := sim.NewRNG(5)
-	mut := NewMutator(6, 0.25)
-	old := randomPage(rng)
-	newPage := make([]byte, blockdev.PageSize)
-	copy(newPage, old)
-	mut.Mutate(newPage)
-	d := codec.Encode(old, newPage)
-	if d.Len >= blockdev.PageSize {
-		t.Fatalf("flate did not compress a 25%% delta: %d bytes", d.Len)
-	}
-	out := make([]byte, blockdev.PageSize)
-	if err := codec.Apply(old, d, out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, newPage) {
-		t.Fatal("flate round trip mismatch")
-	}
-	if err := codec.Apply(old, Delta{Bytes: []byte{1, 2, 3}, Len: 3}, out); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if err := codec.Apply(old, Delta{Len: 3}, out); !errors.Is(err, ErrNoBytes) {
-		t.Fatalf("err = %v, want ErrNoBytes", err)
-	}
-}
-
 func TestModelledGaussianMean(t *testing.T) {
 	for _, mean := range []float64{0.12, 0.25, 0.50} {
 		m := NewModelled(9, mean)
@@ -184,7 +157,7 @@ func TestModelledPanicsOnBadRatio(t *testing.T) {
 }
 
 func TestCodecNames(t *testing.T) {
-	if (ZRLE{}).Name() != "zrle" || (Flate{}).Name() != "flate" {
+	if (ZRLE{}).Name() != "zrle" {
 		t.Fatal("codec names wrong")
 	}
 	if NewModelled(1, 0.25).Name() != "model-25%" {

@@ -8,16 +8,12 @@ import (
 	"kddcache/internal/blockdev"
 )
 
-// Worst-case encoded sizes. ZRLE breaks literal runs only at zero runs of
-// >= 4, so a fully incompressible XOR image costs the page plus a few
-// varint headers; flate's stored-block framing adds a handful of bytes.
-// The KDD write path falls back to NewRaw at >= PageSize, so DEZ space
-// never holds an expanded delta — the bounds here keep that fallback
-// sufficient.
-const (
-	zrleWorstCase  = blockdev.PageSize + 8
-	flateWorstCase = blockdev.PageSize + 64
-)
+// zrleWorstCase is ZRLE's worst-case encoded size. ZRLE breaks literal
+// runs only at zero runs of >= 4, so a fully incompressible XOR image
+// costs the page plus a few varint headers. The KDD write path falls back
+// to NewRaw at >= PageSize, so DEZ space never holds an expanded delta —
+// the bound here keeps that fallback sufficient.
+const zrleWorstCase = blockdev.PageSize + 8
 
 // pageShapes builds the content families the cache actually sees: clean
 // rewrites, sparse OLTP-style mutations, dense mutations, incompressible
@@ -73,31 +69,23 @@ func packedRoundTrip(t *testing.T, c Codec, old, new []byte, off int) ([]byte, D
 }
 
 // TestRoundTripShapes: compress→pack→unpack→apply reproduces the new page
-// for every codec over every content family, and every encoded delta
-// respects its codec's worst-case bound.
+// over every content family, and every encoded delta respects ZRLE's
+// worst-case bound.
 func TestRoundTripShapes(t *testing.T) {
-	codecs := []struct {
-		c     Codec
-		bound int
-	}{
-		{ZRLE{}, zrleWorstCase},
-		{Flate{}, flateWorstCase},
-	}
-	for _, tc := range codecs {
-		for i, sh := range pageShapes(0xBEEF + uint64(len(tc.c.Name()))) {
-			old, new := sh[0], sh[1]
-			raw := tc.c.Encode(old, new)
-			if raw.Len > tc.bound {
-				t.Errorf("%s shape %d: encoded %d bytes, bound %d", tc.c.Name(), i, raw.Len, tc.bound)
+	c := ZRLE{}
+	for i, sh := range pageShapes(0xBEEF + uint64(len(c.Name()))) {
+		old, new := sh[0], sh[1]
+		raw := c.Encode(old, new)
+		if raw.Len > zrleWorstCase {
+			t.Errorf("shape %d: encoded %d bytes, bound %d", i, raw.Len, zrleWorstCase)
+		}
+		for _, off := range []int{0, 1, 517} {
+			got, d := packedRoundTrip(t, c, old, new, off)
+			if !bytes.Equal(got, new) {
+				t.Fatalf("shape %d off %d: reconstruction diverges", i, off)
 			}
-			for _, off := range []int{0, 1, 517} {
-				got, d := packedRoundTrip(t, tc.c, old, new, off)
-				if !bytes.Equal(got, new) {
-					t.Fatalf("%s shape %d off %d: reconstruction diverges", tc.c.Name(), i, off)
-				}
-				if d.Len > blockdev.PageSize {
-					t.Fatalf("%s shape %d: post-fallback delta %d exceeds a page", tc.c.Name(), i, d.Len)
-				}
+			if d.Len > blockdev.PageSize {
+				t.Fatalf("shape %d: post-fallback delta %d exceeds a page", i, d.Len)
 			}
 		}
 	}
@@ -106,35 +94,30 @@ func TestRoundTripShapes(t *testing.T) {
 // TestRoundTripQuick: the same property over randomized page pairs driven
 // by testing/quick — arbitrary old/new content, arbitrary pack offset.
 func TestRoundTripQuick(t *testing.T) {
-	for _, c := range []Codec{ZRLE{}, Flate{}} {
-		c := c
-		f := func(oldSeed, newSeed uint64, ratio16 uint16, off uint16) bool {
-			old := make([]byte, blockdev.PageSize)
-			NewMutator(oldSeed, 0.5).FillRandom(old)
-			new := make([]byte, blockdev.PageSize)
-			copy(new, old)
-			// +1 keeps the ratio inside NewMutator's (0,1] domain: a raw
-			// ratio16 divisible by 1000 would panic.
-			NewMutator(newSeed, float64(ratio16%1000+1)/1000).Mutate(new)
-			got, _ := packedRoundTrip(t, c, old, new, int(off%2048))
-			return bytes.Equal(got, new)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Errorf("%s: %v", c.Name(), err)
-		}
+	f := func(oldSeed, newSeed uint64, ratio16 uint16, off uint16) bool {
+		old := make([]byte, blockdev.PageSize)
+		NewMutator(oldSeed, 0.5).FillRandom(old)
+		new := make([]byte, blockdev.PageSize)
+		copy(new, old)
+		// +1 keeps the ratio inside NewMutator's (0,1] domain: a raw
+		// ratio16 divisible by 1000 would panic.
+		NewMutator(newSeed, float64(ratio16%1000+1)/1000).Mutate(new)
+		got, _ := packedRoundTrip(t, ZRLE{}, old, new, int(off%2048))
+		return bytes.Equal(got, new)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestEncodeDeterministic: encoding is a pure function — the DEZ replay
 // path depends on byte-identical re-encodes.
 func TestEncodeDeterministic(t *testing.T) {
-	for _, c := range []Codec{ZRLE{}, Flate{}} {
-		for i, sh := range pageShapes(0xD151) {
-			a := c.Encode(sh[0], sh[1])
-			b := c.Encode(sh[0], sh[1])
-			if a.Len != b.Len || a.Raw != b.Raw || !bytes.Equal(a.Bytes, b.Bytes) {
-				t.Errorf("%s shape %d: encode not deterministic", c.Name(), i)
-			}
+	for i, sh := range pageShapes(0xD151) {
+		a := ZRLE{}.Encode(sh[0], sh[1])
+		b := ZRLE{}.Encode(sh[0], sh[1])
+		if a.Len != b.Len || a.Raw != b.Raw || !bytes.Equal(a.Bytes, b.Bytes) {
+			t.Errorf("shape %d: encode not deterministic", i)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func TestTimedSSDCorruptionGoesThroughRecoverHit(t *testing.T) {
 	if slot == cache.NoSlot || k.Frame().Slot(slot).State != cache.Clean {
 		t.Fatalf("lba %d is not a clean cache page after its write", lba)
 	}
-	page := st.KDDConfig.MetaStart + st.KDDConfig.MetaPages + int64(slot)
+	page := st.KDDConfig.MetaPages + int64(slot)
 	store := st.SSDInj.Store()
 	if !store.CorruptPage(page, 99) {
 		t.Fatalf("SSD page %d is unwritten", page)

@@ -6,8 +6,6 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
-	"kddcache/internal/delta"
-	"kddcache/internal/raid"
 	"kddcache/internal/workload"
 )
 
@@ -64,18 +62,25 @@ func AblationStaging(scale float64) (string, error) {
 	}
 	sizes := []int{1, 4, 16, 64}
 	points, err := fanOut(len(sizes), func(i int) (stagingPoint, error) {
-		st, err := buildKDDWithStaging(cachePages, diskPages, sizes[i], spec.Seed)
+		st, err := Build(StackOpts{Policy: PolicyKDD, CachePages: cachePages, DiskPages: diskPages, Seed: spec.Seed})
 		if err != nil {
 			return stagingPoint{}, err
 		}
+		// StackOpts leaves the staging buffer at core's default: swap in an
+		// engine over the same devices with the point's staging size.
+		st.KDDConfig.StagingBytes = sizes[i] * blockdev.PageSize
+		k, err := core.New(st.KDDConfig)
+		if err != nil {
+			return stagingPoint{}, err
+		}
+		st.Policy = k
 		r, err := RunTrace(st, tr)
 		if err != nil {
 			return stagingPoint{}, fmt.Errorf("staging %d: %w", sizes[i], err)
 		}
-		if _, err := st.Policy.Flush(r.Duration); err != nil {
+		if _, err := k.Flush(r.Duration); err != nil {
 			return stagingPoint{}, err
 		}
-		k := st.Policy.(*core.KDD)
 		return stagingPoint{
 			deltaCommits: k.Stats().DeltaCommits,
 			ssdWrites:    k.Stats().SSDWrites(),
@@ -95,35 +100,4 @@ func AblationStaging(scale float64) (string, error) {
 	}
 	b.WriteString("\nBigger buffers coalesce more repeat updates before committing a DEZ page.\n")
 	return b.String(), nil
-}
-
-// buildKDDWithStaging assembles a KDD stack with an explicit staging size
-// (StackOpts does not expose it; this mirrors Build's null-device path).
-func buildKDDWithStaging(cachePages, diskPages int64, stagingPages int, seed uint64) (*Stack, error) {
-	var members []blockdev.Device
-	for i := 0; i < 5; i++ {
-		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("d%d", i), diskPages))
-	}
-	array, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: 16}, members)
-	if err != nil {
-		return nil, err
-	}
-	metaPages := int64(float64(cachePages) * 0.0059 / (1 - 0.0059))
-	if metaPages < 8 {
-		metaPages = 8
-	}
-	ssdDev := blockdev.NewNullDevice("ssd", cachePages+metaPages)
-	cfg := core.Config{
-		SSD: ssdDev, Backend: array,
-		CachePages: cachePages, Ways: 256,
-		MetaStart: 0, MetaPages: metaPages,
-		Codec:        delta.NewModelled(seed+99, 0.25),
-		StagingBytes: stagingPages * blockdev.PageSize,
-	}
-	k, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Stack{Policy: k, Array: array, SSDDev: ssdDev, KDDConfig: cfg,
-		Opts: StackOpts{Policy: PolicyKDD, CachePages: cachePages, DiskPages: diskPages}}, nil
 }

@@ -283,7 +283,7 @@ func Build(o StackOpts) (*Stack, error) {
 	case PolicyWA:
 		st.Policy = cache.NewWA(ssdDev, array, o.CachePages, metaPages, o.Ways)
 	case PolicyLeavO:
-		st.Policy = cache.NewLeavO(ssdDev, array, o.CachePages, metaPages, o.Ways, 0, metaPages)
+		st.Policy = cache.NewLeavO(ssdDev, array, o.CachePages, metaPages, o.Ways)
 	case PolicyWB:
 		st.Policy = cache.NewWB(ssdDev, array, o.CachePages, metaPages, o.Ways)
 	case PolicyNVB:
@@ -316,7 +316,6 @@ func Build(o StackOpts) (*Stack, error) {
 			Backend:            array,
 			CachePages:         o.CachePages,
 			Ways:               o.Ways,
-			MetaStart:          0,
 			MetaPages:          metaPages,
 			Codec:              codec,
 			FixedDEZSets:       o.FixedDEZSets,

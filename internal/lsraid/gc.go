@@ -10,15 +10,14 @@ import (
 var gcCopyHook func(lba int64, data []byte)
 
 // gc reclaims segments until the free count clears the reserve. Victim
-// selection is greedy (most dead pages) or cost-benefit ((1-u)/(1+u)
-// weighted by age); live pages are copied forward through the normal
-// staging path, so they re-enter the log with fresh parity and the old
-// segment drops to zero live pages.
+// selection is greedy (most dead pages); live pages are copied forward
+// through the normal staging path, so they re-enter the log with fresh
+// parity and the old segment drops to zero live pages.
 func (a *Array) gc(t sim.Time) (sim.Time, error) {
 	a.inGC = true
 	defer func() { a.inGC = false }()
 	done := t
-	for a.freeCount <= int64(a.cfg.ReserveSegs) {
+	for a.freeCount <= reserveSegs {
 		v := a.pickVictim()
 		if v < 0 {
 			break // nothing reclaimable; the logical-capacity bound keeps this unreachable under load
@@ -33,29 +32,17 @@ func (a *Array) gc(t sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
-// pickVictim chooses the next segment to collect: committed, full, not
-// open, with at least one dead page.
+// pickVictim chooses the next segment to collect: the committed, full,
+// not open segment with the most dead pages (the lowest index on a tie).
 func (a *Array) pickVictim() int {
-	best, bestScore := -1, 0.0
+	best, bestDead := -1, int64(0)
 	for s := int64(0); s < a.numSegs; s++ {
 		m := &a.segs[s]
 		if m.Seq == 0 || int32(s) == a.open || m.Rows < a.cfg.SegRows {
 			continue
 		}
-		dead := a.segPages - int64(a.live[s])
-		if dead <= 0 {
-			continue
-		}
-		var score float64
-		if a.cfg.Policy == GCCostBenefit {
-			u := float64(a.live[s]) / float64(a.segPages)
-			age := float64(a.nextSeq - m.Seq + 1)
-			score = (1 - u) / (1 + u) * age
-		} else {
-			score = float64(dead)
-		}
-		if best < 0 || score > bestScore {
-			best, bestScore = int(s), score
+		if dead := a.segPages - int64(a.live[s]); dead > bestDead {
+			best, bestDead = int(s), dead
 		}
 	}
 	return best

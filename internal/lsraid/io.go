@@ -196,7 +196,7 @@ func (a *Array) ensureOpen(t sim.Time) (sim.Time, error) {
 		return t, nil
 	}
 	done := t
-	if !a.inGC && a.freeCount <= int64(a.cfg.ReserveSegs) {
+	if !a.inGC && a.freeCount <= reserveSegs {
 		c, err := a.gc(t)
 		if err != nil {
 			return t, err

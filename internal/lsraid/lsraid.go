@@ -6,8 +6,8 @@
 // stripe append into the open segment — data pages plus freshly computed
 // parity, no parity reads ever. Overwrites simply make the old physical
 // page dead; a segment garbage collector copies surviving pages forward
-// and reclaims dead segments (greedy or cost-benefit victim selection,
-// after LFS/RAID-on-ZNS practice, arxiv 2402.17963).
+// and reclaims dead segments (greedy victim selection, after
+// LFS/RAID-on-ZNS practice, arxiv 2402.17963).
 //
 // Durability model, matching the repo's NVRAM conventions: the segment
 // summaries, the L2P-relevant metadata, and the staged row buffer live in
@@ -50,16 +50,9 @@ var (
 	ErrNoSpace = errors.New("lsraid: no free segments (over-provisioning exhausted)")
 )
 
-// GCPolicy selects the segment-GC victim heuristic.
-type GCPolicy int
-
-const (
-	// GCGreedy picks the segment with the most dead pages.
-	GCGreedy GCPolicy = iota
-	// GCCostBenefit weighs reclaimable space against copy cost and age,
-	// (1-u)/(1+u) * age, preferring cold mostly-dead segments (LFS §3.2).
-	GCCostBenefit
-)
+// reserveSegs is the free-segment low watermark that triggers GC (and the
+// headroom copy-forward may consume mid-collection).
+const reserveSegs = 2
 
 // Config sizes the log-structured array.
 type Config struct {
@@ -75,12 +68,6 @@ type Config struct {
 	// at most (segments - reserve - 2) * segment data pages. Default is
 	// 3/4 of the physical data capacity, clamped to that bound.
 	LogicalPages int64
-	// ReserveSegs is the free-segment low watermark that triggers GC
-	// (and the headroom copy-forward may consume mid-collection).
-	// Default 2.
-	ReserveSegs int
-	// Policy selects the GC victim heuristic. Default GCGreedy.
-	Policy GCPolicy
 	// Seed seeds the member fault injectors.
 	Seed uint64
 }
@@ -174,9 +161,6 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	if cfg.SegRows <= 0 {
 		cfg.SegRows = 32
 	}
-	if cfg.ReserveSegs <= 0 {
-		cfg.ReserveSegs = 2
-	}
 	a := &Array{cfg: cfg, open: -1}
 	disks := make([]*blockdev.FaultInjector, n)
 	for i, m := range members {
@@ -198,7 +182,7 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	pages := members[0].Pages()
 	a.numSegs = pages / cfg.SegRows
 	a.segPages = cfg.SegRows * int64(n-1)
-	maxLogical := (a.numSegs - int64(cfg.ReserveSegs) - 2) * a.segPages
+	maxLogical := (a.numSegs - reserveSegs - 2) * a.segPages
 	if maxLogical <= 0 {
 		return nil, fmt.Errorf("%w: %d segments of %d rows leave no logical capacity", raid.ErrBadGeometry, a.numSegs, cfg.SegRows)
 	}

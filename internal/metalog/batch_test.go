@@ -44,7 +44,7 @@ func lastWins(replay []Entry) map[uint32]Entry {
 // identical last-writer-wins map.
 func TestBatchRoundtrip(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := mustNew(dev, 0, 16)
+	l := mustNew(dev, 16)
 	const n = 600 // several pages' worth of Clean entries
 	for i := 0; i < n; i++ {
 		l.PutBuffered(Entry{State: StateClean, DazPage: uint32(i), RaidLBA: uint32(i * 3), DezPage: NoDez})
@@ -59,7 +59,7 @@ func TestBatchRoundtrip(t *testing.T) {
 		t.Fatal("FlushBatch committed no pages")
 	}
 	// Crash now: rebuild from the device + NVRAM snapshot.
-	r := mustRestore(dev, 0, 16, l.Counters(), l.BufferedEntries())
+	r := mustRestore(dev, 16, l.Counters(), l.BufferedEntries())
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -87,7 +87,7 @@ func TestBatchRoundtrip(t *testing.T) {
 // physical-order replay would resurrect the superseded mapping.
 func TestAdversarialInterleavedReplay(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	const start, npages = 0, 8
+	const npages = 8
 	// Physical seq 0: shard 0, shardSeq 1 — the NEWER state of daz 100.
 	// Physical seq 1: shard 0, shardSeq 0 — the OLDER state of daz 100.
 	// Physical seq 2: shard 1, shardSeq 0 — unrelated lane, between them.
@@ -97,12 +97,12 @@ func TestAdversarialInterleavedReplay(t *testing.T) {
 		makeTaggedPage(t, 1, 0, []Entry{{State: StateClean, DazPage: 200, RaidLBA: 9, DezPage: NoDez}}),
 	}
 	for seq, p := range pages {
-		if _, err := dev.WritePages(0, start+int64(seq%npages), 1, p); err != nil {
+		if _, err := dev.WritePages(0, int64(seq%npages), 1, p); err != nil {
 			t.Fatalf("seed page %d: %v", seq, err)
 		}
 	}
 	ctr := &nvram.Counters{Head: 0, Tail: uint64(len(pages))}
-	l := mustRestore(dev, start, npages, ctr, nil)
+	l := mustRestore(dev, npages, ctr, nil)
 	replay, _, err := l.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -129,7 +129,7 @@ func TestAdversarialInterleavedReplay(t *testing.T) {
 // in-shard reorder still applies around them.
 func TestMixedTaggedUntaggedReplay(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := mustNew(dev, 0, 16)
+	l := mustNew(dev, 16)
 	// Commit one untagged page via the classic path.
 	for i := 0; i < 400; i++ {
 		if _, err := l.Put(0, Entry{State: StateClean, DazPage: uint32(i), RaidLBA: uint32(i), DezPage: NoDez}); err != nil {
@@ -143,7 +143,7 @@ func TestMixedTaggedUntaggedReplay(t *testing.T) {
 	if _, err := l.FlushBatchAll(0, 3); err != nil {
 		t.Fatalf("FlushBatchAll: %v", err)
 	}
-	r := mustRestore(dev, 0, 16, l.Counters(), l.BufferedEntries())
+	r := mustRestore(dev, 16, l.Counters(), l.BufferedEntries())
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -172,7 +172,7 @@ func TestTaggedPageCorruptionLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctr := &nvram.Counters{Head: 0, Tail: 1}
-	l := mustRestore(dev, 0, 8, ctr, nil)
+	l := mustRestore(dev, 8, ctr, nil)
 	if _, _, err := l.Recover(0); !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("corrupt tagged page recovered silently: err=%v", err)
 	}
@@ -184,13 +184,13 @@ func TestTaggedPageCorruptionLoud(t *testing.T) {
 // point.
 func TestBatchDurabilityPoint(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := mustNew(dev, 0, 16)
+	l := mustNew(dev, 16)
 	l.PutBuffered(Entry{State: StateClean, DazPage: 42, RaidLBA: 8, DezPage: NoDez})
 	buffered := l.BufferedEntries()
 	if len(buffered) != 1 {
 		t.Fatalf("NVRAM snapshot holds %d entries, want 1", len(buffered))
 	}
-	r := mustRestore(dev, 0, 16, l.Counters(), buffered)
+	r := mustRestore(dev, 16, l.Counters(), buffered)
 	replay, _, err := r.Recover(0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)

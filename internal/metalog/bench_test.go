@@ -14,7 +14,7 @@ import (
 // commit of the measured loop reclaims a head page first.
 func BenchmarkLogPut(b *testing.B) {
 	dev := blockdev.NewNullDevice("ssd", 1<<20)
-	l := mustNew(dev, 0, 256)
+	l := mustNew(dev, 256)
 	rng := sim.NewRNG(1)
 	put := func() {
 		e := Entry{State: StateClean, DazPage: uint32(rng.Uint64n(60000)), DezPage: NoDez}
@@ -38,7 +38,7 @@ func BenchmarkLogPut(b *testing.B) {
 // BenchmarkRecover measures the head-to-tail log replay after a crash.
 func BenchmarkRecover(b *testing.B) {
 	dev := blockdev.NewNullDataDevice("ssd", 1<<20)
-	l := mustNew(dev, 0, 1024)
+	l := mustNew(dev, 1024)
 	for i := 0; i < 200*EntriesPerPage; i++ {
 		e := Entry{State: StateClean, DazPage: uint32(i % 60000), DezPage: NoDez}
 		if _, err := l.Put(0, e); err != nil {
@@ -50,7 +50,7 @@ func BenchmarkRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := ctr
-		l2 := mustRestore(dev, 0, 1024, &c, buffered)
+		l2 := mustRestore(dev, 1024, &c, buffered)
 		if _, _, err := l2.Recover(0); err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestRecoverDetectsSilentCorruption(t *testing.T) {
 	if !dev.Store().CorruptPageSilently(phys, 199) {
 		t.Fatal("no page to corrupt")
 	}
-	l2 := mustRestore(dev, 0, 64, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 64, l.Counters(), l.BufferedEntries())
 	_, _, err := l2.Recover(0)
 	if !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("err = %v, want ErrLogCorrupt", err)
@@ -53,7 +53,7 @@ func TestRecoverDetectsTruncatedPage(t *testing.T) {
 	if !dev.Store().TruncatePage(phys, 256) {
 		t.Fatal("no page to truncate")
 	}
-	l2 := mustRestore(dev, 0, 64, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 64, l.Counters(), l.BufferedEntries())
 	_, _, err := l2.Recover(0)
 	if !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("err = %v, want ErrLogCorrupt", err)
@@ -69,7 +69,7 @@ func TestRecoverSurfacesMediaError(t *testing.T) {
 	if !dev.Store().CorruptPage(phys, 40) {
 		t.Fatal("no page to corrupt")
 	}
-	l2 := mustRestore(dev, 0, 64, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 64, l.Counters(), l.BufferedEntries())
 	_, _, err := l2.Recover(0)
 	if !errors.Is(err, blockdev.ErrMedia) {
 		t.Fatalf("err = %v, want ErrMedia", err)
@@ -92,7 +92,7 @@ func TestRecoverRejectsForeignPage(t *testing.T) {
 	if _, err := dev.WritePages(0, phys, 1, junk); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustRestore(dev, 0, 64, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 64, l.Counters(), l.BufferedEntries())
 	_, _, err := l2.Recover(0)
 	if !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("err = %v, want ErrLogCorrupt", err)
@@ -134,7 +134,7 @@ func TestRecoverRepairsTornTailFromNVRAM(t *testing.T) {
 	if !dev.Store().TruncatePage(int64(ctr.Tail%64), 100) {
 		t.Fatal("no tail page to tear")
 	}
-	l2 := mustRestore(dev, 0, 64, &ctr, buffered)
+	l2 := mustRestore(dev, 64, &ctr, buffered)
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatalf("recovery over torn un-acked tail: %v", err)

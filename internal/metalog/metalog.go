@@ -216,8 +216,7 @@ func (s Stats) GCPageEquivalent() int64 {
 type Log struct {
 	mu     sync.Mutex
 	dev    blockdev.Device
-	start  int64 // first page of the metadata partition on the SSD
-	npages int64 // partition size in pages
+	npages int64 // partition size in pages: SSD pages [0, npages)
 
 	ctr *nvram.Counters
 
@@ -261,19 +260,18 @@ func (l *Log) SetTracer(tr *obs.Tracer) { l.tr = tr }
 // reclaims head pages.
 const gcThreshold = 0.9
 
-// New creates a log over [start, start+npages) of dev with fresh NVRAM
+// New creates a log over the first npages pages of dev with fresh NVRAM
 // counters. The partition must lie on dev and hold at least 2 and fewer
 // than 2^31 pages (ring slots are int32).
-func New(dev blockdev.Device, start, npages int64) (*Log, error) {
+func New(dev blockdev.Device, npages int64) (*Log, error) {
 	if npages < 2 || npages >= math.MaxInt32 {
 		return nil, fmt.Errorf("metalog: partition of %d pages; it needs at least 2 and fewer than 2^31", npages)
 	}
-	if start < 0 || start > dev.Pages()-npages {
-		return nil, fmt.Errorf("metalog: partition [%d, %d) is not on the %d-page device", start, start+npages, dev.Pages())
+	if npages > dev.Pages() {
+		return nil, fmt.Errorf("metalog: partition [0, %d) is not on the %d-page device", npages, dev.Pages())
 	}
 	return &Log{
 		dev:       dev,
-		start:     start,
 		npages:    npages,
 		ctr:       &nvram.Counters{},
 		shardSeqs: make(map[uint8]uint32),
@@ -348,8 +346,8 @@ func (l *Log) loc(k uint32) *int32 {
 	return &l.where[k]
 }
 
-// slotOf returns the ring slot of committed page seq; its SSD page is
-// start+slot.
+// slotOf returns the ring slot of committed page seq, which is also its
+// SSD page.
 func (l *Log) slotOf(seq uint64) int32 { return int32(seq % uint64(l.npages)) }
 
 // Put records a mapping entry. When the buffer fills a page, the page is
@@ -495,7 +493,7 @@ func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
 		// of already-acked operations, which the shard checker must catch.
 		l.bufDrop(len(flushed))
 	}
-	done, err := l.dev.WritePages(t, l.start+int64(slot), 1, image)
+	done, err := l.dev.WritePages(t, int64(slot), 1, image)
 	blockdev.PutPage(image) // the device copied it (or ignored it on error)
 	if err != nil {
 		// The page never acked. The entries stay in the NVRAM buffer, the
@@ -611,7 +609,7 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 	done := t
 	var pages []recoveredPage
 	for seq := l.ctr.Head; seq != l.ctr.Tail; seq++ {
-		phys := l.start + int64(l.slotOf(seq))
+		phys := int64(l.slotOf(seq))
 		var buf []byte
 		if l.dataMode() {
 			buf = page[:]
@@ -691,9 +689,9 @@ func decodePage(page []byte, seq uint64, phys int64) ([]Entry, error) {
 // crash: same device and partition, the NVRAM counters, and the NVRAM
 // metadata buffer contents in order. Call Recover next. The geometry is
 // checked as New checks it.
-func Restore(dev blockdev.Device, start, npages int64,
+func Restore(dev blockdev.Device, npages int64,
 	ctr *nvram.Counters, buffered []Entry) (*Log, error) {
-	l, err := New(dev, start, npages)
+	l, err := New(dev, npages)
 	if err != nil {
 		return nil, err
 	}

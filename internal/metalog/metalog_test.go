@@ -13,7 +13,7 @@ import (
 
 func newLog(npages int64) (*Log, *blockdev.NullDevice) {
 	dev := blockdev.NewNullDataDevice("ssd", npages+1024)
-	return mustNew(dev, 0, npages), dev
+	return mustNew(dev, npages), dev
 }
 
 func entry(daz uint32, st State) Entry {
@@ -111,7 +111,7 @@ func TestRecoveryRebuildsMapping(t *testing.T) {
 		}
 	}
 	// Crash: volatile state gone; NVRAM (counters + buffer) survives.
-	l2 := mustRestore(dev, 0, 128, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 128, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestRecoveryAfterOverwrites(t *testing.T) {
 	if _, err := l.Put(0, newer); err != nil {
 		t.Fatal(err)
 	}
-	l2 := mustRestore(dev, 0, 128, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(dev, 128, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestGCReclaimsAndPreservesLiveEntries(t *testing.T) {
 		t.Fatalf("live pages %d exceed partition", l.LivePages())
 	}
 	// Everything must still recover correctly.
-	l2 := mustRestore(l.dev, 0, 8, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(l.dev, 8, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestWrapAroundPhysicalAddressing(t *testing.T) {
 	if l.Counters().Tail < 20 {
 		t.Fatalf("tail=%d; expected many committed pages", l.Counters().Tail)
 	}
-	l2 := mustRestore(l.dev, 0, 4, l.Counters(), l.BufferedEntries())
+	l2 := mustRestore(l.dev, 4, l.Counters(), l.BufferedEntries())
 	replay, _, err := l2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestWrapAroundPhysicalAddressing(t *testing.T) {
 func TestTimingChargedToDevice(t *testing.T) {
 	dev := blockdev.NewNullDevice("ssd", 4096)
 	dev.Latency = 300 * sim.Microsecond
-	l := mustNew(dev, 0, 64)
+	l := mustNew(dev, 64)
 	var done sim.Time
 	var err error
 	for i := 0; i <= cleanPerPage; i++ {
@@ -352,7 +352,7 @@ func TestRandomCrashRecoveryProperty(t *testing.T) {
 			shadow[k] = e
 		}
 		// Crash now (no flush): NVRAM buffer + counters survive.
-		l2 := mustRestore(dev, 0, 16, l.Counters(), l.BufferedEntries())
+		l2 := mustRestore(dev, 16, l.Counters(), l.BufferedEntries())
 		replay, _, err := l2.Recover(0)
 		if err != nil {
 			return false
@@ -393,35 +393,33 @@ func TestGCPageEquivalent(t *testing.T) {
 // ring slots, or not on the device is an error from New and Restore.
 func TestNewValidation(t *testing.T) {
 	dev := blockdev.NewNullDevice("d", 100)
-	for _, g := range []struct{ start, npages int64 }{
-		{0, 1}, {0, 0}, {0, -3}, {0, 1 << 31}, {99, 2}, {0, 101}, {-1, 8}, {math.MaxInt64, 8},
-	} {
-		if l, err := New(dev, g.start, g.npages); err == nil || l != nil {
-			t.Errorf("New(start %d, npages %d) = %v, %v; want an error", g.start, g.npages, l, err)
+	for _, npages := range []int64{1, 0, -3, 1 << 31, 101, math.MaxInt64} {
+		if l, err := New(dev, npages); err == nil || l != nil {
+			t.Errorf("New(npages %d) = %v, %v; want an error", npages, l, err)
 		}
-		if l, err := Restore(dev, g.start, g.npages, &nvram.Counters{}, nil); err == nil || l != nil {
-			t.Errorf("Restore(start %d, npages %d) = %v, %v; want an error", g.start, g.npages, l, err)
+		if l, err := Restore(dev, npages, &nvram.Counters{}, nil); err == nil || l != nil {
+			t.Errorf("Restore(npages %d) = %v, %v; want an error", npages, l, err)
 		}
 	}
-	for _, g := range []struct{ start, npages int64 }{{0, 2}, {98, 2}, {0, 100}} {
-		if _, err := New(dev, g.start, g.npages); err != nil {
-			t.Errorf("New(start %d, npages %d): %v", g.start, g.npages, err)
+	for _, npages := range []int64{2, 100} {
+		if _, err := New(dev, npages); err != nil {
+			t.Errorf("New(npages %d): %v", npages, err)
 		}
 	}
 }
 
 // mustNew and mustRestore are New and Restore for a geometry the test
 // knows is good.
-func mustNew(dev blockdev.Device, start, npages int64) *Log {
-	l, err := New(dev, start, npages)
+func mustNew(dev blockdev.Device, npages int64) *Log {
+	l, err := New(dev, npages)
 	if err != nil {
 		panic(err)
 	}
 	return l
 }
 
-func mustRestore(dev blockdev.Device, start, npages int64, ctr *nvram.Counters, buffered []Entry) *Log {
-	l, err := Restore(dev, start, npages, ctr, buffered)
+func mustRestore(dev blockdev.Device, npages int64, ctr *nvram.Counters, buffered []Entry) *Log {
+	l, err := Restore(dev, npages, ctr, buffered)
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,6 @@ import (
 // bytes on flash for every operation sequence.
 type mapLog struct {
 	dev       blockdev.Device
-	start     int64
 	npages    int64
 	ctr       *nvram.Counters
 	shardSeqs map[uint8]uint32
@@ -33,16 +32,16 @@ type mapLog struct {
 
 const modelInBuffer = ^uint64(0)
 
-func newMapLog(dev blockdev.Device, start, npages int64) *mapLog {
+func newMapLog(dev blockdev.Device, npages int64) *mapLog {
 	return &mapLog{
-		dev: dev, start: start, npages: npages, ctr: &nvram.Counters{},
+		dev: dev, npages: npages, ctr: &nvram.Counters{},
 		shardSeqs: map[uint8]uint32{}, buf: map[uint32]Entry{},
 		pageLists: map[uint64][]Entry{}, latest: map[uint32]uint64{},
 	}
 }
 
-func restoreMapLog(dev blockdev.Device, start, npages int64, ctr *nvram.Counters, buffered []Entry) *mapLog {
-	m := newMapLog(dev, start, npages)
+func restoreMapLog(dev blockdev.Device, npages int64, ctr *nvram.Counters, buffered []Entry) *mapLog {
+	m := newMapLog(dev, npages)
 	m.ctr = ctr
 	for _, e := range buffered {
 		m.bufInsert(e)
@@ -142,7 +141,7 @@ func (m *mapLog) flushPage(shard int) error {
 	if s, ok := m.dev.(blockdev.Storer); ok && s.Store() != nil {
 		buf = page[:]
 	}
-	if _, err := m.dev.WritePages(0, m.start+int64(seq%uint64(m.npages)), 1, buf); err != nil {
+	if _, err := m.dev.WritePages(0, int64(seq%uint64(m.npages)), 1, buf); err != nil {
 		return err
 	}
 	m.ctr.Tail++
@@ -211,7 +210,7 @@ func (m *mapLog) recover(t *testing.T) []Entry {
 	var page [blockdev.PageSize]byte
 	var pages []recoveredPage
 	for seq := m.ctr.Head; seq != m.ctr.Tail; seq++ {
-		phys := m.start + int64(seq%uint64(m.npages))
+		phys := int64(seq % uint64(m.npages))
 		if _, err := m.dev.ReadPages(0, phys, 1, page[:]); err != nil {
 			t.Fatalf("model recovery read: %v", err)
 		}
@@ -257,7 +256,7 @@ func (m *mapLog) recover(t *testing.T) []Entry {
 // sides carry on from the recovered state. The timing-only arm persists
 // no bytes, so it checks everything but flash and replay.
 func TestLogMatchesMapModel(t *testing.T) {
-	const start, devPages, keys = 3, 700, 640
+	const devPages, keys = 700, 640
 	for _, data := range []bool{true, false} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			npages := int64(4 + 3*seed)
@@ -268,8 +267,8 @@ func TestLogMatchesMapModel(t *testing.T) {
 				return blockdev.NewFaultInjector(blockdev.NewNullDevice("ssd", devPages), seed)
 			}
 			devL, devM := newDev(), newDev()
-			l := mustNew(devL, start, npages)
-			m := newMapLog(devM, start, npages)
+			l := mustNew(devL, npages)
+			m := newMapLog(devM, npages)
 			rng := sim.NewRNG(seed)
 			for step := 0; step < 12000; step++ {
 				var errL, errM error
@@ -306,13 +305,13 @@ func TestLogMatchesMapModel(t *testing.T) {
 					if !data {
 						continue
 					}
-					if !bytes.Equal(partitionBytes(devL, start, npages), partitionBytes(devM, start, npages)) {
+					if !bytes.Equal(partitionBytes(devL, npages), partitionBytes(devM, npages)) {
 						t.Fatalf("seed %d step %d: bytes on flash differ", seed, step)
 					}
 					ctrL, ctrM := *l.Counters(), *m.ctr
 					statsL, statsM := l.Stats(), m.stats
-					l = mustRestore(devL, start, npages, &ctrL, l.BufferedEntries())
-					m = restoreMapLog(devM, start, npages, &ctrM, m.buffered())
+					l = mustRestore(devL, npages, &ctrL, l.BufferedEntries())
+					m = restoreMapLog(devM, npages, &ctrM, m.buffered())
 					l.stats, m.stats = statsL, statsM
 					replayL, _, err := l.Recover(0)
 					if err != nil {
@@ -360,10 +359,10 @@ func randomEntry(rng *sim.RNG, keys int) Entry {
 	return e
 }
 
-func partitionBytes(dev *blockdev.FaultInjector, start, npages int64) []byte {
+func partitionBytes(dev *blockdev.FaultInjector, npages int64) []byte {
 	out := make([]byte, npages*blockdev.PageSize)
 	for i := int64(0); i < npages; i++ {
-		dev.Store().ReadPage(start+i, out[i*blockdev.PageSize:(i+1)*blockdev.PageSize])
+		dev.Store().ReadPage(i, out[i*blockdev.PageSize:(i+1)*blockdev.PageSize])
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // stats survive (they feed endurance accounting).
 func TestReinitEmptiesLog(t *testing.T) {
 	dev := blockdev.NewNullDataDevice("ssd", 64)
-	l := mustNew(dev, 0, 64)
+	l := mustNew(dev, 64)
 	for i := 0; i < 400; i++ {
 		if _, err := l.Put(0, Entry{State: StateClean, DazPage: uint32(i), RaidLBA: uint32(i)}); err != nil {
 			t.Fatal(err)

@@ -26,6 +26,30 @@ const (
 	RungBypass = 2
 )
 
+// The ladder's hysteresis and retry pacing.
+const (
+	// demoteAfter scales the demotion threshold: a tenant drops one rung
+	// after demoteAfter × Weight consecutive over-budget windows. The
+	// weight factor makes the lowest-priority tenant demote first — that
+	// is the "shed lowest-priority load first" ordering under shared
+	// overload.
+	demoteAfter = 2
+
+	// promoteAfter is the recovery hysteresis: consecutive fully
+	// in-budget windows required to climb one rung (recovery is
+	// deliberately slower than demotion).
+	promoteAfter = 4
+
+	// retryBudget caps throttle verdicts (retry advisories) per tenant
+	// per window; past it, over-budget requests shed.
+	retryBudget = 8
+
+	// backoffBase and backoffMax bound the doubling virtual-time backoff
+	// added to RetryAfter hints.
+	backoffBase = 100 * sim.Microsecond
+	backoffMax  = 10 * sim.Millisecond
+)
+
 // Config parameterises a Controller. Zero fields select defaults.
 type Config struct {
 	Tenants []TenantSpec
@@ -37,49 +61,6 @@ type Config struct {
 	// moves are decided once per window from that window's bucket
 	// outcomes, never from a single request.
 	Window sim.Time
-
-	// DemoteAfter scales the demotion threshold: a tenant drops one
-	// rung after DemoteAfter × Weight consecutive over-budget windows
-	// (default 2). The weight factor makes the lowest-priority tenant
-	// demote first — that is the "shed lowest-priority load first"
-	// ordering under shared overload.
-	DemoteAfter int
-
-	// PromoteAfter is the recovery hysteresis: consecutive fully
-	// in-budget windows required to climb one rung (default 4, so
-	// recovery is deliberately slower than demotion).
-	PromoteAfter int
-
-	// RetryBudget caps throttle verdicts (retry advisories) per tenant
-	// per window (default 8); past it, over-budget requests shed.
-	RetryBudget int
-
-	// BackoffBase and BackoffMax bound the doubling virtual-time
-	// backoff added to RetryAfter hints (defaults 100µs and 10ms).
-	BackoffBase sim.Time
-	BackoffMax  sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 5 * sim.Millisecond
-	}
-	if c.DemoteAfter <= 0 {
-		c.DemoteAfter = 2
-	}
-	if c.PromoteAfter <= 0 {
-		c.PromoteAfter = 4
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * sim.Microsecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 10 * sim.Millisecond
-	}
-	return c
 }
 
 // Counters is one tenant's admission tally. Offered = Admitted +
@@ -123,7 +104,9 @@ type Controller struct {
 
 // NewController builds a controller over the tenant set.
 func NewController(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Window <= 0 {
+		cfg.Window = 5 * sim.Millisecond
+	}
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("qos: controller needs at least one tenant")
 	}
@@ -164,7 +147,7 @@ func (c *Controller) roll(now sim.Time) {
 				// majority of the window's requests.
 				t.strikes++
 				t.clean = 0
-				if t.strikes >= c.cfg.DemoteAfter*int(t.spec.Weight) && t.rung < RungBypass {
+				if t.strikes >= demoteAfter*int(t.spec.Weight) && t.rung < RungBypass {
 					t.rung++
 					t.strikes = 0
 				}
@@ -173,7 +156,7 @@ func (c *Controller) roll(now sim.Time) {
 				// tenant is by definition in budget).
 				t.clean++
 				t.strikes = 0
-				if t.clean >= c.cfg.PromoteAfter && t.rung > RungThrottle {
+				if t.clean >= promoteAfter && t.rung > RungThrottle {
 					t.rung--
 					t.clean = 0
 				}
@@ -239,14 +222,14 @@ func (c *Controller) admit(now sim.Time, tenant int) Decision {
 		return Decision{Verdict: VerdictAdmit}
 	}
 	t.winMisses++
-	if t.rung == RungThrottle && t.retries < c.cfg.RetryBudget {
+	if t.rung == RungThrottle && t.retries < retryBudget {
 		t.retries++
 		if t.backoff == 0 {
-			t.backoff = c.cfg.BackoffBase
-		} else if t.backoff < c.cfg.BackoffMax {
+			t.backoff = backoffBase
+		} else if t.backoff < backoffMax {
 			t.backoff *= 2
-			if t.backoff > c.cfg.BackoffMax {
-				t.backoff = c.cfg.BackoffMax
+			if t.backoff > backoffMax {
+				t.backoff = backoffMax
 			}
 		}
 		t.c.Throttled++

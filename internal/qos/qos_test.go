@@ -205,13 +205,11 @@ func ctl(t *testing.T, cfg Config) *Controller {
 func TestLadderDemotesAndRecovers(t *testing.T) {
 	win := sim.Millisecond
 	c := ctl(t, Config{
-		Tenants:      []TenantSpec{{Name: "a", RateIOPS: 1000, Weight: 1, Burst: 1}},
-		Window:       win,
-		DemoteAfter:  2,
-		PromoteAfter: 3,
-		RetryBudget:  2,
+		Tenants: []TenantSpec{{Name: "a", RateIOPS: 1000, Weight: 1, Burst: 1}},
+		Window:  win,
 	})
-	// Flood: 10 requests per 1-token window, every window over-budget.
+	// Flood: 10 requests per 1-token window, every window over-budget and
+	// past the retry budget.
 	now := sim.Time(0)
 	var sawThrottle, sawShed, sawBypass bool
 	for w := 0; w < 12; w++ {
@@ -240,7 +238,7 @@ func TestLadderDemotesAndRecovers(t *testing.T) {
 	if !sawBypass {
 		t.Fatal("bypass rung never produced a bypass verdict for in-budget traffic")
 	}
-	// Recovery: in-budget traffic (1 request per window). PromoteAfter=3
+	// Recovery: in-budget traffic (1 request per window). promoteAfter
 	// windows per rung, two rungs to climb.
 	start := c.Rung(0)
 	for w := 0; w < 2; w++ {
@@ -248,7 +246,7 @@ func TestLadderDemotesAndRecovers(t *testing.T) {
 		now += win
 	}
 	if c.Rung(0) != start {
-		t.Fatalf("promoted after only 2 clean windows (hysteresis %d)", 3)
+		t.Fatalf("promoted after only 2 clean windows (hysteresis %d)", promoteAfter)
 	}
 	for w := 0; w < 8; w++ {
 		c.admit(now, 0)
@@ -268,8 +266,7 @@ func TestLadderWeightOrdering(t *testing.T) {
 			{Name: "gold", RateIOPS: 1000, Weight: 4, Burst: 1},
 			{Name: "tin", RateIOPS: 1000, Weight: 1, Burst: 1},
 		},
-		Window:      win,
-		DemoteAfter: 2,
+		Window: win,
 	})
 	now := sim.Time(0)
 	demotedFirst := -1
@@ -299,25 +296,29 @@ func TestLadderWeightOrdering(t *testing.T) {
 // stop at the per-window budget, after which the excess sheds.
 func TestRetryBudgetAndBackoff(t *testing.T) {
 	c := ctl(t, Config{
-		Tenants:     []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}},
-		Window:      sim.Second,
-		RetryBudget: 3,
-		BackoffBase: 100 * sim.Microsecond,
-		BackoffMax:  400 * sim.Microsecond,
+		Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}},
+		Window:  sim.Second,
 	})
 	if d := c.admit(0, 0); d.Verdict != VerdictAdmit {
 		t.Fatalf("burst token refused: %v", d.Verdict)
 	}
 	var hints []sim.Time
-	for i := 0; i < 3; i++ {
+	for i := 0; i < retryBudget; i++ {
 		d := c.admit(0, 0)
 		if d.Verdict != VerdictThrottle {
 			t.Fatalf("within retry budget got %v, want throttle", d.Verdict)
 		}
 		hints = append(hints, d.RetryAfter)
 	}
-	if !(hints[1] > hints[0] && hints[2] > hints[1]) {
-		t.Fatalf("backoff not increasing: %v", hints)
+	for i := 1; i < len(hints); i++ {
+		if hints[i] <= hints[i-1] {
+			t.Fatalf("backoff not increasing: %v", hints)
+		}
+	}
+	// The backoff starts at backoffBase and is capped at backoffMax (the
+	// bucket's own refill time is the same in every hint).
+	if got := hints[len(hints)-1] - hints[0]; got != backoffMax-backoffBase {
+		t.Fatalf("backoff spread %d, want %d", int64(got), int64(backoffMax-backoffBase))
 	}
 	if d := c.admit(0, 0); d.Verdict != VerdictShed {
 		t.Fatalf("past retry budget got %v, want shed", d.Verdict)
@@ -455,8 +456,7 @@ func TestGate(t *testing.T) {
 	}
 
 	// One token, no refill to speak of: the first request takes it.
-	c := ctl(t, Config{RetryBudget: 1,
-		Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
+	c := ctl(t, Config{Tenants: []TenantSpec{{Name: "a", RateIOPS: 1, Weight: 1, Burst: 1}}})
 	if _, err := c.Gate(5, 0, 4); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("past deadline: %v, want ErrDeadlineExceeded", err)
 	}
@@ -466,16 +466,18 @@ func TestGate(t *testing.T) {
 	if d, err := c.Gate(5, 0, 5); err != nil || d.Verdict != VerdictAdmit {
 		t.Fatalf("the token the deadline reject must not have spent: %v, %v", d.Verdict, err)
 	}
-	d, err := c.Gate(5, 0, 0)
-	var rej *Reject
-	if !errors.Is(err, ErrThrottled) || !errors.As(err, &rej) || rej.Tenant != "a" ||
-		d.Verdict != VerdictThrottle || d.RetryAfter <= 5 || rej.RetryAfter != d.RetryAfter {
-		t.Fatalf("over budget inside the retry allowance: %+v, %v", d, err)
+	for i := 0; i < retryBudget; i++ {
+		d, err := c.Gate(5, 0, 0)
+		var rej *Reject
+		if !errors.Is(err, ErrThrottled) || !errors.As(err, &rej) || rej.Tenant != "a" ||
+			d.Verdict != VerdictThrottle || d.RetryAfter <= 5 || rej.RetryAfter != d.RetryAfter {
+			t.Fatalf("over budget inside the retry allowance: %+v, %v", d, err)
+		}
 	}
 	if d, err := c.Gate(5, 0, 0); !errors.Is(err, ErrShed) || errors.Is(err, ErrThrottled) || d.Verdict != VerdictShed {
 		t.Fatalf("over budget past the retry allowance: %+v, %v", d, err)
 	}
-	if got, want := c.Snapshot()[0], (Counters{Offered: 3, Admitted: 1, Throttled: 1, Shed: 1, Deadline: 1}); got != want {
+	if got, want := c.Snapshot()[0], (Counters{Offered: 2 + retryBudget, Admitted: 1, Throttled: retryBudget, Shed: 1, Deadline: 1}); got != want {
 		t.Fatalf("tallies %+v, want %+v", got, want)
 	}
 

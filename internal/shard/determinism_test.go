@@ -42,7 +42,6 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 		Backend:    arr,
 		CachePages: prigCachePages,
 		Ways:       prigWays,
-		MetaStart:  0,
 		MetaPages:  prigMetaPages,
 		Codec:      func(int) delta.Codec { return delta.ZRLE{} },
 		Shards:     shards,

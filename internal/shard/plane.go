@@ -70,15 +70,12 @@ type Config struct {
 	CachePages int64 // total cache capacity, split evenly across lanes
 	Ways       int   // set associativity per lane (default 256)
 
-	MetaStart int64 // shared metadata partition start
-	MetaPages int64 // shared metadata partition size (>= 2)
+	MetaPages int64 // shared metadata partition [0, MetaPages) (>= 2)
 
 	// Codec builds each lane's delta codec. Stateful codecs (the
 	// modelled one carries an RNG) must not be shared between lanes, or
 	// goroutine-mode runs race and deterministic runs couple lane state.
 	Codec func(lane int) delta.Codec
-
-	StagingBytes int // per-lane NVRAM staging capacity
 
 	// Shards is the execution width: how many workers the lanes are
 	// grouped onto. Must divide Lanes; default 1.
@@ -159,7 +156,6 @@ type Plane struct {
 	backend     *lockedBackend
 	stripePages int64
 	lanePages   int64
-	dataStart   int64
 
 	stripeMu [stripeLockSlots]sync.Mutex
 
@@ -210,20 +206,15 @@ func (c Config) withDefaults() (Config, error) {
 // devices and log.
 func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
 	log *metalog.Log) core.Config {
-	lanePages := c.CachePages / Lanes
 	cc := core.Config{
-		SSD:          ssd,
-		Backend:      backend,
-		CachePages:   lanePages,
-		Ways:         c.Ways,
-		MetaStart:    c.MetaStart,
-		MetaPages:    c.MetaPages,
-		Codec:        c.Codec(i),
-		StagingBytes: c.StagingBytes,
-		SharedLog:    log,
-		DataStart:    c.MetaStart + c.MetaPages + int64(i)*lanePages,
-		Lane:         uint8(i),
-		BatchMeta:    true,
+		SSD:        ssd,
+		Backend:    backend,
+		CachePages: c.CachePages / Lanes,
+		Ways:       c.Ways,
+		MetaPages:  c.MetaPages,
+		Codec:      c.Codec(i),
+		SharedLog:  log,
+		Lane:       uint8(i),
 		// The breaker votes per lane but the SSD fails as a whole; only
 		// fail-stop failover (which every lane observes identically) is
 		// meaningful here, so the per-lane breakers are disabled.
@@ -242,7 +233,7 @@ func New(cfg Config) (*Plane, error) {
 		return nil, err
 	}
 	p := newShell(cfg)
-	if p.log, err = metalog.New(p.ssd, cfg.MetaStart, cfg.MetaPages); err != nil {
+	if p.log, err = metalog.New(p.ssd, cfg.MetaPages); err != nil {
 		p.Close()
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -270,7 +261,6 @@ func newShell(cfg Config) *Plane {
 		backend:     newLockedBackend(cfg.Backend),
 		stripePages: cfg.Backend.StripePages(),
 		lanePages:   cfg.CachePages / Lanes,
-		dataStart:   cfg.MetaStart + cfg.MetaPages,
 	}
 	if cfg.Goroutines {
 		p.sched = sched.NewPool(cfg.Shards)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kddcache/internal/blockdev"
+	"kddcache/internal/cache"
 	"kddcache/internal/delta"
 	"kddcache/internal/nvram"
 	"kddcache/internal/raid"
@@ -50,7 +51,6 @@ func newPRig(t *testing.T, shards int, opts ...func(*shard.Config)) *prig {
 		Backend:    arr,
 		CachePages: prigCachePages,
 		Ways:       prigWays,
-		MetaStart:  0,
 		MetaPages:  prigMetaPages,
 		Codec:      func(int) delta.Codec { return delta.ZRLE{} },
 		Shards:     shards,
@@ -256,6 +256,108 @@ func TestCoalescing(t *testing.T) {
 	}
 	if string(buf) != string(pageB) {
 		t.Fatal("coalesced LBA does not hold the superseding write")
+	}
+}
+
+// TestLaneRegions pins the lane data regions, which the plane derives
+// rather than configures: lane i owns SSD pages [MetaPages + i*L, +L) with
+// L = CachePages/Lanes, so the lanes tile the cache partition without
+// overlap. Every Clean page is read straight off the SSD at the page that
+// formula names, in both scheduler modes and again on a restored plane.
+// The restore also replays an NVRAM-staged delta on a lane >= 1, whose
+// region is shifted off the start of the cache partition, and reads the
+// page back through it.
+func TestLaneRegions(t *testing.T) {
+	t.Parallel()
+	const lanePages = prigCachePages / shard.Lanes
+	for _, goroutines := range []bool{false, true} {
+		r := newPRig(t, 4, func(c *shard.Config) { c.Goroutines = goroutines })
+		stripePages := r.arr.StripePages()
+		var lbas []int64
+		for s := int64(0); s < 64; s++ {
+			for off := int64(0); off < 2; off++ {
+				lba := s*stripePages + off
+				page := make([]byte, blockdev.PageSize)
+				r.mut.FillRandom(page)
+				if _, err := r.p.Write(0, lba, page); err != nil {
+					t.Fatalf("goroutines=%v: write %d: %v", goroutines, lba, err)
+				}
+				r.oracle[lba] = page
+				lbas = append(lbas, lba)
+			}
+		}
+		checkRegions := func(p *shard.Plane, when string) {
+			t.Helper()
+			owner := map[int64]int{} // SSD page -> lane
+			buf := make([]byte, blockdev.PageSize)
+			for _, lba := range lbas {
+				lane := p.LaneOf(lba)
+				f := p.Lane(lane).Frame()
+				slot := f.Lookup(lba)
+				if slot == cache.NoSlot || f.Slot(slot).State != cache.Clean {
+					continue
+				}
+				page := prigMetaPages + int64(lane)*lanePages + int64(slot)
+				if prev, ok := owner[page]; ok {
+					t.Fatalf("goroutines=%v, %s: SSD page %d claimed by lanes %d and %d", goroutines, when, page, prev, lane)
+				}
+				owner[page] = lane
+				r.ssd.Store().ReadPage(page, buf)
+				if string(buf) != string(r.oracle[lba]) {
+					t.Fatalf("goroutines=%v, %s: lane %d slot %d: SSD page %d does not hold lba %d",
+						goroutines, when, lane, slot, page, lba)
+				}
+			}
+			lanes := map[int]bool{}
+			for page, lane := range owner {
+				if page < prigMetaPages || page >= prigMetaPages+prigCachePages {
+					t.Fatalf("goroutines=%v, %s: SSD page %d outside the cache partition", goroutines, when, page)
+				}
+				lanes[lane] = true
+			}
+			if len(lanes) != shard.Lanes {
+				t.Fatalf("goroutines=%v, %s: Clean pages on %d lanes, want all %d", goroutines, when, len(lanes), shard.Lanes)
+			}
+		}
+		checkRegions(r.p, "fresh")
+
+		// Rewrite one page on a lane >= 1: the write hit stages its delta.
+		var hot int64 = -1
+		for _, lba := range lbas {
+			if r.p.LaneOf(lba) >= 1 {
+				hot = lba
+				break
+			}
+		}
+		page := make([]byte, blockdev.PageSize)
+		copy(page, r.oracle[hot])
+		r.mut.Mutate(page)
+		if _, err := r.p.Write(0, hot, page); err != nil {
+			t.Fatal(err)
+		}
+		r.oracle[hot] = page
+		hotLane := r.p.LaneOf(hot)
+		if r.p.Lane(hotLane).Staging().Len() == 0 {
+			t.Fatalf("goroutines=%v: setup: lane %d staged no delta", goroutines, hotLane)
+		}
+
+		var stagings [shard.Lanes]*nvram.Staging
+		for i := range stagings {
+			stagings[i] = r.p.Lane(i).Staging()
+		}
+		p2, _, err := shard.Restore(r.cfg, 0, r.p.Log().Counters(), r.p.Log().BufferedEntries(), stagings)
+		if err != nil {
+			t.Fatalf("goroutines=%v: Restore: %v", goroutines, err)
+		}
+		t.Cleanup(p2.Close)
+		checkRegions(p2, "restored")
+		buf := make([]byte, blockdev.PageSize)
+		if _, err := p2.Read(0, hot, buf); err != nil {
+			t.Fatalf("goroutines=%v: read of the staged page on lane %d: %v", goroutines, hotLane, err)
+		}
+		if string(buf) != string(page) {
+			t.Fatalf("goroutines=%v: staged page on lane %d read back wrong after restore", goroutines, hotLane)
+		}
 	}
 }
 
@@ -465,15 +567,15 @@ func TestMetaLogGeometryIsAnError(t *testing.T) {
 	ssdPages := r.ssd.Pages()
 	for _, goroutines := range []bool{false, true} {
 		for _, g := range []struct {
-			name             string
-			start, metaPages int64
+			name      string
+			metaPages int64
 		}{
-			{"one page", 0, 1},
-			{"2^31 pages", 0, 1 << 31},
-			{"past the device", ssdPages - 1, 2},
+			{"one page", 1},
+			{"2^31 pages", 1 << 31},
+			{"past the device", ssdPages + 1},
 		} {
 			bad := r.cfg
-			bad.Goroutines, bad.MetaStart, bad.MetaPages = goroutines, g.start, g.metaPages
+			bad.Goroutines, bad.MetaPages = goroutines, g.metaPages
 			if _, err := shard.New(bad); err == nil || !strings.Contains(err.Error(), "metalog") {
 				t.Errorf("goroutines=%v, %s: New: %v, want the metadata log's geometry error", goroutines, g.name, err)
 			}

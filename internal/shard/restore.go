@@ -28,7 +28,7 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 		return nil, t, err
 	}
 	p := newShell(cfg)
-	if p.log, err = metalog.Restore(p.ssd, cfg.MetaStart, cfg.MetaPages, ctr, buffered); err != nil {
+	if p.log, err = metalog.Restore(p.ssd, cfg.MetaPages, ctr, buffered); err != nil {
 		p.Close()
 		return nil, t, fmt.Errorf("shard: %w", err)
 	}
@@ -70,8 +70,8 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 func (p *Plane) demux(replay []metalog.Entry) ([Lanes][]metalog.Entry, error) {
 	var out [Lanes][]metalog.Entry
 	for _, e := range replay {
-		lane := (int64(e.DazPage) - p.dataStart) / p.lanePages
-		if int64(e.DazPage) < p.dataStart || lane < 0 || lane >= Lanes {
+		lane := (int64(e.DazPage) - p.cfg.MetaPages) / p.lanePages
+		if int64(e.DazPage) < p.cfg.MetaPages || lane < 0 || lane >= Lanes {
 			return out, fmt.Errorf("shard: recovered entry for cache page %d outside every lane", e.DazPage)
 		}
 		out[lane] = append(out[lane], e)
