@@ -116,11 +116,12 @@ qos-test:
 # liveness, crash+replay over every enumerated torn-write site, segment
 # accounting) and the kdd-vs-lsraid differential trace battery at FanOut
 # widths 1/4/16 (byte-identical reads, equal engine digests at flush
-# barriers), under the race detector. (The checker's crash-site sweep of
-# the backend is part of `make check`.)
+# barriers), under the race detector, and the head-to-head's pins (GC
+# copies, segments and write amp unchanged; lsraid p99 below kdd's).
+# (The checker's crash-site sweep of the backend is part of `make check`.)
 lsraid-test:
 	$(GO) test -race ./internal/lsraid/
-	$(GO) test -race -run 'TestDifferentialBackends' -timeout 20m ./internal/harness/
+	$(GO) test -race -run 'TestDifferentialBackends|TestLSRaidCompareSweep' -timeout 20m ./internal/harness/
 
 # Coverage ratchet: total statement coverage may not drop more than 0.5
 # points below the committed baseline in COVERAGE.txt. Raise the baseline

@@ -5,9 +5,11 @@ import (
 	"kddcache/internal/sim"
 )
 
-// gcCopyHook, when non-nil (white-box tests only), observes every live
-// page the collector copies forward.
-var gcCopyHook func(lba int64, data []byte)
+// gcSweepHook, when non-nil (white-box tests only), observes every sweep
+// that completed: the collection's start time, its victim and the live
+// pages read from it, in the order the append will stage them. The
+// pages are still mapped to the victim when it fires.
+var gcSweepHook func(t sim.Time, victim int, swept []pending)
 
 // gc reclaims segments until the free count clears the reserve. Victim
 // selection is greedy (most dead pages); live pages are copied forward
@@ -48,37 +50,64 @@ func (a *Array) pickVictim() int {
 	return best
 }
 
-// collect copies the victim's live pages forward and frees it. A page is
-// live iff the L2P map still names this exact slot — which it does not
-// once the page is overwritten, shadowed by a newer version staged in
-// NVRAM, or declared lost (the loss stays recorded; there is nothing to
-// copy).
+// collect copies the victim's live pages forward and frees it, in two
+// passes. The sweep reads every live page, all issued at t: each member
+// serves its share in ascending row order and the members work in
+// parallel, like a multi-page array read. The append then stages the
+// pages in summary order, through the same path as a host write, once
+// the last read has completed — so no member seeks between the victim
+// and the open segment while the victim is being read.
+//
+// A page is live iff the L2P map still names this exact slot — which it
+// does not once the page is overwritten, shadowed by a newer version
+// staged in NVRAM, or declared lost (the loss stays recorded; there is
+// nothing to copy). In data mode each swept page is a pool page the row
+// buffer adopts when it is staged, so a sweep holds at most segPages
+// pages (128, half a MiB, at 32 rows over five members).
+//
+// A failed sweep read moves nothing: the pages swept so far go back to
+// the pool, the victim stays allocated, and the next GC pass retries it
+// (a page the read declared lost is no longer live then). A failed
+// append leaves the pages staged so far moved and the rest in the
+// victim, as a failed host write would.
 func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	m := &a.segs[v]
+	sw := a.sweep[:0]
+	defer func() {
+		for _, p := range sw {
+			blockdev.PutPage(p.data) // nil once staged
+		}
+		clear(sw)
+		a.sweep = sw[:0]
+	}()
 	done := t
-	var buf []byte
-	if a.DataMode() {
-		buf = blockdev.GetPage()
-		defer blockdev.PutPage(buf)
-	}
 	for idx, lba := range m.LBAs {
 		if a.l2p[lba] != (phys{seg: int32(v), idx: int32(idx)}) {
 			continue // dead
 		}
-		c, err := a.readPage(t, lba, buf)
+		var data []byte
+		if a.DataMode() {
+			data = blockdev.GetPage() // fully overwritten by the read
+		}
+		sw = append(sw, pending{lba: lba, data: data})
+		c, err := a.readPage(t, lba, data)
 		if err != nil {
 			return done, err
 		}
 		done = sim.MaxTime(done, c)
-		t = c
-		a.Counters().GCCopies++
-		if gcCopyHook != nil {
-			gcCopyHook(lba, buf)
-		}
-		c, err = a.writePage(t, lba, buf)
+	}
+	if gcSweepHook != nil {
+		gcSweepHook(t, v, sw)
+	}
+	t = done
+	for i := range sw {
+		p := &sw[i]
+		c, err := a.stagePage(t, p.lba, p.data)
+		p.data = nil // the row buffer owns it now, or stagePage released it
 		if err != nil {
 			return done, err
 		}
+		a.Counters().GCCopies++
 		done = sim.MaxTime(done, c)
 		t = c
 	}

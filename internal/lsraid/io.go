@@ -92,13 +92,23 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 // NVRAM holds its only one) makes the write succeed whatever a later
 // row's flush met; that row stays staged for the next drain.
 func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if !a.Survivable() {
-		return t, raid.ErrTooManyFailures
-	}
 	var data []byte
 	if a.DataMode() && buf != nil {
 		data = blockdev.GetPage() // fully overwritten by the copy
 		copy(data, buf)
+	}
+	return a.stagePage(t, lba, data)
+}
+
+// stagePage is writePage for a page the caller hands over: data (a
+// blockdev.GetPage buffer, nil in timing mode) belongs to the row buffer
+// from the call on, whatever the outcome — a failed write returns it to
+// the pool. GC copy-forward stages its swept pages through here, so a
+// copied page is read once and never copied again.
+func (a *Array) stagePage(t sim.Time, lba int64, data []byte) (sim.Time, error) {
+	if !a.Survivable() {
+		blockdev.PutPage(data)
+		return t, raid.ErrTooManyFailures
 	}
 	if e, ok := a.stagedPage(lba); ok {
 		blockdev.PutPage(e.data)
@@ -173,7 +183,7 @@ func (a *Array) compactRowBuf() {
 }
 
 // drain flushes full rows out of the NVRAM buffer. It is re-entered by
-// GC copy-forward (which stages through writePage); the loop structure
+// GC copy-forward (which stages through stagePage); the loop structure
 // makes that safe — whoever runs first flushes the buffer prefix.
 func (a *Array) drain(t sim.Time) (sim.Time, error) {
 	done := t

@@ -95,11 +95,14 @@ type segMeta struct {
 // pending is one staged page in the NVRAM row buffer.
 //
 // Ownership: in data mode, data is a blockdev.GetPage buffer the row
-// buffer owns from the moment writePage stages it. It goes back to the
-// pool at exactly two points — when a newer write of the same LBA
-// replaces it in place, and at the NVRAM commit of its row, after the
-// member writes have copied it — and nothing else may keep a reference
-// to it: readers copy out, member devices copy in.
+// buffer owns from the moment stagePage stages it — a copy of a host
+// page, or the page GC's sweep read a live copy into. It goes back to
+// the pool when a newer write of the same LBA replaces it in place, when
+// a failed flush takes it back out (unstage), and at the NVRAM commit of
+// its row, after the member writes have copied it; nothing else may keep
+// a reference to it: readers copy out, member devices copy in. collect's
+// sweep list uses the same type for the pages it has read and not yet
+// handed over.
 type pending struct {
 	lba  int64
 	data []byte // nil in timing mode
@@ -146,6 +149,7 @@ type Array struct {
 	freeCount  int64
 	pendingIdx []int32
 	inGC       bool
+	sweep      []pending // collect's live-page list, reused across collections
 }
 
 // New builds a log-structured array over the member devices, wrapping

@@ -108,14 +108,15 @@ func TestGCNeverCopiesDeadPage(t *testing.T) {
 	a := testArray(t, 4, 256, 8)
 	version := make(map[int64]int)
 	bad := 0
-	gcCopyHook = func(lba int64, data []byte) {
-		want := pageOf(lba, version[lba])
-		if !bytes.Equal(data, want) {
-			bad++
-			t.Errorf("GC copied a dead version of lba %d", lba)
+	gcSweepHook = func(_ sim.Time, _ int, swept []pending) {
+		for _, p := range swept {
+			if !bytes.Equal(p.data, pageOf(p.lba, version[p.lba])) {
+				bad++
+				t.Errorf("GC copied a dead version of lba %d", p.lba)
+			}
 		}
 	}
-	defer func() { gcCopyHook = nil }()
+	defer func() { gcSweepHook = nil }()
 	rng := sim.NewRNG(7)
 	var tt sim.Time
 	// The footprint must stay close to the logical capacity so victim
