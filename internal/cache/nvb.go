@@ -167,7 +167,8 @@ func (n *NVB) dataModeNVB() bool {
 	return false
 }
 
-// Clean implements Policy: opportunistic destaging in idle periods.
+// Clean implements Policy: opportunistic destaging in idle periods. Every
+// row of the pass is destaged at the pass start (see sim.Station).
 func (n *NVB) Clean(t sim.Time, force bool) (sim.Time, error) {
 	done := t
 	for len(n.rows) > 0 {
@@ -176,7 +177,6 @@ func (n *NVB) Clean(t sim.Time, force bool) (sim.Time, error) {
 			return t, err
 		}
 		done = sim.MaxTime(done, c)
-		t = c
 		if !force && len(n.buf) < n.capPages/2 {
 			break
 		}

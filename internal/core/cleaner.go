@@ -79,6 +79,12 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 			break
 		}
 		ran = true
+		// Every row repair of the pass is issued at the pass start, as
+		// LeavO, WB, PLog and NVB issue theirs: each member queues only
+		// its own share of the pass. Chaining a row on the previous
+		// row's completion would hold every member from now until the
+		// last row's issue time (a sim.Station cannot backfill), and the
+		// foreground would wait behind the whole chain.
 		for _, v := range victims {
 			if k.frame.Slot(v).State != cache.Old {
 				continue
@@ -88,7 +94,6 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 				return t, err
 			}
 			done = sim.MaxTime(done, c)
-			t = c // cleaning work is serialized in the background thread
 			if !force && k.DirtyPages() <= low {
 				break
 			}

@@ -263,6 +263,14 @@ func TestFig10And11ClosedLoop(t *testing.T) {
 		t.Errorf("0%% reads: KDD %.2f, WT %.2f, Nossd %.2f",
 			lat["KDD"][0], lat["WT"][0], lat["Nossd"][0])
 	}
+	// KDD's response time is no worse than LeavO's at any read rate: both
+	// defer parity and both clean in the background (the paper's Fig. 10
+	// has the two curves together).
+	for i := range fioReadRates {
+		if lat["KDD"][i] > lat["LeavO"][i] {
+			t.Errorf("rr %d: KDD %.2fms above LeavO %.2fms", i, lat["KDD"][i], lat["LeavO"][i])
+		}
+	}
 
 	_, s11, err := Fig11(0.01)
 	if err != nil {

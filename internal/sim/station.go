@@ -10,6 +10,14 @@ package sim
 // each layer returns the completion time for a request given its arrival
 // time. Background work (cleaner I/O) occupies servers the same way, so
 // foreground requests naturally queue behind it.
+//
+// A server keeps only its next-free time, so the FIFO cannot backfill: a
+// job submitted for a future time holds its server from the current
+// next-free time until that job completes, and nothing submitted later
+// can use the gap before it starts. Background loops therefore issue a
+// whole pass at the pass start and never chain an item on the previous
+// item's completion: chained, a pass of n items would hold every server
+// it touches for the whole chain instead of for its own share.
 type Station struct {
 	name string
 	free []Time // next free time per server
