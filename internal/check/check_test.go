@@ -14,13 +14,13 @@ func TestCheckerCIMode(t *testing.T) {
 	type row [3]int // crash, media, kill sites of one seed
 	want := [][]row{
 		{{50, 172, 8}, {54, 202, 8}},   // kdd engine
-		{{43, 0, 0}, {46, 0, 0}},       // kdd plane
+		{{47, 0, 0}, {45, 0, 0}},       // kdd plane
 		{{352, 635, 8}, {372, 713, 8}}, // kdd engine, rebuild (media sites 1 in 4)
 		{{129, 0, 0}, {108, 0, 0}},     // kdd plane, rebuild
 		{{50, 262, 8}, {54, 262, 8}},   // lsraid engine
-		{{43, 0, 0}, {46, 0, 0}},       // lsraid plane
+		{{47, 0, 0}, {45, 0, 0}},       // lsraid plane
 		{{110, 254, 8}, {105, 246, 8}}, // lsraid engine, rebuild
-		{{96, 0, 0}, {86, 0, 0}},       // lsraid plane, rebuild
+		{{91, 0, 0}, {84, 0, 0}},       // lsraid plane, rebuild
 	}
 	var reps []*Report
 	if testing.Short() {

@@ -85,7 +85,9 @@ type spec struct {
 // *shard.Plane, behind the handful of operations the two spell
 // differently.
 type subject interface {
-	// run executes a batch in submission order, one result per op.
+	// run executes a batch, one result per op in submission order. The
+	// bare engine serves the ops in submission order, the plane in its
+	// sweep order; either way each LBA's ops keep their relative order.
 	run(t sim.Time, ops []shard.Op) []shard.Result
 	// restore builds a fresh instance from this one's NVRAM (metadata-log
 	// counters and buffer, every staging buffer) the way a power-on does,

@@ -8,6 +8,7 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/delta"
+	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
 )
@@ -166,5 +167,129 @@ func TestWorkerOrderMatchesDeterministic(t *testing.T) {
 	}
 	if barriers == 0 {
 		t.Fatal("no barrier committed a page: the workload is too short to say where barriers run")
+	}
+}
+
+// memberOp is one member-disk I/O as the member saw it.
+type memberOp struct {
+	member int
+	at     sim.Time
+	row    int64
+}
+
+// loggingMember is a data-mode member disk that appends every read and
+// write, in call order, to a log its array's members share, and takes
+// one nanosecond per row plus one, so a completion time names the row.
+type loggingMember struct {
+	*blockdev.NullDevice
+	i   int
+	log *[]memberOp
+}
+
+func (d loggingMember) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
+	*d.log = append(*d.log, memberOp{d.i, t, lba})
+	done, err := d.NullDevice.ReadPages(t, lba, count, buf)
+	return done + 1 + sim.Time(lba), err
+}
+
+func (d loggingMember) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
+	*d.log = append(*d.log, memberOp{d.i, t, lba})
+	done, err := d.NullDevice.WritePages(t, lba, count, buf)
+	return done + 1 + sim.Time(lba), err
+}
+
+// TestBatchSweepsInLBAOrder pins the order a batch reaches the disks in.
+// One batch at one arrival time holds cold reads, one per stripe, and
+// four write → read pairs on one LBA, shuffled with each LBA's ops kept
+// in order; a tail of reads with their own, rising arrival times and
+// falling LBAs follows. Every member must see the co-arriving ops as one
+// ascending sweep of its rows; each read of the shared LBA must see the
+// write before it; the tail must run in input order; and each result
+// must sit at its op's index.
+func TestBatchSweepsInLBAOrder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		var log []memberOp
+		var members []blockdev.Device
+		for i := 0; i < 5; i++ {
+			members = append(members, loggingMember{blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), prigDiskPages), i, &log})
+		}
+		arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: prigChunk}, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newPRig(t, shards, func(c *shard.Config) { c.Backend = arr })
+		stripe := arr.StripePages()
+		row := func(lba int64) int64 { return lba/stripe*prigChunk + lba%prigChunk }
+
+		const t0, gap = sim.Second, sim.Millisecond
+		var sorted []shard.Op
+		for k := int64(1); k <= 24; k++ {
+			sorted = append(sorted, shard.Op{Kind: shard.OpRead, LBA: k*stripe + k%prigChunk, Buf: make([]byte, blockdev.PageSize)})
+		}
+		w := 30*stripe + 3
+		var written, read [][]byte
+		for k := 0; k < 4; k++ {
+			page, buf := make([]byte, blockdev.PageSize), make([]byte, blockdev.PageSize)
+			r.mut.FillRandom(page)
+			written, read = append(written, page), append(read, buf)
+			sorted = append(sorted,
+				shard.Op{Kind: shard.OpWrite, LBA: w, Buf: page},
+				shard.Op{Kind: shard.OpRead, LBA: w, Buf: buf})
+		}
+		var ops []shard.Op
+		for _, i := range permuteKeepingLBAOrder(sim.NewRNG(0x5EEB), sorted) {
+			ops = append(ops, sorted[i])
+		}
+		tail := len(ops)
+		for k := int64(1); k <= 4; k++ {
+			ops = append(ops, shard.Op{Kind: shard.OpRead, LBA: (40-k)*stripe + 5, Buf: make([]byte, blockdev.PageSize), At: t0 + sim.Time(k)*gap})
+		}
+
+		res := r.p.RunBatch(t0, ops)
+
+		last := make(map[int]int64)
+		swept := 0
+		var tailAt []sim.Time
+		for _, m := range log {
+			if m.at >= t0+gap {
+				tailAt = append(tailAt, m.at)
+				continue
+			}
+			if prev, ok := last[m.member]; ok && m.row < prev {
+				t.Fatalf("shards=%d: member %d went back from row %d to row %d within one arrival time", shards, m.member, prev, m.row)
+			}
+			last[m.member] = m.row
+			swept++
+		}
+		if swept < 24 {
+			t.Fatalf("shards=%d: %d member ops at the batch time, want at least one per cold read", shards, swept)
+		}
+		for k := range read {
+			if string(read[k]) != string(written[k]) {
+				t.Errorf("shards=%d: read %d of LBA %d did not return the write before it", shards, k, w)
+			}
+		}
+		var wantAt []sim.Time
+		for _, op := range ops[tail:] {
+			wantAt = append(wantAt, op.At)
+		}
+		if !slices.Equal(tailAt, wantAt) {
+			t.Errorf("shards=%d: ops with their own arrival times reached the members at %v, want input order %v", shards, tailAt, wantAt)
+		}
+		for i, op := range ops {
+			if res[i].Err != nil {
+				t.Fatalf("shards=%d: op %d: %v", shards, i, res[i].Err)
+			}
+			if op.Kind != shard.OpRead || op.LBA == w {
+				continue
+			}
+			at := op.At
+			if at == 0 {
+				at = t0
+			}
+			if want := at + 1 + sim.Time(row(op.LBA)); res[i].Done != want {
+				t.Errorf("shards=%d: result %d (read of LBA %d) done at %d, want %d", shards, i, op.LBA, res[i].Done, want)
+			}
+		}
 	}
 }

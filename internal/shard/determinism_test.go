@@ -25,7 +25,9 @@ import (
 // detRun executes the canonical seeded workload at the given shard count
 // and returns every observable byte: a log line per op result, the JSONL
 // trace fingerprint, the quiesced stats table, and the plane digest.
-func detRun(t *testing.T, shards int, coalesce bool) []byte {
+// permute submits each batch in a shuffled order that keeps every LBA's
+// ops in their relative order; results are logged in canonical order.
+func detRun(t *testing.T, shards int, coalesce, permute bool) []byte {
 	t.Helper()
 	var members []blockdev.Device
 	for i := 0; i < 5; i++ {
@@ -55,6 +57,7 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 
 	var out bytes.Buffer
 	rng := sim.NewRNG(0x5EED)
+	prng := sim.NewRNG(0x9E3)
 	mut := delta.NewMutator(11, 0.25)
 	pages := make(map[int64][]byte)
 	for b := 0; b < 25; b++ {
@@ -75,7 +78,22 @@ func detRun(t *testing.T, shards int, coalesce bool) []byte {
 				ops = append(ops, shard.Op{Kind: shard.OpRead, LBA: lba, Buf: make([]byte, blockdev.PageSize)})
 			}
 		}
-		for i, r := range p.RunBatch(0, ops) {
+		order := make([]int, len(ops))
+		for i := range order {
+			order[i] = i
+		}
+		if permute {
+			order = permuteKeepingLBAOrder(prng, ops)
+		}
+		sent := make([]shard.Op, len(ops))
+		for j, i := range order {
+			sent[j] = ops[i]
+		}
+		res := make([]shard.Result, len(ops))
+		for j, r := range p.RunBatch(0, sent) {
+			res[order[j]] = r
+		}
+		for i, r := range res {
 			fmt.Fprintf(&out, "b%d op%d kind=%d lba=%d done=%d err=%v coalesced=%v\n",
 				b, i, ops[i].Kind, ops[i].LBA, r.Done, r.Err, r.Coalesced)
 		}
@@ -104,8 +122,8 @@ var (
 func baseline(t *testing.T) map[bool][]byte {
 	detBaselineOnce.Do(func() {
 		detBaseline = map[bool][]byte{
-			false: detRun(t, 1, false),
-			true:  detRun(t, 1, true),
+			false: detRun(t, 1, false, false),
+			true:  detRun(t, 1, true, false),
 		}
 	})
 	return detBaseline
@@ -121,7 +139,7 @@ func TestDeterministicByteIdentical(t *testing.T) {
 			shards, coalesce := shards, coalesce
 			t.Run(fmt.Sprintf("shards=%d/coalesce=%v", shards, coalesce), func(t *testing.T) {
 				t.Parallel()
-				got := detRun(t, shards, coalesce)
+				got := detRun(t, shards, coalesce, false)
 				want := base[coalesce]
 				if !bytes.Equal(got, want) {
 					t.Fatalf("output diverged from shards=1 (%d vs %d bytes)\nfirst divergence: %s",
@@ -136,11 +154,56 @@ func TestDeterministicByteIdentical(t *testing.T) {
 // is byte-identical to itself (no hidden global state).
 func TestDeterministicRepeatable(t *testing.T) {
 	t.Parallel()
-	a := detRun(t, 4, true)
-	b := detRun(t, 4, true)
+	a := detRun(t, 4, true, false)
+	b := detRun(t, 4, true, false)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-config reruns diverged: %s", firstDiff(a, b))
 	}
+}
+
+// TestDeterministicPermutedBatches proves what the plane's LBA sweep
+// guarantees: a batch submitted in any order that keeps each LBA's ops in
+// their relative order produces byte-identical output — per-op results,
+// span trace, stats and digest — to the canonical order, at shard counts
+// 1, 2, 4 and 8.
+func TestDeterministicPermutedBatches(t *testing.T) {
+	t.Parallel()
+	base := baseline(t)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, coalesce := range []bool{false, true} {
+			shards, coalesce := shards, coalesce
+			t.Run(fmt.Sprintf("shards=%d/coalesce=%v", shards, coalesce), func(t *testing.T) {
+				t.Parallel()
+				got := detRun(t, shards, coalesce, true)
+				want := base[coalesce]
+				if !bytes.Equal(got, want) {
+					t.Fatalf("permuted batches diverged from the canonical order (%d vs %d bytes)\nfirst divergence: %s",
+						len(got), len(want), firstDiff(got, want))
+				}
+			})
+		}
+	}
+}
+
+// permuteKeepingLBAOrder returns a random order of ops' indices in which
+// each LBA's ops keep their relative order: a shuffle whose slots are
+// then dealt back to each LBA's ops in input order.
+func permuteKeepingLBAOrder(rng *sim.RNG, ops []shard.Op) []int {
+	order := make([]int, len(ops))
+	byLBA := make(map[int64][]int)
+	for i, op := range ops {
+		order[i] = i
+		byLBA[op.LBA] = append(byLBA[op.LBA], i)
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	for j, i := range order {
+		lba := ops[i].LBA
+		order[j], byLBA[lba] = byLBA[lba][0], byLBA[lba][1:]
+	}
+	return order
 }
 
 // firstDiff renders the first differing line of two outputs.

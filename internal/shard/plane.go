@@ -18,12 +18,23 @@
 // with one metadata barrier per lane — metalog entries reach NVRAM at
 // the operation (the durability point), while their page flushes batch
 // into the barrier.
+//
+// Ops that arrive together are executed as an elevator sweep: within each
+// run of consecutive ops sharing one arrival time the plane executes them
+// in ascending LBA order (stably, so same-LBA ops keep their submission
+// order), standing in for the host block layer's request scheduler. RAID
+// places a page at member row stripe*chunkPages+pageInChunk, which rises
+// with LBA on every member, so the sweep is one ascending pass of every
+// arm. The order is a function of the batch alone, so it keeps the
+// determinism contract.
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,8 +93,9 @@ type Config struct {
 	Shards int
 
 	// Goroutines selects the real per-shard worker scheduler. Off, the
-	// plane single-steps every operation in submission order — the
-	// deterministic mode whose output is byte-identical at any Shards.
+	// plane single-steps every operation of a batch in sweep order (see
+	// the package doc) — the deterministic mode whose output is
+	// byte-identical at any Shards.
 	Goroutines bool
 
 	// Coalesce drops writes superseded within a batch. Lane-consistent
@@ -334,7 +346,8 @@ type batch struct {
 	drop   []bool         // rejected by the admission gate; res already holds the error
 	bypass []bool         // served around cache admission (QoS bypass verdict)
 	skip   []bool         // write superseded later in the batch
-	runs   [][]int32      // per worker: the ops it executes, in input order
+	runs   [][]int32      // per worker: the ops it executes, in sweep order
+	wave   []int32        // per op: ordinal of its run of consecutive ops sharing one arrival time
 	later  map[int64]bool // coalesceSkips' set, cleared per batch (keeps its buckets)
 }
 
@@ -349,14 +362,32 @@ func (b *batch) reset(t sim.Time, ops []Op) {
 		b.drop = make([]bool, n)
 		b.bypass = make([]bool, n)
 		b.skip = make([]bool, n)
+		b.wave = make([]int32, n)
 	}
-	b.res, b.drop, b.bypass, b.skip = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n]
+	b.res, b.drop, b.bypass, b.skip, b.wave = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n], b.wave[:n]
 	clear(b.drop)
 	clear(b.bypass)
 	clear(b.skip)
 	for w := range b.runs {
 		b.runs[w] = b.runs[w][:0]
 	}
+}
+
+// sweepOrder orders ops x and y for execution: by arrival run, then by
+// LBA.
+func (b *batch) sweepOrder(x, y int32) int {
+	if c := cmp.Compare(b.wave[x], b.wave[y]); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.ops[x].LBA, b.ops[y].LBA)
+}
+
+// at is op i's arrival time: its own, or the batch time.
+func (b *batch) at(i int) sim.Time {
+	if b.ops[i].At != 0 {
+		return b.ops[i].At
+	}
+	return b.t
 }
 
 // coalesceSkips marks writes superseded later in the batch: same LBA
@@ -396,10 +427,7 @@ func (p *Plane) coalesceSkips() {
 func (p *Plane) gate() {
 	b := &p.b
 	for i := range b.ops {
-		at := b.ops[i].At
-		if at == 0 {
-			at = b.t
-		}
+		at := b.at(i)
 		d, err := p.cfg.QoS.Gate(at, b.ops[i].Tenant, b.ops[i].Deadline)
 		if err != nil {
 			if !p.cfg.Goroutines {
@@ -442,9 +470,13 @@ func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
 // RunBatch dispatches a batch of operations across the shards and waits
 // for the barrier: every op executed (or coalesced away), one metadata
 // page-flush barrier per lane, one rebuild pacing step. Results are in
-// input order. In deterministic mode ops run inline in input order
-// regardless of shard count; in goroutine mode each shard executes its
-// lanes' subsequence in order, concurrently with the other shards.
+// input order. Execution is in sweep order: each run of consecutive ops
+// sharing one arrival time (At, or t when zero) goes in ascending LBA
+// order, stably, and runs never pass one another. In deterministic mode
+// the whole batch is swept inline regardless of shard count; in
+// goroutine mode each shard sweeps its lanes' subsequence, concurrently
+// with the other shards. Sweep order restricted to one lane is the same
+// in both modes at every shard count.
 //
 // One batch runs at a time, and the results are the plane's scratch:
 // they are valid until the next RunBatch (Read and Write included), so
@@ -457,7 +489,12 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 		p.coalesceSkips()
 	}
 	width := len(b.runs)
+	var wave int32
 	for i := range ops {
+		if i > 0 && b.at(i) != b.at(i-1) {
+			wave++
+		}
+		b.wave[i] = wave
 		switch {
 		case b.drop[i]:
 		case b.skip[i]:
@@ -467,6 +504,9 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 			w := p.LaneOf(ops[i].LBA) % width
 			b.runs[w] = append(b.runs[w], int32(i))
 		}
+	}
+	for _, run := range b.runs {
+		slices.SortStableFunc(run, b.sweepOrder)
 	}
 	// One hand-off per worker: its ops, then its lanes' barriers.
 	for w := range p.work {
@@ -481,7 +521,7 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 }
 
 // runWorker is worker w's whole share of the batch in flight: its ops in
-// input order, then one tagged page-flush barrier for each of its lanes,
+// sweep order, then one tagged page-flush barrier for each of its lanes,
 // in lane order. A stopped plane skips the barriers: the buffered entries
 // are already at their durability point in NVRAM, and the device is gone.
 func (p *Plane) runWorker(w int) {
