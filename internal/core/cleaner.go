@@ -83,8 +83,9 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 		// LeavO, WB, PLog and NVB issue theirs: each member queues only
 		// its own share of the pass. Chaining a row on the previous
 		// row's completion would hold every member from now until the
-		// last row's issue time (a sim.Station cannot backfill), and the
-		// foreground would wait behind the whole chain.
+		// last row's issue time (a sim.Station remembers only a few idle
+		// gaps per server), and the foreground would wait behind the
+		// whole chain.
 		for _, v := range victims {
 			if k.frame.Slot(v).State != cache.Old {
 				continue

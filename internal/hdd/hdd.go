@@ -11,7 +11,9 @@
 // LBA. Seek time follows the usual square-root-of-distance curve between
 // track-to-track and full-stroke values. Rotational delay is uniform in
 // [0, one revolution) drawn from a seeded RNG, except for sequential hits
-// where both seek and rotation are skipped.
+// where both seek and rotation are skipped. An access the arm serves in
+// an idle gap before its queue's tail is charged a seek from the head and
+// a rotation, never a sequential hit, and does not move the tracked head.
 package hdd
 
 import (
@@ -47,7 +49,9 @@ func DefaultConfig(pages int64) Config {
 	}
 }
 
-// Disk is a single HDD with a FIFO queue.
+// Disk is a single HDD whose arm serves a work-conserving queue: an
+// access that arrives while the arm is idle before a later-submitted one
+// is served in that idle gap (see submit).
 type Disk struct {
 	name string
 	cfg  Config
@@ -62,9 +66,8 @@ type Disk struct {
 	pageXfer sim.Time
 	seekMemo []uint8 // by seek distance 1..Pages: a seek-curve memo code (index 0 unused)
 
-	reads, writes   int64
-	seqHits         int64
-	totalServiceOps int64
+	reads, writes int64
+	seqHits       int64
 
 	tr *obs.Tracer
 }
@@ -222,23 +225,39 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// serviceTime computes positioning+transfer time for an access and updates
-// head state.
-func (d *Disk) serviceTime(lba int64, count int) sim.Time {
+// submit charges an access its positioning and transfer and queues it on
+// the arm, returning its completion time.
+//
+// The arm's queue is work-conserving (sim.Station): an access that fits an
+// idle gap before the queue's tail is served there. Its physical
+// predecessor is then whatever the arm served before the gap, which the
+// disk does not track, so a backfilled access is charged a full seek from
+// the current head position plus a rotational draw, never sequential
+// credit, and leaves the head state to the tail. An access at the tail is
+// charged from the head state as it stands, as a FIFO disk would.
+func (d *Disk) submit(t sim.Time, lba int64, count int) sim.Time {
+	xfer := sim.Time(int64(count)) * d.pageXfer
+	seq := d.lastEnd >= 0 && lba >= d.lastEnd && lba-d.lastEnd <= d.cfg.SeqWindowPages
 	var pos sim.Time
-	if d.lastEnd >= 0 && lba >= d.lastEnd && lba-d.lastEnd <= d.cfg.SeqWindowPages {
-		// Sequential continuation: no seek, negligible rotation.
-		d.seqHits++
-	} else {
+	// A sequential continuation lies past the head, so a gap would charge
+	// it at least a track-to-track seek: it skips the seek and the
+	// rotational draw unless some gap could hold that much.
+	if !seq || d.q.Fits(0, t, d.cfg.TrackToTrack+xfer) {
 		pos = d.seekTime(lba - d.headLBA)
 		// Uniform rotational latency in [0, revolution).
 		pos += sim.Time(d.rng.Float64() * float64(d.revTime))
+		if done, ok := d.q.Backfill(0, t, pos+xfer); ok {
+			return done
+		}
 	}
-	xfer := sim.Time(int64(count)) * d.pageXfer
+	if seq {
+		// Sequential continuation: no seek, negligible rotation.
+		d.seqHits++
+		pos = 0
+	}
 	d.headLBA = lba + int64(count) - 1
 	d.lastEnd = lba + int64(count)
-	d.totalServiceOps++
-	return pos + xfer
+	return d.q.Append(0, t, pos+xfer)
 }
 
 // ReadPages implements blockdev.Device.
@@ -263,7 +282,7 @@ func (d *Disk) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done sim
 		sp = d.tr.BeginDev(t, obs.PhaseDevRead, d.name, lba, count)
 	}
 	d.reads++
-	done = d.q.Submit(t, d.serviceTime(lba, count))
+	done = d.submit(t, lba, count)
 	if d.tr != nil {
 		sp.End(done)
 	}
@@ -288,7 +307,7 @@ func (d *Disk) WritePages(t sim.Time, lba int64, count int, buf []byte) (done si
 			d.store.WritePage(lba+int64(i), buf[i*blockdev.PageSize:(i+1)*blockdev.PageSize])
 		}
 	}
-	done = d.q.Submit(t, d.serviceTime(lba, count))
+	done = d.submit(t, lba, count)
 	if d.tr != nil {
 		sp.End(done)
 	}

@@ -169,3 +169,56 @@ func TestWriteLatencySimilarToRead(t *testing.T) {
 		t.Fatalf("busy time %v != completion %v for single op on idle disk", d.BusyTime(), done)
 	}
 }
+
+// TestBackfilledAccessCharge: an access that lands in an idle gap before
+// the arm's tail is charged a full seek from the head plus one rotational
+// draw, gets no sequential credit and leaves the head state alone; an
+// access at the tail is charged from the head state as a FIFO disk is.
+func TestBackfilledAccessCharge(t *testing.T) {
+	const seed = 5
+	d := New("hdd", testCfg(), seed)
+	draws := sim.NewRNG(seed) // the disk's rotational draws, in order
+	rot := func() sim.Time { return sim.Time(draws.Float64() * float64(d.revTime)) }
+	xfer := d.pageXfer
+
+	// A: a random access at the tail, one draw.
+	a, _ := d.ReadPages(0, 1000, 1, nil)
+	if want := d.seekTime(1000) + rot() + xfer; a != want {
+		t.Fatalf("A completes at %v, want %v", a, want)
+	}
+	// B: a sequential continuation submitted for a future start; no draw,
+	// and the arm idles in [a, 1s) before it.
+	if b, _ := d.ReadPages(sim.Second, 1001, 1, nil); b != sim.Second+xfer {
+		t.Fatalf("B completes at %v, want %v", b, sim.Second+xfer)
+	}
+	if d.SeqHits() != 1 {
+		t.Fatalf("SeqHits = %d after B, want 1", d.SeqHits())
+	}
+	// C: continues B's run but arrives before B: served in the gap at a,
+	// charged a seek from the head and a draw, with no credit.
+	c, _ := d.ReadPages(0, 1002, 1, nil)
+	if want := a + d.seekTime(1002-1001) + rot() + xfer; c != want {
+		t.Fatalf("backfilled C completes at %v, want %v", c, want)
+	}
+	if c >= sim.Second {
+		t.Fatalf("C completes at %v, not inside the gap before 1s", c)
+	}
+	if d.SeqHits() != 1 || d.headLBA != 1001 || d.lastEnd != 1002 {
+		t.Fatalf("C moved the head state: seqHits %d head %d lastEnd %d", d.SeqHits(), d.headLBA, d.lastEnd)
+	}
+	// D: the same page at the tail still continues B's run: credit, no draw.
+	if dd, _ := d.WritePages(2*sim.Second, 1002, 1, nil); dd != 2*sim.Second+xfer {
+		t.Fatalf("D completes at %v, want %v", dd, 2*sim.Second+xfer)
+	}
+	if d.SeqHits() != 2 {
+		t.Fatalf("SeqHits = %d after D, want 2", d.SeqHits())
+	}
+	// E: a random access at the tail, charged as today, with the third draw.
+	e, _ := d.ReadPages(3*sim.Second, 500000, 1, nil)
+	if want := 3*sim.Second + d.seekTime(500000-1002) + rot() + xfer; e != want {
+		t.Fatalf("E completes at %v, want %v", e, want)
+	}
+	if d.BusyTime() != a+xfer+(c-a)+xfer+(e-3*sim.Second) {
+		t.Fatalf("busy %v does not add up the five accesses", d.BusyTime())
+	}
+}

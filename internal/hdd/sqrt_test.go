@@ -168,7 +168,8 @@ func BenchmarkSeekTime(b *testing.B) {
 }
 
 // BenchmarkDiskServiceTime: random accesses over a 1 Mi-page disk, every
-// one a seek (the kernel that runs once per member I/O of a replay).
+// one a seek queued at the arm's tail (the kernel that runs once per
+// member I/O of a replay).
 func BenchmarkDiskServiceTime(b *testing.B) {
 	d := New("hdd", DefaultConfig(1<<20), 1)
 	rng := sim.NewRNG(1)
@@ -178,6 +179,6 @@ func BenchmarkDiskServiceTime(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkTime = d.serviceTime(lbas[i&4095], 1)
+		sinkTime = d.submit(0, lbas[i&4095], 1)
 	}
 }

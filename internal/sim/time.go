@@ -3,9 +3,10 @@
 //
 // There is no event loop: every device model computes its completion
 // times analytically through Stations, which model devices as
-// multi-server FIFO queues using "next free time" bookkeeping, the
-// standard technique for trace-driven storage simulation, and callers
-// thread the resulting Times through the stack themselves.
+// multi-server work-conserving queues using "next free time" bookkeeping
+// plus a few remembered idle gaps, the standard technique for
+// trace-driven storage simulation, and callers thread the resulting
+// Times through the stack themselves.
 //
 // All times are expressed as Time, a nanosecond count since simulation
 // start. Nothing in this package reads the wall clock, so simulations are

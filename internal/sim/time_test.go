@@ -29,8 +29,8 @@ func TestStationFIFOQueueing(t *testing.T) {
 	if d1 != 100 || d2 != 200 || d3 != 600 {
 		t.Fatalf("completions = %d,%d,%d want 100,200,600", d1, d2, d3)
 	}
-	if s.Jobs() != 3 || s.BusyTime() != 300 {
-		t.Fatalf("jobs=%d busy=%d", s.Jobs(), s.BusyTime())
+	if s.BusyTime() != 300 {
+		t.Fatalf("busy=%d", s.BusyTime())
 	}
 }
 
@@ -42,12 +42,10 @@ func TestStationParallelServers(t *testing.T) {
 	if d1 != 100 || d2 != 100 || d3 != 200 {
 		t.Fatalf("completions = %d,%d,%d want 100,100,200", d1, d2, d3)
 	}
-	// Server 0 took jobs 1 and 3 (free at 200); server 1 frees at 100.
-	if got := s.FreeAt(); got != 100 {
-		t.Fatalf("FreeAt = %d, want 100", got)
-	}
-	if got := s.LastCompletion(); got != 200 {
-		t.Fatalf("LastCompletion = %d, want 200", got)
+	// Server 0 took jobs 1 and 3 (free at 200); server 1 frees at 100
+	// and takes the next job.
+	if d4 := s.Submit(0, 100); d4 != 200 {
+		t.Fatalf("fourth completion = %d, want 200", d4)
 	}
 }
 
@@ -58,22 +56,6 @@ func TestStationSubmitAt(t *testing.T) {
 	d3 := s.SubmitAt(3, 0, 50)
 	if d1 != 50 || d2 != 100 || d3 != 50 {
 		t.Fatalf("completions = %d,%d,%d want 50,100,50", d1, d2, d3)
-	}
-}
-
-func TestStationUtilizationAndReset(t *testing.T) {
-	s := NewStation("d", 2)
-	s.Submit(0, 100)
-	s.Submit(0, 100)
-	if u := s.Utilization(100); u != 1.0 {
-		t.Fatalf("utilization = %f, want 1.0", u)
-	}
-	s.Reset()
-	if s.Jobs() != 0 || s.BusyTime() != 0 || s.FreeAt() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-	if u := s.Utilization(0); u != 0 {
-		t.Fatalf("utilization at zero horizon = %f", u)
 	}
 }
 
