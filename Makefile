@@ -167,10 +167,11 @@ bench-pairs:
 # curve, the fault injector's unarmed pass-through, the latency
 # histogram — the span recorder's per-span cost and its export, the
 # open-loop and multi-tenant stream generators the data workloads' set-up
-# pays for, and the copy-vs-spin scaling probe behind the plane's
-# measurement note, at a fixed small iteration count so they stay
-# runnable (see DESIGN.md "Model kernels", "Binary span ring" and
-# "Workload generation").
+# pays for, KDD's cleaner pass (ns and allocs per repaired row), and the
+# copy-vs-spin scaling probe behind the plane's measurement note, at a
+# fixed small iteration count so they stay runnable (see DESIGN.md
+# "Model kernels", "Binary span ring", "Workload generation" and
+# "Background work is issued at the pass start").
 kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
@@ -178,6 +179,7 @@ kernels:
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkSpanRecord$$' -benchtime 1000000x -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
+	$(GO) test ./internal/core/ -run '^$$' -bench '^BenchmarkCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
 
 # Size of the code that ships: non-test Go lines outside bench/, in total

@@ -226,8 +226,9 @@ func (l *LeavO) maybeClean(t sim.Time) error {
 	return nil
 }
 
-// Clean implements Policy: repair parity for the oldest Old pages, then
-// drop the old version and demote the new version to Clean.
+// Clean implements Policy: repair parity for the oldest Old pages, swept
+// in member-row order (sweepOrder), then drop the old version and demote
+// the new version to Clean.
 func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
 	low := int64(leavoLowWater * float64(l.frame.Pages()))
 	done := t
@@ -237,18 +238,16 @@ func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
 			break
 		}
 		l.st.CleanerRuns++
-		for _, oldSlot := range victims {
-			if l.frame.Slot(oldSlot).State != Old {
-				continue
-			}
-			c, err := l.cleanOne(t, oldSlot)
+		n := len(victims)
+		if !force {
+			n = min(n, int(l.frame.Count(Old)-low))
+		}
+		for _, v := range l.sweepOrder(victims, n) {
+			c, err := l.cleanOne(t, v.slot)
 			if err != nil {
 				return t, err
 			}
 			done = sim.MaxTime(done, c)
-			if !force && l.frame.Count(Old) <= low {
-				break
-			}
 		}
 	}
 	return done, nil

@@ -88,8 +88,8 @@ func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	return done, nil
 }
 
-// Clean implements Policy: write dirty pages back to RAID (with parity)
-// in LRU order.
+// Clean implements Policy: write the oldest dirty pages back to RAID
+// (with parity), swept in member-row order (sweepOrder).
 func (w *WB) Clean(t sim.Time, force bool) (sim.Time, error) {
 	low := int64(wbLowWater * float64(w.frame.Pages()))
 	if force {
@@ -102,18 +102,16 @@ func (w *WB) Clean(t sim.Time, force bool) (sim.Time, error) {
 			break
 		}
 		w.st.CleanerRuns++
-		for _, slot := range victims {
-			if w.frame.Slot(slot).State != Old {
-				continue
-			}
-			c, err := w.writeBack(t, slot)
+		n := len(victims)
+		if !force {
+			n = min(n, int(w.frame.Count(Old)-low))
+		}
+		for _, v := range w.sweepOrder(victims, n) {
+			c, err := w.writeBack(t, v.slot)
 			if err != nil {
 				return t, err
 			}
 			done = sim.MaxTime(done, c)
-			if !force && w.frame.Count(Old) <= low {
-				break
-			}
 		}
 	}
 	return done, nil

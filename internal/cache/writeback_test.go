@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"kddcache/internal/blockdev"
@@ -128,4 +129,101 @@ func mustArray5(t *testing.T, members []blockdev.Device) cache.Backend {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// cleanLog wraps a backend and records the LBA of every page a cleaner
+// repairs (LeavO) or writes back (WB), in issue order.
+type cleanLog struct {
+	cache.Backend
+	lbas []int64
+}
+
+func (c *cleanLog) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (sim.Time, error) {
+	c.lbas = append(c.lbas, lbas...)
+	return c.Backend.ParityUpdateDelta(t, lbas, deltas)
+}
+
+func (c *cleanLog) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
+	c.lbas = append(c.lbas, lba)
+	return c.Backend.WritePages(t, lba, count, buf)
+}
+
+// TestLRUCleanersSweepInRowOrder dirties pages of a timing-mode LeavO and
+// WB in a permuted order until the first threshold pass, and checks the
+// pass: it cleans the oldest dirty pages, down to exactly the low-water
+// mark (each victim retires one Old page), and issues each batch in
+// ascending member-row order, LBA order within a row. Two pages of every
+// stripe are used, both in its first row, so rows tie and the LBA breaks
+// the tie.
+func TestLRUCleanersSweepInRowOrder(t *testing.T) {
+	const cachePages = 1024
+	for _, tc := range []struct {
+		name       string
+		pages      int
+		low, batch int // the policy's low-water mark (pages) and cleaner batch
+		hits       bool
+		build      func(ssd blockdev.Device, b cache.Backend) cache.Policy
+	}{
+		{"LeavO", 256, cachePages / 10, 64, true, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
+			return cache.NewLeavO(ssd, b, cachePages, 64, 64)
+		}},
+		{"WB", 512, cachePages * 37 / 100, 16, false, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
+			return cache.NewWB(ssd, b, cachePages, 64, 64)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var members []blockdev.Device
+			for i := 0; i < 5; i++ {
+				members = append(members, blockdev.NewNullDevice("d", 4096))
+			}
+			a := mustArray5(t, members)
+			log := &cleanLog{Backend: a}
+			p := tc.build(blockdev.NewNullDevice("ssd", 64+cachePages), log)
+			frame := p.(interface{ Frame() *cache.Frame }).Frame()
+			// Page j is page 0 of data chunk 0 or 2 of stripe j/2.
+			lbaOf := func(j int) int64 { return int64(j) * 16 }
+			// LeavO dirties a page on a write hit and keeps the cached
+			// copy's recency, so it caches the pages in the order it will
+			// dirty them.
+			if tc.hits {
+				for i := 0; i < tc.pages; i++ {
+					if _, err := p.Write(0, lbaOf(i*37%tc.pages), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			log.lbas = nil
+			var dirtied []int64
+			for i := 0; p.Stats().CleanerRuns == 0; i++ {
+				if i == tc.pages {
+					t.Fatal("no cleaner pass")
+				}
+				lba := lbaOf(i * 37 % tc.pages)
+				dirtied = append(dirtied, lba)
+				if _, err := p.Write(sim.Time(i)*sim.Millisecond, lba, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := frame.Count(cache.Old); got != int64(tc.low) {
+				t.Fatalf("pass stopped at %d dirty pages, want the low-water mark %d", got, tc.low)
+			}
+			cleaned := log.lbas
+			oldest := slices.Clone(dirtied[:len(cleaned)])
+			slices.Sort(oldest)
+			got := slices.Clone(cleaned)
+			slices.Sort(got)
+			if !slices.Equal(got, oldest) {
+				t.Fatalf("pass cleaned %v, want the %d oldest dirty pages %v", got, len(cleaned), oldest)
+			}
+			before := func(x, y int64) bool { // x sweeps before y
+				rx, ry := a.RowPeers(x)[0], a.RowPeers(y)[0]
+				return rx < ry || rx == ry && x < y
+			}
+			for i := 1; i < len(cleaned); i++ {
+				if i%tc.batch != 0 && before(cleaned[i], cleaned[i-1]) {
+					t.Fatalf("batch issue order %v is not ascending by (row, LBA) at %d", cleaned, i)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"cmp"
+	"slices"
+
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -15,6 +18,7 @@ type base struct {
 	backend   Backend
 	dataStart int64
 	st        stats.CacheStats
+	sweep     []sweepItem // sweepOrder's scratch
 }
 
 func newBase(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) base {
@@ -61,6 +65,36 @@ func (b *base) allocOrEvict(t sim.Time, lba int64, evictable ...State) int32 {
 	b.st.Evictions++
 	b.frame.Release(s, true)
 	b.trimSlot(t, s)
+	return s
+}
+
+// sweepItem is one cleaner victim in issue order: its slot, its LBA and
+// the first LBA of its parity row (RowPeers(lba)[0]).
+type sweepItem struct {
+	row, lba int64
+	slot     int32
+}
+
+// sweepOrder orders the first n LRU victims of a cleaner batch for issue:
+// ascending member row (RowPeers(lba)[0]), then LBA. The LRU cleaners
+// retire one Old page per victim, so a row-at-a-time walk with the stop
+// rule "Count(Old) ≤ low" cleans exactly the first Count(Old)−low live
+// victims; swept in row order, each member serves its share of the batch
+// as one ascending pass, as KDD's cleaner does. The result is scratch,
+// valid until the next call.
+func (b *base) sweepOrder(victims []int32, n int) []sweepItem {
+	s := b.sweep[:0]
+	for _, v := range victims[:n] {
+		lba := b.frame.Slot(v).RaidLBA
+		s = append(s, sweepItem{row: b.backend.RowPeers(lba)[0], lba: lba, slot: v})
+	}
+	slices.SortFunc(s, func(x, y sweepItem) int {
+		if c := cmp.Compare(x.row, y.row); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.lba, y.lba)
+	})
+	b.sweep = s
 	return s
 }
 

@@ -313,3 +313,63 @@ func TestRestoreBuildsOneLog(t *testing.T) {
 		t.Fatalf("Restore allocated %d bytes; one where table is %d", got, where)
 	}
 }
+
+// TestReconstructPassAllocs pins the data-mode reconstruct-write pass's
+// allocations: each run rewrites one page of a wholly cached row and
+// cleans, so the pass reconstructs that row's parity from the cache
+// (reclaim scheme 1 keeps the page cached for the next run). The array
+// has nine data chunks, more than a small map keeps off the heap, so a
+// per-call LBA→slot map would cost three allocations a pass; what is left
+// is RowPeers' slice.
+func TestReconstructPassAllocs(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("the race detector's sync.Pool drops puts: every row page is a fresh allocation")
+	}
+	var members []blockdev.Device
+	for i := 0; i < 10; i++ {
+		members = append(members, blockdev.NewNullDataDevice("d", 256))
+	}
+	a, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: 8}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := core.New(core.Config{
+		SSD: blockdev.NewNullDataDevice("ssd", 64+256), Backend: a,
+		CachePages: 256, Ways: 128, MetaPages: 64,
+		Codec: delta.ZRLE{}, ReclaimMaterialize: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := a.RowPeers(0)
+	mut := delta.NewMutator(1, 0.25)
+	page := make([]byte, blockdev.PageSize)
+	mut.FillRandom(page)
+	for _, p := range peers { // write misses: the whole row cached Clean
+		if _, err := k.Write(0, p, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	before := k.Stats().ParityUpdates
+	allocs := testing.AllocsPerRun(runs, func() {
+		mut.Mutate(page)
+		if _, err := k.Write(0, peers[1], page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Clean(0, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := k.Stats().ParityUpdates - before; got != runs+1 {
+		t.Fatalf("%d parity updates over %d passes, want one each", got, runs+1)
+	}
+	for _, p := range peers {
+		if k.Frame().Lookup(p) == cache.NoSlot {
+			t.Fatalf("row page %d left the cache: the passes were not all reconstruct-writes", p)
+		}
+	}
+	if allocs > 1 {
+		t.Errorf("data-mode reconstruct pass allocates %.0f/op, budget 1 (RowPeers' slice)", allocs)
+	}
+}

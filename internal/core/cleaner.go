@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
@@ -20,6 +22,10 @@ import (
 // by read-modify-write over the decompressed deltas. Reclamation follows
 // scheme 2 (drop old pages, invalidate deltas) unless the scheme-1
 // ablation is configured.
+
+// cleanerBatch is how many LRU victims one cleaner batch takes; one frame
+// scan amortises over many rows.
+const cleanerBatch = 128
 
 // maybeClean triggers the cleaner past the high-water mark.
 func (k *KDD) maybeClean(t sim.Time) error {
@@ -71,10 +77,7 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 	done = t
 	ran := false
 	for k.frame.Count(cache.Old) > 0 && (force || k.DirtyPages() > low) {
-		// Take victims in LRU batches; one frame scan amortises over many
-		// rows. Entries may stop being Old mid-batch when reclaimed as a
-		// row peer of an earlier victim.
-		victims := k.frame.OldestSlots(cache.Old, 128)
+		victims := k.frame.OldestSlots(cache.Old, cleanerBatch)
 		if len(victims) == 0 {
 			break
 		}
@@ -85,25 +88,79 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 		// row's completion would hold every member from now until the
 		// last row's issue time (a sim.Station remembers only a few idle
 		// gaps per server), and the foreground would wait behind the
-		// whole chain.
-		for _, v := range victims {
-			if k.frame.Slot(v).State != cache.Old {
-				continue
-			}
-			c, err := k.cleanRow(t, v)
+		// whole chain. The plan picks the rows in LRU order and hands
+		// them back in member-row order, so each member serves its share
+		// as one ascending sweep.
+		plan := k.planBatch(victims, force, low)
+		for _, r := range plan {
+			c, err := k.cleanRow(t, r.lba, r.peers)
 			if err != nil {
 				return t, err
 			}
 			done = sim.MaxTime(done, c)
-			if !force && k.DirtyPages() <= low {
-				break
-			}
 		}
 	}
 	if ran {
 		k.st.CleanerRuns++
 	}
 	return done, nil
+}
+
+// planRow is one parity row a cleaner batch repairs: its first LBA (the
+// sweep key, peers[0]), the LBA of the victim that chose it and the row's
+// peers, in RowPeers order.
+type planRow struct {
+	row, lba int64
+	peers    []int64
+}
+
+// planBatch picks the rows one batch of LRU victims repairs and returns
+// them in ascending member-row order (RowPeers(lba)[0]), the order the
+// batch issues them in. It walks the victims in LRU order with the
+// row-at-a-time stop rule, so it picks exactly the rows a loop that
+// repaired each row before choosing the next would: a victim already
+// reclaimed as an Old peer of an earlier row is skipped, and the stop
+// rule reads a projected DirtyPages — each row's repair reclaims its Old
+// peers and frees every DEZ page whose valid count the row's deltas
+// bring to zero. The returned plan is scratch, valid until the next call.
+func (k *KDD) planBatch(victims []int32, force bool, low int64) []planRow {
+	plan, marked := k.plan[:0], k.planSlots[:0]
+	dirty := k.DirtyPages()
+	for _, v := range victims {
+		if k.planMark[v] != 0 {
+			continue // reclaimed with an earlier row of the plan
+		}
+		lba := k.frame.Slot(v).RaidLBA
+		peers := k.backend.RowPeers(lba)
+		for _, p := range peers {
+			s := k.frame.Lookup(p)
+			if s == cache.NoSlot || k.frame.Slot(s).State != cache.Old {
+				continue
+			}
+			k.planMark[s] = 1
+			marked = append(marked, s)
+			dirty--
+			if od, ok := k.deltaOf(s); ok && !od.staged {
+				k.planMark[od.dez]++
+				if k.planMark[od.dez] == k.dezPages[od.dez].valid {
+					dirty--
+				}
+			}
+		}
+		plan = append(plan, planRow{row: peers[0], lba: lba, peers: peers})
+		if !force && dirty <= low {
+			break
+		}
+	}
+	for _, s := range marked {
+		k.planMark[s] = 0
+		if od, ok := k.deltaOf(s); ok && !od.staged {
+			k.planMark[od.dez] = 0
+		}
+	}
+	k.plan, k.planSlots = plan, marked
+	slices.SortFunc(plan, func(a, b planRow) int { return cmp.Compare(a.row, b.row) })
+	return plan
 }
 
 // Flush implements cache.Policy: repair every stale parity (§III-E2:
@@ -146,20 +203,17 @@ func (k *KDD) flushCached(t sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
-// cleanRow repairs the parity row containing the victim Old slot and
-// reclaims every Old peer in it, exploiting the stripe-aligned set
-// mapping ("they can be reclaimed together during cache cleaning",
-// §III-B).
 // peerInfo pairs a row peer's storage LBA with its cache slot.
 type peerInfo struct {
 	lba  int64
 	slot int32
 }
 
-func (k *KDD) cleanRow(t sim.Time, victim int32) (sim.Time, error) {
-	lba := k.frame.Slot(victim).RaidLBA
-	peers := k.backend.RowPeers(lba)
-
+// cleanRow repairs the parity row of lba, whose peers (RowPeers(lba))
+// are given, and reclaims every Old peer in it, exploiting the
+// stripe-aligned set mapping ("they can be reclaimed together during
+// cache cleaning", §III-B).
+func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
 	cached, oldPeers := k.rowCached[:0], k.rowOld[:0]
 	allCached := true
 	for _, p := range peers {
@@ -223,14 +277,11 @@ func (k *KDD) parityReconstruct(t sim.Time, peers []int64, cached []peerInfo) (s
 		// Row pages are scratch: the backend XORs them into fresh parity
 		// and keeps nothing, so they all go back to the pool on exit.
 		defer func() { k.rowPages = releasePages(rowData) }()
-		bySlot := make(map[int64]int32, len(cached))
-		for _, pi := range cached {
-			bySlot[pi.lba] = pi.slot
-		}
-		for _, p := range peers {
+		// Every peer is cached, and cached lists them in peers' order.
+		for i, p := range peers {
 			buf := blockdev.GetPage() // fully overwritten by readCurrent
 			rowData = append(rowData, buf)
-			if _, err := k.readCurrent(t, p, bySlot[p], buf); err != nil {
+			if _, err := k.readCurrent(t, p, cached[i].slot, buf); err != nil {
 				return t, err
 			}
 		}

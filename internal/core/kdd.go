@@ -206,16 +206,24 @@ type KDD struct {
 	dezPages  []dezPage  // DEZ slot -> occupancy
 
 	// Scratch reused across calls so the steady state allocates nothing:
-	// commitDez's delta offsets, cleanRow's cached/old row peers,
-	// parityRMW's LBA list and the page lists the two parity repairs hand
-	// the backend. Each is dead once the call that filled it returns, and
-	// none of those calls nests within itself (cleanPass is not
-	// re-entrant, commitDez packs only after its cleaning pass).
+	// commitDez's delta offsets, the cleaner's batch plan and the Old
+	// peers it marked, cleanRow's cached/old row peers, parityRMW's LBA
+	// list and the page lists the two parity repairs hand the backend.
+	// Each is dead once the call that filled it returns (the plan once
+	// its batch is issued), and none of those calls nests within itself
+	// (cleanPass is not re-entrant, commitDez packs only after its
+	// cleaning pass).
 	dezOffs   []int
+	plan      []planRow
+	planSlots []int32
 	rowCached []peerInfo
 	rowOld    []peerInfo
 	rmwLBAs   []int64
 	rowPages  [][]byte
+	// planMark is planBatch's per-slot scratch, zero outside it: 1 on an
+	// Old page the plan reclaims, and on a DEZ page the number of its
+	// deltas the plan invalidates.
+	planMark []int32
 
 	ghost *ghostLRU // nil unless SelectiveAdmission
 
@@ -293,6 +301,11 @@ func newKDD(cfg Config, log *metalog.Log, staging *nvram.Staging) (*KDD, error) 
 	}
 	k.oldDeltas = make([]oldDelta, k.frame.Pages())
 	k.dezPages = make([]dezPage, k.frame.Pages())
+	k.planMark = make([]int32, k.frame.Pages())
+	// A plan holds at most a batch of rows and their Old peers: sized up
+	// front, it never grows while the cache serves.
+	k.plan = make([]planRow, 0, cleanerBatch)
+	k.planSlots = make([]int32, 0, cleanerBatch*len(cfg.Backend.RowPeers(0)))
 	if cfg.FixedDEZSets > 0 {
 		if cfg.FixedDEZSets >= k.frame.Sets() {
 			return nil, fmt.Errorf("core: FixedDEZSets %d >= %d sets", cfg.FixedDEZSets, k.frame.Sets())

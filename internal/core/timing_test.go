@@ -220,3 +220,94 @@ func TestStagingBufferSizeControlsCommitCadence(t *testing.T) {
 		t.Fatalf("larger staging buffer committed MORE pages (%d > %d)", large, small)
 	}
 }
+
+// TestWriteHitMemberCost checks a write hit's member I/O on a healthy
+// RAID-5 timing stack against its closed form: one member write and no
+// member read before the hit returns, and, in the cleaning pass that
+// repairs its row, a deferred share of one parity read plus one parity
+// write (read-modify-write, the row's other pages uncached) or one
+// parity write (reconstruct-write, every page of the row cached).
+func TestWriteHitMemberCost(t *testing.T) {
+	const (
+		diskLat    = 10 * sim.Millisecond
+		chunkPages = 16
+		lba        = 100
+	)
+	for _, tc := range []struct {
+		name    string
+		fullRow bool
+		share   []blockdev.Op
+	}{
+		{"rmw", false, []blockdev.Op{blockdev.OpRead, blockdev.OpWrite}},
+		{"reconstruct", true, []blockdev.Op{blockdev.OpWrite}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			memberLog := &opLog{}
+			var members []blockdev.Device
+			for i := 0; i < 5; i++ {
+				d := blockdev.NewNullDevice("d", 65536)
+				d.Latency = diskLat
+				members = append(members, &loggingDev{NullDevice: d, id: i, log: memberLog})
+			}
+			a, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: chunkPages}, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ssd := blockdev.NewNullDevice("ssd", 8192)
+			ssd.Latency = 300 * sim.Microsecond
+			k, err := core.New(core.Config{
+				SSD: ssd, Backend: a, CachePages: 4096, Ways: 64, MetaPages: 64,
+				Codec: delta.NewModelled(1, 0.25),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every page of a row sits at the same member page.
+			row := lba/a.StripePages()*chunkPages + lba%chunkPages
+			fill := []int64{lba}
+			if tc.fullRow {
+				fill = a.RowPeers(lba)
+			}
+			now := sim.Time(0)
+			for _, p := range fill { // write misses: cached Clean
+				if _, err := k.Write(now, p, nil); err != nil {
+					t.Fatal(err)
+				}
+				now += sim.Second
+			}
+
+			mark := len(memberLog.ops)
+			done, err := k.Write(now, lba, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hit := memberLog.ops[mark:]
+			if len(hit) != 1 || hit[0].kind != blockdev.OpWrite || hit[0].lba != row {
+				t.Fatalf("write hit issued member ops %+v, want one write of member page %d", hit, row)
+			}
+			if done != now+diskLat {
+				t.Fatalf("write hit returned after %v, want one member write (%v)", done-now, diskLat)
+			}
+			if a.StaleRows() != 1 {
+				t.Fatalf("%d stale rows after the hit, want its own", a.StaleRows())
+			}
+
+			mark = len(memberLog.ops)
+			if _, err := k.Clean(now+sim.Second, true); err != nil {
+				t.Fatal(err)
+			}
+			pass := memberLog.ops[mark:]
+			if len(pass) != len(tc.share) {
+				t.Fatalf("pass issued member ops %+v, want %v on the parity member", pass, tc.share)
+			}
+			for i, op := range pass {
+				if op.kind != tc.share[i] || op.dev != pass[0].dev || op.dev == hit[0].dev || op.lba != row {
+					t.Fatalf("pass issued member ops %+v, want %v of member page %d on the parity member", pass, tc.share, row)
+				}
+			}
+			if a.StaleRows() != 0 || k.Stats().ParityUpdates != 1 {
+				t.Fatalf("after the pass: %d stale rows, %d parity updates; want 0 and 1", a.StaleRows(), k.Stats().ParityUpdates)
+			}
+		})
+	}
+}
