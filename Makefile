@@ -60,10 +60,14 @@ check:
 # ordering bug (bare engine) and a batch acked before its page is durable
 # (sharded plane); the kddbug_checkpoint tag, alone, a rebuild pump that
 # checkpoints the watermark a step will reach before running the step,
-# which the rebuild sweeps must catch on both subjects and both backends.
+# which the rebuild sweeps must catch on both subjects and both backends;
+# the kddbug_idle tag, alone, a cleaner that reclaims a queued row's pages
+# before repairing its parity, which the crash sweep must catch on both
+# subjects.
 mutate:
 	$(GO) test -tags kddbug -run TestMutationCaught -v ./internal/check/
 	$(GO) test -tags kddbug_checkpoint -run TestMutationCaughtCheckpointAhead -v ./internal/check/
+	$(GO) test -tags kddbug_idle -run TestMutationCaughtIdleReclaim -v ./internal/check/
 
 # Native Go fuzzing over the trace parsers, the metadata-log, span,
 # tenant-spec and segment-summary decoders and the delta codecs' Apply,
@@ -167,11 +171,12 @@ bench-pairs:
 # curve, the fault injector's unarmed pass-through, the latency
 # histogram — the span recorder's per-span cost and its export, the
 # open-loop and multi-tenant stream generators the data workloads' set-up
-# pays for, KDD's cleaner pass (ns and allocs per repaired row), and the
+# pays for, KDD's cleaner pass (ns and allocs per repaired row) and its
+# idle-queue dispatch (ns and allocs per queued row), and the
 # copy-vs-spin scaling probe behind the plane's measurement note, at a
 # fixed small iteration count so they stay runnable (see DESIGN.md
 # "Model kernels", "Binary span ring", "Workload generation" and
-# "Background work is issued at the pass start").
+# "Background work runs in the members' idle time").
 kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
@@ -179,7 +184,7 @@ kernels:
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkSpanRecord$$' -benchtime 1000000x -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
-	$(GO) test ./internal/core/ -run '^$$' -bench '^BenchmarkCleanPass$$' -benchtime 200x -benchmem
+	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
 
 # Size of the code that ships: non-test Go lines outside bench/, in total

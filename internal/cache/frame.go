@@ -112,6 +112,18 @@ type Frame struct {
 	deltaPerSet []int32
 	// Per-set Free-slot counts, so allocation scans can skip full sets.
 	freePerSet []int32
+	// dezTree is a tournament tree over the sets for LeastDeltaSet: leaf
+	// dezLeaves+s holds s while s may take a DEZ page (a Free slot, and
+	// outside the fixed partition's data sets), else -1; each inner node
+	// holds the better of its children — fewer Delta pages, then the
+	// lower index — so the root is the answer. setState lists a set in
+	// dezStale (once, per dezMark) when its eligibility or its Delta
+	// count changes, and LeastDeltaSet refreshes the listed paths first:
+	// an eviction and the allocation that refills the set cost one look.
+	dezTree   []int32
+	dezLeaves int
+	dezStale  []int32
+	dezMark   []bool
 
 	// Recency lists: one per set per listed state, at index
 	// set*numStates+state, each ascending in (LastUse, slot index) so the
@@ -158,7 +170,60 @@ func NewFrame(totalPages int64, ways int, stripePages int64) *Frame {
 	for i := range f.heads {
 		f.heads[i], f.tails[i] = NoSlot, NoSlot
 	}
+	f.dezLeaves = 1
+	for f.dezLeaves < nsets {
+		f.dezLeaves *= 2
+	}
+	f.dezTree = make([]int32, 2*f.dezLeaves)
+	f.dezStale, f.dezMark = make([]int32, 0, nsets), make([]bool, nsets)
+	f.buildDezTree()
 	return f
+}
+
+// buildDezTree fills every node of the LeastDeltaSet tree.
+func (f *Frame) buildDezTree() {
+	for s := 0; s < f.dezLeaves; s++ {
+		f.dezTree[f.dezLeaves+s] = f.dezLeaf(s)
+	}
+	for i := f.dezLeaves - 1; i >= 1; i-- {
+		f.dezTree[i] = f.dezBetter(f.dezTree[2*i], f.dezTree[2*i+1])
+	}
+}
+
+// dezLeaf is set s's leaf value: s if it may take a DEZ page, else -1.
+func (f *Frame) dezLeaf(s int) int32 {
+	if s >= f.nsets || f.freePerSet[s] == 0 || (f.dataSets < f.nsets && s < f.dataSets) {
+		return -1
+	}
+	return int32(s)
+}
+
+// dezBetter picks the set with fewer Delta pages, the lower index on a
+// tie (a is always the lower-indexed subtree's pick).
+func (f *Frame) dezBetter(a, b int32) int32 {
+	if a < 0 || (b >= 0 && f.deltaPerSet[b] < f.deltaPerSet[a]) {
+		return b
+	}
+	return a
+}
+
+// fixDez refreshes set s's leaf and its path to the root. The walk stops
+// at the first node whose pick neither changes nor is s: s's key does not
+// reach the nodes above through it (another stale set's path is walked in
+// its own turn).
+func (f *Frame) fixDez(s int) {
+	i := f.dezLeaves + s
+	v := f.dezLeaf(s)
+	for {
+		if f.dezTree[i] == v && v != int32(s) {
+			return
+		}
+		f.dezTree[i] = v
+		if i /= 2; i < 1 {
+			return
+		}
+		v = f.dezBetter(f.dezTree[2*i], f.dezTree[2*i+1])
+	}
 }
 
 // Pages returns the usable cache capacity in pages.
@@ -189,6 +254,7 @@ func (f *Frame) SetDataSets(n int) {
 		panic("cache: bad data-set count")
 	}
 	f.dataSets = n
+	f.buildDezTree()
 }
 
 // DataSets returns the number of sets data pages may occupy.
@@ -373,6 +439,13 @@ func (f *Frame) setState(i int32, s State) {
 		f.freePerSet[set]++
 		f.free.Add(int64(i))
 	}
+	// A set's LeastDeltaSet key moves when it gains its first or loses
+	// its last Free slot, or when its Delta count changes while it has one.
+	if free := f.freePerSet[set]; ((old == Free && free == 0) || (s == Free && free == 1) ||
+		((old == Delta || s == Delta) && free > 0)) && !f.dezMark[set] {
+		f.dezMark[set] = true
+		f.dezStale = append(f.dezStale, int32(set))
+	}
 	f.slots[i].State = s
 	if listed(s) {
 		f.link(i, set*numStates+int(s))
@@ -444,26 +517,31 @@ func (f *Frame) EvictLRU(set int, evictable ...State) int32 {
 }
 
 // LeastDeltaSet returns the set with the fewest Delta pages that still
-// has a Free slot, or -1 ("KDD always chooses a free page from the cache
-// set which has the least number of DEZ pages", §III-B). A full cache —
-// the steady state — answers at once; otherwise the cost is O(sets).
+// has a Free slot, the lowest index on a tie, or -1 ("KDD always chooses a
+// free page from the cache set which has the least number of DEZ pages",
+// §III-B). Under the fixed partition only the reserved sets qualify. The
+// answer is kept in dezTree: the query refreshes the paths of the sets
+// whose keys moved since the last one, O(log sets) each.
 func (f *Frame) LeastDeltaSet() int {
-	if f.counts[Free] == 0 {
-		return -1
+	for _, s := range f.dezStale {
+		f.dezMark[s] = false
+		f.fixDez(int(s))
 	}
+	f.dezStale = f.dezStale[:0]
+	return int(f.dezTree[1])
+}
+
+// leastDeltaScan is LeastDeltaSet's definition as a scan of the sets, the
+// reference CheckInvariants holds the tree to.
+func (f *Frame) leastDeltaScan() int {
 	start := 0
 	if f.dataSets < f.nsets {
 		start = f.dataSets // fixed partition: deltas only in reserved sets
 	}
 	best := -1
-	var bestDelta int32
 	for s := start; s < f.nsets; s++ {
-		if f.freePerSet[s] == 0 {
-			continue
-		}
-		if best == -1 || f.deltaPerSet[s] < bestDelta {
+		if f.freePerSet[s] > 0 && (best == -1 || f.deltaPerSet[s] < f.deltaPerSet[best]) {
 			best = s
-			bestDelta = f.deltaPerSet[s]
 		}
 	}
 	return best
@@ -555,6 +633,9 @@ func (f *Frame) CheckInvariants() error {
 		if deltas[s] != f.deltaPerSet[s] {
 			return fmt.Errorf("cache: set %d delta count %d, cached %d", s, deltas[s], f.deltaPerSet[s])
 		}
+	}
+	if got, want := f.LeastDeltaSet(), f.leastDeltaScan(); got != want {
+		return fmt.Errorf("cache: LeastDeltaSet %d, a scan of the sets finds %d", got, want)
 	}
 	bound := 0
 	for _, c := range f.lookup {

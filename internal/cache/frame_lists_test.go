@@ -47,10 +47,16 @@ func scanEvictLRU(f *cache.Frame, set int, evictable ...cache.State) int32 {
 	return best
 }
 
-// scanLeastDeltaSet is the reference LeastDeltaSet (dynamic mixing).
+// scanLeastDeltaSet is the reference LeastDeltaSet: the first set, in
+// index order, with a Free slot and the fewest Delta pages, among the
+// reserved sets only under a fixed partition.
 func scanLeastDeltaSet(f *cache.Frame) int {
+	start := 0
+	if f.DataSets() < f.Sets() {
+		start = f.DataSets()
+	}
 	best, bestDelta := -1, 0
-	for set := 0; set < f.Sets(); set++ {
+	for set := start; set < f.Sets(); set++ {
 		lo, hi := f.SetRange(set)
 		free, deltas := 0, 0
 		for i := lo; i < hi; i++ {
@@ -158,6 +164,52 @@ func TestFrameListsMatchScan(t *testing.T) {
 			}
 			if err := checkAgainstScan(f); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+	}
+}
+
+// TestLeastDeltaSetMatchesScan holds the incrementally kept LeastDeltaSet
+// to a scan of the slots after every step of random DEZ claims, data
+// admissions and releases, on set counts that are and are not powers of
+// two, under dynamic mixing and under the fixed partition. DEZ claims fill the
+// least-loaded set, as KDD's do, so many sets tie and the lowest index
+// must win.
+func TestLeastDeltaSetMatchesScan(t *testing.T) {
+	for _, sets := range []int{1, 2, 5, 8, 13} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			rng := sim.NewRNG(seed*31 + uint64(sets))
+			const ways = 4
+			pages := int64(sets * ways)
+			f := cache.NewFrame(pages, ways, 1)
+			if seed%2 == 0 && sets > 1 { // fixed partition
+				f.SetDataSets(1 + rng.Intn(sets-1))
+			}
+			for step := 0; step < 800; step++ {
+				switch op := rng.Intn(4); {
+				case op == 0: // a DEZ page where KDD would put it
+					if set := f.LeastDeltaSet(); set >= 0 {
+						f.MarkDelta(f.AllocFree(set))
+					}
+				case op == 1: // a data page
+					lba := int64(rng.Intn(1 << 20))
+					if f.Lookup(lba) != cache.NoSlot {
+						break
+					}
+					if s := f.AllocFree(f.SetOf(lba)); s != cache.NoSlot {
+						f.Insert(lba, s, cache.Clean)
+					}
+				default:
+					if i := int32(rng.Intn(int(pages))); f.Slot(i).State != cache.Free {
+						f.Release(i, true)
+					}
+				}
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatalf("sets %d seed %d step %d: %v", sets, seed, step, err)
+				}
+				if got, want := f.LeastDeltaSet(), scanLeastDeltaSet(f); got != want {
+					t.Fatalf("sets %d seed %d step %d: LeastDeltaSet = %d, scan says %d", sets, seed, step, got, want)
+				}
 			}
 		}
 	}

@@ -38,11 +38,13 @@ func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64,
 	if dataStart < 1 {
 		panic("cache: LeavO needs a metadata region")
 	}
-	return &LeavO{
+	l := &LeavO{
 		base:      newBase(ssd, backend, cachePages, dataStart, ways),
 		oldOf:     make(map[int64]int32),
 		metaPages: dataStart,
 	}
+	l.cleanQueue = l.cleanQueued
+	return l
 }
 
 // Name implements Policy.
@@ -82,6 +84,15 @@ func (l *LeavO) dataModeSSD() bool {
 
 // Read implements Policy.
 func (l *LeavO) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	if err := l.cleanIdle(t); err != nil {
+		return t, err
+	}
+	done, err := l.read(t, lba, buf)
+	l.idle.Busy(done)
+	return done, err
+}
+
+func (l *LeavO) read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	l.st.Reads++
 	if slot := l.frame.Lookup(lba); slot != NoSlot {
 		l.st.ReadHits++
@@ -111,6 +122,15 @@ func (l *LeavO) fillLeavO(done sim.Time, lba int64, buf []byte) {
 
 // Write implements Policy.
 func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	if err := l.cleanIdle(t); err != nil {
+		return t, err
+	}
+	done, err := l.write(t, lba, buf)
+	l.idle.Busy(done)
+	return done, err
+}
+
+func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	l.st.Writes++
 	slot := l.frame.Lookup(lba)
 	switch {
@@ -217,21 +237,30 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	}
 }
 
-// maybeClean triggers background cleaning past the high-water mark.
+// maybeClean triggers background cleaning past the high-water mark, and
+// plans the next batch for idle-time cleaning within one batch of it.
 func (l *LeavO) maybeClean(t sim.Time) error {
-	if float64(l.frame.Count(Old)) > leavoHighWater*float64(l.frame.Pages()) {
+	old, high := l.frame.Count(Old), int64(leavoHighWater*float64(l.frame.Pages()))
+	if old > high {
 		_, err := l.Clean(t, false)
 		return err
+	}
+	if old > high-leavoBatch {
+		l.planIdle(t, leavoBatch, int64(leavoLowWater*float64(l.frame.Pages())))
 	}
 	return nil
 }
 
-// Clean implements Policy: repair parity for the oldest Old pages, swept
-// in member-row order (sweepOrder), then drop the old version and demote
-// the new version to Clean.
+// Clean implements Policy: clean every queued page, then repair parity
+// for the oldest Old pages, swept in member-row order (sweepOrder), then
+// drop the old version and demote the new version to Clean.
 func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
+	done, err := l.drainIdle(t)
+	if err != nil {
+		return t, err
+	}
+	defer func() { l.idle.Busy(done) }()
 	low := int64(leavoLowWater * float64(l.frame.Pages()))
-	done := t
 	for l.frame.Count(Old) > 0 && (force || l.frame.Count(Old) > low) {
 		victims := l.frame.OldestSlots(Old, leavoBatch)
 		if len(victims) == 0 {
@@ -251,6 +280,16 @@ func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
 		}
 	}
 	return done, nil
+}
+
+// cleanQueued repairs lba's parity if it still has an old version.
+func (l *LeavO) cleanQueued(t sim.Time, lba int64) (sim.Time, bool, error) {
+	slot, ok := l.oldOf[lba]
+	if !ok {
+		return t, false, nil
+	}
+	done, err := l.cleanOne(t, slot)
+	return done, true, err
 }
 
 // cleanOne repairs one page's parity from its old and new versions.

@@ -50,6 +50,23 @@ type Backend interface {
 	StartSpareRebuild(t sim.Time) (done sim.Time, started bool, err error)
 }
 
+// PeerAppender is the allocation-free form of Backend.RowPeers: it
+// appends lba's row peers to dst. Both array engines and the plane's
+// locked backend implement it.
+type PeerAppender interface {
+	AppendRowPeers(dst []int64, lba int64) []int64
+}
+
+// AppendRowPeers appends lba's row peers to dst, through b's PeerAppender
+// when it has one (a decorator that forwards only Backend falls back to
+// RowPeers, which allocates).
+func AppendRowPeers(b Backend, dst []int64, lba int64) []int64 {
+	if a, ok := b.(PeerAppender); ok {
+		return a.AppendRowPeers(dst, lba)
+	}
+	return append(dst, b.RowPeers(lba)...)
+}
+
 // Policy is a cache management scheme over an SSD device and a Backend.
 // All requests are page-granular; drivers split multi-page requests.
 type Policy interface {

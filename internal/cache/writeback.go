@@ -32,7 +32,9 @@ const (
 
 // NewWB builds a write-back cache.
 func NewWB(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) *WB {
-	return &WB{base: newBase(ssd, backend, cachePages, dataStart, ways)}
+	w := &WB{base: newBase(ssd, backend, cachePages, dataStart, ways)}
+	w.cleanQueue = w.cleanQueued
+	return w
 }
 
 // Name implements Policy.
@@ -40,6 +42,15 @@ func (w *WB) Name() string { return "WB" }
 
 // Read implements Policy.
 func (w *WB) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	if err := w.cleanIdle(t); err != nil {
+		return t, err
+	}
+	done, err := w.read(t, lba, buf)
+	w.idle.Busy(done)
+	return done, err
+}
+
+func (w *WB) read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	w.st.Reads++
 	if slot := w.frame.Lookup(lba); slot != NoSlot {
 		w.st.ReadHits++
@@ -59,6 +70,15 @@ func (w *WB) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // Write implements Policy: SSD-speed acknowledgement; the page is marked
 // dirty (reusing the Old state) and written back later.
 func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	if err := w.cleanIdle(t); err != nil {
+		return t, err
+	}
+	done, err := w.write(t, lba, buf)
+	w.idle.Busy(done)
+	return done, err
+}
+
+func (w *WB) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	w.st.Writes++
 	slot := w.frame.Lookup(lba)
 	if slot != NoSlot {
@@ -80,22 +100,30 @@ func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		return t, err
 	}
 	w.frame.Transition(slot, Old) // dirty
-	if float64(w.frame.Count(Old)) > wbHighWater*float64(w.frame.Pages()) {
+	old, high := w.frame.Count(Old), int64(wbHighWater*float64(w.frame.Pages()))
+	if old > high {
 		if _, err := w.Clean(done, false); err != nil {
 			return t, err
 		}
+	} else if old > high-wbBatch {
+		w.planIdle(done, wbBatch, int64(wbLowWater*float64(w.frame.Pages())))
 	}
 	return done, nil
 }
 
-// Clean implements Policy: write the oldest dirty pages back to RAID
-// (with parity), swept in member-row order (sweepOrder).
+// Clean implements Policy: write every queued page back, then the oldest
+// dirty pages, to RAID (with parity), swept in member-row order
+// (sweepOrder).
 func (w *WB) Clean(t sim.Time, force bool) (sim.Time, error) {
+	done, err := w.drainIdle(t)
+	if err != nil {
+		return t, err
+	}
+	defer func() { w.idle.Busy(done) }()
 	low := int64(wbLowWater * float64(w.frame.Pages()))
 	if force {
 		low = 0
 	}
-	done := t
 	for w.frame.Count(Old) > 0 && (force || w.frame.Count(Old) > low) {
 		victims := w.frame.OldestSlots(Old, wbBatch)
 		if len(victims) == 0 {
@@ -115,6 +143,16 @@ func (w *WB) Clean(t sim.Time, force bool) (sim.Time, error) {
 		}
 	}
 	return done, nil
+}
+
+// cleanQueued writes lba back if it is still dirty.
+func (w *WB) cleanQueued(t sim.Time, lba int64) (sim.Time, bool, error) {
+	slot := w.frame.Lookup(lba)
+	if slot == NoSlot || w.frame.Slot(slot).State != Old {
+		return t, false, nil
+	}
+	done, err := w.writeBack(t, slot)
+	return done, true, err
 }
 
 // writeBack flushes one dirty page to the RAID.

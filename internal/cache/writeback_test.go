@@ -149,12 +149,13 @@ func (c *cleanLog) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim
 }
 
 // TestLRUCleanersSweepInRowOrder dirties pages of a timing-mode LeavO and
-// WB in a permuted order until the first threshold pass, and checks the
-// pass: it cleans the oldest dirty pages, down to exactly the low-water
-// mark (each victim retires one Old page), and issues each batch in
-// ascending member-row order, LBA order within a row. Two pages of every
-// stripe are used, both in its first row, so rows tie and the LBA breaks
-// the tie.
+// WB in a permuted order, too close together for idle cleaning, until the
+// first threshold pass, and checks the pass: it cleans the oldest dirty
+// pages, down to exactly the low-water mark (each victim retires one Old
+// page), and issues each batch — first the one queued for idle cleaning
+// a batch below the high-water mark, then its own — in ascending
+// member-row order, LBA order within a row. Two pages of every stripe are
+// used, both in its first row, so rows tie and the LBA breaks the tie.
 func TestLRUCleanersSweepInRowOrder(t *testing.T) {
 	const cachePages = 1024
 	for _, tc := range []struct {
@@ -194,15 +195,20 @@ func TestLRUCleanersSweepInRowOrder(t *testing.T) {
 			}
 			log.lbas = nil
 			var dirtied []int64
-			for i := 0; p.Stats().CleanerRuns == 0; i++ {
+			queued := 0
+			for i := 0; len(log.lbas) == 0; i++ {
 				if i == tc.pages {
 					t.Fatal("no cleaner pass")
 				}
+				queued = len(p.(interface{ IdleQueued() []int64 }).IdleQueued())
 				lba := lbaOf(i * 37 % tc.pages)
 				dirtied = append(dirtied, lba)
 				if _, err := p.Write(sim.Time(i)*sim.Millisecond, lba, nil); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if queued == 0 {
+				t.Fatal("nothing queued for idle cleaning before the pass")
 			}
 			if got := frame.Count(cache.Old); got != int64(tc.low) {
 				t.Fatalf("pass stopped at %d dirty pages, want the low-water mark %d", got, tc.low)
@@ -220,9 +226,73 @@ func TestLRUCleanersSweepInRowOrder(t *testing.T) {
 				return rx < ry || rx == ry && x < y
 			}
 			for i := 1; i < len(cleaned); i++ {
-				if i%tc.batch != 0 && before(cleaned[i], cleaned[i-1]) {
+				if (i < queued || (i-queued)%tc.batch != 0) && before(cleaned[i], cleaned[i-1]) {
 					t.Fatalf("batch issue order %v is not ascending by (row, LBA) at %d", cleaned, i)
 				}
+			}
+		})
+	}
+}
+
+// TestLRUCleanersCleanInIdleTime dirties LeavO and WB pages too close
+// together for idle cleaning until each queues a batch a batch below its
+// high-water mark, then sends reads an idle gap apart: each read must
+// clean exactly the next queued page, with no threshold pass.
+func TestLRUCleanersCleanInIdleTime(t *testing.T) {
+	const cachePages = 1024
+	for _, tc := range []struct {
+		name  string
+		hits  bool
+		build func(ssd blockdev.Device, b cache.Backend) cache.Policy
+	}{
+		{"LeavO", true, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
+			return cache.NewLeavO(ssd, b, cachePages, 64, 64)
+		}},
+		{"WB", false, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
+			return cache.NewWB(ssd, b, cachePages, 64, 64)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var members []blockdev.Device
+			for i := 0; i < 5; i++ {
+				members = append(members, blockdev.NewNullDevice("d", 4096))
+			}
+			log := &cleanLog{Backend: mustArray5(t, members)}
+			p := tc.build(blockdev.NewNullDevice("ssd", 64+cachePages), log)
+			idle := p.(interface{ IdleQueued() []int64 })
+			now := sim.Time(0)
+			if tc.hits { // LeavO dirties cached pages only
+				for lba := int64(0); lba < 512; lba++ {
+					if _, err := p.Write(now, lba, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			log.lbas = nil
+			for lba := int64(0); len(idle.IdleQueued()) == 0; lba++ {
+				if lba == 512 {
+					t.Fatal("nothing queued for idle cleaning")
+				}
+				now += sim.Millisecond
+				if _, err := p.Write(now, lba, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			queued := slices.Clone(idle.IdleQueued())
+			if len(log.lbas) != 0 {
+				t.Fatalf("cleaned %v before any idle gap", log.lbas)
+			}
+			for i, want := range queued {
+				now += cache.IdleGap
+				if _, err := p.Read(now, 4096+int64(i), nil); err != nil {
+					t.Fatal(err)
+				}
+				if len(log.lbas) != i+1 || log.lbas[i] != want {
+					t.Fatalf("read %d: cleaned %v, want the queue's next page %d", i, log.lbas, want)
+				}
+			}
+			if runs := p.Stats().CleanerRuns; runs != 1 {
+				t.Fatalf("%d cleaner runs, want the one queued batch", runs)
 			}
 		})
 	}

@@ -101,7 +101,10 @@ type SeedResult struct {
 	MediaSites int
 	KillSites  int // whole-SSD fail-stop sites (cache failover + bypass proof)
 	Crashes    int // crash points that actually fired and were recovered
-	Violations []string
+	// PendingCrashes counts the crashes that struck while a cache engine
+	// held planned row repairs in its idle queue.
+	PendingCrashes int
+	Violations     []string
 }
 
 // Report aggregates the checker's results across seeds.
@@ -277,8 +280,8 @@ func sweep(o Options, kind string, widths []int) (*Report, error) {
 // siteOutcome is one site replay's result; violations are data, not
 // errors, so the fan-out never cancels early.
 type siteOutcome struct {
-	crashes    int
-	violations []string
+	crashes, pendingCrashes int
+	violations              []string
 }
 
 // newRun builds one run of the sweep's workload.
@@ -401,6 +404,7 @@ func runSeed(seed uint64, o Options, s spec) (SeedResult, error) {
 	})
 	for i, out := range outs {
 		res.Crashes += out.crashes
+		res.PendingCrashes += out.pendingCrashes
 		for _, v := range out.violations {
 			res.Violations = append(res.Violations, fmt.Sprintf("site %s: %s", sites[i], v))
 		}
@@ -433,7 +437,7 @@ func runSite(seed uint64, o Options, s spec, at site) (siteOutcome, error) {
 			r.bypassProof()
 		}
 	}
-	out := siteOutcome{crashes: r.crashes, violations: r.violations}
+	out := siteOutcome{crashes: r.crashes, pendingCrashes: r.pendingCrashes, violations: r.violations}
 	if at.fs.Kind == blockdev.FaultCrashTorn && r.crashes == 0 {
 		out.violations = append(out.violations, "armed crash point never fired (replay diverged from profile)")
 	}

@@ -14,13 +14,13 @@ func TestCheckerCIMode(t *testing.T) {
 	type row [3]int // crash, media, kill sites of one seed
 	want := [][]row{
 		{{50, 172, 8}, {54, 202, 8}},   // kdd engine
-		{{47, 0, 0}, {45, 0, 0}},       // kdd plane
+		{{43, 0, 0}, {45, 0, 0}},       // kdd plane
 		{{352, 635, 8}, {372, 713, 8}}, // kdd engine, rebuild (media sites 1 in 4)
-		{{129, 0, 0}, {108, 0, 0}},     // kdd plane, rebuild
+		{{128, 0, 0}, {108, 0, 0}},     // kdd plane, rebuild
 		{{50, 262, 8}, {54, 262, 8}},   // lsraid engine
-		{{47, 0, 0}, {45, 0, 0}},       // lsraid plane
+		{{43, 0, 0}, {45, 0, 0}},       // lsraid plane
 		{{110, 254, 8}, {105, 246, 8}}, // lsraid engine, rebuild
-		{{91, 0, 0}, {84, 0, 0}},       // lsraid plane, rebuild
+		{{90, 0, 0}, {84, 0, 0}},       // lsraid plane, rebuild
 	}
 	var reps []*Report
 	if testing.Short() {
@@ -109,4 +109,24 @@ func joinLines(v []string) string {
 		out += "  " + s + "\n"
 	}
 	return out
+}
+
+// TestCheckerIdleQueue sweeps every crash point of a bare-engine workload
+// whose footprint overflows the low-water mark, so the cleaner plans row
+// repairs into its idle queue, and crashes strike while rows wait there:
+// recovery must lose nothing (the queue is volatile; the rows' Old pages
+// and deltas are durable and the next pass repairs them).
+func TestCheckerIdleQueue(t *testing.T) {
+	rep := sweepOK(t, Run, idleQueueOptions)
+	if v := rep.Violations(); len(v) > 0 {
+		t.Fatalf("%d violations; first: %s", len(v), v[0])
+	}
+	pending := 0
+	for _, res := range rep.Results {
+		pending += res.PendingCrashes
+		t.Logf("seed %#x: %d of %d crashes struck with rows queued", res.Seed, res.PendingCrashes, res.Crashes)
+	}
+	if pending == 0 {
+		t.Fatal("no crash struck with rows queued")
+	}
 }

@@ -196,6 +196,7 @@ type rig struct {
 
 	halt           bool
 	crashes        int
+	pendingCrashes int              // crashes that struck with rows in an engine's idle queue
 	folds          int              // ops retried after folding deltas into stale parity
 	rebuildResumes int              // power cycles that re-opened a rebuild window from the NVRAM checkpoint
 	banked         stats.CacheStats // counters of the instances power cycles replaced
@@ -380,6 +381,12 @@ func (r *rig) runOps() {
 		r.exec(ops)
 		if r.anyCrashed() {
 			r.crashes++
+			for _, k := range r.sub.engines() {
+				if k.IdleQueued() > 0 {
+					r.pendingCrashes++
+					break
+				}
+			}
 			r.powerCycle()
 		}
 	}

@@ -57,3 +57,8 @@ func TestShardCheckerDeterministic(t *testing.T) {
 			a.Table(), b.Table())
 	}
 }
+
+// idleQueueOptions is a crash sweep whose footprint overflows the cache's
+// low-water mark, so the cleaner queues rows for idle-time repair
+// (TestCheckerIdleQueue, and the kddbug_idle mutation's self-test).
+var idleQueueOptions = Options{Seeds: 2, Ops: 200, Footprint: 96, CrashOnly: true}

@@ -15,9 +15,13 @@ import (
 
 // This file implements KDD's flushing policy (§III-D): a background
 // cleaner generates new parity blocks for stale stripes and reclaims the
-// old/delta pages. The cleaner is triggered when old+delta pages exceed a
-// threshold, when allocation finds a set pinned solid, or when the replay
-// driver detects an idle period. Parity is recomputed by
+// old/delta pages. A DEZ commit that finds the free pool within one batch
+// of running dry plans the next batch into an idle queue, whose rows are
+// repaired one per idle arrival gap (cache.IdleQueue); the synchronous
+// pass — when old+delta pages exceed a threshold, when a DEZ commit or an
+// allocation finds no free page, when the replay driver detects a long
+// idle period, and on force, flush and the degraded fold — first issues
+// whatever is still queued. Parity is recomputed by
 // reconstruct-write when every data block of the row is cached, otherwise
 // by read-modify-write over the decompressed deltas. Reclamation follows
 // scheme 2 (drop old pages, invalidate deltas) unless the scheme-1
@@ -29,7 +33,7 @@ const cleanerBatch = 128
 
 // maybeClean triggers the cleaner past the high-water mark.
 func (k *KDD) maybeClean(t sim.Time) error {
-	if float64(k.DirtyPages()) > highWater*float64(k.frame.Pages()) {
+	if k.DirtyPages() > k.highMark() {
 		_, err := k.cleanPass(t, false)
 		return err
 	}
@@ -58,7 +62,9 @@ func (k *KDD) Clean(t sim.Time, force bool) (done sim.Time, err error) {
 	return done, err
 }
 
-// cleanPass is the cleaner body.
+// cleanPass is the cleaner body. It first issues every row still in the
+// idle queue at t (the backstop), then repairs batches down to the
+// low-water mark (to zero on force).
 func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 	if k.cleaning {
 		return t, nil // re-entrant trigger from allocation inside a pass
@@ -69,12 +75,20 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 		sp := k.tr.Begin(t, obs.PhaseCleanPass)
 		defer func() { sp.End(done) }()
 	}
+	defer func() { k.idle.Busy(done) }()
 
-	low := int64(lowWater * float64(k.frame.Pages()))
+	done = t
+	for lba, peers, ok := k.nextQueued(); ok; lba, peers, ok = k.nextQueued() {
+		c, err := k.cleanRow(t, lba, peers)
+		if err != nil {
+			return t, err
+		}
+		done = sim.MaxTime(done, c)
+	}
+	low := k.lowMark()
 	if force {
 		low = 0
 	}
-	done = t
 	ran := false
 	for k.frame.Count(cache.Old) > 0 && (force || k.DirtyPages() > low) {
 		victims := k.frame.OldestSlots(cache.Old, cleanerBatch)
@@ -106,6 +120,81 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 	return done, nil
 }
 
+// lowMark is the dirty-page population a pass cleans down to.
+func (k *KDD) lowMark() int64 { return int64(lowWater * float64(k.frame.Pages())) }
+
+// highMark is the dirty-page population above which a write hit runs a
+// pass.
+func (k *KDD) highMark() int64 { return int64(highWater * float64(k.frame.Pages())) }
+
+// planIdle runs at the end of every DEZ commit. When the free pool is
+// within one batch of running dry and no row is queued, it plans the
+// batch the next pass would repair into the idle queue once the dirty
+// surplus over the low-water mark reaches the first of: the free pages
+// left (each commit takes one and adds a dirty page, so the pool runs dry
+// about where the two meet), a quarter of the band below the high-water
+// mark (so a small cache plans before its high-water pass), and a quarter
+// batch. Each plan walks every set's LRU head (OldestSlots), so planning
+// the row or two each commit adds would cost more host time than the
+// repairs. The plan is planBatch's on the first min(cleanerBatch,
+// dirty−low) LRU victims: each one reclaims at least one dirty page, so
+// the stop rule never reaches further.
+func (k *KDD) planIdle(t sim.Time) {
+	free := k.frame.Count(cache.Free)
+	if k.idle.Pending() || free >= cleanerBatch {
+		return
+	}
+	low, dirty := k.lowMark(), k.DirtyPages()
+	if dirty <= low || dirty-low < min(free, (k.highMark()-low)/4, cleanerBatch/4) || k.frame.Count(cache.Old) == 0 {
+		return
+	}
+	victims := k.frame.OldestSlots(cache.Old, int(min(cleanerBatch, dirty-low)))
+	k.idle.Plan(t)
+	for _, r := range k.planBatch(victims, false, low) {
+		k.idle.Add(r.lba)
+		if bugReclaimAtPlan {
+			k.reclaimUnrepaired(t, r.peers)
+		}
+	}
+	k.st.CleanerRuns++
+}
+
+// IdleQueued returns how many planned row repairs wait in the idle queue.
+func (k *KDD) IdleQueued() int { return len(k.idle.Queued()) }
+
+// dispatchIdle runs at every cached Serve entry: a request arriving an
+// idle gap after the previous one releases one queued row, repaired once
+// the engine's own work has drained.
+func (k *KDD) dispatchIdle(t sim.Time) error {
+	at, ok := k.idle.Arrive(t)
+	if !ok {
+		return nil
+	}
+	lba, peers, ok := k.nextQueued()
+	if !ok {
+		return nil
+	}
+	done, err := k.cleanRow(at, lba, peers)
+	k.idle.Busy(done)
+	return err
+}
+
+// nextQueued pops the idle queue's next row that still holds an Old
+// page, with its peers (engine scratch, valid until the next call). A row
+// whose Old pages were all reclaimed since the plan (a retired slot, a
+// fold) is dropped.
+func (k *KDD) nextQueued() (lba int64, peers []int64, ok bool) {
+	for lba, ok = k.idle.Pop(); ok; lba, ok = k.idle.Pop() {
+		k.rowPeers = cache.AppendRowPeers(k.backend, k.rowPeers[:0], lba)
+		for _, p := range k.rowPeers {
+			if s := k.frame.Lookup(p); s != cache.NoSlot && k.frame.Slot(s).State == cache.Old {
+				return lba, k.rowPeers, true
+			}
+		}
+	}
+	return 0, nil, false
+}
+
 // planRow is one parity row a cleaner batch repairs: its first LBA (the
 // sweep key, peers[0]), the LBA of the victim that chose it and the row's
 // peers, in RowPeers order.
@@ -124,14 +213,16 @@ type planRow struct {
 // peers and frees every DEZ page whose valid count the row's deltas
 // bring to zero. The returned plan is scratch, valid until the next call.
 func (k *KDD) planBatch(victims []int32, force bool, low int64) []planRow {
-	plan, marked := k.plan[:0], k.planSlots[:0]
+	plan, marked, all := k.plan[:0], k.planSlots[:0], k.planPeers[:0]
 	dirty := k.DirtyPages()
 	for _, v := range victims {
 		if k.planMark[v] != 0 {
 			continue // reclaimed with an earlier row of the plan
 		}
 		lba := k.frame.Slot(v).RaidLBA
-		peers := k.backend.RowPeers(lba)
+		n := len(all)
+		all = cache.AppendRowPeers(k.backend, all, lba)
+		peers := all[n:len(all):len(all)]
 		for _, p := range peers {
 			s := k.frame.Lookup(p)
 			if s == cache.NoSlot || k.frame.Slot(s).State != cache.Old {
@@ -158,7 +249,7 @@ func (k *KDD) planBatch(victims []int32, force bool, low int64) []planRow {
 			k.planMark[od.dez] = 0
 		}
 	}
-	k.plan, k.planSlots = plan, marked
+	k.plan, k.planSlots, k.planPeers = plan, marked, all
 	slices.SortFunc(plan, func(a, b planRow) int { return cmp.Compare(a.row, b.row) })
 	return plan
 }
@@ -436,4 +527,18 @@ func (k *KDD) reclaimOld(t sim.Time, lba int64, slot int32) (sim.Time, error) {
 		return t, err
 	}
 	return t, nil
+}
+
+// reclaimUnrepaired is the kddbug_idle mutation of planIdle (see
+// bugflag_idle.go): it reclaims a planned row's Old peers at plan time,
+// before their parity is repaired. The row then leaves the queue with
+// nothing to repair, its deltas are gone and its parity stays stale: a
+// member lost later rebuilds the row's pages from that parity.
+func (k *KDD) reclaimUnrepaired(t sim.Time, peers []int64) {
+	for _, p := range peers {
+		if s := k.frame.Lookup(p); s != cache.NoSlot && k.frame.Slot(s).State == cache.Old {
+			_, err := k.reclaimOld(t, p, s)
+			k.stick(err)
+		}
+	}
 }

@@ -59,15 +59,17 @@ func (d *loggingDev) TrimPages(t sim.Time, lba int64, count int) (sim.Time, erro
 // TestCleanerIssuesPassAtStart: the reclaimed slots (SSD trims) and the
 // committed metadata-log page images in order, the records still in the
 // NVRAM metadata buffer, and the engine's final state digest. The pass
-// repairs its rows in ascending member-row order, so it reclaims and logs
-// in that order too.
-const cleanerPassDigest uint64 = 0x22fa3553c19db2bf
+// repairs the queued rows, then its own, each run in ascending
+// member-row order, so it reclaims and logs in that order too.
+const cleanerPassDigest uint64 = 0x42f55b181e4a69ab
 
 // TestCleanerIssuesPassAtStart runs a timed data-mode KDD over logged
-// member disks until the first threshold cleaning pass, and checks the
-// cleaner's issue rule: the pass repairs the rows an LRU walk picks, in
-// ascending member-row order, with every row repair submitted at the pass
-// start; the reclaims and metadata records are pinned as a digest.
+// member disks, with requests too close together for idle repairs, until
+// the first threshold cleaning pass, and checks the cleaner's issue rule:
+// the pass repairs the rows an LRU walk picks — first the rows the idle
+// queue holds, then its own plan, each in ascending member-row order —
+// with every row repair submitted at the pass start; the reclaims and
+// metadata records are pinned as a digest.
 func TestCleanerIssuesPassAtStart(t *testing.T) {
 	const (
 		diskLat    = 10 * sim.Millisecond
@@ -125,7 +127,7 @@ func TestCleanerIssuesPassAtStart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("write %d: %v", lba, err)
 		}
-		now += sim.Second
+		now += cache.IdleGap / 2
 		return done
 	}
 	for i := 0; i < rows; i++ {
@@ -138,16 +140,19 @@ func TestCleanerIssuesPassAtStart(t *testing.T) {
 	// Rewrite until a write hit crosses the high-water mark. The pass
 	// runs behind that write's response, from its completion time.
 	var passStart sim.Time
+	var queued []int64
 	mark := 0
 	for _, i := range order {
 		mark = len(memberLog.ops)
+		queued, _ = k.IdleRows()
 		passStart = write(lbaOf(i))
-		if k.Stats().CleanerRuns > 0 {
+		if k.Stats().ParityUpdates > 0 {
 			break
 		}
 	}
-	if k.Stats().CleanerRuns != 1 {
-		t.Fatalf("cleaner runs %d after the rewrites, want 1", k.Stats().CleanerRuns)
+	if k.Stats().ParityUpdates == 0 || len(queued) == 0 {
+		t.Fatalf("%d rows queued before the pass, %d repaired after the rewrites; want both",
+			len(queued), k.Stats().ParityUpdates)
 	}
 	call := memberLog.ops[mark:]
 	if len(call) == 0 || call[0].kind != blockdev.OpWrite || call[0].at+diskLat != passStart {
@@ -175,14 +180,27 @@ func TestCleanerIssuesPassAtStart(t *testing.T) {
 	// Every rewritten page is one Old page in a row of its own, so the
 	// LRU walk repairs the rows of the first len(passRows) rewrites. Page
 	// 0 of stripe s sits at member page s×chunk on every member, so that
-	// is the parity page of its row.
-	walk := make([]int64, len(passRows))
-	for r := range walk {
-		walk[r] = lbaOf(order[r]) / stripe * chunkPages
+	// is the parity page of its row. The queued rows come first, as
+	// planned; the pass's own plan follows in ascending order.
+	memberPage := func(lba int64) int64 { return lba / stripe * chunkPages }
+	var want []int64
+	for _, lba := range queued {
+		want = append(want, memberPage(lba))
 	}
-	slices.Sort(walk)
-	if !slices.Equal(passRows, walk) {
-		t.Fatalf("pass repaired member pages %v, want the LRU walk's rows %v in ascending order", passRows, walk)
+	var walk, own []int64
+	for r := range passRows {
+		p := memberPage(lbaOf(order[r]))
+		walk = append(walk, p)
+		if !slices.Contains(want, p) {
+			own = append(own, p)
+		}
+	}
+	slices.Sort(own)
+	want = append(want, own...)
+	if !slices.Equal(passRows, want) {
+		slices.Sort(walk)
+		t.Fatalf("pass repaired member pages %v, want the LRU walk's rows %v: queued %v first, then the rest ascending",
+			passRows, walk, queued)
 	}
 	if k.DirtyPages() > k.CleanerLow(false) {
 		t.Fatalf("pass stopped at %d dirty pages, above the low-water mark %d", k.DirtyPages(), k.CleanerLow(false))
@@ -221,7 +239,7 @@ func TestCleanerIssuesPassAtStart(t *testing.T) {
 	if got := h.Sum64(); got != cleanerPassDigest {
 		t.Errorf("reclaims and metadata records digest %#x, want %#x", got, cleanerPassDigest)
 	}
-	t.Logf("pass at %v: %d rows, %d trims, %d metadata records", passStart, len(passRows), trims, len(records))
+	t.Logf("pass at %v: %d rows (%d queued), %d trims, %d metadata records", passStart, len(passRows), len(queued), trims, len(records))
 }
 
 // rowLog wraps a backend and records, in issue order, every parity row

@@ -14,7 +14,18 @@ func (k *KDD) CleanerLow(force bool) int64 {
 	if force {
 		return 0
 	}
-	return int64(lowWater * float64(k.frame.Pages()))
+	return k.lowMark()
+}
+
+// IdleRows returns the rows waiting in the cleaner's idle queue, each by
+// its first LBA (RowPeers(lba)[0]), in issue order, and when they were
+// planned.
+func (k *KDD) IdleRows() ([]int64, sim.Time) {
+	var rows []int64
+	for _, lba := range k.idle.Queued() {
+		rows = append(rows, k.backend.RowPeers(lba)[0])
+	}
+	return rows, k.idle.Planned()
 }
 
 // CleanerPlan returns the rows the next cleaner batch would repair, each
@@ -38,6 +49,4 @@ func (k *KDD) RepairRow(t sim.Time, victim int32) (sim.Time, error) {
 
 // CleanerHigh returns the DirtyPages mark above which a write hit runs a
 // cleaning pass.
-func (k *KDD) CleanerHigh() int64 {
-	return int64(highWater * float64(k.frame.Pages()))
-}
+func (k *KDD) CleanerHigh() int64 { return k.highMark() }

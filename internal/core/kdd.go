@@ -205,17 +205,23 @@ type KDD struct {
 	nOld      int        // live records in oldDeltas
 	dezPages  []dezPage  // DEZ slot -> occupancy
 
+	// idle is the cleaner's queue of planned row repairs (planIdle,
+	// dispatchIdle); cleanPass issues what it still holds.
+	idle cache.IdleQueue
+
 	// Scratch reused across calls so the steady state allocates nothing:
-	// commitDez's delta offsets, the cleaner's batch plan and the Old
-	// peers it marked, cleanRow's cached/old row peers, parityRMW's LBA
-	// list and the page lists the two parity repairs hand the backend.
-	// Each is dead once the call that filled it returns (the plan once
-	// its batch is issued), and none of those calls nests within itself
-	// (cleanPass is not re-entrant, commitDez packs only after its
-	// cleaning pass).
+	// commitDez's delta offsets, the cleaner's batch plan, its rows' peers
+	// and the Old peers it marked, a queued row's peers, cleanRow's
+	// cached/old row peers, parityRMW's LBA list and the page lists the
+	// two parity repairs hand the backend. Each is dead once the call that
+	// filled it returns (the plan once its batch is issued or queued), and
+	// none of those calls nests within itself (cleanPass is not
+	// re-entrant, commitDez packs only after its cleaning pass).
 	dezOffs   []int
 	plan      []planRow
+	planPeers []int64
 	planSlots []int32
+	rowPeers  []int64
 	rowCached []peerInfo
 	rowOld    []peerInfo
 	rmwLBAs   []int64
@@ -302,10 +308,13 @@ func newKDD(cfg Config, log *metalog.Log, staging *nvram.Staging) (*KDD, error) 
 	k.oldDeltas = make([]oldDelta, k.frame.Pages())
 	k.dezPages = make([]dezPage, k.frame.Pages())
 	k.planMark = make([]int32, k.frame.Pages())
-	// A plan holds at most a batch of rows and their Old peers: sized up
-	// front, it never grows while the cache serves.
+	// A plan holds at most a batch of rows, their peers and their Old
+	// peers: sized up front, it never grows while the cache serves.
+	dc := len(cfg.Backend.RowPeers(0))
 	k.plan = make([]planRow, 0, cleanerBatch)
-	k.planSlots = make([]int32, 0, cleanerBatch*len(cfg.Backend.RowPeers(0)))
+	k.planPeers = make([]int64, 0, cleanerBatch*dc)
+	k.planSlots = make([]int32, 0, cleanerBatch*dc)
+	k.rowPeers = make([]int64, 0, dc)
 	if cfg.FixedDEZSets > 0 {
 		if cfg.FixedDEZSets >= k.frame.Sets() {
 			return nil, fmt.Errorf("core: FixedDEZSets %d >= %d sets", cfg.FixedDEZSets, k.frame.Sets())

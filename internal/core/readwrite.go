@@ -74,16 +74,19 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 	if k.passThrough() {
 		done, err = k.pass(t, lba, buf, write)
 	} else {
-		if write {
-			done, err = k.writeCached(t, lba, buf, admit)
-		} else {
-			done, err = k.readCached(t, lba, buf, admit)
+		if err = k.dispatchIdle(t); err == nil {
+			if write {
+				done, err = k.writeCached(t, lba, buf, admit)
+			} else {
+				done, err = k.readCached(t, lba, buf, admit)
+			}
 		}
 		if err != nil && k.ssdFault(err) {
 			k.failover(t, HealthBypass)
 			done, err = k.pass(t, lba, buf, write)
 		}
 	}
+	k.idle.Busy(done)
 	if err == nil && k.pump != nil {
 		// Background rebuild work rides behind the response (like
 		// maybeClean): it shares the disks from `done` onward but never
@@ -490,6 +493,7 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 		sd.D.Release() // durable in the DEZ page and mapped there: the staged copy is dead
 	}
 	k.st.DeltaCommits++
+	k.planIdle(t)
 	return done, nil
 }
 

@@ -17,27 +17,52 @@ import (
 // the rebuild between requests (eight rows when the disks were idle, one
 // row under foreground RAID pressure); the Nossd baseline has no engine
 // to pace it — the unpaced baseline — and drives Array.RebuildStep at
-// a fixed eight rows after every request. One third into the trace a member
-// dies; the table compares per-phase p99 response times, the virtual time
-// from failure to a fully redundant array, and the rows reconstructed
-// while foreground requests were in flight.
+// a fixed nossdRebuildRows rows after every request. One third into the
+// trace a member dies; the table compares per-phase p99 response times,
+// the virtual time from failure to a fully redundant array, and the rows
+// reconstructed while foreground requests were in flight.
 func RebuildImpact(scale float64) (string, error) {
 	spec := workload.Fin2.Scale(scale)
 	spec.MeanIOPS = 100
+	rows, err := rebuildImpact(spec)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.WriteString("== Rebuild impact: time to full redundancy vs foreground tail latency ==\n")
+	fmt.Fprintf(&b, "%-8s %16s %16s %16s %10s %11s\n",
+		"policy", "healthy p99 (ms)", "rebuild p99 (ms)", "rebuild time", "fg rows", "drain rows")
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%-8s %16.2f %16.2f %16v %10d %11d\n",
+			row.name, row.healthyP99, row.rbP99, row.rebuild, row.fgRows, row.drainRows)
+	}
+	b.WriteString("\nThe paced rebuild hides reconstruction behind idle gaps; the cache absorbs\nthe reads that would otherwise queue behind it.\n")
+	return b.String(), nil
+}
+
+// impactRow is one policy's line of the rebuild-impact table.
+type impactRow struct {
+	name              string
+	healthyP99, rbP99 float64 // per-phase p99 response (ms)
+	rebuild           sim.Time
+	fgRows, drainRows int64
+}
+
+// nossdRebuildRows is how many rows the cache-less baseline's fixed-rate
+// driver rebuilds after each request.
+const nossdRebuildRows = 8
+
+// rebuildImpact replays spec's trace through the Nossd and KDD stacks
+// with a member failing a third of the way in, and returns one row each.
+func rebuildImpact(spec workload.Spec) ([]impactRow, error) {
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.25*float64(spec.UniqueTotal)), 256)
 	diskPages := spec.UniqueTotal/4 + 8192
 	diskPages -= diskPages % 16
 	failAt := len(tr.Requests) / 3
 
-	type impactRow struct {
-		name              string
-		healthyP99, rbP99 float64 // per-phase p99 response (ms)
-		rebuild           sim.Time
-		fgRows, drainRows int64
-	}
 	kinds := []PolicyKind{PolicyNossd, PolicyKDD}
-	rows, err := fanOut(len(kinds), func(ki int) (impactRow, error) {
+	return fanOut(len(kinds), func(ki int) (impactRow, error) {
 		pk := kinds[ki]
 		o := StackOpts{
 			Policy: pk, DeltaMean: 0.25,
@@ -89,7 +114,7 @@ func RebuildImpact(scale float64) (string, error) {
 			}
 			if pk != PolicyKDD && i >= failAt && st.Array.RebuildActive() {
 				// Fixed-rate driver for the cache-less baseline.
-				c, _, _, err := st.Array.RebuildStep(done, 8)
+				c, _, _, err := st.Array.RebuildStep(done, nossdRebuildRows)
 				if err != nil {
 					return impactRow{}, fmt.Errorf("%s rebuild step: %w", pk, err)
 				}
@@ -139,17 +164,4 @@ func RebuildImpact(scale float64) (string, error) {
 			drainRows:  st.Array.Stats().RebuildRows - fgRows,
 		}, nil
 	})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString("== Rebuild impact: time to full redundancy vs foreground tail latency ==\n")
-	fmt.Fprintf(&b, "%-8s %16s %16s %16s %10s %11s\n",
-		"policy", "healthy p99 (ms)", "rebuild p99 (ms)", "rebuild time", "fg rows", "drain rows")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-8s %16.2f %16.2f %16v %10d %11d\n",
-			row.name, row.healthyP99, row.rbP99, row.rebuild, row.fgRows, row.drainRows)
-	}
-	b.WriteString("\nThe paced rebuild hides reconstruction behind idle gaps; the cache absorbs\nthe reads that would otherwise queue behind it.\n")
-	return b.String(), nil
 }

@@ -228,15 +228,19 @@ func (a *Array) StripeOf(lba int64) int64 { return lba / a.StripePages() }
 // logical geometry (one page per data chunk at the same chunk offset),
 // in data-chunk order — same arithmetic as the parity engine.
 func (a *Array) RowPeers(lba int64) []int64 {
+	return a.AppendRowPeers(make([]int64, 0, a.dc()), lba)
+}
+
+// AppendRowPeers appends RowPeers(lba) to dst without allocating when dst
+// has room (cache.PeerAppender).
+func (a *Array) AppendRowPeers(dst []int64, lba int64) []int64 {
 	sp := a.StripePages()
 	stripe, within := lba/sp, lba%sp
 	pic := within % a.cfg.ChunkPages
-	dc := a.dc()
-	peers := make([]int64, 0, dc)
-	for i := 0; i < dc; i++ {
-		peers = append(peers, stripe*sp+int64(i)*a.cfg.ChunkPages+pic)
+	for i := 0; i < a.dc(); i++ {
+		dst = append(dst, stripe*sp+int64(i)*a.cfg.ChunkPages+pic)
 	}
-	return peers
+	return dst
 }
 
 // DataLocation returns where lba's data currently lives: the member disk

@@ -159,14 +159,19 @@ func (a *Array) StripeOf(lba int64) int64 { return lba / a.StripePages() }
 // per data chunk at the same disk offset — the unit over which P/Q are
 // computed.
 func (a *Array) RowPeers(lba int64) []int64 {
+	return a.AppendRowPeers(make([]int64, 0, a.geo.dataChunksPerStripe()), lba)
+}
+
+// AppendRowPeers appends RowPeers(lba) to dst without allocating when dst
+// has room (cache.PeerAppender).
+func (a *Array) AppendRowPeers(dst []int64, lba int64) []int64 {
 	l := a.geo.locate(lba)
 	dc := int(a.geo.dataChunksPerStripe())
 	pic := l.row % a.geo.chunkPages
-	peers := make([]int64, 0, dc)
 	for i := 0; i < dc; i++ {
-		peers = append(peers, a.geo.logicalLBA(l.stripe, i, pic))
+		dst = append(dst, a.geo.logicalLBA(l.stripe, i, pic))
 	}
-	return peers
+	return dst
 }
 
 // ReadPages implements blockdev.Device. Failed members trigger degraded

@@ -21,10 +21,10 @@ import (
 // in both modes means one code path.
 //
 // Two parts of the array pass through unlocked: its geometry (Pages,
-// StripePages, RowPeers), fixed at construction, and its rebuild surface
-// (RebuildActive, RebuildTarget, RebuildStep, ResumeRebuild, SpareCount,
-// StartSpareRebuild), which lanes never call and the plane calls only at
-// a barrier or before any worker has started.
+// StripePages, RowPeers, AppendRowPeers), fixed at construction, and its
+// rebuild surface (RebuildActive, RebuildTarget, RebuildStep,
+// ResumeRebuild, SpareCount, StartSpareRebuild), which lanes never call
+// and the plane calls only at a barrier or before any worker has started.
 
 // lockedDevice serializes a blockdev.Device shared by the lanes. Trim
 // support is forwarded when the wrapped device has it.
@@ -134,6 +134,12 @@ func (l *lockedBackend) ResyncRow(t sim.Time, lba int64) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.Backend.ResyncRow(t, lba)
+}
+
+// AppendRowPeers forwards the allocation-free peer list (geometry,
+// unlocked like RowPeers).
+func (l *lockedBackend) AppendRowPeers(dst []int64, lba int64) []int64 {
+	return cache.AppendRowPeers(l.Backend, dst, lba)
 }
 
 func (l *lockedBackend) StaleRows() int {
