@@ -92,16 +92,17 @@ obs-test:
 
 # Sharded data plane battery: the cross-shard determinism contract
 # (byte-identical output at shard counts 1/2/4/8, coalescing on and off)
-# under the race detector at several test-parallelism levels, plus the
-# routing/digest property tests and the open-loop generator. (The
-# plane's crash sweep is part of `make check`.) Last, the recycled byte
-# path's ownership test: a data-mode stream through the engine and the
-# goroutine-mode plane with every released buffer poisoned.
+# under the race detector at several test-parallelism levels, which races
+# the tests against each other, plus the routing/digest property tests
+# and the open-loop generator. (The plane's crash sweep is part of
+# `make check`.) Last, the recycled byte path's ownership test: a
+# data-mode stream through the engine and the plane with every released
+# buffer poisoned.
 shard-test:
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 4 -count=1 -run 'TestDeterministic' ./internal/shard/
 	$(GO) test -race -parallel 16 -count=1 -run 'TestDeterministic' ./internal/shard/
-	$(GO) test -race ./internal/shard/ ./internal/sched/ ./internal/workload/
+	$(GO) test -race ./internal/shard/ ./internal/workload/
 	$(GO) test -race -count=1 -run 'TestOwnershipUnderPoison' ./internal/blockdev/
 
 # Multi-tenant QoS battery: token-bucket conservation, WFQ fairness and
@@ -171,12 +172,13 @@ bench-pairs:
 # curve, the fault injector's unarmed pass-through, the latency
 # histogram — the span recorder's per-span cost and its export, the
 # open-loop and multi-tenant stream generators the data workloads' set-up
-# pays for, KDD's cleaner pass (ns and allocs per repaired row) and its
-# idle-queue dispatch (ns and allocs per queued row), and the
-# copy-vs-spin scaling probe behind the plane's measurement note, at a
-# fixed small iteration count so they stay runnable (see DESIGN.md
-# "Model kernels", "Binary span ring", "Workload generation" and
-# "Background work runs in the members' idle time").
+# pays for, KDD's cleaner pass (ns and allocs per repaired row), its
+# idle-queue dispatch (ns and allocs per queued row) and the plane's
+# warm 256-op batch (ns and allocs per batch, the elevator sweep's sort
+# included), at a fixed small iteration count so they stay runnable (see
+# DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
+# "Background work runs in the members' idle time" and "Sharded data
+# plane").
 kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
@@ -185,7 +187,7 @@ kernels:
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
-	$(GO) test ./internal/sched/ -run '^$$' -bench '^BenchmarkCopyScaling$$' -benchtime 3x
+	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

@@ -151,7 +151,7 @@ func TestOwnershipUnderPoison(t *testing.T) {
 			} else {
 				cfg := shard.Config{SSD: flash, Backend: arr, CachePages: ownCache, Ways: 16,
 					MetaPages: ownMeta, Codec: func(int) delta.Codec { return delta.ZRLE{} },
-					Shards: tc.shards, Goroutines: true, Coalesce: true}
+					Shards: tc.shards, Coalesce: true}
 				p, err := shard.New(cfg)
 				if err != nil {
 					t.Fatal(err)

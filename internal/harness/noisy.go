@@ -25,16 +25,16 @@ import (
 //	protected    all tenants,  QoS on  — the tentpole claim
 //	unprotected  all tenants,  QoS off — the damage being prevented
 //
-// As in the saturation experiment, the plane runs for real in goroutine
-// mode (every admitted request executes on the concurrent engine; any
-// engine error fails the arm) while latency comes from a deterministic
-// virtual-time model layered on the plane's routing: each shard is a
-// serial server with a fixed per-op compute cost. The service ORDER
-// differs per arm on purpose — with QoS on, each shard serves its
-// backlog through a weighted-fair queue over the tenant weights (the
-// admission queue the tentpole adds); with QoS off there is no fairness
-// anywhere, so the backlog drains in plain arrival order and the
-// aggressor's flood queues ahead of the victims.
+// As in the saturation experiment, the plane runs for real (every
+// admitted request executes on the engine; any engine error fails the
+// arm) while latency comes from a deterministic virtual-time model
+// layered on the plane's routing: each shard is a serial server with a
+// fixed per-op compute cost. The service ORDER differs per arm on
+// purpose — with QoS on, each shard serves its backlog through a
+// weighted-fair queue over the tenant weights (the admission queue the
+// tentpole adds); with QoS off there is no fairness anywhere, so the
+// backlog drains in plain arrival order and the aggressor's flood queues
+// ahead of the victims.
 //
 // Throttled requests retry at their RetryAfter hint through a min-heap
 // of (time, seq) events; latency is always measured from the ORIGINAL

@@ -52,9 +52,8 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 
 // TestDeterministicNoisyAcrossParallelism proves the experiment's
 // rendered output is byte-identical at any worker-pool width: the QoS
-// gate, the retry heap and the service model are all virtual-time
-// deterministic, and the goroutine-mode plane never leaks scheduling
-// into the measurements.
+// gate, the retry heap, the plane and the service model are all
+// virtual-time deterministic.
 func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 	defer SetParallelism(0)
 

@@ -20,15 +20,14 @@ import (
 // an open-loop arrival stream (clients keep offering load regardless of
 // completions — the only way a saturation knee is visible).
 //
-// The plane runs for real in goroutine mode — every request executes on
-// the concurrent engine and any error fails the experiment — while
-// latency comes from a deterministic virtual-time model layered on the
-// plane's own routing: each shard worker is a serial server with a fixed
-// per-op CPU cost, so a request's start time is max(arrival, its shard's
-// busy clock). That models exactly the resource sharding parallelizes
-// (the single-threaded engine compute) and keeps the measured curves
-// byte-stable across runs and machines. Wall-clock timing of the
-// goroutine pool would measure the host scheduler, not the design.
+// The plane runs for real — every request executes on the engine and any
+// error fails the experiment — while latency comes from a deterministic
+// virtual-time model layered on the plane's own routing: each shard
+// (ShardOf) is a serial CPU server with a fixed per-op cost, so a
+// request's start time is max(arrival, its shard's busy clock). That
+// models the resource sharding would parallelize (the single-threaded
+// engine compute) and keeps the measured curves byte-stable across runs
+// and machines.
 //
 // sustained(N) is the highest grid load whose p99 stays within the SLO.
 // The headline ratio sustained(4)/sustained(1) follows from satOpCost
@@ -141,9 +140,9 @@ func SaturationSweep(scale float64) (SaturationResult, error) {
 	return res, nil
 }
 
-// saturationCell builds a fresh plane in goroutine mode, replays one
-// open-loop arrival stream through it in batches, and returns the p99 of
-// the virtual-time latency model.
+// saturationCell builds a fresh plane, replays one open-loop arrival
+// stream through it in batches, and returns the p99 of the virtual-time
+// latency model.
 func saturationCell(shards int, offeredIOPS float64, requests int64) (sim.Time, error) {
 	p, err := nullPlane(0x5A7, shards, nil)
 	if err != nil {
@@ -208,9 +207,9 @@ func saturationCell(shards int, offeredIOPS float64, requests int64) (sim.Time, 
 	return sim.Time(hist.Percentile(99)), nil
 }
 
-// nullPlane builds the goroutine-mode plane saturation and noisy-neighbor
-// measure: 5 x 2048-page null members (RAID-5, chunk 8) under a 1024-page
-// 64-way cache with 128 meta pages, coalescing on; ctl may be nil.
+// nullPlane builds the plane saturation and noisy-neighbor measure:
+// 5 x 2048-page null members (RAID-5, chunk 8) under a 1024-page 64-way
+// cache with 128 meta pages, coalescing on; ctl may be nil.
 func nullPlane(codecSeed uint64, shards int, ctl *qos.Controller) (*shard.Plane, error) {
 	var members []blockdev.Device
 	for i := 0; i < 5; i++ {
@@ -229,7 +228,6 @@ func nullPlane(codecSeed uint64, shards int, ctl *qos.Controller) (*shard.Plane,
 		MetaPages:  metaPages,
 		Codec:      func(lane int) delta.Codec { return delta.NewModelled(codecSeed<<8|uint64(lane), 0.25) },
 		Shards:     shards,
-		Goroutines: true,
 		Coalesce:   true,
 		QoS:        ctl,
 	})

@@ -1,32 +1,29 @@
-// Package shard implements the concurrent sharded data plane: a fixed
-// set of lanes — each a complete core.KDD over its own slice of the SSD
-// cache — dispatched by backing-LBA stripe hash and executed by a
-// configurable number of shard workers behind the sched.Scheduler seam.
+// Package shard implements the sharded data plane: a fixed set of lanes
+// — each a complete core.KDD over its own slice of the SSD cache —
+// dispatched by backing-LBA stripe hash, with the batch swept on the
+// calling goroutine.
 //
-// The state partition count (Lanes) is FIXED; the shard count only
-// groups lanes onto execution units. That split is what makes the
-// determinism contract possible: under the deterministic scheduler the
-// plane produces byte-identical traces, figures, and state fingerprints
-// at any shard count, because per-lane state and per-lane operation
-// order are functions of the request stream alone. Shards are pure
-// throughput: under the goroutine scheduler each worker owns Lanes/N
-// lanes and runs them concurrently.
+// The state partition count (Lanes) is FIXED. The shard count does not
+// change what runs or in what order: it only names how many CPU servers
+// the saturation and noisy-neighbor models charge (ShardOf). Every batch
+// runs the same way at every shard count, so per-lane state, every
+// virtual time and every byte of output are functions of the request
+// stream alone.
 //
 // Per batch the plane coalesces superseded writes (a write to an LBA
 // overwritten later in the same batch with no intervening read of it is
-// dropped), executes each operation under that stripe's lock, and ends
-// with one metadata barrier per lane — metalog entries reach NVRAM at
-// the operation (the durability point), while their page flushes batch
-// into the barrier.
+// dropped), executes each operation on its lane, and ends with one
+// metadata barrier per lane — metalog entries reach NVRAM at the
+// operation (the durability point), while their page flushes batch into
+// the barrier.
 //
-// Ops that arrive together are executed as an elevator sweep: within each
-// run of consecutive ops sharing one arrival time the plane executes them
-// in ascending LBA order (stably, so same-LBA ops keep their submission
-// order), standing in for the host block layer's request scheduler. RAID
-// places a page at member row stripe*chunkPages+pageInChunk, which rises
-// with LBA on every member, so the sweep is one ascending pass of every
-// arm. The order is a function of the batch alone, so it keeps the
-// determinism contract.
+// Ops that arrive together are executed as one elevator sweep: within
+// each run of consecutive ops sharing one arrival time the plane executes
+// them in ascending LBA order (stably, so same-LBA ops keep their
+// submission order), standing in for the host block layer's request
+// scheduler. RAID places a page at member row
+// stripe*chunkPages+pageInChunk, which rises with LBA on every member, so
+// the sweep is one ascending pass of every arm.
 package shard
 
 import (
@@ -35,8 +32,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
@@ -45,7 +40,6 @@ import (
 	"kddcache/internal/metalog"
 	"kddcache/internal/obs"
 	"kddcache/internal/qos"
-	"kddcache/internal/sched"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
 )
@@ -55,16 +49,15 @@ import (
 // use (and the largest shard count the saturation sweep drives).
 const Lanes = 8
 
-// stripeLockSlots sizes the plane's striped lock table. Collisions are
-// benign (two stripes sharing a mutex serialize, nothing more).
-const stripeLockSlots = 64
-
 // ErrStopped is returned for every operation after the plane fail-stops:
 // a lane reported a fatal device error (power loss mid-write, whole-SSD
 // death), so the remaining queued work is refused untouched — those ops
 // never started, never reached NVRAM, and recovery sees exactly the
 // state at the instant of the failure. Restore a new plane to continue.
 var ErrStopped = errors.New("shard: plane stopped on a fatal device error; restore required")
+
+// ErrClosed is returned for every operation submitted after Close.
+var ErrClosed = errors.New("shard: plane closed")
 
 // fatalErr reports whether a lane error means the shared device is gone
 // (as opposed to a semantic, retryable refusal like a stale-parity
@@ -85,33 +78,33 @@ type Config struct {
 
 	// Codec builds each lane's delta codec. Stateful codecs (the
 	// modelled one carries an RNG) must not be shared between lanes, or
-	// goroutine-mode runs race and deterministic runs couple lane state.
+	// they couple lane state.
 	Codec func(lane int) delta.Codec
 
-	// Shards is the execution width: how many workers the lanes are
-	// grouped onto. Must divide Lanes; default 1.
+	// Shards is the number of CPU servers the lanes are grouped onto
+	// (ShardOf), for the models that charge per-shard compute. It does
+	// not change execution. Must divide Lanes; default 1.
 	Shards int
 
-	// Goroutines selects the real per-shard worker scheduler. Off, the
-	// plane single-steps every operation of a batch in sweep order (see
-	// the package doc) — the deterministic mode whose output is
-	// byte-identical at any Shards.
+	// Goroutines once selected a per-shard worker pool.
+	//
+	// Deprecated: has no effect; every batch is swept on the calling
+	// goroutine.
 	Goroutines bool
 
 	// Coalesce drops writes superseded within a batch. Lane-consistent
 	// by construction (only same-LBA operations interact, and an LBA
 	// always routes to the same lane), so it preserves the determinism
-	// contract across shard counts in both modes.
+	// contract across shard counts.
 	Coalesce bool
 
-	// Tracer is attached in deterministic mode only (the tracer is not
-	// synchronized; goroutine mode would race on it).
+	// Tracer records the lanes', the log's and the admission gate's
+	// spans.
 	Tracer *obs.Tracer
 
 	// QoS attaches a per-tenant admission controller. RunBatch consults
-	// it in submission order on the submitting goroutine — before any
-	// work is scheduled — so its decisions are identical at every shard
-	// count and in both scheduler modes. Over-budget ops are rejected
+	// it in submission order before any op executes, so its decisions
+	// are identical at every shard count. Over-budget ops are rejected
 	// with typed qos errors; bypass-rung ops are served around cache
 	// admission (core.KDD.Serve with admit false).
 	QoS *qos.Controller
@@ -157,37 +150,30 @@ type Result struct {
 	Bypassed  bool // served around cache admission (QoS bypass verdict)
 }
 
-// Plane is the sharded data plane.
+// Plane is the sharded data plane. It is not safe for concurrent use:
+// one batch runs at a time, on the goroutine that submits it.
 type Plane struct {
 	cfg         Config
 	lanes       [Lanes]*core.KDD
 	log         *metalog.Log
 	pump        *core.RebuildPump // the plane owns the log's rebuild checkpoint, so it paces the rebuild
-	sched       sched.Scheduler
-	ssd         *lockedDevice
-	backend     *lockedBackend
 	stripePages int64
 	lanePages   int64
-
-	stripeMu [stripeLockSlots]sync.Mutex
 
 	// dead latches after a lane reports a fatal device error (crash or
 	// fail-stop): the rest of the batch — and everything after it — is
 	// refused with ErrStopped instead of executing against a dead device
-	// and smearing half-ordered state across NVRAM. In deterministic mode
-	// the latch flips at the same op ordinal regardless of shard count.
-	dead atomic.Bool
+	// and smearing half-ordered state across NVRAM. The latch flips at
+	// the same op ordinal at every shard count.
+	dead bool
 
-	// b is the batch in flight; work[s] is worker s's one item per batch
-	// (built once: it runs whatever b holds for s).
-	b    batch
-	work []func()
-	one  [1]Op // Read's and Write's single-op batch
+	// closed latches at Close: every later op is refused with ErrClosed.
+	closed bool
 
-	// Batch-scope bookkeeping, touched only between Wait barriers or
-	// under stickyMu.
+	b   batch // the batch in flight
+	one [1]Op // Read's and Write's single-op batch
+
 	coalesced int64
-	stickyMu  sync.Mutex
 	sticky    error // first barrier failure, surfaced at Quiesce
 }
 
@@ -216,11 +202,10 @@ func (c Config) withDefaults() (Config, error) {
 
 // laneConfig assembles lane i's core configuration around the shared
 // devices and log.
-func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
-	log *metalog.Log) core.Config {
-	cc := core.Config{
-		SSD:        ssd,
-		Backend:    backend,
+func (c Config) laneConfig(i int, log *metalog.Log) core.Config {
+	return core.Config{
+		SSD:        c.SSD,
+		Backend:    c.Backend,
 		CachePages: c.CachePages / Lanes,
 		Ways:       c.Ways,
 		MetaPages:  c.MetaPages,
@@ -231,11 +216,8 @@ func (c Config) laneConfig(i int, ssd blockdev.Device, backend cache.Backend,
 		// fail-stop failover (which every lane observes identically) is
 		// meaningful here, so the per-lane breakers are disabled.
 		BreakerWindow: -1,
+		Tracer:        c.Tracer,
 	}
-	if !c.Goroutines {
-		cc.Tracer = c.Tracer
-	}
-	return cc
 }
 
 // New builds a plane with fresh lanes.
@@ -245,57 +227,35 @@ func New(cfg Config) (*Plane, error) {
 		return nil, err
 	}
 	p := newShell(cfg)
-	if p.log, err = metalog.New(p.ssd, cfg.MetaPages); err != nil {
-		p.Close()
+	if p.log, err = metalog.New(cfg.SSD, cfg.MetaPages); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	if !cfg.Goroutines {
-		p.log.SetTracer(cfg.Tracer)
-	}
+	p.log.SetTracer(cfg.Tracer)
 	for i := 0; i < Lanes; i++ {
-		k, err := core.New(cfg.laneConfig(i, p.ssd, p.backend, p.log))
+		k, err := core.New(cfg.laneConfig(i, p.log))
 		if err != nil {
-			p.Close()
 			return nil, fmt.Errorf("shard: lane %d: %w", i, err)
 		}
 		p.lanes[i] = k
 	}
-	p.pump = core.NewRebuildPump(p.backend, p.log, p.lanes[:], new(stats.CacheStats))
+	p.pump = core.NewRebuildPump(cfg.Backend, p.log, p.lanes[:], new(stats.CacheStats))
 	return p, nil
 }
 
 // newShell builds everything but the log and lanes (shared with
 // Restore). cfg has been validated.
 func newShell(cfg Config) *Plane {
-	p := &Plane{
+	return &Plane{
 		cfg:         cfg,
-		ssd:         newLockedDevice(cfg.SSD),
-		backend:     newLockedBackend(cfg.Backend),
 		stripePages: cfg.Backend.StripePages(),
 		lanePages:   cfg.CachePages / Lanes,
+		b:           batch{later: map[int64]bool{}},
 	}
-	if cfg.Goroutines {
-		p.sched = sched.NewPool(cfg.Shards)
-	} else {
-		p.sched = sched.NewDeterministic(cfg.Shards)
-	}
-	// The deterministic scheduler's contract is GLOBAL submission order,
-	// so there the whole batch is one run; workers each get their own.
-	width := 1
-	if cfg.Goroutines {
-		width = cfg.Shards
-	}
-	p.b.runs = make([][]int32, width)
-	p.b.later = map[int64]bool{}
-	p.work = make([]func(), width)
-	for w := range p.work {
-		p.work[w] = func() { p.runWorker(w) }
-	}
-	return p
 }
 
-// Close releases the scheduler's workers. The plane is unusable after.
-func (p *Plane) Close() { p.sched.Close() }
+// Close latches the plane closed: every later operation fails with
+// ErrClosed, and Quiesce reports it. Closing twice is harmless.
+func (p *Plane) Close() { p.closed = true }
 
 // LaneOf routes a backing LBA to its lane: hash of the stripe index, so
 // a stripe's pages — and everything the engine does for them — belong to
@@ -308,8 +268,9 @@ func (p *Plane) LaneOf(lba int64) int {
 	return int(h % Lanes)
 }
 
-// ShardOf maps a lane to the worker that owns it.
-func (p *Plane) ShardOf(lane int) int { return lane % p.sched.Shards() }
+// ShardOf maps a lane to the CPU server the saturation and
+// noisy-neighbor models charge its compute to.
+func (p *Plane) ShardOf(lane int) int { return lane % p.cfg.Shards }
 
 // Lane exposes lane i's engine (tests, the checker).
 func (p *Plane) Lane(i int) *core.KDD { return p.lanes[i] }
@@ -317,28 +278,18 @@ func (p *Plane) Lane(i int) *core.KDD { return p.lanes[i] }
 // Log exposes the shared metadata log.
 func (p *Plane) Log() *metalog.Log { return p.log }
 
-// Deterministic reports whether the plane single-steps.
-func (p *Plane) Deterministic() bool { return p.sched.Deterministic() }
-
 // CoalescedWrites returns the number of writes dropped as superseded.
 func (p *Plane) CoalescedWrites() int64 { return p.coalesced }
 
-// note records the first asynchronous failure for surfacing at Quiesce.
+// note records the first barrier failure for surfacing at Quiesce.
 func (p *Plane) note(err error) {
-	if err == nil {
-		return
-	}
-	p.stickyMu.Lock()
 	if p.sticky == nil {
 		p.sticky = err
 	}
-	p.stickyMu.Unlock()
 }
 
 // batch is RunBatch's scratch, owned by the plane and reused from one
-// batch to the next: the submitter fills it before the workers are
-// handed their items and reads res after the Wait barrier; in between,
-// worker w reads runs[w] and writes only the res entries listed there.
+// batch to the next.
 type batch struct {
 	t      sim.Time
 	ops    []Op
@@ -346,14 +297,34 @@ type batch struct {
 	drop   []bool         // rejected by the admission gate; res already holds the error
 	bypass []bool         // served around cache admission (QoS bypass verdict)
 	skip   []bool         // write superseded later in the batch
-	runs   [][]int32      // per worker: the ops it executes, in sweep order
-	wave   []int32        // per op: ordinal of its run of consecutive ops sharing one arrival time
+	sweep  []sweepKey     // the ops to execute, in sweep order
 	later  map[int64]bool // coalesceSkips' set, cleared per batch (keeps its buckets)
+}
+
+// sweepKey is one op's place in the sweep: its arrival run (the ordinal
+// of its run of consecutive ops sharing one arrival time), its LBA and
+// its index in the batch, which keeps same-LBA ops in submission order
+// and makes the order total, so an unstable sort yields the stable one.
+type sweepKey struct {
+	lba  int64
+	wave int32
+	idx  int32
+}
+
+// compareSweep orders sweep keys by arrival run, then LBA, then index.
+func compareSweep(x, y sweepKey) int {
+	if x.wave != y.wave {
+		return cmp.Compare(x.wave, y.wave)
+	}
+	if x.lba != y.lba {
+		return cmp.Compare(x.lba, y.lba)
+	}
+	return cmp.Compare(x.idx, y.idx)
 }
 
 // reset sizes the scratch for ops and clears what the last batch left
 // (not res: every op's entry is assigned exactly once — by the gate, the
-// coalescer or the worker that runs it).
+// coalescer or the sweep).
 func (b *batch) reset(t sim.Time, ops []Op) {
 	n := len(ops)
 	b.t, b.ops = t, ops
@@ -362,24 +333,13 @@ func (b *batch) reset(t sim.Time, ops []Op) {
 		b.drop = make([]bool, n)
 		b.bypass = make([]bool, n)
 		b.skip = make([]bool, n)
-		b.wave = make([]int32, n)
+		b.sweep = make([]sweepKey, 0, n)
 	}
-	b.res, b.drop, b.bypass, b.skip, b.wave = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n], b.wave[:n]
+	b.res, b.drop, b.bypass, b.skip = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n]
 	clear(b.drop)
 	clear(b.bypass)
 	clear(b.skip)
-	for w := range b.runs {
-		b.runs[w] = b.runs[w][:0]
-	}
-}
-
-// sweepOrder orders ops x and y for execution: by arrival run, then by
-// LBA.
-func (b *batch) sweepOrder(x, y int32) int {
-	if c := cmp.Compare(b.wave[x], b.wave[y]); c != 0 {
-		return c
-	}
-	return cmp.Compare(b.ops[x].LBA, b.ops[y].LBA)
+	b.sweep = b.sweep[:0]
 }
 
 // at is op i's arrival time: its own, or the batch time.
@@ -390,13 +350,33 @@ func (b *batch) at(i int) sim.Time {
 	return b.t
 }
 
+// plan lists the ops to execute in sweep, in sweep order, and settles
+// the superseded writes' results. It returns how many it coalesced.
+func (b *batch) plan() (coalesced int64) {
+	var wave int32
+	for i := range b.ops {
+		if i > 0 && b.at(i) != b.at(i-1) {
+			wave++
+		}
+		switch {
+		case b.drop[i]:
+		case b.skip[i]:
+			b.res[i] = Result{Done: b.t, Coalesced: true}
+			coalesced++
+		default:
+			b.sweep = append(b.sweep, sweepKey{lba: b.ops[i].LBA, wave: wave, idx: int32(i)})
+		}
+	}
+	slices.SortFunc(b.sweep, compareSweep)
+	return coalesced
+}
+
 // coalesceSkips marks writes superseded later in the batch: same LBA
 // written again with no read of it in between. One backward scan suffices
 // — only same-LBA operations interact, and an LBA always lands on one
-// lane, so the result is identical whether computed globally or per shard
-// queue. Ops the admission gate already rejected (drop) do not
-// participate: a shed write never executes, so it must not supersede an
-// earlier one.
+// lane, so the result is lane-consistent. Ops the admission gate already
+// rejected (drop) do not participate: a shed write never executes, so it
+// must not supersede an earlier one.
 func (p *Plane) coalesceSkips() {
 	b := &p.b
 	clear(b.later)
@@ -418,25 +398,23 @@ func (p *Plane) coalesceSkips() {
 }
 
 // gate runs the admission boundary (qos.Controller.Gate: deadline, then
-// verdict) over the batch in submission order on the submitting
-// goroutine. What the plane adds is the batch bookkeeping: a rejected op
-// is dropped with its typed error in res and a throttle/shed mark in the
-// trace, a bypass verdict is remembered for exec. Running strictly
-// before any scheduling is what keeps the controller single-threaded and
-// the verdict sequence independent of shard count.
+// verdict) over the batch in submission order. What the plane adds is
+// the batch bookkeeping: a rejected op is dropped with its typed error in
+// res and a throttle/shed mark in the trace, a bypass verdict is
+// remembered for exec. Running strictly before any op executes is what
+// makes the verdict sequence independent of the sweep and of the shard
+// count.
 func (p *Plane) gate() {
 	b := &p.b
 	for i := range b.ops {
 		at := b.at(i)
 		d, err := p.cfg.QoS.Gate(at, b.ops[i].Tenant, b.ops[i].Deadline)
 		if err != nil {
-			if !p.cfg.Goroutines {
-				switch d.Verdict {
-				case qos.VerdictThrottle:
-					p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, b.ops[i].LBA)
-				case qos.VerdictShed:
-					p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, b.ops[i].LBA)
-				}
+			switch d.Verdict {
+			case qos.VerdictThrottle:
+				p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, b.ops[i].LBA)
+			case qos.VerdictShed:
+				p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, b.ops[i].LBA)
 			}
 			b.drop[i] = true
 			b.res[i] = Result{Done: at, Err: err}
@@ -446,96 +424,72 @@ func (p *Plane) gate() {
 	}
 }
 
-// exec runs one operation on its lane under the stripe lock. A plane
-// that has fail-stopped refuses the op untouched.
+// exec runs one operation on its lane. A plane that has fail-stopped
+// refuses the op untouched.
 func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
-	if p.dead.Load() {
+	if p.dead {
 		return Result{Done: t, Err: ErrStopped}
 	}
 	if op.At != 0 {
 		t = op.At
 	}
-	lane := p.LaneOf(op.LBA)
-	mu := &p.stripeMu[uint64(op.LBA/p.stripePages)%stripeLockSlots]
-	mu.Lock()
-	defer mu.Unlock()
 	r := Result{Bypassed: bypass}
-	r.Done, r.Err = p.lanes[lane].Serve(t, op.LBA, op.Buf, op.Kind == OpWrite, !bypass)
+	r.Done, r.Err = p.lanes[p.LaneOf(op.LBA)].Serve(t, op.LBA, op.Buf, op.Kind == OpWrite, !bypass)
 	if fatalErr(r.Err) {
-		p.dead.Store(true)
+		p.dead = true
 	}
 	return r
 }
 
-// RunBatch dispatches a batch of operations across the shards and waits
-// for the barrier: every op executed (or coalesced away), one metadata
-// page-flush barrier per lane, one rebuild pacing step. Results are in
-// input order. Execution is in sweep order: each run of consecutive ops
-// sharing one arrival time (At, or t when zero) goes in ascending LBA
-// order, stably, and runs never pass one another. In deterministic mode
-// the whole batch is swept inline regardless of shard count; in
-// goroutine mode each shard sweeps its lanes' subsequence, concurrently
-// with the other shards. Sweep order restricted to one lane is the same
-// in both modes at every shard count.
+// RunBatch runs a batch of operations and returns when it is done: every
+// op executed (or coalesced away), one metadata page-flush barrier per
+// lane, one rebuild pacing step. Results are in input order. Execution
+// is one sweep over the whole batch: each run of consecutive ops sharing
+// one arrival time (At, or t when zero) goes in ascending LBA order,
+// stably, and runs never pass one another; then the lanes' barriers, in
+// lane order. The shard count changes nothing here.
 //
 // One batch runs at a time, and the results are the plane's scratch:
 // they are valid until the next RunBatch (Read and Write included), so
-// consume or copy them before submitting again.
+// consume or copy them before submitting again. After Close every op
+// fails with ErrClosed.
 func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 	b := &p.b
 	b.reset(t, ops)
+	if p.closed {
+		for i := range b.res {
+			b.res[i] = Result{Done: t, Err: ErrClosed}
+		}
+		b.ops = nil
+		return b.res
+	}
 	p.gate()
 	if p.cfg.Coalesce {
 		p.coalesceSkips()
 	}
-	width := len(b.runs)
-	var wave int32
-	for i := range ops {
-		if i > 0 && b.at(i) != b.at(i-1) {
-			wave++
-		}
-		b.wave[i] = wave
-		switch {
-		case b.drop[i]:
-		case b.skip[i]:
-			b.res[i] = Result{Done: t, Coalesced: true}
-			p.coalesced++
-		default:
-			w := p.LaneOf(ops[i].LBA) % width
-			b.runs[w] = append(b.runs[w], int32(i))
-		}
+	p.coalesced += b.plan()
+	for _, k := range b.sweep {
+		b.res[k.idx] = p.exec(t, ops[k.idx], b.bypass[k.idx])
 	}
-	for _, run := range b.runs {
-		slices.SortStableFunc(run, b.sweepOrder)
-	}
-	// One hand-off per worker: its ops, then its lanes' barriers.
-	for w := range p.work {
-		p.sched.Submit(w, p.work[w])
-	}
-	p.sched.Wait()
+	p.barriers(t)
 	b.ops = nil // the caller's ops (and their buffers) are not ours to keep
-	if !p.dead.Load() {
-		p.note(p.pump.Turn(t, false)) // no worker in flight: the disks are the rebuild's
+	if !p.dead {
+		p.note(p.pump.Turn(t, false))
 	}
 	return b.res
 }
 
-// runWorker is worker w's whole share of the batch in flight: its ops in
-// sweep order, then one tagged page-flush barrier for each of its lanes,
-// in lane order. A stopped plane skips the barriers: the buffered entries
-// are already at their durability point in NVRAM, and the device is gone.
-func (p *Plane) runWorker(w int) {
-	b := &p.b
-	for _, i := range b.runs[w] {
-		b.res[i] = p.exec(b.t, b.ops[i], b.bypass[i])
-	}
-	for lane := w; lane < Lanes; lane += len(b.runs) {
-		if p.dead.Load() {
+// barriers commits one tagged page-flush barrier for each lane, in lane
+// order. A stopped plane skips them: the buffered entries are already at
+// their durability point in NVRAM, and the device is gone.
+func (p *Plane) barriers(t sim.Time) {
+	for lane := 0; lane < Lanes; lane++ {
+		if p.dead {
 			return
 		}
-		if _, err := p.lanes[lane].FlushMetaBatch(b.t); err != nil {
+		if _, err := p.lanes[lane].FlushMetaBatch(t); err != nil {
 			if fatalErr(err) {
-				p.dead.Store(true)
+				p.dead = true
 			}
 			p.note(fmt.Errorf("shard: lane %d meta barrier: %w", lane, err))
 		}
@@ -559,13 +513,15 @@ func (p *Plane) runOne(t sim.Time, op Op) (sim.Time, error) {
 	return r.Done, r.Err
 }
 
-// Quiesce drains the plane: worker barrier, every lane's stale parities
-// flushed, the metadata buffer fully committed (final partial page
-// included). Returns the latest completion time and the first error —
-// including any failure noted asynchronously at a batch barrier.
+// Quiesce drains the plane: every lane's stale parities flushed, the
+// metadata buffer fully committed (final partial page included). Returns
+// the latest completion time and the first error — including any failure
+// noted at a batch barrier.
 func (p *Plane) Quiesce(t sim.Time) (sim.Time, error) {
-	p.sched.Wait()
-	if p.dead.Load() {
+	if p.closed {
+		return t, ErrClosed
+	}
+	if p.dead {
 		return t, ErrStopped
 	}
 	done := t
@@ -581,10 +537,7 @@ func (p *Plane) Quiesce(t sim.Time) (sim.Time, error) {
 		return done, fmt.Errorf("shard: final meta barrier: %w", err)
 	}
 	done = sim.MaxTime(done, d)
-	p.stickyMu.Lock()
-	err = p.sticky
-	p.sticky = nil
-	p.stickyMu.Unlock()
+	err, p.sticky = p.sticky, nil
 	return done, err
 }
 

@@ -1,17 +1,23 @@
 package shard_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
 	"kddcache/internal/delta"
+	"kddcache/internal/hdd"
 	"kddcache/internal/nvram"
 	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
+	"kddcache/internal/ssd"
+	"kddcache/internal/trace"
+	"kddcache/internal/workload"
 )
 
 const (
@@ -35,7 +41,7 @@ type prig struct {
 	rng    *sim.RNG
 }
 
-func newPRig(t *testing.T, shards int, opts ...func(*shard.Config)) *prig {
+func newPRig(t testing.TB, shards int, opts ...func(*shard.Config)) *prig {
 	t.Helper()
 	var members []blockdev.Device
 	for i := 0; i < 5; i++ {
@@ -141,7 +147,7 @@ func (r *prig) verifyOracle(t *testing.T) {
 func TestRoutingProperties(t *testing.T) {
 	t.Parallel()
 	r := newPRig(t, 4)
-	r2 := newPRig(t, 8, func(c *shard.Config) { c.Goroutines = true })
+	r2 := newPRig(t, 8)
 	stripePages := r.arr.StripePages()
 	counts := make([]int, shard.Lanes)
 	stripes := int(r.arr.Pages() / stripePages)
@@ -170,7 +176,7 @@ func TestRoutingProperties(t *testing.T) {
 			t.Fatalf("lane %d owns only %d of %d stripes", lane, c, stripes)
 		}
 	}
-	// Lanes map onto shards statically and onto valid worker indices.
+	// Lanes map onto shards statically and onto valid shard indices.
 	for lane := 0; lane < shard.Lanes; lane++ {
 		if s := r.p.ShardOf(lane); s < 0 || s >= 4 {
 			t.Fatalf("lane %d on shard %d of 4", lane, s)
@@ -178,42 +184,164 @@ func TestRoutingProperties(t *testing.T) {
 	}
 }
 
-// TestDigestEqualityAcrossShards is the satellite-2 property: the same
-// workload quiesced at shard counts 1 and N produces identical plane
-// state fingerprints, in deterministic mode and in goroutine mode.
-func TestDigestEqualityAcrossShards(t *testing.T) {
-	t.Parallel()
-	type variant struct {
-		name       string
-		shards     int
-		goroutines bool
+// zipfOutcome is everything a timed data-mode run of the plane lets a
+// caller observe: each op's result, what each lane was asked to do, and
+// the quiesced state, counters and completion time.
+type zipfOutcome struct {
+	results []shard.Result
+	lanes   *laneTrace
+	digest  uint64
+	stats   string
+	done    sim.Time
+}
+
+// zipfRun drives a Zipf stream with real pages through a plane over the
+// timing models — five hdd members in RAID-5 and a flash SSD, both
+// storing data — the way the benchmark's plane workload does: one batch
+// in flight, every op of a batch arriving when the previous batch's last
+// op completed, reads checked against an oracle.
+func zipfRun(t *testing.T, shards int, goroutines bool) zipfOutcome {
+	t.Helper()
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		members = append(members, hdd.NewData(fmt.Sprintf("hdd%d", i), hdd.DefaultConfig(prigDiskPages), 3+uint64(i)*7))
 	}
-	base := newPRig(t, 1)
-	base.run(t, 30, 32)
-	if _, err := base.p.Quiesce(0); err != nil {
+	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: prigChunk}, members)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := base.p.StateDigest()
-	for _, v := range []variant{
-		{"det-2", 2, false}, {"det-4", 4, false}, {"det-8", 8, false},
-		{"pool-2", 2, true}, {"pool-4", 4, true}, {"pool-8", 8, true},
-	} {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			r := newPRig(t, v.shards, func(c *shard.Config) { c.Goroutines = v.goroutines })
-			r.run(t, 30, 32)
-			if _, err := r.p.Quiesce(0); err != nil {
-				t.Fatal(err)
+	out := zipfOutcome{lanes: new(laneTrace)}
+	flash := recordingSSD{ssd.NewData("ssd", ssd.DefaultConfig(prigMetaPages+prigCachePages+64)), out.lanes}
+	p, err := shard.New(shard.Config{
+		SSD:        flash,
+		Backend:    arr,
+		CachePages: prigCachePages,
+		Ways:       prigWays,
+		MetaPages:  prigMetaPages,
+		Codec:      func(lane int) delta.Codec { return recordingCodec{seq: &out.lanes[lane]} },
+		Shards:     shards,
+		Goroutines: goroutines,
+		Coalesce:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	reqs := workload.OpenLoop{
+		Name: "zipf", OfferedIOPS: 1000, Requests: 3000, Footprint: prigFootprint,
+		ReadRatio: 0.5, Theta: 0.9, Seed: 0x21F,
+	}.Generate().Requests
+	mut := delta.NewMutator(5, 0.25)
+	oracle := make(map[int64][]byte)
+	var now sim.Time
+	for start := 0; start < len(reqs); start += 64 {
+		batch := reqs[start:min(start+64, len(reqs))]
+		ops := make([]shard.Op, len(batch))
+		want := make([][]byte, len(batch))
+		for i, q := range batch {
+			buf := make([]byte, blockdev.PageSize)
+			if q.Op == trace.Read {
+				want[i] = oracle[q.LBA]
+			} else if prev, ok := oracle[q.LBA]; ok {
+				copy(buf, prev)
+				mut.Mutate(buf)
+				oracle[q.LBA] = buf
+			} else {
+				mut.FillRandom(buf)
+				oracle[q.LBA] = buf
 			}
-			if err := r.p.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			ops[i] = shard.Op{Kind: shard.OpWrite, LBA: q.LBA, Buf: buf}
+			if q.Op == trace.Read {
+				ops[i].Kind = shard.OpRead
 			}
-			if got := r.p.StateDigest(); got != want {
-				t.Fatalf("digest %#x != shards-1 digest %#x", got, want)
+		}
+		next := now
+		for i, r := range p.RunBatch(now, ops) {
+			if r.Err != nil {
+				t.Fatalf("shards=%d goroutines=%v: op %d: %v", shards, goroutines, start+i, r.Err)
 			}
-			r.verifyOracle(t)
-		})
+			if want[i] != nil && string(ops[i].Buf) != string(want[i]) {
+				t.Fatalf("shards=%d goroutines=%v: read %d of LBA %d returned wrong data", shards, goroutines, start+i, ops[i].LBA)
+			}
+			out.results = append(out.results, r)
+			next = sim.MaxTime(next, r.Done)
+		}
+		now = next
+		for lane := range out.lanes {
+			out.lanes[lane] = append(out.lanes[lane], evBatch)
+		}
+	}
+	if out.done, err = p.Quiesce(now); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	out.digest, out.stats = p.StateDigest(), p.Stats().String()
+	return out
+}
+
+// TestDigestEqualityAcrossShards is the plane's determinism contract on
+// the timing models: with the goroutine option on or off, at shard
+// counts 1, 2, 4 and 8, every op of a Zipf stream completes at the same
+// virtual time with the same result, every lane sees the same codec calls
+// and metadata barriers in the same order, and the quiesced digest and
+// counters agree. (While goroutine mode ran one worker per shard, the
+// members served the workers' sweeps interleaved, and every one of these
+// moved with the shard count.)
+func TestDigestEqualityAcrossShards(t *testing.T) {
+	t.Parallel()
+	want := zipfRun(t, 1, false)
+	barriers := 0
+	for lane, seq := range want.lanes {
+		inBarrier := false
+		for i, e := range seq {
+			switch {
+			case e == evBarrier:
+				inBarrier = true
+				barriers++
+			case e == evBatch:
+				inBarrier = false
+			case inBarrier:
+				t.Fatalf("lane %d: event %d is an op after the lane's barrier of the same batch", lane, i)
+			}
+		}
+	}
+	if barriers == 0 {
+		t.Fatal("no barrier committed a page: the workload is too short to say where barriers run")
+	}
+	for _, goroutines := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("det-%d", shards)
+			if goroutines {
+				name = fmt.Sprintf("pool-%d", shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				got := zipfRun(t, shards, goroutines)
+				for i := range want.results {
+					if got.results[i] != want.results[i] {
+						t.Fatalf("op %d: result %+v, shards=1 gave %+v", i, got.results[i], want.results[i])
+					}
+				}
+				for lane := range got.lanes {
+					if !slices.Equal(got.lanes[lane], want.lanes[lane]) {
+						t.Errorf("lane %d saw %d codec calls and barriers in an order the shards=1 run (%d) did not",
+							lane, len(got.lanes[lane]), len(want.lanes[lane]))
+					}
+				}
+				if got.digest != want.digest {
+					t.Errorf("digest %#x != shards-1 digest %#x", got.digest, want.digest)
+				}
+				if got.stats != want.stats {
+					t.Errorf("stats diverged from shards=1:\n%s\nvs\n%s", got.stats, want.stats)
+				}
+				if got.done != want.done {
+					t.Errorf("quiesce done at %d, shards=1 at %d", got.done, want.done)
+				}
+			})
+		}
 	}
 }
 
@@ -263,7 +391,8 @@ func TestCoalescing(t *testing.T) {
 // rather than configures: lane i owns SSD pages [MetaPages + i*L, +L) with
 // L = CachePages/Lanes, so the lanes tile the cache partition without
 // overlap. Every Clean page is read straight off the SSD at the page that
-// formula names, in both scheduler modes and again on a restored plane.
+// formula names, with the goroutine option on and off and again on a
+// restored plane.
 // The restore also replays an NVRAM-staged delta on a lane >= 1, whose
 // region is shifted off the start of the cache partition, and reads the
 // page back through it.
@@ -403,7 +532,7 @@ func TestPlaneRestore(t *testing.T) {
 
 // TestRebuildPacing fails a member under a live plane and lets the
 // batch-barrier pump drive the spare rebuild to completion, in both
-// scheduler modes, at most eight rows per barrier.
+// goroutine-option settings, at most eight rows per barrier.
 func TestRebuildPacing(t *testing.T) {
 	t.Parallel()
 	for _, goroutines := range []bool{false, true} {
@@ -476,7 +605,7 @@ func (a *attachProbe) StartSpareRebuild(t sim.Time) (sim.Time, bool, error) {
 // across its lanes and a member failed heals itself under foreground
 // batches alone. The barrier pump folds every lane before it attaches the
 // spare (§III-E: no stale row may meet the rebuild), then paces the
-// rebuild to full redundancy, in both scheduler modes.
+// rebuild to full redundancy, with the goroutine option on and off.
 func TestPlaneAttachesSpare(t *testing.T) {
 	t.Parallel()
 	for _, goroutines := range []bool{false, true} {
@@ -560,7 +689,7 @@ func TestShardCountValidation(t *testing.T) {
 
 // TestMetaLogGeometryIsAnError: a shared metadata partition too small,
 // too large for the log's int32 ring slots, or off the end of the SSD is
-// an error from New and Restore, in both scheduler modes.
+// an error from New and Restore, with the goroutine option on and off.
 func TestMetaLogGeometryIsAnError(t *testing.T) {
 	t.Parallel()
 	r := newPRig(t, 2)
@@ -584,5 +713,38 @@ func TestMetaLogGeometryIsAnError(t *testing.T) {
 				t.Errorf("goroutines=%v, %s: Restore: %v, want the metadata log's geometry error", goroutines, g.name, err)
 			}
 		}
+	}
+}
+
+// TestRunBatchAfterClose: Close latches the plane, so every later op —
+// batched or single — fails with ErrClosed without touching lane state,
+// Quiesce reports it too, and closing twice is harmless.
+func TestRunBatchAfterClose(t *testing.T) {
+	t.Parallel()
+	r := newPRig(t, 4)
+	r.run(t, 4, 32)
+	if _, err := r.p.Quiesce(0); err != nil {
+		t.Fatal(err)
+	}
+	digest, stats := r.p.StateDigest(), r.p.Stats().String()
+	r.p.Close()
+	r.p.Close()
+	ops, _ := r.batch(16)
+	for i, res := range r.p.RunBatch(sim.Second, ops) {
+		if !errors.Is(res.Err, shard.ErrClosed) || res.Done != sim.Second || res.Coalesced {
+			t.Fatalf("op %d after Close: %+v, want ErrClosed at the batch time", i, res)
+		}
+	}
+	if _, err := r.p.Write(sim.Second, 3, make([]byte, blockdev.PageSize)); !errors.Is(err, shard.ErrClosed) {
+		t.Fatalf("Write after Close: %v, want ErrClosed", err)
+	}
+	if _, err := r.p.Read(sim.Second, 3, make([]byte, blockdev.PageSize)); !errors.Is(err, shard.ErrClosed) {
+		t.Fatalf("Read after Close: %v, want ErrClosed", err)
+	}
+	if _, err := r.p.Quiesce(sim.Second); !errors.Is(err, shard.ErrClosed) {
+		t.Fatalf("Quiesce after Close: %v, want ErrClosed", err)
+	}
+	if r.p.StateDigest() != digest || r.p.Stats().String() != stats {
+		t.Fatal("ops after Close changed the plane's state")
 	}
 }

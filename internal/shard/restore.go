@@ -28,28 +28,21 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 		return nil, t, err
 	}
 	p := newShell(cfg)
-	if p.log, err = metalog.Restore(p.ssd, cfg.MetaPages, ctr, buffered); err != nil {
-		p.Close()
+	if p.log, err = metalog.Restore(cfg.SSD, cfg.MetaPages, ctr, buffered); err != nil {
 		return nil, t, fmt.Errorf("shard: %w", err)
 	}
-	if !cfg.Goroutines {
-		p.log.SetTracer(cfg.Tracer)
-	}
+	p.log.SetTracer(cfg.Tracer)
 	replay, done, err := p.log.Recover(t)
 	if err != nil {
-		p.Close()
 		return nil, t, err
 	}
 	laneReplay, err := p.demux(replay)
 	if err != nil {
-		p.Close()
 		return nil, t, err
 	}
 	for i := 0; i < Lanes; i++ {
-		k, err := core.RestoreWithLog(cfg.laneConfig(i, p.ssd, p.backend, p.log),
-			p.log, laneReplay[i], stagings[i])
+		k, err := core.RestoreWithLog(cfg.laneConfig(i, p.log), p.log, laneReplay[i], stagings[i])
 		if err != nil {
-			p.Close()
 			return nil, t, fmt.Errorf("shard: restoring lane %d: %w", i, err)
 		}
 		p.lanes[i] = k
@@ -57,11 +50,10 @@ func Restore(cfg Config, t sim.Time, ctr *nvram.Counters,
 	// One array, one checkpoint: the rebuild window re-opens at plane
 	// level, not per lane (eight resumes would be idempotent but the
 	// checkpoint rewrite must happen exactly once per restore).
-	if err := ctr.ResumeRebuild(p.backend); err != nil {
-		p.Close()
+	if err := ctr.ResumeRebuild(cfg.Backend); err != nil {
 		return nil, t, err
 	}
-	p.pump = core.NewRebuildPump(p.backend, p.log, p.lanes[:], new(stats.CacheStats))
+	p.pump = core.NewRebuildPump(cfg.Backend, p.log, p.lanes[:], new(stats.CacheStats))
 	return p, done, nil
 }
 
