@@ -173,7 +173,8 @@ bench-pairs:
 # histogram — the span recorder's per-span cost and its export, the
 # open-loop and multi-tenant stream generators the data workloads' set-up
 # pays for, KDD's cleaner pass (ns and allocs per repaired row), its
-# idle-queue dispatch (ns and allocs per queued row) and the plane's
+# idle-queue dispatch (ns and allocs per queued row), LeavO's and WB's
+# cleaner passes (ns and allocs per cleaned page) and the plane's
 # warm 256-op batch (ns and allocs per batch, the elevator sweep's sort
 # included), at a fixed small iteration count so they stay runnable (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
@@ -187,6 +188,7 @@ kernels:
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
+	$(GO) test ./internal/cache/ -run '^$$' -bench '^BenchmarkLRUCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
 
 # Size of the code that ships: non-test Go lines outside bench/, in total

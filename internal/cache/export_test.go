@@ -2,4 +2,4 @@ package cache
 
 // IdleQueued returns the LBAs an LRU cleaner (LeavO, WB) holds in its
 // idle queue, in issue order.
-func (b *base) IdleQueued() []int64 { return b.idle.Queued() }
+func (p *lru) IdleQueued() []int64 { return p.cleaner.Queued() }

@@ -16,7 +16,7 @@ import (
 // (b) persists every mapping change to flash without the circular log's
 // coalescing — the two costs §II-B calls out.
 type LeavO struct {
-	base
+	lru
 	oldOf map[int64]int32 // storage LBA -> slot holding the old version
 
 	metaPages   int64 // metadata region [0, metaPages)
@@ -38,12 +38,9 @@ func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64,
 	if dataStart < 1 {
 		panic("cache: LeavO needs a metadata region")
 	}
-	l := &LeavO{
-		base:      newBase(ssd, backend, cachePages, dataStart, ways),
-		oldOf:     make(map[int64]int32),
-		metaPages: dataStart,
-	}
-	l.cleanQueue = l.cleanQueued
+	l := &LeavO{oldOf: make(map[int64]int32), metaPages: dataStart}
+	l.init(newBase(ssd, backend, cachePages, dataStart, ways), leavoBatch, leavoHighWater, leavoLowWater,
+		l.read, l.write, l.cleanOne)
 	return l
 }
 
@@ -62,7 +59,7 @@ func (l *LeavO) metaUpdate(t sim.Time, n int) (sim.Time, error) {
 		lba := l.metaCursor % l.metaPages
 		l.metaCursor++
 		var buf []byte
-		if l.dataModeSSD() {
+		if l.dataMode() {
 			buf = make([]byte, blockdev.PageSize)
 		}
 		l.st.MetaWrites++
@@ -75,23 +72,7 @@ func (l *LeavO) metaUpdate(t sim.Time, n int) (sim.Time, error) {
 	return done, nil
 }
 
-func (l *LeavO) dataModeSSD() bool {
-	if s, ok := l.ssd.(blockdev.Storer); ok {
-		return s.Store() != nil
-	}
-	return false
-}
-
-// Read implements Policy.
-func (l *LeavO) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if err := l.cleanIdle(t); err != nil {
-		return t, err
-	}
-	done, err := l.read(t, lba, buf)
-	l.idle.Busy(done)
-	return done, err
-}
-
+// read serves a read (lru.Read).
 func (l *LeavO) read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	l.st.Reads++
 	if slot := l.frame.Lookup(lba); slot != NoSlot {
@@ -120,16 +101,7 @@ func (l *LeavO) fillLeavO(done sim.Time, lba int64, buf []byte) {
 	l.metaUpdate(done, 1)        //nolint:errcheck // a clean copy; the array holds the data
 }
 
-// Write implements Policy.
-func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if err := l.cleanIdle(t); err != nil {
-		return t, err
-	}
-	done, err := l.write(t, lba, buf)
-	l.idle.Busy(done)
-	return done, err
-}
-
+// write serves a write (lru.Write).
 func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	l.st.Writes++
 	slot := l.frame.Lookup(lba)
@@ -155,7 +127,7 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		done := sim.MaxTime(metaDone, sim.MaxTime(ssdDone, raidDone))
-		return done, l.maybeClean(done)
+		return done, l.trigger(done)
 
 	case slot != NoSlot: // Clean hit: keep old, add new version
 		l.st.WriteHits++
@@ -214,7 +186,7 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		done := sim.MaxTime(metaDone, sim.MaxTime(ssdDone, raidDone))
-		return done, l.maybeClean(done)
+		return done, l.trigger(done)
 
 	default: // miss
 		l.st.WriteMiss++
@@ -237,69 +209,18 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	}
 }
 
-// maybeClean triggers background cleaning past the high-water mark, and
-// plans the next batch for idle-time cleaning within one batch of it.
-func (l *LeavO) maybeClean(t sim.Time) error {
-	old, high := l.frame.Count(Old), int64(leavoHighWater*float64(l.frame.Pages()))
-	if old > high {
-		_, err := l.Clean(t, false)
-		return err
-	}
-	if old > high-leavoBatch {
-		l.planIdle(t, leavoBatch, int64(leavoLowWater*float64(l.frame.Pages())))
-	}
-	return nil
-}
-
-// Clean implements Policy: clean every queued page, then repair parity
-// for the oldest Old pages, swept in member-row order (sweepOrder), then
-// drop the old version and demote the new version to Clean.
-func (l *LeavO) Clean(t sim.Time, force bool) (sim.Time, error) {
-	done, err := l.drainIdle(t)
-	if err != nil {
-		return t, err
-	}
-	defer func() { l.idle.Busy(done) }()
-	low := int64(leavoLowWater * float64(l.frame.Pages()))
-	for l.frame.Count(Old) > 0 && (force || l.frame.Count(Old) > low) {
-		victims := l.frame.OldestSlots(Old, leavoBatch)
-		if len(victims) == 0 {
-			break
-		}
-		l.st.CleanerRuns++
-		n := len(victims)
-		if !force {
-			n = min(n, int(l.frame.Count(Old)-low))
-		}
-		for _, v := range l.sweepOrder(victims, n) {
-			c, err := l.cleanOne(t, v.slot)
-			if err != nil {
-				return t, err
-			}
-			done = sim.MaxTime(done, c)
-		}
-	}
-	return done, nil
-}
-
-// cleanQueued repairs lba's parity if it still has an old version.
-func (l *LeavO) cleanQueued(t sim.Time, lba int64) (sim.Time, bool, error) {
-	slot, ok := l.oldOf[lba]
+// cleanOne is the cleaner's repair: it repairs lba's parity from its old
+// and new versions if it still has an old version.
+func (l *LeavO) cleanOne(t sim.Time, lba int64) (sim.Time, bool, error) {
+	oldSlot, ok := l.oldOf[lba]
 	if !ok {
 		return t, false, nil
 	}
-	done, err := l.cleanOne(t, slot)
-	return done, true, err
-}
-
-// cleanOne repairs one page's parity from its old and new versions.
-func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
-	lba := l.frame.Slot(oldSlot).RaidLBA
 	newSlot := l.frame.Lookup(lba)
 	if newSlot == NoSlot {
-		return t, fmt.Errorf("cache: LeavO old page %d has no new version", lba)
+		return t, false, fmt.Errorf("cache: LeavO old page %d has no new version", lba)
 	}
-	data := l.dataModeSSD()
+	data := l.dataMode()
 	var oldBuf, newBuf []byte
 	if data {
 		oldBuf = make([]byte, blockdev.PageSize)
@@ -309,12 +230,12 @@ func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
 	phase1 := t
 	c, err := l.readSlot(t, oldSlot, oldBuf)
 	if err != nil {
-		return t, err
+		return t, false, err
 	}
 	phase1 = sim.MaxTime(phase1, c)
 	c, err = l.readSlot(t, newSlot, newBuf)
 	if err != nil {
-		return t, err
+		return t, false, err
 	}
 	phase1 = sim.MaxTime(phase1, c)
 
@@ -323,7 +244,7 @@ func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
 	l.st.ParityUpdates++
 	done, err := l.backend.ParityUpdateDelta(phase1, []int64{lba}, [][]byte{diff})
 	if err != nil {
-		return t, err
+		return t, false, err
 	}
 	// Old version freed, new version becomes the clean current copy.
 	l.frame.Release(oldSlot, false)
@@ -332,12 +253,9 @@ func (l *LeavO) cleanOne(t sim.Time, oldSlot int32) (sim.Time, error) {
 	l.frame.Transition(newSlot, Clean)
 	l.st.Reclaims++
 	if _, err := l.metaUpdate(done, 2); err != nil {
-		return t, err
+		return t, false, err
 	}
-	return done, nil
+	return done, true, nil
 }
-
-// Flush implements Policy: repair every stale parity.
-func (l *LeavO) Flush(t sim.Time) (sim.Time, error) { return l.Clean(t, true) }
 
 var _ Policy = (*LeavO)(nil)

@@ -28,6 +28,7 @@ type NVB struct {
 	capPages int
 	buf      map[int64][]byte  // lba -> page (nil values in timing mode)
 	rows     map[int64][]int64 // row key (first peer) -> buffered lbas
+	peers    []int64           // rowKey's and destageRow's row scratch
 	st       stats.CacheStats
 }
 
@@ -52,7 +53,10 @@ func (n *NVB) Name() string { return "NVB" }
 func (n *NVB) Stats() *stats.CacheStats { return &n.st }
 
 // rowKey identifies lba's parity row by its first peer.
-func (n *NVB) rowKey(lba int64) int64 { return n.backend.RowPeers(lba)[0] }
+func (n *NVB) rowKey(lba int64) int64 {
+	n.peers = AppendRowPeers(n.backend, n.peers[:0], lba)
+	return n.peers[0]
+}
 
 // Read implements Policy: buffered pages are served at NVRAM speed.
 func (n *NVB) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
@@ -123,7 +127,8 @@ func (n *NVB) destageOne(t sim.Time) (sim.Time, error) {
 // destageRow writes one row's buffered pages to RAID.
 func (n *NVB) destageRow(t sim.Time, key int64) (sim.Time, error) {
 	lbas := n.rows[key]
-	peers := n.backend.RowPeers(key)
+	n.peers = AppendRowPeers(n.backend, n.peers[:0], key)
+	peers := n.peers
 	done := t
 	if len(lbas) == len(peers) {
 		// Full stripe: one parity computation, no reads.

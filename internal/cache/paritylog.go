@@ -31,6 +31,7 @@ type PLog struct {
 	// wins, like the paper's parity-update images).
 	pending map[int64][]byte // lba -> xor image (nil in timing mode)
 	order   []int64          // insertion order for deterministic reconcile
+	peers   []int64          // reconcile's row scratch
 	st      stats.CacheStats
 }
 
@@ -141,7 +142,8 @@ func (p *PLog) reconcile(t sim.Time, maxRows int) (sim.Time, error) {
 	// Group images by parity row so each row's parity is RMW'd once.
 	byRow := make(map[int64][]int64)
 	for _, lba := range p.order {
-		key := p.backend.RowPeers(lba)[0]
+		p.peers = AppendRowPeers(p.backend, p.peers[:0], lba)
+		key := p.peers[0]
 		byRow[key] = append(byRow[key], lba)
 	}
 	keys := make([]int64, 0, len(byRow))

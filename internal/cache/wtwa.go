@@ -1,9 +1,6 @@
 package cache
 
 import (
-	"cmp"
-	"slices"
-
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -18,14 +15,6 @@ type base struct {
 	backend   Backend
 	dataStart int64
 	st        stats.CacheStats
-	sweep     []sweepItem // sweepOrder's scratch
-	peers     []int64     // sweepOrder's row scratch
-
-	// The LRU cleaners' (LeavO's, WB's) batch planned ahead of need, and
-	// how one queued page is cleaned: it reports false, doing nothing,
-	// when the page was cleaned another way since the plan.
-	idle       IdleQueue
-	cleanQueue func(t sim.Time, lba int64) (sim.Time, bool, error)
 }
 
 func newBase(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) base {
@@ -75,86 +64,12 @@ func (b *base) allocOrEvict(t sim.Time, lba int64, evictable ...State) int32 {
 	return s
 }
 
-// sweepItem is one cleaner victim in issue order: its slot, its LBA and
-// the first LBA of its parity row (RowPeers(lba)[0]).
-type sweepItem struct {
-	row, lba int64
-	slot     int32
-}
-
-// sweepOrder orders the first n LRU victims of a cleaner batch for issue:
-// ascending member row (RowPeers(lba)[0]), then LBA. The LRU cleaners
-// retire one Old page per victim, so a row-at-a-time walk with the stop
-// rule "Count(Old) ≤ low" cleans exactly the first Count(Old)−low live
-// victims; swept in row order, each member serves its share of the batch
-// as one ascending pass, as KDD's cleaner does. The result is scratch,
-// valid until the next call.
-func (b *base) sweepOrder(victims []int32, n int) []sweepItem {
-	s := b.sweep[:0]
-	for _, v := range victims[:n] {
-		lba := b.frame.Slot(v).RaidLBA
-		b.peers = AppendRowPeers(b.backend, b.peers[:0], lba)
-		s = append(s, sweepItem{row: b.peers[0], lba: lba, slot: v})
+// dataMode reports whether the cache device stores real bytes.
+func (b *base) dataMode() bool {
+	if s, ok := b.ssd.(blockdev.Storer); ok {
+		return s.Store() != nil
 	}
-	slices.SortFunc(s, func(x, y sweepItem) int {
-		if c := cmp.Compare(x.row, y.row); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.lba, y.lba)
-	})
-	b.sweep = s
-	return s
-}
-
-// planIdle queues the LRU cleaner's next batch for idle-time cleaning
-// when no page is queued: the first min(batch, Count(Old)−low) LRU
-// victims, the pages the pass would clean, in sweep order. LeavO and WB
-// call it once their Old pages are within one batch of the high-water
-// mark that runs their synchronous pass, as KDD plans when its free pool
-// is within one batch of running dry.
-func (b *base) planIdle(t sim.Time, batch int, low int64) {
-	old := b.frame.Count(Old)
-	if b.idle.Pending() || old <= low {
-		return
-	}
-	victims := b.frame.OldestSlots(Old, batch)
-	b.idle.Plan(t)
-	for _, v := range b.sweepOrder(victims, min(len(victims), int(old-low))) {
-		b.idle.Add(v.lba)
-	}
-	b.st.CleanerRuns++
-}
-
-// cleanIdle runs at every request entry: a request arriving an idle gap
-// after the previous one releases one queued page, cleaned once the
-// policy's own work has drained (IdleQueue).
-func (b *base) cleanIdle(t sim.Time) error {
-	at, ok := b.idle.Arrive(t)
-	if !ok {
-		return nil
-	}
-	for lba, ok := b.idle.Pop(); ok; lba, ok = b.idle.Pop() {
-		done, cleaned, err := b.cleanQueue(at, lba)
-		if cleaned || err != nil {
-			b.idle.Busy(done)
-			return err
-		}
-	}
-	return nil
-}
-
-// drainIdle cleans every queued page at t, the backstop a synchronous
-// pass runs first.
-func (b *base) drainIdle(t sim.Time) (sim.Time, error) {
-	done := t
-	for lba, ok := b.idle.Pop(); ok; lba, ok = b.idle.Pop() {
-		c, _, err := b.cleanQueue(t, lba)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	return done, nil
+	return false
 }
 
 // Stats implements Policy.

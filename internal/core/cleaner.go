@@ -15,30 +15,20 @@ import (
 
 // This file implements KDD's flushing policy (§III-D): a background
 // cleaner generates new parity blocks for stale stripes and reclaims the
-// old/delta pages. A DEZ commit that finds the free pool within one batch
-// of running dry plans the next batch into an idle queue, whose rows are
-// repaired one per idle arrival gap (cache.IdleQueue); the synchronous
-// pass — when old+delta pages exceed a threshold, when a DEZ commit or an
-// allocation finds no free page, when the replay driver detects a long
-// idle period, and on force, flush and the degraded fold — first issues
-// whatever is still queued. Parity is recomputed by
-// reconstruct-write when every data block of the row is cached, otherwise
-// by read-modify-write over the decompressed deltas. Reclamation follows
-// scheme 2 (drop old pages, invalidate deltas) unless the scheme-1
-// ablation is configured.
+// old/delta pages. The engine's cache.Cleaner decides when: a DEZ commit
+// that finds the free pool within one batch of running dry queues the
+// next batch, whose rows are repaired one per idle arrival gap; the
+// synchronous pass — when old+delta pages exceed a threshold, when a DEZ
+// commit or an allocation finds no free page, on System.Advance, and on
+// force, flush and the degraded fold — first issues whatever is still
+// queued. Parity is recomputed by reconstruct-write when every data block
+// of the row is cached, otherwise by read-modify-write over the
+// decompressed deltas. Reclamation follows scheme 2 (drop old pages,
+// invalidate deltas) unless the scheme-1 ablation is configured.
 
 // cleanerBatch is how many LRU victims one cleaner batch takes; one frame
 // scan amortises over many rows.
 const cleanerBatch = 128
-
-// maybeClean triggers the cleaner past the high-water mark.
-func (k *KDD) maybeClean(t sim.Time) error {
-	if k.DirtyPages() > k.highMark() {
-		_, err := k.cleanPass(t, false)
-		return err
-	}
-	return nil
-}
 
 // Clean implements cache.Policy: one cleaning pass. force drains every
 // stale stripe (used before HDD rebuild and at shutdown). In pass-through
@@ -62,9 +52,15 @@ func (k *KDD) Clean(t sim.Time, force bool) (done sim.Time, err error) {
 	return done, err
 }
 
-// cleanPass is the cleaner body. It first issues every row still in the
-// idle queue at t (the backstop), then repairs batches down to the
-// low-water mark (to zero on force).
+// cleanPass is the cleaner body: the cache.Cleaner's pass, which first
+// issues every row still queued at t (the backstop), then repairs batches
+// down to the low-water mark (to zero on force). Every row repair of the
+// pass is issued at the pass start, as LeavO, WB, PLog and NVB issue
+// theirs: each member queues only its own share of the pass. Chaining a
+// row on the previous row's completion would hold every member from now
+// until the last row's issue time (a sim.Station remembers only a few
+// idle gaps per server), and the foreground would wait behind the whole
+// chain.
 func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 	if k.cleaning {
 		return t, nil // re-entrant trigger from allocation inside a pass
@@ -75,49 +71,7 @@ func (k *KDD) cleanPass(t sim.Time, force bool) (done sim.Time, err error) {
 		sp := k.tr.Begin(t, obs.PhaseCleanPass)
 		defer func() { sp.End(done) }()
 	}
-	defer func() { k.idle.Busy(done) }()
-
-	done = t
-	for lba, peers, ok := k.nextQueued(); ok; lba, peers, ok = k.nextQueued() {
-		c, err := k.cleanRow(t, lba, peers)
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-	}
-	low := k.lowMark()
-	if force {
-		low = 0
-	}
-	ran := false
-	for k.frame.Count(cache.Old) > 0 && (force || k.DirtyPages() > low) {
-		victims := k.frame.OldestSlots(cache.Old, cleanerBatch)
-		if len(victims) == 0 {
-			break
-		}
-		ran = true
-		// Every row repair of the pass is issued at the pass start, as
-		// LeavO, WB, PLog and NVB issue theirs: each member queues only
-		// its own share of the pass. Chaining a row on the previous
-		// row's completion would hold every member from now until the
-		// last row's issue time (a sim.Station remembers only a few idle
-		// gaps per server), and the foreground would wait behind the
-		// whole chain. The plan picks the rows in LRU order and hands
-		// them back in member-row order, so each member serves its share
-		// as one ascending sweep.
-		plan := k.planBatch(victims, force, low)
-		for _, r := range plan {
-			c, err := k.cleanRow(t, r.lba, r.peers)
-			if err != nil {
-				return t, err
-			}
-			done = sim.MaxTime(done, c)
-		}
-	}
-	if ran {
-		k.st.CleanerRuns++
-	}
-	return done, nil
+	return k.cleaner.Pass(t, force)
 }
 
 // lowMark is the dirty-page population a pass cleans down to.
@@ -128,71 +82,71 @@ func (k *KDD) lowMark() int64 { return int64(lowWater * float64(k.frame.Pages())
 func (k *KDD) highMark() int64 { return int64(highWater * float64(k.frame.Pages())) }
 
 // planIdle runs at the end of every DEZ commit. When the free pool is
-// within one batch of running dry and no row is queued, it plans the
-// batch the next pass would repair into the idle queue once the dirty
-// surplus over the low-water mark reaches the first of: the free pages
-// left (each commit takes one and adds a dirty page, so the pool runs dry
-// about where the two meet), a quarter of the band below the high-water
-// mark (so a small cache plans before its high-water pass), and a quarter
-// batch. Each plan walks every set's LRU head (OldestSlots), so planning
-// the row or two each commit adds would cost more host time than the
-// repairs. The plan is planBatch's on the first min(cleanerBatch,
-// dirty−low) LRU victims: each one reclaims at least one dirty page, so
-// the stop rule never reaches further.
+// within one batch of running dry and no row is queued, it queues the
+// batch the next pass would repair once the dirty surplus over the
+// low-water mark reaches the first of: the free pages left (each commit
+// takes one and adds a dirty page, so the pool runs dry about where the
+// two meet), a quarter of the band below the high-water mark (so a small
+// cache plans before its high-water pass), and a quarter batch. Each plan
+// walks every set's LRU head (OldestSlots), so planning the row or two
+// each commit adds would cost more host time than the repairs.
 func (k *KDD) planIdle(t sim.Time) {
 	free := k.frame.Count(cache.Free)
-	if k.idle.Pending() || free >= cleanerBatch {
+	if k.cleaner.Pending() || free >= cleanerBatch {
 		return
 	}
 	low, dirty := k.lowMark(), k.DirtyPages()
-	if dirty <= low || dirty-low < min(free, (k.highMark()-low)/4, cleanerBatch/4) || k.frame.Count(cache.Old) == 0 {
+	if dirty <= low || dirty-low < min(free, (k.highMark()-low)/4, cleanerBatch/4) {
 		return
 	}
-	victims := k.frame.OldestSlots(cache.Old, int(min(cleanerBatch, dirty-low)))
-	k.idle.Plan(t)
-	for _, r := range k.planBatch(victims, false, low) {
-		k.idle.Add(r.lba)
-		if bugReclaimAtPlan {
-			k.reclaimUnrepaired(t, r.peers)
+	k.cleaner.Plan(t)
+	if bugReclaimAtPlan {
+		for _, lba := range k.cleaner.Queued() {
+			k.reclaimUnrepaired(t, lba)
 		}
 	}
-	k.st.CleanerRuns++
 }
 
 // IdleQueued returns how many planned row repairs wait in the idle queue.
-func (k *KDD) IdleQueued() int { return len(k.idle.Queued()) }
+func (k *KDD) IdleQueued() int { return len(k.cleaner.Queued()) }
 
-// dispatchIdle runs at every cached Serve entry: a request arriving an
-// idle gap after the previous one releases one queued row, repaired once
-// the engine's own work has drained.
-func (k *KDD) dispatchIdle(t sim.Time) error {
-	at, ok := k.idle.Arrive(t)
-	if !ok {
-		return nil
+// planRows is the cleaner's plan: it appends to dst, in issue order, the
+// victim LBA of each row the next batch repairs (planBatch), or nothing
+// once the pass is done. A batch that need not drain everything takes the
+// first min(cleanerBatch, dirty−low) LRU victims: each one reclaims at
+// least one dirty page, so the stop rule never reaches further.
+func (k *KDD) planRows(dst []int64, force bool) []int64 {
+	low, dirty, n := k.lowMark(), k.DirtyPages(), cleanerBatch
+	switch {
+	case force:
+		low = 0
+	case dirty <= low:
+		return dst
+	default:
+		n = int(min(cleanerBatch, dirty-low))
 	}
-	lba, peers, ok := k.nextQueued()
-	if !ok {
-		return nil
+	if k.frame.Count(cache.Old) == 0 {
+		return dst
 	}
-	done, err := k.cleanRow(at, lba, peers)
-	k.idle.Busy(done)
-	return err
+	for _, r := range k.planBatch(k.frame.OldestSlots(cache.Old, n), force, low) {
+		dst = append(dst, r.lba)
+	}
+	return dst
 }
 
-// nextQueued pops the idle queue's next row that still holds an Old
-// page, with its peers (engine scratch, valid until the next call). A row
-// whose Old pages were all reclaimed since the plan (a retired slot, a
-// fold) is dropped.
-func (k *KDD) nextQueued() (lba int64, peers []int64, ok bool) {
-	for lba, ok = k.idle.Pop(); ok; lba, ok = k.idle.Pop() {
-		k.rowPeers = cache.AppendRowPeers(k.backend, k.rowPeers[:0], lba)
-		for _, p := range k.rowPeers {
-			if s := k.frame.Lookup(p); s != cache.NoSlot && k.frame.Slot(s).State == cache.Old {
-				return lba, k.rowPeers, true
-			}
-		}
+// repairRow is the cleaner's repair: it repairs the parity row of lba if
+// the row still holds an Old page. A queued row whose Old pages were all
+// reclaimed since the plan (a retired slot, a fold) is skipped. The
+// cleaner repairs a plan's rows in plan order, so the next row of the
+// latest plan reuses the peers planBatch found for it (a row's peers
+// depend on its LBA alone); any other row computes them.
+func (k *KDD) repairRow(t sim.Time, lba int64) (sim.Time, bool, error) {
+	if i := k.planNext; i < len(k.plan) && k.plan[i].lba == lba {
+		k.planNext++
+		return k.cleanRow(t, lba, k.plan[i].peers)
 	}
-	return 0, nil, false
+	k.rowPeers = cache.AppendRowPeers(k.backend, k.rowPeers[:0], lba)
+	return k.cleanRow(t, lba, k.rowPeers)
 }
 
 // planRow is one parity row a cleaner batch repairs: its first LBA (the
@@ -249,7 +203,7 @@ func (k *KDD) planBatch(victims []int32, force bool, low int64) []planRow {
 			k.planMark[od.dez] = 0
 		}
 	}
-	k.plan, k.planSlots, k.planPeers = plan, marked, all
+	k.plan, k.planSlots, k.planPeers, k.planNext = plan, marked, all, 0
 	slices.SortFunc(plan, func(a, b planRow) int { return cmp.Compare(a.row, b.row) })
 	return plan
 }
@@ -303,8 +257,9 @@ type peerInfo struct {
 // cleanRow repairs the parity row of lba, whose peers (RowPeers(lba))
 // are given, and reclaims every Old peer in it, exploiting the
 // stripe-aligned set mapping ("they can be reclaimed together during
-// cache cleaning", §III-B).
-func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
+// cache cleaning", §III-B). It reports false, doing nothing, when the row
+// holds no Old page.
+func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, bool, error) {
 	cached, oldPeers := k.rowCached[:0], k.rowOld[:0]
 	allCached := true
 	for _, p := range peers {
@@ -321,7 +276,7 @@ func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
 	}
 	k.rowCached, k.rowOld = cached, oldPeers
 	if len(oldPeers) == 0 {
-		return t, fmt.Errorf("core: cleanRow found no old pages in row of lba %d", lba)
+		return t, false, nil
 	}
 
 	k.st.ParityUpdates++
@@ -334,7 +289,7 @@ func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
 	}
 	if err != nil {
 		if !errors.Is(err, blockdev.ErrMedia) {
-			return t, err
+			return t, false, err
 		}
 		// An old copy or delta page needed for the repair is unreadable:
 		// recompute the parity from the member data instead (the members
@@ -342,7 +297,7 @@ func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
 		k.st.MediaFallbacks++
 		done, err = k.backend.ResyncRow(t, lba)
 		if err != nil {
-			return t, err
+			return t, false, err
 		}
 		k.st.RowsHealed++
 	}
@@ -351,11 +306,11 @@ func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, error) {
 	for _, pi := range oldPeers {
 		c, err := k.reclaimOld(done, pi.lba, pi.slot)
 		if err != nil {
-			return t, err
+			return t, false, err
 		}
 		done = sim.MaxTime(done, c)
 	}
-	return done, nil
+	return done, true, nil
 }
 
 // parityReconstruct recomputes the row's parity from the cached current
@@ -530,12 +485,12 @@ func (k *KDD) reclaimOld(t sim.Time, lba int64, slot int32) (sim.Time, error) {
 }
 
 // reclaimUnrepaired is the kddbug_idle mutation of planIdle (see
-// bugflag_idle.go): it reclaims a planned row's Old peers at plan time,
+// bugflag_idle.go): it reclaims a queued row's Old peers at plan time,
 // before their parity is repaired. The row then leaves the queue with
 // nothing to repair, its deltas are gone and its parity stays stale: a
 // member lost later rebuilds the row's pages from that parity.
-func (k *KDD) reclaimUnrepaired(t sim.Time, peers []int64) {
-	for _, p := range peers {
+func (k *KDD) reclaimUnrepaired(t sim.Time, lba int64) {
+	for _, p := range k.backend.RowPeers(lba) {
 		if s := k.frame.Lookup(p); s != cache.NoSlot && k.frame.Slot(s).State == cache.Old {
 			_, err := k.reclaimOld(t, p, s)
 			k.stick(err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"kddcache/internal/cache"
 	"kddcache/internal/sim"
 )
@@ -22,10 +24,10 @@ func (k *KDD) CleanerLow(force bool) int64 {
 // planned.
 func (k *KDD) IdleRows() ([]int64, sim.Time) {
 	var rows []int64
-	for _, lba := range k.idle.Queued() {
+	for _, lba := range k.cleaner.Queued() {
 		rows = append(rows, k.backend.RowPeers(lba)[0])
 	}
-	return rows, k.idle.Planned()
+	return rows, k.cleaner.Planned()
 }
 
 // CleanerPlan returns the rows the next cleaner batch would repair, each
@@ -44,7 +46,11 @@ func (k *KDD) CleanerPlan(force bool) []int64 {
 // Old peers, as one row of a cleaner pass does.
 func (k *KDD) RepairRow(t sim.Time, victim int32) (sim.Time, error) {
 	lba := k.frame.Slot(victim).RaidLBA
-	return k.cleanRow(t, lba, k.backend.RowPeers(lba))
+	done, ok, err := k.cleanRow(t, lba, k.backend.RowPeers(lba))
+	if err == nil && !ok {
+		err = fmt.Errorf("core: no Old page in the row of lba %d", lba)
+	}
+	return done, err
 }
 
 // CleanerHigh returns the DirtyPages mark above which a write hit runs a

@@ -205,20 +205,23 @@ type KDD struct {
 	nOld      int        // live records in oldDeltas
 	dezPages  []dezPage  // DEZ slot -> occupancy
 
-	// idle is the cleaner's queue of planned row repairs (planIdle,
-	// dispatchIdle); cleanPass issues what it still holds.
-	idle cache.IdleQueue
+	// cleaner runs the background repairs: planRows plans them and
+	// repairRow repairs one row, idle rows one per idle arrival gap and
+	// the rest in cleanPass.
+	cleaner cache.Cleaner
 
 	// Scratch reused across calls so the steady state allocates nothing:
 	// commitDez's delta offsets, the cleaner's batch plan, its rows' peers
-	// and the Old peers it marked, a queued row's peers, cleanRow's
+	// and the Old peers it marked, a repaired row's peers, cleanRow's
 	// cached/old row peers, parityRMW's LBA list and the page lists the
 	// two parity repairs hand the backend. Each is dead once the call that
-	// filled it returns (the plan once its batch is issued or queued), and
+	// filled it returns (the plan, whose peers repairRow reuses, once its
+	// rows are repaired or the next plan replaces it), and
 	// none of those calls nests within itself (cleanPass is not
 	// re-entrant, commitDez packs only after its cleaning pass).
 	dezOffs   []int
 	plan      []planRow
+	planNext  int // the plan's first row repairRow has not reached
 	planPeers []int64
 	planSlots []int32
 	rowPeers  []int64
@@ -315,6 +318,7 @@ func newKDD(cfg Config, log *metalog.Log, staging *nvram.Staging) (*KDD, error) 
 	k.planPeers = make([]int64, 0, cleanerBatch*dc)
 	k.planSlots = make([]int32, 0, cleanerBatch*dc)
 	k.rowPeers = make([]int64, 0, dc)
+	k.cleaner = cache.NewCleaner(&k.st.CleanerRuns, cleanerBatch, k.planRows, k.repairRow)
 	if cfg.FixedDEZSets > 0 {
 		if cfg.FixedDEZSets >= k.frame.Sets() {
 			return nil, fmt.Errorf("core: FixedDEZSets %d >= %d sets", cfg.FixedDEZSets, k.frame.Sets())

@@ -74,7 +74,7 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 	if k.passThrough() {
 		done, err = k.pass(t, lba, buf, write)
 	} else {
-		if err = k.dispatchIdle(t); err == nil {
+		if err = k.cleaner.Arrive(t); err == nil {
 			if write {
 				done, err = k.writeCached(t, lba, buf, admit)
 			} else {
@@ -86,12 +86,12 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 			done, err = k.pass(t, lba, buf, write)
 		}
 	}
-	k.idle.Busy(done)
+	k.cleaner.Busy(done)
 	if err == nil && k.pump != nil {
-		// Background rebuild work rides behind the response (like
-		// maybeClean): it shares the disks from `done` onward but never
-		// extends the operation's own completion time. Its failures
-		// surface on the next operation.
+		// Background rebuild work rides behind the response (like the
+		// write hit's cleaning pass): it shares the disks from `done`
+		// onward but never extends the operation's own completion time.
+		// Its failures surface on the next operation.
 		k.stick(k.pump.Turn(done, k.st.RAIDReads+k.st.RAIDWrites > k.fgMark))
 	}
 	sp.End(done)
@@ -352,8 +352,10 @@ func (k *KDD) writeCached(t sim.Time, lba int64, buf []byte, admit bool) (sim.Ti
 			return t, err
 		}
 	}
-	if err := k.maybeClean(done); err != nil {
-		return t, err
+	if k.DirtyPages() > k.highMark() {
+		if _, err := k.cleanPass(done, false); err != nil {
+			return t, err
+		}
 	}
 	return done, nil
 }

@@ -23,10 +23,6 @@ func (r *Result) MeanResponseMs() float64 {
 	return r.Latency.Mean() / float64(sim.Millisecond)
 }
 
-// IdleCleanGap is the idle interval after which the background cleaner is
-// woken ("the system has been idle for a certain period", §III-D).
-const IdleCleanGap = 200 * sim.Millisecond
-
 // RunTrace replays a trace through the stack open-loop: requests are
 // issued at their recorded timestamps regardless of completions, matching
 // the paper's RAIDmeter replay.
@@ -36,11 +32,11 @@ func RunTrace(st *Stack, tr *trace.Trace) (*Result, error) {
 }
 
 // replay is the one trace loop, single-threaded in timestamp order: the
-// PerRequest hook, the idle-clean rule, the admission gate, the page
-// loop and the latency histograms. Every request passes ctl.Gate (a nil
-// controller admits everything) with an absolute deadline of arrival +
-// deadline (0 disables deadlines) and one token charged per request
-// regardless of its page count. What the replay adds to the gate is the
+// PerRequest hook, the admission gate, the page loop and the latency
+// histograms. Every request passes ctl.Gate (a nil controller admits
+// everything) with an absolute deadline of arrival + deadline (0
+// disables deadlines) and one token charged per request regardless of
+// its page count. What the replay adds to the gate is the
 // retry: a throttled request is re-offered at its RetryAfter hint until
 // admitted, shed, or past its deadline; rejected requests are counted by
 // the controller, not failed — only engine errors fail the replay. It
@@ -55,21 +51,10 @@ func replay(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time) 
 			per[i] = stats.NewHistogram(1 << 14)
 		}
 	}
-	var prev sim.Time
 	for i, req := range tr.Requests {
 		if st.PerRequest != nil {
 			st.PerRequest(i)
 		}
-		// Idle cleaning only fires between consecutive requests: prev is
-		// zero before the first request, and a trace that starts late must
-		// not trigger a cleaner pass before any request has been issued.
-		if i > 0 && req.Time-prev > IdleCleanGap {
-			if _, err := st.Policy.Clean(prev, false); err != nil {
-				return nil, nil, fmt.Errorf("idle clean: %w", err)
-			}
-		}
-		prev = req.Time
-
 		at := req.Time
 		var dl sim.Time
 		if deadline > 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kddcache/internal/core"
+	"kddcache/internal/sim"
 	"kddcache/internal/workload"
 )
 
@@ -72,26 +73,53 @@ func TestClosedLoopThreadBound(t *testing.T) {
 	}
 }
 
+// TestRunTraceIdleTriggersCleaner checks that a long idle gap in a trace
+// wakes the cleaner through the policy's own idle rule: the first request
+// after a 10-second gap releases exactly one queued row repair. A first
+// run finds a request, two-thirds in or later, that arrives with rows
+// queued and leaves the queue as it found it; a second run opens the gap
+// just before that request.
 func TestRunTraceIdleTriggersCleaner(t *testing.T) {
-	// A trace with a long idle gap must wake the cleaner: stale rows
-	// present before the gap are repaired without an explicit Flush.
 	spec := workload.Fin1.Scale(0.002)
 	spec.MeanIOPS = 50
-	tr := workload.Synthesize(spec)
-	// Insert a 10-second gap two-thirds in.
-	cut := 2 * len(tr.Requests) / 3
-	for i := cut; i < len(tr.Requests); i++ {
-		tr.Requests[i].Time += 10_000_000_000
+	run := func(gapAt int) []int {
+		t.Helper()
+		tr := workload.Synthesize(spec)
+		if gapAt >= 0 {
+			for i := gapAt; i < len(tr.Requests); i++ {
+				tr.Requests[i].Time += 10 * sim.Second
+			}
+		}
+		st, err := Build(simOptsWith(spec, PolicyKDD, 0.25, roundWays(spec.UniqueTotal/5, 256)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := st.Policy.(interface{ IdleQueued() int })
+		queued := make([]int, len(tr.Requests)+1) // queued rows before request i
+		st.PerRequest = func(i int) { queued[i] = k.IdleQueued() }
+		if _, err := RunTrace(st, tr); err != nil {
+			t.Fatal(err)
+		}
+		queued[len(tr.Requests)] = k.IdleQueued()
+		return queued
 	}
-	st, err := Build(simOptsWith(spec, PolicyKDD, 0.25, roundWays(spec.UniqueTotal/5, 256)))
-	if err != nil {
-		t.Fatal(err)
+	base := run(-1)
+	cut := -1
+	for i := 2 * (len(base) - 1) / 3; i < len(base)-1; i++ {
+		if base[i] >= 2 && base[i+1] == base[i] {
+			cut = i
+			break
+		}
 	}
-	if _, err := RunTrace(st, tr); err != nil {
-		t.Fatal(err)
+	if cut < 0 {
+		t.Fatal("no request arrives with rows queued and leaves the queue unchanged")
 	}
-	if st.Policy.Stats().CleanerRuns == 0 {
-		t.Fatal("idle gap did not wake the cleaner")
+	gapped := run(cut)
+	if gapped[cut] != base[cut] {
+		t.Fatalf("%d rows queued before the gap, %d without it", gapped[cut], base[cut])
+	}
+	if got, want := gapped[cut+1], base[cut]-1; got != want {
+		t.Fatalf("request %d after the idle gap left %d rows queued, want %d (one released)", cut, got, want)
 	}
 }
 

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-
-	"kddcache/internal/sim"
-	"kddcache/internal/stats"
-	"kddcache/internal/trace"
 )
 
 // TestFanOutOrderAndWidths checks results land in submission order at
@@ -71,60 +67,6 @@ func TestFanOutCancelsAfterError(t *testing.T) {
 	// overwhelming majority must never start.
 	if s := started.Load(); s > 1000 {
 		t.Fatalf("%d jobs started after the failure; cancellation is broken", s)
-	}
-}
-
-// countingPolicy records Clean invocations; everything else is inert.
-type countingPolicy struct {
-	cleans int
-	st     stats.CacheStats
-}
-
-func (p *countingPolicy) Name() string { return "counting" }
-func (p *countingPolicy) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	return t, nil
-}
-func (p *countingPolicy) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	return t, nil
-}
-func (p *countingPolicy) Clean(t sim.Time, force bool) (sim.Time, error) {
-	p.cleans++
-	return t, nil
-}
-func (p *countingPolicy) Flush(t sim.Time) (sim.Time, error) { return t, nil }
-func (p *countingPolicy) Stats() *stats.CacheStats           { return &p.st }
-
-// TestRunTraceNoIdleCleanBeforeFirstRequest is the regression test for the
-// spurious time-zero cleaner pass: prev starts at 0, so a trace whose
-// first request arrives later than IdleCleanGap used to trigger an idle
-// clean before any request had been issued.
-func TestRunTraceNoIdleCleanBeforeFirstRequest(t *testing.T) {
-	late := IdleCleanGap * 10
-	mk := func(times ...sim.Time) *trace.Trace {
-		tr := &trace.Trace{}
-		for _, at := range times {
-			tr.Requests = append(tr.Requests, trace.Request{
-				Time: at, Op: trace.Read, LBA: 0, Pages: 1,
-			})
-		}
-		return tr
-	}
-
-	p := &countingPolicy{}
-	if _, err := RunTrace(&Stack{Policy: p}, mk(late, late+sim.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if p.cleans != 0 {
-		t.Fatalf("late-starting trace triggered %d idle cleans before/within a gapless run", p.cleans)
-	}
-
-	// A genuine idle gap between two requests must still trigger one.
-	p = &countingPolicy{}
-	if _, err := RunTrace(&Stack{Policy: p}, mk(late, late*3)); err != nil {
-		t.Fatal(err)
-	}
-	if p.cleans != 1 {
-		t.Fatalf("mid-trace idle gap triggered %d cleans, want 1", p.cleans)
 	}
 }
 

@@ -120,11 +120,13 @@ func (s *System) Pages() int64 { return s.st.Array.Pages() }
 // Now returns the current virtual time.
 func (s *System) Now() sim.Time { return s.now }
 
-// Advance moves virtual time forward (e.g. to model idle periods, which
-// trigger background cleaning).
-func (s *System) Advance(d sim.Time) {
+// Advance moves virtual time forward to model an idle period, which runs
+// one background cleaning pass at its end. It returns the pass's error
+// (an array failure under the repairs, say).
+func (s *System) Advance(d sim.Time) error {
 	s.now += d
-	s.st.Policy.Clean(s.now, false) //nolint:errcheck // background best-effort
+	_, err := s.st.Policy.Clean(s.now, false)
+	return err
 }
 
 // Read reads one page at lba into buf (len >= PageSize; may be nil in

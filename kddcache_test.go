@@ -352,17 +352,31 @@ func TestSystemStats(t *testing.T) {
 	}
 }
 
+// TestSystemAdvanceTriggersIdleClean dirties the cache past the cleaner's
+// low-water mark, below its high-water mark and with the free pool far
+// from dry, so no write runs or queues a pass: the idle period Advance
+// models must run one, reclaiming Old pages.
 func TestSystemAdvanceTriggersIdleClean(t *testing.T) {
 	sys := newDataSystem(t, KDD)
 	page := make([]byte, PageSize)
-	for lba := int64(0); lba < 600; lba++ {
-		if _, err := sys.Write(lba%150, page); err != nil {
-			t.Fatal(err)
+	for pass := byte(0); pass < 2; pass++ {
+		page[0] = pass
+		for lba := int64(0); lba < 350; lba++ {
+			if _, err := sys.Write(lba, page); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	sys.Advance(1_000_000_000) // 1s idle: the cleaner runs
-	if sys.Now() <= 0 {
-		t.Fatal("Advance did not move the clock")
+	before := sys.Stats()
+	if before.CleanerRuns != 0 || before.Reclaims != 0 {
+		t.Fatalf("writes ran the cleaner (%d runs, %d reclaims)", before.CleanerRuns, before.Reclaims)
+	}
+	if err := sys.Advance(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if after := sys.Stats(); after.CleanerRuns <= before.CleanerRuns || after.Reclaims <= before.Reclaims {
+		t.Fatalf("idle Advance: cleaner runs %d -> %d, reclaims %d -> %d; want both to rise",
+			before.CleanerRuns, after.CleanerRuns, before.Reclaims, after.Reclaims)
 	}
 }
 
@@ -433,7 +447,9 @@ func TestSystemQoSBoundary(t *testing.T) {
 	}
 
 	// Deadline enforcement runs first, at the System boundary.
-	sys.Advance(sim.Millisecond)
+	if err := sys.Advance(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sys.ReadTenant(1, 1, 3, page); !errors.Is(err, qos.ErrDeadlineExceeded) {
 		t.Fatalf("past-deadline read returned %v", err)
 	}
@@ -461,7 +477,9 @@ func TestSystemQoSBoundary(t *testing.T) {
 				t.Fatalf("window %d: %v", w, err)
 			}
 		}
-		sys.Advance(6 * sim.Millisecond)
+		if err := sys.Advance(6 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !sawThrottle || !sawShed {
 		t.Fatalf("ladder never engaged: throttle=%v shed=%v", sawThrottle, sawShed)
@@ -482,7 +500,9 @@ func TestSystemQoSBoundary(t *testing.T) {
 	if _, err := sys.WriteTenant(1, 0, 200, page); err != nil {
 		t.Fatalf("bypass write: %v", err)
 	}
-	sys.Advance(2 * sim.Millisecond)
+	if err := sys.Advance(2 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	got := make([]byte, PageSize)
 	if _, err := sys.ReadTenant(1, 0, 200, got); err != nil {
 		t.Fatalf("bypass read: %v", err)
@@ -532,7 +552,9 @@ func TestQoSStateSurvivesCrashAndRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sys.Advance(6 * sim.Millisecond)
+		if err := sys.Advance(6 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rung, err := sys.QoSRung(1)
 	if err != nil || rung != qos.RungBypass {
