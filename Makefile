@@ -174,9 +174,10 @@ bench-pairs:
 # open-loop and multi-tenant stream generators the data workloads' set-up
 # pays for, KDD's cleaner pass (ns and allocs per repaired row), its
 # idle-queue dispatch (ns and allocs per queued row), LeavO's and WB's
-# cleaner passes (ns and allocs per cleaned page) and the plane's
-# warm 256-op batch (ns and allocs per batch, the elevator sweep's sort
-# included), at a fixed small iteration count so they stay runnable (see
+# cleaner passes (ns and allocs per cleaned page), the plane's warm
+# 256-op batch (ns and allocs per batch, the elevator sweep's sort
+# included) and the metadata log's crash recovery (a 200-page head-to-
+# tail replay), at a fixed small iteration count so they stay runnable (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
 # "Background work runs in the members' idle time" and "Sharded data
 # plane").
@@ -190,6 +191,7 @@ kernels:
 	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/cache/ -run '^$$' -bench '^BenchmarkLRUCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
+	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkRecover$$' -benchtime 50x -benchmem
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

@@ -22,6 +22,10 @@ type LeavO struct {
 	metaPages   int64 // metadata region [0, metaPages)
 	metaCursor  int64
 	metaPending int // mapping updates not yet persisted
+
+	// cleanOne's one-row ParityUpdateDelta arguments, reused per page.
+	fixLBA   [1]int64
+	fixDelta [1][]byte
 }
 
 // LeavO's cleaning thresholds as fractions of capacity, and the Old pages
@@ -242,7 +246,8 @@ func (l *LeavO) cleanOne(t sim.Time, lba int64) (sim.Time, bool, error) {
 	diff := oldBuf // nil in timing mode
 	blockdev.XORInto(diff, newBuf)
 	l.st.ParityUpdates++
-	done, err := l.backend.ParityUpdateDelta(phase1, []int64{lba}, [][]byte{diff})
+	l.fixLBA[0], l.fixDelta[0] = lba, diff
+	done, err := l.backend.ParityUpdateDelta(phase1, l.fixLBA[:], l.fixDelta[:])
 	if err != nil {
 		return t, false, err
 	}

@@ -854,14 +854,13 @@ var chaosPlans = []*chaosPlan{
 		// pass-through, and keeps serving from the RAID — which always holds
 		// current data, because KDD dispatches every write to the array.
 		// The other seven lanes must not notice, and no op may surface an
-		// error. Four shards put two lanes on each worker, so the dead lane
-		// shares one with a live lane: the fold is lane-scoped, not
-		// shard-scoped. A miss that read-fills into the dead region arms
-		// the failover and the lane's next operation completes it; the
-		// verify chain's footprint read visits every LBA the lane owns.
+		// error: the fold is lane-scoped. A miss that read-fills into the
+		// dead region arms the failover and the lane's next operation
+		// completes it; the verify chain's footprint read visits every LBA
+		// the lane owns.
 		kind: "ssd-lane-kill",
 		shape: func(s *spec) {
-			s.shards, s.coalesce, s.ways = 4, true, 16
+			s.plane, s.coalesce, s.ways = true, true, 16
 			s.batch, s.step, s.pick = 32, sim.Millisecond, uniformDraw
 		},
 		setup: func(c *chaosRun) {

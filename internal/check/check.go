@@ -171,18 +171,18 @@ func hotFrontDraw(rng *sim.RNG, footprint int64) int64 {
 // rebuildVictim is the member the rebuild scenario kills.
 const rebuildVictim = 1
 
-// spec is the run o describes, on the bare engine (shards 0) or on the
-// sharded plane at that execution width.
-func (o Options) spec(shards int) spec {
+// spec is the run o describes, on the bare engine or on the sharded
+// plane.
+func (o Options) spec(plane bool) spec {
 	s := spec{
 		geometry: checkGeometry, backend: o.Backend, cache: o.CachePages,
 		ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotFrontDraw,
 	}
-	if shards > 0 {
+	if plane {
 		// Batches big enough that several lanes hold buffered metadata
-		// entries when a crash fires mid-batch: the interleaved-batches-
-		// in-flight state the sharded sweep exists to crash into.
-		s.geometry, s.shards, s.batch = planeGeometry, shards, 16
+		// entries when a crash fires mid-batch: the batches-in-flight
+		// state the sharded sweep exists to crash into.
+		s.geometry, s.plane, s.batch = planeGeometry, true, 16
 	}
 	if o.Rebuild {
 		s.spares = 1
@@ -202,24 +202,22 @@ func (o Options) spec(shards int) spec {
 // independent, so violations come back as data and never abort the
 // sweep. The error is a usage error: options no stack can be built from.
 func Run(o Options) (*Report, error) {
-	return sweep(o.withDefaults(), "", []int{0})
+	return sweep(o.withDefaults(), "", false)
 }
 
 // RunShard executes the sharded-plane crash sweep: a batched workload
-// over the full plane (eight lanes, one shared metadata log with
-// per-lane tagged batch flushes), replayed once per SSD write ordinal
-// with a torn-write crash point armed. Crashes land with several lanes'
-// metadata batches in flight; recovery must demultiplex the shared log
-// back to the lanes, twice, identically. Only crash sites are explored —
+// over the full plane (eight lanes, one shared metadata log with one
+// batch barrier), replayed once per SSD write ordinal with a torn-write
+// crash point armed. Crashes land with several lanes' metadata entries
+// buffered in flight; recovery must demultiplex the shared log back to
+// the lanes, twice, identically. Only crash sites are explored —
 // media-fault coverage of the engine under each lane is Run's job, and
 // the plane disables the per-lane breakers (a shared SSD fails as a
-// whole). The execution width cycles across seeds: in deterministic mode
-// it cannot change the device-op trace (the plane's central contract),
-// so each seed picks one and the sweep still covers every grouping.
+// whole).
 func RunShard(o Options) (*Report, error) {
 	o = o.withDefaults()
 	o.CrashOnly = true
-	return sweep(o, "sharded plane, crash points with batches in flight", []int{1, 2, 4, 8})
+	return sweep(o, "sharded plane, crash points with batches in flight", true)
 }
 
 // RunCI runs the deterministic CI matrix, {kdd, lsraid} × {engine, plane}
@@ -261,13 +259,13 @@ func (r *Report) Replay(i int) string {
 	return fmt.Sprintf("%s -seed %#x -seeds 1", cmd, r.Results[i].Seed)
 }
 
-func sweep(o Options, kind string, widths []int) (*Report, error) {
-	rep := &Report{Opts: o, Kind: kind, plane: widths[0] > 0}
+func sweep(o Options, kind string, plane bool) (*Report, error) {
+	rep := &Report{Opts: o, Kind: kind, plane: plane}
 	for i := 0; i < o.Seeds; i++ {
 		// Same stride as the chaos harness, so its 24 schedule seeds are
 		// reachable here as regression seeds.
 		seed := o.Seed + uint64(i)*0x9E3779B97F4A7C15
-		res, err := runSeed(seed, o, o.spec(widths[i%len(widths)]))
+		res, err := runSeed(seed, o, o.spec(plane))
 		if err != nil {
 			return nil, err
 		}

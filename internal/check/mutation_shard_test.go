@@ -6,12 +6,12 @@ import "testing"
 
 // TestMutationCaughtShardBatch proves the sharded sweep can actually
 // fail. The kddbug build flips one ordering edge in the metadata log's
-// batched flush path: a tagged page's entries leave the NVRAM buffer
+// batched flush path: a FlushBatch page's entries leave the NVRAM buffer
 // BEFORE the page write is acked. A crash on that write ordinal then
 // destroys the only durable copy of those entries — the page is torn or
 // absent AND the NVRAM no longer holds them — so recovery forgets acked
 // writes whose durability the batch barrier was supposed to carry.
-// Exactly the bug class the interleaved-batches crash sweep exists to
+// Exactly the bug class the batches-in-flight crash sweep exists to
 // catch; if this test passes without violations, the sweep has no teeth.
 func TestMutationCaughtShardBatch(t *testing.T) {
 	rep := sweepOK(t, RunShard, Options{Seeds: 2, Ops: 160, Footprint: 48})

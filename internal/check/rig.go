@@ -60,12 +60,12 @@ type spec struct {
 	backend string     // "kdd" (parity RAID, delayed parity) or "lsraid"
 	cache   int64      // SSD cache data pages
 
-	// shards > 0 makes the subject a shard.Plane at that execution width;
-	// 0, a bare core.KDD. The plane runs its DETERMINISTIC scheduler: a
-	// crash-site replay must reproduce the profile run's SSD write
-	// ordinals and a chaos schedule its fingerprint, and only single-
-	// stepping makes the device-op trace a pure function of the op stream.
-	shards int
+	// plane makes the subject a shard.Plane; otherwise a bare core.KDD.
+	// The plane sweeps each batch on one goroutine, so its device-op
+	// trace is a pure function of the op stream: a crash-site replay
+	// reproduces the profile run's SSD write ordinals and a chaos
+	// schedule its fingerprint.
+	plane bool
 	// coalesce lets the plane drop writes superseded within a batch. A
 	// sweep that crashes mid-batch keeps it off: a dropped-then-crashed
 	// write pair would need a three-valued old-or-new pin.
@@ -263,11 +263,11 @@ func newRig(seed uint64, s spec) (*rig, error) {
 	for i := range r.members {
 		r.injs = append(r.injs, r.arr.Injector(i))
 	}
-	if s.shards > 0 {
+	if s.plane {
 		cfg := shard.Config{
 			SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
 			MetaPages: s.metaPages, Codec: func(int) delta.Codec { return delta.ZRLE{} },
-			Shards: s.shards, Coalesce: s.coalesce, Tracer: r.ob.Tracer,
+			Coalesce: s.coalesce, Tracer: r.ob.Tracer,
 		}
 		p, err := shard.New(cfg)
 		if err != nil {

@@ -16,10 +16,10 @@ func sweepOK(t *testing.T, run func(Options) (*Report, error), o Options) *Repor
 }
 
 // TestShardCheckerClean sweeps every crash point of the sharded plane's
-// batched workload across two seeds (execution widths 1 and 2) and
-// expects zero violations: every acked write survives a crash landing
-// with multiple lanes' metadata batches in flight, and every recovery
-// demultiplexes the shared log identically twice.
+// batched workload across two seeds and expects zero violations: every
+// acked write survives a crash landing with multiple lanes' metadata
+// entries in flight, and every recovery demultiplexes the shared log
+// identically twice.
 func TestShardCheckerClean(t *testing.T) {
 	rep := sweepOK(t, RunShard, Options{Seeds: 2, Ops: 120, Footprint: 48})
 	if v := rep.Violations(); len(v) > 0 {

@@ -72,13 +72,12 @@ type Config struct {
 	// Stats skip the (shared) log counters. A shared log also batches the
 	// metadata page flushes: entries still enter the NVRAM buffer
 	// immediately (the durability point is unchanged) but flash pages
-	// commit at FlushMetaBatch, one barrier per batch instead of one per
-	// entry, and the owner keeps the barrier cadence.
+	// commit only when the owner calls the log's FlushBatch, one barrier
+	// per batch instead of one per entry.
 	SharedLog *metalog.Log
 
 	// Lane is this instance's index among the lanes sharing SharedLog. It
-	// tags the batched metadata appends (the shard tag in the log's page
-	// headers) and places the cache data partition: lane i owns SSD pages
+	// places the cache data partition: lane i owns SSD pages
 	// [MetaPages + i*CachePages, +CachePages), so the lanes tile the cache
 	// partition. Zero without a shared log.
 	Lane uint8
@@ -435,7 +434,7 @@ func (k *KDD) takeSticky() error {
 
 // logPut appends a metadata entry unless the log is disabled. On a shared
 // log the entry reaches NVRAM at once (durability point) and its page
-// flush waits for FlushMetaBatch.
+// flush waits for the owner's batch barrier.
 func (k *KDD) logPut(t sim.Time, e metalog.Entry) (sim.Time, error) {
 	if k.log == nil {
 		return t, nil
@@ -445,15 +444,6 @@ func (k *KDD) logPut(t sim.Time, e metalog.Entry) (sim.Time, error) {
 		return t, nil
 	}
 	return k.log.Put(t, e)
-}
-
-// FlushMetaBatch commits this lane's deferred metadata page flushes in
-// one barrier (shared-log mode). No-op otherwise.
-func (k *KDD) FlushMetaBatch(t sim.Time) (sim.Time, error) {
-	if !k.sharedLog {
-		return t, nil
-	}
-	return k.log.FlushBatch(t, k.cfg.Lane)
 }
 
 // cleanEntry builds the log record for a Clean DAZ page.

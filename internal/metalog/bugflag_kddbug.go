@@ -3,5 +3,5 @@
 package metalog
 
 // Mutation build: FlushBatch acks the batch (entries leave NVRAM) before
-// its shard-tagged page is durable. See bugflag.go.
+// its page is durable. See bugflag.go.
 const bugBatchAckEarly = true

@@ -207,22 +207,20 @@ func (s Stats) GCPageEquivalent() int64 {
 
 // Log is the circular metadata log plus its NVRAM metadata buffer.
 //
-// A Log may be shared by every lane of a sharded plane: the public
-// mutating surface is serialized by an internal mutex, so concurrent
-// shard workers can Put/PutBuffered/FlushBatch against one log. The
-// Counters pointer itself is handed out unlocked — callers snapshot it
-// only at quiesce barriers (crash snapshots) or mutate it from the single
-// lane that owns the rebuild pump.
+// A Log may be shared by every lane of a sharded plane, which appends
+// through PutBuffered and commits at FlushBatch; a page committed by
+// either path has the one header above (logPageMagic). The public
+// mutating surface is serialized by an internal mutex, so any goroutine
+// may Put/PutBuffered/FlushBatch against one log. The Counters pointer
+// itself is handed out unlocked — callers snapshot it only at quiesce
+// barriers (crash snapshots) or mutate it from the owner of the rebuild
+// pump.
 type Log struct {
 	mu     sync.Mutex
 	dev    blockdev.Device
 	npages int64 // partition size in pages: SSD pages [0, npages)
 
 	ctr *nvram.Counters
-
-	// shardSeqs tracks the next per-shard batch sequence for FlushBatch's
-	// tagged pages; rebuilt from the surviving pages on recovery.
-	shardSeqs map[uint8]uint32
 
 	// NVRAM metadata buffer: the queue buf[bufHead:] in arrival order, at
 	// most one entry per cache page (a newer entry replaces the older one
@@ -271,12 +269,11 @@ func New(dev blockdev.Device, npages int64) (*Log, error) {
 		return nil, fmt.Errorf("metalog: partition [0, %d) is not on the %d-page device", npages, dev.Pages())
 	}
 	return &Log{
-		dev:       dev,
-		npages:    npages,
-		ctr:       &nvram.Counters{},
-		shardSeqs: make(map[uint8]uint32),
-		pages:     make([][]Entry, npages),
-		where:     make([]int32, dev.Pages()),
+		dev:    dev,
+		npages: npages,
+		ctr:    &nvram.Counters{},
+		pages:  make([][]Entry, npages),
+		where:  make([]int32, dev.Pages()),
 	}, nil
 }
 
@@ -327,13 +324,12 @@ func (l *Log) Reinit(dev blockdev.Device) {
 	l.resetIndex()
 }
 
-// resetIndex empties the volatile structures and the shard sequences.
+// resetIndex empties the volatile structures.
 func (l *Log) resetIndex() {
 	for i := range l.pages {
 		l.pages[i] = l.pages[i][:0]
 	}
 	clear(l.where)
-	l.shardSeqs = make(map[uint8]uint32)
 }
 
 // loc returns cache page k's cell of the where table. The table is sized
@@ -358,12 +354,13 @@ func (l *Log) Put(t sim.Time, e Entry) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.bufInsert(e)
-	return l.commitFull(t, untagged)
+	return l.commitFull(t, false)
 }
 
 // commitFull commits pages while the buffer holds a full page's worth of
-// entries. Caller holds l.mu.
-func (l *Log) commitFull(t sim.Time, shard int) (sim.Time, error) {
+// entries; ackEarly is the kddbug mutation (see commitPage), set only by
+// FlushBatch. Caller holds l.mu.
+func (l *Log) commitFull(t sim.Time, ackEarly bool) (sim.Time, error) {
 	done := t
 	// Bound the flush loop: GC reinsertion can refill the buffer, and if
 	// every entry in the log is live no amount of cleaning makes progress
@@ -372,7 +369,7 @@ func (l *Log) commitFull(t sim.Time, shard int) (sim.Time, error) {
 		if rounds <= 0 {
 			return t, ErrLogFull
 		}
-		c, err := l.commitPage(t, shard)
+		c, err := l.commitPage(t, ackEarly)
 		if err != nil {
 			return t, err
 		}
@@ -383,10 +380,10 @@ func (l *Log) commitFull(t sim.Time, shard int) (sim.Time, error) {
 
 // commitAll drains the buffer completely, final partial page included.
 // Caller holds l.mu.
-func (l *Log) commitAll(t sim.Time, shard int) (sim.Time, error) {
+func (l *Log) commitAll(t sim.Time) (sim.Time, error) {
 	done := t
 	for l.bufHead < len(l.buf) {
-		c, err := l.commitPage(t, shard)
+		c, err := l.commitPage(t, false)
 		if err != nil {
 			return t, err
 		}
@@ -428,15 +425,10 @@ func (l *Log) bufDrop(n int) {
 	}
 }
 
-// untagged selects the single-writer "KL" page header in commitPage;
-// shards are 0..255.
-const untagged = -1
-
 // commitPage commits the oldest buffered entries that fit one page at
-// the tail: the "KL" page of the single-writer Put/Flush stream, or with
-// shard >= 0 the "KS" page of the batched path (batch.go), tagged with
-// the shard and its next batch sequence number. Caller holds l.mu.
-func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
+// the tail. With ackEarly (the kddbug build's FlushBatch only) the
+// entries leave NVRAM before the page is durable. Caller holds l.mu.
+func (l *Log) commitPage(t sim.Time, ackEarly bool) (sim.Time, error) {
 	if l.bufHead == len(l.buf) {
 		return t, nil
 	}
@@ -445,10 +437,6 @@ func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
 	if err := l.maybeGC(t); err != nil {
 		sp.End(t)
 		return t, err
-	}
-	hdr := logPageHdrLen
-	if shard != untagged {
-		hdr = batchPageHdrLen
 	}
 	// A timing-only device persists no bytes: the page is sized, not built.
 	var image []byte
@@ -461,31 +449,20 @@ func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
 	used := 0
 	for _, e := range l.buf[l.bufHead:] {
 		n := e.encSize()
-		if used+n > blockdev.PageSize-hdr {
+		if used+n > logPagePayload {
 			break
 		}
 		if image != nil {
-			e.encode(image[hdr+used:])
+			e.encode(image[logPageHdrLen+used:])
 		}
 		used += n
 		flushed = append(flushed, e)
 	}
-	var shardSeq uint32
-	if shard != untagged {
-		shardSeq = l.shardSeqs[uint8(shard)]
-	}
 	if image != nil {
+		binary.LittleEndian.PutUint16(image[0:], logPageMagic)
 		binary.LittleEndian.PutUint16(image[2:], uint16(used))
-		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[hdr:hdr+used]))
-		if shard == untagged {
-			binary.LittleEndian.PutUint16(image[0:], logPageMagic)
-		} else {
-			binary.LittleEndian.PutUint16(image[0:], batchPageMagic)
-			image[8] = uint8(shard)
-			binary.LittleEndian.PutUint32(image[10:], shardSeq)
-		}
+		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[logPageHdrLen:logPageHdrLen+used]))
 	}
-	ackEarly := bugBatchAckEarly && shard != untagged
 	if ackEarly {
 		// MUTATION (kddbug build tag): treat the batch as committed before
 		// its page is durable — the entries leave NVRAM ahead of the write
@@ -496,17 +473,14 @@ func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
 	done, err := l.dev.WritePages(t, int64(slot), 1, image)
 	blockdev.PutPage(image) // the device copied it (or ignored it on error)
 	if err != nil {
-		// The page never acked. The entries stay in the NVRAM buffer, the
-		// tail counter and shard sequence untouched, so a crash here is
+		// The page never acked. The entries stay in the NVRAM buffer and
+		// the tail counter untouched, so a crash here is
 		// repaired from NVRAM alone — committing an entry to Put is
 		// atomic-in-NVRAM.
 		sp.End(t)
 		return t, err
 	}
 	l.ctr.Tail++
-	if shard != untagged {
-		l.shardSeqs[uint8(shard)] = shardSeq + 1
-	}
 	if !ackEarly {
 		// Only now that the page is durable do the entries leave NVRAM.
 		l.bufDrop(len(flushed))
@@ -522,11 +496,11 @@ func (l *Log) commitPage(t sim.Time, shard int) (sim.Time, error) {
 }
 
 // Flush commits all buffered entries (final partial page included); used
-// on clean shutdown and before planned failovers.
+// on clean shutdown, before planned failovers and at the plane's quiesce.
 func (l *Log) Flush(t sim.Time) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.commitAll(t, untagged)
+	return l.commitAll(t)
 }
 
 // maybeGC reclaims head pages while the log is above its threshold.
@@ -584,16 +558,9 @@ func (l *Log) dataMode() bool {
 // re-reads every live metadata page from flash (head to tail), replays
 // the entries in commit order, then overlays the NVRAM buffer. It returns
 // the final surviving mapping entries in replay order so the cache can
-// rebuild its primary map (§III-E1).
-//
-// Replay order is NOT blindly the physical head→tail order: pages
-// committed through the shard-tagged batch path carry a per-shard
-// sequence number, and pages of the same shard replay in that order even
-// when they interleave out of order on flash. Untagged pages — the
-// single-writer Put/Flush stream — keep physical order, as does the
-// relative order across writers. A log written by one writer is replayed
-// exactly as before; an adversarially interleaved multi-writer log
-// still rebuilds each writer's last-writer-wins map correctly.
+// rebuild its primary map (§III-E1). Pages reach flash in commit order —
+// the log has one tail — so the head→tail order they are read in is the
+// order they replay in.
 //
 // The receiver must have been constructed with Restore (same device,
 // partition, counters and buffered entries as before the crash).
@@ -607,47 +574,31 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 	l.resetIndex()
 	var page [blockdev.PageSize]byte
 	done := t
-	var pages []recoveredPage
+	var replay []Entry
 	for seq := l.ctr.Head; seq != l.ctr.Tail; seq++ {
-		phys := int64(l.slotOf(seq))
+		slot := l.slotOf(seq)
 		var buf []byte
 		if l.dataMode() {
 			buf = page[:]
 		}
-		c, err := l.dev.ReadPages(t, phys, 1, buf)
+		c, err := l.dev.ReadPages(t, int64(slot), 1, buf)
 		if err != nil {
 			// A detectable media error on a log page is unrecoverable from
 			// this replica; surface it with enough context to act on.
-			return nil, t, fmt.Errorf("metalog: recovery read of log seq %d (ssd page %d): %w", seq, phys, err)
+			return nil, t, fmt.Errorf("metalog: recovery read of log seq %d (ssd page %d): %w", seq, slot, err)
 		}
 		done = sim.MaxTime(done, c)
-		rp := recoveredPage{seq: seq}
+		var entries []Entry
 		if l.dataMode() {
-			if binary.LittleEndian.Uint16(page[0:]) == batchPageMagic {
-				rp.entries, rp.tag, err = decodeTaggedPage(page[:], seq, phys)
-			} else {
-				rp.entries, err = decodePage(page[:], seq, phys)
-			}
-			if err != nil {
+			if entries, err = decodePage(page[:], seq, int64(slot)); err != nil {
 				return nil, t, err
 			}
 		}
-		if rp.tag.tagged && rp.tag.shardSeq >= l.shardSeqs[rp.tag.shard] {
-			l.shardSeqs[rp.tag.shard] = rp.tag.shardSeq + 1
-		}
-		pages = append(pages, rp)
-	}
-	var replay []Entry
-	for _, rp := range arrangeReplay(pages) {
-		// pages and where are keyed by the PHYSICAL page holding the
-		// entries — GC reclaims physical head pages — while replay (and the
-		// latest-wins resolution) follows the arranged order.
-		slot := l.slotOf(rp.seq)
-		l.pages[slot] = rp.entries
-		for _, e := range rp.entries {
+		l.pages[slot] = entries
+		for _, e := range entries {
 			*l.loc(e.DazPage) = slot + 1
 		}
-		replay = append(replay, rp.entries...)
+		replay = append(replay, entries...)
 	}
 	// Overlay NVRAM buffer (newest state per DazPage).
 	for i := l.bufHead; i < len(l.buf); i++ {

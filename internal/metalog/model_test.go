@@ -21,7 +21,6 @@ type mapLog struct {
 	dev       blockdev.Device
 	npages    int64
 	ctr       *nvram.Counters
-	shardSeqs map[uint8]uint32
 	bufOrder  []uint32
 	buf       map[uint32]Entry
 	bufBytes  int
@@ -34,8 +33,7 @@ const modelInBuffer = ^uint64(0)
 
 func newMapLog(dev blockdev.Device, npages int64) *mapLog {
 	return &mapLog{
-		dev: dev, npages: npages, ctr: &nvram.Counters{},
-		shardSeqs: map[uint8]uint32{}, buf: map[uint32]Entry{},
+		dev: dev, npages: npages, ctr: &nvram.Counters{}, buf: map[uint32]Entry{},
 		pageLists: map[uint64][]Entry{}, latest: map[uint32]uint64{},
 	}
 }
@@ -62,7 +60,7 @@ func (m *mapLog) buffered() []Entry {
 func (m *mapLog) reinit() {
 	m.ctr = &nvram.Counters{RebuildActive: m.ctr.RebuildActive, RebuildDisk: m.ctr.RebuildDisk, RebuildRow: m.ctr.RebuildRow}
 	m.bufOrder, m.buf, m.bufBytes = nil, map[uint32]Entry{}, 0
-	m.pageLists, m.latest, m.shardSeqs = map[uint64][]Entry{}, map[uint32]uint64{}, map[uint8]uint32{}
+	m.pageLists, m.latest = map[uint64][]Entry{}, map[uint32]uint64{}
 }
 
 func (m *mapLog) bufInsert(e Entry) {
@@ -78,40 +76,36 @@ func (m *mapLog) bufInsert(e Entry) {
 
 func (m *mapLog) put(e Entry) error {
 	m.bufInsert(e)
-	return m.flushFull(untagged)
+	return m.flushFull()
 }
 
-func (m *mapLog) flushFull(shard int) error {
+func (m *mapLog) flushFull() error {
 	for rounds := m.npages + 2; m.bufBytes >= blockdev.PageSize; rounds-- {
 		if rounds <= 0 {
 			return ErrLogFull
 		}
-		if err := m.flushPage(shard); err != nil {
+		if err := m.flushPage(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *mapLog) flushAll(shard int) error {
+func (m *mapLog) flushAll() error {
 	for len(m.buf) > 0 {
-		if err := m.flushPage(shard); err != nil {
+		if err := m.flushPage(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *mapLog) flushPage(shard int) error {
+func (m *mapLog) flushPage() error {
 	if len(m.buf) == 0 {
 		return nil
 	}
 	if err := m.maybeGC(); err != nil {
 		return err
-	}
-	hdr := logPageHdrLen
-	if shard != untagged {
-		hdr = batchPageHdrLen
 	}
 	var page [blockdev.PageSize]byte
 	var flushed []Entry
@@ -121,21 +115,15 @@ func (m *mapLog) flushPage(shard int) error {
 		if !ok {
 			continue
 		}
-		if used+e.encSize() > blockdev.PageSize-hdr {
+		if used+e.encSize() > logPagePayload {
 			break
 		}
-		used += e.encode(page[hdr+used:])
+		used += e.encode(page[logPageHdrLen+used:])
 		flushed = append(flushed, e)
 	}
+	binary.LittleEndian.PutUint16(page[0:], logPageMagic)
 	binary.LittleEndian.PutUint16(page[2:], uint16(used))
-	binary.LittleEndian.PutUint32(page[4:], crc32.ChecksumIEEE(page[hdr:hdr+used]))
-	if shard == untagged {
-		binary.LittleEndian.PutUint16(page[0:], logPageMagic)
-	} else {
-		binary.LittleEndian.PutUint16(page[0:], batchPageMagic)
-		page[8] = uint8(shard)
-		binary.LittleEndian.PutUint32(page[10:], m.shardSeqs[uint8(shard)])
-	}
+	binary.LittleEndian.PutUint32(page[4:], crc32.ChecksumIEEE(page[logPageHdrLen:logPageHdrLen+used]))
 	seq := m.ctr.Tail
 	var buf []byte
 	if s, ok := m.dev.(blockdev.Storer); ok && s.Store() != nil {
@@ -145,9 +133,6 @@ func (m *mapLog) flushPage(shard int) error {
 		return err
 	}
 	m.ctr.Tail++
-	if shard != untagged {
-		m.shardSeqs[uint8(shard)]++
-	}
 	for _, e := range flushed {
 		delete(m.buf, e.DazPage)
 		m.bufBytes -= e.encSize()
@@ -206,34 +191,21 @@ func (m *mapLog) maybeGC() error {
 
 func (m *mapLog) recover(t *testing.T) []Entry {
 	m.stats.Recoveries++
-	m.pageLists, m.latest, m.shardSeqs = map[uint64][]Entry{}, map[uint32]uint64{}, map[uint8]uint32{}
+	m.pageLists, m.latest = map[uint64][]Entry{}, map[uint32]uint64{}
 	var page [blockdev.PageSize]byte
-	var pages []recoveredPage
+	var replay []Entry
 	for seq := m.ctr.Head; seq != m.ctr.Tail; seq++ {
 		phys := int64(seq % uint64(m.npages))
 		if _, err := m.dev.ReadPages(0, phys, 1, page[:]); err != nil {
 			t.Fatalf("model recovery read: %v", err)
 		}
-		rp := recoveredPage{seq: seq}
-		var err error
-		if binary.LittleEndian.Uint16(page[0:]) == batchPageMagic {
-			rp.entries, rp.tag, err = decodeTaggedPage(page[:], seq, phys)
-		} else {
-			rp.entries, err = decodePage(page[:], seq, phys)
-		}
+		entries, err := decodePage(page[:], seq, phys)
 		if err != nil {
 			t.Fatalf("model recovery decode: %v", err)
 		}
-		if rp.tag.tagged && rp.tag.shardSeq >= m.shardSeqs[rp.tag.shard] {
-			m.shardSeqs[rp.tag.shard] = rp.tag.shardSeq + 1
-		}
-		pages = append(pages, rp)
-	}
-	var replay []Entry
-	for _, rp := range arrangeReplay(pages) {
-		m.pageLists[rp.seq] = rp.entries
-		for _, e := range rp.entries {
-			m.latest[e.DazPage] = rp.seq
+		m.pageLists[seq] = entries
+		for _, e := range entries {
+			m.latest[e.DazPage] = seq
 			replay = append(replay, e)
 		}
 	}
@@ -247,7 +219,7 @@ func (m *mapLog) recover(t *testing.T) []Entry {
 }
 
 // TestLogMatchesMapModel drives random Put / PutBuffered / FlushBatch /
-// FlushBatchAll / Flush / Reinit / crash (Restore + Recover) sequences
+// Flush / Reinit / crash (Restore + Recover) sequences
 // through the dense-table log and the three-map oracle on twin devices. A
 // tiny partition keeps GC and ring wrap-around busy, and armed crash
 // points make page writes fail (torn) until the next recovery. After
@@ -282,16 +254,11 @@ func TestLogMatchesMapModel(t *testing.T) {
 					l.PutBuffered(e)
 					m.bufInsert(e)
 				case op < 975:
-					shard := uint8(rng.Intn(3))
-					_, errL = l.FlushBatch(0, shard)
-					errM = m.flushFull(int(shard))
-				case op < 985:
-					shard := uint8(rng.Intn(3))
-					_, errL = l.FlushBatchAll(0, shard)
-					errM = m.flushAll(int(shard))
+					_, errL = l.FlushBatch(0)
+					errM = m.flushFull()
 				case op < 993:
 					_, errL = l.Flush(0)
-					errM = m.flushAll(untagged)
+					errM = m.flushAll()
 				case op < 995:
 					l.Reinit(nil)
 					m.reinit()
@@ -332,9 +299,6 @@ func TestLogMatchesMapModel(t *testing.T) {
 				if l.bufBytes != m.bufBytes || *l.Counters() != *m.ctr || l.Stats() != m.stats {
 					t.Fatalf("seed %d step %d: bytes %d ctr %+v stats %+v; model %d %+v %+v",
 						seed, step, l.bufBytes, *l.Counters(), l.Stats(), m.bufBytes, *m.ctr, m.stats)
-				}
-				if !reflect.DeepEqual(l.shardSeqs, m.shardSeqs) {
-					t.Fatalf("seed %d step %d: shard seqs %v, model %v", seed, step, l.shardSeqs, m.shardSeqs)
 				}
 			}
 			if st := l.Stats(); st.GCRuns == 0 || st.PagesWritten < 3*npages {

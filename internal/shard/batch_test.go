@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -90,43 +91,79 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 }
 
-// laneTrace records, per lane, what the lane's engine was asked to do, in
-// the order it was asked: every codec call (write hits encode, reads of
-// Old pages and the cleaner apply) and every metadata page a barrier of
-// that lane committed.
-type laneTrace [shard.Lanes][]uint32
+// planeTrace records what a plane was asked to do, in the order it was
+// asked: per lane, every codec call of the lane's engine (write hits
+// encode, reads of Old pages and the cleaner apply); across the plane,
+// one stream of those calls, the metadata pages committed and the
+// batch ends.
+type planeTrace struct {
+	lanes  [shard.Lanes][]uint32
+	events []uint8
+}
 
 const (
-	evBarrier = 1 // a tagged metadata page committed by this lane's barrier
-	evBatch   = 2 // RunBatch returned (appended by the driver to every lane)
+	evOp    = 1 // a codec call on any lane
+	evMeta  = 2 // a metadata page committed to the log
+	evBatch = 3 // RunBatch returned (appended by the driver)
 )
+
+// barrierAfterOps checks the batch-level barrier invariant on a trace:
+// within each batch, every metadata page comes after all of the batch's
+// codec calls. It returns the number of metadata pages the batches
+// committed. What follows the last batch (a Quiesce: each lane's flush
+// cleans and drains the shared log in turn) is not a batch.
+func (tr *planeTrace) barrierAfterOps(t *testing.T, name string) int {
+	t.Helper()
+	batches := tr.events[:bytes.LastIndexByte(tr.events, evBatch)+1]
+	pages, inBarrier := 0, false
+	for i, e := range batches {
+		switch e {
+		case evMeta:
+			inBarrier = true
+			pages++
+		case evBatch:
+			inBarrier = false
+		case evOp:
+			if inBarrier {
+				t.Fatalf("%s: event %d is a codec call after a metadata page of the same batch", name, i)
+			}
+		}
+	}
+	return pages
+}
 
 // recordingCodec is lane's ZRLE with its calls recorded.
 type recordingCodec struct {
 	delta.ZRLE
-	seq *[]uint32
+	tr   *planeTrace
+	lane int
+}
+
+func (c recordingCodec) record(sum uint32) {
+	c.tr.lanes[c.lane] = append(c.tr.lanes[c.lane], sum)
+	c.tr.events = append(c.tr.events, evOp)
 }
 
 func (c recordingCodec) Encode(old, new []byte) delta.Delta {
-	*c.seq = append(*c.seq, crc32.ChecksumIEEE(new)|1<<31)
+	c.record(crc32.ChecksumIEEE(new))
 	return c.ZRLE.Encode(old, new)
 }
 
 func (c recordingCodec) Apply(old []byte, d delta.Delta, out []byte) error {
-	*c.seq = append(*c.seq, crc32.ChecksumIEEE(d.Bytes)|1<<31)
+	c.record(crc32.ChecksumIEEE(d.Bytes))
 	return c.ZRLE.Apply(old, d, out)
 }
 
-// recordingSSD is the flash cache device with its shard-tagged metadata
-// page writes recorded on the lane whose barrier issued them.
+// recordingSSD is the flash cache device with its metadata page writes
+// recorded.
 type recordingSSD struct {
 	*ssd.Device
-	tr *laneTrace
+	tr *planeTrace
 }
 
 func (d recordingSSD) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
-	if lba < prigMetaPages && buf[0] == 'K' && buf[1] == 'S' {
-		d.tr[buf[8]] = append(d.tr[buf[8]], evBarrier)
+	if lba < prigMetaPages {
+		d.tr.events = append(d.tr.events, evMeta)
 	}
 	return d.Device.WritePages(t, lba, count, buf)
 }
@@ -134,18 +171,18 @@ func (d recordingSSD) WritePages(t sim.Time, lba int64, count int, buf []byte) (
 // TestWorkerOrderMatchesDeterministic pins what the batch sweep must
 // preserve on the null-disk rig: with the goroutine option on or off, at
 // 1, 2 and 4 shards, every lane sees exactly the codec calls the
-// one-shard run makes on it, in the same order, and within each batch a
-// lane's barrier comes after all of the lane's ops.
+// one-shard run makes on it, in the same order, and within each batch
+// the metadata barrier comes after all of the batch's ops.
 // TestDigestEqualityAcrossShards holds the same order, barriers included,
 // on the timing models.
 func TestWorkerOrderMatchesDeterministic(t *testing.T) {
-	trace := func(shards int, goroutines bool) *laneTrace {
-		tr := new(laneTrace)
+	trace := func(shards int, goroutines bool) *planeTrace {
+		tr := new(planeTrace)
 		r := newPRig(t, shards, func(c *shard.Config) {
 			c.Goroutines = goroutines
 			c.Coalesce = true
 			c.SSD = recordingSSD{ssd.NewData("ssd", ssd.DefaultConfig(prigMetaPages+prigCachePages+64)), tr}
-			c.Codec = func(lane int) delta.Codec { return recordingCodec{seq: &tr[lane]} }
+			c.Codec = func(lane int) delta.Codec { return recordingCodec{tr: tr, lane: lane} }
 		})
 		for b := 0; b < 24; b++ {
 			ops, _ := r.batch(256)
@@ -154,43 +191,27 @@ func TestWorkerOrderMatchesDeterministic(t *testing.T) {
 					t.Fatalf("batch %d op %d: %v", b, i, res.Err)
 				}
 			}
-			for lane := range tr {
-				tr[lane] = append(tr[lane], evBatch)
-			}
+			tr.events = append(tr.events, evBatch)
 		}
 		return tr
 	}
-	ops := func(seq []uint32) []uint32 {
-		return slices.DeleteFunc(slices.Clone(seq), func(e uint32) bool { return e == evBarrier })
-	}
 	want := trace(1, false)
-	barriers := 0
+	pages := 0
 	for _, tc := range []struct {
 		shards     int
 		goroutines bool
 	}{{1, false}, {4, false}, {2, true}, {4, true}} {
 		name := fmt.Sprintf("shards=%d goroutines=%v", tc.shards, tc.goroutines)
 		got := trace(tc.shards, tc.goroutines)
-		for lane := range got {
-			if !slices.Equal(ops(got[lane]), ops(want[lane])) {
+		for lane := range got.lanes {
+			if !slices.Equal(got.lanes[lane], want.lanes[lane]) {
 				t.Errorf("%s: lane %d saw %d codec calls in an order the deterministic run (%d calls) did not make",
-					name, lane, len(ops(got[lane])), len(ops(want[lane])))
-			}
-			inBarrier := false
-			for i, e := range got[lane] {
-				switch {
-				case e == evBarrier:
-					inBarrier = true
-					barriers++
-				case e == evBatch:
-					inBarrier = false
-				case inBarrier:
-					t.Fatalf("%s: lane %d: event %d is an op after the lane's barrier of the same batch", name, lane, i)
-				}
+					name, lane, len(got.lanes[lane]), len(want.lanes[lane]))
 			}
 		}
+		pages += got.barrierAfterOps(t, name)
 	}
-	if barriers == 0 {
+	if pages == 0 {
 		t.Fatal("no barrier committed a page: the workload is too short to say where barriers run")
 	}
 }

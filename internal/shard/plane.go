@@ -13,9 +13,8 @@
 // Per batch the plane coalesces superseded writes (a write to an LBA
 // overwritten later in the same batch with no intervening read of it is
 // dropped), executes each operation on its lane, and ends with one
-// metadata barrier per lane — metalog entries reach NVRAM at the
-// operation (the durability point), while their page flushes batch into
-// the barrier.
+// metadata barrier — metalog entries reach NVRAM at the operation (the
+// durability point), while their page flushes batch into the barrier.
 //
 // Ops that arrive together are executed as one elevator sweep: within
 // each run of consecutive ops sharing one arrival time the plane executes
@@ -442,12 +441,12 @@ func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
 }
 
 // RunBatch runs a batch of operations and returns when it is done: every
-// op executed (or coalesced away), one metadata page-flush barrier per
-// lane, one rebuild pacing step. Results are in input order. Execution
-// is one sweep over the whole batch: each run of consecutive ops sharing
-// one arrival time (At, or t when zero) goes in ascending LBA order,
-// stably, and runs never pass one another; then the lanes' barriers, in
-// lane order. The shard count changes nothing here.
+// op executed (or coalesced away), one metadata page-flush barrier, one
+// rebuild pacing step. Results are in input order. Execution is one
+// sweep over the whole batch: each run of consecutive ops sharing one
+// arrival time (At, or t when zero) goes in ascending LBA order, stably,
+// and runs never pass one another; then the barrier. The shard count
+// changes nothing here.
 //
 // One batch runs at a time, and the results are the plane's scratch:
 // they are valid until the next RunBatch (Read and Write included), so
@@ -471,7 +470,7 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 	for _, k := range b.sweep {
 		b.res[k.idx] = p.exec(t, ops[k.idx], b.bypass[k.idx])
 	}
-	p.barriers(t)
+	p.barrier(t)
 	b.ops = nil // the caller's ops (and their buffers) are not ours to keep
 	if !p.dead {
 		p.note(p.pump.Turn(t, false))
@@ -479,20 +478,18 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 	return b.res
 }
 
-// barriers commits one tagged page-flush barrier for each lane, in lane
-// order. A stopped plane skips them: the buffered entries are already at
+// barrier commits the batch's full metadata pages in one page-flush
+// barrier. A stopped plane skips it: the buffered entries are already at
 // their durability point in NVRAM, and the device is gone.
-func (p *Plane) barriers(t sim.Time) {
-	for lane := 0; lane < Lanes; lane++ {
-		if p.dead {
-			return
+func (p *Plane) barrier(t sim.Time) {
+	if p.dead {
+		return
+	}
+	if _, err := p.log.FlushBatch(t); err != nil {
+		if fatalErr(err) {
+			p.dead = true
 		}
-		if _, err := p.lanes[lane].FlushMetaBatch(t); err != nil {
-			if fatalErr(err) {
-				p.dead = true
-			}
-			p.note(fmt.Errorf("shard: lane %d meta barrier: %w", lane, err))
-		}
+		p.note(fmt.Errorf("shard: meta barrier: %w", err))
 	}
 }
 
@@ -532,7 +529,7 @@ func (p *Plane) Quiesce(t sim.Time) (sim.Time, error) {
 		}
 		done = sim.MaxTime(done, d)
 	}
-	d, err := p.log.FlushBatchAll(t, 0)
+	d, err := p.log.Flush(t)
 	if err != nil {
 		return done, fmt.Errorf("shard: final meta barrier: %w", err)
 	}

@@ -189,7 +189,7 @@ func TestRoutingProperties(t *testing.T) {
 // the quiesced state, counters and completion time.
 type zipfOutcome struct {
 	results []shard.Result
-	lanes   *laneTrace
+	trace   *planeTrace
 	digest  uint64
 	stats   string
 	done    sim.Time
@@ -210,15 +210,15 @@ func zipfRun(t *testing.T, shards int, goroutines bool) zipfOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := zipfOutcome{lanes: new(laneTrace)}
-	flash := recordingSSD{ssd.NewData("ssd", ssd.DefaultConfig(prigMetaPages+prigCachePages+64)), out.lanes}
+	out := zipfOutcome{trace: new(planeTrace)}
+	flash := recordingSSD{ssd.NewData("ssd", ssd.DefaultConfig(prigMetaPages+prigCachePages+64)), out.trace}
 	p, err := shard.New(shard.Config{
 		SSD:        flash,
 		Backend:    arr,
 		CachePages: prigCachePages,
 		Ways:       prigWays,
 		MetaPages:  prigMetaPages,
-		Codec:      func(lane int) delta.Codec { return recordingCodec{seq: &out.lanes[lane]} },
+		Codec:      func(lane int) delta.Codec { return recordingCodec{tr: out.trace, lane: lane} },
 		Shards:     shards,
 		Goroutines: goroutines,
 		Coalesce:   true,
@@ -268,9 +268,7 @@ func zipfRun(t *testing.T, shards int, goroutines bool) zipfOutcome {
 			next = sim.MaxTime(next, r.Done)
 		}
 		now = next
-		for lane := range out.lanes {
-			out.lanes[lane] = append(out.lanes[lane], evBatch)
-		}
+		out.trace.events = append(out.trace.events, evBatch)
 	}
 	if out.done, err = p.Quiesce(now); err != nil {
 		t.Fatal(err)
@@ -286,29 +284,15 @@ func zipfRun(t *testing.T, shards int, goroutines bool) zipfOutcome {
 // the timing models: with the goroutine option on or off, at shard
 // counts 1, 2, 4 and 8, every op of a Zipf stream completes at the same
 // virtual time with the same result, every lane sees the same codec calls
-// and metadata barriers in the same order, and the quiesced digest and
+// in the same order, the plane interleaves them with the same metadata
+// pages and batch ends, and the quiesced digest and
 // counters agree. (While goroutine mode ran one worker per shard, the
 // members served the workers' sweeps interleaved, and every one of these
 // moved with the shard count.)
 func TestDigestEqualityAcrossShards(t *testing.T) {
 	t.Parallel()
 	want := zipfRun(t, 1, false)
-	barriers := 0
-	for lane, seq := range want.lanes {
-		inBarrier := false
-		for i, e := range seq {
-			switch {
-			case e == evBarrier:
-				inBarrier = true
-				barriers++
-			case e == evBatch:
-				inBarrier = false
-			case inBarrier:
-				t.Fatalf("lane %d: event %d is an op after the lane's barrier of the same batch", lane, i)
-			}
-		}
-	}
-	if barriers == 0 {
+	if want.trace.barrierAfterOps(t, "shards=1") == 0 {
 		t.Fatal("no barrier committed a page: the workload is too short to say where barriers run")
 	}
 	for _, goroutines := range []bool{false, true} {
@@ -325,11 +309,15 @@ func TestDigestEqualityAcrossShards(t *testing.T) {
 						t.Fatalf("op %d: result %+v, shards=1 gave %+v", i, got.results[i], want.results[i])
 					}
 				}
-				for lane := range got.lanes {
-					if !slices.Equal(got.lanes[lane], want.lanes[lane]) {
-						t.Errorf("lane %d saw %d codec calls and barriers in an order the shards=1 run (%d) did not",
-							lane, len(got.lanes[lane]), len(want.lanes[lane]))
+				for lane := range got.trace.lanes {
+					if !slices.Equal(got.trace.lanes[lane], want.trace.lanes[lane]) {
+						t.Errorf("lane %d saw %d codec calls in an order the shards=1 run (%d) did not",
+							lane, len(got.trace.lanes[lane]), len(want.trace.lanes[lane]))
 					}
+				}
+				if !slices.Equal(got.trace.events, want.trace.events) {
+					t.Errorf("the plane's codec calls, metadata pages and batch ends (%d events) differ from the shards=1 run's (%d)",
+						len(got.trace.events), len(want.trace.events))
 				}
 				if got.digest != want.digest {
 					t.Errorf("digest %#x != shards-1 digest %#x", got.digest, want.digest)

@@ -11,10 +11,10 @@ import (
 )
 
 // Restore reconstructs a plane after a simulated power failure. The
-// shared metadata log is recovered ONCE — its interleaving-tolerant
-// replay already orders every shard's tagged pages — and the replay
-// stream is then demultiplexed to the lanes by DAZ page range, each lane
-// rebuilding from exactly the entries addressing its SSD region. ctr and
+// shared metadata log is recovered ONCE, replaying its pages in commit
+// order, and the replay stream is then demultiplexed to the lanes by DAZ
+// page range (demux), each lane rebuilding from exactly the entries
+// addressing its SSD region. ctr and
 // buffered come from the crashed plane's log NVRAM; stagings[i] is lane
 // i's NVRAM staging buffer (nil entries mean an empty buffer). The
 // member-rebuild window is re-opened once, at plane level.
