@@ -30,7 +30,7 @@ race:
 # Full chaos run: randomized seeded fault schedules with end-to-end
 # verification; non-zero exit on any violation.
 chaos:
-	$(GO) run ./cmd/kddchaos
+	$(GO) run ./cmd/kddcheck -chaos
 
 # Whole-SSD failover chaos plans (fail-stop kill, kill mid-clean, breaker
 # storm, reattach-then-rekill) under the race detector.

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -15,9 +16,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"kddcache/internal/harness"
 	"kddcache/internal/stats"
 
 	kddcache "kddcache"
@@ -36,7 +37,7 @@ func main() {
 		out     = flag.String("o", "results", "output directory")
 		only    = flag.String("only", "", "name prefix filter, e.g. 'fig' or 'ablation'")
 		workers = flag.Int("j", runtime.NumCPU()/2+1, "parallel experiments")
-		// Same default as kddsim/kddchaos/kddcheck: 0 selects GOMAXPROCS.
+		// Same default as kddsim/kddcheck: 0 selects GOMAXPROCS.
 		// The Go scheduler multiplexes -j experiments times -parallel
 		// workers onto GOMAXPROCS threads, so oversubscription costs
 		// context switches, not correctness; set -parallel 1 to time
@@ -68,28 +69,13 @@ func main() {
 		*workers = 1
 	}
 
-	jobs := make(chan string)
-	results := make(map[string]result, len(names))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range jobs {
-				start := time.Now()
-				res, err := kddcache.Experiments[name](*scale)
-				mu.Lock()
-				results[name] = result{ExperimentResult: res, err: err, took: time.Since(start)}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, n := range names {
-		jobs <- n
-	}
-	close(jobs)
-	wg.Wait()
+	// A failed experiment is reported in its slot, so one failure does not
+	// cancel the others.
+	results, _ := harness.FanOut(*workers, len(names), func(i int) (result, error) {
+		start := time.Now()
+		res, err := kddcache.Experiments[names[i]](*scale)
+		return result{ExperimentResult: res, err: err, took: time.Since(start)}, nil
+	})
 
 	summary, err := os.Create(filepath.Join(*out, "ALL.txt"))
 	if err != nil {
@@ -100,8 +86,8 @@ func main() {
 		*scale, time.Now().Format(time.RFC3339))
 
 	failed := 0
-	for _, name := range names {
-		r := results[name]
+	for i, name := range names {
+		r := results[i]
 		if r.err != nil {
 			failed++
 			fmt.Printf("%-22s FAILED: %v\n", name, r.err)
@@ -115,14 +101,11 @@ func main() {
 		fmt.Fprint(summary, r.Text+"\n")
 
 		if r.XName != "" {
-			f, err := os.Create(filepath.Join(*out, name+".csv"))
-			if err != nil {
+			var csv bytes.Buffer
+			if err := stats.WriteCSV(&csv, r.XName, r.Series); err != nil {
 				fatal(err)
 			}
-			if err := stats.WriteCSV(f, r.XName, r.Series); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(filepath.Join(*out, name+".csv"), csv.Bytes(), 0o644); err != nil {
 				fatal(err)
 			}
 		}

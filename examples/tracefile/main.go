@@ -1,5 +1,5 @@
 // Tracefile: the real-trace workflow end to end — synthesize a workload,
-// write it to a uniform-format trace file (what cmd/tracegen produces),
+// write it to a uniform-format trace file (what kddsim -emit-trace writes),
 // parse it back (what you would do with your own SPC/MSR traces), adapt
 // it to the simulated array with Remap/Clip, and replay it through two
 // policies.
@@ -24,7 +24,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "hm0.trace")
 
-	// 1. Generate a trace file (cmd/tracegen does exactly this).
+	// 1. Generate a trace file (kddsim -emit-trace does exactly this).
 	spec := workload.Hm0.Scale(0.005)
 	tr := workload.Synthesize(spec)
 	f, err := os.Create(path)
@@ -84,5 +84,5 @@ func main() {
 		fmt.Printf("%-8s %12.4f %14d %16d\n",
 			stack.Policy.Name(), c.HitRatio(), c.SSDWrites(), c.ParityUpdates)
 	}
-	fmt.Println("\nUse cmd/kddsim -trace <file> -format spc|msr|uniform for your own traces.")
+	fmt.Println("\nUse cmd/kddsim -replay <file> -format spc|msr|uniform for your own traces.")
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"kddcache/internal/stats"
-	"kddcache/internal/trace"
 	"kddcache/internal/workload"
 )
 
@@ -152,19 +151,16 @@ func AblationMetaLog(scale float64) (string, error) {
 // admission filter in front of KDD, which trims one-touch allocation
 // writes at some hit-ratio cost.
 func AblationAdmission(scale float64) (string, error) {
-	specs := []workload.Spec{workload.Fin1.Scale(scale), workload.Web0.Scale(scale)}
-	traces, err := fanOut(len(specs), func(i int) (*workloadTrace, error) {
-		return &workloadTrace{spec: specs[i], tr: workload.Synthesize(specs[i])}, nil
-	})
+	specs, traces, err := synthesizeAll([]workload.Spec{workload.Fin1, workload.Web0}, scale)
 	if err != nil {
 		return "", err
 	}
 	modes := []bool{false, true}
 	results, err := fanOut(len(specs)*len(modes), func(i int) (*Result, error) {
-		wt := traces[i/len(modes)]
+		spec := specs[i/len(modes)]
 		sel := modes[i%len(modes)]
-		cachePages := roundWays(int64(0.15*float64(wt.spec.UniqueTotal)), 256)
-		r, err := runSim(wt.spec, wt.tr, StackOpts{
+		cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
+		r, err := runSim(spec, traces[i/len(modes)], StackOpts{
 			Policy: PolicyKDD, DeltaMean: 0.25,
 			CachePages: cachePages, SelectiveAdmission: sel,
 		})
@@ -180,7 +176,7 @@ func AblationAdmission(scale float64) (string, error) {
 	b.WriteString("== Extension: LARC-style selective admission on KDD-25% ==\n")
 	fmt.Fprintf(&b, "%-12s %-12s %10s %14s %12s %12s\n",
 		"workload", "admission", "hit", "SSD writes", "allocs", "rejects")
-	for si, wt := range traces {
+	for si, spec := range specs {
 		for mi, sel := range modes {
 			r := results[si*len(modes)+mi]
 			mode := "always"
@@ -188,17 +184,11 @@ func AblationAdmission(scale float64) (string, error) {
 				mode = "LARC"
 			}
 			fmt.Fprintf(&b, "%-12s %-12s %10.4f %14d %12d %12d\n",
-				wt.spec.Name, mode, r.Cache.HitRatio(), r.Cache.SSDWrites(),
+				spec.Name, mode, r.Cache.HitRatio(), r.Cache.SSDWrites(),
 				r.Cache.ReadFills+r.Cache.WriteAllocs, r.Cache.AdmissionRejects)
 		}
 	}
 	return b.String(), nil
-}
-
-// workloadTrace pairs a scaled spec with its synthesized trace.
-type workloadTrace struct {
-	spec workload.Spec
-	tr   *trace.Trace
 }
 
 // LifetimeSummary reports the headline endurance result: SSD write

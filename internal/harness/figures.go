@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kddcache/internal/obs"
 	"kddcache/internal/stats"
 	"kddcache/internal/trace"
 	"kddcache/internal/workload"
@@ -23,16 +24,34 @@ var KDDLevels = []float64{0.50, 0.25, 0.12}
 // per trace; fractions preserve the relative coverage at any scale).
 var cacheFractions = []float64{0.05, 0.10, 0.20, 0.40, 0.80}
 
-// simOpts builds the trace-driven simulator stack options (§IV-A1): null
-// devices, Table-I workload footprint, given cache size.
-func simOpts(spec workload.Spec, cachePages int64) StackOpts {
-	diskPages := spec.UniqueTotal/4 + 4096 // 5-disk RAID-5: 4 data chunks
-	diskPages -= diskPages % 16
-	return StackOpts{
-		CachePages: cachePages,
-		DiskPages:  diskPages,
-		Seed:       spec.Seed,
-	}
+// CellOpts places o's policy knobs (policy, locality, cache size,
+// metadata share, timing, ...) on the geometry of one figure cell
+// (§IV-A1): the members hold spec's footprint, or tr's highest page when
+// a recorded trace reaches further, and spec's seed drives the stack.
+// Figures 4–8 run it on null devices; Fig. 9, the phases experiment and
+// kddsim -timed set o.Timing.
+func CellOpts(spec workload.Spec, tr *trace.Trace, o StackOpts) StackOpts {
+	foot := max(spec.UniqueTotal, tr.MaxLBA())
+	o.DiskPages = roundWays(foot/4+4096, 16) // 5-disk RAID-5: 4 data chunks
+	o.Seed = spec.Seed
+	return o
+}
+
+// WideCellOpts is CellOpts with 8192 pages of member headroom over the
+// footprint instead of 4096: the geometry of the timing experiments that
+// lose a member or crash the cache (rebuild impact, degraded mode,
+// recovery tradeoff) and of the motivation table. kddsim builds it for a
+// run that kills or replaces a member.
+func WideCellOpts(spec workload.Spec, tr *trace.Trace, o StackOpts) StackOpts {
+	o = CellOpts(spec, tr, o)
+	o.DiskPages += 4096
+	return o
+}
+
+// quarterCache is the cache of the timing figures: a quarter of spec's
+// footprint in whole sets.
+func quarterCache(spec workload.Spec) int64 {
+	return roundWays(int64(0.25*float64(spec.UniqueTotal)), 256)
 }
 
 // roundWays rounds a cache size to whole sets.
@@ -54,13 +73,7 @@ func policyLabel(po StackOpts) string {
 // runSim replays a synthesized workload through one policy and returns
 // the result.
 func runSim(spec workload.Spec, tr *trace.Trace, o StackOpts) (*Result, error) {
-	// Preserve every policy knob from o; only geometry comes from the
-	// workload.
-	base := o
-	geo := simOpts(spec, o.CachePages)
-	base.DiskPages = geo.DiskPages
-	base.Seed = geo.Seed
-	st, err := Build(base)
+	st, err := Build(CellOpts(spec, tr, o))
 	if err != nil {
 		return nil, err
 	}
@@ -219,13 +232,22 @@ func sweepAll(specs []workload.Spec, scale float64, withWA bool) ([]*sweepResult
 	return out, nil
 }
 
-// sweep runs a cache-size sweep of all policies over one workload.
-func sweep(spec workload.Spec, scale float64, withWA bool) (*sweepResult, error) {
-	srs, err := sweepAll([]workload.Spec{spec}, scale, withWA)
+// Fig5 and Fig6: write-dominant traces (Fin1, Hm0).
+// Fig7 and Fig8: read-dominant traces (Fin2, Web0).
+
+// sweepFigure renders one panel per workload of a cache-size sweep,
+// tabulating the curves series picks from it, labelled what.
+func sweepFigure(title, what string, specs []workload.Spec, scale float64, series func(*sweepResult) []stats.Series) (string, error) {
+	srs, err := sweepAll(specs, scale, true)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return srs[0], nil
+	var b strings.Builder
+	for i, spec := range specs {
+		b.WriteString(stats.Table(fmt.Sprintf("%s — %s: %s vs cache size (Kpages)", title, spec.Name, what),
+			"cache(Kpg)", series(srs[i])))
+	}
+	return b.String(), nil
 }
 
 // hitOnly filters WA out of hit-ratio figures (the paper omits WA there:
@@ -240,66 +262,63 @@ func hitOnly(sr *sweepResult) []stats.Series {
 	return out
 }
 
-// Fig5 and Fig6: write-dominant traces (Fin1, Hm0).
-// Fig7 and Fig8: read-dominant traces (Fin2, Web0).
-
-// FigHitRatio renders a hit-ratio figure (Fig. 5 or 7) for the given
-// workloads.
-func FigHitRatio(title string, specs []workload.Spec, scale float64) (string, error) {
-	srs, err := sweepAll(specs, scale, true)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for i, spec := range specs {
-		b.WriteString(stats.Table(
-			fmt.Sprintf("%s — %s: hit ratio vs cache size (Kpages)", title, spec.Name),
-			"cache(Kpg)", hitOnly(srs[i])))
-	}
-	return b.String(), nil
-}
-
-// FigWriteTraffic renders an SSD write-traffic figure (Fig. 6 or 8).
-func FigWriteTraffic(title string, specs []workload.Spec, scale float64) (string, error) {
-	srs, err := sweepAll(specs, scale, true)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for i, spec := range specs {
-		b.WriteString(stats.Table(
-			fmt.Sprintf("%s — %s: SSD writes (Kpages) vs cache size (Kpages)", title, spec.Name),
-			"cache(Kpg)", srs[i].traffic))
-	}
-	return b.String(), nil
-}
+// traffic returns a sweep's SSD write-traffic curves.
+func traffic(sr *sweepResult) []stats.Series { return sr.traffic }
 
 // Fig5 is the write-dominant hit-ratio figure.
 func Fig5(scale float64) (string, error) {
-	return FigHitRatio("Figure 5", []workload.Spec{workload.Fin1, workload.Hm0}, scale)
+	return sweepFigure("Figure 5", "hit ratio", []workload.Spec{workload.Fin1, workload.Hm0}, scale, hitOnly)
 }
 
 // Fig6 is the write-dominant SSD-write-traffic figure.
 func Fig6(scale float64) (string, error) {
-	return FigWriteTraffic("Figure 6", []workload.Spec{workload.Fin1, workload.Hm0}, scale)
+	return sweepFigure("Figure 6", "SSD writes (Kpages)", []workload.Spec{workload.Fin1, workload.Hm0}, scale, traffic)
 }
 
 // Fig7 is the read-dominant hit-ratio figure.
 func Fig7(scale float64) (string, error) {
-	return FigHitRatio("Figure 7", []workload.Spec{workload.Fin2, workload.Web0}, scale)
+	return sweepFigure("Figure 7", "hit ratio", []workload.Spec{workload.Fin2, workload.Web0}, scale, hitOnly)
 }
 
 // Fig8 is the read-dominant SSD-write-traffic figure.
 func Fig8(scale float64) (string, error) {
-	return FigWriteTraffic("Figure 8", []workload.Spec{workload.Fin2, workload.Web0}, scale)
+	return sweepFigure("Figure 8", "SSD writes (Kpages)", []workload.Spec{workload.Fin2, workload.Web0}, scale, traffic)
 }
 
 // ReplayIOPS sets the open-loop replay rate per Table-I workload (the
-// Fig. 9 replays, phases, kddreplay): roughly the natural rates of the
-// original traces, low enough that the cacheless baseline saturates but
-// does not diverge.
+// Fig. 9 replays, phases, kddsim -timed): roughly the natural rates of
+// the original traces, low enough that the cacheless baseline saturates
+// but does not diverge.
 var ReplayIOPS = map[string]float64{
 	"Fin1": 80, "Fin2": 120, "Hm0": 80, "Web0": 110,
+}
+
+// fig9Cell runs one Fig. 9 cell: spec at scale, replayed open-loop at
+// its ReplayIOPS rate through po's policy and locality on the timing
+// stack with a quarter-footprint cache, traced into ob when non-nil,
+// then flushed.
+func fig9Cell(spec workload.Spec, scale float64, po StackOpts, ob *obs.Obs) (*Stack, *Result, error) {
+	s := spec.Scale(scale)
+	s.MeanIOPS = ReplayIOPS[spec.Name]
+	tr := workload.Synthesize(s)
+	st, err := Build(CellOpts(s, tr, StackOpts{
+		Policy:     po.Policy,
+		DeltaMean:  po.DeltaMean,
+		CachePages: quarterCache(s),
+		Timing:     true,
+		Obs:        ob,
+	}))
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := RunTrace(st, tr)
+	if err == nil {
+		_, err = st.Policy.Flush(r.Duration)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %s: %w", spec.Name, po.Policy, err)
+	}
+	return st, r, nil
 }
 
 // Fig9 measures average response time via open-loop trace replay on the
@@ -310,44 +329,16 @@ func Fig9(scale float64) (string, []stats.Series, error) {
 	specs := workload.TableI()
 	nw := len(specs)
 	ys, err := fanOut(len(lineup)*nw, func(i int) (float64, error) {
-		po, spec := lineup[i/nw], specs[i%nw]
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		s := spec.Scale(scale)
-		s.MeanIOPS = ReplayIOPS[spec.Name]
-		tr := workload.Synthesize(s)
-		o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
-		o.Policy = po.Policy
-		o.DeltaMean = po.DeltaMean
-		o.Timing = true
-		st, err := Build(o)
+		_, r, err := fig9Cell(specs[i%nw], scale, lineup[i/nw], nil)
 		if err != nil {
-			return 0, err
-		}
-		r, err := RunTrace(st, tr)
-		if err != nil {
-			return 0, fmt.Errorf("fig9 %s %s: %w", spec.Name, label, err)
+			return 0, fmt.Errorf("fig9 %w", err)
 		}
 		return r.MeanResponseMs(), nil
 	})
 	if err != nil {
 		return "", nil, err
 	}
-	var series []stats.Series
-	for pi, po := range lineup {
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		se := stats.Series{Label: label}
-		for wi := range specs {
-			se.X = append(se.X, float64(wi))
-			se.Y = append(se.Y, ys[pi*nw+wi])
-		}
-		series = append(series, se)
-	}
+	series := lineupSeries(lineup, []float64{0, 1, 2, 3}, ys)
 	var b strings.Builder
 	b.WriteString("== Figure 9: average response time (ms), open-loop replay ==\n")
 	b.WriteString("(x: 0=Fin1 1=Fin2 2=Hm0 3=Web0)\n")
@@ -358,99 +349,71 @@ func Fig9(scale float64) (string, []stats.Series, error) {
 // fioReadRates are the §IV-B3 sweep points.
 var fioReadRates = []float64{0, 0.25, 0.50, 0.75}
 
-// runFIO executes the closed-loop benchmark for one policy and read rate.
-func runFIO(po StackOpts, readRate, scale float64) (*Result, error) {
+// RunFIO executes the closed-loop benchmark (one Fig. 10/11 cell) for
+// po's policy and content locality at one read rate. The figures run KDD
+// at the paper's medium locality, 25%.
+func RunFIO(po StackOpts, readRate, scale float64) (*Result, error) {
 	spec := workload.DefaultFIO(readRate).Scale(scale)
 	// Cache = 1GB scaled; working set 1.6GB scaled (larger than cache,
 	// like the paper).
-	cachePages := roundWays(int64(262144*scale), 256)
-	o := StackOpts{
+	st, err := Build(StackOpts{
 		Policy:     po.Policy,
-		DeltaMean:  0.25, // paper: medium content locality for prototype runs
-		CachePages: cachePages,
+		DeltaMean:  po.DeltaMean,
+		CachePages: roundWays(int64(262144*scale), 256),
 		DiskPages:  roundWays(spec.WorkingSetPages/2+8192, 16),
 		Timing:     true,
 		Seed:       7,
-	}
-	st, err := Build(o)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return RunClosedLoop(st, spec)
 }
 
-// fioSweep fans the (policy × read rate) closed-loop grid over the worker
-// pool and returns results indexed [policy][read rate].
-func fioSweep(lineup []StackOpts, scale float64, figure string) ([][]*Result, error) {
+// fioFigure fans the (policy × read rate) closed-loop grid over the
+// worker pool and tabulates y of every cell against the read rate.
+func fioFigure(lineup []StackOpts, scale float64, figure, title string, y func(*Result) float64) (string, []stats.Series, error) {
 	nr := len(fioReadRates)
-	flat, err := fanOut(len(lineup)*nr, func(i int) (*Result, error) {
+	ys, err := fanOut(len(lineup)*nr, func(i int) (float64, error) {
 		po, rr := lineup[i/nr], fioReadRates[i%nr]
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		r, err := runFIO(po, rr, scale)
+		r, err := RunFIO(po, rr, scale)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s rr=%.2f: %w", figure, label, rr, err)
+			return 0, fmt.Errorf("%s %s rr=%.2f: %w", figure, po.Policy, rr, err)
 		}
-		return r, nil
+		return y(r), nil
 	})
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	out := make([][]*Result, len(lineup))
-	for pi := range lineup {
-		out[pi] = flat[pi*nr : (pi+1)*nr]
+	xs := make([]float64, nr)
+	for i, rr := range fioReadRates {
+		xs[i] = rr * 100
 	}
-	return out, nil
+	series := lineupSeries(lineup, xs, ys)
+	return stats.Table(title, "read rate(%)", series), series, nil
+}
+
+// lineupSeries arranges ys, indexed [policy][x], as one series per
+// lineup entry over xs.
+func lineupSeries(lineup []StackOpts, xs, ys []float64) []stats.Series {
+	series := make([]stats.Series, len(lineup))
+	for pi, po := range lineup {
+		series[pi] = stats.Series{Label: string(po.Policy), X: xs, Y: ys[pi*len(xs) : (pi+1)*len(xs)]}
+	}
+	return series
 }
 
 // Fig10 is the closed-loop average response time sweep over read rates.
 func Fig10(scale float64) (string, []stats.Series, error) {
-	lineup := Policies(true, true, []float64{0.25})
-	results, err := fioSweep(lineup, scale, "fig10")
-	if err != nil {
-		return "", nil, err
-	}
-	var series []stats.Series
-	for pi, po := range lineup {
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		se := stats.Series{Label: label}
-		for ri, rr := range fioReadRates {
-			se.X = append(se.X, rr*100)
-			se.Y = append(se.Y, results[pi][ri].MeanResponseMs())
-		}
-		series = append(series, se)
-	}
-	return stats.Table("Figure 10: average response time (ms) vs read rate (%), FIO closed loop",
-		"read rate(%)", series), series, nil
+	return fioFigure(Policies(true, true, []float64{0.25}), scale, "fig10",
+		"Figure 10: average response time (ms) vs read rate (%), FIO closed loop", (*Result).MeanResponseMs)
 }
 
 // Fig11 is the closed-loop SSD write traffic sweep over read rates.
 func Fig11(scale float64) (string, []stats.Series, error) {
-	lineup := Policies(false, true, []float64{0.25})
-	results, err := fioSweep(lineup, scale, "fig11")
-	if err != nil {
-		return "", nil, err
-	}
-	var series []stats.Series
-	for pi, po := range lineup {
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		se := stats.Series{Label: label}
-		for ri, rr := range fioReadRates {
-			se.X = append(se.X, rr*100)
-			se.Y = append(se.Y, float64(results[pi][ri].Cache.SSDWrites())/1000)
-		}
-		series = append(series, se)
-	}
-	return stats.Table("Figure 11: SSD write traffic (Kpages) vs read rate (%), FIO closed loop",
-		"read rate(%)", series), series, nil
+	return fioFigure(Policies(false, true, []float64{0.25}), scale, "fig11",
+		"Figure 11: SSD write traffic (Kpages) vs read rate (%), FIO closed loop",
+		func(r *Result) float64 { return float64(r.Cache.SSDWrites()) / 1000 })
 }
 
 // TableII derives the qualitative policy comparison from a quick
@@ -464,15 +427,11 @@ func TableII(scale float64) (string, error) {
 	lineup := Policies(false, true, []float64{0.25})
 	rows, err := fanOut(len(lineup), func(i int) (row, error) {
 		po := lineup[i]
-		label := string(po.Policy)
-		if po.Policy == PolicyKDD {
-			label = "KDD"
-		}
-		r, err := runFIO(po, 0.25, scale)
+		r, err := RunFIO(po, 0.25, scale)
 		if err != nil {
 			return row{}, err
 		}
-		return row{label, r.MeanResponseMs(), r.Cache.SSDWrites()}, nil
+		return row{string(po.Policy), r.MeanResponseMs(), r.Cache.SSDWrites()}, nil
 	})
 	if err != nil {
 		return "", err

@@ -38,7 +38,7 @@ func TestBuildTimingStack(t *testing.T) {
 func TestRunTraceBasics(t *testing.T) {
 	spec := workload.Fin1.Scale(tinyScale)
 	tr := workload.Synthesize(spec)
-	st, err := Build(simOptsWith(spec, PolicyWT, 0, roundWays(spec.UniqueTotal/5, 256)))
+	st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyWT, CachePages: roundWays(spec.UniqueTotal/5, 256)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,6 @@ func TestRunTraceBasics(t *testing.T) {
 	if r.Latency.Count() == 0 {
 		t.Fatal("no latencies observed")
 	}
-}
-
-func simOptsWith(spec workload.Spec, p PolicyKind, deltaMean float64, cachePages int64) StackOpts {
-	o := simOpts(spec, cachePages)
-	o.Policy = p
-	o.DeltaMean = deltaMean
-	return o
 }
 
 // runPolicies sweeps one cache size over the policy lineup and returns

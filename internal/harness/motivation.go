@@ -17,9 +17,7 @@ func Motivation(scale float64) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	spec.MeanIOPS = 80
 	tr := workload.Synthesize(spec)
-	diskPages := spec.UniqueTotal/4 + 8192
-	diskPages -= diskPages % 16
-	cachePages := roundWays(int64(0.25*float64(spec.UniqueTotal)), 256)
+	cachePages := quarterCache(spec)
 
 	configs := []struct {
 		label string
@@ -36,10 +34,8 @@ func Motivation(scale float64) (string, error) {
 		{"KDD", StackOpts{Policy: PolicyKDD, DeltaMean: 0.25, CachePages: cachePages}},
 	}
 	results, err := fanOut(len(configs), func(i int) (*Result, error) {
-		o := configs[i].opts
-		o.DiskPages = diskPages
+		o := WideCellOpts(spec, tr, configs[i].opts)
 		o.Timing = true
-		o.Seed = spec.Seed
 		if o.CachePages == 0 {
 			o.CachePages = cachePages // unused by Nossd/NVB but keeps SSD sizing valid
 		}

@@ -52,8 +52,6 @@ func AblationStaging(scale float64) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
-	diskPages := spec.UniqueTotal/4 + 4096
-	diskPages -= diskPages % 16
 
 	type stagingPoint struct {
 		deltaCommits int64
@@ -62,7 +60,7 @@ func AblationStaging(scale float64) (string, error) {
 	}
 	sizes := []int{1, 4, 16, 64}
 	points, err := fanOut(len(sizes), func(i int) (stagingPoint, error) {
-		st, err := Build(StackOpts{Policy: PolicyKDD, CachePages: cachePages, DiskPages: diskPages, Seed: spec.Seed})
+		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, CachePages: cachePages}))
 		if err != nil {
 			return stagingPoint{}, err
 		}

@@ -29,25 +29,10 @@ type phaseOut struct {
 
 // phaseRun replays one Table-I workload through a traced KDD stack.
 func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
-	s := spec.Scale(scale)
-	s.MeanIOPS = ReplayIOPS[spec.Name]
-	tr := workload.Synthesize(s)
-	o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
-	o.Policy = PolicyKDD
-	o.DeltaMean = 0.25
-	o.Timing = true
 	ob := obs.New()
-	o.Obs = ob
-	st, err := Build(o)
+	st, _, err := fig9Cell(spec, scale, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob)
 	if err != nil {
-		return nil, err
-	}
-	r, err := RunTrace(st, tr)
-	if err != nil {
-		return nil, fmt.Errorf("phases %s: %w", spec.Name, err)
-	}
-	if _, err := st.Policy.Flush(r.Duration); err != nil {
-		return nil, fmt.Errorf("phases %s flush: %w", spec.Name, err)
+		return nil, fmt.Errorf("phases %w", err)
 	}
 	if err := checkTrace(ob.Tracer); err != nil {
 		return nil, fmt.Errorf("phases %s: %w", spec.Name, err)
@@ -91,31 +76,16 @@ func PhaseBreakdown(scale float64) (string, error) {
 // variants and divides the difference by that count: the tracer's cost in
 // host nanoseconds per span, which its gate bounds.
 func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
-	spec := workload.TableI()[0]
-	s := spec.Scale(scale)
-	s.MeanIOPS = ReplayIOPS[spec.Name]
-	tr := workload.Synthesize(s)
-	o := simOpts(s, roundWays(int64(0.25*float64(s.UniqueTotal)), 256))
-	o.Policy = PolicyKDD
-	o.DeltaMean = 0.25
-	o.Timing = true
+	var ob *obs.Obs
 	if traced {
-		o.Obs = obs.New()
-		defer o.Obs.Release() // recycle ring storage across timing runs
+		ob = obs.New()
+		defer ob.Release() // recycle ring storage across timing runs
 	}
-	st, err := Build(o)
-	if err != nil {
-		return 0, err
-	}
-	r, err := RunTrace(st, tr)
-	if err != nil {
-		return 0, err
-	}
-	if _, err = st.Policy.Flush(r.Duration); err != nil {
+	if _, _, err := fig9Cell(workload.TableI()[0], scale, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob); err != nil {
 		return 0, err
 	}
 	if traced {
-		spans = o.Obs.Tracer.Spans()
+		spans = ob.Tracer.Spans()
 	}
 	return spans, nil
 }
@@ -165,7 +135,7 @@ func checkTrace(tr *obs.Tracer) error {
 	return nil
 }
 
-// ExportObs is the single-run export of kddsim and kddreplay: it checks
+// ExportObs is the single-run export of kddsim (untimed and -timed): it checks
 // the flushed run's trace (checkTrace), then writes the JSONL span trace
 // to tracePath and a validated Prometheus snapshot of the stack, the
 // phase profile and ctl (when non-nil) to promPath. An empty path skips

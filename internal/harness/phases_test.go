@@ -85,8 +85,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestObsGoldenArtifacts pins the exact JSONL trace and Prometheus text
-// of the tiny traced run, as ExportObs writes them for kddsim and
-// kddreplay — the wire formats are part of the contract.
+// of the tiny traced run, as ExportObs writes them for kddsim (untimed
+// and -timed) — the wire formats are part of the contract.
 func TestObsGoldenArtifacts(t *testing.T) {
 	st, _ := tinyTracedStack(t)
 	dir := t.TempDir()

@@ -56,19 +56,17 @@ const nossdRebuildRows = 8
 // with a member failing a third of the way in, and returns one row each.
 func rebuildImpact(spec workload.Spec) ([]impactRow, error) {
 	tr := workload.Synthesize(spec)
-	cachePages := roundWays(int64(0.25*float64(spec.UniqueTotal)), 256)
-	diskPages := spec.UniqueTotal/4 + 8192
-	diskPages -= diskPages % 16
+	cachePages := quarterCache(spec)
 	failAt := len(tr.Requests) / 3
 
 	kinds := []PolicyKind{PolicyNossd, PolicyKDD}
 	return fanOut(len(kinds), func(ki int) (impactRow, error) {
 		pk := kinds[ki]
-		o := StackOpts{
+		o := WideCellOpts(spec, tr, StackOpts{
 			Policy: pk, DeltaMean: 0.25,
-			CachePages: cachePages, DiskPages: diskPages,
-			Timing: true, Seed: spec.Seed,
-		}
+			CachePages: cachePages,
+			Timing:     true,
+		})
 		if pk == PolicyKDD {
 			o.Spares = 1
 		}

@@ -19,8 +19,6 @@ func RecoveryTradeoff(scale float64) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.2*float64(spec.UniqueTotal)), 256)
-	diskPages := spec.UniqueTotal/4 + 8192
-	diskPages -= diskPages % 16
 
 	type tradeoffPoint struct {
 		pagesWritten int64
@@ -31,11 +29,11 @@ func RecoveryTradeoff(scale float64) (string, error) {
 	fracs := []float64{0.0039, 0.0059, 0.0098, 0.0197, 0.0394}
 	points, err := fanOut(len(fracs), func(i int) (tradeoffPoint, error) {
 		mf := fracs[i]
-		st, err := Build(StackOpts{
+		st, err := Build(WideCellOpts(spec, tr, StackOpts{
 			Policy: PolicyKDD, DeltaMean: 0.25,
 			CachePages: cachePages, MetaFrac: mf,
-			DiskPages: diskPages, Timing: true, SSDData: true, Seed: spec.Seed,
-		})
+			Timing: true, SSDData: true,
+		}))
 		if err != nil {
 			return tradeoffPoint{}, err
 		}
@@ -83,9 +81,7 @@ func DegradedPerformance(scale float64) (string, error) {
 	spec := workload.Fin2.Scale(scale)
 	spec.MeanIOPS = 100
 	tr := workload.Synthesize(spec)
-	cachePages := roundWays(int64(0.25*float64(spec.UniqueTotal)), 256)
-	diskPages := spec.UniqueTotal/4 + 8192
-	diskPages -= diskPages % 16
+	cachePages := quarterCache(spec)
 
 	// Split the trace into three equal phases.
 	third := len(tr.Requests) / 3
@@ -97,11 +93,11 @@ func DegradedPerformance(scale float64) (string, error) {
 	kinds := []PolicyKind{PolicyWT, PolicyKDD}
 	rows, err := fanOut(len(kinds), func(i int) (degradedRow, error) {
 		pk := kinds[i]
-		st, err := Build(StackOpts{
+		st, err := Build(WideCellOpts(spec, tr, StackOpts{
 			Policy: pk, DeltaMean: 0.25,
-			CachePages: cachePages, DiskPages: diskPages,
-			Timing: true, Seed: spec.Seed,
-		})
+			CachePages: cachePages,
+			Timing:     true,
+		}))
 		if err != nil {
 			return degradedRow{}, err
 		}

@@ -90,7 +90,7 @@ func TestRunTraceIdleTriggersCleaner(t *testing.T) {
 				tr.Requests[i].Time += 10 * sim.Second
 			}
 		}
-		st, err := Build(simOptsWith(spec, PolicyKDD, 0.25, roundWays(spec.UniqueTotal/5, 256)))
+		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25, CachePages: roundWays(spec.UniqueTotal/5, 256)}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,15 @@ import (
 // relationships the paper's plots exhibit must hold at every sweep point,
 // not just the endpoints.
 
+// sweep runs a cache-size sweep of all policies over one workload.
+func sweep(spec workload.Spec, scale float64, withWA bool) (*sweepResult, error) {
+	srs, err := sweepAll([]workload.Spec{spec}, scale, withWA)
+	if err != nil {
+		return nil, err
+	}
+	return srs[0], nil
+}
+
 // TestFig6ShapeMonotonicity asserts the Figure 6 curve properties on
 // Fin1: every policy's SSD writes weakly decrease as the cache grows
 // (fewer misses to fill), and the KDD family stays ordered by content

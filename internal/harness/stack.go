@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -196,9 +197,26 @@ type Stack struct {
 	PerRequest func(i int)
 }
 
+// ErrOptions is wrapped by every Build error that rejects the options
+// themselves rather than a device or engine failing: a command reports
+// it as a usage error.
+var ErrOptions = errors.New("harness: bad stack options")
+
 // Build assembles a stack.
 func Build(o StackOpts) (*Stack, error) {
 	o = o.withDefaults()
+	if !(o.DeltaMean > 0 && o.DeltaMean <= 1) {
+		return nil, fmt.Errorf("%w: delta mean %g outside (0,1]", ErrOptions, o.DeltaMean)
+	}
+	switch o.Policy {
+	case PolicyWT, PolicyWA, PolicyLeavO, PolicyWB, PolicyKDD:
+		if o.Ways < 1 || o.CachePages < int64(o.Ways) {
+			return nil, fmt.Errorf("%w: cache of %d pages below one set of %d ways", ErrOptions, o.CachePages, o.Ways)
+		}
+	case PolicyNossd, PolicyNVB, PolicyPLog:
+	default:
+		return nil, fmt.Errorf("%w: unknown policy %q", ErrOptions, o.Policy)
+	}
 
 	// Member disks. The lsraid backend needs physically larger members to
 	// present the same logical capacity as the kdd parity geometry: the
@@ -241,7 +259,7 @@ func Build(o StackOpts) (*Stack, error) {
 		}
 		array = a
 	default:
-		return nil, fmt.Errorf("harness: unknown backend %q", o.Backend)
+		return nil, fmt.Errorf("%w: unknown backend %q", ErrOptions, o.Backend)
 	}
 	for i := 0; i < o.Spares; i++ {
 		if err := array.AddSpare(buildMember(o, fmt.Sprintf("spare%d", i), memberPages, 1900+uint64(i)*7)); err != nil {
@@ -329,8 +347,6 @@ func Build(o StackOpts) (*Stack, error) {
 			return nil, err
 		}
 		st.Policy = k
-	default:
-		return nil, fmt.Errorf("harness: unknown policy %q", o.Policy)
 	}
 	return st, nil
 }

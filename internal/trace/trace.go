@@ -274,7 +274,7 @@ func pageAlign(t sim.Time, op Op, byteOff, size int64) Request {
 
 // ---------------------------------------------------------------------------
 // Uniform on-disk format: "time_us,op,lba,pages[,tenant]" — what
-// cmd/tracegen writes and the replay tools read back. The tenant field
+// kddsim -emit-trace writes and kddsim -replay reads back. The tenant field
 // is optional and omitted when zero, so traces without tenant tagging
 // stay byte-identical to the pre-QoS format.
 

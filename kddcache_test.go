@@ -8,6 +8,7 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
+	"kddcache/internal/harness"
 	"kddcache/internal/hdd"
 	"kddcache/internal/lsraid"
 	"kddcache/internal/qos"
@@ -49,6 +50,33 @@ func TestSystemReadYourWrites(t *testing.T) {
 		if !bytes.Equal(got, page) {
 			t.Fatalf("%s: read-your-writes violated", p)
 		}
+	}
+}
+
+// TestNewRejectsBadOptions: options no stack can be built from are a
+// returned harness.ErrOptions, never a panic inside the codec or the
+// cache frame.
+func TestNewRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"delta mean above 1", Options{DeltaMean: 1.5}, "delta mean 1.5 outside (0,1]"},
+		{"negative delta mean", Options{DeltaMean: -0.1}, "delta mean -0.1 outside (0,1]"},
+		{"WT below one set", Options{Policy: WT, CachePages: 100}, "cache of 100 pages below one set"},
+		{"LeavO below one set", Options{Policy: LeavO, CachePages: 100}, "cache of 100 pages below one set"},
+		{"WB negative cache", Options{Policy: WB, CachePages: -5}, "cache of -5 pages below one set"},
+		{"KDD below one set", Options{Policy: KDD, CachePages: 100}, "cache of 100 pages below one set"},
+		{"unknown policy", Options{Policy: "LRU"}, `unknown policy "LRU"`},
+		{"unknown backend", Options{Backend: "raid7"}, `unknown backend "raid7"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(tc.o)
+			if sys != nil || !errors.Is(err, harness.ErrOptions) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New(%+v) = %v, %v; want an ErrOptions containing %q", tc.o, sys, err, tc.want)
+			}
+		})
 	}
 }
 
