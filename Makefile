@@ -63,11 +63,14 @@ check:
 # which the rebuild sweeps must catch on both subjects and both backends;
 # the kddbug_idle tag, alone, a cleaner that reclaims a queued row's pages
 # before repairing its parity, which the crash sweep must catch on both
-# subjects.
+# subjects; the kddbug_lsraid tag, alone, a log that flips a row's mapping
+# and appends its segment summary before the row's member writes, which
+# the lsraid rebuild sweep must catch on both subjects.
 mutate:
 	$(GO) test -tags kddbug -run TestMutationCaught -v ./internal/check/
 	$(GO) test -tags kddbug_checkpoint -run TestMutationCaughtCheckpointAhead -v ./internal/check/
 	$(GO) test -tags kddbug_idle -run TestMutationCaughtIdleReclaim -v ./internal/check/
+	$(GO) test -tags kddbug_lsraid -run TestMutationCaughtLSRaidSummaryFirst -v ./internal/check/
 
 # Native Go fuzzing over the trace parsers, the metadata-log, span,
 # tenant-spec and segment-summary decoders and the delta codecs' Apply,
@@ -176,8 +179,10 @@ bench-pairs:
 # idle-queue dispatch (ns and allocs per queued row), LeavO's and WB's
 # cleaner passes (ns and allocs per cleaned page), the plane's warm
 # 256-op batch (ns and allocs per batch, the elevator sweep's sort
-# included) and the metadata log's crash recovery (a 200-page head-to-
-# tail replay), at a fixed small iteration count so they stay runnable (see
+# included), the metadata log's crash recovery (a 200-page head-to-
+# tail replay) and the log-structured array's write path over one
+# segment (ns and allocs per committed page, the flush included), at a
+# fixed small iteration count so they stay runnable (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
 # "Background work runs in the members' idle time" and "Sharded data
 # plane").
@@ -192,6 +197,7 @@ kernels:
 	$(GO) test ./internal/cache/ -run '^$$' -bench '^BenchmarkLRUCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkRecover$$' -benchtime 50x -benchmem
+	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFlush$$' -benchtime 500x -benchmem
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

@@ -139,7 +139,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"fig9"}, `unexpected argument "fig9"`},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+		// The temp dir differs per run; name the trace by its base so the
+		// subtest names stay the same from run to run.
+		name := strings.ReplaceAll(strings.Join(tc.args, " "), trace, filepath.Base(trace))
+		t.Run(name, func(t *testing.T) {
 			var out, errb bytes.Buffer
 			code := run(tc.args, &out, &errb)
 			if code != 2 || out.Len() != 0 || !strings.Contains(errb.String(), tc.want) {

@@ -17,10 +17,10 @@ func TestCheckerCIMode(t *testing.T) {
 		{{43, 0, 0}, {45, 0, 0}},       // kdd plane
 		{{352, 635, 8}, {372, 713, 8}}, // kdd engine, rebuild (media sites 1 in 4)
 		{{128, 0, 0}, {108, 0, 0}},     // kdd plane, rebuild
-		{{50, 262, 8}, {54, 262, 8}},   // lsraid engine
-		{{43, 0, 0}, {45, 0, 0}},       // lsraid plane
-		{{110, 254, 8}, {105, 246, 8}}, // lsraid engine, rebuild
-		{{90, 0, 0}, {84, 0, 0}},       // lsraid plane, rebuild
+		{{106, 352, 8}, {105, 390, 8}}, // lsraid engine (240 ops)
+		{{90, 0, 0}, {84, 0, 0}},       // lsraid plane
+		{{150, 338, 8}, {148, 364, 8}}, // lsraid engine, rebuild
+		{{168, 0, 0}, {176, 0, 0}},     // lsraid plane, rebuild
 	}
 	var reps []*Report
 	if testing.Short() {

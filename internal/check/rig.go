@@ -234,9 +234,11 @@ func newRig(seed uint64, s spec) (*rig, error) {
 	case level != raid.Level5:
 		err = fmt.Errorf("check: the lsraid backend is single-parity: no %v scenario", level)
 	default:
-		// 16-row segments: 16 of them on the smallest geometry, whose
-		// logical bound (16-2-2)*48 = 576 pages covers its footprints.
-		r.arr, err = lsraid.New(lsraid.Config{ChunkPages: s.chunk, SegRows: 16, Seed: seed}, members)
+		// 4-row segments: 64 of them on the smallest geometry, 12 data
+		// pages each, so a 48-page footprint flushes the row buffer many
+		// times a run; its logical capacity, 3/4 of 64*12 = 576 pages,
+		// covers its footprints.
+		r.arr, err = lsraid.New(lsraid.Config{ChunkPages: s.chunk, SegRows: 4, Seed: seed}, members)
 	}
 	if err != nil {
 		return nil, err

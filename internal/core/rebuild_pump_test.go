@@ -202,7 +202,11 @@ func TestPumpRebuildSurvivesURE(t *testing.T) {
 		_, err := k.Write(0, lba, page)
 		return err
 	}
-	for lba := int64(0); lba < 120; lba++ {
+	// The log flushes a segment at a time (32 rows of 4 data pages here):
+	// the footprint is past one segment, so the fill commits one and every
+	// pass over the footprint commits another.
+	const footprint = 160
+	for lba := int64(0); lba < footprint; lba++ {
 		if err := write(lba); err != nil {
 			t.Fatal(err)
 		}
@@ -212,16 +216,19 @@ func TestPumpRebuildSurvivesURE(t *testing.T) {
 	}
 	const failed = 1
 	var ure *blockdev.FaultInjector
-	for lba := int64(0); ure == nil; lba++ {
+	for lba := int64(0); lba < array.Pages() && ure == nil; lba++ {
 		if d, row := array.DataLocation(lba); d >= 0 && d != failed {
 			ure = array.Injector(d)
 			ure.InjectBadPage(row)
 		}
 	}
+	if ure == nil {
+		t.Fatal("no page has a member home off the failed disk: nothing committed")
+	}
 	array.FailDisk(failed)
 	fails := 0
 	for i := 0; i < 5000 && !array.Healthy(); i++ {
-		if err := write(int64(i % 120)); err != nil {
+		if err := write(int64(i % footprint)); err != nil {
 			fails++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
 	"kddcache/internal/core"
+	"kddcache/internal/lsraid"
 	"kddcache/internal/sim"
 )
 
@@ -40,8 +41,12 @@ func TestTimedMemberCorruptionIsHealed(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			st := timedDataStack(t, backend)
 			a := st.Array
-			// A whole stripe, so the log-structured backend commits a row.
+			// A whole stripe, or on the log-structured backend a whole
+			// segment, which its row buffer flushes at once.
 			n := int(a.StripePages())
+			if ls, ok := a.(*lsraid.Array); ok {
+				n = int(ls.SegmentPages())
+			}
 			buf := make([]byte, n*blockdev.PageSize)
 			for i := 0; i < n; i++ {
 				copy(buf[i*blockdev.PageSize:], patternPage(int64(i)))
@@ -53,7 +58,7 @@ func TestTimedMemberCorruptionIsHealed(t *testing.T) {
 			const lba = 3
 			disk, row := a.DataLocation(lba)
 			if disk < 0 {
-				t.Fatalf("lba %d has no member home after a full-stripe write", lba)
+				t.Fatalf("lba %d has no member home after a %d-page write", lba, n)
 			}
 			member := a.Member(disk)
 			store := member.(blockdev.Storer).Store()

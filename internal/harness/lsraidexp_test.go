@@ -30,8 +30,8 @@ func TestLSRaidCompareSweep(t *testing.T) {
 	if res.LsGCSegs == 0 || res.LsGCCopies == 0 {
 		t.Fatalf("log never wrapped — GC cost unmeasured: %+v", res)
 	}
-	if res.LsGCCopies != 646 || res.LsGCSegs != 70 || fmt.Sprintf("%.3f", res.LsWriteAmp) != "1.267" {
-		t.Fatalf("lsraid GC moved: %d copies over %d segments at write amp %.3f, want 646 over 70 at 1.267",
+	if res.LsGCCopies != 171 || res.LsGCSegs != 23 || fmt.Sprintf("%.3f", res.LsWriteAmp) != "0.932" {
+		t.Fatalf("lsraid GC moved: %d copies over %d segments at write amp %.3f, want 171 over 23 at 0.932",
 			res.LsGCCopies, res.LsGCSegs, res.LsWriteAmp)
 	}
 	if res.LsP99Ms >= res.KddP99Ms {

@@ -82,7 +82,8 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 }
 
 // writePage stages one page into the NVRAM row buffer, deduplicating
-// against an already-staged version, and flushes full rows. Staging
+// against an already-staged version, and flushes the buffer once a
+// segment's worth is staged (drain). Staging
 // itself is an NVRAM write — free in the device-time model; all member
 // I/O happens in commitRow. A write fails only if it leaves no trace —
 // the contract the cache's write path is built on (its delta describes an
@@ -182,10 +183,17 @@ func (a *Array) compactRowBuf() {
 	}
 }
 
-// drain flushes full rows out of the NVRAM buffer. It is re-entered by
-// GC copy-forward (which stages through stagePage); the loop structure
-// makes that safe — whoever runs first flushes the buffer prefix.
+// drain flushes the NVRAM buffer a segment at a time: it commits
+// nothing until a segment's worth of pages (segPages) is staged, then
+// every full row, each issued at the previous row's completion, so each
+// member writes the flush as one sequential run and only the write that
+// fills the segment waits for it. It is re-entered by GC copy-forward
+// (which stages through stagePage); the loop structure makes that safe —
+// whoever runs first flushes the buffer prefix.
 func (a *Array) drain(t sim.Time) (sim.Time, error) {
+	if int64(len(a.staged())) < a.segPages {
+		return t, nil
+	}
 	done := t
 	for len(a.staged()) >= a.dc() {
 		c, err := a.commitRow(t)
@@ -246,33 +254,44 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	}
 	dc := a.dc()
 	seg := a.open
-	m := &a.segs[seg]
-	row := int64(seg)*a.cfg.SegRows + m.Rows
+	row := int64(seg)*a.cfg.SegRows + a.segs[seg].Rows
 	entries := a.staged()[:dc]
 	if a.Holes(row) > 1 {
 		return done, raid.ErrTooManyFailures // single parity cannot imply two holes
+	}
+	if bugSummaryFirst {
+		a.commitSummary(seg, entries)
 	}
 	c, err := a.WriteStripe(done, row, func(k int) []byte { return entries[k].data })
 	if err != nil {
 		return done, err
 	}
-	done = sim.MaxTime(done, c)
+	if !bugSummaryFirst {
+		a.commitSummary(seg, entries)
+	}
+	for _, e := range entries {
+		blockdev.PutPage(e.data) // the members hold their own copies now
+	}
+	clear(entries)
+	a.compactRowBuf()
+	return sim.MaxTime(done, c), nil
+}
 
-	// NVRAM commit: flip the mapping, append the summary, release the
-	// staged pages. This is the atomic durability point of the flush.
-	base := m.Rows * int64(dc)
+// commitSummary is a row's NVRAM commit: flip the mapping, append the
+// summary, take the staged pages out of the row buffer. It is the atomic
+// durability point of the flush, so it runs once the row's member writes
+// have landed; the caller releases the pages' buffers.
+func (a *Array) commitSummary(seg int32, entries []pending) {
+	m := &a.segs[seg]
+	base := m.Rows * int64(len(entries))
 	for k, e := range entries {
 		a.setCommitted(e.lba, phys{seg: seg, idx: int32(base + int64(k))})
 		a.live[seg]++
 		a.pendingIdx[e.lba] = 0
 		m.LBAs = append(m.LBAs, e.lba)
-		blockdev.PutPage(e.data) // the members hold their own copies now
 	}
 	m.Rows++
-	clear(entries)
-	a.rowHead += dc
-	a.compactRowBuf()
-	return done, nil
+	a.rowHead += len(entries)
 }
 
 // readPage serves one logical page: NVRAM-staged version first, then the

@@ -2,12 +2,24 @@
 // raidiface.Array seam: the modern answer to the small-write problem the
 // paper's KDD cache attacks with delayed parity. Instead of updating
 // parity in place (read-modify-write, or KDD's delta-deferred variant),
-// every write is staged into an NVRAM row buffer and flushed as a full
-// stripe append into the open segment — data pages plus freshly computed
+// every write is staged into an NVRAM row buffer and flushed as full
+// stripe appends into the open segment — data pages plus freshly computed
 // parity, no parity reads ever. Overwrites simply make the old physical
 // page dead; a segment garbage collector copies surviving pages forward
 // and reclaims dead segments (greedy victim selection, after
 // LFS/RAID-on-ZNS practice, arxiv 2402.17963).
+//
+// Flush rule: the row buffer is flushed a segment at a time, as LFS
+// writes a whole segment per pass. A write that leaves fewer than
+// SegmentPages (SegRows × data members) pages staged costs no member I/O
+// and returns at once; a rewrite of a staged page replaces it in NVRAM.
+// The write that stages the segment's last page commits every full row,
+// each issued at the previous row's completion, so each member writes
+// the flush as one sequential run, and returns the flush's completion.
+// The buffer therefore holds under one segment between flushes —
+// SegmentPages-1 pages, 127 pages or about 508 KiB at the harness
+// geometry (32 rows over five members) — plus, during a GC pass, the
+// victim's live pages. (The KDD cache's own NVRAM staging is 16 KiB.)
 //
 // Durability model, matching the repo's NVRAM conventions: the segment
 // summaries, the L2P-relevant metadata, and the staged row buffer live in
@@ -212,6 +224,10 @@ func (a *Array) Name() string { return "lsraid" }
 
 // Pages returns the logical capacity.
 func (a *Array) Pages() int64 { return a.logical }
+
+// SegmentPages returns the data pages of one segment: the unit the
+// NVRAM row buffer flushes in.
+func (a *Array) SegmentPages() int64 { return a.segPages }
 
 // ChunkPages returns the logical chunk size.
 func (a *Array) ChunkPages() int64 { return a.cfg.ChunkPages }

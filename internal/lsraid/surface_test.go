@@ -13,7 +13,8 @@ import (
 )
 
 // fillCommitted writes n pages and returns their contents, sized so
-// every staged row drains (n must be a multiple of dataDisks).
+// every staged page drains (n must be a multiple of the segment's data
+// pages, since the row buffer flushes a segment at a time).
 func fillCommitted(t *testing.T, a *Array, n int64) map[int64][]byte {
 	t.Helper()
 	want := make(map[int64][]byte, n)
@@ -28,7 +29,7 @@ func fillCommitted(t *testing.T, a *Array, n int64) map[int64][]byte {
 		tt = done
 	}
 	if a.PendingPages() != 0 {
-		t.Fatalf("%d pages still pending; size the fill to a row multiple", a.PendingPages())
+		t.Fatalf("%d pages still pending; size the fill to a segment multiple", a.PendingPages())
 	}
 	return want
 }
@@ -88,7 +89,8 @@ func TestGeometryAndObservability(t *testing.T) {
 	if d, _ := a.DataLocation(7); d != -1 {
 		t.Fatal("staged page must report no physical home")
 	}
-	// Complete the staged row before the bulk fill so every row drains.
+	// Stage 8 and 9 beside 7: the bulk fill's other 21 pages then complete
+	// one staged segment, so every row drains.
 	for _, lba := range []int64{8, 9} {
 		if _, err := a.WritePages(0, lba, 1, pageOf(lba, 1)); err != nil {
 			t.Fatal(err)
@@ -300,7 +302,7 @@ func TestResumeRebuildCheckpoint(t *testing.T) {
 // TestRebuildLossSkipsStagedPages: a row beyond tolerance inside the
 // rebuild window takes only the pages it actually holds. lba 5's
 // committed copy there is dead — a newer version, acked, sits staged in
-// NVRAM — so the loss must not touch lba 5, and once the staged row
+// NVRAM — so the loss must not touch lba 5, and once the staged segment
 // commits the acked version reads back byte for byte.
 func TestRebuildLossSkipsStagedPages(t *testing.T) {
 	a := testArray(t, 4, 256, 8)
@@ -319,7 +321,7 @@ func TestRebuildLossSkipsStagedPages(t *testing.T) {
 	}
 	a.Injector(peer).InjectBadPage(row) // the second fault on lba 5's row
 	_, _, complete, stepErr := a.RebuildStep(0, 256)
-	for _, lba := range []int64{100, 101} { // complete lba 5's staged row
+	for lba := int64(100); lba < 100+a.segPages-1; lba++ { // fill lba 5's staged segment
 		if _, err := a.WritePages(0, lba, 1, pageOf(lba, 1)); err != nil {
 			t.Fatal(err)
 		}

@@ -159,8 +159,8 @@ func (r *txRun) read(lba int64) {
 	}
 }
 
-// write stages the next version of every page in lbas; a whole row of
-// them drains to the members.
+// write stages the next version of every page in lbas; a segment's worth
+// of them drains to the members.
 func (r *txRun) write(lbas ...int64) {
 	done := r.now
 	var err error
@@ -198,9 +198,16 @@ func (r *txRun) script(c txCase) {
 			fmt.Fprintf(&r.res, "  -> %+v\n", rep)
 		}
 	})
-	// A full row of new pages: the commit appends one row (and, with the
-	// free segments at the reserve, first reclaims the two dead ones).
-	r.step(c, "write 40-43", func() { r.write(40, 41, 42, 43) })
+	// A segment's worth of new pages: the flush appends the whole segment
+	// (and, with the free segments at the reserve, first reclaims the two
+	// dead ones).
+	r.step(c, "write 40-55", func() {
+		lbas := make([]int64, 0, a.segPages)
+		for lba := int64(40); lba < 40+a.segPages; lba++ {
+			lbas = append(lbas, lba)
+		}
+		r.write(lbas...)
+	})
 	r.step(c, "gc the target segment", func() {
 		r.note(a.collect(r.now, int(r.row/txSegRows)))
 	})

@@ -267,6 +267,16 @@ func TestSystemDiskFailureFlow(t *testing.T) {
 	}
 }
 
+// rebuildFill is how many pages the replace-member tests write: 64, or on
+// the log-structured backend a whole segment, which its row buffer
+// flushes at once, so the rebuild has committed rows to reconstruct.
+func rebuildFill(sys *System) int64 {
+	if ls, ok := sys.st.Array.(*lsraid.Array); ok {
+		return ls.SegmentPages()
+	}
+	return 64
+}
+
 // A replaced member must match the live members' size and device mode on
 // both backends: lsraid's members are larger than Options.DiskPages
 // (reserve segments plus GC headroom), and a timed stack's replacement is
@@ -282,8 +292,9 @@ func TestReplaceMemberBothBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				n := rebuildFill(sys)
 				page := bytes.Repeat([]byte{3}, PageSize)
-				for lba := int64(0); lba < 64; lba++ {
+				for lba := int64(0); lba < n; lba++ {
 					if _, err := sys.Write(lba, page); err != nil {
 						t.Fatal(err)
 					}
@@ -296,7 +307,7 @@ func TestReplaceMemberBothBackends(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := make([]byte, PageSize)
-				for lba := int64(0); lba < 64; lba++ {
+				for lba := int64(0); lba < n; lba++ {
 					if _, err := sys.Read(lba, got); err != nil {
 						t.Fatal(err)
 					}
@@ -310,7 +321,7 @@ func TestReplaceMemberBothBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for lba := int64(0); lba < 64; lba++ {
+				for lba := int64(0); lba < rebuildFill(sys); lba++ {
 					if _, err := sys.Write(lba, nil); err != nil {
 						t.Fatal(err)
 					}
