@@ -61,20 +61,11 @@ type obsOverheadResult struct {
 // before its difference to the traced arm is trusted.
 const minObsSec = 0.5
 
-// saturationResult summarizes the sharded-plane saturation sweep: the
-// sustained load per shard count and the 4-vs-1 ratio, which is a
-// constant of the sweep's cost model and is recorded, not gated.
-type saturationResult struct {
-	Sec           float64            `json:"sec"`
-	SustainedIOPS map[string]float64 `json:"sustained_iops"`
-	Scaling4x1    float64            `json:"scaling_4x1"`
-}
-
 // noisyResult summarizes the multi-tenant QoS experiment: how far the
 // victims' p99 moves when an aggressor floods at 10x its budget, with
 // and without the admission controller. The protected ratio is the
-// isolation gate input; like the saturation sweep it is virtual-time
-// deterministic and needs no trajectory baseline.
+// isolation gate input; it is virtual-time deterministic and needs no
+// trajectory baseline.
 type noisyResult struct {
 	Sec              float64 `json:"sec"`
 	VictimP99Ratio   float64 `json:"victim_p99_ratio"`
@@ -101,15 +92,16 @@ type benchEntry struct {
 	GOMAXPROCS  int                `json:"gomaxprocs"`
 	Experiments []experimentResult `json:"experiments"`
 	ObsOverhead *obsOverheadResult `json:"obs_overhead,omitempty"`
-	Saturation  *saturationResult  `json:"saturation,omitempty"`
 	Noisy       *noisyResult       `json:"noisy,omitempty"`
 	LSRaid      *lsraidResult      `json:"lsraid,omitempty"`
 }
 
 // benchFile is the BENCH_harness.json schema: a perf trajectory, newest
-// entry last.
+// entry last. Entries stay raw JSON so that rewriting the file keeps every
+// past entry as it was written, fields this version no longer declares
+// included.
 type benchFile struct {
-	Entries []benchEntry `json:"entries"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 func main() {
@@ -263,26 +255,6 @@ func main() {
 	fmt.Printf("obs      untraced %5.2fs  traced %5.2fs  overhead %+.1f%%  %d spans at scale %g  %.1f ns/span\n",
 		untraced.sec, traced.sec, entry.ObsOverhead.OverheadPct, traced.spans, obsScale, entry.ObsOverhead.NsPerSpan)
 
-	// Sharded-plane saturation sweep: sustained load per shard count and
-	// the 4-vs-1 scaling ratio. The sweep's latency model is virtual-time
-	// at a fixed cost per op, so the ratio is a constant of that model:
-	// recorded (older entries carry the field), never gated.
-	satStart := time.Now()
-	sat, err := harness.SaturationSweep(*scale)
-	if err != nil {
-		fatal(fmt.Errorf("saturation: %w", err))
-	}
-	entry.Saturation = &saturationResult{
-		Sec:           time.Since(satStart).Seconds(),
-		SustainedIOPS: map[string]float64{},
-		Scaling4x1:    sat.Scaling4x1,
-	}
-	for n, iops := range sat.SustainedIOPS {
-		entry.Saturation.SustainedIOPS[fmt.Sprintf("shards=%d", n)] = iops
-	}
-	fmt.Printf("satur.   %5.2fs  sustained(1) %.0f kIOPS  sustained(4) %.0f kIOPS  scaling %.2fx\n",
-		entry.Saturation.Sec, sat.SustainedIOPS[1]/1000, sat.SustainedIOPS[4]/1000, sat.Scaling4x1)
-
 	if noisy != nil {
 		entry.Noisy = &noisyResult{
 			Sec:              noisySec,
@@ -316,7 +288,11 @@ func main() {
 		gateErrs = checkGate(entry, *maxSpanNs, *maxVictim)
 	}
 
-	all := append(prev, entry)
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		fatal(err)
+	}
+	all := append(prev, raw)
 	if *keep > 0 && len(all) > *keep {
 		all = all[len(all)-*keep:]
 	}
@@ -350,23 +326,31 @@ func timeOverhead(scale float64, traced bool) obsArm {
 	return obsArm{sec: time.Since(start).Seconds(), spans: spans}
 }
 
-// readEntries loads the existing trajectory. A missing or unreadable
-// file is an empty trajectory, never an error: the bench must be
-// runnable from a clean checkout.
-func readEntries(path string) []benchEntry {
+// readEntries loads the existing trajectory's entries, undecoded. A
+// missing or unreadable file is an empty trajectory, never an error: the
+// bench must be runnable from a clean checkout.
+func readEntries(path string) []json.RawMessage {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil
 	}
+	// Each entry must still decode as one, or the file is not a
+	// trajectory; what is kept is the entry as written.
 	var f benchFile
-	if err := json.Unmarshal(data, &f); err == nil && f.Entries != nil {
+	err = json.Unmarshal(data, &f)
+	for _, raw := range f.Entries {
+		if err == nil {
+			err = json.Unmarshal(raw, new(benchEntry))
+		}
+	}
+	if err == nil && f.Entries != nil {
 		return f.Entries
 	}
 	fmt.Fprintf(os.Stderr, "harnessbench: %s is not a trajectory file; starting fresh\n", path)
 	return nil
 }
 
-func writeEntries(path string, entries []benchEntry) {
+func writeEntries(path string, entries []json.RawMessage) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)

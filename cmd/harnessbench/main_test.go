@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,23 +32,60 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 		t.Fatalf("missing file read as %d entries, want none", len(got))
 	}
 
-	entries := []benchEntry{
+	var entries []json.RawMessage
+	for _, e := range []benchEntry{
 		entry(0.008, 4, 4, 8),
 		entry(0.01, 1, 1, 5.3,
 			experimentResult{Name: "fig6", SerialSec: 4.5, ParallelSec: 4.6, Speedup: 0.98, Identical: true}),
+	} {
+		raw, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, raw)
 	}
+	// An entry written by an older harnessbench, carrying a section
+	// benchEntry no longer declares: it must come back unchanged but for
+	// the file's indentation, and rewriting the file must not move a byte.
+	old := json.RawMessage(`{"scale":0.01,"parallel":2,"gomaxprocs":2,"experiments":[],"saturation":{"sec":0.5,"sustained_iops":{"shards=1":30000},"scaling_4x1":3.3333333333333335}}`)
+	entries = append([]json.RawMessage{old}, entries...)
 	writeEntries(path, entries)
 	got := readEntries(path)
-	if len(got) != 2 || got[0].Scale != 0.008 || got[1].Scale != 0.01 {
-		t.Fatalf("round trip read %+v", got)
+	if len(got) != 3 {
+		t.Fatalf("round trip read %d entries, want 3", len(got))
 	}
-	if got[1].ObsOverhead == nil || got[1].ObsOverhead.OverheadPct != 5.3 {
-		t.Fatalf("overhead lost in round trip: %+v", got[1].ObsOverhead)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, got[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), old) {
+		t.Fatalf("older entry rewritten:\n got: %s\nwant: %s", compact.Bytes(), old)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeEntries(path, got)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("rewriting the trajectory changed it (err %v):\n%s\nvs\n%s", err, after, before)
+	}
+	var e0, e2 benchEntry
+	if err := json.Unmarshal(got[1], &e0); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got[2], &e2); err != nil {
+		t.Fatal(err)
+	}
+	if e0.Scale != 0.008 || e2.Scale != 0.01 {
+		t.Fatalf("round trip read scales %v, %v", e0.Scale, e2.Scale)
+	}
+	if e2.ObsOverhead == nil || e2.ObsOverhead.OverheadPct != 5.3 {
+		t.Fatalf("overhead lost in round trip: %+v", e2.ObsOverhead)
 	}
 
 	// Garbage files — a bare entry object included — start a fresh
 	// trajectory instead of failing the bench.
-	for _, junk := range []string{"not json", `{"scale":0.008,"experiments":[{"name":"fig6"}]}`} {
+	for _, junk := range []string{"not json", `{"scale":0.008,"experiments":[{"name":"fig6"}]}`, `{"entries":[1]}`} {
 		if err := os.WriteFile(path, []byte(junk), 0o644); err != nil {
 			t.Fatal(err)
 		}

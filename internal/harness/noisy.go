@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"strings"
 
+	"kddcache/internal/blockdev"
+	"kddcache/internal/delta"
 	"kddcache/internal/qos"
+	"kddcache/internal/raid"
 	"kddcache/internal/shard"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -25,16 +28,15 @@ import (
 //	protected    all tenants,  QoS on  — the tentpole claim
 //	unprotected  all tenants,  QoS off — the damage being prevented
 //
-// As in the saturation experiment, the plane runs for real (every
-// admitted request executes on the engine; any engine error fails the
-// arm) while latency comes from a deterministic virtual-time model
-// layered on the plane's routing: each shard is a serial server with a
-// fixed per-op compute cost. The service ORDER differs per arm on
-// purpose — with QoS on, each shard serves its backlog through a
-// weighted-fair queue over the tenant weights (the admission queue the
-// tentpole adds); with QoS off there is no fairness anywhere, so the
-// backlog drains in plain arrival order and the aggressor's flood queues
-// ahead of the victims.
+// The plane runs for real (every admitted request executes on the
+// engine; any engine error fails the arm) while latency comes from a
+// deterministic virtual-time model layered on the plane's routing: each
+// shard is a serial server with a fixed per-op compute cost. The service
+// ORDER differs per arm on purpose — with QoS on, each shard serves its
+// backlog through a weighted-fair queue over the tenant weights (the
+// admission queue the QoS layer adds); with QoS off there is no fairness
+// anywhere, so the backlog drains in plain arrival order and the
+// aggressor's flood queues ahead of the victims.
 //
 // Throttled requests retry at their RetryAfter hint through a min-heap
 // of (time, seq) events; latency is always measured from the ORIGINAL
@@ -42,8 +44,8 @@ import (
 // an eternally-throttled request eventually dies with ErrDeadlineExceeded
 // instead of retrying forever.
 const (
-	// nnOpCost is the modelled per-op engine compute (as the saturation
-	// sweep): one shard serves 1/nnOpCost = 40k IOPS.
+	// nnOpCost is the modelled per-op engine compute: one shard serves
+	// 1/nnOpCost = 40k IOPS.
 	nnOpCost = 25 * sim.Microsecond
 
 	// nnShards fixes the plane width: 4 shards = 160k IOPS capacity.
@@ -213,6 +215,32 @@ func (s *nnServer) drainTo(t sim.Time, observe func(tenant int, lat sim.Time)) {
 	}
 }
 
+// nullPlane builds the plane every arm drives: nnShards shards over
+// 5 x 2048-page null members (RAID-5, chunk 8) under a 1024-page 64-way
+// cache with 128 meta pages, coalescing on; ctl is nil with QoS off.
+func nullPlane(ctl *qos.Controller) (*shard.Plane, error) {
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("null-d%d", i), 2048))
+	}
+	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: 8}, members)
+	if err != nil {
+		return nil, err
+	}
+	const metaPages, cachePages = 128, 1024
+	return shard.New(shard.Config{
+		SSD:        blockdev.NewNullDevice("null-ssd", metaPages+cachePages+64),
+		Backend:    arr,
+		CachePages: cachePages,
+		Ways:       64,
+		MetaPages:  metaPages,
+		Codec:      func(lane int) delta.Codec { return delta.NewModelled(0x9057<<8|uint64(lane), 0.25) },
+		Shards:     nnShards,
+		Coalesce:   true,
+		QoS:        ctl,
+	})
+}
+
 // noisyArm runs one arm for dur of virtual time and returns per-tenant
 // outcomes. Deterministic: the plane's QoS gate runs in submission
 // order, the event heap orders by (time, seq), and the service model is
@@ -230,7 +258,7 @@ func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 		}
 	}
 
-	p, err := nullPlane(0x9057, nnShards, ctl)
+	p, err := nullPlane(ctl)
 	if err != nil {
 		return nnArmOut{}, err
 	}

@@ -77,3 +77,15 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestNoisyNeighborGolden pins the rendered table byte for byte, so a
+// change to the plane it drives, the service model or the QoS controller
+// shows up as a diff of testdata/noisy.golden (regenerate with -update
+// after an intended change and say which rows moved).
+func TestNoisyNeighborGolden(t *testing.T) {
+	table, _, err := NoisyNeighbor(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "noisy.golden", []byte(table))
+}

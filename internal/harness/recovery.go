@@ -44,8 +44,12 @@ func RecoveryTradeoff(scale float64) (string, error) {
 		k := st.Policy.(*core.KDD)
 		ls := k.Log().Stats()
 
-		// Crash at the end of the run; measure the recovery scan.
-		_, done, err := core.Restore(st.KDDConfig, r.Duration,
+		// Crash once the run's last request has completed and the SSD
+		// has drained the background writes still queued on it, and
+		// measure the recovery scan from there: a crash any earlier
+		// would charge that leftover queue to the scan.
+		crash := sim.MaxTime(r.Duration, st.FlashModel.Drained())
+		_, done, err := core.Restore(st.KDDConfig, crash,
 			k.Log().Counters(), k.Log().BufferedEntries(), k.Staging())
 		if err != nil {
 			return tradeoffPoint{}, fmt.Errorf("restore mf=%.4f: %w", mf, err)
@@ -54,7 +58,7 @@ func RecoveryTradeoff(scale float64) (string, error) {
 			pagesWritten: ls.PagesWritten,
 			gcPages:      ls.GCPageEquivalent(),
 			livePages:    k.Log().LivePages(),
-			recovery:     done - r.Duration,
+			recovery:     done - crash,
 		}, nil
 	})
 	if err != nil {

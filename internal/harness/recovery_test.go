@@ -33,6 +33,36 @@ func TestRecoveryTradeoffOutput(t *testing.T) {
 	}
 }
 
+// TestRecoveryTimeIndependentOfBackend: the recovery scan reads the same
+// metadata log under either array, and the crash waits for the SSD to
+// drain, so the recovery column may not depend on the backend.
+func TestRecoveryTimeIndependentOfBackend(t *testing.T) {
+	defer SetDefaultBackend("")
+	column := func(backend string) []string {
+		SetDefaultBackend(backend)
+		out, err := RecoveryTradeoff(0.004)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		var col []string
+		for _, l := range strings.Split(out, "\n") {
+			if f := strings.Fields(l); len(f) == 5 && strings.HasSuffix(f[0], "%") {
+				col = append(col, f[4])
+			}
+		}
+		if len(col) != 5 {
+			t.Fatalf("%s: found %d rows, want 5:\n%s", backend, len(col), out)
+		}
+		return col
+	}
+	kdd, ls := column("kdd"), column("lsraid")
+	for i := range kdd {
+		if kdd[i] != ls[i] {
+			t.Fatalf("recovery times differ by backend: kdd %v, lsraid %v", kdd, ls)
+		}
+	}
+}
+
 func TestDegradedPerformanceOutput(t *testing.T) {
 	out, err := DegradedPerformance(0.004)
 	if err != nil {

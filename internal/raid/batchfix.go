@@ -40,6 +40,11 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			continue
 		}
 		l := a.geo.locate(f.LBAs[0])
+		if !a.stale.Has(l.row) {
+			// A resync already made this row's parity current: its deltas
+			// are obsolete, as in ParityUpdateDelta.
+			continue
+		}
 		degraded := false
 		for _, d := range l.par[:np] {
 			degraded = degraded || a.disks[d].Failed()

@@ -96,7 +96,10 @@ func TestBatchFixSequentialRuns(t *testing.T) {
 	// Rows 0..15 belong to stripe 0: same parity disk, consecutive rows.
 	var fixes []RowFix
 	for r := int64(0); r < 16; r++ {
-		fixes = append(fixes, RowFix{LBAs: []int64{r}}) // page r of chunk 0
+		if _, err := a.WriteNoParity(0, r, 1, nil); err != nil { // page r of chunk 0
+			t.Fatal(err)
+		}
+		fixes = append(fixes, RowFix{LBAs: []int64{r}})
 	}
 	before := members[4].(*blockdev.NullDevice).Reads() // stripe 0 parity on disk 4
 	if _, err := a.ParityUpdateDeltaBatch(0, fixes); err != nil {
@@ -165,6 +168,47 @@ func TestBatchFixDegradedFallsBack(t *testing.T) {
 	}
 	if a.StaleRows() != 0 {
 		t.Fatal("degraded row still stale")
+	}
+}
+
+// A resync recomputes a stale row's parity from its data, after which
+// the deltas still queued for the row are obsolete: folding them in would
+// corrupt parity the resync made correct. The batch must skip such rows,
+// as ParityUpdateDelta does, and still repair the rows that are stale.
+func TestBatchFixSkipsResyncedRows(t *testing.T) {
+	for _, level := range []Level{Level5, Level6} {
+		disks := 5
+		if level == Level6 {
+			disks = 6
+		}
+		a := newDataArray(t, level, disks, 96, 8)
+		oracle := writeAll(t, a, 100)
+		dirty := func(lba int64, v byte) RowFix {
+			newData := fillPage(v)
+			if _, err := a.WriteNoParity(0, lba, 1, newData); err != nil {
+				t.Fatal(err)
+			}
+			f := RowFix{LBAs: []int64{lba}, Deltas: [][]byte{mkDelta(oracle[lba], newData)}}
+			oracle[lba] = newData
+			return f
+		}
+		resynced := dirty(3, 0xC3)
+		if _, err := a.Resync(0); err != nil {
+			t.Fatal(err)
+		}
+		stale := dirty(40, 0x5A)
+		if _, err := a.ParityUpdateDeltaBatch(0, []RowFix{resynced, stale}); err != nil {
+			t.Fatalf("%v: %v", level, err)
+		}
+		if a.StaleRows() != 0 {
+			t.Fatalf("%v: %d stale rows after batch fix", level, a.StaleRows())
+		}
+		// Lose the members holding both pages: each is rebuilt from parity.
+		a.FailDisk(a.geo.locate(3).disk)
+		if level == Level6 {
+			a.FailDisk(a.geo.locate(40).disk)
+		}
+		verifyAll(t, a, oracle)
 	}
 }
 

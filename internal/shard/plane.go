@@ -4,11 +4,11 @@
 // calling goroutine.
 //
 // The state partition count (Lanes) is FIXED. The shard count does not
-// change what runs or in what order: it only names how many CPU servers
-// the saturation and noisy-neighbor models charge (ShardOf). Every batch
-// runs the same way at every shard count, so per-lane state, every
-// virtual time and every byte of output are functions of the request
-// stream alone.
+// change what runs or in what order: it only names how many serial
+// servers the noisy-neighbor experiment's service model charges
+// (ShardOf). Every batch runs the same way at every shard count, so
+// per-lane state, every virtual time and every byte of output are
+// functions of the request stream alone.
 //
 // Per batch the plane coalesces superseded writes (a write to an LBA
 // overwritten later in the same batch with no intervening read of it is
@@ -45,7 +45,7 @@ import (
 
 // Lanes is the fixed number of state partitions. Shard counts must
 // divide it. Eight matches the paper-scale geometries the experiments
-// use (and the largest shard count the saturation sweep drives).
+// use.
 const Lanes = 8
 
 // ErrStopped is returned for every operation after the plane fail-stops:
@@ -80,9 +80,10 @@ type Config struct {
 	// they couple lane state.
 	Codec func(lane int) delta.Codec
 
-	// Shards is the number of CPU servers the lanes are grouped onto
-	// (ShardOf), for the models that charge per-shard compute. It does
-	// not change execution. Must divide Lanes; default 1.
+	// Shards is the number of servers the lanes are grouped onto
+	// (ShardOf), for the noisy-neighbor service model, which charges
+	// per-shard compute. It does not change execution. Must divide
+	// Lanes; default 1.
 	Shards int
 
 	// Goroutines once selected a per-shard worker pool.
@@ -267,8 +268,8 @@ func (p *Plane) LaneOf(lba int64) int {
 	return int(h % Lanes)
 }
 
-// ShardOf maps a lane to the CPU server the saturation and
-// noisy-neighbor models charge its compute to.
+// ShardOf maps a lane to the server the noisy-neighbor experiment's
+// service model charges its compute to.
 func (p *Plane) ShardOf(lane int) int { return lane % p.cfg.Shards }
 
 // Lane exposes lane i's engine (tests, the checker).

@@ -75,6 +75,16 @@ func (s *Station) Name() string { return s.name }
 // BusyTime returns the total service time issued across all servers.
 func (s *Station) BusyTime() Time { return s.busy }
 
+// Drained returns the time every server has finished all the work
+// submitted to it: the latest next-free time.
+func (s *Station) Drained() Time {
+	var t Time
+	for _, v := range s.servers {
+		t = MaxTime(t, v.free)
+	}
+	return t
+}
+
 // Submit enqueues a job arriving at time t with the given service time on
 // the server that completes it earliest (the lowest index on a tie) and
 // returns its completion time.

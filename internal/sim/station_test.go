@@ -162,6 +162,26 @@ func TestStationBackfillsGap(t *testing.T) {
 	}
 }
 
+// TestStationDrained: the station drains when its busiest server does,
+// and a job placed in a gap does not move that.
+func TestStationDrained(t *testing.T) {
+	s := NewStation("ssd", 2)
+	if s.Drained() != 0 {
+		t.Fatalf("empty station drained at %d, want 0", s.Drained())
+	}
+	s.SubmitAt(0, 0, 10)
+	s.SubmitAt(1, 100, 30) // gap [0,100) on server 1
+	if s.Drained() != 130 {
+		t.Fatalf("drained = %d, want 130", s.Drained())
+	}
+	if d := s.SubmitAt(1, 0, 50); d != 50 {
+		t.Fatalf("backfilled job = %d, want 50", d)
+	}
+	if s.Drained() != 130 {
+		t.Fatalf("drained after a backfill = %d, want 130", s.Drained())
+	}
+}
+
 // TestStationBackfillAndAppend: Backfill places only in a gap and leaves
 // the station alone when none fits; Append always goes at the tail.
 func TestStationBackfillAndAppend(t *testing.T) {

@@ -158,6 +158,10 @@ func newDevice(name string, cfg Config, store *blockdev.MemStore) *Device {
 // Name implements blockdev.Device.
 func (d *Device) Name() string { return d.name }
 
+// Drained returns the time the flash channels finish every operation
+// queued on them so far, host writes and garbage collection included.
+func (d *Device) Drained() sim.Time { return d.chans.Drained() }
+
 // Pages implements blockdev.Device.
 func (d *Device) Pages() int64 { return d.cfg.HostPages }
 

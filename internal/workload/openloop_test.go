@@ -117,11 +117,11 @@ func streamHash(tr *trace.Trace) uint64 {
 }
 
 // TestOpenLoopStreamPinned pins the generated request order: benchmark
-// workloads, saturation sweeps and goldens are all functions of it, so a
-// change to the merge sort (or anything before it) must reproduce these
-// streams exactly. The second spec offers a request per virtual
-// nanosecond, so arrival times collide constantly and the client-index
-// tie-break decides the order.
+// workloads, the noisy-neighbor experiment and goldens are all functions
+// of it, so a change to the merge sort (or anything before it) must
+// reproduce these streams exactly. The second spec offers a request per
+// virtual nanosecond, so arrival times collide constantly and the
+// client-index tie-break decides the order.
 func TestOpenLoopStreamPinned(t *testing.T) {
 	dense := baseOpenLoop()
 	dense.OfferedIOPS = 1e9

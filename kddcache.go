@@ -405,7 +405,6 @@ var Experiments = map[string]func(scale float64) (ExperimentResult, error){
 	"phases":              table(harness.PhaseBreakdown),
 	"sweep-associativity": table(harness.AblationAssociativity),
 	"sweep-staging":       table(harness.AblationStaging),
-	"saturation":          plot("offeredKIOPS", harness.Saturation),
 	"noisy-neighbor":      plot("armIdx", harness.NoisyNeighbor),
 	"lsraid-compare":      table(harness.LSRaidCompare),
 }
