@@ -108,17 +108,19 @@ shard-test:
 	$(GO) test -race ./internal/shard/ ./internal/workload/
 	$(GO) test -race -count=1 -run 'TestOwnershipUnderPoison' ./internal/blockdev/
 
-# Multi-tenant QoS battery: token-bucket conservation, WFQ fairness and
-# degradation-ladder property tests, the noisy-neighbor isolation proof
-# (victim p99 within 2x of its aggressor-free baseline), its
-# byte-identical-output determinism contract at several test-parallelism
-# levels, and the lane-kill chaos plan — all under the race detector.
+# Multi-tenant QoS battery: token-bucket conservation and
+# degradation-ladder property tests, the replay loop's time order under
+# throttle retries and its qos_throttle/qos_shed trace marks, the
+# noisy-neighbor isolation proof on the device clock (victim p99 within
+# 2x of its aggressor-free baseline), its byte-identical-output
+# determinism contract at several test-parallelism levels, and the
+# lane-kill chaos plan — all under the race detector.
 qos-test:
 	$(GO) test -race ./internal/qos/
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
 	$(GO) test -race -parallel 4 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
 	$(GO) test -race -parallel 16 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
-	$(GO) test -race -run 'TestNoisyNeighborIsolation|TestChaosLaneKill' ./internal/harness/
+	$(GO) test -race -run 'TestNoisyNeighborIsolation|TestReplayServesInTimeOrder|TestRunTraceQoSTracesVerdicts|TestChaosLaneKill' ./internal/harness/
 
 # Log-structured backend battery: lsraid unit and property tests (GC
 # liveness, crash+replay over every enumerated torn-write site, segment

@@ -1,16 +1,11 @@
 package harness
 
 import (
-	"container/heap"
-	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
-	"kddcache/internal/blockdev"
-	"kddcache/internal/delta"
 	"kddcache/internal/qos"
-	"kddcache/internal/raid"
-	"kddcache/internal/shard"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
 	"kddcache/internal/trace"
@@ -25,63 +20,44 @@ import (
 // Three arms, identical except for the aggressor and the controller:
 //
 //	isolated     victims only, QoS on  — the baseline p99
-//	protected    all tenants,  QoS on  — the tentpole claim
+//	protected    all tenants,  QoS on  — the isolation claim
 //	unprotected  all tenants,  QoS off — the damage being prevented
 //
-// The plane runs for real (every admitted request executes on the
-// engine; any engine error fails the arm) while latency comes from a
-// deterministic virtual-time model layered on the plane's routing: each
-// shard is a serial server with a fixed per-op compute cost. The service
-// ORDER differs per arm on purpose — with QoS on, each shard serves its
-// backlog through a weighted-fair queue over the tenant weights (the
-// admission queue the QoS layer adds); with QoS off there is no fairness
-// anywhere, so the backlog drains in plain arrival order and the
-// aggressor's flood queues ahead of the victims.
-//
-// Throttled requests retry at their RetryAfter hint through a min-heap
-// of (time, seq) events; latency is always measured from the ORIGINAL
-// arrival, and every request carries deadline = arrival + nnDeadline so
-// an eternally-throttled request eventually dies with ErrDeadlineExceeded
-// instead of retrying forever.
+// Every arm replays one tenant-tagged trace through the timing stack of
+// Fig. 9 (KDD-25 % over five HDD members, on the default backend) in
+// the one replay loop every trace runs through, so latency is device
+// time: without QoS the victims queue behind the aggressor's misses at
+// the member disks. A throttled request re-enters the loop at its retry
+// time; latency is always measured from the original arrival, and every
+// request carries deadline = arrival + nnDeadline, so a request still
+// throttled past it dies with ErrDeadlineExceeded instead of retrying
+// forever. Per-tenant histograms come from the trace's tenant tags, so
+// the unprotected arm runs with no controller at all.
 const (
-	// nnOpCost is the modelled per-op engine compute: one shard serves
-	// 1/nnOpCost = 40k IOPS.
-	nnOpCost = 25 * sim.Microsecond
-
-	// nnShards fixes the plane width: 4 shards = 160k IOPS capacity.
-	nnShards = 4
-
-	// nnBatch is the plane batch size for the event-driven replay.
-	nnBatch = 256
-
 	// nnDeadline is each request's deadline margin past its arrival.
-	// With the controller's 100µs doubling backoff this allows a few
-	// retries before the deadline kills a still-throttled request.
-	nnDeadline = sim.Millisecond
+	nnDeadline = 5 * sim.Millisecond
 
-	// nnWindow is the controller's hysteresis window. 2ms makes the
-	// aggressor walk the whole ladder (throttle -> shed -> bypass)
-	// within even the shortest run.
-	nnWindow = 2 * sim.Millisecond
+	// nnWindow is the controller's hysteresis window: the aggressor
+	// walks the ladder (throttle -> shed -> bypass) within four windows.
+	nnWindow = 800 * sim.Millisecond
 
-	nnVictimFoot = 1024 // pages per victim footprint
-	nnAggFoot    = 2048 // aggressor footprint
+	// nnFoot is each tenant's footprint in pages; tenants are disjoint.
+	nnFoot = 8192
 
-	// nnServeDepth bounds the per-tenant service-model queue; it only
-	// needs to exceed any backlog the arms can build.
-	nnServeDepth = 1 << 20
+	// nnGate is the isolation budget: the victims' p99 may move at most
+	// this far over the isolated arm's with QoS on.
+	nnGate = 2.0
 )
 
 // nnTenantSpec is the tenant sheet, deliberately routed through the
-// production flag parser. Budgets: each victim gets 24k IOPS (15% of
-// capacity) at weights 4 and 2; the aggressor gets 16k (10%) at weight
-// 1, so under sustained overload it demotes first.
-const nnTenantSpec = "victim-a:24000:4,victim-b:24000:2,aggressor:16000:1"
+// production flag parser. Each victim gets 30 IOPS (burst 8) at weights
+// 4 and 2; the aggressor gets 20 IOPS at weight 1, so under sustained
+// overload it demotes first.
+const nnTenantSpec = "victim-a:30:4:8,victim-b:30:2:8,aggressor:20:1"
 
 // nnOffered is each tenant's offered rate (IOPS). Victims run inside
-// their budgets; the aggressor floods at 10x its 16k budget — one full
-// plane's worth of capacity on its own.
-var nnOffered = []float64{16000, 16000, 160000}
+// their budgets; the aggressor floods at 10x its budget.
+var nnOffered = []float64{20, 20, 200}
 
 // nnArm is one experiment arm.
 type nnArm struct {
@@ -99,9 +75,8 @@ var nnArms = []nnArm{
 // nnTenantOut is one tenant's outcome in one arm.
 type nnTenantOut struct {
 	qos.Counters
-	Served int64
-	P99    sim.Time
-	Mean   sim.Time
+	P99  sim.Time
+	Mean sim.Time
 }
 
 // nnArmOut is one arm's full outcome.
@@ -129,122 +104,36 @@ type NoisyResult struct {
 	AggRung                                         int
 }
 
-// nnEvent is one pending request (first attempt or throttle retry).
-type nnEvent struct {
-	at       sim.Time // this attempt's arrival
-	orig     sim.Time // original arrival: latency is measured from here
-	deadline sim.Time
-	seq      int64 // global tie-break; retries allocate fresh ones
-	tenant   int
-	kind     shard.OpKind
-	lba      int64
-}
-
-// nnHeap is a min-heap of events keyed (at, seq).
-type nnHeap []nnEvent
-
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnEvent)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// nnJob is one admitted request in the service model.
-type nnJob struct {
-	at, orig sim.Time
-	tenant   int
-}
-
-// nnServer is one shard's serial server. With a WFQ attached the
-// backlog drains weighted-fair over tenants; without one it drains in
-// plain arrival (push) order.
-type nnServer struct {
-	clock sim.Time
-	wfq   *qos.WFQ
-	jobs  []nnJob // WFQ payload store (indices)
-	fifo  []nnJob
-	head  int
-}
-
-func (s *nnServer) push(j nnJob) {
-	if s.wfq != nil {
-		if !s.wfq.Push(j.tenant, int64(len(s.jobs))) {
-			panic("harness: noisy-neighbor service queue overflow")
+// noisyTrace merges the arm's per-tenant open-loop streams, each cut at
+// dur so every tenant offers load to the end of the run.
+func noisyTrace(arm nnArm, specs []qos.TenantSpec, dur sim.Time) *trace.Trace {
+	var streams []*trace.Trace
+	for i, spec := range specs {
+		if i == 2 && !arm.aggressor {
+			break
 		}
-		s.jobs = append(s.jobs, j)
-		return
+		s := workload.OpenLoop{
+			Name:        spec.Name,
+			Clients:     8,
+			OfferedIOPS: nnOffered[i],
+			// Twice the expected count: the cut, not the stream's end,
+			// decides where the run stops.
+			Requests:  2 * int64(nnOffered[i]*dur.Seconds()),
+			Footprint: nnFoot,
+			LBABase:   int64(i) * nnFoot,
+			ReadRatio: 0.7,
+			Theta:     0.9,
+			Seed:      0x9057 + uint64(i),
+			Tenant:    i,
+		}.Generate()
+		s.Requests = s.Requests[:sort.Search(len(s.Requests), func(j int) bool { return s.Requests[j].Time >= dur })]
+		streams = append(streams, s)
 	}
-	s.fifo = append(s.fifo, j)
-}
-
-// drainTo serves backlog while the server's clock is before t.
-func (s *nnServer) drainTo(t sim.Time, observe func(tenant int, lat sim.Time)) {
-	for s.clock < t {
-		var j nnJob
-		if s.wfq != nil {
-			_, v, ok := s.wfq.Pop()
-			if !ok {
-				return
-			}
-			j = s.jobs[v]
-		} else {
-			if s.head >= len(s.fifo) {
-				return
-			}
-			j = s.fifo[s.head]
-			s.head++
-		}
-		start := s.clock
-		if j.at > start {
-			start = j.at
-		}
-		fin := start + nnOpCost
-		s.clock = fin
-		observe(j.tenant, fin-j.orig)
-	}
-}
-
-// nullPlane builds the plane every arm drives: nnShards shards over
-// 5 x 2048-page null members (RAID-5, chunk 8) under a 1024-page 64-way
-// cache with 128 meta pages, coalescing on; ctl is nil with QoS off.
-func nullPlane(ctl *qos.Controller) (*shard.Plane, error) {
-	var members []blockdev.Device
-	for i := 0; i < 5; i++ {
-		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("null-d%d", i), 2048))
-	}
-	arr, err := raid.New(raid.Config{Level: raid.Level5, ChunkPages: 8}, members)
-	if err != nil {
-		return nil, err
-	}
-	const metaPages, cachePages = 128, 1024
-	return shard.New(shard.Config{
-		SSD:        blockdev.NewNullDevice("null-ssd", metaPages+cachePages+64),
-		Backend:    arr,
-		CachePages: cachePages,
-		Ways:       64,
-		MetaPages:  metaPages,
-		Codec:      func(lane int) delta.Codec { return delta.NewModelled(0x9057<<8|uint64(lane), 0.25) },
-		Shards:     nnShards,
-		Coalesce:   true,
-		QoS:        ctl,
-	})
+	return workload.MergeTenants("noisy-"+arm.name, streams...)
 }
 
 // noisyArm runs one arm for dur of virtual time and returns per-tenant
-// outcomes. Deterministic: the plane's QoS gate runs in submission
-// order, the event heap orders by (time, seq), and the service model is
-// pure integer virtual time.
+// outcomes. Deterministic: the replay is one event loop in virtual time.
 func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 	specs, err := qos.ParseTenants(nnTenantSpec)
 	if err != nil {
@@ -257,163 +146,48 @@ func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 			return nnArmOut{}, err
 		}
 	}
-
-	p, err := nullPlane(ctl)
+	foot := int64(len(specs)) * nnFoot
+	st, err := Build(StackOpts{
+		Policy:     PolicyKDD,
+		DeltaMean:  0.25,
+		CachePages: roundWays(foot/4, 256),
+		DiskPages:  roundWays(foot/4+4096, 16),
+		Timing:     true,
+		Seed:       0x9057,
+	})
 	if err != nil {
 		return nnArmOut{}, err
 	}
-	defer p.Close()
-
-	// Per-tenant arrival streams with disjoint footprints, merged into
-	// one time-ordered multi-tenant stream.
-	bases := []int64{0, nnVictimFoot, 2 * nnVictimFoot}
-	foots := []int64{nnVictimFoot, nnVictimFoot, nnAggFoot}
-	var streams []*trace.Trace
-	for i, spec := range specs {
-		if i == 2 && !arm.aggressor {
-			break
-		}
-		streams = append(streams, workload.OpenLoop{
-			Name:        spec.Name,
-			Clients:     8,
-			OfferedIOPS: nnOffered[i],
-			Requests:    int64(nnOffered[i] * float64(dur) / float64(sim.Second)),
-			Footprint:   foots[i],
-			LBABase:     bases[i],
-			ReadRatio:   0.7,
-			Theta:       0.9,
-			Seed:        0x9057 + uint64(i),
-			Tenant:      i,
-		}.Generate())
-	}
-	tr := workload.MergeTenants("noisy-"+arm.name, streams...)
-
-	h := make(nnHeap, 0, len(tr.Requests))
-	for i, r := range tr.Requests {
-		kind := shard.OpWrite
-		if r.Op == trace.Read {
-			kind = shard.OpRead
-		}
-		h = append(h, nnEvent{
-			at: r.Time, orig: r.Time, deadline: r.Time + nnDeadline,
-			seq: int64(i), tenant: r.Tenant, kind: kind, lba: r.LBA,
-		})
-	}
-	heap.Init(&h)
-	nextSeq := int64(len(tr.Requests))
-
-	hists := make([]*stats.Histogram, len(specs))
-	for i := range hists {
-		hists[i] = stats.NewHistogram(1 << 14)
-	}
-	observe := func(tenant int, lat sim.Time) { hists[tenant].Observe(int64(lat)) }
-	servers := make([]*nnServer, nnShards)
-	for s := range servers {
-		srv := &nnServer{}
-		if arm.protected {
-			srv.wfq = qos.NewWFQ(qos.Weights(specs), nnServeDepth)
-		}
-		servers[s] = srv
-	}
-
-	// manual is the per-tenant tally for the unprotected arm (no
-	// controller to count for us there).
-	manual := make([]qos.Counters, len(specs))
-
-	ops := make([]shard.Op, 0, nnBatch)
-	evs := make([]nnEvent, 0, nnBatch)
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		t := evs[len(evs)-1].at
-		for i, r := range p.RunBatch(t, ops) {
-			ev := evs[i]
-			switch {
-			case r.Err == nil:
-				// Admitted (or bypassed, or coalesced away — the request
-				// still completed): charge it to its shard's serial server.
-				manual[ev.tenant].Offered++
-				manual[ev.tenant].Admitted++
-				s := servers[p.ShardOf(p.LaneOf(ev.lba))]
-				s.drainTo(ev.at, observe)
-				s.push(nnJob{at: ev.at, orig: ev.orig, tenant: ev.tenant})
-			case errors.Is(r.Err, qos.ErrThrottled):
-				var rej *qos.Reject
-				if errors.As(r.Err, &rej) && rej.RetryAfter > ev.at {
-					heap.Push(&h, nnEvent{
-						at: rej.RetryAfter, orig: ev.orig, deadline: ev.deadline,
-						seq: nextSeq, tenant: ev.tenant, kind: ev.kind, lba: ev.lba,
-					})
-					nextSeq++
-				}
-			case errors.Is(r.Err, qos.ErrShed):
-			case errors.Is(r.Err, qos.ErrDeadlineExceeded):
-			default:
-				return fmt.Errorf("noisy-neighbor %s: op %d (tenant %d lba %d): %w",
-					arm.name, i, ev.tenant, ev.lba, r.Err)
-			}
-		}
-		ops = ops[:0]
-		evs = evs[:0]
-		return nil
-	}
-	var lastAt sim.Time
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(nnEvent)
-		lastAt = ev.at
-		evs = append(evs, ev)
-		ops = append(ops, shard.Op{
-			Kind: ev.kind, LBA: ev.lba,
-			Tenant: ev.tenant, At: ev.at, Deadline: ev.deadline,
-		})
-		if len(ops) == nnBatch {
-			if err := flush(); err != nil {
-				return nnArmOut{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nnArmOut{}, err
-	}
-	for _, s := range servers {
-		s.drainTo(sim.Time(1)<<62, observe)
-	}
-	if _, err := p.Quiesce(dur); err != nil {
-		return nnArmOut{}, fmt.Errorf("noisy-neighbor %s: quiesce: %w", arm.name, err)
-	}
-	if err := p.CheckInvariants(); err != nil {
+	res, per, err := replay(st, noisyTrace(arm, specs, dur), ctl, nnDeadline, len(specs))
+	if err != nil {
 		return nnArmOut{}, fmt.Errorf("noisy-neighbor %s: %w", arm.name, err)
 	}
-	if ctl != nil && !ctl.Conserved(lastAt) {
+	if ctl != nil && !ctl.Conserved(res.Duration) {
 		return nnArmOut{}, fmt.Errorf("noisy-neighbor %s: token-bucket conservation violated", arm.name)
 	}
 
 	out := nnArmOut{tenants: make([]nnTenantOut, len(specs))}
-	counts := manual
-	if ctl != nil {
-		counts = ctl.Snapshot()
-		out.aggRung = ctl.Rung(2)
-	}
-	for i := range specs {
-		out.tenants[i] = nnTenantOut{
-			Counters: counts[i],
-			Served:   hists[i].Count(),
-			P99:      sim.Time(hists[i].Percentile(99)),
-			Mean:     sim.Time(int64(hists[i].Mean())),
+	for i, h := range per {
+		t := &out.tenants[i]
+		if ctl != nil {
+			t.Counters = ctl.Snapshot()[i]
+		} else {
+			t.Offered, t.Admitted = h.Count(), h.Count()
 		}
+		t.P99 = sim.Time(h.Percentile(99))
+		t.Mean = sim.Time(int64(h.Mean()))
+	}
+	if ctl != nil {
+		out.aggRung = ctl.Rung(2)
 	}
 	return out, nil
 }
 
-// NoisyNeighborSweep runs all three arms. scale stretches the run's
-// virtual duration (scale 1.0 = one virtual second, floored at 20ms so
-// the hysteresis ladder always has windows to walk).
+// NoisyNeighborSweep runs all three arms. scale sets the run's virtual
+// duration (scale 1.0 = 1000 virtual seconds, floored at ten hysteresis
+// windows so the ladder always has windows to walk).
 func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
-	dur := sim.Time(float64(sim.Second) * scale)
-	if dur < 20*sim.Millisecond {
-		dur = 20 * sim.Millisecond
-	}
+	dur := max(sim.Time(1000*float64(sim.Second)*scale), 10*nnWindow)
 	arms, err := fanOut(len(nnArms), func(i int) (nnArmOut, error) {
 		return noisyArm(nnArms[i], dur)
 	})
@@ -432,20 +206,18 @@ func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
 			if iso <= 0 {
 				continue
 			}
-			r := float64(arms[armIdx].tenants[v].P99) / float64(iso)
-			if r > worst {
-				worst = r
-			}
+			worst = max(worst, float64(arms[armIdx].tenants[v].P99)/float64(iso))
 		}
 		return worst
 	}
+	agg := arms[1].tenants[2]
 	res := NoisyResult{
 		VictimP99Ratio:   ratio(1),
 		UnprotectedRatio: ratio(2),
-		AggThrottled:     arms[1].tenants[2].Throttled,
-		AggShed:          arms[1].tenants[2].Shed,
-		AggBypassed:      arms[1].tenants[2].Bypassed,
-		AggDeadline:      arms[1].tenants[2].Deadline,
+		AggThrottled:     agg.Throttled,
+		AggShed:          agg.Shed,
+		AggBypassed:      agg.Bypassed,
+		AggDeadline:      agg.Deadline,
 		AggRung:          arms[1].aggRung,
 	}
 	for ti, spec := range specs {
@@ -458,23 +230,27 @@ func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run ==\n", dur)
-	fmt.Fprintf(&b, "tenants: %s (aggressor offers %.0fk IOPS against a %.0fk budget)\n",
-		nnTenantSpec, nnOffered[2]/1000, float64(specs[2].RateIOPS)/1000)
+	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run, %s backend ==\n", dur, DefaultBackend())
+	fmt.Fprintf(&b, "tenants: %s (aggressor offers %.0f IOPS against a %d IOPS budget)\n",
+		nnTenantSpec, nnOffered[2], specs[2].RateIOPS)
 	fmt.Fprintf(&b, "%-12s %-10s %9s %9s %9s %9s %9s %9s %10s %10s\n",
-		"arm", "tenant", "offered", "admitted", "bypassed", "throttled", "shed", "deadline", "p99(us)", "mean(us)")
+		"arm", "tenant", "offered", "admitted", "bypassed", "throttled", "shed", "deadline", "p99(ms)", "mean(ms)")
 	for ai, arm := range nnArms {
 		for ti, spec := range specs {
 			t := arms[ai].tenants[ti]
-			fmt.Fprintf(&b, "%-12s %-10s %9d %9d %9d %9d %9d %9d %10.0f %10.0f\n",
+			fmt.Fprintf(&b, "%-12s %-10s %9d %9d %9d %9d %9d %9d %10.2f %10.2f\n",
 				arm.name, spec.Name, t.Offered, t.Admitted, t.Bypassed,
-				t.Throttled, t.Shed, t.Deadline,
-				float64(t.P99)/float64(sim.Microsecond),
-				float64(t.Mean)/float64(sim.Microsecond))
+				t.Throttled, t.Shed, t.Deadline, t.P99.Millis(), t.Mean.Millis())
 		}
 	}
-	fmt.Fprintf(&b, "victim p99 ratio, QoS on  = %.2fx (gate <= 2x)\n", res.VictimP99Ratio)
-	fmt.Fprintf(&b, "victim p99 ratio, QoS off = %.2fx\n", res.UnprotectedRatio)
+	if res.UnprotectedRatio > nnGate {
+		fmt.Fprintf(&b, "victim p99 ratio, QoS on  = %.2fx (gate <= %gx)\n", res.VictimP99Ratio, nnGate)
+		fmt.Fprintf(&b, "victim p99 ratio, QoS off = %.2fx\n", res.UnprotectedRatio)
+	} else {
+		fmt.Fprintf(&b, "victim p99 ratio = %.2fx with QoS on, %.2fx with it off (gate <= %gx)\n",
+			res.VictimP99Ratio, res.UnprotectedRatio, nnGate)
+		b.WriteString("the aggressor does not load this backend's members: there is no interference to isolate\n")
+	}
 	fmt.Fprintf(&b, "aggressor ladder rung = %d (0 throttle, 1 shed, 2 bypass)\n", res.AggRung)
 	res.Table = b.String()
 	return res, nil

@@ -52,8 +52,8 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 
 // TestDeterministicNoisyAcrossParallelism proves the experiment's
 // rendered output is byte-identical at any worker-pool width: the QoS
-// gate, the retry heap, the plane and the service model are all
-// virtual-time deterministic.
+// gate, the replay loop and the timing stack are all virtual-time
+// deterministic.
 func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 	defer SetParallelism(0)
 
@@ -79,7 +79,7 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 }
 
 // TestNoisyNeighborGolden pins the rendered table byte for byte, so a
-// change to the plane it drives, the service model or the QoS controller
+// change to the stack it drives, the replay loop or the QoS controller
 // shows up as a diff of testdata/noisy.golden (regenerate with -update
 // after an intended change and say which rows moved).
 func TestNoisyNeighborGolden(t *testing.T) {
@@ -88,4 +88,27 @@ func TestNoisyNeighborGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "noisy.golden", []byte(table))
+}
+
+// TestNoisyNeighborLSRaid runs the experiment on the log-structured
+// backend, where a cold read costs no seek, so the aggressor's flood
+// does not load the members: the unprotected arm shows no interference,
+// and the table reports the measured ratios instead of an isolation
+// verdict it has nothing to rest on.
+func TestNoisyNeighborLSRaid(t *testing.T) {
+	SetDefaultBackend("lsraid")
+	defer SetDefaultBackend("")
+	res, err := NoisyNeighborSweep(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnprotectedRatio > nnGate {
+		t.Fatalf("unprotected ratio %.2fx on lsraid; this test expects no interference", res.UnprotectedRatio)
+	}
+	if strings.Contains(res.Table, "QoS on  =") || !strings.Contains(res.Table, "does not load this backend's members") {
+		t.Errorf("table states an isolation verdict without interference:\n%s", res.Table)
+	}
+	if res.AggThrottled == 0 || res.AggShed == 0 {
+		t.Errorf("aggressor throttled %d, shed %d: the controller did not act", res.AggThrottled, res.AggShed)
+	}
 }

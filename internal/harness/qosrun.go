@@ -33,7 +33,7 @@ func RunTraceQoS(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.T
 	if ctl == nil {
 		return nil, fmt.Errorf("harness: RunTraceQoS needs a controller")
 	}
-	res, per, err := replay(st, tr, ctl, deadline)
+	res, per, err := replay(st, tr, ctl, deadline, ctl.Tenants())
 	if err != nil {
 		return nil, err
 	}

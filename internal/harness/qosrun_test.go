@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kddcache/internal/cache"
 	"kddcache/internal/core"
 	"kddcache/internal/obs"
 	"kddcache/internal/qos"
@@ -177,5 +178,115 @@ func TestReplayNilControllerEqualsWideOpen(t *testing.T) {
 	}
 	if a, b := plainOb.TraceJSONL(), gatedOb.TraceJSONL(); len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatalf("span traces differ (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestRunTraceQoSTracesVerdicts: a traced gated replay leaves one
+// qos_throttle mark per throttle verdict and one qos_shed mark per shed
+// verdict on the stack's tracer, and no span open or malformed.
+func TestRunTraceQoSTracesVerdicts(t *testing.T) {
+	ob := obs.New()
+	st, err := Build(StackOpts{
+		Policy: PolicyKDD, DeltaMean: 0.25,
+		CachePages: 1024, DiskPages: 65536, Timing: true, Seed: 7, Obs: ob,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := qos.ParseTenants("big:10000:4,small:1000:1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := qos.NewController(qos.Config{Tenants: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := RunTraceQoS(st, qosTrace(), ctl, 2*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ob.Tracer.OpenSpans(); n != 0 {
+		t.Fatalf("%d spans leaked open", n)
+	}
+	if err := ob.Tracer.Err(); err != nil {
+		t.Fatalf("trace integrity: %v", err)
+	}
+	jsonl := ob.TraceJSONL()
+	small := qr.Tenants[1]
+	for _, c := range []struct {
+		phase string
+		want  int64
+	}{
+		{`"qos_throttle"`, small.Throttled},
+		{`"qos_shed"`, small.Shed},
+	} {
+		if c.want == 0 {
+			t.Fatalf("no %s verdict: the marks are not exercised", c.phase)
+		}
+		if got := int64(bytes.Count(jsonl, []byte(c.phase))); got != c.want {
+			t.Errorf("%d %s spans, want one per verdict (%d)", got, c.phase, c.want)
+		}
+	}
+}
+
+// issueRecorder is a policy that records the time of every request the
+// replay issues to it.
+type issueRecorder struct {
+	cache.Policy
+	times []sim.Time
+}
+
+func (r *issueRecorder) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	r.times = append(r.times, t)
+	return r.Policy.Read(t, lba, buf)
+}
+
+func (r *issueRecorder) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	r.times = append(r.times, t)
+	return r.Policy.Write(t, lba, buf)
+}
+
+// TestReplayServesInTimeOrder: the replay is one event loop in virtual
+// time, so a throttled request waits for its retry time among the other
+// arrivals instead of being served at it while the loop is still at an
+// earlier arrival. Two tenants alternate writes 1 ms apart; tenant b's
+// 10 IOPS budget throttles most of its requests. The times the stack
+// sees never decrease.
+func TestReplayServesInTimeOrder(t *testing.T) {
+	st, err := Build(StackOpts{Policy: PolicyWT, CachePages: 1024, DiskPages: 65536, Timing: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &issueRecorder{Policy: st.Policy}
+	st.Policy = rec
+	tr := &trace.Trace{Name: "alternating"}
+	for i := int64(0); i < 100; i++ {
+		tr.Requests = append(tr.Requests, trace.Request{
+			Time: sim.Time(i) * sim.Millisecond, Op: trace.Write, LBA: 8 * i, Pages: 1, Tenant: int(i % 2),
+		})
+	}
+	specs, err := qos.ParseTenants("a:1000000:1,b:10:1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := qos.NewController(qos.Config{Tenants: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := RunTraceQoS(st, tr, ctl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qr.Tenants[1].Throttled == 0 {
+		t.Fatal("tenant b was never throttled: the retry path is not exercised")
+	}
+	late := 0
+	for i := 1; i < len(rec.times); i++ {
+		if rec.times[i] < rec.times[i-1] {
+			late++
+		}
+	}
+	if late != 0 {
+		t.Fatalf("%d of %d requests issued before an earlier one", late, len(rec.times))
 	}
 }

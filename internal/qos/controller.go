@@ -93,9 +93,9 @@ type tenantState struct {
 }
 
 // Controller is the per-tenant admission controller. It is not
-// goroutine-safe by design: the shard plane consults it in submission
-// order on the batch-submitting goroutine, which is exactly what keeps
-// its decisions independent of shard count and parallelism.
+// goroutine-safe by design: the replay loop consults it in virtual-time
+// order on one goroutine, which is exactly what keeps its decisions
+// independent of parallelism.
 type Controller struct {
 	cfg    Config
 	ts     []tenantState

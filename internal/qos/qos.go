@@ -1,15 +1,16 @@
 // Package qos is the multi-tenant admission-control layer of the serving
-// path: per-tenant token-bucket rate limiters, a weighted-fair admission
-// queue, typed rejection errors with retry hints, and a degradation
-// ladder (throttle → shed → bypass) with recovery hysteresis.
+// path: per-tenant token-bucket rate limiters, typed rejection errors
+// with retry hints, and a degradation ladder (throttle → shed → bypass)
+// with recovery hysteresis. Two serving paths gate through it, each at
+// one place: the harness replay loop (kddsim -tenants and the
+// noisy-neighbor experiment) and the kddcache.System facade.
 //
 // Everything is deterministic in virtual time: buckets account in
 // integer token-nanoseconds (no floating point on the admission path),
-// the weighted-fair queue breaks ties by tenant index, and the
-// controller is driven solely by the sim.Time values the caller hands
-// it. Two runs over the same request stream make identical decisions at
-// any parallelism, which is what lets the noisy-neighbor experiment
-// stay byte-identical at every -parallel width.
+// and the controller is driven solely by the sim.Time values the caller
+// hands it. Two runs over the same request stream make identical
+// decisions at any parallelism, which is what lets the noisy-neighbor
+// experiment stay byte-identical at every -parallel width.
 package qos
 
 import (

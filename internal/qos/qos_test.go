@@ -71,73 +71,8 @@ func TestBucketNext(t *testing.T) {
 	}
 }
 
-// TestWFQNeverStarves is the non-starvation property: with every tenant
-// kept non-empty, each pop window of bounded length serves every
-// tenant, and service shares converge to the weight shares.
-func TestWFQNeverStarves(t *testing.T) {
-	weights := []int64{8, 4, 2, 1}
-	q := NewWFQ(weights, 1<<20)
-	served := make([]int, len(weights))
-	gap := make([]int, len(weights))
-	for i := range weights {
-		for k := 0; k < 64; k++ {
-			q.Push(i, int64(k))
-		}
-	}
-	const pops = 4096
-	for n := 0; n < pops; n++ {
-		tn, _, ok := q.Pop()
-		if !ok {
-			t.Fatal("queue drained early")
-		}
-		served[tn]++
-		q.Push(tn, 0) // keep every tenant non-empty
-		for i := range gap {
-			if i == tn {
-				if gap[i] > 24 {
-					t.Fatalf("tenant %d starved for %d consecutive pops", i, gap[i])
-				}
-				gap[i] = 0
-			} else {
-				gap[i]++
-			}
-		}
-	}
-	var wsum int64
-	for _, w := range weights {
-		wsum += w
-	}
-	for i, w := range weights {
-		want := pops * int(w) / int(wsum)
-		if served[i] < want*9/10 || served[i] > want*11/10 {
-			t.Fatalf("tenant %d (weight %d) served %d of %d pops, want ~%d",
-				i, w, served[i], pops, want)
-		}
-	}
-}
-
-// TestWFQBoundedDepth checks the admission bound and FIFO order within
-// a tenant.
-func TestWFQBoundedDepth(t *testing.T) {
-	q := NewWFQ([]int64{1}, 4)
-	for k := int64(0); k < 4; k++ {
-		if !q.Push(0, k) {
-			t.Fatalf("push %d refused below the depth bound", k)
-		}
-	}
-	if q.Push(0, 99) {
-		t.Fatal("push accepted past the depth bound")
-	}
-	for k := int64(0); k < 4; k++ {
-		_, v, ok := q.Pop()
-		if !ok || v != k {
-			t.Fatalf("pop %d: got %d ok=%v, want FIFO order", k, v, ok)
-		}
-	}
-}
-
 // TestAccessors covers the small introspection surface: verdict names,
-// queue lengths, and controller-wide tenant count and conservation.
+// and controller-wide tenant count and conservation.
 func TestAccessors(t *testing.T) {
 	for v, want := range map[Verdict]string{
 		VerdictAdmit: "admit", VerdictBypass: "bypass",
@@ -146,14 +81,6 @@ func TestAccessors(t *testing.T) {
 		if got := v.String(); got != want {
 			t.Errorf("Verdict(%d).String() = %q, want %q", v, got, want)
 		}
-	}
-
-	q := NewWFQ([]int64{2, 1}, 8)
-	q.Push(0, 1)
-	q.Push(0, 2)
-	q.Push(1, 3)
-	if q.Len() != 3 || q.TenantLen(0) != 2 || q.TenantLen(1) != 1 {
-		t.Fatalf("lengths %d/%d/%d, want 3/2/1", q.Len(), q.TenantLen(0), q.TenantLen(1))
 	}
 
 	ctl, err := NewController(Config{Tenants: []TenantSpec{
@@ -173,20 +100,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if !ctl.Conserved(last) {
 		t.Fatal("controller buckets violated conservation")
-	}
-}
-
-// TestWFQDeterministicTieBreak: equal tags pop in tenant order.
-func TestWFQDeterministicTieBreak(t *testing.T) {
-	q := NewWFQ([]int64{1, 1, 1}, 8)
-	for i := 2; i >= 0; i-- {
-		q.Push(i, int64(i))
-	}
-	for want := 0; want < 3; want++ {
-		tn, _, ok := q.Pop()
-		if !ok || tn != want {
-			t.Fatalf("tie-break pop: got tenant %d, want %d", tn, want)
-		}
 	}
 }
 
@@ -399,9 +312,6 @@ func TestParseTenants(t *testing.T) {
 	}
 	if specs[1] != (TenantSpec{Name: "b", RateIOPS: 50, Weight: 1, Burst: 7}) {
 		t.Fatalf("spec b: %+v", specs[1])
-	}
-	if w := Weights(specs); w[0] != 2 || w[1] != 1 {
-		t.Fatalf("weights: %v", w)
 	}
 	bad := []string{
 		"", "a", "a:100", "a:100:2:3:4", ":100:2", "a:0:1", "a:-5:1",

@@ -7,13 +7,12 @@ import (
 )
 
 // TenantSpec is one tenant's budget: a sustained rate, a burst
-// allowance, and a weight that doubles as its priority class (higher
-// weight = more service under contention and later demotion on the
-// degradation ladder).
+// allowance, and a weight that is its priority class (a higher weight
+// demotes later on the degradation ladder).
 type TenantSpec struct {
 	Name     string
 	RateIOPS int64 // sustained budget, requests per virtual second
-	Weight   int64 // fair-share weight / priority class (>= 1)
+	Weight   int64 // priority class (>= 1)
 	Burst    int64 // token-bucket depth in requests
 }
 
@@ -106,13 +105,4 @@ func parseBounded(s, field string, lo, hi int64) (int64, error) {
 		return 0, fmt.Errorf("%s %d out of range [%d, %d]", field, v, lo, hi)
 	}
 	return v, nil
-}
-
-// Weights extracts the weight vector in tenant order (WFQ construction).
-func Weights(specs []TenantSpec) []int64 {
-	w := make([]int64, len(specs))
-	for i, s := range specs {
-		w[i] = s.Weight
-	}
-	return w
 }

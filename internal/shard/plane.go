@@ -3,12 +3,9 @@
 // dispatched by backing-LBA stripe hash, with the batch swept on the
 // calling goroutine.
 //
-// The state partition count (Lanes) is FIXED. The shard count does not
-// change what runs or in what order: it only names how many serial
-// servers the noisy-neighbor experiment's service model charges
-// (ShardOf). Every batch runs the same way at every shard count, so
-// per-lane state, every virtual time and every byte of output are
-// functions of the request stream alone.
+// The state partition count (Lanes) is FIXED, and every batch runs the
+// same way, so per-lane state, every virtual time and every byte of
+// output are functions of the request stream alone.
 //
 // Per batch the plane coalesces superseded writes (a write to an LBA
 // overwritten later in the same batch with no intervening read of it is
@@ -38,7 +35,6 @@ import (
 	"kddcache/internal/delta"
 	"kddcache/internal/metalog"
 	"kddcache/internal/obs"
-	"kddcache/internal/qos"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
 )
@@ -80,10 +76,11 @@ type Config struct {
 	// they couple lane state.
 	Codec func(lane int) delta.Codec
 
-	// Shards is the number of servers the lanes are grouped onto
-	// (ShardOf), for the noisy-neighbor service model, which charges
-	// per-shard compute. It does not change execution. Must divide
-	// Lanes; default 1.
+	// Shards once grouped the lanes onto servers for a CPU service
+	// model.
+	//
+	// Deprecated: has no effect, beyond New refusing a count that does
+	// not divide Lanes.
 	Shards int
 
 	// Goroutines once selected a per-shard worker pool.
@@ -94,20 +91,11 @@ type Config struct {
 
 	// Coalesce drops writes superseded within a batch. Lane-consistent
 	// by construction (only same-LBA operations interact, and an LBA
-	// always routes to the same lane), so it preserves the determinism
-	// contract across shard counts.
+	// always routes to the same lane).
 	Coalesce bool
 
-	// Tracer records the lanes', the log's and the admission gate's
-	// spans.
+	// Tracer records the lanes' and the log's spans.
 	Tracer *obs.Tracer
-
-	// QoS attaches a per-tenant admission controller. RunBatch consults
-	// it in submission order before any op executes, so its decisions
-	// are identical at every shard count. Over-budget ops are rejected
-	// with typed qos errors; bypass-rung ops are served around cache
-	// admission (core.KDD.Serve with admit false).
-	QoS *qos.Controller
 }
 
 // OpKind selects a plane operation.
@@ -125,21 +113,8 @@ type Op struct {
 	LBA  int64
 	Buf  []byte
 
-	// Tenant is the submitting tenant's index for the QoS controller
-	// (ignored without one; zero is the untagged/first tenant).
-	Tenant int
-
-	// At is the request's arrival time; zero means the batch time. The
-	// admission gate and the deadline check use it, so batched replay
-	// keeps per-request bucket accounting exact.
+	// At is the request's arrival time; zero means the batch time.
 	At sim.Time
-
-	// Deadline, when non-zero, is the absolute virtual time after which
-	// the request is rejected with qos.ErrDeadlineExceeded instead of
-	// being served. It is enforced at the plane boundary before any
-	// engine work, whether or not a controller is attached — a deadline
-	// is a property of the request.
-	Deadline sim.Time
 }
 
 // Result reports one Op's completion.
@@ -147,7 +122,6 @@ type Result struct {
 	Done      sim.Time
 	Err       error
 	Coalesced bool // write superseded within its batch; never executed
-	Bypassed  bool // served around cache admission (QoS bypass verdict)
 }
 
 // Plane is the sharded data plane. It is not safe for concurrent use:
@@ -163,8 +137,7 @@ type Plane struct {
 	// dead latches after a lane reports a fatal device error (crash or
 	// fail-stop): the rest of the batch — and everything after it — is
 	// refused with ErrStopped instead of executing against a dead device
-	// and smearing half-ordered state across NVRAM. The latch flips at
-	// the same op ordinal at every shard count.
+	// and smearing half-ordered state across NVRAM.
 	dead bool
 
 	// closed latches at Close: every later op is refused with ErrClosed.
@@ -185,10 +158,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Ways == 0 {
 		c.Ways = 256
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Shards < 1 || c.Shards > Lanes || Lanes%c.Shards != 0 {
+	if c.Shards != 0 && (c.Shards < 1 || c.Shards > Lanes || Lanes%c.Shards != 0) {
 		return c, fmt.Errorf("shard: shard count %d must divide the %d lanes", c.Shards, Lanes)
 	}
 	if c.CachePages%Lanes != 0 {
@@ -268,10 +238,6 @@ func (p *Plane) LaneOf(lba int64) int {
 	return int(h % Lanes)
 }
 
-// ShardOf maps a lane to the server the noisy-neighbor experiment's
-// service model charges its compute to.
-func (p *Plane) ShardOf(lane int) int { return lane % p.cfg.Shards }
-
 // Lane exposes lane i's engine (tests, the checker).
 func (p *Plane) Lane(i int) *core.KDD { return p.lanes[i] }
 
@@ -291,14 +257,12 @@ func (p *Plane) note(err error) {
 // batch is RunBatch's scratch, owned by the plane and reused from one
 // batch to the next.
 type batch struct {
-	t      sim.Time
-	ops    []Op
-	res    []Result
-	drop   []bool         // rejected by the admission gate; res already holds the error
-	bypass []bool         // served around cache admission (QoS bypass verdict)
-	skip   []bool         // write superseded later in the batch
-	sweep  []sweepKey     // the ops to execute, in sweep order
-	later  map[int64]bool // coalesceSkips' set, cleared per batch (keeps its buckets)
+	t     sim.Time
+	ops   []Op
+	res   []Result
+	skip  []bool         // write superseded later in the batch
+	sweep []sweepKey     // the ops to execute, in sweep order
+	later map[int64]bool // coalesceSkips' set, cleared per batch (keeps its buckets)
 }
 
 // sweepKey is one op's place in the sweep: its arrival run (the ordinal
@@ -323,21 +287,17 @@ func compareSweep(x, y sweepKey) int {
 }
 
 // reset sizes the scratch for ops and clears what the last batch left
-// (not res: every op's entry is assigned exactly once — by the gate, the
+// (not res: every op's entry is assigned exactly once — by the
 // coalescer or the sweep).
 func (b *batch) reset(t sim.Time, ops []Op) {
 	n := len(ops)
 	b.t, b.ops = t, ops
 	if cap(b.res) < n {
 		b.res = make([]Result, n)
-		b.drop = make([]bool, n)
-		b.bypass = make([]bool, n)
 		b.skip = make([]bool, n)
 		b.sweep = make([]sweepKey, 0, n)
 	}
-	b.res, b.drop, b.bypass, b.skip = b.res[:n], b.drop[:n], b.bypass[:n], b.skip[:n]
-	clear(b.drop)
-	clear(b.bypass)
+	b.res, b.skip = b.res[:n], b.skip[:n]
 	clear(b.skip)
 	b.sweep = b.sweep[:0]
 }
@@ -358,12 +318,10 @@ func (b *batch) plan() (coalesced int64) {
 		if i > 0 && b.at(i) != b.at(i-1) {
 			wave++
 		}
-		switch {
-		case b.drop[i]:
-		case b.skip[i]:
+		if b.skip[i] {
 			b.res[i] = Result{Done: b.t, Coalesced: true}
 			coalesced++
-		default:
+		} else {
 			b.sweep = append(b.sweep, sweepKey{lba: b.ops[i].LBA, wave: wave, idx: int32(i)})
 		}
 	}
@@ -374,16 +332,11 @@ func (b *batch) plan() (coalesced int64) {
 // coalesceSkips marks writes superseded later in the batch: same LBA
 // written again with no read of it in between. One backward scan suffices
 // — only same-LBA operations interact, and an LBA always lands on one
-// lane, so the result is lane-consistent. Ops the admission gate already
-// rejected (drop) do not participate: a shed write never executes, so it
-// must not supersede an earlier one.
+// lane, so the result is lane-consistent.
 func (p *Plane) coalesceSkips() {
 	b := &p.b
 	clear(b.later)
 	for i := len(b.ops) - 1; i >= 0; i-- {
-		if b.drop[i] {
-			continue
-		}
 		switch b.ops[i].Kind {
 		case OpWrite:
 			if b.later[b.ops[i].LBA] {
@@ -397,48 +350,20 @@ func (p *Plane) coalesceSkips() {
 	}
 }
 
-// gate runs the admission boundary (qos.Controller.Gate: deadline, then
-// verdict) over the batch in submission order. What the plane adds is
-// the batch bookkeeping: a rejected op is dropped with its typed error in
-// res and a throttle/shed mark in the trace, a bypass verdict is
-// remembered for exec. Running strictly before any op executes is what
-// makes the verdict sequence independent of the sweep and of the shard
-// count.
-func (p *Plane) gate() {
-	b := &p.b
-	for i := range b.ops {
-		at := b.at(i)
-		d, err := p.cfg.QoS.Gate(at, b.ops[i].Tenant, b.ops[i].Deadline)
-		if err != nil {
-			switch d.Verdict {
-			case qos.VerdictThrottle:
-				p.cfg.Tracer.Mark(at, obs.PhaseQoSThrottle, b.ops[i].LBA)
-			case qos.VerdictShed:
-				p.cfg.Tracer.Mark(at, obs.PhaseQoSShed, b.ops[i].LBA)
-			}
-			b.drop[i] = true
-			b.res[i] = Result{Done: at, Err: err}
-		} else if d.Verdict == qos.VerdictBypass {
-			b.bypass[i] = true
-		}
-	}
-}
-
 // exec runs one operation on its lane. A plane that has fail-stopped
 // refuses the op untouched.
-func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
+func (p *Plane) exec(t sim.Time, op Op) Result {
 	if p.dead {
 		return Result{Done: t, Err: ErrStopped}
 	}
 	if op.At != 0 {
 		t = op.At
 	}
-	r := Result{Bypassed: bypass}
-	r.Done, r.Err = p.lanes[p.LaneOf(op.LBA)].Serve(t, op.LBA, op.Buf, op.Kind == OpWrite, !bypass)
-	if fatalErr(r.Err) {
+	done, err := p.lanes[p.LaneOf(op.LBA)].Serve(t, op.LBA, op.Buf, op.Kind == OpWrite, true)
+	if fatalErr(err) {
 		p.dead = true
 	}
-	return r
+	return Result{Done: done, Err: err}
 }
 
 // RunBatch runs a batch of operations and returns when it is done: every
@@ -446,8 +371,7 @@ func (p *Plane) exec(t sim.Time, op Op, bypass bool) Result {
 // rebuild pacing step. Results are in input order. Execution is one
 // sweep over the whole batch: each run of consecutive ops sharing one
 // arrival time (At, or t when zero) goes in ascending LBA order, stably,
-// and runs never pass one another; then the barrier. The shard count
-// changes nothing here.
+// and runs never pass one another; then the barrier.
 //
 // One batch runs at a time, and the results are the plane's scratch:
 // they are valid until the next RunBatch (Read and Write included), so
@@ -463,13 +387,12 @@ func (p *Plane) RunBatch(t sim.Time, ops []Op) []Result {
 		b.ops = nil
 		return b.res
 	}
-	p.gate()
 	if p.cfg.Coalesce {
 		p.coalesceSkips()
 	}
 	p.coalesced += b.plan()
 	for _, k := range b.sweep {
-		b.res[k.idx] = p.exec(t, ops[k.idx], b.bypass[k.idx])
+		b.res[k.idx] = p.exec(t, ops[k.idx])
 	}
 	p.barrier(t)
 	b.ops = nil // the caller's ops (and their buffers) are not ours to keep
@@ -540,7 +463,7 @@ func (p *Plane) Quiesce(t sim.Time) (sim.Time, error) {
 }
 
 // StateDigest folds the lanes' digests in lane order: an I/O-free
-// fingerprint of the whole plane, independent of shard count. Call at a
+// fingerprint of the whole plane. Call at a
 // barrier (e.g. after Quiesce) — lane digests read live engine state.
 func (p *Plane) StateDigest() uint64 {
 	h := fnv.New64a()

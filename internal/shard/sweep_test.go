@@ -9,11 +9,11 @@ import (
 )
 
 // TestSweepMatchesStableReference holds the sweep-key sort to the order
-// it stands for: the ops left after the gate and the coalescer, sorted
-// stably by (arrival run, LBA) with the comparator reading the ops
-// themselves. Batches are random in size, in where their arrival runs
-// break (At zero shares a run with At equal to the batch time) and in
-// which ops are dropped or superseded, and their LBAs repeat a lot.
+// it stands for: the ops left after the coalescer, sorted stably by
+// (arrival run, LBA) with the comparator reading the ops themselves.
+// Batches are random in size, in where their arrival runs break (At
+// zero shares a run with At equal to the batch time) and in which ops
+// are superseded, and their LBAs repeat a lot.
 func TestSweepMatchesStableReference(t *testing.T) {
 	rng := sim.NewRNG(0x5EE9)
 	b := batch{later: map[int64]bool{}}
@@ -30,8 +30,7 @@ func TestSweepMatchesStableReference(t *testing.T) {
 		}
 		b.reset(t0, ops)
 		for i := range ops {
-			b.drop[i] = rng.Intn(10) == 0
-			b.skip[i] = !b.drop[i] && rng.Intn(10) == 0
+			b.skip[i] = rng.Intn(10) == 0
 		}
 
 		var want []int
@@ -44,7 +43,7 @@ func TestSweepMatchesStableReference(t *testing.T) {
 					wave[i]++
 				}
 			}
-			if !b.drop[i] && !b.skip[i] {
+			if !b.skip[i] {
 				want = append(want, i)
 			}
 		}
