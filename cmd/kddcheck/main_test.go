@@ -16,7 +16,7 @@ func TestChaosKindPinned(t *testing.T) {
 	if code := run([]string{"-chaos", "-kind", "ssd-kill,ssd-reattach"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb.String())
 	}
-	const want = "603c3e24c0e5fe088005db367fa786b126c8b37714478d69334facd1d4ccd849"
+	const want = "16053644b9d40aa7c052f365a7bcd15b3bbc108ad7e9c2f39b5c63c018e5b58e"
 	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
 		t.Fatalf("table sha256 %s, want %s:\n%s", got, want, out.String())
 	}

@@ -319,6 +319,12 @@ func (o *options) runTrace(spec workload.Spec, tr *trace.Trace, w, stderr io.Wri
 		if err != nil {
 			return usageError{err}
 		}
+		// A synthesized workload tags every request with tenant 0.
+		for i, sp := range specs {
+			if !slices.ContainsFunc(tr.Requests, func(q trace.Request) bool { return q.Tenant == i }) {
+				return usagef("-tenants: tenant %q (index %d) tags no request of %s", sp.Name, i, tr.Name)
+			}
+		}
 		if ctl, err = qos.NewController(qos.Config{Tenants: specs}); err != nil {
 			return usageError{err}
 		}

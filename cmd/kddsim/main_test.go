@@ -136,6 +136,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-policy", "LRU"}, `unknown policy "LRU"`},
 		{[]string{"-closed-loop", "-policy", "LRU"}, `unknown policy "LRU"`},
 		{[]string{"-tenants", "gold"}, "qos:"},
+		{[]string{"-scale", "0.001", "-tenants", "gold:2000:4,bronze:500:1"}, `tenant "bronze" (index 1) tags no request`},
 		{[]string{"fig9"}, `unexpected argument "fig9"`},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {

@@ -72,7 +72,6 @@ type ChaosScheduleResult struct {
 	Crashes       int   // power losses injected (and recovered from)
 	Detected      int64 // media-error detection events across all layers (a fault observed at both the device and the RAID layer counts at each)
 	Repaired      int64 // pages/rows healed (scrub, read-repair, row heals, emergency folds)
-	StaleFolds    int   // ops retried after folding deltas into stale parity
 	Unrecoverable int   // rows reported unrecoverable (only the dedicated plan expects any)
 	Failovers     int64 // cache transitions into pass-through (breaker trips + fail-stops)
 	Reattaches    int64 // successful cache re-attachments
@@ -108,14 +107,14 @@ func (r *ChaosReport) Violations() []string {
 func (r *ChaosReport) Table() string {
 	var b strings.Builder
 	b.WriteString("== Chaos: randomized partial-fault schedules over the KDD stack ==\n")
-	fmt.Fprintf(&b, "%3s  %-14s %-18s %7s %9s %9s %6s %6s %6s %5s %6s %6s %5s %8s  %-16s %s\n",
-		"#", "kind", "seed", "crashes", "detected", "repaired", "folds", "unrec", "failov", "reatt", "spares", "rbrows", "viol", "spans", "tracedigest", "fingerprint")
+	fmt.Fprintf(&b, "%3s  %-14s %-18s %7s %9s %9s %6s %6s %5s %6s %6s %5s %8s  %-16s %s\n",
+		"#", "kind", "seed", "crashes", "detected", "repaired", "unrec", "failov", "reatt", "spares", "rbrows", "viol", "spans", "tracedigest", "fingerprint")
 	var crashes, unrec, viol int
 	var detected, repaired, failov, reatt, spares, rbrows int64
 	for _, res := range r.Results {
-		fmt.Fprintf(&b, "%3d  %-14s %-18s %7d %9d %9d %6d %6d %6d %5d %6d %6d %5d %8d  %016x %016x\n",
+		fmt.Fprintf(&b, "%3d  %-14s %-18s %7d %9d %9d %6d %6d %5d %6d %6d %5d %8d  %016x %016x\n",
 			res.Schedule, res.Kind, fmt.Sprintf("%#x", res.Seed),
-			res.Crashes, res.Detected, res.Repaired, res.StaleFolds,
+			res.Crashes, res.Detected, res.Repaired,
 			res.Unrecoverable, res.Failovers, res.Reattaches,
 			res.SpareAttaches, res.RebuildRows,
 			len(res.Violations), res.Spans, res.TraceDigest, res.Fingerprint)
@@ -260,7 +259,6 @@ func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) (*ChaosSchedule
 
 	t, as := r.totals(), r.arr.Stats()
 	res.Crashes = r.crashes
-	res.StaleFolds = r.folds
 	// A fault observed at both the device and the RAID layer counts at each.
 	res.Detected = as.MediaErrors + t.SSDMediaErrors
 	for _, inj := range r.injs {
@@ -299,7 +297,6 @@ func fingerprint(mdl *model.Model, res *ChaosScheduleResult) uint64 {
 	put(uint64(res.Crashes))
 	put(uint64(res.Detected))
 	put(uint64(res.Repaired))
-	put(uint64(res.StaleFolds))
 	put(uint64(res.Unrecoverable))
 	put(uint64(res.Failovers))
 	put(uint64(res.Reattaches))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
@@ -85,10 +84,10 @@ type spec struct {
 // *shard.Plane, behind the handful of operations the two spell
 // differently.
 type subject interface {
-	// run executes a batch, one result per op in submission order. The
-	// bare engine serves the ops in submission order, the plane in its
-	// sweep order; either way each LBA's ops keep their relative order.
-	run(t sim.Time, ops []shard.Op) []shard.Result
+	// RunBatch executes a batch, one result per op in submission order,
+	// valid until the next batch. The engine serves the ops in submission
+	// order, the plane in its sweep order: each LBA's ops keep their order.
+	RunBatch(t sim.Time, ops []shard.Op) []shard.Result
 	// restore builds a fresh instance from this one's NVRAM (metadata-log
 	// counters and buffer, every staging buffer) the way a power-on does,
 	// threading tr through the recovered instance.
@@ -106,7 +105,7 @@ type engineSubject struct {
 	cfg core.Config
 }
 
-func (e engineSubject) run(t sim.Time, ops []shard.Op) []shard.Result {
+func (e engineSubject) RunBatch(t sim.Time, ops []shard.Op) []shard.Result {
 	res := make([]shard.Result, len(ops))
 	for i, op := range ops {
 		res[i].Done, res[i].Err = e.Serve(t, op.LBA, op.Buf, op.Kind == shard.OpWrite, true)
@@ -133,12 +132,6 @@ func (e engineSubject) close() {}
 type planeSubject struct {
 	*shard.Plane
 	cfg shard.Config
-}
-
-// run copies the results out of the plane's scratch: exec's stale-parity
-// retry runs the subject again while it still walks the first batch's.
-func (p planeSubject) run(t sim.Time, ops []shard.Op) []shard.Result {
-	return slices.Clone(p.RunBatch(t, ops))
 }
 
 func (p planeSubject) restore(tr *obs.Tracer) (subject, error) {
@@ -197,7 +190,6 @@ type rig struct {
 	halt           bool
 	crashes        int
 	pendingCrashes int              // crashes that struck with rows in an engine's idle queue
-	folds          int              // ops retried after folding deltas into stale parity
 	rebuildResumes int              // power cycles that re-opened a rebuild window from the NVRAM checkpoint
 	banked         stats.CacheStats // counters of the instances power cycles replaced
 	lastScrub      raid.ScrubReport
@@ -249,7 +241,7 @@ func newRig(seed uint64, s spec) (*rig, error) {
 	}
 	for i := 0; i < s.spares; i++ {
 		if err := r.arr.AddSpare(blockdev.NewNullDataDevice(fmt.Sprintf("spare%d", i), s.diskPages)); err != nil {
-			panic(err) // spare geometry matches by construction
+			return nil, fmt.Errorf("check: parking spare %d: %w", i, err)
 		}
 	}
 	// Every run is traced: a crash that leaks a span open or drives a
@@ -394,30 +386,13 @@ func (r *rig) runOps() {
 	}
 }
 
-// fold folds every pending delta into its stale parity. An operation the
-// array refused with ErrStaleParity — parity deliberately left stale by
-// WriteNoParity cannot reconstruct — can be retried afterwards.
-func (r *rig) fold() bool {
-	for _, k := range r.sub.engines() {
-		if _, err := k.Clean(r.now, true); err != nil {
-			r.violf("delta fold: %v", err)
-			return false
-		}
-	}
-	return true
-}
-
 // exec runs one batch on the subject and reconciles every result with
 // the model in op order: an acked write must survive, a read must match,
 // and a write the power failed under may resolve old-or-new, pinned by
 // its first post-recovery read.
 func (r *rig) exec(ops []shard.Op) {
-	res := r.sub.run(r.now, ops)
+	res := r.sub.RunBatch(r.now, ops)
 	for i, op := range ops {
-		if errors.Is(res[i].Err, raid.ErrStaleParity) && r.fold() {
-			r.folds++
-			res[i] = r.sub.run(r.now, ops[i:i+1])[0]
-		}
 		write, err := op.Kind == shard.OpWrite, res[i].Err
 		switch {
 		case res[i].Coalesced, errors.Is(err, shard.ErrStopped):
@@ -568,7 +543,7 @@ func (r *rig) verify() {
 	// 3. Full redundancy: drive any open rebuild window to completion and
 	//    attach the spares still parked. The workload's own pump did the
 	//    paced part; this is the backstop for windows open at the end.
-	//    Deltas are folded before each attach (§III-E: parity_update
+	//    Settle folded every delta already (§III-E: parity_update
 	//    precedes rebuild). Degraded with no spare left is a legal end.
 	for guard := 0; !r.arr.Healthy(); guard++ {
 		if guard > len(r.members)+2 {
@@ -579,7 +554,7 @@ func (r *rig) verify() {
 			r.violf("verify: rebuild drain: %v", err)
 			break
 		}
-		if r.arr.Healthy() || r.arr.SpareCount() == 0 || !r.fold() {
+		if r.arr.Healthy() || r.arr.SpareCount() == 0 {
 			break
 		}
 		if _, started, err := r.arr.StartSpareRebuild(r.now); err != nil || !started {

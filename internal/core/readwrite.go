@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -10,6 +11,7 @@ import (
 	"kddcache/internal/metalog"
 	"kddcache/internal/nvram"
 	"kddcache/internal/obs"
+	"kddcache/internal/raid"
 	"kddcache/internal/sim"
 )
 
@@ -52,7 +54,7 @@ func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // parity) and the request is re-issued against the RAID, which always
 // holds the current data — a duplicate RAID data write is
 // content-idempotent, and the fold has already made the row's parity
-// consistent.
+// consistent. Nor does a stale row the array cannot decode (repairStale).
 func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done sim.Time, err error) {
 	var sp obs.Span
 	if k.tr != nil {
@@ -80,6 +82,9 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 			} else {
 				done, err = k.readCached(t, lba, buf, admit)
 			}
+			if errors.Is(err, raid.ErrStaleParity) {
+				done, err = k.repairStale(t, lba, buf, write, admit, err)
+			}
 		}
 		if err != nil && k.ssdFault(err) {
 			k.failover(t, HealthBypass)
@@ -96,6 +101,22 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 	}
 	sp.End(done)
 	return done, err
+}
+
+// repairStale recovers a request the array refused with ErrStaleParity (a
+// member page unreadable in a row a write hit left stale): the row's
+// cached deltas are folded as the cleaner folds them, and the request is
+// re-issued once at the repair's completion. A row with none stays loud.
+func (k *KDD) repairStale(t sim.Time, lba int64, buf []byte, write, admit bool, err error) (sim.Time, error) {
+	done, repaired, rerr := k.repairRow(t, lba)
+	if rerr != nil || !repaired {
+		return t, cmp.Or(rerr, err)
+	}
+	k.st.RowsHealed++
+	if write {
+		return k.writeCached(done, lba, buf, admit)
+	}
+	return k.readCached(done, lba, buf, admit)
 }
 
 // readCached is the cache-enabled read path. With admit false (a QoS

@@ -54,7 +54,7 @@ func Motivation(scale float64) (string, error) {
 	}
 	var b strings.Builder
 	b.WriteString("== Motivation (§I): why NVRAM buffering is not enough ==\n")
-	fmt.Fprintf(&b, "%-14s %14s %14s %16s\n", "policy", "mean (ms)", "p95 (ms)", "full stripes")
+	fmt.Fprintf(&b, "%-14s %14s %14s %16s\n", "policy", "mean (ms)", "p95 (ms)", "RMW-free writes")
 	for i, c := range configs {
 		r := results[i]
 		fmt.Fprintf(&b, "%-14s %14.2f %14.2f %16d\n",
@@ -64,8 +64,8 @@ func Motivation(scale float64) (string, error) {
 	b.WriteString("\nNVB (§I) helps only marginally: poor disk-level locality keeps full stripes\n")
 	b.WriteString("rare, so sustained writes still pay the small-write penalty. Parity logging\n")
 	b.WriteString("(§V-A) fixes writes (~2x over Nossd) but caches no reads and keeps its\n")
-	b.WriteString("update images in RAM. WB has a low mean but a brutal destage tail — and\n")
-	b.WriteString("loses data on SSD failure. KDD matches PLog's write relief while adding\n")
-	b.WriteString("an SSD-sized read cache, RPO-0 durability, and flash wear control.\n")
+	b.WriteString("update images in RAM. WB has a low mean but loses data on SSD failure.\n")
+	b.WriteString("KDD matches PLog's write relief while adding an SSD-sized read cache,\n")
+	b.WriteString("RPO-0 durability, and flash wear control.\n")
 	return b.String(), nil
 }

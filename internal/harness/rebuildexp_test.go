@@ -16,7 +16,7 @@ func TestRebuildImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Nossd", "KDD-25%", "rebuild time"} {
+	for _, want := range []string{"Nossd", "KDD-25%", "rebuild/healthy", "rebuild time"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

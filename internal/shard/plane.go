@@ -54,9 +54,9 @@ var ErrStopped = errors.New("shard: plane stopped on a fatal device error; resto
 // ErrClosed is returned for every operation submitted after Close.
 var ErrClosed = errors.New("shard: plane closed")
 
-// fatalErr reports whether a lane error means the shared device is gone
-// (as opposed to a semantic, retryable refusal like a stale-parity
-// fold-first error).
+// fatalErr reports whether a lane error means the shared device is gone,
+// as opposed to an error confined to the op, such as a page lost beyond
+// what its row's redundancy and deltas can recover.
 func fatalErr(err error) bool {
 	return errors.Is(err, blockdev.ErrCrashed) || errors.Is(err, blockdev.ErrFailed)
 }

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -510,6 +511,55 @@ func TestPlaneRestore(t *testing.T) {
 	r.p = p2
 	r.verifyOracle(t)
 	r.p = old
+}
+
+// TestBatchRepairsStaleRowOnUnreadablePeer: a write hit leaves page A's
+// row parity stale and the member page of a never-written peer B goes
+// bad. A batch that reads or writes B must still succeed: the lane folds
+// A's delta into the row's parity and re-issues the op.
+func TestBatchRepairsStaleRowOnUnreadablePeer(t *testing.T) {
+	t.Parallel()
+	for _, write := range []bool{false, true} {
+		t.Run(map[bool]string{false: "read", true: "write"}[write], func(t *testing.T) {
+			r := newPRig(t, 1)
+			const a = 8
+			for _, v := range []byte{1, 2} {
+				page := bytes.Repeat([]byte{v}, blockdev.PageSize)
+				if res := r.p.RunBatch(0, []shard.Op{{Kind: shard.OpWrite, LBA: a, Buf: page}}); res[0].Err != nil {
+					t.Fatal(res[0].Err)
+				}
+			}
+			if n := r.arr.StaleRows(); n != 1 {
+				t.Fatalf("%d stale rows after a write hit, want 1", n)
+			}
+			b := r.arr.RowPeers(a)[0]
+			if b == a {
+				b = r.arr.RowPeers(a)[1]
+			}
+			disk, page := r.arr.DataLocation(b)
+			r.arr.Injector(disk).InjectBadPage(page)
+
+			op := shard.Op{Kind: shard.OpRead, LBA: b, Buf: bytes.Repeat([]byte{0xFF}, blockdev.PageSize)}
+			want := make([]byte, blockdev.PageSize)
+			if write {
+				want = bytes.Repeat([]byte{3}, blockdev.PageSize)
+				op = shard.Op{Kind: shard.OpWrite, LBA: b, Buf: slices.Clone(want)}
+			}
+			if res := r.p.RunBatch(0, []shard.Op{op}); res[0].Err != nil {
+				t.Fatalf("batch on the unreadable peer %d: %v", b, res[0].Err)
+			}
+			got := make([]byte, blockdev.PageSize)
+			if res := r.p.RunBatch(0, []shard.Op{{Kind: shard.OpRead, LBA: b, Buf: got}}); res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("peer %d read back %#x..., want %#x...", b, got[0], want[0])
+			}
+			if h := r.p.Stats().RowsHealed; h != 1 {
+				t.Fatalf("RowsHealed = %d, want 1", h)
+			}
+		})
+	}
 }
 
 // TestRebuildPacing fails a member under a live plane and lets the

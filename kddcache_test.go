@@ -118,6 +118,55 @@ func TestSystemFlushAndStaleRows(t *testing.T) {
 	}
 }
 
+// A write hit leaves page A's row parity stale, and the member page of a
+// never-written peer B in that row goes bad. The array alone cannot
+// reconstruct B (raid.ErrStaleParity), but A's delta is still cached:
+// KDD folds it into the row's parity and serves the request.
+func TestSystemRepairsStaleRowOnUnreadablePeer(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		t.Run(map[bool]string{false: "read", true: "write"}[write], func(t *testing.T) {
+			sys := newDataSystem(t, KDD)
+			const a = 8
+			for _, v := range []byte{1, 2} {
+				if _, err := sys.Write(a, bytes.Repeat([]byte{v}, PageSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sys.StaleParityRows() != 1 {
+				t.Fatalf("%d stale rows after a write hit, want 1", sys.StaleParityRows())
+			}
+			arr := sys.st.Array
+			b := arr.RowPeers(a)[0]
+			if b == a {
+				b = arr.RowPeers(a)[1]
+			}
+			disk, page := arr.DataLocation(b)
+			arr.Injector(disk).InjectBadPage(page)
+
+			want := make([]byte, PageSize)
+			if write {
+				want = bytes.Repeat([]byte{3}, PageSize)
+				if _, err := sys.Write(b, want); err != nil {
+					t.Fatalf("write of the unreadable peer: %v", err)
+				}
+			}
+			got := bytes.Repeat([]byte{0xFF}, PageSize)
+			if _, err := sys.Read(b, got); err != nil {
+				t.Fatalf("read of the unreadable peer: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("peer %d read back %#x..., want %#x...", b, got[0], want[0])
+			}
+			if h := sys.Stats().RowsHealed; h != 1 {
+				t.Fatalf("RowsHealed = %d, want 1", h)
+			}
+			if sys.StaleParityRows() != 0 {
+				t.Fatal("the repaired row is still stale")
+			}
+		})
+	}
+}
+
 func TestSystemCrashAndRecover(t *testing.T) {
 	sys := newDataSystem(t, KDD)
 	page := bytes.Repeat([]byte{7}, PageSize)
