@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs kernels obs-test shard-test qos-test lsraid-test loc ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs same-outputs kernels obs-test shard-test qos-test lsraid-test loc ci clean
 
 all: ci
 
@@ -172,6 +172,14 @@ bench-smoke:
 # verdict rule).
 bench-pairs:
 	WORKLOAD=$(WORKLOAD) N=$(or $(N),10) BASE=$(or $(BASE),HEAD) bash scripts/bench-pairs.sh
+
+# Byte-identity of the outputs against BASE (default HEAD): every
+# kddfigs -scale 0.02 file on both backends (ALL.txt's timestamp masked)
+# and kddcheck -ci's stdout, built and run on both sides; fails on any
+# difference. The evidence a "same numbers" change collects; too slow
+# for `ci`. make same-outputs [BASE=HEAD] [J=2]
+same-outputs:
+	BASE=$(or $(BASE),HEAD) J=$(or $(J),2) bash scripts/same-outputs.sh
 
 # The model kernels every replayed request pays for — the disk seek
 # curve, the fault injector's unarmed pass-through, the latency

@@ -55,6 +55,8 @@ func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // holds the current data — a duplicate RAID data write is
 // content-idempotent, and the fold has already made the row's parity
 // consistent. Nor does a stale row the array cannot decode (repairStale).
+// A re-issued request is classified as a hit or a miss once, by the
+// attempt that serves it; RAIDReads and RAIDWrites count both attempts.
 func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done sim.Time, err error) {
 	var sp obs.Span
 	if k.tr != nil {
@@ -76,6 +78,7 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 	if k.passThrough() {
 		done, err = k.pass(t, lba, buf, write)
 	} else {
+		cls := k.hitMiss()
 		if err = k.cleaner.Arrive(t); err == nil {
 			if write {
 				done, err = k.writeCached(t, lba, buf, admit)
@@ -83,11 +86,12 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 				done, err = k.readCached(t, lba, buf, admit)
 			}
 			if errors.Is(err, raid.ErrStaleParity) {
-				done, err = k.repairStale(t, lba, buf, write, admit, err)
+				done, err = k.repairStale(t, lba, buf, write, admit, err, cls)
 			}
 		}
 		if err != nil && k.ssdFault(err) {
 			k.failover(t, HealthBypass)
+			k.setHitMiss(cls)
 			done, err = k.pass(t, lba, buf, write)
 		}
 	}
@@ -106,17 +110,33 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 // repairStale recovers a request the array refused with ErrStaleParity (a
 // member page unreadable in a row a write hit left stale): the row's
 // cached deltas are folded as the cleaner folds them, and the request is
-// re-issued once at the repair's completion. A row with none stays loud.
-func (k *KDD) repairStale(t sim.Time, lba int64, buf []byte, write, admit bool, err error) (sim.Time, error) {
+// re-issued once at the repair's completion, with the classification
+// counters reset to cls, their value before the first attempt. A row with
+// no delta stays loud.
+func (k *KDD) repairStale(t sim.Time, lba int64, buf []byte, write, admit bool, err error, cls hitMiss) (sim.Time, error) {
 	done, repaired, rerr := k.repairRow(t, lba)
 	if rerr != nil || !repaired {
 		return t, cmp.Or(rerr, err)
 	}
 	k.st.RowsHealed++
+	k.setHitMiss(cls)
 	if write {
 		return k.writeCached(done, lba, buf, admit)
 	}
 	return k.readCached(done, lba, buf, admit)
+}
+
+// hitMiss is a snapshot of the counters that classify a request.
+type hitMiss struct{ readHits, readMisses, writeHits, writeMiss int64 }
+
+func (k *KDD) hitMiss() hitMiss {
+	return hitMiss{k.st.ReadHits, k.st.ReadMisses, k.st.WriteHits, k.st.WriteMiss}
+}
+
+// setHitMiss takes back the classification of an attempt that is about
+// to be re-issued.
+func (k *KDD) setHitMiss(h hitMiss) {
+	k.st.ReadHits, k.st.ReadMisses, k.st.WriteHits, k.st.WriteMiss = h.readHits, h.readMisses, h.writeHits, h.writeMiss
 }
 
 // readCached is the cache-enabled read path. With admit false (a QoS

@@ -101,8 +101,9 @@ type StackOpts struct {
 	// timing mode — what crash-recovery timing experiments need.
 	SSDData bool
 
-	// Disks and DiskPages shape the RAID-5 array (paper: 5 disks, 64KB
-	// chunks).
+	// Disks and DiskPages shape the array (paper: 5 disks, 64KB chunks);
+	// Level is RAID-5 (the default) or RAID-6, which only the kdd
+	// backend builds.
 	Disks      int
 	DiskPages  int64
 	ChunkPages int64
@@ -216,6 +217,12 @@ func Build(o StackOpts) (*Stack, error) {
 	case PolicyNossd, PolicyNVB, PolicyPLog:
 	default:
 		return nil, fmt.Errorf("%w: unknown policy %q", ErrOptions, o.Policy)
+	}
+	switch {
+	case o.Level != raid.Level5 && o.Level != raid.Level6:
+		return nil, fmt.Errorf("%w: no %v array (want RAID-5 or RAID-6)", ErrOptions, o.Level)
+	case o.Backend == "lsraid" && o.Level != raid.Level5:
+		return nil, fmt.Errorf("%w: the lsraid backend is single-parity: no %v", ErrOptions, o.Level)
 	}
 
 	// Member disks. The lsraid backend needs physically larger members to

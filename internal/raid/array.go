@@ -18,8 +18,8 @@ var (
 	ErrNotDegraded     = errors.New("raid: no failed disk to rebuild")
 	ErrBadGeometry     = errors.New("raid: invalid geometry")
 	// ErrUnrecoverable marks a page whose media error cannot be repaired:
-	// the row's redundancy is exhausted (or the level has none). It is
-	// reported loudly — never served as zeros.
+	// the row's redundancy is exhausted. It is reported loudly — never
+	// served as zeros.
 	ErrUnrecoverable = errors.New("raid: page unrecoverable (redundancy exhausted)")
 )
 
@@ -80,14 +80,6 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 		return nil, fmt.Errorf("%w: no disks", ErrBadGeometry)
 	}
 	switch cfg.Level {
-	case Level0:
-		if n < 2 {
-			return nil, fmt.Errorf("%w: RAID-0 needs >=2 disks", ErrBadGeometry)
-		}
-	case Level1:
-		if n < 2 {
-			return nil, fmt.Errorf("%w: RAID-1 needs >=2 disks", ErrBadGeometry)
-		}
 	case Level5:
 		if n < 3 {
 			return nil, fmt.Errorf("%w: RAID-5 needs >=3 disks", ErrBadGeometry)
@@ -175,7 +167,7 @@ func (a *Array) AppendRowPeers(dst []int64, lba int64) []int64 {
 }
 
 // ReadPages implements blockdev.Device. Failed members trigger degraded
-// reconstruction where the level allows it.
+// reconstruction.
 func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done sim.Time, err error) {
 	if err := blockdev.CheckRange(lba, count, a.Pages()); err != nil {
 		return t, err
@@ -189,7 +181,7 @@ func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done si
 	}
 	done = t
 	for i := 0; i < count; i++ {
-		c, err := a.readPage(t, lba+int64(i), blockdev.Page(buf, i))
+		c, err := a.ReadData(t, lba+int64(i), blockdev.Page(buf, i))
 		if err != nil {
 			sp.End(t)
 			return t, err
@@ -200,53 +192,6 @@ func (a *Array) ReadPages(t sim.Time, lba int64, count int, buf []byte) (done si
 	}
 	sp.End(done)
 	return done, nil
-}
-
-func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if a.cfg.Level == Level1 {
-		return a.mirrorRead(t, lba, a.geo.locate(lba), buf)
-	}
-	return a.ReadData(t, lba, buf)
-}
-
-// mirrorRead serves a RAID-1 read from the first healthy mirror (rotating
-// by LBA to spread load), skipping over mirrors with media errors and
-// repairing them from the copy that finally answered.
-func (a *Array) mirrorRead(t sim.Time, lba int64, l loc, buf []byte) (sim.Time, error) {
-	n := len(a.disks)
-	start := int(lba) % n
-	var bad []int // mirrors that returned ErrMedia for this page
-	anyHealthy := false
-	for k := 0; k < n; k++ {
-		idx := (start + k) % n
-		d := a.disks[idx]
-		if a.Missing(idx, l.row) {
-			continue
-		}
-		anyHealthy = true
-		a.stats.DataReads++
-		c, err := d.ReadPages(t, l.row, 1, buf)
-		if err == nil {
-			// Re-silver any mirror whose copy was unreadable.
-			for _, i := range bad {
-				a.stats.ReadRepairs++
-				if wc, werr := a.disks[i].WritePages(c, l.row, 1, buf); werr == nil {
-					c = sim.MaxTime(c, wc)
-				}
-			}
-			return c, nil
-		}
-		if errors.Is(err, blockdev.ErrMedia) {
-			a.stats.MediaErrors++
-			bad = append(bad, (start+k)%n)
-			continue
-		}
-		return t, err
-	}
-	if !anyHealthy {
-		return t, ErrTooManyFailures
-	}
-	return t, fmt.Errorf("%w: page %d unreadable on every mirror", ErrUnrecoverable, lba)
 }
 
 // WritePages implements blockdev.Device: the conventional write path with
@@ -266,7 +211,7 @@ func (a *Array) WritePages(t sim.Time, lba int64, count int, buf []byte) (done s
 	}
 	done = t
 	for i := 0; i < count; i++ {
-		c, err := a.writePage(t, lba+int64(i), blockdev.Page(buf, i))
+		c, err := a.smallWrite(t, a.geo.locate(lba+int64(i)), blockdev.Page(buf, i))
 		if err != nil {
 			sp.End(t)
 			return t, err
@@ -277,40 +222,6 @@ func (a *Array) WritePages(t sim.Time, lba int64, count int, buf []byte) (done s
 	}
 	sp.End(done)
 	return done, nil
-}
-
-// writePage performs a small write with parity update.
-func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	l := a.geo.locate(lba)
-	switch a.cfg.Level {
-	case Level0:
-		a.stats.DataWrites++
-		return a.disks[l.disk].WritePages(t, l.row, 1, buf)
-	case Level1:
-		done := t
-		wrote := 0
-		for i, d := range a.disks {
-			if a.Missing(i, l.row) {
-				continue
-			}
-			a.stats.DataWrites++
-			c, err := d.WritePages(t, l.row, 1, buf)
-			if err != nil {
-				return t, err
-			}
-			wrote++
-			if c > done {
-				done = c
-			}
-		}
-		if wrote == 0 {
-			return t, ErrTooManyFailures
-		}
-		return done, nil
-	case Level5, Level6:
-		return a.smallWrite(t, l, buf)
-	}
-	return t, ErrBadGeometry
 }
 
 // smallWrite is the read-modify-write path: read old data and old

@@ -23,9 +23,6 @@ type RowFix struct {
 // (and therefore the timing) differs.
 func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, error) {
 	np := a.cfg.Level.parityDisks()
-	if np == 0 {
-		return t, nil
-	}
 	type rowWork struct {
 		l   loc
 		fix RowFix

@@ -8,42 +8,6 @@ import (
 	"kddcache/internal/blockdev"
 )
 
-func TestRAID0StripesAcrossDisks(t *testing.T) {
-	a := newDataArray(t, Level0, 4, 96, 8)
-	oracle := writeAll(t, a, 200)
-	verifyAll(t, a, oracle)
-	// Each member must have received a share of the writes.
-	for i := 0; i < 4; i++ {
-		type writer interface{ Writes() int64 }
-		if a.Member(i).(writer).Writes() == 0 {
-			t.Fatalf("disk %d received no writes under RAID-0", i)
-		}
-	}
-	// RAID-0 tolerates nothing.
-	a.FailDisk(0)
-	if a.Survivable() {
-		t.Fatal("RAID-0 claimed to survive a failure")
-	}
-}
-
-func TestMirrorReadRotation(t *testing.T) {
-	a := newDataArray(t, Level1, 2, 96, 8)
-	oracle := writeAll(t, a, 50)
-	// Reads rotate by LBA: both mirrors should serve some.
-	buf := make([]byte, blockdev.PageSize)
-	for lba := range oracle {
-		if _, err := a.ReadPages(0, lba, 1, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type reader interface{ Reads() int64 }
-	r0 := a.Member(0).(reader).Reads()
-	r1 := a.Member(1).(reader).Reads()
-	if r0 == 0 || r1 == 0 {
-		t.Fatalf("mirror reads not balanced: %d/%d", r0, r1)
-	}
-}
-
 func TestWriteRowRAID6(t *testing.T) {
 	a := newDataArray(t, Level6, 6, 160, 16)
 	peers := a.RowPeers(0)
@@ -152,34 +116,6 @@ func TestRAID6OneParityDeadDeltaFoldsIntoSurvivor(t *testing.T) {
 	// failures, reconstruct via Q).
 	a.FailDisk(l.disk)
 	verifyAll(t, a, oracle)
-}
-
-func TestResyncNonParityLevelsClearStale(t *testing.T) {
-	a := newDataArray(t, Level1, 2, 96, 8)
-	if _, err := a.Resync(0); err != nil {
-		t.Fatal(err)
-	}
-	if a.StaleRows() != 0 {
-		t.Fatal("mirror resync should be trivial")
-	}
-}
-
-func TestWriteNoParityNonParityLevelFallsBack(t *testing.T) {
-	a := newDataArray(t, Level0, 4, 96, 8)
-	p := fillPage(1)
-	if _, err := a.WriteNoParity(0, 5, 1, p); err != nil {
-		t.Fatal(err)
-	}
-	if a.StaleRows() != 0 {
-		t.Fatal("RAID-0 cannot have stale parity")
-	}
-	buf := make([]byte, blockdev.PageSize)
-	if _, err := a.ReadPages(0, 5, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, p) {
-		t.Fatal("fallback write lost data")
-	}
 }
 
 func TestReplaceDiskSizeMismatch(t *testing.T) {

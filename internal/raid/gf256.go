@@ -1,5 +1,5 @@
 // Package raid implements the parity-based disk array the paper's cache
-// sits in front of: RAID-0/1/5/6 with byte-accurate parity, the
+// sits in front of: RAID-5/6 with byte-accurate parity, the
 // small-write paths (read-modify-write and reconstruct-write), degraded
 // operation, rebuild, and the two interfaces the paper adds for delayed
 // parity maintenance (§III-A): write-without-parity-update and

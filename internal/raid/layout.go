@@ -5,34 +5,22 @@ import "fmt"
 // Level identifies the array organisation.
 type Level int
 
-// Supported RAID levels.
+// Supported RAID levels: the parity levels whose parity update KDD
+// delays.
 const (
-	Level0 Level = 0
-	Level1 Level = 1
 	Level5 Level = 5
 	Level6 Level = 6
 )
 
 func (l Level) String() string { return fmt.Sprintf("RAID-%d", int(l)) }
 
-// parityDisks returns how many disks per stripe hold parity.
+// parityDisks returns how many disks per stripe hold parity, which is
+// also how many simultaneous disk losses are survivable.
 func (l Level) parityDisks() int {
-	switch l {
-	case Level5:
-		return 1
-	case Level6:
+	if l == Level6 {
 		return 2
-	default:
-		return 0
 	}
-}
-
-// faultTolerance returns how many simultaneous disk losses are survivable.
-func (l Level) faultTolerance(disks int) int {
-	if l == Level1 {
-		return disks - 1
-	}
-	return l.parityDisks()
+	return 1
 }
 
 // parity is the parity set of one stripe: which members hold its np
@@ -79,9 +67,6 @@ type layout struct {
 
 // dataChunksPerStripe returns the number of data chunks in one stripe.
 func (g *layout) dataChunksPerStripe() int64 {
-	if g.level == Level1 {
-		return 1
-	}
 	return int64(g.disks - g.level.parityDisks())
 }
 
@@ -96,13 +81,9 @@ func (g *layout) dataPages() int64 {
 // first data chunk. Left-symmetric rotation: parity starts on the last
 // disk and moves left each stripe; data chunks wrap around starting just
 // after the parity (after Q for RAID-6), matching the Linux MD default
-// layout. Levels without parity keep data chunk i on disk i (RAID-1:
-// the primary copy; mirrors are handled by the array).
+// layout.
 func (g *layout) rotate(stripe int64) (ps parity, first int) {
 	ps = parity{par: [2]int{-1, -1}, np: g.level.parityDisks()}
-	if ps.np == 0 {
-		return ps, 0
-	}
 	p := g.disks - 1 - int(stripe%int64(g.disks))
 	for j := 0; j < ps.np; j++ {
 		ps.par[j] = (p + j) % g.disks

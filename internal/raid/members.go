@@ -180,7 +180,7 @@ func (m *Members) Healthy() bool { return m.failed == 0 && !m.open }
 // Survivable reports whether current failures are within the level's
 // tolerance.
 func (m *Members) Survivable() bool {
-	return m.failed <= m.geo.level.faultTolerance(len(m.disks))
+	return m.failed <= m.geo.level.parityDisks()
 }
 
 // PublishMetrics writes the member-I/O accounting both engines share into
@@ -228,7 +228,7 @@ func (m *Members) DataLocation(p int64) (disk int, page int64) {
 
 // ParityLocation returns the member disks holding the P (and, for
 // RAID-6, Q) parity of page p's row, plus the member-local page. qDisk is
-// -1 on single-parity levels; pDisk is -1 on levels without parity.
+// -1 on RAID-5.
 func (m *Members) ParityLocation(p int64) (pDisk, qDisk int, page int64) {
 	l := m.geo.locate(p)
 	return l.par[0], l.par[1], l.row

@@ -23,10 +23,6 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 	if err := blockdev.CheckBuf(buf, count); err != nil {
 		return t, err
 	}
-	if a.cfg.Level.parityDisks() == 0 {
-		// Non-parity levels have nothing to delay; fall back.
-		return a.WritePages(t, lba, count, buf)
-	}
 	var sp obs.Span
 	if a.tr != nil {
 		sp = a.tr.BeginDev(t, obs.PhaseRAIDWriteNP, a.Name(), lba, count)
@@ -39,7 +35,7 @@ func (a *Array) WriteNoParity(t sim.Time, lba int64, count int, buf []byte) (don
 			// surface (stale parity plus a missing member page cannot be
 			// reconstructed), and damaged rows must heal through the full
 			// parity path. Fall back to the immediate-parity write.
-			c, err := a.writePage(t, lba+int64(i), blockdev.Page(buf, i))
+			c, err := a.smallWrite(t, l, blockdev.Page(buf, i))
 			if err != nil {
 				sp.End(t)
 				return t, err
@@ -75,9 +71,6 @@ func (a *Array) ParityUpdateDelta(t sim.Time, lbas []int64, deltas [][]byte) (do
 		if a.geo.locate(x).row != l.row {
 			panic("raid: ParityUpdateDelta spans multiple rows")
 		}
-	}
-	if l.np == 0 {
-		return t, nil
 	}
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseParityRMW, a.Name(), lbas[0], len(lbas))
@@ -202,9 +195,6 @@ func (a *Array) resyncFix(t sim.Time, row int64) (sim.Time, error) {
 // are needed. rowData may be nil in timing mode.
 func (a *Array) ParityUpdateReconstruct(t sim.Time, lba int64, rowData [][]byte) (done sim.Time, err error) {
 	l := a.geo.locate(lba)
-	if l.np == 0 {
-		return t, nil
-	}
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseParityRecon, a.Name(), lba, 1)
 		defer func() { sp.End(done) }()

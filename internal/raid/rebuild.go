@@ -18,9 +18,8 @@ import (
 // survivors, write the replacement — in which only the per-row
 // reconstruction differs by organisation. The window is part of the
 // member layer (Members) both engines embed, and so is the per-row step
-// of the parity levels (rebuildRow), which the log uses as it is; the
-// rest of the file is what the parity engine adds to it. The window is a
-// per-array state machine:
+// (rebuildRow), which the log uses as it is; the rest of the file is what
+// the parity engine adds to it. The window is a per-array state machine:
 //
 //	(degraded) ──StartRebuild──▶ rebuilding(next=0)
 //	rebuilding ──RebuildStep───▶ rebuilding(next+=rows)
@@ -333,42 +332,18 @@ func (a *Array) rowHasData(i int, row int64) bool {
 	return ps.mask()&(1<<uint(i)) == 0
 }
 
-// rebuildMember is the parity engine's Row hook: a mirror copies the
-// target's page from the first present mirror; the parity levels take
-// the layer's rebuildRow.
+// rebuildMember is the parity engine's Row hook: the layer's rebuildRow
+// inside a rebuild-row span.
 func (a *Array) rebuildMember(t sim.Time, target int, row int64) (done sim.Time, err error) {
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseRebuildRow, a.Name(), row, 1)
 		defer func() { sp.End(done) }()
 	}
-	switch a.cfg.Level {
-	case Level5, Level6:
-		return a.rebuildRow(t, target, row)
-	case Level0:
-		return t, ErrTooManyFailures
-	}
-	src := -1
-	for j := range a.disks {
-		if j != target && !a.Missing(j, row) {
-			src = j
-			break
-		}
-	}
-	if src == -1 {
-		return t, ErrTooManyFailures
-	}
-	page := pageScratch(a.dataMode)
-	defer putScratch(page)
-	c, err := a.readMember(t, src, row, page)
-	if err != nil {
-		return t, err
-	}
-	return a.writeTarget(c, target, row, page)
+	return a.rebuildRow(t, target, row)
 }
 
-// rebuildRow reconstructs the target member's page at row of a parity
-// level from the survivors and writes it: the window's per-row step for
-// both engines.
+// rebuildRow reconstructs the target member's page at row from the
+// survivors and writes it: the window's per-row step for both engines.
 func (m *Members) rebuildRow(t sim.Time, target int, row int64) (sim.Time, error) {
 	if row >= m.geo.diskPages-m.geo.diskPages%m.geo.chunkPages {
 		// Tail rows beyond the last whole chunk carry no logical data;

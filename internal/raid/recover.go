@@ -202,10 +202,6 @@ func (a *Array) applyParityDiff(t sim.Time, l loc, diff []byte) (sim.Time, error
 // after an SSD cache failure. It returns the completion time of the last
 // row.
 func (a *Array) Resync(t sim.Time) (sim.Time, error) {
-	if a.cfg.Level.parityDisks() == 0 {
-		a.stale.Clear()
-		return t, nil
-	}
 	rows := a.stale.AppendTo(make([]int64, 0, a.stale.Len())) // ascending
 	done := t
 	for _, row := range rows {

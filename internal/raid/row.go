@@ -320,10 +320,6 @@ func (m *Members) ReadData(t sim.Time, p int64, buf []byte) (sim.Time, error) {
 // surviving members of its row and writes it back in place, so one latent
 // sector error is healed without declaring the member disk failed.
 func (m *Members) readRepair(t sim.Time, l loc, buf []byte) (sim.Time, error) {
-	if l.np == 0 {
-		return t, fmt.Errorf("%w: logical page %d (level %s has no parity)",
-			ErrUnrecoverable, m.geo.logicalLBA(l.stripe, l.dataIdx, l.row%m.geo.chunkPages), m.geo.level)
-	}
 	if m.staleRow(l.row) {
 		// Parity of this row is stale (WriteNoParity window): it cannot
 		// reconstruct the lost page. This is the unrecoverable corner the
@@ -417,12 +413,12 @@ func (m *Members) WriteStripe(t sim.Time, row int64, page func(i int) []byte) (s
 	return sim.MaxTime(done, c), nil
 }
 
-// ScrubRow is one patrol-scrub row on a parity level: every readable
-// member page is read, unreadable ones are decoded and healed in place,
-// and (in data mode) parity that differs from the data is rewritten — the
-// data is trusted, it is what the host wrote and re-reads. A row beyond
-// tolerance is reported in rep, never patched; its erased members come
-// back for the engine's loss accounting.
+// ScrubRow is one patrol-scrub row: every readable member page is read,
+// unreadable ones are decoded and healed in place, and (in data mode)
+// parity that differs from the data is rewritten — the data is trusted,
+// it is what the host wrote and re-reads. A row beyond tolerance is
+// reported in rep, never patched; its erased members come back for the
+// engine's loss accounting.
 func (m *Members) ScrubRow(t sim.Time, row int64, rep *ScrubReport) (sim.Time, uint32, error) {
 	rl := m.geo.locateRow(row)
 	st, done, err := m.decodeRow(t, rl, 0)

@@ -1,10 +1,6 @@
 package raid
 
 import (
-	"bytes"
-	"errors"
-
-	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
 	"kddcache/internal/sim"
 )
@@ -20,7 +16,7 @@ type ScrubReport struct {
 	RowsScanned   int64   // parity rows examined
 	RowsSkipped   int64   // rows left to the cleaner (stale parity) or, on a log, to the rebuild
 	MediaRepaired int64   // unreadable pages reconstructed and rewritten
-	ParityFixed   int64   // parity/mirror pages recomputed after a mismatch
+	ParityFixed   int64   // parity pages recomputed after a mismatch
 	Unrecoverable []int64 // disk rows whose redundancy was exhausted
 }
 
@@ -87,13 +83,7 @@ func (m *Members) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) 
 			continue
 		}
 		rep.RowsScanned++
-		var c sim.Time
-		var lost uint32
-		if m.geo.level == Level1 {
-			c, err = m.scrubMirrorRow(t, row, &rep)
-		} else {
-			c, lost, err = m.ScrubRow(t, row, &rep)
-		}
+		c, lost, err := m.ScrubRow(t, row, &rep)
 		if err != nil {
 			return t, rep, err
 		}
@@ -106,60 +96,6 @@ func (m *Members) Scrub(t sim.Time) (done sim.Time, rep ScrubReport, err error) 
 	return done, rep, nil
 }
 
-// scrubMirrorRow verifies one RAID-1 row: every healthy mirror must hold
-// a readable, identical copy. Unreadable copies are re-silvered from the
-// first mirror that answers; divergent copies are overwritten by it (the
-// first readable mirror is the tie-break authority — with two-way
-// mirrors there is no majority to consult).
-func (m *Members) scrubMirrorRow(t sim.Time, row int64, rep *ScrubReport) (sim.Time, error) {
-	done, goodAt := t, -1
-	bufs := make([][]byte, len(m.disks))
-	var bad, rest []int // mirrors with media errors; readable mirrors after the first
-	for i, d := range m.disks {
-		if d.Failed() {
-			continue
-		}
-		bufs[i] = pageScratch(m.dataMode)
-		c, err := m.memberRead(t, i, row, bufs[i])
-		if errors.Is(err, blockdev.ErrMedia) {
-			m.stats.MediaErrors++
-			bad = append(bad, i)
-			continue
-		}
-		if err != nil {
-			return t, err
-		}
-		done = sim.MaxTime(done, c)
-		if goodAt == -1 {
-			goodAt = i
-		} else {
-			rest = append(rest, i)
-		}
-	}
-	if goodAt == -1 {
-		if len(bad) > 0 { // every healthy mirror unreadable
-			rep.Unrecoverable = append(rep.Unrecoverable, row)
-		}
-		return done, nil
-	}
-	good := bufs[goodAt]
-	for _, i := range bad {
-		if c, err := m.disks[i].WritePages(done, row, 1, good); err == nil {
-			done = sim.MaxTime(done, c)
-			rep.MediaRepaired++
-		}
-	}
-	for _, i := range rest {
-		if m.dataMode && !bytes.Equal(bufs[i], good) {
-			if c, err := m.disks[i].WritePages(done, row, 1, good); err == nil {
-				done = sim.MaxTime(done, c)
-			}
-			rep.ParityFixed++
-		}
-	}
-	return done, nil
-}
-
 // ResyncRow recomputes the parity of lba's row from the current data
 // members (reconstruct-write), clearing any stale mark. The KDD core
 // falls back to it when a staged delta can no longer be applied — e.g.
@@ -168,13 +104,9 @@ func (m *Members) scrubMirrorRow(t sim.Time, row int64, rep *ScrubReport) (sim.T
 // to RAID), so recomputing from them is always safe, just costlier than
 // the delta RMW.
 func (a *Array) ResyncRow(t sim.Time, lba int64) (done sim.Time, err error) {
-	l := a.geo.locate(lba)
-	if l.np == 0 {
-		return t, nil
-	}
 	if a.tr != nil {
 		sp := a.tr.BeginDev(t, obs.PhaseResync, a.Name(), lba, 1)
 		defer func() { sp.End(done) }()
 	}
-	return a.resyncRow(t, l.row)
+	return a.resyncRow(t, a.geo.locate(lba).row)
 }

@@ -236,33 +236,6 @@ func TestScrubReportsUnrecoverableRows(t *testing.T) {
 	}
 }
 
-func TestScrubMirrors(t *testing.T) {
-	a := newDataArray(t, Level1, 3, 64, 8)
-	oracle := writeAll(t, a, a.Pages())
-	// Mirror 1 loses a page to a latent error; mirror 2 silently diverges.
-	a.Injector(1).InjectBadPage(9)
-	memberStore(t, a, 2).CorruptPageSilently(9, 3)
-	_, rep, err := a.Scrub(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MediaRepaired != 1 || rep.ParityFixed != 1 {
-		t.Fatalf("report = %+v, want 1 media repair + 1 divergence fix", rep)
-	}
-	verifyAll(t, a, oracle)
-	buf := make([]byte, blockdev.PageSize)
-	for i := 0; i < 3; i++ {
-		if err := memberStore(t, a, i).ReadPageChecked(9, buf); err != nil {
-			t.Fatalf("mirror %d still bad: %v", i, err)
-		}
-		want := make([]byte, blockdev.PageSize)
-		memberStore(t, a, 0).ReadPage(9, want)
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("mirror %d diverges after scrub", i)
-		}
-	}
-}
-
 func TestResyncRowClearsStaleAndRepairsParity(t *testing.T) {
 	a := newDataArray(t, Level5, 5, 160, 16)
 	oracle := writeAll(t, a, a.Pages())

@@ -555,8 +555,13 @@ func TestBatchRepairsStaleRowOnUnreadablePeer(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("peer %d read back %#x..., want %#x...", b, got[0], want[0])
 			}
-			if h := r.p.Stats().RowsHealed; h != 1 {
-				t.Fatalf("RowsHealed = %d, want 1", h)
+			st := r.p.Stats()
+			if st.RowsHealed != 1 {
+				t.Fatalf("RowsHealed = %d, want 1", st.RowsHealed)
+			}
+			if st.ReadHits+st.ReadMisses != st.Reads || st.WriteHits+st.WriteMiss != st.Writes {
+				t.Fatalf("a re-issued request classified twice: %d reads = %d hits + %d misses, %d writes = %d hits + %d misses",
+					st.Reads, st.ReadHits, st.ReadMisses, st.Writes, st.WriteHits, st.WriteMiss)
 			}
 		})
 	}

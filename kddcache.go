@@ -2,7 +2,7 @@
 // an Endurable SSD Cache" (Li, Feng, Hua, Wang — ICPP 2016): the KDD
 // (Keeping Data and Deltas) SSD-cache management scheme for parity-based
 // RAID, together with the full substrate it runs on — a byte-accurate
-// RAID-0/1/5/6 engine, HDD and flash (FTL) device models on a
+// RAID-5/6 engine, HDD and flash (FTL) device models on a
 // deterministic virtual-time engine, delta codecs, an NVRAM-buffered
 // circular metadata log, and the write-through / write-around / LeavO
 // baselines the paper compares against.
@@ -73,7 +73,7 @@ type Options struct {
 	Disks      int        // RAID member count
 	DiskPages  int64      // member capacity in pages
 	ChunkPages int64      // RAID chunk size in pages
-	Level      raid.Level // RAID level (default RAID-5)
+	Level      raid.Level // RAID-5 (default) or RAID-6 (kdd backend only)
 	Backend    string     // array backend: "kdd" (parity RAID, default) or "lsraid" (log-structured)
 
 	// Timing enables the HDD/SSD latency models; DataMode carries real
@@ -357,8 +357,10 @@ func SetDefaultBackend(name string) { harness.SetDefaultBackend(name) }
 
 // ExperimentResult is one run of an experiment: the formatted table the
 // paper's figure/table corresponds to and, for the experiments that
-// produce plottable series, the x-axis name and the series (export them
-// with stats.WriteCSV/WriteJSON; XName is "" when there are none).
+// produce plottable series, the x-axis name and the series (XName is ""
+// when there are none). As CSV, the series come from
+// `kddsim -experiment <name> -csv <file>`, and kddfigs writes one
+// <name>.csv beside each figure's text table.
 type ExperimentResult struct {
 	Text   string
 	XName  string

@@ -12,6 +12,7 @@ import (
 	"kddcache/internal/hdd"
 	"kddcache/internal/lsraid"
 	"kddcache/internal/qos"
+	"kddcache/internal/raid"
 	"kddcache/internal/sim"
 )
 
@@ -70,6 +71,9 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		{"KDD below one set", Options{Policy: KDD, CachePages: 100}, "cache of 100 pages below one set"},
 		{"unknown policy", Options{Policy: "LRU"}, `unknown policy "LRU"`},
 		{"unknown backend", Options{Backend: "raid7"}, `unknown backend "raid7"`},
+		{"RAID-1", Options{Level: raid.Level(1)}, "no RAID-1 array"},
+		{"RAID-3", Options{Level: raid.Level(3)}, "no RAID-3 array"},
+		{"RAID-6 on lsraid", Options{Backend: "lsraid", Level: raid.Level6}, "the lsraid backend is single-parity: no RAID-6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := New(tc.o)
@@ -163,8 +167,46 @@ func TestSystemRepairsStaleRowOnUnreadablePeer(t *testing.T) {
 			if sys.StaleParityRows() != 0 {
 				t.Fatal("the repaired row is still stale")
 			}
+			assertClassifiedOnce(t, sys)
 		})
 	}
+}
+
+// assertClassifiedOnce fails unless every request the system served was
+// counted as exactly one hit or one miss.
+func assertClassifiedOnce(t *testing.T, sys *System) {
+	t.Helper()
+	st := sys.Stats()
+	if st.ReadHits+st.ReadMisses != st.Reads || st.WriteHits+st.WriteMiss != st.Writes {
+		t.Fatalf("a re-issued request classified twice: %d reads = %d hits + %d misses, %d writes = %d hits + %d misses",
+			st.Reads, st.ReadHits, st.ReadMisses, st.Writes, st.WriteHits, st.WriteMiss)
+	}
+}
+
+// A read that finds the cache device dead is re-issued against the array
+// and counted once, as the miss that served it.
+func TestSystemFailoverCountsRequestOnce(t *testing.T) {
+	sys := newDataSystem(t, KDD)
+	page := bytes.Repeat([]byte{7}, PageSize)
+	if _, err := sys.Write(3, page); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize)
+	if _, err := sys.Read(3, got); err != nil {
+		t.Fatal(err)
+	}
+	sys.FailSSD()
+	if _, err := sys.Read(3, got); err != nil {
+		t.Fatalf("read across SSD failure: %v", err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Fatal("data lost across SSD failure")
+	}
+	if st := sys.Stats(); st.Reads != 2 || st.ReadHits != 1 || st.ReadMisses != 1 || st.PassReads != 1 {
+		t.Fatalf("reads %d, hits %d, misses %d, pass-through %d; want 2, 1, 1, 1",
+			st.Reads, st.ReadHits, st.ReadMisses, st.PassReads)
+	}
+	assertClassifiedOnce(t, sys)
 }
 
 func TestSystemCrashAndRecover(t *testing.T) {
