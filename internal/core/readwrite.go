@@ -57,6 +57,10 @@ func (k *KDD) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // consistent. Nor does a stale row the array cannot decode (repairStale).
 // A re-issued request is classified as a hit or a miss once, by the
 // attempt that serves it; RAIDReads and RAIDWrites count both attempts.
+// Reads and Writes count a request once it is classified, so one refused
+// before that (a data-mode write with no payload, an idle repair at
+// arrival that failed, a degraded write's failed fold) counts nowhere and
+// ReadHits+ReadMisses == Reads, WriteHits+WriteMiss == Writes.
 func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done sim.Time, err error) {
 	var sp obs.Span
 	if k.tr != nil {
@@ -70,15 +74,10 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 		sp.End(t)
 		return t, err
 	}
-	if write {
-		k.st.Writes++
-	} else {
-		k.st.Reads++
-	}
+	cls := k.hitMiss()
 	if k.passThrough() {
 		done, err = k.pass(t, lba, buf, write)
 	} else {
-		cls := k.hitMiss()
 		if err = k.cleaner.Arrive(t); err == nil {
 			if write {
 				done, err = k.writeCached(t, lba, buf, admit)
@@ -93,6 +92,13 @@ func (k *KDD) Serve(t sim.Time, lba int64, buf []byte, write, admit bool) (done 
 			k.failover(t, HealthBypass)
 			k.setHitMiss(cls)
 			done, err = k.pass(t, lba, buf, write)
+		}
+	}
+	if k.hitMiss() != cls {
+		if write {
+			k.st.Writes++
+		} else {
+			k.st.Reads++
 		}
 	}
 	k.cleaner.Busy(done)

@@ -36,7 +36,10 @@ func (p *pumpProbe) RebuildActive() bool {
 // were recorded from the four separate bodies (Read, Write, ReadNoAdmit,
 // WriteNoAdmit) that Serve replaced, except that an ssd-dies cell counts
 // its request once, as the pass-through miss that served it, not also as
-// the hit that found the device dead. Disk ops cost 10 ms, SSD ops 0.3 ms;
+// the hit that found the device dead, and an op-fails cell, refused
+// before it is a hit or a miss, counts in no request counter; every cell
+// keeps ReadHits+ReadMisses == Reads and WriteHits+WriteMiss == Writes.
+// Disk ops cost 10 ms, SSD ops 0.3 ms;
 // normal and pass-through cells address an uncached LBA so admission
 // shows, ssd-dies cells a cached one so the op touches the dead device.
 func TestServeMatrix(t *testing.T) {
@@ -58,8 +61,8 @@ func TestServeMatrix(t *testing.T) {
 		"ssd-dies/read/no-admit":      "done=10000000 err=false root=read[0,10000000]lba3 health=bypass pumps=1 R1 W0 RH0 RM1 WH0 WM0 RF0 WA0 RR1 RW0 PR1 PW0 FO1",
 		"ssd-dies/write/admit":        "done=20000000 err=false root=write[0,20000000]lba3 health=bypass pumps=1 R0 W1 RH0 RM0 WH0 WM1 RF0 WA0 RR0 RW1 PR0 PW1 FO1",
 		"ssd-dies/write/no-admit":     "done=20000000 err=false root=write[0,20000000]lba3 health=bypass pumps=1 R0 W1 RH0 RM0 WH0 WM1 RF0 WA0 RR0 RW1 PR0 PW1 FO1",
-		"op-fails/write/admit":        "done=0 err=true root=write[0,0]lba1000 health=normal pumps=0 R0 W1 RH0 RM0 WH0 WM0 RF0 WA0 RR0 RW0 PR0 PW0 FO0",
-		"op-fails/write/no-admit":     "done=0 err=true root=write[0,0]lba1000 health=normal pumps=0 R0 W1 RH0 RM0 WH0 WM0 RF0 WA0 RR0 RW0 PR0 PW0 FO0",
+		"op-fails/write/admit":        "done=0 err=true root=write[0,0]lba1000 health=normal pumps=0 R0 W0 RH0 RM0 WH0 WM0 RF0 WA0 RR0 RW0 PR0 PW0 FO0",
+		"op-fails/write/no-admit":     "done=0 err=true root=write[0,0]lba1000 health=normal pumps=0 R0 W0 RH0 RM0 WH0 WM0 RF0 WA0 RR0 RW0 PR0 PW0 FO0",
 	}
 	for name, want := range cells {
 		parts := strings.Split(name, "/")
@@ -137,6 +140,10 @@ func TestServeMatrix(t *testing.T) {
 				after.Failovers-before.Failovers)
 			if got != want {
 				t.Fatalf("\n got %s\nwant %s", got, want)
+			}
+			if after.ReadHits+after.ReadMisses != after.Reads || after.WriteHits+after.WriteMiss != after.Writes {
+				t.Fatalf("%d reads = %d hits + %d misses, %d writes = %d hits + %d misses",
+					after.Reads, after.ReadHits, after.ReadMisses, after.Writes, after.WriteHits, after.WriteMiss)
 			}
 		})
 	}

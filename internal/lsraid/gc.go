@@ -54,9 +54,10 @@ func (a *Array) pickVictim() int {
 // passes. The sweep reads every live page, all issued at t: each member
 // serves its share in ascending row order and the members work in
 // parallel, like a multi-page array read. The append then stages the
-// pages in summary order, through the same path as a host write, once
-// the last read has completed — so no member seeks between the victim
-// and the open segment while the victim is being read.
+// pages in summary order, through the same staging path as a host write
+// but outside the host pages' NVRAM bound, once the last read has
+// completed — so no member seeks between the victim and the open
+// segment while the victim is being read.
 //
 // A page is live iff the L2P map still names this exact slot — which it
 // does not once the page is overwritten, shadowed by a newer version
@@ -102,8 +103,8 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	t = done
 	for i := range sw {
 		p := &sw[i]
-		c, err := a.stagePage(t, p.lba, p.data)
-		p.data = nil // the row buffer owns it now, or stagePage released it
+		c, err := a.stage(t, p.lba, p.data, true)
+		p.data = nil // the row buffer owns it now, or stage released it
 		if err != nil {
 			return done, err
 		}

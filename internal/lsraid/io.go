@@ -81,32 +81,80 @@ func (a *Array) WriteRow(t sim.Time, firstLBA int64, buf []byte) (sim.Time, erro
 	return done, nil
 }
 
-// writePage stages one page into the NVRAM row buffer, deduplicating
-// against an already-staged version, and flushes the buffer once a
-// segment's worth is staged (drain). Staging
-// itself is an NVRAM write — free in the device-time model; all member
-// I/O happens in commitRow. A write fails only if it leaves no trace —
-// the contract the cache's write path is built on (its delta describes an
-// update only once the data write succeeded): a page whose flush fails is
-// taken back out of NVRAM before the error returns, and a page that
-// landed (its row committed, or GC reclaimed the copy it superseded, so
-// NVRAM holds its only one) makes the write succeed whatever a later
-// row's flush met; that row stays staged for the next drain.
+// writePage stages one host page into the NVRAM row buffer and returns
+// the time it entered NVRAM, which acknowledges the write:
+// battery-backed NVRAM is durable on arrival, so the flush the page may
+// trigger runs behind the ack. The page enters at t unless NVRAM already
+// holds nvSegs segments' worth of host pages, staged or in flight; then
+// it waits for room (admit), and the flush it triggers starts when it
+// enters. Staging itself is an NVRAM write — free in the device-time
+// model; all member I/O happens in commitRow. A write fails only if it
+// leaves no trace — the contract the cache's write path is built on (its
+// delta describes an update only once the data write succeeded): a page
+// whose flush fails is taken back out of NVRAM before the error returns,
+// and a page that landed (its row committed, or GC reclaimed the copy it
+// superseded, so NVRAM holds its only one) makes the write succeed
+// whatever a later row's flush met; that row stays staged for the next
+// drain.
 func (a *Array) writePage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	var data []byte
 	if a.DataMode() && buf != nil {
 		data = blockdev.GetPage() // fully overwritten by the copy
 		copy(data, buf)
 	}
-	return a.stagePage(t, lba, data)
+	t = a.admit(t)
+	_, err := a.stage(t, lba, data, false)
+	return t, err
 }
 
-// stagePage is writePage for a page the caller hands over: data (a
-// blockdev.GetPage buffer, nil in timing mode) belongs to the row buffer
-// from the call on, whatever the outcome — a failed write returns it to
-// the pool. GC copy-forward stages its swept pages through here, so a
-// copied page is read once and never copied again.
-func (a *Array) stagePage(t sim.Time, lba int64, data []byte) (sim.Time, error) {
+// admit returns when a host page arriving at t may enter NVRAM: at t
+// while the host pages staged plus those in flight are under nvSegs
+// segments, otherwise when the oldest in-flight row lands. The occupancy
+// is kept in the order writes reach the array, like a member's queue:
+// rows that landed by a write's entry no longer count for the writes
+// after it.
+func (a *Array) admit(t sim.Time) sim.Time {
+	a.land(t)
+	for a.flyLen > 0 && a.stagedHost+a.flyingHost >= nvSegs*a.segPages {
+		t = sim.MaxTime(t, a.flying[a.flyHead].done)
+		a.land(t)
+	}
+	return t
+}
+
+// land retires the in-flight rows, oldest first, that have landed by t.
+func (a *Array) land(t sim.Time) {
+	for a.flyLen > 0 && a.flying[a.flyHead].done <= t {
+		a.flyingHost -= a.flying[a.flyHead].host
+		a.flyHead = (a.flyHead + 1) % len(a.flying)
+		a.flyLen--
+	}
+}
+
+// fly moves a committed row's host pages from staged to in flight until
+// the row's member writes complete at done. A row in the ring holds at
+// least one host page and admit keeps host pages staged plus in flight
+// within nvSegs segments, so the ring's nvSegs*segPages slots never run
+// out.
+func (a *Array) fly(done sim.Time, host int64) {
+	a.stagedHost -= host
+	if host == 0 {
+		return
+	}
+	a.flyingHost += host
+	a.flying[(a.flyHead+a.flyLen)%len(a.flying)] = landing{done: done, host: host}
+	a.flyLen++
+}
+
+// stage appends one page to the row buffer, deduplicating against an
+// already-staged version, and flushes the buffer once a segment's worth
+// is staged (drain); it returns the flush's completion. gc marks a
+// copy-forward: GC stages its swept pages through here, outside the host
+// pages' bound, and chains its next step on the flush, so a copied page
+// is read once and never copied again. data (a blockdev.GetPage buffer,
+// nil in timing mode) belongs to the row buffer from the call on,
+// whatever the outcome — a failed stage returns it to the pool.
+func (a *Array) stage(t sim.Time, lba int64, data []byte, gc bool) (sim.Time, error) {
 	if !a.Survivable() {
 		blockdev.PutPage(data)
 		return t, raid.ErrTooManyFailures
@@ -114,6 +162,10 @@ func (a *Array) stagePage(t sim.Time, lba int64, data []byte) (sim.Time, error) 
 	if e, ok := a.stagedPage(lba); ok {
 		blockdev.PutPage(e.data)
 		e.data = data
+		if e.gc && !gc {
+			e.gc = false // the host's version now: it counts against the bound
+			a.stagedHost++
+		}
 		return t, nil
 	}
 	wasLost := a.lost.Remove(lba) // an overwrite heals a lost page
@@ -123,8 +175,11 @@ func (a *Array) stagePage(t sim.Time, lba int64, data []byte) (sim.Time, error) 
 		seq = a.segs[ph.seg].Seq
 		a.unmap(lba) // the committed copy is dead the moment NVRAM holds a newer one
 	}
-	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data})
+	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data, gc: gc})
 	a.pendingIdx[lba] = int32(len(a.rowBuf))
+	if !gc {
+		a.stagedHost++
+	}
 	done, err := a.drain(t)
 	if err == nil || a.pendingIdx[lba] == 0 || had && a.segs[ph.seg].Seq != seq {
 		return done, nil
@@ -144,6 +199,9 @@ func (a *Array) stagePage(t sim.Time, lba int64, data []byte) (sim.Time, error) 
 func (a *Array) unstage(lba int64) {
 	pos := int(a.pendingIdx[lba] - 1)
 	blockdev.PutPage(a.rowBuf[pos].data)
+	if !a.rowBuf[pos].gc {
+		a.stagedHost--
+	}
 	copy(a.rowBuf[pos:], a.rowBuf[pos+1:])
 	a.rowBuf[len(a.rowBuf)-1] = pending{}
 	a.rowBuf = a.rowBuf[:len(a.rowBuf)-1]
@@ -186,10 +244,12 @@ func (a *Array) compactRowBuf() {
 // drain flushes the NVRAM buffer a segment at a time: it commits
 // nothing until a segment's worth of pages (segPages) is staged, then
 // every full row, each issued at the previous row's completion, so each
-// member writes the flush as one sequential run and only the write that
-// fills the segment waits for it. It is re-entered by GC copy-forward
-// (which stages through stagePage); the loop structure makes that safe —
-// whoever runs first flushes the buffer prefix.
+// member writes the flush as one sequential run. It returns the flush's
+// completion, which only the flush's own chain (GC copy-forward) waits
+// for: a host write is acknowledged when its page enters NVRAM
+// (writePage). It is re-entered by GC copy-forward (which stages through
+// stage); the loop structure makes that safe — whoever runs first
+// flushes the buffer prefix.
 func (a *Array) drain(t sim.Time) (sim.Time, error) {
 	if int64(len(a.staged())) < a.segPages {
 		return t, nil
@@ -269,9 +329,14 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 	if !bugSummaryFirst {
 		a.commitSummary(seg, entries)
 	}
+	var host int64
 	for _, e := range entries {
 		blockdev.PutPage(e.data) // the members hold their own copies now
+		if !e.gc {
+			host++
+		}
 	}
+	a.fly(c, host)
 	clear(entries)
 	a.compactRowBuf()
 	return sim.MaxTime(done, c), nil

@@ -11,15 +11,26 @@
 //
 // Flush rule: the row buffer is flushed a segment at a time, as LFS
 // writes a whole segment per pass. A write that leaves fewer than
-// SegmentPages (SegRows × data members) pages staged costs no member I/O
-// and returns at once; a rewrite of a staged page replaces it in NVRAM.
-// The write that stages the segment's last page commits every full row,
-// each issued at the previous row's completion, so each member writes
-// the flush as one sequential run, and returns the flush's completion.
-// The buffer therefore holds under one segment between flushes —
-// SegmentPages-1 pages, 127 pages or about 508 KiB at the harness
-// geometry (32 rows over five members) — plus, during a GC pass, the
-// victim's live pages. (The KDD cache's own NVRAM staging is 16 KiB.)
+// SegmentPages (SegRows × data members) pages staged costs no member I/O;
+// a rewrite of a staged page replaces it in NVRAM. The write that stages
+// the segment's last page commits every full row, each issued at the
+// previous row's completion, so each member writes the flush as one
+// sequential run.
+//
+// NVRAM ack: battery-backed NVRAM is durable on arrival, so every write
+// returns when its page enters NVRAM, the filling write included; the
+// flush runs behind the ack, as KDD's DEZ commit does. A flushed row's
+// host pages still hold NVRAM until the row's member writes complete.
+// NVRAM is double-buffered: it holds two segments of host pages
+// (nvSegs), so the next segment fills while the one before it flushes,
+// and its filling write flushes it behind that one. A host write that
+// finds two segments' worth of host pages staged or in flight waits
+// until the oldest in-flight row lands; the flush it triggers starts
+// then. So host pages staged plus in flight never exceed 2 ×
+// SegmentPages — 256 pages or 1 MiB at the harness geometry (32 rows
+// over five members) — plus, during a GC pass, the victim's live pages,
+// which have their own allowance. (The KDD cache's own NVRAM staging is
+// 16 KiB.) A page still in flight is read from the members.
 //
 // Durability model, matching the repo's NVRAM conventions: the segment
 // summaries, the L2P-relevant metadata, and the staged row buffer live in
@@ -66,6 +77,12 @@ var (
 // headroom copy-forward may consume mid-collection).
 const reserveSegs = 2
 
+// nvSegs is the NVRAM allowance for host pages, staged or in flight, in
+// segments: double buffering, one segment filling while the previous one
+// flushes. With a single segment a host write could not enter while a
+// whole flush was in flight, so writers paced the flush row by row.
+const nvSegs = 2
+
 // Config sizes the log-structured array.
 type Config struct {
 	// ChunkPages is the logical chunk size used for the stripe-geometry
@@ -107,7 +124,7 @@ type segMeta struct {
 // pending is one staged page in the NVRAM row buffer.
 //
 // Ownership: in data mode, data is a blockdev.GetPage buffer the row
-// buffer owns from the moment stagePage stages it — a copy of a host
+// buffer owns from the moment stage stages it — a copy of a host
 // page, or the page GC's sweep read a live copy into. It goes back to
 // the pool when a newer write of the same LBA replaces it in place, when
 // a failed flush takes it back out (unstage), and at the NVRAM commit of
@@ -118,6 +135,14 @@ type segMeta struct {
 type pending struct {
 	lba  int64
 	data []byte // nil in timing mode
+	gc   bool   // a GC copy-forward, outside the host pages' NVRAM bound
+}
+
+// landing is a committed row whose member writes are still in flight in
+// virtual time: its host pages hold NVRAM until done.
+type landing struct {
+	done sim.Time
+	host int64
 }
 
 // Array is a log-structured parity array over member block devices. It
@@ -162,6 +187,15 @@ type Array struct {
 	pendingIdx []int32
 	inGC       bool
 	sweep      []pending // collect's live-page list, reused across collections
+
+	// NVRAM occupancy in virtual time (admit): the host pages staged,
+	// and the committed rows still in flight, oldest first, in a ring of
+	// nvSegs*segPages slots with the running count of their host pages.
+	stagedHost int64
+	flying     []landing
+	flyHead    int
+	flyLen     int
+	flyingHost int64
 }
 
 // New builds a log-structured array over the member devices, wrapping
@@ -213,6 +247,7 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	a.l2p = make([]phys, a.logical)
 	a.pendingIdx = make([]int32, a.logical)
 	a.lost = bitset.New(a.logical)
+	a.flying = make([]landing, nvSegs*a.segPages)
 	a.replay() // of an empty log: nothing mapped, nothing live, every segment free
 	return a, nil
 }

@@ -53,10 +53,15 @@ func (a *Array) replay() {
 		}
 	}
 	// Staged pages shadow their committed copies, and lost pages have
-	// none: neither is live.
+	// none: neither is live. Nothing is in flight after a power loss:
+	// the host pages NVRAM holds are the staged ones.
+	a.stagedHost, a.flyHead, a.flyLen, a.flyingHost = 0, 0, 0, 0
 	for i, p := range a.staged() {
 		a.pendingIdx[p.lba] = int32(a.rowHead + i + 1)
 		a.unmap(p.lba)
+		if !p.gc {
+			a.stagedHost++
+		}
 	}
 	for lba := range a.l2p {
 		if a.lost.Has(int64(lba)) {
@@ -145,6 +150,13 @@ func (a *Array) CheckInvariants() error {
 		if pos != want.pendingIdx[lba] {
 			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", lba, pos, want.pendingIdx[lba])
 		}
+	}
+	if a.stagedHost != want.stagedHost {
+		return fmt.Errorf("lsraid: %d host pages counted staged, the row buffer holds %d", a.stagedHost, want.stagedHost)
+	}
+	if a.stagedHost+a.flyingHost > nvSegs*a.segPages {
+		return fmt.Errorf("lsraid: %d host pages staged and %d in flight exceed %d segments (%d pages)",
+			a.stagedHost, a.flyingHost, nvSegs, nvSegs*a.segPages)
 	}
 	// Accounting identity: live + dead + free == physical data capacity,
 	// and every live page is mapped.

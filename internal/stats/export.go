@@ -1,14 +1,13 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// Export helpers: the harness prints figures as text tables; these render
-// the same series as CSV or JSON for external plotting tools.
+// Export helper: the harness prints figures as text tables; WriteCSV
+// renders the same series as CSV for external plotting tools.
 
 // WriteCSV renders labelled series as CSV with one row per x value:
 // header "x,<label1>,<label2>,..." followed by data rows. Series are
@@ -62,26 +61,4 @@ func csvEscape(s string) string {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
 	return s
-}
-
-// figureJSON is the JSON shape WriteJSON emits.
-type figureJSON struct {
-	XName  string   `json:"x_name"`
-	Series []Series `json:"series"`
-}
-
-// WriteJSON renders labelled series as a JSON document.
-func WriteJSON(w io.Writer, xName string, series []Series) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(figureJSON{XName: xName, Series: series})
-}
-
-// ParseSeriesJSON reads back what WriteJSON produced.
-func ParseSeriesJSON(r io.Reader) (string, []Series, error) {
-	var f figureJSON
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return "", nil, err
-	}
-	return f.XName, f.Series, nil
 }

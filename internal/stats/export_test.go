@@ -44,29 +44,6 @@ func TestWriteCSVEmpty(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	var b bytes.Buffer
-	if err := WriteJSON(&b, "readrate", sampleSeries()); err != nil {
-		t.Fatal(err)
-	}
-	xName, series, err := ParseSeriesJSON(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xName != "readrate" || len(series) != 3 {
-		t.Fatalf("round trip lost data: %q %d", xName, len(series))
-	}
-	if series[1].Label != "KDD,25%" || series[1].Y[1] != 0.55 {
-		t.Fatalf("series corrupted: %+v", series[1])
-	}
-}
-
-func TestParseSeriesJSONError(t *testing.T) {
-	if _, _, err := ParseSeriesJSON(strings.NewReader("{bad")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-}
-
 func TestCSVEscape(t *testing.T) {
 	if csvEscape("plain") != "plain" {
 		t.Fatal("plain escaped")
