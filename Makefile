@@ -65,12 +65,16 @@ check:
 # before repairing its parity, which the crash sweep must catch on both
 # subjects; the kddbug_lsraid tag, alone, a log that flips a row's mapping
 # and appends its segment summary before the row's member writes, which
-# the lsraid rebuild sweep must catch on both subjects.
+# the lsraid rebuild sweep must catch on both subjects; the
+# kddbug_lsraid_gc tag, alone, a segment GC that frees its victim before
+# staging the victim's live pages, which the plain lsraid sweep must catch
+# on both subjects (the rig's log is sized to wrap, so GC runs).
 mutate:
 	$(GO) test -tags kddbug -run TestMutationCaught -v ./internal/check/
 	$(GO) test -tags kddbug_checkpoint -run TestMutationCaughtCheckpointAhead -v ./internal/check/
 	$(GO) test -tags kddbug_idle -run TestMutationCaughtIdleReclaim -v ./internal/check/
 	$(GO) test -tags kddbug_lsraid -run TestMutationCaughtLSRaidSummaryFirst -v ./internal/check/
+	$(GO) test -tags kddbug_lsraid_gc -run TestMutationCaughtLSRaidGC -v ./internal/check/
 
 # Native Go fuzzing over the trace parsers, the metadata-log, span,
 # tenant-spec and segment-summary decoders and the delta codecs' Apply,

@@ -2,11 +2,13 @@ package check
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 
 	"kddcache/internal/blockdev"
@@ -45,21 +47,11 @@ type ChaosOpts struct {
 }
 
 func (o ChaosOpts) withDefaults() ChaosOpts {
-	if o.Schedules == 0 {
-		o.Schedules = 24
-	}
-	if o.Ops == 0 {
-		o.Ops = 500
-	}
-	if o.Footprint == 0 {
-		o.Footprint = 640
-	}
-	if o.CachePages == 0 {
-		o.CachePages = 512
-	}
-	if o.Seed == 0 {
-		o.Seed = 0xC0FFEE
-	}
+	o.Schedules = cmp.Or(o.Schedules, 24)
+	o.Ops = cmp.Or(o.Ops, 500)
+	o.Footprint = cmp.Or(o.Footprint, 640)
+	o.CachePages = cmp.Or(o.CachePages, 512)
+	o.Seed = cmp.Or(o.Seed, 0xC0FFEE)
 	return o
 }
 
@@ -227,10 +219,8 @@ func uniformDraw(rng *sim.RNG, footprint int64) int64 {
 }
 
 func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) (*ChaosScheduleResult, error) {
-	s := spec{
-		geometry: chaosGeometry, backend: "kdd", cache: o.CachePages,
-		ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotEighthDraw,
-	}
+	s := spec{StackOpts: chaosGeometry, ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotEighthDraw}
+	s.Backend, s.CachePages = "kdd", o.CachePages
 	if plan.shape != nil {
 		plan.shape(&s)
 	}
@@ -320,7 +310,7 @@ func (c *chaosRun) writtenLBA() (int64, bool) {
 
 // cacheDataPage returns a random SSD page inside the cache data partition.
 func (c *chaosRun) cacheDataPage() int64 {
-	return c.dataStart() + int64(c.rng.Uint64n(uint64(c.cache)))
+	return c.dataStart() + int64(c.rng.Uint64n(uint64(c.CachePages)))
 }
 
 // corruptSomeCachePage flips one bit in a cache data page that actually
@@ -328,10 +318,10 @@ func (c *chaosRun) cacheDataPage() int64 {
 // with sparse caches still land their corruption. Returns false only if
 // the cache data partition is completely empty.
 func (c *chaosRun) corruptSomeCachePage() bool {
-	start := int64(c.rng.Uint64n(uint64(c.cache)))
+	start := int64(c.rng.Uint64n(uint64(c.CachePages)))
 	bit := uint(c.rng.Intn(blockdev.PageSize * 8))
-	for j := int64(0); j < c.cache; j++ {
-		if c.inj.Store().CorruptPage(c.dataStart()+(start+j)%c.cache, bit) {
+	for j := int64(0); j < c.CachePages; j++ {
+		if c.inj.Store().CorruptPage(c.dataStart()+(start+j)%c.CachePages, bit) {
 			return true
 		}
 	}
@@ -368,7 +358,7 @@ var chaosPlans = []*chaosPlan{
 				// latent-bad and re-read the footprint — the first cache
 				// hit must trip the media fallback (and heal itself), so a
 				// populated cache cannot stay error-free.
-				for p := int64(0); p < c.cache; p++ {
+				for p := int64(0); p < c.CachePages; p++ {
 					c.inj.InjectBadPage(c.dataStart() + p)
 				}
 				for _, lba := range c.mdl.Written() {
@@ -551,8 +541,7 @@ var chaosPlans = []*chaosPlan{
 					c.violf("pre-rebuild flush: %v", err)
 					return
 				}
-				fresh := blockdev.NewNullDataDevice("d1r", c.diskPages)
-				if _, err := c.arr.ReplaceDisk(0, 1, fresh); err != nil {
+				if _, err := c.arr.ReplaceDisk(0, 1, c.st.FreshMember()); err != nil {
 					c.violf("rebuild: %v", err)
 				}
 			}
@@ -592,13 +581,7 @@ var chaosPlans = []*chaosPlan{
 				c.violf("scrub with double fault: %v", err)
 				return
 			}
-			found := false
-			for _, row := range rep.Unrecoverable {
-				if row == dPage {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.Contains(rep.Unrecoverable, dPage) {
 				c.violf("scrub did not report row %d unrecoverable", dPage)
 			}
 			c.res.Unrecoverable += len(rep.Unrecoverable)
@@ -716,7 +699,7 @@ var chaosPlans = []*chaosPlan{
 				if h := c.kdd().Health(); h != core.HealthBypass {
 					c.violf("ssd-reattach: health %v before reattach, want bypass", h)
 				}
-				c.inj.Repair(blockdev.NewNullDataDevice("ssd", 64+c.cache+64))
+				c.inj.Repair(c.st.FreshSSD())
 				if err := c.kdd().Reattach(0, nil); err != nil {
 					c.violf("ssd-reattach: %v", err)
 				}
@@ -744,7 +727,7 @@ var chaosPlans = []*chaosPlan{
 		// — all without a single wrong byte served from the half-rebuilt
 		// window.
 		kind:  "disk-kill",
-		shape: func(s *spec) { s.spares = 1 },
+		shape: func(s *spec) { s.Spares = 1 },
 		everyOp: func(c *chaosRun, i int) {
 			if i == c.ops/3 {
 				c.arr.FailDisk(1)
@@ -777,7 +760,7 @@ var chaosPlans = []*chaosPlan{
 		// — restarting from zero is merely slow, but forgetting the window
 		// would serve the un-rebuilt region as zeros.
 		kind:       "rebuild-crash",
-		shape:      func(s *spec) { s.spares = 1 },
+		shape:      func(s *spec) { s.Spares = 1 },
 		rearmCrash: true,
 		everyOp: func(c *chaosRun, i int) {
 			switch i {
@@ -815,7 +798,7 @@ var chaosPlans = []*chaosPlan{
 		// reconstructable (two erasures above the watermark); the pump
 		// finishes the first rebuild, then attaches the second spare.
 		kind:  "double-kill",
-		shape: func(s *spec) { s.level, s.disks, s.spares = raid.Level6, 6, 2 },
+		shape: func(s *spec) { s.Level, s.Disks, s.Spares = raid.Level6, 6, 2 },
 		everyOp: func(c *chaosRun, i int) {
 			switch i {
 			case c.ops / 4:
@@ -857,7 +840,7 @@ var chaosPlans = []*chaosPlan{
 		// the lane owns.
 		kind: "ssd-lane-kill",
 		shape: func(s *spec) {
-			s.plane, s.coalesce, s.ways = true, true, 16
+			s.plane, s.coalesce, s.Ways = true, true, 16
 			s.batch, s.step, s.pick = 32, sim.Millisecond, uniformDraw
 		},
 		setup: func(c *chaosRun) {
@@ -870,7 +853,7 @@ var chaosPlans = []*chaosPlan{
 			if i/c.batch == c.batches()/2 {
 				// The lane discovers it mid-batch, on its next SSD touch
 				// (a hit read, a delta write, a read-fill).
-				lanePages := c.cache / shard.Lanes
+				lanePages := c.CachePages / shard.Lanes
 				c.inj.FailRange(c.dataStart()+int64(c.killLane)*lanePages, lanePages)
 			}
 		},

@@ -1,10 +1,14 @@
 package check
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"strings"
 	"testing"
+
+	"kddcache/internal/harness"
+	"kddcache/internal/raid"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -100,7 +104,8 @@ func TestChaosSeedSensitivity(t *testing.T) {
 // TestUsageErrors: what a flag or a caller's Options can get wrong comes
 // back from the one stack builder as an error — never a panic, never a
 // sweep that "passes" by ignoring the option or "fails" with one
-// out-of-range violation per op.
+// out-of-range violation per op. What harness.Build refuses wraps
+// harness.ErrOptions.
 func TestUsageErrors(t *testing.T) {
 	chaosErr := func(o ChaosOpts) func() error {
 		return func() error { _, err := Chaos(o); return err }
@@ -108,24 +113,32 @@ func TestUsageErrors(t *testing.T) {
 	checkErr := func(run func(Options) (*Report, error), o Options) func() error {
 		return func() error { _, err := run(o); return err }
 	}
+	lsraid6 := spec{StackOpts: checkGeometry, footprint: 48}
+	lsraid6.Backend, lsraid6.Level, lsraid6.CachePages = "lsraid", raid.Level6, 128
 	for _, tc := range []struct {
 		name string
 		run  func() error
 		want string // substring of the error
+		opts bool   // the error wraps harness.ErrOptions
 	}{
-		{"chaos footprint below the hot eighth", chaosErr(ChaosOpts{Footprint: 4}), "footprint 4"},
-		{"chaos footprint past the array", chaosErr(ChaosOpts{Footprint: 100000}), "footprint 100000"},
-		{"chaos cache below one set", chaosErr(ChaosOpts{CachePages: 4}), "below one set"},
-		{"chaos plane cache not divisible into lanes", chaosErr(ChaosOpts{Kind: "ssd-lane-kill", CachePages: 4}), "not divisible"},
-		{"chaos unknown kind", chaosErr(ChaosOpts{Kind: "nope"}), `no chaos plan matches kind "nope"`},
-		{"check footprint past the array", checkErr(Run, Options{Footprint: 100000}), "footprint 100000"},
-		{"check cache below one set", checkErr(Run, Options{CachePages: 8}), "below one set"},
-		{"check unknown backend", checkErr(Run, Options{Backend: "x"}), `unknown backend "x"`},
-		{"shard cache below one set per lane", checkErr(RunShard, Options{CachePages: 8}), "below one"},
+		{"chaos footprint below the hot eighth", chaosErr(ChaosOpts{Footprint: 4}), "footprint 4", false},
+		{"chaos footprint past the array", chaosErr(ChaosOpts{Footprint: 100000}), "footprint 100000", false},
+		{"chaos cache below one set", chaosErr(ChaosOpts{CachePages: 4}), "below one set", true},
+		{"chaos plane cache below one set", chaosErr(ChaosOpts{Kind: "ssd-lane-kill", CachePages: 4}), "below one set", true},
+		{"chaos plane cache not divisible into lanes", chaosErr(ChaosOpts{Kind: "ssd-lane-kill", CachePages: 132}), "not divisible", false},
+		{"chaos unknown kind", chaosErr(ChaosOpts{Kind: "nope"}), `no chaos plan matches kind "nope"`, false},
+		{"check footprint past the array", checkErr(Run, Options{Footprint: 100000}), "footprint 100000", false},
+		{"check cache below one set", checkErr(Run, Options{CachePages: 8}), "below one set", true},
+		{"check unknown backend", checkErr(Run, Options{Backend: "x"}), `unknown backend "x"`, true},
+		{"rig RAID-6 on lsraid", func() error { _, err := newRig(1, lsraid6); return err }, "single-parity", true},
+		{"shard cache below one set per lane", checkErr(RunShard, Options{CachePages: 8}), "below one", false},
 	} {
 		err := tc.run()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if errors.Is(err, harness.ErrOptions) != tc.opts {
+			t.Errorf("%s: error %v wraps harness.ErrOptions: %v, want %v", tc.name, err, !tc.opts, tc.opts)
 		}
 	}
 }

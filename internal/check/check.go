@@ -21,11 +21,13 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/harness"
+	"kddcache/internal/lsraid"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
 )
@@ -62,24 +64,12 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Seed == 0 {
-		o.Seed = 0xC0FFEE
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 2
-	}
-	if o.Ops == 0 {
-		o.Ops = 200
-	}
-	if o.Footprint == 0 {
-		o.Footprint = 64
-	}
-	if o.CachePages == 0 {
-		o.CachePages = 128
-	}
-	if o.Backend == "" {
-		o.Backend = "kdd"
-	}
+	o.Seed = cmp.Or(o.Seed, 0xC0FFEE)
+	o.Seeds = cmp.Or(o.Seeds, 2)
+	o.Ops = cmp.Or(o.Ops, 200)
+	o.Footprint = cmp.Or(o.Footprint, 64)
+	o.CachePages = cmp.Or(o.CachePages, 128)
+	o.Backend = cmp.Or(o.Backend, "kdd")
 	return o
 }
 
@@ -104,7 +94,12 @@ type SeedResult struct {
 	// PendingCrashes counts the crashes that struck while a cache engine
 	// held planned row repairs in its idle queue.
 	PendingCrashes int
-	Violations     []string
+	// GCSegments and GCCopies are the lsraid log's segment-GC tallies
+	// over the profile run (zero on kdd): segments collected and live
+	// pages copied forward. An lsraid profile run must collect, so that
+	// every site fires against a log that wraps.
+	GCSegments, GCCopies int64
+	Violations           []string
 }
 
 // Report aggregates the checker's results across seeds.
@@ -174,24 +169,22 @@ const rebuildVictim = 1
 // spec is the run o describes, on the bare engine or on the sharded
 // plane.
 func (o Options) spec(plane bool) spec {
-	s := spec{
-		geometry: checkGeometry, backend: o.Backend, cache: o.CachePages,
-		ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotFrontDraw,
-	}
+	s := spec{StackOpts: checkGeometry, ops: o.Ops, batch: 1, footprint: o.Footprint, pick: hotFrontDraw}
 	if plane {
 		// Batches big enough that several lanes hold buffered metadata
 		// entries when a crash fires mid-batch: the batches-in-flight
 		// state the sharded sweep exists to crash into.
-		s.geometry, s.plane, s.batch = planeGeometry, true, 16
+		s.StackOpts, s.plane, s.batch = planeGeometry, true, 16
 	}
+	s.Backend, s.CachePages = o.Backend, o.CachePages
 	if o.Rebuild {
-		s.spares = 1
+		s.Spares = 1
 		if o.Backend == "kdd" {
 			// RAID-6 with one extra member: an armed member media fault may
 			// fire INSIDE the rebuild window (one member already missing),
 			// and zero loss only holds if the geometry tolerates that second
 			// hole.
-			s.disks, s.level = s.disks+1, raid.Level6
+			s.Disks, s.Level = s.Disks+1, raid.Level6
 		}
 	}
 	return s
@@ -222,9 +215,8 @@ func RunShard(o Options) (*Report, error) {
 
 // RunCI runs the deterministic CI matrix, {kdd, lsraid} × {engine, plane}
 // × {plain, rebuild} in that order, over 48 pages per run: 120 ops on
-// kdd, 240 on lsraid, whose row buffer absorbs rewrites until a segment's
-// worth is staged, so it takes twice the ops to reach its members as
-// often; o supplies the seeds and the fan-out width.
+// kdd, 240 on lsraid, which it takes to wrap the footprint-sized log so
+// that segment GC runs; o supplies the seeds and the fan-out width.
 func RunCI(o Options) ([]*Report, error) {
 	o.Footprint = 48
 	var reps []*Report
@@ -327,6 +319,14 @@ func runSeed(seed uint64, o Options, s spec) (SeedResult, error) {
 	// Pump activity during the profile run, captured before verify (whose
 	// completion drive steps the array directly, not through the pump).
 	profileSteps := int(r.sub.Stats().RebuildSteps)
+	if a, ok := r.arr.(*lsraid.Array); ok {
+		res.GCCopies, res.GCSegments = a.GCStats()
+		if res.GCSegments == 0 || res.GCCopies == 0 {
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"profile: log GC collected %d segments and copied %d pages; the sweep needs both",
+				res.GCSegments, res.GCCopies))
+		}
+	}
 	r.verify()
 	if len(r.violations) > 0 {
 		for _, v := range r.violations {

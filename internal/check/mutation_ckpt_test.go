@@ -19,8 +19,12 @@ func TestMutationCaughtCheckpointAhead(t *testing.T) {
 			name string
 			run  func(Options) (*Report, error)
 		}{{"engine", Run}, {"plane", RunShard}} {
+			ops := 120
+			if backend == "lsraid" {
+				ops = 240 // as in RunCI: enough writes to wrap the log, so GC runs
+			}
 			rep := sweepOK(t, sw.run, Options{
-				Seeds: 2, Ops: 120, Footprint: 48, Backend: backend, Rebuild: true, CrashOnly: true,
+				Seeds: 2, Ops: ops, Footprint: 48, Backend: backend, Rebuild: true, CrashOnly: true,
 			})
 			v := rep.Violations()
 			if len(v) == 0 {

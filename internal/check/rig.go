@@ -8,7 +8,7 @@ import (
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
 	"kddcache/internal/delta"
-	"kddcache/internal/lsraid"
+	"kddcache/internal/harness"
 	"kddcache/internal/model"
 	"kddcache/internal/nvram"
 	"kddcache/internal/obs"
@@ -25,39 +25,34 @@ import (
 // over it. A run is a pure function of (seed, spec, armed faults), so
 // replaying a violation needs only those.
 
-// geometry is a driver's stack literal: the array members, the cache's
-// set associativity, and the SSD's metadata and slack partitions.
-type geometry struct {
-	disks     int
-	diskPages int64
-	chunk     int64
-	ways      int
-	metaPages int64
-	padPages  int64 // SSD pages past the cache partition, never addressed
-}
-
+// The drivers' stack literals: array members, the cache's set
+// associativity and the metadata partition's share of the SSD. Policy,
+// backend, cache size, seed, data mode and tracer are set per run.
 var (
 	// The checker's engine stack is deliberately small: hundreds of
 	// per-site replays per seed must stay cheap while still exercising
-	// eviction, DEZ packing, cleaning and parity maintenance.
-	checkGeometry = geometry{disks: 4, diskPages: 256, chunk: 4, ways: 16, metaPages: 32}
+	// eviction, DEZ packing, cleaning and parity maintenance. A fifth of
+	// the SSD is metadata: 32 pages beside the default 128-page cache.
+	checkGeometry = harness.StackOpts{Disks: 4, DiskPages: 256, ChunkPages: 4, Ways: 16, MetaFrac: 0.2}
 	// The checker's plane stack splits its cache into shard.Lanes private
 	// slices, so it is a little larger: every lane must still be able to
 	// evict and clean.
-	planeGeometry = geometry{disks: 5, diskPages: 512, chunk: 4, ways: 8, metaPages: 32}
+	planeGeometry = harness.StackOpts{Disks: 5, DiskPages: 512, ChunkPages: 4, Ways: 8, MetaFrac: 0.2}
 	// The chaos stack: a scrub pass stays cheap, and the default footprint
 	// overflows the cache into eviction, cleaning and the DEZ machinery.
-	chaosGeometry = geometry{disks: 5, diskPages: 1024, chunk: 8, ways: 32, metaPages: 64, padPages: 64}
+	// A ninth of the SSD is metadata: 64 pages beside the default 512.
+	chaosGeometry = harness.StackOpts{Disks: 5, DiskPages: 1024, ChunkPages: 8, Ways: 32, MetaFrac: 1.0 / 9}
 )
 
+// ssdSeedXor makes harness.Build seed the SSD injector, which the chaos
+// plans draw from, with the run's seed^0xFA17: Build seeds it Seed^0x55D.
+const ssdSeedXor = 0xFA17 ^ 0x55D
+
 // spec is everything a driver says about one run: the stack to build
-// and the seeded workload to drive at it.
+// (Backend, Level, Spares and CachePages set; the rest is a geometry
+// literal) and the seeded workload to drive at it.
 type spec struct {
-	geometry
-	level   raid.Level // zero = RAID-5
-	spares  int        // hot spares parked at build time
-	backend string     // "kdd" (parity RAID, delayed parity) or "lsraid"
-	cache   int64      // SSD cache data pages
+	harness.StackOpts
 
 	// plane makes the subject a shard.Plane; otherwise a bare core.KDD.
 	// The plane sweeps each batch on one goroutine, so its device-op
@@ -69,7 +64,7 @@ type spec struct {
 	// sweep that crashes mid-batch keeps it off: a dropped-then-crashed
 	// write pair would need a three-valued old-or-new pin.
 	coalesce bool
-	tune     func(*core.Config) // adjust the bare engine's config before core.New
+	tune     func(*core.Config) // adjust the bare engine's config; the rig rebuilds it over the stack's devices
 
 	ops       int   // workload operations
 	batch     int   // ops per subject batch: 1 for a bare engine
@@ -169,6 +164,7 @@ type rig struct {
 	mdl *model.Model
 	now sim.Time
 
+	st      *harness.Stack
 	members []*blockdev.NullDevice // as built; a spare attach swaps the medium behind an injector, not this
 	arr     raidiface.Array
 	inj     *blockdev.FaultInjector   // SSD-side injector
@@ -197,8 +193,10 @@ type rig struct {
 	violations     []string
 }
 
-// newRig builds the stack a spec describes. Everything a flag or a
-// caller's Options can get wrong surfaces here as an error, once.
+// newRig builds the stack a spec describes, through harness.Build.
+// Everything a flag or a caller's Options can get wrong surfaces here as
+// an error, once; what the stack options get wrong wraps
+// harness.ErrOptions.
 func newRig(seed uint64, s spec) (*rig, error) {
 	r := &rig{
 		spec:        s,
@@ -207,60 +205,39 @@ func newRig(seed uint64, s spec) (*rig, error) {
 		mdl:         model.New(),
 		proofFailed: -1,
 	}
-	var members []blockdev.Device
-	for i := 0; i < s.disks; i++ {
-		d := blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), s.diskPages)
-		r.members = append(r.members, d)
-		members = append(members, d)
-	}
-	level := s.level
-	if level == 0 {
-		level = raid.Level5
-	}
-	var err error
-	switch {
-	case s.backend == "kdd":
-		r.arr, err = raid.New(raid.Config{Level: level, ChunkPages: s.chunk}, members)
-	case s.backend != "lsraid":
-		err = fmt.Errorf("check: unknown backend %q (want kdd or lsraid)", s.backend)
-	case level != raid.Level5:
-		err = fmt.Errorf("check: the lsraid backend is single-parity: no %v scenario", level)
-	default:
-		// 4-row segments: 64 of them on the smallest geometry, 12 data
-		// pages each, so a 48-page footprint flushes the row buffer many
-		// times a run; its logical capacity, 3/4 of 64*12 = 576 pages,
-		// covers its footprints.
-		r.arr, err = lsraid.New(lsraid.Config{ChunkPages: s.chunk, SegRows: 4, Seed: seed}, members)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.footprint < 8 || s.footprint > r.arr.Pages() {
-		return nil, fmt.Errorf("check: footprint %d outside [8, %d] (the hot eighth, the array's logical pages)",
-			s.footprint, r.arr.Pages())
-	}
-	for i := 0; i < s.spares; i++ {
-		if err := r.arr.AddSpare(blockdev.NewNullDataDevice(fmt.Sprintf("spare%d", i), s.diskPages)); err != nil {
-			return nil, fmt.Errorf("check: parking spare %d: %w", i, err)
-		}
-	}
 	// Every run is traced: a crash that leaks a span open or drives a
 	// counter negative is a violation exactly like a torn write, and the
 	// chaos fingerprint folds in a digest of the ring. The Obs is never
 	// released: the array and engines keep the tracer, so the ring is
 	// left to the collector rather than recycled under them.
 	r.ob = obs.New()
-	r.arr.SetTracer(r.ob.Tracer)
-	r.inj = blockdev.NewFaultInjector(
-		blockdev.NewNullDataDevice("ssd", s.metaPages+s.cache+s.padPages), seed^0xFA17)
+	o := s.StackOpts
+	o.Policy, o.DataMode, o.Obs, o.Seed = harness.PolicyKDD, true, r.ob, seed^ssdSeedXor
+	if o.Backend == "lsraid" {
+		// The log's logical space is the footprint, rounded up to whole
+		// member rows, so the workload wraps it and segment GC runs.
+		d := int64(o.Disks - 1)
+		o.DiskPages = max((s.footprint+d-1)/d, 1)
+	}
+	st, err := harness.Build(o)
+	if err != nil {
+		return nil, err
+	}
+	if s.footprint < 8 || s.footprint > st.Array.Pages() {
+		return nil, fmt.Errorf("check: footprint %d outside [8, %d] (the hot eighth, the array's logical pages)",
+			s.footprint, st.Array.Pages())
+	}
+	r.st, r.arr, r.inj = st, st.Array, st.SSDInj
 	r.injs = []*blockdev.FaultInjector{r.inj}
-	for i := range r.members {
+	for i := 0; i < r.arr.Disks(); i++ {
+		r.members = append(r.members, r.arr.Member(i).(*blockdev.NullDevice))
 		r.injs = append(r.injs, r.arr.Injector(i))
 	}
 	if s.plane {
+		// The plane runs over the stack's devices; its own engine stays unused.
 		cfg := shard.Config{
-			SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
-			MetaPages: s.metaPages, Codec: func(int) delta.Codec { return delta.ZRLE{} },
+			SSD: r.inj, Backend: r.arr, CachePages: s.CachePages, Ways: s.Ways,
+			MetaPages: st.KDDConfig.MetaPages, Codec: func(int) delta.Codec { return delta.ZRLE{} },
 			Coalesce: s.coalesce, Tracer: r.ob.Tracer,
 		}
 		p, err := shard.New(cfg)
@@ -270,16 +247,12 @@ func newRig(seed uint64, s spec) (*rig, error) {
 		r.sub = planeSubject{p, cfg}
 		return r, nil
 	}
-	cfg := core.Config{
-		SSD: r.inj, Backend: r.arr, CachePages: s.cache, Ways: s.ways,
-		MetaPages: s.metaPages, Codec: delta.ZRLE{}, Tracer: r.ob.Tracer,
-	}
+	cfg, k := st.KDDConfig, st.Policy.(*core.KDD)
 	if s.tune != nil {
 		s.tune(&cfg)
-	}
-	k, err := core.New(cfg)
-	if err != nil {
-		return nil, err
+		if k, err = core.New(cfg); err != nil {
+			return nil, err
+		}
 	}
 	r.sub = engineSubject{k, cfg}
 	return r, nil
@@ -296,7 +269,7 @@ func (r *rig) kdd() *core.KDD { return r.sub.(engineSubject).KDD }
 func (r *rig) plane() *shard.Plane { return r.sub.(planeSubject).Plane }
 
 // dataStart is the first SSD page of the cache data partition.
-func (r *rig) dataStart() int64 { return r.metaPages }
+func (r *rig) dataStart() int64 { return r.st.KDDConfig.MetaPages }
 
 // totals sums the cache counters over every instance the run has had:
 // power cycles bank the instance they replace, the live one is added on.

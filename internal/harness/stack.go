@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -70,7 +71,13 @@ type StackOpts struct {
 	// debt). Empty selects the process-wide DefaultBackend(). The lsraid
 	// stack is built with oversized members so its logical capacity
 	// equals the kdd geometry's (Disks-1)*DiskPages — head-to-head runs
-	// see identical address spaces.
+	// see identical address spaces. Its geometry is derived from
+	// DiskPages: segments of DiskPages/8 rows, clamped to [1, 32], so a
+	// log sized for a small footprint still spans enough segments to wrap;
+	// and half as many spare segments as its logical space fills, clamped
+	// to [4, 16] (GC's reserve of two plus the open segment's slack of
+	// two at least). From DiskPages 256 up that is 32-row segments; from
+	// 1024, the 16 spares as well — every figure-scale stack.
 	Backend string
 
 	// DeltaMean sets KDD's modelled content locality (0.50/0.25/0.12 for
@@ -140,39 +147,17 @@ type StackOpts struct {
 
 // withDefaults fills zero fields with the paper's configuration.
 func (o StackOpts) withDefaults() StackOpts {
-	if o.Policy == "" {
-		o.Policy = PolicyKDD
-	}
-	if o.DeltaMean == 0 {
-		o.DeltaMean = 0.25
-	}
-	if o.CachePages == 0 {
-		o.CachePages = 262144 // 1GB
-	}
-	if o.MetaFrac == 0 {
-		o.MetaFrac = 0.0059
-	}
-	if o.Ways == 0 {
-		o.Ways = 256
-	}
-	if o.Disks == 0 {
-		o.Disks = 5
-	}
-	if o.ChunkPages == 0 {
-		o.ChunkPages = 16 // 64KB
-	}
-	if o.Level == 0 {
-		o.Level = raid.Level5
-	}
-	if o.DiskPages == 0 {
-		o.DiskPages = 1 << 20 // 4GB per member
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Backend == "" {
-		o.Backend = DefaultBackend()
-	}
+	o.Policy = cmp.Or(o.Policy, PolicyKDD)
+	o.DeltaMean = cmp.Or(o.DeltaMean, 0.25)
+	o.CachePages = cmp.Or(o.CachePages, 262144) // 1GB
+	o.MetaFrac = cmp.Or(o.MetaFrac, 0.0059)
+	o.Ways = cmp.Or(o.Ways, 256)
+	o.Disks = cmp.Or(o.Disks, 5)
+	o.ChunkPages = cmp.Or(o.ChunkPages, 16) // 64KB
+	o.Level = cmp.Or(o.Level, raid.Level5)
+	o.DiskPages = cmp.Or(o.DiskPages, 1<<20) // 4GB per member
+	o.Seed = cmp.Or(o.Seed, 1)
+	o.Backend = cmp.Or(o.Backend, DefaultBackend())
 	return o
 }
 
@@ -228,14 +213,14 @@ func Build(o StackOpts) (*Stack, error) {
 	// Member disks. The lsraid backend needs physically larger members to
 	// present the same logical capacity as the kdd parity geometry: the
 	// log keeps reserve segments plus GC headroom, so member size is
-	// derived from the target (Disks-1)*DiskPages logical space.
-	const lsSegRows = 32
+	// derived from the target (Disks-1)*DiskPages logical space, with the
+	// segment rows and spare segments StackOpts.Backend documents.
 	memberPages := o.DiskPages
+	segRows := min(max(o.DiskPages/8, 1), 32)
 	if o.Backend == "lsraid" {
-		segPages := int64(lsSegRows) * int64(o.Disks-1)
-		target := int64(o.Disks-1) * o.DiskPages
-		needSegs := (target+segPages-1)/segPages + 16 // reserve(2)+open slack(2)+GC headroom
-		memberPages = needSegs * lsSegRows
+		segPages := segRows * int64(o.Disks-1)
+		dataSegs := (int64(o.Disks-1)*o.DiskPages + segPages - 1) / segPages
+		memberPages = (dataSegs + min(max(dataSegs/2, 4), 16)) * segRows
 	}
 	var members []blockdev.Device
 	var disks []*hdd.Disk
@@ -257,7 +242,7 @@ func Build(o StackOpts) (*Stack, error) {
 	case "lsraid":
 		a, err := lsraid.New(lsraid.Config{
 			ChunkPages:   o.ChunkPages,
-			SegRows:      lsSegRows,
+			SegRows:      segRows,
 			LogicalPages: int64(o.Disks-1) * o.DiskPages,
 			Seed:         o.Seed ^ 0x15AA1D,
 		}, members)

@@ -19,3 +19,16 @@ func (a *Array) PendingPages() int { return len(a.staged()) }
 func encodeSummaryOf(seq uint64, rows int64, lbas []int64) []byte {
 	return EncodeSummary(&segMeta{Seq: seq, Rows: rows, LBAs: lbas})
 }
+
+// invertLive corrupts the live counts the way broken accounting misleads
+// the victim picker: each segment's count becomes the negation of its
+// true live pages, so greedy GC prefers exactly the fullest segments,
+// from which it reclaims nothing.
+func (a *Array) invertLive() {
+	clear(a.live)
+	for _, ph := range a.l2p {
+		if ph != noPhys {
+			a.live[ph.seg]--
+		}
+	}
+}

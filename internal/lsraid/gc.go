@@ -1,6 +1,8 @@
 package lsraid
 
 import (
+	"fmt"
+
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
 )
@@ -11,7 +13,22 @@ import (
 // pages are still mapped to the victim when it fires.
 var gcSweepHook func(t sim.Time, victim int, swept []pending)
 
-// gc reclaims segments until the free count clears the reserve. Victim
+// GCStallError is gc giving up after one victim per segment of the log
+// with the free segments still not above the reserve. True live counts
+// cannot get there — by then every segment dead at the call's start is
+// reclaimed, a segment's worth at least by the logical-capacity bound —
+// so the live accounting is steering the picker to segments it can
+// reclaim nothing from. It wraps ErrNoSpace.
+type GCStallError struct{ Victims int }
+
+func (e GCStallError) Error() string {
+	return fmt.Sprintf("lsraid: gc collected %d victims without clearing the free-segment reserve", e.Victims)
+}
+
+func (GCStallError) Unwrap() error { return ErrNoSpace }
+
+// gc reclaims segments until the free count clears the reserve, at most
+// one victim per segment of the log a call (see GCStallError). Victim
 // selection is greedy (most dead pages); live pages are copied forward
 // through the normal staging path, so they re-enter the log with fresh
 // parity and the old segment drops to zero live pages.
@@ -19,7 +36,10 @@ func (a *Array) gc(t sim.Time) (sim.Time, error) {
 	a.inGC = true
 	defer func() { a.inGC = false }()
 	done := t
-	for a.freeCount <= reserveSegs {
+	for victims := 0; a.freeCount <= reserveSegs; victims++ {
+		if int64(victims) == a.numSegs {
+			return done, GCStallError{victims}
+		}
 		v := a.pickVictim()
 		if v < 0 {
 			break // nothing reclaimable; the logical-capacity bound keeps this unreachable under load
@@ -101,6 +121,9 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 		gcSweepHook(t, v, sw)
 	}
 	t = done
+	if bugFreeVictimFirst {
+		a.freeVictim(v)
+	}
 	for i := range sw {
 		p := &sw[i]
 		c, err := a.stage(t, p.lba, p.data, true)
@@ -112,7 +135,15 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 		done = sim.MaxTime(done, c)
 		t = c
 	}
-	// Free the victim: every page the map still named there has moved.
+	if !bugFreeVictimFirst {
+		a.freeVictim(v) // every page the map still named there has moved
+	}
+	return done, nil
+}
+
+// freeVictim returns collected segment v to the free list.
+func (a *Array) freeVictim(v int) {
+	m := &a.segs[v]
 	m.Seq, m.Rows, m.LBAs = 0, 0, m.LBAs[:0]
 	a.live[v] = 0
 	a.freeCount++
@@ -120,5 +151,4 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 	if a.open == int32(v) {
 		a.open = -1
 	}
-	return done, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/hdd"
@@ -305,5 +306,41 @@ func TestSweepIssueOrder(t *testing.T) {
 			}
 			checkContent(t, a, version, tt)
 		})
+	}
+}
+
+// TestGCStallIsAnError drives one GC call over live counts that steer
+// the victim picker to the fullest segments, re-corrupted after every
+// sweep, so no collection frees a net segment. The call must give up
+// after one victim per segment with a GCStallError wrapping ErrNoSpace,
+// not loop for ever.
+func TestGCStallIsAnError(t *testing.T) {
+	a := testArray(t, 4, 64, 2)
+	rng := sim.NewRNG(3)
+	var tt sim.Time
+	for a.freeCount > reserveSegs { // the next segment allocation must collect
+		lba := int64(rng.Uint64n(uint64(a.Pages())))
+		done, err := a.WritePages(tt, lba, 1, pageOf(lba, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt = done
+	}
+	a.invertLive()
+	gcSweepHook = func(sim.Time, int, []pending) { a.invertLive() }
+	defer func() { gcSweepHook = nil }()
+	errc := make(chan error, 1)
+	go func() { _, err := a.gc(tt); errc <- err }()
+	select {
+	case err := <-errc:
+		var stall GCStallError
+		if !errors.As(err, &stall) || !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("gc error %v, want a GCStallError wrapping ErrNoSpace", err)
+		}
+		if stall.Victims != int(a.SegmentCount()) {
+			t.Errorf("gave up after %d victims, want one per segment (%d)", stall.Victims, a.SegmentCount())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("gc still collecting after 10 s")
 	}
 }
