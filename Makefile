@@ -187,14 +187,14 @@ same-outputs:
 
 # The model kernels every replayed request pays for — the disk seek
 # curve, the fault injector's unarmed pass-through, the latency
-# histogram — the span recorder's per-span cost and its export, the
-# open-loop and multi-tenant stream generators the data workloads' set-up
-# pays for, KDD's cleaner pass (ns and allocs per repaired row), its
-# idle-queue dispatch (ns and allocs per queued row), LeavO's and WB's
-# cleaner passes (ns and allocs per cleaned page), the plane's warm
-# 256-op batch (ns and allocs per batch, the elevator sweep's sort
-# included), the metadata log's crash recovery (a 200-page head-to-
-# tail replay) and the log-structured array's write path over one
+# histogram, RAID-6 Q parity (ns per data page) — the span recorder's
+# per-span cost and its export, the open-loop and multi-tenant stream
+# generators the data workloads' set-up pays for, KDD's cleaner pass (ns
+# and allocs per repaired row), its idle-queue dispatch (ns and allocs
+# per queued row), LeavO's and WB's cleaner passes (ns and allocs per
+# cleaned page), the plane's warm 256-op batch (ns and allocs per batch,
+# the elevator sweep's sort included), the metadata log's crash recovery
+# (a 200-page head-to-tail replay) and the log-structured array's write path over one
 # segment (ns and allocs per committed page, the flush included), at a
 # fixed small iteration count so they stay runnable (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
@@ -204,6 +204,7 @@ kernels:
 	$(GO) test ./internal/hdd/ -run '^$$' -bench '^BenchmarkSeekTime$$' -benchtime 2000000x
 	$(GO) test ./internal/blockdev/ -run '^$$' -bench '^BenchmarkInjectorPassThrough$$' -benchtime 2000000x
 	$(GO) test ./internal/stats/ -run '^$$' -bench '^BenchmarkHistogramObserve$$' -benchtime 2000000x
+	$(GO) test ./internal/raid/ -run '^$$' -bench '^BenchmarkParityQ$$' -benchtime 20000x
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkSpanRecord$$' -benchtime 1000000x -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem

@@ -8,9 +8,11 @@ import (
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
+	"kddcache/internal/lsraid"
 	"kddcache/internal/metalog"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
+	"kddcache/internal/ssd"
 )
 
 // stack is a data-mode test rig: RAID-5 over null devices plus an SSD
@@ -495,5 +497,61 @@ func TestHitRatioOrderingWTvsLeavO(t *testing.T) {
 	hrLO := run(lo, s2, rng2)
 	if hrLO > hrWT+0.02 {
 		t.Fatalf("LeavO hit ratio %.3f exceeds WT %.3f", hrLO, hrWT)
+	}
+}
+
+// TestLeavOWriteMissAckedAtArrayWrite holds LeavO's miss path to KDD's ack
+// rule: the request completes at the array's ack and the clean copy's
+// flash program runs behind it. The log-structured array acks a write
+// once the page is in NVRAM, before any flash program could complete.
+// The program still occupies its SSD channel: a read hit of the page
+// issued at the ack queues behind it.
+func TestLeavOWriteMissAckedAtArrayWrite(t *testing.T) {
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		d := blockdev.NewNullDevice("d", 4096)
+		d.Latency = 10 * sim.Millisecond
+		members = append(members, d)
+	}
+	a, err := lsraid.New(lsraid.Config{ChunkPages: 8}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ssd.DefaultConfig(2048)
+	cfg.Channels = 1
+	dev, twin := ssd.New("ssd", cfg), ssd.New("twin", cfg)
+	p := cache.NewLeavO(dev, a, 1024, 64, 32)
+
+	const t0, lba = 5 * sim.Millisecond, 100
+	done, err := p.Write(t0, lba, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The copy is the SSD's only work so far: a twin device's first
+	// program at t0 completes when the copy's does.
+	copyDone, err := twin.WritePages(t0, 64, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.WriteMiss != 1 || st.WriteAllocs != 1 {
+		t.Fatalf("write misses %d, write-allocates %d; want one of each", st.WriteMiss, st.WriteAllocs)
+	}
+	if dev.Stats().HostWrites != 1 {
+		t.Fatalf("SSD host writes %d, want the one copy program", dev.Stats().HostWrites)
+	}
+	if done != t0 {
+		t.Fatalf("write miss acked at %v, want the array's ack at %v (the copy's program completes at %v)",
+			done, t0, copyDone)
+	}
+	rd, err := p.Read(done, lba, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().ReadHits != 1 {
+		t.Fatal("read of the write-allocated page missed")
+	}
+	if rd < copyDone {
+		t.Fatalf("read hit issued at the ack %v completed at %v, before the copy's program at %v",
+			done, rd, copyDone)
 	}
 }

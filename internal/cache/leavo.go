@@ -192,24 +192,23 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		done := sim.MaxTime(metaDone, sim.MaxTime(ssdDone, raidDone))
 		return done, l.trigger(done)
 
-	default: // miss
+	default: // miss: acknowledged at the array write, as KDD's is; the
+		// clean copy's program runs behind the ack, like a read fill's.
 		l.st.WriteMiss++
 		l.st.RAIDWrites++
 		raidDone, err := l.backend.WritePages(t, lba, 1, buf)
 		if err != nil {
 			return t, err
 		}
-		var ssdDone sim.Time
 		if s := l.allocOrEvict(t, lba, Clean); s != NoSlot {
 			l.frame.Insert(lba, s, Clean)
 			l.st.WriteAllocs++
-			ssdDone, err = l.writeSlot(t, s, buf)
-			if err != nil {
+			if _, err := l.writeSlot(t, s, buf); err != nil {
 				return t, err
 			}
 			l.metaUpdate(t, 1) //nolint:errcheck // a clean copy; the array holds the data
 		}
-		return sim.MaxTime(raidDone, ssdDone), nil
+		return raidDone, nil
 	}
 }
 

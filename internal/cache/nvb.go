@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"sort"
-
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
 	"kddcache/internal/stats"
@@ -102,20 +100,14 @@ func (n *NVB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 }
 
 // destageOne flushes the row with the most buffered pages (maximising
-// full-stripe opportunities) and returns the completion time.
+// full-stripe opportunities; the lowest row key on a tie, so the pick does
+// not depend on map order) and returns the completion time.
 func (n *NVB) destageOne(t sim.Time) (sim.Time, error) {
 	var bestKey int64
 	best := -1
-	// Deterministic scan: collect and sort keys (map order is random).
-	keys := make([]int64, 0, len(n.rows))
-	for k := range n.rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if l := len(n.rows[k]); l > best {
-			best = l
-			bestKey = k
+	for k, lbas := range n.rows {
+		if l := len(lbas); l > best || (l == best && k < bestKey) {
+			best, bestKey = l, k
 		}
 	}
 	if best < 0 {

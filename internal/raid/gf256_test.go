@@ -122,3 +122,31 @@ func TestGFScale(t *testing.T) {
 		t.Fatal("scale by 1 should copy")
 	}
 }
+
+// TestGFPageKernelsExhaustive checks the table-driven page kernels against
+// gfMul for every coefficient and every byte value, accumulating onto a
+// non-zero destination.
+func TestGFPageKernelsExhaustive(t *testing.T) {
+	src := make([]byte, 256)
+	for x := range src {
+		src[x] = byte(x)
+	}
+	dst := make([]byte, len(src))
+	for c := 0; c < 256; c++ {
+		for x := range dst {
+			dst[x] = byte(x * 7)
+		}
+		gfMulInto(dst, src, byte(c))
+		for x := range src {
+			if want := byte(x*7) ^ gfMul(byte(x), byte(c)); dst[x] != want {
+				t.Fatalf("gfMulInto c=%d x=%d: got %d, want %d", c, x, dst[x], want)
+			}
+		}
+		gfScale(dst, src, byte(c))
+		for x := range src {
+			if want := gfMul(byte(x), byte(c)); dst[x] != want {
+				t.Fatalf("gfScale c=%d x=%d: got %d, want %d", c, x, dst[x], want)
+			}
+		}
+	}
+}
