@@ -188,8 +188,8 @@ same-outputs:
 # The model kernels every replayed request pays for — the disk seek
 # curve, the fault injector's unarmed pass-through, the latency
 # histogram, RAID-6 Q parity (ns per data page) — the span recorder's
-# per-span cost and its export, the open-loop and multi-tenant stream
-# generators the data workloads' set-up pays for, KDD's cleaner pass (ns
+# per-span cost and its export, the open-loop, multi-tenant and Table I
+# trace generators the workloads' set-up pays for, KDD's cleaner pass (ns
 # and allocs per repaired row), its idle-queue dispatch (ns and allocs
 # per queued row), LeavO's and WB's cleaner passes (ns and allocs per
 # cleaned page), the plane's warm 256-op batch (ns and allocs per batch,
@@ -207,7 +207,7 @@ kernels:
 	$(GO) test ./internal/raid/ -run '^$$' -bench '^BenchmarkParityQ$$' -benchtime 20000x
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkSpanRecord$$' -benchtime 1000000x -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench '^BenchmarkRingExport$$' -benchtime 20x -benchmem
-	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants)$$' -benchtime 20x -benchmem
+	$(GO) test ./internal/workload/ -run '^$$' -bench '^Benchmark(Generate|MergeTenants|Synthesize)$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/cache/ -run '^$$' -bench '^BenchmarkLRUCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem

@@ -321,7 +321,7 @@ func (o *options) runTrace(spec workload.Spec, tr *trace.Trace, w, stderr io.Wri
 		}
 		// A synthesized workload tags every request with tenant 0.
 		for i, sp := range specs {
-			if !slices.ContainsFunc(tr.Requests, func(q trace.Request) bool { return q.Tenant == i }) {
+			if !slices.ContainsFunc(tr.Requests, func(q trace.Request) bool { return int(q.Tenant) == i }) {
 				return usagef("-tenants: tenant %q (index %d) tags no request of %s", sp.Name, i, tr.Name)
 			}
 		}

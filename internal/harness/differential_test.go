@@ -140,8 +140,8 @@ func runDifferential(t *testing.T, family string, seed uint64) {
 	lbuf := make([]byte, blockdev.PageSize)
 	ord, reads, flushes := 0, 0, 0
 	for i, r := range tr.Requests {
-		for p := 0; p < r.Pages; p++ {
-			lba := (r.LBA + int64(p)) % logical
+		for p := int64(0); p < int64(r.Pages); p++ {
+			lba := (r.LBA + p) % logical
 			ord++
 			if r.Op == trace.Write {
 				data := diffPage(lba, ord)

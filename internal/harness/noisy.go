@@ -124,7 +124,7 @@ func noisyTrace(arm nnArm, specs []qos.TenantSpec, dur sim.Time) *trace.Trace {
 			ReadRatio: 0.7,
 			Theta:     0.9,
 			Seed:      0x9057 + uint64(i),
-			Tenant:    i,
+			Tenant:    uint16(i),
 		}.Generate()
 		s.Requests = s.Requests[:sort.Search(len(s.Requests), func(j int) bool { return s.Requests[j].Time >= dur })]
 		streams = append(streams, s)

@@ -37,7 +37,7 @@ func tinyTracedStack(t *testing.T) (*Stack, *obs.Obs) {
 			op = trace.Read
 		}
 		tr.Requests = append(tr.Requests, trace.Request{
-			Time: at, Op: op, LBA: int64((i * 61 % 500) * 8), Pages: 1 + i%4,
+			Time: at, Op: op, LBA: int64((i * 61 % 500) * 8), Pages: int32(1 + i%4),
 		})
 		at += sim.Millisecond / 2
 	}

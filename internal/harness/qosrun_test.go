@@ -262,7 +262,7 @@ func TestReplayServesInTimeOrder(t *testing.T) {
 	tr := &trace.Trace{Name: "alternating"}
 	for i := int64(0); i < 100; i++ {
 		tr.Requests = append(tr.Requests, trace.Request{
-			Time: sim.Time(i) * sim.Millisecond, Op: trace.Write, LBA: 8 * i, Pages: 1, Tenant: int(i % 2),
+			Time: sim.Time(i) * sim.Millisecond, Op: trace.Write, LBA: 8 * i, Pages: 1, Tenant: uint16(i % 2),
 		})
 	}
 	specs, err := qos.ParseTenants("a:1000000:1,b:10:1:1")

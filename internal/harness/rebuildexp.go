@@ -94,16 +94,16 @@ func rebuildImpact(spec workload.Spec) ([]impactRow, error) {
 				}
 			}
 			done := req.Time
-			for p := 0; p < req.Pages; p++ {
+			for p := int64(0); p < int64(req.Pages); p++ {
 				var c sim.Time
 				var err error
 				if req.Op == trace.Read {
-					c, err = st.Policy.Read(req.Time, req.LBA+int64(p), nil)
+					c, err = st.Policy.Read(req.Time, req.LBA+p, nil)
 				} else {
-					c, err = st.Policy.Write(req.Time, req.LBA+int64(p), nil)
+					c, err = st.Policy.Write(req.Time, req.LBA+p, nil)
 				}
 				if err != nil {
-					return impactRow{}, fmt.Errorf("%s %s lba %d: %w", pk, req.Op, req.LBA+int64(p), err)
+					return impactRow{}, fmt.Errorf("%s %s lba %d: %w", pk, req.Op, req.LBA+p, err)
 				}
 				if c > done {
 					done = c

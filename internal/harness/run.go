@@ -110,7 +110,7 @@ func replay(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time, 
 		if deadline > 0 {
 			dl = req.Time + deadline
 		}
-		d, err := ctl.Gate(at, req.Tenant, dl)
+		d, err := ctl.Gate(at, int(req.Tenant), dl)
 		if err != nil {
 			switch d.Verdict {
 			case qos.VerdictThrottle:
@@ -124,8 +124,8 @@ func replay(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time, 
 		}
 
 		done := at
-		for p := 0; p < req.Pages; p++ {
-			lba := req.LBA + int64(p)
+		for p := int64(0); p < int64(req.Pages); p++ {
+			lba := req.LBA + p
 			c, err := st.Serve(at, lba, nil, req.Op != trace.Read, d.Verdict != qos.VerdictBypass)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s lba %d: %w", req.Op, lba, err)
@@ -136,7 +136,7 @@ func replay(st *Stack, tr *trace.Trace, ctl *qos.Controller, deadline sim.Time, 
 		}
 		lat := int64(done - req.Time)
 		res.Latency.Observe(lat)
-		if req.Tenant >= 0 && req.Tenant < len(per) {
+		if int(req.Tenant) < len(per) {
 			per[req.Tenant].Observe(lat)
 		}
 		if done > res.Duration {

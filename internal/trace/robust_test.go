@@ -82,7 +82,7 @@ func TestUniformRoundTripProperty(t *testing.T) {
 				Time:  sim2us(int64(times[i])),
 				Op:    op,
 				LBA:   int64(lbas[i]),
-				Pages: 1 + int(lbas[i]%5),
+				Pages: 1 + int32(lbas[i]%5),
 			})
 		}
 		var b strings.Builder

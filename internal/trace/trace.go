@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,17 +35,22 @@ func (o Op) String() string {
 }
 
 // Request is one I/O in the uniform format: page-addressed, 4KB pages.
+// A replay holds its whole trace in memory, so the record is packed to
+// 24 bytes: Time and LBA stay 64-bit (every Serve call takes them as
+// such), Pages and Tenant are as wide as their producers allow, and Op
+// sits in the tail padding. Every producer refuses a value that does not
+// fit rather than truncating it.
 type Request struct {
 	Time  sim.Time // arrival time
-	Op    Op
-	LBA   int64 // first page
-	Pages int   // page count (>= 1)
+	LBA   int64    // first page
+	Pages int32    // page count (>= 1)
 
 	// Tenant is the submitting tenant's index for QoS accounting.
 	// Zero — the value every parser default and legacy trace produces —
 	// is the untagged/first tenant; the uniform format round-trips it
 	// as an optional fifth field.
-	Tenant int
+	Tenant uint16
+	Op     Op
 }
 
 // Trace is an ordered request stream.
@@ -71,8 +77,8 @@ func (tr *Trace) Stats() Stats {
 	union := make(map[int64]struct{})
 	var s Stats
 	for _, r := range tr.Requests {
-		for i := 0; i < r.Pages; i++ {
-			p := r.LBA + int64(i)
+		for i := int64(0); i < int64(r.Pages); i++ {
+			p := r.LBA + i
 			union[p] = struct{}{}
 			if r.Op == Read {
 				read[p] = struct{}{}
@@ -247,8 +253,15 @@ const (
 	maxTickSpan = (int64(1) << 62) / 100 // 100ns ticks -> ns without overflow
 	maxMicros   = (int64(1) << 62) / 1000
 	maxPageLBA  = int64(1) << 50
-	maxReqPages = 1 << 20 // 4 GiB single request in pages
-	maxTenant   = 1 << 16 // tenant indices are small controller offsets
+	maxReqPages = 1 << 20        // 4 GiB single request in pages
+	maxTenant   = math.MaxUint16 // tenant indices are small controller offsets; Request.Tenant is a uint16
+)
+
+// A maxReqBytes request at an unaligned offset spans maxReqBytes/PageSize+1
+// pages; Request.Pages must hold that, and every uniform-format count.
+const (
+	_ = uint32(math.MaxInt32 - (maxReqBytes/blockdev.PageSize + 1))
+	_ = uint32(math.MaxInt32 - maxReqPages)
 )
 
 func parseOp(s string) (Op, error) {
@@ -262,14 +275,15 @@ func parseOp(s string) (Op, error) {
 	}
 }
 
-// pageAlign converts a byte extent into a page-addressed request.
+// pageAlign converts a byte extent into a page-addressed request. The
+// callers bound size by maxReqBytes, so the page count fits Pages.
 func pageAlign(t sim.Time, op Op, byteOff, size int64) Request {
 	if size < 1 {
 		size = 1
 	}
 	first := byteOff / blockdev.PageSize
 	last := (byteOff + size - 1) / blockdev.PageSize
-	return Request{Time: t, Op: op, LBA: first, Pages: int(last - first + 1)}
+	return Request{Time: t, Op: op, LBA: first, Pages: int32(last - first + 1)}
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +360,7 @@ func ParseUniform(name string, r io.Reader) (*Trace, error) {
 			}
 		}
 		tr.Requests = append(tr.Requests, Request{
-			Time: sim.Time(us) * sim.Microsecond, Op: op, LBA: lba, Pages: pages, Tenant: tenant,
+			Time: sim.Time(us) * sim.Microsecond, Op: op, LBA: lba, Pages: int32(pages), Tenant: uint16(tenant),
 		})
 	}
 	return tr, sc.Err()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"kddcache/internal/sim"
 )
@@ -122,10 +123,70 @@ func TestUniformRoundTrip(t *testing.T) {
 }
 
 func TestParseUniformErrors(t *testing.T) {
-	for _, in := range []string{"a,W,1,1", "1,Q,1,1", "1,W,b,1", "1,W,1,0", "1,W,1"} {
-		if _, err := ParseUniform("bad", strings.NewReader(in)); err == nil {
-			t.Errorf("input %q accepted", in)
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{"a,W,1,1", false},
+		{"1,Q,1,1", false},
+		{"1,W,b,1", false},
+		{"1,W,1,0", false},
+		{"1,W,1", false},
+		// The page and tenant bounds are the widest values Request holds.
+		{"1,W,1,1048576", true},
+		{"1,W,1,1048577", false},
+		{"1,W,1,1,65535", true},
+		{"1,W,1,1,65536", false},
+		{"1,W,1,1,-1", false},
+	} {
+		tr, err := ParseUniform("u", strings.NewReader(c.in))
+		if (err == nil) != c.ok {
+			t.Errorf("input %q: err %v, want accepted %v", c.in, err, c.ok)
+			continue
 		}
+		if !c.ok {
+			continue
+		}
+		var b strings.Builder
+		if err := WriteUniform(&b, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimPrefix(b.String(), "# uniform trace: u\n"); got != c.in+"\n" {
+			t.Errorf("input %q wrote back as %q", c.in, got)
+		}
+	}
+}
+
+// The largest request either raw parser accepts, 1 TiB at an offset one
+// byte past a page boundary, spans 2^28+1 pages: Pages holds it exactly.
+func TestParseLargestRequest(t *testing.T) {
+	const want = 1<<28 + 1
+	msr, err := ParseMSR("big", strings.NewReader("1,h,0,Write,4097,1099511627776,1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := msr.Requests[0]; r.LBA != 1 || r.Pages != want {
+		t.Fatalf("msr: %+v, want LBA 1, %d pages", r, want)
+	}
+	// 9 blocks of 512 bytes put the SPC request at byte 4608, mid-page.
+	spc, err := ParseSPC("big", strings.NewReader("0,9,1099511627776,R,0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := spc.Requests[0]; r.LBA != 1 || r.Pages != want {
+		t.Fatalf("spc: %+v, want LBA 1, %d pages", r, want)
+	}
+	if _, err := ParseMSR("big", strings.NewReader("1,h,0,Write,4097,1099511627777,1")); err == nil {
+		t.Fatal("msr accepted a request over 1 TiB")
+	}
+}
+
+// A replay holds its whole trace as []Request, so the record is most of
+// the simulator's resident heap on the trace workloads: keep it at 24
+// bytes (two 64-bit fields, Pages, Tenant and Op in the third word).
+func TestRequestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 24 {
+		t.Fatalf("sizeof(Request) = %d bytes, want 24", got)
 	}
 }
 

@@ -21,7 +21,7 @@ func (tr *Trace) Remap(maxPages int64) *Trace {
 				run = maxPages - lba
 			}
 			out.Requests = append(out.Requests, Request{
-				Time: r.Time, Op: r.Op, LBA: lba, Pages: int(run),
+				Time: r.Time, Op: r.Op, LBA: lba, Pages: int32(run), Tenant: r.Tenant,
 			})
 			remaining -= run
 			lba = 0

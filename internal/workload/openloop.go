@@ -49,7 +49,7 @@ type OpenLoop struct {
 	// Tenant stamps every generated request with a tenant index, so a
 	// population can model one tenant's arrival process and several
 	// populations merge into a multi-tenant stream (MergeTenants).
-	Tenant int
+	Tenant uint16
 
 	// LBABase offsets every generated LBA, giving tenants disjoint
 	// footprints when the experiment wants no sharing.
@@ -137,7 +137,7 @@ func byTimeTenant(a, b trace.Request) int {
 // cost against comparing the requests in place.
 type runHead struct {
 	time   sim.Time
-	tenant int
+	tenant uint16
 	run    int
 }
 

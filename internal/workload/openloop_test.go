@@ -318,7 +318,7 @@ func TestMergeTenantsMatchesStableSortOracle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tr.Requests = append(tr.Requests, trace.Request{
 				Time: sim.Time(rng.Intn(span)), Op: trace.Op(rng.Intn(2)),
-				LBA: int64(i), Pages: 1, Tenant: tenants[rng.Intn(len(tenants))],
+				LBA: int64(i), Pages: 1, Tenant: uint16(tenants[rng.Intn(len(tenants))]),
 			})
 		}
 		if sorted {

@@ -202,3 +202,15 @@ func TestFIOScalePanics(t *testing.T) {
 	}()
 	DefaultFIO(0).Scale(-1)
 }
+
+// BenchmarkSynthesize times the trace workloads' set-up: Table I Fin1 at
+// the benchmark's 0.09 scale (about 627 000 one-page requests), whose
+// records are most of those replays' resident heap.
+func BenchmarkSynthesize(b *testing.B) {
+	s := Fin1.Scale(0.09)
+	s.MeanIOPS, s.Seed = 80, 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkTrace = Synthesize(s)
+	}
+}
