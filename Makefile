@@ -20,10 +20,10 @@ test:
 # Race coverage on the packages with concurrency-sensitive state
 # (fault injection — including arming and disarming an injector under
 # concurrent I/O, TestArmingConcurrentWithIO — cache core, array repair
-# paths) plus the harness's parallel fan-out runner and its determinism
-# tests.
+# paths, Synthesize's concurrent target streams) plus the harness's
+# parallel fan-out runner and its determinism tests.
 race:
-	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/
+	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/ ./internal/workload/
 	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob' ./internal/harness/
 	$(GO) test -race -short -timeout 20m ./internal/check/ ./internal/model/
 

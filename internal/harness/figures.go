@@ -293,14 +293,19 @@ var ReplayIOPS = map[string]float64{
 	"Fin1": 80, "Fin2": 120, "Hm0": 80, "Web0": 110,
 }
 
-// fig9Cell runs one Fig. 9 cell: spec at scale, replayed open-loop at
-// its ReplayIOPS rate through po's policy and locality on the timing
-// stack with a quarter-footprint cache, traced into ob when non-nil,
-// then flushed.
-func fig9Cell(spec workload.Spec, scale float64, po StackOpts, ob *obs.Obs) (*Stack, *Result, error) {
+// fig9Trace scales spec and synthesizes it at its ReplayIOPS rate: the
+// trace every Fig. 9 cell of that workload replays (read-only, so the
+// cells may share it).
+func fig9Trace(spec workload.Spec, scale float64) (workload.Spec, *trace.Trace) {
 	s := spec.Scale(scale)
 	s.MeanIOPS = ReplayIOPS[spec.Name]
-	tr := workload.Synthesize(s)
+	return s, workload.Synthesize(s)
+}
+
+// fig9Cell runs one Fig. 9 cell: the fig9Trace s, tr replayed open-loop
+// through po's policy and locality on the timing stack with a
+// quarter-footprint cache, traced into ob when non-nil, then flushed.
+func fig9Cell(s workload.Spec, tr *trace.Trace, po StackOpts, ob *obs.Obs) (*Stack, *Result, error) {
 	st, err := Build(CellOpts(s, tr, StackOpts{
 		Policy:     po.Policy,
 		DeltaMean:  po.DeltaMean,
@@ -316,7 +321,7 @@ func fig9Cell(spec workload.Spec, scale float64, po StackOpts, ob *obs.Obs) (*St
 		_, err = st.Policy.Flush(r.Duration)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s %s: %w", spec.Name, po.Policy, err)
+		return nil, nil, fmt.Errorf("%s %s: %w", s.Name, po.Policy, err)
 	}
 	return st, r, nil
 }
@@ -324,12 +329,22 @@ func fig9Cell(spec workload.Spec, scale float64, po StackOpts, ob *obs.Obs) (*St
 // Fig9 measures average response time via open-loop trace replay on the
 // timing stack (HDD models + flash model): the prototype experiment of
 // §IV-B2. KDD runs at medium content locality (25%), like the paper.
+// Each workload is synthesized once and replayed by all of its cells.
 func Fig9(scale float64) (string, []stats.Series, error) {
 	lineup := Policies(true, true, []float64{0.25})
 	specs := workload.TableI()
 	nw := len(specs)
+	scaled := make([]workload.Spec, nw)
+	traces, err := fanOut(nw, func(i int) (*trace.Trace, error) {
+		var tr *trace.Trace
+		scaled[i], tr = fig9Trace(specs[i], scale)
+		return tr, nil
+	})
+	if err != nil {
+		return "", nil, err
+	}
 	ys, err := fanOut(len(lineup)*nw, func(i int) (float64, error) {
-		_, r, err := fig9Cell(specs[i%nw], scale, lineup[i/nw], nil)
+		_, r, err := fig9Cell(scaled[i%nw], traces[i%nw], lineup[i/nw], nil)
 		if err != nil {
 			return 0, fmt.Errorf("fig9 %w", err)
 		}

@@ -30,7 +30,8 @@ type phaseOut struct {
 // phaseRun replays one Table-I workload through a traced KDD stack.
 func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
 	ob := obs.New()
-	st, _, err := fig9Cell(spec, scale, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob)
+	s, tr := fig9Trace(spec, scale)
+	st, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob)
 	if err != nil {
 		return nil, fmt.Errorf("phases %w", err)
 	}
@@ -81,7 +82,8 @@ func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
 		ob = obs.New()
 		defer ob.Release() // recycle ring storage across timing runs
 	}
-	if _, _, err := fig9Cell(workload.TableI()[0], scale, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob); err != nil {
+	s, tr := fig9Trace(workload.TableI()[0], scale)
+	if _, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob); err != nil {
 		return 0, err
 	}
 	if traced {

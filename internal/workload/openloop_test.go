@@ -3,9 +3,11 @@ package workload
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"kddcache/internal/sim"
 	"kddcache/internal/trace"
@@ -174,6 +176,52 @@ func TestBenchStreamsPinned(t *testing.T) {
 				t.Errorf("%s --seed %d: stream hash %#x, want %#x", tc.name, i+1, got, tc.want[i])
 			}
 		}
+	}
+}
+
+// TestTraceStreamsPinned pins the benchmark's trace workloads at its
+// seeds 1–3: Fin1 at scale 0.09 / 80 IOPS (fin1_raid, fin1_lsraid) and
+// Web0 at 0.12 / 110 IOPS (web0_raid), Seed being what bench/ derives
+// from --seed 1, 2 and 3. Synthesize draws its read and write targets on
+// their own goroutines, so the test also holds a trace synthesized on
+// one OS thread to the default, and checks that no goroutine is left
+// running.
+func TestTraceStreamsPinned(t *testing.T) {
+	seeds := []uint64{0x2d0f28c7e7e786b3, 0x75856f745165f253, 0x8674bbc2735955af}
+	for _, tc := range []struct {
+		spec  Spec
+		scale float64
+		iops  float64
+		want  [3]uint64
+	}{
+		{Fin1, 0.09, 80, [3]uint64{0xfd1e446d40d475ca, 0x9d466c7fdfa8082f, 0xfdb604581f89830f}},
+		{Web0, 0.12, 110, [3]uint64{0x8847c2e49e092ea8, 0xacea9dbe98066e51, 0x5b23460f329247fa}},
+	} {
+		for i, seed := range seeds {
+			s := tc.spec.Scale(tc.scale)
+			s.MeanIOPS, s.Seed = tc.iops, seed
+			if got := streamHash(Synthesize(s)); got != tc.want[i] {
+				t.Errorf("%s --seed %d: stream hash %#x, want %#x", s.Name, i+1, got, tc.want[i])
+			}
+		}
+	}
+
+	s := Web0.Scale(0.01)
+	before := runtime.NumGoroutine()
+	want := streamHash(Synthesize(s))
+	prev := runtime.GOMAXPROCS(1)
+	got := streamHash(Synthesize(s))
+	runtime.GOMAXPROCS(prev)
+	if got != want {
+		t.Errorf("GOMAXPROCS(1): stream hash %#x, want %#x as at GOMAXPROCS(%d)", got, want, prev)
+	}
+	// A joined goroutine may still be on its way out when wg.Wait
+	// returns, so give the count a moment to settle.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Synthesize, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

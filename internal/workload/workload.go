@@ -11,6 +11,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 
 	"kddcache/internal/sim"
 	"kddcache/internal/trace"
@@ -98,6 +100,14 @@ func (s Spec) ReadRatio() float64 {
 // Zipf-distributed over a per-direction random permutation so that hot
 // pages are spread across the footprint rather than clustered at low
 // addresses.
+//
+// The request mix and arrivals, the read targets and the write targets
+// come from three generators that share no state, so the two target
+// streams are drawn on their own goroutines while the caller draws the
+// mix and arrivals; the i-th read request then takes the i-th read
+// target, and likewise for writes. Each generator keeps its own draw
+// order, so the trace does not depend on scheduling or GOMAXPROCS, and
+// both goroutines are joined before Synthesize returns.
 func Synthesize(s Spec) *trace.Trace {
 	if s.UniqueRead > s.UniqueTotal || s.UniqueWrite > s.UniqueTotal ||
 		s.UniqueRead+s.UniqueWrite < s.UniqueTotal {
@@ -121,15 +131,25 @@ func Synthesize(s Spec) *trace.Trace {
 
 	readZipf := sim.NewZipf(rng.Split(), theta, uint64(readSpan))
 	writeTheta := theta
-	if s.Name == Web0.Name || s.Name[:3] == "Web" {
+	if strings.HasPrefix(s.Name, "Web") {
 		writeTheta = 1.1 // hotter writes (see Web0 comment)
 	}
 	writeZipf := sim.NewZipf(rng.Split(), writeTheta, uint64(writeSpan))
 
-	// Per-direction rank->page permutations (lazily built Fisher-Yates
-	// would need full arrays anyway; footprints are ~1e6, fine).
-	readPerm := randomPermutation(rng.Split(), readSpan)
-	writePerm := randomPermutation(rng.Split(), writeSpan)
+	// Per-direction rank->page permutations, drawn with the targets.
+	readPermRNG, writePermRNG := rng.Split(), rng.Split()
+	reads := make([]int64, max(s.ReadPages, 0))
+	writes := make([]int64, max(s.WritePages, 0))
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		drawTargets(reads, readBase, readZipf, randomPermutation(readPermRNG, readSpan))
+	}()
+	go func() {
+		defer wg.Done()
+		drawTargets(writes, 0, writeZipf, randomPermutation(writePermRNG, writeSpan))
+	}()
 
 	total := s.ReadPages + s.WritePages
 	iops := s.MeanIOPS
@@ -151,22 +171,35 @@ func Synthesize(s Spec) *trace.Trace {
 		} else {
 			isRead = readLeft > 0
 		}
-		var req trace.Request
+		op := trace.Write
 		if isRead {
-			page := readBase + readPerm[readZipf.Next()]
-			req = trace.Request{Time: now, Op: trace.Read, LBA: page, Pages: 1}
+			op = trace.Read
 			readLeft--
 		} else {
-			page := writePerm[writeZipf.Next()]
-			req = trace.Request{Time: now, Op: trace.Write, LBA: page, Pages: 1}
 			writeLeft--
 		}
-		tr.Requests = append(tr.Requests, req)
+		tr.Requests = append(tr.Requests, trace.Request{Time: now, Op: op, Pages: 1})
 		// Exponential interarrival.
 		gap := -meanGap * ln(1-rng.Float64())
 		now += sim.Time(gap)
 	}
+	wg.Wait()
+	for i := range tr.Requests {
+		req := &tr.Requests[i]
+		if req.Op == trace.Read {
+			req.LBA, reads = reads[0], reads[1:]
+		} else {
+			req.LBA, writes = writes[0], writes[1:]
+		}
+	}
 	return tr
+}
+
+// drawTargets fills lbas with base+perm[z.Next()], in draw order.
+func drawTargets(lbas []int64, base int64, z *sim.Zipf, perm []int64) {
+	for i := range lbas {
+		lbas[i] = base + perm[z.Next()]
+	}
 }
 
 // randomPermutation returns a permutation of [0, n) as int64 page offsets.

@@ -113,6 +113,29 @@ func TestSynthesizeInconsistentSpecPanics(t *testing.T) {
 	Synthesize(bad)
 }
 
+// TestSynthesizeShortNames: a spec's name only selects Web0's hotter
+// write Zipf (any name starting "Web"), and a name shorter than that
+// prefix is an ordinary spec, not a slice out of range.
+func TestSynthesizeShortNames(t *testing.T) {
+	named := func(name string) uint64 {
+		s := Web0.Scale(0.002)
+		s.Name = name
+		return streamHash(Synthesize(s))
+	}
+	hot, plain := named("Web0"), named("Fin1")
+	if hot == plain {
+		t.Fatal("Web0 and Fin1 names synthesize the same stream; the write rule is not exercised")
+	}
+	for _, tc := range []struct {
+		name string
+		want uint64
+	}{{"", plain}, {"X", plain}, {"We", plain}, {"Web", hot}, {"Web0(x0.12)", hot}} {
+		if got := named(tc.name); got != tc.want {
+			t.Errorf("name %q: stream hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestReadRatio(t *testing.T) {
 	if r := Fin1.ReadRatio(); math.Abs(r-0.19) > 0.01 {
 		t.Fatalf("Fin1 read ratio = %f", r)
@@ -203,14 +226,24 @@ func TestFIOScalePanics(t *testing.T) {
 	DefaultFIO(0).Scale(-1)
 }
 
-// BenchmarkSynthesize times the trace workloads' set-up: Table I Fin1 at
-// the benchmark's 0.09 scale (about 627 000 one-page requests), whose
-// records are most of those replays' resident heap.
+// BenchmarkSynthesize times the trace workloads' set-up: Table I Fin1
+// at the benchmark's 0.09 scale (about 627 000 one-page requests, 19 %
+// reads) and Web0 at its 0.12 scale (about 931 000, 59 % reads, so the
+// read and write LBA streams come out about even). B/op is mostly the
+// records.
 func BenchmarkSynthesize(b *testing.B) {
-	s := Fin1.Scale(0.09)
-	s.MeanIOPS, s.Seed = 80, 1
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkTrace = Synthesize(s)
+	for _, tc := range []struct {
+		spec  Spec
+		scale float64
+		iops  float64
+	}{{Fin1, 0.09, 80}, {Web0, 0.12, 110}} {
+		s := tc.spec.Scale(tc.scale)
+		s.MeanIOPS, s.Seed = tc.iops, 1
+		b.Run(tc.spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkTrace = Synthesize(s)
+			}
+		})
 	}
 }
