@@ -21,10 +21,12 @@ test:
 # (fault injection — including arming and disarming an injector under
 # concurrent I/O, TestArmingConcurrentWithIO — cache core, array repair
 # paths, Synthesize's concurrent target streams) plus the harness's
-# parallel fan-out runner and its determinism tests.
+# parallel fan-out runner, its determinism tests and one experiment run
+# on both backends at once (TestRecoveryTimeIndependentOfBackend: the
+# backend is an argument, so its per-backend subtests run in parallel).
 race:
 	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/ ./internal/workload/
-	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob' ./internal/harness/
+	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob|TestRecoveryTimeIndependentOfBackend' ./internal/harness/
 	$(GO) test -race -short -timeout 20m ./internal/check/ ./internal/model/
 
 # Full chaos run: randomized seeded fault schedules with end-to-end

@@ -30,13 +30,13 @@ func benchScale() float64 {
 	return 0.02
 }
 
-// runExperiment executes fn once per benchmark iteration, printing the
-// regenerated table on the first run.
-func runExperiment(b *testing.B, name string, fn func(scale float64) (string, error)) {
+// runExperiment executes fn on the kdd backend once per benchmark
+// iteration, printing the regenerated table on the first run.
+func runExperiment(b *testing.B, name string, fn func(scale float64, backend string) (string, error)) {
 	b.Helper()
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		out, err := fn(scale)
+		out, err := fn(scale, "kdd")
 		if err != nil {
 			b.Fatalf("%s: %v", name, err)
 		}
@@ -49,14 +49,16 @@ func runExperiment(b *testing.B, name string, fn func(scale float64) (string, er
 // BenchmarkTable1 regenerates Table I: synthesized workload
 // characteristics vs the paper's targets.
 func BenchmarkTable1(b *testing.B) {
-	runExperiment(b, "Table I", harness.TableI)
+	runExperiment(b, "Table I", func(s float64, _ string) (string, error) {
+		return harness.TableI(s)
+	})
 }
 
 // BenchmarkFig4 regenerates Figure 4: metadata I/O share vs metadata
 // partition size under all four workloads.
 func BenchmarkFig4(b *testing.B) {
-	runExperiment(b, "Figure 4", func(s float64) (string, error) {
-		out, _, err := harness.Fig4(s)
+	runExperiment(b, "Figure 4", func(s float64, backend string) (string, error) {
+		out, _, err := harness.Fig4(s, backend)
 		return out, err
 	})
 }
@@ -88,10 +90,10 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates Figure 9: average response time of open-loop
 // trace replay on the timing stack (the prototype experiment).
 func BenchmarkFig9(b *testing.B) {
-	runExperiment(b, "Figure 9", func(s float64) (string, error) {
+	runExperiment(b, "Figure 9", func(s float64, backend string) (string, error) {
 		// The timing stack is much slower per request than the counting
 		// simulator; run Figure 9 at a quarter of the figure scale.
-		out, _, err := harness.Fig9(s / 4)
+		out, _, err := harness.Fig9(s/4, backend)
 		return out, err
 	})
 }
@@ -99,8 +101,8 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates Figure 10: closed-loop FIO average response
 // time vs read rate.
 func BenchmarkFig10(b *testing.B) {
-	runExperiment(b, "Figure 10", func(s float64) (string, error) {
-		out, _, err := harness.Fig10(s)
+	runExperiment(b, "Figure 10", func(s float64, backend string) (string, error) {
+		out, _, err := harness.Fig10(s, backend)
 		return out, err
 	})
 }
@@ -108,8 +110,8 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates Figure 11: closed-loop FIO SSD write traffic
 // vs read rate.
 func BenchmarkFig11(b *testing.B) {
-	runExperiment(b, "Figure 11", func(s float64) (string, error) {
-		out, _, err := harness.Fig11(s)
+	runExperiment(b, "Figure 11", func(s float64, backend string) (string, error) {
+		out, _, err := harness.Fig11(s, backend)
 		return out, err
 	})
 }
@@ -163,23 +165,23 @@ func BenchmarkSweepStaging(b *testing.B) {
 // BenchmarkMotivation reproduces the §I argument: NVRAM write buffering
 // vs write-back vs KDD on the timing stack.
 func BenchmarkMotivation(b *testing.B) {
-	runExperiment(b, "Motivation (NVRAM buffering vs KDD)", func(s float64) (string, error) {
-		return harness.Motivation(s / 2)
+	runExperiment(b, "Motivation (NVRAM buffering vs KDD)", func(s float64, backend string) (string, error) {
+		return harness.Motivation(s/2, backend)
 	})
 }
 
 // BenchmarkRecoveryTradeoff quantifies §III-B's metadata-partition sizing
 // tension: GC relogging cost vs crash-recovery scan time.
 func BenchmarkRecoveryTradeoff(b *testing.B) {
-	runExperiment(b, "Recovery tradeoff", func(s float64) (string, error) {
-		return harness.RecoveryTradeoff(s / 2)
+	runExperiment(b, "Recovery tradeoff", func(s float64, backend string) (string, error) {
+		return harness.RecoveryTradeoff(s/2, backend)
 	})
 }
 
 // BenchmarkDegraded measures response time healthy vs degraded vs
 // post-rebuild for WT and KDD on the timing stack.
 func BenchmarkDegraded(b *testing.B) {
-	runExperiment(b, "Degraded-mode performance", func(s float64) (string, error) {
-		return harness.DegradedPerformance(s / 2)
+	runExperiment(b, "Degraded-mode performance", func(s float64, backend string) (string, error) {
+		return harness.DegradedPerformance(s/2, backend)
 	})
 }

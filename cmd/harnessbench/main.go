@@ -152,12 +152,12 @@ func main() {
 		{"fig6", func(par int) (string, error) {
 			harness.SetParallelism(par)
 			defer harness.SetParallelism(0)
-			return harness.Fig6(*scale)
+			return harness.Fig6(*scale, "kdd")
 		}},
 		{"fig5", func(par int) (string, error) {
 			harness.SetParallelism(par)
 			defer harness.SetParallelism(0)
-			return harness.Fig5(*scale)
+			return harness.Fig5(*scale, "kdd")
 		}},
 		{"chaos", func(par int) (string, error) {
 			r, err := check.Chaos(check.ChaosOpts{
@@ -181,18 +181,18 @@ func main() {
 		{"rebuild-impact", func(par int) (string, error) {
 			harness.SetParallelism(par)
 			defer harness.SetParallelism(0)
-			return harness.RebuildImpact(*scale)
+			return harness.RebuildImpact(*scale, "kdd")
 		}},
 		{"phases", func(par int) (string, error) {
 			harness.SetParallelism(par)
 			defer harness.SetParallelism(0)
-			return harness.PhaseBreakdown(*scale)
+			return harness.PhaseBreakdown(*scale, "kdd")
 		}},
 		{"noisy", func(par int) (string, error) {
 			harness.SetParallelism(par)
 			defer harness.SetParallelism(0)
 			start := time.Now()
-			r, err := harness.NoisyNeighborSweep(*scale)
+			r, err := harness.NoisyNeighborSweep(*scale, "kdd")
 			if err != nil {
 				return "", err
 			}

@@ -50,7 +50,6 @@ func main() {
 	if *backend != "kdd" && *backend != "lsraid" {
 		fatal(fmt.Errorf("-backend must be kdd or lsraid, got %q", *backend))
 	}
-	kddcache.SetDefaultBackend(*backend)
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
@@ -73,7 +72,7 @@ func main() {
 	// cancel the others.
 	results, _ := harness.FanOut(*workers, len(names), func(i int) (result, error) {
 		start := time.Now()
-		res, err := kddcache.Experiments[names[i]](*scale)
+		res, err := kddcache.Experiments[names[i]](*scale, *backend)
 		return result{ExperimentResult: res, err: err, took: time.Since(start)}, nil
 	})
 

@@ -191,7 +191,6 @@ func (o *options) validate(names, rest []string) error {
 
 func (o *options) run(stdout, stderr io.Writer) error {
 	kddcache.SetParallelism(o.parallel)
-	kddcache.SetDefaultBackend(o.backend)
 	switch o.mode() {
 	case "list":
 		var names []string
@@ -219,7 +218,7 @@ func (o *options) run(stdout, stderr io.Writer) error {
 }
 
 func (o *options) runExperiment(stdout, stderr io.Writer) error {
-	res, err := kddcache.Experiment(o.experiment, o.scale)
+	res, err := kddcache.Experiment(o.experiment, o.scale, o.backend)
 	if err != nil {
 		return err
 	}
@@ -251,7 +250,9 @@ func writeFile(path, what string, stderr io.Writer, write func(io.Writer) error)
 
 // runClosedLoop runs one Fig. 10/11 cell.
 func (o *options) runClosedLoop(w io.Writer) error {
-	r, err := harness.RunFIO(harness.StackOpts{Policy: harness.PolicyKind(o.policy), DeltaMean: o.locality}, o.readRate, o.scale)
+	r, err := harness.RunFIO(harness.StackOpts{
+		Policy: harness.PolicyKind(o.policy), Backend: o.backend, DeltaMean: o.locality,
+	}, o.readRate, o.scale)
 	if err != nil {
 		return err
 	}
@@ -339,6 +340,7 @@ func (o *options) runTrace(spec workload.Spec, tr *trace.Trace, w, stderr io.Wri
 	}
 	st, err := harness.Build(cell(spec, tr, harness.StackOpts{
 		Policy:     harness.PolicyKind(o.policy),
+		Backend:    o.backend,
 		DeltaMean:  o.locality,
 		CachePages: pages,
 		MetaFrac:   o.metaFrac,

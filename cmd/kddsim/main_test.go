@@ -37,10 +37,10 @@ func meanMs(t *testing.T, out string) string {
 	return m[1]
 }
 
-// kddSeries returns the KDD curve of a figure.
-func kddSeries(t *testing.T, fig func(float64) (string, []stats.Series, error), scale float64) []float64 {
+// kddSeries returns the KDD curve of a figure on the kdd backend.
+func kddSeries(t *testing.T, fig func(float64, string) (string, []stats.Series, error), scale float64) []float64 {
 	t.Helper()
-	_, series, err := fig(scale)
+	_, series, err := fig(scale, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +135,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-replay", trace, "-format", "csv"}, `unknown -format "csv"`},
 		{[]string{"-policy", "LRU"}, `unknown policy "LRU"`},
 		{[]string{"-closed-loop", "-policy", "LRU"}, `unknown policy "LRU"`},
+		{[]string{"-policy", "PLog", "-backend", "lsraid"}, "the lsraid backend owes no parity for PLog to log"},
 		{[]string{"-tenants", "gold"}, "qos:"},
 		{[]string{"-scale", "0.001", "-tenants", "gold:2000:4,bronze:500:1"}, `tenant "bronze" (index 1) tags no request`},
 		{[]string{"fig9"}, `unexpected argument "fig9"`},

@@ -59,7 +59,7 @@ func ExampleSystem_CrashAndRecover() {
 
 // Comparing policies on the same workload via the experiment facade.
 func ExampleRunExperiment() {
-	out, err := kddcache.RunExperiment("table2", 0.005)
+	out, err := kddcache.RunExperiment("table2", 0.005, "kdd")
 	if err != nil {
 		panic(err)
 	}

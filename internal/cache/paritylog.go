@@ -231,7 +231,4 @@ func (p *PLog) Flush(t sim.Time) (sim.Time, error) {
 	return p.reconcile(t, 0)
 }
 
-// LogUsed returns the pages currently in the log region.
-func (p *PLog) LogUsed() int64 { return p.logUsed }
-
 var _ Policy = (*PLog)(nil)

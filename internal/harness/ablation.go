@@ -15,7 +15,7 @@ import (
 // AblationPartition compares KDD's dynamic DAZ/DEZ mixing against a fixed
 // partition reserving a share of the sets for deltas (§III-B argues the
 // fixed split is hard to size; dynamic adapts to the workload).
-func AblationPartition(scale float64) (string, error) {
+func AblationPartition(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
@@ -41,7 +41,7 @@ func AblationPartition(scale float64) (string, error) {
 	}
 	results, err := fanOut(len(configs), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, FixedDEZSets: configs[i].dezSets,
 		})
 		if err != nil {
@@ -75,7 +75,7 @@ func AblationPartition(scale float64) (string, error) {
 // choice) against scheme 1 (re-materialise the latest version as Clean),
 // quantifying §III-D's "marginal benefit at the expense of more cache
 // writes".
-func AblationReclaim(scale float64) (string, error) {
+func AblationReclaim(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
@@ -86,7 +86,7 @@ func AblationReclaim(scale float64) (string, error) {
 	}{{"2:drop", false}, {"1:materialise", true}}
 	results, err := fanOut(len(configs), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, ReclaimMaterialize: configs[i].materialise,
 		})
 		if err != nil {
@@ -111,7 +111,7 @@ func AblationReclaim(scale float64) (string, error) {
 // AblationMetaLog isolates the circular metadata log's contribution:
 // KDD with the log, KDD with metadata persistence disabled (lower bound),
 // and LeavO's uncoalesced per-update persistence (upper bound).
-func AblationMetaLog(scale float64) (string, error) {
+func AblationMetaLog(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
@@ -125,7 +125,9 @@ func AblationMetaLog(scale float64) (string, error) {
 		{"LeavO per-update", StackOpts{Policy: PolicyLeavO, CachePages: cachePages}},
 	}
 	results, err := fanOut(len(configs), func(i int) (*Result, error) {
-		r, err := runSim(spec, tr, configs[i].opts)
+		o := configs[i].opts
+		o.Backend = backend
+		r, err := runSim(spec, tr, o)
 		if err != nil {
 			return nil, fmt.Errorf("ablation metalog %s: %w", configs[i].label, err)
 		}
@@ -150,7 +152,7 @@ func AblationMetaLog(scale float64) (string, error) {
 // AblationAdmission measures the §V-C extension: a LARC-style selective
 // admission filter in front of KDD, which trims one-touch allocation
 // writes at some hit-ratio cost.
-func AblationAdmission(scale float64) (string, error) {
+func AblationAdmission(scale float64, backend string) (string, error) {
 	specs, traces, err := synthesizeAll([]workload.Spec{workload.Fin1, workload.Web0}, scale)
 	if err != nil {
 		return "", err
@@ -161,7 +163,7 @@ func AblationAdmission(scale float64) (string, error) {
 		sel := modes[i%len(modes)]
 		cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 		r, err := runSim(spec, traces[i/len(modes)], StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, SelectiveAdmission: sel,
 		})
 		if err != nil {
@@ -194,7 +196,7 @@ func AblationAdmission(scale float64) (string, error) {
 // LifetimeSummary reports the headline endurance result: SSD write
 // traffic per policy on a write-dominant trace and the implied lifetime
 // improvement of KDD over LeavO and WT (the paper's "up to 5.1×").
-func LifetimeSummary(scale float64) (string, error) {
+func LifetimeSummary(scale float64, backend string) (string, error) {
 	spec := workload.Hm0.Scale(scale)
 	tr := workload.Synthesize(spec)
 	// "Up to 5.1×" is a best case: it appears at the largest cache sizes,
@@ -204,6 +206,7 @@ func LifetimeSummary(scale float64) (string, error) {
 	lineup := Policies(false, true, KDDLevels)
 	counts, err := fanOut(len(lineup), func(i int) (int64, error) {
 		po := lineup[i]
+		po.Backend = backend
 		po.CachePages = cachePages
 		r, err := runSim(spec, tr, po)
 		if err != nil {

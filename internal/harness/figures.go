@@ -130,8 +130,9 @@ func TableI(scale float64) (string, error) {
 
 // Fig4 explores metadata partition sizing: the share of cache write
 // traffic spent on metadata I/O for partition sizes 0.39–0.98% of the
-// SSD, per workload, at a representative cache size. KDD-25%.
-func Fig4(scale float64) (string, []stats.Series, error) {
+// SSD, per workload, at a representative cache size. KDD-25% over
+// backend.
+func Fig4(scale float64, backend string) (string, []stats.Series, error) {
 	fractions := []float64{0.0039, 0.0059, 0.0078, 0.0098}
 	specs := workload.TableI()
 	scaled, traces, err := synthesizeAll(specs, scale)
@@ -144,7 +145,7 @@ func Fig4(scale float64) (string, []stats.Series, error) {
 		s, mf := scaled[si], fractions[fi]
 		cachePages := roundWays(int64(0.2*float64(s.UniqueTotal)), 256)
 		r, err := runSim(s, traces[si], StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, MetaFrac: mf,
 		})
 		if err != nil {
@@ -180,10 +181,10 @@ type sweepPoint struct {
 	x, hit, traffic float64
 }
 
-// sweepAll runs the cache-size sweep of all policies over every workload,
-// fanning the independent (workload × policy × size) points over the
-// worker pool in one flat batch.
-func sweepAll(specs []workload.Spec, scale float64, withWA bool) ([]*sweepResult, error) {
+// sweepAll runs the cache-size sweep of all policies over every workload
+// on backend, fanning the independent (workload × policy × size) points
+// over the worker pool in one flat batch.
+func sweepAll(specs []workload.Spec, scale float64, backend string, withWA bool) ([]*sweepResult, error) {
 	scaled, traces, err := synthesizeAll(specs, scale)
 	if err != nil {
 		return nil, err
@@ -196,6 +197,7 @@ func sweepAll(specs []workload.Spec, scale float64, withWA bool) ([]*sweepResult
 		po := lineup[(i%perSpec)/nf]
 		frac := cacheFractions[i%nf]
 		s := scaled[si]
+		po.Backend = backend
 		po.CachePages = roundWays(int64(frac*float64(s.UniqueTotal)), 256)
 		r, err := runSim(s, traces[si], po)
 		if err != nil {
@@ -235,10 +237,10 @@ func sweepAll(specs []workload.Spec, scale float64, withWA bool) ([]*sweepResult
 // Fig5 and Fig6: write-dominant traces (Fin1, Hm0).
 // Fig7 and Fig8: read-dominant traces (Fin2, Web0).
 
-// sweepFigure renders one panel per workload of a cache-size sweep,
-// tabulating the curves series picks from it, labelled what.
-func sweepFigure(title, what string, specs []workload.Spec, scale float64, series func(*sweepResult) []stats.Series) (string, error) {
-	srs, err := sweepAll(specs, scale, true)
+// sweepFigure renders one panel per workload of a cache-size sweep on
+// backend, tabulating the curves series picks from it, labelled what.
+func sweepFigure(title, what string, specs []workload.Spec, scale float64, backend string, series func(*sweepResult) []stats.Series) (string, error) {
+	srs, err := sweepAll(specs, scale, backend, true)
 	if err != nil {
 		return "", err
 	}
@@ -266,23 +268,23 @@ func hitOnly(sr *sweepResult) []stats.Series {
 func traffic(sr *sweepResult) []stats.Series { return sr.traffic }
 
 // Fig5 is the write-dominant hit-ratio figure.
-func Fig5(scale float64) (string, error) {
-	return sweepFigure("Figure 5", "hit ratio", []workload.Spec{workload.Fin1, workload.Hm0}, scale, hitOnly)
+func Fig5(scale float64, backend string) (string, error) {
+	return sweepFigure("Figure 5", "hit ratio", []workload.Spec{workload.Fin1, workload.Hm0}, scale, backend, hitOnly)
 }
 
 // Fig6 is the write-dominant SSD-write-traffic figure.
-func Fig6(scale float64) (string, error) {
-	return sweepFigure("Figure 6", "SSD writes (Kpages)", []workload.Spec{workload.Fin1, workload.Hm0}, scale, traffic)
+func Fig6(scale float64, backend string) (string, error) {
+	return sweepFigure("Figure 6", "SSD writes (Kpages)", []workload.Spec{workload.Fin1, workload.Hm0}, scale, backend, traffic)
 }
 
 // Fig7 is the read-dominant hit-ratio figure.
-func Fig7(scale float64) (string, error) {
-	return sweepFigure("Figure 7", "hit ratio", []workload.Spec{workload.Fin2, workload.Web0}, scale, hitOnly)
+func Fig7(scale float64, backend string) (string, error) {
+	return sweepFigure("Figure 7", "hit ratio", []workload.Spec{workload.Fin2, workload.Web0}, scale, backend, hitOnly)
 }
 
 // Fig8 is the read-dominant SSD-write-traffic figure.
-func Fig8(scale float64) (string, error) {
-	return sweepFigure("Figure 8", "SSD writes (Kpages)", []workload.Spec{workload.Fin2, workload.Web0}, scale, traffic)
+func Fig8(scale float64, backend string) (string, error) {
+	return sweepFigure("Figure 8", "SSD writes (Kpages)", []workload.Spec{workload.Fin2, workload.Web0}, scale, backend, traffic)
 }
 
 // ReplayIOPS sets the open-loop replay rate per Table-I workload (the
@@ -303,11 +305,13 @@ func fig9Trace(spec workload.Spec, scale float64) (workload.Spec, *trace.Trace) 
 }
 
 // fig9Cell runs one Fig. 9 cell: the fig9Trace s, tr replayed open-loop
-// through po's policy and locality on the timing stack with a
-// quarter-footprint cache, traced into ob when non-nil, then flushed.
+// through po's policy and locality over po's backend on the timing stack
+// with a quarter-footprint cache, traced into ob when non-nil, then
+// flushed.
 func fig9Cell(s workload.Spec, tr *trace.Trace, po StackOpts, ob *obs.Obs) (*Stack, *Result, error) {
 	st, err := Build(CellOpts(s, tr, StackOpts{
 		Policy:     po.Policy,
+		Backend:    po.Backend,
 		DeltaMean:  po.DeltaMean,
 		CachePages: quarterCache(s),
 		Timing:     true,
@@ -330,7 +334,7 @@ func fig9Cell(s workload.Spec, tr *trace.Trace, po StackOpts, ob *obs.Obs) (*Sta
 // timing stack (HDD models + flash model): the prototype experiment of
 // §IV-B2. KDD runs at medium content locality (25%), like the paper.
 // Each workload is synthesized once and replayed by all of its cells.
-func Fig9(scale float64) (string, []stats.Series, error) {
+func Fig9(scale float64, backend string) (string, []stats.Series, error) {
 	lineup := Policies(true, true, []float64{0.25})
 	specs := workload.TableI()
 	nw := len(specs)
@@ -344,7 +348,9 @@ func Fig9(scale float64) (string, []stats.Series, error) {
 		return "", nil, err
 	}
 	ys, err := fanOut(len(lineup)*nw, func(i int) (float64, error) {
-		_, r, err := fig9Cell(scaled[i%nw], traces[i%nw], lineup[i/nw], nil)
+		po := lineup[i/nw]
+		po.Backend = backend
+		_, r, err := fig9Cell(scaled[i%nw], traces[i%nw], po, nil)
 		if err != nil {
 			return 0, fmt.Errorf("fig9 %w", err)
 		}
@@ -365,7 +371,8 @@ func Fig9(scale float64) (string, []stats.Series, error) {
 var fioReadRates = []float64{0, 0.25, 0.50, 0.75}
 
 // RunFIO executes the closed-loop benchmark (one Fig. 10/11 cell) for
-// po's policy and content locality at one read rate. The figures run KDD
+// po's policy and content locality over po's backend at one read rate.
+// The figures run KDD
 // at the paper's medium locality, 25%.
 func RunFIO(po StackOpts, readRate, scale float64) (*Result, error) {
 	spec := workload.DefaultFIO(readRate).Scale(scale)
@@ -373,6 +380,7 @@ func RunFIO(po StackOpts, readRate, scale float64) (*Result, error) {
 	// like the paper).
 	st, err := Build(StackOpts{
 		Policy:     po.Policy,
+		Backend:    po.Backend,
 		DeltaMean:  po.DeltaMean,
 		CachePages: roundWays(int64(262144*scale), 256),
 		DiskPages:  roundWays(spec.WorkingSetPages/2+8192, 16),
@@ -385,12 +393,14 @@ func RunFIO(po StackOpts, readRate, scale float64) (*Result, error) {
 	return RunClosedLoop(st, spec)
 }
 
-// fioFigure fans the (policy × read rate) closed-loop grid over the
-// worker pool and tabulates y of every cell against the read rate.
-func fioFigure(lineup []StackOpts, scale float64, figure, title string, y func(*Result) float64) (string, []stats.Series, error) {
+// fioFigure fans the (policy × read rate) closed-loop grid on backend
+// over the worker pool and tabulates y of every cell against the read
+// rate.
+func fioFigure(lineup []StackOpts, scale float64, backend, figure, title string, y func(*Result) float64) (string, []stats.Series, error) {
 	nr := len(fioReadRates)
 	ys, err := fanOut(len(lineup)*nr, func(i int) (float64, error) {
 		po, rr := lineup[i/nr], fioReadRates[i%nr]
+		po.Backend = backend
 		r, err := RunFIO(po, rr, scale)
 		if err != nil {
 			return 0, fmt.Errorf("%s %s rr=%.2f: %w", figure, po.Policy, rr, err)
@@ -419,21 +429,21 @@ func lineupSeries(lineup []StackOpts, xs, ys []float64) []stats.Series {
 }
 
 // Fig10 is the closed-loop average response time sweep over read rates.
-func Fig10(scale float64) (string, []stats.Series, error) {
-	return fioFigure(Policies(true, true, []float64{0.25}), scale, "fig10",
+func Fig10(scale float64, backend string) (string, []stats.Series, error) {
+	return fioFigure(Policies(true, true, []float64{0.25}), scale, backend, "fig10",
 		"Figure 10: average response time (ms) vs read rate (%), FIO closed loop", (*Result).MeanResponseMs)
 }
 
 // Fig11 is the closed-loop SSD write traffic sweep over read rates.
-func Fig11(scale float64) (string, []stats.Series, error) {
-	return fioFigure(Policies(false, true, []float64{0.25}), scale, "fig11",
+func Fig11(scale float64, backend string) (string, []stats.Series, error) {
+	return fioFigure(Policies(false, true, []float64{0.25}), scale, backend, "fig11",
 		"Figure 11: SSD write traffic (Kpages) vs read rate (%), FIO closed loop",
 		func(r *Result) float64 { return float64(r.Cache.SSDWrites()) / 1000 })
 }
 
 // TableII derives the qualitative policy comparison from a quick
-// closed-loop run at 25% reads.
-func TableII(scale float64) (string, error) {
+// closed-loop run at 25% reads on backend.
+func TableII(scale float64, backend string) (string, error) {
 	type row struct {
 		name    string
 		latency float64
@@ -442,6 +452,7 @@ func TableII(scale float64) (string, error) {
 	lineup := Policies(false, true, []float64{0.25})
 	rows, err := fanOut(len(lineup), func(i int) (row, error) {
 		po := lineup[i]
+		po.Backend = backend
 		r, err := RunFIO(po, 0.25, scale)
 		if err != nil {
 			return row{}, err

@@ -183,7 +183,7 @@ func TestTableIOutput(t *testing.T) {
 }
 
 func TestFig4MetaShareDecreasesWithPartitionSize(t *testing.T) {
-	out, series, err := Fig4(tinyScale)
+	out, series, err := Fig4(tinyScale, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFig4MetaShareDecreasesWithPartitionSize(t *testing.T) {
 }
 
 func TestFig9LatencyOrdering(t *testing.T) {
-	out, series, err := Fig9(0.002)
+	out, series, err := Fig9(0.002, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestFig9LatencyOrdering(t *testing.T) {
 }
 
 func TestFig10And11ClosedLoop(t *testing.T) {
-	out10, s10, err := Fig10(0.01)
+	out10, s10, err := Fig10(0.01, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFig10And11ClosedLoop(t *testing.T) {
 		}
 	}
 
-	_, s11, err := Fig11(0.01)
+	_, s11, err := Fig11(0.01, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFig10And11ClosedLoop(t *testing.T) {
 }
 
 func TestTableIIDerived(t *testing.T) {
-	out, err := TableII(0.01)
+	out, err := TableII(0.01, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,19 +306,19 @@ func TestTableIIDerived(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if out, err := AblationPartition(tinyScale); err != nil || !strings.Contains(out, "dynamic") {
+	if out, err := AblationPartition(tinyScale, "kdd"); err != nil || !strings.Contains(out, "dynamic") {
 		t.Fatalf("partition ablation: %v\n%s", err, out)
 	}
-	if out, err := AblationReclaim(tinyScale); err != nil || !strings.Contains(out, "materialise") {
+	if out, err := AblationReclaim(tinyScale, "kdd"); err != nil || !strings.Contains(out, "materialise") {
 		t.Fatalf("reclaim ablation: %v\n%s", err, out)
 	}
-	if out, err := AblationMetaLog(tinyScale); err != nil || !strings.Contains(out, "circular log") {
+	if out, err := AblationMetaLog(tinyScale, "kdd"); err != nil || !strings.Contains(out, "circular log") {
 		t.Fatalf("metalog ablation: %v\n%s", err, out)
 	}
 }
 
 func TestLifetimeSummary(t *testing.T) {
-	out, err := LifetimeSummary(tinyScale)
+	out, err := LifetimeSummary(tinyScale, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +328,10 @@ func TestLifetimeSummary(t *testing.T) {
 }
 
 func TestFigures5Through8Render(t *testing.T) {
-	for name, f := range map[string]func(float64) (string, error){
+	for name, f := range map[string]func(float64, string) (string, error){
 		"Fig5": Fig5, "Fig6": Fig6, "Fig7": Fig7, "Fig8": Fig8,
 	} {
-		out, err := f(tinyScale)
+		out, err := f(tinyScale, "kdd")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,15 +25,15 @@ import (
 //	unprotected  all tenants,  QoS off — the damage being prevented
 //
 // Every arm replays one tenant-tagged trace through the timing stack of
-// Fig. 9 (KDD-25 % over five HDD members, on the default backend) in
-// the one replay loop every trace runs through, so latency is device
-// time: without QoS the victims queue behind the aggressor's misses at
-// the member disks. A throttled request re-enters the loop at its retry
-// time; latency is always measured from the original arrival, and every
-// request carries deadline = arrival + nnDeadline, so a request still
-// throttled past it dies with ErrDeadlineExceeded instead of retrying
-// forever. Per-tenant histograms come from the trace's tenant tags, so
-// the unprotected arm runs with no controller at all.
+// Fig. 9 (KDD-25 % over five HDD members, on the backend the caller
+// names) in the one replay loop every trace runs through, so latency is
+// device time: without QoS the victims queue behind the aggressor's
+// misses at the member disks. A throttled request re-enters the loop at
+// its retry time; latency is always measured from the original arrival,
+// and every request carries deadline = arrival + nnDeadline, so a
+// request still throttled past it dies with ErrDeadlineExceeded instead
+// of retrying forever. Per-tenant histograms come from the trace's
+// tenant tags, so the unprotected arm runs with no controller at all.
 const (
 	// nnDeadline is each request's deadline margin past its arrival.
 	nnDeadline = 5 * sim.Millisecond
@@ -132,9 +133,10 @@ func noisyTrace(arm nnArm, specs []qos.TenantSpec, dur sim.Time) *trace.Trace {
 	return workload.MergeTenants("noisy-"+arm.name, streams...)
 }
 
-// noisyArm runs one arm for dur of virtual time and returns per-tenant
-// outcomes. Deterministic: the replay is one event loop in virtual time.
-func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
+// noisyArm runs one arm on backend for dur of virtual time and returns
+// per-tenant outcomes. Deterministic: the replay is one event loop in
+// virtual time.
+func noisyArm(arm nnArm, backend string, dur sim.Time) (nnArmOut, error) {
 	specs, err := qos.ParseTenants(nnTenantSpec)
 	if err != nil {
 		return nnArmOut{}, err
@@ -149,6 +151,7 @@ func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 	foot := int64(len(specs)) * nnFoot
 	st, err := Build(StackOpts{
 		Policy:     PolicyKDD,
+		Backend:    backend,
 		DeltaMean:  0.25,
 		CachePages: roundWays(foot/4, 256),
 		DiskPages:  roundWays(foot/4+4096, 16),
@@ -183,13 +186,13 @@ func noisyArm(arm nnArm, dur sim.Time) (nnArmOut, error) {
 	return out, nil
 }
 
-// NoisyNeighborSweep runs all three arms. scale sets the run's virtual
-// duration (scale 1.0 = 1000 virtual seconds, floored at ten hysteresis
-// windows so the ladder always has windows to walk).
-func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
+// NoisyNeighborSweep runs all three arms on backend. scale sets the
+// run's virtual duration (scale 1.0 = 1000 virtual seconds, floored at
+// ten hysteresis windows so the ladder always has windows to walk).
+func NoisyNeighborSweep(scale float64, backend string) (NoisyResult, error) {
 	dur := max(sim.Time(1000*float64(sim.Second)*scale), 10*nnWindow)
 	arms, err := fanOut(len(nnArms), func(i int) (nnArmOut, error) {
-		return noisyArm(nnArms[i], dur)
+		return noisyArm(nnArms[i], backend, dur)
 	})
 	if err != nil {
 		return NoisyResult{}, err
@@ -230,7 +233,7 @@ func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run, %s backend ==\n", dur, DefaultBackend())
+	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run, %s backend ==\n", dur, cmp.Or(backend, "kdd"))
 	fmt.Fprintf(&b, "tenants: %s (aggressor offers %.0f IOPS against a %d IOPS budget)\n",
 		nnTenantSpec, nnOffered[2], specs[2].RateIOPS)
 	fmt.Fprintf(&b, "%-12s %-10s %9s %9s %9s %9s %9s %9s %10s %10s\n",
@@ -257,7 +260,7 @@ func NoisyNeighborSweep(scale float64) (NoisyResult, error) {
 }
 
 // NoisyNeighbor renders the experiment (the registry entry point).
-func NoisyNeighbor(scale float64) (string, []stats.Series, error) {
-	res, err := NoisyNeighborSweep(scale)
+func NoisyNeighbor(scale float64, backend string) (string, []stats.Series, error) {
+	res, err := NoisyNeighborSweep(scale, backend)
 	return res.Table, res.Series, err
 }

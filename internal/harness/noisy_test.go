@@ -14,7 +14,7 @@ import (
 // to the bypass rung. The unprotected arm must be strictly worse — that
 // is the interference being prevented.
 func TestNoisyNeighborIsolation(t *testing.T) {
-	res, err := NoisyNeighborSweep(0.02)
+	res, err := NoisyNeighborSweep(0.02, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 	defer SetParallelism(0)
 
 	SetParallelism(1)
-	serial, serialSeries, err := NoisyNeighbor(0.02)
+	serial, serialSeries, err := NoisyNeighbor(0.02, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 	}
 	for _, par := range []int{4, 16} {
 		SetParallelism(par)
-		got, err := NoisyNeighborSweep(0.02)
+		got, err := NoisyNeighborSweep(0.02, "kdd")
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -83,7 +83,7 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 // shows up as a diff of testdata/noisy.golden (regenerate with -update
 // after an intended change and say which rows moved).
 func TestNoisyNeighborGolden(t *testing.T) {
-	table, _, err := NoisyNeighbor(0.02)
+	table, _, err := NoisyNeighbor(0.02, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,7 @@ func TestNoisyNeighborGolden(t *testing.T) {
 // and the table reports the measured ratios instead of an isolation
 // verdict it has nothing to rest on.
 func TestNoisyNeighborLSRaid(t *testing.T) {
-	SetDefaultBackend("lsraid")
-	defer SetDefaultBackend("")
-	res, err := NoisyNeighborSweep(0.02)
+	res, err := NoisyNeighborSweep(0.02, "lsraid")
 	if err != nil {
 		t.Fatal(err)
 	}

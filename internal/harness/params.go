@@ -15,7 +15,7 @@ import (
 // AblationAssociativity sweeps the set associativity. Higher associativity
 // approaches global LRU (better hit ratios, slower lookups in real HW);
 // the stripe-aligned mapping needs sets at least as large as a stripe.
-func AblationAssociativity(scale float64) (string, error) {
+func AblationAssociativity(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 1024)
@@ -23,7 +23,7 @@ func AblationAssociativity(scale float64) (string, error) {
 	waySizes := []int{32, 64, 256, 1024}
 	results, err := fanOut(len(waySizes), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, Ways: waySizes[i],
 		})
 		if err != nil {
@@ -48,7 +48,7 @@ func AblationAssociativity(scale float64) (string, error) {
 // AblationStaging sweeps the NVRAM staging buffer size: a larger buffer
 // coalesces more deltas before each DEZ commit (fewer, denser delta
 // pages) at the cost of more battery-backed RAM.
-func AblationStaging(scale float64) (string, error) {
+func AblationStaging(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
@@ -60,7 +60,7 @@ func AblationStaging(scale float64) (string, error) {
 	}
 	sizes := []int{1, 4, 16, 64}
 	points, err := fanOut(len(sizes), func(i int) (stagingPoint, error) {
-		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, CachePages: cachePages}))
+		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, Backend: backend, CachePages: cachePages}))
 		if err != nil {
 			return stagingPoint{}, err
 		}

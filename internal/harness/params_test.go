@@ -10,14 +10,14 @@ import (
 func TestParameterSweeps(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(float64) (string, error)
+		run  func(float64, string) (string, error)
 		rows []string
 	}{
 		{"associativity", AblationAssociativity, []string{"32", "64", "256", "1024"}},
 		{"staging", AblationStaging, []string{"== Parameter sweep"}},
 	}
 	for _, c := range cases {
-		out, err := c.run(0.004)
+		out, err := c.run(0.004, "kdd")
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

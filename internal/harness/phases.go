@@ -27,11 +27,12 @@ type phaseOut struct {
 	spans uint64
 }
 
-// phaseRun replays one Table-I workload through a traced KDD stack.
-func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
+// phaseRun replays one Table-I workload through a traced KDD stack over
+// backend.
+func phaseRun(spec workload.Spec, scale float64, backend string) (*phaseOut, error) {
 	ob := obs.New()
 	s, tr := fig9Trace(spec, scale)
-	st, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob)
+	st, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25}, ob)
 	if err != nil {
 		return nil, fmt.Errorf("phases %w", err)
 	}
@@ -41,20 +42,20 @@ func phaseRun(spec workload.Spec, scale float64) (*phaseOut, error) {
 	return &phaseOut{name: spec.Name, ob: ob, st: st, spans: ob.Tracer.Spans()}, nil
 }
 
-// phaseRuns fans the Table-I workloads over the worker pool and merges
-// their observability output in workload order (deterministic at any
-// pool width).
-func phaseRuns(scale float64) ([]*phaseOut, error) {
+// phaseRuns fans the Table-I workloads on backend over the worker pool
+// and merges their observability output in workload order
+// (deterministic at any pool width).
+func phaseRuns(scale float64, backend string) ([]*phaseOut, error) {
 	specs := workload.TableI()
 	return fanOut(len(specs), func(i int) (*phaseOut, error) {
-		return phaseRun(specs[i], scale)
+		return phaseRun(specs[i], scale, backend)
 	})
 }
 
 // PhaseBreakdown regenerates the per-phase latency attribution table:
 // one profile block per workload plus the all-workload merge.
-func PhaseBreakdown(scale float64) (string, error) {
-	outs, err := phaseRuns(scale)
+func PhaseBreakdown(scale float64, backend string) (string, error) {
+	outs, err := phaseRuns(scale, backend)
 	if err != nil {
 		return "", err
 	}
@@ -93,16 +94,16 @@ func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
 }
 
 // PhaseArtifacts produces the machine-readable observability artifacts of
-// the phases experiment: the concatenated JSONL trace (per-workload
-// tracers back to back, in Table-I order) and the Prometheus text
-// exposition of the merged registry. Both are byte-identical at any
-// worker-pool width and across same-seed runs; the golden tests pin them.
+// the phases experiment on the kdd backend: the concatenated JSONL trace
+// (per-workload tracers back to back, in Table-I order) and the
+// Prometheus text exposition of the merged registry. Both are
+// byte-identical at any worker-pool width and across same-seed runs; the
+// golden tests pin them.
 func PhaseArtifacts(scale float64) (trace, prom []byte, err error) {
-	outs, err := phaseRuns(scale)
+	outs, err := phaseRuns(scale, "kdd")
 	if err != nil {
 		return nil, nil, err
 	}
-	reg := obs.NewRegistry()
 	merged := obs.NewProfile()
 	var buf bytes.Buffer
 	for _, po := range outs {
@@ -112,16 +113,29 @@ func PhaseArtifacts(scale float64) (trace, prom []byte, err error) {
 	// Registry contents come from the last workload's stack (device and
 	// engine counters) plus the merged phase profile: a representative,
 	// fully-populated exposition with every metric family present.
-	outs[len(outs)-1].st.PublishMetrics(reg)
-	merged.Publish(reg)
+	prom, err = outs[len(outs)-1].st.prometheus(merged)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), prom, nil
+}
+
+// prometheus renders the validated Prometheus text exposition of st's
+// device and engine counters followed by each publisher's metrics.
+func (st *Stack) prometheus(pubs ...interface{ Publish(*obs.Registry) }) ([]byte, error) {
+	reg := obs.NewRegistry()
+	st.PublishMetrics(reg)
+	for _, p := range pubs {
+		p.Publish(reg)
+	}
 	if err := reg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var pb bytes.Buffer
-	if err := reg.WritePrometheus(&pb); err != nil {
-		return nil, nil, err
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		return nil, err
 	}
-	return buf.Bytes(), pb.Bytes(), nil
+	return b.Bytes(), nil
 }
 
 // checkTrace reports a traced run whose instrumentation was unbalanced:
@@ -157,20 +171,15 @@ func (st *Stack) ExportObs(tracePath, promPath string, ctl *qos.Controller) erro
 	if promPath == "" {
 		return nil
 	}
-	reg := obs.NewRegistry()
-	st.PublishMetrics(reg)
-	ob.Publish(reg)
+	pubs := []interface{ Publish(*obs.Registry) }{ob}
 	if ctl != nil {
-		ctl.Publish(reg)
+		pubs = append(pubs, ctl)
 	}
-	if err := reg.Validate(); err != nil {
+	prom, err := st.prometheus(pubs...)
+	if err != nil {
 		return err
 	}
-	var b bytes.Buffer
-	if err := reg.WritePrometheus(&b); err != nil {
-		return err
-	}
-	if err := os.WriteFile(promPath, b.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(promPath, prom, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", promPath)

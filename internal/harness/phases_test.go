@@ -215,7 +215,7 @@ func TestPhaseArtifactsDeterministic(t *testing.T) {
 // TestPhaseBreakdownRenders sanity-checks the human-readable table.
 func TestPhaseBreakdownRenders(t *testing.T) {
 	defer SetParallelism(0)
-	out, err := PhaseBreakdown(0.0005)
+	out, err := PhaseBreakdown(0.0005, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}

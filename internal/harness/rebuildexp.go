@@ -21,10 +21,10 @@ import (
 // trace a member dies; the table compares per-phase p99 response times
 // and their ratio, the time from failure to a fully redundant array, and
 // the rows reconstructed while foreground requests were in flight.
-func RebuildImpact(scale float64) (string, error) {
+func RebuildImpact(scale float64, backend string) (string, error) {
 	spec := workload.Fin2.Scale(scale)
 	spec.MeanIOPS = 100
-	rows, err := rebuildImpact(spec)
+	rows, err := rebuildImpact(spec, backend)
 	if err != nil {
 		return "", err
 	}
@@ -51,9 +51,10 @@ type impactRow struct {
 // driver rebuilds after each request.
 const nossdRebuildRows = 8
 
-// rebuildImpact replays spec's trace through the Nossd and KDD stacks
-// with a member failing a third of the way in, and returns one row each.
-func rebuildImpact(spec workload.Spec) ([]impactRow, error) {
+// rebuildImpact replays spec's trace through the Nossd and KDD stacks on
+// backend with a member failing a third of the way in, and returns one
+// row each.
+func rebuildImpact(spec workload.Spec, backend string) ([]impactRow, error) {
 	tr := workload.Synthesize(spec)
 	cachePages := quarterCache(spec)
 	failAt := len(tr.Requests) / 3
@@ -62,7 +63,7 @@ func rebuildImpact(spec workload.Spec) ([]impactRow, error) {
 	return fanOut(len(kinds), func(ki int) (impactRow, error) {
 		pk := kinds[ki]
 		o := WideCellOpts(spec, tr, StackOpts{
-			Policy: pk, DeltaMean: 0.25,
+			Policy: pk, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages,
 			Timing:     true,
 		})

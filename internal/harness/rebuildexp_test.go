@@ -12,7 +12,7 @@ import (
 // both policies must reach full redundancy (a rebuild time is printed,
 // not "-"), and the table must carry one row per compared policy.
 func TestRebuildImpact(t *testing.T) {
-	out, err := RebuildImpact(0.002)
+	out, err := RebuildImpact(0.002, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,9 @@ func TestRebuildImpact(t *testing.T) {
 // worker pool; its table must be byte-identical at any width.
 func TestRebuildImpactDeterministic(t *testing.T) {
 	SetParallelism(1)
-	a, errA := RebuildImpact(0.002)
+	a, errA := RebuildImpact(0.002, "kdd")
 	SetParallelism(4)
-	b, errB := RebuildImpact(0.002)
+	b, errB := RebuildImpact(0.002, "kdd")
 	SetParallelism(0)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
@@ -57,7 +57,7 @@ func TestRebuildImpactDeterministic(t *testing.T) {
 func TestRebuildTimeMatchesRate(t *testing.T) {
 	spec := workload.Fin2.Scale(0.002)
 	spec.MeanIOPS = 10
-	rows, err := rebuildImpact(spec)
+	rows, err := rebuildImpact(spec, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // For each partition size it replays a workload on the timing stack,
 // crashes, and measures both the metadata GC traffic and the virtual time
 // the recovery scan takes (reading every live log page from flash).
-func RecoveryTradeoff(scale float64) (string, error) {
+func RecoveryTradeoff(scale float64, backend string) (string, error) {
 	spec := workload.Fin1.Scale(scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.2*float64(spec.UniqueTotal)), 256)
@@ -30,7 +30,7 @@ func RecoveryTradeoff(scale float64) (string, error) {
 	points, err := fanOut(len(fracs), func(i int) (tradeoffPoint, error) {
 		mf := fracs[i]
 		st, err := Build(WideCellOpts(spec, tr, StackOpts{
-			Policy: PolicyKDD, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages, MetaFrac: mf,
 			Timing: true, SSDData: true,
 		}))
@@ -81,7 +81,7 @@ func RecoveryTradeoff(scale float64) (string, error) {
 // healthy, degraded (one disk lost), and during rebuild — for WT and KDD.
 // The paper motivates KDD partly by this cost: "user requests will be
 // adversely affected by the re-synchronization of RAID storage" (§II-B).
-func DegradedPerformance(scale float64) (string, error) {
+func DegradedPerformance(scale float64, backend string) (string, error) {
 	spec := workload.Fin2.Scale(scale)
 	spec.MeanIOPS = 100
 	tr := workload.Synthesize(spec)
@@ -98,7 +98,7 @@ func DegradedPerformance(scale float64) (string, error) {
 	rows, err := fanOut(len(kinds), func(i int) (degradedRow, error) {
 		pk := kinds[i]
 		st, err := Build(WideCellOpts(spec, tr, StackOpts{
-			Policy: pk, DeltaMean: 0.25,
+			Policy: pk, Backend: backend, DeltaMean: 0.25,
 			CachePages: cachePages,
 			Timing:     true,
 		}))

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRecoveryTradeoffOutput(t *testing.T) {
-	out, err := RecoveryTradeoff(0.004)
+	out, err := RecoveryTradeoff(0.004, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,34 +38,35 @@ func TestRecoveryTradeoffOutput(t *testing.T) {
 // metadata log under either array, and the crash waits for the SSD to
 // drain, so the recovery column may not depend on the backend.
 func TestRecoveryTimeIndependentOfBackend(t *testing.T) {
-	defer SetDefaultBackend("")
-	column := func(backend string) []string {
-		SetDefaultBackend(backend)
-		out, err := RecoveryTradeoff(0.004)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+	backends := []string{"kdd", "lsraid"}
+	cols := make([][]string, len(backends))
+	// Cleanup runs once both parallel subtests are done.
+	t.Cleanup(func() {
+		if !t.Failed() && !slices.Equal(cols[0], cols[1]) {
+			t.Errorf("recovery times differ by backend: kdd %v, lsraid %v", cols[0], cols[1])
 		}
-		var col []string
-		for _, l := range strings.Split(out, "\n") {
-			if f := strings.Fields(l); len(f) == 5 && strings.HasSuffix(f[0], "%") {
-				col = append(col, f[4])
+	})
+	for i, backend := range backends {
+		t.Run(backend, func(t *testing.T) {
+			t.Parallel()
+			out, err := RecoveryTradeoff(0.004, backend)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(col) != 5 {
-			t.Fatalf("%s: found %d rows, want 5:\n%s", backend, len(col), out)
-		}
-		return col
-	}
-	kdd, ls := column("kdd"), column("lsraid")
-	for i := range kdd {
-		if kdd[i] != ls[i] {
-			t.Fatalf("recovery times differ by backend: kdd %v, lsraid %v", kdd, ls)
-		}
+			for _, l := range strings.Split(out, "\n") {
+				if f := strings.Fields(l); len(f) == 5 && strings.HasSuffix(f[0], "%") {
+					cols[i] = append(cols[i], f[4])
+				}
+			}
+			if len(cols[i]) != 5 {
+				t.Fatalf("found %d rows, want 5:\n%s", len(cols[i]), out)
+			}
+		})
 	}
 }
 
 func TestDegradedPerformanceOutput(t *testing.T) {
-	out, err := DegradedPerformance(0.004)
+	out, err := DegradedPerformance(0.004, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestDegradedPerformanceOutput(t *testing.T) {
 }
 
 func TestAblationAdmissionOutput(t *testing.T) {
-	out, err := AblationAdmission(0.004)
+	out, err := AblationAdmission(0.004, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestRunTraceIdleTriggersCleaner(t *testing.T) {
 }
 
 func TestMotivationOutput(t *testing.T) {
-	out, err := Motivation(0.004)
+	out, err := Motivation(0.004, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,13 +77,13 @@ func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
 	defer SetParallelism(0)
 
 	SetParallelism(1)
-	serial, err := Fig6(tinyScale)
+	serial, err := Fig6(tinyScale, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4} {
 		SetParallelism(par)
-		got, err := Fig6(tinyScale)
+		got, err := Fig6(tinyScale, "kdd")
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}

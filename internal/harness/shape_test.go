@@ -12,7 +12,7 @@ import (
 
 // sweep runs a cache-size sweep of all policies over one workload.
 func sweep(spec workload.Spec, scale float64, withWA bool) (*sweepResult, error) {
-	srs, err := sweepAll([]workload.Spec{spec}, scale, withWA)
+	srs, err := sweepAll([]workload.Spec{spec}, scale, "kdd", withWA)
 	if err != nil {
 		return nil, err
 	}

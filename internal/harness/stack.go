@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/cache"
@@ -41,43 +40,24 @@ const (
 	PolicyPLog  PolicyKind = "PLog"
 )
 
-// defaultBackend is the process-wide array-backend selection applied
-// when StackOpts.Backend is empty; empty means "kdd".
-var defaultBackend atomic.Value // string
-
-// SetDefaultBackend sets the array backend every subsequently built
-// stack uses when StackOpts.Backend is empty: "kdd" (parity RAID with
-// the delayed-parity protocol) or "lsraid" (log-structured full-stripe
-// appends). The empty string restores the default, "kdd". This is the
-// hook the -backend CLI flags hang off, so a whole experiment sweep
-// flips backend without threading the option through every call site.
-func SetDefaultBackend(name string) { defaultBackend.Store(name) }
-
-// DefaultBackend returns the effective process-wide backend name.
-func DefaultBackend() string {
-	if v, _ := defaultBackend.Load().(string); v != "" {
-		return v
-	}
-	return "kdd"
-}
-
 // StackOpts configures one experiment stack.
 type StackOpts struct {
 	Policy PolicyKind
 
 	// Backend selects the array implementation under the cache: "kdd"
-	// (default; parity RAID + the paper's delayed-parity protocol) or
-	// "lsraid" (log-structured backend — full-stripe appends, no parity
-	// debt). Empty selects the process-wide DefaultBackend(). The lsraid
-	// stack is built with oversized members so its logical capacity
-	// equals the kdd geometry's (Disks-1)*DiskPages — head-to-head runs
-	// see identical address spaces. Its geometry is derived from
-	// DiskPages: segments of DiskPages/8 rows, clamped to [1, 32], so a
-	// log sized for a small footprint still spans enough segments to wrap;
-	// and half as many spare segments as its logical space fills, clamped
-	// to [4, 16] (GC's reserve of two plus the open segment's slack of
-	// two at least). From DiskPages 256 up that is 32-row segments; from
-	// 1024, the 16 spares as well — every figure-scale stack.
+	// (the default, also when empty; parity RAID + the paper's
+	// delayed-parity protocol) or "lsraid" (log-structured backend —
+	// full-stripe appends, no parity debt, so PolicyPLog is refused on
+	// it). The lsraid stack is built with oversized members so its
+	// logical capacity equals the kdd geometry's (Disks-1)*DiskPages —
+	// head-to-head runs see identical address spaces. Its geometry is
+	// derived from DiskPages: segments of DiskPages/8 rows, clamped to
+	// [1, 32], so a log sized for a small footprint still spans enough
+	// segments to wrap; and half as many spare segments as its logical
+	// space fills, clamped to [4, 16] (GC's reserve of two plus the open
+	// segment's slack of two at least). From DiskPages 256 up that is
+	// 32-row segments; from 1024, the 16 spares as well — every
+	// figure-scale stack.
 	Backend string
 
 	// DeltaMean sets KDD's modelled content locality (0.50/0.25/0.12 for
@@ -157,7 +137,7 @@ func (o StackOpts) withDefaults() StackOpts {
 	o.Level = cmp.Or(o.Level, raid.Level5)
 	o.DiskPages = cmp.Or(o.DiskPages, 1<<20) // 4GB per member
 	o.Seed = cmp.Or(o.Seed, 1)
-	o.Backend = cmp.Or(o.Backend, DefaultBackend())
+	o.Backend = cmp.Or(o.Backend, "kdd")
 	return o
 }
 
@@ -208,6 +188,8 @@ func Build(o StackOpts) (*Stack, error) {
 		return nil, fmt.Errorf("%w: no %v array (want RAID-5 or RAID-6)", ErrOptions, o.Level)
 	case o.Backend == "lsraid" && o.Level != raid.Level5:
 		return nil, fmt.Errorf("%w: the lsraid backend is single-parity: no %v", ErrOptions, o.Level)
+	case o.Backend == "lsraid" && o.Policy == PolicyPLog:
+		return nil, fmt.Errorf("%w: the lsraid backend owes no parity for PLog to log", ErrOptions)
 	}
 
 	// Member disks. The lsraid backend needs physically larger members to

@@ -386,11 +386,13 @@ func TestRebuildWindow(t *testing.T) {
 			// FailAfterOps: no one calls FailDisk, the member just stops
 			// answering. Whatever the I/O that meets it returns, the
 			// failure state must agree with itself afterwards.
+			// Survivable is on both engines, not on the seam.
+			survivable := a.(interface{ Survivable() bool }).Survivable
 			agree := func(when string, aborted int64) {
 				t.Helper()
-				if fd := a.FailedDisks(); fmt.Sprint(fd) != "[2]" || a.Healthy() || !a.Survivable() || a.RebuildActive() {
+				if fd := a.FailedDisks(); fmt.Sprint(fd) != "[2]" || a.Healthy() || !survivable() || a.RebuildActive() {
 					t.Fatalf("%s: failed %v, healthy %v, survivable %v, rebuilding %v",
-						when, fd, a.Healthy(), a.Survivable(), a.RebuildActive())
+						when, fd, a.Healthy(), survivable(), a.RebuildActive())
 				}
 				if s := a.Stats(); s.RebuildsAborted != aborted {
 					t.Fatalf("%s: aborted %d rebuilds, want %d", when, s.RebuildsAborted, aborted)

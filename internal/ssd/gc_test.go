@@ -32,10 +32,9 @@ func churn(t *testing.T, d *Device, seed uint64, n int, each func(op int)) {
 	}
 }
 
-func churnCfg(wearAware bool) Config {
+func churnCfg() Config {
 	cfg := DefaultConfig(4096)
 	cfg.PagesPerBlock = 16
-	cfg.WearAware = wearAware
 	return cfg
 }
 
@@ -44,7 +43,7 @@ func churnCfg(wearAware bool) Config {
 // gcOnce's "fully written" test already excludes free blocks and needs no
 // search of the free list.
 func TestFreeBlocksAreErased(t *testing.T) {
-	d := New("ssd", churnCfg(false))
+	d := New("ssd", churnCfg())
 	churn(t, d, 3, 60000, func(op int) {
 		if op%97 != 0 {
 			return
@@ -68,33 +67,24 @@ func TestFreeBlocksAreErased(t *testing.T) {
 // order over 200 k host ops. The constants come from the FTL as it was
 // with the free-list search in gcOnce: victim selection did not move.
 func TestGCVictimOrderPinned(t *testing.T) {
-	for _, tc := range []struct {
-		wearAware bool
-		want      uint64
-		erases    int64
-	}{
-		{false, 0x631c4198ec7c5740, 40488},
-		{true, 0xc29ae866d22092fa, 39990},
-	} {
-		d := New("ssd", churnCfg(tc.wearAware))
-		h := fnv.New64a()
-		seen := make([]int64, len(d.blocks))
-		var erases int64
-		churn(t, d, 9, 200000, func(int) {
-			if d.erases == erases {
-				return
-			}
-			erases = d.erases
-			for b := range d.blocks {
-				if e := d.blocks[b].erases; e != seen[b] {
-					seen[b] = e
-					h.Write([]byte{byte(b), byte(b >> 8), byte(e), byte(e >> 8), byte(e >> 16)})
-				}
-			}
-		})
-		if got := h.Sum64(); got != tc.want || erases != tc.erases {
-			t.Errorf("wearAware=%v: victim hash %#x over %d erases, pinned %#x over %d",
-				tc.wearAware, got, erases, tc.want, tc.erases)
+	const want, wantErases = 0x631c4198ec7c5740, 40488
+	d := New("ssd", churnCfg())
+	h := fnv.New64a()
+	seen := make([]int64, len(d.blocks))
+	var erases int64
+	churn(t, d, 9, 200000, func(int) {
+		if d.erases == erases {
+			return
 		}
+		erases = d.erases
+		for b := range d.blocks {
+			if e := d.blocks[b].erases; e != seen[b] {
+				seen[b] = e
+				h.Write([]byte{byte(b), byte(b >> 8), byte(e), byte(e >> 8), byte(e >> 16)})
+			}
+		}
+	})
+	if got := h.Sum64(); got != want || erases != wantErases {
+		t.Errorf("victim hash %#x over %d erases, pinned %#x over %d", got, erases, want, wantErases)
 	}
 }

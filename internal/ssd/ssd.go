@@ -36,12 +36,6 @@ type Config struct {
 	// FTL garbage-collects until GCHighWater is reached.
 	GCLowWater  float64
 	GCHighWater float64
-
-	// WearAware biases GC victim selection toward less-worn blocks when
-	// valid counts tie (cost-age style): greedy picks the emptiest block,
-	// wear-aware breaks ties by erase count, narrowing the max-min erase
-	// spread at (almost) no write-amplification cost.
-	WearAware bool
 }
 
 // DefaultConfig returns an MLC device resembling the 120GB SSD in §IV-B
@@ -265,7 +259,6 @@ func (d *Device) gcOnce(t sim.Time) int {
 	defer func() { d.inGC = false }()
 	victim := -1
 	best := d.cfg.PagesPerBlock + 1
-	var bestErases int64
 	for i := range d.blocks {
 		if i == d.active {
 			continue
@@ -274,9 +267,8 @@ func (d *Device) gcOnce(t sim.Time) int {
 			continue // not fully written: an open block, or an erased one on the free list
 		}
 		v := d.blocks[i].valid
-		if v < best || (d.cfg.WearAware && v == best && d.blocks[i].erases < bestErases) {
+		if v < best {
 			best = v
-			bestErases = d.blocks[i].erases
 			victim = i
 		}
 	}

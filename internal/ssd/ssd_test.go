@@ -262,42 +262,3 @@ func TestStatsWriteAmplificationZeroHostWrites(t *testing.T) {
 		t.Fatal("WA with zero host writes should be 0")
 	}
 }
-
-func TestWearAwareGCNarrowsEraseSpread(t *testing.T) {
-	run := func(wearAware bool) (spread int64, wa float64) {
-		cfg := smallCfg()
-		cfg.WearAware = wearAware
-		d := New("ssd", cfg)
-		rng := sim.NewRNG(31)
-		// Skewed overwrites: a hot half and a cold half, which makes
-		// greedy GC concentrate erases on the blocks recycled for hot
-		// data.
-		for lba := int64(0); lba < 512; lba++ {
-			if _, err := d.WritePages(0, lba, 1, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 60000; i++ {
-			if _, err := d.WritePages(0, int64(rng.Uint64n(256)), 1, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := d.Stats()
-		var minE int64 = 1 << 62
-		for b := range d.blocks {
-			if d.blocks[b].erases < minE {
-				minE = d.blocks[b].erases
-			}
-		}
-		return s.MaxErase - minE, s.WriteAmplification()
-	}
-	greedySpread, greedyWA := run(false)
-	wearSpread, wearWA := run(true)
-	if wearSpread > greedySpread {
-		t.Fatalf("wear-aware spread %d worse than greedy %d", wearSpread, greedySpread)
-	}
-	// The tie-break must not blow up write amplification.
-	if wearWA > greedyWA*1.15 {
-		t.Fatalf("wear-aware WA %.3f vs greedy %.3f", wearWA, greedyWA)
-	}
-}

@@ -350,11 +350,6 @@ const ExperimentScale = 0.02
 // width. n <= 0 restores the default, GOMAXPROCS.
 func SetParallelism(n int) { harness.SetParallelism(n) }
 
-// SetDefaultBackend sets the array backend ("kdd" or "lsraid") used by
-// every subsequently built System and experiment stack whose Options
-// leave Backend empty. The empty string restores the default, "kdd".
-func SetDefaultBackend(name string) { harness.SetDefaultBackend(name) }
-
 // ExperimentResult is one run of an experiment: the formatted table the
 // paper's figure/table corresponds to and, for the experiments that
 // produce plottable series, the x-axis name and the series (XName is ""
@@ -368,24 +363,32 @@ type ExperimentResult struct {
 }
 
 // table adapts a text-only experiment runner.
-func table(f func(float64) (string, error)) func(float64) (ExperimentResult, error) {
-	return func(s float64) (ExperimentResult, error) {
-		out, err := f(s)
+func table(f func(float64, string) (string, error)) func(float64, string) (ExperimentResult, error) {
+	return func(s float64, backend string) (ExperimentResult, error) {
+		out, err := f(s, backend)
 		return ExperimentResult{Text: out}, err
 	}
 }
 
 // plot adapts a runner that also returns series over the x axis xName.
-func plot(xName string, f func(float64) (string, []stats.Series, error)) func(float64) (ExperimentResult, error) {
-	return func(s float64) (ExperimentResult, error) {
-		out, series, err := f(s)
+func plot(xName string, f func(float64, string) (string, []stats.Series, error)) func(float64, string) (ExperimentResult, error) {
+	return func(s float64, backend string) (ExperimentResult, error) {
+		out, series, err := f(s, backend)
 		return ExperimentResult{Text: out, XName: xName, Series: series}, err
 	}
 }
 
-// Experiments maps experiment names to their runners.
-var Experiments = map[string]func(scale float64) (ExperimentResult, error){
-	"table1":              table(harness.TableI),
+// anyBackend adapts a text-only runner that takes no backend: Table I
+// builds no stack, and the head-to-head runs both.
+func anyBackend(f func(float64) (string, error)) func(float64, string) (ExperimentResult, error) {
+	return table(func(s float64, _ string) (string, error) { return f(s) })
+}
+
+// Experiments maps experiment names to their runners. Each takes the
+// scale and the array backend its stacks are built on ("kdd" or
+// "lsraid"; empty means "kdd").
+var Experiments = map[string]func(scale float64, backend string) (ExperimentResult, error){
+	"table1":              anyBackend(harness.TableI),
 	"fig4":                plot("metaPartPct", harness.Fig4),
 	"fig5":                table(harness.Fig5),
 	"fig6":                table(harness.Fig6),
@@ -408,22 +411,22 @@ var Experiments = map[string]func(scale float64) (ExperimentResult, error){
 	"sweep-associativity": table(harness.AblationAssociativity),
 	"sweep-staging":       table(harness.AblationStaging),
 	"noisy-neighbor":      plot("armIdx", harness.NoisyNeighbor),
-	"lsraid-compare":      table(harness.LSRaidCompare),
+	"lsraid-compare":      anyBackend(harness.LSRaidCompare),
 }
 
-// Experiment runs one named experiment at the given scale.
-func Experiment(name string, scale float64) (ExperimentResult, error) {
+// Experiment runs one named experiment at the given scale on backend.
+func Experiment(name string, scale float64, backend string) (ExperimentResult, error) {
 	f, ok := Experiments[name]
 	if !ok {
 		return ExperimentResult{}, fmt.Errorf("kddcache: unknown experiment %q", name)
 	}
-	return f(scale)
+	return f(scale, backend)
 }
 
-// RunExperiment executes one named experiment at the given scale and
-// returns its formatted table.
-func RunExperiment(name string, scale float64) (string, error) {
-	res, err := Experiment(name, scale)
+// RunExperiment executes one named experiment at the given scale on
+// backend and returns its formatted table.
+func RunExperiment(name string, scale float64, backend string) (string, error) {
+	res, err := Experiment(name, scale, backend)
 	return res.Text, err
 }
 

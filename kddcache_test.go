@@ -74,6 +74,7 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		{"RAID-1", Options{Level: raid.Level(1)}, "no RAID-1 array"},
 		{"RAID-3", Options{Level: raid.Level(3)}, "no RAID-3 array"},
 		{"RAID-6 on lsraid", Options{Backend: "lsraid", Level: raid.Level6}, "the lsraid backend is single-parity: no RAID-6"},
+		{"PLog on lsraid", Options{Policy: PLog, Backend: "lsraid"}, "the lsraid backend owes no parity for PLog to log"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := New(tc.o)
@@ -433,10 +434,9 @@ func TestReplaceMemberBothBackends(t *testing.T) {
 				}
 			}},
 			{"degraded and rebuild-impact", func(t *testing.T) {
-				SetDefaultBackend(backend)
-				defer SetDefaultBackend("")
+				t.Parallel()
 				for _, exp := range []string{"degraded", "rebuild-impact"} {
-					if _, err := RunExperiment(exp, 0.002); err != nil {
+					if _, err := RunExperiment(exp, 0.002, backend); err != nil {
 						t.Fatalf("%s: %v", exp, err)
 					}
 				}
@@ -756,19 +756,19 @@ func TestQoSStateSurvivesCrashAndRecover(t *testing.T) {
 }
 
 func TestRunExperimentFacade(t *testing.T) {
-	out, err := RunExperiment("table1", 0.002)
+	out, err := RunExperiment("table1", 0.002, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "Fin1") {
 		t.Fatalf("table1 output malformed:\n%s", out)
 	}
-	if _, err := RunExperiment("nope", 1); err == nil {
+	if _, err := RunExperiment("nope", 1, "kdd"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	// One run carries both the table and, where the experiment has them,
 	// the series a CSV export writes.
-	noisy, err := Experiment("noisy-neighbor", 0.002)
+	noisy, err := Experiment("noisy-neighbor", 0.002, "kdd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +780,7 @@ func TestRunExperimentFacade(t *testing.T) {
 	if noisy.XName != "armIdx" || len(noisy.Series) == 0 {
 		t.Fatalf("noisy-neighbor run has x axis %q and %d series", noisy.XName, len(noisy.Series))
 	}
-	if _, err := Experiment("nope", 1); err == nil {
+	if _, err := Experiment("nope", 1, "kdd"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Workloads()) != 4 {
