@@ -22,11 +22,13 @@ test:
 # concurrent I/O, TestArmingConcurrentWithIO — cache core, array repair
 # paths, Synthesize's concurrent target streams) plus the harness's
 # parallel fan-out runner, its determinism tests and one experiment run
-# on both backends at once (TestRecoveryTimeIndependentOfBackend: the
-# backend is an argument, so its per-backend subtests run in parallel).
+# on both backends at once (TestRecoveryTimeIndependentOfBackend). The
+# backend and the pool width are fields of the experiment's Env, not
+# process-wide settings, so the determinism tests and the per-backend
+# subtests run in parallel with each other.
 race:
 	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/ ./internal/workload/
-	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob|TestRecoveryTimeIndependentOfBackend' ./internal/harness/
+	$(GO) test -race -run 'FanOut|Deterministic|TestRecoveryTimeIndependentOfBackend' ./internal/harness/
 	$(GO) test -race -short -timeout 20m ./internal/check/ ./internal/model/
 
 # Full chaos run: randomized seeded fault schedules with end-to-end
@@ -119,8 +121,10 @@ shard-test:
 # throttle retries and its qos_throttle/qos_shed trace marks, the
 # noisy-neighbor isolation proof on the device clock (victim p99 within
 # 2x of its aggressor-free baseline), its byte-identical-output
-# determinism contract at several test-parallelism levels, and the
-# lane-kill chaos plan — all under the race detector.
+# determinism contract at several test-parallelism levels (the test
+# passes each pool width in the experiment's Env and calls t.Parallel(),
+# as every harness determinism test does), and the lane-kill chaos plan
+# — all under the race detector.
 qos-test:
 	$(GO) test -race ./internal/qos/
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/

@@ -150,14 +150,12 @@ func main() {
 		run  func(par int) (string, error)
 	}{
 		{"fig6", func(par int) (string, error) {
-			harness.SetParallelism(par)
-			defer harness.SetParallelism(0)
-			return harness.Fig6(*scale, "kdd")
+			out, err := harness.Fig6(harness.Env{Scale: *scale, Parallel: par})
+			return out.Text, err
 		}},
 		{"fig5", func(par int) (string, error) {
-			harness.SetParallelism(par)
-			defer harness.SetParallelism(0)
-			return harness.Fig5(*scale, "kdd")
+			out, err := harness.Fig5(harness.Env{Scale: *scale, Parallel: par})
+			return out.Text, err
 		}},
 		{"chaos", func(par int) (string, error) {
 			r, err := check.Chaos(check.ChaosOpts{
@@ -179,20 +177,16 @@ func main() {
 			return r.Table(), nil
 		}},
 		{"rebuild-impact", func(par int) (string, error) {
-			harness.SetParallelism(par)
-			defer harness.SetParallelism(0)
-			return harness.RebuildImpact(*scale, "kdd")
+			out, err := harness.RebuildImpact(harness.Env{Scale: *scale, Parallel: par})
+			return out.Text, err
 		}},
 		{"phases", func(par int) (string, error) {
-			harness.SetParallelism(par)
-			defer harness.SetParallelism(0)
-			return harness.PhaseBreakdown(*scale, "kdd")
+			out, err := harness.PhaseBreakdown(harness.Env{Scale: *scale, Parallel: par})
+			return out.Text, err
 		}},
 		{"noisy", func(par int) (string, error) {
-			harness.SetParallelism(par)
-			defer harness.SetParallelism(0)
 			start := time.Now()
-			r, err := harness.NoisyNeighborSweep(*scale, "kdd")
+			r, err := harness.NoisyNeighborSweep(harness.Env{Scale: *scale, Parallel: par})
 			if err != nil {
 				return "", err
 			}
@@ -268,7 +262,7 @@ func main() {
 	// Backend head-to-head: parity RAID vs the log-structured backend
 	// on the small-write worst case.
 	lsStart := time.Now()
-	ls, err := harness.LSRaidCompareSweep(*scale)
+	ls, err := harness.LSRaidCompareSweep(harness.Env{Scale: *scale, Parallel: width})
 	if err != nil {
 		fatal(fmt.Errorf("lsraid-compare: %w", err))
 	}

@@ -2,7 +2,7 @@
 // table, figure, ablation and extension experiment — writing the text
 // tables (and CSV series where available) into a directory. Experiments
 // are independent and run on a worker pool (-j); within each experiment
-// the individual simulations run on the harness pool (-parallel).
+// the individual simulations fan out at GOMAXPROCS.
 //
 //	kddfigs -scale 0.02 -o results/ -j 4
 package main
@@ -37,19 +37,9 @@ func main() {
 		out     = flag.String("o", "results", "output directory")
 		only    = flag.String("only", "", "name prefix filter, e.g. 'fig' or 'ablation'")
 		workers = flag.Int("j", runtime.NumCPU()/2+1, "parallel experiments")
-		// Same default as kddsim/kddcheck: 0 selects GOMAXPROCS.
-		// The Go scheduler multiplexes -j experiments times -parallel
-		// workers onto GOMAXPROCS threads, so oversubscription costs
-		// context switches, not correctness; set -parallel 1 to time
-		// experiments serially inside each -j slot.
-		parallel = flag.Int("parallel", 0, "worker-pool width for experiment simulations; output is identical at any width (0 = GOMAXPROCS, 1 = serial)")
-		backend  = flag.String("backend", "kdd", "array backend under the cache for every experiment: kdd (parity RAID + delayed parity) or lsraid (log-structured)")
+		backend = flag.String("backend", "kdd", "array backend under the cache for every experiment: kdd (parity RAID + delayed parity) or lsraid (log-structured)")
 	)
 	flag.Parse()
-	kddcache.SetParallelism(*parallel)
-	if *backend != "kdd" && *backend != "lsraid" {
-		fatal(fmt.Errorf("-backend must be kdd or lsraid, got %q", *backend))
-	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
@@ -69,10 +59,12 @@ func main() {
 	}
 
 	// A failed experiment is reported in its slot, so one failure does not
-	// cancel the others.
+	// cancel the others. The Go scheduler multiplexes the -j experiments'
+	// own pools onto GOMAXPROCS threads: oversubscription costs context
+	// switches, not correctness.
 	results, _ := harness.FanOut(*workers, len(names), func(i int) (result, error) {
 		start := time.Now()
-		res, err := kddcache.Experiments[names[i]](*scale, *backend)
+		res, err := kddcache.Experiment(names[i], kddcache.ExperimentEnv{Scale: *scale, Backend: *backend})
 		return result{ExperimentResult: res, err: err, took: time.Since(start)}, nil
 	})
 

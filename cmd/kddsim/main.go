@@ -177,8 +177,6 @@ func (o *options) validate(names, rest []string) error {
 		}
 	}
 	switch {
-	case o.backend != "kdd" && o.backend != "lsraid":
-		return usagef("-backend must be kdd or lsraid, got %q", o.backend)
 	case !(o.scale > 0):
 		return usagef("-scale must be > 0, got %g", o.scale)
 	case !(o.readRate >= 0 && o.readRate <= 1):
@@ -190,7 +188,6 @@ func (o *options) validate(names, rest []string) error {
 }
 
 func (o *options) run(stdout, stderr io.Writer) error {
-	kddcache.SetParallelism(o.parallel)
 	switch o.mode() {
 	case "list":
 		var names []string
@@ -218,7 +215,7 @@ func (o *options) run(stdout, stderr io.Writer) error {
 }
 
 func (o *options) runExperiment(stdout, stderr io.Writer) error {
-	res, err := kddcache.Experiment(o.experiment, o.scale, o.backend)
+	res, err := kddcache.Experiment(o.experiment, kddcache.ExperimentEnv{Scale: o.scale, Backend: o.backend, Parallel: o.parallel})
 	if err != nil {
 		return err
 	}

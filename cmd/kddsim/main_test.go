@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"kddcache/internal/harness"
-	"kddcache/internal/stats"
 	"kddcache/internal/workload"
 )
 
@@ -38,13 +37,13 @@ func meanMs(t *testing.T, out string) string {
 }
 
 // kddSeries returns the KDD curve of a figure on the kdd backend.
-func kddSeries(t *testing.T, fig func(float64, string) (string, []stats.Series, error), scale float64) []float64 {
+func kddSeries(t *testing.T, fig func(harness.Env) (harness.Output, error), scale float64) []float64 {
 	t.Helper()
-	_, series, err := fig(scale, "kdd")
+	out, err := fig(harness.Env{Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range series {
+	for _, s := range out.Series {
 		if s.Label == "KDD" {
 			return s.Y
 		}
@@ -130,7 +129,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-deadline-ms", "2"}, "-deadline-ms needs -tenants"},
 		{[]string{"-csv", "out.csv"}, "-csv needs -experiment"},
 		{[]string{"-experiment", "fig99"}, `unknown experiment "fig99"`},
-		{[]string{"-backend", "raid7"}, `-backend must be kdd or lsraid, got "raid7"`},
+		{[]string{"-backend", "raid7"}, `unknown backend "raid7"`},
+		{[]string{"-experiment", "table1", "-backend", "raid7"}, `unknown backend "raid7"`},
 		{[]string{"-workload", "Fin3"}, `unknown workload "Fin3"`},
 		{[]string{"-replay", trace, "-format", "csv"}, `unknown -format "csv"`},
 		{[]string{"-policy", "LRU"}, `unknown policy "LRU"`},

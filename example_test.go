@@ -58,12 +58,12 @@ func ExampleSystem_CrashAndRecover() {
 }
 
 // Comparing policies on the same workload via the experiment facade.
-func ExampleRunExperiment() {
-	out, err := kddcache.RunExperiment("table2", 0.005, "kdd")
+func ExampleExperiment() {
+	res, err := kddcache.Experiment("table2", kddcache.ExperimentEnv{Scale: 0.005, Backend: "kdd"})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(out) > 0)
+	fmt.Println(len(res.Text) > 0)
 	// Output:
 	// true
 }

@@ -40,7 +40,7 @@ type ChaosOpts struct {
 	Footprint  int64  // distinct LBAs touched (default 640)
 	CachePages int64  // SSD cache data pages (default 512)
 	Seed       uint64 // master seed (default 0xC0FFEE)
-	Parallel   int    // worker-pool width for schedules (0 = harness default)
+	Parallel   int    // worker-pool width for schedules (<= 0 = GOMAXPROCS, via harness.FanOut)
 	// Kind restricts the run to a comma-separated set of plan kinds
 	// (e.g. "ssd-kill,ssd-reattach"); empty runs every plan.
 	Kind string

@@ -15,8 +15,8 @@ import (
 // AblationPartition compares KDD's dynamic DAZ/DEZ mixing against a fixed
 // partition reserving a share of the sets for deltas (§III-B argues the
 // fixed split is hard to size; dynamic adapts to the workload).
-func AblationPartition(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func AblationPartition(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 	nsets := int(cachePages / 256)
@@ -39,9 +39,9 @@ func AblationPartition(scale float64, backend string) (string, error) {
 		}
 		configs = append(configs, c)
 	}
-	results, err := fanOut(len(configs), func(i int) (*Result, error) {
+	results, err := FanOut(e.Parallel, len(configs), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, FixedDEZSets: configs[i].dezSets,
 		})
 		if err != nil {
@@ -50,7 +50,7 @@ func AblationPartition(scale float64, backend string) (string, error) {
 		return r, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	hit := stats.Series{Label: "hit ratio"}
 	wr := stats.Series{Label: "SSD writes(Kpg)"}
@@ -68,15 +68,15 @@ func AblationPartition(scale float64, backend string) (string, error) {
 	b.WriteString("== Ablation: dynamic vs fixed DAZ/DEZ partition (Fin1, KDD-25%) ==\n")
 	fmt.Fprintf(&b, "configs: %s\n", strings.Join(labels, ", "))
 	b.WriteString(stats.Table("partition ablation", "config#", series))
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // AblationReclaim compares reclaim scheme 2 (drop old pages — the paper's
 // choice) against scheme 1 (re-materialise the latest version as Clean),
 // quantifying §III-D's "marginal benefit at the expense of more cache
 // writes".
-func AblationReclaim(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func AblationReclaim(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 
@@ -84,9 +84,9 @@ func AblationReclaim(scale float64, backend string) (string, error) {
 		label       string
 		materialise bool
 	}{{"2:drop", false}, {"1:materialise", true}}
-	results, err := fanOut(len(configs), func(i int) (*Result, error) {
+	results, err := FanOut(e.Parallel, len(configs), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, ReclaimMaterialize: configs[i].materialise,
 		})
 		if err != nil {
@@ -95,7 +95,7 @@ func AblationReclaim(scale float64, backend string) (string, error) {
 		return r, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Ablation: reclaim scheme 2 (drop) vs scheme 1 (materialise) — Fin1, KDD-25% ==\n")
@@ -105,14 +105,14 @@ func AblationReclaim(scale float64, backend string) (string, error) {
 		fmt.Fprintf(&b, "%-14s %12.4f %16.1f %12d\n",
 			c.label, r.Cache.HitRatio(), float64(r.Cache.SSDWrites())/1000, r.Cache.Reclaims)
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // AblationMetaLog isolates the circular metadata log's contribution:
 // KDD with the log, KDD with metadata persistence disabled (lower bound),
 // and LeavO's uncoalesced per-update persistence (upper bound).
-func AblationMetaLog(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func AblationMetaLog(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 
@@ -124,9 +124,9 @@ func AblationMetaLog(scale float64, backend string) (string, error) {
 		{"KDD no persistence", StackOpts{Policy: PolicyKDD, DeltaMean: 0.25, CachePages: cachePages, DisableMetaLog: true}},
 		{"LeavO per-update", StackOpts{Policy: PolicyLeavO, CachePages: cachePages}},
 	}
-	results, err := fanOut(len(configs), func(i int) (*Result, error) {
+	results, err := FanOut(e.Parallel, len(configs), func(i int) (*Result, error) {
 		o := configs[i].opts
-		o.Backend = backend
+		o.Backend = e.Backend
 		r, err := runSim(spec, tr, o)
 		if err != nil {
 			return nil, fmt.Errorf("ablation metalog %s: %w", configs[i].label, err)
@@ -134,7 +134,7 @@ func AblationMetaLog(scale float64, backend string) (string, error) {
 		return r, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Ablation: metadata persistence (Fin1) ==\n")
@@ -146,24 +146,24 @@ func AblationMetaLog(scale float64, backend string) (string, error) {
 			c.label, float64(meta)/1000, float64(r.Cache.SSDWrites())/1000,
 			r.Cache.MetaShare()*100)
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // AblationAdmission measures the §V-C extension: a LARC-style selective
 // admission filter in front of KDD, which trims one-touch allocation
 // writes at some hit-ratio cost.
-func AblationAdmission(scale float64, backend string) (string, error) {
-	specs, traces, err := synthesizeAll([]workload.Spec{workload.Fin1, workload.Web0}, scale)
+func AblationAdmission(e Env) (Output, error) {
+	specs, traces, err := synthesizeAll(e, []workload.Spec{workload.Fin1, workload.Web0})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	modes := []bool{false, true}
-	results, err := fanOut(len(specs)*len(modes), func(i int) (*Result, error) {
+	results, err := FanOut(e.Parallel, len(specs)*len(modes), func(i int) (*Result, error) {
 		spec := specs[i/len(modes)]
 		sel := modes[i%len(modes)]
 		cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 		r, err := runSim(spec, traces[i/len(modes)], StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, SelectiveAdmission: sel,
 		})
 		if err != nil {
@@ -172,7 +172,7 @@ func AblationAdmission(scale float64, backend string) (string, error) {
 		return r, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Extension: LARC-style selective admission on KDD-25% ==\n")
@@ -190,23 +190,23 @@ func AblationAdmission(scale float64, backend string) (string, error) {
 				r.Cache.ReadFills+r.Cache.WriteAllocs, r.Cache.AdmissionRejects)
 		}
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // LifetimeSummary reports the headline endurance result: SSD write
 // traffic per policy on a write-dominant trace and the implied lifetime
 // improvement of KDD over LeavO and WT (the paper's "up to 5.1×").
-func LifetimeSummary(scale float64, backend string) (string, error) {
-	spec := workload.Hm0.Scale(scale)
+func LifetimeSummary(e Env) (Output, error) {
+	spec := workload.Hm0.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	// "Up to 5.1×" is a best case: it appears at the largest cache sizes,
 	// where write hits dominate and LeavO pays a whole page per update.
 	cachePages := roundWays(int64(0.8*float64(spec.UniqueTotal)), 256)
 
 	lineup := Policies(false, true, KDDLevels)
-	counts, err := fanOut(len(lineup), func(i int) (int64, error) {
+	counts, err := FanOut(e.Parallel, len(lineup), func(i int) (int64, error) {
 		po := lineup[i]
-		po.Backend = backend
+		po.Backend = e.Backend
 		po.CachePages = cachePages
 		r, err := runSim(spec, tr, po)
 		if err != nil {
@@ -215,7 +215,7 @@ func LifetimeSummary(scale float64, backend string) (string, error) {
 		return r.Cache.SSDWrites(), nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	writes := map[string]int64{}
 	order := []string{}
@@ -232,5 +232,5 @@ func LifetimeSummary(scale float64, backend string) (string, error) {
 			stats.Improvement(writes["WT"], writes[l]),
 			stats.Improvement(writes["LeavO"], writes[l]))
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }

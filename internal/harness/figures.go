@@ -10,11 +10,6 @@ import (
 	"kddcache/internal/workload"
 )
 
-// Scale shrinks every experiment proportionally (footprints, request
-// counts, cache sizes). 1.0 reproduces paper-sized runs; tests and quick
-// benches use much smaller values — the curves keep their shape because
-// cache sizes scale with footprints.
-//
 // KDDLevels are the content-locality levels evaluated throughout
 // (§IV-A2): average delta compression ratios 50%, 25%, 12%.
 var KDDLevels = []float64{0.50, 0.25, 0.12}
@@ -90,10 +85,10 @@ func runSim(spec workload.Spec, tr *trace.Trace, o StackOpts) (*Result, error) {
 
 // synthesizeAll scales and synthesizes every workload concurrently. The
 // returned traces are read-only and safe to share across jobs.
-func synthesizeAll(specs []workload.Spec, scale float64) ([]workload.Spec, []*trace.Trace, error) {
+func synthesizeAll(e Env, specs []workload.Spec) ([]workload.Spec, []*trace.Trace, error) {
 	scaled := make([]workload.Spec, len(specs))
-	traces, err := fanOut(len(specs), func(i int) (*trace.Trace, error) {
-		scaled[i] = specs[i].Scale(scale)
+	traces, err := FanOut(e.Parallel, len(specs), func(i int) (*trace.Trace, error) {
+		scaled[i] = specs[i].Scale(e.Scale)
 		return workload.Synthesize(scaled[i]), nil
 	})
 	if err != nil {
@@ -104,12 +99,13 @@ func synthesizeAll(specs []workload.Spec, scale float64) ([]workload.Spec, []*tr
 
 // TableI formats the synthesized workload characteristics next to the
 // paper's Table I targets.
-func TableI(scale float64) (string, error) {
+func TableI(e Env) (Output, error) {
 	specs := workload.TableI()
-	_, traces, err := synthesizeAll(specs, scale)
+	_, traces, err := synthesizeAll(e, specs)
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
+	scale := e.Scale
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table I: workload characteristics (scale %.3g) ==\n", scale)
 	fmt.Fprintf(&b, "%-12s %14s %14s %14s %12s %12s %10s\n",
@@ -125,27 +121,27 @@ func TableI(scale float64) (string, error) {
 			int64(float64(spec.ReadPages)*scale), int64(float64(spec.WritePages)*scale),
 			spec.ReadRatio())
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // Fig4 explores metadata partition sizing: the share of cache write
 // traffic spent on metadata I/O for partition sizes 0.39–0.98% of the
-// SSD, per workload, at a representative cache size. KDD-25% over
-// backend.
-func Fig4(scale float64, backend string) (string, []stats.Series, error) {
+// SSD, per workload, at a representative cache size. KDD-25% over the
+// Env's backend.
+func Fig4(e Env) (Output, error) {
 	fractions := []float64{0.0039, 0.0059, 0.0078, 0.0098}
 	specs := workload.TableI()
-	scaled, traces, err := synthesizeAll(specs, scale)
+	scaled, traces, err := synthesizeAll(e, specs)
 	if err != nil {
-		return "", nil, err
+		return Output{}, err
 	}
 	nf := len(fractions)
-	ys, err := fanOut(len(specs)*nf, func(i int) (float64, error) {
+	ys, err := FanOut(e.Parallel, len(specs)*nf, func(i int) (float64, error) {
 		si, fi := i/nf, i%nf
 		s, mf := scaled[si], fractions[fi]
 		cachePages := roundWays(int64(0.2*float64(s.UniqueTotal)), 256)
 		r, err := runSim(s, traces[si], StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, MetaFrac: mf,
 		})
 		if err != nil {
@@ -154,7 +150,7 @@ func Fig4(scale float64, backend string) (string, []stats.Series, error) {
 		return r.Cache.MetaShare() * 100, nil
 	})
 	if err != nil {
-		return "", nil, err
+		return Output{}, err
 	}
 	var series []stats.Series
 	for si, spec := range specs {
@@ -165,8 +161,8 @@ func Fig4(scale float64, backend string) (string, []stats.Series, error) {
 		}
 		series = append(series, se)
 	}
-	return stats.Table("Figure 4: metadata I/O share (%) vs metadata partition size (% of SSD)",
-		"meta part(%)", series), series, nil
+	return Output{Text: stats.Table("Figure 4: metadata I/O share (%) vs metadata partition size (% of SSD)",
+		"meta part(%)", series), XName: "metaPartPct", Series: series}, nil
 }
 
 // sweepResult bundles the per-policy curves of one workload sweep.
@@ -182,22 +178,22 @@ type sweepPoint struct {
 }
 
 // sweepAll runs the cache-size sweep of all policies over every workload
-// on backend, fanning the independent (workload × policy × size) points
-// over the worker pool in one flat batch.
-func sweepAll(specs []workload.Spec, scale float64, backend string, withWA bool) ([]*sweepResult, error) {
-	scaled, traces, err := synthesizeAll(specs, scale)
+// on the Env's backend, fanning the independent (workload × policy ×
+// size) points over the worker pool in one flat batch.
+func sweepAll(e Env, specs []workload.Spec, withWA bool) ([]*sweepResult, error) {
+	scaled, traces, err := synthesizeAll(e, specs)
 	if err != nil {
 		return nil, err
 	}
 	lineup := Policies(false, withWA, KDDLevels)
 	nf := len(cacheFractions)
 	perSpec := len(lineup) * nf
-	pts, err := fanOut(len(specs)*perSpec, func(i int) (sweepPoint, error) {
+	pts, err := FanOut(e.Parallel, len(specs)*perSpec, func(i int) (sweepPoint, error) {
 		si := i / perSpec
 		po := lineup[(i%perSpec)/nf]
 		frac := cacheFractions[i%nf]
 		s := scaled[si]
-		po.Backend = backend
+		po.Backend = e.Backend
 		po.CachePages = roundWays(int64(frac*float64(s.UniqueTotal)), 256)
 		r, err := runSim(s, traces[si], po)
 		if err != nil {
@@ -237,19 +233,19 @@ func sweepAll(specs []workload.Spec, scale float64, backend string, withWA bool)
 // Fig5 and Fig6: write-dominant traces (Fin1, Hm0).
 // Fig7 and Fig8: read-dominant traces (Fin2, Web0).
 
-// sweepFigure renders one panel per workload of a cache-size sweep on
-// backend, tabulating the curves series picks from it, labelled what.
-func sweepFigure(title, what string, specs []workload.Spec, scale float64, backend string, series func(*sweepResult) []stats.Series) (string, error) {
-	srs, err := sweepAll(specs, scale, backend, true)
+// sweepFigure renders one panel per workload of a cache-size sweep in
+// e, tabulating the curves series picks from it, labelled what.
+func sweepFigure(e Env, title, what string, specs []workload.Spec, series func(*sweepResult) []stats.Series) (Output, error) {
+	srs, err := sweepAll(e, specs, true)
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	for i, spec := range specs {
 		b.WriteString(stats.Table(fmt.Sprintf("%s — %s: %s vs cache size (Kpages)", title, spec.Name, what),
 			"cache(Kpg)", series(srs[i])))
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // hitOnly filters WA out of hit-ratio figures (the paper omits WA there:
@@ -268,23 +264,23 @@ func hitOnly(sr *sweepResult) []stats.Series {
 func traffic(sr *sweepResult) []stats.Series { return sr.traffic }
 
 // Fig5 is the write-dominant hit-ratio figure.
-func Fig5(scale float64, backend string) (string, error) {
-	return sweepFigure("Figure 5", "hit ratio", []workload.Spec{workload.Fin1, workload.Hm0}, scale, backend, hitOnly)
+func Fig5(e Env) (Output, error) {
+	return sweepFigure(e, "Figure 5", "hit ratio", []workload.Spec{workload.Fin1, workload.Hm0}, hitOnly)
 }
 
 // Fig6 is the write-dominant SSD-write-traffic figure.
-func Fig6(scale float64, backend string) (string, error) {
-	return sweepFigure("Figure 6", "SSD writes (Kpages)", []workload.Spec{workload.Fin1, workload.Hm0}, scale, backend, traffic)
+func Fig6(e Env) (Output, error) {
+	return sweepFigure(e, "Figure 6", "SSD writes (Kpages)", []workload.Spec{workload.Fin1, workload.Hm0}, traffic)
 }
 
 // Fig7 is the read-dominant hit-ratio figure.
-func Fig7(scale float64, backend string) (string, error) {
-	return sweepFigure("Figure 7", "hit ratio", []workload.Spec{workload.Fin2, workload.Web0}, scale, backend, hitOnly)
+func Fig7(e Env) (Output, error) {
+	return sweepFigure(e, "Figure 7", "hit ratio", []workload.Spec{workload.Fin2, workload.Web0}, hitOnly)
 }
 
 // Fig8 is the read-dominant SSD-write-traffic figure.
-func Fig8(scale float64, backend string) (string, error) {
-	return sweepFigure("Figure 8", "SSD writes (Kpages)", []workload.Spec{workload.Fin2, workload.Web0}, scale, backend, traffic)
+func Fig8(e Env) (Output, error) {
+	return sweepFigure(e, "Figure 8", "SSD writes (Kpages)", []workload.Spec{workload.Fin2, workload.Web0}, traffic)
 }
 
 // ReplayIOPS sets the open-loop replay rate per Table-I workload (the
@@ -334,22 +330,22 @@ func fig9Cell(s workload.Spec, tr *trace.Trace, po StackOpts, ob *obs.Obs) (*Sta
 // timing stack (HDD models + flash model): the prototype experiment of
 // §IV-B2. KDD runs at medium content locality (25%), like the paper.
 // Each workload is synthesized once and replayed by all of its cells.
-func Fig9(scale float64, backend string) (string, []stats.Series, error) {
+func Fig9(e Env) (Output, error) {
 	lineup := Policies(true, true, []float64{0.25})
 	specs := workload.TableI()
 	nw := len(specs)
 	scaled := make([]workload.Spec, nw)
-	traces, err := fanOut(nw, func(i int) (*trace.Trace, error) {
+	traces, err := FanOut(e.Parallel, nw, func(i int) (*trace.Trace, error) {
 		var tr *trace.Trace
-		scaled[i], tr = fig9Trace(specs[i], scale)
+		scaled[i], tr = fig9Trace(specs[i], e.Scale)
 		return tr, nil
 	})
 	if err != nil {
-		return "", nil, err
+		return Output{}, err
 	}
-	ys, err := fanOut(len(lineup)*nw, func(i int) (float64, error) {
+	ys, err := FanOut(e.Parallel, len(lineup)*nw, func(i int) (float64, error) {
 		po := lineup[i/nw]
-		po.Backend = backend
+		po.Backend = e.Backend
 		_, r, err := fig9Cell(scaled[i%nw], traces[i%nw], po, nil)
 		if err != nil {
 			return 0, fmt.Errorf("fig9 %w", err)
@@ -357,14 +353,14 @@ func Fig9(scale float64, backend string) (string, []stats.Series, error) {
 		return r.MeanResponseMs(), nil
 	})
 	if err != nil {
-		return "", nil, err
+		return Output{}, err
 	}
 	series := lineupSeries(lineup, []float64{0, 1, 2, 3}, ys)
 	var b strings.Builder
 	b.WriteString("== Figure 9: average response time (ms), open-loop replay ==\n")
 	b.WriteString("(x: 0=Fin1 1=Fin2 2=Hm0 3=Web0)\n")
 	b.WriteString(stats.Table("Figure 9", "workload#", series))
-	return b.String(), series, nil
+	return Output{Text: b.String(), XName: "workloadIdx", Series: series}, nil
 }
 
 // fioReadRates are the §IV-B3 sweep points.
@@ -393,29 +389,28 @@ func RunFIO(po StackOpts, readRate, scale float64) (*Result, error) {
 	return RunClosedLoop(st, spec)
 }
 
-// fioFigure fans the (policy × read rate) closed-loop grid on backend
-// over the worker pool and tabulates y of every cell against the read
-// rate.
-func fioFigure(lineup []StackOpts, scale float64, backend, figure, title string, y func(*Result) float64) (string, []stats.Series, error) {
+// fioFigure fans the (policy × read rate) closed-loop grid in e over the
+// worker pool and tabulates y of every cell against the read rate.
+func fioFigure(e Env, lineup []StackOpts, figure, title string, y func(*Result) float64) (Output, error) {
 	nr := len(fioReadRates)
-	ys, err := fanOut(len(lineup)*nr, func(i int) (float64, error) {
+	ys, err := FanOut(e.Parallel, len(lineup)*nr, func(i int) (float64, error) {
 		po, rr := lineup[i/nr], fioReadRates[i%nr]
-		po.Backend = backend
-		r, err := RunFIO(po, rr, scale)
+		po.Backend = e.Backend
+		r, err := RunFIO(po, rr, e.Scale)
 		if err != nil {
 			return 0, fmt.Errorf("%s %s rr=%.2f: %w", figure, po.Policy, rr, err)
 		}
 		return y(r), nil
 	})
 	if err != nil {
-		return "", nil, err
+		return Output{}, err
 	}
 	xs := make([]float64, nr)
 	for i, rr := range fioReadRates {
 		xs[i] = rr * 100
 	}
 	series := lineupSeries(lineup, xs, ys)
-	return stats.Table(title, "read rate(%)", series), series, nil
+	return Output{Text: stats.Table(title, "read rate(%)", series), XName: "readRatePct", Series: series}, nil
 }
 
 // lineupSeries arranges ys, indexed [policy][x], as one series per
@@ -429,38 +424,38 @@ func lineupSeries(lineup []StackOpts, xs, ys []float64) []stats.Series {
 }
 
 // Fig10 is the closed-loop average response time sweep over read rates.
-func Fig10(scale float64, backend string) (string, []stats.Series, error) {
-	return fioFigure(Policies(true, true, []float64{0.25}), scale, backend, "fig10",
+func Fig10(e Env) (Output, error) {
+	return fioFigure(e, Policies(true, true, []float64{0.25}), "fig10",
 		"Figure 10: average response time (ms) vs read rate (%), FIO closed loop", (*Result).MeanResponseMs)
 }
 
 // Fig11 is the closed-loop SSD write traffic sweep over read rates.
-func Fig11(scale float64, backend string) (string, []stats.Series, error) {
-	return fioFigure(Policies(false, true, []float64{0.25}), scale, backend, "fig11",
+func Fig11(e Env) (Output, error) {
+	return fioFigure(e, Policies(false, true, []float64{0.25}), "fig11",
 		"Figure 11: SSD write traffic (Kpages) vs read rate (%), FIO closed loop",
 		func(r *Result) float64 { return float64(r.Cache.SSDWrites()) / 1000 })
 }
 
 // TableII derives the qualitative policy comparison from a quick
-// closed-loop run at 25% reads on backend.
-func TableII(scale float64, backend string) (string, error) {
+// closed-loop run at 25% reads in e.
+func TableII(e Env) (Output, error) {
 	type row struct {
 		name    string
 		latency float64
 		writes  int64
 	}
 	lineup := Policies(false, true, []float64{0.25})
-	rows, err := fanOut(len(lineup), func(i int) (row, error) {
+	rows, err := FanOut(e.Parallel, len(lineup), func(i int) (row, error) {
 		po := lineup[i]
-		po.Backend = backend
-		r, err := RunFIO(po, 0.25, scale)
+		po.Backend = e.Backend
+		r, err := RunFIO(po, 0.25, e.Scale)
 		if err != nil {
 			return row{}, err
 		}
 		return row{string(po.Policy), r.MeanResponseMs(), r.Cache.SSDWrites()}, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	// Latency is "Low" if within 1.3x of the best; endurance is "Good" if
 	// SSD writes within 2x of the fewest (WA's read-fill-only floor).
@@ -487,5 +482,5 @@ func TableII(scale float64, backend string) (string, error) {
 		}
 		fmt.Fprintf(&b, "%-10s %14s %16s %12.2f %14d\n", r.name, lat, end, r.latency, r.writes)
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }

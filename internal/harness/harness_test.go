@@ -171,26 +171,26 @@ func TestPaperShapeReadDominant(t *testing.T) {
 }
 
 func TestTableIOutput(t *testing.T) {
-	out, err := TableI(tinyScale)
+	out, err := TableI(Env{Scale: tinyScale})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"Fin1", "Fin2", "Hm0", "Web0", "target"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("Table I output missing %q:\n%s", w, out)
+		if !strings.Contains(out.Text, w) {
+			t.Fatalf("Table I output missing %q:\n%s", w, out.Text)
 		}
 	}
 }
 
 func TestFig4MetaShareDecreasesWithPartitionSize(t *testing.T) {
-	out, series, err := Fig4(tinyScale, "kdd")
+	out, err := Fig4(Env{Scale: tinyScale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Figure 4") || len(series) != 4 {
-		t.Fatalf("fig4 output malformed:\n%s", out)
+	if !strings.Contains(out.Text, "Figure 4") || len(out.Series) != 4 {
+		t.Fatalf("fig4 output malformed:\n%s", out.Text)
 	}
-	for _, se := range series {
+	for _, se := range out.Series {
 		if len(se.Y) != 4 {
 			t.Fatalf("series %s has %d points", se.Label, len(se.Y))
 		}
@@ -207,15 +207,15 @@ func TestFig4MetaShareDecreasesWithPartitionSize(t *testing.T) {
 }
 
 func TestFig9LatencyOrdering(t *testing.T) {
-	out, series, err := Fig9(0.002, "kdd")
+	out, err := Fig9(Env{Scale: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Figure 9") {
+	if !strings.Contains(out.Text, "Figure 9") {
 		t.Fatal("missing title")
 	}
 	byLabel := map[string][]float64{}
-	for _, se := range series {
+	for _, se := range out.Series {
 		byLabel[se.Label] = se.Y
 	}
 	// KDD must beat Nossd and WT on the write-dominant traces (index 0 =
@@ -240,15 +240,15 @@ func TestFig9LatencyOrdering(t *testing.T) {
 }
 
 func TestFig10And11ClosedLoop(t *testing.T) {
-	out10, s10, err := Fig10(0.01, "kdd")
+	out10, err := Fig10(Env{Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out10, "Figure 10") {
+	if !strings.Contains(out10.Text, "Figure 10") {
 		t.Fatal("fig10 title missing")
 	}
 	lat := map[string][]float64{}
-	for _, se := range s10 {
+	for _, se := range out10.Series {
 		lat[se.Label] = se.Y
 	}
 	// At 0% reads KDD must beat WT and Nossd decisively.
@@ -265,12 +265,12 @@ func TestFig10And11ClosedLoop(t *testing.T) {
 		}
 	}
 
-	_, s11, err := Fig11(0.01, "kdd")
+	out11, err := Fig11(Env{Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wr := map[string][]float64{}
-	for _, se := range s11 {
+	for _, se := range out11.Series {
 		wr[se.Label] = se.Y
 	}
 	// WA has the least writes; KDD below WT and LeavO at every read rate.
@@ -294,49 +294,50 @@ func TestFig10And11ClosedLoop(t *testing.T) {
 }
 
 func TestTableIIDerived(t *testing.T) {
-	out, err := TableII(0.01, "kdd")
+	out, err := TableII(Env{Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"WT", "WA", "LeavO", "KDD"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("Table II missing %s:\n%s", w, out)
+		if !strings.Contains(out.Text, w) {
+			t.Fatalf("Table II missing %s:\n%s", w, out.Text)
 		}
 	}
 }
 
 func TestAblations(t *testing.T) {
-	if out, err := AblationPartition(tinyScale, "kdd"); err != nil || !strings.Contains(out, "dynamic") {
-		t.Fatalf("partition ablation: %v\n%s", err, out)
+	e := Env{Scale: tinyScale}
+	if out, err := AblationPartition(e); err != nil || !strings.Contains(out.Text, "dynamic") {
+		t.Fatalf("partition ablation: %v\n%s", err, out.Text)
 	}
-	if out, err := AblationReclaim(tinyScale, "kdd"); err != nil || !strings.Contains(out, "materialise") {
-		t.Fatalf("reclaim ablation: %v\n%s", err, out)
+	if out, err := AblationReclaim(e); err != nil || !strings.Contains(out.Text, "materialise") {
+		t.Fatalf("reclaim ablation: %v\n%s", err, out.Text)
 	}
-	if out, err := AblationMetaLog(tinyScale, "kdd"); err != nil || !strings.Contains(out, "circular log") {
-		t.Fatalf("metalog ablation: %v\n%s", err, out)
+	if out, err := AblationMetaLog(e); err != nil || !strings.Contains(out.Text, "circular log") {
+		t.Fatalf("metalog ablation: %v\n%s", err, out.Text)
 	}
 }
 
 func TestLifetimeSummary(t *testing.T) {
-	out, err := LifetimeSummary(tinyScale, "kdd")
+	out, err := LifetimeSummary(Env{Scale: tinyScale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "vs LeavO") {
-		t.Fatalf("lifetime summary malformed:\n%s", out)
+	if !strings.Contains(out.Text, "vs LeavO") {
+		t.Fatalf("lifetime summary malformed:\n%s", out.Text)
 	}
 }
 
 func TestFigures5Through8Render(t *testing.T) {
-	for name, f := range map[string]func(float64, string) (string, error){
+	for name, f := range map[string]func(Env) (Output, error){
 		"Fig5": Fig5, "Fig6": Fig6, "Fig7": Fig7, "Fig8": Fig8,
 	} {
-		out, err := f(tinyScale, "kdd")
+		out, err := f(Env{Scale: tinyScale})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !strings.Contains(out, "cache(Kpg)") {
-			t.Fatalf("%s output malformed:\n%s", name, out)
+		if !strings.Contains(out.Text, "cache(Kpg)") {
+			t.Fatalf("%s output malformed:\n%s", name, out.Text)
 		}
 	}
 }

@@ -31,8 +31,9 @@ type LSRaidResult struct {
 // repays parity through the delayed-parity protocol, the lsraid arm
 // absorbs the same writes as full-stripe log appends and pays with
 // segment GC copy-forward instead.
-func LSRaidCompareSweep(scale float64) (LSRaidResult, error) {
-	spec := workload.Fin1.Scale(scale)
+// It builds both arms whatever e's backend.
+func LSRaidCompareSweep(e Env) (LSRaidResult, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	// Open-loop replay: keep the arrival rate below the parity arm's
 	// RMW-limited service rate so the comparison measures per-request
 	// cost, not queueing collapse.
@@ -55,7 +56,7 @@ func LSRaidCompareSweep(scale float64) (LSRaidResult, error) {
 		gcSegs   int64
 	}
 	backends := []string{"kdd", "lsraid"}
-	rows, err := fanOut(len(backends), func(i int) (row, error) {
+	rows, err := FanOut(e.Parallel, len(backends), func(i int) (row, error) {
 		st, err := Build(StackOpts{
 			Policy: PolicyKDD, Backend: backends[i], DeltaMean: 0.25,
 			CachePages: cachePages, DiskPages: diskPages,
@@ -116,9 +117,9 @@ func LSRaidCompareSweep(scale float64) (LSRaidResult, error) {
 	return out, nil
 }
 
-// LSRaidCompare is the Experiments-map wrapper returning the formatted
+// LSRaidCompare is the registry entry point returning the formatted
 // table.
-func LSRaidCompare(scale float64) (string, error) {
-	r, err := LSRaidCompareSweep(scale)
-	return r.Table, err
+func LSRaidCompare(e Env) (Output, error) {
+	r, err := LSRaidCompareSweep(e)
+	return Output{Text: r.Table}, err
 }

@@ -20,7 +20,7 @@ func TestLSRaidCompareSweep(t *testing.T) {
 	}
 	// 0.004 is the smallest scale whose write volume wraps the log and
 	// forces the lsraid arm into steady-state GC.
-	res, err := LSRaidCompareSweep(0.004)
+	res, err := LSRaidCompareSweep(Env{Scale: 0.004})
 	if err != nil {
 		t.Fatal(err)
 	}

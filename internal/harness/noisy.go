@@ -186,13 +186,13 @@ func noisyArm(arm nnArm, backend string, dur sim.Time) (nnArmOut, error) {
 	return out, nil
 }
 
-// NoisyNeighborSweep runs all three arms on backend. scale sets the
-// run's virtual duration (scale 1.0 = 1000 virtual seconds, floored at
-// ten hysteresis windows so the ladder always has windows to walk).
-func NoisyNeighborSweep(scale float64, backend string) (NoisyResult, error) {
-	dur := max(sim.Time(1000*float64(sim.Second)*scale), 10*nnWindow)
-	arms, err := fanOut(len(nnArms), func(i int) (nnArmOut, error) {
-		return noisyArm(nnArms[i], backend, dur)
+// NoisyNeighborSweep runs all three arms on e's backend. The scale sets
+// the run's virtual duration (scale 1.0 = 1000 virtual seconds, floored
+// at ten hysteresis windows so the ladder always has windows to walk).
+func NoisyNeighborSweep(e Env) (NoisyResult, error) {
+	dur := max(sim.Time(1000*float64(sim.Second)*e.Scale), 10*nnWindow)
+	arms, err := FanOut(e.Parallel, len(nnArms), func(i int) (nnArmOut, error) {
+		return noisyArm(nnArms[i], e.Backend, dur)
 	})
 	if err != nil {
 		return NoisyResult{}, err
@@ -233,7 +233,7 @@ func NoisyNeighborSweep(scale float64, backend string) (NoisyResult, error) {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run, %s backend ==\n", dur, cmp.Or(backend, "kdd"))
+	fmt.Fprintf(&b, "== Noisy neighbor: per-tenant p99 under a 10x flood, %v virtual run, %s backend ==\n", dur, cmp.Or(e.Backend, "kdd"))
 	fmt.Fprintf(&b, "tenants: %s (aggressor offers %.0f IOPS against a %d IOPS budget)\n",
 		nnTenantSpec, nnOffered[2], specs[2].RateIOPS)
 	fmt.Fprintf(&b, "%-12s %-10s %9s %9s %9s %9s %9s %9s %10s %10s\n",
@@ -260,7 +260,7 @@ func NoisyNeighborSweep(scale float64, backend string) (NoisyResult, error) {
 }
 
 // NoisyNeighbor renders the experiment (the registry entry point).
-func NoisyNeighbor(scale float64, backend string) (string, []stats.Series, error) {
-	res, err := NoisyNeighborSweep(scale, backend)
-	return res.Table, res.Series, err
+func NoisyNeighbor(e Env) (Output, error) {
+	res, err := NoisyNeighborSweep(e)
+	return Output{Text: res.Table, XName: "armIdx", Series: res.Series}, err
 }

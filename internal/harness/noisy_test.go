@@ -14,7 +14,7 @@ import (
 // to the bypass rung. The unprotected arm must be strictly worse — that
 // is the interference being prevented.
 func TestNoisyNeighborIsolation(t *testing.T) {
-	res, err := NoisyNeighborSweep(0.02, "kdd")
+	res, err := NoisyNeighborSweep(Env{Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,25 +55,22 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 // gate, the replay loop and the timing stack are all virtual-time
 // deterministic.
 func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
-	defer SetParallelism(0)
-
-	SetParallelism(1)
-	serial, serialSeries, err := NoisyNeighbor(0.02, "kdd")
+	t.Parallel()
+	serial, err := NoisyNeighbor(Env{Scale: 0.02, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serialSeries) == 0 {
+	if len(serial.Series) == 0 {
 		t.Fatal("registry entry point dropped the tenant series")
 	}
 	for _, par := range []int{4, 16} {
-		SetParallelism(par)
-		got, err := NoisyNeighborSweep(0.02, "kdd")
+		got, err := NoisyNeighborSweep(Env{Scale: 0.02, Parallel: par})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
-		if got.Table != serial {
+		if got.Table != serial.Text {
 			t.Fatalf("noisy-neighbor output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				par, serial, got.Table)
+				par, serial.Text, got.Table)
 		}
 	}
 }
@@ -83,11 +80,11 @@ func TestDeterministicNoisyAcrossParallelism(t *testing.T) {
 // shows up as a diff of testdata/noisy.golden (regenerate with -update
 // after an intended change and say which rows moved).
 func TestNoisyNeighborGolden(t *testing.T) {
-	table, _, err := NoisyNeighbor(0.02, "kdd")
+	out, err := NoisyNeighbor(Env{Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "noisy.golden", []byte(table))
+	checkGolden(t, "noisy.golden", []byte(out.Text))
 }
 
 // TestNoisyNeighborLSRaid runs the experiment on the log-structured
@@ -96,7 +93,7 @@ func TestNoisyNeighborGolden(t *testing.T) {
 // and the table reports the measured ratios instead of an isolation
 // verdict it has nothing to rest on.
 func TestNoisyNeighborLSRaid(t *testing.T) {
-	res, err := NoisyNeighborSweep(0.02, "lsraid")
+	res, err := NoisyNeighborSweep(Env{Scale: 0.02, Backend: "lsraid"})
 	if err != nil {
 		t.Fatal(err)
 	}

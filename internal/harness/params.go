@@ -15,15 +15,15 @@ import (
 // AblationAssociativity sweeps the set associativity. Higher associativity
 // approaches global LRU (better hit ratios, slower lookups in real HW);
 // the stripe-aligned mapping needs sets at least as large as a stripe.
-func AblationAssociativity(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func AblationAssociativity(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 1024)
 
 	waySizes := []int{32, 64, 256, 1024}
-	results, err := fanOut(len(waySizes), func(i int) (*Result, error) {
+	results, err := FanOut(e.Parallel, len(waySizes), func(i int) (*Result, error) {
 		r, err := runSim(spec, tr, StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, Ways: waySizes[i],
 		})
 		if err != nil {
@@ -32,7 +32,7 @@ func AblationAssociativity(scale float64, backend string) (string, error) {
 		return r, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Parameter sweep: set associativity (Fin1, KDD-25%) ==\n")
@@ -42,14 +42,14 @@ func AblationAssociativity(scale float64, backend string) (string, error) {
 		fmt.Fprintf(&b, "%-8d %10.4f %14d %12d\n",
 			ways, r.Cache.HitRatio(), r.Cache.SSDWrites(), r.Cache.Evictions)
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // AblationStaging sweeps the NVRAM staging buffer size: a larger buffer
 // coalesces more deltas before each DEZ commit (fewer, denser delta
 // pages) at the cost of more battery-backed RAM.
-func AblationStaging(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func AblationStaging(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.15*float64(spec.UniqueTotal)), 256)
 
@@ -59,8 +59,8 @@ func AblationStaging(scale float64, backend string) (string, error) {
 		coalesced    int64
 	}
 	sizes := []int{1, 4, 16, 64}
-	points, err := fanOut(len(sizes), func(i int) (stagingPoint, error) {
-		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, Backend: backend, CachePages: cachePages}))
+	points, err := FanOut(e.Parallel, len(sizes), func(i int) (stagingPoint, error) {
+		st, err := Build(CellOpts(spec, tr, StackOpts{Policy: PolicyKDD, Backend: e.Backend, CachePages: cachePages}))
 		if err != nil {
 			return stagingPoint{}, err
 		}
@@ -86,7 +86,7 @@ func AblationStaging(scale float64, backend string) (string, error) {
 		}, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Parameter sweep: NVRAM staging buffer (Fin1, KDD-25%) ==\n")
@@ -97,5 +97,5 @@ func AblationStaging(scale float64, backend string) (string, error) {
 			points[i].deltaCommits, points[i].ssdWrites, points[i].coalesced)
 	}
 	b.WriteString("\nBigger buffers coalesce more repeat updates before committing a DEZ page.\n")
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }

@@ -28,11 +28,11 @@ type phaseOut struct {
 }
 
 // phaseRun replays one Table-I workload through a traced KDD stack over
-// backend.
-func phaseRun(spec workload.Spec, scale float64, backend string) (*phaseOut, error) {
+// e's backend.
+func phaseRun(e Env, spec workload.Spec) (*phaseOut, error) {
 	ob := obs.New()
-	s, tr := fig9Trace(spec, scale)
-	st, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25}, ob)
+	s, tr := fig9Trace(spec, e.Scale)
+	st, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25}, ob)
 	if err != nil {
 		return nil, fmt.Errorf("phases %w", err)
 	}
@@ -42,22 +42,22 @@ func phaseRun(spec workload.Spec, scale float64, backend string) (*phaseOut, err
 	return &phaseOut{name: spec.Name, ob: ob, st: st, spans: ob.Tracer.Spans()}, nil
 }
 
-// phaseRuns fans the Table-I workloads on backend over the worker pool
-// and merges their observability output in workload order
-// (deterministic at any pool width).
-func phaseRuns(scale float64, backend string) ([]*phaseOut, error) {
+// phaseRuns fans the Table-I workloads in e over the worker pool and
+// merges their observability output in workload order (deterministic at
+// any pool width).
+func phaseRuns(e Env) ([]*phaseOut, error) {
 	specs := workload.TableI()
-	return fanOut(len(specs), func(i int) (*phaseOut, error) {
-		return phaseRun(specs[i], scale, backend)
+	return FanOut(e.Parallel, len(specs), func(i int) (*phaseOut, error) {
+		return phaseRun(e, specs[i])
 	})
 }
 
 // PhaseBreakdown regenerates the per-phase latency attribution table:
 // one profile block per workload plus the all-workload merge.
-func PhaseBreakdown(scale float64, backend string) (string, error) {
-	outs, err := phaseRuns(scale, backend)
+func PhaseBreakdown(e Env) (Output, error) {
+	outs, err := phaseRuns(e)
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Phase-attributed latency (KDD, open-loop replay) ==\n")
@@ -69,7 +69,7 @@ func PhaseBreakdown(scale float64, backend string) (string, error) {
 	}
 	b.WriteString("\n-- all workloads --\n")
 	b.WriteString(merged.Table())
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // ObsOverheadRun replays the Fin1 workload through the KDD timing stack
@@ -94,13 +94,13 @@ func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
 }
 
 // PhaseArtifacts produces the machine-readable observability artifacts of
-// the phases experiment on the kdd backend: the concatenated JSONL trace
-// (per-workload tracers back to back, in Table-I order) and the
-// Prometheus text exposition of the merged registry. Both are
-// byte-identical at any worker-pool width and across same-seed runs; the
-// golden tests pin them.
-func PhaseArtifacts(scale float64) (trace, prom []byte, err error) {
-	outs, err := phaseRuns(scale, "kdd")
+// the phases experiment in e: the concatenated JSONL trace (per-workload
+// tracers back to back, in Table-I order) and the Prometheus text
+// exposition of the merged registry. Both are byte-identical at any
+// worker-pool width and across same-seed runs; the golden tests pin them
+// on the kdd backend.
+func PhaseArtifacts(e Env) (trace, prom []byte, err error) {
+	outs, err := phaseRuns(e)
 	if err != nil {
 		return nil, nil, err
 	}

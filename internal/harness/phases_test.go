@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kddcache/internal/obs"
@@ -178,11 +179,10 @@ func TestTraceProperties(t *testing.T) {
 // contract: the phases experiment's trace and metrics bytes must be
 // identical at any worker-pool width and across same-seed reruns.
 func TestPhaseArtifactsDeterministic(t *testing.T) {
-	defer SetParallelism(0)
+	t.Parallel()
 	const scale = 0.0005
 
-	SetParallelism(1)
-	tr1, pm1, err := PhaseArtifacts(scale)
+	tr1, pm1, err := PhaseArtifacts(Env{Scale: scale, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,7 @@ func TestPhaseArtifactsDeterministic(t *testing.T) {
 		t.Fatalf("empty artifacts: trace=%d prom=%d bytes", len(tr1), len(pm1))
 	}
 	for _, w := range []int{4, 16} {
-		SetParallelism(w)
-		trw, pmw, err := PhaseArtifacts(scale)
+		trw, pmw, err := PhaseArtifacts(Env{Scale: scale, Parallel: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,8 +201,7 @@ func TestPhaseArtifactsDeterministic(t *testing.T) {
 			t.Fatalf("metrics bytes differ between -parallel 1 and %d", w)
 		}
 	}
-	SetParallelism(1)
-	tr2, pm2, err := PhaseArtifacts(scale)
+	tr2, pm2, err := PhaseArtifacts(Env{Scale: scale, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +212,13 @@ func TestPhaseArtifactsDeterministic(t *testing.T) {
 
 // TestPhaseBreakdownRenders sanity-checks the human-readable table.
 func TestPhaseBreakdownRenders(t *testing.T) {
-	defer SetParallelism(0)
-	out, err := PhaseBreakdown(0.0005, "kdd")
+	out, err := PhaseBreakdown(Env{Scale: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Fin1", "all workloads", "raid_write", "share"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Errorf("phase table missing %q:\n%s", want, out)
+		if !strings.Contains(out.Text, want) {
+			t.Errorf("phase table missing %q:\n%s", want, out.Text)
 		}
 	}
 }

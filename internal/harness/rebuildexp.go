@@ -21,12 +21,12 @@ import (
 // trace a member dies; the table compares per-phase p99 response times
 // and their ratio, the time from failure to a fully redundant array, and
 // the rows reconstructed while foreground requests were in flight.
-func RebuildImpact(scale float64, backend string) (string, error) {
-	spec := workload.Fin2.Scale(scale)
+func RebuildImpact(e Env) (Output, error) {
+	spec := workload.Fin2.Scale(e.Scale)
 	spec.MeanIOPS = 100
-	rows, err := rebuildImpact(spec, backend)
+	rows, err := rebuildImpact(e, spec)
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Rebuild impact: time to full redundancy vs foreground tail latency ==\n")
@@ -36,7 +36,7 @@ func RebuildImpact(scale float64, backend string) (string, error) {
 		fmt.Fprintf(&b, "%-8s %16.2f %16.2f %14.2fx %16v %10d %11d\n",
 			row.name, row.healthyP99, row.rbP99, row.rbP99/row.healthyP99, row.rebuild, row.fgRows, row.drainRows)
 	}
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // impactRow is one policy's line of the rebuild-impact table.
@@ -52,18 +52,18 @@ type impactRow struct {
 const nossdRebuildRows = 8
 
 // rebuildImpact replays spec's trace through the Nossd and KDD stacks on
-// backend with a member failing a third of the way in, and returns one
-// row each.
-func rebuildImpact(spec workload.Spec, backend string) ([]impactRow, error) {
+// e's backend with a member failing a third of the way in, and returns
+// one row each.
+func rebuildImpact(e Env, spec workload.Spec) ([]impactRow, error) {
 	tr := workload.Synthesize(spec)
 	cachePages := quarterCache(spec)
 	failAt := len(tr.Requests) / 3
 
 	kinds := []PolicyKind{PolicyNossd, PolicyKDD}
-	return fanOut(len(kinds), func(ki int) (impactRow, error) {
+	return FanOut(e.Parallel, len(kinds), func(ki int) (impactRow, error) {
 		pk := kinds[ki]
 		o := WideCellOpts(spec, tr, StackOpts{
-			Policy: pk, Backend: backend, DeltaMean: 0.25,
+			Policy: pk, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages,
 			Timing:     true,
 		})

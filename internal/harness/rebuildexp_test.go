@@ -12,10 +12,11 @@ import (
 // both policies must reach full redundancy (a rebuild time is printed,
 // not "-"), and the table must carry one row per compared policy.
 func TestRebuildImpact(t *testing.T) {
-	out, err := RebuildImpact(0.002, "kdd")
+	res, err := RebuildImpact(Env{Scale: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.Text
 	for _, want := range []string{"Nossd", "KDD-25%", "rebuild/healthy", "rebuild time"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -35,16 +36,14 @@ func TestRebuildImpact(t *testing.T) {
 // TestRebuildImpactDeterministic: the experiment fans simulations over the
 // worker pool; its table must be byte-identical at any width.
 func TestRebuildImpactDeterministic(t *testing.T) {
-	SetParallelism(1)
-	a, errA := RebuildImpact(0.002, "kdd")
-	SetParallelism(4)
-	b, errB := RebuildImpact(0.002, "kdd")
-	SetParallelism(0)
+	t.Parallel()
+	a, errA := RebuildImpact(Env{Scale: 0.002, Parallel: 1})
+	b, errB := RebuildImpact(Env{Scale: 0.002, Parallel: 4})
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
-	if a != b {
-		t.Fatalf("serial and parallel tables diverge:\n--- serial\n%s--- parallel\n%s", a, b)
+	if a.Text != b.Text {
+		t.Fatalf("serial and parallel tables diverge:\n--- serial\n%s--- parallel\n%s", a.Text, b.Text)
 	}
 }
 
@@ -57,7 +56,7 @@ func TestRebuildImpactDeterministic(t *testing.T) {
 func TestRebuildTimeMatchesRate(t *testing.T) {
 	spec := workload.Fin2.Scale(0.002)
 	spec.MeanIOPS = 10
-	rows, err := rebuildImpact(spec, "kdd")
+	rows, err := rebuildImpact(Env{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

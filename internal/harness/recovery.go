@@ -15,8 +15,8 @@ import (
 // For each partition size it replays a workload on the timing stack,
 // crashes, and measures both the metadata GC traffic and the virtual time
 // the recovery scan takes (reading every live log page from flash).
-func RecoveryTradeoff(scale float64, backend string) (string, error) {
-	spec := workload.Fin1.Scale(scale)
+func RecoveryTradeoff(e Env) (Output, error) {
+	spec := workload.Fin1.Scale(e.Scale)
 	tr := workload.Synthesize(spec)
 	cachePages := roundWays(int64(0.2*float64(spec.UniqueTotal)), 256)
 
@@ -27,10 +27,10 @@ func RecoveryTradeoff(scale float64, backend string) (string, error) {
 		recovery     sim.Time
 	}
 	fracs := []float64{0.0039, 0.0059, 0.0098, 0.0197, 0.0394}
-	points, err := fanOut(len(fracs), func(i int) (tradeoffPoint, error) {
+	points, err := FanOut(e.Parallel, len(fracs), func(i int) (tradeoffPoint, error) {
 		mf := fracs[i]
 		st, err := Build(WideCellOpts(spec, tr, StackOpts{
-			Policy: PolicyKDD, Backend: backend, DeltaMean: 0.25,
+			Policy: PolicyKDD, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages, MetaFrac: mf,
 			Timing: true, SSDData: true,
 		}))
@@ -62,7 +62,7 @@ func RecoveryTradeoff(scale float64, backend string) (string, error) {
 		}, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Recovery tradeoff: metadata partition size vs GC cost and crash-recovery time ==\n")
@@ -74,15 +74,15 @@ func RecoveryTradeoff(scale float64, backend string) (string, error) {
 			mf*100, p.pagesWritten, p.gcPages, p.livePages, p.recovery)
 	}
 	b.WriteString("\nBigger partitions cut GC relogging but lengthen the head-to-tail recovery scan.\n")
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }
 
 // DegradedPerformance measures mean response time in three array states —
 // healthy, degraded (one disk lost), and during rebuild — for WT and KDD.
 // The paper motivates KDD partly by this cost: "user requests will be
 // adversely affected by the re-synchronization of RAID storage" (§II-B).
-func DegradedPerformance(scale float64, backend string) (string, error) {
-	spec := workload.Fin2.Scale(scale)
+func DegradedPerformance(e Env) (Output, error) {
+	spec := workload.Fin2.Scale(e.Scale)
 	spec.MeanIOPS = 100
 	tr := workload.Synthesize(spec)
 	cachePages := quarterCache(spec)
@@ -95,10 +95,10 @@ func DegradedPerformance(scale float64, backend string) (string, error) {
 		healthy, degraded, post float64
 	}
 	kinds := []PolicyKind{PolicyWT, PolicyKDD}
-	rows, err := fanOut(len(kinds), func(i int) (degradedRow, error) {
+	rows, err := FanOut(e.Parallel, len(kinds), func(i int) (degradedRow, error) {
 		pk := kinds[i]
 		st, err := Build(WideCellOpts(spec, tr, StackOpts{
-			Policy: pk, Backend: backend, DeltaMean: 0.25,
+			Policy: pk, Backend: e.Backend, DeltaMean: 0.25,
 			CachePages: cachePages,
 			Timing:     true,
 		}))
@@ -138,7 +138,7 @@ func DegradedPerformance(scale float64, backend string) (string, error) {
 		return degradedRow{name: st.Policy.Name(), healthy: healthy, degraded: degraded, post: post}, nil
 	})
 	if err != nil {
-		return "", err
+		return Output{}, err
 	}
 	var b strings.Builder
 	b.WriteString("== Degraded-mode performance: mean response time (ms) by array state ==\n")
@@ -147,5 +147,5 @@ func DegradedPerformance(scale float64, backend string) (string, error) {
 		fmt.Fprintf(&b, "%-8s %12.2f %12.2f %14.2f\n", row.name, row.healthy, row.degraded, row.post)
 	}
 	b.WriteString("\nDegraded reads pay full-row reconstruction; caching absorbs part of the hit.\n")
-	return b.String(), nil
+	return Output{Text: b.String()}, nil
 }

@@ -10,10 +10,11 @@ import (
 )
 
 func TestRecoveryTradeoffOutput(t *testing.T) {
-	out, err := RecoveryTradeoff(0.004, "kdd")
+	res, err := RecoveryTradeoff(Env{Scale: 0.004})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.Text
 	for _, w := range []string{"partition", "recovery time", "0.39%", "3.94%"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("missing %q in:\n%s", w, out)
@@ -49,42 +50,42 @@ func TestRecoveryTimeIndependentOfBackend(t *testing.T) {
 	for i, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
 			t.Parallel()
-			out, err := RecoveryTradeoff(0.004, backend)
+			out, err := RecoveryTradeoff(Env{Scale: 0.004, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, l := range strings.Split(out, "\n") {
+			for _, l := range strings.Split(out.Text, "\n") {
 				if f := strings.Fields(l); len(f) == 5 && strings.HasSuffix(f[0], "%") {
 					cols[i] = append(cols[i], f[4])
 				}
 			}
 			if len(cols[i]) != 5 {
-				t.Fatalf("found %d rows, want 5:\n%s", len(cols[i]), out)
+				t.Fatalf("found %d rows, want 5:\n%s", len(cols[i]), out.Text)
 			}
 		})
 	}
 }
 
 func TestDegradedPerformanceOutput(t *testing.T) {
-	out, err := DegradedPerformance(0.004, "kdd")
+	out, err := DegradedPerformance(Env{Scale: 0.004})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"healthy", "degraded", "post-rebuild", "WT", "KDD"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("missing %q in:\n%s", w, out)
+		if !strings.Contains(out.Text, w) {
+			t.Fatalf("missing %q in:\n%s", w, out.Text)
 		}
 	}
 }
 
 func TestAblationAdmissionOutput(t *testing.T) {
-	out, err := AblationAdmission(0.004, "kdd")
+	out, err := AblationAdmission(Env{Scale: 0.004})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"LARC", "always", "rejects"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("missing %q in:\n%s", w, out)
+		if !strings.Contains(out.Text, w) {
+			t.Fatalf("missing %q in:\n%s", w, out.Text)
 		}
 	}
 }

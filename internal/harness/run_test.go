@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"kddcache/internal/core"
@@ -123,29 +124,34 @@ func TestRunTraceIdleTriggersCleaner(t *testing.T) {
 	}
 }
 
+// TestMotivationOutput: the table has every policy row, and §I's
+// small-write argument is printed only where the array has small writes;
+// on lsraid the sentence gives way to NVB's measured ratio.
 func TestMotivationOutput(t *testing.T) {
-	out, err := Motivation(0.004, "kdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{"Nossd", "PLog", "NVB", "WB", "KDD"} {
-		if !containsLine(out, w) {
-			t.Fatalf("missing %q in:\n%s", w, out)
+	const penalty = "sustained writes still pay the small-write penalty"
+	for _, c := range []struct {
+		backend string
+		want    []string
+		absent  []string
+	}{
+		{"kdd", []string{"Nossd", "PLog", "NVB", "WB", "KDD", penalty}, nil},
+		{"lsraid", []string{"Nossd", "NVB-2%", "WB", "KDD", "x Nossd's mean"}, []string{"PLog", penalty}},
+	} {
+		out, err := Motivation(Env{Scale: 0.004, Backend: c.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out.Text, w) {
+				t.Fatalf("%s: missing %q in:\n%s", c.backend, w, out.Text)
+			}
+		}
+		for _, w := range c.absent {
+			if strings.Contains(out.Text, w) {
+				t.Fatalf("%s: %q in:\n%s", c.backend, w, out.Text)
+			}
 		}
 	}
-}
-
-func containsLine(out, w string) bool {
-	return len(out) > 0 && (stringIndex(out, w) >= 0)
-}
-
-func stringIndex(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestPoliciesLineup(t *testing.T) {

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"kddcache/internal/stats"
 )
 
 // This file implements the deterministic fan-out runner every experiment
@@ -20,35 +24,49 @@ import (
 // the error of the lowest-numbered failed job is returned, which is the
 // same error a serial run would report whenever a single job is at fault.
 
-// maxParallel is the configured pool width; 0 selects GOMAXPROCS.
-var maxParallel atomic.Int64
-
-// SetParallelism sets the worker-pool width used by every experiment
-// driver (figures, tables, ablations, chaos schedules). n <= 0 restores
-// the default, GOMAXPROCS.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	maxParallel.Store(int64(n))
+// Env is what every experiment runs in. Scale shrinks the experiment
+// proportionally — footprints, request counts and cache sizes, so the
+// curves keep their shape; 1.0 is paper-sized. Backend is the array its
+// stacks are built on ("kdd" or "lsraid"; empty means kdd), and Parallel
+// is the worker-pool width its jobs fan out on (<= 0 selects
+// GOMAXPROCS). The output is byte-identical at any width.
+type Env struct {
+	Scale    float64
+	Backend  string
+	Parallel int
 }
 
-// Parallelism returns the effective worker-pool width.
-func Parallelism() int {
-	if n := int(maxParallel.Load()); n > 0 {
-		return n
+// Check reports an Env no experiment can run in — a scale that is not a
+// positive finite number, or an unknown backend — wrapping ErrOptions.
+func (e Env) Check() error {
+	switch {
+	case !(e.Scale > 0) || math.IsInf(e.Scale, 1):
+		return fmt.Errorf("%w: scale %g is not a positive finite number", ErrOptions, e.Scale)
+	case e.Backend != "" && e.Backend != "kdd" && e.Backend != "lsraid":
+		return fmt.Errorf("%w: unknown backend %q", ErrOptions, e.Backend)
 	}
-	return runtime.GOMAXPROCS(0)
+	return nil
 }
 
-// fanOutN runs n independent jobs f(0..n-1) on a pool of at most parallel
-// workers (parallel <= 0 selects Parallelism()) and returns their results
-// in index order. Jobs must be self-contained: they may share read-only
+// Output is one run of an experiment: the formatted table the paper's
+// figure or table corresponds to and, for the experiments that produce
+// plottable series, the x-axis name and the series (XName is "" when
+// there are none).
+type Output struct {
+	Text   string
+	XName  string
+	Series []stats.Series
+}
+
+// FanOut runs n independent jobs f(0..n-1) on a pool of at most parallel
+// workers (parallel <= 0 selects GOMAXPROCS) and returns their results in
+// index order. Jobs must be self-contained: they may share read-only
 // inputs (a synthesized trace, a workload spec slice) but must not write
-// to anything another job reads.
-func fanOutN[T any](parallel, n int, f func(i int) (T, error)) ([]T, error) {
+// to anything another job reads. The crash-consistency checker fans its
+// per-fault-site replay runs out on it too.
+func FanOut[T any](parallel, n int, f func(i int) (T, error)) ([]T, error) {
 	if parallel <= 0 {
-		parallel = Parallelism()
+		parallel = runtime.GOMAXPROCS(0)
 	}
 	if parallel > n {
 		parallel = n
@@ -96,17 +114,4 @@ func fanOutN[T any](parallel, n int, f func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// fanOut is fanOutN at the configured Parallelism().
-func fanOut[T any](n int, f func(i int) (T, error)) ([]T, error) {
-	return fanOutN[T](0, n, f)
-}
-
-// FanOut exposes the runner to sibling packages (the crash-consistency
-// checker fans its per-fault-site replay runs out on it): n independent
-// jobs on at most parallel workers (<= 0 selects Parallelism()), results
-// in index order, first error cancels not-yet-started jobs.
-func FanOut[T any](parallel, n int, f func(i int) (T, error)) ([]T, error) {
-	return fanOutN[T](parallel, n, f)
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -12,7 +11,7 @@ import (
 func TestFanOutOrderAndWidths(t *testing.T) {
 	const n = 37
 	for _, par := range []int{1, 2, 3, 8, 64} {
-		got, err := fanOutN(par, n, func(i int) (int, error) { return i * i, nil })
+		got, err := FanOut(par, n, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -33,7 +32,7 @@ func TestFanOutOrderAndWidths(t *testing.T) {
 func TestFanOutReturnsLowestIndexError(t *testing.T) {
 	errLow := errors.New("low")
 	for _, par := range []int{1, 4} {
-		_, err := fanOutN(par, 16, func(i int) (int, error) {
+		_, err := FanOut(par, 16, func(i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, errLow
@@ -53,7 +52,7 @@ func TestFanOutReturnsLowestIndexError(t *testing.T) {
 func TestFanOutCancelsAfterError(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")
-	_, err := fanOutN(2, 10_000, func(i int) (int, error) {
+	_, err := FanOut(2, 10_000, func(i int) (int, error) {
 		started.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -74,40 +73,19 @@ func TestFanOutCancelsAfterError(t *testing.T) {
 // acceptance test: a representative sweep experiment (Fig6) must render
 // byte-identical output serially and at several pool widths.
 func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
-	defer SetParallelism(0)
-
-	SetParallelism(1)
-	serial, err := Fig6(tinyScale, "kdd")
+	t.Parallel()
+	serial, err := Fig6(Env{Scale: tinyScale, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4} {
-		SetParallelism(par)
-		got, err := Fig6(tinyScale, "kdd")
+		got, err := Fig6(Env{Scale: tinyScale, Parallel: par})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
-		if got != serial {
+		if got.Text != serial.Text {
 			t.Fatalf("fig6 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				par, serial, got)
+				par, serial.Text, got.Text)
 		}
-	}
-}
-
-// TestParallelismKnob pins the SetParallelism/Parallelism contract.
-func TestParallelismKnob(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", got)
-	}
-	SetParallelism(-5)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("Parallelism() = %d after reset; want >= 1", got)
-	}
-	// Sanity: the pool actually works at the configured width.
-	out, err := fanOut(5, func(i int) (string, error) { return fmt.Sprint(i), nil })
-	if err != nil || len(out) != 5 {
-		t.Fatalf("fanOut under knob: %v %v", out, err)
 	}
 }

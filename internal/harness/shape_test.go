@@ -12,7 +12,7 @@ import (
 
 // sweep runs a cache-size sweep of all policies over one workload.
 func sweep(spec workload.Spec, scale float64, withWA bool) (*sweepResult, error) {
-	srs, err := sweepAll([]workload.Spec{spec}, scale, "kdd", withWA)
+	srs, err := sweepAll(Env{Scale: scale}, []workload.Spec{spec}, withWA)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the stack: a span tracer
 // keyed to virtual time (sim.Time), a deterministic JSONL trace format,
-// a phase-attribution profile, and a counter/gauge/histogram registry
+// a phase-attribution profile, and a counter/gauge registry
 // with Prometheus-text exposition.
 //
 // Everything here is deterministic by construction: no wall clock, no

@@ -7,13 +7,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"kddcache/internal/stats"
 )
 
 // Registry is a snapshot-style metrics registry: layers publish their
-// current counters/gauges/histograms into it after a run (or at a
-// checkpoint), and it renders deterministic Prometheus exposition text.
+// current counters and gauges into it after a run (or at a checkpoint),
+// and it renders deterministic Prometheus exposition text.
 //
 // Naming scheme: `layer_metric_unit_total` for counters
 // (`kdd_read_hits_total`), `layer_metric` for gauges (`kdd_dirty_pages`),
@@ -29,52 +27,39 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
-}
-
-type histSnap struct {
-	count   int64
-	sum     int64
-	buckets [64]int64
+	return "gauge"
 }
 
 type metric struct {
 	name   string // full series name, labels included
-	family string
-	labels string // inside the braces, "" when unlabelled
+	family string // the name up to the label block
 	help   string
 	kind   metricKind
 	ival   int64
 	fval   float64
-	hist   histSnap
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{m: make(map[string]*metric)} }
 
-func splitSeries(name string) (family, labels string) {
+// family returns a series name up to its label block.
+func family(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 && strings.HasSuffix(name, "}") {
-		return name[:i], name[i+1 : len(name)-1]
+		return name[:i]
 	}
-	return name, ""
+	return name
 }
 
 func (r *Registry) set(name, help string, kind metricKind) *metric {
 	m, ok := r.m[name]
 	if !ok {
-		family, labels := splitSeries(name)
-		m = &metric{name: name, family: family, labels: labels}
+		m = &metric{name: name, family: family(name)}
 		r.m[name] = m
 	}
 	m.help = help
@@ -90,12 +75,6 @@ func (r *Registry) SetCounter(name, help string, v int64) {
 // SetGauge publishes a gauge series.
 func (r *Registry) SetGauge(name, help string, v float64) {
 	r.set(name, help, kindGauge).fval = v
-}
-
-// SetHistogram publishes a snapshot of h as a Prometheus histogram.
-func (r *Registry) SetHistogram(name, help string, h *stats.Histogram) {
-	m := r.set(name, help, kindHistogram)
-	m.hist = histSnap{count: h.Count(), sum: h.Sum(), buckets: h.Buckets()}
 }
 
 // Counter returns the value of a counter series (0, false if absent or
@@ -142,20 +121,6 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func (m *metric) series(suffix, extraLabel string) string {
-	labels := m.labels
-	if extraLabel != "" {
-		if labels != "" {
-			labels += ","
-		}
-		labels += extraLabel
-	}
-	if labels == "" {
-		return m.family + suffix
-	}
-	return m.family + suffix + "{" + labels + "}"
-}
-
 // WritePrometheus renders the registry as Prometheus text exposition,
 // sorted by (family, series) so equal registries produce equal bytes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -171,30 +136,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", m.family, help)
 			fmt.Fprintf(&b, "# TYPE %s %s\n", m.family, m.kind)
 		}
-		switch m.kind {
-		case kindCounter:
+		if m.kind == kindCounter {
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.ival)
-		case kindGauge:
+		} else {
 			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.fval))
-		case kindHistogram:
-			last := -1
-			for i := 63; i >= 0; i-- {
-				if m.hist.buckets[i] != 0 {
-					last = i
-					break
-				}
-			}
-			cum := int64(0)
-			for i := 0; i <= last; i++ {
-				cum += m.hist.buckets[i]
-				// bucket i holds v with floor(log2 v) == i, so the
-				// inclusive upper bound is 2^(i+1)-1.
-				le := strconv.FormatUint(1<<(uint(i)+1)-1, 10)
-				fmt.Fprintf(&b, "%s %d\n", m.series("_bucket", `le="`+le+`"`), cum)
-			}
-			fmt.Fprintf(&b, "%s %d\n", m.series("_bucket", `le="+Inf"`), m.hist.count)
-			fmt.Fprintf(&b, "%s %d\n", m.series("_sum", ""), m.hist.sum)
-			fmt.Fprintf(&b, "%s %d\n", m.series("_count", ""), m.hist.count)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -202,8 +147,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Validate checks every published series for sanity: counters must be
-// non-negative, gauges finite, histogram bucket totals must equal their
-// counts, and one family must not mix metric kinds. The crash-recovery
+// non-negative, gauges finite, and one family must not mix metric kinds. The crash-recovery
 // checker runs this after every restore.
 func (r *Registry) Validate() error {
 	kinds := make(map[string]metricKind)
@@ -220,20 +164,6 @@ func (r *Registry) Validate() error {
 		case kindGauge:
 			if math.IsNaN(m.fval) || math.IsInf(m.fval, 0) {
 				return fmt.Errorf("obs: gauge %s is not finite (%v)", m.name, m.fval)
-			}
-		case kindHistogram:
-			if m.hist.count < 0 {
-				return fmt.Errorf("obs: histogram %s has negative count (%d)", m.name, m.hist.count)
-			}
-			total := int64(0)
-			for _, c := range m.hist.buckets {
-				if c < 0 {
-					return fmt.Errorf("obs: histogram %s has a negative bucket", m.name)
-				}
-				total += c
-			}
-			if total != m.hist.count {
-				return fmt.Errorf("obs: histogram %s buckets sum to %d, count is %d", m.name, total, m.hist.count)
 			}
 		}
 	}

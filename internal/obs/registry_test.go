@@ -3,8 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"kddcache/internal/stats"
 )
 
 func TestRegistryExposition(t *testing.T) {
@@ -31,37 +29,6 @@ zzz_last_total 3
 `
 	if b.String() != want {
 		t.Fatalf("exposition mismatch:\n got:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-func TestRegistryHistogramExposition(t *testing.T) {
-	h := stats.NewHistogram(16)
-	h.Observe(1) // bucket 0 (le 1)
-	h.Observe(3) // bucket 1 (le 3)
-	h.Observe(3)
-	h.Observe(9) // bucket 3 (le 15)
-
-	reg := NewRegistry()
-	reg.SetHistogram("lat_ns", "Latency.", h)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP lat_ns Latency.
-# TYPE lat_ns histogram
-lat_ns_bucket{le="1"} 1
-lat_ns_bucket{le="3"} 3
-lat_ns_bucket{le="7"} 3
-lat_ns_bucket{le="15"} 4
-lat_ns_bucket{le="+Inf"} 4
-lat_ns_sum 16
-lat_ns_count 4
-`
-	if b.String() != want {
-		t.Fatalf("histogram exposition mismatch:\n got:\n%s\nwant:\n%s", b.String(), want)
-	}
-	if err := reg.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -218,8 +218,7 @@ func (h *Histogram) Sum() int64 { return h.sum }
 
 // Buckets returns a copy of the power-of-two bucket counts: buckets[i]
 // holds observations v with floor(log2 v) == i (bucket 0 also takes
-// v <= 1). Exposition layers (the obs registry) render these as
-// cumulative Prometheus buckets.
+// v <= 1).
 func (h *Histogram) Buckets() [64]int64 { return h.buckets }
 
 // Mean returns the exact mean of all observations (0 if empty).

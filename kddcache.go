@@ -344,11 +344,12 @@ func (s *System) QoSRung(t int) (int, error) {
 // paper-sized runs use 1.0 via the cmd tools).
 const ExperimentScale = 0.02
 
-// SetParallelism sets the worker-pool width used by every experiment
-// driver. Each experiment fans its independent (workload × policy × sweep
-// point) simulations over the pool; outputs are byte-identical at any
-// width. n <= 0 restores the default, GOMAXPROCS.
-func SetParallelism(n int) { harness.SetParallelism(n) }
+// ExperimentEnv is what an experiment runs in: its scale, the array
+// backend its stacks are built on ("kdd" or "lsraid"; empty means
+// "kdd"), and the worker-pool width its independent (workload × policy ×
+// sweep point) simulations fan out on (<= 0 selects GOMAXPROCS; the
+// output is byte-identical at any width).
+type ExperimentEnv = harness.Env
 
 // ExperimentResult is one run of an experiment: the formatted table the
 // paper's figure/table corresponds to and, for the experiments that
@@ -356,78 +357,50 @@ func SetParallelism(n int) { harness.SetParallelism(n) }
 // when there are none). As CSV, the series come from
 // `kddsim -experiment <name> -csv <file>`, and kddfigs writes one
 // <name>.csv beside each figure's text table.
-type ExperimentResult struct {
-	Text   string
-	XName  string
-	Series []stats.Series
+type ExperimentResult = harness.Output
+
+// Experiments maps experiment names to their runners. Call them through
+// Experiment, which checks the Env first.
+var Experiments = map[string]func(ExperimentEnv) (ExperimentResult, error){
+	"table1":              harness.TableI,
+	"fig4":                harness.Fig4,
+	"fig5":                harness.Fig5,
+	"fig6":                harness.Fig6,
+	"fig7":                harness.Fig7,
+	"fig8":                harness.Fig8,
+	"fig9":                harness.Fig9,
+	"fig10":               harness.Fig10,
+	"fig11":               harness.Fig11,
+	"table2":              harness.TableII,
+	"ablation-partition":  harness.AblationPartition,
+	"ablation-reclaim":    harness.AblationReclaim,
+	"ablation-metalog":    harness.AblationMetaLog,
+	"lifetime":            harness.LifetimeSummary,
+	"recovery-tradeoff":   harness.RecoveryTradeoff,
+	"degraded":            harness.DegradedPerformance,
+	"rebuild-impact":      harness.RebuildImpact,
+	"ablation-admission":  harness.AblationAdmission,
+	"motivation":          harness.Motivation,
+	"phases":              harness.PhaseBreakdown,
+	"sweep-associativity": harness.AblationAssociativity,
+	"sweep-staging":       harness.AblationStaging,
+	"noisy-neighbor":      harness.NoisyNeighbor,
+	"lsraid-compare":      harness.LSRaidCompare,
 }
 
-// table adapts a text-only experiment runner.
-func table(f func(float64, string) (string, error)) func(float64, string) (ExperimentResult, error) {
-	return func(s float64, backend string) (ExperimentResult, error) {
-		out, err := f(s, backend)
-		return ExperimentResult{Text: out}, err
-	}
-}
-
-// plot adapts a runner that also returns series over the x axis xName.
-func plot(xName string, f func(float64, string) (string, []stats.Series, error)) func(float64, string) (ExperimentResult, error) {
-	return func(s float64, backend string) (ExperimentResult, error) {
-		out, series, err := f(s, backend)
-		return ExperimentResult{Text: out, XName: xName, Series: series}, err
-	}
-}
-
-// anyBackend adapts a text-only runner that takes no backend: Table I
-// builds no stack, and the head-to-head runs both.
-func anyBackend(f func(float64) (string, error)) func(float64, string) (ExperimentResult, error) {
-	return table(func(s float64, _ string) (string, error) { return f(s) })
-}
-
-// Experiments maps experiment names to their runners. Each takes the
-// scale and the array backend its stacks are built on ("kdd" or
-// "lsraid"; empty means "kdd").
-var Experiments = map[string]func(scale float64, backend string) (ExperimentResult, error){
-	"table1":              anyBackend(harness.TableI),
-	"fig4":                plot("metaPartPct", harness.Fig4),
-	"fig5":                table(harness.Fig5),
-	"fig6":                table(harness.Fig6),
-	"fig7":                table(harness.Fig7),
-	"fig8":                table(harness.Fig8),
-	"fig9":                plot("workloadIdx", harness.Fig9),
-	"fig10":               plot("readRatePct", harness.Fig10),
-	"fig11":               plot("readRatePct", harness.Fig11),
-	"table2":              table(harness.TableII),
-	"ablation-partition":  table(harness.AblationPartition),
-	"ablation-reclaim":    table(harness.AblationReclaim),
-	"ablation-metalog":    table(harness.AblationMetaLog),
-	"lifetime":            table(harness.LifetimeSummary),
-	"recovery-tradeoff":   table(harness.RecoveryTradeoff),
-	"degraded":            table(harness.DegradedPerformance),
-	"rebuild-impact":      table(harness.RebuildImpact),
-	"ablation-admission":  table(harness.AblationAdmission),
-	"motivation":          table(harness.Motivation),
-	"phases":              table(harness.PhaseBreakdown),
-	"sweep-associativity": table(harness.AblationAssociativity),
-	"sweep-staging":       table(harness.AblationStaging),
-	"noisy-neighbor":      plot("armIdx", harness.NoisyNeighbor),
-	"lsraid-compare":      anyBackend(harness.LSRaidCompare),
-}
-
-// Experiment runs one named experiment at the given scale on backend.
-func Experiment(name string, scale float64, backend string) (ExperimentResult, error) {
+// Experiment runs one named experiment in env. An Env no experiment can
+// run in (a scale that is not a positive finite number, an unknown
+// backend) is an error wrapping harness.ErrOptions, before any job
+// starts.
+func Experiment(name string, env ExperimentEnv) (ExperimentResult, error) {
 	f, ok := Experiments[name]
 	if !ok {
 		return ExperimentResult{}, fmt.Errorf("kddcache: unknown experiment %q", name)
 	}
-	return f(scale, backend)
-}
-
-// RunExperiment executes one named experiment at the given scale on
-// backend and returns its formatted table.
-func RunExperiment(name string, scale float64, backend string) (string, error) {
-	res, err := Experiment(name, scale, backend)
-	return res.Text, err
+	if err := env.Check(); err != nil {
+		return ExperimentResult{}, err
+	}
+	return f(env)
 }
 
 // Workloads returns the paper's Table I workload specifications.

@@ -3,6 +3,7 @@ package kddcache
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -436,7 +437,7 @@ func TestReplaceMemberBothBackends(t *testing.T) {
 			{"degraded and rebuild-impact", func(t *testing.T) {
 				t.Parallel()
 				for _, exp := range []string{"degraded", "rebuild-impact"} {
-					if _, err := RunExperiment(exp, 0.002, backend); err != nil {
+					if _, err := Experiment(exp, ExperimentEnv{Scale: 0.002, Backend: backend}); err != nil {
 						t.Fatalf("%s: %v", exp, err)
 					}
 				}
@@ -756,19 +757,16 @@ func TestQoSStateSurvivesCrashAndRecover(t *testing.T) {
 }
 
 func TestRunExperimentFacade(t *testing.T) {
-	out, err := RunExperiment("table1", 0.002, "kdd")
+	out, err := Experiment("table1", ExperimentEnv{Scale: 0.002, Backend: "kdd"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Fin1") {
-		t.Fatalf("table1 output malformed:\n%s", out)
-	}
-	if _, err := RunExperiment("nope", 1, "kdd"); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if !strings.Contains(out.Text, "Fin1") {
+		t.Fatalf("table1 output malformed:\n%s", out.Text)
 	}
 	// One run carries both the table and, where the experiment has them,
 	// the series a CSV export writes.
-	noisy, err := Experiment("noisy-neighbor", 0.002, "kdd")
+	noisy, err := Experiment("noisy-neighbor", ExperimentEnv{Scale: 0.002, Backend: "kdd"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,10 +778,30 @@ func TestRunExperimentFacade(t *testing.T) {
 	if noisy.XName != "armIdx" || len(noisy.Series) == 0 {
 		t.Fatalf("noisy-neighbor run has x axis %q and %d series", noisy.XName, len(noisy.Series))
 	}
-	if _, err := Experiment("nope", 1, "kdd"); err == nil {
+	if _, err := Experiment("nope", ExperimentEnv{Scale: 1}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Workloads()) != 4 {
 		t.Fatal("workloads facade wrong")
+	}
+}
+
+// TestExperimentRejectsBadEnv: an Env no experiment can run in is an
+// ErrOptions from every registered experiment before any job starts —
+// never a panic inside the pool, never a run on an unknown backend.
+func TestExperimentRejectsBadEnv(t *testing.T) {
+	bad := map[string]ExperimentEnv{
+		"scale 0":       {Scale: 0},
+		"scale -1":      {Scale: -1},
+		"scale NaN":     {Scale: math.NaN()},
+		"scale +Inf":    {Scale: math.Inf(1)},
+		"backend bogus": {Scale: 0.001, Backend: "bogus"},
+	}
+	for name := range Experiments {
+		for what, env := range bad {
+			if _, err := Experiment(name, env); !errors.Is(err, harness.ErrOptions) {
+				t.Errorf("%s with %s: err %v, want harness.ErrOptions", name, what, err)
+			}
+		}
 	}
 }
