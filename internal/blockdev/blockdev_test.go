@@ -136,7 +136,7 @@ func TestNullDeviceTimingModeAndLatency(t *testing.T) {
 
 func TestFaultDeviceFailAndRepair(t *testing.T) {
 	inner := NewNullDataDevice("d0", 16)
-	f := NewFaultDevice(inner)
+	f := NewFaultInjector(inner, 0)
 	if f.Failed() {
 		t.Fatal("fresh device reports failed")
 	}
@@ -168,7 +168,7 @@ func TestFaultDeviceFailAndRepair(t *testing.T) {
 }
 
 func TestFaultDeviceFailAfterOps(t *testing.T) {
-	f := NewFaultDevice(NewNullDevice("d", 16))
+	f := NewFaultInjector(NewNullDevice("d", 16), 0)
 	f.FailAfterOps = 3
 	var err error
 	ok := 0
@@ -189,7 +189,7 @@ func TestFaultDeviceFailAfterOps(t *testing.T) {
 func TestFaultDeviceTrimPassthroughWithoutTrimmer(t *testing.T) {
 	// A device that does not implement Trimmer: trims are accepted and
 	// ignored.
-	f := NewFaultDevice(plainDevice{})
+	f := NewFaultInjector(plainDevice{}, 0)
 	if _, err := f.TrimPages(5, 0, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -68,14 +68,6 @@ type FaultInjector struct {
 	mediaErrs atomic.Int64
 }
 
-// FaultDevice is the historical name of FaultInjector, kept so existing
-// callers and tests read naturally for the fail-stop-only use case.
-type FaultDevice = FaultInjector
-
-// NewFaultDevice wraps inner with fault injection (unseeded: probabilistic
-// profiles get the fixed default stream).
-func NewFaultDevice(inner Device) *FaultInjector { return NewFaultInjector(inner, 0) }
-
 // NewFaultInjector wraps inner; seed drives the probabilistic fault
 // stream (0 selects a fixed default seed).
 func NewFaultInjector(inner Device, seed uint64) *FaultInjector {

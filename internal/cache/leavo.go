@@ -76,33 +76,32 @@ func (l *LeavO) metaUpdate(t sim.Time, n int) (sim.Time, error) {
 	return done, nil
 }
 
-// read serves a read (lru.Read).
+// read serves a read (lru.Read): the cached read, plus the mapping
+// update of a filled slot.
 func (l *LeavO) read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	l.st.Reads++
-	if slot := l.frame.Lookup(lba); slot != NoSlot {
-		l.st.ReadHits++
-		l.frame.Touch(slot)
-		return l.readSlot(t, slot, buf)
+	done, filled, err := l.cachedRead(t, lba, buf)
+	if filled {
+		l.metaUpdate(done, 1) //nolint:errcheck // a clean copy; the array holds the data
 	}
-	l.st.ReadMisses++
-	l.st.RAIDReads++
-	done, err := l.backend.ReadPages(t, lba, 1, buf)
+	return done, err
+}
+
+// writeThrough serves a clean hit that cannot keep a second version (the
+// array is degraded, or the set has no room for one): slot's copy is
+// overwritten in place, then the array is written with its parity.
+func (l *LeavO) writeThrough(t sim.Time, slot int32, lba int64, buf []byte) (sim.Time, error) {
+	l.st.WriteAllocs++
+	ssdDone, err := l.writeSlot(t, slot, buf)
 	if err != nil {
 		return t, err
 	}
-	l.fillLeavO(done, lba, buf)
-	return done, nil
-}
-
-func (l *LeavO) fillLeavO(done sim.Time, lba int64, buf []byte) {
-	slot := l.allocOrEvict(done, lba, Clean)
-	if slot == NoSlot {
-		return
+	l.frame.Touch(slot)
+	l.st.RAIDWrites++
+	raidDone, err := l.backend.WritePages(t, lba, 1, buf)
+	if err != nil {
+		return t, err
 	}
-	l.frame.Insert(lba, slot, Clean)
-	l.st.ReadFills++
-	l.writeSlot(done, slot, buf) //nolint:errcheck // background fill
-	l.metaUpdate(done, 1)        //nolint:errcheck // a clean copy; the array holds the data
+	return sim.MaxTime(ssdDone, raidDone), nil
 }
 
 // write serves a write (lru.Write).
@@ -138,18 +137,7 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		if !l.backend.Healthy() {
 			// Degraded: do not grow the stale-parity set (same rationale
 			// as KDD); write through in place.
-			l.st.WriteAllocs++
-			ssdDone, err := l.writeSlot(t, slot, buf)
-			if err != nil {
-				return t, err
-			}
-			l.frame.Touch(slot)
-			l.st.RAIDWrites++
-			raidDone, err := l.backend.WritePages(t, lba, 1, buf)
-			if err != nil {
-				return t, err
-			}
-			return sim.MaxTime(ssdDone, raidDone), nil
+			return l.writeThrough(t, slot, lba, buf)
 		}
 		// Pin the current copy as Old first so the eviction scan for the
 		// new version's slot can never pick it.
@@ -159,18 +147,7 @@ func (l *LeavO) write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			// No room for a second version: revert and degrade to
 			// write-through for this request.
 			l.frame.Transition(slot, Clean)
-			l.st.WriteAllocs++
-			ssdDone, err := l.writeSlot(t, slot, buf)
-			if err != nil {
-				return t, err
-			}
-			l.frame.Touch(slot)
-			l.st.RAIDWrites++
-			raidDone, err := l.backend.WritePages(t, lba, 1, buf)
-			if err != nil {
-				return t, err
-			}
-			return sim.MaxTime(ssdDone, raidDone), nil
+			return l.writeThrough(t, slot, lba, buf)
 		}
 		l.oldOf[lba] = slot
 		l.frame.Insert(lba, newSlot, New) // rebinds lookup to the new slot

@@ -3,7 +3,6 @@ package cache
 import (
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
-	"kddcache/internal/stats"
 )
 
 // NVB models the classic alternative the paper's introduction dismisses:
@@ -20,14 +19,13 @@ import (
 // small-write speed, which is exactly the limitation KDD removes.
 //
 // There is no SSD in this policy; reads it cannot serve from the buffer
-// go straight to the RAID.
+// take the embedded Nossd's array path.
 type NVB struct {
-	backend  Backend
+	Nossd
 	capPages int
 	buf      map[int64][]byte  // lba -> page (nil values in timing mode)
 	rows     map[int64][]int64 // row key (first peer) -> buffered lbas
 	peers    []int64           // rowKey's and destageRow's row scratch
-	st       stats.CacheStats
 }
 
 // NewNVB builds an NVRAM write buffer of capPages 4KB pages (NVRAM is
@@ -37,7 +35,7 @@ func NewNVB(backend Backend, capPages int) *NVB {
 		panic("cache: NVB needs capacity")
 	}
 	return &NVB{
-		backend:  backend,
+		Nossd:    Nossd{backend: backend},
 		capPages: capPages,
 		buf:      make(map[int64][]byte),
 		rows:     make(map[int64][]int64),
@@ -47,28 +45,25 @@ func NewNVB(backend Backend, capPages int) *NVB {
 // Name implements Policy.
 func (n *NVB) Name() string { return "NVB" }
 
-// Stats implements Policy.
-func (n *NVB) Stats() *stats.CacheStats { return &n.st }
-
 // rowKey identifies lba's parity row by its first peer.
 func (n *NVB) rowKey(lba int64) int64 {
 	n.peers = AppendRowPeers(n.backend, n.peers[:0], lba)
 	return n.peers[0]
 }
 
-// Read implements Policy: buffered pages are served at NVRAM speed.
+// Read implements Policy: buffered pages are served at NVRAM speed, the
+// rest by Nossd's array read.
 func (n *NVB) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	n.st.Reads++
-	if page, ok := n.buf[lba]; ok {
-		n.st.ReadHits++
-		if buf != nil && page != nil {
-			copy(buf, page)
-		}
-		return t, nil // DRAM-speed; negligible at disk granularity
+	page, ok := n.buf[lba]
+	if !ok {
+		return n.Nossd.Read(t, lba, buf)
 	}
-	n.st.ReadMisses++
-	n.st.RAIDReads++
-	return n.backend.ReadPages(t, lba, 1, buf)
+	n.st.Reads++
+	n.st.ReadHits++
+	if buf != nil && page != nil {
+		copy(buf, page)
+	}
+	return t, nil // DRAM-speed; negligible at disk granularity
 }
 
 // Write implements Policy: instant while the buffer has room; once full,
@@ -123,9 +118,10 @@ func (n *NVB) destageRow(t sim.Time, key int64) (sim.Time, error) {
 	peers := n.peers
 	done := t
 	if len(lbas) == len(peers) {
-		// Full stripe: one parity computation, no reads.
+		// Full stripe: one parity computation, no reads. Buffered pages
+		// carry bytes in data mode only.
 		var rowBuf []byte
-		if n.dataModeNVB() {
+		if n.buf[key] != nil {
 			rowBuf = make([]byte, len(peers)*blockdev.PageSize)
 			for i, p := range peers {
 				copy(rowBuf[i*blockdev.PageSize:], n.buf[p])
@@ -154,14 +150,6 @@ func (n *NVB) destageRow(t sim.Time, key int64) (sim.Time, error) {
 	}
 	delete(n.rows, key)
 	return done, nil
-}
-
-func (n *NVB) dataModeNVB() bool {
-	// In data mode buffered pages are non-nil.
-	for _, p := range n.buf {
-		return p != nil
-	}
-	return false
 }
 
 // Clean implements Policy: opportunistic destaging in idle periods. Every

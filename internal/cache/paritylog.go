@@ -7,7 +7,6 @@ import (
 	"kddcache/internal/blockdev"
 	"kddcache/internal/raid"
 	"kddcache/internal/sim"
-	"kddcache/internal/stats"
 )
 
 // PLog implements Parity Logging (Stodolsky, Gibson & Holland, ISCA'93 —
@@ -21,9 +20,10 @@ import (
 // (sequential-append cheap, but reclamation reads them back), there is no
 // read cache at all, and every small write still costs a data-page read
 // to form the image. The paper's §V-A cites this lineage; having it as a
-// baseline shows what the SSD brings beyond pure parity deferral.
+// baseline shows what the SSD brings beyond pure parity deferral. Reads
+// are the embedded Nossd's array reads.
 type PLog struct {
-	backend Backend
+	Nossd
 	logDev  blockdev.Device // dedicated log disk
 	logCap  int64           // log capacity in pages
 	logUsed int64
@@ -32,7 +32,6 @@ type PLog struct {
 	pending map[int64][]byte // lba -> xor image (nil in timing mode)
 	order   []int64          // insertion order for deterministic reconcile
 	peers   []int64          // reconcile's row scratch
-	st      stats.CacheStats
 }
 
 // NewPLog builds a parity log over a dedicated device; logCap pages of
@@ -42,7 +41,7 @@ func NewPLog(backend Backend, logDev blockdev.Device, logCap int64) *PLog {
 		panic("cache: bad parity log capacity")
 	}
 	return &PLog{
-		backend: backend,
+		Nossd:   Nossd{backend: backend},
 		logDev:  logDev,
 		logCap:  logCap,
 		pending: make(map[int64][]byte),
@@ -51,17 +50,6 @@ func NewPLog(backend Backend, logDev blockdev.Device, logCap int64) *PLog {
 
 // Name implements Policy.
 func (p *PLog) Name() string { return "PLog" }
-
-// Stats implements Policy.
-func (p *PLog) Stats() *stats.CacheStats { return &p.st }
-
-// Read implements Policy: no cache; straight to the array.
-func (p *PLog) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	p.st.Reads++
-	p.st.ReadMisses++
-	p.st.RAIDReads++
-	return p.backend.ReadPages(t, lba, 1, buf)
-}
 
 // Write implements Policy: read old data, write new data without parity,
 // append the update image to the log (sequential). Reconcile when full.
@@ -159,14 +147,13 @@ func (p *PLog) reconcile(t sim.Time, maxRows int) (sim.Time, error) {
 	// recovery). Adjacent rows' parity pages are adjacent on the member
 	// disks, so the batch path reads/writes them in sequential runs —
 	// the large accesses the scheme depends on.
-	data := p.dataModePL()
 	fixes := make([]raid.RowFix, 0, len(keys))
 	applied := 0
 	appliedSet := make(map[int64]bool)
 	for _, k := range keys {
 		lbas := byRow[k]
 		fix := raid.RowFix{LBAs: lbas}
-		if data {
+		if p.pending[lbas[0]] != nil { // images carry bytes in data mode only
 			fix.Deltas = make([][]byte, len(lbas))
 			for i, lba := range lbas {
 				fix.Deltas[i] = p.pending[lba]
@@ -200,13 +187,6 @@ func (p *PLog) reconcile(t sim.Time, maxRows int) (sim.Time, error) {
 	p.logUsed = int64(len(p.order))
 	p.st.CleanerRuns++
 	return done, nil
-}
-
-func (p *PLog) dataModePL() bool {
-	for _, img := range p.pending {
-		return img != nil
-	}
-	return false
 }
 
 // Clean implements Policy: opportunistic reconcile when idle.

@@ -88,7 +88,10 @@ type Policy interface {
 }
 
 // Nossd is the no-cache baseline the prototype evaluation includes
-// (Figure 9): every request goes straight to the RAID array.
+// (Figure 9): every request goes straight to the RAID array. It is also
+// the array path every cache baseline embeds: it owns the backend and the
+// counters, serves what the cache above it misses, and its Stats and
+// no-op Clean and Flush serve wherever a policy defers nothing.
 type Nossd struct {
 	backend Backend
 	st      stats.CacheStats

@@ -34,30 +34,12 @@ const (
 func NewWB(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) *WB {
 	w := &WB{}
 	w.init(newBase(ssd, backend, cachePages, dataStart, ways), wbBatch, wbHighWater, wbLowWater,
-		w.read, w.write, w.writeBack)
+		w.base.Read, w.write, w.writeBack)
 	return w
 }
 
 // Name implements Policy.
 func (w *WB) Name() string { return "WB" }
-
-// read serves a read (lru.Read).
-func (w *WB) read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	w.st.Reads++
-	if slot := w.frame.Lookup(lba); slot != NoSlot {
-		w.st.ReadHits++
-		w.frame.Touch(slot)
-		return w.readSlot(t, slot, buf)
-	}
-	w.st.ReadMisses++
-	w.st.RAIDReads++
-	done, err := w.backend.ReadPages(t, lba, 1, buf)
-	if err != nil {
-		return t, err
-	}
-	w.fillOnMiss(done, lba, buf)
-	return done, nil
-}
 
 // write serves a write (lru.Write): SSD-speed acknowledgement; the page
 // is marked dirty (reusing the Old state) and written back later.

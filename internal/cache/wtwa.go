@@ -3,25 +3,24 @@ package cache
 import (
 	"kddcache/internal/blockdev"
 	"kddcache/internal/sim"
-	"kddcache/internal/stats"
 )
 
-// base carries the shared plumbing of the SSD-backed policies: the frame,
-// the cache device, the backend, and the data-partition offset (cache
-// page i lives at SSD LBA dataStart+i).
+// base carries the shared plumbing of the SSD-backed policies: the array
+// path (the embedded Nossd, which owns the backend and the counters), the
+// frame, the cache device, and the data-partition offset (cache page i
+// lives at SSD LBA dataStart+i).
 type base struct {
+	Nossd
 	frame     *Frame
 	ssd       blockdev.Device
-	backend   Backend
 	dataStart int64
-	st        stats.CacheStats
 }
 
 func newBase(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) base {
 	return base{
+		Nossd:     Nossd{backend: backend},
 		frame:     NewFrame(cachePages, ways, backend.StripePages()),
 		ssd:       ssd,
-		backend:   backend,
 		dataStart: dataStart,
 	}
 }
@@ -72,23 +71,40 @@ func (b *base) dataMode() bool {
 	return false
 }
 
-// Stats implements Policy.
-func (b *base) Stats() *stats.CacheStats { return &b.st }
-
 // Frame exposes the slot frame (tests and the harness inspect it).
 func (b *base) Frame() *Frame { return b.frame }
 
-// fillOnMiss allocates and fills a cache slot after a backend read miss.
-// The SSD program is issued at `done` (data already in hand) and does not
-// extend request latency.
-func (b *base) fillOnMiss(done sim.Time, lba int64, buf []byte) {
+// Read implements Policy: the cached read (cachedRead).
+func (b *base) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	done, _, err := b.cachedRead(t, lba, buf)
+	return done, err
+}
+
+// cachedRead is every SSD-backed policy's read. A hit is served from the
+// SSD copy; a miss is Nossd's array read, after which a slot is filled
+// with the page. The fill's SSD program is issued at the array read's
+// completion (data already in hand) and does not extend request latency.
+// filled reports whether a slot was filled.
+func (b *base) cachedRead(t sim.Time, lba int64, buf []byte) (done sim.Time, filled bool, err error) {
+	if slot := b.frame.Lookup(lba); slot != NoSlot {
+		b.st.Reads++
+		b.st.ReadHits++
+		b.frame.Touch(slot)
+		done, err = b.readSlot(t, slot, buf)
+		return done, false, err
+	}
+	done, err = b.Nossd.Read(t, lba, buf)
+	if err != nil {
+		return t, false, err
+	}
 	slot := b.allocOrEvict(done, lba, Clean)
 	if slot == NoSlot {
-		return // set pinned solid; serve uncached
+		return done, false, nil // set pinned solid; serve uncached
 	}
 	b.frame.Insert(lba, slot, Clean)
 	b.st.ReadFills++
 	b.writeSlot(done, slot, buf) //nolint:errcheck // background fill
+	return done, true, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -106,24 +122,6 @@ func NewWT(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, wa
 
 // Name implements Policy.
 func (w *WT) Name() string { return "WT" }
-
-// Read implements Policy.
-func (w *WT) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	w.st.Reads++
-	if slot := w.frame.Lookup(lba); slot != NoSlot {
-		w.st.ReadHits++
-		w.frame.Touch(slot)
-		return w.readSlot(t, slot, buf)
-	}
-	w.st.ReadMisses++
-	w.st.RAIDReads++
-	done, err := w.backend.ReadPages(t, lba, 1, buf)
-	if err != nil {
-		return t, err
-	}
-	w.fillOnMiss(done, lba, buf)
-	return done, nil
-}
 
 // Write implements Policy. The write is acknowledged only after both the
 // RAID (including parity) and the SSD copy are durable.
@@ -155,12 +153,6 @@ func (w *WT) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	return sim.MaxTime(raidDone, ssdDone), nil
 }
 
-// Clean implements Policy (nothing deferred).
-func (w *WT) Clean(t sim.Time, force bool) (sim.Time, error) { return t, nil }
-
-// Flush implements Policy (nothing deferred).
-func (w *WT) Flush(t sim.Time) (sim.Time, error) { return t, nil }
-
 // ---------------------------------------------------------------------------
 // WA: write-around.
 
@@ -176,42 +168,16 @@ func NewWA(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, wa
 // Name implements Policy.
 func (w *WA) Name() string { return "WA" }
 
-// Read implements Policy.
-func (w *WA) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	w.st.Reads++
-	if slot := w.frame.Lookup(lba); slot != NoSlot {
-		w.st.ReadHits++
-		w.frame.Touch(slot)
-		return w.readSlot(t, slot, buf)
-	}
-	w.st.ReadMisses++
-	w.st.RAIDReads++
-	done, err := w.backend.ReadPages(t, lba, 1, buf)
-	if err != nil {
-		return t, err
-	}
-	w.fillOnMiss(done, lba, buf)
-	return done, nil
-}
-
-// Write implements Policy: straight to RAID; stale cached copies are
-// invalidated so later reads refill.
+// Write implements Policy: Nossd's array write (writes never hit a
+// write-around cache), after any stale cached copy is invalidated so
+// later reads refill.
 func (w *WA) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	w.st.Writes++
-	w.st.WriteMiss++ // writes never hit a write-around cache
 	if slot := w.frame.Lookup(lba); slot != NoSlot {
 		w.frame.Release(slot, true)
 		w.trimSlot(t, slot)
 	}
-	w.st.RAIDWrites++
-	return w.backend.WritePages(t, lba, 1, buf)
+	return w.Nossd.Write(t, lba, buf)
 }
-
-// Clean implements Policy (nothing deferred).
-func (w *WA) Clean(t sim.Time, force bool) (sim.Time, error) { return t, nil }
-
-// Flush implements Policy (nothing deferred).
-func (w *WA) Flush(t sim.Time) (sim.Time, error) { return t, nil }
 
 var (
 	_ Policy = (*WT)(nil)

@@ -72,8 +72,8 @@ type Array struct {
 	name string // cached cfg.Level.String(); Name() is on traced hot paths
 }
 
-// New builds an array over the given member devices, wrapping each in a
-// FaultDevice for failure injection.
+// New builds an array over the given member devices, wrapping each in an
+// unseeded FaultInjector for failure injection.
 func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	n := len(members)
 	if n == 0 {
@@ -97,7 +97,7 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	a := &Array{cfg: cfg, name: cfg.Level.String()}
 	disks := make([]*blockdev.FaultInjector, n)
 	for i, m := range members {
-		disks[i] = blockdev.NewFaultDevice(m)
+		disks[i] = blockdev.NewFaultInjector(m, 0)
 	}
 	var err error
 	a.Members, err = NewMembers(RebuildEngine{

@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"errors"
 	"sort"
 
 	"kddcache/internal/blockdev"
@@ -20,13 +21,16 @@ type RowFix struct {
 // the "large sequential accesses" batch reconciliation that parity
 // logging (Stodolsky et al.) and MD-style resync rely on. Behaviour is
 // equivalent to calling ParityUpdateDelta per row; only the I/O pattern
-// (and therefore the timing) differs.
+// (and therefore the timing) differs. A run whose parity read hits a
+// media error is folded row by row through ParityUpdateDelta, which
+// retries the read, folds into the surviving copy or resyncs the row.
 func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, error) {
 	np := a.cfg.Level.parityDisks()
 	type rowWork struct {
 		l   loc
 		fix RowFix
 		par [2][]byte // parity pages in flight (data mode)
+		run int       // index of the row's P run
 	}
 	// Group rows by their P disk (Q handled alongside), walked in disk
 	// order: on RAID-6 one group's Q disk is another group's P disk, so the
@@ -66,12 +70,16 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 		type run struct {
 			start, n int
 			buf      []byte
+			media    bool // a parity read of the run hit a media error
 		}
 		var runs []run
 		for start := 0; start < len(rows); {
 			end := start + 1
 			for end < len(rows) && rows[end].l.row == rows[end-1].l.row+1 {
 				end++
+			}
+			for _, rw := range rows[start:end] {
+				rw.run = len(runs)
 			}
 			r := run{start: start, n: end - start}
 			if a.dataMode {
@@ -82,11 +90,18 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 		}
 
 		// Phase 1: read stale parities, P in runs and the further copies
-		// (RAID-6's Q) per row from their own disks.
+		// (RAID-6's Q) per row from their own disks. A media error leaves
+		// its run to the single-row path.
 		phase1 := t
-		for _, r := range runs {
+		for ri := range runs {
+			r := &runs[ri]
 			a.stats.ParityReads += int64(r.n)
 			c, err := a.disks[disk].ReadPages(t, rows[r.start].l.row, r.n, r.buf)
+			if errors.Is(err, blockdev.ErrMedia) {
+				a.stats.MediaErrors++
+				r.media = true
+				continue
+			}
 			if err != nil {
 				return t, err
 			}
@@ -97,11 +112,19 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 		}
 		for j := 1; j < np; j++ {
 			for _, rw := range rows {
+				if runs[rw.run].media {
+					continue
+				}
 				if a.dataMode {
 					rw.par[j] = make([]byte, blockdev.PageSize)
 				}
 				a.stats.ParityReads++
 				c, err := a.disks[rw.l.par[j]].ReadPages(t, rw.l.row, 1, rw.par[j])
+				if errors.Is(err, blockdev.ErrMedia) {
+					a.stats.MediaErrors++
+					runs[rw.run].media = true
+					continue
+				}
 				if err != nil {
 					return t, err
 				}
@@ -111,6 +134,9 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 
 		// Fold deltas in memory.
 		for _, rw := range rows {
+			if runs[rw.run].media {
+				continue
+			}
 			for i, d := range rw.fix.Deltas {
 				encode(rw.par[:], d, a.geo.locate(rw.fix.LBAs[i]).dataIdx)
 			}
@@ -118,6 +144,9 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 
 		// Phase 2: write repaired parities back, P in the same runs.
 		for _, r := range runs {
+			if r.media {
+				continue
+			}
 			a.stats.ParityWrites += int64(r.n)
 			a.stats.ParityFixes += int64(r.n)
 			c, err := a.disks[disk].WritePages(phase1, rows[r.start].l.row, r.n, r.buf)
@@ -128,6 +157,9 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 		}
 		for j := 1; j < np; j++ {
 			for _, rw := range rows {
+				if runs[rw.run].media {
+					continue
+				}
 				a.stats.ParityWrites++
 				c, err := a.disks[rw.l.par[j]].WritePages(phase1, rw.l.row, 1, rw.par[j])
 				if err != nil {
@@ -137,7 +169,15 @@ func (a *Array) ParityUpdateDeltaBatch(t sim.Time, fixes []RowFix) (sim.Time, er
 			}
 		}
 		for _, rw := range rows {
-			a.stale.Remove(rw.l.row)
+			if !runs[rw.run].media {
+				a.stale.Remove(rw.l.row)
+				continue
+			}
+			c, err := a.ParityUpdateDelta(t, rw.fix.LBAs, rw.fix.Deltas)
+			if err != nil {
+				return t, err
+			}
+			done = sim.MaxTime(done, c)
 		}
 	}
 	return done, nil

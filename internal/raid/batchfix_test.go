@@ -222,3 +222,53 @@ func TestBatchFixEmptyAndNonParityLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A media error on a stale row's parity page must not fail the batch:
+// the per-row fold retries the read, folds into the surviving copy or
+// resyncs the row, and the batch must do the same for the run holding
+// the row. Every parity copy (P, and RAID-6's Q) takes a transient and a
+// latent fault in turn; the parity left behind must rebuild a failed
+// data disk.
+func TestBatchFixSurvivesParityMediaFault(t *testing.T) {
+	for _, level := range []Level{Level5, Level6} {
+		for j := 0; j < level.parityDisks(); j++ {
+			for _, latent := range []bool{false, true} {
+				name := fmt.Sprintf("%v parity %d latent=%v", level, j, latent)
+				disks := 5
+				if level == Level6 {
+					disks = 6
+				}
+				a := newDataArray(t, level, disks, 96, 8)
+				oracle := writeAll(t, a, 100)
+				var fixes []RowFix
+				// Rows 0..3 form one run on stripe 0's P disk; LBA 50
+				// lies in another stripe.
+				for i, lba := range []int64{0, 1, 2, 3, 50} {
+					newData := fillPage(byte(0x40 + i))
+					if _, err := a.WriteNoParity(0, lba, 1, newData); err != nil {
+						t.Fatal(err)
+					}
+					fixes = append(fixes, RowFix{LBAs: []int64{lba}, Deltas: [][]byte{mkDelta(oracle[lba], newData)}})
+					oracle[lba] = newData
+				}
+				l := a.geo.locate(2)
+				if latent {
+					a.Injector(l.par[j]).InjectBadPage(l.row)
+				} else {
+					a.Injector(l.par[j]).InjectTransient(l.row, 1)
+				}
+				if _, err := a.ParityUpdateDeltaBatch(0, fixes); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if a.StaleRows() != 0 {
+					t.Fatalf("%s: %d stale rows after batch fix", name, a.StaleRows())
+				}
+				if a.Stats().MediaErrors == 0 {
+					t.Fatalf("%s: media error not counted", name)
+				}
+				a.FailDisk(l.disk)
+				verifyAll(t, a, oracle)
+			}
+		}
+	}
+}

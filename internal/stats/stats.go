@@ -213,14 +213,6 @@ func bucket(v int64) int {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Buckets returns a copy of the power-of-two bucket counts: buckets[i]
-// holds observations v with floor(log2 v) == i (bucket 0 also takes
-// v <= 1).
-func (h *Histogram) Buckets() [64]int64 { return h.buckets }
-
 // Mean returns the exact mean of all observations (0 if empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

@@ -118,12 +118,11 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 20 {
 		t.Fatalf("merged count = %d", a.Count())
 	}
-	if a.Sum() != 55+5500 {
-		t.Fatalf("merged sum = %d", a.Sum())
+	if a.sum != 55+5500 {
+		t.Fatalf("merged sum = %d", a.sum)
 	}
-	bk := a.Buckets()
 	var bkSum int64
-	for _, c := range bk {
+	for _, c := range a.buckets {
 		bkSum += c
 	}
 	if bkSum != 20 {
