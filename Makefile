@@ -201,7 +201,10 @@ same-outputs:
 # cleaned page), the plane's warm 256-op batch (ns and allocs per batch,
 # the elevator sweep's sort included), the metadata log's crash recovery
 # (a 200-page head-to-tail replay) and the log-structured array's write path over one
-# segment (ns and allocs per committed page, the flush included), at a
+# segment (ns and allocs per committed page, the flush included), and the
+# first lap of a fresh stack's bookkeeping: a fresh metadata log taking one
+# lap of pages and a fresh timing-mode lsraid array filled through its
+# whole log once (ns and allocs per page), at a
 # fixed small iteration count so they stay runnable (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
 # "Background work runs in the members' idle time" and "Sharded data
@@ -219,6 +222,8 @@ kernels:
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkRecover$$' -benchtime 50x -benchmem
 	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFlush$$' -benchtime 500x -benchmem
+	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkLogFirstLap$$' -benchtime 20x -benchmem
+	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFirstFill$$' -benchtime 20x -benchmem
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -177,8 +178,12 @@ func (o *options) validate(names, rest []string) error {
 		}
 	}
 	switch {
-	case !(o.scale > 0):
-		return usagef("-scale must be > 0, got %g", o.scale)
+	case !(o.scale > 0 && o.scale < math.Inf(1)):
+		return usagef("-scale must be > 0 and finite, got %g", o.scale)
+	case !(o.cacheFrac > 0 && o.cacheFrac < math.Inf(1)):
+		return usagef("-cachefrac must be > 0 and finite, got %g", o.cacheFrac)
+	case o.cachePages < 0:
+		return usagef("-cachepages must be >= 0, got %d", o.cachePages)
 	case !(o.readRate >= 0 && o.readRate <= 1):
 		return usagef("-readrate must be in [0,1], got %g", o.readRate)
 	case o.experiment != "" && kddcache.Experiments[o.experiment] == nil:

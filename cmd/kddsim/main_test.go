@@ -109,6 +109,15 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-scale", "0"}, "-scale must be > 0"},
 		{[]string{"-scale", "-1", "-experiment", "fig9"}, "-scale must be > 0"},
+		{[]string{"-scale", "+Inf"}, "-scale must be > 0 and finite, got +Inf"},
+		{[]string{"-scale", "Inf", "-experiment", "fig9"}, "-scale must be > 0 and finite, got +Inf"},
+		{[]string{"-cachefrac", "NaN"}, "-cachefrac must be > 0 and finite, got NaN"},
+		{[]string{"-cachefrac", "-1"}, "-cachefrac must be > 0 and finite, got -1"},
+		{[]string{"-cachefrac", "+Inf"}, "-cachefrac must be > 0 and finite, got +Inf"},
+		{[]string{"-cachepages", "-5"}, "-cachepages must be >= 0, got -5"},
+		{[]string{"-metafrac", "1"}, "metadata share 1 outside (0,1)"},
+		{[]string{"-metafrac", "NaN", "-timed"}, "metadata share NaN outside (0,1)"},
+		{[]string{"-metafrac", "-0.1"}, "metadata share -0.1 outside (0,1)"},
 		{[]string{"-locality", "1.5"}, "delta mean 1.5 outside (0,1]"},
 		{[]string{"-locality", "-0.1", "-timed"}, "delta mean -0.1 outside (0,1]"},
 		{[]string{"-closed-loop", "-locality", "1.5"}, "delta mean 1.5 outside (0,1]"},

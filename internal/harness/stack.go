@@ -174,6 +174,9 @@ func Build(o StackOpts) (*Stack, error) {
 	if !(o.DeltaMean > 0 && o.DeltaMean <= 1) {
 		return nil, fmt.Errorf("%w: delta mean %g outside (0,1]", ErrOptions, o.DeltaMean)
 	}
+	if !(o.MetaFrac > 0 && o.MetaFrac < 1) {
+		return nil, fmt.Errorf("%w: metadata share %g outside (0,1)", ErrOptions, o.MetaFrac)
+	}
 	switch o.Policy {
 	case PolicyWT, PolicyWA, PolicyLeavO, PolicyWB, PolicyKDD:
 		if o.Ways < 1 || o.CachePages < int64(o.Ways) {

@@ -271,3 +271,39 @@ func BenchmarkSegmentFlush(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
 	b.ReportMetric(float64(mallocs)/float64(pages), "allocs/page")
 }
+
+// BenchmarkSegmentFirstFill is a fresh log's first fill in timing mode:
+// each iteration builds an array (untimed) and writes its logical pages
+// in order, wrapping, until every segment has been opened once, segment
+// GC included. It is the lap every fresh stack pays in its replay, where
+// each segment's summary is allocated for the first time; it reports ns
+// and allocations per written page.
+func BenchmarkSegmentFirstFill(b *testing.B) {
+	var pages, mallocs uint64
+	var m0, m1 runtime.MemStats
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		var members []blockdev.Device
+		for d := 0; d < 5; d++ {
+			members = append(members, blockdev.NewNullDevice(fmt.Sprintf("d%d", d), 1<<12))
+		}
+		a, err := New(Config{ChunkPages: 4, Seed: 1}, members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		for lba := int64(0); a.nextSeq < uint64(a.numSegs); lba = (lba + 1) % a.logical {
+			if _, err := a.WritePages(0, lba, 1, nil); err != nil {
+				b.Fatal(err)
+			}
+			pages++
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+	b.ReportMetric(float64(mallocs)/float64(pages), "allocs/page")
+}

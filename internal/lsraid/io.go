@@ -288,7 +288,11 @@ func (a *Array) ensureOpen(t sim.Time) (sim.Time, error) {
 	}
 	for s := int64(0); s < a.numSegs; s++ {
 		if a.segs[s].Seq == 0 {
-			a.segs[s] = segMeta{Seq: a.nextSeq + 1, Rows: 0, LBAs: a.segs[s].LBAs[:0]}
+			lbas := a.segs[s].LBAs[:0]
+			if lbas == nil { // first open: the summary's one allocation
+				lbas = make([]int64, 0, a.segPages)
+			}
+			a.segs[s] = segMeta{Seq: a.nextSeq + 1, Rows: 0, LBAs: lbas}
 			a.nextSeq++
 			a.freeCount--
 			a.open = int32(s)

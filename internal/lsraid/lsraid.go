@@ -115,6 +115,9 @@ var noPhys = phys{seg: -1, idx: -1}
 // (0 = free), how many rows are committed, and the logical LBA of every
 // committed data page in write order. It is what replay rebuilds the L2P
 // map from, and what the binary summary codec (summary.go) serialises.
+// LBAs is allocated once, at capacity segPages, when ensureOpen first
+// opens the segment, and freeVictim truncates it for reuse, so a
+// commit never regrows it; a segment never opened holds none.
 type segMeta struct {
 	Seq  uint64
 	Rows int64

@@ -1,6 +1,7 @@
 package metalog
 
 import (
+	"runtime"
 	"testing"
 
 	"kddcache/internal/blockdev"
@@ -55,4 +56,37 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLogFirstLap measures a fresh log's first lap: each iteration
+// builds a log (untimed) and puts entries, drawn as in BenchmarkLogPut,
+// until it has committed one page per ring slot, GC of the head pages
+// included. It is the lap every fresh stack pays in its replay, where
+// each slot's entry list is allocated for the first time; it reports ns
+// and allocations per committed page.
+func BenchmarkLogFirstLap(b *testing.B) {
+	const npages = 256
+	dev := blockdev.NewNullDevice("ssd", 1<<16)
+	rng := sim.NewRNG(1)
+	var pages, mallocs uint64
+	var m0, m1 runtime.MemStats
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		l := mustNew(dev, npages)
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		for l.Stats().PagesWritten < npages {
+			e := Entry{State: StateClean, DazPage: uint32(rng.Uint64n(60000)), DezPage: NoDez}
+			if _, err := l.Put(0, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		pages += npages
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+	b.ReportMetric(float64(mallocs)/float64(pages), "allocs/page")
 }

@@ -75,7 +75,7 @@ func FuzzPageDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		page := make([]byte, blockdev.PageSize)
 		copy(page, b)
-		entries, err := decodePage(page, 1, 42)
+		entries, err := decodePage(nil, page, 1, 42)
 		if err != nil {
 			return
 		}

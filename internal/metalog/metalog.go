@@ -234,8 +234,10 @@ type Log struct {
 	//
 	// pages is §III-C's "list in memory for each metadata page": ring slot
 	// seq%npages holds the entries of committed page seq, empty once GC has
-	// reclaimed it. A commit builds the new page's list in its slot's old
-	// backing array, so the steady state allocates nothing.
+	// reclaimed it. The first lap allocates each slot's list once, at
+	// slotEntries (slotList); every later commit or recovery builds the
+	// page's list in that backing array, so the steady state allocates
+	// nothing, and resetIndex keeps the arrays.
 	//
 	// where locates the newest entry of every cache page, indexed by
 	// Entry.DazPage (an SSD page of dev): 0 = none, v > 0 = committed in
@@ -445,20 +447,22 @@ func (l *Log) commitPage(t sim.Time, ackEarly bool) (sim.Time, error) {
 	}
 	seq := l.ctr.Tail
 	slot := l.slotOf(seq)
-	flushed := l.pages[slot][:0] // the slot's page was reclaimed a lap ago
-	used := 0
+	n, used := 0, 0
 	for _, e := range l.buf[l.bufHead:] {
-		n := e.encSize()
-		if used+n > logPagePayload {
+		sz := e.encSize()
+		if used+sz > logPagePayload {
 			break
 		}
-		if image != nil {
-			e.encode(image[logPageHdrLen+used:])
-		}
-		used += n
-		flushed = append(flushed, e)
+		used += sz
+		n++
 	}
+	// The slot's page was reclaimed a lap ago.
+	flushed := append(l.slotList(slot, n), l.buf[l.bufHead:l.bufHead+n]...)
 	if image != nil {
+		off := logPageHdrLen
+		for _, e := range flushed {
+			off += e.encode(image[off:])
+		}
 		binary.LittleEndian.PutUint16(image[0:], logPageMagic)
 		binary.LittleEndian.PutUint16(image[2:], uint16(used))
 		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[logPageHdrLen:logPageHdrLen+used]))
@@ -493,6 +497,23 @@ func (l *Log) commitPage(t sim.Time, ackEarly bool) (sim.Time, error) {
 	l.stats.PagesWritten++
 	sp.End(done)
 	return done, nil
+}
+
+// slotEntries is the capacity a ring slot's list is allocated at: a page
+// of Clean entries. Old entries are larger, so most pages fit; a page
+// of more, smaller Free entries takes one allocation at its own count.
+const slotEntries = logPagePayload / CleanEntrySize
+
+// slotList returns a ring slot's list, emptied, with room for n entries: its
+// old backing array when that is large enough, else one allocation at
+// slotEntries or n, whichever is larger. A slot is allocated when its
+// first page is committed or recovered, never sized by the partition up
+// front, and keeps its backing array across laps.
+func (l *Log) slotList(slot int32, n int) []Entry {
+	if s := l.pages[slot][:0]; cap(s) >= n {
+		return s
+	}
+	return make([]Entry, 0, max(n, slotEntries))
 }
 
 // Flush commits all buffered entries (final partial page included); used
@@ -590,7 +611,7 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 		done = sim.MaxTime(done, c)
 		var entries []Entry
 		if l.dataMode() {
-			if entries, err = decodePage(page[:], seq, int64(slot)); err != nil {
+			if entries, err = decodePage(l.slotList(slot, slotEntries), page[:], seq, int64(slot)); err != nil {
 				return nil, t, err
 			}
 		}
@@ -609,9 +630,10 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 }
 
 // decodePage validates one committed metadata page (header magic, length
-// bound, payload checksum) and decodes its entries. Any mismatch is a
-// loud ErrLogCorrupt carrying the page's log sequence and SSD address.
-func decodePage(page []byte, seq uint64, phys int64) ([]Entry, error) {
+// bound, payload checksum) and appends its entries to dst. Any mismatch
+// is a loud ErrLogCorrupt carrying the page's log sequence and SSD
+// address.
+func decodePage(dst []Entry, page []byte, seq uint64, phys int64) ([]Entry, error) {
 	if binary.LittleEndian.Uint16(page[0:]) != logPageMagic {
 		return nil, fmt.Errorf("%w: log seq %d (ssd page %d): bad magic", ErrLogCorrupt, seq, phys)
 	}
@@ -623,17 +645,16 @@ func decodePage(page []byte, seq uint64, phys int64) ([]Entry, error) {
 	if got := crc32.ChecksumIEEE(page[logPageHdrLen : logPageHdrLen+used]); got != binary.LittleEndian.Uint32(page[4:]) {
 		return nil, fmt.Errorf("%w: log seq %d (ssd page %d): checksum mismatch", ErrLogCorrupt, seq, phys)
 	}
-	var entries []Entry
 	for i := 0; i < used; {
 		e, n, ok := decodeEntry(page[logPageHdrLen+i : logPageHdrLen+used])
 		if !ok {
 			return nil, fmt.Errorf("%w: log seq %d (ssd page %d): undecodable entry at offset %d",
 				ErrLogCorrupt, seq, phys, i)
 		}
-		entries = append(entries, e)
+		dst = append(dst, e)
 		i += n
 	}
-	return entries, nil
+	return dst, nil
 }
 
 // Restore reconstructs a Log handle around surviving NVRAM state after a

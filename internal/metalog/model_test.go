@@ -199,7 +199,7 @@ func (m *mapLog) recover(t *testing.T) []Entry {
 		if _, err := m.dev.ReadPages(0, phys, 1, page[:]); err != nil {
 			t.Fatalf("model recovery read: %v", err)
 		}
-		entries, err := decodePage(page[:], seq, phys)
+		entries, err := decodePage(nil, page[:], seq, phys)
 		if err != nil {
 			t.Fatalf("model recovery decode: %v", err)
 		}

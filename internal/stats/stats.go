@@ -189,6 +189,9 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 	h.buckets[bucket(v)]++
 	if h.count&(h.skip-1) == 0 { // count % skip: skip is a power of two
+		if len(h.samples) == cap(h.samples) {
+			h.grow()
+		}
 		h.samples = append(h.samples, v)
 		if len(h.samples) >= h.maxSamples {
 			// Halve the reservoir, double the decimation.
@@ -200,6 +203,17 @@ func (h *Histogram) Observe(v int64) {
 			h.skip *= 2
 		}
 	}
+}
+
+// minReservoir is the reservoir's first capacity.
+const minReservoir = 256
+
+// grow doubles the full reservoir's capacity, from minReservoir up to
+// maxSamples: nine allocations fill a 1<<16 reservoir. The samples kept,
+// and so every percentile, do not depend on the capacity.
+func (h *Histogram) grow() {
+	n := min(max(2*cap(h.samples), minReservoir), h.maxSamples)
+	h.samples = append(make([]int64, 0, n), h.samples...)
 }
 
 // bucket returns the bucket index of v: floor(log2 v), 0 for v <= 1.

@@ -108,6 +108,38 @@ func TestHistogramReservoirDecimation(t *testing.T) {
 	}
 }
 
+// TestHistogramReservoirGrowth: the reservoir doubles from minReservoir
+// to its bound, so a replay-length stream grows it nine times (append's
+// 1.25x steps took twenty-six) and it ends at exactly maxSamples of
+// capacity. The samples kept do not depend on the capacity: a
+// 200k-sample stream's p50, p99 and mean are pinned to the values the
+// append-grown reservoir gave.
+func TestHistogramReservoirGrowth(t *testing.T) {
+	h := NewHistogram(1 << 16)
+	grows := 0
+	x := uint64(1)
+	for i := 0; i < 200_000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		c := cap(h.samples)
+		h.Observe(100_000 + int64(x%50_000_000))
+		if cap(h.samples) != c {
+			grows++
+		}
+	}
+	if p50, p99, mean := h.Percentile(50), h.Percentile(99), h.Mean(); p50 != 25056501 || p99 != 49592521 || mean != 25063382.595485 {
+		t.Errorf("p50 %d, p99 %d, mean %v; want 25056501, 49592521, 25063382.595485", p50, p99, mean)
+	}
+	if len(h.samples) != 50000 || h.skip != 4 || cap(h.samples) != 1<<16 {
+		t.Errorf("reservoir %d samples in %d of capacity at skip %d; want 50000 in 65536 at skip 4",
+			len(h.samples), cap(h.samples), h.skip)
+	}
+	if grows != 9 {
+		t.Errorf("the reservoir grew %d times; want 9 (256 doubled to 65536)", grows)
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	a, b := NewHistogram(1024), NewHistogram(1024)
 	for i := int64(1); i <= 10; i++ {

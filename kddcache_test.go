@@ -66,6 +66,9 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}{
 		{"delta mean above 1", Options{DeltaMean: 1.5}, "delta mean 1.5 outside (0,1]"},
 		{"negative delta mean", Options{DeltaMean: -0.1}, "delta mean -0.1 outside (0,1]"},
+		{"whole SSD for metadata", Options{MetaFrac: 1}, "metadata share 1 outside (0,1)"},
+		{"metadata share NaN", Options{MetaFrac: math.NaN()}, "metadata share NaN outside (0,1)"},
+		{"negative metadata share", Options{MetaFrac: -0.1}, "metadata share -0.1 outside (0,1)"},
 		{"WT below one set", Options{Policy: WT, CachePages: 100}, "cache of 100 pages below one set"},
 		{"LeavO below one set", Options{Policy: LeavO, CachePages: 100}, "cache of 100 pages below one set"},
 		{"WB negative cache", Options{Policy: WB, CachePages: -5}, "cache of -5 pages below one set"},
