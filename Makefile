@@ -199,8 +199,10 @@ same-outputs:
 # and allocs per repaired row), its idle-queue dispatch (ns and allocs
 # per queued row), LeavO's and WB's cleaner passes (ns and allocs per
 # cleaned page), the plane's warm 256-op batch (ns and allocs per batch,
-# the elevator sweep's sort included), the metadata log's crash recovery
-# (a 200-page head-to-tail replay) and the log-structured array's write path over one
+# the elevator sweep's sort included), the metadata log's steady-state
+# Put (page commits and log GC included) and its crash recovery (a
+# 200-page head-to-tail replay), the flash FTL's steady-state host write
+# (greedy GC included), and the log-structured array's write path over one
 # segment (ns and allocs per committed page, the flush included), and the
 # first lap of a fresh stack's bookkeeping: a fresh metadata log taking one
 # lap of pages and a fresh timing-mode lsraid array filled through its
@@ -220,7 +222,9 @@ kernels:
 	$(GO) test ./internal/core/ -run '^$$' -bench '^Benchmark(CleanPass|IdleDispatch)$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/cache/ -run '^$$' -bench '^BenchmarkLRUCleanPass$$' -benchtime 200x -benchmem
 	$(GO) test ./internal/shard/ -run '^$$' -bench '^BenchmarkRunBatch$$' -benchtime 200x -benchmem
+	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkLogPut$$' -benchtime 200000x -benchmem
 	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkRecover$$' -benchtime 50x -benchmem
+	$(GO) test ./internal/ssd/ -run '^$$' -bench '^BenchmarkFTLWrite$$' -benchtime 200000x -benchmem
 	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFlush$$' -benchtime 500x -benchmem
 	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkLogFirstLap$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFirstFill$$' -benchtime 20x -benchmem

@@ -101,8 +101,20 @@ func TestClosedLoopIsFig10Cell(t *testing.T) {
 // TestUsageErrors: every option no run can be built from exits 2 with a
 // one-line diagnostic, and none of them panics.
 func TestUsageErrors(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "t.trace")
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.trace")
 	runOK(t, "-workload", "Fin2", "-scale", "0.001", "-emit-trace", trace)
+	// One-write traces whose footprint outgrows the log-structured array's
+	// 4-byte tables: its logical space, or (2^31 pages, with the spare
+	// segments) its physical data space.
+	far := func(name string, lba int64) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, fmt.Appendf(nil, "0,W,%d,1\n", lba), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	farLogical, farPhysical := far("l.trace", 1<<34), far("p.trace", 1<<31)
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -145,6 +157,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-policy", "LRU"}, `unknown policy "LRU"`},
 		{[]string{"-closed-loop", "-policy", "LRU"}, `unknown policy "LRU"`},
 		{[]string{"-policy", "PLog", "-backend", "lsraid"}, "the lsraid backend owes no parity for PLog to log"},
+		{[]string{"-replay", farLogical, "-backend", "lsraid", "-cachepages", "256"}, "lsraid: logical space of 17179885568 pages exceeds"},
+		{[]string{"-replay", farPhysical, "-backend", "lsraid", "-cachepages", "256"}, "lsraid: physical data space of"},
 		{[]string{"-tenants", "gold"}, "qos:"},
 		{[]string{"-scale", "0.001", "-tenants", "gold:2000:4,bronze:500:1"}, `tenant "bronze" (index 1) tags no request`},
 		{[]string{"fig9"}, `unexpected argument "fig9"`},
@@ -152,7 +166,7 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		// The temp dir differs per run; name the trace by its base so the
 		// subtest names stay the same from run to run.
-		name := strings.ReplaceAll(strings.Join(tc.args, " "), trace, filepath.Base(trace))
+		name := strings.ReplaceAll(strings.Join(tc.args, " "), dir+string(filepath.Separator), "")
 		t.Run(name, func(t *testing.T) {
 			var out, errb bytes.Buffer
 			code := run(tc.args, &out, &errb)

@@ -304,7 +304,7 @@ func TestWAWritesBypassAndInvalidate(t *testing.T) {
 
 func TestLeavODelayedParityAndCleaning(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
+	p := mustLeavO(s.ssd, s.array, 256, 64, 32)
 	// Admit pages, then update them (write hits -> old+new versions).
 	for lba := int64(0); lba < 60; lba++ {
 		s.write(t, p, lba)
@@ -345,7 +345,7 @@ func TestLeavODelayedParityAndCleaning(t *testing.T) {
 
 func TestLeavOSecondUpdateOverwritesNewVersion(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
+	p := mustLeavO(s.ssd, s.array, 256, 64, 32)
 	s.write(t, p, 9) // miss
 	s.write(t, p, 9) // hit: old+new
 	s.write(t, p, 9) // hit on New: overwrite in place
@@ -362,7 +362,7 @@ func TestLeavOSecondUpdateOverwritesNewVersion(t *testing.T) {
 
 func TestLeavOMetadataTraffic(t *testing.T) {
 	s := newStack(t, 512)
-	p := cache.NewLeavO(s.ssd, s.array, 256, 64, 32)
+	p := mustLeavO(s.ssd, s.array, 256, 64, 32)
 	// Enough mapping updates to force metadata page writes.
 	for i := 0; i < 2000; i++ {
 		s.write(t, p, int64(i%200))
@@ -381,7 +381,7 @@ func TestLeavOWriteHitSurfacesMetadataFailure(t *testing.T) {
 	s := newStack(t, 512)
 	ssd := blockdev.NewFaultInjector(s.ssd, 1)
 	ssd.FailRange(0, 64) // the metadata region [0, dataStart)
-	p := cache.NewLeavO(ssd, s.array, 256, 64, 32)
+	p := mustLeavO(ssd, s.array, 256, 64, 32)
 	s.write(t, p, 9) // miss: one mapping update, no page due yet
 	var err error
 	for i := 0; i < metalog.EntriesPerPage && err == nil; i++ {
@@ -398,7 +398,7 @@ func TestLeavOWriteHitSurfacesMetadataFailure(t *testing.T) {
 func TestLeavOCleanSurfacesMetadataFailure(t *testing.T) {
 	s := newStack(t, 512)
 	ssd := blockdev.NewFaultInjector(s.ssd, 1)
-	p := cache.NewLeavO(ssd, s.array, 1024, 64, 32)
+	p := mustLeavO(ssd, s.array, 1024, 64, 32)
 	const misses = metalog.EntriesPerPage - 4
 	for lba := int64(0); lba < misses; lba++ {
 		s.write(t, p, lba) // one update each
@@ -416,7 +416,7 @@ func TestLeavOCleanSurfacesMetadataFailure(t *testing.T) {
 func TestLeavOEvictionPressure(t *testing.T) {
 	s := newStack(t, 2048)
 	// Tiny cache: 64 pages, working set 300 pages.
-	p := cache.NewLeavO(s.ssd, s.array, 64, 64, 16)
+	p := mustLeavO(s.ssd, s.array, 64, 64, 16)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 3000; i++ {
 		s.write(t, p, int64(rng.Uint64n(300)))
@@ -476,7 +476,7 @@ func TestHitRatioOrderingWTvsLeavO(t *testing.T) {
 	s1, rng1 := mk()
 	wt := cache.NewWT(s1.ssd, s1.array, 128, 0, 16)
 	s2, rng2 := mk()
-	lo := cache.NewLeavO(s2.ssd, s2.array, 128, 64, 16)
+	lo := mustLeavO(s2.ssd, s2.array, 128, 64, 16)
 
 	run := func(p cache.Policy, s *stack, rng *sim.RNG) float64 {
 		buf := make([]byte, blockdev.PageSize)
@@ -520,7 +520,7 @@ func TestLeavOWriteMissAckedAtArrayWrite(t *testing.T) {
 	cfg := ssd.DefaultConfig(2048)
 	cfg.Channels = 1
 	dev, twin := ssd.New("ssd", cfg), ssd.New("twin", cfg)
-	p := cache.NewLeavO(dev, a, 1024, 64, 32)
+	p := mustLeavO(dev, a, 1024, 64, 32)
 
 	const t0, lba = 5 * sim.Millisecond, 100
 	done, err := p.Write(t0, lba, nil)
@@ -553,5 +553,23 @@ func TestLeavOWriteMissAckedAtArrayWrite(t *testing.T) {
 	if rd < copyDone {
 		t.Fatalf("read hit issued at the ack %v completed at %v, before the copy's program at %v",
 			done, rd, copyDone)
+	}
+}
+
+// mustLeavO is NewLeavO for layouts that have a metadata region.
+func mustLeavO(ssd blockdev.Device, b cache.Backend, cachePages, dataStart int64, ways int) *cache.LeavO {
+	l, err := cache.NewLeavO(ssd, b, cachePages, dataStart, ways)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// TestLeavONeedsMetadataRegion: a layout with no metadata region is an
+// error, not a panic.
+func TestLeavONeedsMetadataRegion(t *testing.T) {
+	s := newStack(t, 512)
+	if _, err := cache.NewLeavO(s.ssd, s.array, 256, 0, 32); !errors.Is(err, cache.ErrNoMetadataRegion) {
+		t.Fatalf("NewLeavO with no metadata region: %v, want ErrNoMetadataRegion", err)
 	}
 }

@@ -200,7 +200,7 @@ func BenchmarkLRUCleanPass(b *testing.B) {
 		build func(ssd blockdev.Device, b cache.Backend, cachePages, dataStart int64, ways int) cache.Policy
 	}{
 		{"LeavO", func(ssd blockdev.Device, b cache.Backend, n, d int64, w int) cache.Policy {
-			return cache.NewLeavO(ssd, b, n, d, w)
+			return mustLeavO(ssd, b, n, d, w)
 		}},
 		{"WB", func(ssd blockdev.Device, b cache.Backend, n, d int64, w int) cache.Policy {
 			return cache.NewWB(ssd, b, n, d, w)

@@ -132,7 +132,8 @@ type Frame struct {
 	heads, tails []int32
 
 	// OldestSlots scratch, reused across calls: the result and the merge
-	// heap of per-set list cursors.
+	// heap of per-set list cursors, allocated at first use at the largest
+	// batch asked for and at one cursor per set.
 	oldest []int32
 	merge  []int32
 }
@@ -558,6 +559,9 @@ func (f *Frame) OldestSlots(state State, n int) []int32 {
 		panic("cache: OldestSlots over a non-data state")
 	}
 	h := f.merge[:0]
+	if cap(h) < f.nsets {
+		h = make([]int32, 0, f.nsets)
+	}
 	for set := 0; set < f.nsets; set++ {
 		if c := f.heads[set*numStates+int(state)]; c != NoSlot {
 			h = append(h, c)
@@ -567,6 +571,9 @@ func (f *Frame) OldestSlots(state State, n int) []int32 {
 		f.siftDown(h, i)
 	}
 	out := f.oldest[:0]
+	if cap(out) < n {
+		out = make([]int32, 0, n)
+	}
 	for len(h) > 0 && len(out) < n {
 		c := h[0]
 		out = append(out, c)

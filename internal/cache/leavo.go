@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"kddcache/internal/blockdev"
@@ -36,16 +37,21 @@ const (
 	leavoBatch     = 64
 )
 
+// ErrNoMetadataRegion is NewLeavO refusing an SSD layout without the
+// metadata region its per-update mapping writes go to.
+var ErrNoMetadataRegion = errors.New("cache: LeavO needs a metadata region of at least one page")
+
 // NewLeavO builds a LeavO cache. The metadata region [0, dataStart) on the
 // SSD absorbs the per-update metadata writes; cache data pages follow it.
-func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) *LeavO {
+// An empty region is ErrNoMetadataRegion.
+func NewLeavO(ssd blockdev.Device, backend Backend, cachePages, dataStart int64, ways int) (*LeavO, error) {
 	if dataStart < 1 {
-		panic("cache: LeavO needs a metadata region")
+		return nil, fmt.Errorf("%w: data starts at SSD page %d", ErrNoMetadataRegion, dataStart)
 	}
 	l := &LeavO{oldOf: make(map[int64]int32), metaPages: dataStart}
 	l.init(newBase(ssd, backend, cachePages, dataStart, ways), leavoBatch, leavoHighWater, leavoLowWater,
 		l.read, l.write, l.cleanOne)
-	return l
+	return l, nil
 }
 
 // Name implements Policy.

@@ -166,7 +166,7 @@ func TestLRUCleanersSweepInRowOrder(t *testing.T) {
 		build      func(ssd blockdev.Device, b cache.Backend) cache.Policy
 	}{
 		{"LeavO", 256, cachePages / 10, 64, true, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
-			return cache.NewLeavO(ssd, b, cachePages, 64, 64)
+			return mustLeavO(ssd, b, cachePages, 64, 64)
 		}},
 		{"WB", 512, cachePages * 37 / 100, 16, false, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
 			return cache.NewWB(ssd, b, cachePages, 64, 64)
@@ -246,7 +246,7 @@ func TestLRUCleanersCleanInIdleTime(t *testing.T) {
 		build func(ssd blockdev.Device, b cache.Backend) cache.Policy
 	}{
 		{"LeavO", true, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
-			return cache.NewLeavO(ssd, b, cachePages, 64, 64)
+			return mustLeavO(ssd, b, cachePages, 64, 64)
 		}},
 		{"WB", false, func(ssd blockdev.Device, b cache.Backend) cache.Policy {
 			return cache.NewWB(ssd, b, cachePages, 64, 64)

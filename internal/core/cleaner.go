@@ -261,6 +261,9 @@ type peerInfo struct {
 // holds no Old page.
 func (k *KDD) cleanRow(t sim.Time, lba int64, peers []int64) (sim.Time, bool, error) {
 	cached, oldPeers := k.rowCached[:0], k.rowOld[:0]
+	if cap(cached) < len(peers) { // first use: room for the whole row
+		cached, oldPeers = make([]peerInfo, 0, len(peers)), make([]peerInfo, 0, len(peers))
+	}
 	allCached := true
 	for _, p := range peers {
 		s := k.frame.Lookup(p)
@@ -354,6 +357,9 @@ func releasePages(pages [][]byte) [][]byte {
 // stale parity read from disk.
 func (k *KDD) parityRMW(t sim.Time, oldPeers []peerInfo) (sim.Time, error) {
 	lbas := k.rmwLBAs[:0]
+	if cap(lbas) < len(oldPeers) { // first use: room for the whole row (cleanRow)
+		lbas = make([]int64, 0, cap(oldPeers))
+	}
 	var deltas [][]byte
 	if k.dataMode {
 		deltas = k.rowPages[:0]

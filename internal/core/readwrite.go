@@ -478,6 +478,9 @@ func (k *KDD) commitDez(t sim.Time) (sim.Time, error) {
 		image = blockdev.GetZeroPage() // gaps past the packed tail stay zero
 	}
 	offs := k.dezOffs[:0]
+	if cap(offs) < len(packed) { // first use: room for the largest page PackPage packs
+		offs = make([]int, 0, cap(packed))
+	}
 	off := 0
 	for _, sd := range packed {
 		if image != nil && sd.D.Bytes != nil {

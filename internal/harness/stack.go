@@ -231,6 +231,9 @@ func Build(o StackOpts) (*Stack, error) {
 			LogicalPages: int64(o.Disks-1) * o.DiskPages,
 			Seed:         o.Seed ^ 0x15AA1D,
 		}, members)
+		if errors.As(err, new(lsraid.LimitError)) {
+			return nil, fmt.Errorf("%w: %w", ErrOptions, err) // a footprint too large for its tables
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +281,11 @@ func Build(o StackOpts) (*Stack, error) {
 	case PolicyWA:
 		st.Policy = cache.NewWA(ssdDev, array, o.CachePages, metaPages, o.Ways)
 	case PolicyLeavO:
-		st.Policy = cache.NewLeavO(ssdDev, array, o.CachePages, metaPages, o.Ways)
+		lo, err := cache.NewLeavO(ssdDev, array, o.CachePages, metaPages, o.Ways)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrOptions, err)
+		}
+		st.Policy = lo
 	case PolicyWB:
 		st.Policy = cache.NewWB(ssdDev, array, o.CachePages, metaPages, o.Ways)
 	case PolicyNVB:

@@ -17,7 +17,7 @@ func (a *Array) PendingPages() int { return len(a.staged()) }
 
 // encodeSummaryOf re-exports the codec over an arbitrary summary value.
 func encodeSummaryOf(seq uint64, rows int64, lbas []int64) []byte {
-	return EncodeSummary(&segMeta{Seq: seq, Rows: rows, LBAs: lbas})
+	return encodeSummary(seq, rows, lbas)
 }
 
 // invertLive corrupts the live counts the way broken accounting misleads
@@ -26,9 +26,9 @@ func encodeSummaryOf(seq uint64, rows int64, lbas []int64) []byte {
 // from which it reclaims nothing.
 func (a *Array) invertLive() {
 	clear(a.live)
-	for _, ph := range a.l2p {
-		if ph != noPhys {
-			a.live[ph.seg]--
+	for _, v := range a.l2p {
+		if v > 0 {
+			a.live[int64(v-1)/a.segPages]--
 		}
 	}
 }

@@ -102,8 +102,10 @@ func (a *Array) collect(t sim.Time, v int) (sim.Time, error) {
 		a.sweep = sw[:0]
 	}()
 	done := t
-	for idx, lba := range m.LBAs {
-		if a.l2p[lba] != (phys{seg: int32(v), idx: int32(idx)}) {
+	first := int32(int64(v) * a.segPages) // l2p's value for the victim's first page
+	for idx, l := range m.LBAs {
+		lba := int64(l)
+		if a.l2p[lba] != first+int32(idx)+1 {
 			continue // dead
 		}
 		var data []byte

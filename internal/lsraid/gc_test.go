@@ -13,19 +13,19 @@ import (
 	"kddcache/internal/sim"
 )
 
-// liveSlot is one live page of a segment: its LBA and the slot the L2P
-// map names for it.
+// liveSlot is one live page of a segment: its LBA and the L2P value
+// naming its slot there (the packed physical page plus one).
 type liveSlot struct {
 	lba int64
-	ph  phys
+	ph  int32
 }
 
 // liveSlots returns segment v's live pages in summary order.
 func liveSlots(a *Array, v int) []liveSlot {
 	var s []liveSlot
 	for idx, lba := range a.segs[v].LBAs {
-		if ph := (phys{seg: int32(v), idx: int32(idx)}); a.l2p[lba] == ph {
-			s = append(s, liveSlot{lba, ph})
+		if ph := int32(int64(v)*a.segPages) + int32(idx) + 1; a.l2p[lba] == ph {
+			s = append(s, liveSlot{int64(lba), ph})
 		}
 	}
 	return s
@@ -144,7 +144,7 @@ func TestSweepReadFailureMovesNothing(t *testing.T) {
 	a, version, tt, v := churned(t)
 	live := liveSlots(a, v)
 	bad := live[len(live)/2]
-	p := a.physPage(bad.ph)
+	p := int64(bad.ph) - 1
 	disk, row := a.Members.DataLocation(p)
 	pDisk, _, _ := a.Members.ParityLocation(p)
 	a.Injector(disk).InjectBadPage(row)
@@ -274,7 +274,7 @@ func TestSweepIssueOrder(t *testing.T) {
 				}
 				last := map[int]int64{}
 				for i, op := range log[len(log)-n:] {
-					disk, page := a.Members.DataLocation(a.physPage(a.l2p[swept[i].lba]))
+					disk, page := a.Members.DataLocation(int64(a.l2p[swept[i].lba]) - 1)
 					if op.write || op.t != start || op.disk != disk || op.page != page {
 						t.Fatalf("segment %d: sweep op %d is %+v, want a read of d%d page %d at %d", v, i, op, disk, page, start)
 					}

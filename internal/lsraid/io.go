@@ -169,25 +169,24 @@ func (a *Array) stage(t sim.Time, lba int64, data []byte, gc bool) (sim.Time, er
 		return t, nil
 	}
 	wasLost := a.lost.Remove(lba) // an overwrite heals a lost page
-	ph, had := a.committed(lba)
+	p, had := a.committed(lba)
 	var seq uint64
 	if had {
-		seq = a.segs[ph.seg].Seq
+		seq = a.segs[p/a.segPages].Seq
 		a.unmap(lba) // the committed copy is dead the moment NVRAM holds a newer one
 	}
+	a.l2p[lba] = ^int32(len(a.rowBuf))
 	a.rowBuf = append(a.rowBuf, pending{lba: lba, data: data, gc: gc})
-	a.pendingIdx[lba] = int32(len(a.rowBuf))
 	if !gc {
 		a.stagedHost++
 	}
 	done, err := a.drain(t)
-	if err == nil || a.pendingIdx[lba] == 0 || had && a.segs[ph.seg].Seq != seq {
+	if err == nil || a.l2p[lba] >= 0 || had && a.segs[p/a.segPages].Seq != seq {
 		return done, nil
 	}
 	a.unstage(lba)
 	if had {
-		a.live[ph.seg]++
-		a.setCommitted(lba, ph)
+		a.commit(lba, p)
 	}
 	if wasLost {
 		a.lost.Add(lba)
@@ -195,9 +194,10 @@ func (a *Array) stage(t sim.Time, lba int64, data []byte, gc bool) (sim.Time, er
 	return done, err
 }
 
-// unstage takes lba's staged page back out of the row buffer.
+// unstage takes lba's staged page back out of the row buffer; lba is
+// left with no copy.
 func (a *Array) unstage(lba int64) {
-	pos := int(a.pendingIdx[lba] - 1)
+	pos := int(^a.l2p[lba])
 	blockdev.PutPage(a.rowBuf[pos].data)
 	if !a.rowBuf[pos].gc {
 		a.stagedHost--
@@ -205,9 +205,9 @@ func (a *Array) unstage(lba int64) {
 	copy(a.rowBuf[pos:], a.rowBuf[pos+1:])
 	a.rowBuf[len(a.rowBuf)-1] = pending{}
 	a.rowBuf = a.rowBuf[:len(a.rowBuf)-1]
-	a.pendingIdx[lba] = 0
+	a.l2p[lba] = 0
 	for i := pos; i < len(a.rowBuf); i++ {
-		a.pendingIdx[a.rowBuf[i].lba] = int32(i + 1)
+		a.l2p[a.rowBuf[i].lba] = ^int32(i)
 	}
 }
 
@@ -216,11 +216,11 @@ func (a *Array) staged() []pending { return a.rowBuf[a.rowHead:] }
 
 // stagedPage returns the staged version of lba, if one exists.
 func (a *Array) stagedPage(lba int64) (*pending, bool) {
-	pos := a.pendingIdx[lba]
-	if pos == 0 {
+	v := a.l2p[lba]
+	if v >= 0 {
 		return nil, false
 	}
-	return &a.rowBuf[pos-1], true
+	return &a.rowBuf[^v], true
 }
 
 // compactRowBuf slides the queue back to the front of rowBuf once the
@@ -237,7 +237,7 @@ func (a *Array) compactRowBuf() {
 	a.rowBuf = a.rowBuf[:live]
 	a.rowHead = 0
 	for i, p := range a.rowBuf {
-		a.pendingIdx[p.lba] = int32(i + 1)
+		a.l2p[p.lba] = ^int32(i)
 	}
 }
 
@@ -290,7 +290,7 @@ func (a *Array) ensureOpen(t sim.Time) (sim.Time, error) {
 		if a.segs[s].Seq == 0 {
 			lbas := a.segs[s].LBAs[:0]
 			if lbas == nil { // first open: the summary's one allocation
-				lbas = make([]int64, 0, a.segPages)
+				lbas = make([]uint32, 0, a.segPages)
 			}
 			a.segs[s] = segMeta{Seq: a.nextSeq + 1, Rows: 0, LBAs: lbas}
 			a.nextSeq++
@@ -352,12 +352,10 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 // have landed; the caller releases the pages' buffers.
 func (a *Array) commitSummary(seg int32, entries []pending) {
 	m := &a.segs[seg]
-	base := m.Rows * int64(len(entries))
+	base := int64(seg)*a.segPages + int64(len(m.LBAs))
 	for k, e := range entries {
-		a.setCommitted(e.lba, phys{seg: seg, idx: int32(base + int64(k))})
-		a.live[seg]++
-		a.pendingIdx[e.lba] = 0
-		m.LBAs = append(m.LBAs, e.lba)
+		a.commit(e.lba, base+int64(k))
+		m.LBAs = append(m.LBAs, uint32(e.lba))
 	}
 	m.Rows++
 	a.rowHead += len(entries)
@@ -381,12 +379,11 @@ func (a *Array) readPage(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if a.lost.Has(lba) {
 		return t, fmt.Errorf("%w: page %d lost", raid.ErrUnrecoverable, lba)
 	}
-	ph, ok := a.committed(lba)
+	p, ok := a.committed(lba)
 	if !ok {
 		clear(buf)
 		return t, nil // never written: fresh-volume zeros
 	}
-	p := a.physPage(ph)
 	done, err := a.ReadData(t, p, buf)
 	if errors.Is(err, raid.ErrUnrecoverable) || errors.Is(err, raid.ErrTooManyFailures) {
 		disk, row := a.Members.DataLocation(p)

@@ -53,6 +53,7 @@ package lsraid
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"kddcache/internal/bitset"
 	"kddcache/internal/blockdev"
@@ -101,27 +102,34 @@ type Config struct {
 	Seed uint64
 }
 
-// phys is a physical page address: a committed slot in a segment.
-// idx = rowInSeg*(disks-1) + slot, in summary order.
-type phys struct {
-	seg int32
-	idx int32
+// LimitError is New refusing a geometry its 4-byte tables cannot
+// address: a logical space of 2^32 pages or more (segment summaries hold
+// each LBA in a uint32), or more than 2^31-1 physical data pages (the L2P
+// table holds a packed physical page plus one in an int32). It wraps
+// raid.ErrBadGeometry.
+type LimitError struct {
+	What         string // "logical" or "physical data"
+	Pages, Limit int64  // the pages asked for, and the most there may be
 }
 
-// noPhys is the L2P entry of a logical page with no live committed copy.
-var noPhys = phys{seg: -1, idx: -1}
+func (e LimitError) Error() string {
+	return fmt.Sprintf("lsraid: %s space of %d pages exceeds the %d its 4-byte tables address", e.What, e.Pages, e.Limit)
+}
+
+func (LimitError) Unwrap() error { return raid.ErrBadGeometry }
 
 // segMeta is one segment's NVRAM summary: its allocation sequence number
 // (0 = free), how many rows are committed, and the logical LBA of every
 // committed data page in write order. It is what replay rebuilds the L2P
 // map from, and what the binary summary codec (summary.go) serialises.
-// LBAs is allocated once, at capacity segPages, when ensureOpen first
-// opens the segment, and freeVictim truncates it for reuse, so a
+// LBAs holds each LBA in 4 bytes (New bounds the logical space below
+// 2^32); it is allocated once, at capacity segPages, when ensureOpen
+// first opens the segment, and freeVictim truncates it for reuse, so a
 // commit never regrows it; a segment never opened holds none.
 type segMeta struct {
 	Seq  uint64
 	Rows int64
-	LBAs []int64
+	LBAs []uint32
 }
 
 // pending is one staged page in the NVRAM row buffer.
@@ -177,19 +185,20 @@ type Array struct {
 	lost    bitset.Set // logical pages declared unrecoverable
 
 	// Volatile state, rebuilt by replay(). The logical address space is
-	// dense and bounded, so the two lookups are flat tables over
-	// [0, logical), allocated once: l2p maps a page to its live committed
-	// copy and holds noPhys for a page without one — never written, staged
-	// in NVRAM, or lost (mapped counts the others); pendingIdx holds 0 for
-	// a page that is not staged and its position in rowBuf plus one
-	// otherwise (compactRowBuf rewrites the entries it moves).
-	l2p        []phys
-	mapped     int64
-	live       []int32
-	freeCount  int64
-	pendingIdx []int32
-	inGC       bool
-	sweep      []pending // collect's live-page list, reused across collections
+	// dense and bounded, so the lookup is one flat table over
+	// [0, logical), allocated once, 4 bytes a page. l2p[lba] is 0 for a
+	// page with no copy — never written, or lost; v > 0 for a page
+	// committed at packed physical page v-1 (seg*segPages + idx, the member
+	// layer's data page); v < 0 for a page staged at rowBuf[^v], the
+	// encoding of metalog's where table (compactRowBuf rewrites the entries
+	// it moves). A staged page's committed copy is dead, so one cell says
+	// both. mapped counts the committed pages.
+	l2p       []int32
+	mapped    int64
+	live      []int32
+	freeCount int64
+	inGC      bool
+	sweep     []pending // collect's live-page list, reused across collections
 
 	// NVRAM occupancy in virtual time (admit): the host pages staged,
 	// and the committed rows still in flight, oldest first, in a ring of
@@ -224,14 +233,6 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	// Only committed rows carry meaning, so the sweep reconstructs exactly
 	// those — a mostly-empty log rebuilds in proportion to its live data,
 	// not its raw capacity.
-	var err error
-	a.Members, err = raid.NewMembers(raid.RebuildEngine{
-		Name: a.Name(), Pkg: "lsraid",
-		Live: a.segRowCommitted, Lose: a.lose,
-	}, raid.Level5, 1, disks)
-	if err != nil {
-		return nil, err
-	}
 	pages := members[0].Pages()
 	a.numSegs = pages / cfg.SegRows
 	a.segPages = cfg.SegRows * int64(n-1)
@@ -242,13 +243,27 @@ func New(cfg Config, members []blockdev.Device) (*Array, error) {
 	if cfg.LogicalPages == 0 {
 		cfg.LogicalPages = a.numSegs * a.segPages * 3 / 4
 	}
+	// Refuse what the 4-byte tables cannot address before allocating any.
+	if cfg.LogicalPages > math.MaxUint32 {
+		return nil, LimitError{What: "logical", Pages: cfg.LogicalPages, Limit: math.MaxUint32}
+	}
+	if phys := a.numSegs * a.segPages; phys > math.MaxInt32 {
+		return nil, LimitError{What: "physical data", Pages: phys, Limit: math.MaxInt32}
+	}
 	if cfg.LogicalPages > maxLogical {
 		cfg.LogicalPages = maxLogical
 	}
 	a.cfg, a.logical = cfg, cfg.LogicalPages
+	var err error
+	a.Members, err = raid.NewMembers(raid.RebuildEngine{
+		Name: a.Name(), Pkg: "lsraid",
+		Live: a.segRowCommitted, Lose: a.lose,
+	}, raid.Level5, 1, disks)
+	if err != nil {
+		return nil, err
+	}
 	a.segs = make([]segMeta, a.numSegs)
-	a.l2p = make([]phys, a.logical)
-	a.pendingIdx = make([]int32, a.logical)
+	a.l2p = make([]int32, a.logical)
 	a.lost = bitset.New(a.logical)
 	a.flying = make([]landing, nvSegs*a.segPages)
 	a.replay() // of an empty log: nothing mapped, nothing live, every segment free
@@ -302,50 +317,49 @@ func (a *Array) AppendRowPeers(dst []int64, lba int64) []int64 {
 // in NVRAM (or never written, or lost) has no physical home; (-1, -1)
 // says so, and fault-aiming tooling must skip it.
 func (a *Array) DataLocation(lba int64) (disk int, page int64) {
-	ph, ok := a.committed(lba)
+	p, ok := a.committed(lba)
 	if !ok {
 		return -1, -1
 	}
-	return a.Members.DataLocation(a.physPage(ph))
+	return a.Members.DataLocation(p)
 }
 
 // ParityLocation returns the member holding the parity of lba's current
 // physical row (qDisk is always -1: single parity). Like DataLocation it
 // reports -1 for pages with no committed physical home.
 func (a *Array) ParityLocation(lba int64) (pDisk, qDisk int, page int64) {
-	ph, ok := a.committed(lba)
+	p, ok := a.committed(lba)
 	if !ok {
 		return -1, -1, -1
 	}
-	return a.Members.ParityLocation(a.physPage(ph))
+	return a.Members.ParityLocation(p)
 }
 
-// committed returns lba's live committed copy, if it has one. Pages
-// outside the logical space have none.
-func (a *Array) committed(lba int64) (phys, bool) {
+// committed returns lba's live committed copy as a packed physical page
+// (seg*segPages + idx), if it has one. Pages outside the logical space
+// have none.
+func (a *Array) committed(lba int64) (int64, bool) {
 	if lba < 0 || lba >= a.logical {
-		return noPhys, false
+		return -1, false
 	}
-	ph := a.l2p[lba]
-	return ph, ph != noPhys
+	v := a.l2p[lba]
+	return int64(v) - 1, v > 0
 }
 
-// setCommitted points lba's mapping at ph (noPhys unmaps it).
-func (a *Array) setCommitted(lba int64, ph phys) {
-	if a.l2p[lba] != noPhys {
-		a.mapped--
-	}
-	if ph != noPhys {
-		a.mapped++
-	}
-	a.l2p[lba] = ph
+// commit maps lba, staged or without a copy, to packed physical page p,
+// which holds it live.
+func (a *Array) commit(lba, p int64) {
+	a.l2p[lba] = int32(p + 1)
+	a.live[p/a.segPages]++
+	a.mapped++
 }
 
 // unmap drops lba's committed copy, if it has one: it is no longer live.
 func (a *Array) unmap(lba int64) {
-	if ph, ok := a.committed(lba); ok {
-		a.live[ph.seg]--
-		a.setCommitted(lba, noPhys)
+	if p, ok := a.committed(lba); ok {
+		a.live[p/a.segPages]--
+		a.mapped--
+		a.l2p[lba] = 0
 	}
 }
 
@@ -353,10 +367,6 @@ func (a *Array) unmap(lba int64) {
 
 // dc returns data pages per physical row.
 func (a *Array) dc() int { return a.Disks() - 1 }
-
-// physPage returns ph as a page of the member layer's layout: the data
-// slot in row order, row*(disks-1) + slot.
-func (a *Array) physPage(ph phys) int64 { return int64(ph.seg)*a.segPages + int64(ph.idx) }
 
 // LostRows returns the logical pages declared unrecoverable, sorted.
 // (The parity engine reports member rows; here the log's physical rows

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/raid"
@@ -505,7 +507,7 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	}{
 		{0, 0, nil},
 		{1, 0, nil},
-		{7, 2, []int64{5, 9, 1, 0, 1 << 40, 3}},
+		{7, 2, []int64{5, 9, 1, 0, 1<<32 - 1, 3}},
 		{1 << 60, 1, []int64{0, 0, 0}},
 	}
 	for i, c := range cases {
@@ -518,7 +520,7 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: round-trip mismatch: %+v", i, dec)
 		}
 		for j := range c.lbas {
-			if dec.LBAs[j] != c.lbas[j] {
+			if int64(dec.LBAs[j]) != c.lbas[j] {
 				t.Fatalf("case %d: lba %d mismatch", i, j)
 			}
 		}
@@ -531,6 +533,10 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSummary(nil); err == nil {
 		t.Fatal("nil summary decoded cleanly")
+	}
+	// The format carries any LBA; one past 4 bytes fits no segment.
+	if _, err := DecodeSummary(encodeSummaryOf(7, 2, []int64{5, 9, 1, 0, 1 << 32, 3})); !errors.Is(err, ErrBadSummary) {
+		t.Fatalf("a summary naming LBA 2^32 decoded: %v", err)
 	}
 }
 
@@ -568,5 +574,36 @@ func TestTimingMode(t *testing.T) {
 	}
 	if a.Stats().GCSegments == 0 {
 		t.Fatal("timing-mode workload never triggered GC")
+	}
+}
+
+// TestNewRetainsFourBytesAPage: New keeps one 4-byte L2P cell per logical
+// page, so beyond its per-segment tables (summaries, live counts, the
+// in-flight ring) it retains about 4 bytes a page plus the lost set's bit.
+// A committed-copy table of 8-byte addresses beside a 4-byte staged index
+// retained 12.
+func TestNewRetainsFourBytesAPage(t *testing.T) {
+	var members []blockdev.Device
+	for i := 0; i < 5; i++ {
+		members = append(members, blockdev.NewNullDevice(fmt.Sprintf("d%d", i), 1<<18))
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	a, err := New(Config{SegRows: 32}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := heap() - before
+	segTables := a.numSegs*int64(unsafe.Sizeof(segMeta{})+4) + int64(len(a.flying))*int64(unsafe.Sizeof(landing{}))
+	perPage := float64(retained-segTables) / float64(a.logical)
+	runtime.KeepAlive(a)
+	t.Logf("%d logical pages: %d bytes retained, %d in segment tables, %.3f a page beyond them", a.logical, retained, segTables, perPage)
+	if perPage > 4.25 {
+		t.Fatalf("New retains %.3f bytes a logical page beyond its segment tables, want at most 4.25", perPage)
 	}
 }

@@ -35,11 +35,11 @@ func (a *Array) lose(row int64, disks uint32) {
 		if idx >= int64(len(m.LBAs)) {
 			break
 		}
-		ph := phys{seg: int32(seg), idx: int32(idx)}
-		if disk, _ := a.Members.DataLocation(a.physPage(ph)); disks&(1<<uint(disk)) == 0 {
+		p := seg*a.segPages + idx
+		if disk, _ := a.Members.DataLocation(p); disks&(1<<uint(disk)) == 0 {
 			continue
 		}
-		if lba := m.LBAs[idx]; a.l2p[lba] == ph && a.pendingIdx[lba] == 0 {
+		if lba := int64(m.LBAs[idx]); a.l2p[lba] == int32(p+1) {
 			a.lost.Add(lba)
 			a.Counters().LostPages++
 			a.unmap(lba)

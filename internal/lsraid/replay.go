@@ -14,17 +14,14 @@ func (a *Array) CrashRebuildState() {
 	a.replay()
 }
 
-// replay rebuilds all volatile lookup state — the L2P map, per-segment
-// live counts, the free count, the pending index — from the NVRAM
+// replay rebuilds all volatile lookup state — the L2P table (committed
+// and staged pages), per-segment live counts, the free count — from the NVRAM
 // summaries, staged row buffer and lost set. It is the crash-recovery path
 // (CrashRebuildState) and must be a pure function of NVRAM state:
 // running it twice yields identical state (tested via StateDigest).
 func (a *Array) replay() {
 	a.inGC = false
-	for i := range a.l2p {
-		a.l2p[i] = noPhys
-	}
-	clear(a.pendingIdx)
+	clear(a.l2p)
 	a.mapped = 0
 	a.live = make([]int32, a.numSegs)
 	a.freeCount = 0
@@ -44,12 +41,9 @@ func (a *Array) replay() {
 	for _, s := range order {
 		m := &a.segs[s]
 		for idx := int64(0); idx < m.Rows*dc; idx++ {
-			lba := m.LBAs[idx]
-			if prev, ok := a.committed(lba); ok {
-				a.live[prev.seg]--
-			}
-			a.setCommitted(lba, phys{seg: int32(s), idx: int32(idx)})
-			a.live[s]++
+			lba := int64(m.LBAs[idx])
+			a.unmap(lba)
+			a.commit(lba, int64(s)*a.segPages+idx)
 		}
 	}
 	// Staged pages shadow their committed copies, and lost pages have
@@ -57,8 +51,8 @@ func (a *Array) replay() {
 	// the host pages NVRAM holds are the staged ones.
 	a.stagedHost, a.flyHead, a.flyLen, a.flyingHost = 0, 0, 0, 0
 	for i, p := range a.staged() {
-		a.pendingIdx[p.lba] = int32(a.rowHead + i + 1)
 		a.unmap(p.lba)
+		a.l2p[p.lba] = ^int32(a.rowHead + i)
 		if !p.gc {
 			a.stagedHost++
 		}
@@ -119,7 +113,7 @@ func (a *Array) CheckInvariants() error {
 		numSegs: a.numSegs, logical: a.logical,
 		segs: a.segs, open: a.open,
 		rowBuf: a.rowBuf, rowHead: a.rowHead, lost: a.lost,
-		l2p: make([]phys, a.logical), pendingIdx: make([]int32, a.logical),
+		l2p: make([]int32, a.logical),
 	}
 	want.replay()
 	if want.freeCount != a.freeCount {
@@ -128,9 +122,9 @@ func (a *Array) CheckInvariants() error {
 	if want.mapped != a.mapped {
 		return fmt.Errorf("lsraid: l2p has %d entries, replay says %d", a.mapped, want.mapped)
 	}
-	for lba, ph := range a.l2p {
-		if want.l2p[lba] != ph {
-			return fmt.Errorf("lsraid: l2p[%d]=%v, replay says %v", lba, ph, want.l2p[lba])
+	for lba, v := range a.l2p {
+		if want.l2p[lba] != v {
+			return fmt.Errorf("lsraid: l2p[%d]=%d, replay says %d", lba, v, want.l2p[lba])
 		}
 	}
 	var livePages int64
@@ -145,11 +139,6 @@ func (a *Array) CheckInvariants() error {
 			return fmt.Errorf("lsraid: live[%d]=%d exceeds committed %d", s, a.live[s], a.segs[s].Rows*dc)
 		}
 		livePages += int64(a.live[s])
-	}
-	for lba, pos := range a.pendingIdx {
-		if pos != want.pendingIdx[lba] {
-			return fmt.Errorf("lsraid: pending index for %d is %d, want %d", lba, pos, want.pendingIdx[lba])
-		}
 	}
 	if a.stagedHost != want.stagedHost {
 		return fmt.Errorf("lsraid: %d host pages counted staged, the row buffer holds %d", a.stagedHost, want.stagedHost)
@@ -195,13 +184,14 @@ func (a *Array) StateDigest() uint64 {
 			h.Write(p.data)
 		}
 	}
-	// The derived map, in ascending LBA order.
-	for lba, ph := range a.l2p {
-		if ph == noPhys {
+	// The derived map, in ascending LBA order, as (segment, index) pairs.
+	for lba, v := range a.l2p {
+		if v <= 0 {
 			continue
 		}
+		p := int64(v) - 1
 		putU64(uint64(lba))
-		putU64(uint64(ph.seg)<<32 | uint64(uint32(ph.idx)))
+		putU64(uint64(p/a.segPages)<<32 | uint64(p%a.segPages))
 	}
 	return h.Sum64()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // The segment-summary codec: the byte representation of one segment's
@@ -19,7 +20,8 @@ import (
 //	crc     u32      CRC-32 (IEEE) of everything above
 //
 // Delta encoding keeps sequential workloads' summaries small; zig-zag
-// keeps backwards deltas cheap. The decoder is hardened against
+// keeps backwards deltas cheap. The format carries any non-negative LBA;
+// the decoder rejects one past 4 bytes, which no segment can hold. The decoder is hardened against
 // arbitrary bytes (fuzzed by FuzzLSRaidSegmentDecode): every length is
 // bounded before allocation, every varint checked for truncation, and
 // the CRC rejects torn or bit-rotted summaries loudly.
@@ -40,17 +42,21 @@ const (
 )
 
 // EncodeSummary serialises a segment summary.
-func EncodeSummary(m *segMeta) []byte {
-	buf := make([]byte, 0, 5+3*binary.MaxVarintLen64+len(m.LBAs)*2+4)
+func EncodeSummary(m *segMeta) []byte { return encodeSummary(m.Seq, m.Rows, m.LBAs) }
+
+// encodeSummary serialises a summary's fields; the tests also encode LBAs
+// no segment can hold.
+func encodeSummary[L uint32 | int64](seq uint64, rows int64, lbas []L) []byte {
+	buf := make([]byte, 0, 5+3*binary.MaxVarintLen64+len(lbas)*2+4)
 	buf = append(buf, summaryMagic[:]...)
 	buf = append(buf, summaryVersion)
-	buf = binary.AppendUvarint(buf, m.Seq)
-	buf = binary.AppendUvarint(buf, uint64(m.Rows))
-	buf = binary.AppendUvarint(buf, uint64(len(m.LBAs)))
+	buf = binary.AppendUvarint(buf, seq)
+	buf = binary.AppendUvarint(buf, uint64(rows))
+	buf = binary.AppendUvarint(buf, uint64(len(lbas)))
 	prev := int64(0)
-	for _, lba := range m.LBAs {
-		buf = binary.AppendVarint(buf, lba-prev)
-		prev = lba
+	for _, lba := range lbas {
+		buf = binary.AppendVarint(buf, int64(lba)-prev)
+		prev = int64(lba)
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
@@ -102,7 +108,7 @@ func DecodeSummary(b []byte) (segMeta, error) {
 	if rows == 0 && count != 0 {
 		return m, fmt.Errorf("%w: %d entries with no rows", ErrBadSummary, count)
 	}
-	lbas := make([]int64, 0, count)
+	lbas := make([]uint32, 0, count)
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		d, n := binary.Varint(rest)
@@ -111,10 +117,10 @@ func DecodeSummary(b []byte) (segMeta, error) {
 		}
 		rest = rest[n:]
 		lba := prev + d
-		if lba < 0 {
-			return m, fmt.Errorf("%w: negative lba %d", ErrBadSummary, lba)
+		if lba < 0 || lba > math.MaxUint32 {
+			return m, fmt.Errorf("%w: lba %d outside [0, 2^32)", ErrBadSummary, lba)
 		}
-		lbas = append(lbas, lba)
+		lbas = append(lbas, uint32(lba))
 		prev = lba
 	}
 	if len(rest) != 0 {

@@ -9,10 +9,12 @@
 //
 // The in-memory index is dense, not hashed: the buffer is a queue in
 // arrival order, the paper's "list in memory for each metadata page"
-// (§III-C) is a ring with one slot per partition page, and one int32 per
-// SSD page says where the newest entry of that cache page lives (see
-// Log.where). Timing-only devices persist no bytes, so there the page
-// image is never built: no encode, no checksum, the same flash writes.
+// (§III-C) is a ring with one slot per partition page holding that page's
+// own bytes (see Log.pages), and one int32 per SSD page says where the
+// newest entry of that cache page lives (see Log.where). Every commit
+// encodes its page into the slot, which log GC decodes again; only a
+// data-backed device gets the checksum and the bytes, so a timing-only
+// device makes the same flash writes without either.
 package metalog
 
 import (
@@ -118,8 +120,11 @@ const (
 var ErrVolatileDevice = errors.New("metalog: cannot recover from a timing-only device that persisted no bytes")
 
 // encSize returns the on-flash size of e.
-func (e Entry) encSize() int {
-	switch e.State {
+func (e Entry) encSize() int { return stateSize(e.State) }
+
+// stateSize returns the on-flash size of an entry in state st.
+func stateSize(st State) int {
+	switch st {
 	case StateFree:
 		return FreeEntrySize
 	case StateOld:
@@ -163,31 +168,27 @@ func decodeEntry(b []byte) (e Entry, n int, ok bool) {
 	if len(b) < FreeEntrySize || b[0] == 0 {
 		return Entry{}, 0, false
 	}
-	raw := b[0]&0x80 != 0
 	st := State(b[0]&0x7F) - 1
-	if st > StateOld {
+	if st > StateOld || len(b) < stateSize(st) {
 		return Entry{}, 0, false
 	}
-	e = Entry{State: st, DezRaw: raw, DazPage: binary.LittleEndian.Uint32(b[1:]), DezPage: NoDez}
+	return decodeAs(b, st), stateSize(st), true
+}
+
+// decodeAs parses the entry of state st at the start of b, which holds
+// it whole.
+func decodeAs(b []byte, st State) Entry {
+	e := Entry{State: st, DezRaw: b[0]&0x80 != 0, DazPage: binary.LittleEndian.Uint32(b[1:]), DezPage: NoDez}
 	switch st {
-	case StateFree:
-		return e, FreeEntrySize, true
 	case StateOld:
-		if len(b) < OldEntrySize {
-			return Entry{}, 0, false
-		}
 		e.RaidLBA = binary.LittleEndian.Uint32(b[5:])
 		e.DezPage = binary.LittleEndian.Uint32(b[9:])
 		e.DezOff = binary.LittleEndian.Uint16(b[13:])
 		e.DezLen = binary.LittleEndian.Uint16(b[15:])
-		return e, OldEntrySize, true
-	default:
-		if len(b) < CleanEntrySize {
-			return Entry{}, 0, false
-		}
+	case StateClean:
 		e.RaidLBA = binary.LittleEndian.Uint32(b[5:])
-		return e, CleanEntrySize, true
 	}
+	return e
 }
 
 // Stats counts metadata traffic.
@@ -232,18 +233,20 @@ type Log struct {
 
 	// Volatile acceleration structures (rebuilt on recovery).
 	//
-	// pages is §III-C's "list in memory for each metadata page": ring slot
-	// seq%npages holds the entries of committed page seq, empty once GC has
-	// reclaimed it. The first lap allocates each slot's list once, at
-	// slotEntries (slotList); every later commit or recovery builds the
-	// page's list in that backing array, so the steady state allocates
-	// nothing, and resetIndex keeps the arrays.
+	// pages is §III-C's "list in memory for each metadata page", kept as
+	// the page itself: ring slot seq%npages holds the image of committed
+	// page seq — header and encoded entries, zeros after them, PageSize
+	// bytes in all — and is dead once GC has reclaimed the page. A slot's
+	// image is allocated at its first commit or recovery (slotImage), never
+	// sized by the partition up front, and every later lap rewrites it in
+	// place, so the steady state allocates nothing. GC decodes the head
+	// slot's image to re-log its live entries.
 	//
 	// where locates the newest entry of every cache page, indexed by
 	// Entry.DazPage (an SSD page of dev): 0 = none, v > 0 = committed in
 	// ring slot v-1, v < 0 = buffered at buf[^v]. At most one live page
 	// maps to a ring slot, so the slot names the page unambiguously.
-	pages [][]Entry
+	pages [][]byte
 	where []int32
 
 	stats Stats
@@ -274,7 +277,7 @@ func New(dev blockdev.Device, npages int64) (*Log, error) {
 		dev:    dev,
 		npages: npages,
 		ctr:    &nvram.Counters{},
-		pages:  make([][]Entry, npages),
+		pages:  make([][]byte, npages),
 		where:  make([]int32, dev.Pages()),
 	}, nil
 }
@@ -323,15 +326,7 @@ func (l *Log) Reinit(dev blockdev.Device) {
 		RebuildRow:    l.ctr.RebuildRow,
 	}
 	l.buf, l.bufHead, l.bufBytes = l.buf[:0], 0, 0
-	l.resetIndex()
-}
-
-// resetIndex empties the volatile structures.
-func (l *Log) resetIndex() {
-	for i := range l.pages {
-		l.pages[i] = l.pages[i][:0]
-	}
-	clear(l.where)
+	clear(l.where) // every slot's image is dead: none is between head and tail
 }
 
 // loc returns cache page k's cell of the where table. The table is sized
@@ -403,19 +398,29 @@ func (l *Log) bufInsert(e Entry) {
 		*prev = e
 		return
 	}
+	if l.buf == nil {
+		l.buf = make([]Entry, 0, bufEntries)
+	}
 	*w = ^int32(len(l.buf))
 	l.buf = append(l.buf, e)
 	l.bufBytes += e.encSize()
 }
 
-// bufDrop removes the oldest n entries from the NVRAM buffer and slides
-// the queue back to the front of buf once the drained prefix is at least
-// as long as what remains, so buf is reused instead of regrown and an
-// entry moves at most once per entry drained past it.
-func (l *Log) bufDrop(n int) {
+// bufEntries is the capacity the NVRAM buffer's queue is allocated at,
+// at its first insert: two pages of Clean entries, the page being filled
+// and a drained page waiting for bufDrop's compaction.
+const bufEntries = 2 * logPagePayload / CleanEntrySize
+
+// bufDrop removes the oldest n entries from the NVRAM buffer, pointing
+// their cache pages' where cells at w (the ring slot that now holds them,
+// plus one, or 0), and slides the queue back to the front of buf once the
+// drained prefix is at least as long as what remains, so buf is reused
+// instead of regrown and an entry moves at most once per entry drained
+// past it.
+func (l *Log) bufDrop(n int, w int32) {
 	for _, e := range l.buf[l.bufHead : l.bufHead+n] {
 		l.bufBytes -= e.encSize()
-		l.where[e.DazPage] = 0
+		l.where[e.DazPage] = w
 	}
 	l.bufHead += n
 	if rest := len(l.buf) - l.bufHead; l.bufHead >= rest {
@@ -440,42 +445,37 @@ func (l *Log) commitPage(t sim.Time, ackEarly bool) (sim.Time, error) {
 		sp.End(t)
 		return t, err
 	}
-	// A timing-only device persists no bytes: the page is sized, not built.
-	var image []byte
-	if l.dataMode() {
-		image = blockdev.GetZeroPage()
-	}
+	// The slot's page was reclaimed a lap ago: its image is rebuilt in
+	// place, entries, then zeros, then the header.
 	seq := l.ctr.Tail
 	slot := l.slotOf(seq)
-	n, used := 0, 0
+	image := l.slotImage(slot)
+	off, n := logPageHdrLen, 0
 	for _, e := range l.buf[l.bufHead:] {
-		sz := e.encSize()
-		if used+sz > logPagePayload {
+		if off+e.encSize() > blockdev.PageSize {
 			break
 		}
-		used += sz
+		off += e.encode(image[off:])
 		n++
 	}
-	// The slot's page was reclaimed a lap ago.
-	flushed := append(l.slotList(slot, n), l.buf[l.bufHead:l.bufHead+n]...)
-	if image != nil {
-		off := logPageHdrLen
-		for _, e := range flushed {
-			off += e.encode(image[off:])
-		}
-		binary.LittleEndian.PutUint16(image[0:], logPageMagic)
-		binary.LittleEndian.PutUint16(image[2:], uint16(used))
-		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[logPageHdrLen:logPageHdrLen+used]))
+	clear(image[off:])
+	used := off - logPageHdrLen
+	binary.LittleEndian.PutUint16(image[0:], logPageMagic)
+	binary.LittleEndian.PutUint16(image[2:], uint16(used))
+	// A timing-only device persists no bytes: it is handed none.
+	var data []byte
+	if l.dataMode() {
+		binary.LittleEndian.PutUint32(image[4:], crc32.ChecksumIEEE(image[logPageHdrLen:off]))
+		data = image
 	}
 	if ackEarly {
 		// MUTATION (kddbug build tag): treat the batch as committed before
 		// its page is durable — the entries leave NVRAM ahead of the write
 		// ack. A crash on this very write ordinal then loses the mappings
 		// of already-acked operations, which the shard checker must catch.
-		l.bufDrop(len(flushed))
+		l.bufDrop(n, 0)
 	}
-	done, err := l.dev.WritePages(t, int64(slot), 1, image)
-	blockdev.PutPage(image) // the device copied it (or ignored it on error)
+	done, err := l.dev.WritePages(t, int64(slot), 1, data) // the device copies the image
 	if err != nil {
 		// The page never acked. The entries stay in the NVRAM buffer and
 		// the tail counter untouched, so a crash here is
@@ -485,35 +485,28 @@ func (l *Log) commitPage(t sim.Time, ackEarly bool) (sim.Time, error) {
 		return t, err
 	}
 	l.ctr.Tail++
-	if !ackEarly {
+	if ackEarly {
+		// The entries left NVRAM before the write; the page holds them now.
+		for off := logPageHdrLen; off < logPageHdrLen+used; off += stateSize(State(image[off]&0x7F) - 1) {
+			l.where[binary.LittleEndian.Uint32(image[off+1:])] = slot + 1
+		}
+	} else {
 		// Only now that the page is durable do the entries leave NVRAM.
-		l.bufDrop(len(flushed))
+		l.bufDrop(n, slot+1)
 	}
-	l.pages[slot] = flushed
-	for _, e := range flushed {
-		l.where[e.DazPage] = slot + 1
-	}
-	l.stats.EntriesLogged += int64(len(flushed))
+	l.stats.EntriesLogged += int64(n)
 	l.stats.PagesWritten++
 	sp.End(done)
 	return done, nil
 }
 
-// slotEntries is the capacity a ring slot's list is allocated at: a page
-// of Clean entries. Old entries are larger, so most pages fit; a page
-// of more, smaller Free entries takes one allocation at its own count.
-const slotEntries = logPagePayload / CleanEntrySize
-
-// slotList returns a ring slot's list, emptied, with room for n entries: its
-// old backing array when that is large enough, else one allocation at
-// slotEntries or n, whichever is larger. A slot is allocated when its
-// first page is committed or recovered, never sized by the partition up
-// front, and keeps its backing array across laps.
-func (l *Log) slotList(slot int32, n int) []Entry {
-	if s := l.pages[slot][:0]; cap(s) >= n {
-		return s
+// slotImage returns a ring slot's page image, allocating it at the
+// slot's first use.
+func (l *Log) slotImage(slot int32) []byte {
+	if l.pages[slot] == nil {
+		l.pages[slot] = make([]byte, blockdev.PageSize)
 	}
-	return make([]Entry, 0, max(n, slotEntries))
+	return l.pages[slot]
 }
 
 // Flush commits all buffered entries (final partial page included); used
@@ -526,7 +519,9 @@ func (l *Log) Flush(t sim.Time) (sim.Time, error) {
 
 // maybeGC reclaims head pages while the log is above its threshold.
 // Valid entries of the candidate page are reinserted into the metadata
-// buffer from the in-memory page list — no flash read needed (§III-C).
+// buffer, in page order, from the page's in-memory image — no flash read
+// needed (§III-C). An entry is valid while where still names the slot, so
+// a dead one is skipped on its type byte and cache page alone.
 func (l *Log) maybeGC(t sim.Time) error {
 	max := int64(float64(l.npages) * gcThreshold)
 	if max < 1 {
@@ -543,21 +538,25 @@ func (l *Log) maybeGC(t sim.Time) error {
 		}
 		l.stats.GCRuns++
 		slot := l.slotOf(head)
-		for _, e := range l.pages[slot] {
-			if l.where[e.DazPage] != slot+1 {
-				continue // superseded later; dead
-			}
-			if e.State == StateFree {
+		image := l.pages[slot]
+		end := logPageHdrLen + int(binary.LittleEndian.Uint16(image[2:]))
+		for off := logPageHdrLen; off < end; {
+			st := State(image[off]&0x7F) - 1
+			size := stateSize(st)
+			w := &l.where[binary.LittleEndian.Uint32(image[off+1:])]
+			switch {
+			case *w != slot+1: // superseded later; dead
+			case st == StateFree:
 				// Head is the oldest page: no earlier entry can exist that
 				// this free marker must supersede, so it can be dropped.
-				l.where[e.DazPage] = 0
-				continue
+				*w = 0
+			default:
+				l.bufInsert(decodeAs(image[off:off+size], st))
+				l.stats.ReinsertedEntries++
+				l.stats.ReinsertedBytes += int64(size)
 			}
-			l.bufInsert(e)
-			l.stats.ReinsertedEntries++
-			l.stats.ReinsertedBytes += int64(e.encSize())
+			off += size
 		}
-		l.pages[slot] = l.pages[slot][:0]
 		l.ctr.Head++
 		// Reinsertions may refill the buffer past a page; the caller's
 		// flush loop handles that.
@@ -592,34 +591,28 @@ func (l *Log) Recover(t sim.Time) ([]Entry, sim.Time, error) {
 		return nil, t, ErrVolatileDevice
 	}
 	l.stats.Recoveries++
-	l.resetIndex()
-	var page [blockdev.PageSize]byte
+	clear(l.where)
 	done := t
 	var replay []Entry
+	// A live page implies a data-backed device (above): each is read into
+	// its slot's image, which GC decodes from then on.
 	for seq := l.ctr.Head; seq != l.ctr.Tail; seq++ {
 		slot := l.slotOf(seq)
-		var buf []byte
-		if l.dataMode() {
-			buf = page[:]
-		}
-		c, err := l.dev.ReadPages(t, int64(slot), 1, buf)
+		image := l.slotImage(slot)
+		c, err := l.dev.ReadPages(t, int64(slot), 1, image)
 		if err != nil {
 			// A detectable media error on a log page is unrecoverable from
 			// this replica; surface it with enough context to act on.
 			return nil, t, fmt.Errorf("metalog: recovery read of log seq %d (ssd page %d): %w", seq, slot, err)
 		}
 		done = sim.MaxTime(done, c)
-		var entries []Entry
-		if l.dataMode() {
-			if entries, err = decodePage(l.slotList(slot, slotEntries), page[:], seq, int64(slot)); err != nil {
-				return nil, t, err
-			}
+		n := len(replay)
+		if replay, err = decodePage(replay, image, seq, int64(slot)); err != nil {
+			return nil, t, err
 		}
-		l.pages[slot] = entries
-		for _, e := range entries {
+		for _, e := range replay[n:] {
 			*l.loc(e.DazPage) = slot + 1
 		}
-		replay = append(replay, entries...)
 	}
 	// Overlay NVRAM buffer (newest state per DazPage).
 	for i := l.bufHead; i < len(l.buf); i++ {

@@ -68,6 +68,12 @@ type Staging struct {
 	Invalidated int64 // deltas dropped because the page was reclaimed
 }
 
+// smallDelta is the encoded size the queue and the packed page are
+// allocated for at first use: half the mean delta of the most compressible
+// content modelled (KDD-12 %, about 490 bytes). A burst of smaller deltas
+// regrows them.
+const smallDelta = 256
+
 // NewStaging returns a staging buffer for the deltas of the DAZ pages
 // [firstPage, firstPage+pages) that packs a page once capBytes of deltas
 // are queued. capBytes must be at least one page.
@@ -108,6 +114,9 @@ func (s *Staging) Put(d StagedDelta) {
 		s.Coalesced++
 		return
 	}
+	if s.fifo == nil {
+		s.fifo = make([]StagedDelta, 0, s.capBytes/smallDelta)
+	}
 	s.fifo = append(s.fifo, d)
 	s.index[d.DazPage-s.first] = int32(len(s.fifo))
 	s.n++
@@ -144,6 +153,9 @@ func (s *Staging) Drop(dazPage int64) {
 // in it now belong to the caller (see StagedDelta).
 func (s *Staging) PackPage() []StagedDelta {
 	out := s.packed[:0]
+	if out == nil {
+		out = make([]StagedDelta, 0, blockdev.PageSize/smallDelta)
+	}
 	used := 0
 	i := s.head
 	for ; i < len(s.fifo); i++ {

@@ -88,3 +88,48 @@ func TestGCVictimOrderPinned(t *testing.T) {
 		t.Errorf("victim hash %#x over %d erases, pinned %#x over %d", got, erases, want, wantErases)
 	}
 }
+
+// TestGCCompletionTimesPinned hashes the completion time of every host op
+// over a churn whose ops arrive out of order — one in four is submitted
+// up to 8 ms ahead of the clock — so the channels hold idle gaps when GC
+// relocates into them. The constants come from the FTL as it was with
+// one SubmitAt per relocated page: batching a relocation's tail appends
+// must leave every completion where it was.
+func TestGCCompletionTimesPinned(t *testing.T) {
+	const want, wantErases = uint64(0xbad23658618a6e22), 39367
+	d := New("ssd", churnCfg())
+	rng := sim.NewRNG(11)
+	h := fnv.New64a()
+	var clock sim.Time
+	pages := d.Pages()
+	for op := 0; op < 120000; op++ {
+		clock += sim.Time(rng.Uint64n(uint64(400 * sim.Microsecond)))
+		at := clock
+		if rng.Intn(4) == 0 {
+			at += sim.Time(rng.Uint64n(uint64(8 * sim.Millisecond)))
+		}
+		lba := int64(rng.Uint64n(uint64(pages - 4)))
+		if rng.Intn(5) > 0 {
+			lba = int64(rng.Uint64n(uint64(pages / 5)))
+		}
+		n := 1 + rng.Intn(4)
+		var done sim.Time
+		var err error
+		switch k := rng.Intn(16); {
+		case k == 0:
+			done, err = d.TrimPages(at, lba, n)
+		case k < 5:
+			done, err = d.ReadPages(at, lba, n, nil)
+		default:
+			done, err = d.WritePages(at, lba, n, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte{byte(done), byte(done >> 8), byte(done >> 16), byte(done >> 24),
+			byte(done >> 32), byte(done >> 40), byte(done >> 48), byte(done >> 56)})
+	}
+	if got := h.Sum64(); got != want || d.erases != wantErases {
+		t.Errorf("completion hash %#x over %d erases, pinned %#x over %d", got, d.erases, want, wantErases)
+	}
+}

@@ -15,6 +15,7 @@ package ssd
 import (
 	"fmt"
 
+	"kddcache/internal/bitset"
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
 	"kddcache/internal/sim"
@@ -82,6 +83,13 @@ type Device struct {
 	active     int   // block currently being filled
 	physBlocks int
 	inGC       bool
+	// closed files every fully written block but the active one by its
+	// valid pages: closed[v] holds the blocks with v valid, so the greedy
+	// victim is the lowest index in the lowest non-empty bucket.
+	closed []bitset.Set
+	// gcTail is gcOnce's relocation work per channel that goes to the
+	// channel's tail, added in one Append when the collection ends.
+	gcTail []sim.Time
 
 	// Statistics.
 	hostReads   int64
@@ -132,6 +140,11 @@ func newDevice(name string, cfg Config, store *blockdev.MemStore) *Device {
 		l2p:        make([]int64, cfg.HostPages),
 		blocks:     make([]block, physBlocks),
 		physBlocks: physBlocks,
+		closed:     make([]bitset.Set, cfg.PagesPerBlock+1),
+		gcTail:     make([]sim.Time, cfg.Channels),
+	}
+	for v := range d.closed {
+		d.closed[v] = bitset.New(int64(physBlocks))
 	}
 	for i := range d.l2p {
 		d.l2p[i] = invalidPPN
@@ -189,15 +202,17 @@ func (d *Device) allocPage(t sim.Time, lba int64) (int64, sim.Time) {
 	return ppn, done
 }
 
-// openNewActive switches allocation to a fresh erased block. maybeGC keeps
-// at least one free block in reserve, so GC never needs to recurse here;
-// running out despite over-provisioning indicates an accounting bug.
+// openNewActive switches allocation to a fresh erased block and closes the
+// full one it leaves. maybeGC keeps at least one free block in reserve, so
+// GC never needs to recurse here; running out despite over-provisioning
+// indicates an accounting bug.
 func (d *Device) openNewActive(t sim.Time) {
 	if len(d.freeBlocks) == 0 {
 		if d.gcOnce(t) == -1 {
 			panic("ssd: out of space with nothing to garbage collect")
 		}
 	}
+	d.closed[d.blocks[d.active].valid].Add(int64(d.active))
 	d.active = d.freeBlocks[len(d.freeBlocks)-1]
 	d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
 }
@@ -213,6 +228,10 @@ func (d *Device) invalidate(lba int64) {
 	b := &d.blocks[blk]
 	if b.pages[page] == lba {
 		b.pages[page] = invalidPPN
+		if b.writePtr == d.cfg.PagesPerBlock && blk != d.active {
+			d.closed[b.valid].Remove(int64(blk))
+			d.closed[b.valid-1].Add(int64(blk))
+		}
 		b.valid--
 	}
 	d.l2p[lba] = invalidPPN
@@ -245,8 +264,15 @@ func (d *Device) maybeGC(t sim.Time) {
 	}
 }
 
-// gcOnce picks the block with the fewest valid pages (greedy), relocates
-// its live pages, erases it, and returns 0 (or -1 if no victim exists).
+// gcOnce picks the closed block with the fewest valid pages (greedy, the
+// lowest index on a tie), relocates its live pages, erases it, and
+// returns 0 (or -1 if no victim exists).
+//
+// Every job of a collection arrives at t. Once no idle gap of a channel
+// holds the shortest of them, none of the channel's later jobs fits one
+// either: a tail job arriving at t leaves no gap that ends after t. So
+// from then on the channel's jobs are summed and appended at its tail in
+// one Append, with the completions one call per job would give.
 func (d *Device) gcOnce(t sim.Time) int {
 	if d.inGC {
 		// A single gcOnce consumes at most one free block (the relocation
@@ -258,22 +284,23 @@ func (d *Device) gcOnce(t sim.Time) int {
 	d.inGC = true
 	defer func() { d.inGC = false }()
 	victim := -1
-	best := d.cfg.PagesPerBlock + 1
-	for i := range d.blocks {
-		if i == d.active {
-			continue
-		}
-		if d.blocks[i].writePtr < d.cfg.PagesPerBlock {
-			continue // not fully written: an open block, or an erased one on the free list
-		}
-		v := d.blocks[i].valid
-		if v < best {
-			best = v
-			victim = i
+	for v := range d.closed {
+		if d.closed[v].Len() > 0 {
+			victim = int(d.closed[v].FirstIn(0, int64(d.physBlocks)))
+			d.closed[v].Remove(int64(victim))
+			break
 		}
 	}
 	if victim == -1 {
 		return -1
+	}
+	shortest := min(d.cfg.ReadLatency, d.cfg.ProgramLatency, d.cfg.EraseLatency)
+	submit := func(ch int, service sim.Time) {
+		if d.gcTail[ch] == 0 && d.chans.Fits(ch, t, shortest) {
+			d.chans.SubmitAt(ch, t, service)
+			return
+		}
+		d.gcTail[ch] += service
 	}
 	vb := &d.blocks[victim]
 	// Relocate valid pages.
@@ -283,7 +310,7 @@ func (d *Device) gcOnce(t sim.Time) int {
 		}
 		oldPPN := d.ppn(victim, page)
 		d.flashReads++
-		d.chans.SubmitAt(d.channelFor(oldPPN), t, d.cfg.ReadLatency)
+		submit(d.channelFor(oldPPN), d.cfg.ReadLatency)
 		// Clear without touching the victim's valid counter twice: mark
 		// the source invalid, then map to a new page.
 		vb.pages[page] = invalidPPN
@@ -300,7 +327,7 @@ func (d *Device) gcOnce(t sim.Time) int {
 		d.l2p[lba] = nppn
 		d.flashWrites++
 		d.gcWrites++
-		d.chans.SubmitAt(d.channelFor(nppn), t, d.cfg.ProgramLatency)
+		submit(d.channelFor(nppn), d.cfg.ProgramLatency)
 	}
 	// Erase the victim.
 	vb.writePtr = 0
@@ -310,7 +337,13 @@ func (d *Device) gcOnce(t sim.Time) int {
 	if vb.erases >= d.cfg.PECycles {
 		d.wornOut = true
 	}
-	d.chans.SubmitAt(victim%d.cfg.Channels, t, d.cfg.EraseLatency)
+	submit(victim%d.cfg.Channels, d.cfg.EraseLatency)
+	for ch, service := range d.gcTail {
+		if service > 0 {
+			d.chans.Append(ch, t, service)
+			d.gcTail[ch] = 0
+		}
+	}
 	d.freeBlocks = append(d.freeBlocks, victim)
 	return 0
 }
