@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-smoke bench-pairs same-outputs kernels obs-test shard-test qos-test lsraid-test loc ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-smoke bench-pairs same-outputs kernels obs-test shard-test qos-test lsraid-test loc ci clean
 
 all: ci
 
@@ -154,19 +154,6 @@ cover:
 	awk -v t="$$total" -v b="$$base" 'BEGIN { if (t + 0.5 < b) { \
 		print "FAIL: coverage " t "% is more than 0.5 points below baseline " b "%"; exit 1 } }'
 
-# Serial vs parallel wall-clock of the experiment harness; asserts the
-# outputs are byte-identical and appends one entry to the
-# BENCH_harness.json trajectory.
-bench-harness:
-	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json
-
-# Perf gate: same measurement, but fail if tracing costs more than its
-# absolute budget in ns per span, or the noisy-neighbor victims' p99
-# ratio exceeds its isolation budget. Nothing is compared against an
-# earlier trajectory entry.
-bench-gate:
-	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
-
 # The repository's benchmark (BENCHMARK.json, bench/) is a module of its
 # own that the root `go vet/test ./...` never reach: vet and test it, then
 # run all five workloads at 1 % size, untraced and traced. Every run
@@ -178,8 +165,10 @@ bench-smoke:
 
 # Paired parent-vs-change runs of that benchmark, the protocol a perf
 # claim rests on: make bench-pairs WORKLOAD=zipf_plane_fit [N=10] [BASE=HEAD]
-# (WORKLOAD=all runs every workload; see scripts/bench-pairs.sh for the
-# verdict rule).
+# (WORKLOAD=all runs every workload). Each workload's verdict table
+# (scripts/pairs-verdict.awk states the rule) is appended to the
+# BENCH_harness.json trajectory as one entry; earlier entries keep their
+# bytes.
 bench-pairs:
 	WORKLOAD=$(WORKLOAD) N=$(or $(N),10) BASE=$(or $(BASE),HEAD) bash scripts/bench-pairs.sh
 
@@ -207,7 +196,11 @@ same-outputs:
 # first lap of a fresh stack's bookkeeping: a fresh metadata log taking one
 # lap of pages and a fresh timing-mode lsraid array filled through its
 # whole log once (ns and allocs per page), at a
-# fixed small iteration count so they stay runnable (see
+# fixed small iteration count so they stay runnable. Last, the span
+# tracer's cost gate: host ns per span emitted, traced against untraced
+# replays of the Fin1 KDD Fig. 9 cell (interleaved, best of five, at the
+# scale doubled until the untraced replay lasts 0.5 s); it fails over
+# tracerBudgetNs, 150 ns (see
 # DESIGN.md "Model kernels", "Binary span ring", "Workload generation",
 # "Background work runs in the members' idle time" and "Sharded data
 # plane").
@@ -228,6 +221,7 @@ kernels:
 	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFlush$$' -benchtime 500x -benchmem
 	$(GO) test ./internal/metalog/ -run '^$$' -bench '^BenchmarkLogFirstLap$$' -benchtime 20x -benchmem
 	$(GO) test ./internal/lsraid/ -run '^$$' -bench '^BenchmarkSegmentFirstFill$$' -benchtime 20x -benchmem
+	$(GO) test ./internal/harness/ -run '^$$' -bench '^BenchmarkTracerCost$$' -benchtime 1x
 
 # Size of the code that ships: non-test Go lines outside bench/, in total
 # and per internal/ package (what a simplicity PR quotes before and after).
@@ -242,7 +236,7 @@ loc:
 # it also runs TestChaos, which pins the default `chaos` run against
 # chaos.golden, so `chaos` is not listed either. With `kernels`, this is
 # everything the CI workflow runs except `fuzz`.
-ci: vet build race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate bench-smoke kernels
+ci: vet build race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-smoke kernels
 
 clean:
 	$(GO) clean ./...

@@ -116,20 +116,27 @@ func TestChaosLaneKill(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicAcrossParallelism runs a small chaos batch
-// serially and in parallel; the rendered table (fingerprints included)
-// must match byte for byte.
+// TestChaosDeterministicAcrossParallelism runs two small chaos batches,
+// the default plan mix and the rebuild-window plans, serially and in
+// parallel; each rendered table (fingerprints included) must match byte
+// for byte.
 func TestChaosDeterministicAcrossParallelism(t *testing.T) {
-	tables := make(map[int]string)
-	for _, par := range []int{1, 4} {
-		rep := chaos(t, check.ChaosOpts{Schedules: 4, Ops: 160, Parallel: par})
-		if v := rep.Violations(); len(v) != 0 {
-			t.Fatalf("chaos violations at width %d: %v", par, v)
+	for _, o := range []check.ChaosOpts{
+		{Schedules: 4, Ops: 160},
+		{Schedules: 4, Ops: 160, Kind: "disk-kill,rebuild-crash,double-kill"},
+	} {
+		tables := make(map[int]string)
+		for _, par := range []int{1, 4} {
+			o.Parallel = par
+			rep := chaos(t, o)
+			if v := rep.Violations(); len(v) != 0 {
+				t.Fatalf("kinds %q: chaos violations at width %d: %v", o.Kind, par, v)
+			}
+			tables[par] = rep.Table()
 		}
-		tables[par] = rep.Table()
-	}
-	if tables[1] != tables[4] {
-		t.Fatalf("chaos table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			tables[1], tables[4])
+		if tables[1] != tables[4] {
+			t.Fatalf("kinds %q: chaos table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				o.Kind, tables[1], tables[4])
+		}
 	}
 }

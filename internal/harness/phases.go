@@ -72,27 +72,6 @@ func PhaseBreakdown(e Env) (Output, error) {
 	return Output{Text: b.String()}, nil
 }
 
-// ObsOverheadRun replays the Fin1 workload through the KDD timing stack
-// once, with or without the span tracer attached, and returns the number
-// of spans the traced run emitted (0 untraced). harnessbench times both
-// variants and divides the difference by that count: the tracer's cost in
-// host nanoseconds per span, which its gate bounds.
-func ObsOverheadRun(scale float64, traced bool) (spans uint64, err error) {
-	var ob *obs.Obs
-	if traced {
-		ob = obs.New()
-		defer ob.Release() // recycle ring storage across timing runs
-	}
-	s, tr := fig9Trace(workload.TableI()[0], scale)
-	if _, _, err := fig9Cell(s, tr, StackOpts{Policy: PolicyKDD, DeltaMean: 0.25}, ob); err != nil {
-		return 0, err
-	}
-	if traced {
-		spans = ob.Tracer.Spans()
-	}
-	return spans, nil
-}
-
 // PhaseArtifacts produces the machine-readable observability artifacts of
 // the phases experiment in e: the concatenated JSONL trace (per-workload
 // tracers back to back, in Table-I order) and the Prometheus text

@@ -70,22 +70,27 @@ func TestFanOutCancelsAfterError(t *testing.T) {
 }
 
 // TestExperimentsDeterministicAcrossParallelism is the tentpole's
-// acceptance test: a representative sweep experiment (Fig6) must render
+// acceptance test: the sweep experiments (Fig5, Fig6) must render
 // byte-identical output serially and at several pool widths.
 func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
-	serial, err := Fig6(Env{Scale: tinyScale, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4} {
-		got, err := Fig6(Env{Scale: tinyScale, Parallel: par})
+	for _, ex := range []struct {
+		name string
+		run  func(Env) (Output, error)
+	}{{"fig5", Fig5}, {"fig6", Fig6}} {
+		serial, err := ex.run(Env{Scale: tinyScale, Parallel: 1})
 		if err != nil {
-			t.Fatalf("parallel=%d: %v", par, err)
+			t.Fatalf("%s: %v", ex.name, err)
 		}
-		if got.Text != serial.Text {
-			t.Fatalf("fig6 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				par, serial.Text, got.Text)
+		for _, par := range []int{2, 4} {
+			got, err := ex.run(Env{Scale: tinyScale, Parallel: par})
+			if err != nil {
+				t.Fatalf("%s parallel=%d: %v", ex.name, par, err)
+			}
+			if got.Text != serial.Text {
+				t.Fatalf("%s output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s",
+					ex.name, par, serial.Text, got.Text)
+			}
 		}
 	}
 }
